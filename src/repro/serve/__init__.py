@@ -10,8 +10,10 @@ A long-running serving tier on top of :class:`~repro.core.engine.HugeEngine`:
   pattern's canonical form, shared across isomorphic requests;
 * **fair scheduling** (:mod:`.queueing`) — weighted round-robin across
   priorities, EDF within, per-tenant caps;
-* **the service** (:mod:`.service`) — the worker pool, dispatcher,
-  cancellation and crash-retry fault tolerance;
+* **the service** (:mod:`.service`) — the client API, worker pool and
+  dispatcher; :mod:`.lifecycle` walks every task (query share group or
+  subscription delta) through reserve → run → deliver → release, and
+  :mod:`.executor` is the engine seam (thread or process behind it);
 * **work sharing** (:mod:`.sharing`) — share-group formation: canonical
   plan-prefix signatures let the dispatcher run concurrently queued
   requests with a common join-unit prefix as one engine execution;
@@ -25,10 +27,11 @@ A long-running serving tier on top of :class:`~repro.core.engine.HugeEngine`:
   delivery, exactly-once per graph version;
 * **load driving** (:mod:`.driver`) — seeded (optionally Zipf-skewed)
   workloads with solo-run verification;
-* **observability** (:mod:`.stats`, :mod:`.tracing`,
-  :mod:`.instruments`) — latency percentiles, wall-clock Chrome traces,
-  and labelled registry metrics (admission/queue/plan-cache/crash
-  counters, latency histograms) plus the per-query flight recorder from
+* **observability** (:mod:`.events` and its sinks :mod:`.stats`,
+  :mod:`.tracing`, :mod:`.instruments`) — one event stream feeding
+  latency percentiles, wall-clock Chrome traces, labelled registry
+  metrics (admission/queue/plan-cache/crash counters, latency
+  histograms) and the per-query flight recorder from
   :mod:`repro.obs.flight`.
 """
 
@@ -42,8 +45,8 @@ from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
 from .resultcache import CachedResult, ResultCache, ResultCacheStats
 from .service import (Executor, FaultInjector, QueryService, WorkerCrashError,
                       run_query_solo)
-from .sharing import (ShareGroup, common_prefix_len, config_fingerprint,
-                      group_prefix_len, plan_signature, signature_of_plan)
+from .sharing import (ShareGroup, config_fingerprint, plan_signature,
+                      signature_of_plan)
 from .stats import LatencyRecorder, ServiceStats, percentile
 from .tracing import ServiceTracer
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
@@ -59,8 +62,8 @@ __all__ = [
     "Executor", "FaultInjector", "QueryService", "WorkerCrashError",
     "run_query_solo",
     "CachedResult", "ResultCache", "ResultCacheStats",
-    "ShareGroup", "common_prefix_len", "config_fingerprint",
-    "group_prefix_len", "plan_signature", "signature_of_plan",
+    "ShareGroup", "config_fingerprint", "plan_signature",
+    "signature_of_plan",
     "LatencyRecorder", "ServiceStats", "percentile",
     "ServiceInstruments", "ServiceTracer",
     "DeltaBatch", "SubscribeRequest", "Subscription", "UpdateReport",

@@ -7,12 +7,12 @@ fraction carrying deadlines, and optionally injected worker crashes —
 submits everything concurrently, waits for the fleet to drain, and
 produces a :class:`DriverReport`.
 
-``verify=True`` re-runs every distinct (pattern, cluster shape) solo via
-:func:`~repro.serve.service.run_query_solo` and checks each served
-count — and, where the outcome carries its engine result, the simulated
-metrics report — is **bit-identical** to the solo run.  This is the
-ISSUE's acceptance gate, wired into the CLI, CI smoke and the serving
-benchmark.
+``verify=True`` applies the ``solo-identical`` serving oracle
+(:func:`repro.testing.serving.solo_mismatches`): every distinct
+(pattern, cluster shape) is re-run solo and each served count — and,
+where the outcome carries its engine result, the simulated metrics
+report — must be **bit-identical** to the solo run.  This is the
+acceptance gate wired into the CLI and the CI smokes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from ..graph.graph import Graph
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..query.pattern import QueryGraph, get_query
-from .request import Priority, QueryRequest, QueryStatus
-from .service import FaultInjector, QueryService, run_query_solo
+from .request import Priority, QueryRequest
+from .service import FaultInjector, QueryService
 
 __all__ = ["WorkloadSpec", "DriverReport", "LoadDriver"]
 
@@ -195,64 +195,10 @@ class LoadDriver:
             outcomes=[o.as_dict() for o in outcomes],
             service=service.stats().as_dict())
         if verify:
-            report.verified, report.verify_failures = self._verify(
-                requests, outcomes)
+            # the solo-identical oracle lives with the other serving
+            # oracles (imported here: repro.testing imports this module)
+            from ..testing.serving import solo_mismatches
+            report.verify_failures = solo_mismatches(
+                self.graph, requests, outcomes, self.default_config)
+            report.verified = not report.verify_failures
         return report
-
-    @staticmethod
-    def _canonical_rows(pattern, rows):
-        """Matches rebased from the request's vertex order to canonical
-        order — the shared frame in which any two isomorphic requests'
-        solo runs produce literally the same multiset."""
-        resolved = pattern if isinstance(pattern, QueryGraph) \
-            else get_query(pattern)
-        _, mapping = resolved.canonical_form()
-        n = resolved.num_vertices
-        out = []
-        for r in rows:
-            c = [0] * n
-            for v in range(n):
-                c[mapping[v]] = r[v]
-            out.append(tuple(c))
-        return sorted(out)
-
-    def _verify(self, requests, outcomes) -> tuple[bool, list[str]]:
-        """Check every completed request against its solo run."""
-        solo_cache: dict[tuple, object] = {}
-        failures: list[str] = []
-        for req, outcome in zip(requests, outcomes):
-            if outcome.status is not QueryStatus.COMPLETED:
-                continue
-            # collect changes the engine's allocation profile, so a
-            # count-only request must not reuse a collecting solo run
-            key = (outcome.canonical_key, req.num_machines,
-                   req.workers_per_machine, req.partition_seed, req.collect)
-            cached = solo_cache.get(key)
-            if cached is None:
-                cached = (run_query_solo(self.graph, req,
-                                         default_config=self.default_config),
-                          req.pattern)
-                solo_cache[key] = cached
-            solo, solo_pattern = cached
-            if outcome.count != solo.count:
-                failures.append(
-                    f"{req.label}: served count {outcome.count} != solo "
-                    f"{solo.count}")
-                continue
-            served = outcome.collected
-            if (served is not None and solo.collected is not None
-                    and self._canonical_rows(req.pattern, served)
-                    != self._canonical_rows(solo_pattern, solo.collected)):
-                failures.append(
-                    f"{req.label}: served match multiset differs from solo")
-            # a share-group member's report is the group's shared ledger
-            # and a result-cache hit carries no report at all — only solo
-            # runs pin the full simulated-metrics comparison
-            if (outcome.result is not None and solo.result is not None
-                    and outcome.shared_group == 1
-                    and not outcome.result_cache_hit
-                    and outcome.result.report.as_dict()
-                    != solo.result.report.as_dict()):
-                failures.append(
-                    f"{req.label}: served metrics differ from solo run")
-        return not failures, failures

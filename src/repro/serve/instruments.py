@@ -9,12 +9,14 @@ histograms double as the backing store of the service's
 :class:`~repro.serve.stats.LatencyRecorder`\\ s, so the ``snapshot()``
 percentile dicts and the Prometheus exposition report the same samples.
 
-Everything here is observational: a service constructed without a
-registry takes none of these code paths and behaves byte-identically to
-one built before this module existed.
+Everything here is observational: the instruments are a sink on the
+service's event stream (:mod:`repro.serve.events`), registered only when
+a registry is attached.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from ..obs.metrics import MetricsRegistry
 
@@ -22,10 +24,17 @@ __all__ = ["ServiceInstruments"]
 
 
 class ServiceInstruments:
-    """Pre-resolved metric handles for one service instance."""
+    """Pre-resolved metric handles for one service instance.
 
-    def __init__(self, registry: MetricsRegistry):
+    ``gauges`` (optional) samples the live service state —
+    ``{"inflight": ..., "reserved_bytes": ..., "depths": ...}`` — whenever
+    an event moves it.
+    """
+
+    def __init__(self, registry: MetricsRegistry,
+                 gauges: Callable[[], dict] | None = None):
         self.registry = registry
+        self._gauges = gauges
         self.submitted = registry.counter(
             "serve_submitted_total", "requests submitted", ("tenant",))
         self.completed = registry.counter(
@@ -81,34 +90,49 @@ class ServiceInstruments:
             "per-subscription delta enumeration latency for one update batch",
             time_base="wall", reservoir=10_000)
 
-    def observe_queue_depths(self, depths: dict[str, int]) -> None:
-        for priority, depth in depths.items():
-            self.queue_depth.set_child(self.queue_depth.labels(priority),
-                                       depth)
+    @staticmethod
+    def _inc(counter, *labels: str, by: float = 1.0) -> None:
+        counter.inc_child(counter.labels(*labels), by)
 
-    def admission_decision(self, decision: str, reason: str) -> None:
-        self.admission.inc_child(self.admission.labels(decision, reason))
-
-    def plan_cache_lookup(self, hit: bool) -> None:
-        self.plan_cache.inc_child(
-            self.plan_cache.labels("hit" if hit else "miss"))
-
-    def result_cache_lookup(self, hit: bool) -> None:
-        self.result_cache.inc_child(
-            self.result_cache.labels("hit" if hit else "miss"))
-
-    def observe_share_group(self, size: int) -> None:
-        self.share_group.observe(float(size))
-
-    def stream_update(self, dataset: str) -> None:
-        self.stream_updates.inc_child(self.stream_updates.labels(dataset))
-
-    def stream_batch(self, additions: int, retractions: int,
-                     latency_s: float) -> None:
-        if additions:
-            self.stream_deltas.inc_child(self.stream_deltas.labels("+"),
-                                         float(additions))
-        if retractions:
-            self.stream_deltas.inc_child(self.stream_deltas.labels("-"),
-                                         float(retractions))
-        self.stream_batch_latency.observe(latency_s)
+    def __call__(self, kind: str, seq: int | None, f: dict) -> None:
+        """Event-stream sink."""
+        if kind == "submitted":
+            self._inc(self.submitted, f["tenant"])
+        elif kind == "result_cache":
+            self._inc(self.result_cache, "hit" if f["hit"] else "miss")
+        elif kind == "rejected":
+            self._inc(self.admission, "reject", f["reason"])
+        elif kind == "queued":
+            self._inc(self.admission, "accept", "fits")
+        elif kind == "share_group" and seq == f["leader"]:
+            self.share_group.observe(float(f["size"]))
+        elif kind == "planned":
+            self._inc(self.plan_cache, "hit" if f["cache_hit"] else "miss")
+        elif kind == "crash" and seq == f["leader"]:
+            self._inc(self.crashes, f["backend"])
+        elif kind == "retry_scheduled":
+            self._inc(self.retries, f["backend"])
+        elif kind == "finished" and f["delivered"]:
+            self._inc(self.requests, f["status"])
+            if f["status"] == "completed":
+                self._inc(self.completed, f["tenant"])
+            elif f["error"] == "deadline exceeded":
+                self.deadline_missed.inc()
+        elif kind == "graph_update":
+            self._inc(self.stream_updates, f["dataset"])
+        elif kind in ("subscribed", "unsubscribed"):
+            self.stream_subscriptions.inc(1.0 if kind == "subscribed"
+                                          else -1.0)
+        elif kind == "delta_batch":
+            for sign, n in (("+", f["additions"]), ("-", f["retractions"])):
+                if n:
+                    self._inc(self.stream_deltas, sign, by=float(n))
+            self.stream_batch_latency.observe(f["latency_s"])
+        if (self._gauges is not None
+                and kind in ("queued", "dispatched", "finished")):
+            g = self._gauges()
+            self.inflight.set(g["inflight"])
+            self.reserved_bytes.set(g["reserved_bytes"])
+            for priority, depth in g["depths"].items():
+                self.queue_depth.set_child(
+                    self.queue_depth.labels(priority), depth)

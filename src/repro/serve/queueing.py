@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Iterable
 
-from .request import Priority, QueryHandle
+from .request import Priority, QueryHandle, QueryOutcome, QueryStatus
 
 __all__ = ["QueueEntry", "MultiQueue", "PRIORITY_WEIGHTS"]
 
@@ -44,7 +44,7 @@ class QueueEntry:
     __slots__ = ("handle", "estimate_bytes", "submit_t", "abs_deadline",
                  "not_before", "attempts", "cancel_reason", "pattern",
                  "graph", "token", "dispatch_t", "canonical_key",
-                 "config_fp", "plan_key", "group")
+                 "config_fp", "plan_key", "group", "reserved_bytes")
 
     def __init__(self, handle: QueryHandle, estimate_bytes: float,
                  submit_t: float, abs_deadline: float):
@@ -74,11 +74,35 @@ class QueueEntry:
         self.plan_key: tuple | None = None
         #: the ShareGroup this entry is currently dispatched in, if any
         self.group = None
+        #: admission reservation currently held (``None`` = none)
+        self.reserved_bytes: float | None = None
+
+    @property
+    def seq(self) -> int:
+        return self.handle.request.seq
+
+    @property
+    def label(self) -> str:
+        return self.handle.request.label
+
+    @property
+    def tenant(self) -> str:
+        return self.handle.request.tenant
 
     @property
     def sort_key(self) -> tuple[float, int]:
         """EDF order with FIFO tie-break."""
-        return (self.abs_deadline, self.handle.request.seq)
+        return (self.abs_deadline, self.seq)
+
+    def terminal(self, status: QueryStatus, error: str, now: float,
+                 execute_s: float = 0.0) -> QueryOutcome:
+        """The outcome of an attempt that produced no result (cancelled,
+        failed, or crashed out of retries) at service time ``now``."""
+        return QueryOutcome(
+            status=status, error=error, attempts=self.attempts,
+            shared_group=self.group.size if self.group is not None else 1,
+            queue_wait_s=(self.dispatch_t or now) - self.submit_t,
+            execute_s=execute_s, total_s=now - self.submit_t)
 
 
 class MultiQueue:
@@ -148,6 +172,23 @@ class MultiQueue:
                 return popped
         return None
 
+    def _pop(self, predicate: Callable[[QueueEntry], bool],
+             limit: float = float("inf")) -> list[QueueEntry]:
+        """Remove up to ``limit`` entries matching ``predicate``, scanning
+        priorities urgent-first and EDF within."""
+        removed: list[QueueEntry] = []
+        for p in Priority:
+            keep_e, keep_k = [], []
+            for entry, key in zip(self._queues[p], self._keys[p]):
+                if len(removed) < limit and predicate(entry):
+                    removed.append(entry)
+                else:
+                    keep_e.append(entry)
+                    keep_k.append(key)
+            self._queues[p] = keep_e
+            self._keys[p] = keep_k
+        return removed
+
     def pop_matching(self, now: float,
                      eligible: Callable[[QueueEntry], bool],
                      match: Callable[[QueueEntry], bool],
@@ -158,40 +199,15 @@ class MultiQueue:
         already-popped leader: followers piggyback on the leader's engine
         run, so **no WRR credits are charged** — grouping strictly reduces
         the work done per dispatch, it never lets a class overdraw its
-        weight.  Scans priorities urgent-first and EDF within, honouring
-        retry backoff and the dispatcher's eligibility predicate.
+        weight.  Honours retry backoff and the dispatcher's eligibility
+        predicate; ``match`` is evaluated last, only on entries that will
+        be taken if it holds.
         """
-        taken: list[QueueEntry] = []
-        for p in Priority:
-            if len(taken) >= limit:
-                break
-            entries = self._queues[p]
-            keep_e, keep_k = [], []
-            for entry, key in zip(entries, self._keys[p]):
-                if (len(taken) < limit and entry.not_before <= now
-                        and entry.cancel_reason is None
-                        and eligible(entry) and match(entry)):
-                    taken.append(entry)
-                else:
-                    keep_e.append(entry)
-                    keep_k.append(key)
-            self._queues[p] = keep_e
-            self._keys[p] = keep_k
-        return taken
+        return self._pop(
+            lambda e: (e.not_before <= now and e.cancel_reason is None
+                       and eligible(e) and match(e)), limit)
 
     def pop_where(self, predicate: Callable[[QueueEntry], bool]) -> list[QueueEntry]:
         """Remove and return every queued entry matching ``predicate``
         (deadline expiry sweeps, shutdown drains, client cancels)."""
-        removed: list[QueueEntry] = []
-        for p in Priority:
-            entries = self._queues[p]
-            keep_e, keep_k = [], []
-            for entry, key in zip(entries, self._keys[p]):
-                if predicate(entry):
-                    removed.append(entry)
-                else:
-                    keep_e.append(entry)
-                    keep_k.append(key)
-            self._queues[p] = keep_e
-            self._keys[p] = keep_k
-        return removed
+        return self._pop(predicate)

@@ -212,6 +212,8 @@ class QueryHandle:
     def __init__(self, request: QueryRequest, service=None):
         self.request = request
         self._service = service
+        #: the service's queue entry for this request (cancel routing)
+        self._entry = None
         self._lock = threading.Lock()
         self._done = threading.Event()
         self._status = QueryStatus.PENDING

@@ -4,26 +4,33 @@
 real worker threads, each driving its own simulated cluster +
 :class:`~repro.core.engine.HugeEngine` (clusters are never shared across
 threads — the metrics ledger is per-run mutable state).  The dispatcher
-thread owns the :class:`MultiQueue` and the admission ledger:
+thread owns the :class:`MultiQueue`; everything a request *holds* — its
+admission reservation, its place in the in-flight and per-tenant tables,
+its one terminal delivery — is owned by the
+:class:`~repro.serve.lifecycle.Lifecycle`:
 
 1. **submit** — the pattern is resolved and canonicalised, its
-   Theorem-5.4 reservation estimated; a request whose bound exceeds the
-   whole budget is rejected immediately, otherwise it queues.
-2. **dispatch** — the fair scheduler picks the next entry whose
-   reservation fits the free budget and whose tenant is under its
-   in-flight cap; the reservation is taken and the entry handed to the
-   worker pool.
-3. **execute** — the worker looks the canonical plan up in the shared
-   :class:`PlanCache` (planning only on miss), runs the engine with a
-   per-attempt :class:`CancelToken` (deadline + client cancel), remaps
-   collected matches back to the request's vertex order, and streams
-   bounded chunks if requested.
-4. **fault tolerance** — an injected :class:`WorkerCrashError` kills the
-   worker thread mid-run; the dispatcher detects the dead thread,
-   releases the crashed query's reservation, respawns a fresh worker and
-   requeues the query with exponential backoff.  The handle's
-   exactly-once terminal transition guarantees no result is lost or
-   duplicated across retries.
+   Theorem-5.4 reservation estimated; a result-cache hit or a request
+   whose bound exceeds the whole budget is delivered immediately,
+   otherwise it queues.
+2. **reserve** — the fair scheduler picks the next entry whose
+   reservation fits the free budget and whose tenant is under its cap,
+   gathers share-group followers behind it, and the task (a
+   :class:`~repro.serve.sharing.ShareGroup`, of one for a solo query)
+   goes to the worker pool with its reservations taken.
+3. **run** — the worker gets-or-plans the canonical plan, runs the
+   engine under a per-attempt :class:`CancelToken` (deadline + client
+   cancel) and remaps matches to the request's vertex order.
+4. **deliver → release** — every member gets exactly one terminal
+   outcome and its reservation back.
+5. **abandon** — an injected :class:`WorkerCrashError` kills the worker
+   thread mid-run; the dispatcher respawns it and the lifecycle releases
+   the task's reservations and requeues its members with backoff.
+
+``apply_updates`` fans one :class:`~repro.serve.lifecycle.DeltaTask` per
+subscription through the same steps.  Every transition is announced once
+on the event stream (:mod:`repro.serve.events`); statistics, tracing,
+metrics and the flight recorder are sinks on it.
 
 Determinism: a query executed through the service produces **the same
 count and simulated metrics** as the same request executed solo
@@ -36,41 +43,35 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import replace
 from queue import Empty, Queue
 from typing import Mapping
 
-from ..cluster.cluster import Cluster
 from ..cluster.cost import CostModel
-from ..cluster.errors import QueryCancelledError, ReproError
 from ..core.cancel import CancelToken
-from ..core.engine import EngineConfig, EnumerationResult, HugeEngine
+from ..core.engine import EngineConfig
 from ..graph.graph import Graph
 from ..graph.updates import apply_updates as graph_apply_updates
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
                                 UpdateReport)
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
-from ..query.pattern import QueryGraph, get_query
 from .admission import AdmissionController, estimate_query_bytes
+from .events import EventStream, flight_sink
+from .executor import (Executor, effective_config, remap_matches,
+                       resolve_pattern, run_query_solo)
 from .instruments import ServiceInstruments
+from .lifecycle import DeltaTask, Lifecycle, UpdateWork, WorkerCrashError
 from .plancache import PlanCache
 from .queueing import MultiQueue, QueueEntry
 from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
-                      QueryStatus, ResultChunk)
+                      QueryStatus)
 from .resultcache import ResultCache
-from .sharing import (ShareGroup, config_fingerprint, group_prefix_len,
-                      signature_of_plan)
-from .stats import LatencyRecorder, ServiceStats
-from .tracing import ENGINE, ServiceTracer
+from .sharing import ShareGroup, config_fingerprint
+from .stats import ServiceStats, StatsSink
+from .tracing import ServiceTracer
 
 __all__ = ["WorkerCrashError", "FaultInjector", "Executor", "QueryService",
            "run_query_solo"]
-
-
-class WorkerCrashError(RuntimeError):
-    """An injected worker crash (kills the worker thread mid-query)."""
 
 
 class FaultInjector:
@@ -126,258 +127,22 @@ class _AttemptToken(CancelToken):
             raise WorkerCrashError("injected worker crash")
 
 
-class Executor:
-    """Executes requests on per-thread cached clusters.
-
-    One ``Executor`` per worker thread (plus one per solo run): simulated
-    clusters are mutable during a run and must never be shared, while the
-    immutable data graphs and cached plans are shared freely.
-    """
-
-    def __init__(self, plan_cache: PlanCache | None = None,
-                 default_config: EngineConfig | None = None,
-                 cost: CostModel | None = None, max_clusters: int = 4):
-        self.plan_cache = plan_cache
-        self.default_config = default_config
-        self.cost = cost
-        #: optional hook returning a precomputed vertex-ownership array
-        #: for a request's cluster shape (process workers resolve it from
-        #: shared memory instead of recomputing the permutation)
-        self.partition_provider = None
-        self._clusters: OrderedDict[tuple, Cluster] = OrderedDict()
-        self._max_clusters = max_clusters
-
-    def _cluster(self, graph: Graph, req: QueryRequest) -> Cluster:
-        key = (req.dataset, req.num_machines, req.workers_per_machine,
-               req.partition_seed)
-        cached = self._clusters.get(key)
-        # a dataset re-registration (streaming update) swaps the snapshot
-        # under the same name: a cached cluster is only valid for the
-        # exact graph object it was built on
-        cluster = cached[1] if cached is not None and cached[0] is graph \
-            else None
-        if cluster is None:
-            owner = (self.partition_provider(req)
-                     if self.partition_provider is not None else None)
-            cluster = Cluster(graph, num_machines=req.num_machines,
-                              workers_per_machine=req.workers_per_machine,
-                              cost=self.cost, seed=req.partition_seed,
-                              owner=owner)
-            if key not in self._clusters and \
-                    len(self._clusters) >= self._max_clusters:
-                self._clusters.popitem(last=False)
-            self._clusters[key] = (graph, cluster)
-        else:
-            self._clusters.move_to_end(key)
-        return cluster
-
-    def _config(self, req: QueryRequest,
-                token: CancelToken | None) -> EngineConfig:
-        base = req.config or self.default_config or EngineConfig()
-        # always a copy: the caller's config object is never mutated and
-        # the cancellation token is strictly per-attempt
-        return replace(base, collect_results=req.collect, cancellation=token)
-
-    def execute(self, req: QueryRequest, graph: Graph,
-                pattern: QueryGraph,
-                token: CancelToken | None = None) -> tuple[EnumerationResult, dict]:
-        """Run one attempt; returns the engine result plus execution info
-        (canonical key, plan-cache hit, phase timings)."""
-        canon, mapping = pattern.canonical_form()
-        cluster = self._cluster(graph, req)
-        engine = HugeEngine(cluster, self._config(req, token))
-
-        t0 = time.perf_counter()
-        plan = None
-        cache_hit = False
-        key = None
-        if self.plan_cache is not None:
-            key = PlanCache.key(pattern.canonical_key(), req.dataset, graph,
-                                req.num_machines)
-            plan = self.plan_cache.get(key)
-            cache_hit = plan is not None
-        if plan is None:
-            plan = engine.plan(canon)
-            if self.plan_cache is not None and key is not None:
-                # the prefix signature rides the cache entry so the
-                # dispatcher can group future requests without replanning
-                self.plan_cache.put(key, plan,
-                                    signature=signature_of_plan(plan))
-        t1 = time.perf_counter()
-
-        result = engine.run(plan=plan)
-        t2 = time.perf_counter()
-
-        canonical_matches = result.matches
-        if result.matches is not None and mapping != tuple(
-                range(pattern.num_vertices)):
-            # cached plans run the canonical pattern; map matches back to
-            # the request's vertex numbering
-            result.matches = [
-                tuple(m[mapping[v]] for v in range(pattern.num_vertices))
-                for m in result.matches
-            ]
-        info = {
-            "canonical_key": key[0] if key is not None
-            else pattern.canonical_key(),
-            "plan_cache_hit": cache_hit,
-            "plan_s": t1 - t0,
-            "execute_s": t2 - t1,
-            # pre-remap matches, for the result cache (canonical order)
-            "canonical_matches": canonical_matches,
-        }
-        return result, info
-
-    def resolve_plan(self, req: QueryRequest, graph: Graph,
-                     canon: QueryGraph, key: tuple):
-        """Plan-cache get-or-plan for one share-group member.
-
-        Returns ``(plan, cache_hit, plan_seconds)``; planning happens on
-        a cluster-bound engine so the cardinality estimator sees the
-        right graph, exactly as :meth:`execute` does.
-        """
-        t0 = time.perf_counter()
-        plan = self.plan_cache.get(key) if self.plan_cache is not None \
-            else None
-        hit = plan is not None
-        if plan is None:
-            cluster = self._cluster(graph, req)
-            plan = HugeEngine(cluster, self._config(req, None)).plan(canon)
-            if self.plan_cache is not None:
-                self.plan_cache.put(key, plan,
-                                    signature=signature_of_plan(plan))
-        return plan, hit, time.perf_counter() - t0
-
-    def execute_group(self, reqs: list[QueryRequest], graph: Graph,
-                      patterns: list[QueryGraph],
-                      plan_keys: list[tuple] | None = None,
-                      token: CancelToken | None = None):
-        """Run one share group: members' common plan prefix once, each
-        member's suffix into its own sink.
-
-        Returns ``(results, mappings, hits, plan_times, prefix_len,
-        execute_s)`` — per-member lists plus the shared prefix length and
-        the engine wall time.  ``plan_keys=None`` recomputes the plan
-        cache keys locally (the process-worker path, whose keys live in
-        the child's cache).
-        """
-        req0 = reqs[0]
-        if plan_keys is None:
-            plan_keys = [
-                PlanCache.key(p.canonical_key(), r.dataset, graph,
-                              r.num_machines)
-                for r, p in zip(reqs, patterns)
-            ]
-        plans, mappings, hits, plan_times = [], [], [], []
-        for req, pattern, key in zip(reqs, patterns, plan_keys):
-            canon, mapping = pattern.canonical_form()
-            plan, hit, plan_s = self.resolve_plan(req, graph, canon, key)
-            plans.append(plan)
-            mappings.append(mapping)
-            hits.append(hit)
-            plan_times.append(plan_s)
-        cluster = self._cluster(graph, req0)
-        base = req0.config or self.default_config or EngineConfig()
-        engine = HugeEngine(cluster, replace(
-            base, collect_results=False, cancellation=token))
-        prefix_len = group_prefix_len(
-            [signature_of_plan(p) for p in plans])
-        t0 = time.perf_counter()
-        results = engine.run_shared(
-            plans, collects=[r.collect for r in reqs])
-        execute_s = time.perf_counter() - t0
-        return results, mappings, hits, plan_times, prefix_len, execute_s
-
-
-def run_query_solo(graph: Graph, request: QueryRequest,
-                   default_config: EngineConfig | None = None,
-                   cost: CostModel | None = None,
-                   plan_cache: PlanCache | None = None) -> QueryOutcome:
-    """Execute one request alone, through the service's exact execution
-    path (canonicalisation included) but with no pool, queue or budget.
-
-    This is the oracle baseline: a request served under concurrency must
-    produce a bit-identical count and simulated report to its solo run.
-    """
-    pattern = request.pattern if isinstance(request.pattern, QueryGraph) \
-        else get_query(request.pattern)
-    executor = Executor(plan_cache=plan_cache, default_config=default_config,
-                        cost=cost)
-    t0 = time.perf_counter()
-    result, info = executor.execute(request, graph, pattern)
-    return QueryOutcome(
-        status=QueryStatus.COMPLETED, count=result.count, result=result,
-        canonical_key=info["canonical_key"],
-        plan_cache_hit=info["plan_cache_hit"],
-        plan_s=info["plan_s"], execute_s=info["execute_s"],
-        total_s=time.perf_counter() - t0)
-
-
 _SHUTDOWN = object()
-
-
-class _UpdateWork:
-    """Shared completion latch for one ``apply_updates`` fan-out.
-
-    ``apply_updates`` enqueues one :class:`_DeltaTask` per standing
-    subscription, then blocks on :meth:`wait` until every task has
-    reported through :meth:`done` — serialising update batches per
-    dataset so graph versions (and therefore delivery seqs) stay
-    monotonic.
-    """
-
-    def __init__(self, dataset: str, version: int, old_graph: Graph,
-                 new_graph: Graph, delta, count: int):
-        self.dataset = dataset
-        self.version = version
-        self.old_graph = old_graph
-        self.new_graph = new_graph
-        self.delta = delta
-        self._remaining = count
-        self._cond = threading.Condition()
-        self.batches: dict[int, DeltaBatch] = {}
-
-    def done(self, sub_seq: int, batch: DeltaBatch) -> None:
-        with self._cond:
-            self.batches[sub_seq] = batch
-            self._remaining -= 1
-            self._cond.notify_all()
-
-    def wait(self, timeout: float) -> bool:
-        with self._cond:
-            return self._cond.wait_for(lambda: self._remaining <= 0,
-                                       timeout=timeout)
-
-
-class _DeltaTask:
-    """One subscription's share of an update batch, run on a pool worker.
-
-    Delta passes always run in-process on the worker *thread* (the
-    columnar delta kernels are cheap relative to full enumeration);
-    under the process backend they simply bypass the child process.
-    """
-
-    __slots__ = ("sub", "work", "reserved_bytes")
-
-    def __init__(self, sub: Subscription, work: _UpdateWork,
-                 reserved_bytes: float):
-        self.sub = sub
-        self.work = work
-        self.reserved_bytes = reserved_bytes
 
 
 class _Worker(threading.Thread):
     """One pool worker; dies on an injected crash (no cleanup — the
     dispatcher's liveness check is the detection path)."""
 
-    #: pool backend label carried on flight events and crash metrics
+    #: pool backend label carried on events and crash metrics
     backend = "thread"
 
     def __init__(self, service: "QueryService", wid: int):
         super().__init__(name=f"repro-serve-w{wid}", daemon=True)
         self.service = service
         self.wid = wid
-        self.current: QueueEntry | None = None
+        #: the task being run (ShareGroup or DeltaTask), if any
+        self.current = None
         self.crashed = False
         self.executor = self._make_executor(service)
 
@@ -399,26 +164,24 @@ class _Worker(threading.Thread):
         svc = self.service
         while True:
             try:
-                entry = svc._ready.get(timeout=0.2)
+                task = svc._ready.get(timeout=0.2)
             except Empty:
                 if svc._abort.is_set():
                     return
                 continue
-            if entry is _SHUTDOWN:
+            if task is _SHUTDOWN:
                 return
-            self.current = entry
+            self.current = task
             try:
-                svc._run_entry(self, entry)
+                svc.lifecycle.run(self, task)
             except WorkerCrashError:
                 # simulated hard death: leave ``current`` set and exit
                 # without any cleanup; the dispatcher's liveness sweep
-                # detects the corpse and recovers the query
+                # detects the corpse and abandons the task
                 self.crashed = True
                 return
-            self.current = None
-            with svc._cond:
-                svc._dispatch_units -= 1
-                svc._cond.notify_all()
+            # an idle worker must not pin its last task's graph snapshots
+            self.current = task = None
 
 
 class QueryService:
@@ -439,7 +202,6 @@ class QueryService:
                  trace_max_events: int | None = None,
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
-                 poll_interval_s: float = 0.005,
                  sharing: bool = False,
                  max_share_group: int = 8,
                  result_cache_bytes: float = 0.0,
@@ -472,13 +234,6 @@ class QueryService:
         self.result_cache: ResultCache | None = (
             ResultCache(result_cache_bytes, ledger=self.admission)
             if result_cache_bytes > 0 else None)
-        self.tracer: ServiceTracer | None = (
-            ServiceTracer(num_workers, max_events=trace_max_events)
-            if trace else None)
-        self.metrics = metrics
-        self.obs: ServiceInstruments | None = (
-            ServiceInstruments(metrics) if metrics is not None else None)
-        self.flight = flight
 
         self._graphs: dict[str, Graph] = dict(datasets or {})
         self._graph_versions: dict[str, int] = {n: 0 for n in self._graphs}
@@ -491,41 +246,42 @@ class QueryService:
         self._started = False
         self._stopped = False
         self._start_t = 0.0
-
         self._workers: list[_Worker] = []
         #: process backend only: shared-memory segments + child hosts
         self._procpool = None
         self._dispatcher: threading.Thread | None = None
-        #: dispatch units (solo entries or whole share groups) occupying
-        #: workers right now — a group holds ONE unit but all its members
-        #: stay individually in ``_inflight``
-        self._dispatch_units = 0
-        self._inflight: dict[int, QueueEntry] = {}
-        self._tenant_inflight: dict[str, int] = {}
-        self._entries: dict[int, QueueEntry] = {}  # seq -> live entry
-
-        self._counters = {
-            "submitted": 0, "completed": 0, "cancelled": 0, "failed": 0,
-            "rejected": 0, "retries": 0, "worker_crashes": 0,
-            "delivery_violations": 0, "shared_groups": 0,
-            "shared_requests": 0, "result_cache_hits": 0,
-            "stream_updates": 0, "stream_batches": 0,
-            "stream_additions": 0, "stream_retractions": 0,
-            "stream_errors": 0, "subscriptions": 0,
-        }
         #: standing subscriptions: dataset -> {sub seq -> Subscription}
         self._subscriptions: dict[str, dict[int, Subscription]] = {}
-        # when a registry is attached, the recorders share its histograms:
-        # snapshot percentiles and the exposition report the same samples
-        obs = self.obs
-        self._latency = LatencyRecorder(histogram=obs.latency if obs
-                                        else None)
-        self._queue_wait = LatencyRecorder(histogram=obs.queue_wait if obs
-                                           else None)
-        self._execute = LatencyRecorder(histogram=obs.execute if obs
-                                        else None)
+        #: per-dataset mutex serialising ``apply_updates``
+        self._update_locks: dict[str, threading.Lock] = {}
 
-    # -- lifecycle -------------------------------------------------------------
+        # one event stream; every recorder is a sink, registered only
+        # when configured.  With a registry attached the latency recorders
+        # share its histograms: snapshot percentiles and the exposition
+        # report the same samples
+        self.events = EventStream()
+        self.emit = self.events.emit
+        self.tracer: ServiceTracer | None = (
+            ServiceTracer(num_workers, max_events=trace_max_events,
+                          gauges=self._gauges) if trace else None)
+        obs = (ServiceInstruments(metrics, gauges=self._gauges)
+               if metrics is not None else None)
+        self._stats = StatsSink(*(
+            (obs.latency, obs.queue_wait, obs.execute) if obs else ()))
+        for sink in (self._stats, self.tracer, obs,
+                     flight_sink(flight) if flight is not None else None):
+            if sink is not None:
+                self.events.add(sink)
+        self.lifecycle = Lifecycle(self)
+
+    def _gauges(self) -> dict:
+        """Live state sampled by sinks (lock-free: sinks run inside
+        ``emit``, which may itself be called under ``_cond``)."""
+        return {"inflight": len(self.lifecycle.inflight),
+                "reserved_bytes": self.admission.reserved_bytes,
+                "depths": self._queue.depths()}
+
+    # -- datasets --------------------------------------------------------------
 
     def register_dataset(self, name: str, graph: Graph) -> None:
         """Register (or replace) a data graph under ``name``.
@@ -553,6 +309,14 @@ class QueryService:
             return 0
         return self.result_cache.invalidate(dataset=dataset, tenant=tenant)
 
+    def _resolve_graph(self, dataset: str) -> Graph:
+        try:
+            return self._graphs[dataset]
+        except KeyError:
+            raise KeyError(
+                f"unknown dataset {dataset!r}; registered: "
+                f"{sorted(self._graphs)}") from None
+
     # -- streaming subscriptions -----------------------------------------------
 
     def subscribe(self, request: SubscribeRequest) -> Subscription:
@@ -568,32 +332,24 @@ class QueryService:
         if not self._started or self._stop_requested:
             raise RuntimeError("service is not accepting requests")
         graph = self._resolve_graph(request.dataset)
-        pattern = (request.pattern if isinstance(request.pattern, QueryGraph)
-                   else get_query(request.pattern))
+        pattern = resolve_pattern(request)
         sub = Subscription(request, pattern, service=self)
         with self._cond:
             self._subscriptions.setdefault(
                 request.dataset, {})[request.seq] = sub
-            self._counters["subscriptions"] += 1
-        if self.flight is not None:
-            self.flight.begin(request.seq, request.label,
-                              tenant=request.tenant)
-            self.flight.event(request.seq, "subscribed",
-                              pattern=pattern.name, dataset=request.dataset)
-        if self.obs is not None:
-            self.obs.stream_subscriptions.inc(1.0)
+        self.emit("subscribed", request.seq, label=request.label,
+                  tenant=request.tenant, pattern=pattern.name,
+                  dataset=request.dataset)
         if request.bootstrap:
             t0 = self._now()
             matches = sub.enumerator.delta_matches(graph, graph.edges())
-            batch = DeltaBatch(
+            self.emit("bootstrapped", request.seq, count=len(matches))
+            # a batch that never ran on the pool: enters at deliver
+            self.lifecycle.deliver(DeltaTask(sub), DeltaBatch(
                 seq=self.graph_version(request.dataset),
                 dataset=request.dataset, inserted=(), deleted=(),
                 additions=tuple(matches), retractions=(),
-                count_after=len(matches), latency_s=self._now() - t0)
-            sub._deliver(batch, abort=self._abort)
-            if self.flight is not None:
-                self.flight.event(request.seq, "bootstrapped",
-                                  count=len(matches))
+                count_after=len(matches), latency_s=self._now() - t0))
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -602,21 +358,8 @@ class QueryService:
             subs = self._subscriptions.get(sub.request.dataset, {})
             subs.pop(sub.request.seq, None)
         sub._close()
-        if self.flight is not None:
-            self.flight.finish(sub.request.seq, "unsubscribed",
-                               batches=sub.delivered_batches,
-                               count=sub.count)
-        if self.obs is not None:
-            self.obs.stream_subscriptions.inc(-1.0)
-
-    def _estimate_delta_bytes(self, sub: Subscription, graph: Graph,
-                              delta_size: int) -> float:
-        # coarse working-set bound for the admission ledger: each Δ-edge
-        # seeds |E_q| pinned extensions whose frontier is at most one
-        # adjacency list wide per placed vertex (8-byte ids)
-        vq = sub.pattern.num_vertices
-        eq = max(1, sub.pattern.num_edges)
-        return 8.0 * delta_size * eq * vq * max(1.0, graph.avg_degree)
+        self.emit("unsubscribed", sub.request.seq,
+                  batches=sub.delivered_batches, count=sub.count)
 
     def apply_updates(self, dataset: str, inserts=(), deletes=(),
                       timeout: float = 60.0) -> UpdateReport:
@@ -627,116 +370,65 @@ class QueryService:
         which invalidates stale result-cache entries — and fans one
         delta task per standing subscription out through the worker
         pool.  Blocks until every subscription has been notified (or
-        ``timeout`` elapses), so updates on one dataset are serialised
-        and delivery seqs are monotonic.
+        ``timeout`` elapses).  Updates on one dataset are serialised
+        under a per-dataset lock held from the snapshot read to the end
+        of the fan-out, so no update is lost and delivery seqs are
+        monotonic.
         """
         if not self._started or self._stop_requested:
             raise RuntimeError("service is not accepting updates")
         t0 = self._now()
-        old_graph = self._resolve_graph(dataset)
-        new_graph, delta = graph_apply_updates(old_graph, inserts, deletes)
-        self.register_dataset(dataset, new_graph)
-        version = self.graph_version(dataset)
         with self._cond:
-            subs = list(self._subscriptions.get(dataset, {}).values())
-            self._counters["stream_updates"] += 1
-        if self.obs is not None:
-            self.obs.stream_update(dataset)
-        if self.tracer:
-            self.tracer.instant("graph update", ENGINE,
-                                {"dataset": dataset, "version": version,
-                                 "inserted": len(delta.inserted),
-                                 "deleted": len(delta.deleted),
-                                 "subscriptions": len(subs)})
-        work = _UpdateWork(dataset, version, old_graph, new_graph, delta,
-                           count=len(subs))
-        for sub in subs:
-            estimate = self._estimate_delta_bytes(sub, new_graph, delta.size)
-            reserved = self.admission.try_reserve(estimate)
-            task = _DeltaTask(sub, work, estimate if reserved else 0.0)
+            lock = self._update_locks.setdefault(dataset, threading.Lock())
+        with lock:
+            old_graph = self._resolve_graph(dataset)
+            new_graph, delta = graph_apply_updates(old_graph, inserts,
+                                                   deletes)
+            self.register_dataset(dataset, new_graph)
+            version = self.graph_version(dataset)
             with self._cond:
-                self._dispatch_units += 1
-            self._ready.put(task)
-        completed = work.wait(timeout) if subs else True
-        batches = tuple(work.batches[s.seq] for s in subs
-                        if s.seq in work.batches)
+                subs = list(self._subscriptions.get(dataset, {}).values())
+            self.emit("graph_update", None, dataset=dataset, version=version,
+                      inserted=len(delta.inserted),
+                      deleted=len(delta.deleted), subscriptions=len(subs))
+            work = UpdateWork(dataset, version, old_graph, new_graph, delta)
+            for sub in subs:
+                # coarse working-set bound for the admission ledger: each
+                # Δ-edge seeds |E_q| pinned extensions whose frontier is
+                # at most one adjacency list wide per placed vertex
+                # (8-byte ids)
+                estimate = (8.0 * delta.size * max(1, sub.pattern.num_edges)
+                            * sub.pattern.num_vertices
+                            * max(1.0, new_graph.avg_degree))
+                task = DeltaTask(sub, work, estimate)
+                self.lifecycle.reserve(task, self._now())
+                self._ready.put(task)
+            batches: dict[int, DeltaBatch] = {}
+            try:
+                for _ in subs:
+                    seq, batch = work.done.get(
+                        timeout=max(0.0, t0 + timeout - self._now()))
+                    batches[seq] = batch
+            except Empty:
+                pass
         return UpdateReport(
             dataset=dataset, version=version, inserted=delta.inserted,
-            deleted=delta.deleted, batches=batches,
-            wall_s=self._now() - t0, timed_out=not completed)
-
-    def _run_delta_task(self, worker: _Worker, task: _DeltaTask) -> None:
-        """Run one subscription's delta passes on a pool worker thread.
-
-        Never raises: a failing pass is delivered as an errored batch
-        (and counted) rather than killing the worker.
-        """
-        sub, work = task.sub, task.work
-        t0 = self._now()
-        additions: list = []
-        retractions: list = []
-        error: str | None = None
-        try:
-            retractions = sub.enumerator.delta_matches(
-                work.old_graph, work.delta.deleted)
-            additions = sub.enumerator.delta_matches(
-                work.new_graph, work.delta.inserted)
-        except Exception as exc:  # noqa: BLE001 - worker boundary
-            error = f"{type(exc).__name__}: {exc}"
-        latency = self._now() - t0
-        batch = DeltaBatch(
-            seq=work.version, dataset=work.dataset,
-            inserted=work.delta.inserted, deleted=work.delta.deleted,
-            additions=tuple(additions), retractions=tuple(retractions),
-            count_after=sub.count + len(additions) - len(retractions),
-            latency_s=latency, error=error)
-        try:
-            delivered = sub._deliver(batch, abort=self._abort)
-            with self._cond:
-                self._counters["stream_batches"] += 1
-                self._counters["stream_additions"] += len(additions)
-                self._counters["stream_retractions"] += len(retractions)
-                if error is not None:
-                    self._counters["stream_errors"] += 1
-            if self.obs is not None:
-                self.obs.stream_batch(len(additions), len(retractions),
-                                      latency)
-            if self.flight is not None:
-                seq = sub.request.seq
-                self.flight.event(seq, "delta_batch", version=work.version,
-                                  worker=worker.wid,
-                                  inserted=len(work.delta.inserted),
-                                  deleted=len(work.delta.deleted),
-                                  additions=len(additions),
-                                  retractions=len(retractions),
-                                  latency_s=latency, error=error)
-                if retractions:
-                    self.flight.event(seq, "retracted",
-                                      version=work.version,
-                                      matches=len(retractions))
-                self.flight.event(
-                    seq, "delivered" if delivered else "delivery_dropped",
-                    version=work.version, count=sub.count)
-        except Exception:  # noqa: BLE001 - keep the latch + worker alive
-            pass
-        finally:
-            if task.reserved_bytes:
-                self.admission.release(task.reserved_bytes)
-            work.done(sub.request.seq, batch)
+            deleted=delta.deleted,
+            batches=tuple(batches[s.seq] for s in subs if s.seq in batches),
+            wall_s=self._now() - t0, timed_out=len(batches) < len(subs))
 
     def stream_stats(self) -> dict:
         """Streaming-side counters (see :meth:`stats` for the query side)."""
+        counters = self._stats.counters()
         with self._cond:
             active = sum(len(s) for s in self._subscriptions.values())
-            return {
-                "subscriptions_total": self._counters["subscriptions"],
+        return {"subscriptions_total": counters["subscriptions"],
                 "subscriptions_active": active,
-                "stream_updates": self._counters["stream_updates"],
-                "stream_batches": self._counters["stream_batches"],
-                "stream_additions": self._counters["stream_additions"],
-                "stream_retractions": self._counters["stream_retractions"],
-                "stream_errors": self._counters["stream_errors"],
-            }
+                **{k: counters[k] for k in (
+                    "stream_updates", "stream_batches", "stream_additions",
+                    "stream_retractions", "stream_errors")}}
+
+    # -- pool lifecycle --------------------------------------------------------
 
     def _new_worker(self, wid: int) -> _Worker:
         if self._procpool is not None:
@@ -819,29 +511,17 @@ class QueryService:
     def _now(self) -> float:
         return time.monotonic()
 
+    def _estimate(self, request: QueryRequest, pattern, graph) -> float:
+        return estimate_query_bytes(
+            pattern.num_vertices, graph,
+            effective_config(request, self.default_config),
+            request.num_machines, self.cost or CostModel())
+
     def estimate_request_bytes(self, request: QueryRequest) -> float:
         """The admission reservation this request would take (for sizing
         budgets in tests/benchmarks)."""
-        graph = self._resolve_graph(request.dataset)
-        pattern = self._resolve_pattern(request)
-        base = request.config or self.default_config or EngineConfig()
-        return estimate_query_bytes(pattern.num_vertices, graph, base,
-                                    request.num_machines,
-                                    self.cost or CostModel())
-
-    def _resolve_graph(self, dataset: str) -> Graph:
-        try:
-            return self._graphs[dataset]
-        except KeyError:
-            raise KeyError(
-                f"unknown dataset {dataset!r}; registered: "
-                f"{sorted(self._graphs)}") from None
-
-    @staticmethod
-    def _resolve_pattern(request: QueryRequest) -> QueryGraph:
-        if isinstance(request.pattern, QueryGraph):
-            return request.pattern
-        return get_query(request.pattern)
+        return self._estimate(request, resolve_pattern(request),
+                              self._resolve_graph(request.dataset))
 
     def submit(self, request: QueryRequest) -> QueryHandle:
         """Admit a request into the service; returns its handle.
@@ -853,80 +533,62 @@ class QueryService:
         if not self._started or self._stop_requested:
             raise RuntimeError("service is not accepting requests")
         graph = self._resolve_graph(request.dataset)
-        pattern = self._resolve_pattern(request)
+        pattern = resolve_pattern(request)
         request.priority = Priority(request.priority)
         handle = QueryHandle(request, service=self)
         now = self._now()
-        estimate = estimate_query_bytes(
-            pattern.num_vertices, graph,
-            request.config or self.default_config or EngineConfig(),
-            request.num_machines, self.cost or CostModel())
+        estimate = self._estimate(request, pattern, graph)
         deadline = (now + request.deadline_s
                     if request.deadline_s is not None else float("inf"))
-        entry = QueueEntry(handle, estimate, now, deadline)
+        entry = handle._entry = QueueEntry(handle, estimate, now, deadline)
         entry.pattern = pattern
         entry.graph = graph
         if self.sharing or self.result_cache is not None:
-            base = request.config or self.default_config or EngineConfig()
             entry.canonical_key = pattern.canonical_key()
-            entry.config_fp = config_fingerprint(base)
+            entry.config_fp = config_fingerprint(
+                effective_config(request, self.default_config))
             entry.plan_key = PlanCache.key(entry.canonical_key,
                                            request.dataset, graph,
                                            request.num_machines)
-
-        if self.flight is not None:
-            self.flight.begin(request.seq, request.label,
-                              tenant=request.tenant,
-                              deadline_s=request.deadline_s,
-                              estimate_bytes=estimate,
-                              priority=request.priority.name)
-        if self.obs is not None:
-            self.obs.submitted.inc_child(
-                self.obs.submitted.labels(request.tenant))
+        self.emit("submitted", request.seq, label=request.label,
+                  tenant=request.tenant, deadline_s=request.deadline_s,
+                  estimate_bytes=estimate, priority=request.priority.name)
 
         if self.result_cache is not None and not request.stream:
-            cached = self._try_result_cache(entry)
-            if cached is not None:
+            hit = self.result_cache.get(self._result_cache_key(entry),
+                                        need_matches=request.collect)
+            self.emit("result_cache", request.seq, hit=hit is not None,
+                      label=request.label, count=hit.count if hit else None)
+            if hit is not None:
+                # answered without queueing or touching the engine: a
+                # member that never ran enters at deliver
+                _canon, mapping = pattern.canonical_form()
+                self.lifecycle.deliver(entry, QueryOutcome(
+                    status=QueryStatus.COMPLETED, count=hit.count,
+                    matches=(list(remap_matches(pattern, mapping,
+                                                hit.matches))
+                             if request.collect else None),
+                    result_cache_hit=True,
+                    canonical_key=entry.canonical_key, attempts=0,
+                    total_s=self._now() - entry.submit_t))
                 return handle
 
+        if not self.admission.admissible(estimate):
+            self.admission.reject()
+            self.emit("rejected", request.seq, label=request.label,
+                      reason="memory_bound", estimate_bytes=estimate)
+            self.lifecycle.deliver(entry, QueryOutcome(
+                status=QueryStatus.REJECTED,
+                error=(f"memory bound {estimate:.3g}B exceeds the "
+                       f"service budget "
+                       f"{self.admission.budget_bytes:.3g}B"),
+                canonical_key=pattern.canonical_key(), attempts=0))
+            return handle
         with self._cond:
-            self._counters["submitted"] += 1
-            if not self.admission.admissible(estimate):
-                self.admission.reject()
-                self._counters["rejected"] += 1
-                if self.obs is not None:
-                    self.obs.admission_decision("reject", "memory_bound")
-                    self.obs.requests.inc_child(
-                        self.obs.requests.labels("rejected"))
-                if self.flight is not None:
-                    self.flight.finish(request.seq, "rejected",
-                                       reason="memory_bound",
-                                       estimate_bytes=estimate)
-                handle._finish(QueryOutcome(
-                    status=QueryStatus.REJECTED,
-                    error=(f"memory bound {estimate:.3g}B exceeds the "
-                           f"service budget "
-                           f"{self.admission.budget_bytes:.3g}B"),
-                    canonical_key=pattern.canonical_key(), attempts=0))
-                if self.tracer:
-                    self.tracer.instant("admission reject", ENGINE,
-                                        {"request": request.label,
-                                         "bytes": estimate})
-                return handle
             handle._set_status(QueryStatus.QUEUED)
-            self._entries[request.seq] = entry
             self._queue.push(entry)
-            depths = self._queue.depths() if (self.tracer or self.obs) \
-                else None
-            if self.tracer:
-                self.tracer.counter("queue depth", ENGINE, depths)
             self._cond.notify_all()
-        if self.obs is not None:
-            self.obs.admission_decision("accept", "fits")
-            self.obs.observe_queue_depths(depths)
-        if self.flight is not None:
-            self.flight.event(request.seq, "queued",
-                              priority=request.priority.name)
+        self.emit("queued", request.seq, priority=request.priority.name)
         return handle
 
     # -- result cache ----------------------------------------------------------
@@ -938,58 +600,6 @@ class QueryService:
             self._graph_versions.get(req.dataset, 0), req.tenant,
             req.num_machines, req.workers_per_machine, req.partition_seed,
             entry.config_fp)
-
-    def _try_result_cache(self, entry: QueueEntry) -> QueryOutcome | None:
-        """Serve a request straight from the result cache, if possible.
-
-        A hit finishes the handle with a ``COMPLETED`` outcome carrying
-        the cached count (and matches remapped to the request's vertex
-        order) without ever queueing or touching the engine.
-        """
-        assert self.result_cache is not None
-        req = entry.handle.request
-        key = self._result_cache_key(entry)
-        hit = self.result_cache.get(key, need_matches=req.collect)
-        if self.obs is not None:
-            self.obs.result_cache_lookup(hit is not None)
-        if hit is None:
-            return None
-        matches = None
-        if req.collect:
-            _canon, mapping = entry.pattern.canonical_form()
-            n = entry.pattern.num_vertices
-            if mapping == tuple(range(n)):
-                matches = list(hit.matches)
-            else:
-                matches = [tuple(m[mapping[v]] for v in range(n))
-                           for m in hit.matches]
-        now = self._now()
-        outcome = QueryOutcome(
-            status=QueryStatus.COMPLETED, count=hit.count,
-            matches=matches, result_cache_hit=True,
-            canonical_key=entry.canonical_key, attempts=0,
-            total_s=now - entry.submit_t)
-        with self._cond:
-            self._counters["submitted"] += 1
-            self._counters["result_cache_hits"] += 1
-            delivered = entry.handle._finish(outcome)
-            if delivered:
-                self._counters["completed"] += 1
-            else:
-                self._counters["delivery_violations"] += 1
-        if delivered:
-            self._latency.add(outcome.total_s)
-        if self.obs is not None and delivered:
-            self.obs.requests.inc_child(self.obs.requests.labels("completed"))
-            self.obs.completed.inc_child(self.obs.completed.labels(req.tenant))
-        if self.flight is not None:
-            self.flight.finish(req.seq, "completed", count=hit.count,
-                               result_cache_hit=True,
-                               total_s=outcome.total_s)
-        if self.tracer:
-            self.tracer.instant("result cache hit", ENGINE,
-                                {"request": req.label, "count": hit.count})
-        return outcome
 
     def _store_result(self, entry: QueueEntry, count: int,
                       canonical_matches: list | None) -> None:
@@ -1005,14 +615,14 @@ class QueryService:
             dataset=req.dataset, tenant=req.tenant)
 
     def _cancel(self, handle: QueryHandle, reason: str) -> None:
-        """Client-side cancel (QueryHandle.cancel routes here)."""
+        """Client-side cancel (QueryHandle.cancel routes here): abort the
+        run if the entry is in flight, else mark it for the queue sweep."""
+        entry = handle._entry
         with self._cond:
-            entry = self._entries.get(handle.request.seq)
             if entry is None:
-                return
-            if handle.request.seq in self._inflight:
-                if entry.token is not None:
-                    entry.token.cancel(reason)
+                return  # already delivered
+            if entry.seq in self.lifecycle.inflight:
+                entry.token.cancel(reason)
             else:
                 entry.cancel_reason = reason
             self._cond.notify_all()
@@ -1020,42 +630,32 @@ class QueryService:
     # -- dispatcher ------------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        poll = 0.005
         while True:
             with self._cond:
-                self._cond.wait(timeout=poll)
+                self._cond.wait(timeout=0.005)
                 stop = self._stop_requested
                 drain = self._drain_on_stop
             self._reap_crashed_workers()
-            self._sweep_queue()
-            if stop and not drain:
-                self._cancel_everything("service shutdown")
+            shutdown = "service shutdown" if stop and not drain else None
+            if shutdown:
+                self._cancel_running(shutdown)
+            self._sweep_queue(shutdown)
             self._fill_workers()
             if stop:
                 with self._cond:
-                    idle = not self._inflight and not len(self._queue)
+                    idle = (not self.lifecycle.inflight
+                            and not len(self._queue))
                 if idle and (not drain or self._ready.empty()):
                     return
 
-    def _tenant_ok(self, entry: QueueEntry) -> bool:
-        if self.tenant_max_inflight is None:
-            return True
-        used = self._tenant_inflight.get(entry.handle.request.tenant, 0)
-        return used < self.tenant_max_inflight
-
-    def _shareable_leader(self, entry: QueueEntry) -> bool:
-        """Whether a popped entry may lead a share group: deadlines stay
-        solo (a group run cannot abort for one member's deadline without
-        killing the others'), and streaming delivery stays solo."""
-        return (entry.canonical_key is not None
-                and not entry.handle.request.stream
-                and entry.abs_deadline == float("inf"))
-
-    def _share_match(self, leader: QueueEntry, leader_sig):
+    def _share_match(self, leader: QueueEntry):
         """Follower predicate: same dataset/cluster/config, and either the
         same canonical pattern (full dedup — no signature needed) or a
-        plan-cache signature starting with the leader's scan spec."""
+        plan-cache signature starting with the leader's scan spec.
+        Deadlines stay solo (a group run cannot abort for one member's
+        deadline without killing the others'), and so does streaming."""
         lreq = leader.handle.request
+        leader_sig = self.plan_cache.signature(leader.plan_key)
 
         def match(e: QueueEntry) -> bool:
             req = e.handle.request
@@ -1077,516 +677,131 @@ class QueryService:
 
         return match
 
+    def _pop_task(self, now: float) -> ShareGroup | None:
+        """Pop the next dispatchable leader plus (with sharing on) its
+        compatible followers as one task; ``None`` when nothing fits."""
+        taken_bytes = 0.0
+        taken_tenants: dict[str, int] = {}
+
+        def fits(e: QueueEntry) -> bool:
+            # cumulative: budget/tenant headroom shrinks with every
+            # member already taken into the task
+            tenant = e.handle.request.tenant
+            if (self.tenant_max_inflight is not None
+                    and self.lifecycle.tenant_load(tenant)
+                    + taken_tenants.get(tenant, 0)
+                    >= self.tenant_max_inflight):
+                return False
+            return self.admission.fits_now(taken_bytes + e.estimate_bytes)
+
+        def take(e: QueueEntry) -> bool:
+            nonlocal taken_bytes
+            taken_bytes += e.estimate_bytes
+            tenant = e.handle.request.tenant
+            taken_tenants[tenant] = taken_tenants.get(tenant, 0) + 1
+            return True
+
+        leader = self._queue.pop_eligible(now, fits)
+        if leader is None:
+            return None
+        take(leader)
+        members = [leader]
+        if self.sharing and self.max_share_group > 1:
+            match = self._share_match(leader)
+            # a leader that would not match itself (streaming, deadline,
+            # no canonical key) cannot lead a group
+            if match(leader):
+                members += self._queue.pop_matching(
+                    now, fits, lambda e: match(e) and take(e),
+                    self.max_share_group - 1)
+        crash_after = (self.injector.arm(leader.seq, leader.attempts + 1)
+                       if self.injector else None)
+        deadline = (leader.abs_deadline
+                    if leader.abs_deadline != float("inf") else None)
+        token = _AttemptToken(deadline, crash_after, self.injector)
+        for e in members:
+            # alone, the member's token is the run's; in a larger group it
+            # is only a delivery-time cancel flag (cancelling one member
+            # must not abort the group's engine run)
+            e.token = token if len(members) == 1 else CancelToken()
+        return ShareGroup(members, token)
+
     def _fill_workers(self) -> None:
         while True:
             with self._cond:
                 # groups occupy ONE worker but many inflight entries, so
                 # the gate counts dispatch units, not inflight requests
-                if self._dispatch_units >= self.num_workers:
+                if self.lifecycle.units >= self.num_workers:
                     return
                 now = self._now()
-                entry = self._queue.pop_eligible(
-                    now, lambda e: (self._tenant_ok(e)
-                                    and self.admission.fits_now(
-                                        e.estimate_bytes)))
-                if entry is None:
+                task = self._pop_task(now)
+                if task is None:
                     return
-                members = [entry]
-                if (self.sharing and self.max_share_group > 1
-                        and self._shareable_leader(entry)):
-                    leader_sig = self.plan_cache.signature(entry.plan_key)
-                    extra_bytes = entry.estimate_bytes
-                    extra_tenants = {entry.handle.request.tenant: 1}
+                # same critical section as the pop: a client cancel must
+                # find the entry either queued or in flight
+                self.lifecycle.reserve(task, now)
+            self._ready.put(task)
 
-                    def eligible(e: QueueEntry) -> bool:
-                        # cumulative: budget/tenant headroom shrinks with
-                        # every follower taken ahead of this one
-                        tenant = e.handle.request.tenant
-                        used = (self._tenant_inflight.get(tenant, 0)
-                                + extra_tenants.get(tenant, 0))
-                        if (self.tenant_max_inflight is not None
-                                and used >= self.tenant_max_inflight):
-                            return False
-                        return self.admission.fits_now(
-                            extra_bytes + e.estimate_bytes)
-
-                    followers = self._queue.pop_matching(
-                        now, eligible, self._share_match(entry, leader_sig),
-                        self.max_share_group - 1)
-                    for f in followers:
-                        extra_bytes += f.estimate_bytes
-                        t = f.handle.request.tenant
-                        extra_tenants[t] = extra_tenants.get(t, 0) + 1
-                    members += followers
-                req = entry.handle.request
-                group = None
-                if len(members) > 1:
-                    crash_after = (self.injector.arm(req.seq,
-                                                     entry.attempts + 1)
-                                   if self.injector else None)
-                    group = ShareGroup(members, _AttemptToken(
-                        None, crash_after, self.injector))
-                    self._counters["shared_groups"] += 1
-                    self._counters["shared_requests"] += len(members)
-                for e in members:
-                    ok = self.admission.try_reserve(e.estimate_bytes)
-                    assert ok  # single dispatcher; workers only release
-                    e.attempts += 1
-                    e.dispatch_t = now
-                    e.group = group
-                    if group is None:
-                        crash_after = (self.injector.arm(req.seq,
-                                                         e.attempts)
-                                       if self.injector else None)
-                        deadline = (e.abs_deadline
-                                    if e.abs_deadline != float("inf")
-                                    else None)
-                        e.token = _AttemptToken(deadline, crash_after,
-                                                self.injector)
-                    else:
-                        # a member's token is only a delivery-time cancel
-                        # flag: cancelling one member must not abort the
-                        # group's engine run (group.token does that)
-                        e.token = CancelToken()
-                    seq = e.handle.request.seq
-                    self._inflight[seq] = e
-                    tenant = e.handle.request.tenant
-                    self._tenant_inflight[tenant] = \
-                        self._tenant_inflight.get(tenant, 0) + 1
-                self._dispatch_units += 1
-            if self.tracer:
-                for e in members:
-                    r = e.handle.request
-                    self.tracer.span(
-                        f"queue {r.label}", ENGINE,
-                        e.submit_t - self._start_t, now - self._start_t,
-                        {"priority": r.priority.name, "tenant": r.tenant,
-                         "attempt": e.attempts})
-                self.tracer.counter("queue depth", ENGINE,
-                                    self._queue.depths())
-                self.tracer.counter(
-                    "reserved MB", ENGINE,
-                    {"reserved": self.admission.reserved_bytes / 1e6})
-            if self.obs is not None:
-                with self._cond:
-                    self.obs.inflight.set(len(self._inflight))
-                    self.obs.observe_queue_depths(self._queue.depths())
-                self.obs.reserved_bytes.set(self.admission.reserved_bytes)
-                if group is not None:
-                    self.obs.observe_share_group(len(members))
-            if self.flight is not None:
-                for e in members:
-                    self.flight.event(e.handle.request.seq, "dispatched",
-                                      attempt=e.attempts,
-                                      queue_wait_s=now - e.submit_t)
-                if group is not None:
-                    for e in members:
-                        self.flight.event(e.handle.request.seq,
-                                          "share_group",
-                                          size=len(members),
-                                          leader=req.seq)
-            self._ready.put(entry)
-
-    def _sweep_queue(self) -> None:
-        """Cancel queued entries that expired or were client-cancelled."""
+    def _sweep_queue(self, shutdown: str | None = None) -> None:
+        """Cancel queued entries that expired or were client-cancelled —
+        or, with a ``shutdown`` reason, all of them."""
         now = self._now()
         with self._cond:
-            expired = self._queue.pop_where(
-                lambda e: e.abs_deadline <= now or e.cancel_reason is not None)
-        for entry in expired:
-            reason = entry.cancel_reason or "deadline exceeded"
-            self._finish_entry(entry, QueryOutcome(
-                status=QueryStatus.CANCELLED, error=reason,
-                attempts=entry.attempts,
-                queue_wait_s=now - entry.submit_t,
-                total_s=now - entry.submit_t), reserved=False)
-            if self.tracer:
-                self.tracer.instant("cancel", ENGINE,
-                                    {"request": entry.handle.request.label,
-                                     "reason": reason})
+            swept = self._queue.pop_where(
+                lambda e: (shutdown is not None or e.abs_deadline <= now
+                           or e.cancel_reason is not None))
+        for entry in swept:
+            reason = entry.cancel_reason or (
+                "deadline exceeded" if entry.abs_deadline <= now
+                else shutdown)
+            self.lifecycle.deliver(entry, entry.terminal(
+                QueryStatus.CANCELLED, reason, now))
 
-    def _cancel_everything(self, reason: str) -> None:
+    def _cancel_running(self, reason: str) -> None:
         with self._cond:
-            for entry in self._inflight.values():
-                if entry.token is not None:
-                    entry.token.cancel(reason)
-                if entry.group is not None:
-                    # member tokens are delivery-time flags only; the
-                    # group token is what the engine actually polls
-                    entry.group.token.cancel(reason)
-            for entry in list(self._entries.values()):
-                if entry.handle.request.seq not in self._inflight:
-                    entry.cancel_reason = reason
+            for entry in self.lifecycle.inflight.values():
+                # member tokens of a larger group are delivery-time flags
+                # only; the group token is what the engine actually polls
+                entry.token.cancel(reason)
+                entry.group.token.cancel(reason)
 
     def _reap_crashed_workers(self) -> None:
-        """Detect dead workers, respawn them, retry their queries."""
+        """Detect dead workers, respawn them, abandon their tasks."""
         for i, worker in enumerate(self._workers):
-            if worker.is_alive():
-                continue
-            entry = worker.current
-            if entry is None and not worker.crashed:
-                continue  # normal shutdown exit
-            crashed_pid = worker.pid
+            task = worker.current
+            if worker.is_alive() or task is None:
+                continue  # running, or a normal shutdown exit
             # respawn first so capacity is restored even if retry fails
             fresh = self._new_worker(worker.wid)
             self._workers[i] = fresh
             fresh.start()
+            self.lifecycle.abandon(task, worker)
             worker.dispose()  # reap the corpse (dead child process, pipes)
-            with self._cond:
-                self._counters["worker_crashes"] += 1
-            if self.obs is not None:
-                self.obs.crashes.inc_child(self.obs.crashes.labels(self.pool))
-            if entry is not None:
-                with self._cond:
-                    self._dispatch_units -= 1
-                victims = (entry.group.members if entry.group is not None
-                           else [entry])
-                for victim in victims:
-                    victim.group = None
-                    if self.flight is not None:
-                        self.flight.crash(victim.handle.request.seq,
-                                          worker=worker.wid,
-                                          pid=crashed_pid,
-                                          backend=worker.backend,
-                                          attempt=victim.attempts)
-                    self._retry_after_crash(victim)
-
-    def _retry_after_crash(self, entry: QueueEntry) -> None:
-        req = entry.handle.request
-        now = self._now()
-        with self._cond:
-            self._inflight.pop(req.seq, None)
-            tenant = req.tenant
-            if self._tenant_inflight.get(tenant, 0) > 0:
-                self._tenant_inflight[tenant] -= 1
-        self.admission.release(entry.estimate_bytes)
-        if self.tracer:
-            self.tracer.instant("worker crash", ENGINE,
-                                {"request": req.label,
-                                 "attempt": entry.attempts})
-        if entry.attempts > self.max_retries:
-            self._finish_entry(entry, QueryOutcome(
-                status=QueryStatus.FAILED,
-                error=f"worker crashed on all {entry.attempts} attempts",
-                attempts=entry.attempts, total_s=now - entry.submit_t),
-                reserved=False)
-            return
-        backoff = min(self.backoff_cap_s,
-                      self.backoff_base_s * (2 ** (entry.attempts - 1)))
-        entry.not_before = now + backoff
-        entry.token = None
-        entry.handle._set_status(QueryStatus.QUEUED)
-        with self._cond:
-            self._counters["retries"] += 1
-            self._queue.push(entry)
-            self._cond.notify_all()
-        if self.obs is not None:
-            self.obs.retries.inc_child(self.obs.retries.labels(self.pool))
-        if self.flight is not None:
-            self.flight.event(req.seq, "retry_scheduled",
-                              backoff_s=backoff,
-                              next_attempt=entry.attempts + 1)
-        if self.tracer:
-            self.tracer.instant("retry scheduled", ENGINE,
-                                {"request": req.label,
-                                 "backoff_s": backoff,
-                                 "next_attempt": entry.attempts + 1})
-
-    # -- worker side -----------------------------------------------------------
-
-    def _run_entry(self, worker: _Worker, entry: QueueEntry) -> None:
-        """Execute one dispatched entry on ``worker`` (its thread).
-
-        ``WorkerCrashError`` deliberately propagates — the caller treats
-        it as thread death.
-        """
-        if isinstance(entry, _DeltaTask):
-            self._run_delta_task(worker, entry)
-            return
-        if entry.group is not None:
-            self._run_group(worker, entry.group)
-            return
-        req = entry.handle.request
-        entry.handle._set_status(QueryStatus.RUNNING)
-        if self.flight is not None:
-            self.flight.event(req.seq, "executing", worker=worker.wid,
-                              pid=worker.pid, backend=worker.backend,
-                              attempt=entry.attempts)
-        t_run0 = self._now()
-        tr = self.tracer
-        tw0 = tr.now() if tr else 0.0
-        try:
-            result, info = worker.executor.execute(
-                req, entry.graph, entry.pattern, token=entry.token)
-        except WorkerCrashError:
-            raise
-        except QueryCancelledError as exc:
-            now = self._now()
-            self._finish_entry(entry, QueryOutcome(
-                status=QueryStatus.CANCELLED, error=exc.reason,
-                attempts=entry.attempts,
-                queue_wait_s=entry.dispatch_t - entry.submit_t,
-                execute_s=now - t_run0, total_s=now - entry.submit_t))
-            if tr:
-                tr.span(f"execute {req.label}", worker.wid, tw0, tr.now(),
-                        {"outcome": "cancelled", "reason": exc.reason})
-            return
-        except (ReproError, Exception) as exc:  # noqa: BLE001 - worker boundary
-            now = self._now()
-            self._finish_entry(entry, QueryOutcome(
-                status=QueryStatus.FAILED,
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=entry.attempts,
-                queue_wait_s=entry.dispatch_t - entry.submit_t,
-                execute_s=now - t_run0, total_s=now - entry.submit_t))
-            if tr:
-                tr.span(f"execute {req.label}", worker.wid, tw0, tr.now(),
-                        {"outcome": "failed", "error": str(exc)})
-            return
-
-        if self.obs is not None:
-            self.obs.plan_cache_lookup(info["plan_cache_hit"])
-        if self.flight is not None:
-            self.flight.event(req.seq, "planned",
-                              cache_hit=info["plan_cache_hit"],
-                              plan_s=info["plan_s"])
-            self.flight.event(req.seq, "executed",
-                              execute_s=info["execute_s"],
-                              count=result.count,
-                              sim_time_s=result.report.total_time_s)
-        if tr:
-            t_exec_end = tr.now()
-            tr.span(f"plan {req.label}", worker.wid, tw0,
-                    tw0 + info["plan_s"],
-                    {"cache_hit": info["plan_cache_hit"],
-                     "key": info["canonical_key"]})
-            tr.span(f"execute {req.label}", worker.wid,
-                    tw0 + info["plan_s"], t_exec_end,
-                    {"count": result.count,
-                     "sim_time_s": result.report.total_time_s,
-                     "attempt": entry.attempts})
-
-        streamed = 0
-        if req.stream:
-            ts0 = tr.now() if tr else 0.0
-            streamed = self._stream_result(entry, result)
-            if tr:
-                tr.span(f"stream {req.label}", worker.wid, ts0, tr.now(),
-                        {"chunks": streamed})
-            if self.flight is not None:
-                self.flight.event(req.seq, "streamed", chunks=streamed)
-        now = self._now()
-        self._store_result(entry, result.count, info["canonical_matches"])
-        self._finish_entry(entry, QueryOutcome(
-            status=QueryStatus.COMPLETED, count=result.count, result=result,
-            attempts=entry.attempts,
-            plan_cache_hit=info["plan_cache_hit"],
-            canonical_key=info["canonical_key"],
-            queue_wait_s=entry.dispatch_t - entry.submit_t,
-            plan_s=info["plan_s"], execute_s=info["execute_s"],
-            total_s=now - entry.submit_t))
-
-    def _run_group(self, worker: _Worker, group: ShareGroup) -> None:
-        """Execute one share group on ``worker`` (its thread).
-
-        The engine runs the members' common plan prefix once and routes
-        each member's suffix results into its own sink; every member is
-        then delivered individually — a client-cancelled member gets a
-        ``CANCELLED`` outcome while the rest of the group completes.
-        """
-        members = group.members
-        reqs = [e.handle.request for e in members]
-        for e, req in zip(members, reqs):
-            e.handle._set_status(QueryStatus.RUNNING)
-            if self.flight is not None:
-                self.flight.event(req.seq, "executing", worker=worker.wid,
-                                  pid=worker.pid, backend=worker.backend,
-                                  attempt=e.attempts,
-                                  share_group=len(members))
-        leader, req0 = members[0], reqs[0]
-        t_run0 = self._now()
-        tr = self.tracer
-        tw0 = tr.now() if tr else 0.0
-        try:
-            (results, mappings, hits, plan_times, prefix_len,
-             execute_s) = worker.executor.execute_group(
-                reqs, leader.graph, [e.pattern for e in members],
-                plan_keys=[e.plan_key for e in members], token=group.token)
-            group.prefix_len = prefix_len
-        except WorkerCrashError:
-            raise
-        except QueryCancelledError as exc:
-            now = self._now()
-            for e in members:
-                e.group = None
-                self._finish_entry(e, QueryOutcome(
-                    status=QueryStatus.CANCELLED, error=exc.reason,
-                    attempts=e.attempts, shared_group=len(members),
-                    queue_wait_s=e.dispatch_t - e.submit_t,
-                    execute_s=now - t_run0, total_s=now - e.submit_t))
-            if tr:
-                tr.span(f"execute group#{req0.seq}", worker.wid, tw0,
-                        tr.now(), {"outcome": "cancelled",
-                                   "reason": exc.reason,
-                                   "size": len(members)})
-            return
-        except (ReproError, Exception) as exc:  # noqa: BLE001 - worker boundary
-            now = self._now()
-            for e in members:
-                e.group = None
-                self._finish_entry(e, QueryOutcome(
-                    status=QueryStatus.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=e.attempts, shared_group=len(members),
-                    queue_wait_s=e.dispatch_t - e.submit_t,
-                    execute_s=now - t_run0, total_s=now - e.submit_t))
-            if tr:
-                tr.span(f"execute group#{req0.seq}", worker.wid, tw0,
-                        tr.now(), {"outcome": "failed", "error": str(exc),
-                                   "size": len(members)})
-            return
-
-        if self.obs is not None:
-            for hit in hits:
-                self.obs.plan_cache_lookup(hit)
-        if tr:
-            tr.span(f"execute group#{req0.seq}", worker.wid, tw0, tr.now(),
-                    {"size": len(members),
-                     "counts": [r.count for r in results]})
-        now = self._now()
-        for e, req, mapping, hit, plan_s, result in zip(
-                members, reqs, mappings, hits, plan_times, results):
-            e.group = None
-            canonical_matches = result.matches
-            n = e.pattern.num_vertices
-            if result.matches is not None and mapping != tuple(range(n)):
-                result.matches = [
-                    tuple(m[mapping[v]] for v in range(n))
-                    for m in result.matches
-                ]
-            reason = None
-            if e.token is not None and e.token.cancelled:
-                reason = e.token.reason
-            elif e.cancel_reason is not None:
-                reason = e.cancel_reason
-            if reason is not None:
-                self._finish_entry(e, QueryOutcome(
-                    status=QueryStatus.CANCELLED, error=reason,
-                    attempts=e.attempts, shared_group=len(members),
-                    queue_wait_s=e.dispatch_t - e.submit_t,
-                    execute_s=execute_s, total_s=now - e.submit_t))
-                continue
-            if self.flight is not None:
-                self.flight.event(req.seq, "executed",
-                                  execute_s=execute_s, count=result.count,
-                                  share_group=len(members),
-                                  sim_time_s=result.report.total_time_s)
-            self._store_result(e, result.count,
-                              canonical_matches if req.collect else None)
-            self._finish_entry(e, QueryOutcome(
-                status=QueryStatus.COMPLETED, count=result.count,
-                result=result, attempts=e.attempts, plan_cache_hit=hit,
-                shared_group=len(members), canonical_key=e.canonical_key,
-                queue_wait_s=e.dispatch_t - e.submit_t,
-                plan_s=plan_s, execute_s=execute_s,
-                total_s=now - e.submit_t))
-
-    def _stream_result(self, entry: QueueEntry,
-                       result: EnumerationResult) -> int:
-        """Deliver collected matches as bounded chunks; returns #chunks."""
-        req = entry.handle.request
-        matches = result.matches or []
-        result.matches = None  # delivered via the stream, not the outcome
-        size = req.chunk_size
-        chunks = [matches[i:i + size] for i in range(0, len(matches), size)] \
-            or [[]]
-        for seq, rows in enumerate(chunks):
-            chunk = ResultChunk(seq=seq, rows=rows,
-                                last=seq == len(chunks) - 1)
-            if not entry.handle._push_chunk(chunk, abort=self._abort):
-                break
-        return len(chunks)
-
-    def _finish_entry(self, entry: QueueEntry, outcome: QueryOutcome,
-                      reserved: bool = True) -> None:
-        """Terminal bookkeeping: budget release, counters, the handle's
-        exactly-once delivery, dispatcher wake-up."""
-        req = entry.handle.request
-        delivered = entry.handle._finish(outcome)
-        if req.stream and outcome.status != QueryStatus.COMPLETED:
-            entry.handle._push_chunk(None, abort=self._abort)
-        with self._cond:
-            self._entries.pop(req.seq, None)
-            was_inflight = self._inflight.pop(req.seq, None) is not None
-            if was_inflight:
-                tenant = req.tenant
-                if self._tenant_inflight.get(tenant, 0) > 0:
-                    self._tenant_inflight[tenant] -= 1
-            if not delivered:
-                self._counters["delivery_violations"] += 1
-            else:
-                key = {QueryStatus.COMPLETED: "completed",
-                       QueryStatus.CANCELLED: "cancelled",
-                       QueryStatus.FAILED: "failed",
-                       QueryStatus.REJECTED: "rejected"}[outcome.status]
-                self._counters[key] += 1
-            self._cond.notify_all()
-        if was_inflight and reserved:
-            self.admission.release(entry.estimate_bytes)
-        if delivered and outcome.status == QueryStatus.COMPLETED:
-            self._latency.add(outcome.total_s)
-            self._queue_wait.add(outcome.queue_wait_s)
-            self._execute.add(outcome.execute_s)
-        if self.obs is not None and delivered:
-            status = outcome.status.value
-            self.obs.requests.inc_child(self.obs.requests.labels(status))
-            if outcome.status == QueryStatus.COMPLETED:
-                self.obs.completed.inc_child(
-                    self.obs.completed.labels(req.tenant))
-            elif (outcome.status == QueryStatus.CANCELLED
-                  and outcome.error == "deadline exceeded"):
-                self.obs.deadline_missed.inc()
-            with self._cond:
-                self.obs.inflight.set(len(self._inflight))
-            self.obs.reserved_bytes.set(self.admission.reserved_bytes)
-        if self.flight is not None:
-            self.flight.finish(req.seq, outcome.status.value,
-                               count=outcome.count,
-                               attempts=outcome.attempts,
-                               error=outcome.error,
-                               total_s=outcome.total_s)
 
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> ServiceStats:
         """A point-in-time service metrics snapshot."""
+        counters = self._stats.counters()
         with self._cond:
-            counters = dict(self._counters)
             depth = self._queue.depths()
-            inflight = len(self._inflight)
+            inflight = len(self.lifecycle.inflight)
         return ServiceStats(
-            submitted=counters["submitted"],
-            completed=counters["completed"],
-            cancelled=counters["cancelled"],
-            failed=counters["failed"],
-            rejected=counters["rejected"],
-            retries=counters["retries"],
-            worker_crashes=counters["worker_crashes"],
-            delivery_violations=counters["delivery_violations"],
+            **{k: counters[k] for k in (
+                "submitted", "completed", "cancelled", "failed", "rejected",
+                "retries", "worker_crashes", "delivery_violations",
+                "shared_groups", "shared_requests", "result_cache_hits")},
             inflight=inflight,
             queue_depth=depth,
             reserved_bytes=self.admission.reserved_bytes,
             budget_bytes=self.admission.budget_bytes,
             admission=self.admission.stats_snapshot(),
             plan_cache=self.plan_cache.stats.as_dict(),
-            shared_groups=counters["shared_groups"],
-            shared_requests=counters["shared_requests"],
-            result_cache_hits=counters["result_cache_hits"],
             result_cache=(self.result_cache.stats.as_dict()
                           if self.result_cache is not None else {}),
-            latency=self._latency.snapshot(),
-            queue_wait=self._queue_wait.snapshot(),
-            execute=self._execute.snapshot(),
+            latency=self._stats.latency.snapshot(),
+            queue_wait=self._stats.queue_wait.snapshot(),
+            execute=self._stats.execute.snapshot(),
             uptime_s=(time.monotonic() - self._start_t
                       if self._started else 0.0),
         )

@@ -25,7 +25,9 @@ synchronisation barrier with its own buffers, so the signature is
 
 At dispatch time the service pops a leader, then gathers compatible
 followers (same dataset / cluster shape / engine-config fingerprint,
-scan specs equal) into a :class:`ShareGroup`.  The engine executes the
+scan specs equal) into a :class:`ShareGroup` — the query side of the
+service's one task protocol (``run(worker) -> [(member, outcome)]``).
+The engine executes the
 group's longest common spec prefix **once** into a tee buffer and
 replays it through each member's remaining extends into a per-member
 sink (:meth:`HugeEngine.run_shared`); full isomorphism dedup is the
@@ -35,12 +37,15 @@ and the suffixes are empty.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..core.dataflow import ScanSpec, Segment
 from ..core.plan.physical import ExecutionPlan
 from ..core.plan.translate import translate
+from .request import QueryOutcome, QueryStatus, ResultChunk
 
-__all__ = ["plan_signature", "signature_of_plan", "common_prefix_len",
-           "group_prefix_len", "config_fingerprint", "ShareGroup"]
+__all__ = ["plan_signature", "signature_of_plan", "config_fingerprint",
+           "ShareGroup"]
 
 #: one signature element per operator in the chain
 Signature = tuple
@@ -67,31 +72,6 @@ def signature_of_plan(plan: ExecutionPlan) -> Signature | None:
     return plan_signature(translate(plan))
 
 
-def common_prefix_len(a: Signature | None, b: Signature | None) -> int:
-    """Length of the longest common leading run of operator specs
-    (``None`` — an unshareable plan — never has a common prefix)."""
-    if a is None or b is None:
-        return 0
-    n = 0
-    for sa, sb in zip(a, b):
-        if sa != sb:
-            break
-        n += 1
-    return n
-
-
-def group_prefix_len(signatures: list[Signature]) -> int:
-    """Longest spec prefix common to *all* signatures (0 if none)."""
-    if not signatures or signatures[0] is None:
-        return 0
-    n = len(signatures[0])
-    for sig in signatures[1:]:
-        n = min(n, common_prefix_len(signatures[0], sig))
-        if n == 0:
-            break
-    return n
-
-
 def config_fingerprint(config) -> str:
     """Grouping key for an effective engine config.
 
@@ -101,35 +81,125 @@ def config_fingerprint(config) -> str:
     on the dataclass, and ``collect_results`` is forced ``False`` here
     because collection is per-member (each member gets its own sink).
     """
-    from dataclasses import replace
     return repr(replace(config, collect_results=False, cancellation=None))
 
 
 class ShareGroup:
-    """One dispatched share group: a leader plus piggybacking followers.
+    """One dispatched query task: a leader plus piggybacking followers.
 
-    The group occupies a single worker (one dispatch unit) but every
-    member stays individually in flight — reservations, tenant counts,
-    cancellation flags and terminal delivery are all per member.  The
-    group's own :class:`~repro.core.cancel.CancelToken` is what the
-    engine polls; a member's private token is only a delivery-time flag
-    (cancelling one member must not abort the others' shared run).
+    Every dispatched query runs as a share group — a solo query is a
+    group of one.  The group occupies a single worker (one dispatch
+    unit) but every member stays individually in flight — reservations,
+    tenant counts, cancellation flags and terminal delivery are all per
+    member.  The group's :class:`~repro.core.cancel.CancelToken` is what
+    the engine polls.  In a group of one it is also the member's token
+    (cancelling the member aborts the run); in a larger group each
+    member's private token is only a delivery-time flag (cancelling one
+    member must not abort the others' shared run).
     """
 
-    __slots__ = ("members", "token", "prefix_len")
+    __slots__ = ("members", "token")
+
+    #: members are tracked in the in-flight / per-tenant tables and are
+    #: retried after a worker crash
+    tracked = True
 
     def __init__(self, members: list, token):
         if not members:
             raise ValueError("a share group needs at least one member")
         self.members = members
         self.token = token
-        #: filled in by the group runner once the plans are resolved
-        self.prefix_len = 0
 
     @property
     def leader(self):
         return self.members[0]
 
     @property
+    def seq(self) -> int:
+        return self.leader.seq
+
+    @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def label(self) -> str:
+        return (self.leader.handle.request.label if self.size == 1
+                else f"group#{self.seq}")
+
+    def run(self, worker) -> list:
+        """Execute the group on ``worker`` (its thread); returns
+        ``[(member, outcome)]``.
+
+        A group of one runs ``Executor.execute`` (bit-identical to a solo
+        run); a larger one ``execute_group`` — the common plan prefix
+        once, each member's suffix into its own sink.  A member cancelled
+        by its client while the shared run was in progress gets a
+        ``CANCELLED`` outcome while the rest of the group completes.
+        Engine errors (cancellation, crash, failure) propagate to the
+        lifecycle, which maps them for every member.
+        """
+        svc = worker.service
+        members, size = self.members, self.size
+        reqs = [e.handle.request for e in members]
+        graph = self.leader.graph
+        t0 = svc._now()
+        if size == 1:
+            runs = [worker.executor.execute(
+                reqs[0], graph, self.leader.pattern, token=self.token)]
+        else:
+            runs = worker.executor.execute_group(
+                reqs, graph, [e.pattern for e in members],
+                plan_keys=[e.plan_key for e in members], token=self.token)
+        t1 = svc._now()
+        shared = ({"share_group": size,
+                   "counts": [result.count for result, _ in runs]}
+                  if size > 1 else {})
+        t_plan = t0
+        t_exec = t0 + sum(info["plan_s"] for _, info in runs)
+        out = []
+        for e, req, (result, info) in zip(members, reqs, runs):
+            svc.emit("planned", req.seq, label=req.label, worker=worker.wid,
+                     t0=t_plan, t1=t_plan + info["plan_s"],
+                     cache_hit=info["plan_cache_hit"], plan_s=info["plan_s"],
+                     key=info["canonical_key"])
+            t_plan += info["plan_s"]
+            svc.emit("executed", req.seq, task=self.label, leader=self.seq,
+                     worker=worker.wid, attempt=e.attempts, t0=t_exec, t1=t1,
+                     execute_s=info["execute_s"], count=result.count,
+                     sim_time_s=result.report.total_time_s, **shared)
+            if e.token is not self.token and e.token.cancelled:
+                out.append((e, e.terminal(
+                    QueryStatus.CANCELLED, e.token.reason, svc._now(),
+                    info["execute_s"])))
+                continue
+            if req.stream:
+                ts0 = svc._now()
+                chunks = _stream_result(e.handle, result, svc._abort)
+                svc.emit("streamed", req.seq, label=req.label,
+                         worker=worker.wid, t0=ts0, t1=svc._now(),
+                         chunks=chunks)
+            svc._store_result(e, result.count, info["canonical_matches"])
+            out.append((e, QueryOutcome(
+                status=QueryStatus.COMPLETED, count=result.count,
+                result=result, attempts=e.attempts,
+                plan_cache_hit=info["plan_cache_hit"], shared_group=size,
+                canonical_key=info["canonical_key"],
+                queue_wait_s=e.dispatch_t - e.submit_t,
+                plan_s=info["plan_s"], execute_s=info["execute_s"],
+                total_s=svc._now() - e.submit_t)))
+        return out
+
+
+def _stream_result(handle, result, abort) -> int:
+    """Deliver collected matches as bounded chunks; returns #chunks."""
+    matches = result.matches or []
+    result.matches = None  # delivered via the stream, not the outcome
+    size = handle.request.chunk_size
+    chunks = [matches[i:i + size] for i in range(0, len(matches), size)] \
+        or [[]]
+    for seq, rows in enumerate(chunks):
+        chunk = ResultChunk(seq=seq, rows=rows, last=seq == len(chunks) - 1)
+        if not handle._push_chunk(chunk, abort=abort):
+            break
+    return len(chunks)

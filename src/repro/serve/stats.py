@@ -4,26 +4,29 @@ The serving tier reports wall-clock observables — queue depth, admission
 counters, plan-cache hit rate, and latency distributions (p50/p95/p99)
 for queue wait, execution, and end-to-end latency — alongside the
 simulated per-query metrics the engine already produces.  Snapshots are
-plain dataclasses with ``as_dict`` so the CLI, the load driver and
-``bench_serving.py`` all serialise the same shape.
+plain dataclasses with ``as_dict`` so the CLI, the load driver and the
+benchmarks all serialise the same shape.
 
 :class:`LatencyRecorder` is backed by the shared
 :class:`~repro.obs.metrics.Histogram` type (log buckets for exposition,
 plus the recorder's historical deterministic round-robin reservoir for
-exact percentiles); its ``snapshot()`` dict shape — and therefore the
-``BENCH_serving.json`` schema — is unchanged and pinned by a regression
-test.  Pass ``histogram=`` to share one registered in a
+exact percentiles); its ``snapshot()`` dict shape is pinned by a
+regression test.  Pass ``histogram=`` to share one registered in a
 :class:`~repro.obs.metrics.MetricsRegistry`, so the same samples serve
 both the snapshot dicts and the Prometheus exposition.
+
+:class:`StatsSink` is the event-stream sink that owns the service's
+counters and its three latency recorders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import asdict, dataclass, field
 
 from ..obs.metrics import Histogram
 
-__all__ = ["percentile", "LatencyRecorder", "ServiceStats"]
+__all__ = ["percentile", "LatencyRecorder", "StatsSink", "ServiceStats"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -98,6 +101,59 @@ class LatencyRecorder:
         }
 
 
+class StatsSink:
+    """The counters and latency recorders behind ``QueryService.stats()``
+    and ``stream_stats()``, fed by the service's event stream."""
+
+    #: events that bump exactly one counter by one
+    _ONE = {"submitted": "submitted", "retry_scheduled": "retries",
+            "graph_update": "stream_updates", "subscribed": "subscriptions"}
+
+    def __init__(self, latency: Histogram | None = None,
+                 queue_wait: Histogram | None = None,
+                 execute: Histogram | None = None):
+        self._lock = threading.Lock()
+        self._counters = dict.fromkeys((
+            *self._ONE.values(), "completed", "cancelled", "failed",
+            "rejected", "worker_crashes", "delivery_violations",
+            "shared_groups", "shared_requests", "result_cache_hits",
+            "stream_batches", "stream_additions", "stream_retractions",
+            "stream_errors"), 0)
+        self.latency = LatencyRecorder(histogram=latency)
+        self.queue_wait = LatencyRecorder(histogram=queue_wait)
+        self.execute = LatencyRecorder(histogram=execute)
+
+    def counters(self) -> dict[str, int]:
+        """Atomic copy of every counter."""
+        with self._lock:
+            return dict(self._counters)
+
+    def __call__(self, kind: str, seq: int | None, f: dict) -> None:
+        bump: dict[str, int] = {}
+        if kind in self._ONE:
+            bump[self._ONE[kind]] = 1
+        elif kind == "result_cache":
+            bump["result_cache_hits"] = int(f["hit"])
+        elif kind == "share_group" and seq == f["leader"]:
+            bump.update(shared_groups=1, shared_requests=f["size"])
+        elif kind == "crash" and seq == f["leader"]:
+            bump["worker_crashes"] = 1
+        elif kind == "delta_batch":
+            bump.update(stream_batches=1, stream_additions=f["additions"],
+                        stream_retractions=f["retractions"],
+                        stream_errors=int(f["error"] is not None))
+        elif kind == "finished":
+            bump[f["status"] if f["delivered"] else "delivery_violations"] = 1
+            if f["delivered"] and f["status"] == "completed":
+                self.latency.add(f["total_s"])
+                if not f.get("result_cache_hit"):
+                    self.queue_wait.add(f["queue_wait_s"])
+                    self.execute.add(f["execute_s"])
+        with self._lock:
+            for name, delta in bump.items():
+                self._counters[name] += delta
+
+
 @dataclass
 class ServiceStats:
     """One point-in-time snapshot of the service (``QueryService.stats``)."""
@@ -131,29 +187,8 @@ class ServiceStats:
         return self.completed / self.uptime_s if self.uptime_s > 0 else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "cancelled": self.cancelled,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "delivery_violations": self.delivery_violations,
-            "inflight": self.inflight,
-            "queue_depth": dict(self.queue_depth),
-            "reserved_bytes": self.reserved_bytes,
-            "budget_bytes": (None if self.budget_bytes == float("inf")
-                             else self.budget_bytes),
-            "admission": dict(self.admission),
-            "plan_cache": dict(self.plan_cache),
-            "shared_groups": self.shared_groups,
-            "shared_requests": self.shared_requests,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache": dict(self.result_cache),
-            "latency": dict(self.latency),
-            "queue_wait": dict(self.queue_wait),
-            "execute": dict(self.execute),
-            "uptime_s": self.uptime_s,
-            "throughput_qps": self.throughput_qps,
-        }
+        out = asdict(self)
+        if self.budget_bytes == float("inf"):
+            out["budget_bytes"] = None
+        out["throughput_qps"] = self.throughput_qps
+        return out

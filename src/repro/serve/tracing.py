@@ -10,7 +10,10 @@ per request: the queue-wait span on the service track, then plan-cache
 lookup / execute / stream spans on the worker that ran it, with crash,
 retry, cancel and deadline instants in between.
 
-All recording methods are lock-guarded — unlike the engine tracer, many
+The tracer is a sink on the service's event stream
+(:mod:`repro.serve.events`): spans come from the service-clock times the
+events carry, instants and counters are stamped on receipt.  All
+recording methods are lock-guarded — unlike the engine tracer, many
 worker threads append concurrently.
 """
 
@@ -18,26 +21,81 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..obs.trace import ENGINE, CounterEvent, InstantEvent, SpanEvent, Trace
 
 __all__ = ["ENGINE", "ServiceTracer"]
 
 
+#: event kind -> (span name prefix, argument fields): a span from the
+#: event's ``t0`` to ``t1`` on its ``worker`` track (``ENGINE`` if none),
+#: named after its ``task`` (else its own ``label``)
+_SPANS = {
+    "dispatched": ("queue", ("priority", "tenant", "attempt")),
+    "planned": ("plan", ("cache_hit", "key")),
+    "executed": ("execute", ("count", "sim_time_s", "attempt",
+                             "share_group", "counts")),
+    "streamed": ("stream", ("chunks",)),
+    # an engine run that was cancelled or failed (``finished`` with times)
+    "finished": ("execute", ("status", "error", "share_group")),
+}
+#: event kind -> (instant name, argument fields)
+_INSTANTS = {
+    "rejected": ("admission reject", ("label", "estimate_bytes")),
+    "crash": ("worker crash", ("label", "attempt")),
+    "retry_scheduled": ("retry scheduled",
+                        ("label", "backoff_s", "next_attempt")),
+    "graph_update": ("graph update", ("dataset", "version", "inserted",
+                                      "deleted", "subscriptions")),
+}
+
+
 class ServiceTracer:
-    """Wall-clock span recorder shared by the service's threads."""
+    """Wall-clock span recorder shared by the service's threads.
+
+    ``gauges`` (optional) samples the live service state —
+    ``{"depths": ..., "reserved_bytes": ...}`` — for the queue-depth and
+    reserved-MB counter tracks.
+    """
 
     enabled = True
 
-    def __init__(self, num_workers: int, max_events: int | None = None):
+    def __init__(self, num_workers: int, max_events: int | None = None,
+                 gauges: Callable[[], dict] | None = None):
         self.trace = Trace(num_machines=num_workers, max_events=max_events)
-        self._t0 = time.perf_counter()
+        # the service's clock, so event times map straight onto the timeline
+        self._t0 = time.monotonic()
         self._lock = threading.Lock()
+        self._gauges = gauges
 
     def now(self) -> float:
         """Seconds since service start."""
-        return time.perf_counter() - self._t0
+        return time.monotonic() - self._t0
+
+    def __call__(self, kind: str, seq: int | None, f: dict) -> None:
+        """Event-stream sink (tables above; one span per *task*)."""
+        if kind in _SPANS and "t0" in f and seq == f.get("leader", seq):
+            prefix, keys = _SPANS[kind]
+            self.span(f"{prefix} {f['task'] if 'task' in f else f['label']}",
+                      f.get("worker", ENGINE), f["t0"] - self._t0,
+                      f["t1"] - self._t0, {k: f[k] for k in keys if k in f})
+        elif kind in _INSTANTS:
+            name, keys = _INSTANTS[kind]
+            self.instant(name, ENGINE, {k: f[k] for k in keys})
+        elif kind == "result_cache" and f["hit"]:
+            self.instant("result cache hit", ENGINE,
+                         {"label": f["label"], "count": f["count"]})
+        elif (kind == "finished" and f["status"] == "cancelled"
+              and "worker" not in f):  # swept off the queue
+            self.instant("cancel", ENGINE,
+                         {"label": f["label"], "reason": f["error"]})
+        if self._gauges is not None and kind in ("queued", "dispatched"):
+            g = self._gauges()
+            self.counter("queue depth", ENGINE, g["depths"])
+            if kind == "dispatched":
+                self.counter("reserved MB", ENGINE,
+                             {"reserved": g["reserved_bytes"] / 1e6})
 
     def span(self, name: str, track: int, t0: float, t1: float,
              args: Mapping[str, Any] | None = None) -> None:

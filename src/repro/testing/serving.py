@@ -36,7 +36,8 @@ from ..serve.request import QueryStatus
 from ..serve.service import run_query_solo
 from .oracles import OracleFailure
 
-__all__ = ["SERVING_ORACLES", "check_service_run", "check_driver_report"]
+__all__ = ["SERVING_ORACLES", "solo_mismatches", "check_service_run",
+           "check_driver_report"]
 
 #: serving oracle names, in checking order
 SERVING_ORACLES = ("accounted", "ledger", "solo-identical", "crash-recovered")
@@ -56,6 +57,51 @@ def _canonical_rows(pattern, rows):
             c[mapping[v]] = r[v]
         out.append(tuple(c))
     return sorted(out)
+
+
+def solo_mismatches(graph: Graph, requests, outcomes,
+                    default_config=None) -> list[str]:
+    """The ``solo-identical`` oracle: every completed outcome against the
+    same request executed solo (one solo run per distinct canonical
+    pattern × cluster shape × collect flag).  Also what
+    ``LoadDriver.run(verify=True)`` and ``serve --verify`` report."""
+    solo_cache: dict[tuple, object] = {}
+    failures: list[str] = []
+    for req, outcome in zip(requests, outcomes):
+        if outcome.status is not QueryStatus.COMPLETED:
+            continue
+        # collect changes the engine's allocation profile, so a
+        # count-only request must not reuse a collecting solo run
+        key = (outcome.canonical_key, req.num_machines,
+               req.workers_per_machine, req.partition_seed, req.collect)
+        cached = solo_cache.get(key)
+        if cached is None:
+            cached = (run_query_solo(graph, req,
+                                     default_config=default_config),
+                      req.pattern)
+            solo_cache[key] = cached
+        solo, solo_pattern = cached
+        if outcome.count != solo.count:
+            failures.append(f"{req.label}: served {outcome.count} != solo "
+                            f"{solo.count}")
+            continue
+        served = outcome.collected
+        if (served is not None and solo.collected is not None
+                and _canonical_rows(req.pattern, served)
+                != _canonical_rows(solo_pattern, solo.collected)):
+            failures.append(
+                f"{req.label}: served match multiset differs from solo")
+        # a share-group member's report is the group's shared ledger
+        # and a result-cache hit carries no report at all — only solo
+        # runs pin the full simulated-metrics comparison
+        if (outcome.result is not None and solo.result is not None
+                and outcome.shared_group == 1
+                and not outcome.result_cache_hit
+                and outcome.result.report.as_dict()
+                != solo.result.report.as_dict()):
+            failures.append(
+                f"{req.label}: simulated metrics differ from solo")
+    return failures
 
 
 def check_service_run(service, requests, outcomes, graph: Graph,
@@ -98,42 +144,9 @@ def check_service_run(service, requests, outcomes, graph: Graph,
             "ledger", f"{underflows} admission double-releases"))
 
     if check_solo:
-        solo_cache: dict[tuple, object] = {}
-        for req, outcome in zip(requests, outcomes):
-            if outcome.status is not QueryStatus.COMPLETED:
-                continue
-            # collect changes the engine's allocation profile, so a
-            # count-only request must not reuse a collecting solo run
-            key = (outcome.canonical_key, req.num_machines,
-                   req.workers_per_machine, req.partition_seed, req.collect)
-            cached = solo_cache.get(key)
-            if cached is None:
-                cached = (run_query_solo(graph, req,
-                                         default_config=default_config),
-                          req.pattern)
-                solo_cache[key] = cached
-            solo, solo_pattern = cached
-            if outcome.count != solo.count:
-                failures.append(OracleFailure(
-                    "solo-identical",
-                    f"{req.label}: served {outcome.count} != solo "
-                    f"{solo.count}"))
-                continue
-            served_matches = outcome.collected
-            if (served_matches is not None and solo.collected is not None
-                    and _canonical_rows(req.pattern, served_matches)
-                    != _canonical_rows(solo_pattern, solo.collected)):
-                failures.append(OracleFailure(
-                    "solo-identical",
-                    f"{req.label}: served match multiset differs from solo"))
-            elif (outcome.result is not None
-                  and outcome.shared_group == 1
-                  and not outcome.result_cache_hit
-                  and outcome.result.report.as_dict()
-                  != solo.result.report.as_dict()):
-                failures.append(OracleFailure(
-                    "solo-identical",
-                    f"{req.label}: simulated metrics differ from solo"))
+        failures += [OracleFailure("solo-identical", msg)
+                     for msg in solo_mismatches(graph, requests, outcomes,
+                                                default_config)]
 
     if injected_crashes:
         if stats.worker_crashes < injected_crashes:

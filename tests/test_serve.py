@@ -367,17 +367,18 @@ class TestFairScheduling:
         svc = QueryService(datasets={"er": er_graph}, num_workers=2,
                            tenant_max_inflight=1).start()
         try:
-            seen = []
-            lock = threading.Lock()
-            orig = svc._run_entry
+            # the event stream is totally ordered: replay it to count how
+            # many of the tenant's requests hold a dispatch at once
+            inflight, seen = set(), []
 
-            def spy(worker, entry):
-                with lock:
-                    seen.append(len([e for e in svc._inflight.values()
-                                     if e.handle.request.tenant == "a"]))
-                return orig(worker, entry)
+            def sink(kind, seq, fields):
+                if kind == "dispatched":
+                    inflight.add(seq)
+                    seen.append(len(inflight))
+                elif kind == "finished":
+                    inflight.discard(seq)
 
-            svc._run_entry = spy
+            svc.events.add(sink)
             handles = [svc.submit(req(tenant="a")) for _ in range(4)]
             for h in handles:
                 assert h.result(timeout=60).status is QueryStatus.COMPLETED
@@ -453,8 +454,9 @@ class TestStatsPrimitives:
         assert snap["max_s"] == pytest.approx(0.3)
 
     def test_latency_recorder_snapshot_schema_pinned(self):
-        """Regression: BENCH_serving.json consumers read exactly these
-        keys; migrating onto the shared histogram must not change them."""
+        """Regression: ``ServiceStats.as_dict()`` consumers (CLI report,
+        benchmarks/perf) read exactly these keys; migrating onto the
+        shared histogram must not change them."""
         rec = LatencyRecorder()
         rec.add(0.5)
         assert set(rec.snapshot()) == {"count", "mean_s", "p50_s", "p95_s",
@@ -541,7 +543,7 @@ class TestServiceMetrics:
         # latency histogram carries the same samples as the snapshot dict
         lat = reg.get("repro_serve_latency_seconds")
         assert lat.count == stats.completed
-        assert svc._latency.snapshot()["p50_s"] == \
+        assert stats.latency["p50_s"] == \
             pytest.approx(lat.percentile(50))
         # gauges drain with the service
         assert reg.get("repro_serve_inflight").value == 0

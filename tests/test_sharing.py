@@ -18,8 +18,8 @@ from repro.core.plan.plans import _greedy_star_decomposition
 from repro.query.decompose import SubQuery, join_unit_prefix_keys
 from repro.serve import (AdmissionController, LoadDriver, PlanCache,
                          QueryRequest, QueryService, QueryStatus, ResultCache,
-                         WorkloadSpec, common_prefix_len, group_prefix_len,
-                         plan_signature, run_query_solo, signature_of_plan)
+                         WorkloadSpec, plan_signature, run_query_solo,
+                         signature_of_plan)
 from repro.testing import check_driver_report, check_service_run
 
 
@@ -88,18 +88,6 @@ class TestSignatures:
         a = signature_of_plan(self._plan(er_graph, "triangle"))
         b = signature_of_plan(self._plan(er_graph, "triangle"))
         assert a is not None and a == b
-        assert common_prefix_len(a, b) == len(a)
-
-    def test_group_prefix_len_spans_patterns(self, er_graph):
-        sigs = [signature_of_plan(self._plan(er_graph, n))
-                for n in ("triangle", "q4")]
-        if all(s is not None for s in sigs):
-            n = group_prefix_len(sigs)
-            assert 0 <= n <= min(len(s) for s in sigs)
-
-    def test_none_signature_never_groups(self):
-        assert group_prefix_len([None, None]) == 0
-        assert common_prefix_len(None, ((1,),)) == 0
 
 
 class TestRunShared:
