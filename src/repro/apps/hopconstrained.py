@@ -33,13 +33,13 @@ def _grow_paths(cluster: Cluster, start: int, hops: int) -> dict[int, list[Path]
             remote = {p[-1] for p in paths
                       if cluster.machine_of(p[-1]) != m}
             fetched = cluster.get_nbrs(m, remote) if remote else {}
-            ops = 0.0
+            ops = 0
             for p in paths:
                 v = p[-1]
                 nbrs = fetched.get(v)
                 if nbrs is None:
                     nbrs = cluster.pgraph.neighbours_local(v, m)
-                ops += len(nbrs) * cost.scan_op
+                ops += len(nbrs) * cost.ticks.scan
                 for u in nbrs:
                     u = int(u)
                     if u in p:
@@ -47,7 +47,7 @@ def _grow_paths(cluster: Cluster, start: int, hops: int) -> dict[int, list[Path]
                     q = p + (u,)
                     nxt.append(q)
                     by_end.setdefault(u, []).append(q)
-                    ops += len(q) * cost.emit_op
+                    ops += len(q) * cost.ticks.emit
             cluster.metrics.charge_ops(m, ops)
         frontier = nxt
         cluster.metrics.check_time()
@@ -74,14 +74,14 @@ def enumerate_st_paths(cluster: Cluster, source: int, target: int,
     results: set[Path] = set()
     # join on the middle vertex: forward paths ending at v with backward
     # paths ending at v (a pushing-style hash join keyed by v)
-    join_ops = 0.0
+    join_ops = 0
     for mid, fpaths in fwd.items():
         bpaths = bwd.get(mid)
         if not bpaths:
             continue
         owner = cluster.machine_of(mid)
         for fp in fpaths:
-            join_ops += cost.hash_probe_op
+            join_ops += cost.ticks.hash_probe
             for bp in bpaths:
                 if len(fp) + len(bp) - 1 > max_hops + 1:
                     continue
@@ -89,7 +89,7 @@ def enumerate_st_paths(cluster: Cluster, source: int, target: int,
                     continue  # not simple
                 results.add(fp + bp[::-1][1:])
         cluster.metrics.charge_ops(owner, join_ops)
-        join_ops = 0.0
+        join_ops = 0
     return sorted(results)
 
 

@@ -31,6 +31,7 @@ from itertools import combinations
 from typing import Any
 
 from ..cluster.cluster import Cluster
+from ..cluster.cost import TICKS_PER_OP
 from ..cluster.metrics import RunReport
 from ..core.engine import EngineConfig, HugeEngine
 from ..core.kernels import adjacency_bitsets, induced_bitrows
@@ -40,11 +41,11 @@ from ..query.pattern import QueryGraph
 __all__ = ["CensusResult", "connected_patterns", "frequent_patterns",
            "motif_census", "motif_counts"]
 
-#: simulated op weights of the census walk (deterministic by design):
+#: simulated op weights of the census walk, in ticks:
 #: one op per vertex added to a partial subgraph, ``k`` ops to encode an
 #: enumerated leaf, and ``k²`` extra ops when the class must be
 #: canonicalised (a memo miss)
-_OP_EXPAND = 1.0
+_OP_EXPAND = TICKS_PER_OP
 
 
 @lru_cache(maxsize=None)
@@ -158,29 +159,29 @@ def motif_census(cluster: Cluster, k: int,
                 t0 = tracer.now(machine)
             roots = cluster.local_vertices(machine)
             workers = cluster.workers_per_machine
-            per_worker = [0.0] * workers
+            per_worker = [0] * workers
             touched: set[int] = set()
             leaves_before = total
 
             for i, root in enumerate(roots):
                 root = int(root)
-                ops = 0.0
+                ops = 0
                 sub = [root]
                 touched.add(root)
                 # candidate extensions: neighbours with id > root
                 gt_root = -1 << (root + 1)
                 ext0 = masks[root] & gt_root
 
-                def extend(sub: list[int], nbh: int, ext: int) -> float:
+                def extend(sub: list[int], nbh: int, ext: int) -> int:
                     nonlocal total
-                    ops = 0.0
+                    ops = 0
                     if len(sub) == k:
                         rows = induced_bitrows(masks, tuple(sorted(sub)))
                         misses = memo.canonical_calls
                         key = memo.key_for(k, rows)
-                        ops += float(k)
+                        ops += k * TICKS_PER_OP
                         if memo.canonical_calls > misses:
-                            ops += float(k * k)
+                            ops += k * k * TICKS_PER_OP
                             if traced:
                                 tracer.instant("canon miss", machine,
                                                {"key": key})

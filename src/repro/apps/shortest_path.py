@@ -70,10 +70,10 @@ def shortest_path(cluster: Cluster, source: int, target: int,
             if not verts:
                 continue
             adj = _pull_frontier(cluster, m, caches[m], verts)
-            ops = 0.0
+            ops = 0
             for v in verts:
                 nbrs = adj[v]
-                ops += len(nbrs) * cost.scan_op
+                ops += len(nbrs) * cost.ticks.scan
                 for u in nbrs:
                     u = int(u)
                     if u not in parent:
@@ -113,10 +113,10 @@ def shortest_path_lengths(cluster: Cluster, source: int,
             if not verts:
                 continue
             adj = _pull_frontier(cluster, m, caches[m], verts)
-            ops = 0.0
+            ops = 0
             for v in verts:
                 nbrs = adj[v]
-                ops += len(nbrs) * cost.scan_op
+                ops += len(nbrs) * cost.ticks.scan
                 for u in nbrs:
                     u = int(u)
                     if u not in dist:

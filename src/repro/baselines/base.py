@@ -9,14 +9,11 @@ transcription of its algorithm.
 Relations are **columnar**: each machine's partition is a 2-D ``int64``
 array (one row per tuple), and the relational operators — hash shuffle,
 hash join, star materialisation — run as vectorised array programs built
-on the shared kernels of :mod:`repro.core.kernels`.  The *simulated*
-metrics they charge are bit-identical to the historical tuple-at-a-time
-loops: repeated per-emit op additions are replayed with
-``chain_add``/``exact_chain_total``, shuffle destinations use the
-CPython tuple-hash replica, and the incremental memory-charge /
+on the shared kernels of :mod:`repro.core.kernels`.  Compute is charged
+in integer ticks (counts × tick weights, :mod:`repro.cluster.cost`);
+what stays sequential is the *modelled* incremental memory-charge /
 budget-check sequence (alloc → charge → check, every ``_CHUNK`` emitted
-tuples) is reproduced allocation by allocation, so ``00M``/``0T`` aborts
-trip at exactly the same point (see ``tests/golden/metrics.json``).
+tuples), which decides where a ``00M``/``0T`` abort trips.
 
 Memory is charged **incrementally while results are generated**, so an
 exploding star expansion or join aborts with the paper's ``00M`` / ``0T``
@@ -39,8 +36,7 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OutOfMemoryError, OvertimeError
 from ..cluster.metrics import RunReport
-from ..core.kernels import (chained_costs, chunk_charges, hash_destinations,
-                            join_pairs)
+from ..core.kernels import chunk_charges, hash_destinations, join_pairs
 from ..query.symmetry import PartialOrder
 
 __all__ = [
@@ -150,7 +146,7 @@ class DistributedRelation:
         self._alive = True
         if charge_memory:
             bytes_per_id = cluster.cost.bytes_per_id
-            charged: list[float] = []
+            charged: list[int] = []
             try:
                 for m, part in enumerate(self.partitions):
                     b = len(part) * len(schema) * bytes_per_id
@@ -228,7 +224,8 @@ class DistributedRelation:
         lkey = tuple(self.schema.index(v) for v in shared)
         rkey = tuple(other.schema.index(v) for v in shared)
         left = right = None
-        out_charged = [0.0] * cluster.num_machines
+        out_charged = [0] * cluster.num_machines
+        t = cost.ticks
         try:
             left = self.shuffle(lkey)
             right = other.shuffle(rkey)
@@ -256,23 +253,18 @@ class DistributedRelation:
                     bpart, ppart, bkey, pkey, build_left, carry,
                     distinct, positional)
                 total = len(emitted)
-                # replay the scalar probe loop's op chains: build-side
-                # hashing seeds the first chain, the chain resets at every
-                # _CHUNK-tuple memory charge
-                build_base = len(bpart) * cost.hash_build_op
+                build_base = len(bpart) * t.hash_build
                 if count_only:
                     counted += total
-                    chain = chunk_charges(
-                        emit_per_probe, total, total + 1,
-                        cost.hash_probe_op, 2 * cost.emit_op,
-                        base=build_base)[0]
-                    metrics.alloc(m, 0 * out_bytes)
-                    metrics.charge_worker_ops(
-                        m, [chain / workers] * workers)
+                    metrics.charge_worker_ops(m, _even_split(
+                        build_base + len(ppart) * t.hash_probe
+                        + total * 2 * t.emit, workers))
                     continue
+                # one charge per _CHUNK-tuple memory charge; build-side
+                # hashing lands on the first
                 charges = chunk_charges(
-                    emit_per_probe, total, _CHUNK, cost.hash_probe_op,
-                    len(out_schema) * cost.emit_op, base=build_base)
+                    emit_per_probe, total, _CHUNK, t.hash_probe,
+                    len(out_schema) * t.emit, base=build_base)
                 num_full = total // _CHUNK
                 for c in range(num_full):
                     out_charged[m] += _CHUNK * out_bytes
@@ -283,7 +275,7 @@ class DistributedRelation:
                 out_charged[m] += pending * out_bytes
                 metrics.alloc(m, pending * out_bytes)
                 metrics.charge_worker_ops(
-                    m, [charges[num_full] / workers] * workers)
+                    m, _even_split(int(charges[num_full]), workers))
                 parts.append(emitted)
             left.drop()
             right.drop()
@@ -301,6 +293,13 @@ class DistributedRelation:
             return counted
         return DistributedRelation(cluster, out_schema, parts,
                                    charge_memory=False)
+
+
+def _even_split(ticks: int, workers: int) -> list[int]:
+    """``ticks`` shared evenly over ``workers`` (the remainder's ticks go
+    one each to the first workers, so the parts sum to ``ticks``)."""
+    q, r = divmod(ticks, workers)
+    return [q + (w < r) for w in range(workers)]
 
 
 def _join_machine(bpart: np.ndarray, ppart: np.ndarray,
@@ -425,16 +424,16 @@ def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
 def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
                    nl: int, patterns_arr: np.ndarray,
                    root_conds: Sequence[tuple[int, int]], tuple_bytes: int,
-                   alloc_fn: Callable[[int, float], None]
-                   ) -> tuple[np.ndarray, list[float]]:
+                   alloc_fn: Callable[[int, int], None]
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Materialise one machine's star matches columnar-ly.
 
-    Emits ``(u, leaves...)`` for every local root ``u``, replaying the
-    scalar generation loop's accounting exactly: per-root op chains
-    (``deg·scan_op`` base plus one ``(nl+1)·emit_op`` per emitted tuple)
-    and the incremental ``_CHUNK`` memory-charge/`check_time` sequence,
-    including the final partial-chunk charge.  Returns the partition rows
-    and the per-root op costs (the caller distributes them to workers).
+    Emits ``(u, leaves...)`` for every local root ``u``.  Each root costs
+    ``deg·scan_op`` plus ``(nl+1)·emit_op`` per emitted tuple; memory is
+    charged incrementally — whenever ``_CHUNK`` tuples are pending, then
+    ``check_time`` — with a final partial-chunk charge.  Returns the
+    partition rows and the per-root tick costs (the caller distributes
+    them to workers).
     """
     cost = cluster.cost
     metrics = cluster.metrics
@@ -443,7 +442,6 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
     n = len(local)
     deg = (g.indptr[local + 1] - g.indptr[local]) if n else \
         np.zeros(0, dtype=np.int64)
-    base = deg * cost.scan_op
     el = np.flatnonzero(deg >= nl)
     roots = local[el]
     counts = deg[el]
@@ -456,9 +454,10 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
                                patterns_arr, root_conds)
     c_full = np.zeros(n, dtype=np.int64)
     c_full[el] = kept
-    item_ops = chained_costs(base, c_full, (nl + 1) * cost.emit_op).tolist()
-    # scalar memory-charge replay: pending accumulates per eligible root,
-    # flushing (alloc then check_time) whenever it reaches _CHUNK
+    item_ops = (deg * cost.ticks.scan
+                + c_full * ((nl + 1) * cost.ticks.emit))
+    # pending accumulates per eligible root, flushing (alloc then
+    # check_time) whenever it reaches _CHUNK
     pending = 0
     for c in kept.tolist():
         pending += c
@@ -470,38 +469,18 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
     return rows, item_ops
 
 
-def _predicted_star_total(degrees: np.ndarray, nl: int,
-                          patterns: int) -> float:
-    """``Σ_u C(d_u, nl)·patterns`` as the historical float chain.
-
-    The chain's terms are non-negative integers, so while the running
-    total stays below 2^53 every add is exact and the order-free integer
-    total matches bit for bit; only past that point is it replayed
-    literally.
-    """
-    elig = degrees[degrees >= nl]
-    total = 0
-    uniq, cnts = np.unique(elig, return_counts=True)
-    for d, c in zip(uniq.tolist(), cnts.tolist()):
-        total += math.comb(d, nl) * patterns * c
-    if total < (1 << 53):
-        return float(total)
-    predicted = 0.0
-    terms: dict[int, int] = {}
-    for d in degrees.tolist():
-        if d >= nl:
-            term = terms.get(d)
-            if term is None:
-                term = math.comb(d, nl) * patterns
-                terms[d] = term
-            predicted += term
-    return predicted
+def predicted_star_total(degrees: np.ndarray, choose: int,
+                         patterns: int) -> int:
+    """The pre-flight size prediction ``Σ_u C(d_u, choose)·patterns`` —
+    an exact (arbitrary-precision) integer."""
+    uniq, cnts = np.unique(degrees[degrees >= choose], return_counts=True)
+    return sum(math.comb(d, choose) * patterns * c
+               for d, c in zip(uniq.tolist(), cnts.tolist()))
 
 
 def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],
                      conditions: PartialOrder,
-                     applied: set[tuple[int, int]],
-                     workers_balanced: bool = False) -> DistributedRelation:
+                     applied: set[tuple[int, int]]) -> DistributedRelation:
     """Materialise all matches of the star ``(root; leaves)`` from each
     machine's local partition (how StarJoin/SEED/RADS compute join units
     [45]): leaf assignments are combinations of each root vertex's
@@ -525,29 +504,26 @@ def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],
     nl = len(leaves)
     tuple_bytes = (nl + 1) * cost.bytes_per_id
 
-    charged = [0.0] * cluster.num_machines
+    charged = [0] * cluster.num_machines
 
-    def _alloc(m: int, b: float) -> None:
+    def _alloc(m: int, b: int) -> None:
         charged[m] += b  # the raising alloc still charges the ledger
         metrics.alloc(m, b)
 
     try:
-        # pre-flight: predicted output size and ops per machine; the
-        # historical per-root float chain adds non-negative integer terms,
-        # so below 2^53 it is order-free and equals the exact total
+        # pre-flight: predicted output size and ops per machine
         indptr = cluster.pgraph.graph.indptr
         for m in range(cluster.num_machines):
             local = cluster.local_vertices(m)
             degs = indptr[local + 1] - indptr[local]
-            predicted = _predicted_star_total(degs, nl, len(patterns))
-            predicted_bytes = predicted * tuple_bytes / max(
-                1, 2 ** len(root_conds))
+            predicted = predicted_star_total(degs, nl, len(patterns))
+            predicted_bytes = predicted * tuple_bytes // 2 ** len(root_conds)
             used = metrics.machines[m].cur_mem_bytes
             if used + predicted_bytes > cost.memory_budget_bytes:
                 # would not fit even before filtering: report 00M now
                 _alloc(m, predicted_bytes)  # raises OutOfMemoryError
-            est_ops = predicted * (nl + 1) * cost.emit_op
-            if (metrics.compute_time(m) + cost.ops_to_seconds(est_ops)
+            est_ops = predicted * (nl + 1) * cost.ticks.emit
+            if (metrics.compute_time(m) + cost.ticks_to_seconds(est_ops)
                     > cost.time_budget_s):
                 raise OvertimeError(cost.time_budget_s + 1, cost.time_budget_s)
 
@@ -557,17 +533,9 @@ def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],
             rows, item_ops = star_partition(
                 cluster, m, cluster.local_vertices(m), nl, patterns_arr,
                 root_conds, tuple_bytes, _alloc)
-            # per-root worker assignment is an order-sensitive float chain;
-            # replay it literally over the per-root costs
-            worker_ops = [0.0] * workers
-            if workers_balanced:
-                for ops in item_ops:
-                    for wi in range(workers):
-                        worker_ops[wi] += ops / workers
-            else:
-                for idx, ops in enumerate(item_ops):
-                    worker_ops[idx % workers] += ops
-            metrics.charge_worker_ops(m, worker_ops)
+            # roots are dealt to workers round-robin
+            metrics.charge_worker_ops(
+                m, [int(item_ops[w::workers].sum()) for w in range(workers)])
             parts.append(rows)
             metrics.check_time()
     except (OutOfMemoryError, OvertimeError):

@@ -19,8 +19,7 @@ The adjacency pulls stay sequential — the cache hit/miss sequence (and
 its per-request charges) is part of the simulated behaviour — but the
 per-node candidate work is vectorised: intersections use the shared
 ``intersect_sorted`` kernel, candidate filtering is mask-based, and the
-innermost recursion level collapses into one ``chain_add`` replay of the
-per-match emit charges.
+innermost recursion level charges its matches as one count × emit ticks.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..core.cache import LRUCache
-from ..core.kernels import chain_add, intersect_sorted, log2_plus2_table
+from ..core.kernels import intersect_sorted
 from ..core.plan.plans import dfs_order
 from ..core.stealing import chunked_distribution
 from ..query.pattern import QueryGraph
@@ -89,16 +88,16 @@ class BenuEngine(BaselineEngine):
         indices = graph.indices
         indptr_l = graph.indptr.tolist()
         owner_l = cluster.pgraph.owner.tolist()
-        # math.log2(d + 2) by degree — the intersection-cost chain replica
-        log2l = [float(x) for x in log2_plus2_table(graph)]
-        iop = cost.intersect_op
-        emit_step = n * cost.emit_op
+        probe_l = cost.probe_tick_table(graph.max_degree).tolist()
+        iop = cost.ticks.intersect
+        emit_step = n * cost.ticks.emit
+        task_base = 2 * cost.ticks.scan
 
         total = 0
         workers = cluster.workers_per_machine
         for m in range(cluster.num_machines):
             cache = LRUCache(capacity, cost)
-            ops_box = [0.0]
+            ops_box = [0]
 
             def nbrs_of(u: int) -> np.ndarray:
                 if owner_l[u] == m:
@@ -115,35 +114,14 @@ class BenuEngine(BaselineEngine):
 
             def dfs(match: list[int], depth: int) -> int:
                 if depth == n:
-                    ops_box[0] += n * cost.emit_op
+                    ops_box[0] += emit_step
                     return 1
-                # pull the back-neighbourhoods (the per-pull charges and
-                # the intersection-cost chain stay the historical ones)
-                bd = back[depth]
-                if len(bd) == 1:
-                    cand = nbrs_of(match[bd[0]])
-                    ops_box[0] += float(len(cand)) * iop
-                    rest = ()
-                elif len(bd) == 2:
-                    a0 = nbrs_of(match[bd[0]])
-                    a1 = nbrs_of(match[bd[1]])
-                    if len(a1) < len(a0):
-                        a0, a1 = a1, a0
-                    s = len(a0)
-                    ops_box[0] += float(s) * iop + s * log2l[len(a1)] * iop
-                    cand = a0
-                    rest = (a1,)
-                else:
-                    arrs = [nbrs_of(match[b]) for b in bd]
-                    lengths = sorted(len(a) for a in arrs)
-                    smallest = lengths[0]
-                    ops = float(smallest) * iop
-                    for other in lengths[1:]:
-                        ops += smallest * log2l[other] * iop
-                    ops_box[0] += ops
-                    arrs.sort(key=len)
-                    cand = arrs[0]
-                    rest = arrs[1:]
+                # pull the back-neighbourhoods, smallest list first
+                arrs = sorted((nbrs_of(match[b]) for b in back[depth]),
+                              key=len)
+                cand, rest = arrs[0], arrs[1:]
+                ops_box[0] += len(cand) * (
+                    iop + sum(probe_l[len(a)] for a in rest))
                 # symmetry conditions select a contiguous window of the
                 # sorted candidates; slice it before intersecting further
                 lo, hi = 0, len(cand)
@@ -174,7 +152,7 @@ class BenuEngine(BaselineEngine):
                         j = int(cand.searchsorted(x))
                         if j < len(cand) and cand[j] == x:
                             found -= 1
-                    ops_box[0] = chain_add(ops_box[0], emit_step, found)
+                    ops_box[0] += found * emit_step
                     return found
                 drop = [j for x in match
                         if (j := int(cand.searchsorted(x))) < len(cand)
@@ -189,11 +167,11 @@ class BenuEngine(BaselineEngine):
                 return found
 
             # pivot tasks: local edges matching (order[0], order[1])
-            task_ops: list[float] = []
+            task_ops: list[int] = []
             count_m = 0
             for u in cluster.local_vertices(m).tolist():
                 for v in indices[indptr_l[u]:indptr_l[u + 1]].tolist():
-                    ops_box[0] = 2 * cost.scan_op
+                    ops_box[0] = task_base
                     ok = True
                     for (pos, greater) in cond_by_depth[1]:
                         if greater and v <= u:

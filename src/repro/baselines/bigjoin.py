@@ -15,10 +15,9 @@ paper's ``00M``.
 
 The rounds run columnar: a batch's partial matches are ``(n, arity)``
 int64 arrays, the per-hop intersections are batched membership tests
-against the shared edge-composite index, and the per-tuple op chains /
-incremental memory charges of the historical tuple-at-a-time loop are
-replayed bit-identically via :mod:`repro.core.kernels` (see
-``tests/golden/metrics.json``).
+against the shared edge-composite index, and per-tuple costs are integer
+tick arrays (counts × tick weights); only the modelled incremental
+memory charges stay a sequential loop.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..core.kernels import (chained_costs, edge_composite_index, edge_member,
-                            log2_plus2_table)
+from ..core.kernels import edge_composite_index, edge_member
 from ..core.plan.plans import greedy_order
 from ..core.stealing import distribute_to_workers
 from ..query.pattern import QueryGraph
@@ -51,7 +49,7 @@ class BigJoinEngine(BaselineEngine):
         self.order = order
         graph = cluster.pgraph.graph
         self._edge_index = edge_composite_index(graph)
-        self._log2t = log2_plus2_table(graph)
+        self._probe_ticks = cluster.cost.probe_tick_table(graph.max_degree)
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
     def run(self, query: QueryGraph,
@@ -79,10 +77,8 @@ class BigJoinEngine(BaselineEngine):
         for m in range(cluster.num_machines):
             local = cluster.local_vertices(m)
             deg = self._degrees[local]
-            # the scan charge is a per-vertex op chain; replay it in order
-            for d in deg.tolist():
-                metrics.charge_ops(m, d * cost.scan_op)
             ecount = int(deg.sum())
+            metrics.charge_ops(m, ecount * cost.ticks.scan)
             us = np.repeat(local, deg)
             ramp = np.arange(ecount) - np.repeat(np.cumsum(deg) - deg, deg)
             vs = graph.indices[np.repeat(graph.indptr[local], deg) + ramp] \
@@ -150,11 +146,9 @@ class BigJoinEngine(BaselineEngine):
 
         The round is an array program over each machine's tuple block —
         per-hop degrees/owners as matrices, candidate shrinking as batch
-        edge-membership, filters as masks — while the simulated charges
-        replay the scalar per-tuple loop: intersection-cost chains via
-        ``chained_costs``, destination-wise incremental memory charges in
-        tuple order, and wire aggregation keyed by first occurrence (the
-        scalar accumulator dict's iteration order).
+        edge-membership, filters as masks, per-tuple ticks as one array
+        expression.  The destination-wise incremental memory charges run
+        in tuple order (they decide where a budget trips).
         """
         cluster = self.cluster
         cost = cluster.cost
@@ -163,13 +157,14 @@ class BigJoinEngine(BaselineEngine):
         graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
         comp = self._edge_index
-        log2t = self._log2t
+        probe_ticks = self._probe_ticks
+        t = cost.ticks
         nv = graph.num_vertices
         bpi = cost.bytes_per_id
         w = len(back)
         back_arr = np.asarray(back, dtype=np.int64)
         out: list[list[np.ndarray]] = [[] for _ in range(k)]
-        wire: dict[tuple[int, int], int] = {}
+        wire = np.zeros(k * k, dtype=np.int64)  # bytes per (src, dst) pair
         out_bytes = (arity + 1) * cost.bytes_per_id
         counted = 0
 
@@ -194,46 +189,29 @@ class BigJoinEngine(BaselineEngine):
                 if total_c else np.empty(0, dtype=np.int64)
             counts = c0
             carried = [np.zeros(nrows, dtype=np.int64)]
-            base = hop_deg[:, 0] * cost.intersect_op
             for i in range(1, w):
                 carried.append(counts)
                 row_ids = np.repeat(np.arange(nrows), counts)
                 keep = edge_member(comp, nv, hop_verts[row_ids, i], cand)
                 cand = cand[keep]
                 counts = np.bincount(row_ids[keep], minlength=nrows)
-                base = base + (c0 * log2t[hop_deg[:, i]]) * cost.intersect_op
+            base = c0 * (t.intersect
+                         + probe_ticks[hop_deg[:, 1:]].sum(axis=1))
 
             # wire accounting: a tuple moves whenever the next hop's owner
             # differs from where it currently sits
             owners_h = owner[hop_verts]
             prev = np.full(nrows, m, dtype=np.int64)
             pids: list[np.ndarray] = []
-            oidx: list[np.ndarray] = []
             wbytes: list[np.ndarray] = []
             for i in range(w):
                 dest = owners_h[:, i]
                 moved = dest != prev
                 mi = np.flatnonzero(moved)
                 pids.append(prev[mi] * k + dest[mi])
-                oidx.append(mi * w + i)
                 wbytes.append((arity + carried[i][mi]) * bpi)
                 prev = dest
-            pid = np.concatenate(pids)
-            if len(pid):
-                totals = np.zeros(k * k, dtype=np.int64)
-                np.add.at(totals, pid, np.concatenate(wbytes))
-                # first-occurrence order of (src, dst) pairs — the scalar
-                # dict's insertion order, which fixes the send sequence
-                order_pid = pid[np.argsort(np.concatenate(oidx),
-                                           kind="stable")]
-                remaining = set(np.unique(pid).tolist())
-                for p in order_pid.tolist():
-                    if p in remaining:
-                        remaining.remove(p)
-                        key = (p // k, p % k)
-                        wire[key] = wire.get(key, 0) + int(totals[p])
-                        if not remaining:
-                            break
+            np.add.at(wire, np.concatenate(pids), np.concatenate(wbytes))
 
             # final filters: distinctness against the whole tuple, then
             # the depth's symmetry conditions
@@ -249,18 +227,17 @@ class BigJoinEngine(BaselineEngine):
 
             if count_only:
                 counted += int(c_row.sum())
-                item_ops = chained_costs(base, c_row, cost.emit_op)
+                item_ops = base + c_row * t.emit
                 pending_by_dest = [0] * k
             else:
-                item_ops = chained_costs(base, c_row,
-                                         (arity + 1) * cost.emit_op)
+                item_ops = base + c_row * ((arity + 1) * t.emit)
                 emitted = np.concatenate(
                     (rows[kept_ids], cand[keep][:, None]), axis=1)
                 emit_dest = here_final[kept_ids]
                 for dest in range(k):
                     out[dest].append(emitted[emit_dest == dest])
-                # destination-wise incremental memory charges, replayed in
-                # tuple order (flush at every _CHUNK pending per dest)
+                # destination-wise incremental memory charges in tuple
+                # order (flush at every _CHUNK pending per dest)
                 pending_by_dest = [0] * k
                 for r in np.flatnonzero(c_row).tolist():
                     h = int(here_final[r])
@@ -273,11 +250,12 @@ class BigJoinEngine(BaselineEngine):
                 metrics.alloc(dest, pending * out_bytes)
             # timely dataflow shards work finely across a machine's workers
             per_worker = distribute_to_workers(
-                item_ops.tolist(), cluster.workers_per_machine, stealing=True)
+                item_ops, cluster.workers_per_machine, stealing=True)
             metrics.charge_worker_ops(m, per_worker)
             metrics.free(m, nrows * arity * cost.bytes_per_id)
-        for (src, dst), nbytes in wire.items():
-            metrics.send(src, dst, nbytes,
+        for pair in np.flatnonzero(wire).tolist():
+            nbytes = int(wire[pair])
+            metrics.send(pair // k, pair % k, nbytes,
                          messages=max(1, nbytes // (64 * 1024)))
         metrics.check_time()
         if count_only:

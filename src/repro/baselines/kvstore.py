@@ -5,9 +5,10 @@ pulls adjacency lists on demand.  The paper's diagnosis (§1, Exp-1) is that
 "the main culprit is the large overhead of pulling (and accessing cached)
 data from the external key-value store" — a per-request client stall plus
 serialisation work that lands in *computation* time, not communication
-time.  The simulation charges exactly that: every ``get`` costs
-``kvstore_request_s`` of direct compute-side stall, ``kvstore_access_op``
-serialisation ops, and the wire bytes of the request/response pair.
+time.  The simulation charges exactly that: every ``get`` counts one
+store request (``kvstore_request_s`` of compute-side stall when times are
+read), ``kvstore_access_op`` serialisation ops, and the wire bytes of the
+request/response pair.
 
 Loading the graph into the store also has a cost (Exp-3: BENU "fails to
 load the graph into Cassandra within one day" for CW); ``load`` charges it
@@ -42,7 +43,7 @@ class ExternalKVStore:
         cost = self.cluster.cost
         g = self.cluster.graph
         load_s = g.num_vertices * cost.kvstore_request_s
-        self.cluster.metrics.charge_time(0, load_s)
+        self.cluster.metrics.charge_kv_requests(0, g.num_vertices)
         # the store is off-cluster: the loader's NIC carries the whole graph
         # regardless of cluster size (the old in-cluster ``send`` degenerated
         # to a free machine-0 self-send on single-machine clusters)
@@ -60,8 +61,8 @@ class ExternalKVStore:
         cost = self.cluster.cost
         metrics = self.cluster.metrics
         nbrs = self.cluster.graph.neighbours(vertex)
-        metrics.charge_time(machine, cost.kvstore_request_s)
-        metrics.charge_ops(machine, cost.kvstore_access_op)
+        metrics.charge_kv_requests(machine)
+        metrics.charge_ops(machine, cost.ticks.kvstore_access)
         wire = (cost.rpc_request_overhead_bytes
                 + (1 + len(nbrs)) * cost.bytes_per_id)
         # the store is external: the full round trip rides the client's NIC

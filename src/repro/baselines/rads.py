@@ -19,60 +19,30 @@ Characteristics reproduced here (Table 1 row RADS):
 The rounds are columnar: partial results are ``(n, arity)`` int64 arrays,
 edge verification is a batch membership test against the shared
 edge-composite index, and leaf enumeration shares the grouped combination
-expansion of :func:`repro.baselines.base.combo_rows`.  All simulated
-charges replay the historical per-tuple loop bit-identically (per-row op
-chains via ``chained_costs``, the per-root incremental memory-charge
-sequence, and ``get_nbrs`` pulls issued with the same request sets).
+expansion of :func:`repro.baselines.base.combo_rows`.  Per-row costs are
+integer tick arrays (counts × tick weights); the modelled per-root
+incremental memory-charge sequence stays a sequential loop.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
-from ..core.kernels import chained_costs, edge_composite_index, edge_member
+from ..core.kernels import edge_composite_index, edge_member
 from ..core.plan.logical import LogicalPlan
 from ..core.plan.plans import rads_plan
 from ..core.stealing import chunked_distribution
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
 from .base import (BaselineEngine, BaselineResult, combo_rows,
-                   new_conditions, star_partition, valid_leaf_patterns)
+                   new_conditions, predicted_star_total, star_partition,
+                   valid_leaf_patterns)
 
 __all__ = ["RadsEngine"]
 
 _CHUNK = 4096
-
-
-def _predicted_total(degrees: np.ndarray, choose: int,
-                     patterns: int) -> float:
-    """The pre-flight size prediction ``Σ C(d, choose)·patterns``.
-
-    The historical accumulator was a per-root float chain, but its terms
-    are non-negative integers: while the running total stays below 2^53
-    every add is exact, so the chain is order-free and equals the exact
-    integer total.  Only past that point does the literal replay matter.
-    """
-    elig = degrees[degrees >= choose]
-    total = 0
-    uniq, cnts = np.unique(elig, return_counts=True)
-    for d, c in zip(uniq.tolist(), cnts.tolist()):
-        total += math.comb(d, choose) * patterns * c
-    if total < (1 << 53):
-        return float(total)
-    predicted = 0.0
-    terms: dict[int, int] = {}
-    for d in degrees.tolist():
-        if d >= choose:
-            term = terms.get(d)
-            if term is None:
-                term = math.comb(d, choose) * patterns
-                terms[d] = term
-            predicted += term
-    return predicted
 
 
 class RadsEngine(BaselineEngine):
@@ -212,14 +182,13 @@ class RadsEngine(BaselineEngine):
             nrows = len(part)
             roots = part[:, root_pos] if nrows else np.empty(0, np.int64)
             # region-scoped pull of every distinct remote root (no
-            # cross-round cache: RADS re-fetches each round); the set is
-            # built in tuple order (the historical insertion sequence)
+            # cross-round cache: RADS re-fetches each round)
             needed = set(roots[owner[roots] != m].tolist())
             if needed:
                 cluster.get_nbrs(m, needed)
             self._preflight(m, self._degrees[roots], nl,
                             max(1, len(patterns)), tuple_bytes)
-            base = self._degrees[roots] * cost.intersect_op
+            base = self._degrees[roots] * cost.ticks.intersect
             # verify matched leaves: edges (root, v) for v in V1
             ok = np.ones(nrows, dtype=bool)
             for v in v1:
@@ -229,8 +198,7 @@ class RadsEngine(BaselineEngine):
                 n_ok = int(ok.sum())
                 if count_only:
                     counted_total += n_ok
-                    kept_per_row[ok] = 1
-                    item_ops = chained_costs(base, kept_per_row, cost.emit_op)
+                    item_ops = base + ok * cost.ticks.emit
                     pending = 0
                 else:
                     out = part[ok]
@@ -238,7 +206,7 @@ class RadsEngine(BaselineEngine):
                     pending = n_ok
                 metrics.alloc(m, pending * tuple_bytes)
                 metrics.charge_worker_ops(
-                    m, chunked_distribution(item_ops.tolist(), workers))
+                    m, chunked_distribution(item_ops, workers))
                 if not count_only:
                     out_rel.append(out)
                 continue
@@ -260,15 +228,13 @@ class RadsEngine(BaselineEngine):
             emitted, _, kept = combo_rows(prefix, cand, counts, nl,
                                           patterns_arr, mixed_conds)
             kept_per_row[okidx] = kept
-            step = cost.emit_op if count_only else \
-                len(out_schema) * cost.emit_op
-            item_ops = chained_costs(base, kept_per_row, step)
+            step = cost.ticks.emit * (1 if count_only else len(out_schema))
+            item_ops = base + kept_per_row * step
             if count_only:
                 counted_total += int(kept.sum())
-                metrics.alloc(m, 0 * tuple_bytes)
             else:
-                # incremental memory charges, replayed per root in tuple
-                # order (flush at every _CHUNK pending)
+                # incremental memory charges per root in tuple order
+                # (flush at every _CHUNK pending)
                 pending = 0
                 for c in kept.tolist():
                     pending += c
@@ -279,7 +245,7 @@ class RadsEngine(BaselineEngine):
                 metrics.alloc(m, pending * tuple_bytes)
                 out_rel.append(emitted)
             metrics.charge_worker_ops(
-                m, chunked_distribution(item_ops.tolist(), workers))
+                m, chunked_distribution(item_ops, workers))
         self._free_rel(rel, len(schema))
         metrics.check_time()
         if count_only:
@@ -288,18 +254,14 @@ class RadsEngine(BaselineEngine):
 
     def _preflight(self, machine: int, degrees: np.ndarray, choose: int,
                    patterns: int, tuple_bytes: int) -> None:
-        """Abort with 00M/0T before an expansion that cannot fit.
-
-        The prediction is an order-sensitive float chain over the roots'
-        degrees, replayed literally (with the per-degree term cached).
-        """
+        """Abort with 00M/0T before an expansion that cannot fit."""
         cost = self.cluster.cost
         metrics = self.cluster.metrics
-        predicted = _predicted_total(degrees, choose, patterns)
-        predicted_bytes = predicted * tuple_bytes / 2.0
+        predicted = predicted_star_total(degrees, choose, patterns)
+        predicted_bytes = predicted * tuple_bytes // 2
         used = metrics.machines[machine].cur_mem_bytes
         if used + predicted_bytes > cost.memory_budget_bytes:
             metrics.alloc(machine, predicted_bytes)  # raises OutOfMemoryError
-        est_s = cost.ops_to_seconds(predicted * cost.emit_op)
+        est_s = cost.ticks_to_seconds(predicted * cost.ticks.emit)
         if metrics.compute_time(machine) + est_s > cost.time_budget_s:
             raise OvertimeError(cost.time_budget_s + 1.0, cost.time_budget_s)

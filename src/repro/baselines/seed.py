@@ -52,7 +52,7 @@ class SeedEngine(BaselineEngine):
             root = plan.root.sub.star_root()
             leaves = sorted(plan.root.sub.vertices - {root})
             rel = materialize_star(self.cluster, root, leaves, conditions,
-                                   applied, workers_balanced=False)
+                                   applied)
             count = rel.total
             rel.drop()
             return self._result(count)
@@ -71,7 +71,7 @@ class SeedEngine(BaselineEngine):
             root = node.sub.star_root()
             leaves = sorted(node.sub.vertices - {root})
             rel = materialize_star(self.cluster, root, leaves, conditions,
-                                   applied, workers_balanced=False)
+                                   applied)
             return rel, applied
         assert node.left is not None and node.right is not None
         lrel, lapplied = self._evaluate(node.left, conditions)

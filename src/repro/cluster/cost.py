@@ -15,15 +15,54 @@ BENU's poor computation time.
 All ``*_op`` weights are in abstract *ops*; ``compute_rate`` converts ops
 to seconds.  Changing the rate rescales every engine identically, so the
 comparative results (who wins, by what factor) are rate-invariant.
+
+**Ticks.**  The ledger never holds a float.  Compute work is charged in
+integer *ticks* of ``1 / TICKS_PER_OP`` op: every weight is rounded to
+ticks once (:attr:`CostModel.ticks`), the one irrational factor of the
+model — ``log2(other + 2)`` per galloping probe — is rounded to ticks
+once per list length (:meth:`CostModel.probe_tick_table`), and counts
+multiply those integers.  Integer sums are exact in any order, so a
+charge means the same whether it is made per tuple, per batch or as one
+array reduction; seconds exist only where a total is read
+(:meth:`CostModel.ticks_to_seconds`).
 """
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
-__all__ = ["CostModel"]
+import numpy as np
+
+__all__ = ["CostModel", "TICKS_PER_OP", "TickWeights", "to_ticks"]
+
+#: Ledger resolution: ticks per abstract op.  A power of two, so the
+#: default weights (all dyadic) are represented exactly; at 2^16 an int64
+#: holds more than 10^14 ops.
+TICKS_PER_OP = 1 << 16
+
+
+def to_ticks(ops: float) -> int:
+    """``ops`` rounded to the nearest whole tick."""
+    return round(ops * TICKS_PER_OP)
+
+
+class TickWeights(NamedTuple):
+    """The ``*_op`` weights of a :class:`CostModel` in integer ticks."""
+
+    scan: int
+    intersect: int
+    emit: int
+    hash_build: int
+    hash_probe: int
+    sort: int
+    sched_switch: int
+    batch_overhead: int
+    cache_copy_per_id: int
+    cache_lock: int
+    cache_update: int
+    kvstore_access: int
 
 
 @dataclass(frozen=True)
@@ -109,28 +148,61 @@ class CostModel:
         """A copy of this model with the given fields replaced."""
         return replace(self, **kwargs)
 
-    def ops_to_seconds(self, ops: float) -> float:
-        """Convert weighted ops to seconds of simulated compute."""
-        return ops / self.compute_rate
+    @cached_property
+    def ticks(self) -> TickWeights:
+        """Every ``*_op`` weight rounded to ticks — once, here."""
+        return TickWeights(
+            scan=to_ticks(self.scan_op),
+            intersect=to_ticks(self.intersect_op),
+            emit=to_ticks(self.emit_op),
+            hash_build=to_ticks(self.hash_build_op),
+            hash_probe=to_ticks(self.hash_probe_op),
+            sort=to_ticks(self.sort_op),
+            sched_switch=to_ticks(self.sched_switch_op),
+            batch_overhead=to_ticks(self.batch_overhead_op),
+            cache_copy_per_id=to_ticks(self.cache_copy_op_per_id),
+            cache_lock=to_ticks(self.cache_lock_op),
+            cache_update=to_ticks(self.cache_update_op),
+            kvstore_access=to_ticks(self.kvstore_access_op),
+        )
 
-    def intersection_ops(self, lengths: "list[int]") -> float:
-        """Cost of a multiway sorted-set intersection with galloping.
+    def ticks_to_seconds(self, ticks: int) -> float:
+        """Seconds of simulated compute for a tick total — the one place
+        ledger integers become a float."""
+        return ticks / (TICKS_PER_OP * self.compute_rate)
+
+    def probe_tick_table(self, max_len: int) -> np.ndarray:
+        """Ticks per galloping probe into a sorted list of each length.
+
+        Entry ``d`` is ``log2(d + 2) · intersect_op`` rounded to ticks:
+        what one element of the smallest list pays to binary-search a
+        list of ``d`` ids.  Built once per graph (``max_len`` = its
+        maximum degree) and shared by every intersect path, so they
+        agree tick for tick.
+        """
+        d = np.arange(max_len + 1, dtype=np.float64)
+        return np.rint(np.log2(d + 2.0) * (self.intersect_op * TICKS_PER_OP)
+                       ).astype(np.int64)
+
+    def intersection_ops(self, lengths: "list[int]",
+                         probe_ticks: np.ndarray | None = None) -> int:
+        """Ticks of a multiway sorted-set intersection with galloping.
 
         Worst-case-optimal engines iterate the smallest list and
         binary-search the others, so a hub×small intersection costs
         ``O(small · log(hub))`` — not ``O(hub)``.  This asymmetry (versus
         hash joins that must *materialise* the hub's star) is what makes
         wco joins win on skewed graphs.  A single "list" is a plain
-        candidate scan.
+        candidate scan.  ``probe_ticks`` is a prebuilt
+        :meth:`probe_tick_table` covering the lengths.
         """
         if not lengths:
-            return 0.0
+            return 0
         ordered = sorted(lengths)
-        smallest = ordered[0]
-        ops = float(smallest) * self.intersect_op
-        for other in ordered[1:]:
-            ops += smallest * math.log2(other + 2) * self.intersect_op
-        return ops
+        if probe_ticks is None:
+            probe_ticks = self.probe_tick_table(ordered[-1])
+        return ordered[0] * (self.ticks.intersect + sum(
+            int(probe_ticks[other]) for other in ordered[1:]))
 
     def transfer_seconds(self, num_bytes: float, messages: int) -> float:
         """Seconds to move ``num_bytes`` across ``messages`` sends."""

@@ -5,12 +5,19 @@ metrics: total time ``T``, computation time ``T_R``, communication time
 ``T_C = T − T_R``, total transferred volume ``C`` and peak per-machine
 memory ``M`` (Table 1), plus per-worker busy times for the load-balancing
 experiment (Exp-8) and cache hit rates for Exp-5.
+
+Every counter is an integer — compute in ticks (see
+:mod:`repro.cluster.cost`), KV-store stalls as a request count, memory
+and traffic in bytes — so the ledger's state does not depend on the order
+charges arrive in.  Seconds are derived when a time is *read*
+(:meth:`Metrics.compute_time` and everything built on it), never stored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 from .cost import CostModel
 from .errors import OutOfMemoryError, OvertimeError
@@ -22,8 +29,8 @@ __all__ = ["MachineMetrics", "Metrics", "RunReport"]
 class MachineMetrics:
     """Counters for one simulated machine."""
 
-    compute_ops: float = 0.0
-    direct_compute_s: float = 0.0  # e.g. external KV-store stalls
+    compute_ops: int = 0  # ticks
+    kv_requests: int = 0  # external KV-store round trips (client stalls)
     bytes_sent: int = 0
     messages_sent: int = 0
     bytes_received: int = 0
@@ -31,12 +38,12 @@ class MachineMetrics:
     rpc_requests: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cur_mem_bytes: float = 0.0
-    peak_mem_bytes: float = 0.0
+    cur_mem_bytes: int = 0
+    peak_mem_bytes: int = 0
     spilled_bytes: int = 0
     steals: int = 0
     mem_underflows: int = 0
-    worker_ops: list[float] = field(default_factory=list)
+    worker_ops: list[int] = field(default_factory=list)  # ticks
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class RunReport:
     comm_time_s: float
     bytes_transferred: int
     messages: int
-    peak_memory_bytes: float
+    peak_memory_bytes: int
     cache_hit_rate: float
     worker_time_stddev_s: float
     aggregate_worker_time_s: float
@@ -97,32 +104,35 @@ class Metrics:
         self.num_machines = num_machines
         self.workers_per_machine = workers_per_machine
         self.machines = [
-            MachineMetrics(worker_ops=[0.0] * workers_per_machine)
+            MachineMetrics(worker_ops=[0] * workers_per_machine)
             for _ in range(num_machines)
         ]
-        self._extra_mem_bytes = 0.0  # constant overheads (cache capacity etc.)
+        self._extra_mem_bytes = 0  # constant overheads (cache capacity etc.)
 
     # -- charging -------------------------------------------------------------
 
-    def charge_ops(self, machine: int, ops: float,
+    def charge_ops(self, machine: int, ticks: int,
                    worker: int | None = None) -> None:
-        """Charge weighted compute ops to a machine (and optionally to one
-        of its workers, for per-worker load statistics)."""
+        """Charge weighted compute ops, in ticks, to a machine (and
+        optionally to one of its workers, for per-worker load statistics)."""
         m = self.machines[machine]
-        m.compute_ops += ops
+        ticks = index(ticks)
+        m.compute_ops += ticks
         if worker is not None:
-            m.worker_ops[worker] += ops
+            m.worker_ops[worker] += ticks
 
-    def charge_worker_ops(self, machine: int, per_worker: list[float]) -> None:
-        """Charge a batch of per-worker op totals at once."""
+    def charge_worker_ops(self, machine: int, per_worker: list[int]) -> None:
+        """Charge a batch of per-worker tick totals at once."""
         m = self.machines[machine]
-        for w, ops in enumerate(per_worker):
-            m.worker_ops[w] += ops
-        m.compute_ops += sum(per_worker)
+        for w, ticks in enumerate(per_worker):
+            ticks = index(ticks)
+            m.worker_ops[w] += ticks
+            m.compute_ops += ticks
 
-    def charge_time(self, machine: int, seconds: float) -> None:
-        """Charge compute-side time directly (e.g. KV-store stalls)."""
-        self.machines[machine].direct_compute_s += seconds
+    def charge_kv_requests(self, machine: int, requests: int = 1) -> None:
+        """Count external KV-store round trips; each stalls the client
+        for ``kvstore_request_s`` of *compute* time when a time is read."""
+        self.machines[machine].kv_requests += index(requests)
 
     def send(self, src: int, dst: int, num_bytes: int, messages: int = 1) -> None:
         """Record a network transfer from ``src`` to ``dst``.
@@ -172,17 +182,17 @@ class Metrics:
 
     # -- memory ---------------------------------------------------------------
 
-    def alloc(self, machine: int, num_bytes: float) -> None:
+    def alloc(self, machine: int, num_bytes: int) -> None:
         """Allocate simulated memory; raises ``OutOfMemoryError`` over budget."""
         m = self.machines[machine]
-        m.cur_mem_bytes += num_bytes
+        m.cur_mem_bytes += index(num_bytes)
         total = m.cur_mem_bytes + self._extra_mem_bytes
         if total > m.peak_mem_bytes:
             m.peak_mem_bytes = total
         if total > self.cost.memory_budget_bytes:
             raise OutOfMemoryError(machine, total, self.cost.memory_budget_bytes)
 
-    def free(self, machine: int, num_bytes: float) -> None:
+    def free(self, machine: int, num_bytes: int) -> None:
         """Release simulated memory.
 
         Freeing more than is currently allocated indicates a double-free
@@ -191,13 +201,14 @@ class Metrics:
         memory oracle can flag it.
         """
         m = self.machines[machine]
-        if num_bytes > m.cur_mem_bytes + 1e-6:
+        num_bytes = index(num_bytes)
+        if num_bytes > m.cur_mem_bytes:
             m.mem_underflows += 1
-        m.cur_mem_bytes = max(0.0, m.cur_mem_bytes - num_bytes)
+        m.cur_mem_bytes = max(0, m.cur_mem_bytes - num_bytes)
 
-    def reserve_constant(self, num_bytes: float) -> None:
+    def reserve_constant(self, num_bytes: int) -> None:
         """Add a constant per-machine overhead (cache capacity, buffers)."""
-        self._extra_mem_bytes += num_bytes
+        self._extra_mem_bytes += index(num_bytes)
         for i, m in enumerate(self.machines):
             total = m.cur_mem_bytes + self._extra_mem_bytes
             if total > m.peak_mem_bytes:
@@ -210,7 +221,8 @@ class Metrics:
     def compute_time(self, machine: int) -> float:
         """Simulated computation time ``T_R`` for one machine."""
         m = self.machines[machine]
-        return self.cost.ops_to_seconds(m.compute_ops) + m.direct_compute_s
+        return (self.cost.ticks_to_seconds(m.compute_ops)
+                + m.kv_requests * self.cost.kvstore_request_s)
 
     def comm_time(self, machine: int) -> float:
         """Simulated communication time for one machine.
@@ -254,10 +266,12 @@ class Metrics:
         hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
         worker_times = [
-            ops / self.cost.compute_rate
-            for m in self.machines for ops in m.worker_ops
+            self.cost.ticks_to_seconds(ticks)
+            for m in self.machines for ticks in m.worker_ops
         ]
-        mean = sum(worker_times) / len(worker_times)
+        aggregate = self.cost.ticks_to_seconds(
+            sum(ticks for m in self.machines for ticks in m.worker_ops))
+        mean = aggregate / len(worker_times)
         stddev = math.sqrt(
             sum((t - mean) ** 2 for t in worker_times) / len(worker_times))
 
@@ -276,7 +290,7 @@ class Metrics:
             peak_memory_bytes=peak,
             cache_hit_rate=hit_rate,
             worker_time_stddev_s=stddev,
-            aggregate_worker_time_s=sum(worker_times),
+            aggregate_worker_time_s=aggregate,
             network_utilisation=utilisation,
             per_machine_time_s=tuple(
                 self.machine_time(i) for i in range(self.num_machines)),

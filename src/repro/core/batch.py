@@ -4,15 +4,8 @@ The runtime moves partial matches as 2-D ``int64`` arrays (one row per
 partial match, one column per matched query vertex) wrapped in a thin
 :class:`Batch`.  Vectorising the per-candidate work (distinctness,
 symmetry masks, emission) removes the interpretation overhead of
-tuple-at-a-time loops, but the *simulated* metrics must not move by a
-single bit: experiment tables are derived from them, so the vectorised
-operators must charge exactly the floating-point op totals the scalar
-loops accumulated.  The arithmetic that makes that possible —
-:func:`~repro.core.kernels.chain_add`,
-:func:`~repro.core.kernels.exact_chain_total` and the tuple-hash replica
-behind :func:`~repro.core.kernels.hash_destinations` — lives in
-:mod:`repro.core.kernels`, shared with the baseline engines, and is
-re-exported here for compatibility.
+tuple-at-a-time loops; the array programs themselves live in
+:mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
@@ -21,9 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernels import chain_add, exact_chain_total, hash_destinations
-
-__all__ = ["Batch", "chain_add", "exact_chain_total", "hash_destinations"]
+__all__ = ["Batch"]
 
 
 class Batch:

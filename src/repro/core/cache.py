@@ -123,13 +123,14 @@ class LRBUCache:
         """
         return self._data[vid]
 
-    def access_penalty(self, vid: int) -> float:
-        """Ops charged per :meth:`get` under this variant's ablation."""
-        penalty = 0.0
+    def access_penalty(self, vid: int) -> int:
+        """Ticks charged per :meth:`get` under this variant's ablation."""
+        t = self._cost.ticks
+        penalty = 0
         if self._copy:
-            penalty += (len(self._data[vid]) + 1) * self._cost.cache_copy_op_per_id
+            penalty += (len(self._data[vid]) + 1) * t.cache_copy_per_id
         if self._lock:
-            penalty += self._cost.cache_lock_op
+            penalty += t.cache_lock
         return penalty
 
     def insert(self, vid: int, neighbours: np.ndarray) -> None:
@@ -250,18 +251,18 @@ class LRUCache:
         self._data.move_to_end(vid)
         return self._data[vid]
 
-    def access_penalty(self, vid: int) -> float:
-        """Copy + lock + bookkeeping ops per access; contention-scaled for
-        the concurrent variant."""
-        cost = self._cost
-        penalty = (len(self._data[vid]) + 1) * cost.cache_copy_op_per_id
-        lock = cost.cache_lock_op
+    def access_penalty(self, vid: int) -> int:
+        """Copy + lock + bookkeeping ticks per access; contention-scaled
+        for the concurrent variant."""
+        t = self._cost.ticks
+        penalty = (len(self._data[vid]) + 1) * t.cache_copy_per_id
+        lock = t.cache_lock
         if self._concurrent:
             # optimistic concurrent caches still serialise ~order-of-workers
             # bookkeeping under contention (paper cites ~30% of lock-free
             # read throughput)
             lock *= self._workers
-        return penalty + lock + cost.cache_update_op
+        return penalty + lock + t.cache_update
 
     def insert(self, vid: int, neighbours: np.ndarray) -> None:
         """Insert with plain LRU eviction.

@@ -254,7 +254,7 @@ class HugeEngine:
             count=sink.count,
             report=report,
             plan=exec_plan,
-            fetch_time_s=self.cluster.cost.ops_to_seconds(ctx.fetch_ops),
+            fetch_time_s=self.cluster.cost.ticks_to_seconds(ctx.fetch_ops),
             cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
             matches=sink.matches() if config.collect_results else None,
             cache_overflow_ids=max(
@@ -346,7 +346,7 @@ class HugeEngine:
         hits = sum(c.stats.hits for c in caches)
         misses = sum(c.stats.misses for c in caches)
         hit_rate = hits / (hits + misses) if hits + misses else 0.0
-        fetch_s = self.cluster.cost.ops_to_seconds(ctx.fetch_ops)
+        fetch_s = self.cluster.cost.ticks_to_seconds(ctx.fetch_ops)
         overflow = max((c.stats.max_overflow_ids for c in caches), default=0)
         evictions = sum(c.stats.evictions for c in caches)
         return [

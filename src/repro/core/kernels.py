@@ -1,187 +1,73 @@
-"""Shared vectorised kernels with bit-exact cost arithmetic.
+"""Shared vectorised kernels of the columnar runtime.
 
 Both the HUGE runtime (:mod:`repro.core.operators`) and the baseline
-engines (:mod:`repro.baselines`) vectorise their inner loops, yet the
-*simulated* metrics they charge are the experiment results — they must
-not move by a single bit relative to the historical tuple-at-a-time
-loops.  This module is the one home of the machinery that makes that
-possible:
+engines (:mod:`repro.baselines`) run their inner loops as array programs
+over ``int64`` columns.  The cost they charge is counted in integer ticks
+(:mod:`repro.cluster.cost`), so a vectorised charge is a multiplication
+and a sum — exact in any order, with nothing to replay.  This module
+holds the array programs themselves:
 
-* :func:`chain_add` / :func:`exact_chain_total` — reproduce repeated
-  scalar float additions (``ops += step`` per emitted tuple) exactly, in
-  closed form where provably safe and by binade-aware replay otherwise.
-* :func:`hash_destinations` — a vectorised replica of CPython's tuple
-  hash (the xxHash-based ``tuplehash``), so columnar shuffles route rows
-  to the same machines the scalar ``hash(tuple(...)) % k`` did.
-* :func:`edge_composite_index` / :func:`edge_member` — the whole data
-  graph's edge set as one sorted ``u * n + v`` array, answering batched
-  "is ``v`` adjacent to ``u``" membership tests with one
-  ``searchsorted``.
-* :func:`join_pairs` — grouped-argsort hash-join matching that emits
-  (build row, probe row) pairs in the exact order of a scalar
-  dict-of-buckets join.
-* :func:`chunk_charges` / :func:`chained_costs` — replay the per-chunk /
-  per-row op chains of the scalar loops without iterating per tuple.
+* :func:`hash_destinations` — the routing function of every hash shuffle,
+  *defined* here as an xxHash-style integer mix over the key columns.
+* :func:`edge_composite_index` / :func:`edge_member` /
+  :func:`edge_member_rows` — the whole data graph's edge set as one sorted
+  ``u * n + v`` array, answering batched "is ``v`` adjacent to ``u``"
+  membership tests with one ``searchsorted``.
+* :func:`csr_gather` / :func:`fused_extend_candidates` /
+  :func:`fused_verify_mask` — PULL-EXTEND's gather → membership → filter
+  chain with a single compaction.
+* :func:`join_pairs` / :func:`chunk_charges` — grouped-argsort hash-join
+  matching, and the tick charge of each output chunk of a probe loop.
+* :func:`adjacency_bitsets` / :func:`induced_bitrows` — the motif
+  census's bitset encoding.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "adjacency_bitsets",
-    "chain_add",
-    "chained_costs",
     "chunk_charges",
     "csr_gather",
     "edge_composite_index",
     "edge_member",
     "edge_member_rows",
-    "exact_chain_total",
     "fused_extend_candidates",
     "fused_verify_mask",
     "hash_destinations",
     "induced_bitrows",
     "intersect_sorted",
     "join_pairs",
-    "log2_plus2_table",
 ]
 
-_MANT = 1 << 53  # integers below this are exactly representable in float64
-
-
-# -- exact chained addition ----------------------------------------------------
-
-
-def _as_grid(x: float) -> tuple[int, int]:
-    """``x`` as ``(numerator, denominator)`` with a power-of-two denominator
-    (finite floats always admit this form)."""
-    return x.as_integer_ratio()
-
-
-def chain_add(base: float, step: float, n: int) -> float:
-    """The float result of ``n`` repeated additions ``base += step``.
-
-    Bit-identical to the literal loop, in ``O(binade crossings)`` rather
-    than ``O(n)``: while every partial sum is an integer multiple of the
-    common grid below ``2**53``, additions are exact and the whole
-    stretch collapses to closed form; at a boundary, one literal
-    (rounding) addition is performed and the grid re-derived.
-
-    Only the non-negative accumulation the cost model performs is
-    supported (``base >= 0``, ``step >= 0``).
-    """
-    if n <= 0 or step == 0.0:
-        return base
-    if base < 0.0 or step < 0.0:  # pragma: no cover - cost model invariant
-        raise ValueError("chain_add models non-negative cost accumulation")
-    cur = float(base)
-    ns, ds = _as_grid(float(step))
-    remaining = n
-    while remaining:
-        if cur + step == cur:
-            break  # absorbed: every further addition is a no-op
-        nc, dc = _as_grid(cur)
-        d = max(dc, ds)  # both are powers of two
-        a = nc * (d // dc)
-        b = ns * (d // ds)
-        room = (_MANT - 1 - a) // b  # max steps with a + k*b < 2**53
-        if room <= 0:
-            cur = cur + step  # literal, rounding addition
-            remaining -= 1
-            continue
-        k = room if room < remaining else remaining
-        total = a + k * b  # exact: below 2**53, so is every partial sum
-        cur = math.ldexp(float(total), -(d.bit_length() - 1))
-        remaining -= k
-    return cur
-
-
-def exact_chain_total(parts: Sequence[tuple[float, int]],
-                      base: float = 0.0) -> float | None:
-    """Total of an interleaved non-negative addition chain, if provably exact.
-
-    ``parts`` lists ``(step, count)`` contributions to a chain that starts
-    at ``base`` (itself treated as the chain's first addition).  When
-    every contribution lies on a common power-of-two grid and the final
-    (hence every partial) sum stays below ``2**53`` grid units, any
-    interleaving of the additions is exact, so the order-free closed form
-    equals the scalar chain.  Returns ``None`` when exactness cannot be
-    guaranteed — the caller must replay the chain step by step.
-    """
-    den = 1
-    nums: list[tuple[int, int, int]] = []
-    for step, count in [(base, 1), *parts]:
-        if count <= 0 or step == 0.0:
-            continue
-        if step < 0.0:
-            return None
-        ns, ds = _as_grid(float(step))
-        den = max(den, ds)
-        nums.append((ns, ds, count))
-    total = 0
-    for ns, ds, count in nums:
-        total += ns * (den // ds) * count
-    if total >= _MANT:
-        return None
-    return math.ldexp(float(total), -(den.bit_length() - 1))
-
-
-# -- CPython tuple-hash replication --------------------------------------------
+# -- shuffle routing ------------------------------------------------------------
 
 _XXPRIME_1 = np.uint64(11400714785074694791)
 _XXPRIME_2 = np.uint64(14029467366897019727)
 _XXPRIME_5 = np.uint64(2870177450012600261)
-_U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
-_PYHASH_MODULUS = (1 << 61) - 1  # Mersenne prime; hash(v) == v below it
-
-
-def _hash_rows_vector(keys: np.ndarray) -> np.ndarray:
-    """xxHash-style ``tuplehash`` of each row (CPython >= 3.8)."""
-    n, width = keys.shape
-    acc = np.full(n, _XXPRIME_5, dtype=np.uint64)
-    for j in range(width):
-        lane = keys[:, j].astype(np.uint64)
-        acc += lane * _XXPRIME_2
-        acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
-        acc *= _XXPRIME_1
-    acc += np.uint64(width) ^ (_XXPRIME_5 ^ np.uint64(3527539))
-    acc[acc == _U64_MAX] = np.uint64(1546275796)
-    return acc.view(np.int64)
-
-
-def _vector_hash_matches_interpreter() -> bool:
-    """Self-check: does the replica agree with this interpreter's hash()?"""
-    rng = np.random.default_rng(0)
-    for width in (1, 2, 3):
-        sample = rng.integers(0, 1 << 40, size=(8, width), dtype=np.int64)
-        ours = _hash_rows_vector(sample)
-        theirs = [hash(tuple(int(x) for x in row)) for row in sample]
-        if ours.tolist() != theirs:
-            return False
-    return True
-
-
-_VECTOR_HASH_OK = _vector_hash_matches_interpreter()
 
 
 def hash_destinations(keys: np.ndarray, k: int) -> np.ndarray:
-    """``hash(tuple(row)) % k`` for every row of ``keys``, vectorised.
+    """Destination machine (``0 .. k-1``) of every row of ``keys``.
 
-    Falls back to per-row interpreter hashing when the xxHash replica
-    does not match this interpreter (non-CPython, or ids at or above the
-    ``2**61 - 1`` hash modulus where ``hash(v) != v``).
+    Hash partitioning is this function by definition: one xxHash-style
+    round per key column over the ids as unsigned 64-bit lanes, a
+    width-dependent finaliser, then the signed result modulo ``k``.
+    Columnar shuffles and :meth:`JoinBuffer.destination` both call it, so
+    a row routes the same way however it arrives.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if (_VECTOR_HASH_OK and
-            (keys.size == 0 or int(keys.max()) < _PYHASH_MODULUS)):
-        return _hash_rows_vector(keys) % k
-    return np.asarray(
-        [hash(tuple(int(x) for x in row)) % k for row in keys],
-        dtype=np.int64).reshape(len(keys))
+    n, width = keys.shape
+    acc = np.full(n, _XXPRIME_5, dtype=np.uint64)
+    for j in range(width):
+        acc += keys[:, j].astype(np.uint64) * _XXPRIME_2
+        acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
+        acc *= _XXPRIME_1
+    acc += np.uint64(width) ^ (_XXPRIME_5 ^ np.uint64(3527539))
+    return acc.view(np.int64) % k
 
 
 # -- adjacency membership -------------------------------------------------------
@@ -304,9 +190,9 @@ def fused_extend_candidates(indptr: np.ndarray, indices: np.ndarray,
     conjunctions over the gathered candidates with a **single** final
     compaction.  Because every mask is boolean and conjunction order
     cannot change the surviving set or its order, the returned
-    ``(cand, row_ids, counts)`` are element-for-element identical to the
-    historical multi-pass pipeline, so the per-row cost replay
-    (:func:`chained_costs` over ``counts``) stays bit-identical.
+    ``(cand, row_ids, counts)`` equal a pass-per-filter pipeline's
+    element for element; ``counts[i]`` is row ``i``'s emit count, which
+    the caller multiplies by the emit tick weight.
     """
     n = len(rows)
     row_ids, cand = csr_gather(indptr, indices, verts_sorted[:, 0])
@@ -366,17 +252,6 @@ def induced_bitrows(masks: Sequence[int],
     return tuple(rows)
 
 
-def log2_plus2_table(graph) -> np.ndarray:
-    """``math.log2(d + 2)`` for every possible degree ``d`` of ``graph``.
-
-    The intersection cost formula charges ``small * log2(other + 2)``
-    per extra list; indexing this table reproduces ``math.log2``'s exact
-    float results (``np.log2`` may differ in the last ulp)."""
-    max_deg = (int(np.diff(graph.indptr).max()) if graph.num_vertices
-               else 0)
-    return np.asarray([math.log2(d + 2) for d in range(max_deg + 1)])
-
-
 # -- grouped hash-join matching -------------------------------------------------
 
 
@@ -407,83 +282,30 @@ def join_pairs(build: np.ndarray, probe: np.ndarray,
     return build_idx, probe_idx
 
 
-# -- chunked / per-row chain replay ---------------------------------------------
+# -- per-chunk probe charges ------------------------------------------------------
 
 
 def chunk_charges(emit_per_probe: np.ndarray, total: int, batch_size: int,
-                  hash_op: float, emit_step: float,
-                  base: float = 0.0) -> list[float]:
-    """Per-chunk op charges replicating a scalar probe loop's chains.
+                  hash_ticks: int, emit_ticks: int,
+                  base: int = 0) -> np.ndarray:
+    """Tick charge of each output chunk of a hash-join probe loop.
 
-    The scalar loop accumulated an op chain (``base`` to start, one
-    ``hash_op`` per probe row, one ``emit_step`` per emitted row) and
-    reset it after every ``batch_size`` emitted rows.  Chunk ``c``'s
-    chain therefore contains the emits of rows ``[c*B, (c+1)*B)`` plus
-    the hash charges of the probe rows first *reached* during that
-    chunk.  A probe row is reached once all earlier rows' emissions are
-    out, i.e. at emitted-tuple index ``T_p`` (the exclusive running sum
-    of per-row emit counts).  ``base`` seeds chunk 0's chain only (a
-    pre-loop charge such as the build-side hashing).
+    The loop emits ``total`` rows in chunks of ``batch_size`` and charges
+    as it goes: one ``hash_ticks`` per probe row, one ``emit_ticks`` per
+    emitted row.  Chunk ``c`` is charged for the emits of rows
+    ``[c*B, (c+1)*B)`` plus the probe rows first *reached* while it
+    fills — a probe row is reached once all earlier rows' emissions are
+    out, i.e. at emitted-row index ``T_p`` (the exclusive running sum of
+    per-row emit counts).  The last entry is the residual chunk together
+    with everything after the final full one; ``base`` (a pre-loop
+    charge such as build-side hashing) lands on chunk 0.
     """
-    n_probe = len(emit_per_probe)
     num_full = total // batch_size
-    n_chains = num_full + 1  # the last chain is the post-loop charge
-    if n_probe:
-        reached_at = np.cumsum(emit_per_probe) - emit_per_probe
-        hash_chain = np.minimum(reached_at // batch_size, num_full)
-        hash_counts = np.bincount(hash_chain, minlength=n_chains)
-    else:
-        hash_counts = np.zeros(n_chains, dtype=np.int64)
-    # full chunks hold exactly batch_size emits; the residual the rest
-    emit_counts = [batch_size] * num_full + [total - num_full * batch_size]
-    charges: list[float] = []
-    exact = True
-    for c in range(n_chains):
-        closed = exact_chain_total(
-            [(hash_op, int(hash_counts[c])), (emit_step, emit_counts[c])],
-            base=base if c == 0 else 0.0)
-        if closed is None:
-            exact = False
-            break
-        charges.append(closed)
-    if exact:
-        return charges
-    # rare fallback (cost weights off the common power-of-two grid):
-    # replay the interleaved chain row by row
-    charges = [0.0] * n_chains
-    ops = base
-    chain = 0
-    filled = 0
-    for p in range(n_probe):
-        ops += hash_op
-        todo = int(emit_per_probe[p])
-        while todo:
-            take = min(todo, batch_size - filled)
-            ops = chain_add(ops, emit_step, take)
-            filled += take
-            todo -= take
-            if filled == batch_size and chain < num_full:
-                charges[chain] = ops
-                ops = 0.0
-                chain += 1
-                filled = 0
-    charges[chain] = ops
+    reached_at = np.cumsum(emit_per_probe) - emit_per_probe
+    hash_counts = np.bincount(np.minimum(reached_at // batch_size, num_full),
+                              minlength=num_full + 1)
+    emit_counts = np.full(num_full + 1, batch_size, dtype=np.int64)
+    emit_counts[num_full] = total - num_full * batch_size
+    charges = hash_counts * hash_ticks + emit_counts * emit_ticks
+    charges[0] += base
     return charges
-
-
-def chained_costs(base: np.ndarray, counts: np.ndarray,
-                  step: float) -> np.ndarray:
-    """``chain_add(base[i], step, counts[i])`` for every emitting row,
-    deduplicated over distinct ``(base, count)`` pairs."""
-    nz = np.flatnonzero(counts)
-    if not len(nz):
-        return base
-    pairs = np.stack((base[nz].view(np.int64),
-                      np.asarray(counts)[nz]), axis=1)
-    uq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    vals = np.asarray([
-        chain_add(float(np.int64(b).view(np.float64)), step, int(c))
-        for b, c in uq.tolist()])
-    out = base.copy()
-    out[nz] = vals[inv]
-    return out

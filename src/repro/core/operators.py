@@ -9,11 +9,9 @@ Batches are columnar (:class:`~repro.core.batch.Batch`: a 2-D ``int64``
 array of partial matches).  The per-candidate work — distinctness,
 symmetry masks, label filters, emission — runs as vectorised array
 operations; only genuinely stateful steps (cache reads, per-row
-intersections against adjacency lists) keep a per-row loop.  The charged
-op totals are **bit-identical** to the historical tuple-at-a-time loops:
-repeated per-emit additions are reproduced exactly with
-:func:`~repro.core.kernels.chain_add` and shuffle destinations with the
-vectorised tuple-hash replica (see ``tests/golden/metrics.json``).
+intersections against adjacency lists) keep a per-row loop.  Charges are
+integer ticks (:mod:`repro.cluster.cost`): a batch's cost is its counts
+times tick weights, the same total whichever path computed it.
 
 ``PULL-EXTEND`` implements the two-stage execution strategy of Algorithm 4:
 a *fetch* stage that collects the batch's remote vertices, seals cached
@@ -26,6 +24,7 @@ issued from inside the intersect loop.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -35,16 +34,21 @@ from ..obs.trace import NULL_TRACER
 from .batch import Batch
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
-from .kernels import (chain_add, chained_costs, chunk_charges,
-                      edge_composite_index, fused_extend_candidates,
-                      fused_verify_mask, hash_destinations,
-                      intersect_sorted, join_pairs, log2_plus2_table)
+from ..cluster.cost import TICKS_PER_OP, to_ticks
+from .kernels import (chunk_charges, edge_composite_index,
+                      fused_extend_candidates, fused_verify_mask,
+                      hash_destinations, intersect_sorted, join_pairs)
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
            "join_stream", "Batch", "Tuple"]
 
 Tuple = tuple[int, ...]
 Cache = LRBUCache | LRUCache
+
+#: fetch-stage bookkeeping: ``contains`` + ``seal`` per remote vertex, and
+#: the single-writer insert per fetched id
+_FETCH_SEAL_TICKS = 2 * TICKS_PER_OP
+_FETCH_INSERT_TICKS = TICKS_PER_OP // 2
 
 
 class ExecContext:
@@ -65,9 +69,9 @@ class ExecContext:
         #: per-vertex labels of the data graph (None for unlabelled)
         self.labels = cluster.labels
         self._edge_index: np.ndarray | None = None
-        self._log2_table: np.ndarray | None = None
-        #: total ops spent in fetch stages (Table 5's t_f)
-        self.fetch_ops = 0.0
+        self._probe_ticks: np.ndarray | None = None
+        #: total ticks spent in fetch stages (Table 5's t_f)
+        self.fetch_ops = 0
         #: span tracer (the no-op tracer unless the run is being traced)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: segment identity -> index, for stable operator ids in traces
@@ -92,15 +96,13 @@ class ExecContext:
                 self.cluster.pgraph.graph)
         return self._edge_index
 
-    def log2_table(self) -> np.ndarray:
-        """``math.log2(d + 2)`` for every possible degree ``d``.
-
-        The intersection cost formula charges ``small * log2(other + 2)``
-        per extra list; indexing this table reproduces ``math.log2``'s
-        exact float results (``np.log2`` may differ in the last ulp)."""
-        if self._log2_table is None:
-            self._log2_table = log2_plus2_table(self.cluster.pgraph.graph)
-        return self._log2_table
+    def probe_ticks(self) -> np.ndarray:
+        """The graph's :meth:`~repro.cluster.cost.CostModel.probe_tick_table`
+        (ticks per galloping probe, by adjacency length)."""
+        if self._probe_ticks is None:
+            self._probe_ticks = self.cost.probe_tick_table(
+                self.cluster.pgraph.graph.max_degree)
+        return self._probe_ticks
 
 
 class ScanOp:
@@ -113,7 +115,7 @@ class ScanOp:
         self.out_arity = 2
 
     def process(self, machine: int,
-                pivots: Sequence[int]) -> tuple[Batch, list[float], int]:
+                pivots: Sequence[int]) -> tuple[Batch, np.ndarray, int]:
         """Expand each pivot ``u`` into rows ``(u, v)`` for its neighbours
         ``v`` passing the symmetry order filter.
 
@@ -122,7 +124,7 @@ class ScanOp:
         aggregated ``GetNbrs`` RPC for the chunk.  Emission is columnar:
         pivot columns via ``np.repeat``, neighbour columns concatenated.
         """
-        cost = self.ctx.cost
+        t = self.ctx.cost.ticks
         pg = self.ctx.cluster.pgraph
         order = self.spec.order
         labels = self.ctx.labels
@@ -134,11 +136,11 @@ class ScanOp:
         us: list[int] = []
         counts: list[int] = []
         vs_parts: list[np.ndarray] = []
-        item_costs: list[float] = []
+        item_costs: list[int] = []
         for u in parr.tolist():
             if (pivot_label is not None and labels is not None
                     and labels[u] != pivot_label):
-                item_costs.append(cost.scan_op)
+                item_costs.append(t.scan)
                 continue
             nbrs = pulled.get(u)
             if nbrs is None:
@@ -154,8 +156,7 @@ class ScanOp:
             us.append(u)
             counts.append(len(vs))
             vs_parts.append(vs)
-            item_costs.append(len(nbrs) * cost.scan_op
-                              + len(vs) * 2 * cost.emit_op)
+            item_costs.append(len(nbrs) * t.scan + len(vs) * 2 * t.emit)
         if vs_parts:
             u_col = np.repeat(np.asarray(us, dtype=np.int64),
                               np.asarray(counts))
@@ -163,7 +164,7 @@ class ScanOp:
             out = Batch(np.column_stack((u_col, v_col)))
         else:
             out = Batch.empty(2)
-        return out, item_costs, 0
+        return out, np.asarray(item_costs, dtype=np.int64), 0
 
 
 class ExtendOp:
@@ -188,10 +189,9 @@ class ExtendOp:
             t0 = tracer.now(machine)
             evictions0 = cache.stats.evictions
             overflow0 = cache.stats.max_overflow_ids
-        # row-major over the extend columns: the same insertion sequence
-        # the scalar loop produced, so the set's iteration order (which
-        # drives seal/fetch order and therefore eviction behaviour) is
-        # reproduced exactly
+        # row-major over the extend columns: the set's iteration order
+        # drives seal/fetch order and therefore which entries the cache
+        # evicts, so the insertion sequence is part of the model
         seq = rows[:, list(self.spec.ext)].ravel()
         if len(seq):
             seq = seq[pg.owner[seq] != machine]
@@ -210,9 +210,9 @@ class ExtendOp:
                 cache.insert(u, nbrs)
                 cache.seal(u)
         cache.stats.count(hits=hits, misses=len(fetch))
-        ops = (len(remote) * 2.0  # contains + seal bookkeeping
+        ops = (len(remote) * _FETCH_SEAL_TICKS
                + sum(1 + len(ctx.cluster.pgraph.graph.neighbours(u))
-                     for u in fetch) * 0.5)  # single-writer inserts
+                     for u in fetch) * _FETCH_INSERT_TICKS)
         ctx.metrics.charge_ops(machine, ops)
         ctx.fetch_ops += ops
         if tracer.enabled:
@@ -232,7 +232,7 @@ class ExtendOp:
     # -- intersect stage ------------------------------------------------------------
 
     def _neighbour_list(self, machine: int, u: int,
-                        penalties: list[float]) -> np.ndarray | None:
+                        penalties: list[int]) -> np.ndarray | None:
         """Adjacency of ``u``: local partition read, sealed cache read, or
         (two-stage disabled) an on-demand per-miss RPC."""
         ctx = self.ctx
@@ -261,10 +261,10 @@ class ExtendOp:
         return nbrs
 
     def process(self, machine: int, batch,
-                count_only: bool = False) -> tuple[Batch, list[float], int]:
+                count_only: bool = False) -> tuple[Batch, np.ndarray, int]:
         """Run fetch + intersect for one batch.
 
-        Returns ``(output_batch, per_input_row_costs, count)``.  With
+        Returns ``(output_batch, per_input_row_ticks, count)``.  With
         ``count_only`` (the compression optimisation of [63], applied to
         the final operator before the SINK) valid extensions are counted
         without materialising rows — only the count is returned.
@@ -289,26 +289,27 @@ class ExtendOp:
         return self._process_rowwise(machine, rows, count_only)
 
     def _process_rowwise(self, machine: int, rows: np.ndarray,
-                         count_only: bool) -> tuple[Batch, list[float], int]:
+                         count_only: bool) -> tuple[Batch, np.ndarray, int]:
         """Tuple-at-a-time intersect stage (per-miss cache mode)."""
         ctx = self.ctx
         cost = ctx.cost
+        emit_op = cost.ticks.emit
+        probe_ticks = ctx.probe_ticks()
         spec = self.spec
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
         n = len(rows)
         counted = 0
-        item_costs: list[float] = []
+        item_costs: list[int] = []
         ext = spec.ext
         labels = ctx.labels
-        emit_step = cost.emit_op if count_only else (
-            (in_arity + 1) * cost.emit_op)
+        emit_step = emit_op if count_only else (in_arity + 1) * emit_op
         keep_rows: list[int] = []       # verify: surviving row indices
         ext_counts = np.zeros(n, dtype=np.int64)
         ext_parts: list[np.ndarray] = []
         lt = spec.candidate_lt
         gt = spec.candidate_gt
         for i in range(n):
-            penalties: list[float] = []
+            penalties: list[int] = []
             lists: list[np.ndarray] = []
             for d in ext:
                 nbrs = self._neighbour_list(machine, int(rows[i, d]),
@@ -320,7 +321,8 @@ class ExtendOp:
                 if len(cand) == 0:
                     break
                 cand = intersect_sorted(cand, other)
-            ops = cost.intersection_ops([len(l) for l in lists]) + sum(penalties)
+            ops = cost.intersection_ops([len(l) for l in lists],
+                                        probe_ticks) + sum(penalties)
             if (spec.new_label is not None and labels is not None
                     and len(cand)):
                 cand = cand[labels[cand] == spec.new_label]
@@ -331,10 +333,10 @@ class ExtendOp:
                 if j < len(cand) and cand[j] == target:
                     if count_only:
                         counted += 1
-                        ops += cost.emit_op
+                        ops += emit_op
                     else:
                         keep_rows.append(i)
-                        ops += in_arity * cost.emit_op
+                        ops += in_arity * emit_op
             elif len(cand):
                 # vectorised distinctness + symmetry masks replacing the
                 # per-candidate `v in f` / any() scans
@@ -351,9 +353,7 @@ class ExtendOp:
                     else:
                         ext_counts[i] = c
                         ext_parts.append(kept)
-                    # the scalar loop charged emit_step once per emitted
-                    # candidate; replicate the repeated-addition chain
-                    ops = chain_add(ops, emit_step, c)
+                    ops += c * emit_step
             item_costs.append(ops)
 
         if spec.is_verify:
@@ -365,7 +365,7 @@ class ExtendOp:
                 (rows[rep], np.concatenate(ext_parts))))
         else:
             out = Batch.empty(self.out_arity)
-        return out, item_costs, counted
+        return out, np.asarray(item_costs, dtype=np.int64), counted
 
     def _intersect_base_costs(self, machine: int,
                               rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -374,9 +374,9 @@ class ExtendOp:
         Returns ``(verts, lens, order, base)`` where ``verts`` is the
         ``(n, W)`` extend-vertex matrix, ``lens`` the adjacency lengths,
         ``order`` the stable by-length sort order of each row's lists and
-        ``base`` the per-row float cost (multiway-intersection ops plus
-        cache access penalties) — every elementwise operation mirrors the
-        scalar formula so the floats are bit-identical.
+        ``base`` the per-row ticks (multiway-intersection cost as
+        :meth:`~repro.cluster.cost.CostModel.intersection_ops` computes
+        it, plus cache access penalties).
         """
         ctx = self.ctx
         cost = ctx.cost
@@ -388,7 +388,7 @@ class ExtendOp:
         verts = rows[:, list(self.spec.ext)]
         uniq, inv = np.unique(verts, return_inverse=True)
         inv = inv.reshape(n, W)
-        pen_u = np.zeros(len(uniq))
+        pen_u = np.zeros(len(uniq), dtype=np.int64)
         for j in np.flatnonzero(pg.owner[uniq] != machine).tolist():
             u = int(uniq[j])
             if not cache.contains(u):
@@ -401,19 +401,14 @@ class ExtendOp:
         lens = deg_u[inv]
         order = np.argsort(lens, axis=1, kind="stable")
         lens_sorted = np.take_along_axis(lens, order, axis=1)
-        smallest = lens_sorted[:, 0]
-        # ops = small*c, then += small*log2(other+2)*c per further list —
-        # the same IEEE operation sequence as CostModel.intersection_ops
-        base = smallest * cost.intersect_op
-        log2t = ctx.log2_table()
-        for w in range(1, W):
-            base = base + (smallest * log2t[lens_sorted[:, w]]
-                           ) * cost.intersect_op
-        base = base + pen_u[inv].sum(axis=1)
+        base = (lens_sorted[:, 0]
+                * (cost.ticks.intersect
+                   + ctx.probe_ticks()[lens_sorted[:, 1:]].sum(axis=1))
+                + pen_u[inv].sum(axis=1))
         return verts, lens, order, base
 
     def _process_vector(self, machine: int, rows: np.ndarray,
-                        count_only: bool) -> tuple[Batch, list[float], int]:
+                        count_only: bool) -> tuple[Batch, np.ndarray, int]:
         """Columnar intersect stage (two-stage execution).
 
         Candidate sets are gathered straight from the global CSR (cached
@@ -423,13 +418,13 @@ class ExtendOp:
         ``searchsorted`` against the composite edge index.
         """
         ctx = self.ctx
-        cost = ctx.cost
+        emit_op = ctx.cost.ticks.emit
         spec = self.spec
         g = ctx.cluster.pgraph.graph
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
         n = len(rows)
         if n == 0:
-            return Batch.empty(self.out_arity), [], 0
+            return Batch.empty(self.out_arity), np.zeros(0, np.int64), 0
         labels = ctx.labels
         verts, lens, order, base = self._intersect_base_costs(machine, rows)
 
@@ -438,8 +433,8 @@ class ExtendOp:
             found = fused_verify_mask(ctx.edge_index(), g.num_vertices,
                                       verts, targets, labels, spec.new_label)
             counted = int(found.sum()) if count_only else 0
-            step = cost.emit_op if count_only else in_arity * cost.emit_op
-            item_costs = np.where(found, base + step, base).tolist()
+            step = emit_op if count_only else in_arity * emit_op
+            item_costs = base + found * step
             out = (Batch.empty(self.out_arity) if count_only
                    else Batch(rows[found]))
             return out, item_costs, counted
@@ -449,9 +444,8 @@ class ExtendOp:
             np.take_along_axis(verts, order, axis=1),
             spec.candidate_lt, spec.candidate_gt, labels, spec.new_label)
 
-        emit_step = cost.emit_op if count_only else (
-            (in_arity + 1) * cost.emit_op)
-        item_costs = chained_costs(base, counts, emit_step).tolist()
+        emit_step = emit_op if count_only else (in_arity + 1) * emit_op
+        item_costs = base + counts * emit_step
         if count_only:
             return Batch.empty(self.out_arity), item_costs, int(len(cand))
         if len(cand):
@@ -517,7 +511,8 @@ class JoinBuffer:
 
     def destination(self, f: Sequence[int]) -> int:
         """Machine owning the join key of one row (hash partitioning)."""
-        return hash(tuple(int(f[p]) for p in self.key_pos)) % len(self._parts)
+        key = np.asarray([[f[p] for p in self.key_pos]], dtype=np.int64)
+        return int(hash_destinations(key, len(self._parts))[0])
 
     def rows_for(self, machine: int) -> np.ndarray:
         """A machine's buffered rows as one contiguous array."""
@@ -543,12 +538,9 @@ class JoinBuffer:
         rows = batch.rows
         dests = hash_destinations(rows[:, list(self.key_pos)],
                                   len(self._parts))
-        # per-destination charging in first-occurrence order — the order
-        # the scalar loop discovered destinations in
-        uniq, first = np.unique(dests, return_index=True)
         self.total += len(batch)
         tuple_bytes = self.arity * cost.bytes_per_id
-        for dest in uniq[np.argsort(first, kind="stable")].tolist():
+        for dest in np.unique(dests).tolist():
             mask = dests == dest
             part = rows[mask]
             n = len(part)
@@ -563,9 +555,9 @@ class JoinBuffer:
             if self._in_memory[dest] > self.buffer_tuples:
                 spill = self._in_memory[dest] - self.buffer_tuples
                 # external merge sort of the spilled run, then write out
+                passes = max(1.0, math.log2(max(2, spill)))
                 ctx.metrics.charge_ops(
-                    dest, spill * cost.sort_op * max(
-                        1.0, np.log2(max(2, spill))))
+                    dest, spill * to_ticks(cost.sort_op * passes))
                 ctx.metrics.record_spill(dest, spill * tuple_bytes)
                 ctx.metrics.free(dest, spill * tuple_bytes)
                 self._in_memory[dest] = self.buffer_tuples
@@ -619,7 +611,8 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
     if tracer.enabled:
         t_seg = tracer.now(machine)
     build_idx, probe_idx = join_pairs(build, probe, build_key, probe_key)
-    ctx.metrics.charge_ops(machine, len(build) * cost.hash_build_op)
+    t = cost.ticks
+    ctx.metrics.charge_ops(machine, len(build) * t.hash_build)
     if tracer.enabled:
         tracer.complete("build", machine, t_seg, tracer.now(machine),
                         {"op": opid, "tuples": len(build)})
@@ -640,7 +633,7 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
     total = len(emitted)
 
     charges = chunk_charges(emit_per_probe, total, batch_size,
-                            cost.hash_probe_op, out_arity * cost.emit_op)
+                            t.hash_probe, out_arity * t.emit)
     num_full = total // batch_size
     for c in range(num_full):
         ctx.metrics.charge_ops(machine, charges[c])

@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from ..cluster.cost import TICKS_PER_OP
 from ..cluster.errors import PlanError
 from ..obs.trace import ENGINE
 from .batch import Batch
@@ -153,7 +154,6 @@ class _TeeBuffer:
         self.k = ctx.cluster.num_machines
         self.batches: list[list[Batch]] = [[] for _ in range(self.k)]
         self.total = 0
-        self._charged = 0.0
 
     def consume(self, machine: int, batch) -> None:
         batch = Batch.coerce(batch, self.arity)
@@ -162,9 +162,8 @@ class _TeeBuffer:
             return
         self.batches[machine].append(batch)
         self.total += n
-        nbytes = n * self.arity * self.ctx.cost.bytes_per_id
-        self._charged += nbytes
-        self.ctx.metrics.alloc(machine, nbytes)
+        self.ctx.metrics.alloc(
+            machine, n * self.arity * self.ctx.cost.bytes_per_id)
 
     def replay(self) -> "_ReplayFeed":
         """A fresh feed over the buffered prefix output."""
@@ -177,7 +176,6 @@ class _TeeBuffer:
                 self.ctx.metrics.free(
                     m, len(batch) * self.arity * self.ctx.cost.bytes_per_id)
         self.batches = [[] for _ in range(self.k)]
-        self._charged = 0.0
 
 
 class _ReplayFeed:
@@ -390,7 +388,7 @@ class _ChainRunner:
         """Run operator ``level`` on every machine until its output queue
         fills or its input empties (the inner loop of Algorithm 5)."""
         ctx = self.ctx
-        cost = ctx.cost
+        t = ctx.cost.ticks
         metrics = ctx.metrics
         tracer = ctx.tracer
         traced = tracer.enabled
@@ -410,7 +408,7 @@ class _ChainRunner:
             t_round = tracer.now_all()
 
         for m in range(self.k):
-            metrics.charge_ops(m, cost.sched_switch_op)
+            metrics.charge_ops(m, t.sched_switch)
         self._steal(level)
 
         for m in range(self.k):
@@ -451,7 +449,7 @@ class _ChainRunner:
                         out_arity = 2
                     else:
                         out = payload  # join output is already a batch
-                        item_costs = []
+                        item_costs = ()
                         out_arity = out.arity
                 else:
                     op = self.extend_ops[level]
@@ -467,12 +465,12 @@ class _ChainRunner:
 
                 if traced:
                     t_mid = tracer.now(m)
-                if item_costs:
+                if len(item_costs):
                     per_worker = distribute_to_workers(
                         item_costs, workers, stealing_workers,
                         assign_key=pivot)
                     metrics.charge_worker_ops(m, per_worker)
-                metrics.charge_ops(m, cost.batch_overhead_op)
+                metrics.charge_ops(m, t.batch_overhead)
 
                 if traced:
                     t1 = tracer.now(m)
@@ -488,15 +486,15 @@ class _ChainRunner:
                         span_name, m, t0, t1,
                         {"op": opid, "in": n_in, "out": len(out) + counted,
                          "bytes": tracer.bytes_moved(m) - bytes0})
-                    if item_costs:
+                    if len(item_costs):
                         if stealing_workers and workers > 1:
                             tracer.instant(
                                 "intra steal", m,
                                 {"op": opid, "items": len(item_costs)})
                         tracer.counter(
                             "worker ops", m,
-                            {str(w): metrics.machines[m].worker_ops[w]
-                             for w in range(workers)})
+                            {str(w): ticks / TICKS_PER_OP for w, ticks
+                             in enumerate(metrics.machines[m].worker_ops)})
 
                 if level < last:
                     self._enqueue(level + 1, m, out, out_arity)

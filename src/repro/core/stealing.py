@@ -4,7 +4,7 @@
 steal half from the front of a random busy deque.  In the simulation,
 work-item costs are known once the batch is processed, so stealing is
 modelled by its steady-state effect: near-perfect balancing of item costs
-across the machine's workers (LPT assignment), while disabled stealing
+across the machine's workers (a balanced deal), while disabled stealing
 assigns contiguous chunks — preserving the skew the paper observes when
 load is distributed "based on the firstly matched vertex".
 
@@ -17,9 +17,10 @@ at the initial SCAN level, as RADS' static region groups do.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Sequence, TypeVar
+
+import numpy as np
 
 __all__ = ["STEALING_MODES", "chunked_distribution",
            "distribute_to_workers", "rebalance"]
@@ -31,51 +32,42 @@ STEALING_MODES = ("full", "none", "region-group")
 T = TypeVar("T")
 
 
-def distribute_to_workers(item_costs: Sequence[float], workers: int,
-                          stealing: bool, assign_key: int = 0) -> list[float]:
-    """Split a batch's per-item costs across ``workers``.
+def distribute_to_workers(item_costs: Sequence[int], workers: int,
+                          stealing: bool, assign_key: int = 0) -> list[int]:
+    """Split a batch's per-item tick costs across ``workers``.
 
-    With stealing, items land on the currently least-loaded worker
-    (longest-processing-time greedy — the steady state of steal-half
-    deques).  Without stealing, work is "distributed based on the firstly
-    matched vertex" (paper §5.3): ``assign_key`` — the batch's pivot
-    vertex — picks the worker, so every batch descending from a hub pivot
-    lands on the same worker.  That is the skew Exp-8 measures for
-    HUGE-NOSTL.
+    With stealing, the steady state of steal-half deques is a balanced
+    split: items sorted by cost are dealt out in alternating directions
+    (a snake deal), which conserves the total exactly and leaves any two
+    workers at most one largest item apart.  Without stealing, work is
+    "distributed based on the firstly matched vertex" (paper §5.3):
+    ``assign_key`` — the batch's pivot vertex — picks the worker, so
+    every batch descending from a hub pivot lands on the same worker.
+    That is the skew Exp-8 measures for HUGE-NOSTL.
     """
-    totals = [0.0] * workers
-    if not item_costs:
+    costs = np.asarray(item_costs, dtype=np.int64)
+    totals = [0] * workers
+    if not len(costs):
         return totals
-    if workers == 1:
-        totals[0] = float(sum(item_costs))
+    if not stealing:
+        totals[assign_key % workers] = int(costs.sum())
         return totals
-    if stealing:
-        heap = [(0.0, w) for w in range(workers)]
-        heapq.heapify(heap)
-        for cost in sorted(item_costs, reverse=True):
-            load, w = heapq.heappop(heap)
-            load += cost
-            totals[w] = load
-            heapq.heappush(heap, (load, w))
-    else:
-        totals[assign_key % workers] = float(sum(item_costs))
-    return totals
+    # deal rounds of `workers` items, heaviest first: left-to-right, then
+    # right-to-left, ... (zero padding completes the last double round)
+    deal = np.zeros(-(-len(costs) // (2 * workers)) * 2 * workers, np.int64)
+    deal[:len(costs)] = np.sort(costs)[::-1]
+    deal = deal.reshape(-1, 2, workers)
+    return (deal[:, 0].sum(axis=0) + deal[:, 1, ::-1].sum(axis=0)).tolist()
 
 
-def chunked_distribution(item_costs: Sequence[float],
-                         workers: int) -> list[float]:
+def chunked_distribution(item_costs: Sequence[int],
+                         workers: int) -> list[int]:
     """Assign contiguous chunks of a whole task list to workers — how
     BENU/RADS statically pre-partition work by pivot-vertex ranges."""
-    totals = [0.0] * workers
-    if not item_costs:
-        return totals
-    chunk = (len(item_costs) + workers - 1) // workers
-    # each worker's load is a left-to-right sum of its contiguous slice
-    # (the last worker takes the tail), which is exactly what sum() does
-    for w in range(workers - 1):
-        totals[w] = float(sum(item_costs[w * chunk:(w + 1) * chunk]))
-    totals[workers - 1] = float(sum(item_costs[(workers - 1) * chunk:]))
-    return totals
+    costs = np.asarray(item_costs, dtype=np.int64)
+    chunk = -(-len(costs) // workers)
+    return [int(costs[w * chunk:(w + 1) * chunk].sum())
+            for w in range(workers)]
 
 
 def rebalance(queues: list[deque[T]], weight=len,

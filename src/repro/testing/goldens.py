@@ -1,20 +1,24 @@
-"""Bit-identity goldens: frozen simulated metrics for fixed workloads.
+"""Metric goldens: frozen simulated metrics for fixed workloads.
 
-The columnar batch runtime must charge *exactly* the ops/bytes/messages/
-memory the tuple-at-a-time runtime charged — the simulated metrics are the
-experiment results, so any drift silently rewrites the paper's tables.
-This module captures, for a fixed set of seeded workloads × the HUGE
-engine matrix, the full :class:`~repro.cluster.metrics.RunReport` (plus
-match counts and cache counters) into a JSON file that a tier-1 test
-compares against with **exact float equality** (JSON round-trips shortest
-``repr`` floats losslessly).
+The simulated metrics are the experiment results, so any drift silently
+rewrites the paper's tables.  This module captures, for a fixed set of
+seeded workloads × the engine matrix, the full
+:class:`~repro.cluster.metrics.RunReport` (plus match counts and cache
+counters) into a JSON file that a tier-1 test compares against exactly.
 
-Regenerate intentionally with::
+Every pinned value is either an integer the ledger counted (bytes,
+messages, peak memory, match and cache counters) or one fixed expression
+of such integers evaluated when the report is read (the times: tick
+totals → seconds).  Integer sums have no order, so *how* a charge is
+computed — per tuple, per batch, as one array reduction — cannot move a
+golden.  A golden that moves after a pure vectorisation or refactoring
+change therefore means the change miscounted: that is a bug to fix, not
+a regeneration event.  Regenerate only when the cost *model* changes on
+purpose (a weight, a formula, the assignment rule), with::
 
     PYTHONPATH=src python -m repro.testing.goldens --write tests/golden/metrics.json
 
-Regeneration is a reviewable event: the diff shows precisely which
-configurations' accounting changed.
+and review the field-level diff: which integers moved, and why.
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ GOLDEN_SEEDS = (1, 2, 3, 5, 8, 13)
 
 def golden_specs() -> list[EngineSpec]:
     """The full engine matrix: every HUGE configuration plus the four
-    baseline systems.  The baselines' simulated accounting is pinned the
-    same way the HUGE runtime's is — their columnar rewrites must replay
-    the scalar cost chains bit for bit.  Census specs are excluded: they
+    baseline systems, whose simulated accounting is pinned the same way
+    the HUGE runtime's is.  Census specs are excluded: they
     run a pattern-independent workload whose determinism is gated by
     ``benchmarks/bench_census.py`` (two fresh runs bit-identical) and the
     census conformance family instead.  Delta specs are excluded for the

@@ -119,6 +119,7 @@ def execute(workload: Workload, spec: EngineSpec,
             outcome.count = result.count
             outcome.report = result.report
         outcome.bytes_per_id = cluster.cost.bytes_per_id
+        outcome.ledger = cluster.metrics
     except Exception as exc:  # noqa: BLE001 - crashes become oracle failures
         outcome.error = f"{type(exc).__name__}: {exc}"
     return outcome

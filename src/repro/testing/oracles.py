@@ -20,8 +20,11 @@ the workload/configuration that produced it:
   are the paper's point);
 * ``cache-overflow`` — the LRBU cache never overflows its capacity by
   more than one batch's worth of distinct remote vertices (§4.4);
-* ``time-conservation`` — the report satisfies ``T = T_R + T_C`` and
-  ``T = max_m T_m`` exactly (modulo float rounding).
+* ``time-conservation`` — exact identities, no tolerance: on the integer
+  ledger, every machine's worker-attributed ticks are covered by its
+  compute ticks (the rest is unattributed scheduling/fetch work) and the
+  reported aggregate worker time is their sum; on the report,
+  ``T_C = T − T_R`` and ``T = max_m T_m``.
 
 Census specs (``engine="census"``) run a different workload — the ESU
 motif census over the data graph — and are checked against their own
@@ -65,7 +68,7 @@ from math import comb, factorial
 
 from ..baselines.reference import (count_ordered_embeddings,
                                    enumerate_matches)
-from ..cluster.metrics import RunReport
+from ..cluster.metrics import Metrics, RunReport
 from ..query.automorphism import automorphism_count
 from ..query.pattern import QueryGraph
 from .configs import EngineSpec
@@ -90,9 +93,6 @@ DELTA_ORACLES = ("delta-once",)
 #: permutation budget above which the labelled-embedding sweep of the
 #: census reference is skipped (``C(n, k) · k!`` grows fast at k=5)
 _CENSUS_LABELLED_BUDGET = 100_000
-
-#: relative tolerance for simulated-time identities
-_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,8 @@ class CaseOutcome:
     count: int = 0
     matches: list[tuple[int, ...]] | None = None
     report: RunReport | None = None
+    ledger: Metrics | None = None
+    """The run's metrics ledger (integer side of ``report``)."""
     num_push_joins: int = 0
     cache_overflow_ids: int = 0
     cache_reserved_ids: int = 0
@@ -267,24 +269,35 @@ def _check_time_conservation(outcome: CaseOutcome) -> OracleFailure | None:
     rep = outcome.report
     if rep is None:
         return None
-    tol = _REL_TOL * max(1.0, rep.total_time_s)
+
+    def fail(detail: str) -> OracleFailure:
+        return OracleFailure("time-conservation", detail)
+
+    ledger = outcome.ledger
+    if ledger is not None:
+        attributed = 0
+        for i, m in enumerate(ledger.machines):
+            worker_ticks = sum(m.worker_ops)
+            attributed += worker_ticks
+            if not 0 <= worker_ticks <= m.compute_ops:
+                return fail(
+                    f"machine {i}: {worker_ticks} worker ticks not covered "
+                    f"by {m.compute_ops} compute ticks")
+        if rep.aggregate_worker_time_s != ledger.cost.ticks_to_seconds(
+                attributed):
+            return fail(
+                f"aggregate worker time {rep.aggregate_worker_time_s} is "
+                f"not the ledger's {attributed} worker ticks")
     if rep.comm_time_s < 0 or rep.compute_time_s < 0:
-        return OracleFailure(
-            "time-conservation",
-            f"negative component time: T_R={rep.compute_time_s}, "
-            f"T_C={rep.comm_time_s}")
-    if abs(rep.total_time_s
-           - (rep.compute_time_s + rep.comm_time_s)) > tol:
-        return OracleFailure(
-            "time-conservation",
-            f"T != T_R + T_C: {rep.total_time_s} vs "
-            f"{rep.compute_time_s} + {rep.comm_time_s}")
-    if rep.per_machine_time_s and abs(
-            rep.total_time_s - max(rep.per_machine_time_s)) > tol:
-        return OracleFailure(
-            "time-conservation",
-            f"T != max per-machine time: {rep.total_time_s} vs "
-            f"{max(rep.per_machine_time_s)}")
+        return fail(f"negative component time: T_R={rep.compute_time_s}, "
+                    f"T_C={rep.comm_time_s}")
+    if rep.comm_time_s != rep.total_time_s - rep.compute_time_s:
+        return fail(f"T_C != T - T_R: {rep.comm_time_s} vs "
+                    f"{rep.total_time_s} - {rep.compute_time_s}")
+    if rep.per_machine_time_s and (
+            rep.total_time_s != max(rep.per_machine_time_s)):
+        return fail(f"T != max per-machine time: {rep.total_time_s} vs "
+                    f"{max(rep.per_machine_time_s)}")
     return None
 
 

@@ -174,7 +174,7 @@ class TestKVStore:
         nbrs = store.get(0, 3)
         assert np.array_equal(nbrs, er_graph.neighbours(3))
         m = cluster.metrics.machines[0]
-        assert m.direct_compute_s > 0
+        assert m.kv_requests == 1
         assert m.bytes_sent > 0
         assert store.requests == 1
 
@@ -183,7 +183,8 @@ class TestKVStore:
 
         store = ExternalKVStore(cluster)
         store.load()
-        assert cluster.metrics.machines[0].direct_compute_s > 0
+        assert (cluster.metrics.machines[0].kv_requests
+                == cluster.graph.num_vertices)
 
     def test_single_machine_cluster_still_charges_wire(self, er_graph):
         # regression: load's destination used to be ``1 % max(1, k)`` —

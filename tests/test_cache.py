@@ -48,7 +48,7 @@ class TestLRBUBasics:
     def test_plain_lrbu_has_no_access_penalty(self, cost):
         c = LRBUCache(100, cost)
         c.insert(1, arr(1, 2, 3))
-        assert c.access_penalty(1) == 0.0
+        assert c.access_penalty(1) == 0
 
 
 class TestLRBUEviction:
@@ -146,7 +146,7 @@ class TestAblationVariants:
             c = make_cache(name, 1000, cost, workers=4)
             c.insert(1, nbrs)
             penalties[name] = c.access_penalty(1)
-        assert penalties["lrbu"] == 0.0
+        assert penalties["lrbu"] == 0
         assert penalties["lrbu"] < penalties["lrbu-copy"]
         assert penalties["lrbu-copy"] < penalties["lrbu-lock"]
         assert penalties["lrbu-lock"] < penalties["lru-inf"]

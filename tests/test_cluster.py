@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import (Cluster, CostModel, Metrics, OutOfMemoryError,
                            OvertimeError)
+from repro.cluster.cost import TICKS_PER_OP, to_ticks
 
 
 class TestCostModel:
@@ -17,7 +18,22 @@ class TestCostModel:
         assert cost.compute_rate != 1.0  # original untouched
 
     def test_ops_to_seconds(self, cost):
-        assert cost.ops_to_seconds(cost.compute_rate) == pytest.approx(1.0)
+        one_second = to_ticks(cost.compute_rate)
+        assert cost.ticks_to_seconds(one_second) == pytest.approx(1.0)
+
+    def test_tick_weights_round_each_weight_once(self):
+        cost = CostModel(intersect_op=0.1, emit_op=1.0)
+        assert cost.ticks.emit == TICKS_PER_OP
+        assert cost.ticks.intersect == round(0.1 * TICKS_PER_OP)
+        assert all(isinstance(t, int) for t in cost.ticks)
+        # a derived view, not a field: overrides get their own
+        assert cost.with_overrides(emit_op=2.0).ticks.emit == 2 * TICKS_PER_OP
+
+    def test_probe_tick_table_is_integer_and_monotone(self, cost):
+        table = cost.probe_tick_table(1000)
+        assert table.dtype.kind == "i" and len(table) == 1001
+        assert table[0] == cost.ticks.intersect       # log2(0 + 2) == 1
+        assert (table[1:] >= table[:-1]).all()
 
     def test_transfer_seconds(self, cost):
         t = cost.transfer_seconds(cost.bandwidth_bytes_per_s, 0)
@@ -26,17 +42,16 @@ class TestCostModel:
             10 * cost.latency_s)
 
     def test_intersection_single_list(self, cost):
-        assert cost.intersection_ops([100]) == pytest.approx(
-            100 * cost.intersect_op)
+        assert cost.intersection_ops([100]) == 100 * cost.ticks.intersect
 
     def test_intersection_galloping_asymmetry(self, cost):
         # intersecting small×huge must cost ~small·log(huge), not ~huge
         small_huge = cost.intersection_ops([10, 100000])
-        assert small_huge < 10 * 20 * cost.intersect_op
+        assert small_huge < 10 * 20 * cost.ticks.intersect
         assert small_huge < cost.intersection_ops([100000])
 
     def test_intersection_empty(self, cost):
-        assert cost.intersection_ops([]) == 0.0
+        assert cost.intersection_ops([]) == 0
 
     def test_intersection_monotone_in_lists(self, cost):
         assert (cost.intersection_ops([10, 50, 50])
@@ -46,15 +61,24 @@ class TestCostModel:
 class TestMetrics:
     def test_charge_ops_accumulates(self, cost):
         m = Metrics(2, 2, cost)
-        m.charge_ops(0, 100.0)
-        m.charge_ops(0, 50.0)
-        assert m.machines[0].compute_ops == 150.0
+        m.charge_ops(0, 100)
+        m.charge_ops(0, 50)
+        assert m.machines[0].compute_ops == 150
+
+    def test_ledger_rejects_floats(self, cost):
+        m = Metrics(1, 1, cost)
+        for call in (lambda: m.charge_ops(0, 1.5),
+                     lambda: m.charge_worker_ops(0, [2.0]),
+                     lambda: m.alloc(0, 8.0),
+                     lambda: m.free(0, 8.0)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_worker_attribution(self, cost):
         m = Metrics(1, 4, cost)
-        m.charge_worker_ops(0, [10.0, 20.0, 30.0, 40.0])
-        assert m.machines[0].worker_ops == [10.0, 20.0, 30.0, 40.0]
-        assert m.machines[0].compute_ops == 100.0
+        m.charge_worker_ops(0, [10, 20, 30, 40])
+        assert m.machines[0].worker_ops == [10, 20, 30, 40]
+        assert m.machines[0].compute_ops == 100
 
     def test_send_local_is_free(self, cost):
         m = Metrics(2, 1, cost)
@@ -83,6 +107,15 @@ class TestMetrics:
         m.free(0, 100)
         assert m.machines[0].cur_mem_bytes == 0
 
+    def test_underflow_check_is_exact(self, cost):
+        m = Metrics(1, 1, cost)
+        m.alloc(0, 10)
+        m.free(0, 10)
+        assert m.machines[0].mem_underflows == 0
+        m.alloc(0, 10)
+        m.free(0, 11)   # one byte over: no slack hides it
+        assert m.machines[0].mem_underflows == 1
+
     def test_oom_raised(self):
         cost = CostModel(memory_budget_bytes=1000)
         m = Metrics(1, 1, cost)
@@ -100,19 +133,19 @@ class TestMetrics:
     def test_overtime_raised(self):
         cost = CostModel(time_budget_s=1.0)
         m = Metrics(1, 1, cost)
-        m.charge_time(0, 2.0)
+        m.charge_kv_requests(0, round(2.0 / cost.kvstore_request_s))
         with pytest.raises(OvertimeError):
             m.check_time()
 
     def test_elapsed_is_slowest_machine(self, cost):
         m = Metrics(3, 1, cost)
-        m.charge_ops(0, cost.compute_rate)       # 1 s
-        m.charge_ops(2, 3 * cost.compute_rate)   # 3 s
+        m.charge_ops(0, to_ticks(cost.compute_rate))       # 1 s
+        m.charge_ops(2, 3 * to_ticks(cost.compute_rate))   # 3 s
         assert m.elapsed() == pytest.approx(3.0)
 
     def test_report_fields(self, cost):
         m = Metrics(2, 2, cost)
-        m.charge_worker_ops(0, [100.0, 300.0])
+        m.charge_worker_ops(0, [100 * TICKS_PER_OP, 300 * TICKS_PER_OP])
         m.send(0, 1, 5000)
         m.alloc(1, 64)
         m.record_cache(0, hits=3, misses=1)

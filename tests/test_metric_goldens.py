@@ -1,10 +1,10 @@
-"""Bit-identity guard: simulated metrics match the frozen goldens.
+"""Simulated metrics match the frozen goldens, exactly.
 
-The golden file pins the full accounting (ops-derived times, bytes,
+The golden file pins the full accounting (tick-derived times, bytes,
 messages, peak memory, worker-load statistics, match counts) of every
-HUGE configuration on fixed workloads.  Exact float equality is the
-point: the batch-representation refactor must not change a single
-charge.  Regenerate deliberately with::
+engine configuration on fixed workloads.  Every value is an integer or
+one fixed expression of integers, so exact equality is the point — see
+:mod:`repro.testing.goldens` for when regenerating is legitimate::
 
     PYTHONPATH=src python -m repro.testing.goldens --write tests/golden/metrics.json
 """

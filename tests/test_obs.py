@@ -107,7 +107,7 @@ class TestTraceUnit:
         metrics = Metrics(2, 1, CostModel())
         t = Tracer()
         t.bind(metrics)
-        metrics.charge_ops(1, 1e9)
+        metrics.charge_ops(1, 10 ** 9)
         assert t.now(1) == pytest.approx(metrics.machine_time(1))
         assert t.now(0) == 0.0
         assert t.now(ENGINE) == pytest.approx(metrics.elapsed())
@@ -236,7 +236,7 @@ class TestMemUnderflows:
         metrics.free(1, 80)  # frees more than was ever allocated
         rep = metrics.report()
         assert rep.mem_underflows == 1
-        assert metrics.machines[1].cur_mem_bytes == 0.0
+        assert metrics.machines[1].cur_mem_bytes == 0
 
     def test_engine_run_has_no_underflows(self, cluster):
         engine = HugeEngine(cluster)

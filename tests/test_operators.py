@@ -256,7 +256,7 @@ class TestJoinStreamRelease:
             for _ in join_stream(ctx, spec, left, right, m, 100):
                 pass
         for m, machine in enumerate(ctx.metrics.machines):
-            assert machine.cur_mem_bytes == 0.0, m
+            assert machine.cur_mem_bytes == 0, m
         assert all(u == 0 for u in (m.mem_underflows
                                     for m in ctx.metrics.machines))
 
@@ -269,5 +269,5 @@ class TestJoinStreamRelease:
             next(stream, None)      # consume at most one chunk ...
             stream.close()          # ... then abandon the generator
         for m, machine in enumerate(ctx.metrics.machines):
-            assert machine.cur_mem_bytes == 0.0, m
+            assert machine.cur_mem_bytes == 0, m
             assert machine.mem_underflows == 0, m

@@ -14,11 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
-from repro.core.kernels import (chained_costs, edge_composite_index,
-                                edge_member, fused_extend_candidates,
-                                fused_verify_mask)
+from repro.core.cache import make_cache
+from repro.core.dataflow import ExtendSpec
+from repro.core.kernels import (edge_composite_index, edge_member,
+                                fused_extend_candidates, fused_verify_mask)
+from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
 from repro.graph import generators as gen
 from repro.obs.flight import FlightRecorder
@@ -307,10 +309,34 @@ class TestFusedKernels:
                                       lt, gt, labels, new_label)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
-        # identical counts => bit-identical IEEE cost replay
-        base = rng.random(n_rows)
-        assert np.array_equal(chained_costs(base, got[2], 0.25),
-                              chained_costs(base, ref[2], 0.25))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rowwise_and_vector_extend_charge_identical_ticks(self, seed):
+        """the two intersect paths agree row for row — output and ticks —
+        under an off-grid weight and a penalty-charging cache"""
+        rng = np.random.default_rng(seed)
+        g = gen.erdos_renyi(30 + 5 * seed, 0.2, seed=seed)
+        cost = CostModel(intersect_op=0.1, emit_op=0.7)
+        cluster = Cluster(g, num_machines=3, cost=cost, seed=seed)
+        variant = ("lrbu", "lrbu-copy", "lrbu-lock")[seed % 3]
+        caches = [make_cache(variant, None, cost) for _ in range(3)]
+        ctx = ExecContext(cluster, caches, two_stage=True, batch_size=64)
+        verify = seed % 2 == 1
+        spec = (ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), verify_pos=2)
+                if verify else
+                ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2,
+                           candidate_gt=(0,)))
+        op = ExtendOp(spec, ctx)
+        rows = rng.integers(0, g.num_vertices,
+                            size=(int(rng.integers(1, 40)), 3 if verify else 2))
+        for count_only in (False, True):
+            op._fetch(0, rows)
+            ref = op._process_rowwise(0, rows, count_only)
+            got = op._process_vector(0, rows, count_only)
+            caches[0].release()
+            assert got[0] == ref[0] and got[2] == ref[2]
+            assert got[1].dtype == np.int64
+            assert got[1].tolist() == ref[1].tolist()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fused_verify_matches_reference(self, seed):

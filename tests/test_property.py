@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 from repro.baselines import (BenuEngine, BigJoinEngine, RadsEngine,
                              SeedEngine, count_matches,
                              count_ordered_embeddings)
-from repro.cluster import Cluster
+from repro.cluster import Cluster, CostModel, Metrics
 from repro.core import HugeEngine, LRBUCache
-from repro.cluster import CostModel
 from repro.query import (automorphism_count, get_query, symmetry_break)
 from repro.testing.strategies import (degenerate_graphs, graphs,
                                       labelled_graphs, labelled_patterns,
@@ -159,6 +158,52 @@ class TestCacheProperties:
             cache.insert(v, np.asarray([v], dtype=np.int64))
             if cache.contains(v):
                 assert cache.get(v)[0] == v
+
+
+_lengths = st.lists(st.integers(min_value=0, max_value=400),
+                    min_size=1, max_size=3)
+_machine = st.integers(min_value=0, max_value=2)
+_ledger_calls = st.lists(st.one_of(
+    st.tuples(st.just("ops"), _machine, _lengths),
+    st.tuples(st.just("workers"), _machine,
+              st.lists(_lengths, min_size=2, max_size=2)),
+    st.tuples(st.just("send"), _machine, _machine,
+              st.integers(min_value=0, max_value=10 ** 6),
+              st.integers(min_value=1, max_value=9)),
+    st.tuples(st.just("mem"), _machine,
+              st.integers(min_value=0, max_value=10 ** 6)),
+), min_size=2, max_size=40)
+
+
+class TestLedgerProperties:
+    @staticmethod
+    def _replay(calls):
+        # off-grid weight: 0.1 op has no finite binary expansion
+        cost = CostModel(intersect_op=0.1)
+        metrics = Metrics(3, 2, cost)
+        for call in calls:
+            kind, machine = call[0], call[1]
+            if kind == "ops":
+                metrics.charge_ops(machine, cost.intersection_ops(call[2]))
+            elif kind == "workers":
+                metrics.charge_worker_ops(
+                    machine, [cost.intersection_ops(l) for l in call[2]])
+            elif kind == "send":
+                metrics.send(machine, call[2], call[3], messages=call[4])
+            else:  # a buffer's whole life: allocated, then released
+                metrics.alloc(machine, call[2])
+                metrics.free(machine, call[2])
+        return metrics
+
+    @given(data=st.data(), calls=_ledger_calls)
+    @settings(max_examples=200)
+    def test_report_is_independent_of_charge_order(self, data, calls):
+        """one multiset of charges, any arrival order, one report —
+        bit for bit, because no ledger state is a float"""
+        shuffled = data.draw(st.permutations(calls))
+        a, b = self._replay(calls), self._replay(shuffled)
+        assert a.report() == b.report()
+        assert a.machines == b.machines
 
 
 class TestGraphProperties:

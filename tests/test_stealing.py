@@ -8,57 +8,103 @@ from repro.core import distribute_to_workers, rebalance
 from repro.core.stealing import STEALING_MODES
 
 
+#: per-item tick costs: one dominant item, uniform, skewed tail, ties,
+#: a single item, fewer items than workers, big values
+_COST_CASES = [
+    [100] + [1] * 99,
+    [1] * 100,
+    [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],
+    [7] * 9,
+    [42],
+    [5, 3],
+    [2 ** 40 + 1, 2 ** 40, 3, 2, 1],
+]
+
+
 class TestWorkerDistribution:
     def test_stealing_balances(self):
-        costs = [100.0] + [1.0] * 99
+        costs = [100] + [1] * 99
         totals = distribute_to_workers(costs, 4, stealing=True)
-        assert sum(totals) == pytest.approx(sum(costs))
-        assert max(totals) <= 2 * min(totals) + 100  # LPT bound-ish
-        assert max(totals) - min(totals) <= 100.0
+        assert sum(totals) == sum(costs)
+        assert max(totals) <= 2 * min(totals) + 100
+        assert max(totals) - min(totals) <= 100
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("costs", _COST_CASES)
+    def test_balanced_deal_conserves_and_bounds_spread(self, costs, workers):
+        totals = distribute_to_workers(costs, workers, stealing=True)
+        assert len(totals) == workers
+        assert all(isinstance(t, int) for t in totals)
+        assert sum(totals) == sum(costs)  # conserved exactly
+        # a balanced deal leaves any two workers at most one item apart
+        assert max(totals) - min(totals) <= max(costs)
 
     def test_no_stealing_pins_batch_to_one_worker(self):
-        costs = [1.0] * 40
-        totals = distribute_to_workers(costs, 4, stealing=False,
+        totals = distribute_to_workers([1] * 40, 4, stealing=False,
                                        assign_key=2)
-        assert totals == [0.0, 0.0, 40.0, 0.0]
+        assert totals == [0, 0, 40, 0]
+
+    @pytest.mark.parametrize("key", [0, 2, 7])
+    @pytest.mark.parametrize("costs", _COST_CASES)
+    def test_no_stealing_is_pivot_sticky(self, costs, key):
+        totals = distribute_to_workers(costs, 4, stealing=False,
+                                       assign_key=key)
+        expect = [0] * 4
+        expect[key % 4] = sum(costs)
+        assert totals == expect
 
     def test_no_stealing_key_is_sticky(self):
         # the same pivot key always selects the same worker — the
         # "distribute by firstly matched vertex" skew of §5.3
-        a = distribute_to_workers([1.0], 4, stealing=False, assign_key=7)
-        b = distribute_to_workers([2.0], 4, stealing=False, assign_key=7)
-        c = distribute_to_workers([1.0], 4, stealing=False, assign_key=8)
-        assert a.index(1.0) == b.index(2.0)
-        assert a.index(1.0) != c.index(1.0)
+        a = distribute_to_workers([1], 4, stealing=False, assign_key=7)
+        b = distribute_to_workers([2], 4, stealing=False, assign_key=7)
+        c = distribute_to_workers([1], 4, stealing=False, assign_key=8)
+        assert a.index(1) == b.index(2)
+        assert a.index(1) != c.index(1)
 
     def test_conservation(self):
-        costs = [3.0, 1.0, 4.0, 1.0, 5.0]
+        costs = [3, 1, 4, 1, 5]
         for stealing in (True, False):
             totals = distribute_to_workers(costs, 3, stealing)
-            assert sum(totals) == pytest.approx(14.0)
+            assert sum(totals) == 14
+
+    def test_order_of_items_is_irrelevant(self):
+        costs = [3, 1, 4, 1, 5, 9, 2, 6]
+        assert (distribute_to_workers(costs, 3, True)
+                == distribute_to_workers(costs[::-1], 3, True))
 
     def test_single_worker(self):
-        assert distribute_to_workers([1.0, 2.0], 1, True) == [3.0]
+        for stealing in (True, False):
+            assert distribute_to_workers([1, 2], 1, stealing,
+                                         assign_key=5) == [3]
 
     def test_empty_batch(self):
-        assert distribute_to_workers([], 4, True) == [0.0] * 4
+        for stealing in (True, False):
+            for workers in (1, 4):
+                assert distribute_to_workers(
+                    [], workers, stealing) == [0] * workers
 
     def test_stealing_near_optimal_on_uniform(self):
-        totals = distribute_to_workers([1.0] * 100, 4, stealing=True)
-        assert max(totals) == pytest.approx(25.0)
+        totals = distribute_to_workers([1] * 100, 4, stealing=True)
+        assert totals == [25] * 4
+
+    def test_accepts_tick_arrays(self):
+        import numpy as np
+
+        costs = np.asarray([5, 1, 1, 1], dtype=np.int64)
+        assert distribute_to_workers(costs, 2, True) == [6, 2]
 
     def test_chunked_distribution_keeps_range_skew(self):
         from repro.core.stealing import chunked_distribution
 
-        costs = [100.0] * 25 + [1.0] * 75
+        costs = [100] * 25 + [1] * 75
         totals = chunked_distribution(costs, 4)
-        assert totals[0] == pytest.approx(2500.0)
-        assert totals[3] == pytest.approx(25.0)
+        assert totals == [2500, 25, 25, 25]
 
     def test_chunked_distribution_empty(self):
         from repro.core.stealing import chunked_distribution
 
-        assert chunked_distribution([], 4) == [0.0] * 4
+        assert chunked_distribution([], 4) == [0] * 4
 
     def test_modes_constant(self):
         assert STEALING_MODES == ("full", "none", "region-group")
