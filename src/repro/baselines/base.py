@@ -275,7 +275,7 @@ class DistributedRelation:
                 out_charged[m] += pending * out_bytes
                 metrics.alloc(m, pending * out_bytes)
                 metrics.charge_worker_ops(
-                    m, _even_split(int(charges[num_full]), workers))
+                    m, _even_split(charges[num_full], workers))
                 parts.append(emitted)
             left.drop()
             right.drop()
@@ -535,7 +535,7 @@ def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],
                 root_conds, tuple_bytes, _alloc)
             # roots are dealt to workers round-robin
             metrics.charge_worker_ops(
-                m, [int(item_ops[w::workers].sum()) for w in range(workers)])
+                m, [item_ops[w::workers].sum() for w in range(workers)])
             parts.append(rows)
             metrics.check_time()
     except (OutOfMemoryError, OvertimeError):

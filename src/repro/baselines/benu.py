@@ -88,7 +88,7 @@ class BenuEngine(BaselineEngine):
         indices = graph.indices
         indptr_l = graph.indptr.tolist()
         owner_l = cluster.pgraph.owner.tolist()
-        probe_l = cost.probe_tick_table(graph.max_degree).tolist()
+        probe_l = cluster.probe_ticks.tolist()
         iop = cost.ticks.intersect
         emit_step = n * cost.ticks.emit
         task_base = 2 * cost.ticks.scan

@@ -49,7 +49,6 @@ class BigJoinEngine(BaselineEngine):
         self.order = order
         graph = cluster.pgraph.graph
         self._edge_index = edge_composite_index(graph)
-        self._probe_ticks = cluster.cost.probe_tick_table(graph.max_degree)
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
     def run(self, query: QueryGraph,
@@ -157,7 +156,7 @@ class BigJoinEngine(BaselineEngine):
         graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
         comp = self._edge_index
-        probe_ticks = self._probe_ticks
+        probe_ticks = cluster.probe_ticks
         t = cost.ticks
         nv = graph.num_vertices
         bpi = cost.bytes_per_id

@@ -18,6 +18,7 @@ The cluster is single-process and deterministic; "machines" are indices.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -76,6 +77,13 @@ class Cluster:
     def graph(self) -> Graph:
         """The global data graph (planner use)."""
         return self.pgraph.graph
+
+    @cached_property
+    def probe_ticks(self) -> np.ndarray:
+        """This graph's :meth:`~repro.cluster.cost.CostModel.probe_tick_table`
+        (ticks per galloping probe, by adjacency length) — the one table
+        every intersect path of every engine on this cluster indexes."""
+        return self.cost.probe_tick_table(self.pgraph.graph.max_degree)
 
     def label_of(self, v: int) -> int | None:
         """Label of data vertex ``v`` (``None`` on unlabelled graphs)."""

@@ -30,11 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.cluster import Cluster
+from ..cluster.cost import TICKS_PER_OP, to_ticks
 from ..obs.trace import NULL_TRACER
 from .batch import Batch
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
-from ..cluster.cost import TICKS_PER_OP, to_ticks
 from .kernels import (chunk_charges, edge_composite_index,
                       fused_extend_candidates, fused_verify_mask,
                       hash_destinations, intersect_sorted, join_pairs)
@@ -69,7 +69,6 @@ class ExecContext:
         #: per-vertex labels of the data graph (None for unlabelled)
         self.labels = cluster.labels
         self._edge_index: np.ndarray | None = None
-        self._probe_ticks: np.ndarray | None = None
         #: total ticks spent in fetch stages (Table 5's t_f)
         self.fetch_ops = 0
         #: span tracer (the no-op tracer unless the run is being traced)
@@ -95,14 +94,6 @@ class ExecContext:
             self._edge_index = edge_composite_index(
                 self.cluster.pgraph.graph)
         return self._edge_index
-
-    def probe_ticks(self) -> np.ndarray:
-        """The graph's :meth:`~repro.cluster.cost.CostModel.probe_tick_table`
-        (ticks per galloping probe, by adjacency length)."""
-        if self._probe_ticks is None:
-            self._probe_ticks = self.cost.probe_tick_table(
-                self.cluster.pgraph.graph.max_degree)
-        return self._probe_ticks
 
 
 class ScanOp:
@@ -294,7 +285,7 @@ class ExtendOp:
         ctx = self.ctx
         cost = ctx.cost
         emit_op = cost.ticks.emit
-        probe_ticks = ctx.probe_ticks()
+        probe_ticks = ctx.cluster.probe_ticks
         spec = self.spec
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
         n = len(rows)
@@ -401,9 +392,8 @@ class ExtendOp:
         lens = deg_u[inv]
         order = np.argsort(lens, axis=1, kind="stable")
         lens_sorted = np.take_along_axis(lens, order, axis=1)
-        base = (lens_sorted[:, 0]
-                * (cost.ticks.intersect
-                   + ctx.probe_ticks()[lens_sorted[:, 1:]].sum(axis=1))
+        probes = ctx.cluster.probe_ticks[lens_sorted[:, 1:]].sum(axis=1)
+        base = (lens_sorted[:, 0] * (cost.ticks.intersect + probes)
                 + pen_u[inv].sum(axis=1))
         return verts, lens, order, base
 
