@@ -176,10 +176,16 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .obs.analyze import analyze
 
     report = analyze(engine, query)
-    print(report.render())
+    if args.json:
+        import json
+
+        print(json.dumps(report.as_dict(), indent=2))
+    else:
+        print(report.render())
     if args.trace:
         report.result.trace.save(args.trace)
-        print(f"trace written to {args.trace}")
+        if not args.json:
+            print(f"trace written to {args.trace}")
     return 0
 
 
@@ -607,6 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "next to the optimiser's estimates")
     e.add_argument("--trace", metavar="FILE",
                    help="with --analyze, also write the Chrome trace")
+    e.add_argument("--json", action="store_true",
+                   help="with --analyze, print the per-node estimate / "
+                        "actual / q-error report as JSON")
     e.set_defaults(func=_cmd_explain)
 
     d = sub.add_parser("datasets", help="list stand-in datasets")

@@ -10,7 +10,11 @@ Searches bushy join trees over star join units for the plan minimising
   pulling, else the shuffle volume ``|R(q'_l)| + |R(q'_r)|``).
 
 Cardinalities come from a pluggable estimator (§3.3 cites [46, 51, 58]);
-see :mod:`repro.query.estimate`.
+see :mod:`repro.query.estimate`.  They are per isomorphism class, so plans
+that differ by an automorphism of the query cost exactly the same; the DP
+separates those by what the plan itself shows of the run time — earlier
+symmetry-breaking filters, then fewer remote adjacency sources
+(:class:`_Tiebreak`).
 
 Cost strategies
 ---------------
@@ -31,11 +35,14 @@ Cost strategies
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from ...cluster.errors import PlanError
 from ...query.decompose import (SubQuery, connected_subqueries, full_subquery,
                                 is_complete_star_join, splits)
 from ...query.estimate import CardinalityEstimator
 from ...query.pattern import QueryGraph
+from ...query.symmetry import symmetry_break
 from .logical import LogicalPlan, PlanNode
 from .physical import CommMode, ExecutionPlan, configure_join, configure_plan
 
@@ -43,6 +50,31 @@ __all__ = ["Optimiser", "optimal_plan", "COST_STRATEGIES"]
 
 #: Accepted cost strategies (see module docstring).
 COST_STRATEGIES = ("hybrid", "push-only", "compute-mat", "compute-icost")
+
+
+class _Tiebreak(NamedTuple):
+    """What the DP keeps per solved sub-query to choose between plans whose
+    estimated costs are *equal*.  Estimates are per isomorphism class, so
+    automorphic alternatives tie exactly — on paper; at run time they
+    differ, in two ways the plan itself shows:
+
+    * ``pruned`` — symmetry-breaking conditions ``u < v`` covered by the
+      plan's nodes, summed over the tree.  The runtime filters on a
+      condition as soon as both vertices are bound, so the earlier a
+      plan's sub-queries contain both, the fewer rows it carries.
+    * ``pulled`` — query vertices whose adjacency lists the plan's pulling
+      joins fetch from other machines.  Rows stay on the machine that
+      scanned their ``pivot`` (the root of the first star), so extending
+      from the pivot's own adjacency is local; every other source is a
+      ``GetNbrs`` pull (``pivot`` is ``None`` once a PUSH-JOIN has
+      re-partitioned the rows).
+
+    More pruning wins, then fewer pulled sources, then ``splits()`` order.
+    """
+
+    pruned: int
+    pulled: frozenset[int]
+    pivot: int | None
 
 
 class Optimiser:
@@ -121,26 +153,36 @@ class Optimiser:
         """Run the DP; return the best logical plan and its cost."""
         if not query.is_connected() or query.num_vertices < 2:
             raise PlanError(f"query {query.name} must be connected, |V| >= 2")
+        order = symmetry_break(query)
+        tie: dict[SubQuery, _Tiebreak] = {}
         for sub in connected_subqueries(query):
             # ascending edge count guarantees children are solved first
+            own = sum(1 for u, v in order
+                      if u in sub.vertices and v in sub.vertices)
             if sub.is_star():
                 self._cost[sub] = self.cardinality(sub)
                 self._plan[sub] = None
+                tie[sub] = _Tiebreak(own, frozenset(), sub.star_root())
                 continue
-            best: float | None = None
-            best_split: tuple[SubQuery, SubQuery] | None = None
+            best: tuple[float, int, int] | None = None
             for left, right in splits(sub):
                 if left not in self._cost or right not in self._cost:
                     continue
                 cost = (self._cost[left] + self._cost[right]
                         + self.cardinality(sub)
                         + self._join_extra_cost(left, right))
-                if best is None or cost < best:
-                    best, best_split = cost, (left, right)
+                pruned = own + tie[left].pruned + tie[right].pruned
+                if best is not None and (cost, -pruned) > best[:2]:
+                    continue
+                pulled, pivot = _pulled_sources(left, right, tie)
+                rank = (cost, -pruned, len(pulled))
+                if best is None or rank < best:
+                    best = rank
+                    self._plan[sub] = (left, right)
+                    tie[sub] = _Tiebreak(pruned, pulled, pivot)
             if best is None:
                 raise PlanError(f"no decomposition found for {sub}")
-            self._cost[sub] = best
-            self._plan[sub] = best_split
+            self._cost[sub] = best[0]
 
         full = full_subquery(query)
         return (LogicalPlan(query, self._recover(full), name=name),
@@ -157,6 +199,26 @@ class Optimiser:
             return PlanNode(sub)
         left, right = split
         return PlanNode(sub, self._recover(left), self._recover(right))
+
+
+def _pulled_sources(left: SubQuery, right: SubQuery,
+                    tie: dict[SubQuery, _Tiebreak],
+                    ) -> tuple[frozenset[int], int | None]:
+    """``(pulled, pivot)`` of the plan joining ``left`` and ``right``."""
+    pulled = tie[left].pulled | tie[right].pulled
+    setting, swapped = configure_join(left, right)
+    if setting.comm is not CommMode.PULLING:
+        return pulled, None
+    rows, star = (right, left) if swapped else (left, right)
+    root = setting.star_root
+    leaves = star.vertices - {root}
+    # leaves already bound are intersected / verified against their own
+    # lists; new leaves are extended from the (bound) root's list
+    sources = leaves & rows.vertices
+    if root in rows.vertices and not leaves <= rows.vertices:
+        sources |= {root}
+    pivot = tie[rows].pivot
+    return pulled | (sources - {pivot}), pivot
 
 
 def optimal_plan(query: QueryGraph, estimator: CardinalityEstimator,

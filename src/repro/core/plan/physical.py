@@ -149,20 +149,26 @@ class ExecutionPlan:
         return sum(1 for j in self.joins()
                    if j.setting and j.setting.comm is CommMode.PUSHING)
 
-    def describe(self) -> str:
-        """Human-readable plan listing with physical settings."""
+    def structure(self) -> list[str]:
+        """One line per join — operands, join algorithm, communication
+        mode — in execution order: everything the optimiser chose,
+        without the estimate-dependent cost (what the plan goldens pin)."""
         def fmt(sub: SubQuery) -> str:
             return "{" + ",".join(f"{u}-{v}" for u, v in sorted(sub.edges)) + "}"
 
-        lines = [f"ExecutionPlan {self.name!r} for {self.query.name} "
-                 f"(cost≈{self.estimated_cost:.3g}):"]
+        lines = []
         for i, node in enumerate(self.joins(), 1):
             assert node.left is not None and node.right is not None
             lines.append(
-                f"  J{i}: {fmt(node.left.sub)} ⋈ {fmt(node.right.sub)} "
+                f"J{i}: {fmt(node.left.sub)} ⋈ {fmt(node.right.sub)} "
                 f"{node.setting}")
-        if len(lines) == 1:
-            lines.append(f"  single unit: {fmt(self.root.sub)}")
+        return lines or [f"single unit: {fmt(self.root.sub)}"]
+
+    def describe(self) -> str:
+        """Human-readable plan listing with physical settings."""
+        lines = [f"ExecutionPlan {self.name!r} for {self.query.name} "
+                 f"(cost≈{self.estimated_cost:.3g}):"]
+        lines.extend("  " + line for line in self.structure())
         order = sorted(self.conditions)
         lines.append(f"  symmetry order: {order if order else '(none)'}")
         return "\n".join(lines)

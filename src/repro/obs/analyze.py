@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..core.plan.physical import CommMode
 from .trace import OperatorStats, Tracer
 
 __all__ = ["NodeActuals", "AnalyzeReport", "analyze"]
@@ -28,6 +29,30 @@ class NodeActuals:
     est_cardinality: float
     stats: OperatorStats | None
 
+    @property
+    def q_error(self) -> float | None:
+        """``max(est/actual, actual/est)`` — how far off the optimiser's
+        estimate was, as a factor ≥ 1.  Both sides are floored at one
+        tuple (the estimator's own floor); ``None`` for a node that
+        never materialised."""
+        if self.stats is None:
+            return None
+        est = max(self.est_cardinality, 1.0)
+        actual = max(self.stats.tuples_out, 1)
+        return max(est / actual, actual / est)
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready view of this node."""
+        st = self.stats
+        return {
+            "label": self.label,
+            "operator": self.opid,
+            "kind": self.kind,
+            "est_cardinality": self.est_cardinality,
+            "actual": st.tuples_out if st else None,
+            "q_error": self.q_error,
+        }
+
     def render(self) -> list[str]:
         """The indented lines describing this node."""
         head = f"{self.label}"
@@ -39,7 +64,8 @@ class NodeActuals:
         lines = [head]
         lines.append(f"    est |R| = {self.est_cardinality:.4g}"
                      f"    actual = {st.tuples_out} tuples"
-                     f" in {st.batches} batches")
+                     f" in {st.batches} batches"
+                     f"    q-error = {self.q_error:.3g}")
         time_bits = [f"time {st.time_s:.6f}s"]
         if st.fetch_time_s or st.intersect_time_s:
             time_bits.append(f"(fetch {st.fetch_time_s:.6f}s"
@@ -64,6 +90,22 @@ class AnalyzeReport:
     rows: list[NodeActuals]
     coverage: float
 
+    @property
+    def max_q_error(self) -> float | None:
+        """Worst per-node q-error of the plan (``None`` if no node
+        materialised)."""
+        return max((row.q_error for row in self.rows
+                    if row.q_error is not None), default=None)
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready view: per-node estimate / actual / q-error."""
+        return {
+            "count": self.result.count,
+            "nodes": [row.as_dict() for row in self.rows],
+            "max_q_error": self.max_q_error,
+            "coverage": self.coverage,
+        }
+
     def render(self) -> str:
         """Human-readable report."""
         r = self.result
@@ -71,6 +113,8 @@ class AnalyzeReport:
         for row in self.rows:
             lines.extend("  " + ln for ln in row.render())
         lines.append("")
+        if self.max_q_error is not None:
+            lines.append(f"  max q-error: {self.max_q_error:.3g}")
         rep = r.report
         lines.append(
             f"  matches: {r.count}   total {rep.total_time_s:.6f}s "
@@ -110,6 +154,11 @@ def analyze(engine, query=None, plan=None) -> AnalyzeReport:
         return "{" + ",".join(f"{u}-{v}" for u, v in sorted(sub.edges)) + "}"
 
     join_no = {id(n): i for i, n in enumerate(result.plan.joins(), 1)}
+    # the star side of a pulling join is extended onto the left side's
+    # rows, never materialised on its own — it must not borrow the
+    # join's operator (same vertex set) and report the join's actuals
+    fused = {id(j.right) for j in result.plan.joins()
+             if j.setting.comm is CommMode.PULLING}
     rows: list[NodeActuals] = []
     for node in result.plan.root.nodes():
         if node.is_leaf:
@@ -118,7 +167,7 @@ def analyze(engine, query=None, plan=None) -> AnalyzeReport:
             label = f"J{join_no[id(node)]} {fmt(node.sub)} {node.setting}"
         pattern, _ = node.sub.to_query_graph()
         est = engine.estimator.estimate(pattern)
-        opid = find_op(node.sub.vertices)
+        opid = None if id(node) in fused else find_op(node.sub.vertices)
         rows.append(NodeActuals(
             label=label,
             opid=opid,

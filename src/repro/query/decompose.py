@@ -14,6 +14,7 @@ unit, as our system does not assume any index data").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -39,18 +40,31 @@ def _norm(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class SubQuery:
-    """A connected subgraph of the query, as a set of query edges."""
+    """A connected subgraph of the query, as a set of query edges.
+
+    Everything derived from the (immutable) edge set is computed once per
+    instance: the optimiser's DP asks each sub-query for its vertices and
+    degrees thousands of times.
+    """
 
     edges: frozenset[Edge]
 
-    @property
+    @cached_property
+    def _adj(self) -> dict[int, frozenset[int]]:
+        adj: dict[int, set[int]] = {}
+        for u, v in self.edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        return {v: frozenset(nbrs) for v, nbrs in adj.items()}
+
+    @cached_property
     def vertices(self) -> frozenset[int]:
         """Vertices covered by the sub-query's edges."""
-        return frozenset(v for e in self.edges for v in e)
+        return frozenset(self._adj)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self._adj)
 
     @property
     def num_edges(self) -> int:
@@ -58,37 +72,40 @@ class SubQuery:
 
     def degree(self, v: int) -> int:
         """Degree of ``v`` within this sub-query."""
-        return sum(1 for e in self.edges if v in e)
+        return len(self.neighbours(v))
 
     def neighbours(self, v: int) -> frozenset[int]:
         """Neighbours of ``v`` within this sub-query."""
-        return frozenset(a if b == v else b for a, b in self.edges if v in (a, b))
+        return self._adj.get(v, frozenset())
 
-    def is_connected(self) -> bool:
-        """Whether the sub-query's edges form one connected component."""
-        verts = self.vertices
-        if not verts:
+    @cached_property
+    def _connected(self) -> bool:
+        adj = self._adj
+        if not adj:
             return True
-        seen = {next(iter(verts))}
+        seen = {next(iter(adj))}
         frontier = list(seen)
         while frontier:
-            u = frontier.pop()
-            for v in self.neighbours(u):
+            for v in adj[frontier.pop()]:
                 if v not in seen:
                     seen.add(v)
                     frontier.append(v)
-        return seen == verts
+        return len(seen) == len(adj)
+
+    def is_connected(self) -> bool:
+        """Whether the sub-query's edges form one connected component."""
+        return self._connected
+
+    @cached_property
+    def _star(self) -> bool:
+        # a tree whose edges all meet in one root; a single edge is a 1-star
+        n = len(self._adj)
+        return (len(self.edges) == n - 1
+                and any(len(nbrs) == n - 1 for nbrs in self._adj.values()))
 
     def is_star(self) -> bool:
         """Whether this sub-query is a star (single edge counts as a 1-star)."""
-        verts = self.vertices
-        if len(self.edges) != len(verts) - 1 or not verts:
-            return False
-        root_candidates = [v for v in verts if self.degree(v) == len(verts) - 1]
-        if not root_candidates:
-            return False
-        return all(self.degree(v) == 1 for v in verts if v not in root_candidates[:1]) \
-            or len(verts) == 2
+        return self._star
 
     def star_root(self) -> int:
         """The root of this star; for a single edge, the smaller endpoint."""

@@ -26,6 +26,7 @@ from typing import Protocol
 
 import numpy as np
 
+from ..core.kernels import edge_composite_index, fused_extend_candidates
 from ..graph.graph import Graph
 from .automorphism import automorphism_count
 from .pattern import QueryGraph
@@ -59,7 +60,10 @@ class CardinalityEstimator(Protocol):
 
 
 class _CachedEstimator:
-    """Shared per-pattern memoisation for the concrete estimators."""
+    """Shared memoisation for the concrete estimators, one entry per
+    isomorphism class: the class's canonical form is what gets estimated,
+    so an estimate is a function of (graph, class) — a relabelled pattern
+    reads the same number and costs no second estimate."""
 
     def __init__(self, graph: Graph):
         self._graph = graph
@@ -70,14 +74,15 @@ class _CachedEstimator:
         return self._graph
 
     def estimate(self, pattern: QueryGraph) -> float:
-        cached = self._cache.get(pattern)
+        canon, _ = pattern.canonical_form()
+        cached = self._cache.get(canon)
         if cached is None:
-            if pattern.is_star():
-                leaves = pattern.num_vertices - 1
+            if canon.is_star():
+                leaves = canon.num_vertices - 1
                 cached = max(star_count(self._graph, leaves), 1.0)
             else:
-                cached = max(self._estimate(pattern), 1.0)
-            self._cache[pattern] = cached
+                cached = max(self._estimate(canon), 1.0)
+            self._cache[canon] = cached
         return cached
 
     def _estimate(self, pattern: QueryGraph) -> float:  # pragma: no cover
@@ -108,6 +113,8 @@ class SamplingEstimator(_CachedEstimator):
     Each trial extends a random partial embedding one pattern vertex at a
     time along a connected order; the product of candidate-set sizes at
     each step is an unbiased estimate of the ordered-embedding count.
+    The trials advance together, one pattern vertex per step, as one
+    batch through the engine's PULL-EXTEND candidate kernel.
     """
 
     def __init__(self, graph: Graph, trials: int = 400, seed: int = 11):
@@ -133,46 +140,33 @@ class SamplingEstimator(_CachedEstimator):
 
     def _estimate(self, pattern: QueryGraph) -> float:
         g = self.graph
-        if g.num_vertices == 0:
+        n = g.num_vertices
+        if n == 0:
             return 0.0
         rng = np.random.default_rng(self._seed)
         order = self._extension_order(pattern)
-        back = [
-            [order.index(u) for u in pattern.neighbours(v) if u in order[:i]]
-            for i, v in enumerate(order)
-        ]
-        total = 0.0
-        n = g.num_vertices
-        for _ in range(self._trials):
-            weight = float(n)
-            match = [int(rng.integers(n))]
-            alive = True
-            for i in range(1, len(order)):
-                cand = None
-                for j in back[i]:
-                    nbrs = g.neighbours(match[j])
-                    if cand is None:
-                        cand = nbrs
-                    elif len(cand) and len(nbrs):
-                        # sorted-unique intersection by binary search —
-                        # same result as np.intersect1d(assume_unique=True)
-                        # without its concatenate-and-sort overhead
-                        pos = np.searchsorted(nbrs, cand)
-                        pos[pos == len(nbrs)] = 0
-                        cand = cand[nbrs[pos] == cand]
-                    else:
-                        cand = cand[:0]
-                assert cand is not None  # pattern is connected
-                used = np.asarray(match, dtype=np.int64)
-                cand = cand[~(cand[:, None] == used).any(axis=1)]
-                if len(cand) == 0:
-                    alive = False
-                    break
-                weight *= len(cand)
-                match.append(int(cand[rng.integers(len(cand))]))
-            if alive:
-                total += weight
-        ordered = total / self._trials
+        comp = edge_composite_index(g)
+        degs = g.degrees()
+        # all walks at once: row = one partial embedding (columns in
+        # ``order``), ``weight`` = its Horvitz–Thompson weight so far
+        rows = rng.integers(n, size=(self._trials, 1))
+        weight = np.full(self._trials, float(n))
+        for i in range(1, len(order)):
+            back = [j for j in range(i)
+                    if order[j] in pattern.neighbours(order[i])]
+            verts = rows[:, back]
+            by_len = np.argsort(degs[verts], axis=1, kind="stable")
+            cand, _, counts = fused_extend_candidates(
+                g.indptr, g.indices, comp, n, rows,
+                np.take_along_axis(verts, by_len, axis=1), (), ())
+            alive = counts > 0
+            counts = counts[alive]
+            # candidates are grouped by row, so row r's are the slice
+            # starting at the exclusive running sum of the counts
+            pick = np.cumsum(counts) - counts + rng.integers(counts)
+            rows = np.column_stack((rows[alive], cand[pick]))
+            weight = weight[alive] * counts
+        ordered = float(weight.sum()) / self._trials
         return ordered / automorphism_count(pattern)
 
 

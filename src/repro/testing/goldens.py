@@ -19,6 +19,16 @@ purpose (a weight, a formula, the assignment rule), with::
     PYTHONPATH=src python -m repro.testing.goldens --write tests/golden/metrics.json
 
 and review the field-level diff: which integers moved, and why.
+
+Plan goldens: the same entry point pins, in a second file, the *structure*
+of the plan Algorithm 1 picks (joins, join algorithms, communication
+modes — not the estimated cost) for the paper's queries on three stand-in
+datasets.  A plan is a function of the cardinality estimates, so these
+move when the estimator changes — on purpose, as a reviewable diff; every
+moved plan goes into EXPERIMENTS.md with its simulated ``T`` before and
+after.  Regenerate with::
+
+    PYTHONPATH=src python -m repro.testing.goldens --write-plans tests/golden/plans.json
 """
 
 from __future__ import annotations
@@ -30,17 +40,25 @@ from typing import Any
 
 from ..cluster.cluster import Cluster
 from ..cluster.cost import CostModel
-from ..graph import generators
+from ..core.engine import HugeEngine
+from ..graph import generators, load_dataset
 from ..query.pattern import get_query
 from .configs import BASELINE_ENGINES, EngineSpec, default_matrix
 from .harness import _BASELINES, execute
 from .workloads import Workload, random_workload
 
-__all__ = ["GOLDEN_SEEDS", "capture_goldens", "golden_budget_cases",
+__all__ = ["GOLDEN_SEEDS", "PLAN_GOLDEN_DATASETS", "PLAN_GOLDEN_QUERIES",
+           "capture_goldens", "capture_plan_goldens", "golden_budget_cases",
            "golden_specs", "golden_workloads"]
 
 #: workload-generator seeds frozen into the golden file
 GOLDEN_SEEDS = (1, 2, 3, 5, 8, 13)
+
+#: the plan goldens' grid: the paper's queries × a web, a social and a
+#: road stand-in, planned for the paper's 10-machine cluster
+PLAN_GOLDEN_DATASETS = ("GO", "LJ", "EU")
+PLAN_GOLDEN_QUERIES = tuple(f"q{i}" for i in range(1, 9))
+PLAN_GOLDEN_MACHINES = 10
 
 
 def golden_specs() -> list[EngineSpec]:
@@ -149,17 +167,43 @@ def capture_goldens() -> dict[str, Any]:
     return out
 
 
+def capture_plan_goldens() -> dict[str, dict[str, list[str]]]:
+    """``{dataset: {query: plan structure}}`` — what ``python -m repro
+    plan --data D --pattern Q --machines 10`` picks, minus the cost."""
+    out: dict[str, dict[str, list[str]]] = {}
+    for data in PLAN_GOLDEN_DATASETS:
+        engine = HugeEngine(Cluster(load_dataset(data),
+                                    num_machines=PLAN_GOLDEN_MACHINES))
+        out[data] = {q: engine.plan(get_query(q)).structure()
+                     for q in PLAN_GOLDEN_QUERIES}
+    return out
+
+
+def _write_json(path: str, payload: Any) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=1, sort_keys=True, ensure_ascii=False)
+        f.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--write", metavar="PATH", required=True,
-                        help="write the golden JSON to PATH")
+    parser.add_argument("--write", metavar="PATH",
+                        help="write the metric goldens (JSON) to PATH")
+    parser.add_argument("--write-plans", metavar="PATH",
+                        help="write the plan-structure goldens to PATH")
     ns = parser.parse_args(argv)
-    goldens = capture_goldens()
-    with open(ns.write, "w", encoding="utf-8") as f:
-        json.dump(goldens, f, indent=1, sort_keys=True)
-        f.write("\n")
-    n = sum(len(c["specs"]) for c in goldens["cases"].values())
-    print(f"wrote {n} golden records to {ns.write}")
+    if not (ns.write or ns.write_plans):
+        parser.error("nothing to do: pass --write and/or --write-plans")
+    if ns.write:
+        goldens = capture_goldens()
+        _write_json(ns.write, goldens)
+        n = sum(len(c["specs"]) for c in goldens["cases"].values())
+        print(f"wrote {n} golden records to {ns.write}")
+    if ns.write_plans:
+        plans = capture_plan_goldens()
+        _write_json(ns.write_plans, plans)
+        n = sum(len(per_query) for per_query in plans.values())
+        print(f"wrote {n} golden plans to {ns.write_plans}")
     return 0
 
 

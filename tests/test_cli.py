@@ -91,6 +91,14 @@ class TestCommands:
         assert "span coverage" in out
         assert json.loads(path.read_text())["traceEvents"]
 
+    def test_explain_analyze_json_reports_q_errors(self, capsys):
+        assert main(["explain", "--data", "GO", "--pattern", "q1",
+                     "--machines", "2", "--analyze", "--json"]) == 0
+        view = json.loads(capsys.readouterr().out)
+        errors = [n["q_error"] for n in view["nodes"]
+                  if n["q_error"] is not None]
+        assert errors and view["max_q_error"] == max(errors) >= 1.0
+
     def test_plan(self, capsys):
         main(["plan", "--data", "GO", "--pattern", "q1"])
         out = capsys.readouterr().out

@@ -437,3 +437,36 @@ class TestAnalyze:
         assert "analyze (estimate vs traced run)" in text
         assert "est |R|" in text
         assert "matches:" in text
+
+    def test_q_error_per_node_and_max(self, cluster):
+        engine = HugeEngine(cluster)
+        report = analyze(engine, get_query("q4"))
+        for row in report.rows:
+            if row.opid is None:
+                assert row.q_error is None
+                continue
+            est = max(row.est_cardinality, 1.0)
+            actual = max(row.stats.tuples_out, 1)
+            assert row.q_error == max(est / actual, actual / est) >= 1.0
+        materialised = [r.q_error for r in report.rows if r.opid is not None]
+        assert report.max_q_error == max(materialised)
+        text = report.render()
+        assert "q-error = " in text
+        assert f"max q-error: {report.max_q_error:.3g}" in text
+        view = report.as_dict()
+        assert view["max_q_error"] == report.max_q_error
+        assert [n["q_error"] for n in view["nodes"]] == [
+            r.q_error for r in report.rows]
+        assert all({"label", "est_cardinality", "actual"} <= set(n)
+                   for n in view["nodes"])
+
+    def test_fused_star_does_not_borrow_its_joins_actuals(self, cluster):
+        # the star side of a pulling join shares its vertex set with the
+        # join's output whenever the star adds no new vertex; it is never
+        # materialised alone, so it must not show the join's tuple count
+        report = analyze(HugeEngine(cluster), get_query("q4"))
+        by_node = dict(zip(report.result.plan.root.nodes(), report.rows))
+        pulled = [j.right for j in report.result.plan.joins()
+                  if j.setting.comm.value == "pulling"]
+        assert pulled
+        assert all(by_node[star].opid is None for star in pulled)

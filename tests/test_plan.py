@@ -1,6 +1,10 @@
 """Tests for logical plans, Equation 3 configuration, and the optimiser."""
 
+import json
+import os
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import PlanError
 from repro.core.plan import (CommMode, JoinAlgorithm, LogicalPlan, Optimiser,
@@ -9,7 +13,9 @@ from repro.core.plan import (CommMode, JoinAlgorithm, LogicalPlan, Optimiser,
                              graphflow_plan, greedy_order, optimal_plan,
                              rads_plan, seed_plan, starjoin_plan,
                              vertex_order_plan, wco_plan)
-from repro.query import (ExactEstimator, SubQuery, full_subquery, get_query)
+from repro.query import (QUERIES, ExactEstimator, SamplingEstimator, SubQuery,
+                         full_subquery, get_query)
+from repro.testing.goldens import PLAN_GOLDEN_DATASETS, capture_plan_goldens
 
 
 def sq(*edges):
@@ -179,6 +185,108 @@ class TestOptimiser:
                          cost_strategy="compute-mat")
         _, cost2 = mat2.run_logical(q)
         assert cost == cost2
+
+    @given(name=st.sampled_from(sorted(set(QUERIES) - {"q5", "q8"})),
+           data=st.data())
+    def test_relabelled_query_gets_identical_cost(self, name, data,
+                                                  ba_graph):
+        # estimates are per isomorphism class, so which of several
+        # automorphic splits the DP prefers is no longer sampling noise:
+        # renumbering the query's vertices cannot move the plan's cost
+        q = get_query(name)
+        perm = data.draw(st.permutations(range(q.num_vertices)))
+
+        def cost(query):
+            est = SamplingEstimator(ba_graph, trials=50)
+            return optimal_plan(query, est, 4, ba_graph.num_edges,
+                                avg_degree=ba_graph.avg_degree
+                                ).estimated_cost
+
+        assert cost(q.relabel(dict(enumerate(perm)))) == cost(q)
+
+
+class TestEqualCostPlans:
+    """Estimates are per isomorphism class, so every automorphic image of
+    the chosen plan costs exactly the same.  The DP must pick, among
+    them, the plan that filters on the symmetry-breaking order earliest
+    and then the one that pulls adjacency from the fewest remote sources
+    — checked here against the images themselves, with the pulled
+    sources read off the translated dataflow rather than the optimiser's
+    own bookkeeping."""
+
+    @staticmethod
+    def _image(node, perm):
+        sub = sq(*((perm[u], perm[v]) for u, v in node.sub.edges))
+        if node.is_leaf:
+            return PlanNode(sub)
+        return PlanNode(sub, TestEqualCostPlans._image(node.left, perm),
+                        TestEqualCostPlans._image(node.right, perm))
+
+    @staticmethod
+    def _pruned(root, order):
+        return sum(1 for node in root.nodes() for u, v in order
+                   if u in node.sub.vertices and v in node.sub.vertices)
+
+    @staticmethod
+    def _pulled(query, root):
+        """Query vertices whose adjacency the dataflow reads on a machine
+        that does not own them (everything but the scan's pivot; after a
+        PUSH-JOIN, everything)."""
+        from repro.core.dataflow import ScanSpec
+        from repro.core.plan import translate
+
+        pulled = set()
+        for seg in translate(configure_plan(LogicalPlan(query, root))
+                             ).all_segments():
+            scan = isinstance(seg.source, ScanSpec)
+            schema = seg.source.schema if scan else seg.source.out_schema
+            local = {schema[0]} if scan else set()
+            for spec in seg.extends:
+                pulled |= {schema[p] for p in spec.ext} - local
+                schema = spec.out_schema
+        return pulled
+
+    @pytest.mark.parametrize("name", ["q1", "q2", "q3", "q4", "q7", "q8"])
+    def test_chosen_plan_beats_its_automorphic_images(self, name, ba_graph):
+        from repro.query import automorphisms, symmetry_break
+
+        query = get_query(name)
+        opt = Optimiser(SamplingEstimator(ba_graph, trials=50), 4,
+                        ba_graph.num_edges, avg_degree=ba_graph.avg_degree)
+        chosen = opt.run_logical(query)[0].root
+        order = symmetry_break(query)
+        rank = (-self._pruned(chosen, order),
+                len(self._pulled(query, chosen)))
+        images = [self._image(chosen, perm) for perm in automorphisms(query)]
+        assert len(images) > 1
+        for image in images:
+            assert rank <= (-self._pruned(image, order),
+                            len(self._pulled(query, image)))
+
+
+class TestPlanGoldens:
+    """Plan structure for q1–q8 on GO / LJ / EU at k=10 is pinned; see
+    :mod:`repro.testing.goldens` for when and how to regenerate."""
+
+    @pytest.fixture(scope="class")
+    def goldens(self):
+        path = os.path.join(os.path.dirname(__file__), "golden", "plans.json")
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+
+    @pytest.fixture(scope="class")
+    def current(self):
+        return capture_plan_goldens()
+
+    @pytest.mark.parametrize("data", PLAN_GOLDEN_DATASETS)
+    def test_plan_structure_matches_golden(self, goldens, current, data):
+        moved = {q: (goldens[data].get(q), plan)
+                 for q, plan in current[data].items()
+                 if goldens[data].get(q) != plan}
+        assert not moved and set(goldens[data]) == set(current[data]), (
+            f"{data}: plans moved (golden, current): {moved} — if the "
+            f"estimator changed on purpose, regenerate tests/golden/"
+            f"plans.json and list each moved plan in EXPERIMENTS.md")
 
 
 class TestPluginPlans:

@@ -103,7 +103,7 @@ class TestRunShared:
     @pytest.mark.parametrize("names", [
         ("triangle", "triangle"),           # full dedup: empty suffixes
         ("triangle", "q4"),                 # shared scan, distinct suffixes
-        ("q2", "q5"),
+        ("q4", "triangle"),                 # … the longer plan first
         ("triangle", "q4", "triangle"),
     ])
     def test_bit_identical_to_solo(self, er_graph, names):
