@@ -85,26 +85,14 @@ def intersect_sorted(cand: np.ndarray, other: np.ndarray) -> np.ndarray:
 def edge_composite_index(graph) -> np.ndarray:
     """Sorted composite edge keys ``u * n + v`` of the whole data graph.
 
-    Because CSR stores neighbours grouped by ascending ``u`` with each
-    adjacency sorted, the composite array is globally sorted as built —
-    one binary search answers "is ``v`` adjacent to ``u``" for any pair,
-    which lets a batch's candidate membership tests collapse into a
-    single vectorised ``searchsorted``.
+    Built and cached by :meth:`~repro.graph.graph.Graph.composite_index`
+    (deterministic derived data of an immutable snapshot, so every run
+    and every shm attach shares one O(E) haystack).  One binary search
+    answers "is ``v`` adjacent to ``u``" for any pair, which lets a
+    batch's candidate membership tests collapse into a single vectorised
+    ``searchsorted``.
     """
-    cached = getattr(graph, "_composite", None)
-    if cached is not None:
-        return cached
-    n = graph.num_vertices
-    comp = (np.repeat(np.arange(n, dtype=np.int64),
-                      np.diff(graph.indptr)) * n + graph.indices)
-    try:
-        # deterministic derived data, so caching on the immutable graph
-        # is safe — and it lets every run (and every shm attach) share
-        # one O(E) haystack instead of rebuilding it per engine
-        graph._composite = comp
-    except AttributeError:  # pragma: no cover - non-Graph duck types
-        pass
-    return comp
+    return graph.composite_index()
 
 
 def edge_member(comp: np.ndarray, num_vertices: int, src: np.ndarray,

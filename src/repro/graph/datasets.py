@@ -25,6 +25,7 @@ shrink a dataset uniformly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,14 +218,14 @@ def temporal_edge_stream(
     if not 0.0 <= delete_fraction <= 1.0:
         raise ValueError("delete_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    all_edges = sorted(graph.edges())
+    all_edges = list(graph.edges())     # ascending
     num_inserts = min(len(all_edges),
                       int(round(num_updates * (1.0 - delete_fraction))))
 
     if num_inserts and all_edges:
         if skew > 0.0:
             deg = np.diff(graph.indptr)
-            arr = np.asarray(all_edges, dtype=np.int64)
+            arr = graph.edge_array()
             w = (deg[arr[:, 0]] + deg[arr[:, 1]]).astype(np.float64) ** skew
             p = w / w.sum()
         else:
@@ -235,8 +236,10 @@ def temporal_edge_stream(
     else:
         held_out = []
     held_set = set(held_out)
-    current = set(all_edges) - held_set
-    base = Graph.from_edges(sorted(current), num_vertices=graph.num_vertices)
+    # the present edges not yet deleted in the current batch, kept sorted
+    # across the whole stream (a delete draws by rank)
+    pool = [e for e in all_edges if e not in held_set]
+    base = Graph.from_edges(pool, num_vertices=graph.num_vertices)
 
     # interleave the re-inserts with deletes of currently-present edges
     insert_queue = list(held_out)
@@ -248,23 +251,18 @@ def temporal_edge_stream(
         dels: list[tuple[int, int]] = []
         for _ in range(min(batch_size, remaining)):
             want_insert = insert_queue and (
-                rng.random() >= delete_fraction or not current)
+                rng.random() >= delete_fraction or not (pool or dels))
             if want_insert:
                 ins.append(insert_queue.pop())
-            else:
+            elif pool:
                 # delete a present edge not touched earlier in this batch
-                pool = sorted(current - set(ins) - set(dels))
-                if not pool:
-                    if insert_queue:
-                        ins.append(insert_queue.pop())
-                    continue
-                dels.append(pool[int(rng.integers(len(pool)))])
+                dels.append(pool.pop(int(rng.integers(len(pool)))))
+            elif insert_queue:
+                ins.append(insert_queue.pop())
         if not ins and not dels:
             break
         for e in ins:
-            current.add(e)
-        for e in dels:
-            current.discard(e)
+            bisect.insort(pool, e)
         remaining -= len(ins) + len(dels)
         ops.append(UpdateBatch(tuple(sorted(ins)), tuple(sorted(dels))))
     return TemporalStream(base=base, batches=tuple(ops))

@@ -18,7 +18,29 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "edge_rows"]
+
+
+def edge_rows(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Normalise an edge iterable to an ``(m, 2)`` array of ``(u, v)``
+    rows with ``u < v``, ascending and unique.
+
+    Self-loops are dropped and duplicates collapse through a 1-D
+    ``u * w + v`` key; negative vertex IDs are rejected.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    width = int(rows.max(initial=0)) + 1
+    if rows.min(initial=0) < 0 or width > 2**31:    # keys must fit int64
+        raise ValueError("vertex id in edge list negative or beyond 2**31")
+    u, v = rows[:, 0], rows[:, 1]
+    # a sort and a mask: ten times under np.unique's hash pass on int64
+    keys = np.sort((np.minimum(u, v) * width + np.maximum(u, v))[u != v])
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    return np.stack([keys // width, keys % width], axis=1)
 
 
 class Graph:
@@ -67,29 +89,23 @@ class Graph:
         Self-loops are dropped and duplicate edges collapsed.  If
         ``num_vertices`` is not given it is inferred as ``max id + 1``.
         """
-        pairs = np.asarray(
-            [(u, v) for (u, v) in edges if u != v], dtype=np.int64
-        ).reshape(-1, 2)
-        if pairs.size:
-            both = np.vstack([pairs, pairs[:, ::-1]])
-            both = np.unique(both, axis=0)
-            src, dst = both[:, 0], both[:, 1]
-            n = int(both.max()) + 1
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-            n = 0
+        rows = edge_rows(edges)
+        n = int(rows.max()) + 1 if rows.size else 0
         if num_vertices is not None:
             if num_vertices < n:
                 raise ValueError(
                     f"num_vertices={num_vertices} smaller than max id + 1 = {n}"
                 )
             n = num_vertices
-        counts = np.bincount(src, minlength=n)
+        # both directions as 1-D ``u * n + v`` keys: sorted, they are the
+        # arcs in (src, dst) order — exactly CSR order
+        keys = np.sort(np.concatenate(
+            [rows[:, 0] * n + rows[:, 1], rows[:, 1] * n + rows[:, 0]]))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # `both` is sorted lexicographically by (src, dst), so dst is already
-        # grouped by src with each group ascending — exactly CSR order.
-        return cls(indptr, dst)
+        if n:
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            keys %= n
+        return cls(indptr, keys)
 
     @classmethod
     def empty(cls, num_vertices: int = 0) -> "Graph":
@@ -135,6 +151,32 @@ class Graph:
         i = int(np.searchsorted(nbrs, v))
         return i < len(nbrs) and nbrs[i] == v
 
+    def composite_index(self) -> np.ndarray:
+        """Sorted composite arc keys ``u * n + v`` (read-only, cached).
+
+        CSR stores arcs grouped by ascending ``u`` with each adjacency
+        sorted, so the array is globally sorted as built and a key's
+        position in it *is* the arc's position in :attr:`indices`.
+        """
+        if self._composite is None:
+            n = self.num_vertices
+            comp = np.repeat(np.arange(n, dtype=np.int64),
+                             np.diff(self._indptr)) * n + self._indices
+            comp.setflags(write=False)
+            self._composite = comp
+        return self._composite
+
+    def has_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`has_edge`: one ``searchsorted`` on the
+        composite index; ids outside ``0 .. n-1`` are in no edge."""
+        n, comp = self.num_vertices, self.composite_index()
+        keys = src * n + dst
+        at = np.searchsorted(comp, keys)
+        found = ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+                 & (at < len(comp)))
+        found[found] = comp[at[found]] == keys[found]
+        return found
+
     # -- statistics ---------------------------------------------------------
 
     @property
@@ -161,12 +203,17 @@ class Graph:
         """Iterate vertex IDs ``0 .. n-1``."""
         return range(self.num_vertices)
 
+    def edge_array(self) -> np.ndarray:
+        """Each undirected edge once as a row ``(u, v)`` with ``u < v``,
+        rows in ascending order."""
+        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+                        np.diff(self._indptr))
+        upper = src < self._indices
+        return np.stack([src[upper], self._indices[upper]], axis=1)
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""
-        for u in self.vertices():
-            for v in self.neighbours(u):
-                if u < v:
-                    yield u, int(v)
+        return map(tuple, self.edge_array().tolist())
 
     # -- dunder -------------------------------------------------------------
 

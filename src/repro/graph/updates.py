@@ -18,6 +18,12 @@ which is what the incremental enumeration core in
 Edges are normalised to ``(u, v)`` with ``u < v``; self-loops are
 dropped, duplicates collapse.  Inserts may reference vertex IDs beyond
 the current snapshot — the new snapshot grows to fit.
+
+The new snapshot is *spliced*, not rebuilt: the effective Δ's arcs are
+located in the old snapshot's composite index, ``indices`` gets one
+``np.insert`` and one ``np.delete`` and ``indptr`` the running sum of the
+per-vertex degree changes, so an update costs two array copies plus
+O(|Δ| log |E|) — nothing re-derives the unchanged edges.
 """
 
 from __future__ import annotations
@@ -27,28 +33,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, edge_rows
 
 __all__ = ["GraphDelta", "apply_updates", "normalise_edges"]
 
 Edge = tuple[int, int]
 
 
-def normalise_edges(edges: Iterable[Edge]) -> set[Edge]:
-    """Normalise an edge iterable to a set of ``(u, v)`` with ``u < v``.
+def _as_tuples(rows: np.ndarray) -> tuple[Edge, ...]:
+    return tuple(map(tuple, rows.tolist()))
 
-    Self-loops are dropped and duplicates collapse; negative vertex IDs
-    are rejected.
-    """
-    out: set[Edge] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u < 0 or v < 0:
-            raise ValueError(f"negative vertex id in edge ({u}, {v})")
-        if u == v:
-            continue
-        out.add((u, v) if u < v else (v, u))
-    return out
+
+def normalise_edges(edges: Iterable[Edge]) -> set[Edge]:
+    """Normalise an edge iterable to a set of ``(u, v)`` with ``u < v``
+    (:func:`~repro.graph.graph.edge_rows` as tuples)."""
+    return set(_as_tuples(edge_rows(edges)))
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,6 @@ class GraphDelta:
         }
 
 
-def _edge_array(graph: Graph) -> np.ndarray:
-    """All undirected edges of ``graph`` as an ``(m, 2)`` array, u < v."""
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    dst = graph.indices
-    mask = src < dst
-    return np.stack([src[mask], dst[mask]], axis=1)
-
-
 def apply_updates(
     graph: Graph,
     inserts: Iterable[Edge] = (),
@@ -100,30 +90,35 @@ def apply_updates(
     win within the batch; the returned delta contains only effective
     changes (see module docstring).
     """
-    ins = normalise_edges(inserts)
-    dels = normalise_edges(deletes)
-    eff_del = sorted(e for e in dels if graph.has_edge(*e))
-    eff_ins = sorted(
-        e for e in ins if e not in dels and not graph.has_edge(*e)
-    )
-    delta = GraphDelta(tuple(eff_ins), tuple(eff_del))
-
-    n = graph.num_vertices
-    if eff_ins:
-        n = max(n, max(v for _, v in eff_ins) + 1)
+    ins, dels = edge_rows(inserts), edge_rows(deletes)
+    cut = dels[graph.has_edges(dels[:, 0], dels[:, 1])]
+    width = int(max(ins.max(initial=0), dels.max(initial=0))) + 1
+    add = ins[~(graph.has_edges(ins[:, 0], ins[:, 1])
+                | np.isin(ins @ (width, 1), dels @ (width, 1)))]
+    delta = GraphDelta(_as_tuples(add), _as_tuples(cut))
     if delta.is_empty:
         # nothing changed: reuse the snapshot (callers still get a fresh
         # version number from the serving tier if they registered it)
         return graph, delta
 
-    pairs = _edge_array(graph)
-    if eff_del:
-        keys = pairs[:, 0] * n + pairs[:, 1]
-        del_arr = np.asarray(eff_del, dtype=np.int64)
-        del_keys = del_arr[:, 0] * n + del_arr[:, 1]
-        pairs = pairs[~np.isin(keys, del_keys)]
-    if eff_ins:
-        pairs = np.concatenate(
-            [pairs, np.asarray(eff_ins, dtype=np.int64)], axis=0)
-    new_graph = Graph.from_edges(pairs, num_vertices=n)
-    return new_graph, delta
+    n = graph.num_vertices
+    grown = max(n, int(add.max(initial=-1)) + 1)
+    # both directions of the effective Δ; inserted arcs in (src, dst)
+    # order, so arcs landing on one position stay sorted
+    add = np.concatenate([add, add[:, ::-1]])
+    add = add[np.lexsort((add[:, 1], add[:, 0]))]
+    cut = np.concatenate([cut, cut[:, ::-1]])
+    # a key's position in the composite index is its arc's position in
+    # ``indices``; clamping ids to n sends an arc to a new vertex to the
+    # end of its row and the arcs *of* new vertices to the end of the array
+    arcs = np.minimum(np.concatenate([add, cut]), n)
+    at = np.searchsorted(graph.composite_index(), arcs @ (n, 1))
+    add_at, cut_at = at[:len(add)], at[len(add):]
+    indices = np.delete(
+        np.insert(graph.indices, add_at, add[:, 1]),
+        cut_at + np.searchsorted(add_at, cut_at, side="right"))
+    indptr = np.concatenate(
+        [graph.indptr, np.full(grown - n, graph.indptr[-1])])
+    indptr[1:] += np.cumsum(np.bincount(add[:, 0], minlength=grown)
+                            - np.bincount(cut[:, 0], minlength=grown))
+    return Graph(indptr, indices), delta

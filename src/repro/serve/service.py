@@ -342,7 +342,7 @@ class QueryService:
                   dataset=request.dataset)
         if request.bootstrap:
             t0 = self._now()
-            matches = sub.enumerator.delta_matches(graph, graph.edges())
+            matches = sub.enumerator.delta_matches(graph, graph.edge_array())
             self.emit("bootstrapped", request.seq, count=len(matches))
             # a batch that never ran on the pool: enters at deliver
             self.lifecycle.deliver(DeltaTask(sub), DeltaBatch(

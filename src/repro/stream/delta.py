@@ -21,11 +21,20 @@ al. (arXiv:2006.12819):
     re-emitting it (``f`` uses no edge of rank ``> i``), and step
     ``j < i`` cannot produce it (``δ_i`` would be filtered out).
 
-The extension loop reuses the engine's columnar PULL-EXTEND kernels
-(:func:`~repro.core.kernels.csr_gather`,
-:func:`~repro.core.kernels.edge_member_rows`) plus the standard
-Grochow–Kellis symmetry-breaking conditions, so delta matches land in
-the same canonical form as the batch engine's output.
+The pass is columnar: Δ is a SCAN source, consumed in blocks of
+:data:`DELTA_BLOCK` edges.  All Δ-edges of a block, in both
+orientations, form one ``(rows, step)`` block per pinned plan; each
+pattern position is one call of the engine's PULL-EXTEND kernel
+(:func:`~repro.core.kernels.fused_extend_candidates`: smallest backward
+list gathered, the rest one stacked ``searchsorted``, distinctness, the
+Grochow–Kellis ``lt``/``gt`` conditions, label) followed by the rank rule
+``rank(src, cand) ≤ step[row]`` as one more mask — so delta matches land
+in the same canonical form as the batch engine's output and the
+frontier is bounded by the block, the way an engine batch bounds an
+operator.  Ranks are global, so blocking changes no result.  Matches
+come out step-major, pinned plans in query-edge order within a step,
+and inside one (step, plan) group in the order of the smallest-list
+gather: ``x→y`` before ``y→x``, then ascending candidate id.
 
 Deletions run the same enumeration against the *pre-update* snapshot
 with Δ = the deleted edges: the result is precisely the set of
@@ -38,17 +47,22 @@ accumulated standing match set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ..core.kernels import csr_gather, edge_composite_index, edge_member_rows
-from ..graph.graph import Graph
-from ..graph.updates import GraphDelta, apply_updates, normalise_edges
+from ..core.kernels import fused_extend_candidates
+from ..graph.graph import Graph, edge_rows
+from ..graph.updates import GraphDelta, apply_updates
 from ..query.pattern import QueryGraph
 from ..query.symmetry import PartialOrder, symmetry_break
 
 __all__ = ["DeltaEnumerator", "IncrementalMatcher", "BatchResult"]
+
+#: Δ-edges per columnar pass.  A constant, not a knob: a Δ = E bootstrap
+#: of q1 on LJ peaks at 202 MB unblocked and 59 MB here, 128 to 512 run
+#: equally fast, and an 8-edge update never fills one block.
+DELTA_BLOCK = 256
 
 Edge = tuple[int, int]
 Match = tuple[int, ...]
@@ -60,10 +74,10 @@ class _PinnedPlan:
 
     ``order[0] = a`` and ``order[1] = b`` are bound by the pinned data
     edge; the remaining vertices follow a greedy connected order.  For
-    each later position ``i``, ``back[i]`` lists the *column positions*
-    of the already-placed pattern neighbours of ``order[i]``, and
-    ``lt[i]`` / ``gt[i]`` the positions the new vertex must be
-    less/greater than under the symmetry-breaking partial order.
+    each position ``i``, ``back[i]`` lists the *column positions* of the
+    already-placed pattern neighbours of ``order[i]``, and ``lt[i]`` /
+    ``gt[i]`` the positions the vertex placed there must be less/greater
+    than under the symmetry-breaking partial order.
     """
 
     order: tuple[int, ...]
@@ -71,8 +85,6 @@ class _PinnedPlan:
     lt: tuple[tuple[int, ...], ...]
     gt: tuple[tuple[int, ...], ...]
     labels: tuple[int | None, ...]        # label constraint per position
-    seed_lt: bool                          # require f(a) < f(b)
-    seed_gt: bool                          # require f(a) > f(b)
 
 
 def _pinned_plan(pattern: QueryGraph, conditions: PartialOrder,
@@ -100,8 +112,7 @@ def _pinned_plan(pattern: QueryGraph, conditions: PartialOrder,
                                if w == v and pos[u] < i)))
     return _PinnedPlan(
         order=tuple(order), back=tuple(back), lt=tuple(lt), gt=tuple(gt),
-        labels=tuple(pattern.label(v) for v in order),
-        seed_lt=(a, b) in conditions, seed_gt=(b, a) in conditions)
+        labels=tuple(pattern.label(v) for v in order))
 
 
 class DeltaEnumerator:
@@ -128,28 +139,26 @@ class DeltaEnumerator:
     # -- rank machinery ----------------------------------------------------
 
     @staticmethod
-    def _rank_index(delta: Sequence[Edge], n: int
+    def _rank_index(delta: np.ndarray, n: int
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Sorted composite keys (both directions) → delta rank."""
-        arr = np.asarray(delta, dtype=np.int64).reshape(-1, 2)
-        ranks = np.arange(len(arr), dtype=np.int64)
-        keys = np.concatenate([arr[:, 0] * n + arr[:, 1],
-                               arr[:, 1] * n + arr[:, 0]])
-        vals = np.concatenate([ranks, ranks])
+        ranks = np.arange(len(delta), dtype=np.int64)
+        keys = np.concatenate([delta[:, 0] * n + delta[:, 1],
+                               delta[:, 1] * n + delta[:, 0]])
         order = np.argsort(keys)
-        return keys[order], vals[order]
+        return keys[order], np.concatenate([ranks, ranks])[order]
 
     @staticmethod
-    def _edge_ranks(keys: np.ndarray, vals: np.ndarray, n: int,
-                    src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Rank of each data edge ``(src[i], dst[i])``; -1 for base edges."""
-        q = src * n + dst
+    def _rank_mask(keys: np.ndarray, vals: np.ndarray, n: int,
+                   srcs: np.ndarray, cand: np.ndarray,
+                   step: np.ndarray) -> np.ndarray:
+        """Row ``i`` passes iff every data edge ``(srcs[i, w], cand[i])``
+        has rank ≤ ``step[i]``; base edges rank -1."""
+        q = srcs * n + cand[:, None]
         idx = np.searchsorted(keys, q)
         idx[idx == len(keys)] = 0
-        out = np.full(len(q), -1, dtype=np.int64)
-        hit = keys[idx] == q
-        out[hit] = vals[idx[hit]]
-        return out
+        ranks = np.where(keys[idx] == q, vals[idx], -1)
+        return (ranks <= step[:, None]).all(axis=1)
 
     # -- enumeration -------------------------------------------------------
 
@@ -162,74 +171,64 @@ class DeltaEnumerator:
         batch engine emit.  Δ-edges absent from ``graph`` are ignored
         (they cannot carry a match in this snapshot).
         """
-        delta = sorted(e for e in normalise_edges(delta_edges)
-                       if graph.has_edge(*e))
-        if not delta:
+        delta = edge_rows(delta_edges)
+        delta = delta[graph.has_edges(delta[:, 0], delta[:, 1])]
+        if not len(delta) or (labels is None and any(
+                want is not None for want in self.plans[0].labels)):
             return []
-        n = graph.num_vertices
-        indptr, indices = graph.indptr, graph.indices
-        comp = edge_composite_index(graph)
-        keys, vals = self._rank_index(delta, n)
+        keys, vals = self._rank_index(delta, graph.num_vertices)
         out: list[Match] = []
-        for step, (x, y) in enumerate(delta):
+        for lo in range(0, len(delta), DELTA_BLOCK):
+            block = delta[lo:lo + DELTA_BLOCK]
+            steps = np.arange(lo, lo + len(block), dtype=np.int64)
+            seeds = np.concatenate([block, block[:, ::-1]])
+            seed_step = np.concatenate([steps, steps])
+            found, found_step = [], []
             for plan in self.plans:
-                rows = self._extend(plan, step, x, y, n, indptr, indices,
-                                    comp, keys, vals, labels)
-                if rows is None or not len(rows):
-                    continue
+                rows, step = self._extend(plan, seeds, seed_step, graph,
+                                          keys, vals, labels)
                 emitted = np.empty_like(rows)
                 emitted[:, plan.order] = rows
-                out.extend(map(tuple, emitted.tolist()))
+                found.append(emitted)
+                found_step.append(step)
+            # step-major, plans in order within a step (stable sort)
+            by_step = np.argsort(np.concatenate(found_step), kind="stable")
+            out.extend(map(tuple, np.concatenate(found)[by_step].tolist()))
         return out
 
-    def _extend(self, plan: _PinnedPlan, step: int, x: int, y: int, n: int,
-                indptr: np.ndarray, indices: np.ndarray, comp: np.ndarray,
-                keys: np.ndarray, vals: np.ndarray,
-                labels: np.ndarray | None) -> np.ndarray | None:
-        # seed both orientations of the pinned edge, filter by the seed
-        # labels/conditions, then extend column by column
-        rows = np.array([[x, y], [y, x]], dtype=np.int64)
-        keep = np.ones(2, dtype=bool)
+    def _extend(self, plan: _PinnedPlan, rows: np.ndarray, step: np.ndarray,
+                graph: Graph, keys: np.ndarray, vals: np.ndarray,
+                labels: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Extend every seed row (a Δ-edge pinned in one orientation, with
+        its rank in ``step``) through ``plan``, one pattern position per
+        kernel call."""
+        n, indptr = graph.num_vertices, graph.indptr
+        keep = np.ones(len(rows), dtype=bool)
         for p in (0, 1):
-            want = plan.labels[p]
-            if want is not None:
-                if labels is None:
-                    return None
-                keep &= labels[rows[:, p]] == want
-        if plan.seed_lt:
-            keep &= rows[:, 0] < rows[:, 1]
-        if plan.seed_gt:
-            keep &= rows[:, 0] > rows[:, 1]
-        rows = rows[keep]
+            if plan.labels[p] is not None:
+                keep &= labels[rows[:, p]] == plan.labels[p]
+        if plan.lt[1]:
+            keep &= rows[:, 1] < rows[:, 0]
+        if plan.gt[1]:
+            keep &= rows[:, 1] > rows[:, 0]
+        rows, step = rows[keep], step[keep]
         for i in range(2, len(plan.order)):
-            if not len(rows):
-                return rows
             backs = plan.back[i]
-            p0 = backs[0]
-            row_ids, cand = csr_gather(indptr, indices, rows[:, p0])
-            src_rows = rows[row_ids]
-            keep = self._edge_ranks(keys, vals, n,
-                                    src_rows[:, p0], cand) <= step
-            if len(backs) > 1:
-                others = src_rows[:, backs[1:]]
-                keep &= edge_member_rows(comp, n, others, cand)
-                for p in backs[1:]:
-                    keep &= self._edge_ranks(keys, vals, n,
-                                             src_rows[:, p], cand) <= step
-            # injectivity: the new vertex must differ from every placed one
-            keep &= ~(cand[:, None] == src_rows).any(axis=1)
-            want = plan.labels[i]
-            if want is not None:
-                if labels is None:
-                    return None
-                keep &= labels[cand] == want
-            for p in plan.lt[i]:
-                keep &= cand < src_rows[:, p]
-            for p in plan.gt[i]:
-                keep &= cand > src_rows[:, p]
-            rows = np.concatenate(
-                [src_rows[keep], cand[keep, None]], axis=1)
-        return rows
+            verts = rows[:, backs]
+            if len(backs) > 1:      # smallest adjacency list first
+                by_len = np.argsort(indptr[verts + 1] - indptr[verts],
+                                    axis=1, kind="stable")
+                verts = np.take_along_axis(verts, by_len, axis=1)
+            cand, row_ids, _ = fused_extend_candidates(
+                indptr, graph.indices, graph.composite_index(), n, rows,
+                verts, plan.lt[i], plan.gt[i], labels, plan.labels[i])
+            src_rows, step = rows[row_ids], step[row_ids]
+            keep = self._rank_mask(keys, vals, n, src_rows[:, backs], cand,
+                                   step)
+            rows = np.column_stack((src_rows[keep], cand[keep]))
+            step = step[keep]
+        return rows, step
 
 
 @dataclass
@@ -273,7 +272,7 @@ class IncrementalMatcher:
             # the whole edge set as one Δ: every match uses >= 1 edge, so
             # this is a from-scratch enumeration through the delta path
             initial = self.enumerator.delta_matches(
-                graph, graph.edges(), labels=labels)
+                graph, graph.edge_array(), labels=labels)
             self._fold(initial, [])
 
     def _fold(self, additions: list[Match],
