@@ -2,8 +2,7 @@
 simulated external key-value store."""
 
 from .base import (BaselineEngine, BaselineResult, DistributedRelation,
-                   filter_tuples, materialize_star, new_conditions,
-                   valid_leaf_patterns)
+                   materialize_star, new_conditions, valid_leaf_patterns)
 from .benu import BenuEngine
 from .bigjoin import BigJoinEngine
 from .kvstore import ExternalKVStore
@@ -17,7 +16,6 @@ __all__ = [
     "BaselineEngine",
     "BaselineResult",
     "DistributedRelation",
-    "filter_tuples",
     "materialize_star",
     "new_conditions",
     "valid_leaf_patterns",

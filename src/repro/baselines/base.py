@@ -29,14 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OutOfMemoryError, OvertimeError
 from ..cluster.metrics import RunReport
-from ..core.kernels import chunk_charges, hash_destinations, join_pairs
+from ..core.kernels import (chunk_charges, csr_gather, hash_destinations,
+                            join_rows)
 from ..query.symmetry import PartialOrder
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "BaselineEngine",
     "new_conditions",
     "valid_leaf_patterns",
-    "filter_tuples",
     "materialize_star",
 ]
 
@@ -92,20 +92,6 @@ def new_conditions(schema: Sequence[int], applied: set[tuple[int, int]],
         if u in schema and v in schema:
             out.append((schema.index(u), schema.index(v)))
             applied.add((u, v))
-    return out
-
-
-def filter_tuples(tuples: Iterable[Tuple],
-                  positional: Sequence[tuple[int, int]],
-                  distinct: Sequence[tuple[int, int]] = ()) -> list[Tuple]:
-    """Apply positional symmetry and distinctness filters."""
-    out: list[Tuple] = []
-    for f in tuples:
-        if any(f[i] >= f[j] for i, j in positional):
-            continue
-        if any(f[i] == f[j] for i, j in distinct):
-            continue
-        out.append(f)
     return out
 
 
@@ -249,7 +235,7 @@ class DistributedRelation:
                 build_left = len(lpart) <= len(rpart)
                 bpart, ppart = (lpart, rpart) if build_left else (rpart, lpart)
                 bkey, pkey = (lkey, rkey) if build_left else (rkey, lkey)
-                emitted, emit_per_probe = _join_machine(
+                emitted, emit_per_probe = join_rows(
                     bpart, ppart, bkey, pkey, build_left, carry,
                     distinct, positional)
                 total = len(emitted)
@@ -300,31 +286,6 @@ def _even_split(ticks: int, workers: int) -> list[int]:
     one each to the first workers, so the parts sum to ``ticks``)."""
     q, r = divmod(ticks, workers)
     return [q + (w < r) for w in range(workers)]
-
-
-def _join_machine(bpart: np.ndarray, ppart: np.ndarray,
-                  bkey: tuple[int, ...], pkey: tuple[int, ...],
-                  build_left: bool, carry: tuple[int, ...],
-                  distinct: Sequence[tuple[int, int]],
-                  positional: Sequence[tuple[int, int]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One machine's local join: all key matches (probe-major, bucket
-    insertion order — the scalar dict-of-buckets emission order) with the
-    cross-side distinctness and symmetry filters applied.  Returns the
-    emitted rows and the per-probe-row emit counts."""
-    build_idx, probe_idx = join_pairs(bpart, ppart, bkey, pkey)
-    brows = bpart[build_idx]
-    prows = ppart[probe_idx]
-    lf, rf = (brows, prows) if build_left else (prows, brows)
-    joined = np.concatenate((lf, rf[:, list(carry)]), axis=1)
-    keep = np.ones(len(joined), dtype=bool)
-    for i, j in distinct:
-        keep &= joined[:, i] != joined[:, j]
-    for i, j in positional:
-        keep &= joined[:, i] < joined[:, j]
-    emitted = joined[keep]
-    emit_per_probe = np.bincount(probe_idx[keep], minlength=len(ppart))
-    return emitted, emit_per_probe
 
 
 def valid_leaf_patterns(num_leaves: int,
@@ -444,13 +405,8 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
         np.zeros(0, dtype=np.int64)
     el = np.flatnonzero(deg >= nl)
     roots = local[el]
-    counts = deg[el]
-    total_c = int(counts.sum())
-    rep_start = np.repeat(g.indptr[roots], counts)
-    ramp = np.arange(total_c) - np.repeat(np.cumsum(counts) - counts, counts)
-    cand_flat = g.indices[rep_start + ramp] if total_c else \
-        np.empty(0, dtype=np.int64)
-    rows, _, kept = combo_rows(roots[:, None], cand_flat, counts, nl,
+    _, cand_flat = csr_gather(g.indptr, g.indices, roots)
+    rows, _, kept = combo_rows(roots[:, None], cand_flat, deg[el], nl,
                                patterns_arr, root_conds)
     c_full = np.zeros(n, dtype=np.int64)
     c_full[el] = kept

@@ -30,6 +30,7 @@ from ..cluster.cluster import Cluster
 from ..core.cache import LRUCache
 from ..core.kernels import intersect_sorted
 from ..core.plan.plans import dfs_order
+from ..core.plan.translate import order_chain
 from ..core.stealing import chunked_distribution
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
@@ -69,20 +70,11 @@ class BenuEngine(BaselineEngine):
                               * (2 * g.num_edges + g.num_vertices)))
         cluster.metrics.reserve_constant(capacity * cost.bytes_per_id)
 
-        order = dfs_order(query)
-        conditions = symmetry_break(query)
+        # the engine's own chain along BENU's DFS order: match position i
+        # holds order[i], extends[d - 2] places the vertex of depth d
+        scan, extends = order_chain(query, dfs_order(query),
+                                    symmetry_break(query))
         n = query.num_vertices
-        # back[i]: pattern neighbours of order[i] among order[:i]
-        back = [[order.index(u) for u in query.neighbours(order[i])
-                 if u in order[:i]] for i in range(n)]
-        # symmetry conditions positional in match-order space
-        cond_by_depth: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        for (u, v) in conditions:
-            iu, iv = order.index(u), order.index(v)
-            if iu < iv:
-                cond_by_depth[iv].append((iu, True))   # f[iv] > f[iu]
-            else:
-                cond_by_depth[iu].append((iv, False))  # f[iu] < f[iv]
 
         graph = cluster.pgraph.graph
         indices = graph.indices
@@ -104,20 +96,21 @@ class BenuEngine(BaselineEngine):
                     return indices[indptr_l[u]:indptr_l[u + 1]]
                 if cache.contains(u):
                     cluster.metrics.record_cache(m, hits=1)
-                    ops_box[0] += cache.access_penalty(u)
-                    return cache.get(u)
-                cluster.metrics.record_cache(m, misses=1)
-                fetched = store.get(m, u)
-                cache.insert(u, fetched)
-                ops_box[0] += cache.access_penalty(u)
-                return fetched
+                    nbrs = cache.get(u)
+                else:
+                    cluster.metrics.record_cache(m, misses=1)
+                    nbrs = store.get(m, u)
+                    cache.insert(u, nbrs)
+                ops_box[0] += cache.access_penalty(len(nbrs))
+                return nbrs
 
             def dfs(match: list[int], depth: int) -> int:
                 if depth == n:
                     ops_box[0] += emit_step
                     return 1
+                spec = extends[depth - 2]
                 # pull the back-neighbourhoods, smallest list first
-                arrs = sorted((nbrs_of(match[b]) for b in back[depth]),
+                arrs = sorted((nbrs_of(match[b]) for b in spec.ext),
                               key=len)
                 cand, rest = arrs[0], arrs[1:]
                 ops_box[0] += len(cand) * (
@@ -125,16 +118,10 @@ class BenuEngine(BaselineEngine):
                 # symmetry conditions select a contiguous window of the
                 # sorted candidates; slice it before intersecting further
                 lo, hi = 0, len(cand)
-                for (pos, greater) in cond_by_depth[depth]:
-                    x = match[pos]
-                    if greater:
-                        i = int(cand.searchsorted(x, "right"))
-                        if i > lo:
-                            lo = i
-                    else:
-                        i = int(cand.searchsorted(x, "left"))
-                        if i < hi:
-                            hi = i
+                for p in spec.candidate_gt:
+                    lo = max(lo, int(cand.searchsorted(match[p], "right")))
+                for p in spec.candidate_lt:
+                    hi = min(hi, int(cand.searchsorted(match[p], "left")))
                 if hi <= lo:
                     return 0
                 cand = cand[lo:hi]
@@ -172,13 +159,8 @@ class BenuEngine(BaselineEngine):
             for u in cluster.local_vertices(m).tolist():
                 for v in indices[indptr_l[u]:indptr_l[u + 1]].tolist():
                     ops_box[0] = task_base
-                    ok = True
-                    for (pos, greater) in cond_by_depth[1]:
-                        if greater and v <= u:
-                            ok = False
-                        if not greater and v >= u:
-                            ok = False
-                    if ok:
+                    if (scan.order is None
+                            or (scan.order == "lt") == (u < v)):
                         count_m += dfs([u, v], 2)
                     task_ops.append(ops_box[0])
                 cluster.metrics.check_time()

@@ -25,8 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..core.kernels import edge_composite_index, edge_member
+from ..core.dataflow import ExtendSpec
+from ..core.kernels import csr_gather, edge_member
 from ..core.plan.plans import greedy_order
+from ..core.plan.translate import order_chain
 from ..core.stealing import distribute_to_workers
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
@@ -48,7 +50,6 @@ class BigJoinEngine(BaselineEngine):
         self.edge_batch = edge_batch
         self.order = order
         graph = cluster.pgraph.graph
-        self._edge_index = edge_composite_index(graph)
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
     def run(self, query: QueryGraph,
@@ -62,12 +63,10 @@ class BigJoinEngine(BaselineEngine):
         # reset_metrics rebinds cluster.metrics; capture the fresh ledger
         metrics = cluster.metrics
 
-        order = self.order or greedy_order(query)
-        conditions = symmetry_break(query)
-        n = query.num_vertices
-        back = [[order.index(u) for u in query.neighbours(order[i])
-                 if u in order[:i]] for i in range(n)]
-        conds_at = self._conditions_by_depth(order, conditions)
+        # the engine's own chain along BiGJoin's order (column i matches
+        # order[i]); only the communication below is BiGJoin's
+        scan, extends = order_chain(
+            query, self.order or greedy_order(query), symmetry_break(query))
 
         # round 0: all matches of the first edge, partitioned by owner of
         # the first vertex
@@ -75,18 +74,13 @@ class BigJoinEngine(BaselineEngine):
         initial: list[np.ndarray] = []
         for m in range(cluster.num_machines):
             local = cluster.local_vertices(m)
-            deg = self._degrees[local]
-            ecount = int(deg.sum())
-            metrics.charge_ops(m, ecount * cost.ticks.scan)
-            us = np.repeat(local, deg)
-            ramp = np.arange(ecount) - np.repeat(np.cumsum(deg) - deg, deg)
-            vs = graph.indices[np.repeat(graph.indptr[local], deg) + ramp] \
-                if ecount else np.empty(0, dtype=np.int64)
-            keep = np.ones(ecount, dtype=bool)
-            for (pos, greater) in conds_at[1]:
-                keep &= (vs > us) if greater else (vs < us)
-            initial.append(np.stack((us[keep], vs[keep]), axis=1)
-                           if ecount else np.empty((0, 2), dtype=np.int64))
+            row_ids, vs = csr_gather(graph.indptr, graph.indices, local)
+            metrics.charge_ops(m, len(vs) * cost.ticks.scan)
+            us = local[row_ids]
+            if scan.order is not None:
+                keep = (us < vs) if scan.order == "lt" else (us > vs)
+                us, vs = us[keep], vs[keep]
+            initial.append(np.stack((us, vs), axis=1))
 
         total = 0
         batch = self.edge_batch
@@ -96,46 +90,30 @@ class BigJoinEngine(BaselineEngine):
             rel = [p[b * batch:(b + 1) * batch] for p in initial]
             for m, part in enumerate(rel):
                 metrics.alloc(m, len(part) * 2 * cost.bytes_per_id)
-            arity = 2
-            if n == 2:
+            if not extends:
                 total += sum(len(p) for p in rel)
                 for m, part in enumerate(rel):
-                    metrics.free(m, len(part) * arity * cost.bytes_per_id)
-            for depth in range(2, n):
-                final = depth == n - 1
+                    metrics.free(m, len(part) * 2 * cost.bytes_per_id)
+            for spec in extends:
+                final = spec is extends[-1]
                 # _extend_round frees its input relation on every machine
-                out = self._extend_round(rel, arity, back[depth],
-                                         conds_at[depth], count_only=final)
+                out = self._extend_round(rel, spec, count_only=final)
                 if final:
                     # compression [63]: the last round counts extensions
                     # without materialising them
                     total += out  # type: ignore[operator]
                 else:
                     rel = out  # type: ignore[assignment]
-                    arity += 1
             metrics.check_time()
         return self._result(total)
 
     # -- helpers ---------------------------------------------------------------------
 
-    @staticmethod
-    def _conditions_by_depth(order: list[int], conditions
-                             ) -> list[list[tuple[int, bool]]]:
-        n = len(order)
-        by_depth: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        for (u, v) in conditions:
-            iu, iv = order.index(u), order.index(v)
-            if iu < iv:
-                by_depth[iv].append((iu, True))
-            else:
-                by_depth[iu].append((iv, False))
-        return by_depth
-
-    def _extend_round(self, rel: list[np.ndarray], arity: int,
-                      back: list[int], conds: list[tuple[int, bool]],
+    def _extend_round(self, rel: list[np.ndarray], spec: ExtendSpec,
                       count_only: bool = False
                       ) -> "list[np.ndarray] | int":
-        """One wco extension round with pushing communication.
+        """One wco extension round (one ``ExtendSpec`` of the order chain)
+        with pushing communication.
 
         Every tuple is routed through the owners of its back-vertices,
         carrying the shrinking candidate list; transfer bytes are the
@@ -155,13 +133,13 @@ class BigJoinEngine(BaselineEngine):
         k = cluster.num_machines
         graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
-        comp = self._edge_index
+        comp = graph.composite_index()
         probe_ticks = cluster.probe_ticks
         t = cost.ticks
         nv = graph.num_vertices
         bpi = cost.bytes_per_id
-        w = len(back)
-        back_arr = np.asarray(back, dtype=np.int64)
+        arity = len(spec.out_schema) - 1
+        w = len(spec.ext)
         out: list[list[np.ndarray]] = [[] for _ in range(k)]
         wire = np.zeros(k * k, dtype=np.int64)  # bytes per (src, dst) pair
         out_bytes = (arity + 1) * cost.bytes_per_id
@@ -172,7 +150,7 @@ class BigJoinEngine(BaselineEngine):
             nrows = len(rows)
             # count-min: visit the binding with the smallest adjacency
             # first, so the carried candidate list starts minimal [5]
-            bverts = rows[:, back_arr]
+            bverts = rows[:, list(spec.ext)]
             bdeg = self._degrees[bverts]
             ordcols = np.argsort(bdeg, axis=1, kind="stable")
             hop_verts = np.take_along_axis(bverts, ordcols, axis=1)
@@ -181,11 +159,8 @@ class BigJoinEngine(BaselineEngine):
             # candidate shrinking, one hop at a time; carried[i] is the
             # candidate-list length when moving into hop i
             c0 = hop_deg[:, 0]
-            total_c = int(c0.sum())
-            ramp = np.arange(total_c) - np.repeat(np.cumsum(c0) - c0, c0)
-            cand = graph.indices[
-                np.repeat(graph.indptr[hop_verts[:, 0]], c0) + ramp] \
-                if total_c else np.empty(0, dtype=np.int64)
+            _, cand = csr_gather(graph.indptr, graph.indices,
+                                 hop_verts[:, 0])
             counts = c0
             carried = [np.zeros(nrows, dtype=np.int64)]
             for i in range(1, w):
@@ -216,9 +191,10 @@ class BigJoinEngine(BaselineEngine):
             # the depth's symmetry conditions
             row_ids = np.repeat(np.arange(nrows), counts)
             keep = ~(cand[:, None] == rows[row_ids]).any(axis=1)
-            for (pos, greater) in conds:
-                bound = rows[row_ids, pos]
-                keep &= (cand > bound) if greater else (cand < bound)
+            for p in spec.candidate_lt:
+                keep &= cand < rows[row_ids, p]
+            for p in spec.candidate_gt:
+                keep &= cand > rows[row_ids, p]
             kept_ids = row_ids[keep]
             c_row = np.bincount(kept_ids, minlength=nrows)
             here_final = owners_h[:, w - 1] if w else \

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
-from ..core.kernels import edge_composite_index, edge_member
+from ..core.kernels import csr_gather, edge_member
 from ..core.plan.logical import LogicalPlan
 from ..core.plan.plans import rads_plan
 from ..core.stealing import chunked_distribution
@@ -56,7 +56,6 @@ class RadsEngine(BaselineEngine):
             raise ValueError("need at least one region group")
         self.region_groups = region_groups
         graph = cluster.pgraph.graph
-        self._edge_index = edge_composite_index(graph)
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
     def run(self, query: QueryGraph, plan: LogicalPlan | None = None,
@@ -150,7 +149,7 @@ class RadsEngine(BaselineEngine):
         metrics = cluster.metrics
         graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
-        comp = self._edge_index
+        comp = graph.composite_index()
         nv = graph.num_vertices
         root = star.star_root()
         if root not in schema:
@@ -213,16 +212,9 @@ class RadsEngine(BaselineEngine):
             # candidates: the pulled adjacency minus already-matched ids
             prefix = part[ok]
             okidx = np.flatnonzero(ok)
-            cdeg = self._degrees[roots[okidx]]
-            total_c = int(cdeg.sum())
-            ramp = np.arange(total_c) - np.repeat(
-                np.cumsum(cdeg) - cdeg, cdeg)
-            cand = graph.indices[
-                np.repeat(graph.indptr[roots[okidx]], cdeg) + ramp] \
-                if total_c else np.empty(0, dtype=np.int64)
-            row_ids = np.repeat(np.arange(len(okidx)), cdeg)
-            keep = ~(cand[:, None] == prefix[row_ids]).any(axis=1) \
-                if total_c else np.empty(0, dtype=bool)
+            row_ids, cand = csr_gather(graph.indptr, graph.indices,
+                                       roots[okidx])
+            keep = ~(cand[:, None] == prefix[row_ids]).any(axis=1)
             cand = cand[keep]
             counts = np.bincount(row_ids[keep], minlength=len(okidx))
             emitted, _, kept = combo_rows(prefix, cand, counts, nl,

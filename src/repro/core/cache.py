@@ -123,12 +123,15 @@ class LRBUCache:
         """
         return self._data[vid]
 
-    def access_penalty(self, vid: int) -> int:
-        """Ticks charged per :meth:`get` under this variant's ablation."""
+    def access_penalty(self, length):
+        """Ticks charged per :meth:`get` of an entry of ``length``
+        neighbours under this variant's ablation.  A function of the
+        variant and the length alone (an int, or an array of lengths for
+        a whole batch's reads), never of the cache's contents."""
         t = self._cost.ticks
         penalty = 0
         if self._copy:
-            penalty += (len(self._data[vid]) + 1) * t.cache_copy_per_id
+            penalty += (length + 1) * t.cache_copy_per_id
         if self._lock:
             penalty += t.cache_lock
         return penalty
@@ -251,11 +254,14 @@ class LRUCache:
         self._data.move_to_end(vid)
         return self._data[vid]
 
-    def access_penalty(self, vid: int) -> int:
-        """Copy + lock + bookkeeping ticks per access; contention-scaled
-        for the concurrent variant."""
+    def access_penalty(self, length):
+        """Copy + lock + bookkeeping ticks per access of an entry of
+        ``length`` neighbours (an int or an array of lengths — a bounded
+        LRU may have evicted the entry before the batch's charges are
+        summed, so the penalty never reads the stored data);
+        contention-scaled for the concurrent variant."""
         t = self._cost.ticks
-        penalty = (len(self._data[vid]) + 1) * t.cache_copy_per_id
+        penalty = (length + 1) * t.cache_copy_per_id
         lock = t.cache_lock
         if self._concurrent:
             # optimistic concurrent caches still serialise ~order-of-workers

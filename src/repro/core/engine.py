@@ -54,9 +54,11 @@ class EngineConfig(SchedulerConfig):
     """Absolute capacity in vertex-id units; overrides the fraction."""
 
     two_stage: bool | None = None
-    """Force the two-stage fetch/intersect strategy on or off; ``None``
-    follows the cache variant (Cncr-LRU disables it, everything else
-    enables it)."""
+    """PULL-EXTEND's fetch policy: ``True`` is Algorithm 4's one sealed,
+    aggregated fetch per batch, ``False`` one cache access per remote
+    read and one RPC pair per miss; ``None`` follows the cache variant
+    (Cncr-LRU is per-miss, everything else batched).  The intersect
+    stage behind it is the same either way."""
 
     collect_results: bool = False
     """Keep the matched tuples (tests); benchmarks count only."""
@@ -165,6 +167,53 @@ class HugeEngine:
         graph_ids = 2 * g.num_edges + g.num_vertices
         return max(1, int(self.config.cache_capacity_fraction * graph_ids))
 
+    def _context(self, tracer: Tracer | None = None) -> ExecContext:
+        """Fresh per-machine caches and the execution context of one run,
+        with the caches' capacity reserved on the memory ledger."""
+        config = self.config
+        capacity = self._cache_capacity_ids()
+        caches = [
+            make_cache(config.cache_variant, capacity, self.cluster.cost,
+                       workers=self.cluster.workers_per_machine)
+            for _ in range(self.cluster.num_machines)
+        ]
+        two_stage = config.two_stage
+        if two_stage is None:
+            two_stage = caches[0].supports_two_stage
+        ctx = ExecContext(self.cluster, caches, two_stage, config.batch_size,
+                          tracer=tracer)
+        ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
+        return ctx
+
+    def _results(self, ctx: ExecContext, plans, sinks, collects,
+                 trace: Trace | None = None) -> list[EnumerationResult]:
+        """One result per (plan, sink) of a finished run; the ledger
+        report and the cache statistics are the run's, shared by all."""
+        caches = ctx.caches
+        report = ctx.metrics.report()
+        hits = sum(c.stats.hits for c in caches)
+        misses = sum(c.stats.misses for c in caches)
+        hit_rate = hits / (hits + misses) if hits + misses else 0.0
+        fetch_s = self.cluster.cost.ticks_to_seconds(ctx.fetch_ops)
+        overflow = max((c.stats.max_overflow_ids for c in caches), default=0)
+        evictions = sum(c.stats.evictions for c in caches)
+        capacity = self._cache_capacity_ids()
+        return [
+            EnumerationResult(
+                count=sink.count,
+                report=report,
+                plan=plan,
+                fetch_time_s=fetch_s,
+                cache_hit_rate=hit_rate,
+                matches=sink.matches() if collect else None,
+                cache_overflow_ids=overflow,
+                cache_evictions=evictions,
+                cache_capacity_ids=capacity,
+                trace=trace,
+            )
+            for plan, sink, collect in zip(plans, sinks, collects)
+        ]
+
     def run(self, query: QueryGraph | None = None,
             plan: ExecutionPlan | LogicalPlan | None = None,
             reset_metrics: bool = True,
@@ -198,17 +247,7 @@ class HugeEngine:
         tr.bind(self.cluster.metrics)
 
         config = self.config
-        capacity = self._cache_capacity_ids()
-        caches = [
-            make_cache(config.cache_variant, capacity, self.cluster.cost,
-                       workers=self.cluster.workers_per_machine)
-            for _ in range(self.cluster.num_machines)
-        ]
-        two_stage = config.two_stage
-        if two_stage is None:
-            two_stage = caches[0].supports_two_stage
-        ctx = ExecContext(self.cluster, caches, two_stage, config.batch_size,
-                          tracer=tr)
+        ctx = self._context(tr)
         for si, seg in enumerate(segment.all_segments()):
             ctx.seg_ids[id(seg)] = si
         if tr.enabled:
@@ -233,7 +272,6 @@ class HugeEngine:
                         {"wall_s": wall1 - wall0})
             tr.complete("translate", ENGINE, t, t,
                         {"wall_s": wall2 - wall1})
-        ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
 
         sink = SinkConsumer(segment.out_schema, collect=config.collect_results)
         t_exec = tr.now(ENGINE) if tr.enabled else 0.0
@@ -247,22 +285,9 @@ class HugeEngine:
             tr.complete("execute", ENGINE, t_exec, tr.now(ENGINE),
                         {"wall_s": time.perf_counter() - wall2})
 
-        report = ctx.metrics.report()
-        hits = sum(c.stats.hits for c in caches)
-        misses = sum(c.stats.misses for c in caches)
-        return EnumerationResult(
-            count=sink.count,
-            report=report,
-            plan=exec_plan,
-            fetch_time_s=self.cluster.cost.ticks_to_seconds(ctx.fetch_ops),
-            cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-            matches=sink.matches() if config.collect_results else None,
-            cache_overflow_ids=max(
-                (c.stats.max_overflow_ids for c in caches), default=0),
-            cache_evictions=sum(c.stats.evictions for c in caches),
-            cache_capacity_ids=capacity,
-            trace=tr.trace if tr.enabled else None,
-        )
+        return self._results(ctx, [exec_plan], [sink],
+                             [config.collect_results],
+                             trace=tr.trace if tr.enabled else None)[0]
 
     def run_shared(self, plans: list[ExecutionPlan],
                    collects: list[bool] | None = None,
@@ -315,19 +340,7 @@ class HugeEngine:
         if reset_metrics:
             self.cluster.reset_metrics()
 
-        config = self.config
-        capacity = self._cache_capacity_ids()
-        caches = [
-            make_cache(config.cache_variant, capacity, self.cluster.cost,
-                       workers=self.cluster.workers_per_machine)
-            for _ in range(self.cluster.num_machines)
-        ]
-        two_stage = config.two_stage
-        if two_stage is None:
-            two_stage = caches[0].supports_two_stage
-        ctx = ExecContext(self.cluster, caches, two_stage, config.batch_size)
-        ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
-
+        ctx = self._context()
         base = segments[0]
         prefix = Segment(source=base.source,
                          extends=list(base.extends[:shared - 1]))
@@ -339,27 +352,6 @@ class HugeEngine:
         ]
         sinks = [SinkConsumer(seg.out_schema, collect=collect)
                  for seg, collect in zip(segments, collects)]
-        run_shared_chains(ctx, config, prefix, suffixes, sinks)
+        run_shared_chains(ctx, self.config, prefix, suffixes, sinks)
         ctx.metrics.check_time()
-
-        report = ctx.metrics.report()
-        hits = sum(c.stats.hits for c in caches)
-        misses = sum(c.stats.misses for c in caches)
-        hit_rate = hits / (hits + misses) if hits + misses else 0.0
-        fetch_s = self.cluster.cost.ticks_to_seconds(ctx.fetch_ops)
-        overflow = max((c.stats.max_overflow_ids for c in caches), default=0)
-        evictions = sum(c.stats.evictions for c in caches)
-        return [
-            EnumerationResult(
-                count=sink.count,
-                report=report,
-                plan=plan,
-                fetch_time_s=fetch_s,
-                cache_hit_rate=hit_rate,
-                matches=sink.matches() if collect else None,
-                cache_overflow_ids=overflow,
-                cache_evictions=evictions,
-                cache_capacity_ids=capacity,
-            )
-            for plan, sink, collect in zip(plans, sinks, collects)
-        ]
+        return self._results(ctx, plans, sinks, collects)

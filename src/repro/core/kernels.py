@@ -15,9 +15,11 @@ holds the array programs themselves:
   membership tests with one ``searchsorted``.
 * :func:`csr_gather` / :func:`fused_extend_candidates` /
   :func:`fused_verify_mask` — PULL-EXTEND's gather → membership → filter
-  chain with a single compaction.
-* :func:`join_pairs` / :func:`chunk_charges` — grouped-argsort hash-join
-  matching, and the tick charge of each output chunk of a probe loop.
+  chain with a single compaction; :func:`extend_step` is the whole step
+  for one ``ExtendSpec`` (by-length sort, then the fused pass).
+* :func:`join_pairs` / :func:`join_rows` / :func:`chunk_charges` —
+  grouped-argsort hash-join matching, the filtered output rows, and the
+  tick charge of each output chunk of a probe loop.
 * :func:`adjacency_bitsets` / :func:`induced_bitrows` — the motif
   census's bitset encoding.
 """
@@ -35,12 +37,14 @@ __all__ = [
     "edge_composite_index",
     "edge_member",
     "edge_member_rows",
+    "extend_step",
     "fused_extend_candidates",
     "fused_verify_mask",
     "hash_destinations",
     "induced_bitrows",
     "intersect_sorted",
     "join_pairs",
+    "join_rows",
 ]
 
 # -- shuffle routing ------------------------------------------------------------
@@ -197,6 +201,37 @@ def fused_extend_candidates(indptr: np.ndarray, indices: np.ndarray,
     return cand, row_ids, np.bincount(row_ids, minlength=n)
 
 
+def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
+                lt: Sequence[int], gt: Sequence[int],
+                labels: np.ndarray | None = None,
+                new_label: int | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One PULL-EXTEND step of an :class:`~repro.core.dataflow.ExtendSpec`
+    (its ``ext`` / ``candidate_lt`` / ``candidate_gt`` / ``new_label``)
+    over a block of partial matches.
+
+    Each row's extend vertices ``rows[:, ext]`` are put smallest
+    adjacency list first (a stable sort, so equal lengths keep ``ext``
+    order) and the block goes through :func:`fused_extend_candidates`.
+    Returns its ``(cand, row_ids, counts)`` plus the ``(n, |ext|)``
+    adjacency lengths in that sorted order — column 0 is the list the
+    candidates were gathered from, the rest are the lists probed, which
+    is what the intersection cost formula reads.  The engine's operator,
+    the delta pass and the sampling estimator all extend through here.
+    """
+    indptr = graph.indptr
+    verts = rows[:, list(ext)]
+    lens = indptr[verts + 1] - indptr[verts]
+    if len(ext) > 1:
+        by_len = lens.argsort(axis=1, kind="stable")
+        row = np.arange(len(rows))[:, None]
+        verts, lens = verts[row, by_len], lens[row, by_len]
+    cand, row_ids, counts = fused_extend_candidates(
+        indptr, graph.indices, graph.composite_index(), graph.num_vertices,
+        rows, verts, lt, gt, labels, new_label)
+    return cand, row_ids, counts, lens
+
+
 def adjacency_bitsets(graph) -> list[int]:
     """Per-vertex neighbour bitmasks as arbitrary-precision python ints.
 
@@ -268,6 +303,35 @@ def join_pairs(build: np.ndarray, probe: np.ndarray,
         np.cumsum(per_probe) - per_probe, per_probe)
     build_idx = build_order[np.repeat(offsets[probe_gid], per_probe) + ramp]
     return build_idx, probe_idx
+
+
+def join_rows(build: np.ndarray, probe: np.ndarray,
+              build_key: tuple[int, ...], probe_key: tuple[int, ...],
+              build_left: bool, right_carry: Sequence[int],
+              distinct: Sequence[tuple[int, int]],
+              conditions: Sequence[tuple[int, int]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """One machine's local hash join, output rows included.
+
+    All key matches in :func:`join_pairs` order, each written left row
+    then the right row's ``right_carry`` columns (``build_left`` says
+    which side the build rows are), keeping a row only if its
+    ``distinct`` position pairs differ (injectivity across the sides)
+    and every ``conditions`` pair ``(i, j)`` has ``row[i] < row[j]``.
+    Returns the emitted rows and the per-probe-row emit counts the
+    chunked charges need — PUSH-JOIN and the baselines' relation join
+    are this one program.
+    """
+    build_idx, probe_idx = join_pairs(build, probe, build_key, probe_key)
+    brows, prows = build[build_idx], probe[probe_idx]
+    lf, rf = (brows, prows) if build_left else (prows, brows)
+    joined = np.concatenate((lf, rf[:, list(right_carry)]), axis=1)
+    keep = np.ones(len(joined), dtype=bool)
+    for i, j in distinct:
+        keep &= joined[:, i] != joined[:, j]
+    for i, j in conditions:
+        keep &= joined[:, i] < joined[:, j]
+    return joined[keep], np.bincount(probe_idx[keep], minlength=len(probe))
 
 
 # -- per-chunk probe charges ------------------------------------------------------

@@ -6,20 +6,22 @@ intersected and filtered exactly — while compute ops, RPC bytes/messages
 and memory are charged to the metrics ledger.
 
 Batches are columnar (:class:`~repro.core.batch.Batch`: a 2-D ``int64``
-array of partial matches).  The per-candidate work — distinctness,
-symmetry masks, label filters, emission — runs as vectorised array
-operations; only genuinely stateful steps (cache reads, per-row
-intersections against adjacency lists) keep a per-row loop.  Charges are
-integer ticks (:mod:`repro.cluster.cost`): a batch's cost is its counts
-times tick weights, the same total whichever path computed it.
+array of partial matches).  The per-candidate work — intersections,
+distinctness, symmetry masks, label filters, emission — runs as
+vectorised array operations; only the genuinely stateful step (the
+cache's fetch stage) keeps a per-vertex loop.  Charges are integer ticks
+(:mod:`repro.cluster.cost`): a batch's cost is its counts times tick
+weights.
 
 ``PULL-EXTEND`` implements the two-stage execution strategy of Algorithm 4:
 a *fetch* stage that collects the batch's remote vertices, seals cached
 ones and pulls the misses with one aggregated ``GetNbrs`` RPC per owner,
-then an *intersect* stage that runs the multiway intersections against
-local adjacency and sealed cache entries (zero-copy reads).  Setting
-``two_stage=False`` (the Cncr-LRU ablation) degrades to per-miss RPCs
-issued from inside the intersect loop.
+then an *intersect* stage that runs the multiway intersections as one
+columnar pass (:func:`~repro.core.kernels.extend_step`).  The split exists
+so that the cache policy never touches the intersection: setting
+``two_stage=False`` (the Cncr-LRU ablation) swaps the fetch stage for a
+per-miss policy — one cache access per remote read, one RPC pair per
+miss — in front of the same intersect stage.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from ..obs.trace import NULL_TRACER
 from .batch import Batch
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
-from .kernels import (chunk_charges, edge_composite_index,
-                      fused_extend_candidates, fused_verify_mask,
-                      hash_destinations, intersect_sorted, join_pairs)
+from .kernels import (chunk_charges, extend_step, fused_verify_mask,
+                      hash_destinations, join_rows)
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
            "join_stream", "Batch", "Tuple"]
@@ -68,32 +69,12 @@ class ExecContext:
         self.cost = cluster.cost
         #: per-vertex labels of the data graph (None for unlabelled)
         self.labels = cluster.labels
-        self._edge_index: np.ndarray | None = None
         #: total ticks spent in fetch stages (Table 5's t_f)
         self.fetch_ops = 0
         #: span tracer (the no-op tracer unless the run is being traced)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: segment identity -> index, for stable operator ids in traces
         self.seg_ids: dict[int, int] = {}
-
-    def release_caches(self) -> None:
-        """Release all sealed cache entries (end of batch, Algorithm 4 l.20)."""
-        for cache in self.caches:
-            cache.release()
-
-    def edge_index(self) -> np.ndarray:
-        """Sorted composite edge keys ``u * n + v`` of the whole data graph.
-
-        Because CSR stores neighbours grouped by ascending ``u`` with each
-        adjacency sorted, the composite array is globally sorted as built —
-        one binary search answers "is ``v`` adjacent to ``u``" for any pair,
-        which lets the intersect stage test all candidate memberships of a
-        batch with a single vectorised ``searchsorted``.
-        """
-        if self._edge_index is None:
-            self._edge_index = edge_composite_index(
-                self.cluster.pgraph.graph)
-        return self._edge_index
 
 
 class ScanOp:
@@ -159,7 +140,8 @@ class ScanOp:
 
 
 class ExtendOp:
-    """PULL-EXTEND (Algorithm 4): two-stage fetch + intersect."""
+    """PULL-EXTEND (Algorithm 4): a fetch stage (batched, or per miss),
+    then one columnar intersect stage."""
 
     def __init__(self, spec: ExtendSpec, ctx: ExecContext, opid: str = ""):
         self.spec = spec
@@ -169,24 +151,22 @@ class ExtendOp:
 
     # -- fetch stage --------------------------------------------------------------
 
-    def _fetch(self, machine: int, rows: np.ndarray) -> None:
+    # Both fetch policies take ``reads``: the batch's remote extend
+    # vertices, one entry per read, row-major over the extend columns.  Its
+    # order drives seal/fetch/insert order and therefore which entries the
+    # cache evicts, so it is part of the model.
+
+    def _fetch(self, machine: int, reads: np.ndarray) -> None:
         """Collect the batch's remote extend vertices, seal hits, pull the
         misses with one aggregated RPC per owner, insert + seal them."""
         ctx = self.ctx
-        pg = ctx.cluster.pgraph
         cache = ctx.caches[machine]
         tracer = ctx.tracer
         if tracer.enabled:
             t0 = tracer.now(machine)
             evictions0 = cache.stats.evictions
             overflow0 = cache.stats.max_overflow_ids
-        # row-major over the extend columns: the set's iteration order
-        # drives seal/fetch order and therefore which entries the cache
-        # evicts, so the insertion sequence is part of the model
-        seq = rows[:, list(self.spec.ext)].ravel()
-        if len(seq):
-            seq = seq[pg.owner[seq] != machine]
-        remote: set[int] = set(seq.tolist())
+        remote: set[int] = set(reads.tolist())
         fetch: list[int] = []
         hits = 0
         for u in remote:
@@ -200,6 +180,12 @@ class ExtendOp:
             for u, nbrs in fetched.items():
                 cache.insert(u, nbrs)
                 cache.seal(u)
+        for u in remote:
+            if not cache.contains(u):
+                # the intersect stage reads these entries in place; one
+                # missing now was evicted mid-batch, which sealing forbids
+                raise AssertionError(
+                    f"vertex {u} missing from cache during intersect stage")
         cache.stats.count(hits=hits, misses=len(fetch))
         ops = (len(remote) * _FETCH_SEAL_TICKS
                + sum(1 + len(ctx.cluster.pgraph.graph.neighbours(u))
@@ -220,36 +206,27 @@ class ExtendOp:
                 tracer.instant("cache overflow", machine,
                                {"ids": cache.stats.max_overflow_ids})
 
-    # -- intersect stage ------------------------------------------------------------
-
-    def _neighbour_list(self, machine: int, u: int,
-                        penalties: list[int]) -> np.ndarray | None:
-        """Adjacency of ``u``: local partition read, sealed cache read, or
-        (two-stage disabled) an on-demand per-miss RPC."""
+    def _fetch_per_miss(self, machine: int, reads: np.ndarray) -> None:
+        """The per-miss fetch policy (``two_stage=False``; Table 5's
+        Cncr-LRU): every remote read is its own cache access, in the order
+        a tuple-at-a-time loop issues them.  A hit refreshes the entry's
+        recency; a miss pulls that one vertex with its own RPC pair and
+        inserts it, evicting as the variant dictates.  There is no
+        aggregation and no seal/release bracket around the batch, so
+        hits, misses, LRU order and evictions are modelled access by
+        access."""
         ctx = self.ctx
-        pg = ctx.cluster.pgraph
-        if pg.owner_of(u) == machine:
-            return pg.neighbours_local(u, machine)
         cache = ctx.caches[machine]
-        if cache.contains(u):
-            nbrs = cache.get(u)
-            penalties.append(cache.access_penalty(u))
-            if not ctx.two_stage:
-                # under two-stage execution the fetch stage already counted
-                # this vertex; only per-miss mode counts intersect reads
-                cache.stats.count(hits=1)
-            return nbrs
-        if ctx.two_stage:
-            # the fetch stage guarantees presence; reaching here means the
-            # entry was evicted mid-batch, which LRBU sealing forbids
-            raise AssertionError(
-                f"vertex {u} missing from cache during intersect stage")
-        fetched = ctx.cluster.get_nbrs(machine, [u])
-        nbrs = fetched[u]
-        cache.insert(u, nbrs)
-        penalties.append(cache.access_penalty(u))
-        cache.stats.count(misses=1)
-        return nbrs
+        hits = misses = 0
+        for u in reads.tolist():
+            if cache.contains(u):
+                hits += 1
+            else:
+                cache.insert(u, ctx.cluster.get_nbrs(machine, [u])[u])
+                misses += 1
+        cache.stats.count(hits=hits, misses=misses)
+
+    # -- intersect stage ------------------------------------------------------------
 
     def process(self, machine: int, batch,
                 count_only: bool = False) -> tuple[Batch, np.ndarray, int]:
@@ -260,155 +237,45 @@ class ExtendOp:
         the final operator before the SINK) valid extensions are counted
         without materialising rows — only the count is returned.
 
-        Under two-stage execution the intersect stage is fully columnar
-        (:meth:`_process_vector`); per-miss mode keeps the row-at-a-time
-        path because each cache access there has per-access side effects
-        (hit counting, insert-order-dependent eviction) that are part of
-        the modelled behaviour.
+        ``two_stage`` selects the fetch policy and nothing else: the
+        intersect stage never touches the cache, so it is the same
+        columnar pass behind either.
         """
         ctx = self.ctx
-        spec = self.spec
-        in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
-        batch = Batch.coerce(batch, in_arity)
-        rows = batch.rows
-        if ctx.two_stage:
-            self._fetch(machine, rows)
-            out, item_costs, counted = self._process_vector(
-                machine, rows, count_only)
-            ctx.caches[machine].release()
-            return out, item_costs, counted
-        return self._process_rowwise(machine, rows, count_only)
-
-    def _process_rowwise(self, machine: int, rows: np.ndarray,
-                         count_only: bool) -> tuple[Batch, np.ndarray, int]:
-        """Tuple-at-a-time intersect stage (per-miss cache mode)."""
-        ctx = self.ctx
-        cost = ctx.cost
-        emit_op = cost.ticks.emit
-        probe_ticks = ctx.cluster.probe_ticks
-        spec = self.spec
-        in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
-        n = len(rows)
-        counted = 0
-        item_costs: list[int] = []
-        ext = spec.ext
-        labels = ctx.labels
-        emit_step = emit_op if count_only else (in_arity + 1) * emit_op
-        keep_rows: list[int] = []       # verify: surviving row indices
-        ext_counts = np.zeros(n, dtype=np.int64)
-        ext_parts: list[np.ndarray] = []
-        lt = spec.candidate_lt
-        gt = spec.candidate_gt
-        for i in range(n):
-            penalties: list[int] = []
-            lists: list[np.ndarray] = []
-            for d in ext:
-                nbrs = self._neighbour_list(machine, int(rows[i, d]),
-                                            penalties)
-                lists.append(nbrs)
-            lists.sort(key=len)
-            cand = lists[0]
-            for other in lists[1:]:
-                if len(cand) == 0:
-                    break
-                cand = intersect_sorted(cand, other)
-            ops = cost.intersection_ops([len(l) for l in lists],
-                                        probe_ticks) + sum(penalties)
-            if (spec.new_label is not None and labels is not None
-                    and len(cand)):
-                cand = cand[labels[cand] == spec.new_label]
-
-            if spec.is_verify:
-                target = rows[i, spec.verify_pos]
-                j = int(np.searchsorted(cand, target))
-                if j < len(cand) and cand[j] == target:
-                    if count_only:
-                        counted += 1
-                        ops += emit_op
-                    else:
-                        keep_rows.append(i)
-                        ops += in_arity * emit_op
-            elif len(cand):
-                # vectorised distinctness + symmetry masks replacing the
-                # per-candidate `v in f` / any() scans
-                keep = ~(cand[:, None] == rows[i][None, :]).any(axis=1)
-                for p in lt:
-                    keep &= cand < rows[i, p]
-                for p in gt:
-                    keep &= cand > rows[i, p]
-                kept = cand[keep]
-                c = len(kept)
-                if c:
-                    if count_only:
-                        counted += c
-                    else:
-                        ext_counts[i] = c
-                        ext_parts.append(kept)
-                    ops += c * emit_step
-            item_costs.append(ops)
-
-        if spec.is_verify:
-            out = Batch(rows[keep_rows]) if keep_rows else Batch.empty(
-                self.out_arity)
-        elif ext_parts:
-            rep = np.repeat(np.arange(n), ext_counts)
-            out = Batch(np.column_stack(
-                (rows[rep], np.concatenate(ext_parts))))
-        else:
-            out = Batch.empty(self.out_arity)
-        return out, np.asarray(item_costs, dtype=np.int64), counted
-
-    def _intersect_base_costs(self, machine: int,
-                              rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-row intersection base costs and extend-vertex table.
-
-        Returns ``(verts, lens, order, base)`` where ``verts`` is the
-        ``(n, W)`` extend-vertex matrix, ``lens`` the adjacency lengths,
-        ``order`` the stable by-length sort order of each row's lists and
-        ``base`` the per-row ticks (multiway-intersection cost as
-        :meth:`~repro.cluster.cost.CostModel.intersection_ops` computes
-        it, plus cache access penalties).
-        """
-        ctx = self.ctx
-        cost = ctx.cost
-        pg = ctx.cluster.pgraph
-        g = pg.graph
-        cache = ctx.caches[machine]
-        n = len(rows)
-        W = len(self.spec.ext)
+        in_arity = (self.out_arity if self.spec.is_verify
+                    else self.out_arity - 1)
+        rows = Batch.coerce(batch, in_arity).rows
         verts = rows[:, list(self.spec.ext)]
-        uniq, inv = np.unique(verts, return_inverse=True)
-        inv = inv.reshape(n, W)
-        pen_u = np.zeros(len(uniq), dtype=np.int64)
-        for j in np.flatnonzero(pg.owner[uniq] != machine).tolist():
-            u = int(uniq[j])
-            if not cache.contains(u):
-                # the fetch stage guarantees presence; a miss here means
-                # the entry was evicted mid-batch, which sealing forbids
-                raise AssertionError(
-                    f"vertex {u} missing from cache during intersect stage")
-            pen_u[j] = cache.access_penalty(u)
-        deg_u = g.indptr[uniq + 1] - g.indptr[uniq]
-        lens = deg_u[inv]
-        order = np.argsort(lens, axis=1, kind="stable")
-        lens_sorted = np.take_along_axis(lens, order, axis=1)
-        probes = ctx.cluster.probe_ticks[lens_sorted[:, 1:]].sum(axis=1)
-        base = (lens_sorted[:, 0] * (cost.ticks.intersect + probes)
-                + pen_u[inv].sum(axis=1))
-        return verts, lens, order, base
+        remote = ctx.cluster.pgraph.owner[verts] != machine
+        if not ctx.two_stage:
+            self._fetch_per_miss(machine, verts[remote])
+            return self._process_vector(machine, rows, verts, remote,
+                                        count_only)
+        self._fetch(machine, verts[remote])
+        result = self._process_vector(machine, rows, verts, remote,
+                                      count_only)
+        ctx.caches[machine].release()
+        return result
 
     def _process_vector(self, machine: int, rows: np.ndarray,
+                        verts: np.ndarray, remote: np.ndarray,
                         count_only: bool) -> tuple[Batch, np.ndarray, int]:
-        """Columnar intersect stage (two-stage execution).
+        """Columnar intersect stage over ``rows``; ``verts`` is their
+        extend-vertex block ``rows[:, ext]`` and ``remote`` marks its
+        cells owned by another machine.
 
         Candidate sets are gathered straight from the global CSR (cached
         remote adjacency is the same data by construction) and the whole
-        fetch/intersect chain runs as one fused kernel pass — every
-        membership test of the batch collapses into a single
-        ``searchsorted`` against the composite edge index.
+        intersect chain runs as one fused kernel pass — every membership
+        test of the batch collapses into a single ``searchsorted`` against
+        the composite edge index.  A row costs its multiway intersection
+        (as :meth:`~repro.cluster.cost.CostModel.intersection_ops`
+        computes it: the smallest list scanned, every other list probed
+        once per element), one cache access penalty per remote read, and
+        its emits.
         """
         ctx = self.ctx
-        emit_op = ctx.cost.ticks.emit
+        t = ctx.cost.ticks
         spec = self.spec
         g = ctx.cluster.pgraph.graph
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
@@ -416,33 +283,33 @@ class ExtendOp:
         if n == 0:
             return Batch.empty(self.out_arity), np.zeros(0, np.int64), 0
         labels = ctx.labels
-        verts, lens, order, base = self._intersect_base_costs(machine, rows)
+        lens = g.indptr[verts + 1] - g.indptr[verts]
+        penalties = np.where(
+            remote, ctx.caches[machine].access_penalty(lens), 0).sum(axis=1)
 
+        empty = Batch.empty(self.out_arity)
         if spec.is_verify:
-            targets = rows[:, spec.verify_pos]
-            found = fused_verify_mask(ctx.edge_index(), g.num_vertices,
-                                      verts, targets, labels, spec.new_label)
+            lens = np.sort(lens, axis=1)
+            found = fused_verify_mask(g.composite_index(), g.num_vertices,
+                                      verts, rows[:, spec.verify_pos],
+                                      labels, spec.new_label)
+            emits = found * (1 if count_only else in_arity)
             counted = int(found.sum()) if count_only else 0
-            step = emit_op if count_only else in_arity * emit_op
-            item_costs = base + found * step
-            out = (Batch.empty(self.out_arity) if count_only
-                   else Batch(rows[found]))
-            return out, item_costs, counted
-
-        cand, row_ids, counts = fused_extend_candidates(
-            g.indptr, g.indices, ctx.edge_index(), g.num_vertices, rows,
-            np.take_along_axis(verts, order, axis=1),
-            spec.candidate_lt, spec.candidate_gt, labels, spec.new_label)
-
-        emit_step = emit_op if count_only else (in_arity + 1) * emit_op
-        item_costs = base + counts * emit_step
-        if count_only:
-            return Batch.empty(self.out_arity), item_costs, int(len(cand))
-        if len(cand):
-            out = Batch(np.column_stack((rows[row_ids], cand)))
+            out = empty if count_only else Batch(rows[found])
         else:
-            out = Batch.empty(self.out_arity)
-        return out, item_costs, 0
+            cand, row_ids, emits, lens = extend_step(
+                g, rows, spec.ext, spec.candidate_lt, spec.candidate_gt,
+                labels, spec.new_label)
+            counted = len(cand) if count_only else 0
+            out = empty
+            if not count_only:
+                emits = emits * (in_arity + 1)
+                if len(cand):
+                    out = Batch(np.column_stack((rows[row_ids], cand)))
+        probes = ctx.cluster.probe_ticks[lens[:, 1:]].sum(axis=1)
+        item_costs = (lens[:, 0] * (t.intersect + probes) + penalties
+                      + emits * t.emit)
+        return out, item_costs, counted
 
 
 class SinkConsumer:
@@ -495,7 +362,6 @@ class JoinBuffer:
         self.buffer_tuples = buffer_tuples
         k = ctx.cluster.num_machines
         self._parts: list[list[np.ndarray]] = [[] for _ in range(k)]
-        self._counts = [0] * k
         self._in_memory = [0] * k
         self.total = 0
 
@@ -512,10 +378,6 @@ class JoinBuffer:
         if len(parts) > 1:
             self._parts[machine] = parts = [np.concatenate(parts)]
         return parts[0]
-
-    def tuples_on(self, machine: int) -> int:
-        """Number of rows buffered on ``machine``."""
-        return self._counts[machine]
 
     def consume(self, machine: int, batch) -> None:
         """Shuffle one batch into the per-machine buffers."""
@@ -535,7 +397,6 @@ class JoinBuffer:
             part = rows[mask]
             n = len(part)
             self._parts[dest].append(part)
-            self._counts[dest] += n
             traced = tracer.enabled and dest != machine
             if traced:
                 t0 = tracer.now(dest)
@@ -562,7 +423,6 @@ class JoinBuffer:
             machine, self._in_memory[machine] * self.arity * cost.bytes_per_id)
         self._in_memory[machine] = 0
         self._parts[machine] = []
-        self._counts[machine] = 0
 
 
 def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
@@ -589,7 +449,7 @@ def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
 def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
                        right: JoinBuffer, machine: int, batch_size: int,
                        opid: str = ""):
-    cost = ctx.cost
+    t = ctx.cost.ticks
     tracer = ctx.tracer
     lrows = left.rows_for(machine)
     rrows = right.rows_for(machine)
@@ -600,30 +460,18 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
 
     if tracer.enabled:
         t_seg = tracer.now(machine)
-    build_idx, probe_idx = join_pairs(build, probe, build_key, probe_key)
-    t = cost.ticks
     ctx.metrics.charge_ops(machine, len(build) * t.hash_build)
     if tracer.enabled:
         tracer.complete("build", machine, t_seg, tracer.now(machine),
                         {"op": opid, "tuples": len(build)})
         t_seg = tracer.now(machine)
 
-    out_arity = len(spec.out_schema)
-    brows = build[build_idx]
-    prows = probe[probe_idx]
-    lf, rf = (brows, prows) if build_left else (prows, brows)
-    joined = np.concatenate((lf, rf[:, list(spec.right_carry)]), axis=1)
-    keep = np.ones(len(joined), dtype=bool)
-    for i, j in spec.cross_distinct:
-        keep &= joined[:, i] != joined[:, j]
-    for i, j in spec.cross_conditions:
-        keep &= joined[:, i] < joined[:, j]
-    emitted = joined[keep]
-    emit_per_probe = np.bincount(probe_idx[keep], minlength=len(probe))
+    emitted, emit_per_probe = join_rows(
+        build, probe, build_key, probe_key, build_left, spec.right_carry,
+        spec.cross_distinct, spec.cross_conditions)
     total = len(emitted)
-
-    charges = chunk_charges(emit_per_probe, total, batch_size,
-                            t.hash_probe, out_arity * t.emit)
+    charges = chunk_charges(emit_per_probe, total, batch_size, t.hash_probe,
+                            len(spec.out_schema) * t.emit)
     num_full = total // batch_size
     for c in range(num_full):
         ctx.metrics.charge_ops(machine, charges[c])

@@ -8,7 +8,7 @@ from .optimiser import COST_STRATEGIES, Optimiser, optimal_plan
 from .plans import (benu_plan, dfs_order, emptyheaded_plan, graphflow_plan,
                     greedy_order, rads_plan, seed_plan, starjoin_plan,
                     vertex_order_plan, wco_plan)
-from .translate import translate
+from .translate import order_chain, translate
 
 __all__ = [
     "LogicalPlan",
@@ -34,4 +34,5 @@ __all__ = [
     "vertex_order_plan",
     "wco_plan",
     "translate",
+    "order_chain",
 ]

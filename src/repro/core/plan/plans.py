@@ -22,6 +22,8 @@ GraphFlow      hybrid (sequential)        bushy
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ...cluster.errors import PlanError
 from ...query.decompose import SubQuery
 from ...query.estimate import CardinalityEstimator
@@ -78,11 +80,13 @@ def vertex_order_plan(query: QueryGraph, order: list[int],
     return LogicalPlan(query, node, name=name)
 
 
-def greedy_order(query: QueryGraph) -> list[int]:
-    """Max-back-degree connected order starting from a max-degree edge."""
-    start = max(query.vertices(), key=query.degree)
-    order = [start]
-    seen = {start}
+def greedy_order(query: QueryGraph, start: Sequence[int] = ()) -> list[int]:
+    """Max-back-degree connected order: each next vertex has the most
+    already-placed neighbours, then the highest degree, then the lowest
+    id.  Begins with ``start`` (a connected prefix, e.g. the query edge a
+    delta plan pins) or, by default, at a max-degree vertex."""
+    order = list(start) or [max(query.vertices(), key=query.degree)]
+    seen = set(order)
     while len(order) < query.num_vertices:
         nxt = max(
             (v for v in query.vertices() if v not in seen

@@ -14,9 +14,16 @@ rewritten into ``PULL-EXTEND`` chains exactly as §5.2 prescribes:
 Symmetry-breaking conditions are attached to the earliest operator whose
 output schema contains both endpoints, and injectivity checks to joins
 (extends check candidates against the whole tuple natively).
+
+:func:`order_chain` compiles the simplest plan shape — one vertex at a
+time along a matching order — straight to its ``SCAN`` + ``PULL-EXTEND``
+chain.  It is what BiGJoin, BENU and the streaming delta pass execute
+(Remark 3.2: they differ in the order, not in the chain).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from ...cluster.errors import PlanError
 from ...query.pattern import QueryGraph
@@ -24,9 +31,24 @@ from ...query.symmetry import PartialOrder
 from ..dataflow import ExtendSpec, JoinSpec, ScanSpec, Segment
 from .physical import CommMode, ExecutionPlan, JoinAlgorithm, PhysicalNode
 
-__all__ = ["translate"]
+__all__ = ["translate", "order_chain"]
 
 Applied = frozenset[tuple[int, int]]
+
+
+def _scan(a: int, b: int, conditions: PartialOrder,
+          applied: set[tuple[int, int]], query: QueryGraph) -> ScanSpec:
+    """Build the edge scan of query edge ``(a, b)``, attaching the
+    condition between its endpoints (if any) and their labels."""
+    order = None
+    if (a, b) in conditions:
+        order = "lt"
+        applied.add((a, b))
+    elif (b, a) in conditions:
+        order = "gt"
+        applied.add((b, a))
+    return ScanSpec(schema=(a, b), order=order,
+                    labels=(query.label(a), query.label(b)))
 
 
 def _extend(schema: tuple[int, ...], ext: tuple[int, ...], new_vertex: int,
@@ -51,6 +73,41 @@ def _extend(schema: tuple[int, ...], ext: tuple[int, ...], new_vertex: int,
                       new_label=query.label(new_vertex))
 
 
+def order_chain(query: QueryGraph, order: Sequence[int],
+                conditions: PartialOrder
+                ) -> tuple[ScanSpec, tuple[ExtendSpec, ...]]:
+    """The ``SCAN`` + ``PULL-EXTEND`` chain matching ``query`` one vertex
+    at a time along ``order``.
+
+    Column ``i`` of every row holds the match of ``order[i]``: the scan
+    emits the query edge ``(order[0], order[1])`` and extend ``i - 2``
+    appends ``order[i]``, intersecting the adjacency of all its earlier
+    pattern neighbours (``ext``, in ascending column position).  Each
+    condition of ``conditions`` is applied exactly once, where its later
+    endpoint is placed — on the scan (``order``) or as a
+    ``candidate_lt`` / ``candidate_gt`` position — and labels ride on the
+    operator that places their vertex.
+    """
+    order = tuple(order)
+    if sorted(order) != list(query.vertices()) or len(order) < 2:
+        raise PlanError(f"{order} is not a matching order of "
+                        f"{query.num_vertices} >= 2 query vertices")
+    if order[1] not in query.neighbours(order[0]):
+        raise PlanError(f"order {order} does not start with a query edge")
+    applied: set[tuple[int, int]] = set()
+    scan = _scan(order[0], order[1], conditions, applied, query)
+    schema = scan.schema
+    extends: list[ExtendSpec] = []
+    for v in order[2:]:
+        ext = tuple(i for i, u in enumerate(schema)
+                    if u in query.neighbours(v))
+        if not ext:
+            raise PlanError(f"order {order} is not connected at {v}")
+        extends.append(_extend(schema, ext, v, conditions, applied, query))
+        schema = extends[-1].out_schema
+    return scan, tuple(extends)
+
+
 def _verify(schema: tuple[int, ...], leaves: list[int],
             root: int) -> ExtendSpec:
     """Build a §5.2 verification extend for star edges root—leaves."""
@@ -67,17 +124,7 @@ def _leaf_segment(node: PhysicalNode, conditions: PartialOrder,
     sub = node.sub
     root = sub.star_root()
     leaves = sorted(sub.vertices - {root})
-    first = leaves[0]
-    order = None
-    if (root, first) in conditions:
-        order = "lt"
-        applied.add((root, first))
-    elif (first, root) in conditions:
-        order = "gt"
-        applied.add((first, root))
-    seg = Segment(source=ScanSpec(
-        schema=(root, first), order=order,
-        labels=(query.label(root), query.label(first))))
+    seg = Segment(source=_scan(root, leaves[0], conditions, applied, query))
     schema = seg.out_schema
     for leaf in leaves[1:]:
         spec = _extend(schema, (schema.index(root),), leaf, conditions,

@@ -213,8 +213,7 @@ def run_shared_chains(ctx: ExecContext, config: SchedulerConfig,
         _ChainRunner(ctx, config, prefix, tee).run()
         total = tee.total
         for suffix, consumer in zip(suffixes, consumers):
-            _ChainRunner.for_join(ctx, config, suffix, consumer,
-                                  tee.replay()).run()
+            _ChainRunner(ctx, config, suffix, consumer, tee.replay()).run()
     finally:
         tee.release()
     return total
@@ -239,19 +238,24 @@ class _ChainRunner:
     """Algorithm 5 over one segment's linear chain of operators."""
 
     def __init__(self, ctx: ExecContext, config: SchedulerConfig,
-                 segment: Segment, consumer: SinkConsumer | JoinBuffer):
+                 segment: Segment, consumer: SinkConsumer | JoinBuffer,
+                 feed: "_JoinFeed | _ReplayFeed | None" = None):
+        """``feed`` is the chain's source when it is not the segment's own
+        edge SCAN: a PUSH-JOIN's output stream or a tee-buffer replay."""
         self.ctx = ctx
         self.config = config
         self.consumer = consumer
         k = ctx.cluster.num_machines
         self.k = k
 
-        if isinstance(segment.source, ScanSpec):
-            self.feed: _ScanFeed | _JoinFeed = _ScanFeed(
-                ctx, config.scan_pivot_chunk)
-            self.source_op: ScanOp | None = ScanOp(segment.source, ctx)
-        else:
-            raise PlanError("join segments must be started via run_segment")
+        self.source_op: ScanOp | None = None
+        if feed is None:
+            if not isinstance(segment.source, ScanSpec):
+                raise PlanError(
+                    "join segments must be started via run_segment")
+            feed = _ScanFeed(ctx, config.scan_pivot_chunk)
+            self.source_op = ScanOp(segment.source, ctx)
+        self.feed = feed
         seg = ctx.seg_ids.get(id(segment), 0)
         # operator ids: s<segment>.0 is the source, s<segment>.<i+1> extend i
         self.op_ids = [f"s{seg}.{i}"
@@ -262,27 +266,6 @@ class _ChainRunner:
         # the operator before it); the chain is source -> extends -> consumer
         self.queues = [_Queue.empty(k) for _ in self.extend_ops]
         self.compress_final = self._can_compress_final()
-
-    @classmethod
-    def for_join(cls, ctx: ExecContext, config: SchedulerConfig,
-                 segment: Segment, consumer: SinkConsumer | JoinBuffer,
-                 feed: _JoinFeed) -> "_ChainRunner":
-        """Build a runner whose source is a PUSH-JOIN output stream."""
-        runner = object.__new__(cls)
-        runner.ctx = ctx
-        runner.config = config
-        runner.consumer = consumer
-        runner.k = ctx.cluster.num_machines
-        runner.feed = feed
-        runner.source_op = None
-        seg = ctx.seg_ids.get(id(segment), 0)
-        runner.op_ids = [f"s{seg}.{i}"
-                         for i in range(len(segment.extends) + 1)]
-        runner.extend_ops = [ExtendOp(spec, ctx, opid=runner.op_ids[i + 1])
-                             for i, spec in enumerate(segment.extends)]
-        runner.queues = [_Queue.empty(runner.k) for _ in runner.extend_ops]
-        runner.compress_final = runner._can_compress_final()
-        return runner
 
     def _can_compress_final(self) -> bool:
         """Whether the last operator may count instead of materialise (the
@@ -558,6 +541,7 @@ def run_segment(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
                 consumer: SinkConsumer | JoinBuffer) -> None:
     """Execute a segment tree: children (PUSH-JOIN sides) first, then the
     segment's own chain (§5.4's topological order over the join DAG)."""
+    feed = None
     if isinstance(segment.source, JoinSpec):
         assert segment.left is not None and segment.right is not None
         spec = segment.source
@@ -573,7 +557,4 @@ def run_segment(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
                         opid=join_opid)
             for m in range(ctx.cluster.num_machines)
         ])
-        runner = _ChainRunner.for_join(ctx, config, segment, consumer, feed)
-    else:
-        runner = _ChainRunner(ctx, config, segment, consumer)
-    runner.run()
+    _ChainRunner(ctx, config, segment, consumer, feed).run()

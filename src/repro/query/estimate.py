@@ -26,7 +26,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..core.kernels import edge_composite_index, fused_extend_candidates
+from ..core.kernels import extend_step
 from ..graph.graph import Graph
 from .automorphism import automorphism_count
 from .pattern import QueryGraph
@@ -114,7 +114,8 @@ class SamplingEstimator(_CachedEstimator):
     time along a connected order; the product of candidate-set sizes at
     each step is an unbiased estimate of the ordered-embedding count.
     The trials advance together, one pattern vertex per step, as one
-    batch through the engine's PULL-EXTEND candidate kernel.
+    batch through the engine's PULL-EXTEND step
+    (:func:`~repro.core.kernels.extend_step`).
     """
 
     def __init__(self, graph: Graph, trials: int = 400, seed: int = 11):
@@ -145,8 +146,6 @@ class SamplingEstimator(_CachedEstimator):
             return 0.0
         rng = np.random.default_rng(self._seed)
         order = self._extension_order(pattern)
-        comp = edge_composite_index(g)
-        degs = g.degrees()
         # all walks at once: row = one partial embedding (columns in
         # ``order``), ``weight`` = its Horvitz–Thompson weight so far
         rows = rng.integers(n, size=(self._trials, 1))
@@ -154,11 +153,7 @@ class SamplingEstimator(_CachedEstimator):
         for i in range(1, len(order)):
             back = [j for j in range(i)
                     if order[j] in pattern.neighbours(order[i])]
-            verts = rows[:, back]
-            by_len = np.argsort(degs[verts], axis=1, kind="stable")
-            cand, _, counts = fused_extend_candidates(
-                g.indptr, g.indices, comp, n, rows,
-                np.take_along_axis(verts, by_len, axis=1), (), ())
+            cand, _, counts, _ = extend_step(g, rows, back, (), ())
             alive = counts > 0
             counts = counts[alive]
             # candidates are grouped by row, so row r's are the slice

@@ -21,12 +21,15 @@ al. (arXiv:2006.12819):
     re-emitting it (``f`` uses no edge of rank ``> i``), and step
     ``j < i`` cannot produce it (``δ_i`` would be filtered out).
 
-The pass is columnar: Δ is a SCAN source, consumed in blocks of
-:data:`DELTA_BLOCK` edges.  All Δ-edges of a block, in both
-orientations, form one ``(rows, step)`` block per pinned plan; each
-pattern position is one call of the engine's PULL-EXTEND kernel
-(:func:`~repro.core.kernels.fused_extend_candidates`: smallest backward
-list gathered, the rest one stacked ``searchsorted``, distinctness, the
+The pass is columnar and runs the engine's own plan and step.  A
+pinned plan *is* the engine's ``SCAN`` + ``PULL-EXTEND`` chain
+(:func:`~repro.core.plan.translate.order_chain`) along the greedy
+matching order that starts at the pinned query edge; Δ stands in for
+the SCAN, consumed in blocks of :data:`DELTA_BLOCK` edges.  All Δ-edges
+of a block, in both orientations, form one ``(rows, step)`` block per
+pinned plan; each ``ExtendSpec`` is one
+:func:`~repro.core.kernels.extend_step` (smallest backward list
+gathered, the rest one stacked ``searchsorted``, distinctness, the
 Grochow–Kellis ``lt``/``gt`` conditions, label) followed by the rank rule
 ``rank(src, cand) ≤ step[row]`` as one more mask — so delta matches land
 in the same canonical form as the batch engine's output and the
@@ -51,7 +54,10 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.kernels import fused_extend_candidates
+from ..core.dataflow import ExtendSpec, ScanSpec
+from ..core.kernels import extend_step
+from ..core.plan.plans import greedy_order
+from ..core.plan.translate import order_chain
 from ..graph.graph import Graph, edge_rows
 from ..graph.updates import GraphDelta, apply_updates
 from ..query.pattern import QueryGraph
@@ -68,51 +74,8 @@ Edge = tuple[int, int]
 Match = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _PinnedPlan:
-    """Matching order for one pinned query edge ``(a, b)``.
-
-    ``order[0] = a`` and ``order[1] = b`` are bound by the pinned data
-    edge; the remaining vertices follow a greedy connected order.  For
-    each position ``i``, ``back[i]`` lists the *column positions* of the
-    already-placed pattern neighbours of ``order[i]``, and ``lt[i]`` /
-    ``gt[i]`` the positions the vertex placed there must be less/greater
-    than under the symmetry-breaking partial order.
-    """
-
-    order: tuple[int, ...]
-    back: tuple[tuple[int, ...], ...]
-    lt: tuple[tuple[int, ...], ...]
-    gt: tuple[tuple[int, ...], ...]
-    labels: tuple[int | None, ...]        # label constraint per position
-
-
-def _pinned_plan(pattern: QueryGraph, conditions: PartialOrder,
-                 a: int, b: int) -> _PinnedPlan:
-    order = [a, b]
-    placed = {a, b}
-    while len(order) < pattern.num_vertices:
-        cands = [v for v in pattern.vertices() if v not in placed
-                 and pattern.neighbours(v) & placed]
-        # greedy: most placed neighbours, then highest degree, then id
-        nxt = max(cands, key=lambda v: (len(pattern.neighbours(v) & placed),
-                                        pattern.degree(v), -v))
-        order.append(nxt)
-        placed.add(nxt)
-    pos = {v: i for i, v in enumerate(order)}
-    back: list[tuple[int, ...]] = []
-    lt: list[tuple[int, ...]] = []
-    gt: list[tuple[int, ...]] = []
-    for i, v in enumerate(order):
-        back.append(tuple(sorted(pos[u] for u in pattern.neighbours(v)
-                                 if pos[u] < i)))
-        lt.append(tuple(sorted(pos[u] for (w, u) in conditions
-                               if w == v and pos[u] < i)))
-        gt.append(tuple(sorted(pos[u] for (u, w) in conditions
-                               if w == v and pos[u] < i)))
-    return _PinnedPlan(
-        order=tuple(order), back=tuple(back), lt=tuple(lt), gt=tuple(gt),
-        labels=tuple(pattern.label(v) for v in order))
+#: one pinned plan: the edge scan Δ stands in for, then the extends
+Chain = tuple[ScanSpec, tuple[ExtendSpec, ...]]
 
 
 class DeltaEnumerator:
@@ -132,9 +95,10 @@ class DeltaEnumerator:
         self.pattern = pattern
         self.conditions: PartialOrder = (
             symmetry_break(pattern) if conditions is None else conditions)
-        self.plans: tuple[_PinnedPlan, ...] = tuple(
-            _pinned_plan(pattern, self.conditions, a, b)
-            for (a, b) in sorted(pattern.edges))
+        self.plans: tuple[Chain, ...] = tuple(
+            order_chain(pattern, greedy_order(pattern, start=edge),
+                        self.conditions)
+            for edge in sorted(pattern.edges))
 
     # -- rank machinery ----------------------------------------------------
 
@@ -173,8 +137,7 @@ class DeltaEnumerator:
         """
         delta = edge_rows(delta_edges)
         delta = delta[graph.has_edges(delta[:, 0], delta[:, 1])]
-        if not len(delta) or (labels is None and any(
-                want is not None for want in self.plans[0].labels)):
+        if not len(delta) or (labels is None and self.pattern.is_labelled):
             return []
         keys, vals = self._rank_index(delta, graph.num_vertices)
         out: list[Match] = []
@@ -184,11 +147,13 @@ class DeltaEnumerator:
             seeds = np.concatenate([block, block[:, ::-1]])
             seed_step = np.concatenate([steps, steps])
             found, found_step = [], []
-            for plan in self.plans:
-                rows, step = self._extend(plan, seeds, seed_step, graph,
-                                          keys, vals, labels)
+            for scan, extends in self.plans:
+                rows, step = self._extend(scan, extends, seeds, seed_step,
+                                          graph, keys, vals, labels)
+                # column i holds the pattern vertex the chain placed i-th
+                placed = extends[-1].out_schema if extends else scan.schema
                 emitted = np.empty_like(rows)
-                emitted[:, plan.order] = rows
+                emitted[:, placed] = rows
                 found.append(emitted)
                 found_step.append(step)
             # step-major, plans in order within a step (stable sort)
@@ -196,36 +161,31 @@ class DeltaEnumerator:
             out.extend(map(tuple, np.concatenate(found)[by_step].tolist()))
         return out
 
-    def _extend(self, plan: _PinnedPlan, rows: np.ndarray, step: np.ndarray,
-                graph: Graph, keys: np.ndarray, vals: np.ndarray,
+    def _extend(self, scan: ScanSpec, extends: tuple[ExtendSpec, ...],
+                rows: np.ndarray, step: np.ndarray, graph: Graph,
+                keys: np.ndarray, vals: np.ndarray,
                 labels: np.ndarray | None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Extend every seed row (a Δ-edge pinned in one orientation, with
-        its rank in ``step``) through ``plan``, one pattern position per
-        kernel call."""
-        n, indptr = graph.num_vertices, graph.indptr
+        its rank in ``step``) through one pinned plan: the scan's filters
+        on the seeds, then one kernel step per ``ExtendSpec``."""
         keep = np.ones(len(rows), dtype=bool)
-        for p in (0, 1):
-            if plan.labels[p] is not None:
-                keep &= labels[rows[:, p]] == plan.labels[p]
-        if plan.lt[1]:
-            keep &= rows[:, 1] < rows[:, 0]
-        if plan.gt[1]:
-            keep &= rows[:, 1] > rows[:, 0]
+        for p, want in enumerate(scan.labels):
+            if want is not None:
+                keep &= labels[rows[:, p]] == want
+        if scan.order == "lt":
+            keep &= rows[:, 0] < rows[:, 1]
+        elif scan.order == "gt":
+            keep &= rows[:, 0] > rows[:, 1]
         rows, step = rows[keep], step[keep]
-        for i in range(2, len(plan.order)):
-            backs = plan.back[i]
-            verts = rows[:, backs]
-            if len(backs) > 1:      # smallest adjacency list first
-                by_len = np.argsort(indptr[verts + 1] - indptr[verts],
-                                    axis=1, kind="stable")
-                verts = np.take_along_axis(verts, by_len, axis=1)
-            cand, row_ids, _ = fused_extend_candidates(
-                indptr, graph.indices, graph.composite_index(), n, rows,
-                verts, plan.lt[i], plan.gt[i], labels, plan.labels[i])
+        n = graph.num_vertices
+        for spec in extends:
+            cand, row_ids, _, _ = extend_step(
+                graph, rows, spec.ext, spec.candidate_lt, spec.candidate_gt,
+                labels, spec.new_label)
             src_rows, step = rows[row_ids], step[row_ids]
-            keep = self._rank_mask(keys, vals, n, src_rows[:, backs], cand,
-                                   step)
+            keep = self._rank_mask(keys, vals, n,
+                                   src_rows[:, list(spec.ext)], cand, step)
             rows = np.column_stack((src_rows[keep], cand[keep]))
             step = step[keep]
         return rows, step

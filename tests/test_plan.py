@@ -309,6 +309,32 @@ class TestPluginPlans:
             assert q.neighbours(v) & seen
             seen.add(v)
 
+    def test_greedy_order_is_the_parent_commits(self):
+        """literal table captured before ``start`` was added"""
+        want = {"triangle": [0, 1, 2], "q1": [0, 1, 2, 3],
+                "q2": [0, 2, 1, 3], "q3": [0, 1, 2, 3],
+                "q4": [1, 4, 0, 2, 3], "q5": [2, 3, 0, 1, 4, 5],
+                "q6": [1, 2, 3, 0, 4], "q7": [0, 1, 2, 3, 4],
+                "q8": [0, 1, 2, 3, 4, 5]}
+        assert {name: greedy_order(q) for name, q in QUERIES.items()} == want
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_greedy_order_from_a_start_edge(self, name):
+        q = get_query(name)
+        for a, b in sorted(q.edges):
+            for start in ((a, b), (b, a)):
+                order = greedy_order(q, start=start)
+                assert tuple(order[:2]) == start
+                assert sorted(order) == list(q.vertices())
+                for i in range(2, len(order)):
+                    # most placed neighbours, then degree, then lowest id
+                    def rank(v):
+                        return (len(q.neighbours(v) & set(order[:i])),
+                                q.degree(v), -v)
+                    assert rank(order[i]) == max(
+                        rank(v) for v in q.vertices() if v not in order[:i])
+                    assert rank(order[i])[0] > 0
+
     def test_dfs_order_starts_at_zero(self):
         assert dfs_order(get_query("q4"))[0] == 0
 

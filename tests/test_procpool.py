@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
-from repro.core.cache import make_cache
+from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
 from repro.core.kernels import (edge_composite_index, edge_member,
                                 fused_extend_candidates, fused_verify_mask)
@@ -312,31 +312,96 @@ class TestFusedKernels:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rowwise_and_vector_extend_charge_identical_ticks(self, seed):
-        """the two intersect paths agree row for row — output and ticks —
-        under an off-grid weight and a penalty-charging cache"""
+        """the intersect stage agrees row for row with the references
+        outside the operator — rows with ``_reference_extend``, ticks
+        with the scalar ``CostModel.intersection_ops`` + penalty + emits —
+        under an off-grid weight, every cache variant and both fetch
+        policies"""
         rng = np.random.default_rng(seed)
         g = gen.erdos_renyi(30 + 5 * seed, 0.2, seed=seed)
         cost = CostModel(intersect_op=0.1, emit_op=0.7)
         cluster = Cluster(g, num_machines=3, cost=cost, seed=seed)
-        variant = ("lrbu", "lrbu-copy", "lrbu-lock")[seed % 3]
-        caches = [make_cache(variant, None, cost) for _ in range(3)]
-        ctx = ExecContext(cluster, caches, two_stage=True, batch_size=64)
+        owner = cluster.pgraph.owner
+        variant = CACHE_VARIANTS[seed % len(CACHE_VARIANTS)]
         verify = seed % 2 == 1
         spec = (ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), verify_pos=2)
                 if verify else
                 ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2,
                            candidate_gt=(0,)))
-        op = ExtendOp(spec, ctx)
         rows = rng.integers(0, g.num_vertices,
                             size=(int(rng.integers(1, 40)), 3 if verify else 2))
-        for count_only in (False, True):
-            op._fetch(0, rows)
-            ref = op._process_rowwise(0, rows, count_only)
-            got = op._process_vector(0, rows, count_only)
-            caches[0].release()
-            assert got[0] == ref[0] and got[2] == ref[2]
-            assert got[1].dtype == np.int64
-            assert got[1].tolist() == ref[1].tolist()
+        # each row's extend vertices, smallest adjacency first (stable)
+        by_len = [sorted(r[:2], key=g.degree) for r in rows.tolist()]
+        if verify:
+            emits = [int(all(g.has_edge(u, r[2]) for u in r[:2]))
+                     for r in rows.tolist()]
+            want_rows = [tuple(r) for r, e in zip(rows.tolist(), emits) if e]
+        else:
+            cand, row_ids, counts = _reference_extend(
+                g.indptr, g.indices, edge_composite_index(g),
+                g.num_vertices, rows, np.asarray(by_len), (), (0,), None,
+                None)
+            emits = counts.tolist()
+            want_rows = [(*rows[i].tolist(), c)
+                         for i, c in zip(row_ids.tolist(), cand.tolist())]
+        for two_stage in (True, False):
+            caches = [make_cache(variant, None, cost, workers=2)
+                      for _ in range(3)]
+            ctx = ExecContext(cluster, caches, two_stage, batch_size=64)
+            op = ExtendOp(spec, ctx)
+            for count_only in (False, True):
+                out, ticks, counted = op.process(0, rows, count_only)
+                step = 1 if count_only else 3
+                want = [cost.intersection_ops([g.degree(u) for u in vs],
+                                              cluster.probe_ticks)
+                        + sum(caches[0].access_penalty(g.degree(u))
+                              for u in vs if owner[u] != 0)
+                        + e * step * cost.ticks.emit
+                        for vs, e in zip(by_len, emits)]
+                assert ticks.dtype == np.int64
+                assert ticks.tolist() == want
+                if count_only:
+                    assert counted == sum(emits) and len(out) == 0
+                else:
+                    assert out == want_rows and counted == 0
+
+    def test_per_miss_fetch_equals_scalar_replay_under_eviction(self):
+        """per-miss mode under a Cncr-LRU small enough to evict inside one
+        batch: hits, misses, evictions and RPC pairs equal a scalar replay
+        of the row-major remote access sequence"""
+        g = gen.erdos_renyi(60, 0.2, seed=3)
+        cluster = Cluster(g, num_machines=3, seed=3)
+        owner = cluster.pgraph.owner
+        capacity = 40
+        caches = [make_cache("cncr-lru", capacity, cluster.cost, workers=2)
+                  for _ in range(3)]
+        ctx = ExecContext(cluster, caches, two_stage=False, batch_size=64)
+        op = ExtendOp(ExtendSpec(ext=(0, 2), out_schema=(0, 1, 2, 3),
+                                 new_vertex=3), ctx)
+        rows = np.random.default_rng(3).integers(0, 60, size=(64, 3))
+        op.process(0, rows)
+
+        lru, size, hits, misses, evictions = {}, 0, 0, 0, 0
+        for u in rows[:, [0, 2]].ravel().tolist():
+            if owner[u] == 0:
+                continue
+            if u in lru:
+                hits += 1
+                lru[u] = lru.pop(u)           # move to the back
+                continue
+            misses += 1
+            while size + g.degree(u) + 1 > capacity and lru:
+                size -= lru.pop(next(iter(lru)))
+                evictions += 1
+            lru[u] = g.degree(u) + 1
+            size += lru[u]
+        stats, machine = caches[0].stats, cluster.metrics.machines[0]
+        assert evictions > 10 and hits > 0, "capacity must bite in-batch"
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            hits, misses, evictions)
+        assert (machine.cache_hits, machine.cache_misses) == (hits, misses)
+        assert machine.rpc_requests == misses
+        assert list(caches[0]._data) == list(lru)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fused_verify_matches_reference(self, seed):

@@ -385,24 +385,31 @@ def test_block_bounds_the_frontier_of_a_bootstrap(monkeypatch):
 
 
 def test_per_batch_sets_on_seeded_stream_equal_per_edge_loop():
-    """The (sorted) additions and retractions of every batch, digested at
-    the commit whose delta pass still looped over Δ-edges."""
+    """The additions and retractions of every batch: sorted, digested at
+    the commit whose delta pass still looped over Δ-edges; in emission
+    order, digested at the last commit with hand-built pinned plans —
+    equal lists mean the compiled chains are those plans, order
+    (hence tie-breaks and gather sources) included."""
     g = load_dataset("GO", seed=7)
     stream = temporal_edge_stream(g, 160, batch_size=8, seed=1,
                                   delete_fraction=0.35, skew=1.5)
-    for name, want, total in (("triangle", "865c408c92dff7fb", 48),
-                              ("q1", "163c539458cad204", 549)):
+    for name, want, in_order, total in (
+            ("triangle", "865c408c92dff7fb", "a3bf220864299b9c", 48),
+            ("q1", "163c539458cad204", "3cfa18cc6ae6b786", 549),
+            ("q2", "e7b0b4f7a6832b0a", "3f58ed56881c9017", 77),
+            ("q4", "a09408b5038b9279", "712ca438d93afc81", 1939)):
         enum = DeltaEnumerator(get_query(name))
         graph, parts, matches = stream.base, [], 0
         for batch in stream.batches:
             new, delta = apply_updates(graph, batch.inserts, batch.deletes)
-            rets = sorted(enum.delta_matches(graph, delta.deleted))
-            adds = sorted(enum.delta_matches(new, delta.inserted))
+            rets = enum.delta_matches(graph, delta.deleted)
+            adds = enum.delta_matches(new, delta.inserted)
             parts.append((adds, rets))
             matches += len(adds) + len(rets)
             graph = new
         assert matches == total
-        assert digest(*parts) == want
+        assert digest(*((sorted(a), sorted(r)) for a, r in parts)) == want
+        assert digest(*parts) == in_order
 
 
 # -- the incremental matcher ---------------------------------------------------

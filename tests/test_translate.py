@@ -1,11 +1,15 @@
 """Tests for Algorithm 2 translation and the §5.2 rewrites."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.cluster import PlanError
 from repro.core.dataflow import ExtendSpec, JoinSpec, ScanSpec, Segment
-from repro.core.plan import (configure_plan, rads_plan, seed_plan, translate,
-                             wco_plan)
-from repro.query import ExactEstimator, get_query
+from repro.core.plan import (configure_plan, dfs_order, greedy_order,
+                             order_chain, rads_plan, seed_plan, translate,
+                             vertex_order_plan, wco_plan)
+from repro.query import QUERIES, ExactEstimator, get_query, symmetry_break
+from repro.testing.strategies import patterns
 
 
 def translate_query(name, plan_builder=wco_plan, **kwargs):
@@ -140,3 +144,76 @@ class TestPushJoinTranslation:
         for (i, j) in spec.cross_distinct:
             assert i != j
             assert spec.out_schema[i] != spec.out_schema[j]
+
+
+# -- the vertex-order chain ----------------------------------------------------
+
+
+@st.composite
+def connected_orders(draw, query):
+    """A matching order of ``query``: every vertex after the first has an
+    earlier pattern neighbour."""
+    order = [draw(st.sampled_from(sorted(query.vertices())))]
+    while len(order) < query.num_vertices:
+        frontier = sorted(v for v in query.vertices() if v not in order
+                          and query.neighbours(v) & set(order))
+        order.append(draw(st.sampled_from(frontier)))
+    return order
+
+
+def check_order_chain(q, order):
+    conditions = symmetry_break(q)
+    scan, extends = order_chain(q, order, conditions)
+    # column i matches order[i]
+    assert scan.schema == tuple(order[:2])
+    assert [e.new_vertex for e in extends] == list(order[2:])
+    assert all(e.out_schema == tuple(order[:i + 3])
+               for i, e in enumerate(extends))
+    assert scan.labels == (q.label(order[0]), q.label(order[1]))
+    # ext: every earlier pattern neighbour, ascending column position
+    for i, e in enumerate(extends, 2):
+        assert list(e.ext) == [p for p in range(i)
+                               if order[p] in q.neighbours(order[i])]
+        assert e.new_label == q.label(order[i]) and not e.is_verify
+    # every condition exactly once, where its later endpoint is placed
+    a, b = scan.schema
+    applied = {"lt": [(a, b)], "gt": [(b, a)], None: []}[scan.order]
+    for i, e in enumerate(extends, 2):
+        assert all(p < i for p in e.candidate_lt + e.candidate_gt)
+        applied += [(order[i], order[p]) for p in e.candidate_lt]
+        applied += [(order[p], order[i]) for p in e.candidate_gt]
+    assert sorted(applied) == sorted(conditions)
+    # operator by operator what Algorithm 2 makes of the same order (its
+    # scan may come out as (order[1], order[0]), so compare by vertex)
+    seg = translate(configure_plan(vertex_order_plan(q, list(order))))
+    assert set(seg.source.schema) == set(scan.schema)
+    assert len(seg.extends) == len(extends)
+    for ours, theirs in zip(extends, seg.extends):
+        assert ours.new_vertex == theirs.new_vertex
+        for field in ("ext", "candidate_lt", "candidate_gt"):
+            assert ({ours.out_schema[p] for p in getattr(ours, field)}
+                    == {theirs.out_schema[p] for p in getattr(theirs, field)})
+        if seg.source.schema == scan.schema:
+            assert ours.out_schema == theirs.out_schema
+
+
+class TestOrderChain:
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_paper_queries_along_their_baseline_orders(self, name):
+        q = get_query(name)
+        check_order_chain(q, greedy_order(q))
+        check_order_chain(q, dfs_order(q))
+        for edge in sorted(q.edges):
+            check_order_chain(q, greedy_order(q, start=edge))
+            check_order_chain(q, greedy_order(q, start=edge[::-1]))
+
+    @given(data=st.data(), q=patterns(min_vertices=2, max_vertices=5))
+    def test_any_connected_order(self, data, q):
+        check_order_chain(q, data.draw(connected_orders(q)))
+
+    def test_rejects_orders_that_are_not_matching_orders(self):
+        q = get_query("q6")         # the 5-path 0-1-2-3-4
+        for bad in ([0, 1, 2, 3], [0, 1, 2, 3, 3], [0, 2, 1, 3, 4],
+                    [0, 1, 3, 2, 4], [0]):
+            with pytest.raises(PlanError):
+                order_chain(q, bad, symmetry_break(q))
