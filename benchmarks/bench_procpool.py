@@ -35,8 +35,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 from common import BENCH_SEED, RESULTS_DIR  # noqa: E402
 
 from repro.graph import load_dataset  # noqa: E402
-from repro.serve import LoadDriver, WorkloadSpec  # noqa: E402
+from repro.serve import WorkloadSpec  # noqa: E402
 from repro.serve.service import QueryService  # noqa: E402
+from repro.testing.serving import solo_mismatches  # noqa: E402
 
 RECORD_PATH = os.path.join(RESULTS_DIR, "BENCH_procpool.json")
 
@@ -61,9 +62,8 @@ def run_pool(pool: str, queries: int, workers: int) -> dict:
     spec = WorkloadSpec(num_queries=queries, dataset=DATASET,
                         seed=BENCH_SEED, relabel_fraction=0.5,
                         tenants=("alpha", "beta"))
-    driver = LoadDriver(graph, spec, num_workers=workers, pool=pool)
     requests = spec.build()
-    service = driver.service = QueryService(
+    service = QueryService(
         datasets={spec.dataset: graph}, num_workers=workers, pool=pool)
     service.start()
     service.wait_ready()
@@ -74,14 +74,14 @@ def run_pool(pool: str, queries: int, workers: int) -> dict:
         wall = time.perf_counter() - t0
     finally:
         service.stop()
-    verified, failures = driver._verify(requests, outcomes)
+    failures = solo_mismatches(graph, requests, outcomes)
     completed = sum(1 for o in outcomes if o.status.value == "completed")
     return {
         "pool": pool,
         "wall_s": round(wall, 4),
         "throughput_qps": round(completed / wall, 2) if wall else 0.0,
         "completed": completed,
-        "verified_vs_solo": verified,
+        "verified_vs_solo": not failures,
         "verify_failures": failures,
     }
 

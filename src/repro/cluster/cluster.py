@@ -17,7 +17,6 @@ The cluster is single-process and deterministic; "machines" are indices.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -106,44 +105,54 @@ class Cluster:
 
     # -- pulling: the GetNbrs RPC -----------------------------------------------
 
+    def pull(self, requester: int, vertices: np.ndarray) -> np.ndarray:
+        """Account a ``GetNbrs`` for an id array and return each vertex's
+        entry size ``1 + degree`` (what its response carries and what it
+        occupies in a cache).
+
+        Vertices owned by ``requester`` are free; the rest are grouped by
+        owner — two ``bincount``s — and charged as **one request/response
+        pair per owner** (the fetch-stage RPC aggregation of §4.4).  The
+        adjacency itself is not handed over: callers that want it read
+        the CSR (:meth:`get_nbrs` does exactly that).
+        """
+        cost, metrics, tracer = self.cost, self.metrics, self.tracer
+        indptr = self.pgraph.graph.indptr
+        sizes = indptr[vertices + 1] - indptr[vertices] + 1
+        owners = self.pgraph.owner[vertices]
+        requested = np.bincount(owners, minlength=self.num_machines)
+        # weighted bincount sums in float64: exact for ids below 2**53
+        response_ids = np.bincount(owners, weights=sizes,
+                                   minlength=self.num_machines)
+        requested[requester] = 0
+        for owner in np.flatnonzero(requested).tolist():
+            if tracer.enabled:
+                t0 = tracer.now(owner)
+            metrics.send(requester, owner,
+                         cost.rpc_request_overhead_bytes
+                         + int(requested[owner]) * cost.bytes_per_id,
+                         messages=1)
+            metrics.record_rpc(requester)
+            ids = int(response_ids[owner])
+            metrics.send(owner, requester, ids * cost.bytes_per_id,
+                         messages=1)
+            if tracer.enabled:
+                tracer.complete("rpc serve", owner, t0, tracer.now(owner),
+                                {"from": requester, "ids": ids})
+        return sizes
+
     def get_nbrs(self, requester: int,
                  vertices: Iterable[int]) -> dict[int, np.ndarray]:
         """Fetch adjacency lists, pulling remote ones via batched RPC.
 
-        Vertices owned by ``requester`` are read locally for free; the rest
-        are grouped by owner and fetched with **one request/response pair
-        per owner** (the fetch-stage RPC aggregation of §4.4).  Returns a
-        mapping ``vertex -> sorted neighbour array`` (CSR views, zero-copy).
+        Vertices owned by ``requester`` are read locally for free; the
+        rest are accounted by :meth:`pull`.  Returns a mapping
+        ``vertex -> sorted neighbour array`` (CSR views, zero-copy).
         """
-        cost, metrics = self.cost, self.metrics
-        result: dict[int, np.ndarray] = {}
-        by_owner: dict[int, list[int]] = defaultdict(list)
-        for v in vertices:
-            v = int(v)
-            owner = self.pgraph.owner_of(v)
-            if owner == requester:
-                result[v] = self.pgraph.neighbours_local(v, requester)
-            else:
-                by_owner[owner].append(v)
-        tracer = self.tracer
-        for owner, vids in by_owner.items():
-            if tracer.enabled:
-                t0 = tracer.now(owner)
-            request_bytes = (cost.rpc_request_overhead_bytes
-                             + len(vids) * cost.bytes_per_id)
-            metrics.send(requester, owner, request_bytes, messages=1)
-            metrics.record_rpc(requester)
-            response_ids = 0
-            for v in vids:
-                nbrs = self.pgraph.neighbours_local(v, owner)
-                result[v] = nbrs
-                response_ids += 1 + len(nbrs)
-            metrics.send(owner, requester, response_ids * cost.bytes_per_id,
-                         messages=1)
-            if tracer.enabled:
-                tracer.complete("rpc serve", owner, t0, tracer.now(owner),
-                                {"from": requester, "ids": response_ids})
-        return result
+        vids = [int(v) for v in vertices]
+        self.pull(requester, np.asarray(vids, dtype=np.int64))
+        graph = self.pgraph.graph
+        return {v: graph.neighbours(v) for v in vids}
 
     # -- pushing: the router ------------------------------------------------------
 

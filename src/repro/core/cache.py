@@ -17,14 +17,20 @@ vertices in one batch (tested invariant).
 The ablation variants of Exp-6 differ only in the *access penalty* they
 charge per read (memory copy, locking, LRU bookkeeping) and, for
 ``Cncr-LRU``, in disabling the two-stage execution (per-miss RPCs instead
-of one aggregated fetch per batch).  All variants store real data and
-return real adjacency arrays — penalties are cost-model charges, not
-behavioural changes.
+of one aggregated fetch per batch).  Penalties are cost-model charges,
+not behavioural changes: every variant tracks real residency, sizes and
+eviction order, and a scalar ``insert``/``get`` stores and returns the
+real adjacency array.
+
+Each cache has the scalar methods of Algorithm 3 and three bulk methods
+(``resident`` / ``seal_many`` / ``admit``) that do a whole batch's fetch
+stage in a few array calls; :class:`LRBUCache` documents how both run on
+one state and why the bulk form is exact.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 import numpy as np
 
@@ -90,6 +96,26 @@ class LRBUCache:
         ablations; the plain LRBU charges neither (zero-copy, lock-free).
     cost:
         Cost model supplying the penalty weights.
+
+    The bookkeeping is two id-indexed ``int64`` arrays (grown by doubling
+    to cover the largest id seen): ``_entry[v]`` is the ids entry ``v``
+    occupies (0 = absent) and ``_order[v]`` its position in ``S_free``
+    (−1 = sealed or absent).  ``S_free`` itself is a deque of released
+    blocks ``(base, ids)``: block entry ``i`` is live iff
+    ``_order[ids[i]] == base + i``, so sealing an entry again makes its
+    old place stale without touching the block; stale places are dropped
+    when eviction reaches them (a cache lives for one run).
+
+    Two APIs run on that one state.  The scalar Algorithm-3 methods
+    (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`) are
+    the paper's, used where a caller walks vertices one at a time and
+    wants the adjacency back (``apps/shortest_path.py``, the per-miss
+    fetch policy).  The bulk methods (:meth:`resident` /
+    :meth:`seal_many` / :meth:`admit`) are PULL-EXTEND's fetch stage: one
+    array call per batch.  ``M_cache``'s *values* are kept for scalar
+    ``insert``/``get`` only — bulk admission records an entry's size and
+    no value, because the columnar intersect stage reads adjacency from
+    the CSR (cached remote adjacency is the same data by construction).
     """
 
     #: whether PULL-EXTEND may use the two-stage (batched-fetch) strategy
@@ -101,27 +127,73 @@ class LRBUCache:
         self._cost = cost
         self._copy = copy_penalty
         self._lock = lock_penalty
-        self._data: dict[int, np.ndarray] = {}
-        self._entry_ids: dict[int, int] = {}
+        self._values: dict[int, np.ndarray] = {}
+        self._entry = np.zeros(0, dtype=np.int64)
+        self._order = np.zeros(0, dtype=np.int64)
+        self._free: deque[tuple[int, np.ndarray]] = deque()
+        self._next_order = 0
+        #: ``S_sealed``: disjoint arrays of the ids pinned since the last
+        #: release, one per seal/admit call
+        self._pinned: list[np.ndarray] = []
         self._size_ids = 0
-        self._free: OrderedDict[int, None] = OrderedDict()
-        self._sealed: set[int] = set()
         self.stats = CacheStats()
+
+    def _cover(self, top: int) -> None:
+        """Grow the id-indexed arrays (doubling) so id ``top`` indexes."""
+        have = len(self._entry)
+        if top < have:
+            return
+        size = max(top + 1, 2 * have, 64)
+        entry = np.zeros(size, dtype=np.int64)
+        order = np.full(size, -1, dtype=np.int64)
+        entry[:have], order[:have] = self._entry, self._order
+        self._entry, self._order = entry, order
+
+    def _evict(self, incoming: int) -> None:
+        """Shed least-recent-batch entries until ``incoming`` more ids fit
+        or ``S_free`` is exhausted (Algorithm 3 lines 5-8).  The victims
+        are the shortest prefix of ``S_free`` whose live sizes reach the
+        excess: per head block one ``cumsum`` and one ``searchsorted``."""
+        if self._capacity is None:
+            return
+        excess = self._size_ids + incoming - self._capacity
+        entry, order, free = self._entry, self._order, self._free
+        while excess > 0 and free:
+            base, ids = free[0]
+            live = order[ids] == base + np.arange(len(ids))
+            shed = np.cumsum(entry[ids] * live)
+            # entries consumed from the block: up to and including the
+            # first whose running live size reaches the excess
+            cut = min(int(np.searchsorted(shed, excess, "left")) + 1,
+                      len(ids))
+            if cut == len(ids):
+                free.popleft()
+            else:
+                free[0] = (base + cut, ids[cut:])
+            victims = ids[:cut][live[:cut]]
+            entry[victims] = 0
+            order[victims] = -1
+            if self._values:
+                for vid in victims.tolist():
+                    self._values.pop(vid, None)
+            freed = int(shed[cut - 1])
+            self._size_ids -= freed
+            self.stats.evictions += len(victims)
+            excess -= freed
 
     # -- Algorithm 3 methods -----------------------------------------------------
 
     def contains(self, vid: int) -> bool:
         """Read-only membership test (lock-free in the real system)."""
-        return vid in self._data
+        return vid < len(self._entry) and bool(self._entry[vid])
 
     def get(self, vid: int) -> np.ndarray:
-        """Read-only lookup; returns the stored adjacency array by reference.
-
-        Returns the access-penalty ops the caller must charge (0 for plain
-        LRBU) via :meth:`access_penalty` — callers combine the two so the
-        data path stays allocation-free.
-        """
-        return self._data[vid]
+        """Read-only lookup; returns the adjacency array a scalar
+        :meth:`insert` stored, by reference (``KeyError`` for an entry
+        that is absent or was admitted in bulk, which stores no value).
+        What the access costs under this variant is
+        :meth:`access_penalty`, charged by the caller."""
+        return self._values[vid]
 
     def access_penalty(self, length):
         """Ticks charged per :meth:`get` of an entry of ``length``
@@ -146,51 +218,85 @@ class LRBUCache:
         overflow capacity, but never by more than the footprint of one
         batch's remote vertices (§4.4).
         """
-        if vid in self._data:
+        if self.contains(vid):
             # re-fetching means the batch needs it: pin it again (keeping
-            # the stored data), then shed any overflow left over from a
-            # previous batch — without this, the early return skips the
-            # eviction loop and stale overflow persists past the §4.4
-            # bound of one batch's pinned footprint
-            self._free.pop(vid, None)
-            self._sealed.add(vid)
-            if self._capacity is not None:
-                while self._size_ids > self._capacity and self._free:
-                    victim, _ = self._free.popitem(last=False)
-                    self._size_ids -= self._entry_ids.pop(victim)
-                    del self._data[victim]
-                    self.stats.evictions += 1
+            # the stored data, if a scalar insert stored any), then shed
+            # any overflow left over from a previous batch — stale
+            # overflow must not persist past the §4.4 bound of one
+            # batch's pinned footprint
+            self._values.setdefault(vid, neighbours)
+            self.seal(vid)
+            self._evict(0)
             return
-        entry_ids = len(neighbours) + 1
-        if self._capacity is not None:
-            while self._size_ids + entry_ids > self._capacity and self._free:
-                victim, _ = self._free.popitem(last=False)
-                self._size_ids -= self._entry_ids.pop(victim)
-                del self._data[victim]
-                self.stats.evictions += 1
-        self._data[vid] = neighbours
-        self._entry_ids[vid] = entry_ids
-        self._size_ids += entry_ids
-        self._sealed.add(vid)
-        if self._capacity is not None and self._size_ids > self._capacity:
-            overflow = self._size_ids - self._capacity
-            if overflow > self.stats.max_overflow_ids:
-                self.stats.max_overflow_ids = overflow
+        self._values[vid] = neighbours
+        self.admit(np.array([vid], dtype=np.int64),
+                   np.array([len(neighbours) + 1], dtype=np.int64))
 
     def seal(self, vid: int) -> None:
         """Pin ``vid`` for the in-flight batch (Algorithm 3 lines 9-10)."""
-        self._free.pop(vid, None)
-        self._sealed.add(vid)
+        if self.contains(vid) and self._order[vid] >= 0:
+            self._order[vid] = -1
+            self._pinned.append(np.array([vid], dtype=np.int64))
 
     def release(self) -> None:
-        """Unpin all sealed vertices, appending them to ``S_free`` with
-        orders larger than all existing entries (Algorithm 3 lines 11-14)."""
-        for vid in sorted(self._sealed):
-            if vid in self._data:
-                self._free[vid] = None  # OrderedDict append = largest order
-        self._sealed.clear()
+        """Unpin all sealed vertices, appending them to ``S_free`` in
+        ascending id order with orders larger than all existing entries
+        (Algorithm 3 lines 11-14): one block, one stamp."""
+        if self._pinned:
+            ids = np.sort(np.concatenate(self._pinned))
+            base = self._next_order
+            self._order[ids] = base + np.arange(len(ids))
+            self._free.append((base, ids))
+            self._next_order = base + len(ids)
+            self._pinned = []
+
+    # -- the fetch stage's bulk methods ---------------------------------------------
+
+    def resident(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of ``ids`` have an entry.  Reads only."""
+        if len(ids):
+            self._cover(int(ids.max()))
+        return self._entry[ids] > 0
+
+    def seal_many(self, ids: np.ndarray) -> None:
+        """:meth:`seal` every one of the distinct resident ``ids``."""
+        ids = ids[self._order[ids] >= 0]
+        if len(ids):
+            self._order[ids] = -1
+            self._pinned.append(ids)
+
+    def admit(self, ids: np.ndarray, sizes: np.ndarray) -> None:
+        """Insert + seal the distinct absent ``ids``, entry ``i``
+        occupying ``sizes[i]`` ids, as one step.
+
+        Equal to :meth:`insert` one id at a time, in any order: the new
+        entries are pinned, so victims come only from ``S_free`` as it
+        stood before the call and are always a *prefix* of it; insert
+        ``i`` evicts until ``size₀ + Σ_{j≤i} s_j − shed ≤ capacity`` and
+        that prefix only grows with ``i``, so the final prefix is the
+        shortest one whose shed ids reach ``size₀ + Σ s − capacity`` — a
+        function of the sizes' sum.  Overflow is ≤ 0 until ``S_free`` is
+        exhausted and only rises after, so the worst overflow of the
+        sequence is the final one.
+        """
+        if not len(ids):
+            return
+        self._cover(int(ids.max()))
+        total = int(sizes.sum())
+        self._evict(total)
+        self._entry[ids] = sizes
+        self._pinned.append(ids)
+        self._size_ids += total
+        if self._capacity is not None:
+            self.stats.max_overflow_ids = max(
+                self.stats.max_overflow_ids, self._size_ids - self._capacity)
 
     # -- introspection -----------------------------------------------------------
+
+    def free_order(self) -> list[int]:
+        """``S_free`` from next victim to last (test/debug view)."""
+        return [vid for base, ids in self._free for i, vid
+                in enumerate(ids.tolist()) if self._order[vid] == base + i]
 
     @property
     def size_ids(self) -> int:
@@ -205,10 +311,10 @@ class LRBUCache:
     @property
     def num_sealed(self) -> int:
         """Number of currently sealed entries."""
-        return len(self._sealed)
+        return sum(map(len, self._pinned))
 
     def __len__(self) -> int:
-        return len(self._data)
+        return int(np.count_nonzero(self._entry))
 
 
 class LRUCache:
@@ -279,7 +385,11 @@ class LRUCache:
         refreshes recency like any other access.  The replacement itself
         is not counted as an eviction.
         """
-        entry_ids = len(neighbours) + 1
+        self._store(vid, len(neighbours) + 1, neighbours)
+
+    def _store(self, vid: int, entry_ids: int, value) -> None:
+        """File ``vid`` at the recent end as an entry of ``entry_ids``
+        ids, retiring any old entry and evicting from the stale end."""
         if vid in self._data:
             del self._data[vid]
             self._size_ids -= self._entry_ids.pop(vid)
@@ -288,9 +398,32 @@ class LRUCache:
                 victim, _ = self._data.popitem(last=False)
                 self._size_ids -= self._entry_ids.pop(victim)
                 self.stats.evictions += 1
-        self._data[vid] = neighbours
+        self._data[vid] = value
         self._entry_ids[vid] = entry_ids
         self._size_ids += entry_ids
+
+    # The fetch stage's bulk methods (see LRBUCache).  LRU order is
+    # inherently sequential, so these are loops — over a batch's ids in
+    # the ascending order the fetch stage hands them in.
+
+    def resident(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of ``ids`` have an entry.  Reads only —
+        unlike :meth:`contains` it is not an access and moves nothing."""
+        data = self._data
+        return np.fromiter((v in data for v in ids.tolist()), dtype=bool,
+                           count=len(ids))
+
+    def seal_many(self, ids: np.ndarray) -> None:
+        """LRU has no pinning; a batch's hits are accesses, and each
+        refreshes its entry's recency."""
+        for vid in ids.tolist():
+            self._data.move_to_end(vid)
+
+    def admit(self, ids: np.ndarray, sizes: np.ndarray) -> None:
+        """Insert ``ids`` one after another, entry ``i`` occupying
+        ``sizes[i]`` ids and storing no value."""
+        for vid, entry_ids in zip(ids.tolist(), sizes.tolist()):
+            self._store(vid, entry_ids, None)
 
     def seal(self, vid: int) -> None:
         """LRU has no pinning; sealing is a no-op."""

@@ -14,9 +14,12 @@ holds the array programs themselves:
   ``u * n + v`` array, answering batched "is ``v`` adjacent to ``u``"
   membership tests with one ``searchsorted``.
 * :func:`csr_gather` / :func:`fused_extend_candidates` /
-  :func:`fused_verify_mask` — PULL-EXTEND's gather → membership → filter
-  chain with a single compaction; :func:`extend_step` is the whole step
-  for one ``ExtendSpec`` (by-length sort, then the fused pass).
+  :func:`fused_verify_mask` — PULL-EXTEND's candidate pass: the symmetry
+  order as a window on the smallest sorted list, the gather, then one
+  membership probe and one compaction per remaining list, label and
+  distinctness filters on the survivors.  :func:`extend_block` is the
+  whole step for a gathered block (by-length sort, then the fused pass);
+  :func:`extend_step` gathers the block for one ``ExtendSpec`` first.
 * :func:`join_pairs` / :func:`join_rows` / :func:`chunk_charges` —
   grouped-argsort hash-join matching, the filtered output rows, and the
   tick charge of each output chunk of a probe loop.
@@ -37,6 +40,7 @@ __all__ = [
     "edge_composite_index",
     "edge_member",
     "edge_member_rows",
+    "extend_block",
     "extend_step",
     "fused_extend_candidates",
     "fused_verify_mask",
@@ -92,9 +96,10 @@ def edge_composite_index(graph) -> np.ndarray:
     Built and cached by :meth:`~repro.graph.graph.Graph.composite_index`
     (deterministic derived data of an immutable snapshot, so every run
     and every shm attach shares one O(E) haystack).  One binary search
-    answers "is ``v`` adjacent to ``u``" for any pair, which lets a
-    batch's candidate membership tests collapse into a single vectorised
-    ``searchsorted``.
+    answers "is ``v`` adjacent to ``u``" for any pair — or "where does
+    ``u``'s sorted list pass ``v``", which is a symmetry bound as a slice
+    — so a batch's membership tests and windows are vectorised
+    ``searchsorted`` calls.
     """
     return graph.composite_index()
 
@@ -116,11 +121,12 @@ def edge_member_rows(comp: np.ndarray, num_vertices: int, srcs: np.ndarray,
     """Conjunction of adjacency tests across the columns of ``srcs``.
 
     Row ``i`` is ``True`` iff ``dst[i]`` is adjacent to **every**
-    ``srcs[i, w]`` — the multiway-membership core of PULL-EXTEND's
-    intersect stage, fused so all ``W`` columns resolve through **one**
-    ``searchsorted`` over the stacked composite keys instead of ``W``
-    separate :func:`edge_member` passes.  Bit-for-bit equal to ANDing the
-    per-column results (boolean algebra has no rounding).
+    ``srcs[i, w]`` — VERIFY's membership test, where each row has one
+    fixed target and nothing to shrink, so all ``W`` columns resolve
+    through **one** ``searchsorted`` over the stacked composite keys
+    instead of ``W`` separate :func:`edge_member` passes.  Bit-for-bit
+    equal to ANDing the per-column results (boolean algebra has no
+    rounding).
     """
     E, W = srcs.shape
     if E == 0 or W == 0:
@@ -133,21 +139,27 @@ def edge_member_rows(comp: np.ndarray, num_vertices: int, srcs: np.ndarray,
     return (comp[idx] == q).reshape(E, W).all(axis=1)
 
 
+def _gather_slices(indices: np.ndarray, start: np.ndarray,
+                   L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indices[start[i] : start[i] + L[i]]`` for every ``i``,
+    concatenated, and the ``i`` each element came from."""
+    row_ids = np.repeat(np.arange(len(L), dtype=np.int64), L)
+    # output position j holds slice i's element j - (where slice i's
+    # output began), i.e. indices[start[i] - begin[i] + j]
+    shift = np.repeat(start - (np.cumsum(L) - L), L)
+    return row_ids, indices[shift + np.arange(len(shift), dtype=np.int64)]
+
+
 def csr_gather(indptr: np.ndarray, indices: np.ndarray,
                vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated adjacency lists of ``vids`` straight from CSR.
 
     Returns ``(row_ids, flat)`` where ``flat`` is the neighbour ids of
     ``vids[0]``, then ``vids[1]``, … and ``row_ids[i]`` names the input
-    row ``flat[i]`` came from — the candidate-list gather PULL-EXTEND
-    starts from (each row's smallest adjacency list).
+    row ``flat[i]`` came from.
     """
-    L = indptr[vids + 1] - indptr[vids]
-    E = int(L.sum())
-    row_ids = np.repeat(np.arange(len(vids), dtype=np.int64), L)
-    ramp = np.arange(E, dtype=np.int64) - np.repeat(np.cumsum(L) - L, L)
-    flat = indices[np.repeat(indptr[vids], L) + ramp]
-    return row_ids, flat
+    start = indptr[vids]
+    return _gather_slices(indices, start, indptr[vids + 1] - start)
 
 
 def fused_verify_mask(comp: np.ndarray, num_vertices: int,
@@ -172,33 +184,82 @@ def fused_extend_candidates(indptr: np.ndarray, indices: np.ndarray,
                             labels: np.ndarray | None = None,
                             new_label: int | None = None,
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused PULL-EXTEND candidate pass: gather → membership → filters.
+    """Fused PULL-EXTEND candidate pass: window → gather → shrink.
 
     ``verts_sorted`` is each row's extend vertices sorted by adjacency
-    length (column 0 = the smallest list, the candidate source).  The
-    whole chain — CSR gather, remaining-list membership (one stacked
-    ``searchsorted``), label filter, distinctness against the partial
-    match, and the ``lt``/``gt`` symmetry-order masks — runs as mask
-    conjunctions over the gathered candidates with a **single** final
-    compaction.  Because every mask is boolean and conjunction order
-    cannot change the surviving set or its order, the returned
-    ``(cand, row_ids, counts)`` equal a pass-per-filter pipeline's
-    element for element; ``counts[i]`` is row ``i``'s emit count, which
-    the caller multiplies by the emit tick weight.
+    length (column 0 = the smallest list, the candidate source).
+
+    * **Window first.**  The symmetry order bounds a row's candidates to
+      ``max(rows[:, gt]) < c < min(rows[:, lt])``.  Adjacency lists are
+      sorted and a key's position in ``comp`` is its arc's position in
+      ``indices``, so the bounds are a slice of the smallest list — two
+      row-level searches — and what lies outside is never gathered.  An
+      empty window (``hi <= lo``) clamps to length 0; ``lo == n`` lands
+      on ``indptr[v0 + 1]`` because ``v0 * n + n`` is the next vertex's
+      first possible key.
+    * **Shrink as you go.**  Every other list is probed one column at a
+      time with a compaction after each, so a list only sees what the
+      lists before it left; the label filter and the distinctness test
+      (against *every* column of the partial match — a CSR handed to
+      ``Graph(indptr, indices)`` may carry self-loops, so adjacency does
+      not imply distinctness) run on the survivors only.
+
+    Every filter is a boolean conjunction and compaction keeps (row,
+    ascending id) order, so the returned ``(cand, row_ids, counts)``
+    equal a gather-everything, pass-per-filter pipeline's element for
+    element; ``counts[i]`` is row ``i``'s emit count, which the caller
+    multiplies by the emit tick weight.  The intersection *charge* is
+    not this function's business: callers compute it from the full
+    sorted lengths, windowed or not.
     """
-    n = len(rows)
-    row_ids, cand = csr_gather(indptr, indices, verts_sorted[:, 0])
-    keep = edge_member_rows(comp, num_vertices, verts_sorted[row_ids, 1:],
-                            cand)
+    v0 = verts_sorted[:, 0]
+    start = (np.searchsorted(comp, v0 * num_vertices
+                             + (rows[:, list(gt)].max(axis=1) + 1))
+             if len(gt) else indptr[v0])
+    stop = (np.searchsorted(comp, v0 * num_vertices
+                            + rows[:, list(lt)].min(axis=1))
+            if len(lt) else indptr[v0 + 1])
+    row_ids, cand = _gather_slices(indices, start,
+                                   np.maximum(stop - start, 0))
+    for w in range(1, verts_sorted.shape[1]):
+        keep = edge_member(comp, num_vertices, verts_sorted[row_ids, w], cand)
+        cand, row_ids = cand[keep], row_ids[keep]
     if new_label is not None and labels is not None:
-        keep &= labels[cand] == new_label
-    keep &= ~(cand[:, None] == rows[row_ids]).any(axis=1)
-    for p in lt:
-        keep &= cand < rows[row_ids, p]
-    for p in gt:
-        keep &= cand > rows[row_ids, p]
+        keep = labels[cand] == new_label
+        cand, row_ids = cand[keep], row_ids[keep]
+    keep = np.ones(len(cand), dtype=bool)
+    for p in range(rows.shape[1]):
+        keep &= cand != rows[row_ids, p]
     cand, row_ids = cand[keep], row_ids[keep]
-    return cand, row_ids, np.bincount(row_ids, minlength=n)
+    return cand, row_ids, np.bincount(row_ids, minlength=len(rows))
+
+
+def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
+                 lens: np.ndarray, lt: Sequence[int], gt: Sequence[int],
+                 labels: np.ndarray | None = None,
+                 new_label: int | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One PULL-EXTEND step over a block of partial matches whose extend
+    vertices ``verts = rows[:, ext]`` and their adjacency lengths ``lens``
+    are already gathered.
+
+    Each row's extend vertices are put smallest adjacency list first (a
+    stable sort, so equal lengths keep ``ext`` order) and the block goes
+    through :func:`fused_extend_candidates`.  Returns its ``(cand,
+    row_ids, counts)`` plus the ``(n, |ext|)`` lengths in that sorted
+    order — column 0 is the list the candidates came from, the rest are
+    the lists probed, which is what the intersection cost formula reads
+    (the *full* lengths: the symmetry window saves our gather, not the
+    modelled machine's scan).
+    """
+    if verts.shape[1] > 1:
+        by_len = lens.argsort(axis=1, kind="stable")
+        row = np.arange(len(rows))[:, None]
+        verts, lens = verts[row, by_len], lens[row, by_len]
+    cand, row_ids, counts = fused_extend_candidates(
+        graph.indptr, graph.indices, graph.composite_index(),
+        graph.num_vertices, rows, verts, lt, gt, labels, new_label)
+    return cand, row_ids, counts, lens
 
 
 def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
@@ -208,28 +269,15 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One PULL-EXTEND step of an :class:`~repro.core.dataflow.ExtendSpec`
     (its ``ext`` / ``candidate_lt`` / ``candidate_gt`` / ``new_label``)
-    over a block of partial matches.
-
-    Each row's extend vertices ``rows[:, ext]`` are put smallest
-    adjacency list first (a stable sort, so equal lengths keep ``ext``
-    order) and the block goes through :func:`fused_extend_candidates`.
-    Returns its ``(cand, row_ids, counts)`` plus the ``(n, |ext|)``
-    adjacency lengths in that sorted order — column 0 is the list the
-    candidates were gathered from, the rest are the lists probed, which
-    is what the intersection cost formula reads.  The engine's operator,
-    the delta pass and the sampling estimator all extend through here.
+    over a block of partial matches: gather ``rows[:, ext]`` and the
+    adjacency lengths, then :func:`extend_block`.  The delta pass and the
+    sampling estimator extend through here; the engine's operator, whose
+    fetch stage has gathered the block already, enters at
+    :func:`extend_block`.
     """
-    indptr = graph.indptr
     verts = rows[:, list(ext)]
-    lens = indptr[verts + 1] - indptr[verts]
-    if len(ext) > 1:
-        by_len = lens.argsort(axis=1, kind="stable")
-        row = np.arange(len(rows))[:, None]
-        verts, lens = verts[row, by_len], lens[row, by_len]
-    cand, row_ids, counts = fused_extend_candidates(
-        indptr, graph.indices, graph.composite_index(), graph.num_vertices,
-        rows, verts, lt, gt, labels, new_label)
-    return cand, row_ids, counts, lens
+    lens = graph.indptr[verts + 1] - graph.indptr[verts]
+    return extend_block(graph, rows, verts, lens, lt, gt, labels, new_label)
 
 
 def adjacency_bitsets(graph) -> list[int]:

@@ -6,10 +6,12 @@ intersected and filtered exactly — while compute ops, RPC bytes/messages
 and memory are charged to the metrics ledger.
 
 Batches are columnar (:class:`~repro.core.batch.Batch`: a 2-D ``int64``
-array of partial matches).  The per-candidate work — intersections,
-distinctness, symmetry masks, label filters, emission — runs as
-vectorised array operations; only the genuinely stateful step (the
-cache's fetch stage) keeps a per-vertex loop.  Charges are integer ticks
+array of partial matches).  SCAN, both stages of PULL-EXTEND and the
+join run as array programs over a whole batch — the symmetry window,
+intersections, distinctness, label filters, emission, and the cache's
+fetch stage (membership, sealing, admission and eviction on id-indexed
+arrays).  The one per-vertex loop left is the per-miss fetch policy,
+whose access order *is* the model.  Charges are integer ticks
 (:mod:`repro.cluster.cost`): a batch's cost is its counts times tick
 weights.
 
@@ -17,8 +19,8 @@ weights.
 a *fetch* stage that collects the batch's remote vertices, seals cached
 ones and pulls the misses with one aggregated ``GetNbrs`` RPC per owner,
 then an *intersect* stage that runs the multiway intersections as one
-columnar pass (:func:`~repro.core.kernels.extend_step`).  The split exists
-so that the cache policy never touches the intersection: setting
+columnar pass (:func:`~repro.core.kernels.extend_block`).  The split
+exists so that the cache policy never touches the intersection: setting
 ``two_stage=False`` (the Cncr-LRU ablation) swaps the fetch stage for a
 per-miss policy — one cache access per remote read, one RPC pair per
 miss — in front of the same intersect stage.
@@ -37,8 +39,8 @@ from ..obs.trace import NULL_TRACER
 from .batch import Batch
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
-from .kernels import (chunk_charges, extend_step, fused_verify_mask,
-                      hash_destinations, join_rows)
+from .kernels import (chunk_charges, csr_gather, extend_block,
+                      fused_verify_mask, hash_destinations, join_rows)
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
            "join_stream", "Batch", "Tuple"]
@@ -93,50 +95,38 @@ class ScanOp:
 
         Pivots are normally local; pivots re-homed by inter-machine work
         stealing are remote, and their adjacency is pulled with one
-        aggregated ``GetNbrs`` RPC for the chunk.  Emission is columnar:
-        pivot columns via ``np.repeat``, neighbour columns concatenated.
+        aggregated ``GetNbrs`` RPC for the chunk.  The chunk is one
+        columnar pass: one CSR gather over its pivots, the order and
+        label filters as masks, and per-pivot ticks as one expression —
+        a pivot costs a scan per neighbour and two emits per row kept,
+        one failing ``pivot_label`` a single scan.
         """
         t = self.ctx.cost.ticks
-        pg = self.ctx.cluster.pgraph
-        order = self.spec.order
+        cluster = self.ctx.cluster
+        g = cluster.pgraph.graph
         labels = self.ctx.labels
         pivot_label, nbr_label = self.spec.labels
         parr = np.asarray(pivots, dtype=np.int64)
-        remote_mask = (pg.owner[parr] != machine) if len(parr) else parr
-        remote = [int(u) for u in parr[remote_mask]] if len(parr) else []
-        pulled = self.ctx.cluster.get_nbrs(machine, remote) if remote else {}
-        us: list[int] = []
-        counts: list[int] = []
-        vs_parts: list[np.ndarray] = []
-        item_costs: list[int] = []
-        for u in parr.tolist():
-            if (pivot_label is not None and labels is not None
-                    and labels[u] != pivot_label):
-                item_costs.append(t.scan)
-                continue
-            nbrs = pulled.get(u)
-            if nbrs is None:
-                nbrs = pg.neighbours_local(u, machine)
-            if order == "lt":
-                vs = nbrs[nbrs > u]
-            elif order == "gt":
-                vs = nbrs[nbrs < u]
-            else:
-                vs = nbrs
-            if nbr_label is not None and labels is not None:
-                vs = vs[labels[vs] == nbr_label]
-            us.append(u)
-            counts.append(len(vs))
-            vs_parts.append(vs)
-            item_costs.append(len(nbrs) * t.scan + len(vs) * 2 * t.emit)
-        if vs_parts:
-            u_col = np.repeat(np.asarray(us, dtype=np.int64),
-                              np.asarray(counts))
-            v_col = np.concatenate(vs_parts)
-            out = Batch(np.column_stack((u_col, v_col)))
-        else:
-            out = Batch.empty(2)
-        return out, np.asarray(item_costs, dtype=np.int64), 0
+        cluster.pull(machine, parr[cluster.pgraph.owner[parr] != machine])
+        scanned = np.ones(len(parr), dtype=bool)
+        if pivot_label is not None and labels is not None:
+            scanned = labels[parr] == pivot_label
+        sources = parr[scanned]
+        row_ids, vs = csr_gather(g.indptr, g.indices, sources)
+        us = sources[row_ids]
+        keep = np.ones(len(vs), dtype=bool)
+        if self.spec.order == "lt":
+            keep = vs > us
+        elif self.spec.order == "gt":
+            keep = vs < us
+        if nbr_label is not None and labels is not None:
+            keep &= labels[vs] == nbr_label
+        item_costs = np.full(len(parr), t.scan, dtype=np.int64)
+        item_costs[scanned] = (
+            np.bincount(row_ids, minlength=len(sources)) * t.scan
+            + np.bincount(row_ids[keep], minlength=len(sources))
+            * (2 * t.emit))
+        return Batch(np.column_stack((us[keep], vs[keep]))), item_costs, 0
 
 
 class ExtendOp:
@@ -152,13 +142,20 @@ class ExtendOp:
     # -- fetch stage --------------------------------------------------------------
 
     # Both fetch policies take ``reads``: the batch's remote extend
-    # vertices, one entry per read, row-major over the extend columns.  Its
-    # order drives seal/fetch/insert order and therefore which entries the
-    # cache evicts, so it is part of the model.
+    # vertices, one entry per read, row-major over the extend columns.
+    # The per-miss policy replays that order access by access — there it
+    # is part of the model.  The batched policy only needs the *set*: it
+    # seals every hit before it inserts any miss, victims are a prefix of
+    # ``S_free`` whose length depends on the misses' total size alone
+    # (:meth:`LRBUCache.admit`), ``release`` re-files the batch by
+    # ascending id, and the ledger takes integer sums — so which entries
+    # the cache evicts, and every charge, are functions of the distinct
+    # ids, and the stage runs as a handful of array calls.
 
     def _fetch(self, machine: int, reads: np.ndarray) -> None:
-        """Collect the batch's remote extend vertices, seal hits, pull the
-        misses with one aggregated RPC per owner, insert + seal them."""
+        """Collect the batch's distinct remote extend vertices, seal the
+        hits, pull the misses with one aggregated RPC per owner, admit
+        (insert + seal) them."""
         ctx = self.ctx
         cache = ctx.caches[machine]
         tracer = ctx.tracer
@@ -166,30 +163,27 @@ class ExtendOp:
             t0 = tracer.now(machine)
             evictions0 = cache.stats.evictions
             overflow0 = cache.stats.max_overflow_ids
-        remote: set[int] = set(reads.tolist())
-        fetch: list[int] = []
-        hits = 0
-        for u in remote:
-            if cache.contains(u):
-                cache.seal(u)
-                hits += 1
-            else:
-                fetch.append(u)
-        if fetch:
-            fetched = ctx.cluster.get_nbrs(machine, fetch)
-            for u, nbrs in fetched.items():
-                cache.insert(u, nbrs)
-                cache.seal(u)
-        for u in remote:
-            if not cache.contains(u):
-                # the intersect stage reads these entries in place; one
-                # missing now was evicted mid-batch, which sealing forbids
-                raise AssertionError(
-                    f"vertex {u} missing from cache during intersect stage")
+        # a sort and a first-occurrence mask, as in ``graph.edge_rows``
+        # (``np.unique`` takes a hash pass on int64)
+        remote = np.sort(reads)
+        first = np.ones(len(remote), dtype=bool)
+        first[1:] = remote[1:] != remote[:-1]
+        remote = remote[first]
+        hit = cache.resident(remote)
+        cache.seal_many(remote[hit])
+        fetch = remote[~hit]
+        sizes = ctx.cluster.pull(machine, fetch)
+        cache.admit(fetch, sizes)
+        if not cache.resident(remote).all():
+            # the intersect stage reads these entries in place; one
+            # missing now was evicted mid-batch, which sealing forbids
+            raise AssertionError(
+                f"vertices {remote[~cache.resident(remote)].tolist()} "
+                "missing from cache during intersect stage")
+        hits = len(remote) - len(fetch)
         cache.stats.count(hits=hits, misses=len(fetch))
         ops = (len(remote) * _FETCH_SEAL_TICKS
-               + sum(1 + len(ctx.cluster.pgraph.graph.neighbours(u))
-                     for u in fetch) * _FETCH_INSERT_TICKS)
+               + int(sizes.sum()) * _FETCH_INSERT_TICKS)
         ctx.metrics.charge_ops(machine, ops)
         ctx.fetch_ops += ops
         if tracer.enabled:
@@ -242,37 +236,41 @@ class ExtendOp:
         columnar pass behind either.
         """
         ctx = self.ctx
+        g = ctx.cluster.pgraph.graph
         in_arity = (self.out_arity if self.spec.is_verify
                     else self.out_arity - 1)
         rows = Batch.coerce(batch, in_arity).rows
+        # the batch's extend block, gathered once for both stages
         verts = rows[:, list(self.spec.ext)]
+        lens = g.indptr[verts + 1] - g.indptr[verts]
         remote = ctx.cluster.pgraph.owner[verts] != machine
         if not ctx.two_stage:
             self._fetch_per_miss(machine, verts[remote])
-            return self._process_vector(machine, rows, verts, remote,
+            return self._process_vector(machine, rows, verts, lens, remote,
                                         count_only)
         self._fetch(machine, verts[remote])
-        result = self._process_vector(machine, rows, verts, remote,
+        result = self._process_vector(machine, rows, verts, lens, remote,
                                       count_only)
         ctx.caches[machine].release()
         return result
 
     def _process_vector(self, machine: int, rows: np.ndarray,
-                        verts: np.ndarray, remote: np.ndarray,
+                        verts: np.ndarray, lens: np.ndarray,
+                        remote: np.ndarray,
                         count_only: bool) -> tuple[Batch, np.ndarray, int]:
         """Columnar intersect stage over ``rows``; ``verts`` is their
-        extend-vertex block ``rows[:, ext]`` and ``remote`` marks its
-        cells owned by another machine.
+        extend-vertex block ``rows[:, ext]``, ``lens`` its adjacency
+        lengths and ``remote`` marks its cells owned by another machine.
 
         Candidate sets are gathered straight from the global CSR (cached
         remote adjacency is the same data by construction) and the whole
-        intersect chain runs as one fused kernel pass — every membership
-        test of the batch collapses into a single ``searchsorted`` against
-        the composite edge index.  A row costs its multiway intersection
-        (as :meth:`~repro.cluster.cost.CostModel.intersection_ops`
-        computes it: the smallest list scanned, every other list probed
-        once per element), one cache access penalty per remote read, and
-        its emits.
+        intersect chain runs as one fused kernel pass
+        (:func:`~repro.core.kernels.extend_block`).  A row costs its
+        multiway intersection (as
+        :meth:`~repro.cluster.cost.CostModel.intersection_ops` computes
+        it: the smallest list scanned, every other list probed once per
+        element — the full lists, whatever window the kernel gathered),
+        one cache access penalty per remote read, and its emits.
         """
         ctx = self.ctx
         t = ctx.cost.ticks
@@ -283,7 +281,6 @@ class ExtendOp:
         if n == 0:
             return Batch.empty(self.out_arity), np.zeros(0, np.int64), 0
         labels = ctx.labels
-        lens = g.indptr[verts + 1] - g.indptr[verts]
         penalties = np.where(
             remote, ctx.caches[machine].access_penalty(lens), 0).sum(axis=1)
 
@@ -297,8 +294,8 @@ class ExtendOp:
             counted = int(found.sum()) if count_only else 0
             out = empty if count_only else Batch(rows[found])
         else:
-            cand, row_ids, emits, lens = extend_step(
-                g, rows, spec.ext, spec.candidate_lt, spec.candidate_gt,
+            cand, row_ids, emits, lens = extend_block(
+                g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
                 labels, spec.new_label)
             counted = len(cand) if count_only else 0
             out = empty

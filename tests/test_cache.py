@@ -252,3 +252,111 @@ class TestLRBUOverflowRegression:
         assert c.size_ids == 2
         assert not c.contains(1) and not c.contains(2)
         assert c.stats.evictions == 2
+
+
+# -- the fetch stage's bulk methods -------------------------------------------
+
+IDS = 120
+
+
+def _state(c):
+    return (np.flatnonzero(c.resident(np.arange(IDS))).tolist(), c.size_ids,
+            c.num_sealed, len(c), c.stats.hits, c.stats.misses,
+            c.stats.evictions, c.stats.max_overflow_ids)
+
+
+def _bulk_batch(c, ids, sizes):
+    hit = c.resident(ids)
+    c.seal_many(ids[hit])
+    c.admit(ids[~hit], sizes[ids[~hit]])
+    c.stats.count(hits=int(hit.sum()), misses=int((~hit).sum()))
+
+
+def _scalar_batch(c, ids, sizes):
+    """Algorithm 4's fetch stage one vertex at a time."""
+    fetch = []
+    for v in ids.tolist():
+        if c.contains(v):
+            c.seal(v)
+            c.stats.count(hits=1)
+        else:
+            fetch.append(v)
+    for v in fetch:
+        c.insert(v, np.zeros(sizes[v] - 1, dtype=np.int64))
+        c.seal(v)
+        c.stats.count(misses=1)
+
+
+class TestBulkFetchStage:
+    @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lrbu-lock"])
+    def test_bulk_equals_scalar_replay_in_any_order(self, cost, variant):
+        """240 overlapping batches through the bulk methods, through the
+        scalar Algorithm-3 methods, and through the bulk methods with each
+        batch's ids shuffled: the same cache after every batch.  The
+        capacity is small enough to evict and to overflow inside a batch."""
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(1, 9, size=IDS)
+        capacity = 60
+        bulk, scalar, shuffled = (make_cache(variant, capacity, cost)
+                                  for _ in range(3))
+        overflowed = 0
+        for _ in range(240):
+            ids = np.unique(rng.integers(0, IDS, size=rng.integers(1, 30)))
+            _bulk_batch(bulk, ids, sizes)
+            _scalar_batch(scalar, rng.permutation(ids), sizes)
+            _bulk_batch(shuffled, rng.permutation(ids), sizes)
+            assert _state(bulk) == _state(scalar) == _state(shuffled)
+            assert bulk.num_sealed == len(ids)
+            overflowed += bulk.size_ids > capacity
+            for c in (bulk, scalar, shuffled):
+                c.release()
+            assert (bulk.free_order() == scalar.free_order()
+                    == shuffled.free_order())
+            assert sorted(bulk.free_order()) == _state(bulk)[0]
+        assert bulk.stats.evictions > 500 and overflowed > 20
+        assert 0 < bulk.stats.max_overflow_ids <= sizes.sum()
+
+    def test_mixed_bulk_and_scalar_use_keeps_overflow_bound(self, cost):
+        """§4.4 with both APIs on one cache: overflow never exceeds the
+        in-flight batch's pinned footprint, and a scalar re-insert of a
+        resident id still sheds what an earlier batch left over."""
+        c = LRBUCache(10, cost)
+        ids = np.arange(6)
+        c.admit(ids, np.full(6, 3))          # one batch: 18 ids, all pinned
+        assert c.size_ids == 18 and c.stats.max_overflow_ids == 8
+        c.release()                          # S_free: 0 1 2 3 4 5
+        c.seal_many(np.array([0]))
+        c.insert(1, arr(7, 7))               # resident: re-pin + shed
+        assert c.size_ids == 9 and c.stats.evictions == 3
+        assert c.size_ids - c.capacity_ids <= 6     # pinned: entries 0, 1
+        assert c.free_order() == [5] and c.num_sealed == 2
+        c.seal(5)
+        c.seal(5)                            # sealing twice pins once
+        c.seal(42)                           # absent: harmless
+        assert c.num_sealed == 3
+        c.release()
+        assert c.free_order() == [0, 1, 5] and c.num_sealed == 0
+        assert list(c.get(1)) == [7, 7]
+        with pytest.raises(KeyError):
+            c.get(0)                         # bulk admission stores no value
+
+    def test_ids_beyond_the_arrays_grow_them(self, cost):
+        c = LRBUCache(None, cost)
+        assert not c.contains(10 ** 6)
+        assert not c.resident(np.array([5, 10 ** 5])).any()
+        c.insert(10 ** 5 + 1, arr(1))
+        assert c.contains(10 ** 5 + 1) and len(c) == 1
+
+    def test_lru_bulk_methods(self, cost):
+        """the LRU ablation behind the same fetch stage: ``resident`` is
+        not an access, hits refresh recency, admission is in id order"""
+        c = LRUCache(6, cost)
+        c.insert(1, arr(1))
+        c.insert(2, arr(2))
+        assert c.resident(np.array([1, 2, 3])).tolist() == [True, True,
+                                                            False]
+        assert list(c._data) == [1, 2]       # the probe moved nothing
+        c.seal_many(np.array([1]))           # a hit: 2 becomes the LRU
+        c.admit(np.array([3, 4]), np.array([2, 2]))
+        assert list(c._data) == [1, 3, 4] and c.stats.evictions == 1
+        assert c.size_ids == 6 and len(c) == 3

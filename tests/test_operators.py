@@ -1,5 +1,6 @@
 """Unit tests for the runtime operators (repro.core.operators)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster
@@ -8,6 +9,8 @@ from repro.core.dataflow import ExtendSpec, JoinSpec, ScanSpec
 from repro.core.operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
                                   SinkConsumer, join_stream)
 from repro.graph import generators as gen
+
+from .test_stream import python_calls
 
 
 @pytest.fixture()
@@ -56,6 +59,101 @@ class TestScanOp:
         out, _, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(0, remote)
         assert len(out) == sum(er_graph.degree(u) for u in remote)
         assert ctx.metrics.machines[0].rpc_requests >= 1
+
+
+    @pytest.mark.parametrize("order", [None, "lt", "gt"])
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_columnar_scan_equals_per_pivot_loop(self, er_graph, order,
+                                                 labelled):
+        """rows, row order, per-pivot ticks and the RPC ledger equal the
+        pivot-at-a-time loop the columnar pass replaced — local and
+        stolen (remote) pivots, a pivot failing its label, an isolated
+        pivot"""
+        n = er_graph.num_vertices
+        labels = (np.random.default_rng(2).integers(0, 2, size=n)
+                  if labelled else None)
+        spec = ScanSpec(schema=(0, 1), order=order,
+                        labels=(1, 0) if labelled else (None, None))
+        pivots = [int(v) for v in np.random.default_rng(4).permutation(n)]
+
+        def run(scan):
+            cluster = Cluster(er_graph, num_machines=4, seed=1, labels=labels)
+            ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
+                                        for _ in range(4)], True, 64)
+            return scan(ctx), cluster.metrics.machines
+
+        def loop(ctx):
+            t, rows, costs = ctx.cost.ticks, [], []
+            ctx.cluster.get_nbrs(0, [u for u in pivots
+                                     if ctx.cluster.machine_of(u) != 0])
+            for u in pivots:
+                if labelled and labels[u] != 1:
+                    costs.append(t.scan)
+                    continue
+                nbrs = er_graph.neighbours(u).tolist()
+                vs = [v for v in nbrs
+                      if (order != "lt" or v > u) and (order != "gt" or v < u)
+                      and (not labelled or labels[v] == 0)]
+                rows += [(u, v) for v in vs]
+                costs.append(len(nbrs) * t.scan + len(vs) * 2 * t.emit)
+            return rows, costs
+
+        (rows, costs), want_ledger = run(loop)
+        (out, got_costs, counted), ledger = run(
+            lambda ctx: ScanOp(spec, ctx).process(0, pivots))
+        assert out == rows and counted == 0
+        assert got_costs.dtype == np.int64 and got_costs.tolist() == costs
+        assert ledger == want_ledger and ledger[0].rpc_requests == 3
+
+    def test_empty_chunk(self, ctx):
+        out, costs, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(0, [])
+        assert len(out) == 0 and out.arity == 2 and len(costs) == 0
+
+
+class TestNoPerVertexPython:
+    """A count, not a timing (``sys.setprofile`` ``"call"`` events): the
+    fetch stage and the SCAN are array programs, so a batch with more
+    distinct vertices makes no more Python calls.  With the per-vertex
+    loops a remote vertex cost about 9 calls on a cold cache and 3 on a
+    warm one, a pivot 2."""
+
+    def test_extend_calls_do_not_scale_with_remote_vertices(self):
+        g = gen.erdos_renyi(2000, 0.004, seed=6)
+        cluster = Cluster(g, num_machines=4, seed=1)
+        remote = np.flatnonzero(cluster.pgraph.owner != 0)
+        local = np.flatnonzero(cluster.pgraph.owner == 0)
+        spec = ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2)
+
+        def calls(distinct, warm):
+            ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
+                                        for _ in range(4)], True, 1024)
+            op = ExtendOp(spec, ctx)
+            rows = np.column_stack((np.resize(remote[:distinct], 512),
+                                    np.resize(local, 512)))
+            if warm:
+                op.process(0, rows)
+            before = ctx.metrics.machines[0].cache_misses
+            n = python_calls(lambda: op.process(0, rows))
+            misses = ctx.metrics.machines[0].cache_misses - before
+            assert misses == (0 if warm else distinct)
+            return n
+
+        for warm in (False, True):
+            assert (calls(512, warm) - calls(32, warm)) / 480 < 1
+
+    def test_scan_calls_do_not_scale_with_pivots(self):
+        cluster = Cluster(gen.erdos_renyi(400, 0.03, seed=6), num_machines=4,
+                          seed=1)
+        ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
+                                    for _ in range(4)], True, 64)
+        op = ScanOp(ScanSpec(schema=(0, 1), order="lt"), ctx)
+        # half local, half stolen from machine 1
+        pivots = [int(v) for pair in zip(cluster.local_vertices(0),
+                                         cluster.local_vertices(1))
+                  for v in pair][:64]
+        few = python_calls(lambda: op.process(0, pivots[:8]))
+        many = python_calls(lambda: op.process(0, pivots))
+        assert len(pivots) == 64 and (many - few) / 56 < 1
 
 
 class TestExtendOp:

@@ -13,15 +13,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
 from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
 from repro.core.kernels import (edge_composite_index, edge_member,
-                                fused_extend_candidates, fused_verify_mask)
+                                extend_step, fused_extend_candidates,
+                                fused_verify_mask)
 from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
+from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -30,6 +34,7 @@ from repro.serve.procpool import WorkerTask, _strip_request
 from repro.serve.request import QueryRequest, QueryStatus
 from repro.serve.service import FaultInjector, QueryService
 from repro.testing.serving import check_service_run
+from repro.testing.strategies import graphs
 
 
 def _shm_exists(name: str) -> bool:
@@ -287,7 +292,61 @@ def _reference_extend(indptr, indices, comp, num_vertices, rows,
     return cand, row_ids, np.bincount(row_ids, minlength=n)
 
 
+@st.composite
+def _extend_cases(draw):
+    """A data graph (edgeless ones included; sometimes rebuilt through
+    ``Graph(indptr, indices)`` with a self-loop, which ``from_edges``
+    would drop), a block of partial matches that reaches for ids ``0``
+    and ``n - 1``, an ``ext`` of width 1–3, 0–2 ``lt`` and 0–2 ``gt``
+    positions (so windows are often empty), labels on or off."""
+    g = draw(graphs(min_vertices=2, max_vertices=12, min_edges=0))
+    n = g.num_vertices
+    if draw(st.booleans()):
+        loop = draw(st.integers(0, n - 1))
+        adj = [sorted({*g.neighbours(u).tolist()} | ({u} if u == loop
+                                                       else set()))
+               for u in range(n)]
+        g = Graph(np.cumsum([0] + [len(a) for a in adj]),
+                  np.asarray(sum(adj, []), dtype=np.int64))
+    arity = draw(st.integers(1, 4))
+    ident = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    rows = draw(st.lists(st.lists(ident, min_size=arity, max_size=arity),
+                         max_size=10))
+    pos = st.integers(0, arity - 1)
+    ext = draw(st.lists(pos, min_size=1, max_size=min(3, arity), unique=True))
+    lt = draw(st.lists(pos, max_size=2, unique=True))
+    gt = draw(st.lists(pos, max_size=2, unique=True))
+    labels = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, 1), min_size=n, max_size=n).map(np.asarray)))
+    return (g, np.asarray(rows, dtype=np.int64).reshape(-1, arity),
+            tuple(ext), tuple(lt), tuple(gt), labels)
+
+
 class TestFusedKernels:
+    @given(case=_extend_cases())
+    @settings(max_examples=200)    # ~1 s; 25 examples miss an off-by-one bound
+    def test_windowed_extend_equals_reference_property(self, case):
+        """window-first, shrink-as-you-go extends equal the gather-all
+        reference element for element"""
+        g, rows, ext, lt, gt, labels = case
+        new_label = None if labels is None else 1
+        comp = edge_composite_index(g)
+        # smallest adjacency first, ties in ``ext`` order (sorted is stable)
+        verts_sorted = np.asarray(
+            [sorted(r, key=g.degree) for r in rows[:, list(ext)].tolist()],
+            dtype=np.int64).reshape(-1, len(ext))
+        ref = _reference_extend(g.indptr, g.indices, comp, g.num_vertices,
+                                rows, verts_sorted, lt, gt, labels,
+                                new_label)
+        fused = fused_extend_candidates(
+            g.indptr, g.indices, comp, g.num_vertices, rows, verts_sorted,
+            lt, gt, labels, new_label)
+        *step, lens = extend_step(g, rows, ext, lt, gt, labels, new_label)
+        for got in (fused, step):
+            for a, b in zip(got, ref, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(lens, g.degrees()[verts_sorted])
+
     @pytest.mark.parametrize("seed", range(6))
     def test_fused_extend_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
