@@ -18,7 +18,7 @@ The cluster is single-process and deterministic; "machines" are indices.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class Cluster:
         (ticks per galloping probe, by adjacency length) — the one table
         every intersect path of every engine on this cluster indexes."""
         return self.cost.probe_tick_table(self.pgraph.graph.max_degree)
-
-    def label_of(self, v: int) -> int | None:
-        """Label of data vertex ``v`` (``None`` on unlabelled graphs)."""
-        if self.labels is None:
-            return None
-        return int(self.labels[v])
 
     def machine_of(self, v: int) -> int:
         """Owner machine of vertex ``v``."""
@@ -164,17 +158,7 @@ class Cluster:
         self.metrics.send(
             src, dst, num_tuples * arity * self.cost.bytes_per_id, messages)
 
-    def shuffle_cost(self, src: int, destinations: Mapping[int, int],
-                     arity: int) -> None:
-        """Account a hash-shuffle: ``destinations[dst] = num_tuples``."""
-        for dst, count in destinations.items():
-            self.push(src, dst, count, arity)
-
     # -- sizing helpers -------------------------------------------------------------
-
-    def tuple_bytes(self, arity: int) -> int:
-        """Wire/memory size of one arity-``arity`` partial-result tuple."""
-        return arity * self.cost.bytes_per_id
 
     def graph_bytes(self) -> int:
         """Approximate size of the whole data graph on the wire."""

@@ -14,18 +14,17 @@ zero-copy access through three structures:
 construction the overflow never exceeds the number of distinct remote
 vertices in one batch (tested invariant).
 
-The ablation variants of Exp-6 differ only in the *access penalty* they
-charge per read (memory copy, locking, LRU bookkeeping) and, for
-``Cncr-LRU``, in disabling the two-stage execution (per-miss RPCs instead
-of one aggregated fetch per batch).  Penalties are cost-model charges,
-not behavioural changes: every variant tracks real residency, sizes and
+The cache class *is* PULL-EXTEND's fetch policy: the operator hands a
+batch's remote reads to :meth:`fetch` and charges what it reports.
+:class:`LRBUCache` does Algorithm 4's sealed, aggregated fetch — one
+``GetNbrs`` RPC per owner per batch — and serves four of Exp-6's five
+variants, which differ only in the *access penalty* they charge per read
+(memory copy, locking, LRU bookkeeping); :class:`LRUCache` does one cache
+access per read and one RPC pair per miss, which is ``Cncr-LRU`` (and
+BENU's local database cache).  Penalties are cost-model charges, not
+behavioural changes: every variant tracks real residency, sizes and
 eviction order, and a scalar ``insert``/``get`` stores and returns the
 real adjacency array.
-
-Each cache has the scalar methods of Algorithm 3 and three bulk methods
-(``resident`` / ``seal_many`` / ``admit``) that do a whole batch's fetch
-stage in a few array calls; :class:`LRBUCache` documents how both run on
-one state and why the bulk form is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from collections import OrderedDict, deque
 
 import numpy as np
 
-from ..cluster.cost import CostModel
+from ..cluster.cost import TICKS_PER_OP, CostModel
 
 __all__ = [
     "LRBUCache",
@@ -43,6 +42,12 @@ __all__ = [
     "make_cache",
     "CACHE_VARIANTS",
 ]
+
+
+#: Algorithm 4's fetch-stage bookkeeping: ``contains`` + ``seal`` per
+#: distinct remote vertex, and the single-writer insert per fetched id
+_FETCH_SEAL_TICKS = 2 * TICKS_PER_OP
+_FETCH_INSERT_TICKS = TICKS_PER_OP // 2
 
 
 class CacheStats:
@@ -91,9 +96,10 @@ class LRBUCache:
     capacity_ids:
         Capacity in vertex-id units (an entry of ``d`` neighbours occupies
         ``d + 1`` units).  ``None`` means unbounded.
-    copy_penalty / lock_penalty:
-        Extra per-access op charges for the ``LRBU-Copy`` / ``LRBU-Lock``
-        ablations; the plain LRBU charges neither (zero-copy, lock-free).
+    copy_penalty / lock_penalty / update_penalty:
+        Extra per-access op charges: ``LRBU-Copy`` copies, ``LRBU-Lock``
+        copies and locks, ``LRU-Inf`` (unbounded) also pays LRU's position
+        update; the plain LRBU charges none (zero-copy, lock-free).
     cost:
         Cost model supplying the penalty weights.
 
@@ -109,24 +115,24 @@ class LRBUCache:
     Two APIs run on that one state.  The scalar Algorithm-3 methods
     (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`) are
     the paper's, used where a caller walks vertices one at a time and
-    wants the adjacency back (``apps/shortest_path.py``, the per-miss
-    fetch policy).  The bulk methods (:meth:`resident` /
-    :meth:`seal_many` / :meth:`admit`) are PULL-EXTEND's fetch stage: one
-    array call per batch.  ``M_cache``'s *values* are kept for scalar
+    wants the adjacency back (``apps/shortest_path.py``), and the
+    reference the bulk form is tested against.  :meth:`fetch` is
+    PULL-EXTEND's fetch stage, built from the bulk methods
+    (:meth:`resident` / :meth:`seal_many` / :meth:`admit`): one array
+    call each per batch.  ``M_cache``'s *values* are kept for scalar
     ``insert``/``get`` only — bulk admission records an entry's size and
     no value, because the columnar intersect stage reads adjacency from
     the CSR (cached remote adjacency is the same data by construction).
     """
 
-    #: whether PULL-EXTEND may use the two-stage (batched-fetch) strategy
-    supports_two_stage = True
-
     def __init__(self, capacity_ids: int | None, cost: CostModel,
-                 copy_penalty: bool = False, lock_penalty: bool = False):
+                 copy_penalty: bool = False, lock_penalty: bool = False,
+                 update_penalty: bool = False):
         self._capacity = capacity_ids
         self._cost = cost
         self._copy = copy_penalty
         self._lock = lock_penalty
+        self._update = update_penalty
         self._values: dict[int, np.ndarray] = {}
         self._entry = np.zeros(0, dtype=np.int64)
         self._order = np.zeros(0, dtype=np.int64)
@@ -206,6 +212,8 @@ class LRBUCache:
             penalty += (length + 1) * t.cache_copy_per_id
         if self._lock:
             penalty += t.cache_lock
+        if self._update:
+            penalty += t.cache_update
         return penalty
 
     def insert(self, vid: int, neighbours: np.ndarray) -> None:
@@ -250,7 +258,40 @@ class LRBUCache:
             self._next_order = base + len(ids)
             self._pinned = []
 
-    # -- the fetch stage's bulk methods ---------------------------------------------
+    # -- PULL-EXTEND's fetch stage and its bulk methods -----------------------------
+
+    def fetch(self, cluster, machine: int, reads: np.ndarray):
+        """Algorithm 4's fetch stage for one batch on ``machine``: seal
+        the resident ones of the batch's distinct remote vertices, pull
+        the rest with one aggregated ``GetNbrs`` per owner, admit them.
+
+        ``reads`` holds one id per remote read; only the *set* matters.
+        Every hit is sealed before any miss is inserted, victims are a
+        prefix of ``S_free`` whose length depends on the misses' total
+        size alone (:meth:`admit`), :meth:`release` re-files the batch by
+        ascending id, and the ledger takes integer sums — so which
+        entries are evicted, and every charge, are functions of the
+        distinct ids.
+
+        Returns ``(hits, misses, ticks, lost)``: distinct ids found and
+        fetched, the stage's bookkeeping ticks, and the batch's ids *not*
+        resident now — sealing forbids any; the operator asserts it.
+        """
+        # a sort and a first-occurrence mask, as in ``graph.edge_rows``
+        # (``np.unique`` takes a hash pass on int64)
+        remote = np.sort(reads)
+        first = np.ones(len(remote), dtype=bool)
+        first[1:] = remote[1:] != remote[:-1]
+        remote = remote[first]
+        hit = self.resident(remote)
+        self.seal_many(remote[hit])
+        missed = remote[~hit]
+        sizes = cluster.pull(machine, missed)
+        self.admit(missed, sizes)
+        ticks = (len(remote) * _FETCH_SEAL_TICKS
+                 + int(sizes.sum()) * _FETCH_INSERT_TICKS)
+        return (len(remote) - len(missed), len(missed), ticks,
+                remote[~self.resident(remote)])
 
     def resident(self, ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``ids`` have an entry.  Reads only."""
@@ -318,13 +359,16 @@ class LRBUCache:
 
 
 class LRUCache:
-    """A classic LRU cache (the ``LRU-Inf`` and ``Cncr-LRU`` ablations).
+    """A classic LRU cache touched once per adjacency read: the
+    ``Cncr-LRU`` ablation and BENU's local database cache.
 
-    Charges copy + lock + LRU-bookkeeping penalties on every access.  With
-    ``capacity_ids=None`` it is ``LRU-Inf`` (the "official Rust LRU library
-    with capacity set to the maximum integer" of Exp-6).  ``Cncr-LRU``
-    additionally disables two-stage execution (``supports_two_stage`` is
-    false) and pays a contention penalty scaled by the worker count.
+    Charges copy + lock + LRU-bookkeeping penalties on every access;
+    ``concurrent`` (``Cncr-LRU``) scales the lock by the worker count.
+    Only the scalar API exists here — LRU order is a function of the
+    access sequence, so :meth:`fetch` replays a batch read by read.
+    (``LRU-Inf`` is not this class: an unbounded LRU never evicts, so its
+    order is unobservable and it is :class:`LRBUCache` with capacity
+    ``None`` charging these penalties.)
     """
 
     def __init__(self, capacity_ids: int | None, cost: CostModel,
@@ -337,11 +381,6 @@ class LRUCache:
         self._entry_ids: dict[int, int] = {}
         self._size_ids = 0
         self.stats = CacheStats()
-
-    @property
-    def supports_two_stage(self) -> bool:
-        """Cncr-LRU models the paper's no-two-stage baseline."""
-        return not self._concurrent
 
     def contains(self, vid: int) -> bool:
         """Membership test (counted as an access for LRU bookkeeping).
@@ -385,11 +424,7 @@ class LRUCache:
         refreshes recency like any other access.  The replacement itself
         is not counted as an eviction.
         """
-        self._store(vid, len(neighbours) + 1, neighbours)
-
-    def _store(self, vid: int, entry_ids: int, value) -> None:
-        """File ``vid`` at the recent end as an entry of ``entry_ids``
-        ids, retiring any old entry and evicting from the stale end."""
+        entry_ids = len(neighbours) + 1
         if vid in self._data:
             del self._data[vid]
             self._size_ids -= self._entry_ids.pop(vid)
@@ -398,38 +433,30 @@ class LRUCache:
                 victim, _ = self._data.popitem(last=False)
                 self._size_ids -= self._entry_ids.pop(victim)
                 self.stats.evictions += 1
-        self._data[vid] = value
+        self._data[vid] = neighbours
         self._entry_ids[vid] = entry_ids
         self._size_ids += entry_ids
 
-    # The fetch stage's bulk methods (see LRBUCache).  LRU order is
-    # inherently sequential, so these are loops — over a batch's ids in
-    # the ascending order the fetch stage hands them in.
-
-    def resident(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of ``ids`` have an entry.  Reads only —
-        unlike :meth:`contains` it is not an access and moves nothing."""
-        data = self._data
-        return np.fromiter((v in data for v in ids.tolist()), dtype=bool,
-                           count=len(ids))
-
-    def seal_many(self, ids: np.ndarray) -> None:
-        """LRU has no pinning; a batch's hits are accesses, and each
-        refreshes its entry's recency."""
-        for vid in ids.tolist():
-            self._data.move_to_end(vid)
-
-    def admit(self, ids: np.ndarray, sizes: np.ndarray) -> None:
-        """Insert ``ids`` one after another, entry ``i`` occupying
-        ``sizes[i]`` ids and storing no value."""
-        for vid, entry_ids in zip(ids.tolist(), sizes.tolist()):
-            self._store(vid, entry_ids, None)
-
-    def seal(self, vid: int) -> None:
-        """LRU has no pinning; sealing is a no-op."""
+    def fetch(self, cluster, machine: int, reads: np.ndarray):
+        """The per-access fetch stage for one batch on ``machine``: every
+        remote read is its own cache access, in the row-major order a
+        tuple-at-a-time loop issues them.  A hit refreshes the entry's
+        recency; a miss pulls that one vertex with its own RPC pair and
+        inserts it, evicting as LRU dictates.  Nothing is aggregated or
+        sealed — a bounded LRU may evict one of the batch's own entries
+        mid-batch; that is the model — so there are no bookkeeping ticks
+        and nothing to lose.  Returns as :meth:`LRBUCache.fetch`, counting
+        accesses instead of distinct ids.
+        """
+        misses = 0
+        for u in reads.tolist():
+            if not self.contains(u):
+                self.insert(u, cluster.get_nbrs(machine, [u])[u])
+                misses += 1
+        return len(reads) - misses, misses, 0, reads[:0]
 
     def release(self) -> None:
-        """LRU has no pinning; releasing is a no-op."""
+        """End-of-batch hook; LRU pins nothing."""
 
     @property
     def size_ids(self) -> int:
@@ -460,7 +487,10 @@ def make_cache(variant: str, capacity_ids: int | None, cost: CostModel,
     if v == "lrbu-lock":
         return LRBUCache(capacity_ids, cost, copy_penalty=True, lock_penalty=True)
     if v == "lru-inf":
-        return LRUCache(None, cost)
+        # unbounded => no eviction => LRU order unobservable: LRBU's
+        # batched stage, LRU's copy + lock + position-update penalties
+        return LRBUCache(None, cost, copy_penalty=True, lock_penalty=True,
+                         update_penalty=True)
     if v == "cncr-lru":
         return LRUCache(capacity_ids, cost, concurrent=True, workers=workers)
     raise ValueError(f"unknown cache variant {variant!r}; "

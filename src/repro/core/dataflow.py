@@ -153,14 +153,3 @@ class Segment:
             out.extend(self.right.all_segments())
         out.append(self)
         return out
-
-    def total_operators(self) -> int:
-        """Operators in the whole tree."""
-        return sum(s.num_operators for s in self.all_segments())
-
-    def max_arity(self) -> int:
-        """Widest tuple produced anywhere in the tree."""
-        widest = len(self.out_schema)
-        for seg in self.all_segments():
-            widest = max(widest, len(seg.out_schema))
-        return widest

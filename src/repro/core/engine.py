@@ -45,20 +45,14 @@ class EngineConfig(SchedulerConfig):
     """
 
     cache_variant: str = "lrbu"
-    """One of :data:`~repro.core.cache.CACHE_VARIANTS` (Table 5)."""
+    """One of :data:`~repro.core.cache.CACHE_VARIANTS` (Table 5); the
+    variant's cache class is also PULL-EXTEND's fetch stage."""
 
     cache_capacity_fraction: float = 0.30
     """Cache capacity as a fraction of the data-graph size (§7.1)."""
 
     cache_capacity_ids: int | None = None
     """Absolute capacity in vertex-id units; overrides the fraction."""
-
-    two_stage: bool | None = None
-    """PULL-EXTEND's fetch policy: ``True`` is Algorithm 4's one sealed,
-    aggregated fetch per batch, ``False`` one cache access per remote
-    read and one RPC pair per miss; ``None`` follows the cache variant
-    (Cncr-LRU is per-miss, everything else batched).  The intersect
-    stage behind it is the same either way."""
 
     collect_results: bool = False
     """Keep the matched tuples (tests); benchmarks count only."""
@@ -177,10 +171,7 @@ class HugeEngine:
                        workers=self.cluster.workers_per_machine)
             for _ in range(self.cluster.num_machines)
         ]
-        two_stage = config.two_stage
-        if two_stage is None:
-            two_stage = caches[0].supports_two_stage
-        ctx = ExecContext(self.cluster, caches, two_stage, config.batch_size,
+        ctx = ExecContext(self.cluster, caches, config.batch_size,
                           tracer=tracer)
         ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
         return ctx

@@ -64,8 +64,6 @@ def hash_destinations(keys: np.ndarray, k: int) -> np.ndarray:
     Hash partitioning is this function by definition: one xxHash-style
     round per key column over the ids as unsigned 64-bit lanes, a
     width-dependent finaliser, then the signed result modulo ``k``.
-    Columnar shuffles and :meth:`JoinBuffer.destination` both call it, so
-    a row routes the same way however it arrives.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     n, width = keys.shape

@@ -5,25 +5,29 @@ the simulated cluster.  All enumeration work is real — tuples are produced,
 intersected and filtered exactly — while compute ops, RPC bytes/messages
 and memory are charged to the metrics ledger.
 
-Batches are columnar (:class:`~repro.core.batch.Batch`: a 2-D ``int64``
-array of partial matches).  SCAN, both stages of PULL-EXTEND and the
-join run as array programs over a whole batch — the symmetry window,
-intersections, distinctness, label filters, emission, and the cache's
-fetch stage (membership, sealing, admission and eviction on id-indexed
-arrays).  The one per-vertex loop left is the per-miss fetch policy,
-whose access order *is* the model.  Charges are integer ticks
-(:mod:`repro.cluster.cost`): a batch's cost is its counts times tick
-weights.
+A batch is a plain ``(n, arity)`` ``int64`` array, one row per partial
+match, one column per matched query vertex (a SCAN's input is a 1-D array
+of pivot ids); operators take and return such arrays and a queue slices
+them.  SCAN, both stages of PULL-EXTEND and the join run as array
+programs over a whole batch — the symmetry window, intersections,
+distinctness, label filters, emission, and LRBU's fetch stage
+(membership, sealing, admission and eviction on id-indexed arrays).  The
+one per-vertex loop left is :meth:`LRUCache.fetch
+<repro.core.cache.LRUCache.fetch>`, whose access order *is* the model.
+Charges are integer ticks (:mod:`repro.cluster.cost`): a batch's cost is
+its counts times tick weights.
 
 ``PULL-EXTEND`` implements the two-stage execution strategy of Algorithm 4:
-a *fetch* stage that collects the batch's remote vertices, seals cached
-ones and pulls the misses with one aggregated ``GetNbrs`` RPC per owner,
-then an *intersect* stage that runs the multiway intersections as one
-columnar pass (:func:`~repro.core.kernels.extend_block`).  The split
-exists so that the cache policy never touches the intersection: setting
-``two_stage=False`` (the Cncr-LRU ablation) swaps the fetch stage for a
-per-miss policy — one cache access per remote read, one RPC pair per
-miss — in front of the same intersect stage.
+a *fetch* stage that makes the batch's remote vertices resident, then an
+*intersect* stage that runs the multiway intersections as one columnar
+pass (:func:`~repro.core.kernels.extend_block`).  The split exists so
+that the cache never touches the intersection: *how* a batch is fetched
+is the cache class's ``fetch`` — :class:`~repro.core.cache.LRBUCache`
+seals cached vertices and pulls the misses with one aggregated
+``GetNbrs`` RPC per owner; :class:`~repro.core.cache.LRUCache` (the
+Cncr-LRU ablation) makes one cache access per remote read and one RPC
+pair per miss — and the operator counts, charges, checks and traces
+whatever either reports, in front of the same intersect stage.
 """
 
 from __future__ import annotations
@@ -34,38 +38,31 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..cluster.cost import TICKS_PER_OP, to_ticks
+from ..cluster.cost import to_ticks
 from ..obs.trace import NULL_TRACER
-from .batch import Batch
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
 from .kernels import (chunk_charges, csr_gather, extend_block,
                       fused_verify_mask, hash_destinations, join_rows)
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
-           "join_stream", "Batch", "Tuple"]
+           "join_stream", "Tuple"]
 
 Tuple = tuple[int, ...]
 Cache = LRBUCache | LRUCache
-
-#: fetch-stage bookkeeping: ``contains`` + ``seal`` per remote vertex, and
-#: the single-writer insert per fetched id
-_FETCH_SEAL_TICKS = 2 * TICKS_PER_OP
-_FETCH_INSERT_TICKS = TICKS_PER_OP // 2
 
 
 class ExecContext:
     """Shared execution state for one engine run."""
 
     def __init__(self, cluster: Cluster, caches: Sequence[Cache],
-                 two_stage: bool, batch_size: int, tracer=None):
+                 batch_size: int, tracer=None):
         self.cluster = cluster
         self.caches = list(caches)
         # hit/miss accounting is charged once, through the cache's own
         # stats, and forwarded to the run metrics from there
         for machine, cache in enumerate(self.caches):
             cache.stats.bind(cluster.metrics, machine)
-        self.two_stage = two_stage
         self.batch_size = batch_size
         self.metrics = cluster.metrics
         self.cost = cluster.cost
@@ -81,7 +78,7 @@ class ExecContext:
 
 class ScanOp:
     """Edge SCAN: emits matches of a single query edge from the local
-    partition.  Input batches are lists of local pivot vertices."""
+    partition.  Input batches are 1-D arrays of local pivot vertices."""
 
     def __init__(self, spec: ScanSpec, ctx: ExecContext):
         self.spec = spec
@@ -89,7 +86,7 @@ class ScanOp:
         self.out_arity = 2
 
     def process(self, machine: int,
-                pivots: Sequence[int]) -> tuple[Batch, np.ndarray, int]:
+                pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Expand each pivot ``u`` into rows ``(u, v)`` for its neighbours
         ``v`` passing the symmetry order filter.
 
@@ -106,12 +103,11 @@ class ScanOp:
         g = cluster.pgraph.graph
         labels = self.ctx.labels
         pivot_label, nbr_label = self.spec.labels
-        parr = np.asarray(pivots, dtype=np.int64)
-        cluster.pull(machine, parr[cluster.pgraph.owner[parr] != machine])
-        scanned = np.ones(len(parr), dtype=bool)
+        cluster.pull(machine, pivots[cluster.pgraph.owner[pivots] != machine])
+        scanned = np.ones(len(pivots), dtype=bool)
         if pivot_label is not None and labels is not None:
-            scanned = labels[parr] == pivot_label
-        sources = parr[scanned]
+            scanned = labels[pivots] == pivot_label
+        sources = pivots[scanned]
         row_ids, vs = csr_gather(g.indptr, g.indices, sources)
         us = sources[row_ids]
         keep = np.ones(len(vs), dtype=bool)
@@ -121,17 +117,17 @@ class ScanOp:
             keep = vs < us
         if nbr_label is not None and labels is not None:
             keep &= labels[vs] == nbr_label
-        item_costs = np.full(len(parr), t.scan, dtype=np.int64)
+        item_costs = np.full(len(pivots), t.scan, dtype=np.int64)
         item_costs[scanned] = (
             np.bincount(row_ids, minlength=len(sources)) * t.scan
             + np.bincount(row_ids[keep], minlength=len(sources))
             * (2 * t.emit))
-        return Batch(np.column_stack((us[keep], vs[keep]))), item_costs, 0
+        return np.column_stack((us[keep], vs[keep])), item_costs, 0
 
 
 class ExtendOp:
-    """PULL-EXTEND (Algorithm 4): a fetch stage (batched, or per miss),
-    then one columnar intersect stage."""
+    """PULL-EXTEND (Algorithm 4): the cache's fetch stage, then one
+    columnar intersect stage."""
 
     def __init__(self, spec: ExtendSpec, ctx: ExecContext, opid: str = ""):
         self.spec = spec
@@ -141,21 +137,11 @@ class ExtendOp:
 
     # -- fetch stage --------------------------------------------------------------
 
-    # Both fetch policies take ``reads``: the batch's remote extend
-    # vertices, one entry per read, row-major over the extend columns.
-    # The per-miss policy replays that order access by access — there it
-    # is part of the model.  The batched policy only needs the *set*: it
-    # seals every hit before it inserts any miss, victims are a prefix of
-    # ``S_free`` whose length depends on the misses' total size alone
-    # (:meth:`LRBUCache.admit`), ``release`` re-files the batch by
-    # ascending id, and the ledger takes integer sums — so which entries
-    # the cache evicts, and every charge, are functions of the distinct
-    # ids, and the stage runs as a handful of array calls.
-
     def _fetch(self, machine: int, reads: np.ndarray) -> None:
-        """Collect the batch's distinct remote extend vertices, seal the
-        hits, pull the misses with one aggregated RPC per owner, admit
-        (insert + seal) them."""
+        """Have the machine's cache fetch the batch's remote ``reads``
+        (one entry per read, row-major over the extend columns) and
+        account for what it reports: hits and misses, the stage's ticks,
+        the trace."""
         ctx = self.ctx
         cache = ctx.caches[machine]
         tracer = ctx.tracer
@@ -163,33 +149,19 @@ class ExtendOp:
             t0 = tracer.now(machine)
             evictions0 = cache.stats.evictions
             overflow0 = cache.stats.max_overflow_ids
-        # a sort and a first-occurrence mask, as in ``graph.edge_rows``
-        # (``np.unique`` takes a hash pass on int64)
-        remote = np.sort(reads)
-        first = np.ones(len(remote), dtype=bool)
-        first[1:] = remote[1:] != remote[:-1]
-        remote = remote[first]
-        hit = cache.resident(remote)
-        cache.seal_many(remote[hit])
-        fetch = remote[~hit]
-        sizes = ctx.cluster.pull(machine, fetch)
-        cache.admit(fetch, sizes)
-        if not cache.resident(remote).all():
-            # the intersect stage reads these entries in place; one
+        hits, misses, ticks, lost = cache.fetch(ctx.cluster, machine, reads)
+        if len(lost):
+            # the intersect stage reads sealed entries in place; one
             # missing now was evicted mid-batch, which sealing forbids
-            raise AssertionError(
-                f"vertices {remote[~cache.resident(remote)].tolist()} "
-                "missing from cache during intersect stage")
-        hits = len(remote) - len(fetch)
-        cache.stats.count(hits=hits, misses=len(fetch))
-        ops = (len(remote) * _FETCH_SEAL_TICKS
-               + int(sizes.sum()) * _FETCH_INSERT_TICKS)
-        ctx.metrics.charge_ops(machine, ops)
-        ctx.fetch_ops += ops
+            raise AssertionError(f"vertices {lost.tolist()} missing from "
+                                 "cache during intersect stage")
+        cache.stats.count(hits=hits, misses=misses)
+        ctx.metrics.charge_ops(machine, ticks)
+        ctx.fetch_ops += ticks
         if tracer.enabled:
             tracer.complete("fetch", machine, t0, tracer.now(machine),
-                            {"op": self.opid, "remote": len(remote),
-                             "hits": hits, "misses": len(fetch)})
+                            {"op": self.opid, "remote": hits + misses,
+                             "hits": hits, "misses": misses})
             tracer.counter("cache occupancy", machine,
                            {"ids": cache.size_ids})
             if cache.stats.evictions > evictions0:
@@ -200,54 +172,27 @@ class ExtendOp:
                 tracer.instant("cache overflow", machine,
                                {"ids": cache.stats.max_overflow_ids})
 
-    def _fetch_per_miss(self, machine: int, reads: np.ndarray) -> None:
-        """The per-miss fetch policy (``two_stage=False``; Table 5's
-        Cncr-LRU): every remote read is its own cache access, in the order
-        a tuple-at-a-time loop issues them.  A hit refreshes the entry's
-        recency; a miss pulls that one vertex with its own RPC pair and
-        inserts it, evicting as the variant dictates.  There is no
-        aggregation and no seal/release bracket around the batch, so
-        hits, misses, LRU order and evictions are modelled access by
-        access."""
-        ctx = self.ctx
-        cache = ctx.caches[machine]
-        hits = misses = 0
-        for u in reads.tolist():
-            if cache.contains(u):
-                hits += 1
-            else:
-                cache.insert(u, ctx.cluster.get_nbrs(machine, [u])[u])
-                misses += 1
-        cache.stats.count(hits=hits, misses=misses)
-
     # -- intersect stage ------------------------------------------------------------
 
-    def process(self, machine: int, batch,
-                count_only: bool = False) -> tuple[Batch, np.ndarray, int]:
+    def process(self, machine: int, rows: np.ndarray,
+                count_only: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
         """Run fetch + intersect for one batch.
 
-        Returns ``(output_batch, per_input_row_ticks, count)``.  With
+        Returns ``(output_rows, per_input_row_ticks, count)``.  With
         ``count_only`` (the compression optimisation of [63], applied to
         the final operator before the SINK) valid extensions are counted
         without materialising rows — only the count is returned.
 
-        ``two_stage`` selects the fetch policy and nothing else: the
-        intersect stage never touches the cache, so it is the same
-        columnar pass behind either.
+        The intersect stage never touches the cache, so it is the same
+        columnar pass behind either cache class; the batch's entries stay
+        sealed until it is done.
         """
         ctx = self.ctx
         g = ctx.cluster.pgraph.graph
-        in_arity = (self.out_arity if self.spec.is_verify
-                    else self.out_arity - 1)
-        rows = Batch.coerce(batch, in_arity).rows
         # the batch's extend block, gathered once for both stages
         verts = rows[:, list(self.spec.ext)]
         lens = g.indptr[verts + 1] - g.indptr[verts]
         remote = ctx.cluster.pgraph.owner[verts] != machine
-        if not ctx.two_stage:
-            self._fetch_per_miss(machine, verts[remote])
-            return self._process_vector(machine, rows, verts, lens, remote,
-                                        count_only)
         self._fetch(machine, verts[remote])
         result = self._process_vector(machine, rows, verts, lens, remote,
                                       count_only)
@@ -256,8 +201,8 @@ class ExtendOp:
 
     def _process_vector(self, machine: int, rows: np.ndarray,
                         verts: np.ndarray, lens: np.ndarray,
-                        remote: np.ndarray,
-                        count_only: bool) -> tuple[Batch, np.ndarray, int]:
+                        remote: np.ndarray, count_only: bool
+                        ) -> tuple[np.ndarray, np.ndarray, int]:
         """Columnar intersect stage over ``rows``; ``verts`` is their
         extend-vertex block ``rows[:, ext]``, ``lens`` its adjacency
         lengths and ``remote`` marks its cells owned by another machine.
@@ -277,14 +222,13 @@ class ExtendOp:
         spec = self.spec
         g = ctx.cluster.pgraph.graph
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
-        n = len(rows)
-        if n == 0:
-            return Batch.empty(self.out_arity), np.zeros(0, np.int64), 0
+        empty = np.empty((0, self.out_arity), dtype=np.int64)
+        if not len(rows):
+            return empty, np.zeros(0, np.int64), 0
         labels = ctx.labels
         penalties = np.where(
             remote, ctx.caches[machine].access_penalty(lens), 0).sum(axis=1)
 
-        empty = Batch.empty(self.out_arity)
         if spec.is_verify:
             lens = np.sort(lens, axis=1)
             found = fused_verify_mask(g.composite_index(), g.num_vertices,
@@ -292,7 +236,7 @@ class ExtendOp:
                                       labels, spec.new_label)
             emits = found * (1 if count_only else in_arity)
             counted = int(found.sum()) if count_only else 0
-            out = empty if count_only else Batch(rows[found])
+            out = empty if count_only else rows[found]
         else:
             cand, row_ids, emits, lens = extend_block(
                 g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
@@ -302,7 +246,7 @@ class ExtendOp:
             if not count_only:
                 emits = emits * (in_arity + 1)
                 if len(cand):
-                    out = Batch(np.column_stack((rows[row_ids], cand)))
+                    out = np.column_stack((rows[row_ids], cand))
         probes = ctx.cluster.probe_ticks[lens[:, 1:]].sum(axis=1)
         item_costs = (lens[:, 0] * (t.intersect + probes) + penalties
                       + emits * t.emit)
@@ -318,12 +262,11 @@ class SinkConsumer:
         self.count = 0
         self._collected: list[np.ndarray] = []
 
-    def consume(self, machine: int, batch) -> None:
+    def consume(self, machine: int, rows: np.ndarray) -> None:
         """Absorb one batch of final results."""
-        self.count += len(batch)
-        if self.collect and len(batch):
-            self._collected.append(
-                Batch.coerce(batch, len(self.schema)).rows)
+        self.count += len(rows)
+        if self.collect and len(rows):
+            self._collected.append(rows)
 
     def consume_count(self, machine: int, n: int) -> None:
         """Absorb a compressed (count-only) result contribution."""
@@ -362,11 +305,6 @@ class JoinBuffer:
         self._in_memory = [0] * k
         self.total = 0
 
-    def destination(self, f: Sequence[int]) -> int:
-        """Machine owning the join key of one row (hash partitioning)."""
-        key = np.asarray([[f[p] for p in self.key_pos]], dtype=np.int64)
-        return int(hash_destinations(key, len(self._parts))[0])
-
     def rows_for(self, machine: int) -> np.ndarray:
         """A machine's buffered rows as one contiguous array."""
         parts = self._parts[machine]
@@ -376,18 +314,16 @@ class JoinBuffer:
             self._parts[machine] = parts = [np.concatenate(parts)]
         return parts[0]
 
-    def consume(self, machine: int, batch) -> None:
+    def consume(self, machine: int, rows: np.ndarray) -> None:
         """Shuffle one batch into the per-machine buffers."""
-        batch = Batch.coerce(batch, self.arity)
-        if not len(batch):
+        if not len(rows):
             return
         ctx = self.ctx
         cost = ctx.cost
         tracer = ctx.tracer
-        rows = batch.rows
         dests = hash_destinations(rows[:, list(self.key_pos)],
                                   len(self._parts))
-        self.total += len(batch)
+        self.total += len(rows)
         tuple_bytes = self.arity * cost.bytes_per_id
         for dest in np.unique(dests).tolist():
             mask = dests == dest
@@ -475,7 +411,7 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
         if tracer.enabled:
             tracer.complete("probe", machine, t_seg, tracer.now(machine),
                             {"op": opid})
-        yield Batch(emitted[c * batch_size:(c + 1) * batch_size])
+        yield emitted[c * batch_size:(c + 1) * batch_size]
         # the clock advanced while the consumer ran; restart the probe
         # span at the resume point or it would straddle the consumer's
         # own spans and break strict nesting
@@ -486,4 +422,4 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
         tracer.complete("probe", machine, t_seg, tracer.now(machine),
                         {"op": opid})
     if total % batch_size:
-        yield Batch(emitted[num_full * batch_size:])
+        yield emitted[num_full * batch_size:]

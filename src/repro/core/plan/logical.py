@@ -107,10 +107,6 @@ class LogicalPlan:
         """The join order ``O`` (post-order over internal nodes)."""
         return self.root.joins()
 
-    def num_joins(self) -> int:
-        """Number of two-way joins in the plan."""
-        return sum(1 for _ in self.joins())
-
     def describe(self) -> str:
         """Human-readable one-plan-per-line description."""
         lines = [f"LogicalPlan {self.name!r} for {self.query.name}:"]

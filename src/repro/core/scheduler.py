@@ -24,10 +24,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..cluster.cost import TICKS_PER_OP
 from ..cluster.errors import PlanError
 from ..obs.trace import ENGINE
-from .batch import Batch
 from .cancel import CancelToken
 from .dataflow import JoinSpec, ScanSpec, Segment
 from .operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
@@ -86,17 +87,16 @@ class _ScanFeed:
     """Pivot-vertex chunks per machine feeding an edge SCAN."""
 
     def __init__(self, ctx: ExecContext, chunk: int):
-        k = ctx.cluster.num_machines
-        self.chunks: list[deque[list[int]]] = []
-        for m in range(k):
-            local = [int(v) for v in ctx.cluster.local_vertices(m)]
+        self.chunks: list[deque[np.ndarray]] = []
+        for m in range(ctx.cluster.num_machines):
+            local = ctx.cluster.local_vertices(m)
             self.chunks.append(deque(
                 local[i:i + chunk] for i in range(0, len(local), chunk)))
 
     def has_input(self, machine: int) -> bool:
         return bool(self.chunks[machine])
 
-    def next_batch(self, machine: int) -> list[int]:
+    def next_batch(self, machine: int) -> np.ndarray:
         return self.chunks[machine].popleft()
 
     def exhausted(self) -> bool:
@@ -106,9 +106,9 @@ class _ScanFeed:
 class _JoinFeed:
     """Streaming output of a PUSH-JOIN, one peekable generator per machine."""
 
-    def __init__(self, generators: Sequence[Iterator[Batch]]):
+    def __init__(self, generators: Sequence[Iterator[np.ndarray]]):
         self._gens = list(generators)
-        self._peek: list[Batch | None] = [None] * len(self._gens)
+        self._peek: list[np.ndarray | None] = [None] * len(self._gens)
         self._done = [False] * len(self._gens)
 
     def _fill(self, machine: int) -> None:
@@ -122,7 +122,7 @@ class _JoinFeed:
         self._fill(machine)
         return self._peek[machine] is not None
 
-    def next_batch(self, machine: int) -> Batch:
+    def next_batch(self, machine: int) -> np.ndarray:
         self._fill(machine)
         batch = self._peek[machine]
         if batch is None:
@@ -152,11 +152,10 @@ class _TeeBuffer:
         self.ctx = ctx
         self.arity = arity
         self.k = ctx.cluster.num_machines
-        self.batches: list[list[Batch]] = [[] for _ in range(self.k)]
+        self.batches: list[list[np.ndarray]] = [[] for _ in range(self.k)]
         self.total = 0
 
-    def consume(self, machine: int, batch) -> None:
-        batch = Batch.coerce(batch, self.arity)
+    def consume(self, machine: int, batch: np.ndarray) -> None:
         n = len(batch)
         if not n:
             return
@@ -181,13 +180,13 @@ class _TeeBuffer:
 class _ReplayFeed:
     """Streams a tee buffer's batches into one suffix chain (per machine)."""
 
-    def __init__(self, batches: Sequence[Sequence[Batch]]):
+    def __init__(self, batches: Sequence[Sequence[np.ndarray]]):
         self._chunks = [deque(per_machine) for per_machine in batches]
 
     def has_input(self, machine: int) -> bool:
         return bool(self._chunks[machine])
 
-    def next_batch(self, machine: int) -> Batch:
+    def next_batch(self, machine: int) -> np.ndarray:
         return self._chunks[machine].popleft()
 
     def exhausted(self) -> bool:
@@ -226,7 +225,7 @@ def run_shared_chains(ctx: ExecContext, config: SchedulerConfig,
 class _Queue:
     """One operator's per-machine input queue with tuple/byte accounting."""
 
-    batches: list[deque[Batch]]
+    batches: list[deque[np.ndarray]]
     tuples: list[int] = field(default_factory=list)
 
     @classmethod
@@ -277,17 +276,15 @@ class _ChainRunner:
 
     # -- queue plumbing ----------------------------------------------------------
 
-    def _enqueue(self, level: int, machine: int, out,
+    def _enqueue(self, level: int, machine: int, out: np.ndarray,
                  arity: int) -> None:
         """Append an output batch (re-sliced) to a queue, charging memory."""
-        out = Batch.coerce(out, arity)
         n = len(out)
         if not n:
             return
         q = self.queues[level]
         size = self.config.batch_size
-        for piece in out.split(size):
-            q.batches[machine].append(piece)
+        q.batches[machine].extend(out[i:i + size] for i in range(0, n, size))
         q.tuples[machine] += n
         self.ctx.metrics.alloc(
             machine, n * arity * self.ctx.cost.bytes_per_id)
@@ -296,7 +293,7 @@ class _ChainRunner:
             tracer.counter(f"queue {self.op_ids[level + 1]}", machine,
                            {"tuples": q.tuples[machine]})
 
-    def _dequeue(self, level: int, machine: int, arity: int) -> Batch:
+    def _dequeue(self, level: int, machine: int, arity: int) -> np.ndarray:
         q = self.queues[level]
         batch = q.batches[machine].popleft()
         q.tuples[machine] -= len(batch)
@@ -419,32 +416,27 @@ class _ChainRunner:
                     bytes0 = tracer.bytes_moved(m)
                 counted = 0
                 if level < 0:
-                    payload = self.feed.next_batch(m)
-                    if isinstance(payload, Batch):
-                        # join output rows; pivot = first matched vertex
-                        pivot = int(payload.rows[0, 0]) if len(payload) else 0
-                    else:
-                        pivot = int(payload[0]) if payload else 0
-                    n_in = len(payload)
+                    batch = self.feed.next_batch(m)
                     if self.source_op is not None:
                         out, item_costs, counted = self.source_op.process(
-                            m, payload)
+                            m, batch)
                         out_arity = 2
                     else:
-                        out = payload  # join output is already a batch
+                        out = batch  # join output is already a batch
                         item_costs = ()
-                        out_arity = out.arity
+                        out_arity = out.shape[1]
                 else:
                     op = self.extend_ops[level]
                     batch = self._dequeue(level, m, self._in_arity(level))
-                    # without stealing, work sticks to the worker that owns
-                    # the batch's firstly matched (pivot) vertex (§5.3)
-                    pivot = int(batch.rows[0, 0]) if len(batch) else 0
-                    n_in = len(batch)
                     count_only = level == last and self.compress_final
                     out, item_costs, counted = op.process(
                         m, batch, count_only=count_only)
                     out_arity = op.out_arity
+                # without stealing, work sticks to the worker that owns
+                # the batch's firstly matched (pivot) vertex (§5.3): the
+                # first element of a pivot chunk and of a block of rows
+                pivot = batch.item(0) if batch.size else 0
+                n_in = len(batch)
 
                 if traced:
                     t_mid = tracer.now(m)
@@ -481,7 +473,7 @@ class _ChainRunner:
 
                 if level < last:
                     self._enqueue(level + 1, m, out, out_arity)
-                elif counted and not out:
+                elif counted and not len(out):
                     self.consumer.consume_count(m, counted)
                 else:
                     self.consumer.consume(m, out)

@@ -11,8 +11,6 @@ RPC) or reached by pushing partial results to their owner.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .graph import Graph
@@ -88,10 +86,6 @@ class PartitionedGraph:
         """Partition that owns vertex ``v``."""
         return int(self._owner[v])
 
-    def is_local(self, v: int, partition: int) -> bool:
-        """Whether ``v``'s adjacency list resides on ``partition``."""
-        return int(self._owner[v]) == partition
-
     def local_vertices(self, partition: int) -> np.ndarray:
         """Sorted array of vertices owned by ``partition``."""
         return self._locals[partition]
@@ -107,22 +101,6 @@ class PartitionedGraph:
                 f"vertex {v} is remote to partition {partition} "
                 f"(owned by {int(self._owner[v])}); use GetNbrs")
         return self._graph.neighbours(v)
-
-    def local_edges(self, partition: int) -> Iterable[tuple[int, int]]:
-        """Iterate directed edges ``(u, v)`` with ``u`` owned by ``partition``.
-
-        This is the SCAN operator's raw input: each machine scans the
-        adjacency lists in its own partition (paper §4.2).
-        """
-        for u in self._locals[partition]:
-            u = int(u)
-            for v in self._graph.neighbours(u):
-                yield u, int(v)
-
-    def partition_size_bytes(self, partition: int, bytes_per_id: int = 8) -> int:
-        """Approximate in-memory size of a partition's CSR slice."""
-        deg = sum(self._graph.degree(int(u)) for u in self._locals[partition])
-        return (deg + len(self._locals[partition])) * bytes_per_id
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PartitionedGraph(k={self._num_partitions}, "

@@ -47,7 +47,7 @@ from typing import Any, Iterable, Mapping
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "REGISTRY", "log_buckets", "DEFAULT_TIME_BUCKETS",
-           "DEFAULT_SIZE_BUCKETS", "check_exposition"]
+           "DEFAULT_SIZE_BUCKETS", "check_exposition", "percentile"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -81,17 +81,26 @@ DEFAULT_TIME_BUCKETS = log_buckets(1e-6, 1e3, per_decade=3)
 DEFAULT_SIZE_BUCKETS = log_buckets(1.0, 1e9, per_decade=2)
 
 
-def _exact_percentile(ordered: list[float], q: float) -> float:
-    """Linear-interpolation percentile over an ascending-sorted list."""
-    if not ordered:
+def percentile(values: list[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) with linear interpolation.
+
+    ``values`` must be sorted ascending (guarded: unsorted input raises
+    ``ValueError`` rather than silently returning nonsense); ``q``
+    outside [0, 100] raises too.  Empty input gives 0.0.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
+    if not values:
         return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise ValueError("percentile() requires ascending-sorted input")
+    if len(values) == 1:
+        return values[0]
+    rank = (q / 100.0) * (len(values) - 1)
     lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
+    hi = min(lo + 1, len(values) - 1)
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
 def _fmt(v: float) -> str:
@@ -378,7 +387,7 @@ class Histogram(_Family):
             counts = list(child.counts)
             total = child.count
         if samples:
-            return _exact_percentile(samples, q)
+            return percentile(samples, q)
         if not total:
             return 0.0
         # bucket interpolation: walk to the bucket containing rank q

@@ -210,17 +210,6 @@ class Trace:
         """Covered span time per machine (busy-time series)."""
         return [self.covered_time(m) for m in range(self.num_machines)]
 
-    def per_worker_ops(self) -> dict[int, list[tuple[float, tuple[float, ...]]]]:
-        """Per-machine time series of cumulative per-worker busy ops,
-        sampled from the ``worker ops`` counter events."""
-        series: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
-        for c in self.counters:
-            if c.name != "worker ops":
-                continue
-            values = tuple(v for _, v in sorted(c.values.items()))
-            series.setdefault(c.machine, []).append((c.ts, values))
-        return series
-
     # -- export ----------------------------------------------------------------
 
     def to_chrome(self) -> dict[str, Any]:

@@ -102,10 +102,6 @@ class AdmissionController:
         """Portion of the ledger held by the result cache."""
         return self._cache_reserved
 
-    @property
-    def available_bytes(self) -> float:
-        return self.budget_bytes - self._reserved
-
     def admissible(self, nbytes: float) -> bool:
         """Whether a reservation of this size could *ever* be granted."""
         return nbytes <= self.budget_bytes

@@ -16,7 +16,7 @@ from dataclasses import replace
 from ..cluster.cluster import Cluster
 from ..cluster.cost import CostModel
 from ..core.cancel import CancelToken
-from ..core.engine import EngineConfig, EnumerationResult, HugeEngine
+from ..core.engine import EngineConfig, HugeEngine
 from ..graph.graph import Graph
 from ..query.pattern import QueryGraph, get_query
 from .plancache import PlanCache
@@ -25,6 +25,9 @@ from .sharing import signature_of_plan
 
 __all__ = ["Executor", "run_query_solo", "remap_matches",
            "effective_config", "resolve_pattern"]
+
+#: simulated clusters an executor keeps, least recently used evicted
+MAX_CLUSTERS = 4
 
 
 def effective_config(request: QueryRequest,
@@ -58,7 +61,7 @@ class Executor:
 
     def __init__(self, plan_cache: PlanCache | None = None,
                  default_config: EngineConfig | None = None,
-                 cost: CostModel | None = None, max_clusters: int = 4):
+                 cost: CostModel | None = None):
         self.plan_cache = plan_cache
         self.default_config = default_config
         self.cost = cost
@@ -67,7 +70,6 @@ class Executor:
         #: shared memory instead of recomputing the permutation)
         self.partition_provider = None
         self._clusters: OrderedDict[tuple, Cluster] = OrderedDict()
-        self._max_clusters = max_clusters
 
     def _cluster(self, graph: Graph, req: QueryRequest) -> Cluster:
         key = (req.dataset, req.num_machines, req.workers_per_machine,
@@ -86,7 +88,7 @@ class Executor:
                               cost=self.cost, seed=req.partition_seed,
                               owner=owner)
             if key not in self._clusters and \
-                    len(self._clusters) >= self._max_clusters:
+                    len(self._clusters) >= MAX_CLUSTERS:
                 self._clusters.popitem(last=False)
             self._clusters[key] = (graph, cluster)
         else:
@@ -122,35 +124,28 @@ class Executor:
                                     signature=signature_of_plan(plan))
         return plan, hit, time.perf_counter() - t0
 
-    def execute(self, req: QueryRequest, graph: Graph,
-                pattern: QueryGraph,
-                token: CancelToken | None = None) -> tuple[EnumerationResult, dict]:
-        """Run one attempt; returns the engine result (matches in the
-        request's vertex order) plus execution info: canonical key,
-        plan-cache hit, phase timings, canonical-order matches."""
-        return self._run([req], graph, [pattern], None, token)[0]
+    def execute(self, reqs: list[QueryRequest], graph: Graph,
+                patterns: list[QueryGraph],
+                plan_keys: list[tuple | None] | None = None,
+                token: CancelToken | None = None) -> list:
+        """Run one share group — a solo query is a group of one: the
+        members' common plan prefix once, each member's suffix into its
+        own sink.
 
-    def execute_group(self, reqs: list[QueryRequest], graph: Graph,
-                      patterns: list[QueryGraph],
-                      plan_keys: list[tuple] | None = None,
-                      token: CancelToken | None = None) -> list:
-        """Run one share group: members' common plan prefix once, each
-        member's suffix into its own sink.
-
-        Returns one ``(result, info)`` per member, shaped as
-        :meth:`execute` returns them (``execute_s`` is the shared run's).
-        ``plan_keys=None`` recomputes the plan cache keys locally (the
-        process-worker path, whose keys live in the child's cache).
+        Returns one ``(result, info)`` per member: the engine result
+        (matches in the request's vertex order) plus execution info —
+        canonical key, plan-cache hit, phase timings (``execute_s`` is
+        the shared run's), canonical-order matches.  A missing plan key
+        (``None``, or no list at all) is recomputed locally: a request
+        the dispatcher never keyed, or the process-worker path, whose
+        keys live in the child's cache.
         """
-        return self._run(reqs, graph, patterns, plan_keys, token)
-
-    def _run(self, reqs, graph, patterns, plan_keys, token) -> list:
-        if plan_keys is None:
-            plan_keys = [PlanCache.key(p.canonical_key(), r.dataset, graph,
-                                       r.num_machines)
-                         for r, p in zip(reqs, patterns)]
         plans, planned = [], []
-        for req, pattern, key in zip(reqs, patterns, plan_keys):
+        for req, pattern, key in zip(reqs, patterns,
+                                     plan_keys or [None] * len(reqs)):
+            if key is None:
+                key = PlanCache.key(pattern.canonical_key(), req.dataset,
+                                    graph, req.num_machines)
             canon, mapping = pattern.canonical_form()
             plan, hit, plan_s = self.resolve_plan(req, graph, canon, key)
             plans.append(plan)
@@ -189,8 +184,8 @@ def run_query_solo(graph: Graph, request: QueryRequest,
     executor = Executor(plan_cache=plan_cache, default_config=default_config,
                         cost=cost)
     t0 = time.perf_counter()
-    result, info = executor.execute(request, graph,
-                                    resolve_pattern(request))
+    result, info = executor.execute([request], graph,
+                                    [resolve_pattern(request)])[0]
     return QueryOutcome(
         status=QueryStatus.COMPLETED, count=result.count, result=result,
         canonical_key=info["canonical_key"],

@@ -28,6 +28,10 @@ from .request import QueryStatus
 
 __all__ = ["WorkerCrashError", "Lifecycle", "DeltaTask", "UpdateWork"]
 
+#: longest wait before a crashed attempt is retried (the exponential
+#: back-off from ``backoff_base_s`` saturates here)
+BACKOFF_CAP_S = 2.0
+
 
 class WorkerCrashError(RuntimeError):
     """An injected worker crash (kills the worker thread mid-query)."""
@@ -277,7 +281,7 @@ class Lifecycle:
                              worker=worker.wid)
                 continue
             self.release(m)
-            backoff = min(svc.backoff_cap_s,
+            backoff = min(BACKOFF_CAP_S,
                           svc.backoff_base_s * (2 ** (m.attempts - 1)))
             m.not_before = now + backoff
             m.token = m.group = None

@@ -18,9 +18,8 @@ Protocol (one duplex pipe per worker, strictly request/reply):
   Linux, so absolute deadlines are valid cross-process) and the armed
   crash point, tagged with a **generation** number;
 * the child attaches the graph (zero-copy), runs the exact same
-  ``Executor.execute``/``execute_group`` code path the thread backend
-  runs, and replies ``("ok" | "cancelled" | "failed", generation,
-  payload)``;
+  ``Executor.execute`` code path the thread backend runs, and replies
+  ``("ok" | "cancelled" | "failed", generation, payload)``;
 * cooperative cancellation crosses the boundary through a shared int
   cell: the parent writes the task's generation into the cell, the
   child's :class:`_SharedCellToken` observes it at the scheduler's poll
@@ -68,9 +67,6 @@ class RemoteWorkerError(ReproError):
 @dataclass(frozen=True)
 class WorkerTask:
     """One unit of work shipped to a worker process (picklable)."""
-
-    kind: str
-    """``"solo"`` (one request) or ``"group"`` (a share group)."""
 
     generation: int
     """Per-host monotonic task id; the cancel cell carries the generation
@@ -138,9 +134,9 @@ class _SharedCellToken(CancelToken):
 
 def _worker_main(wid: int, conn, cell,
                  default_config: EngineConfig | None,
-                 cost: CostModel | None, plan_capacity: int) -> None:
+                 cost: CostModel | None) -> None:
     """Child process main loop: attach, execute, reply — forever."""
-    executor = Executor(plan_cache=PlanCache(plan_capacity),
+    executor = Executor(plan_cache=PlanCache(),
                         default_config=default_config, cost=cost)
     owners: dict[tuple[str, int, int], SharedArraySpec] = {}
 
@@ -166,13 +162,8 @@ def _worker_main(wid: int, conn, cell,
                         req0.partition_seed)] = task.owner
             token = _SharedCellToken(cell, gen, deadline=task.deadline,
                                      crash_after=task.crash_after)
-            if task.kind == "solo":
-                payload = executor.execute(task.requests[0], graph,
-                                           task.patterns[0], token=token)
-            else:
-                payload = executor.execute_group(
-                    list(task.requests), graph, list(task.patterns),
-                    token=token)
+            payload = executor.execute(list(task.requests), graph,
+                                       list(task.patterns), token=token)
             conn.send(("ok", gen, payload))
         except WorkerCrashError:
             # simulated hard death: no reply, no cleanup — the parent
@@ -189,7 +180,7 @@ class ProcessHost:
     liveness, zombie reaping."""
 
     def __init__(self, ctx, wid: int, default_config: EngineConfig | None,
-                 cost: CostModel | None, plan_capacity: int):
+                 cost: CostModel | None):
         self.wid = wid
         self.conn, child_conn = ctx.Pipe(duplex=True)
         #: shared cancel cell: holds the generation being cancelled
@@ -199,8 +190,7 @@ class ProcessHost:
         self._ready = False
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, self.cell, default_config, cost,
-                  plan_capacity),
+            args=(wid, child_conn, self.cell, default_config, cost),
             name=f"repro-serve-proc{wid}", daemon=True)
         self.proc.start()
         child_conn.close()
@@ -314,7 +304,7 @@ class RemoteExecutor:
         self.service = service
         self.host = host
 
-    def _task(self, kind: str, reqs: list[QueryRequest], graph: Graph,
+    def _task(self, reqs: list[QueryRequest], graph: Graph,
               patterns: list[QueryGraph],
               token: CancelToken | None) -> WorkerTask:
         svc = self.service
@@ -322,7 +312,7 @@ class RemoteExecutor:
         store: SharedGraphStore = svc._procpool.store
         version = svc._graph_versions.get(req0.dataset, 0)
         return WorkerTask(
-            kind=kind, generation=0,
+            generation=0,
             requests=tuple(_strip_request(r) for r in reqs),
             patterns=tuple(patterns),
             graph=store.handle(req0.dataset, graph, version=version),
@@ -331,9 +321,12 @@ class RemoteExecutor:
             deadline=getattr(token, "deadline", None),
             crash_after=getattr(token, "_crash_after", None))
 
-    def _dispatch(self, kind: str, reqs: list[QueryRequest], graph: Graph,
-                  patterns: list[QueryGraph], token: CancelToken | None):
-        task = self._task(kind, reqs, graph, patterns, token)
+    def execute(self, reqs: list[QueryRequest], graph: Graph,
+                patterns: list[QueryGraph],
+                plan_keys: list[tuple | None] | None = None,
+                token: CancelToken | None = None) -> list:
+        # plan_keys are parent-cache keys; the child recomputes its own
+        task = self._task(reqs, graph, patterns, token)
         try:
             tag, _gen, payload = self.host.run(task, token)
         except WorkerCrashError:
@@ -354,18 +347,6 @@ class RemoteExecutor:
         if tag == "failed":
             raise payload
         return payload
-
-    def execute(self, req: QueryRequest, graph: Graph, pattern: QueryGraph,
-                token: CancelToken | None = None):
-        return self._dispatch("solo", [req], graph, [pattern], token)
-
-    def execute_group(self, reqs: list[QueryRequest], graph: Graph,
-                      patterns: list[QueryGraph],
-                      plan_keys: list[tuple] | None = None,
-                      token: CancelToken | None = None):
-        # plan_keys are parent-cache keys; the child recomputes its own
-        return self._dispatch("group", list(reqs), graph, list(patterns),
-                              token)
 
 
 class ProcessWorker(_Worker):
@@ -404,8 +385,7 @@ class ProcessWorkerPool:
         if self.closed:
             raise RuntimeError("process pool is closed")
         svc = self.service
-        host = ProcessHost(self.ctx, wid, svc.default_config, svc.cost,
-                           svc.plan_cache.capacity)
+        host = ProcessHost(self.ctx, wid, svc.default_config, svc.cost)
         self._hosts.append(host)
         return host
 

@@ -190,13 +190,11 @@ class QueryService:
     def __init__(self, datasets: Mapping[str, Graph] | None = None,
                  num_workers: int = 4,
                  memory_budget_bytes: float = float("inf"),
-                 plan_cache_capacity: int = 128,
                  default_config: EngineConfig | None = None,
                  cost: CostModel | None = None,
                  tenant_max_inflight: int | None = None,
                  max_retries: int = 3,
                  backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 2.0,
                  injector: FaultInjector | None = None,
                  trace: bool = False,
                  trace_max_events: int | None = None,
@@ -226,10 +224,9 @@ class QueryService:
         self.cost = cost
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.tenant_max_inflight = tenant_max_inflight
         self.injector = injector
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = PlanCache()
         self.admission = AdmissionController(memory_budget_bytes)
         self.result_cache: ResultCache | None = (
             ResultCache(result_cache_bytes, ledger=self.admission)
@@ -516,12 +513,6 @@ class QueryService:
             pattern.num_vertices, graph,
             effective_config(request, self.default_config),
             request.num_machines, self.cost or CostModel())
-
-    def estimate_request_bytes(self, request: QueryRequest) -> float:
-        """The admission reservation this request would take (for sizing
-        budgets in tests/benchmarks)."""
-        return self._estimate(request, resolve_pattern(request),
-                              self._resolve_graph(request.dataset))
 
     def submit(self, request: QueryRequest) -> QueryHandle:
         """Admit a request into the service; returns its handle.

@@ -131,9 +131,9 @@ class ShareGroup:
         """Execute the group on ``worker`` (its thread); returns
         ``[(member, outcome)]``.
 
-        A group of one runs ``Executor.execute`` (bit-identical to a solo
-        run); a larger one ``execute_group`` — the common plan prefix
-        once, each member's suffix into its own sink.  A member cancelled
+        ``Executor.execute`` runs the common plan prefix once and each
+        member's suffix into its own sink; a group of one is
+        bit-identical to a solo run.  A member cancelled
         by its client while the shared run was in progress gets a
         ``CANCELLED`` outcome while the rest of the group completes.
         Engine errors (cancellation, crash, failure) propagate to the
@@ -144,13 +144,9 @@ class ShareGroup:
         reqs = [e.handle.request for e in members]
         graph = self.leader.graph
         t0 = svc._now()
-        if size == 1:
-            runs = [worker.executor.execute(
-                reqs[0], graph, self.leader.pattern, token=self.token)]
-        else:
-            runs = worker.executor.execute_group(
-                reqs, graph, [e.pattern for e in members],
-                plan_keys=[e.plan_key for e in members], token=self.token)
+        runs = worker.executor.execute(
+            reqs, graph, [e.pattern for e in members],
+            plan_keys=[e.plan_key for e in members], token=self.token)
         t1 = svc._now()
         shared = ({"share_group": size,
                    "counts": [result.count for result, _ in runs]}

@@ -24,31 +24,9 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict, dataclass, field
 
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, percentile
 
 __all__ = ["percentile", "LatencyRecorder", "StatsSink", "ServiceStats"]
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) with linear interpolation.
-
-    ``values`` must be sorted ascending (guarded: unsorted input raises
-    ``ValueError`` rather than silently returning nonsense); ``q``
-    outside [0, 100] raises too.  Empty input gives 0.0.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
-    if not values:
-        return 0.0
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise ValueError("percentile() requires ascending-sorted input")
-    if len(values) == 1:
-        return values[0]
-    rank = (q / 100.0) * (len(values) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(values) - 1)
-    frac = rank - lo
-    return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
 class LatencyRecorder:

@@ -60,7 +60,6 @@ class EngineSpec:
     output_queue_capacity: float = 16384.0
     batch_size: int = 64
     scan_pivot_chunk: int = 16
-    two_stage: bool | None = None
     disable_symmetry: bool = False
     census_k: int | None = None
     """Subgraph size for ``engine="census"`` specs (ignored otherwise)."""
@@ -134,7 +133,6 @@ class EngineSpec:
             collect_results=collect,
             cache_variant=self.cache_variant,
             cache_capacity_ids=self.cache_capacity_ids,
-            two_stage=self.two_stage,
             stealing=self.stealing,
             output_queue_capacity=self.output_queue_capacity,
             batch_size=self.batch_size,
@@ -181,13 +179,12 @@ def default_matrix() -> list[EngineSpec]:
         EngineSpec("huge-bfs", output_queue_capacity=float("inf")),
         EngineSpec("huge-nostl", stealing="none"),
         EngineSpec("huge-rgp", stealing="region-group"),
-        # -- cache dimension: Table 5 variants, tiny capacity, one-stage
+        # -- cache dimension: Table 5 variants, tiny capacity
         EngineSpec("huge-tiny-cache", cache_capacity_ids=2, batch_size=8),
         EngineSpec("huge-lrbu-copy", cache_variant="lrbu-copy"),
         EngineSpec("huge-lrbu-lock", cache_variant="lrbu-lock"),
         EngineSpec("huge-lru-inf", cache_variant="lru-inf"),
         EngineSpec("huge-cncr-lru", cache_variant="cncr-lru"),
-        EngineSpec("huge-one-stage", two_stage=False),
         # -- the baseline systems
         EngineSpec("seed", engine="seed"),
         EngineSpec("bigjoin", engine="bigjoin"),

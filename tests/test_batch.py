@@ -1,46 +1,10 @@
-"""Tests for the columnar Batch and the shuffle routing function."""
+"""Kernel coverage: the shuffle routing function (``hash_destinations``)
+and the PUSH-JOIN shuffle that is defined by it."""
 
 import numpy as np
 import pytest
 
-from repro.core.batch import Batch
 from repro.core.kernels import hash_destinations
-
-
-class TestBatchProtocol:
-    def test_wraps_rows_and_reports_shape(self):
-        b = Batch(np.asarray([[1, 2], [3, 4]], dtype=np.int64))
-        assert len(b) == 2
-        assert b.arity == 2
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            Batch(np.asarray([1, 2, 3], dtype=np.int64))
-
-    def test_iterates_as_tuples(self):
-        b = Batch(np.asarray([[1, 2], [3, 4]], dtype=np.int64))
-        assert list(b) == [(1, 2), (3, 4)]
-        assert b[0] == (1, 2)
-
-    def test_equality_with_lists_and_batches(self):
-        b = Batch(np.asarray([[1, 2]], dtype=np.int64))
-        assert b == [(1, 2)]
-        assert b == Batch(np.asarray([[1, 2]], dtype=np.int64))
-        assert b != [(2, 1)]
-
-    def test_coerce_accepts_sequences_and_arrays(self):
-        assert Batch.coerce([(1, 2), (3, 4)]).tolist() == [(1, 2), (3, 4)]
-        assert Batch.coerce(np.zeros((2, 3), dtype=np.int64)).arity == 3
-        assert Batch.coerce([], arity=4).arity == 4
-        b = Batch.empty(2)
-        assert Batch.coerce(b) is b
-
-    def test_slice_and_split(self):
-        b = Batch(np.arange(12, dtype=np.int64).reshape(6, 2))
-        assert isinstance(b[1:3], Batch)
-        parts = list(b.split(4))
-        assert [len(p) for p in parts] == [4, 2]
-        assert parts[0][0] == (0, 1)
 
 
 #: routing is *defined* by ``hash_destinations`` — these literals are the
@@ -73,19 +37,22 @@ class TestHashDestinations:
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_join_buffer_routes_rows_the_same_way(self, width):
-        """the scalar entry point is the same function, also for huge ids"""
+        """the shuffle files each row on the machine the routing function
+        names for its key columns, also for huge ids"""
         from repro.cluster import Cluster
         from repro.core.operators import ExecContext, JoinBuffer
         from repro.graph import generators as gen
 
         cluster = Cluster(gen.erdos_renyi(12, 0.3, seed=1), num_machines=7)
-        ctx = ExecContext(cluster, [], two_stage=True, batch_size=8)
+        ctx = ExecContext(cluster, [], batch_size=8)
         key_pos = tuple(range(1, width + 1))
         buf = JoinBuffer(ctx, key_pos, arity=width + 1, buffer_tuples=8)
-        for key in _ROUTING_KEYS[width]:
-            row = np.asarray([5, *key], dtype=np.int64)
-            assert buf.destination(row) == hash_destinations(
-                row[None, list(key_pos)], 7)[0]
+        rows = np.asarray([[5, *key] for key in _ROUTING_KEYS[width]],
+                          dtype=np.int64)
+        buf.consume(0, rows)
+        dests = hash_destinations(rows[:, list(key_pos)], 7)
+        for m in range(7):
+            assert buf.rows_for(m).tolist() == rows[dests == m].tolist()
 
     def test_empty_input(self):
         assert len(hash_destinations(np.empty((0, 2), dtype=np.int64), 3)) == 0

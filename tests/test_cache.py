@@ -159,10 +159,59 @@ class TestAblationVariants:
             c.insert(i, arr(i))
         assert len(c) == 50
 
-    def test_cncr_lru_disables_two_stage(self, cost):
-        assert make_cache("cncr-lru", 10, cost).supports_two_stage is False
-        assert make_cache("lrbu", 10, cost).supports_two_stage is True
-        assert make_cache("lru-inf", 10, cost).supports_two_stage is True
+    def test_cache_class_is_the_fetch_stage(self, cost):
+        """Algorithm 4's batched stage for four variants, the per-access
+        stage for Cncr-LRU — which has the scalar API only"""
+        for name in ("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf"):
+            assert type(make_cache(name, 10, cost)) is LRBUCache
+        assert type(make_cache("cncr-lru", 10, cost)) is LRUCache
+        for gone in ("resident", "seal_many", "admit", "seal"):
+            assert not hasattr(LRUCache, gone)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_lru_inf_is_lrbu_with_lru_penalties(self, cost, workers):
+        """unbounded => no eviction => LRU order unobservable: capacity
+        None, and per access exactly what ``LRUCache(None, cost)`` charged"""
+        c = make_cache("lru-inf", 10, cost, workers=workers)
+        assert isinstance(c, LRBUCache) and c.capacity_ids is None
+        t = cost.ticks
+        for d in (0, 1, 50):
+            want = (d + 1) * t.cache_copy_per_id + t.cache_lock + t.cache_update
+            assert c.access_penalty(d) == want
+            assert c.access_penalty(d) == LRUCache(None, cost).access_penalty(d)
+        lens = np.arange(12).reshape(3, 4)
+        assert np.array_equal(
+            c.access_penalty(lens),
+            (lens + 1) * t.cache_copy_per_id + t.cache_lock + t.cache_update)
+
+    def test_lru_inf_replay_equals_everything_ever_fetched(self, cost):
+        """40 overlapping batches through the fetch stage: the cache is a
+        plain dict of everything ever fetched"""
+
+        class Pulls:
+            """the slice of ``Cluster`` a fetch stage uses"""
+            def pull(self, machine, ids):
+                return sizes[ids]
+
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 9, size=IDS)
+        c = make_cache("lru-inf", 10, cost)
+        seen, hits, misses = {}, 0, 0
+        for _ in range(40):
+            reads = rng.integers(0, IDS, size=rng.integers(1, 60))
+            found, fetched, _ticks, lost = c.fetch(Pulls(), 0, reads)
+            distinct = set(reads.tolist())
+            new = distinct - seen.keys()
+            assert (found, fetched) == (len(distinct) - len(new), len(new))
+            assert len(lost) == 0 and c.num_sealed == len(distinct)
+            c.stats.count(hits=found, misses=fetched)
+            c.release()
+            hits, misses = hits + found, misses + fetched
+            seen.update((v, int(sizes[v])) for v in new)
+            assert (c.stats.hits, c.stats.misses, c.stats.evictions,
+                    c.stats.max_overflow_ids) == (hits, misses, 0, 0)
+            assert (c.size_ids, len(c)) == (sum(seen.values()), len(seen))
+        assert hits > 100 and len(seen) > 100
 
 
 class TestLRUCache:
@@ -174,13 +223,6 @@ class TestLRUCache:
         c.insert(3, arr(3))    # evicts 2
         assert c.contains(1)
         assert not c.contains(2)
-
-    def test_seal_release_are_noops(self, cost):
-        c = LRUCache(4, cost)
-        c.insert(1, arr(1))
-        c.seal(1)
-        c.release()
-        assert c.contains(1)
 
     def test_reinsert_moves_to_back(self, cost):
         c = LRUCache(4, cost)
@@ -346,17 +388,3 @@ class TestBulkFetchStage:
         assert not c.resident(np.array([5, 10 ** 5])).any()
         c.insert(10 ** 5 + 1, arr(1))
         assert c.contains(10 ** 5 + 1) and len(c) == 1
-
-    def test_lru_bulk_methods(self, cost):
-        """the LRU ablation behind the same fetch stage: ``resident`` is
-        not an access, hits refresh recency, admission is in id order"""
-        c = LRUCache(6, cost)
-        c.insert(1, arr(1))
-        c.insert(2, arr(2))
-        assert c.resident(np.array([1, 2, 3])).tolist() == [True, True,
-                                                            False]
-        assert list(c._data) == [1, 2]       # the probe moved nothing
-        c.seal_many(np.array([1]))           # a hit: 2 becomes the LRU
-        c.admit(np.array([3, 4]), np.array([2, 2]))
-        assert list(c._data) == [1, 3, 4] and c.stats.evictions == 1
-        assert c.size_ids == 6 and len(c) == 3

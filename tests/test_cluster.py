@@ -209,10 +209,6 @@ class TestClusterRPC:
         cluster.push(0, 1, num_tuples=0, arity=3)
         assert cluster.metrics.machines[0].bytes_sent == 0
 
-    def test_shuffle_cost(self, cluster):
-        cluster.shuffle_cost(0, {1: 5, 2: 7, 0: 100}, arity=2)
-        assert cluster.metrics.machines[0].bytes_sent == (5 + 7) * 2 * 8
-
     def test_reset_metrics(self, cluster):
         cluster.push(0, 1, 10, 2)
         cluster.reset_metrics()
@@ -221,6 +217,3 @@ class TestClusterRPC:
     def test_graph_bytes(self, cluster, er_graph):
         expected = (2 * er_graph.num_edges + er_graph.num_vertices) * 8
         assert cluster.graph_bytes() == expected
-
-    def test_tuple_bytes(self, cluster):
-        assert cluster.tuple_bytes(4) == 32

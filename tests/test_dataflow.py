@@ -19,14 +19,12 @@ class TestSegment:
         seg = Segment(source=scan())
         assert seg.out_schema == (0, 1)
         assert seg.num_operators == 1
-        assert seg.max_arity() == 2
 
     def test_chain_schema_follows_extends(self):
         seg = Segment(source=scan(), extends=[ext((0, 1), 2),
                                               ext((0, 1, 2), 3)])
         assert seg.out_schema == (0, 1, 2, 3)
         assert seg.num_operators == 3
-        assert seg.max_arity() == 4
 
     def test_join_segment_needs_children(self):
         spec = JoinSpec(left_key=(0,), right_key=(0,), right_carry=(1,),
@@ -47,7 +45,7 @@ class TestSegment:
         root = Segment(source=spec, left=left, right=right)
         segs = root.all_segments()
         assert segs == [left, right, root]
-        assert root.total_operators() == 3
+        assert sum(s.num_operators for s in segs) == 3
 
     def test_explicit_out_schema_kept(self):
         seg = Segment(source=scan(), out_schema=(1, 0))

@@ -154,6 +154,48 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             EngineConfig(batch_size=0)
 
+    def test_option_surface_is_pinned(self):
+        """Every independently settable option, as literals: a new knob is
+        a reviewed diff of this table (each one doubles the configurations
+        tests and benchmarks must cover), not a side effect."""
+        import dataclasses
+        import inspect
+
+        from repro.core.cache import make_cache
+        from repro.core.operators import ExecContext
+        from repro.serve import QueryService
+        from repro.testing.configs import EngineSpec
+
+        def fields(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        def params(fn):
+            return [p for p in inspect.signature(fn).parameters
+                    if p != "self"]
+
+        # SchedulerConfig's seven, then EngineConfig's four
+        assert fields(EngineConfig) == [
+            "batch_size", "output_queue_capacity", "scan_pivot_chunk",
+            "stealing", "join_buffer_tuples", "steal_threshold",
+            "cancellation",
+            "cache_variant", "cache_capacity_fraction", "cache_capacity_ids",
+            "collect_results"]
+        assert fields(EngineSpec) == [
+            "name", "engine", "plan", "cache_variant", "cache_capacity_ids",
+            "stealing", "output_queue_capacity", "batch_size",
+            "scan_pivot_chunk", "disable_symmetry", "census_k",
+            "delta_schedule", "delta_batches"]
+        assert params(ExecContext.__init__) == [
+            "cluster", "caches", "batch_size", "tracer"]
+        assert params(make_cache) == [
+            "variant", "capacity_ids", "cost", "workers"]
+        assert params(QueryService.__init__) == [
+            "datasets", "num_workers", "memory_budget_bytes",
+            "default_config", "cost", "tenant_max_inflight", "max_retries",
+            "backoff_base_s", "injector", "trace", "trace_max_events",
+            "metrics", "flight", "sharing", "max_share_group",
+            "result_cache_bytes", "pool"]
+
 
 class TestMetricsOutput:
     def test_report_is_populated(self, cluster):

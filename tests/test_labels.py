@@ -113,9 +113,6 @@ class TestLabelledEngine:
         with pytest.raises(ValueError):
             Cluster(lgraph, num_machines=2, labels=np.zeros(3))
 
-    def test_label_of(self, lcluster, vlabels):
-        assert lcluster.label_of(5) == int(vlabels[5])
-
     def test_baselines_reject_labelled(self, lcluster):
         q = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], labels=(0, 1, 2))
         with pytest.raises(NotImplementedError):

@@ -62,14 +62,7 @@ class FakeExecutor:
     def __init__(self, script: Script):
         self.script = script
 
-    def execute(self, req, graph, pattern, token=None):
-        return self._run([req], token)[0]
-
-    def execute_group(self, reqs, graph, patterns, plan_keys=None,
-                      token=None):
-        return self._run(reqs, token)
-
-    def _run(self, reqs, token):
+    def execute(self, reqs, graph, patterns, plan_keys=None, token=None):
         s, tag = self.script, reqs[0].tag
         with s.lock:
             for req in reqs:

@@ -394,6 +394,30 @@ class TestMetricsTracer:
         assert hr == pytest.approx(res.cache_hit_rate)
         assert check_exposition(reg.expose()) == []
 
+    @pytest.mark.parametrize("variant", ["lrbu", "lru-inf", "cncr-lru"])
+    def test_fetch_spans_report_every_cache_access(self, er_graph, variant):
+        """one fetch stage for every cache class: its spans' hits/misses
+        sum to the ledger's, the bridged counter equals them, and the
+        spans still nest (the per-access stage once emitted none)"""
+        from repro.obs import MetricsRegistry, MetricsTracer
+
+        cluster = Cluster(er_graph, num_machines=4, workers_per_machine=2,
+                          seed=1)
+        reg = MetricsRegistry()
+        config = EngineConfig(cache_variant=variant, batch_size=8)
+        res = HugeEngine(cluster, config).run(
+            get_query("q1"), tracer=MetricsTracer(reg, inner=Tracer()))
+        fetches = [s for s in res.trace.spans if s.name == "fetch"]
+        machines = cluster.metrics.machines
+        hits = sum(m.cache_hits for m in machines)
+        misses = sum(m.cache_misses for m in machines)
+        assert fetches and hits > 0 and misses > 0
+        assert sum(s.arg("hits") for s in fetches) == hits
+        assert sum(s.arg("misses") for s in fetches) == misses
+        cache = reg.get("repro_engine_cache_requests_total")
+        assert (cache.get("hit"), cache.get("miss")) == (hits, misses)
+        assert check_span_nesting(res.trace) == []
+
     def test_wraps_inner_tracer_and_shares_trace(self, cluster):
         from repro.obs import MetricsRegistry, MetricsTracer
 

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core.cache import LRBUCache, make_cache
 from repro.core.dataflow import ExtendSpec, JoinSpec, ScanSpec
+from repro.core.kernels import hash_destinations
 from repro.core.operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
                                   SinkConsumer, join_stream)
 from repro.graph import generators as gen
@@ -13,51 +14,59 @@ from repro.graph import generators as gen
 from .test_stream import python_calls
 
 
+def as_rows(seq, arity=2):
+    """A batch: an ``(n, arity)`` int64 array."""
+    return np.asarray(seq, dtype=np.int64).reshape(-1, arity)
+
+
+def tuples(batch):
+    return [tuple(r) for r in batch.tolist()]
+
+
 @pytest.fixture()
 def ctx(er_graph):
     cluster = Cluster(er_graph, num_machines=4, workers_per_machine=2,
                       seed=1)
     caches = [LRBUCache(None, cluster.cost) for _ in range(4)]
-    return ExecContext(cluster, caches, two_stage=True, batch_size=64)
+    return ExecContext(cluster, caches, batch_size=64)
 
 
 class TestScanOp:
     def test_emits_local_edges(self, ctx, er_graph):
         op = ScanOp(ScanSpec(schema=(0, 1)), ctx)
-        pivots = [int(v) for v in ctx.cluster.local_vertices(0)]
+        pivots = ctx.cluster.local_vertices(0)
         out, costs, counted = op.process(0, pivots)
         assert counted == 0
         assert len(costs) == len(pivots)
-        expect = sum(er_graph.degree(u) for u in pivots)
+        expect = sum(er_graph.degree(u) for u in pivots.tolist())
         assert len(out) == expect
-        for u, v in out:
+        for u, v in tuples(out):
             assert er_graph.has_edge(u, v)
 
     def test_order_filter_lt(self, ctx):
         op = ScanOp(ScanSpec(schema=(0, 1), order="lt"), ctx)
-        pivots = [int(v) for v in ctx.cluster.local_vertices(0)]
-        out, _, _ = op.process(0, pivots)
-        assert all(u < v for u, v in out)
+        out, _, _ = op.process(0, ctx.cluster.local_vertices(0))
+        assert all(u < v for u, v in tuples(out))
 
     def test_order_filter_gt(self, ctx):
         op = ScanOp(ScanSpec(schema=(0, 1), order="gt"), ctx)
-        pivots = [int(v) for v in ctx.cluster.local_vertices(0)]
-        out, _, _ = op.process(0, pivots)
-        assert all(u > v for u, v in out)
+        out, _, _ = op.process(0, ctx.cluster.local_vertices(0))
+        assert all(u > v for u, v in tuples(out))
 
     def test_both_orders_partition_edges(self, ctx, er_graph):
-        pivots = [int(v) for v in ctx.cluster.local_vertices(1)]
+        pivots = ctx.cluster.local_vertices(1)
         lt = ScanOp(ScanSpec(schema=(0, 1), order="lt"), ctx).process(
             1, pivots)[0]
         gt = ScanOp(ScanSpec(schema=(0, 1), order="gt"), ctx).process(
             1, pivots)[0]
-        assert len(lt) + len(gt) == sum(er_graph.degree(u) for u in pivots)
+        assert len(lt) + len(gt) == sum(er_graph.degree(u)
+                                        for u in pivots.tolist())
 
     def test_stolen_remote_pivots(self, ctx, er_graph):
         """pivots owned elsewhere are pulled via RPC"""
-        remote = [int(v) for v in ctx.cluster.local_vertices(1)[:3]]
+        remote = ctx.cluster.local_vertices(1)[:3]
         out, _, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(0, remote)
-        assert len(out) == sum(er_graph.degree(u) for u in remote)
+        assert len(out) == sum(er_graph.degree(u) for u in remote.tolist())
         assert ctx.metrics.machines[0].rpc_requests >= 1
 
 
@@ -74,12 +83,13 @@ class TestScanOp:
                   if labelled else None)
         spec = ScanSpec(schema=(0, 1), order=order,
                         labels=(1, 0) if labelled else (None, None))
-        pivots = [int(v) for v in np.random.default_rng(4).permutation(n)]
+        parr = np.random.default_rng(4).permutation(n)
+        pivots = parr.tolist()
 
         def run(scan):
             cluster = Cluster(er_graph, num_machines=4, seed=1, labels=labels)
             ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
-                                        for _ in range(4)], True, 64)
+                                        for _ in range(4)], 64)
             return scan(ctx), cluster.metrics.machines
 
         def loop(ctx):
@@ -100,14 +110,15 @@ class TestScanOp:
 
         (rows, costs), want_ledger = run(loop)
         (out, got_costs, counted), ledger = run(
-            lambda ctx: ScanOp(spec, ctx).process(0, pivots))
-        assert out == rows and counted == 0
+            lambda ctx: ScanOp(spec, ctx).process(0, parr))
+        assert tuples(out) == rows and counted == 0
         assert got_costs.dtype == np.int64 and got_costs.tolist() == costs
         assert ledger == want_ledger and ledger[0].rpc_requests == 3
 
     def test_empty_chunk(self, ctx):
-        out, costs, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(0, [])
-        assert len(out) == 0 and out.arity == 2 and len(costs) == 0
+        out, costs, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(
+            0, np.empty(0, dtype=np.int64))
+        assert out.shape == (0, 2) and len(costs) == 0
 
 
 class TestNoPerVertexPython:
@@ -126,7 +137,7 @@ class TestNoPerVertexPython:
 
         def calls(distinct, warm):
             ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
-                                        for _ in range(4)], True, 1024)
+                                        for _ in range(4)], 1024)
             op = ExtendOp(spec, ctx)
             rows = np.column_stack((np.resize(remote[:distinct], 512),
                                     np.resize(local, 512)))
@@ -145,12 +156,11 @@ class TestNoPerVertexPython:
         cluster = Cluster(gen.erdos_renyi(400, 0.03, seed=6), num_machines=4,
                           seed=1)
         ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
-                                    for _ in range(4)], True, 64)
+                                    for _ in range(4)], 64)
         op = ScanOp(ScanSpec(schema=(0, 1), order="lt"), ctx)
         # half local, half stolen from machine 1
-        pivots = [int(v) for pair in zip(cluster.local_vertices(0),
-                                         cluster.local_vertices(1))
-                  for v in pair][:64]
+        pivots = np.column_stack((cluster.local_vertices(0)[:32],
+                                  cluster.local_vertices(1)[:32])).ravel()
         few = python_calls(lambda: op.process(0, pivots[:8]))
         many = python_calls(lambda: op.process(0, pivots))
         assert len(pivots) == 64 and (many - few) / 56 < 1
@@ -160,7 +170,7 @@ class TestExtendOp:
     def _edge_batch(self, ctx, machine):
         out, _, _ = ScanOp(ScanSpec(schema=(0, 1), order="lt"),
                            ctx).process(
-            machine, [int(v) for v in ctx.cluster.local_vertices(machine)])
+            machine, ctx.cluster.local_vertices(machine))
         return out
 
     def test_extension_produces_wedges(self, ctx, er_graph):
@@ -169,7 +179,7 @@ class TestExtendOp:
         batch = self._edge_batch(ctx, 0)
         out, costs, _ = op.process(0, batch)
         assert len(costs) == len(batch)
-        for (u, v, w) in out:
+        for (u, v, w) in tuples(out):
             assert er_graph.has_edge(u, w)
             assert w != v and w != u  # injectivity
 
@@ -178,14 +188,14 @@ class TestExtendOp:
         op = ExtendOp(spec, ctx)
         batch = self._edge_batch(ctx, 0)
         out, _, _ = op.process(0, batch)
-        for (u, v, w) in out:
+        for (u, v, w) in tuples(out):
             assert er_graph.has_edge(u, w) and er_graph.has_edge(v, w)
 
     def test_candidate_order_conditions(self, ctx):
         spec = ExtendSpec(ext=(0,), out_schema=(0, 1, 2), new_vertex=2,
                           candidate_gt=(0,), candidate_lt=(1,))
         out, _, _ = ExtendOp(spec, ctx).process(0, self._edge_batch(ctx, 0))
-        for (u, v, w) in out:
+        for (u, v, w) in tuples(out):
             assert w > u and w < v
 
     def test_verify_extend_checks_edge(self, ctx, er_graph):
@@ -193,7 +203,7 @@ class TestExtendOp:
         spec = ExtendSpec(ext=(1,), out_schema=(0, 1), verify_pos=0)
         batch = self._edge_batch(ctx, 0)
         out, _, _ = ExtendOp(spec, ctx).process(0, batch)
-        assert out == batch
+        assert np.array_equal(out, batch)
 
     def test_verify_extend_filters_non_edges(self, ctx, er_graph):
         spec = ExtendSpec(ext=(1,), out_schema=(0, 1), verify_pos=0)
@@ -206,8 +216,8 @@ class TestExtendOp:
                     break
             if len(non_edges) >= 10:
                 break
-        out, _, _ = ExtendOp(spec, ctx).process(0, non_edges)
-        assert out == []
+        out, _, _ = ExtendOp(spec, ctx).process(0, as_rows(non_edges))
+        assert out.shape == (0, 2)
 
     def test_count_only_matches_materialised(self, ctx):
         spec = ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2)
@@ -246,12 +256,11 @@ class TestPerMissMode:
         cluster = Cluster(er_graph, num_machines=4, seed=1)
         caches = [make_cache("cncr-lru", 10_000, cluster.cost, workers=4)
                   for _ in range(4)]
-        ctx = ExecContext(cluster, caches, two_stage=False, batch_size=64)
+        ctx = ExecContext(cluster, caches, batch_size=64)
         spec = ExtendSpec(ext=(1,), out_schema=(0, 1, 2), new_vertex=2)
         op = ExtendOp(spec, ctx)
         scan = ScanOp(ScanSpec(schema=(0, 1)), ctx)
-        batch, _, _ = scan.process(
-            0, [int(v) for v in cluster.local_vertices(0)])
+        batch, _, _ = scan.process(0, cluster.local_vertices(0))
         op.process(0, batch)
         # per-miss RPCs: one request pair per remote miss, not per batch
         misses = cluster.metrics.machines[0].cache_misses
@@ -262,7 +271,7 @@ class TestPerMissMode:
 class TestSink:
     def test_counting(self):
         sink = SinkConsumer(schema=(0, 1))
-        sink.consume(0, [(1, 2), (3, 4)])
+        sink.consume(0, as_rows([(1, 2), (3, 4)]))
         sink.consume_count(1, 5)
         assert sink.count == 7
 
@@ -273,7 +282,7 @@ class TestSink:
 
     def test_matches_reordered_by_schema(self):
         sink = SinkConsumer(schema=(2, 0, 1), collect=True)
-        sink.consume(0, [(30, 10, 20)])
+        sink.consume(0, as_rows([(30, 10, 20)], arity=3))
         assert sink.matches() == [(10, 20, 30)]
 
 
@@ -283,12 +292,12 @@ class TestJoinBufferAndStream:
                         out_schema=(0, 1, 2))
         left = JoinBuffer(ctx, spec.left_key, arity=2, buffer_tuples=1000)
         right = JoinBuffer(ctx, spec.right_key, arity=2, buffer_tuples=1000)
-        left.consume(0, [(1, 2), (3, 4)])
-        right.consume(1, [(2, 9), (4, 7), (5, 1)])
+        left.consume(0, as_rows([(1, 2), (3, 4)]))
+        right.consume(1, as_rows([(2, 9), (4, 7), (5, 1)]))
         out = []
         for m in range(ctx.cluster.num_machines):
             for batch in join_stream(ctx, spec, left, right, m, 100):
-                out.extend(batch)
+                out.extend(tuples(batch))
         assert sorted(out) == [(1, 2, 9), (3, 4, 7)]
 
     def test_cross_distinct_filter(self, ctx):
@@ -296,12 +305,12 @@ class TestJoinBufferAndStream:
                         out_schema=(0, 1, 2), cross_distinct=((0, 2),))
         left = JoinBuffer(ctx, spec.left_key, 2, 1000)
         right = JoinBuffer(ctx, spec.right_key, 2, 1000)
-        left.consume(0, [(1, 2)])
-        right.consume(0, [(2, 1), (2, 9)])  # (1,2,1) violates distinctness
+        left.consume(0, as_rows([(1, 2)]))
+        right.consume(0, as_rows([(2, 1), (2, 9)]))  # (1,2,1) is not distinct
         out = []
         for m in range(ctx.cluster.num_machines):
             for batch in join_stream(ctx, spec, left, right, m, 100):
-                out.extend(batch)
+                out.extend(tuples(batch))
         assert out == [(1, 2, 9)]
 
     def test_cross_condition_filter(self, ctx):
@@ -309,23 +318,24 @@ class TestJoinBufferAndStream:
                         out_schema=(0, 1, 2), cross_conditions=((0, 2),))
         left = JoinBuffer(ctx, spec.left_key, 2, 1000)
         right = JoinBuffer(ctx, spec.right_key, 2, 1000)
-        left.consume(0, [(5, 2)])
-        right.consume(0, [(2, 3), (2, 9)])  # need out[0] < out[2]: 5 < x
+        left.consume(0, as_rows([(5, 2)]))
+        right.consume(0, as_rows([(2, 3), (2, 9)]))  # out[0] < out[2]: 5 < x
         out = []
         for m in range(ctx.cluster.num_machines):
             for batch in join_stream(ctx, spec, left, right, m, 100):
-                out.extend(batch)
+                out.extend(tuples(batch))
         assert out == [(5, 2, 9)]
 
     def test_same_key_same_machine(self, ctx):
         buf = JoinBuffer(ctx, (0,), arity=2, buffer_tuples=1000)
-        assert buf.destination((7, 1)) == buf.destination((7, 99))
+        buf.consume(0, as_rows([(7, 1), (7, 99)]))
+        assert sorted(len(buf.rows_for(m)) for m in range(4)) == [0, 0, 0, 2]
 
     def test_spill_bounds_memory(self, ctx):
         buf = JoinBuffer(ctx, (0,), arity=2, buffer_tuples=10)
         # funnel many tuples with one key to one machine
-        buf.consume(0, [(5, i) for i in range(200)])
-        dest = buf.destination((5, 0))
+        buf.consume(0, as_rows([(5, i) for i in range(200)]))
+        dest = int(hash_destinations(as_rows([(5,)], arity=1), 4)[0])
         spilled = ctx.metrics.machines[dest].spilled_bytes
         assert spilled > 0
         # in-memory share stays at the threshold
@@ -333,7 +343,7 @@ class TestJoinBufferAndStream:
 
     def test_shuffle_charges_network(self, ctx):
         buf = JoinBuffer(ctx, (0,), arity=2, buffer_tuples=1000)
-        buf.consume(0, [(i, i + 1) for i in range(50)])
+        buf.consume(0, as_rows([(i, i + 1) for i in range(50)]))
         sent = sum(m.bytes_sent for m in ctx.metrics.machines)
         assert sent > 0
 
@@ -344,8 +354,8 @@ class TestJoinStreamRelease:
                         out_schema=(0, 1, 2))
         left = JoinBuffer(ctx, spec.left_key, arity=2, buffer_tuples=1000)
         right = JoinBuffer(ctx, spec.right_key, arity=2, buffer_tuples=1000)
-        left.consume(0, [(i, i + 1) for i in range(40)])
-        right.consume(1, [(i + 1, i) for i in range(40)])
+        left.consume(0, as_rows([(i, i + 1) for i in range(40)]))
+        right.consume(1, as_rows([(i + 1, i) for i in range(40)]))
         return spec, left, right
 
     def test_consumed_stream_releases_buffers(self, ctx):

@@ -134,7 +134,7 @@ class TestSpawnSafety:
         store = SharedGraphStore()
         try:
             task = WorkerTask(
-                kind="solo", generation=7,
+                generation=7,
                 requests=(QueryRequest(pattern=pattern, dataset="er"),),
                 patterns=(pattern,),
                 graph=store.handle("er", er_graph),
@@ -374,8 +374,8 @@ class TestFusedKernels:
         """the intersect stage agrees row for row with the references
         outside the operator — rows with ``_reference_extend``, ticks
         with the scalar ``CostModel.intersection_ops`` + penalty + emits —
-        under an off-grid weight, every cache variant and both fetch
-        policies"""
+        under an off-grid weight and every cache variant, each behind
+        its own fetch stage"""
         rng = np.random.default_rng(seed)
         g = gen.erdos_renyi(30 + 5 * seed, 0.2, seed=seed)
         cost = CostModel(intersect_op=0.1, emit_op=0.7)
@@ -403,26 +403,26 @@ class TestFusedKernels:
             emits = counts.tolist()
             want_rows = [(*rows[i].tolist(), c)
                          for i, c in zip(row_ids.tolist(), cand.tolist())]
-        for two_stage in (True, False):
-            caches = [make_cache(variant, None, cost, workers=2)
-                      for _ in range(3)]
-            ctx = ExecContext(cluster, caches, two_stage, batch_size=64)
-            op = ExtendOp(spec, ctx)
-            for count_only in (False, True):
-                out, ticks, counted = op.process(0, rows, count_only)
-                step = 1 if count_only else 3
-                want = [cost.intersection_ops([g.degree(u) for u in vs],
-                                              cluster.probe_ticks)
-                        + sum(caches[0].access_penalty(g.degree(u))
-                              for u in vs if owner[u] != 0)
-                        + e * step * cost.ticks.emit
-                        for vs, e in zip(by_len, emits)]
-                assert ticks.dtype == np.int64
-                assert ticks.tolist() == want
-                if count_only:
-                    assert counted == sum(emits) and len(out) == 0
-                else:
-                    assert out == want_rows and counted == 0
+        caches = [make_cache(variant, None, cost, workers=2)
+                  for _ in range(3)]
+        ctx = ExecContext(cluster, caches, batch_size=64)
+        op = ExtendOp(spec, ctx)
+        for count_only in (False, True):
+            out, ticks, counted = op.process(0, rows, count_only)
+            step = 1 if count_only else 3
+            want = [cost.intersection_ops([g.degree(u) for u in vs],
+                                          cluster.probe_ticks)
+                    + sum(caches[0].access_penalty(g.degree(u))
+                          for u in vs if owner[u] != 0)
+                    + e * step * cost.ticks.emit
+                    for vs, e in zip(by_len, emits)]
+            assert ticks.dtype == np.int64
+            assert ticks.tolist() == want
+            if count_only:
+                assert counted == sum(emits) and len(out) == 0
+            else:
+                assert out.tolist() == list(map(list, want_rows))
+                assert counted == 0
 
     def test_per_miss_fetch_equals_scalar_replay_under_eviction(self):
         """per-miss mode under a Cncr-LRU small enough to evict inside one
@@ -434,7 +434,7 @@ class TestFusedKernels:
         capacity = 40
         caches = [make_cache("cncr-lru", capacity, cluster.cost, workers=2)
                   for _ in range(3)]
-        ctx = ExecContext(cluster, caches, two_stage=False, batch_size=64)
+        ctx = ExecContext(cluster, caches, batch_size=64)
         op = ExtendOp(ExtendSpec(ext=(0, 2), out_schema=(0, 1, 2, 3),
                                  new_vertex=3), ctx)
         rows = np.random.default_rng(3).integers(0, 60, size=(64, 3))

@@ -1,5 +1,6 @@
 """Tests for the DFS/BFS-adaptive scheduler (repro.core.scheduler)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import count_matches
@@ -165,7 +166,7 @@ class TestSourceExhaustedJumpForward:
         cluster = Cluster(er_graph, num_machines=2, workers_per_machine=1,
                           seed=3)
         caches = [LRBUCache(None, cluster.cost) for _ in range(2)]
-        ctx = ExecContext(cluster, caches, two_stage=True, batch_size=16)
+        ctx = ExecContext(cluster, caches, batch_size=16)
         seg = Segment(source=ScanSpec(schema=(0, 1)), extends=[
             ExtendSpec(ext=(1,), out_schema=(0, 1, 2), new_vertex=2),
             ExtendSpec(ext=(2,), out_schema=(0, 1, 2, 3), new_vertex=3),
@@ -183,7 +184,7 @@ class TestSourceExhaustedJumpForward:
         for (u, v, w) in rows:
             expected += sum(1 for x in er_graph.neighbours(w).tolist()
                             if x not in (u, v, w))
-        runner._enqueue(1, 0, rows, 3)
+        runner._enqueue(1, 0, np.asarray(rows, dtype=np.int64), 3)
         runner.run()
         assert sink.count == expected
 
@@ -193,7 +194,6 @@ class TestScanFeedInterMachineStealing:
         """Inter-machine stealing on the scan feed re-homes pivot chunks;
         the thief's ScanOp must pull the stolen pivots' adjacency with a
         GetNbrs RPC (they stay owned by the donor)."""
-        import numpy as np
         from repro.graph.partition import PartitionedGraph
 
         q = get_query("q2")  # triangle
@@ -215,7 +215,6 @@ class TestScanFeedInterMachineStealing:
         assert sum(m.rpc_requests for m in machines[1:]) > 0
 
     def test_no_stealing_keeps_skewed_feed_local(self, er_graph):
-        import numpy as np
         from repro.graph.partition import PartitionedGraph
 
         q = get_query("q2")

@@ -73,8 +73,7 @@ class TestWcoTranslation:
     def test_operator_count(self):
         seg = translate_query("q1")
         assert seg.num_operators == 3
-        assert seg.total_operators() == 3
-        assert seg.max_arity() == 4
+        assert len(seg.out_schema) == 4
 
 
 class TestStarScanRewrite:
