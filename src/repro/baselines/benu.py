@@ -51,14 +51,12 @@ class BenuEngine(BaselineEngine):
         self.cache_capacity_fraction = cache_capacity_fraction
         self._load_store = load_store
 
-    def run(self, query: QueryGraph,
-            reset_metrics: bool = True) -> BaselineResult:
+    def run(self, query: QueryGraph) -> BaselineResult:
         """Enumerate ``query`` BENU-style; returns count + metrics."""
         self._check_query(query)
         cluster = self.cluster
         cost = cluster.cost
-        if reset_metrics:
-            cluster.reset_metrics()
+        cluster.reset_metrics()
         store = ExternalKVStore(cluster)
         if self._load_store:
             store.load()

@@ -52,14 +52,12 @@ class BigJoinEngine(BaselineEngine):
         graph = cluster.pgraph.graph
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
-    def run(self, query: QueryGraph,
-            reset_metrics: bool = True) -> BaselineResult:
+    def run(self, query: QueryGraph) -> BaselineResult:
         """Enumerate ``query`` with BiGJoin's batched wco dataflow."""
         self._check_query(query)
         cluster = self.cluster
         cost = cluster.cost
-        if reset_metrics:
-            cluster.reset_metrics()
+        cluster.reset_metrics()
         # reset_metrics rebinds cluster.metrics; capture the fresh ledger
         metrics = cluster.metrics
 

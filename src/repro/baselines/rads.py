@@ -58,13 +58,12 @@ class RadsEngine(BaselineEngine):
         graph = cluster.pgraph.graph
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
-    def run(self, query: QueryGraph, plan: LogicalPlan | None = None,
-            reset_metrics: bool = True) -> BaselineResult:
+    def run(self, query: QueryGraph,
+            plan: LogicalPlan | None = None) -> BaselineResult:
         """Enumerate ``query`` with RADS' star-expand-and-verify rounds."""
         self._check_query(query)
         cluster = self.cluster
-        if reset_metrics:
-            cluster.reset_metrics()
+        cluster.reset_metrics()
         if plan is None:
             plan = rads_plan(query)
         conditions = symmetry_break(query)

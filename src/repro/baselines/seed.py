@@ -38,12 +38,11 @@ class SeedEngine(BaselineEngine):
         super().__init__(cluster)
         self.estimator = estimator or SamplingEstimator(cluster.graph)
 
-    def run(self, query: QueryGraph, plan: LogicalPlan | None = None,
-            reset_metrics: bool = True) -> BaselineResult:
+    def run(self, query: QueryGraph,
+            plan: LogicalPlan | None = None) -> BaselineResult:
         """Enumerate ``query`` with SEED's bushy hash-join plan."""
         self._check_query(query)
-        if reset_metrics:
-            self.cluster.reset_metrics()
+        self.cluster.reset_metrics()
         if plan is None:
             plan = seed_plan(query, self.estimator)
         conditions = symmetry_break(query)

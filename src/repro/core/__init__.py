@@ -14,7 +14,7 @@ from importlib import import_module
 from .cache import CACHE_VARIANTS, CacheStats, LRBUCache, LRUCache, make_cache
 from .cancel import CancelToken, QueryCancelledError
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec, Segment
-from .scheduler import SchedulerConfig, run_segment
+from .scheduler import SchedulerConfig
 from .stealing import STEALING_MODES, distribute_to_workers, rebalance
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "EnumerationResult",
     "HugeEngine",
     "SchedulerConfig",
-    "run_segment",
     "STEALING_MODES",
     "distribute_to_workers",
     "rebalance",

@@ -1,9 +1,20 @@
 """The HUGE engine: plan → dataflow → scheduled execution on the cluster.
 
-This is the system's public entry point.  ``HugeEngine.run`` accepts a
-query (planned by Algorithm 1), a plugged-in logical plan (the HUGE-BENU /
-HUGE-RADS / HUGE-SEED / HUGE-WCO mode of Remark 3.2), or a pre-configured
-execution plan, and executes it with:
+This is the system's public entry point, in two halves.  **Compile**:
+:func:`compile_group` translates N ≥ 1 execution plans (Algorithm 2) into
+one :class:`~repro.core.dataflow.Program` — the members' segments, their
+longest common spec prefix when N > 1, and the operator table (ids /
+kinds / schemas, numbered once).  It is pure spec construction costing
+microseconds, so it runs per engine run: a structure, not a cache.
+**Run**: :meth:`HugeEngine.run_group` is the one run body — resolve each
+member to a plan (Algorithm 1 for a query; Equation 3's settings for a
+plugged-in logical plan, the HUGE-BENU / -RADS / -SEED / -WCO mode of
+Remark 3.2), compile, build the execution context, declare the table's
+operators on the tracer, drive the scheduler into one sink per member.
+``HugeEngine.run`` is the group of one: solo and shared runs differ in
+fan-out, not in which code ran them.
+
+Execution uses:
 
 * the pushing/pulling-hybrid operators of §4 (two-stage ``PULL-EXTEND``
   over a per-machine LRBU cache; buffered ``PUSH-JOIN``);
@@ -16,6 +27,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
+from typing import Sequence
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import PlanError
@@ -24,15 +37,15 @@ from ..obs.trace import ENGINE, NULL_TRACER, Trace, Tracer
 from ..query.estimate import CardinalityEstimator, SamplingEstimator
 from ..query.pattern import QueryGraph
 from .cache import CACHE_VARIANTS, make_cache
-from .dataflow import ScanSpec, Segment
+from .dataflow import Program, ReplaySpec, Segment, plan_signature
 from .operators import ExecContext, SinkConsumer, Tuple
 from .plan.logical import LogicalPlan
 from .plan.optimiser import Optimiser
 from .plan.physical import ExecutionPlan, configure_plan
 from .plan.translate import translate
-from .scheduler import SchedulerConfig, run_segment, run_shared_chains
+from .scheduler import SchedulerConfig, run_program
 
-__all__ = ["EngineConfig", "EnumerationResult", "HugeEngine"]
+__all__ = ["EngineConfig", "EnumerationResult", "HugeEngine", "compile_group"]
 
 
 @dataclass
@@ -124,6 +137,43 @@ class EnumerationResult:
         }
 
 
+def compile_group(plans: Sequence[ExecutionPlan]) -> Program:
+    """Translate N ≥ 1 plans and compile them as one share group.
+
+    A group of one is its translated segment tree, any shape.  For N > 1
+    every plan must translate to a single-segment scan + extend chain
+    whose leading operator specs are literally equal for at least the
+    scan (the serving dispatcher groups on prefix signatures): the
+    longest common spec prefix becomes the head, each member's remaining
+    extends (none for same-pattern members) its tail.
+    """
+    if not plans:
+        raise ValueError("an engine run needs at least one plan")
+    segments = [translate(plan) for plan in plans]
+    head, tails = segments[0], []
+    if len(segments) > 1:
+        sigs = [plan_signature(seg) for seg in segments]
+        if None in sigs:
+            raise PlanError(
+                "work sharing requires single-segment scan+extend "
+                f"chains; plan {sigs.index(None)} has a PUSH-JOIN")
+        shared = sum(1 for _ in takewhile(
+            lambda specs: len(set(specs)) == 1, zip(*sigs)))
+        if shared < 1:
+            raise PlanError("plans share no common scan prefix")
+        head = Segment(source=head.source,
+                       extends=list(head.extends[:shared - 1]))
+        tails = [
+            Segment(source=ReplaySpec(head.out_schema),
+                    extends=list(seg.extends[shared - 1:]),
+                    out_schema=tuple(seg.out_schema))
+            for seg in segments
+        ]
+    return Program(head, tails, [
+        seg.operators(n)
+        for n, seg in enumerate(head.all_segments() + tails)])
+
+
 class HugeEngine:
     """The HUGE runtime bound to one simulated cluster."""
 
@@ -142,15 +192,15 @@ class HugeEngine:
                         avg_degree=self.cluster.graph.avg_degree)
         return opt.run(query)
 
-    def _resolve_plan(self, query: QueryGraph | None,
-                      plan: ExecutionPlan | LogicalPlan | None) -> ExecutionPlan:
-        if isinstance(plan, ExecutionPlan):
-            return plan
-        if isinstance(plan, LogicalPlan):
-            return configure_plan(plan)
-        if query is None:
+    def _resolve_plan(self, member: QueryGraph | ExecutionPlan | LogicalPlan
+                      ) -> ExecutionPlan:
+        if isinstance(member, ExecutionPlan):
+            return member
+        if isinstance(member, LogicalPlan):
+            return configure_plan(member)
+        if member is None:
             raise ValueError("need a query or a plan")
-        return self.plan(query)
+        return self.plan(member)
 
     # -- execution --------------------------------------------------------------------
 
@@ -160,21 +210,6 @@ class HugeEngine:
         g = self.cluster.graph
         graph_ids = 2 * g.num_edges + g.num_vertices
         return max(1, int(self.config.cache_capacity_fraction * graph_ids))
-
-    def _context(self, tracer: Tracer | None = None) -> ExecContext:
-        """Fresh per-machine caches and the execution context of one run,
-        with the caches' capacity reserved on the memory ledger."""
-        config = self.config
-        capacity = self._cache_capacity_ids()
-        caches = [
-            make_cache(config.cache_variant, capacity, self.cluster.cost,
-                       workers=self.cluster.workers_per_machine)
-            for _ in range(self.cluster.num_machines)
-        ]
-        ctx = ExecContext(self.cluster, caches, config.batch_size,
-                          tracer=tracer)
-        ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
-        return ctx
 
     def _results(self, ctx: ExecContext, plans, sinks, collects,
                  trace: Trace | None = None) -> list[EnumerationResult]:
@@ -207,54 +242,72 @@ class HugeEngine:
 
     def run(self, query: QueryGraph | None = None,
             plan: ExecutionPlan | LogicalPlan | None = None,
-            reset_metrics: bool = True,
             tracer: Tracer | None = None) -> EnumerationResult:
-        """Execute a subgraph-enumeration query.
+        """Execute a subgraph-enumeration query: the share group of one.
 
-        Parameters
-        ----------
-        query:
-            The pattern; optional when ``plan`` is given.
-        plan:
-            An :class:`ExecutionPlan`, a :class:`LogicalPlan` (plug-in
-            mode: physical settings assigned by Equation 3), or ``None``
-            to plan with Algorithm 1.
-        reset_metrics:
-            Start a fresh metrics ledger (default) or accumulate.
-        tracer:
-            A :class:`~repro.obs.trace.Tracer` to record spans into.  The
-            default is the shared no-op tracer: tracing reads the
-            simulated clocks but never charges them, so a traced run is
-            bit-identical to an untraced one.
+        ``query`` is the pattern (optional when ``plan`` is given);
+        ``plan`` an :class:`ExecutionPlan`, a :class:`LogicalPlan`
+        (plug-in mode) or ``None`` to plan with Algorithm 1; ``tracer``
+        as in :meth:`run_group`.
+        """
+        return self.run_group([plan if plan is not None else query],
+                              tracer=tracer)[0]
+
+    def run_group(self,
+                  members: Sequence[QueryGraph | ExecutionPlan | LogicalPlan],
+                  collects: Sequence[bool] | None = None,
+                  tracer: Tracer | None = None) -> list[EnumerationResult]:
+        """Execute N ≥ 1 queries or plans as one engine run.
+
+        Each member is a pattern (planned by Algorithm 1), a
+        :class:`LogicalPlan` (plug-in mode: Equation 3 assigns the
+        physical settings) or an :class:`ExecutionPlan`; ``collects[i]``
+        overrides ``config.collect_results`` for member ``i``.  The
+        members' longest common spec prefix runs **once**; with N > 1 it
+        runs into a tee buffer and each member's remaining extends run
+        over a replay of it into the member's own sink (see
+        :func:`compile_group` for what may share).
+
+        Per member, count and collected match *set* are identical to a
+        run of that member alone — spec for spec the same operators, only
+        the batch schedule differs.  The metrics report is the one run's
+        ledger, attached to every result; for N > 1 it is **not**
+        comparable to a member's solo report (the shared run does
+        strictly less total work — that is the point).
+
+        ``tracer`` records spans; the default is the shared no-op tracer.
+        Tracing reads the simulated clocks but never charges them, so a
+        traced run is bit-identical to an untraced one.
         """
         tr = tracer if tracer is not None else NULL_TRACER
+        config = self.config
         wall0 = time.perf_counter()
-        exec_plan = self._resolve_plan(query, plan)
+        plans = [self._resolve_plan(member) for member in members]
         wall1 = time.perf_counter()
-        segment: Segment = translate(exec_plan)
+        program = compile_group(plans)
         wall2 = time.perf_counter()
-        if reset_metrics:
-            self.cluster.reset_metrics()
+        if collects is None:
+            collects = [config.collect_results] * len(plans)
+        if len(collects) != len(plans):
+            raise ValueError("one collect flag per member")
+        self.cluster.reset_metrics()
         tr.bind(self.cluster.metrics)
 
-        config = self.config
-        ctx = self._context(tr)
-        for si, seg in enumerate(segment.all_segments()):
-            ctx.seg_ids[id(seg)] = si
+        # fresh per-machine caches, their capacity reserved on the ledger
+        capacity = self._cache_capacity_ids()
+        caches = [
+            make_cache(config.cache_variant, capacity, self.cluster.cost,
+                       workers=self.cluster.workers_per_machine)
+            for _ in range(self.cluster.num_machines)
+        ]
+        ctx = ExecContext(self.cluster, caches, tracer=tr)
+        ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
         if tr.enabled:
-            for si, seg in enumerate(segment.all_segments()):
-                if isinstance(seg.source, ScanSpec):
-                    tr.declare_operator(f"s{si}.0", "SCAN",
-                                        tuple(seg.source.schema))
-                else:
-                    tr.declare_operator(f"s{si}.0", "PUSH-JOIN",
-                                        tuple(seg.source.out_schema))
-                for oi, ext in enumerate(seg.extends):
-                    kind = "VERIFY" if ext.is_verify else "PULL-EXTEND"
-                    tr.declare_operator(f"s{si}.{oi + 1}", kind,
-                                        tuple(ext.out_schema))
+            for ops in program.ops:
+                for op in ops:
+                    tr.declare_operator(op.opid, op.kind, op.schema)
             tr.trace.meta.update({
-                "plan": exec_plan.describe(),
+                "plan": "\n".join(plan.describe() for plan in plans),
                 "num_machines": self.cluster.num_machines,
                 "workers_per_machine": self.cluster.workers_per_machine,
             })
@@ -264,85 +317,18 @@ class HugeEngine:
             tr.complete("translate", ENGINE, t, t,
                         {"wall_s": wall2 - wall1})
 
-        sink = SinkConsumer(segment.out_schema, collect=config.collect_results)
+        sinks = [SinkConsumer(seg.out_schema, collect=collect)
+                 for seg, collect in zip(program.tails or [program.head],
+                                         collects)]
         t_exec = tr.now(ENGINE) if tr.enabled else 0.0
         self.cluster.tracer = tr
         try:
-            run_segment(ctx, config, segment, sink)
+            run_program(ctx, config, program, sinks)
         finally:
             self.cluster.tracer = NULL_TRACER
         ctx.metrics.check_time()
         if tr.enabled:
             tr.complete("execute", ENGINE, t_exec, tr.now(ENGINE),
                         {"wall_s": time.perf_counter() - wall2})
-
-        return self._results(ctx, [exec_plan], [sink],
-                             [config.collect_results],
-                             trace=tr.trace if tr.enabled else None)[0]
-
-    def run_shared(self, plans: list[ExecutionPlan],
-                   collects: list[bool] | None = None,
-                   reset_metrics: bool = True) -> list[EnumerationResult]:
-        """Execute several plans as one share group.
-
-        All plans must translate to single-segment chains (edge ``SCAN``
-        plus ``PULL-EXTEND``\\ s) whose leading operator specs are
-        literally equal for at least the scan — the serving dispatcher
-        guarantees this by grouping on prefix signatures.  The longest
-        common spec prefix runs **once** into a tee buffer; each plan's
-        remaining extends then run over a replay of that buffer into a
-        per-plan sink (multi-sink result tagging).  When every plan is
-        the same canonical pattern the suffixes are empty and the group
-        degenerates to pure isomorphism dedup.
-
-        Per plan, the returned count and (collected) match *set* are
-        identical to a solo :meth:`run` of that plan — the operator specs
-        executed for each plan are spec-for-spec the same, only the
-        batch schedule differs.  The simulated metrics report is the
-        single shared run's ledger, attached to every result; it is
-        **not** comparable to any member's solo report (that is the
-        point — the shared run does strictly less total work).
-
-        ``collects[i]`` overrides ``config.collect_results`` per member.
-        """
-        if not plans:
-            raise ValueError("run_shared needs at least one plan")
-        segments = [translate(p) for p in plans]
-        sigs = []
-        for plan, seg in enumerate(segments):
-            if seg.left is not None or not isinstance(seg.source, ScanSpec):
-                raise PlanError(
-                    "work sharing requires single-segment scan+extend "
-                    f"chains; plan {plan} has a PUSH-JOIN")
-            sigs.append((seg.source, *seg.extends))
-        shared = min(len(s) for s in sigs)
-        for sig in sigs[1:]:
-            n = 0
-            while n < shared and sig[n] == sigs[0][n]:
-                n += 1
-            shared = n
-        if shared < 1:
-            raise PlanError("plans share no common scan prefix")
-
-        if collects is None:
-            collects = [self.config.collect_results] * len(plans)
-        if len(collects) != len(plans):
-            raise ValueError("one collect flag per plan")
-        if reset_metrics:
-            self.cluster.reset_metrics()
-
-        ctx = self._context()
-        base = segments[0]
-        prefix = Segment(source=base.source,
-                         extends=list(base.extends[:shared - 1]))
-        suffixes = [
-            Segment(source=seg.source,
-                    extends=list(seg.extends[shared - 1:]),
-                    out_schema=tuple(seg.out_schema))
-            for seg in segments
-        ]
-        sinks = [SinkConsumer(seg.out_schema, collect=collect)
-                 for seg, collect in zip(segments, collects)]
-        run_shared_chains(ctx, self.config, prefix, suffixes, sinks)
-        ctx.metrics.check_time()
-        return self._results(ctx, plans, sinks, collects)
+        return self._results(ctx, plans, sinks, collects,
+                             trace=tr.trace if tr.enabled else None)

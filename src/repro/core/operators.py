@@ -56,14 +56,13 @@ class ExecContext:
     """Shared execution state for one engine run."""
 
     def __init__(self, cluster: Cluster, caches: Sequence[Cache],
-                 batch_size: int, tracer=None):
+                 tracer=None):
         self.cluster = cluster
         self.caches = list(caches)
         # hit/miss accounting is charged once, through the cache's own
         # stats, and forwarded to the run metrics from there
         for machine, cache in enumerate(self.caches):
             cache.stats.bind(cluster.metrics, machine)
-        self.batch_size = batch_size
         self.metrics = cluster.metrics
         self.cost = cluster.cost
         #: per-vertex labels of the data graph (None for unlabelled)
@@ -72,8 +71,6 @@ class ExecContext:
         self.fetch_ops = 0
         #: span tracer (the no-op tracer unless the run is being traced)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: segment identity -> index, for stable operator ids in traces
-        self.seg_ids: dict[int, int] = {}
 
 
 class ScanOp:

@@ -12,6 +12,13 @@ sweep of Exp-7 (Figure 9).
 segments run to completion into shuffled join buffers before the parent
 segment streams the join output through its own adaptive chain.
 
+:func:`run_program` is the one driver over a compiled
+:class:`~repro.core.dataflow.Program`: ``PUSH-JOIN`` children into join
+buffers, a chain into its sink, a tee buffer plus one replay per member
+only where the head has more than one consumer (a share group of N > 1).
+Operator ids, kinds and span names come from the program's operator
+table; nothing here numbers operators.
+
 Inter-machine work stealing (§5.3) re-homes queued batches from busy to
 idle machines before each scheduling round; intra-machine stealing is
 applied when attributing batch item costs to workers (see
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,12 +37,12 @@ from ..cluster.cost import TICKS_PER_OP
 from ..cluster.errors import PlanError
 from ..obs.trace import ENGINE
 from .cancel import CancelToken
-from .dataflow import JoinSpec, ScanSpec, Segment
+from .dataflow import JoinSpec, Operator, Program, ScanSpec, Segment
 from .operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
                         SinkConsumer, join_stream)
 from .stealing import STEALING_MODES, distribute_to_workers, rebalance
 
-__all__ = ["SchedulerConfig", "run_segment", "run_shared_chains"]
+__all__ = ["SchedulerConfig", "run_program"]
 
 
 @dataclass
@@ -83,24 +90,18 @@ class SchedulerConfig:
 # -- source feeds -------------------------------------------------------------------
 
 
-class _ScanFeed:
-    """Pivot-vertex chunks per machine feeding an edge SCAN."""
+class _ChunkFeed:
+    """Ready-made input chunks per machine: an edge SCAN's pivot-vertex
+    chunks, or a tee buffer's batches replayed into one tail chain."""
 
-    def __init__(self, ctx: ExecContext, chunk: int):
-        self.chunks: list[deque[np.ndarray]] = []
-        for m in range(ctx.cluster.num_machines):
-            local = ctx.cluster.local_vertices(m)
-            self.chunks.append(deque(
-                local[i:i + chunk] for i in range(0, len(local), chunk)))
+    def __init__(self, chunks: Iterable[Iterable[np.ndarray]]):
+        self.chunks = [deque(per_machine) for per_machine in chunks]
 
     def has_input(self, machine: int) -> bool:
         return bool(self.chunks[machine])
 
     def next_batch(self, machine: int) -> np.ndarray:
         return self.chunks[machine].popleft()
-
-    def exhausted(self) -> bool:
-        return not any(self.chunks)
 
 
 class _JoinFeed:
@@ -109,14 +110,10 @@ class _JoinFeed:
     def __init__(self, generators: Sequence[Iterator[np.ndarray]]):
         self._gens = list(generators)
         self._peek: list[np.ndarray | None] = [None] * len(self._gens)
-        self._done = [False] * len(self._gens)
 
     def _fill(self, machine: int) -> None:
-        if self._peek[machine] is None and not self._done[machine]:
-            try:
-                self._peek[machine] = next(self._gens[machine])
-            except StopIteration:
-                self._done[machine] = True
+        if self._peek[machine] is None:
+            self._peek[machine] = next(self._gens[machine], None)
 
     def has_input(self, machine: int) -> bool:
         self._fill(machine)
@@ -130,92 +127,41 @@ class _JoinFeed:
         self._peek[machine] = None
         return batch
 
-    def exhausted(self) -> bool:
-        return all(not self.has_input(m) for m in range(len(self._gens)))
-
 
 class _TeeBuffer:
-    """Materialised output of a shared prefix chain (work sharing).
+    """Materialised output of a share group's head chain (work sharing).
 
     Consumes the common prefix's final batches per machine, charging
-    their footprint to the simulated memory ledger, and hands out
-    :class:`_ReplayFeed`\\ s that stream the buffered batches into each
-    share-group member's suffix chain.  ``release`` returns the charged
-    bytes once every member has been fed (the ledger must drain).
+    their footprint to the simulated memory ledger, and replays them into
+    each member's tail chain.  ``release`` returns the charged bytes once
+    every member has been fed (the ledger must drain).
 
     Deliberately *not* a :class:`SinkConsumer`: the prefix chain's last
     operator must materialise its tuples (no count-only compression) —
-    the suffixes extend them further.
+    the tails extend them further.
     """
 
     def __init__(self, ctx: ExecContext, arity: int):
-        self.ctx = ctx
-        self.arity = arity
-        self.k = ctx.cluster.num_machines
-        self.batches: list[list[np.ndarray]] = [[] for _ in range(self.k)]
-        self.total = 0
+        self.metrics = ctx.metrics
+        self.row_bytes = arity * ctx.cost.bytes_per_id
+        self.batches: list[list[np.ndarray]] = [
+            [] for _ in range(ctx.cluster.num_machines)]
 
     def consume(self, machine: int, batch: np.ndarray) -> None:
-        n = len(batch)
-        if not n:
-            return
-        self.batches[machine].append(batch)
-        self.total += n
-        self.ctx.metrics.alloc(
-            machine, n * self.arity * self.ctx.cost.bytes_per_id)
+        if len(batch):
+            self.batches[machine].append(batch)
+            self.metrics.alloc(machine, len(batch) * self.row_bytes)
 
-    def replay(self) -> "_ReplayFeed":
+    def replay(self) -> _ChunkFeed:
         """A fresh feed over the buffered prefix output."""
-        return _ReplayFeed(self.batches)
+        return _ChunkFeed(self.batches)
 
     def release(self) -> None:
         """Return the buffered bytes to the simulated ledger."""
-        for m in range(self.k):
-            for batch in self.batches[m]:
-                self.ctx.metrics.free(
-                    m, len(batch) * self.arity * self.ctx.cost.bytes_per_id)
-        self.batches = [[] for _ in range(self.k)]
-
-
-class _ReplayFeed:
-    """Streams a tee buffer's batches into one suffix chain (per machine)."""
-
-    def __init__(self, batches: Sequence[Sequence[np.ndarray]]):
-        self._chunks = [deque(per_machine) for per_machine in batches]
-
-    def has_input(self, machine: int) -> bool:
-        return bool(self._chunks[machine])
-
-    def next_batch(self, machine: int) -> np.ndarray:
-        return self._chunks[machine].popleft()
-
-    def exhausted(self) -> bool:
-        return not any(self._chunks)
-
-
-def run_shared_chains(ctx: ExecContext, config: SchedulerConfig,
-                      prefix: Segment, suffixes: Sequence[Segment],
-                      consumers: Sequence[SinkConsumer]) -> int:
-    """Execute a share group: the common prefix once, each suffix on a
-    replay of its output.
-
-    ``prefix`` is the leading scan(+extends) chain every member's plan
-    starts with; ``suffixes[i]`` holds member ``i``'s remaining extends
-    (possibly none — full isomorphism dedup) feeding ``consumers[i]``.
-    Returns the number of prefix tuples materialised (share-ratio
-    telemetry).
-    """
-    if not isinstance(prefix.source, ScanSpec):
-        raise PlanError("shared prefixes must start with an edge scan")
-    tee = _TeeBuffer(ctx, len(prefix.out_schema))
-    try:
-        _ChainRunner(ctx, config, prefix, tee).run()
-        total = tee.total
-        for suffix, consumer in zip(suffixes, consumers):
-            _ChainRunner(ctx, config, suffix, consumer, tee.replay()).run()
-    finally:
-        tee.release()
-    return total
+        for m, batches in enumerate(self.batches):
+            for batch in batches:
+                self.metrics.free(m, len(batch) * self.row_bytes)
+        self.batches = [[] for _ in self.batches]
 
 
 # -- the chain scheduler ---------------------------------------------------------------
@@ -237,10 +183,14 @@ class _ChainRunner:
     """Algorithm 5 over one segment's linear chain of operators."""
 
     def __init__(self, ctx: ExecContext, config: SchedulerConfig,
-                 segment: Segment, consumer: SinkConsumer | JoinBuffer,
-                 feed: "_JoinFeed | _ReplayFeed | None" = None):
+                 segment: Segment,
+                 consumer: "SinkConsumer | JoinBuffer | _TeeBuffer",
+                 feed: "_JoinFeed | _ChunkFeed | None" = None,
+                 ops: Sequence[Operator] | None = None):
         """``feed`` is the chain's source when it is not the segment's own
-        edge SCAN: a PUSH-JOIN's output stream or a tee-buffer replay."""
+        edge SCAN: a PUSH-JOIN's output stream or a tee-buffer replay.
+        ``ops`` is the chain's rows of the program's operator table (a
+        bare segment run on its own is segment 0)."""
         self.ctx = ctx
         self.config = config
         self.consumer = consumer
@@ -251,15 +201,16 @@ class _ChainRunner:
         if feed is None:
             if not isinstance(segment.source, ScanSpec):
                 raise PlanError(
-                    "join segments must be started via run_segment")
-            feed = _ScanFeed(ctx, config.scan_pivot_chunk)
+                    "a chain without a feed must start with an edge scan")
+            chunk = config.scan_pivot_chunk
+            feed = _ChunkFeed(
+                [local[i:i + chunk] for i in range(0, len(local), chunk)]
+                for local in map(ctx.cluster.local_vertices, range(k)))
             self.source_op = ScanOp(segment.source, ctx)
         self.feed = feed
-        seg = ctx.seg_ids.get(id(segment), 0)
-        # operator ids: s<segment>.0 is the source, s<segment>.<i+1> extend i
-        self.op_ids = [f"s{seg}.{i}"
-                       for i in range(len(segment.extends) + 1)]
-        self.extend_ops = [ExtendOp(spec, ctx, opid=self.op_ids[i + 1])
+        # ops[0] is the source, ops[i + 1] extend i
+        self.ops = ops if ops is not None else segment.operators()
+        self.extend_ops = [ExtendOp(spec, ctx, opid=self.ops[i + 1].opid)
                            for i, spec in enumerate(segment.extends)]
         # queues[i] is the input channel of extend i (the output queue of
         # the operator before it); the chain is source -> extends -> consumer
@@ -290,7 +241,7 @@ class _ChainRunner:
             machine, n * arity * self.ctx.cost.bytes_per_id)
         tracer = self.ctx.tracer
         if tracer.enabled:
-            tracer.counter(f"queue {self.op_ids[level + 1]}", machine,
+            tracer.counter(f"queue {self.ops[level + 1].opid}", machine,
                            {"tuples": q.tuples[machine]})
 
     def _dequeue(self, level: int, machine: int, arity: int) -> np.ndarray:
@@ -301,7 +252,7 @@ class _ChainRunner:
             machine, len(batch) * arity * self.ctx.cost.bytes_per_id)
         tracer = self.ctx.tracer
         if tracer.enabled:
-            tracer.counter(f"queue {self.op_ids[level + 1]}", machine,
+            tracer.counter(f"queue {self.ops[level + 1].opid}", machine,
                            {"tuples": q.tuples[machine]})
         return batch
 
@@ -329,7 +280,7 @@ class _ChainRunner:
         moved: dict[tuple[int, int], int] = {}
         unit = "ids"
         if level < 0:
-            if isinstance(self.feed, _ScanFeed):
+            if self.source_op is not None:  # only pivot chunks re-home
                 for src, dst, chunk in rebalance(self.feed.chunks,
                                                  threshold=threshold):
                     moved[(src, dst)] = moved.get((src, dst), 0) + len(chunk)
@@ -376,12 +327,7 @@ class _ChainRunner:
         stealing_workers = config.stealing == "full"
         workers = ctx.cluster.workers_per_machine
         last = len(self.extend_ops) - 1
-        opid = self.op_ids[level + 1]
-        if level < 0:
-            span_name = "SCAN" if self.source_op is not None else "JOIN-OUT"
-        else:
-            span_name = ("VERIFY" if self.extend_ops[level].spec.is_verify
-                         else "PULL-EXTEND")
+        opid, _, span_name, _ = self.ops[level + 1]
         if traced:
             # snapshot every clock before any charge: spans on machine d
             # caused by machine m's sends must nest inside d's round span
@@ -422,7 +368,7 @@ class _ChainRunner:
                             m, batch)
                         out_arity = 2
                     else:
-                        out = batch  # join output is already a batch
+                        out = batch  # join output / replay: already a batch
                         item_costs = ()
                         out_arity = out.shape[1]
                 else:
@@ -512,7 +458,7 @@ class _ChainRunner:
                     cur -= 1
                     if tracer.enabled:
                         tracer.instant("backtrack", ENGINE,
-                                       {"op": self.op_ids[cur + 1],
+                                       {"op": self.ops[cur + 1].opid,
                                         "level": cur})
                     continue
                 # source exhausted: jump forward to the first loaded operator
@@ -529,24 +475,44 @@ class _ChainRunner:
             # iteration's input check backtracks (Algorithm 5 line 10)
 
 
-def run_segment(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
-                consumer: SinkConsumer | JoinBuffer) -> None:
-    """Execute a segment tree: children (PUSH-JOIN sides) first, then the
-    segment's own chain (§5.4's topological order over the join DAG)."""
-    feed = None
-    if isinstance(segment.source, JoinSpec):
-        assert segment.left is not None and segment.right is not None
-        spec = segment.source
-        lbuf = JoinBuffer(ctx, spec.left_key, len(segment.left.out_schema),
-                          config.join_buffer_tuples)
-        run_segment(ctx, config, segment.left, lbuf)
-        rbuf = JoinBuffer(ctx, spec.right_key, len(segment.right.out_schema),
-                          config.join_buffer_tuples)
-        run_segment(ctx, config, segment.right, rbuf)
-        join_opid = f"s{ctx.seg_ids.get(id(segment), 0)}.0"
-        feed = _JoinFeed([
-            join_stream(ctx, spec, lbuf, rbuf, m, config.batch_size,
-                        opid=join_opid)
-            for m in range(ctx.cluster.num_machines)
-        ])
-    _ChainRunner(ctx, config, segment, consumer, feed).run()
+def _run_tree(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
+              consumer, rows: Iterator[Sequence[Operator]]) -> None:
+    """Run a segment tree: children (PUSH-JOIN sides) first, then the
+    segment's own chain (§5.4's topological order over the join DAG) —
+    the post-order the operator table was numbered in, so each chain
+    takes the table's next rows.  (Module-level on purpose: a recursive
+    closure is a reference cycle that holds ``ctx`` until the cyclic GC.)"""
+    spec = segment.source
+    sides = []
+    if isinstance(spec, JoinSpec):
+        for child, key in ((segment.left, spec.left_key),
+                           (segment.right, spec.right_key)):
+            sides.append(JoinBuffer(ctx, key, len(child.out_schema),
+                                    config.join_buffer_tuples))
+            _run_tree(ctx, config, child, sides[-1], rows)
+    ops = next(rows)
+    feed = _JoinFeed([
+        join_stream(ctx, spec, *sides, m, config.batch_size,
+                    opid=ops[0].opid)
+        for m in range(ctx.cluster.num_machines)
+    ]) if sides else None
+    _ChainRunner(ctx, config, segment, consumer, feed, ops).run()
+
+
+def run_program(ctx: ExecContext, config: SchedulerConfig, program: Program,
+                sinks: Sequence[SinkConsumer]) -> None:
+    """Execute a compiled program into one sink per member: a group of
+    one runs its head straight into its sink; a head with several
+    consumers runs into a tee buffer and is replayed into each tail."""
+    rows = iter(program.ops)
+    if not program.tails:
+        _run_tree(ctx, config, program.head, sinks[0], rows)
+        return
+    tee = _TeeBuffer(ctx, len(program.head.out_schema))
+    try:
+        _run_tree(ctx, config, program.head, tee, rows)
+        for tail, sink in zip(program.tails, sinks):
+            _ChainRunner(ctx, config, tail, sink, tee.replay(),
+                         next(rows)).run()
+    finally:
+        tee.release()

@@ -1,7 +1,7 @@
 """Bridge from the engine's span instrumentation to the metrics registry.
 
 The engine hot path is already instrumented for tracing: every scheduler
-round, SCAN/PULL-EXTEND/VERIFY/JOIN-OUT batch, fetch/intersect stage and
+round, SCAN/PULL-EXTEND/VERIFY/JOIN-OUT/REPLAY batch, fetch/intersect stage and
 steal/yield/backtrack instant flows through the
 :class:`~repro.obs.trace.Tracer` protocol, timestamped on the simulated
 clocks, and that path is proven bit-identical to an untraced run.
@@ -33,7 +33,8 @@ from .trace import Tracer
 __all__ = ["MetricsTracer", "record_result", "record_census"]
 
 #: operator-batch span names (carry ``in``/``out``/``bytes`` args)
-_BATCH_SPANS = frozenset(("SCAN", "JOIN-OUT", "PULL-EXTEND", "VERIFY"))
+_BATCH_SPANS = frozenset(("SCAN", "JOIN-OUT", "REPLAY", "PULL-EXTEND",
+                          "VERIFY"))
 
 
 class MetricsTracer(Tracer):

@@ -2,9 +2,11 @@
 
 An :class:`Executor` runs requests on per-thread cached clusters — one
 per worker thread, plus one per solo run (:func:`run_query_solo`, the
-oracle baseline every served result must be bit-identical to).  The
-process backend's :class:`~repro.serve.procpool.RemoteExecutor` is a
-drop-in for it, so thread vs process never shows above this seam.
+oracle baseline every served result must be bit-identical to).  A group
+of any size is one :meth:`HugeEngine.run_group` call — a solo request is
+the group of one, not a second path.  The process backend's
+:class:`~repro.serve.procpool.RemoteExecutor` is a drop-in for it, so
+thread vs process never shows above this seam.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class Executor:
                 plan_keys: list[tuple | None] | None = None,
                 token: CancelToken | None = None) -> list:
         """Run one share group — a solo query is a group of one: the
-        members' common plan prefix once, each member's suffix into its
+        members' common plan prefix once, each member's tail into its
         own sink.
 
         Returns one ``(result, info)`` per member: the engine result
@@ -151,12 +153,8 @@ class Executor:
             plans.append(plan)
             planned.append((pattern, mapping, key[0], hit, plan_s))
         t0 = time.perf_counter()
-        if len(reqs) == 1:  # a solo run: bit-identical to run_query_solo
-            results = [self._engine(graph, reqs[0], reqs[0].collect,
-                                    token).run(plan=plans[0])]
-        else:
-            results = self._engine(graph, reqs[0], False, token).run_shared(
-                plans, collects=[r.collect for r in reqs])
+        results = self._engine(graph, reqs[0], False, token).run_group(
+            plans, collects=[r.collect for r in reqs])
         execute_s = time.perf_counter() - t0
         out = []
         for result, (pattern, mapping, ckey, hit, plan_s) in zip(results,

@@ -7,8 +7,10 @@ identical stream of partial embeddings independently — a Zipf-skewed
 production mix over a small pattern set wastes most of its cycles on
 exactly this duplication.
 
-A plan's **prefix signature** is the tuple of frozen operator specs of
-its translated single-segment chain::
+A plan's **prefix signature**
+(:func:`repro.core.dataflow.plan_signature`, the one place the
+"single-segment scan + extend chain" test is written) is the tuple of
+frozen operator specs of its translated chain::
 
     (ScanSpec, ExtendSpec, ExtendSpec, ...)
 
@@ -27,19 +29,19 @@ At dispatch time the service pops a leader, then gathers compatible
 followers (same dataset / cluster shape / engine-config fingerprint,
 scan specs equal) into a :class:`ShareGroup` — the query side of the
 service's one task protocol (``run(worker) -> [(member, outcome)]``).
-The engine executes the
-group's longest common spec prefix **once** into a tee buffer and
-replays it through each member's remaining extends into a per-member
-sink (:meth:`HugeEngine.run_shared`); full isomorphism dedup is the
-degenerate case where the common prefix is every member's whole chain
-and the suffixes are empty.
+The engine's one run body (:meth:`HugeEngine.run_group`) executes the
+group's longest common spec prefix **once**; for more than one member it
+runs into a tee buffer and is replayed through each member's remaining
+extends into a per-member sink.  Full isomorphism dedup is the case where
+the prefix is every member's whole chain and the tails are empty; a solo
+query is the group of one, with no tee at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ..core.dataflow import ScanSpec, Segment
+from ..core.dataflow import plan_signature
 from ..core.plan.physical import ExecutionPlan
 from ..core.plan.translate import translate
 from .request import QueryOutcome, QueryStatus, ResultChunk
@@ -47,23 +49,7 @@ from .request import QueryOutcome, QueryStatus, ResultChunk
 __all__ = ["plan_signature", "signature_of_plan", "config_fingerprint",
            "ShareGroup"]
 
-#: one signature element per operator in the chain
-Signature = tuple
-
-
-def plan_signature(segment: Segment) -> Signature | None:
-    """The prefix signature of a translated segment, or ``None``.
-
-    Only single-segment chains (an edge ``SCAN`` plus ``PULL-EXTEND``\\ s)
-    are shareable; segment trees with ``PUSH-JOIN`` sources return
-    ``None``.
-    """
-    if segment.left is not None or not isinstance(segment.source, ScanSpec):
-        return None
-    return (segment.source, *segment.extends)
-
-
-def signature_of_plan(plan: ExecutionPlan) -> Signature | None:
+def signature_of_plan(plan: ExecutionPlan) -> tuple | None:
     """Translate ``plan`` and return its prefix signature (or ``None``).
 
     ``translate`` is pure spec construction (no data touched), so this is
@@ -132,8 +118,8 @@ class ShareGroup:
         ``[(member, outcome)]``.
 
         ``Executor.execute`` runs the common plan prefix once and each
-        member's suffix into its own sink; a group of one is
-        bit-identical to a solo run.  A member cancelled
+        member's tail into its own sink; a group of one *is* a solo
+        run.  A member cancelled
         by its client while the shared run was in progress gets a
         ``CANCELLED`` outcome while the rest of the group completes.
         Engine errors (cancellation, crash, failure) propagate to the

@@ -44,7 +44,7 @@ class TestHashDestinations:
         from repro.graph import generators as gen
 
         cluster = Cluster(gen.erdos_renyi(12, 0.3, seed=1), num_machines=7)
-        ctx = ExecContext(cluster, [], batch_size=8)
+        ctx = ExecContext(cluster, [])
         key_pos = tuple(range(1, width + 1))
         buf = JoinBuffer(ctx, key_pos, arity=width + 1, buffer_tuples=8)
         rows = np.asarray([[5, *key] for key in _ROUTING_KEYS[width]],

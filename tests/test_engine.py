@@ -186,7 +186,7 @@ class TestConfiguration:
             "scan_pivot_chunk", "disable_symmetry", "census_k",
             "delta_schedule", "delta_batches"]
         assert params(ExecContext.__init__) == [
-            "cluster", "caches", "batch_size", "tracer"]
+            "cluster", "caches", "tracer"]
         assert params(make_cache) == [
             "variant", "capacity_ids", "cost", "workers"]
         assert params(QueryService.__init__) == [
@@ -226,13 +226,6 @@ class TestMetricsOutput:
             * (64 + 16 * ba_graph.max_degree)
         # queue contents measured in ids × 8 bytes, plus constant slack
         assert result.report.peak_memory_bytes <= bound_tuples * 8
-
-    def test_reset_metrics_flag(self, cluster):
-        engine = HugeEngine(cluster)
-        r1 = engine.run(get_query("triangle"))
-        r2 = engine.run(get_query("triangle"), reset_metrics=False)
-        # accumulated: second run's elapsed must exceed the first
-        assert r2.report.total_time_s > r1.report.total_time_s
 
     def test_fetch_time_reported(self, cluster):
         result = HugeEngine(cluster).run(get_query("q1"))

@@ -12,6 +12,9 @@ import pytest
 from repro.cluster import Cluster, CostModel
 from repro.cluster.metrics import Metrics
 from repro.core import EngineConfig, HugeEngine
+from repro.core.engine import compile_group
+from repro.core.plan.physical import configure_plan
+from repro.core.plan.plans import vertex_order_plan
 from repro.obs import (ENGINE, NULL_TRACER, Trace, Tracer,
                        check_span_nesting)
 from repro.obs.analyze import analyze
@@ -26,6 +29,19 @@ def traced_run(cluster, pattern="triangle", config=None):
     engine = HugeEngine(cluster, config)
     result = engine.run(get_query(pattern), tracer=tracer)
     return result, result.trace
+
+
+def group_members(kind):
+    """Share groups of two.  ``dedup``: the same pattern twice, so the
+    head is the whole chain and both tails are bare replays.  ``tails``:
+    plug-in wco plans of the house along two vertex orders that agree on
+    the first three vertices — scan + one extend shared, two extends per
+    tail, whatever the estimator says."""
+    if kind == "dedup":
+        return [get_query("triangle"), get_query("triangle")]
+    house = get_query("q4")
+    return [configure_plan(vertex_order_plan(house, order))
+            for order in ([0, 1, 2, 3, 4], [0, 1, 2, 4, 3])]
 
 
 # -- unit: Trace / Tracer ------------------------------------------------------
@@ -195,22 +211,85 @@ class TestRunTraceSemantics:
         assert "cache occupancy" in counter_names
 
 
+class TestGroupTraceSemantics(TestRunTraceSemantics):
+    """A share group is traced by the same declarations and spans as a
+    solo run: every check above, on a group of two."""
+
+    @pytest.fixture(scope="class", params=["dedup", "tails"])
+    def group(self, request, er_graph):
+        cluster = Cluster(er_graph, num_machines=4, workers_per_machine=4,
+                          seed=1)
+        engine = HugeEngine(cluster, EngineConfig(collect_results=True))
+        results = engine.run_group(group_members(request.param),
+                                   tracer=Tracer())
+        return results, compile_group([r.plan for r in results])
+
+    @pytest.fixture(scope="class")
+    def run(self, group):
+        results, _ = group
+        return results[0], results[0].trace
+
+    def test_operator_ids_unique_across_head_and_tails(self, group):
+        results, program = group
+        trace = results[0].trace
+        table = [op for ops in program.ops for op in ops]
+        assert len(program.tails) == 2
+        assert len({op.opid for op in table}) == len(table)
+        assert list(trace.operators) == [op.opid for op in table]
+        for op in table:
+            assert trace.operators[op.opid]["kind"] == op.kind
+
+    def test_per_operator_series_do_not_merge(self, group):
+        results, program = group
+        trace = results[0].trace
+        stats = trace.per_operator()
+        head, *tails = program.ops
+        fed = stats[head[-1].opid].tuples_out
+        assert fed > 0
+        for ops, result in zip(tails, results):
+            assert stats[ops[0].opid].kind == "REPLAY"
+            assert stats[ops[0].opid].tuples_in == fed
+            assert stats[ops[-1].opid].tuples_out == result.count
+            assert result.trace is trace
+
+    def test_metrics_tracer_keeps_head_and_tails_apart(self, group,
+                                                       er_graph):
+        from repro.obs import MetricsRegistry, MetricsTracer
+
+        traced, _ = group
+        cluster = Cluster(er_graph, num_machines=4, workers_per_machine=4,
+                          seed=1)
+        reg = MetricsRegistry()
+        engine = HugeEngine(cluster, EngineConfig(collect_results=True))
+        metered = engine.run_group(
+            [r.plan for r in traced],
+            tracer=MetricsTracer(reg, inner=Tracer()))
+        assert (metered[0].trace.per_operator().keys()
+                == traced[0].trace.per_operator().keys())
+        rows = reg.get("repro_engine_batch_rows")
+        assert {"SCAN", "REPLAY"} <= {key[0] for key in rows._children}
+        assert metered[0].report.as_dict() == traced[0].report.as_dict()
+
+
 class TestZeroCostWhenDisabled:
     def test_traced_run_bit_identical_to_untraced(self, er_graph):
-        def go(tracer):
+        def go(tracer, members):
             cluster = Cluster(er_graph, num_machines=3,
                               workers_per_machine=4, seed=2)
-            engine = HugeEngine(cluster)
-            return engine.run(get_query("q1"), tracer=tracer)
+            engine = HugeEngine(cluster, EngineConfig(collect_results=True))
+            return engine.run_group(members, tracer=tracer)
 
-        plain = go(None)
-        traced = go(Tracer())
-        assert plain.trace is None
-        assert traced.trace is not None
-        assert plain.count == traced.count
-        assert plain.report.as_dict() == traced.report.as_dict()
-        assert plain.cache_hit_rate == traced.cache_hit_rate
-        assert plain.fetch_time_s == traced.fetch_time_s
+        for members in ([get_query("q1")], group_members("dedup"),
+                        group_members("tails")):
+            for plain, traced in zip(go(None, members),
+                                     go(Tracer(), members)):
+                assert plain.trace is None
+                assert traced.trace is not None
+                assert plain.count == traced.count
+                assert sorted(plain.matches) == sorted(traced.matches)
+                assert plain.report.as_dict() == traced.report.as_dict()
+                assert plain.cache_hit_rate == traced.cache_hit_rate
+                assert plain.fetch_time_s == traced.fetch_time_s
 
 
 # -- satellites ----------------------------------------------------------------

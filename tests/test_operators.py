@@ -28,7 +28,7 @@ def ctx(er_graph):
     cluster = Cluster(er_graph, num_machines=4, workers_per_machine=2,
                       seed=1)
     caches = [LRBUCache(None, cluster.cost) for _ in range(4)]
-    return ExecContext(cluster, caches, batch_size=64)
+    return ExecContext(cluster, caches)
 
 
 class TestScanOp:
@@ -89,7 +89,7 @@ class TestScanOp:
         def run(scan):
             cluster = Cluster(er_graph, num_machines=4, seed=1, labels=labels)
             ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
-                                        for _ in range(4)], 64)
+                                        for _ in range(4)])
             return scan(ctx), cluster.metrics.machines
 
         def loop(ctx):
@@ -137,7 +137,7 @@ class TestNoPerVertexPython:
 
         def calls(distinct, warm):
             ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
-                                        for _ in range(4)], 1024)
+                                        for _ in range(4)])
             op = ExtendOp(spec, ctx)
             rows = np.column_stack((np.resize(remote[:distinct], 512),
                                     np.resize(local, 512)))
@@ -156,7 +156,7 @@ class TestNoPerVertexPython:
         cluster = Cluster(gen.erdos_renyi(400, 0.03, seed=6), num_machines=4,
                           seed=1)
         ctx = ExecContext(cluster, [LRBUCache(None, cluster.cost)
-                                    for _ in range(4)], 64)
+                                    for _ in range(4)])
         op = ScanOp(ScanSpec(schema=(0, 1), order="lt"), ctx)
         # half local, half stolen from machine 1
         pivots = np.column_stack((cluster.local_vertices(0)[:32],
@@ -256,7 +256,7 @@ class TestPerMissMode:
         cluster = Cluster(er_graph, num_machines=4, seed=1)
         caches = [make_cache("cncr-lru", 10_000, cluster.cost, workers=4)
                   for _ in range(4)]
-        ctx = ExecContext(cluster, caches, batch_size=64)
+        ctx = ExecContext(cluster, caches)
         spec = ExtendSpec(ext=(1,), out_schema=(0, 1, 2), new_vertex=2)
         op = ExtendOp(spec, ctx)
         scan = ScanOp(ScanSpec(schema=(0, 1)), ctx)

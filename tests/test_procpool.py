@@ -405,7 +405,7 @@ class TestFusedKernels:
                          for i, c in zip(row_ids.tolist(), cand.tolist())]
         caches = [make_cache(variant, None, cost, workers=2)
                   for _ in range(3)]
-        ctx = ExecContext(cluster, caches, batch_size=64)
+        ctx = ExecContext(cluster, caches)
         op = ExtendOp(spec, ctx)
         for count_only in (False, True):
             out, ticks, counted = op.process(0, rows, count_only)
@@ -434,7 +434,7 @@ class TestFusedKernels:
         capacity = 40
         caches = [make_cache("cncr-lru", capacity, cluster.cost, workers=2)
                   for _ in range(3)]
-        ctx = ExecContext(cluster, caches, batch_size=64)
+        ctx = ExecContext(cluster, caches)
         op = ExtendOp(ExtendSpec(ext=(0, 2), out_schema=(0, 1, 2, 3),
                                  new_vertex=3), ctx)
         rows = np.random.default_rng(3).integers(0, 60, size=(64, 3))

@@ -166,7 +166,7 @@ class TestSourceExhaustedJumpForward:
         cluster = Cluster(er_graph, num_machines=2, workers_per_machine=1,
                           seed=3)
         caches = [LRBUCache(None, cluster.cost) for _ in range(2)]
-        ctx = ExecContext(cluster, caches, batch_size=16)
+        ctx = ExecContext(cluster, caches)
         seg = Segment(source=ScanSpec(schema=(0, 1)), extends=[
             ExtendSpec(ext=(1,), out_schema=(0, 1, 2), new_vertex=2),
             ExtendSpec(ext=(2,), out_schema=(0, 1, 2, 3), new_vertex=3),

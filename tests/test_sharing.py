@@ -111,7 +111,7 @@ class TestRunShared:
         plans = [engine.plan(get_query(n).canonical_form()[0])
                  for n in names]
         try:
-            shared = engine.run_shared(plans, collects=[True] * len(names))
+            shared = engine.run_group(plans, collects=[True] * len(names))
         except PlanError:
             pytest.skip("patterns share no plan prefix on this graph")
         for name, res in zip(names, shared):
@@ -123,7 +123,7 @@ class TestRunShared:
         engine = self._engine(er_graph)
         plans = [engine.plan(get_query(n).canonical_form()[0])
                  for n in ("triangle", "triangle")]
-        collected, counted = engine.run_shared(plans, collects=[True, False])
+        collected, counted = engine.run_group(plans, collects=[True, False])
         assert collected.count == counted.count
         assert collected.matches is not None and counted.matches is None
 
@@ -131,12 +131,12 @@ class TestRunShared:
         engine = self._engine(er_graph)
         plans = [engine.plan(get_query("triangle").canonical_form()[0])
                  for _ in range(3)]
-        results = engine.run_shared(plans)
+        results = engine.run_group(plans)
         assert results[0].report is results[1].report is results[2].report
 
     def test_empty_group_rejected(self, er_graph):
         with pytest.raises(ValueError):
-            self._engine(er_graph).run_shared([])
+            self._engine(er_graph).run_group([])
 
 
 class TestServiceSharing:
