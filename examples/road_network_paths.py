@@ -1,9 +1,9 @@
 """Path queries on a road network (the path applications of paper §6).
 
-Uses the HUGE runtime for single-source shortest paths and for
-hop-constrained s–t simple-path enumeration (bi-directional growth joined
-in the middle) on the EU-road stand-in, with full communication
-accounting.
+Uses the HUGE runtime for single-source shortest paths (a frontier loop
+over the GetNbrs RPC) and for hop-constrained s–t simple-path enumeration
+(one engine run per path length, grown from both ends and joined in the
+middle) on the EU-road stand-in; both report what they sent.
 
 Run:  python examples/road_network_paths.py
 """
@@ -12,6 +12,12 @@ from repro import Cluster
 from repro.apps import enumerate_st_paths, shortest_path, \
     shortest_path_lengths
 from repro.graph import load_dataset
+
+
+def communication(cluster: Cluster) -> str:
+    machines = cluster.metrics.machines
+    return (f"{sum(m.bytes_sent for m in machines) / 1e3:.1f} KB, "
+            f"{sum(m.rpc_requests for m in machines)} RPCs")
 
 
 def main() -> None:
@@ -33,15 +39,15 @@ def main() -> None:
     print(f"\nreachable from {source}: {reach} vertices "
           f"({reach / graph.num_vertices:.0%}); "
           f"eccentricity {max(dist.values())}")
-    sent = sum(m.bytes_sent for m in cluster.metrics.machines)
-    print(f"communication for the full BFS: {sent / 1e3:.1f} KB, "
-          f"{sum(m.rpc_requests for m in cluster.metrics.machines)} RPCs")
+    print(f"communication for the full BFS: {communication(cluster)}")
 
     # hop-constrained simple paths between two nearby junctions
     a, b = path[0], path[min(6, len(path) - 1)]
     budget = 8
+    cluster.reset_metrics()
     paths = enumerate_st_paths(cluster, a, b, budget)
     print(f"\nsimple paths {a} -> {b} within {budget} hops: {len(paths)}")
+    print(f"communication for the hop query: {communication(cluster)}")
     for p in paths[:5]:
         print(f"  {' -> '.join(map(str, p))}")
     if len(paths) > 5:

@@ -94,6 +94,45 @@ def _write_exposition(registry, dest: str) -> None:
               f"({len(registry.families())} families)", file=sys.stderr)
 
 
+def _observers(args: argparse.Namespace, engine: bool):
+    """The ``--trace`` / ``--metrics`` / ``--flight`` set-up, as
+    ``(tracer, registry, flight)``.  An ``engine`` command (``query``,
+    ``census``) gets the tracer its run takes — a span tracer, wrapped
+    to aggregate into the registry; a service command (``serve``,
+    ``stream``) traces inside the service and gets a flight recorder."""
+    tracer = registry = flight = None
+    if getattr(args, "metrics", None):
+        from .obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+    if engine:
+        if args.trace:
+            from .obs.trace import Tracer
+
+            tracer = Tracer()
+        if registry is not None:
+            from .obs import MetricsTracer
+
+            tracer = MetricsTracer(registry, inner=tracer)
+    elif registry is not None or args.flight:
+        from .obs import FlightRecorder
+
+        flight = FlightRecorder()
+    return tracer, registry, flight
+
+
+def _write_observers(args: argparse.Namespace, registry, flight=None,
+                     quiet: bool = False) -> None:
+    """The write-out half: the flight log (announced unless ``quiet``,
+    the ``--json`` mode), then the metrics exposition."""
+    if flight is not None and args.flight:
+        flight.dump(args.flight)
+        if not quiet:
+            print(f"flight log written to {args.flight}")
+    if registry is not None:
+        _write_exposition(registry, args.metrics)
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     if args.cypher and (args.trace or args.json
                         or getattr(args, "metrics", None)):
@@ -118,17 +157,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         engine = HugeEngine(cluster,
                             EngineConfig(collect_results=args.show > 0))
-        tracer = None
-        registry = None
-        if args.trace:
-            from .obs.trace import Tracer
-
-            tracer = Tracer()
-        if getattr(args, "metrics", None):
-            from .obs import MetricsRegistry, MetricsTracer
-
-            registry = MetricsRegistry()
-            tracer = MetricsTracer(registry, inner=tracer)
+        tracer, registry, _ = _observers(args, engine=True)
         res = engine.run(get_query(args.pattern), tracer=tracer)
         if registry is not None:
             from .obs import record_result
@@ -140,8 +169,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             import json
 
             print(json.dumps(res.as_dict(), indent=2))
-            if registry is not None:
-                _write_exposition(registry, args.metrics)
+            _write_observers(args, registry)
             return 0
         print(f"matches: {res.count}")
         if args.show:
@@ -159,8 +187,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
           f"comm {report.comm_time_s:.4f}s)")
     print(f"transferred: {report.bytes_transferred / 1e6:.2f} MB; "
           f"peak machine memory: {report.peak_memory_bytes / 1e6:.2f} MB")
-    if not args.cypher and getattr(args, "metrics", None):
-        _write_exposition(registry, args.metrics)
+    if not args.cypher:
+        _write_observers(args, registry)
     return 0
 
 
@@ -186,15 +214,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         report.result.trace.save(args.trace)
         if not args.json:
             print(f"trace written to {args.trace}")
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.data, args.scale)
-    cluster = Cluster(graph, num_machines=args.machines, seed=args.seed)
-    engine = HugeEngine(cluster)
-    plan = engine.plan(get_query(args.pattern))
-    print(plan.describe())
     return 0
 
 
@@ -225,17 +244,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     graph = _load_graph(args.data, args.scale)
     cluster = Cluster(graph, num_machines=args.machines,
                       workers_per_machine=args.workers, seed=args.seed)
-    tracer = None
-    registry = None
-    if args.trace:
-        from .obs.trace import Tracer
-
-        tracer = Tracer()
-    if args.metrics:
-        from .obs import MetricsRegistry, MetricsTracer
-
-        registry = MetricsRegistry()
-        tracer = MetricsTracer(registry, inner=tracer)
+    tracer, registry, _ = _observers(args, engine=True)
     res = motif_census(cluster, args.k, tracer=tracer)
     if registry is not None:
         from .obs import record_census
@@ -247,8 +256,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         import json
 
         print(json.dumps(res.as_dict(), indent=2))
-        if registry is not None:
-            _write_exposition(registry, args.metrics)
+        _write_observers(args, registry)
         return 0
     print(f"data graph: {graph}")
     print(f"size-{args.k} census: {res.total_subgraphs:,} connected "
@@ -266,8 +274,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace} "
               f"(load in https://ui.perfetto.dev)")
-    if registry is not None:
-        _write_exposition(registry, args.metrics)
+    _write_observers(args, registry)
     return 0
 
 
@@ -288,16 +295,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_fraction=args.deadline_fraction, deadline_s=args.deadline,
         tenants=tuple(args.tenants.split(",")), crashes=args.crash,
         zipf_s=args.zipf)
-    registry = None
-    flight = None
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if args.metrics or args.flight:
-        from .obs import FlightRecorder
-
-        flight = FlightRecorder()
+    _, registry, flight = _observers(args, engine=False)
     driver = LoadDriver(
         graph, spec, num_workers=args.service_workers,
         memory_budget_bytes=(args.budget_mb * 1e6 if args.budget_mb
@@ -314,10 +312,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         import json
 
         print(json.dumps(report.as_dict(), indent=2))
-        if args.flight and flight is not None:
-            flight.dump(args.flight)
-        if registry is not None:
-            _write_exposition(registry, args.metrics)
+        _write_observers(args, registry, flight, quiet=True)
         return 0 if (not args.verify or report.verified) else 1
 
     svc = report.service
@@ -357,11 +352,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"flight recorder: {fs['retained']} flights retained "
               f"({fs['dropped']} dropped), {fs['slow_queries']} slow, "
               f"{fs['crash_dumps']} crash dumps")
-        if args.flight:
-            flight.dump(args.flight)
-            print(f"flight log written to {args.flight}")
-    if registry is not None:
-        _write_exposition(registry, args.metrics)
+    _write_observers(args, registry, flight)
     if args.verify:
         if report.verified:
             print("verify: all completed queries bit-identical to solo runs")
@@ -391,16 +382,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     dataset = args.data.upper()
     patterns = tuple(args.patterns.split(","))
 
-    registry = None
-    flight = None
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if args.metrics or args.flight:
-        from .obs import FlightRecorder
-
-        flight = FlightRecorder()
+    _, registry, flight = _observers(args, engine=False)
     svc = QueryService(datasets={dataset: stream.base},
                        num_workers=args.service_workers,
                        trace=bool(args.trace), metrics=registry,
@@ -463,10 +445,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             payload["verified"] = verified
             payload["verify"] = verify_rows
         print(json.dumps(payload, indent=2))
-        if args.flight and flight is not None:
-            flight.dump(args.flight)
-        if registry is not None:
-            _write_exposition(registry, args.metrics)
+        _write_observers(args, registry, flight, quiet=True)
         return 0 if (not args.verify or verified) else 1
 
     print(f"data graph: {graph}")
@@ -492,11 +471,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace} "
               f"(load in https://ui.perfetto.dev)")
-    if args.flight and flight is not None:
-        flight.dump(args.flight)
-        print(f"flight log written to {args.flight}")
-    if registry is not None:
-        _write_exposition(registry, args.metrics)
+    _write_observers(args, registry, flight)
     if args.verify:
         if verified:
             print("verify: incremental counts bit-identical to "
@@ -601,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="show the Algorithm-1 plan")
     common(p)
     p.add_argument("--pattern", default="q1", choices=sorted(QUERIES))
-    p.set_defaults(func=_cmd_plan)
+    p.set_defaults(func=_cmd_explain, analyze=False)
 
     e = sub.add_parser("explain",
                        help="show the plan; with --analyze, run it traced "

@@ -30,6 +30,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Any
 
+import numpy as np
+
 from ..cluster.cluster import Cluster
 from ..cluster.cost import TICKS_PER_OP
 from ..cluster.metrics import RunReport
@@ -211,12 +213,12 @@ def motif_census(cluster: Cluster, k: int,
                      "subgraphs": total - leaves_before})
             # remote adjacency rows this machine read, pulled once each
             # (per-machine perfect cache) through the batched GetNbrs RPC
-            remote = sorted(v for v in touched
-                            if cluster.machine_of(v) != machine)
-            if remote:
+            ids = np.fromiter(touched, np.int64, len(touched))
+            remote = ids[cluster.pgraph.owner[ids] != machine]
+            if len(remote):
                 if traced:
                     t0 = tracer.now(machine)
-                cluster.get_nbrs(machine, remote)
+                cluster.pull(machine, remote)
                 if traced:
                     tracer.complete("census fetch", machine, t0,
                                     tracer.now(machine),

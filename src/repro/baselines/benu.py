@@ -45,11 +45,9 @@ class BenuEngine(BaselineEngine):
 
     name = "BENU"
 
-    def __init__(self, cluster: Cluster, cache_capacity_fraction: float = 0.3,
-                 load_store: bool = True):
+    def __init__(self, cluster: Cluster, cache_capacity_fraction: float = 0.3):
         super().__init__(cluster)
         self.cache_capacity_fraction = cache_capacity_fraction
-        self._load_store = load_store
 
     def run(self, query: QueryGraph) -> BaselineResult:
         """Enumerate ``query`` BENU-style; returns count + metrics."""
@@ -58,10 +56,7 @@ class BenuEngine(BaselineEngine):
         cost = cluster.cost
         cluster.reset_metrics()
         store = ExternalKVStore(cluster)
-        if self._load_store:
-            store.load()
-        else:
-            store._loaded = True
+        store.load()
 
         g = cluster.graph
         capacity = max(1, int(self.cache_capacity_fraction

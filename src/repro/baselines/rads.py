@@ -181,9 +181,7 @@ class RadsEngine(BaselineEngine):
             roots = part[:, root_pos] if nrows else np.empty(0, np.int64)
             # region-scoped pull of every distinct remote root (no
             # cross-round cache: RADS re-fetches each round)
-            needed = set(roots[owner[roots] != m].tolist())
-            if needed:
-                cluster.get_nbrs(m, needed)
+            cluster.pull(m, np.unique(roots[owner[roots] != m]))
             self._preflight(m, self._degrees[roots], nl,
                             max(1, len(patterns)), tuple_bytes)
             base = self._degrees[roots] * cost.ticks.intersect

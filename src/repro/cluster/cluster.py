@@ -2,12 +2,14 @@
 
 ``Cluster`` bundles a partitioned data graph, a cost model and the metrics
 ledger, and exposes the two communication primitives of the paper's
-architecture (§4.1):
+architecture (§4.1), one method each:
 
-* **GetNbrs RPC** (:meth:`Cluster.get_nbrs`) — pulling communication: a
-  machine requests the adjacency lists of a batch of vertices from their
-  owners.  Requests are aggregated per owner (one message pair per owner
-  per call), which is exactly the RPC-batching effect Exp-4 measures.
+* **GetNbrs RPC** (:meth:`Cluster.pull`) — pulling communication: a
+  machine requests the adjacency lists of an id array from their owners.
+  Requests are aggregated per owner (one message pair per owner per
+  call), which is exactly the RPC-batching effect Exp-4 measures.  It is
+  the only pulling primitive: it accounts the transfer and returns entry
+  sizes; the adjacency itself every caller reads from the CSR.
 * **Router pushes** (:meth:`Cluster.push`) — pushing communication: a
   machine ships a batch of partial-result tuples to a destination machine.
 
@@ -18,7 +20,6 @@ The cluster is single-process and deterministic; "machines" are indices.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -107,8 +108,7 @@ class Cluster:
         Vertices owned by ``requester`` are free; the rest are grouped by
         owner — two ``bincount``s — and charged as **one request/response
         pair per owner** (the fetch-stage RPC aggregation of §4.4).  The
-        adjacency itself is not handed over: callers that want it read
-        the CSR (:meth:`get_nbrs` does exactly that).
+        adjacency itself is not handed over: callers read the CSR.
         """
         cost, metrics, tracer = self.cost, self.metrics, self.tracer
         indptr = self.pgraph.graph.indptr
@@ -134,19 +134,6 @@ class Cluster:
                 tracer.complete("rpc serve", owner, t0, tracer.now(owner),
                                 {"from": requester, "ids": ids})
         return sizes
-
-    def get_nbrs(self, requester: int,
-                 vertices: Iterable[int]) -> dict[int, np.ndarray]:
-        """Fetch adjacency lists, pulling remote ones via batched RPC.
-
-        Vertices owned by ``requester`` are read locally for free; the
-        rest are accounted by :meth:`pull`.  Returns a mapping
-        ``vertex -> sorted neighbour array`` (CSR views, zero-copy).
-        """
-        vids = [int(v) for v in vertices]
-        self.pull(requester, np.asarray(vids, dtype=np.int64))
-        graph = self.pgraph.graph
-        return {v: graph.neighbours(v) for v in vids}
 
     # -- pushing: the router ------------------------------------------------------
 

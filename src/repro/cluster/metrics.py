@@ -180,6 +180,21 @@ class Metrics:
         """Record bytes spilled to disk by a buffered join."""
         self.machines[machine].spilled_bytes += num_bytes
 
+    def absorb(self, run: "Metrics") -> None:
+        """Fold the ledger of a finished run on the same cluster shape
+        into this one (an application looping over engine runs): counters
+        add per machine and per worker, the memory peak is the larger of
+        the two, and the run's live allocation is not carried."""
+        for mine, theirs in zip(self.machines, run.machines, strict=True):
+            for name, value in vars(theirs).items():
+                if name == "worker_ops":
+                    mine.worker_ops = [a + b for a, b in
+                                       zip(mine.worker_ops, value, strict=True)]
+                elif name == "peak_mem_bytes":
+                    mine.peak_mem_bytes = max(mine.peak_mem_bytes, value)
+                elif name != "cur_mem_bytes":
+                    setattr(mine, name, getattr(mine, name) + value)
+
     # -- memory ---------------------------------------------------------------
 
     def alloc(self, machine: int, num_bytes: int) -> None:

@@ -114,9 +114,9 @@ class LRBUCache:
 
     Two APIs run on that one state.  The scalar Algorithm-3 methods
     (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`) are
-    the paper's, used where a caller walks vertices one at a time and
-    wants the adjacency back (``apps/shortest_path.py``), and the
-    reference the bulk form is tested against.  :meth:`fetch` is
+    the paper's interface, one vertex at a time, adjacency handed back;
+    no engine path calls them — they are the reference
+    ``tests/test_cache.py`` replays the bulk form against.  :meth:`fetch` is
     PULL-EXTEND's fetch stage, built from the bulk methods
     (:meth:`resident` / :meth:`seal_many` / :meth:`admit`): one array
     call each per batch.  ``M_cache``'s *values* are kept for scalar
@@ -451,7 +451,8 @@ class LRUCache:
         misses = 0
         for u in reads.tolist():
             if not self.contains(u):
-                self.insert(u, cluster.get_nbrs(machine, [u])[u])
+                cluster.pull(machine, np.array([u]))
+                self.insert(u, cluster.graph.neighbours(u))
                 misses += 1
         return len(reads) - misses, misses, 0, reads[:0]
 

@@ -5,9 +5,9 @@ from .logical import LogicalPlan, PlanNode
 from .physical import (CommMode, ExecutionPlan, JoinAlgorithm, PhysicalNode,
                        PhysicalSetting, configure_join, configure_plan)
 from .optimiser import COST_STRATEGIES, Optimiser, optimal_plan
-from .plans import (benu_plan, dfs_order, emptyheaded_plan, graphflow_plan,
-                    greedy_order, rads_plan, seed_plan, starjoin_plan,
-                    vertex_order_plan, wco_plan)
+from .plans import (benu_plan, bidirectional_path_plan, dfs_order,
+                    emptyheaded_plan, graphflow_plan, greedy_order, rads_plan,
+                    seed_plan, starjoin_plan, vertex_order_plan, wco_plan)
 from .translate import order_chain, translate
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "Optimiser",
     "optimal_plan",
     "benu_plan",
+    "bidirectional_path_plan",
     "dfs_order",
     "greedy_order",
     "emptyheaded_plan",

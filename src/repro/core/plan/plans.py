@@ -38,6 +38,7 @@ __all__ = [
     "benu_plan",
     "starjoin_plan",
     "rads_plan",
+    "bidirectional_path_plan",
     "seed_plan",
     "emptyheaded_plan",
     "graphflow_plan",
@@ -166,25 +167,50 @@ def _greedy_star_decomposition(query: QueryGraph,
     return stars
 
 
-def _left_deep(query: QueryGraph, units: list[SubQuery],
-               name: str) -> LogicalPlan:
+def _left_deep(units: list[SubQuery]) -> PlanNode:
     node = PlanNode(units[0])
     for unit in units[1:]:
         node = PlanNode(node.sub.union(unit), node, PlanNode(unit))
-    return LogicalPlan(query, node, name=name)
+    return node
 
 
 def starjoin_plan(query: QueryGraph) -> LogicalPlan:
     """StarJoin's logical plan: left-deep join of a greedy star cover."""
     stars = _greedy_star_decomposition(query, matched_roots=False)
-    return _left_deep(query, stars, "starjoin")
+    return LogicalPlan(query, _left_deep(stars), name="starjoin")
 
 
 def rads_plan(query: QueryGraph) -> LogicalPlan:
     """RADS' logical plan: left-deep star-expand-and-verify — each star
     after the first is rooted at an already-matched vertex (§3.1)."""
     stars = _greedy_star_decomposition(query, matched_roots=True)
-    return _left_deep(query, stars, "rads")
+    return LogicalPlan(query, _left_deep(stars), name="rads")
+
+
+def bidirectional_path_plan(query: QueryGraph) -> LogicalPlan:
+    """The path pattern ``0 - 1 - … - L`` grown from both ends (§6:
+    "extending from both ends and joining in the middle"): a left-deep
+    chain of its edges from vertex 0, another from vertex ``L``, joined
+    on vertex ``⌊L/2⌋``.  Equation 3 makes every step of an arm a
+    ``PULL-EXTEND`` and the middle join a ``PUSH-JOIN`` once both arms
+    have two edges (``L ≥ 4``; a shorter path is one pulling chain), so
+    neither arm grows past half the hop budget — the bi-directional-BFS
+    bound of ``O(d^⌈L/2⌉)`` partial paths instead of ``O(d^L)``.
+    """
+    hops = query.num_vertices - 1
+    if hops < 1 or query.edges != {(i, i + 1) for i in range(hops)}:
+        raise PlanError(f"{query.name} is not the path 0-1-...-L")
+    mid = hops // 2
+
+    def arm(first_vertices: range) -> PlanNode:
+        return _left_deep([SubQuery(frozenset([(i, i + 1)]))
+                           for i in first_vertices])
+
+    root = arm(range(hops - 1, mid - 1, -1))
+    if mid:
+        fwd = arm(range(mid))
+        root = PlanNode(fwd.sub.union(root.sub), fwd, root)
+    return LogicalPlan(query, root, name="path-bidirectional")
 
 
 # -- cost-based bushy plans -----------------------------------------------------------

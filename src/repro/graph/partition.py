@@ -38,9 +38,8 @@ class PartitionedGraph:
 
     Every machine holds the adjacency lists of the vertices it owns.  The
     full CSR stays materialised once in-process (this is a simulation of a
-    shared-nothing cluster, not a multi-host deployment); accesses are
-    routed through :meth:`neighbours_local` so that the simulated runtime
-    cannot accidentally read a remote adjacency list without paying for it.
+    shared-nothing cluster, not a multi-host deployment); a reader pays
+    for the remote rows it touches through ``Cluster.pull``.
     """
 
     def __init__(self, graph: Graph, num_partitions: int, seed: int = 0,
@@ -89,18 +88,6 @@ class PartitionedGraph:
     def local_vertices(self, partition: int) -> np.ndarray:
         """Sorted array of vertices owned by ``partition``."""
         return self._locals[partition]
-
-    def neighbours_local(self, v: int, partition: int) -> np.ndarray:
-        """Adjacency list of ``v``, readable only by its owner.
-
-        Raises ``KeyError`` if ``partition`` does not own ``v`` — remote
-        reads must go through the RPC layer so communication is accounted.
-        """
-        if int(self._owner[v]) != partition:
-            raise KeyError(
-                f"vertex {v} is remote to partition {partition} "
-                f"(owned by {int(self._owner[v])}); use GetNbrs")
-        return self._graph.neighbours(v)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PartitionedGraph(k={self._num_partitions}, "

@@ -142,7 +142,6 @@ class LoadDriver:
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
                  sharing: bool = False,
-                 max_share_group: int = 8,
                  result_cache_bytes: float = 0.0,
                  pool: str = "thread"):
         self.graph = graph
@@ -158,7 +157,6 @@ class LoadDriver:
         self.metrics = metrics
         self.flight = flight
         self.sharing = sharing
-        self.max_share_group = max_share_group
         self.result_cache_bytes = result_cache_bytes
         self.pool = pool
         self.service: QueryService | None = None
@@ -181,7 +179,7 @@ class LoadDriver:
             injector=injector, trace=self.trace,
             trace_max_events=self.trace_max_events,
             metrics=self.metrics, flight=self.flight,
-            sharing=self.sharing, max_share_group=self.max_share_group,
+            sharing=self.sharing,
             result_cache_bytes=self.result_cache_bytes, pool=self.pool)
         self.service = service
         t0 = time.perf_counter()

@@ -66,7 +66,7 @@ from .queueing import MultiQueue, QueueEntry
 from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus)
 from .resultcache import ResultCache
-from .sharing import ShareGroup, config_fingerprint
+from .sharing import MAX_SHARE_GROUP, ShareGroup, config_fingerprint
 from .stats import ServiceStats, StatsSink
 from .tracing import ServiceTracer
 
@@ -201,13 +201,10 @@ class QueryService:
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
                  sharing: bool = False,
-                 max_share_group: int = 8,
                  result_cache_bytes: float = 0.0,
                  pool: str = "thread"):
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        if max_share_group < 1:
-            raise ValueError("max_share_group must be positive")
         if pool not in ("thread", "process"):
             raise ValueError(f"unknown pool backend {pool!r}; "
                              "expected 'thread' or 'process'")
@@ -219,7 +216,6 @@ class QueryService:
         #: into one engine run (opt-in: a shared run's simulated report
         #: is the group's ledger, not any member's solo report)
         self.sharing = sharing
-        self.max_share_group = max_share_group
         self.default_config = default_config
         self.cost = cost
         self.max_retries = max_retries
@@ -697,14 +693,14 @@ class QueryService:
             return None
         take(leader)
         members = [leader]
-        if self.sharing and self.max_share_group > 1:
+        if self.sharing:
             match = self._share_match(leader)
             # a leader that would not match itself (streaming, deadline,
             # no canonical key) cannot lead a group
             if match(leader):
                 members += self._queue.pop_matching(
                     now, fits, lambda e: match(e) and take(e),
-                    self.max_share_group - 1)
+                    MAX_SHARE_GROUP - 1)
         crash_after = (self.injector.arm(leader.seq, leader.attempts + 1)
                        if self.injector else None)
         deadline = (leader.abs_deadline

@@ -47,7 +47,12 @@ from ..core.plan.translate import translate
 from .request import QueryOutcome, QueryStatus, ResultChunk
 
 __all__ = ["plan_signature", "signature_of_plan", "config_fingerprint",
-           "ShareGroup"]
+           "ShareGroup", "MAX_SHARE_GROUP"]
+
+#: most requests one dispatch batches into a single engine run (the
+#: leader included)
+MAX_SHARE_GROUP = 8
+
 
 def signature_of_plan(plan: ExecutionPlan) -> tuple | None:
     """Translate ``plan`` and return its prefix signature (or ``None``).

@@ -23,6 +23,11 @@ from .delta import DeltaEnumerator, Match
 
 __all__ = ["SubscribeRequest", "Subscription", "DeltaBatch", "UpdateReport"]
 
+#: bound of a subscription's delivery queue; `apply_updates` blocks (with
+#: the service abort as escape hatch) once a slow consumer falls this
+#: many batches behind
+MAX_PENDING_BATCHES = 64
+
 Edge = tuple[int, int]
 
 
@@ -41,9 +46,6 @@ class SubscribeRequest:
     pattern: QueryGraph | str
     dataset: str
     tenant: str = "default"
-    #: bounded delivery queue; `apply_updates` blocks (with the service
-    #: abort as escape hatch) once a slow consumer falls this far behind
-    max_pending_batches: int = 64
     #: when True, the current snapshot's matches are delivered up front
     #: as an initial all-additions batch (seq = current graph version)
     bootstrap: bool = False
@@ -110,7 +112,7 @@ class Subscription:
         self._seen: set[int] = set()
         self._lock = threading.Lock()
         self._queue: queue.Queue[DeltaBatch | None] = queue.Queue(
-            maxsize=max(1, request.max_pending_batches))
+            maxsize=MAX_PENDING_BATCHES)
 
     @property
     def seq(self) -> int:

@@ -2,12 +2,16 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps import (connected_patterns, count_st_paths,
                         enumerate_st_paths, frequent_patterns, motif_census,
                         motif_counts, shortest_path, shortest_path_lengths)
 from repro.cluster import Cluster
 from repro.graph import generators as gen
+from repro.graph import load_dataset
+from repro.testing.strategies import degenerate_graphs, graphs
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +72,68 @@ class TestShortestPath:
                     for m in app_cluster.metrics.machines)
         assert total > 0
 
+    def test_ledger_pinned_on_example_cluster(self):
+        """The BFS charges what the per-vertex loop it replaced charged
+        (literals captured at cb67e72 on the road-network example's
+        cluster): one aggregated GetNbrs per owner per round, a scan tick
+        per neighbour read, all on the source's owner — discovered
+        vertices stay with their discoverer."""
+        eu = load_dataset("EU")
+        cl = Cluster(eu, num_machines=6, workers_per_machine=2, seed=3)
+        dist = shortest_path_lengths(cl, 0)
+        m = cl.metrics.machines
+        assert (len(dist), max(dist.values())) == (1764, 32)
+        assert [x.compute_ops for x in m] == [0, 0, 0, 0, 434372608, 0]
+        assert sum(x.rpc_requests for x in m) == 130
+        assert sum(x.bytes_sent for x in m) == 76048
+        assert sum(x.messages_sent for x in m) == 260
+        assert all(x.worker_ops == [0, 0] and x.cache_misses == 0 for x in m)
+        # the example's sequence: the s-t search first, on the same ledger
+        cl.reset_metrics()
+        assert len(shortest_path(cl, 0, eu.num_vertices - 1)) == 24
+        shortest_path_lengths(cl, 0)
+        m = cl.metrics.machines
+        assert sum(x.rpc_requests for x in m) == 220
+        assert sum(x.bytes_sent for x in m) == 126816
+
+
+def _dfs_paths(graph, s, t, hops):
+    """Brute force: every simple s-t path of at most ``hops`` edges."""
+    if s == t:
+        return [(s,)]
+    out, stack = [], [(s,)]
+    while stack:
+        p = stack.pop()
+        if len(p) > hops:
+            continue
+        for u in graph.neighbours(p[-1]).tolist():
+            if u == t:
+                out.append(p + (u,))
+            elif u not in p:
+                stack.append(p + (u,))
+    return sorted(out)
+
 
 class TestHopConstrainedPaths:
+    @given(g=st.one_of(graphs(), degenerate_graphs()), data=st.data(),
+           hops=st.integers(min_value=0, max_value=5),
+           machines=st.sampled_from([1, 3, 16]))
+    def test_matches_brute_force(self, g, data, hops, machines):
+        """Arbitrary endpoints — equal, isolated, in different
+        components — and more machines than vertices."""
+        ends = st.integers(min_value=0, max_value=g.num_vertices - 1)
+        s, t = data.draw(ends), data.draw(ends)
+        cl = Cluster(g, num_machines=machines, workers_per_machine=2, seed=1)
+        want = _dfs_paths(g, s, t, hops)
+        assert enumerate_st_paths(cl, s, t, hops) == want
+        assert count_st_paths(cl, s, t, hops) == len(want)
+
+    def test_charges_communication(self, app_cluster):
+        enumerate_st_paths(app_cluster, 0, 9, 4)
+        m = app_cluster.metrics.machines
+        assert sum(x.bytes_sent for x in m) > 0
+        assert sum(x.rpc_requests for x in m) > 0
+
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_matches_networkx(self, app_cluster, nxg, hops):
         ours = enumerate_st_paths(app_cluster, 0, 9, hops)

@@ -80,6 +80,23 @@ class TestMetrics:
         assert m.machines[0].worker_ops == [10, 20, 30, 40]
         assert m.machines[0].compute_ops == 100
 
+    def test_absorb_adds_counters_and_keeps_the_larger_peak(self, cost):
+        total, run = Metrics(2, 2, cost), Metrics(2, 2, cost)
+        total.charge_ops(0, 5, worker=1)
+        total.alloc(1, 64)
+        run.charge_ops(0, 7, worker=1)
+        run.send(0, 1, 100)
+        run.record_rpc(0)
+        run.alloc(1, 16)
+        total.absorb(run)
+        a, b = total.machines
+        assert (a.compute_ops, a.worker_ops, a.bytes_sent,
+                a.rpc_requests) == (12, [0, 12], 100, 1)
+        assert (b.bytes_received, b.peak_mem_bytes, b.cur_mem_bytes) == (
+            100, 64, 64)
+        with pytest.raises(ValueError):
+            total.absorb(Metrics(3, 2, cost))
+
     def test_send_local_is_free(self, cost):
         m = Metrics(2, 1, cost)
         m.send(0, 0, 1000)
@@ -171,35 +188,39 @@ class TestMetrics:
 
 class TestClusterRPC:
     def test_local_get_nbrs_free(self, cluster):
-        v = int(cluster.local_vertices(0)[0])
-        before = cluster.metrics.machines[0].bytes_sent
-        result = cluster.get_nbrs(0, [v])
-        assert v in result
-        assert cluster.metrics.machines[0].bytes_sent == before
+        v = cluster.local_vertices(0)[:1]
+        sizes = cluster.pull(0, v)
+        assert sizes.tolist() == [1 + cluster.graph.degree(int(v[0]))]
+        assert cluster.metrics.machines[0].bytes_sent == 0
+        assert cluster.metrics.machines[0].rpc_requests == 0
 
     def test_remote_get_nbrs_charged(self, cluster):
-        v = int(cluster.local_vertices(1)[0])
-        result = cluster.get_nbrs(0, [v])
-        assert v in result
-        m = cluster.metrics.machines
-        assert m[0].bytes_sent > 0          # request
-        assert m[1].bytes_sent > 0          # response
+        v = cluster.local_vertices(1)[:1]
+        sizes = cluster.pull(0, v)
+        cost, m = cluster.cost, cluster.metrics.machines
+        assert m[0].bytes_sent == (cost.rpc_request_overhead_bytes
+                                   + cost.bytes_per_id)         # request
+        assert m[1].bytes_sent == int(sizes[0]) * cost.bytes_per_id  # response
         assert m[0].rpc_requests == 1
 
     def test_rpc_batched_per_owner(self, cluster):
         # many vertices of one owner → exactly one request message pair
-        verts = [int(v) for v in cluster.local_vertices(1)[:5]]
-        cluster.get_nbrs(0, verts)
+        cluster.pull(0, cluster.local_vertices(1)[:5])
         assert cluster.metrics.machines[0].messages_sent == 1
         assert cluster.metrics.machines[1].messages_sent == 1
 
     def test_get_nbrs_returns_correct_adjacency(self, cluster, er_graph):
+        # a pull hands over entry sizes (1 + degree), local ids included;
+        # the adjacency itself is the CSR's
         import numpy as np
 
-        verts = [int(cluster.local_vertices(p)[0]) for p in range(4)]
-        result = cluster.get_nbrs(0, verts)
-        for v in verts:
-            assert np.array_equal(result[v], er_graph.neighbours(v))
+        verts = np.array([cluster.local_vertices(p)[0] for p in range(4)])
+        sizes = cluster.pull(0, verts)
+        assert sizes.tolist() == [1 + len(er_graph.neighbours(int(v)))
+                                  for v in verts]
+        m = cluster.metrics.machines
+        assert m[0].messages_sent == 3 and m[0].rpc_requests == 3
+        assert [m[p].messages_sent for p in (1, 2, 3)] == [1, 1, 1]
 
     def test_push_accounting(self, cluster):
         cluster.push(0, 1, num_tuples=10, arity=3)

@@ -193,8 +193,7 @@ class TestConfiguration:
             "datasets", "num_workers", "memory_budget_bytes",
             "default_config", "cost", "tenant_max_inflight", "max_retries",
             "backoff_base_s", "injector", "trace", "trace_max_events",
-            "metrics", "flight", "sharing", "max_share_group",
-            "result_cache_bytes", "pool"]
+            "metrics", "flight", "sharing", "result_cache_bytes", "pool"]
 
 
 class TestMetricsOutput:

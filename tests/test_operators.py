@@ -94,8 +94,7 @@ class TestScanOp:
 
         def loop(ctx):
             t, rows, costs = ctx.cost.ticks, [], []
-            ctx.cluster.get_nbrs(0, [u for u in pivots
-                                     if ctx.cluster.machine_of(u) != 0])
+            ctx.cluster.pull(0, parr[ctx.cluster.pgraph.owner[parr] != 0])
             for u in pivots:
                 if labelled and labels[u] != 1:
                     costs.append(t.scan)

@@ -44,18 +44,6 @@ class TestPartitionedGraph:
             for v in pg.local_vertices(p):
                 assert pg.owner_of(int(v)) == p
 
-    def test_local_read_allowed(self, pg):
-        p = 0
-        v = int(pg.local_vertices(p)[0])
-        nbrs = pg.neighbours_local(v, p)
-        assert np.array_equal(nbrs, pg.graph.neighbours(v))
-
-    def test_remote_read_rejected(self, pg):
-        v = int(pg.local_vertices(0)[0])
-        wrong = (pg.owner_of(v) + 1) % 4
-        with pytest.raises(KeyError):
-            pg.neighbours_local(v, wrong)
-
     def test_custom_owner_array(self, er_graph):
         owner = np.zeros(er_graph.num_vertices, dtype=np.int64)
         pg = PartitionedGraph(er_graph, 2, owner=owner)

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from repro.cluster import PlanError
 from repro.core.plan import (CommMode, JoinAlgorithm, LogicalPlan, Optimiser,
-                             PlanNode, benu_plan, configure_join,
-                             configure_plan, dfs_order, emptyheaded_plan,
+                             PlanNode, benu_plan, bidirectional_path_plan,
+                             configure_join, configure_plan, dfs_order,
+                             emptyheaded_plan,
                              graphflow_plan, greedy_order, optimal_plan,
                              rads_plan, seed_plan, starjoin_plan,
                              vertex_order_plan, wco_plan)
@@ -362,6 +363,31 @@ class TestPluginPlans:
                     star.num_vertices == 2
                     and star.vertices & matched)
             matched |= star.vertices
+
+    @pytest.mark.parametrize("hops", range(1, 8))
+    def test_bidirectional_path_plan_joins_in_the_middle(self, hops):
+        """two left-deep arms of single edges meeting at ⌊L/2⌋; Equation 3
+        pulls every arm step and pushes the middle join once both arms
+        have two edges (L ≥ 4)"""
+        from repro.query import QueryGraph
+
+        q = QueryGraph(hops + 1, [(i, i + 1) for i in range(hops)])
+        plan = bidirectional_path_plan(q)
+        assert all(leaf.sub.num_edges == 1 for leaf in plan.root.leaves())
+        if hops >= 2:
+            fwd, bwd = plan.root.left, plan.root.right
+            assert fwd.is_left_deep() and bwd.is_left_deep()
+            assert fwd.sub.vertices == set(range(hops // 2 + 1))
+            assert bwd.sub.vertices == set(range(hops // 2, hops + 1))
+        assert configure_plan(plan).num_push_joins() == (hops >= 4)
+
+    def test_bidirectional_path_plan_rejects_non_paths(self):
+        from repro.query import QueryGraph
+
+        # a cycle; a path whose vertices are not numbered 0-1-…-L
+        for q in (get_query("q1"), QueryGraph(3, [(0, 2), (2, 1)])):
+            with pytest.raises(PlanError):
+                bidirectional_path_plan(q)
 
     def test_starjoin_plan_covers_query(self):
         q = get_query("q4")

@@ -35,7 +35,7 @@ def sharing_service(er_graph):
     """A 1-worker sharing service: queued requests pile up behind the
     single dispatch unit, the precondition for share-group formation."""
     svc = QueryService(datasets={"er": er_graph}, num_workers=1,
-                       sharing=True, max_share_group=8,
+                       sharing=True,
                        backoff_base_s=0.01).start()
     yield svc
     svc.stop()
