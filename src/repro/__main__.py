@@ -27,11 +27,11 @@ Commands
     embeddings).
 
 ``census``
-    Size-k motif census: ESU-enumerate *all* connected k-subgraphs over
-    bitset adjacency and count them per isomorphism class through the
-    memoised canonicaliser::
+    Size-k motif census: count *all* connected k-vertex sets per
+    isomorphism class of their induced subgraph, from one engine count
+    per class::
 
-        python -m repro census --data GO --k 4 --trace census.json
+        python -m repro census --data GO --k 4 --json
 
 ``conformance``
     Differential conformance harness (delegates to
@@ -96,10 +96,10 @@ def _write_exposition(registry, dest: str) -> None:
 
 def _observers(args: argparse.Namespace, engine: bool):
     """The ``--trace`` / ``--metrics`` / ``--flight`` set-up, as
-    ``(tracer, registry, flight)``.  An ``engine`` command (``query``,
-    ``census``) gets the tracer its run takes — a span tracer, wrapped
-    to aggregate into the registry; a service command (``serve``,
-    ``stream``) traces inside the service and gets a flight recorder."""
+    ``(tracer, registry, flight)``.  An ``engine`` command (``query``)
+    gets the tracer its run takes — a span tracer, wrapped to aggregate
+    into the registry; a service command (``serve``, ``stream``) traces
+    inside the service and gets a flight recorder."""
     tracer = registry = flight = None
     if getattr(args, "metrics", None):
         from .obs import MetricsRegistry
@@ -244,14 +244,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
     graph = _load_graph(args.data, args.scale)
     cluster = Cluster(graph, num_machines=args.machines,
                       workers_per_machine=args.workers, seed=args.seed)
-    tracer, registry, _ = _observers(args, engine=True)
-    res = motif_census(cluster, args.k, tracer=tracer)
-    if registry is not None:
-        from .obs import record_census
+    res = motif_census(cluster, args.k)
+    registry = None
+    if args.metrics:
+        from .obs import MetricsRegistry, record_census
 
+        registry = MetricsRegistry()
         record_census(registry, res)
-    if args.trace:
-        tracer.trace.save(args.trace)
     if args.json:
         import json
 
@@ -264,16 +263,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     for name in sorted(res.counts):
         print(f"{name:14s} {res.counts[name]:>14,}   "
               f"key={res.class_keys[name]}")
-    print(f"canonical memo: {res.canonical_calls} canonicaliser calls, "
-          f"{res.memo_hits:,} hits (hit rate {res.memo_hit_rate:.2%})")
     report = res.report
     print(f"simulated time: {report.total_time_s:.4f}s "
           f"(compute {report.compute_time_s:.4f}s, "
           f"comm {report.comm_time_s:.4f}s); "
           f"transferred: {report.bytes_transferred / 1e6:.2f} MB")
-    if args.trace:
-        print(f"trace written to {args.trace} "
-              f"(load in https://ui.perfetto.dev)")
     _write_observers(args, registry)
     return 0
 
@@ -602,14 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_motifs)
 
     n = sub.add_parser("census",
-                       help="ESU size-k motif census (all connected "
+                       help="size-k motif census (all connected "
                             "k-subgraphs per isomorphism class)")
     common(n)
     n.add_argument("--k", type=int, default=3, choices=(2, 3, 4, 5),
                    help="census subgraph size")
-    n.add_argument("--trace", metavar="FILE",
-                   help="record a span trace and write Chrome trace_event "
-                        "JSON (open in Perfetto) to FILE")
     n.add_argument("--json", action="store_true",
                    help="print the census result as JSON instead of text")
     n.add_argument("--metrics", metavar="FILE",

@@ -20,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..core.engine import EngineConfig, EnumerationResult, HugeEngine
+from ..core.engine import EngineConfig, EnumerationResult
 from ..core.plan.plans import bidirectional_path_plan
 from ..query.pattern import QueryGraph
+from .loop import engine_runs
 
 __all__ = ["enumerate_st_paths", "count_st_paths"]
 
@@ -33,9 +34,8 @@ _OTHER, _SOURCE, _TARGET = 0, 1, 2
 
 def _path_runs(cluster: Cluster, source: int, target: int, max_hops: int,
                collect: bool) -> list[EnumerationResult]:
-    """One engine run per path length ``1 .. max_hops``, on a view of
-    ``cluster`` (same partition) whose labels pin the two ends; every
-    run's ledger is folded into ``cluster.metrics``."""
+    """One engine run per path length ``1 .. max_hops``, under labels
+    that pin the two ends (:func:`~repro.apps.loop.engine_runs`)."""
     n = cluster.graph.num_vertices
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("source/target out of range")
@@ -45,18 +45,14 @@ def _path_runs(cluster: Cluster, source: int, target: int, max_hops: int,
         return []  # the one simple path is the vertex itself: nothing to run
     pins = np.full(n, _OTHER, dtype=np.int64)
     pins[source], pins[target] = _SOURCE, _TARGET
-    view = Cluster(cluster.graph, cluster.num_machines,
-                   cluster.workers_per_machine, cluster.cost,
-                   labels=pins, owner=cluster.pgraph.owner)
-    engine = HugeEngine(view, EngineConfig(collect_results=collect))
-    runs = []
+    plans = []
     for hops in range(1, max_hops + 1):
         pattern = QueryGraph(
             hops + 1, [(i, i + 1) for i in range(hops)], name=f"path{hops}",
             labels=[_SOURCE] + [_OTHER] * (hops - 1) + [_TARGET])
-        runs.append(engine.run(plan=bidirectional_path_plan(pattern)))
-        cluster.metrics.absorb(view.metrics)
-    return runs
+        plans.append(bidirectional_path_plan(pattern))
+    return engine_runs(cluster, plans, EngineConfig(collect_results=collect),
+                       labels=pins)
 
 
 def enumerate_st_paths(cluster: Cluster, source: int, target: int,

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="smoke",
                    help="engine matrix to fan each workload across "
                         "(baseline: the four baseline systems + HUGE's "
-                        "plug-in replicas of their plans; census: the ESU "
+                        "plug-in replicas of their plans; census: the "
                         "motif-census family at k=3..5; delta: the "
                         "incremental streaming-update family across "
                         "insert/delete/mixed schedules)")

@@ -23,8 +23,6 @@ holds the array programs themselves:
 * :func:`join_pairs` / :func:`join_rows` / :func:`chunk_charges` —
   grouped-argsort hash-join matching, the filtered output rows, and the
   tick charge of each output chunk of a probe loop.
-* :func:`adjacency_bitsets` / :func:`induced_bitrows` — the motif
-  census's bitset encoding.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "adjacency_bitsets",
     "chunk_charges",
     "csr_gather",
     "edge_composite_index",
@@ -45,7 +42,6 @@ __all__ = [
     "fused_extend_candidates",
     "fused_verify_mask",
     "hash_destinations",
-    "induced_bitrows",
     "intersect_sorted",
     "join_pairs",
     "join_rows",
@@ -276,49 +272,6 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
     verts = rows[:, list(ext)]
     lens = graph.indptr[verts + 1] - graph.indptr[verts]
     return extend_block(graph, rows, verts, lens, lt, gt, labels, new_label)
-
-
-def adjacency_bitsets(graph) -> list[int]:
-    """Per-vertex neighbour bitmasks as arbitrary-precision python ints.
-
-    ``adjacency_bitsets(g)[u]`` has bit ``v`` set iff ``(u, v)`` is an
-    edge — the BitGraph idiom: one machine word per 64 vertices, so the
-    ESU walk's set algebra (exclusive neighbourhoods, visited masks,
-    candidate extensions) collapses into ``&``/``|``/``~`` on ints.  Rows
-    are packed from the CSR arrays in one vectorised pass.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return []
-    mat = np.zeros((n, n), dtype=bool)
-    mat[np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr)),
-        graph.indices] = True
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    buf = packed.tobytes()
-    width = packed.shape[1]
-    return [int.from_bytes(buf[i * width:(i + 1) * width], "little")
-            for i in range(n)]
-
-
-def induced_bitrows(masks: Sequence[int],
-                    vertices: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency bit-rows of the subgraph induced by ``vertices``.
-
-    ``vertices`` must be sorted; row ``i`` has bit ``j`` set iff
-    ``(vertices[i], vertices[j])`` is an edge.  The rows are the compact
-    subgraph encoding the census memoises: isomorphic subgraphs on
-    *identical* local adjacency produce identical rows, so equal rows
-    are a cache hit without touching the canonicaliser.
-    """
-    rows = []
-    for v in vertices:
-        m = masks[v]
-        row = 0
-        for j, u in enumerate(vertices):
-            if (m >> u) & 1:
-                row |= 1 << j
-        rows.append(row)
-    return tuple(rows)
 
 
 # -- grouped hash-join matching -------------------------------------------------

@@ -20,7 +20,7 @@ aggregation.
 :func:`record_result` adds the end-of-run aggregates (match count,
 simulated T/T_R/T_C/C/M, cache hit rate) that only exist once the run
 finishes; :func:`record_census` does the same for the motif-census
-workload's memo counters.
+workload's subgraph and class counts.
 """
 
 from __future__ import annotations
@@ -184,12 +184,8 @@ def record_census(registry: MetricsRegistry, census) -> None:
     """Record a :class:`~repro.apps.mining.CensusResult`'s counters."""
     registry.counter("census_runs_total", "completed census runs").inc()
     registry.counter("census_subgraphs_total",
-                     "connected k-subgraphs enumerated").inc(
+                     "connected k-subgraphs counted").inc(
         census.total_subgraphs)
-    memo = registry.counter("census_canonical_total",
-                            "canonicaliser activity", ("result",))
-    memo.inc_child(memo.labels("call"), census.canonical_calls)
-    memo.inc_child(memo.labels("memo_hit"), census.memo_hits)
     registry.gauge("census_classes",
                    "isomorphism classes in the last census").set(
         len(census.counts))

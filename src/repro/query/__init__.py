@@ -2,7 +2,6 @@
 
 from .pattern import QueryGraph, QUERIES, get_query
 from .automorphism import automorphisms, automorphism_count, orbits
-from .canonical import CanonicalMemo, permute_bitrows
 from .symmetry import PartialOrder, satisfies_order, symmetry_break
 from .decompose import (
     SubQuery,
@@ -28,8 +27,6 @@ __all__ = [
     "automorphisms",
     "automorphism_count",
     "orbits",
-    "CanonicalMemo",
-    "permute_bitrows",
     "PartialOrder",
     "satisfies_order",
     "symmetry_break",

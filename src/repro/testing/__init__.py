@@ -11,7 +11,7 @@ This package is the correctness backstop behind that claim:
   (graph × pattern × cluster shape), JSON round-trippable;
 * :mod:`repro.testing.configs` — the engine-configuration matrix
   (baselines, HUGE across plan × scheduler × cache dimensions, and the
-  ESU motif-census workload family);
+  motif-census workload family);
 * :mod:`repro.testing.oracles` — the invariant oracles every run is
   checked against;
 * :mod:`repro.testing.harness` — the differential runner, the greedy

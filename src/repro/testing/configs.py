@@ -34,7 +34,7 @@ __all__ = ["BASELINE_ENGINES", "CENSUS_SIZES", "DELTA_SCHEDULES",
            "default_matrix", "delta_matrix", "smoke_matrix"]
 
 #: baseline engines the harness can run (HUGE is ``"huge"``; ``"census"``
-#: is the ESU motif-census workload family)
+#: is the motif-census workload family)
 BASELINE_ENGINES = ("seed", "bigjoin", "benu", "rads")
 
 #: census subgraph sizes the census workload family fans across
@@ -101,7 +101,7 @@ class EngineSpec:
 
     @property
     def is_census(self) -> bool:
-        """Whether this spec runs the ESU motif census."""
+        """Whether this spec runs the motif census."""
         return self.engine == "census"
 
     @property
@@ -190,7 +190,7 @@ def default_matrix() -> list[EngineSpec]:
         EngineSpec("bigjoin", engine="bigjoin"),
         EngineSpec("benu", engine="benu"),
         EngineSpec("rads", engine="rads"),
-        # -- the ESU motif-census workload family (pattern-independent)
+        # -- the motif-census workload family (pattern-independent)
         *census_matrix(),
         # -- the incremental (streaming delta) workload family
         *delta_matrix(),
@@ -198,12 +198,11 @@ def default_matrix() -> list[EngineSpec]:
 
 
 def census_matrix() -> list[EngineSpec]:
-    """The census workload family: one ESU motif-census spec per size
-    ``k``.  Census specs ignore the workload's pattern — they enumerate
+    """The census workload family: one motif-census spec per size
+    ``k``.  Census specs ignore the workload's pattern — they count
     *all* connected k-subgraphs of the workload's data graph and are
     checked against census-specific oracles (brute-force totals,
-    per-class counts, the automorphism identity, and the canonical-memo
-    once-per-class guarantee)."""
+    per-class counts and the automorphism identity)."""
     return [EngineSpec(f"census-k{k}", engine="census", census_k=k)
             for k in CENSUS_SIZES]
 

@@ -77,8 +77,8 @@ def execute(workload: Workload, spec: EngineSpec,
     """Run one engine on one workload, capturing the oracle observables.
 
     Engine exceptions are captured as the outcome's ``error`` (a crash is
-    a conformance failure, not a harness failure).  ``tracer`` (HUGE and
-    census specs) records a span trace of the run for failure artifacts.
+    a conformance failure, not a harness failure).  ``tracer`` (HUGE
+    specs) records a span trace of the run for failure artifacts.
     """
     outcome = CaseOutcome(spec_name=spec.name)
     graph = workload.graph()
@@ -92,14 +92,12 @@ def execute(workload: Workload, spec: EngineSpec,
             from .deltas import run_delta
             run_delta(workload, spec, outcome)
         elif spec.is_census:
-            census = motif_census(cluster, spec.census_k, tracer=tracer)
+            census = motif_census(cluster, spec.census_k)
             outcome.count = census.total_subgraphs
             outcome.report = census.report
             outcome.census_total = census.total_subgraphs
             outcome.census_counts = dict(census.counts)
             outcome.census_class_keys = dict(census.class_keys)
-            outcome.census_memo_hits = census.memo_hits
-            outcome.census_canon_calls = census.canonical_calls
         elif spec.is_huge:
             config = spec.engine_config(collect=True)
             engine = HugeEngine(cluster, config,
@@ -370,7 +368,7 @@ class ConformanceHarness:
             import os
 
             trace = None
-            if spec.is_huge or spec.is_census:
+            if spec.is_huge:
                 # re-run the (shrunk) case traced so the artifact carries
                 # the failing run's span timeline
                 from ..obs.trace import Tracer

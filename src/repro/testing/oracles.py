@@ -26,11 +26,11 @@ the workload/configuration that produced it:
   reported aggregate worker time is their sum; on the report,
   ``T_C = T − T_R`` and ``T = max_m T_m``.
 
-Census specs (``engine="census"``) run a different workload — the ESU
+Census specs (``engine="census"``) run a different workload — the
 motif census over the data graph — and are checked against their own
 family of oracles, built on an *independent* brute-force classifier (the
 ``itertools.combinations`` sweep plus the O(k!) permutation-minimal
-canonical form the census itself no longer uses):
+canonical form the census itself does not use):
 
 * ``census-total`` — the census enumerated exactly as many connected
   k-subgraphs as the combinations sweep finds, and the per-class counts
@@ -38,9 +38,6 @@ canonical form the census itself no longer uses):
 * ``census-classes`` — the per-class counts match the brute-force
   classification class by class (bridged through ``canonical_key``, so a
   canonicaliser collision merges classes and trips the comparison);
-* ``census-memo`` — the canonical memo's guarantee holds exactly:
-  canonicaliser invocations equal the number of distinct classes seen
-  and every other classification was a memo hit;
 * ``census-automorphism`` — each class's brute-force automorphism count
   matches :func:`~repro.query.automorphism.automorphism_count`, and
   (when the graph is small enough to afford the ordered sweep) the
@@ -84,7 +81,7 @@ ORACLES = ("error", "count", "embeddings", "symmetry", "memory-bound",
            "cache-overflow", "time-conservation")
 
 #: the census-family oracle names, in checking order
-CENSUS_ORACLES = ("error", "census-total", "census-classes", "census-memo",
+CENSUS_ORACLES = ("error", "census-total", "census-classes",
                   "census-automorphism")
 
 #: the delta-family oracle names (checked on top of the standard ones)
@@ -140,8 +137,6 @@ class CaseOutcome:
     """Per-class census counts, motif name → count."""
     census_class_keys: dict[str, str] | None = None
     """Motif name → production canonical key."""
-    census_memo_hits: int = 0
-    census_canon_calls: int = 0
     # delta-spec observables (None on non-incremental runs)
     delta_batches: list[dict] | None = None
     """Per-batch bookkeeping: edge/match delta sizes, duplicate/stale
@@ -503,23 +498,6 @@ def _check_census_classes(outcome: CaseOutcome,
     return None
 
 
-def _check_census_memo(outcome: CaseOutcome,
-                       ref: CensusReference) -> OracleFailure | None:
-    classes = len(ref.counts)
-    if outcome.census_canon_calls != classes:
-        return OracleFailure(
-            "census-memo",
-            f"canonicaliser ran {outcome.census_canon_calls} times for "
-            f"{classes} distinct classes (must be exactly once per class)")
-    if outcome.census_memo_hits != ref.total - classes:
-        return OracleFailure(
-            "census-memo",
-            f"{outcome.census_memo_hits} memo hits for {ref.total} "
-            f"subgraphs over {classes} classes; every classification "
-            f"after the first per class must hit")
-    return None
-
-
 def _check_census_automorphism(ref: CensusReference) -> OracleFailure | None:
     ident = tuple(range(ref.k))
     for rep, count in ref.counts.items():
@@ -555,6 +533,5 @@ def check_census_case(workload: Workload, spec: EngineSpec,
     return [failure for failure in (
         _check_census_total(outcome, ref),
         _check_census_classes(outcome, ref),
-        _check_census_memo(outcome, ref),
         _check_census_automorphism(ref),
     ) if failure is not None]

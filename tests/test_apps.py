@@ -201,6 +201,38 @@ class TestMining:
                                   min_support=10 ** 9)
         assert found == []
 
+    def test_frequent_patterns_count_is_not_anti_monotone(self):
+        """The star K₁,₅ has 5 edges but 10 wedges and 10 three-stars: an
+        empty level must not stop the mining."""
+        from repro.graph import Graph
+
+        star = Graph.from_edges([(0, leaf) for leaf in range(1, 6)])
+        found = frequent_patterns(Cluster(star, num_machines=2), 4,
+                                  min_support=6)
+        assert sorted((p.num_vertices, p.num_edges, count)
+                      for p, count in found) == [(3, 2, 10), (4, 3, 10)]
+
+    def test_motif_counts_ledger_is_the_sum_of_its_runs(self, app_cluster,
+                                                        graph):
+        """The caller's ledger carries the whole loop, not the last run."""
+        from repro.core import HugeEngine
+
+        motif_counts(app_cluster, 3)
+        solo = []
+        for pattern in connected_patterns(3):
+            cl = Cluster(graph, num_machines=4, workers_per_machine=2, seed=2)
+            HugeEngine(cl).run(pattern)
+            solo.append(cl.metrics.machines)
+        got = app_cluster.metrics.machines
+        for field in ("bytes_sent", "rpc_requests", "compute_ops"):
+            assert [getattr(m, field) for m in got] == \
+                [sum(getattr(run[i], field) for run in solo)
+                 for i in range(4)]
+        assert [m.worker_ops for m in got] == \
+            [[sum(ticks) for ticks in zip(*(run[i].worker_ops
+                                            for run in solo))]
+             for i in range(4)]
+
     def test_frequent_invalid_size(self, app_cluster):
         with pytest.raises(ValueError):
             frequent_patterns(app_cluster, max_size=1, min_support=1)

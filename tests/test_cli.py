@@ -121,21 +121,20 @@ class TestCommands:
                      "--machines", "2"]) == 0
         out = capsys.readouterr().out
         assert "motif3-0" in out and "motif3-1" in out
-        assert "canonical memo:" in out
         assert "simulated time" in out
 
     def test_census_json_and_trace(self, tmp_path, capsys):
-        path = tmp_path / "census-trace.json"
         assert main(["census", "--data", "GO", "--k", "4", "--machines",
-                     "2", "--json", "--trace", str(path)]) == 0
+                     "2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["k"] == 4
         assert sum(data["counts"].values()) == data["total_subgraphs"]
-        assert data["canonical_calls"] <= 6
-        assert data["memo_hit_rate"] > 0
-        trace = json.loads(path.read_text())
-        names = {e["name"] for e in trace["traceEvents"]}
-        assert "census walk" in names
+        assert set(data) == {"k", "counts", "class_keys",
+                             "total_subgraphs", "report"}
+        # a span Trace is one run's timeline; the census is many runs
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["census", "--data", "GO", "--trace",
+                                       str(tmp_path / "census-trace.json")])
 
     def test_census_rejects_bad_k(self):
         with pytest.raises(SystemExit):

@@ -161,6 +161,7 @@ class TestConfiguration:
         import dataclasses
         import inspect
 
+        from repro.apps import motif_census
         from repro.core.cache import make_cache
         from repro.core.operators import ExecContext
         from repro.serve import QueryService
@@ -194,6 +195,7 @@ class TestConfiguration:
             "default_config", "cost", "tenant_max_inflight", "max_retries",
             "backoff_base_s", "injector", "trace", "trace_max_events",
             "metrics", "flight", "sharing", "result_cache_bytes", "pool"]
+        assert params(motif_census) == ["cluster", "k"]
 
 
 class TestMetricsOutput:
