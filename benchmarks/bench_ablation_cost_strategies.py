@@ -15,7 +15,7 @@ plan shuffles heavy intermediates.
 from common import emit, format_table, make_cluster
 
 from repro.core import HugeEngine
-from repro.core.plan import COST_STRATEGIES, Optimiser, configure_plan
+from repro.core.plan import COST_STRATEGIES, Optimiser
 from repro.query import SamplingEstimator, get_query
 
 
@@ -34,8 +34,7 @@ def run_ablation():
                             cluster.graph.num_edges,
                             cost_strategy=strategy,
                             avg_degree=cluster.graph.avg_degree)
-            logical, _ = opt.run_logical(query, name=strategy)
-            row[strategy] = engine.run(plan=configure_plan(logical))
+            row[strategy] = engine.run(plan=opt.run(query, name=strategy))
         table[qname] = row
     return table
 

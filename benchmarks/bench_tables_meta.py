@@ -9,8 +9,8 @@ regenerated from the stand-in generators next to the paper's statistics.
 
 from common import BENCH_SEED, emit, format_table
 
-from repro.core.plan import (benu_plan, configure_plan, rads_plan,
-                             seed_plan, starjoin_plan, wco_plan)
+from repro.core.plan import (benu_plan, rads_plan, seed_plan,
+                             starjoin_plan, wco_plan)
 from repro.graph import dataset_table, load_dataset
 from repro.query import ExactEstimator, get_query
 
@@ -27,13 +27,12 @@ def run_table2():
         "RADS": rads_plan(probe),
     }
     rows = []
-    for name, logical in builders.items():
-        order = "left-deep" if logical.root.is_left_deep() else "bushy"
-        units = {leaf.sub.num_vertices for leaf in logical.root.leaves()}
+    for name, plan in builders.items():
+        order = "left-deep" if plan.root.is_left_deep() else "bushy"
+        units = {leaf.sub.num_vertices for leaf in plan.root.leaves()}
         unit = "star" if max(units) > 2 else "star (edges)"
-        physical = configure_plan(logical)
-        algos = {j.setting.algorithm for j in physical.joins()}
-        comms = {j.setting.comm for j in physical.joins()}
+        algos = {j.setting.algorithm for j in plan.joins()}
+        comms = {j.setting.comm for j in plan.joins()}
         rows.append([
             name, unit, order,
             "/".join(sorted(a.value for a in algos)),

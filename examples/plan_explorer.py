@@ -1,15 +1,15 @@
 """Explore execution plans: Algorithm 1 vs the baselines' logical plans.
 
 Shows, for each benchmark query, the plan HUGE's optimiser picks (join
-tree + Equation-3 physical settings) and how the plug-in plans of
-BiGJoin/BENU/RADS perform when executed inside HUGE (Remark 3.2).
+tree + Equation-3 physical settings) and how the plans of
+BiGJoin/BENU/RADS perform when handed to HUGE as built (Remark 3.2).
 
 Run:  python examples/plan_explorer.py
 """
 
 from repro import Cluster
 from repro.core import HugeEngine
-from repro.core.plan import benu_plan, configure_plan, rads_plan, wco_plan
+from repro.core.plan import benu_plan, rads_plan, wco_plan
 from repro.graph import load_dataset
 from repro.query import QUERIES, SamplingEstimator, get_query
 
@@ -31,9 +31,9 @@ def main() -> None:
     query = get_query("q2")
     plans = {
         "HUGE (optimal)": engine.plan(query),
-        "HUGE-WCO": configure_plan(wco_plan(query)),
-        "HUGE-BENU": configure_plan(benu_plan(query)),
-        "HUGE-RADS": configure_plan(rads_plan(query)),
+        "HUGE-WCO": wco_plan(query),
+        "HUGE-BENU": benu_plan(query),
+        "HUGE-RADS": rads_plan(query),
     }
     print(f"query: {query.name}")
     for label, plan in plans.items():

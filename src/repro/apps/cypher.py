@@ -25,7 +25,7 @@ label in the data graph's label array).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from ..cluster.cluster import Cluster
@@ -184,7 +184,7 @@ def execute_cypher(cluster: Cluster, text: str,
     if config is None:
         config = EngineConfig(collect_results=collect)
     elif collect:
-        config.collect_results = True
+        config = replace(config, collect_results=True)
     engine = HugeEngine(cluster, config)
     result = engine.run(parsed.pattern)
     if parsed.returns is None:

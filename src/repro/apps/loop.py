@@ -15,15 +15,14 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..core.engine import EngineConfig, EnumerationResult, HugeEngine
-from ..core.plan.logical import LogicalPlan
-from ..core.plan.physical import ExecutionPlan
+from ..core.plan.tree import ExecutionPlan
 from ..query.pattern import QueryGraph
 
 __all__ = ["engine_runs"]
 
 
 def engine_runs(cluster: Cluster,
-                members: Iterable[QueryGraph | ExecutionPlan | LogicalPlan],
+                members: Iterable[QueryGraph | ExecutionPlan],
                 config: EngineConfig | None = None,
                 labels: "np.ndarray | None" = None
                 ) -> list[EnumerationResult]:

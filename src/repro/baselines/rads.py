@@ -31,8 +31,8 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
 from ..core.kernels import csr_gather, edge_member
-from ..core.plan.logical import LogicalPlan
 from ..core.plan.plans import rads_plan
+from ..core.plan.tree import ExecutionPlan
 from ..core.stealing import chunked_distribution
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
@@ -59,7 +59,7 @@ class RadsEngine(BaselineEngine):
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
 
     def run(self, query: QueryGraph,
-            plan: LogicalPlan | None = None) -> BaselineResult:
+            plan: ExecutionPlan | None = None) -> BaselineResult:
         """Enumerate ``query`` with RADS' star-expand-and-verify rounds."""
         self._check_query(query)
         cluster = self.cluster

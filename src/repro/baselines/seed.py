@@ -17,8 +17,8 @@ Characteristics reproduced here (Table 1 row SEED):
 from __future__ import annotations
 
 from ..cluster.cluster import Cluster
-from ..core.plan.logical import LogicalPlan, PlanNode
 from ..core.plan.plans import seed_plan
+from ..core.plan.tree import ExecutionPlan, PlanNode
 from ..query.estimate import CardinalityEstimator, SamplingEstimator
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
@@ -39,7 +39,7 @@ class SeedEngine(BaselineEngine):
         self.estimator = estimator or SamplingEstimator(cluster.graph)
 
     def run(self, query: QueryGraph,
-            plan: LogicalPlan | None = None) -> BaselineResult:
+            plan: ExecutionPlan | None = None) -> BaselineResult:
         """Enumerate ``query`` with SEED's bushy hash-join plan."""
         self._check_query(query)
         self.cluster.reset_metrics()

@@ -9,8 +9,9 @@ Commands
         python -m repro.conformance run --cases 5000 --matrix full \\
             --artifact-dir conformance-artifacts   # long soak
 
-    Exits non-zero if any oracle is violated; each failing case is shrunk
-    to a minimal reproducer and written as a JSON artifact.
+    Exits non-zero if any oracle is violated — each failing case is shrunk
+    to a minimal reproducer and written as a JSON artifact — or if
+    ``--max-seconds`` ended the run before ``--cases`` cases ran.
 
 ``replay``
     Re-execute a failure artifact::
@@ -128,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--max-vertices", type=int, default=14,
                    help="data-graph size cap")
     r.add_argument("--max-seconds", type=float, default=None,
-                   help="stop starting new workloads after this wall time")
+                   help="stop starting new workloads after this wall time; "
+                        "a run cut short of --cases this way fails")
     r.add_argument("--artifact-dir", default="conformance-artifacts",
                    help="directory for replayable failure artifacts")
     r.add_argument("--no-shrink", action="store_true",

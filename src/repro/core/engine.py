@@ -7,10 +7,11 @@ longest common spec prefix when N > 1, and the operator table (ids /
 kinds / schemas, numbered once).  It is pure spec construction costing
 microseconds, so it runs per engine run: a structure, not a cache.
 **Run**: :meth:`HugeEngine.run_group` is the one run body — resolve each
-member to a plan (Algorithm 1 for a query; Equation 3's settings for a
-plugged-in logical plan, the HUGE-BENU / -RADS / -SEED / -WCO mode of
-Remark 3.2), compile, build the execution context, declare the table's
-operators on the tracer, drive the scheduler into one sink per member.
+member to a plan (Algorithm 1 for a pattern; a plan — the optimiser's or
+a plug-in builder's, the HUGE-BENU / -RADS / -SEED / -WCO mode of
+Remark 3.2 — runs as built), compile, build the execution context,
+declare the table's operators on the tracer, drive the scheduler into one
+sink per member.
 ``HugeEngine.run`` is the group of one: solo and shared runs differ in
 fan-out, not in which code ran them.
 
@@ -39,10 +40,9 @@ from ..query.pattern import QueryGraph
 from .cache import CACHE_VARIANTS, make_cache
 from .dataflow import Program, ReplaySpec, Segment, plan_signature
 from .operators import ExecContext, SinkConsumer, Tuple
-from .plan.logical import LogicalPlan
 from .plan.optimiser import Optimiser
-from .plan.physical import ExecutionPlan, configure_plan
 from .plan.translate import translate
+from .plan.tree import ExecutionPlan
 from .scheduler import SchedulerConfig, run_program
 
 __all__ = ["EngineConfig", "EnumerationResult", "HugeEngine", "compile_group"]
@@ -192,12 +192,10 @@ class HugeEngine:
                         avg_degree=self.cluster.graph.avg_degree)
         return opt.run(query)
 
-    def _resolve_plan(self, member: QueryGraph | ExecutionPlan | LogicalPlan
+    def _resolve_plan(self, member: QueryGraph | ExecutionPlan
                       ) -> ExecutionPlan:
         if isinstance(member, ExecutionPlan):
             return member
-        if isinstance(member, LogicalPlan):
-            return configure_plan(member)
         if member is None:
             raise ValueError("need a query or a plan")
         return self.plan(member)
@@ -241,27 +239,26 @@ class HugeEngine:
         ]
 
     def run(self, query: QueryGraph | None = None,
-            plan: ExecutionPlan | LogicalPlan | None = None,
+            plan: ExecutionPlan | None = None,
             tracer: Tracer | None = None) -> EnumerationResult:
         """Execute a subgraph-enumeration query: the share group of one.
 
         ``query`` is the pattern (optional when ``plan`` is given);
-        ``plan`` an :class:`ExecutionPlan`, a :class:`LogicalPlan`
-        (plug-in mode) or ``None`` to plan with Algorithm 1; ``tracer``
-        as in :meth:`run_group`.
+        ``plan`` an :class:`ExecutionPlan` — Algorithm 1's or a plug-in
+        builder's — or ``None`` to plan with Algorithm 1; ``tracer`` as
+        in :meth:`run_group`.
         """
         return self.run_group([plan if plan is not None else query],
                               tracer=tracer)[0]
 
     def run_group(self,
-                  members: Sequence[QueryGraph | ExecutionPlan | LogicalPlan],
+                  members: Sequence[QueryGraph | ExecutionPlan],
                   collects: Sequence[bool] | None = None,
                   tracer: Tracer | None = None) -> list[EnumerationResult]:
         """Execute N ≥ 1 queries or plans as one engine run.
 
-        Each member is a pattern (planned by Algorithm 1), a
-        :class:`LogicalPlan` (plug-in mode: Equation 3 assigns the
-        physical settings) or an :class:`ExecutionPlan`; ``collects[i]``
+        Each member is a pattern (planned by Algorithm 1) or an
+        :class:`ExecutionPlan` (run as built); ``collects[i]``
         overrides ``config.collect_results`` for member ``i``.  The
         members' longest common spec prefix runs **once**; with N > 1 it
         runs into a tee buffer and each member's remaining extends run

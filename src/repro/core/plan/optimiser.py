@@ -39,14 +39,14 @@ from typing import NamedTuple
 
 from ...cluster.errors import PlanError
 from ...query.decompose import (SubQuery, connected_subqueries, full_subquery,
-                                is_complete_star_join, splits)
+                                splits)
 from ...query.estimate import CardinalityEstimator
 from ...query.pattern import QueryGraph
 from ...query.symmetry import symmetry_break
-from .logical import LogicalPlan, PlanNode
-from .physical import CommMode, ExecutionPlan, configure_join, configure_plan
+from .tree import (CommMode, ExecutionPlan, JoinAlgorithm, PhysicalSetting,
+                   PlanNode, configure_join)
 
-__all__ = ["Optimiser", "optimal_plan", "COST_STRATEGIES"]
+__all__ = ["Optimiser", "COST_STRATEGIES"]
 
 #: Accepted cost strategies (see module docstring).
 COST_STRATEGIES = ("hybrid", "push-only", "compute-mat", "compute-icost")
@@ -120,21 +120,19 @@ class Optimiser:
             self._card[sub] = cached
         return cached
 
-    def _join_extra_cost(self, left: SubQuery, right: SubQuery) -> float:
+    def _join_extra_cost(self, left: SubQuery, right: SubQuery,
+                         setting: PhysicalSetting) -> float:
         shuffle = self.cardinality(left) + self.cardinality(right)
         if self._strategy == "push-only":
             return shuffle
         if self._strategy == "compute-mat":
             return 0.0
-        wco = (is_complete_star_join(left, right)
-               or is_complete_star_join(right, left))
         if self._strategy == "compute-icost":
-            if wco:
+            if setting.algorithm is JoinAlgorithm.WCO:
                 small = min(self.cardinality(left), self.cardinality(right))
                 return self._avg_degree * small
             return shuffle
         # hybrid (Algorithm 1 lines 7-9)
-        setting, _ = configure_join(left, right)
         if setting.comm is CommMode.PULLING:
             # Remark 3.1 bounds pulling by the whole graph per machine
             # (k·|E_G|); the data actually pulled is at most one adjacency
@@ -148,9 +146,9 @@ class Optimiser:
 
     # -- the DP -------------------------------------------------------------------
 
-    def run_logical(self, query: QueryGraph,
-                    name: str = "huge-optimal") -> tuple[LogicalPlan, float]:
-        """Run the DP; return the best logical plan and its cost."""
+    def run(self, query: QueryGraph,
+            name: str = "huge-optimal") -> ExecutionPlan:
+        """Run the DP; return the cheapest plan under the cost strategy."""
         if not query.is_connected() or query.num_vertices < 2:
             raise PlanError(f"query {query.name} must be connected, |V| >= 2")
         order = symmetry_break(query)
@@ -168,13 +166,17 @@ class Optimiser:
             for left, right in splits(sub):
                 if left not in self._cost or right not in self._cost:
                     continue
+                # Equation 3, once per candidate: the cost term and the
+                # tie-break read the same evaluation
+                setting, swapped = configure_join(left, right)
                 cost = (self._cost[left] + self._cost[right]
                         + self.cardinality(sub)
-                        + self._join_extra_cost(left, right))
+                        + self._join_extra_cost(left, right, setting))
                 pruned = own + tie[left].pruned + tie[right].pruned
                 if best is not None and (cost, -pruned) > best[:2]:
                     continue
-                pulled, pivot = _pulled_sources(left, right, tie)
+                rows, star = (right, left) if swapped else (left, right)
+                pulled, pivot = _pulled_sources(rows, star, setting, tie)
                 rank = (cost, -pruned, len(pulled))
                 if best is None or rank < best:
                     best = rank
@@ -185,13 +187,8 @@ class Optimiser:
             self._cost[sub] = best[0]
 
         full = full_subquery(query)
-        return (LogicalPlan(query, self._recover(full), name=name),
-                self._cost[full])
-
-    def run(self, query: QueryGraph) -> ExecutionPlan:
-        """Compute the optimal, physically configured execution plan."""
-        logical, cost = self.run_logical(query)
-        return configure_plan(logical, estimated_cost=cost)
+        return ExecutionPlan(query, self._recover(full), order, name,
+                             self._cost[full])
 
     def _recover(self, sub: SubQuery) -> PlanNode:
         split = self._plan[sub]
@@ -201,15 +198,14 @@ class Optimiser:
         return PlanNode(sub, self._recover(left), self._recover(right))
 
 
-def _pulled_sources(left: SubQuery, right: SubQuery,
+def _pulled_sources(rows: SubQuery, star: SubQuery, setting: PhysicalSetting,
                     tie: dict[SubQuery, _Tiebreak],
                     ) -> tuple[frozenset[int], int | None]:
-    """``(pulled, pivot)`` of the plan joining ``left`` and ``right``."""
-    pulled = tie[left].pulled | tie[right].pulled
-    setting, swapped = configure_join(left, right)
+    """``(pulled, pivot)`` of the plan joining ``rows`` with the star side
+    ``star`` under ``setting``."""
+    pulled = tie[rows].pulled | tie[star].pulled
     if setting.comm is not CommMode.PULLING:
         return pulled, None
-    rows, star = (right, left) if swapped else (left, right)
     root = setting.star_root
     leaves = star.vertices - {root}
     # leaves already bound are intersected / verified against their own
@@ -219,12 +215,3 @@ def _pulled_sources(left: SubQuery, right: SubQuery,
         sources |= {root}
     pivot = tie[rows].pivot
     return pulled | (sources - {pivot}), pivot
-
-
-def optimal_plan(query: QueryGraph, estimator: CardinalityEstimator,
-                 num_machines: int, num_graph_edges: int,
-                 cost_strategy: str = "hybrid",
-                 avg_degree: float = 0.0) -> ExecutionPlan:
-    """Convenience wrapper: run Algorithm 1 once."""
-    return Optimiser(estimator, num_machines, num_graph_edges,
-                     cost_strategy, avg_degree).run(query)

@@ -1,11 +1,13 @@
-"""Logical plans of existing systems, for HUGE's plug-in mode (Remark 3.2).
+"""Plans of existing systems, for HUGE's plug-in mode (Remark 3.2).
 
 "Existing works can be plugged into HUGE via their logical plans to enjoy
 immediate speedup and bounded memory consumption."  Each builder below
-reproduces the *logical* plan shape of one system (Table 2); the physical
-settings are then assigned by :func:`~repro.core.plan.physical.configure_plan`,
-which is exactly what the HUGE-BENU / HUGE-RADS / HUGE-SEED / HUGE-WCO
-variants of Exp-1 do.
+reproduces the *logical* plan shape of one system (Table 2) and returns a
+plan that runs as built: Equation 3's physical settings are a derived view
+of its joins (:mod:`~repro.core.plan.tree`), so ``HugeEngine.run(plan=p)``
+is the HUGE-BENU / HUGE-RADS / HUGE-SEED / HUGE-WCO variant of Exp-1 and
+``SeedEngine.run(q, plan=p)`` / ``RadsEngine.run(q, plan=p)`` the original
+system on the same object.
 
 =============  =========================  ==========
 System         join unit ``U``            order ``O``
@@ -28,8 +30,8 @@ from ...cluster.errors import PlanError
 from ...query.decompose import SubQuery
 from ...query.estimate import CardinalityEstimator
 from ...query.pattern import QueryGraph
-from .logical import LogicalPlan, PlanNode
 from .optimiser import Optimiser
+from .tree import ExecutionPlan, PlanNode
 
 __all__ = [
     "wco_plan",
@@ -54,7 +56,7 @@ def _norm(u: int, v: int) -> tuple[int, int]:
 
 
 def vertex_order_plan(query: QueryGraph, order: list[int],
-                      name: str = "wco") -> LogicalPlan:
+                      name: str = "wco") -> ExecutionPlan:
     """Left-deep plan matching one vertex at a time along ``order``.
 
     Step ``i`` joins the prefix pattern with the star rooted at
@@ -78,7 +80,7 @@ def vertex_order_plan(query: QueryGraph, order: list[int],
             raise PlanError(f"order {order} is not connected at {v}")
         star = SubQuery(frozenset(_norm(v, u) for u in back))
         node = PlanNode(node.sub.union(star), node, PlanNode(star))
-    return LogicalPlan(query, node, name=name)
+    return ExecutionPlan(query, node, name=name)
 
 
 def greedy_order(query: QueryGraph, start: Sequence[int] = ()) -> list[int]:
@@ -116,13 +118,13 @@ def dfs_order(query: QueryGraph) -> list[int]:
     return order
 
 
-def wco_plan(query: QueryGraph) -> LogicalPlan:
+def wco_plan(query: QueryGraph) -> ExecutionPlan:
     """BiGJoin's logical plan: left-deep vertex extensions, greedy
     max-back-degree matching order."""
     return vertex_order_plan(query, greedy_order(query), name="bigjoin-wco")
 
 
-def benu_plan(query: QueryGraph) -> LogicalPlan:
+def benu_plan(query: QueryGraph) -> ExecutionPlan:
     """BENU's logical plan: the same vertex-extension shape with a DFS
     matching order (paper §3.1: "equivalent to BiGJoin's wco-join procedure
     with the DFS order as matching order")."""
@@ -174,20 +176,20 @@ def _left_deep(units: list[SubQuery]) -> PlanNode:
     return node
 
 
-def starjoin_plan(query: QueryGraph) -> LogicalPlan:
+def starjoin_plan(query: QueryGraph) -> ExecutionPlan:
     """StarJoin's logical plan: left-deep join of a greedy star cover."""
     stars = _greedy_star_decomposition(query, matched_roots=False)
-    return LogicalPlan(query, _left_deep(stars), name="starjoin")
+    return ExecutionPlan(query, _left_deep(stars), name="starjoin")
 
 
-def rads_plan(query: QueryGraph) -> LogicalPlan:
+def rads_plan(query: QueryGraph) -> ExecutionPlan:
     """RADS' logical plan: left-deep star-expand-and-verify — each star
     after the first is rooted at an already-matched vertex (§3.1)."""
     stars = _greedy_star_decomposition(query, matched_roots=True)
-    return LogicalPlan(query, _left_deep(stars), name="rads")
+    return ExecutionPlan(query, _left_deep(stars), name="rads")
 
 
-def bidirectional_path_plan(query: QueryGraph) -> LogicalPlan:
+def bidirectional_path_plan(query: QueryGraph) -> ExecutionPlan:
     """The path pattern ``0 - 1 - … - L`` grown from both ends (§6:
     "extending from both ends and joining in the middle"): a left-deep
     chain of its edges from vertex 0, another from vertex ``L``, joined
@@ -210,38 +212,34 @@ def bidirectional_path_plan(query: QueryGraph) -> LogicalPlan:
     if mid:
         fwd = arm(range(mid))
         root = PlanNode(fwd.sub.union(root.sub), fwd, root)
-    return LogicalPlan(query, root, name="path-bidirectional")
+    return ExecutionPlan(query, root, name="path-bidirectional")
 
 
 # -- cost-based bushy plans -----------------------------------------------------------
 
 
-def seed_plan(query: QueryGraph, estimator: CardinalityEstimator) -> LogicalPlan:
+def seed_plan(query: QueryGraph, estimator: CardinalityEstimator) -> ExecutionPlan:
     """SEED's logical plan: bushy hash-join tree over star units,
     minimising materialisation + shuffle cost (the pushing-only world)."""
-    opt = Optimiser(estimator, num_machines=1, num_graph_edges=0,
-                    cost_strategy="push-only")
-    plan, _ = opt.run_logical(query, name="seed-bushy")
-    return plan
+    return Optimiser(estimator, num_machines=1, num_graph_edges=0,
+                     cost_strategy="push-only").run(query, name="seed-bushy")
 
 
 def emptyheaded_plan(query: QueryGraph,
-                     estimator: CardinalityEstimator) -> LogicalPlan:
+                     estimator: CardinalityEstimator) -> ExecutionPlan:
     """EmptyHeaded's sequential hybrid plan (approximation): bushy tree
     minimising pure materialisation cost, computation being the only
     concern (Example 3.2)."""
-    opt = Optimiser(estimator, num_machines=1, num_graph_edges=0,
-                    cost_strategy="compute-mat")
-    plan, _ = opt.run_logical(query, name="emptyheaded")
-    return plan
+    return Optimiser(estimator, num_machines=1, num_graph_edges=0,
+                     cost_strategy="compute-mat").run(query,
+                                                      name="emptyheaded")
 
 
 def graphflow_plan(query: QueryGraph, estimator: CardinalityEstimator,
-                   avg_degree: float) -> LogicalPlan:
+                   avg_degree: float) -> ExecutionPlan:
     """GraphFlow's sequential hybrid plan (approximation): bushy tree under
     the i-cost model of [51] — intersections and binary joins priced by
     CPU work only."""
-    opt = Optimiser(estimator, num_machines=1, num_graph_edges=0,
-                    cost_strategy="compute-icost", avg_degree=avg_degree)
-    plan, _ = opt.run_logical(query, name="graphflow")
-    return plan
+    return Optimiser(estimator, num_machines=1, num_graph_edges=0,
+                     cost_strategy="compute-icost",
+                     avg_degree=avg_degree).run(query, name="graphflow")

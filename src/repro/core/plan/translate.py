@@ -29,7 +29,7 @@ from ...cluster.errors import PlanError
 from ...query.pattern import QueryGraph
 from ...query.symmetry import PartialOrder
 from ..dataflow import ExtendSpec, JoinSpec, ScanSpec, Segment
-from .physical import CommMode, ExecutionPlan, JoinAlgorithm, PhysicalNode
+from .tree import CommMode, ExecutionPlan, JoinAlgorithm, PlanNode
 
 __all__ = ["translate", "order_chain"]
 
@@ -117,7 +117,7 @@ def _verify(schema: tuple[int, ...], leaves: list[int],
         verify_pos=schema.index(root))
 
 
-def _leaf_segment(node: PhysicalNode, conditions: PartialOrder,
+def _leaf_segment(node: PlanNode, conditions: PartialOrder,
                   applied: set[tuple[int, int]],
                   query: QueryGraph) -> Segment:
     """SCAN of a star join unit, rewritten per §5.2."""
@@ -135,20 +135,19 @@ def _leaf_segment(node: PhysicalNode, conditions: PartialOrder,
     return seg
 
 
-def _node_segment(node: PhysicalNode, conditions: PartialOrder,
+def _node_segment(node: PlanNode, conditions: PartialOrder,
                   applied: set[tuple[int, int]],
                   query: QueryGraph) -> Segment:
     if node.is_leaf:
         return _leaf_segment(node, conditions, applied, query)
-    assert node.left is not None and node.right is not None
     setting = node.setting
-    assert setting is not None
+    left, right = node.operands  # (q'_l, q'_r): the star side is q'_r
 
     if setting.comm is CommMode.PULLING:
         # the star side is never materialised — it is grown by extends
-        seg = _node_segment(node.left, conditions, applied, query)
+        seg = _node_segment(left, conditions, applied, query)
         schema = seg.out_schema
-        star = node.right.sub
+        star = right.sub
         root = setting.star_root
         if root is None:
             raise PlanError(f"pulling join without star root: {node.sub}")
@@ -178,8 +177,8 @@ def _node_segment(node: PhysicalNode, conditions: PartialOrder,
     # pushing-based hash join: both children materialise
     left_applied = set(applied)
     right_applied = set(applied)
-    lseg = _node_segment(node.left, conditions, left_applied, query)
-    rseg = _node_segment(node.right, conditions, right_applied, query)
+    lseg = _node_segment(left, conditions, left_applied, query)
+    rseg = _node_segment(right, conditions, right_applied, query)
     lsch, rsch = lseg.out_schema, rseg.out_schema
     shared = sorted(set(lsch) & set(rsch))
     if not shared:
@@ -213,7 +212,7 @@ def _node_segment(node: PhysicalNode, conditions: PartialOrder,
 
 
 def translate(plan: ExecutionPlan) -> Segment:
-    """Translate a configured execution plan into a dataflow segment tree."""
+    """Translate an execution plan into a dataflow segment tree."""
     applied: set[tuple[int, int]] = set()
     seg = _node_segment(plan.root, plan.conditions, applied, plan.query)
     missing = set(plan.conditions) - applied

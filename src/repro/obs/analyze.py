@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.plan.physical import CommMode
+from ..core.plan.tree import CommMode
 from .trace import OperatorStats, Tracer
 
 __all__ = ["NodeActuals", "AnalyzeReport", "analyze"]
@@ -159,10 +159,10 @@ def analyze(engine, query=None, plan=None) -> AnalyzeReport:
     # the star side of a pulling join is extended onto the left side's
     # rows, never materialised on its own — it must not borrow the
     # join's operator (same vertex set) and report the join's actuals
-    fused = {id(j.right) for j in result.plan.joins()
+    fused = {id(j.operands[1]) for j in result.plan.joins()
              if j.setting.comm is CommMode.PULLING}
     rows: list[NodeActuals] = []
-    for node in result.plan.root.nodes():
+    for node in result.plan.nodes():
         if node.is_leaf:
             label = f"unit {fmt(node.sub)}"
         else:

@@ -4,7 +4,7 @@ Algorithm 1 (the optimiser) is pure: its output depends only on the
 pattern's *shape*, the data graph's statistics (through the cardinality
 estimator) and the cluster size.  The service therefore plans each
 pattern's **canonical form** (:meth:`QueryGraph.canonical_form`) and
-caches the resulting :class:`~repro.core.plan.physical.ExecutionPlan`
+caches the resulting :class:`~repro.core.plan.tree.ExecutionPlan`
 keyed by::
 
     (canonical pattern key, dataset handle, |V_G|, |E_G|, num_machines)
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..core.plan.physical import ExecutionPlan
+from ..core.plan.tree import ExecutionPlan
 from ..graph.graph import Graph
 
 __all__ = ["PlanCacheStats", "PlanCache"]

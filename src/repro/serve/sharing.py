@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core.dataflow import plan_signature
-from ..core.plan.physical import ExecutionPlan
+from ..core.plan.tree import ExecutionPlan
 from ..core.plan.translate import translate
 from .request import QueryOutcome, QueryStatus, ResultChunk
 

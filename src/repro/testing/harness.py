@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from ..apps.mining import motif_census
 from ..baselines import (BenuEngine, BigJoinEngine, RadsEngine, SeedEngine)
 from ..cluster.cluster import Cluster
 from ..core.engine import HugeEngine
-from ..core.plan.physical import ExecutionPlan, configure_plan
 from ..core.plan.plans import (benu_plan, rads_plan, seed_plan,
                                starjoin_plan, wco_plan)
+from ..core.plan.tree import ExecutionPlan
 from ..query.estimate import SamplingEstimator
 from .configs import EngineSpec, default_matrix
 from .oracles import (CaseOutcome, OracleFailure, Reference, check_case,
@@ -44,31 +44,26 @@ _BASELINES: dict[str, Callable] = {
 }
 
 
+_PLUGIN_PLANS: dict[str, Callable] = {
+    "wco": wco_plan,
+    "benu": benu_plan,
+    "rads": rads_plan,
+    "starjoin": starjoin_plan,
+}
+
+
 def _build_plan(spec: EngineSpec, engine: HugeEngine, query,
                 graph) -> ExecutionPlan:
-    """Resolve the spec's plan mode into a configured execution plan."""
+    """Resolve the spec's plan mode into the plan the engine runs."""
     if spec.plan == "optimal":
         plan = engine.plan(query)
-    else:
-        if spec.plan == "wco":
-            logical = wco_plan(query)
-        elif spec.plan == "benu":
-            logical = benu_plan(query)
-        elif spec.plan == "rads":
-            logical = rads_plan(query)
-        elif spec.plan == "starjoin":
-            logical = starjoin_plan(query)
-        elif spec.plan == "seed":
-            logical = seed_plan(
-                query, SamplingEstimator(graph, trials=80, seed=11))
-        else:  # pragma: no cover - EngineSpec validates plan names
-            raise ValueError(f"unknown plan mode {spec.plan!r}")
-        plan = configure_plan(logical)
+    elif spec.plan == "seed":
+        plan = seed_plan(query, SamplingEstimator(graph, trials=80, seed=11))
+    else:  # EngineSpec validates plan names
+        plan = _PLUGIN_PLANS[spec.plan](query)
     if spec.disable_symmetry:
-        plan = ExecutionPlan(query=plan.query, root=plan.root,
-                             conditions=frozenset(),
-                             name=plan.name + "-nosym",
-                             estimated_cost=plan.estimated_cost)
+        plan = replace(plan, conditions=frozenset(),
+                       name=plan.name + "-nosym")
     return plan
 
 
@@ -259,18 +254,30 @@ class HarnessReport:
     skipped: int = 0
     elapsed_s: float = 0.0
     failures: list[CaseFailure] = field(default_factory=list)
+    target: int = 0
+    """The case target the run was asked for."""
+    truncated: bool = False
+    """Whether the time cap ended the run before ``target`` cases ran."""
 
     @property
     def ok(self) -> bool:
-        """Whether every case passed every oracle."""
-        return not self.failures
+        """Whether the run met its case target and every case passed
+        every oracle."""
+        return not self.failures and not self.truncated
 
     def summary(self) -> str:
         """One-line result summary."""
-        status = "PASS" if self.ok else f"FAIL ({len(self.failures)} cases)"
-        return (f"{status}: {self.cases_run} cases over {self.workloads} "
+        if self.failures:
+            status = f"FAIL ({len(self.failures)} cases)"
+        else:
+            status = "INCOMPLETE" if self.truncated else "PASS"
+        text = (f"{status}: {self.cases_run} cases over {self.workloads} "
                 f"workloads ({self.skipped} unsupported pairs skipped) "
                 f"in {self.elapsed_s:.1f}s")
+        if self.truncated:
+            text += (f", truncated by --max-seconds at "
+                     f"{self.cases_run}/{self.target} cases")
+        return text
 
 
 class ConformanceHarness:
@@ -317,15 +324,17 @@ class ConformanceHarness:
 
         Workloads are consumed in order; each is fanned across every
         supported spec (so one workload contributes ``len(specs)``-ish
-        cases and its reference is computed once).  Stops early once both
-        the case target is met or ``max_seconds`` is exceeded.
+        cases and its reference is computed once).  Stops once the case
+        target is met; ``max_seconds`` stops it earlier, and a run cut
+        short that way is ``truncated`` — not ``ok``, whatever it found.
         """
-        report = HarnessReport()
+        report = HarnessReport(target=num_cases)
         start = time.perf_counter()
         index = 0
         while report.cases_run < num_cases:
             if max_seconds is not None and \
                     time.perf_counter() - start > max_seconds:
+                report.truncated = True
                 break
             workload = self.workload(index)
             index += 1

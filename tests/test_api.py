@@ -44,9 +44,15 @@ class TestEnumerateSubgraphs:
     def test_collect_does_not_mutate_caller_config(self, er_graph):
         from repro import EngineConfig
 
+        from repro import Cluster
+        from repro.apps.cypher import execute_cypher
+
         cfg = EngineConfig()
         enumerate_subgraphs(er_graph, "triangle", config=cfg, collect=True)
         assert cfg.collect_results is False
+        rows = execute_cypher(Cluster(er_graph, num_machines=2),
+                              "MATCH (a)--(b) RETURN a, b", config=cfg).rows
+        assert rows and cfg.collect_results is False
         # and the caller's choice is respected on a later run
         assert enumerate_subgraphs(er_graph, "triangle",
                                    config=cfg).matches is None

@@ -35,6 +35,24 @@ class TestSmokeSweep:
         assert report.elapsed_s < 60.0, (
             f"smoke sweep too slow: {report.elapsed_s:.1f}s")
 
+    def test_time_cap_cutting_the_run_short_is_not_a_pass(self):
+        """a cap that ends the loop before the case target used to read
+        ``PASS: 0 cases`` and exit 0"""
+        from repro.conformance import main
+
+        harness = ConformanceHarness(specs=smoke_matrix(), seed=1,
+                                     shrink=False)
+        report = harness.run(num_cases=50, max_seconds=0)
+        assert report.truncated and not report.ok and not report.failures
+        assert report.summary().endswith(
+            "truncated by --max-seconds at 0/50 cases")
+        assert main(["run", "--cases", "50", "--seed", "1",
+                     "--max-seconds", "0"]) == 1
+        # an uncapped (or generously capped) run is unaffected
+        full = harness.run(num_cases=10, max_seconds=60)
+        assert full.ok and not full.truncated
+        assert "truncated" not in full.summary()
+
     def test_full_matrix_one_workload(self):
         """Every spec in the full matrix runs and agrees on one workload."""
         wl = random_workload(1)

@@ -196,6 +196,22 @@ class TestConfiguration:
             "backoff_base_s", "injector", "trace", "trace_max_events",
             "metrics", "flight", "sharing", "result_cache_bytes", "pool"]
         assert params(motif_census) == ["cluster", "k"]
+        # the plan package: one tree, one plan class, one Equation 3, one
+        # planning entry — a second of any is a reviewed diff
+        import repro.core.plan as plan_pkg
+
+        assert plan_pkg.__all__ == [
+            "PlanNode", "CommMode", "ExecutionPlan", "JoinAlgorithm",
+            "PhysicalSetting", "configure_join", "COST_STRATEGIES",
+            "Optimiser", "benu_plan", "bidirectional_path_plan",
+            "dfs_order", "greedy_order", "emptyheaded_plan",
+            "graphflow_plan", "rads_plan", "seed_plan", "starjoin_plan",
+            "vertex_order_plan", "wco_plan", "translate", "order_chain"]
+        assert params(HugeEngine.run_group) == [
+            "members", "collects", "tracer"]
+        assert params(plan_pkg.Optimiser.__init__) == [
+            "estimator", "num_machines", "num_graph_edges", "cost_strategy",
+            "avg_degree"]
 
 
 class TestMetricsOutput:

@@ -13,7 +13,6 @@ from repro.cluster import Cluster, CostModel
 from repro.cluster.metrics import Metrics
 from repro.core import EngineConfig, HugeEngine
 from repro.core.engine import compile_group
-from repro.core.plan.physical import configure_plan
 from repro.core.plan.plans import vertex_order_plan
 from repro.obs import (ENGINE, NULL_TRACER, Trace, Tracer,
                        check_span_nesting)
@@ -40,7 +39,7 @@ def group_members(kind):
     if kind == "dedup":
         return [get_query("triangle"), get_query("triangle")]
     house = get_query("q4")
-    return [configure_plan(vertex_order_plan(house, order))
+    return [vertex_order_plan(house, order)
             for order in ([0, 1, 2, 3, 4], [0, 1, 2, 4, 3])]
 
 
@@ -529,7 +528,7 @@ class TestAnalyze:
     def test_rows_cover_plan_and_coverage_is_high(self, cluster):
         engine = HugeEngine(cluster)
         report = analyze(engine, get_query("q1"))
-        assert len(report.rows) == len(list(report.result.plan.root.nodes()))
+        assert len(report.rows) == len(list(report.result.plan.nodes()))
         matched = [r for r in report.rows if r.opid is not None]
         assert matched  # at least the root operator materialises
         assert report.coverage > 0.95
@@ -565,8 +564,8 @@ class TestAnalyze:
         # join's output whenever the star adds no new vertex; it is never
         # materialised alone, so it must not show the join's tuple count
         report = analyze(HugeEngine(cluster), get_query("q4"))
-        by_node = dict(zip(report.result.plan.root.nodes(), report.rows))
-        pulled = [j.right for j in report.result.plan.joins()
+        by_node = dict(zip(report.result.plan.nodes(), report.rows))
+        pulled = [j.operands[1] for j in report.result.plan.joins()
                   if j.setting.comm.value == "pulling"]
         assert pulled
         assert all(by_node[star].opid is None for star in pulled)

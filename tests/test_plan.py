@@ -1,19 +1,25 @@
-"""Tests for logical plans, Equation 3 configuration, and the optimiser."""
+"""Tests for the plan tree, its Equation 3 view, the builders and the
+optimiser."""
 
 import json
 import os
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import PlanError
-from repro.core.plan import (CommMode, JoinAlgorithm, LogicalPlan, Optimiser,
-                             PlanNode, benu_plan, bidirectional_path_plan,
-                             configure_join, configure_plan, dfs_order,
-                             emptyheaded_plan,
-                             graphflow_plan, greedy_order, optimal_plan,
-                             rads_plan, seed_plan, starjoin_plan,
-                             vertex_order_plan, wco_plan)
+from repro.baselines import RadsEngine, SeedEngine, count_matches
+from repro.cluster import Cluster, PlanError
+from repro.core import HugeEngine
+from repro.core.plan import (CommMode, ExecutionPlan, JoinAlgorithm,
+                             Optimiser, PlanNode, benu_plan,
+                             bidirectional_path_plan, configure_join,
+                             dfs_order, emptyheaded_plan, graphflow_plan,
+                             greedy_order, rads_plan, seed_plan,
+                             starjoin_plan, translate, vertex_order_plan,
+                             wco_plan)
+from repro.graph import generators as gen
 from repro.query import (QUERIES, ExactEstimator, SamplingEstimator, SubQuery,
                          full_subquery, get_query)
 from repro.testing.goldens import PLAN_GOLDEN_DATASETS, capture_plan_goldens
@@ -27,7 +33,7 @@ class TestPlanNode:
     def test_leaf(self):
         node = PlanNode(sq((0, 1)))
         assert node.is_leaf
-        assert node.depth() == 1
+        assert node.setting is None
 
     def test_join_validation_edge_overlap(self):
         with pytest.raises(PlanError):
@@ -53,21 +59,20 @@ class TestPlanNode:
         right = PlanNode(sq((1, 2)))
         root = PlanNode(sq((0, 1), (1, 2)), left, right)
         assert [n.is_leaf for n in root.nodes()] == [True, True, False]
-        assert list(root.joins()) == [root]
         assert root.is_left_deep()
 
 
-class TestLogicalPlan:
+class TestExecutionPlan:
     def test_validates_root_coverage(self):
         q = get_query("triangle")
         with pytest.raises(PlanError):
-            LogicalPlan(q, PlanNode(sq((0, 1))))
+            ExecutionPlan(q, PlanNode(sq((0, 1))))
 
     def test_validates_star_units(self):
         q = get_query("triangle")
         # triangle "unit" is not a star
         with pytest.raises(PlanError):
-            LogicalPlan(q, PlanNode(full_subquery(q)))
+            ExecutionPlan(q, PlanNode(full_subquery(q)))
 
     def test_describe_mentions_joins(self):
         plan = wco_plan(get_query("q1"))
@@ -120,7 +125,7 @@ class TestEquationThree:
         assert setting.comm is CommMode.PULLING
         assert setting.star_root == 3
 
-    def test_configure_plan_swaps_children(self):
+    def test_operands_name_the_star_side(self):
         from repro.query import QueryGraph
 
         q = QueryGraph(5, [(0, 1), (1, 2), (2, 4), (0, 3), (2, 3)])
@@ -128,11 +133,13 @@ class TestEquationThree:
         path = sq((0, 1), (1, 2), (2, 4))  # not a star
         path_node = PlanNode(path, PlanNode(sq((0, 1), (1, 2))),
                              PlanNode(sq((2, 4))))
-        logical = LogicalPlan(q, PlanNode(
+        plan = ExecutionPlan(q, PlanNode(
             full_subquery(q), PlanNode(star), path_node))
-        plan = configure_plan(logical)
         join = list(plan.joins())[-1]  # post-order: root join is last
-        assert join.right.sub == star  # star moved to the right
+        assert join is plan.root
+        assert join.left.sub == star   # the tree stays as built …
+        assert join.operands[1].sub == star  # … and q'_r is the star
+        assert [n.sub for n in plan.nodes()][-2] == star
 
 
 class TestOptimiser:
@@ -143,8 +150,8 @@ class TestOptimiser:
     @pytest.mark.parametrize("name", ["triangle", "q1", "q2", "q3", "q4",
                                       "q6", "q7", "q8"])
     def test_produces_valid_plan(self, name, estimator, er_graph):
-        plan = optimal_plan(get_query(name), estimator, 4,
-                            er_graph.num_edges)
+        plan = Optimiser(estimator, 4, er_graph.num_edges).run(
+            get_query(name))
         assert plan.root.sub == full_subquery(get_query(name))
         assert plan.estimated_cost > 0
 
@@ -152,15 +159,15 @@ class TestOptimiser:
         from repro.query import QueryGraph
 
         star = QueryGraph(4, [(0, 1), (0, 2), (0, 3)])
-        plan = optimal_plan(star, estimator, 4, er_graph.num_edges)
+        plan = Optimiser(estimator, 4, er_graph.num_edges).run(star)
         assert plan.root.is_leaf
 
     def test_disconnected_query_rejected(self, estimator, er_graph):
         from repro.query import QueryGraph
 
         with pytest.raises(PlanError):
-            optimal_plan(QueryGraph(4, [(0, 1), (2, 3)]), estimator, 4,
-                         er_graph.num_edges)
+            Optimiser(estimator, 4, er_graph.num_edges).run(
+                QueryGraph(4, [(0, 1), (2, 3)]))
 
     def test_unknown_strategy_rejected(self, estimator):
         with pytest.raises(ValueError):
@@ -179,13 +186,12 @@ class TestOptimiser:
         q = get_query("q7")
         mat = Optimiser(estimator, 10, er_graph.num_edges,
                         cost_strategy="compute-mat")
-        plan, cost = mat.run_logical(q)
+        cost = mat.run(q).estimated_cost
         # same DP with a huge cluster must give the identical cost since
         # communication is ignored
         mat2 = Optimiser(estimator, 10_000, er_graph.num_edges,
                          cost_strategy="compute-mat")
-        _, cost2 = mat2.run_logical(q)
-        assert cost == cost2
+        assert cost == mat2.run(q).estimated_cost
 
     @given(name=st.sampled_from(sorted(set(QUERIES) - {"q5", "q8"})),
            data=st.data())
@@ -199,9 +205,9 @@ class TestOptimiser:
 
         def cost(query):
             est = SamplingEstimator(ba_graph, trials=50)
-            return optimal_plan(query, est, 4, ba_graph.num_edges,
-                                avg_degree=ba_graph.avg_degree
-                                ).estimated_cost
+            return Optimiser(est, 4, ba_graph.num_edges,
+                             avg_degree=ba_graph.avg_degree
+                             ).run(query).estimated_cost
 
         assert cost(q.relabel(dict(enumerate(perm)))) == cost(q)
 
@@ -234,11 +240,9 @@ class TestEqualCostPlans:
         that does not own them (everything but the scan's pivot; after a
         PUSH-JOIN, everything)."""
         from repro.core.dataflow import ScanSpec
-        from repro.core.plan import translate
 
         pulled = set()
-        for seg in translate(configure_plan(LogicalPlan(query, root))
-                             ).all_segments():
+        for seg in translate(ExecutionPlan(query, root)).all_segments():
             scan = isinstance(seg.source, ScanSpec)
             schema = seg.source.schema if scan else seg.source.out_schema
             local = {schema[0]} if scan else set()
@@ -254,7 +258,7 @@ class TestEqualCostPlans:
         query = get_query(name)
         opt = Optimiser(SamplingEstimator(ba_graph, trials=50), 4,
                         ba_graph.num_edges, avg_degree=ba_graph.avg_degree)
-        chosen = opt.run_logical(query)[0].root
+        chosen = opt.run(query).root
         order = symmetry_break(query)
         rank = (-self._pruned(chosen, order),
                 len(self._pulled(query, chosen)))
@@ -300,6 +304,7 @@ class TestPluginPlans:
         from repro.query import is_complete_star_join
 
         for node in plan.joins():
+            assert node.operands == (node.left, node.right)
             assert is_complete_star_join(node.left.sub, node.right.sub)
 
     def test_wco_order_is_connected(self):
@@ -379,7 +384,7 @@ class TestPluginPlans:
             assert fwd.is_left_deep() and bwd.is_left_deep()
             assert fwd.sub.vertices == set(range(hops // 2 + 1))
             assert bwd.sub.vertices == set(range(hops // 2, hops + 1))
-        assert configure_plan(plan).num_push_joins() == (hops >= 4)
+        assert plan.num_push_joins() == (hops >= 4)
 
     def test_bidirectional_path_plan_rejects_non_paths(self):
         from repro.query import QueryGraph
@@ -416,3 +421,106 @@ class TestPluginPlans:
         sizes = sorted([root_join.left.sub.num_edges,
                         root_join.right.sub.num_edges])
         assert sizes == [2, 3]
+
+
+# -- a built plan runs as built (Remark 3.2) ------------------------------------
+
+_BUILDERS = {
+    "wco": lambda q, g: wco_plan(q),
+    "benu": lambda q, g: benu_plan(q),
+    "vertex-order": lambda q, g: vertex_order_plan(
+        q, greedy_order(q, start=max(q.edges))),
+    "starjoin": lambda q, g: starjoin_plan(q),
+    "rads": lambda q, g: rads_plan(q),
+    "seed": lambda q, g: seed_plan(q, SamplingEstimator(g, trials=60, seed=7)),
+    "emptyheaded": lambda q, g: emptyheaded_plan(
+        q, SamplingEstimator(g, trials=60, seed=7)),
+    "graphflow": lambda q, g: graphflow_plan(
+        q, SamplingEstimator(g, trials=60, seed=7), g.avg_degree),
+    "bidirectional-path": lambda q, g: bidirectional_path_plan(q),
+}
+_PAPER_QUERIES = ("q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8")
+_BUILT = [(b, name) for b in _BUILDERS for name in _PAPER_QUERIES
+          if b != "bidirectional-path" or name == "q6"]
+
+
+def _derived(plan):
+    """Which of the plan's nodes carry a computed Equation 3 view."""
+    return [n for n in plan.root.nodes() if "_equation3" in vars(n)]
+
+
+class TestBuiltPlans:
+    """Every builder of ``plans.py`` returns the object every engine takes:
+    no configure step between Algorithm 1 (or a plug-in builder) and
+    Algorithm 2."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return gen.erdos_renyi(20, 0.35, seed=6)
+
+    @pytest.fixture(scope="class")
+    def reference(self, graph):
+        return {name: (count_matches(graph, get_query(name)),
+                       count_matches(graph, get_query(name), frozenset()))
+                for name in _PAPER_QUERIES}
+
+    @pytest.mark.parametrize("builder,name", _BUILT)
+    def test_runs_as_built_on_every_engine_that_takes_it(
+            self, builder, name, graph, reference):
+        q = get_query(name)
+        plan = _BUILDERS[builder](q, graph)
+        cluster = Cluster(graph, num_machines=3, workers_per_machine=2,
+                          seed=1)
+        result = HugeEngine(cluster).run(plan=plan)
+        assert result.plan is plan
+        assert result.count == reference[name][0]
+        # the originals read the same object, children as built
+        if builder == "seed":
+            assert SeedEngine(cluster).run(q, plan=plan).count == \
+                reference[name][0]
+        if builder == "rads":
+            assert RadsEngine(cluster).run(q, plan=plan).count == \
+                reference[name][0]
+        # the harness's -nosym variant: same tree, no conditions, nothing
+        # carried over but the fields
+        bare = replace(plan, conditions=frozenset())
+        assert bare.root is plan.root and bare.conditions == frozenset()
+        assert set(vars(bare)) == set(vars(plan)) == {
+            "query", "root", "conditions", "name", "estimated_cost"}
+        assert bare.structure() == plan.structure()
+        assert HugeEngine(cluster).run(plan=bare).count == reference[name][1]
+
+    @pytest.mark.parametrize("builder,name", _BUILT)
+    def test_pickles_with_the_view_derived_or_not(self, builder, name,
+                                                  graph):
+        plan = _BUILDERS[builder](get_query(name), graph)
+        assert not _derived(plan)          # building derives nothing
+        cold = pickle.dumps(plan)
+        want = plan.structure()
+        assert len(_derived(plan)) == len(list(plan.joins()))
+        for blob in (cold, pickle.dumps(plan)):
+            clone = pickle.loads(blob)
+            assert clone.root == plan.root and clone.structure() == want
+            assert clone.conditions == plan.conditions
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "push-only",
+                                          "compute-mat", "compute-icost"])
+    def test_dp_evaluates_equation3_once_per_split(self, strategy, graph,
+                                                   monkeypatch):
+        from collections import Counter
+
+        from repro.core.plan import optimiser
+
+        calls = Counter()
+
+        def counted(left, right):
+            calls[left, right] += 1
+            return configure_join(left, right)
+
+        monkeypatch.setattr(optimiser, "configure_join", counted)
+        for name in ("q4", "q5", "q8"):
+            calls.clear()
+            Optimiser(SamplingEstimator(graph, trials=60, seed=7), 4,
+                      graph.num_edges, cost_strategy=strategy,
+                      avg_degree=graph.avg_degree).run(get_query(name))
+            assert calls and set(calls.values()) == {1}

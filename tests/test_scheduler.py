@@ -87,8 +87,7 @@ class TestJoinSegments:
             assert m.cur_mem_bytes == 0
 
     def test_deep_plan_with_multiple_joins(self, er_graph):
-        from repro.core.plan import vertex_order_plan
-        from repro.core.plan.logical import LogicalPlan, PlanNode
+        from repro.core.plan import ExecutionPlan, PlanNode
         from repro.query import SubQuery
 
         # hand-build a bushy two-join plan for the 6-cycle:
@@ -101,7 +100,7 @@ class TestJoinSegments:
                         PlanNode(sq((0, 1), (1, 2))), PlanNode(sq((2, 3))))
         right = PlanNode(sq((3, 4), (4, 5), (0, 5)),
                          PlanNode(sq((3, 4), (4, 5))), PlanNode(sq((0, 5))))
-        plan = LogicalPlan(q, PlanNode(
+        plan = ExecutionPlan(q, PlanNode(
             sq(*q.edges), left, right), name="hand-bushy")
         cl = Cluster(er_graph, num_machines=3, workers_per_machine=2,
                      seed=2)

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.cluster import PlanError
 from repro.core.dataflow import ExtendSpec, JoinSpec, ScanSpec, Segment
-from repro.core.plan import (configure_plan, dfs_order, greedy_order,
-                             order_chain, rads_plan, seed_plan, translate,
+from repro.core.plan import (Optimiser, dfs_order, greedy_order, order_chain,
+                             rads_plan, seed_plan, translate,
                              vertex_order_plan, wco_plan)
 from repro.query import QUERIES, ExactEstimator, get_query, symmetry_break
 from repro.testing.strategies import patterns
@@ -14,7 +14,7 @@ from repro.testing.strategies import patterns
 
 def translate_query(name, plan_builder=wco_plan, **kwargs):
     q = get_query(name)
-    return translate(configure_plan(plan_builder(q, **kwargs)))
+    return translate(plan_builder(q, **kwargs))
 
 
 class TestSpecs:
@@ -80,13 +80,12 @@ class TestStarScanRewrite:
     def test_star_query_becomes_edge_scan_plus_extends(self):
         """§5.2: SCAN(star with L leaves) → edge scan + (|L|-1) extends"""
         from repro.query import QueryGraph
-        from repro.core.plan.optimiser import optimal_plan
         from repro.query import ExactEstimator
         from repro.graph import generators as gen
 
         g = gen.erdos_renyi(20, 0.3, seed=1)
         star = QueryGraph(4, [(0, 1), (0, 2), (0, 3)])
-        plan = optimal_plan(star, ExactEstimator(g), 4, g.num_edges)
+        plan = Optimiser(ExactEstimator(g), 4, g.num_edges).run(star)
         seg = translate(plan)
         assert isinstance(seg.source, ScanSpec)
         assert len(seg.extends) == 2
@@ -184,7 +183,7 @@ def check_order_chain(q, order):
     assert sorted(applied) == sorted(conditions)
     # operator by operator what Algorithm 2 makes of the same order (its
     # scan may come out as (order[1], order[0]), so compare by vertex)
-    seg = translate(configure_plan(vertex_order_plan(q, list(order))))
+    seg = translate(vertex_order_plan(q, list(order)))
     assert set(seg.source.schema) == set(scan.schema)
     assert len(seg.extends) == len(extends)
     for ours, theirs in zip(extends, seg.extends):
