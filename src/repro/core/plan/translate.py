@@ -55,10 +55,12 @@ def _extend(schema: tuple[int, ...], ext: tuple[int, ...], new_vertex: int,
             conditions: PartialOrder, applied: set[tuple[int, int]],
             query: QueryGraph) -> ExtendSpec:
     """Build an extension operator, attaching newly checkable conditions
-    and the new vertex's label constraint."""
+    and the new vertex's label constraint.  Conditions are visited in
+    sorted order: a frozenset's iteration order is not preserved by a
+    pickle round trip, and the spec (hence the plan signature) must be."""
     lt: list[int] = []
     gt: list[int] = []
-    for (u, v) in conditions:
+    for (u, v) in sorted(conditions):
         if (u, v) in applied:
             continue
         if u == new_vertex and v in schema:
@@ -188,7 +190,7 @@ def _node_segment(node: PlanNode, conditions: PartialOrder,
     applied.update(left_applied | right_applied)
 
     cross_conditions: list[tuple[int, int]] = []
-    for (u, v) in conditions:
+    for (u, v) in sorted(conditions):
         if (u, v) in applied:
             continue
         if u in out_schema and v in out_schema:

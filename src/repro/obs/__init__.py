@@ -13,9 +13,9 @@ bounded per-query flight recorder with slow-query log and dump-on-crash.
 
 from .bridge import MetricsTracer, record_census, record_result
 from .flight import FlightEvent, FlightRecorder, QueryFlight
-from .metrics import (DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, REGISTRY,
-                      Counter, Gauge, Histogram, MetricsRegistry,
-                      check_exposition, log_buckets)
+from .metrics import (DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, Counter,
+                      Gauge, Histogram, MetricsRegistry, check_exposition,
+                      log_buckets)
 from .trace import (ENGINE, NULL_TRACER, CounterEvent, InstantEvent,
                     NullTracer, OperatorStats, SpanEvent, Trace, Tracer,
                     check_span_nesting)
@@ -23,7 +23,6 @@ from .trace import (ENGINE, NULL_TRACER, CounterEvent, InstantEvent,
 __all__ = [
     "ENGINE",
     "NULL_TRACER",
-    "REGISTRY",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
     "Counter",

@@ -1,13 +1,15 @@
 """Labelled metrics: Counter / Gauge / Histogram with Prometheus export.
 
-The serving tier (PR 5) and the engine both count things — admission
-decisions, queue depths, plan-cache hits, batch sizes, cache hit rates —
-but until now every subsystem kept its own ad-hoc counters and exposed
-them through one-off snapshot dataclasses.  This module is the shared
-substrate: a thread-safe :class:`MetricsRegistry` of named metric
-families, each optionally labelled, exportable as Prometheus
-text-exposition (:meth:`MetricsRegistry.expose`) and as a JSON snapshot
-(:meth:`MetricsRegistry.snapshot`).
+The serving tier and the engine both count things — admission
+decisions, queue depths, plan-cache hits, batch sizes, cache hit rates.
+This module is the shared substrate: a thread-safe
+:class:`MetricsRegistry` of named metric families, each optionally
+labelled, exportable as Prometheus text-exposition
+(:meth:`MetricsRegistry.expose`) and as a JSON snapshot
+(:meth:`MetricsRegistry.snapshot`).  A registry is also something to
+*read*: :meth:`Counter.total` sums children by label and
+:meth:`Histogram.summary` gives exact percentiles, which is all
+``QueryService.stats()`` is — a read of the service's registry.
 
 Two time bases coexist.  Serving-tier metrics observe **wall-clock**
 seconds (`time.perf_counter` deltas); engine metrics observe **simulated**
@@ -20,10 +22,10 @@ Histograms use **fixed log-scaled buckets** (:func:`log_buckets`): the
 default time buckets span 1µs–1000s at three per decade, so p50/p99
 estimates stay within ~½ decade-third everywhere without per-workload
 tuning.  A histogram may additionally keep a small deterministic
-reservoir (round-robin overwrite, exactly the policy
-``serve.stats.LatencyRecorder`` has always used) for *exact* percentiles;
-:class:`~repro.serve.stats.LatencyRecorder` is now a thin wrapper over
-such a histogram.
+reservoir (round-robin overwrite, so retention is a pure function of the
+stream) for *exact* percentiles; the serving tier's latency /
+queue-wait / execute dicts are :meth:`Histogram.summary` reads of such
+histograms.
 
 :func:`check_exposition` is a self-contained line-format validator for
 the text exposition (``python -m repro metrics --check``): CI feeds the
@@ -46,7 +48,7 @@ from bisect import bisect_left
 from typing import Any, Iterable, Mapping
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "REGISTRY", "log_buckets", "DEFAULT_TIME_BUCKETS",
+           "log_buckets", "DEFAULT_TIME_BUCKETS",
            "DEFAULT_SIZE_BUCKETS", "check_exposition", "percentile"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -261,6 +263,14 @@ class Counter(_Family):
     def get(self, *values: Any, **kv: Any) -> float:
         return self.labels(*values, **kv).value
 
+    def total(self, **match: Any) -> float:
+        """Sum over the children whose labels include ``match`` (every
+        child when empty); unlike :meth:`get`, reading creates none."""
+        want = [(self.labelnames.index(k), str(v)) for k, v in match.items()]
+        with self._lock:
+            return sum(c.value for key, c in self._children.items()
+                       if all(key[i] == v for i, v in want))
+
     def _sample_lines(self, key, child) -> list[str]:
         return [f"{self.name}{self._label_str(key)} {_fmt(child.value)}"]
 
@@ -402,6 +412,26 @@ class Histogram(_Family):
             seen += c
         return 0.0
 
+    def summary(self) -> dict:
+        """``{count, mean_s, p50_s, p95_s, p99_s, max_s}`` of an
+        unlabelled histogram, percentiles exact over the reservoir (so a
+        histogram without one raises)."""
+        if not self.reservoir:
+            raise ValueError(f"{self.name}: a summary needs a reservoir "
+                             "(exact percentiles)")
+        child = self._default()
+        with self._lock:
+            ordered = sorted(child.samples)
+            count, total = child.count, child.sum
+        return {
+            "count": count,
+            "mean_s": total / count if count else 0.0,
+            "p50_s": percentile(ordered, 50.0),
+            "p95_s": percentile(ordered, 95.0),
+            "p99_s": percentile(ordered, 99.0),
+            "max_s": ordered[-1] if ordered else 0.0,
+        }
+
     def _sample_lines(self, key, child) -> list[str]:
         lines = []
         cum = 0
@@ -496,10 +526,6 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-#: process-wide default registry (the CLI's ``--metrics`` uses fresh ones)
-REGISTRY = MetricsRegistry()
 
 
 # -- exposition checker ------------------------------------------------------------

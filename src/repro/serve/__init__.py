@@ -27,11 +27,11 @@ A long-running serving tier on top of :class:`~repro.core.engine.HugeEngine`:
   delivery, exactly-once per graph version;
 * **load driving** (:mod:`.driver`) — seeded (optionally Zipf-skewed)
   workloads with solo-run verification;
-* **observability** (:mod:`.events` and its sinks :mod:`.stats`,
-  :mod:`.tracing`, :mod:`.instruments`) — one event stream feeding
-  latency percentiles, wall-clock Chrome traces, labelled registry
-  metrics (admission/queue/plan-cache/crash counters, latency
-  histograms) and the per-query flight recorder from
+* **observability** (:mod:`.events` and its sinks :mod:`.instruments`,
+  :mod:`.tracing`) — one event stream feeding the service's metrics
+  registry (admission/queue/plan-cache/crash counters, latency
+  histograms; :mod:`.stats` is the snapshot read from it), wall-clock
+  Chrome traces and the per-query flight recorder from
   :mod:`repro.obs.flight`.
 """
 
@@ -47,7 +47,7 @@ from .service import (Executor, FaultInjector, QueryService, WorkerCrashError,
                       run_query_solo)
 from .sharing import (ShareGroup, config_fingerprint, plan_signature,
                       signature_of_plan)
-from .stats import LatencyRecorder, ServiceStats, percentile
+from .stats import ServiceStats, percentile
 from .tracing import ServiceTracer
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
                                 UpdateReport)
@@ -64,7 +64,7 @@ __all__ = [
     "CachedResult", "ResultCache", "ResultCacheStats",
     "ShareGroup", "config_fingerprint", "plan_signature",
     "signature_of_plan",
-    "LatencyRecorder", "ServiceStats", "percentile",
+    "ServiceStats", "percentile",
     "ServiceInstruments", "ServiceTracer",
     "DeltaBatch", "SubscribeRequest", "Subscription", "UpdateReport",
 ]

@@ -65,18 +65,18 @@ def estimate_query_bytes(pattern_vertices: int, graph: Graph,
 
 
 class AdmissionStats:
-    """Counters for the admission controller (service metrics)."""
+    """What only the ledger observes (rejections are the service's
+    ``rejected`` events, counted in its registry)."""
 
     def __init__(self) -> None:
         self.admitted = 0
-        self.rejected = 0
         self.releases = 0
         self.underflows = 0
         self.peak_reserved_bytes = 0.0
 
     def as_dict(self) -> dict:
-        return {"admitted": self.admitted, "rejected": self.rejected,
-                "releases": self.releases, "underflows": self.underflows,
+        return {"admitted": self.admitted, "releases": self.releases,
+                "underflows": self.underflows,
                 "peak_reserved_bytes": self.peak_reserved_bytes}
 
 
@@ -136,13 +136,6 @@ class AdmissionController:
                 self.stats.underflows += 1
             self._reserved = max(0.0, self._reserved - nbytes)
             self.stats.releases += 1
-
-    def reject(self) -> None:
-        """Record a rejected submission (counted under the stats lock —
-        the service used to bump ``stats.rejected`` unlocked, racing
-        concurrent submitters)."""
-        with self._lock:
-            self.stats.rejected += 1
 
     def stats_snapshot(self) -> dict:
         """Atomic snapshot of the admission counters.

@@ -138,7 +138,6 @@ class LoadDriver:
                  default_config: EngineConfig | None = None,
                  tenant_max_inflight: int | None = None,
                  trace: bool = False,
-                 trace_max_events: int | None = 500_000,
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
                  sharing: bool = False,
@@ -151,9 +150,6 @@ class LoadDriver:
         self.default_config = default_config
         self.tenant_max_inflight = tenant_max_inflight
         self.trace = trace
-        #: driver traces are bounded by default: a long workload must not
-        #: grow the span ring without limit (oldest events drop, counted)
-        self.trace_max_events = trace_max_events
         self.metrics = metrics
         self.flight = flight
         self.sharing = sharing
@@ -177,7 +173,6 @@ class LoadDriver:
             default_config=self.default_config,
             tenant_max_inflight=self.tenant_max_inflight,
             injector=injector, trace=self.trace,
-            trace_max_events=self.trace_max_events,
             metrics=self.metrics, flight=self.flight,
             sharing=self.sharing,
             result_cache_bytes=self.result_cache_bytes, pool=self.pool)

@@ -2,15 +2,14 @@
 
 Every lifecycle transition of a request, subscription or dataset is
 announced exactly once through :meth:`EventStream.emit`; everything that
-observes the service — :class:`~repro.serve.stats.StatsSink` (the
-counters and latency recorders behind ``QueryService.stats()``),
-:class:`~repro.serve.tracing.ServiceTracer`,
-:class:`~repro.serve.instruments.ServiceInstruments` and the
-:class:`~repro.obs.flight.FlightRecorder` — is a *sink* on that stream,
-registered only when configured.  A sink is any callable
-``sink(kind, seq, fields)``; ``seq`` is the request / subscription id
-(``None`` for dataset-level events).  DESIGN §6.3 tabulates what each
-sink records per event.
+observes the service is a *sink* on that stream.
+:class:`~repro.serve.instruments.ServiceInstruments` — the registry
+whose reads are ``QueryService.stats()`` — is always registered; the
+:class:`~repro.serve.tracing.ServiceTracer` and the
+:class:`~repro.obs.flight.FlightRecorder` only when configured.  A sink
+is any callable ``sink(kind, seq, fields)``; ``seq`` is the request /
+subscription id (``None`` for dataset-level events).  DESIGN §6.3
+tabulates what each sink records per event.
 
 Members of a multi-member task carry ``leader`` (the task's first
 member's seq); a sink that records something once per *task* — a worker
@@ -57,6 +56,12 @@ class EventStream:
         with self._lock:
             for sink in self._sinks:
                 sink(kind, seq, fields)
+
+    def between(self, read: Callable[[], Any]) -> Any:
+        """``read()`` between two emissions, so a read of sink state sees
+        one point of the event order (never call it from a sink)."""
+        with self._lock:
+            return read()
 
 
 #: event kind -> the fields a flight records for it (when present)

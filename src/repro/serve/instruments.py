@@ -1,17 +1,22 @@
-"""Registry instrumentation for the serving tier.
+"""The serving tier's one counting sink, over the service's registry.
 
-One :class:`ServiceInstruments` per :class:`~repro.serve.service.QueryService`
-holds the pre-resolved metric handles the service's hot paths update —
-admission decisions by reason, per-priority queue depth, plan-cache
-outcomes, per-tenant submit/complete counters, worker crashes and
-retries, and the three wall-clock latency histograms.  The latency
-histograms double as the backing store of the service's
-:class:`~repro.serve.stats.LatencyRecorder`\\ s, so the ``snapshot()``
-percentile dicts and the Prometheus exposition report the same samples.
+Every :class:`~repro.serve.service.QueryService` owns one
+:class:`~repro.obs.metrics.MetricsRegistry` (its ``metrics=`` argument,
+or a private one) and registers one :class:`ServiceInstruments` on its
+event stream (:mod:`repro.serve.events`).  Each lifecycle fact —
+submission, admission decision, plan-cache and result-cache lookup,
+share group, crash, retry, terminal outcome, stream batch — is counted
+exactly once, here; ``QueryService.stats()`` and ``stream_stats()`` are
+reads of these families (:meth:`ServiceInstruments.counters` and the
+latency histograms' :meth:`~repro.obs.metrics.Histogram.summary`), so
+the snapshot dicts and the Prometheus exposition cannot disagree.
+Plan-cache lookups are counted from the ``planned`` events, which also
+carry the lookups a process worker makes in its own cache.
 
-Everything here is observational: the instruments are a sink on the
-service's event stream (:mod:`repro.serve.events`), registered only when
-a registry is attached.
+Counters only a component can observe stay with that component: the
+caches' inserts / overwrites / evictions / invalidations / uncacheable
+entries, and the admission ledger's admitted / releases / underflows /
+peak.
 """
 
 from __future__ import annotations
@@ -24,23 +29,28 @@ __all__ = ["ServiceInstruments"]
 
 
 class ServiceInstruments:
-    """Pre-resolved metric handles for one service instance.
+    """Metric families and the event-stream sink that feeds them.
 
-    ``gauges`` (optional) samples the live service state —
+    ``gauges`` samples the live service state —
     ``{"inflight": ..., "reserved_bytes": ..., "depths": ...}`` — whenever
     an event moves it.
     """
 
     def __init__(self, registry: MetricsRegistry,
-                 gauges: Callable[[], dict] | None = None):
-        self.registry = registry
+                 gauges: Callable[[], dict]):
         self._gauges = gauges
+        #: label children, resolved on first use of each distinct value
+        #: (sinks run serialised under the stream's lock)
+        self._children: dict = {}
         self.submitted = registry.counter(
             "serve_submitted_total", "requests submitted", ("tenant",))
         self.completed = registry.counter(
             "serve_completed_total", "requests completed", ("tenant",))
         self.requests = registry.counter(
             "serve_requests_total", "terminal request outcomes", ("status",))
+        self.delivery_violations = registry.counter(
+            "serve_delivery_violations_total",
+            "terminal outcomes offered to an already finished handle")
         self.admission = registry.counter(
             "serve_admission_total", "admission decisions",
             ("decision", "reason"))
@@ -83,6 +93,11 @@ class ServiceInstruments:
         self.stream_deltas = registry.counter(
             "stream_deltas_emitted_total",
             "standing-subscription match deltas emitted, by sign", ("sign",))
+        self.stream_errors = registry.counter(
+            "stream_batch_errors_total",
+            "delta batches delivered with an error")
+        self.stream_subscribed = registry.counter(
+            "stream_subscribed_total", "standing subscriptions registered")
         self.stream_subscriptions = registry.gauge(
             "stream_subscriptions", "active standing subscriptions")
         self.stream_batch_latency = registry.histogram(
@@ -90,9 +105,14 @@ class ServiceInstruments:
             "per-subscription delta enumeration latency for one update batch",
             time_base="wall", reservoir=10_000)
 
-    @staticmethod
-    def _inc(counter, *labels: str, by: float = 1.0) -> None:
-        counter.inc_child(counter.labels(*labels), by)
+    def _child(self, family, *labels: str):
+        child = self._children.get((family, labels))
+        if child is None:
+            child = self._children[family, labels] = family.labels(*labels)
+        return child
+
+    def _inc(self, counter, *labels: str, by: float = 1.0) -> None:
+        counter.inc_child(self._child(counter, *labels), by)
 
     def __call__(self, kind: str, seq: int | None, f: dict) -> None:
         """Event-stream sink."""
@@ -112,27 +132,71 @@ class ServiceInstruments:
             self._inc(self.crashes, f["backend"])
         elif kind == "retry_scheduled":
             self._inc(self.retries, f["backend"])
-        elif kind == "finished" and f["delivered"]:
-            self._inc(self.requests, f["status"])
-            if f["status"] == "completed":
-                self._inc(self.completed, f["tenant"])
-            elif f["error"] == "deadline exceeded":
-                self.deadline_missed.inc()
+        elif kind == "finished":
+            self._finished(f)
         elif kind == "graph_update":
             self._inc(self.stream_updates, f["dataset"])
-        elif kind in ("subscribed", "unsubscribed"):
-            self.stream_subscriptions.inc(1.0 if kind == "subscribed"
-                                          else -1.0)
+        elif kind == "subscribed":
+            self._inc(self.stream_subscribed)
+            self.stream_subscriptions.inc()
+        elif kind == "unsubscribed":
+            self.stream_subscriptions.dec()
         elif kind == "delta_batch":
             for sign, n in (("+", f["additions"]), ("-", f["retractions"])):
                 if n:
                     self._inc(self.stream_deltas, sign, by=float(n))
+            if f["error"] is not None:
+                self._inc(self.stream_errors)
             self.stream_batch_latency.observe(f["latency_s"])
-        if (self._gauges is not None
-                and kind in ("queued", "dispatched", "finished")):
+        if kind in ("queued", "dispatched", "finished"):
             g = self._gauges()
             self.inflight.set(g["inflight"])
             self.reserved_bytes.set(g["reserved_bytes"])
             for priority, depth in g["depths"].items():
                 self.queue_depth.set_child(
-                    self.queue_depth.labels(priority), depth)
+                    self._child(self.queue_depth, priority), depth)
+
+    def _finished(self, f: dict) -> None:
+        if not f["delivered"]:
+            self._inc(self.delivery_violations)
+            return
+        self._inc(self.requests, f["status"])
+        if f["status"] == "completed":
+            self._inc(self.completed, f["tenant"])
+            self.latency.observe(f["total_s"])
+            if not f.get("result_cache_hit"):
+                self.queue_wait.observe(f["queue_wait_s"])
+                self.execute.observe(f["execute_s"])
+        elif f["error"] == "deadline exceeded":
+            self._inc(self.deadline_missed)
+
+    def read(self) -> dict:
+        """Every event count ``stats()`` and ``stream_stats()`` report,
+        plus the three request-latency summaries."""
+        status, sign = self.requests.total, self.stream_deltas.total
+        counts = {name: int(value) for name, value in {
+            "submitted": self.submitted.total(),
+            "completed": status(status="completed"),
+            "cancelled": status(status="cancelled"),
+            "failed": status(status="failed"),
+            "rejected": status(status="rejected"),
+            "admission_rejected": self.admission.total(decision="reject"),
+            "retries": self.retries.total(),
+            "worker_crashes": self.crashes.total(),
+            "delivery_violations": self.delivery_violations.total(),
+            "shared_groups": self.share_group.count,
+            "shared_requests": self.share_group.sum,
+            "plan_cache_hits": self.plan_cache.total(result="hit"),
+            "plan_cache_misses": self.plan_cache.total(result="miss"),
+            "result_cache_hits": self.result_cache.total(result="hit"),
+            "result_cache_misses": self.result_cache.total(result="miss"),
+            "subscriptions": self.stream_subscribed.total(),
+            "stream_updates": self.stream_updates.total(),
+            "stream_batches": self.stream_batch_latency.count,
+            "stream_additions": sign(sign="+"),
+            "stream_retractions": sign(sign="-"),
+            "stream_errors": self.stream_errors.total(),
+        }.items()}
+        return {**counts, "latency": self.latency.summary(),
+                "queue_wait": self.queue_wait.summary(),
+                "execute": self.execute.summary()}

@@ -21,9 +21,10 @@ layer (:mod:`repro.serve.sharing`) compares to find common star-scan /
 PULL-EXTEND prefixes across concurrently queued requests.  Signatures
 ride the same LRU entry so they are evicted together with their plan.
 
-The cache is a lock-guarded LRU; hit/miss/eviction counters feed the
-service metrics snapshot (the paper-style "cache hit rate" of the
-serving tier).
+The cache is a lock-guarded LRU that counts what only it can see —
+inserts, overwrites, evictions.  Its hits and misses are the ``planned``
+events' ``cache_hit`` field, counted by the service's registry (a
+process worker looks plans up in its own cache, never in this one).
 """
 
 from __future__ import annotations
@@ -38,35 +39,23 @@ __all__ = ["PlanCacheStats", "PlanCache"]
 
 
 class PlanCacheStats:
-    """Thread-safe hit/miss/eviction counters.
+    """Thread-safe eviction/insert/overwrite counters.
 
     Every read goes through the stats lock: an unlocked ``as_dict`` can
-    observe a torn snapshot (a ``hits`` increment without the matching
-    recency move, or mid-update ``inserts``/``evictions``), which the
-    concurrent-hammer regression test exercises.
+    observe a torn snapshot (mid-update ``inserts``/``evictions``), which
+    the concurrent-hammer regression test exercises.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.inserts = 0
         self.overwrites = 0
 
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
     def as_dict(self) -> dict:
         with self._lock:
-            total = self.hits + self.misses
-            return {"hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions, "inserts": self.inserts,
-                    "overwrites": self.overwrites,
-                    "hit_rate": self.hits / total if total else 0.0}
+            return {"evictions": self.evictions, "inserts": self.inserts,
+                    "overwrites": self.overwrites}
 
 
 class PlanCache:
@@ -93,19 +82,15 @@ class PlanCache:
         with self._lock:
             entry = self._plans.get(key)
             if entry is None:
-                with self.stats._lock:
-                    self.stats.misses += 1
                 return None
             self._plans.move_to_end(key)
-        with self.stats._lock:
-            self.stats.hits += 1
         return entry[0]
 
     def signature(self, key: tuple):
         """The cached prefix signature for ``key``, or ``None``.
 
-        Does not touch hit/miss counters or recency — signature lookups
-        are a sharing-layer side channel, not plan-cache traffic.
+        Does not touch recency — signature lookups are a sharing-layer
+        side channel, not plan-cache traffic.
         """
         with self._lock:
             entry = self._plans.get(key)

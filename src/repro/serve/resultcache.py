@@ -42,31 +42,22 @@ _BYTES_PER_ID = 28  # a small python int
 
 
 class ResultCacheStats:
-    """Thread-safe counters; snapshots are taken under the lock."""
+    """Thread-safe counters of what only the cache observes (its hits and
+    misses are the service's ``result_cache`` events); snapshots are
+    taken under the lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.inserts = 0
         self.evictions = 0
         self.invalidations = 0
         self.uncacheable = 0
 
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
     def as_dict(self) -> dict:
         with self._lock:
-            total = self.hits + self.misses
-            return {"hits": self.hits, "misses": self.misses,
-                    "inserts": self.inserts, "evictions": self.evictions,
+            return {"inserts": self.inserts, "evictions": self.evictions,
                     "invalidations": self.invalidations,
-                    "uncacheable": self.uncacheable,
-                    "hit_rate": self.hits / total if total else 0.0}
+                    "uncacheable": self.uncacheable}
 
 
 class CachedResult:
@@ -122,12 +113,8 @@ class ResultCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or (need_matches and entry.matches is None):
-                with self.stats._lock:
-                    self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-        with self.stats._lock:
-            self.stats.hits += 1
         return entry
 
     def _drop(self, key: tuple, counter: str) -> None:

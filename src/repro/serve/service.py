@@ -29,8 +29,9 @@ its one terminal delivery — is owned by the
 
 ``apply_updates`` fans one :class:`~repro.serve.lifecycle.DeltaTask` per
 subscription through the same steps.  Every transition is announced once
-on the event stream (:mod:`repro.serve.events`); statistics, tracing,
-metrics and the flight recorder are sinks on it.
+on the event stream (:mod:`repro.serve.events`); the metrics registry
+(which :meth:`QueryService.stats` reads), tracing and the flight
+recorder are sinks on it.
 
 Determinism: a query executed through the service produces **the same
 count and simulated metrics** as the same request executed solo
@@ -67,7 +68,7 @@ from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus)
 from .resultcache import ResultCache
 from .sharing import MAX_SHARE_GROUP, ShareGroup, config_fingerprint
-from .stats import ServiceStats, StatsSink
+from .stats import ServiceStats
 from .tracing import ServiceTracer
 
 __all__ = ["WorkerCrashError", "FaultInjector", "Executor", "QueryService",
@@ -197,7 +198,6 @@ class QueryService:
                  backoff_base_s: float = 0.05,
                  injector: FaultInjector | None = None,
                  trace: bool = False,
-                 trace_max_events: int | None = None,
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
                  sharing: bool = False,
@@ -248,20 +248,18 @@ class QueryService:
         #: per-dataset mutex serialising ``apply_updates``
         self._update_locks: dict[str, threading.Lock] = {}
 
-        # one event stream; every recorder is a sink, registered only
-        # when configured.  With a registry attached the latency recorders
-        # share its histograms: snapshot percentiles and the exposition
-        # report the same samples
+        # one event stream; the registry's instruments are its one
+        # counting sink (``stats()`` reads them), tracing and the flight
+        # recorder are sinks only when configured
         self.events = EventStream()
         self.emit = self.events.emit
+        #: the registry every statistic of this service is counted in
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._obs = ServiceInstruments(self.metrics, gauges=self._gauges)
         self.tracer: ServiceTracer | None = (
-            ServiceTracer(num_workers, max_events=trace_max_events,
-                          gauges=self._gauges) if trace else None)
-        obs = (ServiceInstruments(metrics, gauges=self._gauges)
-               if metrics is not None else None)
-        self._stats = StatsSink(*(
-            (obs.latency, obs.queue_wait, obs.execute) if obs else ()))
-        for sink in (self._stats, self.tracer, obs,
+            ServiceTracer(num_workers, gauges=self._gauges)
+            if trace else None)
+        for sink in (self._obs, self.tracer,
                      flight_sink(flight) if flight is not None else None):
             if sink is not None:
                 self.events.add(sink)
@@ -412,7 +410,7 @@ class QueryService:
 
     def stream_stats(self) -> dict:
         """Streaming-side counters (see :meth:`stats` for the query side)."""
-        counters = self._stats.counters()
+        counters = self.events.between(self._obs.read)
         with self._cond:
             active = sum(len(s) for s in self._subscriptions.values())
         return {"subscriptions_total": counters["subscriptions"],
@@ -561,7 +559,6 @@ class QueryService:
                 return handle
 
         if not self.admission.admissible(estimate):
-            self.admission.reject()
             self.emit("rejected", request.seq, label=request.label,
                       reason="memory_bound", estimate_bytes=estimate)
             self.lifecycle.deliver(entry, QueryOutcome(
@@ -768,27 +765,38 @@ class QueryService:
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        """A point-in-time service metrics snapshot."""
-        counters = self._stats.counters()
+        """A point-in-time snapshot, read from :attr:`metrics` (plus the
+        counters only the caches and the ledger observe)."""
+        c = self.events.between(self._obs.read)
         with self._cond:
             depth = self._queue.depths()
             inflight = len(self.lifecycle.inflight)
         return ServiceStats(
-            **{k: counters[k] for k in (
+            **{k: c[k] for k in (
                 "submitted", "completed", "cancelled", "failed", "rejected",
                 "retries", "worker_crashes", "delivery_violations",
-                "shared_groups", "shared_requests", "result_cache_hits")},
+                "shared_groups", "shared_requests", "result_cache_hits",
+                "latency", "queue_wait", "execute")},
             inflight=inflight,
             queue_depth=depth,
             reserved_bytes=self.admission.reserved_bytes,
             budget_bytes=self.admission.budget_bytes,
-            admission=self.admission.stats_snapshot(),
-            plan_cache=self.plan_cache.stats.as_dict(),
-            result_cache=(self.result_cache.stats.as_dict()
+            admission={**self.admission.stats_snapshot(),
+                       "rejected": c["admission_rejected"]},
+            plan_cache=_cache_stats(c["plan_cache_hits"],
+                                    c["plan_cache_misses"], self.plan_cache),
+            result_cache=(_cache_stats(c["result_cache_hits"],
+                                       c["result_cache_misses"],
+                                       self.result_cache)
                           if self.result_cache is not None else {}),
-            latency=self._stats.latency.snapshot(),
-            queue_wait=self._stats.queue_wait.snapshot(),
-            execute=self._stats.execute.snapshot(),
             uptime_s=(time.monotonic() - self._start_t
                       if self._started else 0.0),
         )
+
+
+def _cache_stats(hits: int, misses: int, cache) -> dict:
+    """A cache's snapshot dict: its lookups (counted from events) around
+    the counters only the cache itself observes."""
+    total = hits + misses
+    return {"hits": hits, "misses": misses, **cache.stats.as_dict(),
+            "hit_rate": hits / total if total else 0.0}

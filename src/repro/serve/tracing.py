@@ -25,7 +25,11 @@ from typing import Any, Callable, Mapping
 
 from ..obs.trace import ENGINE, CounterEvent, InstantEvent, SpanEvent, Trace
 
-__all__ = ["ENGINE", "ServiceTracer"]
+__all__ = ["ENGINE", "ServiceTracer", "TRACE_MAX_EVENTS"]
+
+#: events a service trace retains: a long workload must not grow the
+#: ring without limit (the oldest events drop, counted)
+TRACE_MAX_EVENTS = 500_000
 
 
 #: event kind -> (span name prefix, argument fields): a span from the
@@ -61,9 +65,10 @@ class ServiceTracer:
 
     enabled = True
 
-    def __init__(self, num_workers: int, max_events: int | None = None,
+    def __init__(self, num_workers: int,
                  gauges: Callable[[], dict] | None = None):
-        self.trace = Trace(num_machines=num_workers, max_events=max_events)
+        self.trace = Trace(num_machines=num_workers,
+                           max_events=TRACE_MAX_EVENTS)
         # the service's clock, so event times map straight onto the timeline
         self._t0 = time.monotonic()
         self._lock = threading.Lock()

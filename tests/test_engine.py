@@ -193,8 +193,8 @@ class TestConfiguration:
         assert params(QueryService.__init__) == [
             "datasets", "num_workers", "memory_budget_bytes",
             "default_config", "cost", "tenant_max_inflight", "max_retries",
-            "backoff_base_s", "injector", "trace", "trace_max_events",
-            "metrics", "flight", "sharing", "result_cache_bytes", "pool"]
+            "backoff_base_s", "injector", "trace", "metrics", "flight",
+            "sharing", "result_cache_bytes", "pool"]
         assert params(motif_census) == ["cluster", "k"]
         # the plan package: one tree, one plan class, one Equation 3, one
         # planning entry — a second of any is a reviewed diff

@@ -354,11 +354,14 @@ def test_invariants_hold_under_contention(monkeypatch, graph):
 #: captured at the parent of the lifecycle/event-stream PR from
 #: ``serve --data GO --smoke --seed 1 --metrics --flight --trace``:
 #: metric sample names + label names, flight event kinds + fields, and
-#: trace span-name prefixes / counter names
+#: trace span-name prefixes / counter names.  Since ``stats()`` became a
+#: read of the registry, three counters it needs joined the metrics:
+#: delivery violations, subscriptions registered and errored batches
 SURFACE_METRICS = [
     ("repro_serve_admission_total", ("decision", "reason")),
     ("repro_serve_completed_total", ("tenant",)),
     ("repro_serve_deadline_missed_total", ()),
+    ("repro_serve_delivery_violations_total", ()),
     ("repro_serve_execute_seconds_bucket", ("le",)),
     ("repro_serve_execute_seconds_count", ()),
     ("repro_serve_execute_seconds_sum", ()),
@@ -377,9 +380,11 @@ SURFACE_METRICS = [
     ("repro_serve_share_group_size_count", ()),
     ("repro_serve_share_group_size_sum", ()),
     ("repro_serve_submitted_total", ("tenant",)),
+    ("repro_stream_batch_errors_total", ()),
     ("repro_stream_batch_latency_seconds_bucket", ("le",)),
     ("repro_stream_batch_latency_seconds_count", ()),
     ("repro_stream_batch_latency_seconds_sum", ()),
+    ("repro_stream_subscribed_total", ()),
     ("repro_stream_subscriptions", ()),
 ]
 SURFACE_FLIGHT = {

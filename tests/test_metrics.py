@@ -149,9 +149,9 @@ class TestHistogram:
             Histogram("h", buckets=(1.0, 1.0, 2.0))
 
     def test_reservoir_round_robin_deterministic(self):
-        """Stream sample i lands in slot (i+1) % cap once full — the exact
-        policy LatencyRecorder has always used, so retention (and hence
-        snapshot percentiles) is reproducible."""
+        """Stream sample i lands in slot (i+1) % cap once full, so
+        retention (and hence the service's latency summaries) is
+        reproducible."""
         reg = MetricsRegistry()
         h = reg.histogram("h", reservoir=4)
         for v in range(10):

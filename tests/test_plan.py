@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from repro.baselines import RadsEngine, SeedEngine, count_matches
 from repro.cluster import Cluster, PlanError
 from repro.core import HugeEngine
+from repro.core.dataflow import plan_signature
 from repro.core.plan import (CommMode, ExecutionPlan, JoinAlgorithm,
                              Optimiser, PlanNode, benu_plan,
                              bidirectional_path_plan, configure_join,
@@ -502,6 +503,19 @@ class TestBuiltPlans:
             clone = pickle.loads(blob)
             assert clone.root == plan.root and clone.structure() == want
             assert clone.conditions == plan.conditions
+
+    @pytest.mark.parametrize("builder,name", _BUILT)
+    def test_translates_identically_after_a_pickle_round_trip(
+            self, builder, name, graph):
+        """A pickled plan (plan cache, process workers) must translate to
+        the same specs as the original: a share group of the two would
+        otherwise split at the first extend whose conditions differ in
+        order."""
+        plan = _BUILDERS[builder](get_query(name), graph)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert translate(clone) == translate(plan)
+        assert plan_signature(translate(clone)) == \
+            plan_signature(translate(plan))
 
     @pytest.mark.parametrize("strategy", ["hybrid", "push-only",
                                           "compute-mat", "compute-icost"])

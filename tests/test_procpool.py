@@ -30,6 +30,7 @@ from repro.graph import generators as gen
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import get_query
+from repro.serve.driver import LoadDriver, WorkloadSpec
 from repro.serve.procpool import WorkerTask, _strip_request
 from repro.serve.request import QueryRequest, QueryStatus
 from repro.serve.service import FaultInjector, QueryService
@@ -199,6 +200,22 @@ class TestProcessPool:
         finally:
             svc.stop()
         assert not check_service_run(svc, reqs, outcomes, er_graph)
+
+    def test_plan_cache_lookups_counted_from_the_children(self, er_graph):
+        """Process workers look plans up in their own caches, never the
+        parent's: ``stats()`` counts the lookups from the ``planned``
+        events, so every completed request shows exactly one."""
+        spec = WorkloadSpec(num_queries=6, dataset="er",
+                            patterns=("triangle", "q1"), num_machines=2,
+                            workers_per_machine=2, seed=5)
+        driver = LoadDriver(er_graph, spec, num_workers=1, pool="process")
+        report = driver.run()
+        assert report.counts_by_status == {"completed": 6}
+        pc = driver.service.stats().plan_cache
+        assert pc["hits"] + pc["misses"] == report.service["completed"]
+        # one child, two canonical patterns: two misses, the rest hits
+        assert (pc["hits"], pc["misses"]) == (4, 2)
+        assert len(driver.service.plan_cache) == 0  # parent never planned
 
     def test_crash_kill_and_segment_hygiene(self, er_graph):
         """Batched fault-tolerance run: injected child crash recovered

@@ -15,11 +15,11 @@ import pytest
 
 from repro import enumerate_subgraphs
 from repro.core import CancelToken, EngineConfig, QueryCancelledError
-from repro.serve import (AdmissionController, FaultInjector, LatencyRecorder,
-                         LoadDriver, MultiQueue, PlanCache, Priority,
-                         QueryRequest, QueryService, QueryStatus, QueueEntry,
-                         WorkloadSpec, estimate_query_bytes, percentile,
-                         run_query_solo)
+from repro.obs import Histogram, MetricsRegistry
+from repro.serve import (AdmissionController, FaultInjector, LoadDriver,
+                         MultiQueue, PlanCache, Priority, QueryRequest,
+                         QueryService, QueryStatus, QueueEntry, WorkloadSpec,
+                         estimate_query_bytes, percentile, run_query_solo)
 from repro.serve.request import QueryHandle
 from repro.testing import check_driver_report, check_service_run
 
@@ -102,15 +102,15 @@ class TestPlanCache:
         assert o1.canonical_key == o2.canonical_key
         assert o2.plan_cache_hit
         assert o1.count == o2.count
-        assert service.plan_cache.stats.hits >= 1
+        assert service.stats().plan_cache["hits"] >= 1
 
     def test_cache_shared_across_workers(self, service):
         handles = [service.submit(req("q1")) for _ in range(6)]
         for h in handles:
             assert h.result(timeout=60).status is QueryStatus.COMPLETED
-        stats = service.plan_cache.stats
-        assert stats.hits > 0
-        assert stats.hits + stats.misses >= 6
+        stats = service.stats().plan_cache
+        assert stats["hits"] > 0
+        assert stats["hits"] + stats["misses"] == 6
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
@@ -445,23 +445,23 @@ class TestStatsPrimitives:
             percentile([3.0, 1.0, 2.0], 50)
 
     def test_latency_recorder(self):
-        rec = LatencyRecorder()
+        hist = Histogram("latency_seconds", reservoir=10_000)
         for v in (0.1, 0.2, 0.3):
-            rec.add(v)
-        snap = rec.snapshot()
+            hist.observe(v)
+        snap = hist.summary()
         assert snap["count"] == 3
         assert snap["p50_s"] == pytest.approx(0.2)
         assert snap["max_s"] == pytest.approx(0.3)
 
     def test_latency_recorder_snapshot_schema_pinned(self):
         """Regression: ``ServiceStats.as_dict()`` consumers (CLI report,
-        benchmarks/perf) read exactly these keys; migrating onto the
-        shared histogram must not change them."""
-        rec = LatencyRecorder()
-        rec.add(0.5)
-        assert set(rec.snapshot()) == {"count", "mean_s", "p50_s", "p95_s",
+        benchmarks/perf) read exactly these keys from the latency /
+        queue-wait / execute histogram summaries."""
+        hist = Histogram("latency_seconds", reservoir=10_000)
+        hist.observe(0.5)
+        assert set(hist.summary()) == {"count", "mean_s", "p50_s", "p95_s",
                                        "p99_s", "max_s"}
-        empty = LatencyRecorder().snapshot()
+        empty = Histogram("latency_seconds", reservoir=10_000).summary()
         assert empty == {"count": 0, "mean_s": 0.0, "p50_s": 0.0,
                          "p95_s": 0.0, "p99_s": 0.0, "max_s": 0.0}
 
@@ -469,57 +469,52 @@ class TestStatsPrimitives:
         """Round-robin overwrite: after capacity wraps, the retained
         window is a pure function of the stream — two identical streams
         retain identical samples."""
-        def run() -> dict:
-            rec = LatencyRecorder(max_samples=8)
+        def run() -> Histogram:
+            hist = Histogram("latency_seconds", reservoir=8)
             for i in range(20):
-                rec.add(float(i))
-            return rec.snapshot()
+                hist.observe(float(i))
+            return hist
 
-        a, b = run(), run()
+        a, b = run().summary(), run().summary()
         assert a == b
         assert a["count"] == 20          # count tracks the full stream
         assert a["max_s"] == 19.0        # newest sample retained
         # sample 8 onward landed in slot count % 8 (count after inc), so
         # the window holds exactly the last 8 values 12..19
-        rec = LatencyRecorder(max_samples=8)
-        for i in range(20):
-            rec.add(float(i))
-        assert sorted(rec._child.samples) == [float(v)
-                                              for v in range(12, 20)]
+        assert sorted(run().labels().samples) == [float(v)
+                                                  for v in range(12, 20)]
 
     def test_latency_recorder_over_shared_histogram(self):
-        """The serving tier's recorders feed the same samples to the
-        snapshot dict and the Prometheus exposition."""
-        from repro.obs import MetricsRegistry
-
+        """The service's latency dicts are summaries of its registry's
+        histograms: the same samples as the Prometheus exposition."""
         reg = MetricsRegistry()
         hist = reg.histogram("lat_seconds", "latency", time_base="wall",
                              reservoir=16)
-        rec = LatencyRecorder(histogram=hist)
         for v in (0.1, 0.2, 0.4):
-            rec.add(v)
-        assert rec.count == 3 == hist.count
-        assert rec.snapshot()["p50_s"] == pytest.approx(0.2)
+            hist.observe(v)
+        assert hist.summary()["count"] == 3 == hist.count
+        assert hist.summary()["p50_s"] == pytest.approx(0.2)
         assert hist.percentile(50) == pytest.approx(0.2)
         assert "repro_lat_seconds_count 3" in reg.expose()
 
     def test_latency_recorder_rejects_unusable_histogram(self):
-        from repro.obs import Histogram
-
         with pytest.raises(ValueError, match="reservoir"):
-            LatencyRecorder(histogram=Histogram("h"))
+            Histogram("h").summary()
         with pytest.raises(ValueError, match="labelled"):
-            LatencyRecorder(histogram=Histogram("h", labelnames=("k",),
-                                                reservoir=4))
+            Histogram("h", labelnames=("k",), reservoir=4).summary()
 
 
 class TestServiceMetrics:
     def test_counters_match_service_stats(self, er_graph):
-        from repro.obs import MetricsRegistry, check_exposition
+        """``stats()`` is a read of ``svc.metrics``: the counts agree with
+        the exposition, and a sample added to the registry shows up in
+        the next snapshot."""
+        from repro.obs import check_exposition
 
         reg = MetricsRegistry()
         svc = QueryService(datasets={"er": er_graph}, num_workers=2,
                            metrics=reg).start()
+        assert svc.metrics is reg
         try:
             handles = [svc.submit(req(p, tenant=t))
                        for p, t in (("triangle", "a"), ("q1", "a"),
@@ -530,29 +525,64 @@ class TestServiceMetrics:
             svc.stop()
         stats = svc.stats()
         sub = reg.get("repro_serve_submitted_total")
-        assert sub.get("a") + sub.get("b") == stats.submitted
+        assert sub.get("a") + sub.get("b") == stats.submitted == 4
         comp = reg.get("repro_serve_completed_total")
-        assert comp.get("a") + comp.get("b") == stats.completed
+        assert comp.get("a") + comp.get("b") == stats.completed == 4
         assert reg.get("repro_serve_requests_total").get("completed") == \
             stats.completed
         pc = reg.get("repro_serve_plan_cache_total")
-        assert pc.get("hit") == svc.plan_cache.stats.hits
-        assert pc.get("miss") == svc.plan_cache.stats.misses
+        assert pc.get("hit") == stats.plan_cache["hits"]
+        assert pc.get("miss") == stats.plan_cache["misses"]
+        assert stats.plan_cache["hits"] + stats.plan_cache["misses"] == 4
         adm = reg.get("repro_serve_admission_total")
         assert adm.get("accept", "fits") == stats.submitted
-        # latency histogram carries the same samples as the snapshot dict
+        # the latency dicts are summaries of the registry's histograms
         lat = reg.get("repro_serve_latency_seconds")
         assert lat.count == stats.completed
-        assert stats.latency["p50_s"] == \
-            pytest.approx(lat.percentile(50))
+        assert stats.latency == lat.summary()
+        assert stats.queue_wait == \
+            reg.get("repro_serve_queue_wait_seconds").summary()
+        assert stats.execute == \
+            reg.get("repro_serve_execute_seconds").summary()
+        # read, not copied: the registry is the only counter
+        retries = reg.get("repro_serve_retries_total")
+        retries.inc_child(retries.labels("thread"), 2)
+        pc.inc_child(pc.labels("hit"))
+        after = svc.stats()
+        assert after.retries == stats.retries + 2
+        assert after.plan_cache["hits"] == stats.plan_cache["hits"] + 1
         # gauges drain with the service
         assert reg.get("repro_serve_inflight").value == 0
         assert reg.get("repro_serve_reserved_bytes").value == 0
         assert check_exposition(reg.expose()) == []
 
-    def test_reject_and_crash_counters(self, er_graph):
-        from repro.obs import MetricsRegistry
+    def test_stats_same_with_private_or_given_registry(self, er_graph):
+        """``metrics=None`` means a private registry, not fewer counters:
+        one seeded single-worker workload reports the same counts with
+        and without a registry handed in."""
+        def run(metrics):
+            spec = WorkloadSpec(num_queries=8, dataset="er",
+                                patterns=("triangle", "q1", "q2"),
+                                num_machines=2, workers_per_machine=2,
+                                seed=3, relabel_fraction=0.5,
+                                tenants=("a", "b"))
+            driver = LoadDriver(er_graph, spec, num_workers=1,
+                                metrics=metrics, result_cache_bytes=1e6)
+            driver.run()
+            assert isinstance(driver.service.metrics, MetricsRegistry)
+            stats = driver.service.stats().as_dict()
+            return {k: v for k, v in stats.items()
+                    if isinstance(v, int) or k in ("plan_cache",
+                                                   "result_cache")}
 
+        private, given = run(None), run(MetricsRegistry())
+        assert private == given
+        assert private["completed"] == 8
+        assert private["plan_cache"]["hits"] + \
+            private["plan_cache"]["misses"] + \
+            private["result_cache"]["hits"] == 8
+
+    def test_reject_and_crash_counters(self, er_graph):
         reg = MetricsRegistry()
         injector = FaultInjector()
         svc = QueryService(datasets={"er": er_graph}, num_workers=1,
@@ -566,6 +596,7 @@ class TestServiceMetrics:
         assert reg.get("repro_serve_admission_total") \
             .get("reject", "memory_bound") == 1
         assert reg.get("repro_serve_requests_total").get("rejected") == 1
+        assert svc.stats().rejected == svc.stats().admission["rejected"] == 1
 
         reg2 = MetricsRegistry()
         injector = FaultInjector()
@@ -586,7 +617,7 @@ class TestServiceMetrics:
     def test_driver_run_with_metrics_verifies_bit_identical(self, er_graph):
         """LoadDriver integration: a metrics+flight run still passes the
         solo-run bit-identity oracle."""
-        from repro.obs import FlightRecorder, MetricsRegistry
+        from repro.obs import FlightRecorder
 
         reg = MetricsRegistry()
         flight = FlightRecorder()
@@ -699,13 +730,11 @@ class TestStatsConcurrency:
         try:
             for _ in range(300):
                 snap = cache.stats.as_dict()
-                # the snapshot is taken under the stats lock, so the
-                # rate must equal hits/(hits+misses) *of the same snap*
-                # — a torn read once let them drift apart
-                total = snap["hits"] + snap["misses"]
-                if total:
-                    assert snap["hit_rate"] == snap["hits"] / total
-                assert 0.0 <= cache.stats.hit_rate <= 1.0
+                # the snapshot is taken under the stats lock: a fresh
+                # insert is counted once, and every eviction follows one
+                # (a torn read once let the counters drift apart)
+                assert 0 <= snap["evictions"] <= snap["inserts"]
+                assert snap["inserts"] - snap["evictions"] <= cache.capacity
         finally:
             stop.set()
             for t in threads:
