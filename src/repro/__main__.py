@@ -295,8 +295,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_budget_bytes=(args.budget_mb * 1e6 if args.budget_mb
                              else float("inf")),
         tenant_max_inflight=args.tenant_cap, trace=bool(args.trace),
-        metrics=registry, flight=flight, sharing=args.share,
-        result_cache_bytes=args.result_cache_mb * 1e6, pool=args.pool)
+        metrics=registry, flight=flight, sharing=args.share, pool=args.pool)
     report = driver.run(verify=args.verify)
     if args.trace and driver.service and driver.service.tracer:
         driver.service.tracer.save(
@@ -324,12 +323,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pc = svc["plan_cache"]
     print(f"plan cache: {pc['hits']} hits / {pc['misses']} misses "
           f"(hit rate {pc['hit_rate']:.1%})")
-    if args.share or args.result_cache_mb:
-        rc = svc.get("result_cache") or {}
+    if args.share:
         print(f"sharing: {svc['shared_groups']} groups covering "
-              f"{svc['shared_requests']} requests; result cache "
-              f"{svc['result_cache_hits']} hits"
-              + (f" (hit rate {rc['hit_rate']:.1%})" if rc else ""))
+              f"{svc['shared_requests']} requests")
     print(f"admission: peak reserved "
           f"{svc['admission']['peak_reserved_bytes'] / 1e6:.2f} MB, "
           f"{svc['rejected']} rejected, ledger after drain "
@@ -641,9 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--share", action="store_true",
                    help="enable cross-query work sharing (shared-prefix "
                         "batching of concurrently queued requests)")
-    s.add_argument("--result-cache-mb", type=float, default=0.0,
-                   help="result-cache capacity in MB (0 = disabled); bytes "
-                        "are accounted through the admission ledger")
     s.add_argument("--zipf", type=float, default=0.0,
                    help="Zipf skew for pattern choice (0 = round-robin mix)")
     s.add_argument("--verify", action="store_true",

@@ -17,9 +17,6 @@ A long-running serving tier on top of :class:`~repro.core.engine.HugeEngine`:
 * **work sharing** (:mod:`.sharing`) — share-group formation: canonical
   plan-prefix signatures let the dispatcher run concurrently queued
   requests with a common join-unit prefix as one engine execution;
-* **result cache** (:mod:`.resultcache`) — tenant-aware cached answers
-  keyed on (canonical pattern, dataset, graph version, …), with bytes
-  accounted through the admission ledger;
 * **standing subscriptions** (:meth:`.service.QueryService.subscribe` /
   :meth:`~.service.QueryService.apply_updates`) — streaming graph
   updates fanned out through the worker pool as incremental delta
@@ -42,7 +39,6 @@ from .plancache import PlanCache, PlanCacheStats
 from .queueing import PRIORITY_WEIGHTS, MultiQueue, QueueEntry
 from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus, ResultChunk)
-from .resultcache import CachedResult, ResultCache, ResultCacheStats
 from .service import (Executor, FaultInjector, QueryService, WorkerCrashError,
                       run_query_solo)
 from .sharing import (ShareGroup, config_fingerprint, plan_signature,
@@ -61,7 +57,6 @@ __all__ = [
     "QueryStatus", "ResultChunk",
     "Executor", "FaultInjector", "QueryService", "WorkerCrashError",
     "run_query_solo",
-    "CachedResult", "ResultCache", "ResultCacheStats",
     "ShareGroup", "config_fingerprint", "plan_signature",
     "signature_of_plan",
     "ServiceStats", "percentile",

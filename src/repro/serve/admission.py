@@ -90,17 +90,11 @@ class AdmissionController:
         self.stats = AdmissionStats()
         self._lock = threading.Lock()
         self._reserved = 0.0
-        self._cache_reserved = 0.0
 
     @property
     def reserved_bytes(self) -> float:
         """Currently reserved bytes across all dispatched queries."""
         return self._reserved
-
-    @property
-    def cache_reserved_bytes(self) -> float:
-        """Portion of the ledger held by the result cache."""
-        return self._cache_reserved
 
     def admissible(self, nbytes: float) -> bool:
         """Whether a reservation of this size could *ever* be granted."""
@@ -147,30 +141,4 @@ class AdmissionController:
         with self._lock:
             snap = self.stats.as_dict()
             snap["reserved_bytes"] = self._reserved
-            snap["cache_reserved_bytes"] = self._cache_reserved
             return snap
-
-    # -- result-cache accounting -------------------------------------
-    #
-    # The result cache charges its resident bytes through the same
-    # ledger as query reservations, so cached results and in-flight
-    # queries compete for one budget and the drained-ledger oracle
-    # covers both.  Cache reservations never block (the cache evicts to
-    # its own capacity before reserving); they are tracked separately
-    # for metrics.
-
-    def reserve_cache(self, nbytes: float) -> None:
-        if nbytes < 0:
-            raise ValueError("reservation must be non-negative")
-        with self._lock:
-            self._reserved += nbytes
-            self._cache_reserved += nbytes
-            if self._reserved > self.stats.peak_reserved_bytes:
-                self.stats.peak_reserved_bytes = self._reserved
-
-    def release_cache(self, nbytes: float) -> None:
-        with self._lock:
-            if nbytes > self._cache_reserved + 1e-6:
-                self.stats.underflows += 1
-            self._cache_reserved = max(0.0, self._cache_reserved - nbytes)
-            self._reserved = max(0.0, self._reserved - nbytes)

@@ -9,9 +9,9 @@ produces a :class:`DriverReport`.
 
 ``verify=True`` applies the ``solo-identical`` serving oracle
 (:func:`repro.testing.serving.solo_mismatches`): every distinct
-(pattern, cluster shape) is re-run solo and each served count — and,
-where the outcome carries its engine result, the simulated metrics
-report — must be **bit-identical** to the solo run.  This is the
+(pattern, cluster shape, engine config) is re-run solo and each served
+count — and, where the request did not run in a share group, the
+simulated metrics report — must be **bit-identical** to the solo run.  This is the
 acceptance gate wired into the CLI and the CI smokes.
 """
 
@@ -58,8 +58,8 @@ class WorkloadSpec:
     zipf_s: float = 0.0
     """Zipf skew for pattern choice: > 0 draws pattern ``r`` (1-based
     rank in :attr:`patterns`) with weight ``1/r**zipf_s`` instead of
-    round-robin — the skewed mix that makes work sharing and result
-    caching pay off (hot patterns repeat)."""
+    round-robin — the skewed mix that makes work sharing pay off (hot
+    patterns repeat)."""
 
     def build(self) -> list[QueryRequest]:
         """Materialise the request list (deterministic in ``seed``)."""
@@ -141,7 +141,6 @@ class LoadDriver:
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
                  sharing: bool = False,
-                 result_cache_bytes: float = 0.0,
                  pool: str = "thread"):
         self.graph = graph
         self.spec = spec
@@ -153,7 +152,6 @@ class LoadDriver:
         self.metrics = metrics
         self.flight = flight
         self.sharing = sharing
-        self.result_cache_bytes = result_cache_bytes
         self.pool = pool
         self.service: QueryService | None = None
 
@@ -174,8 +172,7 @@ class LoadDriver:
             tenant_max_inflight=self.tenant_max_inflight,
             injector=injector, trace=self.trace,
             metrics=self.metrics, flight=self.flight,
-            sharing=self.sharing,
-            result_cache_bytes=self.result_cache_bytes, pool=self.pool)
+            sharing=self.sharing, pool=self.pool)
         self.service = service
         t0 = time.perf_counter()
         with service:

@@ -27,7 +27,7 @@ from ..obs.flight import FlightRecorder
 __all__ = ["EVENT_KINDS", "EventStream", "flight_sink"]
 
 EVENT_KINDS = (
-    "submitted", "result_cache", "rejected", "queued", "dispatched",
+    "submitted", "rejected", "queued", "dispatched",
     "share_group", "executing", "planned", "executed", "streamed",
     "finished", "crash", "retry_scheduled", "graph_update", "subscribed",
     "bootstrapped", "delta_batch", "delivered", "unsubscribed",
@@ -75,8 +75,7 @@ _FLIGHT_FIELDS: dict[str, tuple[str, ...]] = {
     "planned": ("cache_hit", "plan_s"),
     "executed": ("execute_s", "count", "share_group", "sim_time_s"),
     "streamed": ("chunks",),
-    "finished": ("count", "attempts", "error", "total_s",
-                 "result_cache_hit"),
+    "finished": ("count", "attempts", "error", "total_s"),
     "crash": ("worker", "pid", "backend", "attempt"),
     "retry_scheduled": ("backoff_s", "next_attempt"),
     "subscribed": ("pattern", "dataset"),

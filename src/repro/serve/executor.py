@@ -137,10 +137,10 @@ class Executor:
         Returns one ``(result, info)`` per member: the engine result
         (matches in the request's vertex order) plus execution info —
         canonical key, plan-cache hit, phase timings (``execute_s`` is
-        the shared run's), canonical-order matches.  A missing plan key
-        (``None``, or no list at all) is recomputed locally: a request
-        the dispatcher never keyed, or the process-worker path, whose
-        keys live in the child's cache.
+        the shared run's).  A missing plan key (``None``, or no list at
+        all) is recomputed locally: a request the dispatcher never
+        keyed, or the process-worker path, whose keys live in the
+        child's cache.
         """
         plans, planned = [], []
         for req, pattern, key in zip(reqs, patterns,
@@ -159,13 +159,10 @@ class Executor:
         out = []
         for result, (pattern, mapping, ckey, hit, plan_s) in zip(results,
                                                                  planned):
-            canonical = result.matches
-            result.matches = remap_matches(pattern, mapping, canonical)
+            result.matches = remap_matches(pattern, mapping, result.matches)
             out.append((result, {
                 "canonical_key": ckey, "plan_cache_hit": hit,
-                "plan_s": plan_s, "execute_s": execute_s,
-                # pre-remap matches, for the result cache
-                "canonical_matches": canonical}))
+                "plan_s": plan_s, "execute_s": execute_s}))
         return out
 
 

@@ -4,19 +4,18 @@ Every :class:`~repro.serve.service.QueryService` owns one
 :class:`~repro.obs.metrics.MetricsRegistry` (its ``metrics=`` argument,
 or a private one) and registers one :class:`ServiceInstruments` on its
 event stream (:mod:`repro.serve.events`).  Each lifecycle fact —
-submission, admission decision, plan-cache and result-cache lookup,
-share group, crash, retry, terminal outcome, stream batch — is counted
-exactly once, here; ``QueryService.stats()`` and ``stream_stats()`` are
-reads of these families (:meth:`ServiceInstruments.counters` and the
+submission, admission decision, plan-cache lookup, share group, crash,
+retry, terminal outcome, stream batch — is counted exactly once, here;
+``QueryService.stats()`` and ``stream_stats()`` are reads of these
+families (:meth:`ServiceInstruments.counters` and the
 latency histograms' :meth:`~repro.obs.metrics.Histogram.summary`), so
 the snapshot dicts and the Prometheus exposition cannot disagree.
 Plan-cache lookups are counted from the ``planned`` events, which also
 carry the lookups a process worker makes in its own cache.
 
 Counters only a component can observe stay with that component: the
-caches' inserts / overwrites / evictions / invalidations / uncacheable
-entries, and the admission ledger's admitted / releases / underflows /
-peak.
+plan cache's inserts / overwrites / evictions, and the admission
+ledger's admitted / releases / underflows / peak.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ class ServiceInstruments:
         self.plan_cache = registry.counter(
             "serve_plan_cache_total", "canonical plan-cache lookups",
             ("result",))
-        self.result_cache = registry.counter(
-            "serve_result_cache_total", "result-cache lookups", ("result",))
         self.share_group = registry.histogram(
             "serve_share_group_size",
             "requests per dispatched share group", reservoir=10_000)
@@ -118,8 +115,6 @@ class ServiceInstruments:
         """Event-stream sink."""
         if kind == "submitted":
             self._inc(self.submitted, f["tenant"])
-        elif kind == "result_cache":
-            self._inc(self.result_cache, "hit" if f["hit"] else "miss")
         elif kind == "rejected":
             self._inc(self.admission, "reject", f["reason"])
         elif kind == "queued":
@@ -164,9 +159,8 @@ class ServiceInstruments:
         if f["status"] == "completed":
             self._inc(self.completed, f["tenant"])
             self.latency.observe(f["total_s"])
-            if not f.get("result_cache_hit"):
-                self.queue_wait.observe(f["queue_wait_s"])
-                self.execute.observe(f["execute_s"])
+            self.queue_wait.observe(f["queue_wait_s"])
+            self.execute.observe(f["execute_s"])
         elif f["error"] == "deadline exceeded":
             self._inc(self.deadline_missed)
 
@@ -188,8 +182,6 @@ class ServiceInstruments:
             "shared_requests": self.share_group.sum,
             "plan_cache_hits": self.plan_cache.total(result="hit"),
             "plan_cache_misses": self.plan_cache.total(result="miss"),
-            "result_cache_hits": self.result_cache.total(result="hit"),
-            "result_cache_misses": self.result_cache.total(result="miss"),
             "subscriptions": self.stream_subscribed.total(),
             "stream_updates": self.stream_updates.total(),
             "stream_batches": self.stream_batch_latency.count,

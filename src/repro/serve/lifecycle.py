@@ -13,9 +13,9 @@ the dispatch-unit count, and the two exactly-once hand-overs
 (``QueryHandle._finish``, ``Subscription._deliver``).  DESIGN §8 has the
 state diagram.
 
-A result-cache hit, an admission rejection, a queue-swept cancel and a
-subscription's bootstrap batch are members that never ran: they enter at
-``deliver`` (whose ``release`` finds nothing to return).
+An admission rejection, a queue-swept cancel and a subscription's
+bootstrap batch are members that never ran: they enter at ``deliver``
+(whose ``release`` finds nothing to return).
 """
 
 from __future__ import annotations
@@ -213,8 +213,6 @@ class Lifecycle:
         delivered = member.handle._finish(outcome)
         if req.stream and outcome.status is not QueryStatus.COMPLETED:
             member.handle._push_chunk(None, abort=self.svc._abort)
-        if outcome.result_cache_hit:
-            fields["result_cache_hit"] = True
         # one critical section: whatever this release lets the dispatcher
         # start is announced after this member's ``finished``
         with self._cond:

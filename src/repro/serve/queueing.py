@@ -66,11 +66,11 @@ class QueueEntry:
         self.token = None
         #: service-clock time of the latest dispatch
         self.dispatch_t = 0.0
-        #: canonical pattern key (resolved at submission)
+        #: share-grouping keys, resolved at submission when sharing is on:
+        #: canonical pattern key, effective engine-config fingerprint and
+        #: plan-cache key (prefix-signature lookups)
         self.canonical_key: str | None = None
-        #: fingerprint of the effective engine config (share grouping)
         self.config_fp: str | None = None
-        #: plan-cache key (resolved at submission; prefix-signature lookups)
         self.plan_key: tuple | None = None
         #: the ShareGroup this entry is currently dispatched in, if any
         self.group = None

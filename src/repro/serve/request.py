@@ -16,8 +16,10 @@ transition is guarded by a lock and double transitions are recorded as
 no-lost/no-duplicated-results invariant even across worker crashes and
 retries.
 
-Result delivery is either *direct* (``handle.result().result`` carries
-the full :class:`~repro.core.engine.EnumerationResult`) or *streamed*
+Every completed outcome comes from an engine run.  Result delivery is
+either *direct* (``handle.result().result`` carries the full
+:class:`~repro.core.engine.EnumerationResult`, collected matches on its
+``matches`` in the request's vertex order) or *streamed*
 (``request.stream=True``): matches are pushed through a bounded chunk
 queue (``max_pending_chunks`` backpressure) and consumed with
 ``for chunk in handle.chunks(): ...``.
@@ -162,29 +164,15 @@ class QueryOutcome:
     attempts: int = 1
     """Execution attempts consumed (> 1 means worker-crash retries)."""
     plan_cache_hit: bool = False
-    result_cache_hit: bool = False
-    """Served straight from the result cache (no engine run; ``result``
-    is ``None`` and collected matches arrive via :attr:`matches`)."""
     shared_group: int = 1
     """Size of the share group this request executed in (1 = solo run;
     > 1 means the engine report is the *group's* shared ledger)."""
-    matches: list | None = field(default=None, repr=False)
-    """Matches in the request's vertex order for result-cache hits
-    (fresh runs deliver them on ``result.matches`` as always)."""
     canonical_key: str | None = None
     queue_wait_s: float = 0.0
     plan_s: float = 0.0
     execute_s: float = 0.0
     total_s: float = 0.0
     """Submit-to-terminal wall-clock latency."""
-
-    @property
-    def collected(self) -> list | None:
-        """Collected matches regardless of delivery path (engine run vs
-        result-cache hit)."""
-        if self.matches is not None:
-            return self.matches
-        return self.result.matches if self.result is not None else None
 
     def as_dict(self) -> dict:
         """JSON-serialisable view (the engine result is summarised)."""
@@ -194,7 +182,6 @@ class QueryOutcome:
             "error": self.error,
             "attempts": self.attempts,
             "plan_cache_hit": self.plan_cache_hit,
-            "result_cache_hit": self.result_cache_hit,
             "shared_group": self.shared_group,
             "canonical_key": self.canonical_key,
             "queue_wait_s": self.queue_wait_s,

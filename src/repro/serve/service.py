@@ -9,9 +9,9 @@ admission reservation, its place in the in-flight and per-tenant tables,
 its one terminal delivery — is owned by the
 :class:`~repro.serve.lifecycle.Lifecycle`:
 
-1. **submit** — the pattern is resolved and canonicalised, its
-   Theorem-5.4 reservation estimated; a result-cache hit or a request
-   whose bound exceeds the whole budget is delivered immediately,
+1. **submit** — the pattern is resolved (and, with sharing on,
+   canonicalised), its Theorem-5.4 reservation estimated; a request
+   whose bound exceeds the whole budget is delivered rejected at once,
    otherwise it queues.
 2. **reserve** — the fair scheduler picks the next entry whose
    reservation fits the free budget and whose tenant is under its cap,
@@ -58,15 +58,14 @@ from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from .admission import AdmissionController, estimate_query_bytes
 from .events import EventStream, flight_sink
-from .executor import (Executor, effective_config, remap_matches,
-                       resolve_pattern, run_query_solo)
+from .executor import (Executor, effective_config, resolve_pattern,
+                       run_query_solo)
 from .instruments import ServiceInstruments
 from .lifecycle import DeltaTask, Lifecycle, UpdateWork, WorkerCrashError
 from .plancache import PlanCache
 from .queueing import MultiQueue, QueueEntry
 from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus)
-from .resultcache import ResultCache
 from .sharing import MAX_SHARE_GROUP, ShareGroup, config_fingerprint
 from .stats import ServiceStats
 from .tracing import ServiceTracer
@@ -201,7 +200,6 @@ class QueryService:
                  metrics: MetricsRegistry | None = None,
                  flight: FlightRecorder | None = None,
                  sharing: bool = False,
-                 result_cache_bytes: float = 0.0,
                  pool: str = "thread"):
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -224,9 +222,6 @@ class QueryService:
         self.injector = injector
         self.plan_cache = PlanCache()
         self.admission = AdmissionController(memory_budget_bytes)
-        self.result_cache: ResultCache | None = (
-            ResultCache(result_cache_bytes, ledger=self.admission)
-            if result_cache_bytes > 0 else None)
 
         self._graphs: dict[str, Graph] = dict(datasets or {})
         self._graph_versions: dict[str, int] = {n: 0 for n in self._graphs}
@@ -277,28 +272,30 @@ class QueryService:
     def register_dataset(self, name: str, graph: Graph) -> None:
         """Register (or replace) a data graph under ``name``.
 
-        Re-registering bumps the dataset's **graph version**: cached
-        results keyed on the old version become unreachable and are
-        eagerly invalidated.
+        Replacing bumps the dataset's **graph version**.  A dataset with
+        standing subscriptions changes only through :meth:`apply_updates`,
+        which delivers the delta: a wholesale swap would leave every
+        subscription's count describing a graph that is gone, so it
+        raises ``ValueError``.
         """
+        with self._cond:
+            if self._subscriptions.get(name):
+                raise ValueError(
+                    f"dataset {name!r} has standing subscriptions; change "
+                    "it with apply_updates, which delivers the delta")
+            self._swap_dataset(name, graph)
+
+    def _swap_dataset(self, name: str, graph: Graph) -> None:
         fresh = name not in self._graphs
         self._graphs[name] = graph
         self._graph_versions[name] = 0 if fresh else (
             self._graph_versions.get(name, 0) + 1)
-        if not fresh and self.result_cache is not None:
-            self.result_cache.invalidate(dataset=name)
 
     def graph_version(self, name: str) -> int:
-        """Current version of a registered dataset (result-cache keying)."""
+        """Current version of a registered dataset: the seq of its
+        subscriptions' latest delivery, and the shared-memory store's key
+        for its snapshot."""
         return self._graph_versions.get(name, 0)
-
-    def invalidate_results(self, dataset: str | None = None,
-                           tenant: str | None = None) -> int:
-        """Explicitly drop cached results (both filters ``None`` = all);
-        returns how many entries were invalidated."""
-        if self.result_cache is None:
-            return 0
-        return self.result_cache.invalidate(dataset=dataset, tenant=tenant)
 
     def _resolve_graph(self, dataset: str) -> Graph:
         try:
@@ -357,14 +354,12 @@ class QueryService:
         """Apply one edge-update batch to a registered dataset.
 
         Produces a new immutable snapshot (``E' = (E ∪ I) \\ D``), bumps
-        the dataset's graph version through :meth:`register_dataset` —
-        which invalidates stale result-cache entries — and fans one
-        delta task per standing subscription out through the worker
-        pool.  Blocks until every subscription has been notified (or
-        ``timeout`` elapses).  Updates on one dataset are serialised
-        under a per-dataset lock held from the snapshot read to the end
-        of the fan-out, so no update is lost and delivery seqs are
-        monotonic.
+        the dataset's graph version and fans one delta task per standing
+        subscription out through the worker pool.  Blocks until every
+        subscription has been notified (or ``timeout`` elapses).  Updates
+        on one dataset are serialised under a per-dataset lock held from
+        the snapshot read to the end of the fan-out, so no update is lost
+        and delivery seqs are monotonic.
         """
         if not self._started or self._stop_requested:
             raise RuntimeError("service is not accepting updates")
@@ -375,7 +370,7 @@ class QueryService:
             old_graph = self._resolve_graph(dataset)
             new_graph, delta = graph_apply_updates(old_graph, inserts,
                                                    deletes)
-            self.register_dataset(dataset, new_graph)
+            self._swap_dataset(dataset, new_graph)
             version = self.graph_version(dataset)
             with self._cond:
                 subs = list(self._subscriptions.get(dataset, {}).values())
@@ -485,10 +480,6 @@ class QueryService:
             worker.dispose()
         if self._procpool is not None:
             self._procpool.close()
-        if self.result_cache is not None:
-            # drop all cached results so the admission ledger drains to
-            # zero (the serving memory oracle asserts this post-stop)
-            self.result_cache.clear()
         self._stopped = True
 
     def __enter__(self) -> "QueryService":
@@ -528,7 +519,7 @@ class QueryService:
         entry = handle._entry = QueueEntry(handle, estimate, now, deadline)
         entry.pattern = pattern
         entry.graph = graph
-        if self.sharing or self.result_cache is not None:
+        if self.sharing:
             entry.canonical_key = pattern.canonical_key()
             entry.config_fp = config_fingerprint(
                 effective_config(request, self.default_config))
@@ -538,26 +529,6 @@ class QueryService:
         self.emit("submitted", request.seq, label=request.label,
                   tenant=request.tenant, deadline_s=request.deadline_s,
                   estimate_bytes=estimate, priority=request.priority.name)
-
-        if self.result_cache is not None and not request.stream:
-            hit = self.result_cache.get(self._result_cache_key(entry),
-                                        need_matches=request.collect)
-            self.emit("result_cache", request.seq, hit=hit is not None,
-                      label=request.label, count=hit.count if hit else None)
-            if hit is not None:
-                # answered without queueing or touching the engine: a
-                # member that never ran enters at deliver
-                _canon, mapping = pattern.canonical_form()
-                self.lifecycle.deliver(entry, QueryOutcome(
-                    status=QueryStatus.COMPLETED, count=hit.count,
-                    matches=(list(remap_matches(pattern, mapping,
-                                                hit.matches))
-                             if request.collect else None),
-                    result_cache_hit=True,
-                    canonical_key=entry.canonical_key, attempts=0,
-                    total_s=self._now() - entry.submit_t))
-                return handle
-
         if not self.admission.admissible(estimate):
             self.emit("rejected", request.seq, label=request.label,
                       reason="memory_bound", estimate_bytes=estimate)
@@ -574,29 +545,6 @@ class QueryService:
             self._cond.notify_all()
         self.emit("queued", request.seq, priority=request.priority.name)
         return handle
-
-    # -- result cache ----------------------------------------------------------
-
-    def _result_cache_key(self, entry: QueueEntry) -> tuple:
-        req = entry.handle.request
-        return ResultCache.key(
-            entry.canonical_key, req.dataset,
-            self._graph_versions.get(req.dataset, 0), req.tenant,
-            req.num_machines, req.workers_per_machine, req.partition_seed,
-            entry.config_fp)
-
-    def _store_result(self, entry: QueueEntry, count: int,
-                      canonical_matches: list | None) -> None:
-        """Insert a completed request's answer into the result cache."""
-        if self.result_cache is None or entry.canonical_key is None:
-            return
-        req = entry.handle.request
-        if req.stream:
-            return  # streamed matches are gone; nothing worth caching
-        self.result_cache.put(
-            self._result_cache_key(entry), count,
-            canonical_matches if req.collect else None,
-            dataset=req.dataset, tenant=req.tenant)
 
     def _cancel(self, handle: QueryHandle, reason: str) -> None:
         """Client-side cancel (QueryHandle.cancel routes here): abort the
@@ -766,7 +714,7 @@ class QueryService:
 
     def stats(self) -> ServiceStats:
         """A point-in-time snapshot, read from :attr:`metrics` (plus the
-        counters only the caches and the ledger observe)."""
+        counters only the plan cache and the ledger observe)."""
         c = self.events.between(self._obs.read)
         with self._cond:
             depth = self._queue.depths()
@@ -775,7 +723,7 @@ class QueryService:
             **{k: c[k] for k in (
                 "submitted", "completed", "cancelled", "failed", "rejected",
                 "retries", "worker_crashes", "delivery_violations",
-                "shared_groups", "shared_requests", "result_cache_hits",
+                "shared_groups", "shared_requests",
                 "latency", "queue_wait", "execute")},
             inflight=inflight,
             queue_depth=depth,
@@ -785,10 +733,6 @@ class QueryService:
                        "rejected": c["admission_rejected"]},
             plan_cache=_cache_stats(c["plan_cache_hits"],
                                     c["plan_cache_misses"], self.plan_cache),
-            result_cache=(_cache_stats(c["result_cache_hits"],
-                                       c["result_cache_misses"],
-                                       self.result_cache)
-                          if self.result_cache is not None else {}),
             uptime_s=(time.monotonic() - self._start_t
                       if self._started else 0.0),
         )

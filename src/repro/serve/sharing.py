@@ -166,7 +166,6 @@ class ShareGroup:
                 svc.emit("streamed", req.seq, label=req.label,
                          worker=worker.wid, t0=ts0, t1=svc._now(),
                          chunks=chunks)
-            svc._store_result(e, result.count, info["canonical_matches"])
             out.append((e, QueryOutcome(
                 status=QueryStatus.COMPLETED, count=result.count,
                 result=result, attempts=e.attempts,

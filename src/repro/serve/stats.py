@@ -2,10 +2,10 @@
 
 ``QueryService.stats()`` reads its registry — event counts and the
 latency / queue-wait / execute histogram summaries from the
-:class:`~repro.serve.instruments.ServiceInstruments` families, LRU and
-ledger counters from the components that alone observe them — into one
-plain dataclass with ``as_dict``, so the CLI, the load driver and the
-benchmarks all serialise the same shape.
+:class:`~repro.serve.instruments.ServiceInstruments` families, plan-cache
+LRU and ledger counters from the components that alone observe them —
+into one plain dataclass with ``as_dict``, so the CLI, the load driver
+and the benchmarks all serialise the same shape.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ class ServiceStats:
     plan_cache: dict = field(default_factory=dict)
     shared_groups: int = 0
     shared_requests: int = 0
-    result_cache_hits: int = 0
-    result_cache: dict = field(default_factory=dict)
     latency: dict = field(default_factory=dict)
     queue_wait: dict = field(default_factory=dict)
     execute: dict = field(default_factory=dict)

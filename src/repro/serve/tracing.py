@@ -88,9 +88,6 @@ class ServiceTracer:
         elif kind in _INSTANTS:
             name, keys = _INSTANTS[kind]
             self.instant(name, ENGINE, {k: f[k] for k in keys})
-        elif kind == "result_cache" and f["hit"]:
-            self.instant("result cache hit", ENGINE,
-                         {"label": f["label"], "count": f["count"]})
         elif (kind == "finished" and f["status"] == "cancelled"
               and "worker" not in f):  # swept off the queue
             self.instant("cancel", ENGINE,

@@ -11,16 +11,14 @@ service + its outcomes directly) — against the serving tier's contract:
   worker-crash retries);
 * ``ledger`` — the admission ledger drained back to zero after the run
   and never double-released (``underflows == 0``);
-* ``solo-identical`` — every completed query's count and collected
-  match multiset (and, where the engine result is available, its full
-  simulated metrics report) is bit-identical to the same request
-  executed solo through :func:`~repro.serve.service.run_query_solo` —
-  concurrency, share-group execution and result-cache hits must not
-  change what any query computes.  Requests that executed in a share
-  group (``shared_group > 1``) or were served from the result cache
-  skip only the metrics-report comparison: their report is the group's
-  shared ledger (or absent), but count and matches must still be
-  bit-identical;
+* ``solo-identical`` — every completed query's count, collected match
+  multiset and full simulated metrics report are bit-identical to the
+  same request (same engine config) executed solo through
+  :func:`~repro.serve.service.run_query_solo` — concurrency and
+  share-group execution must not change what any query computes.
+  Requests that executed in a share group (``shared_group > 1``) skip
+  only the metrics-report comparison: their report is the group's
+  shared ledger, but count and matches must still be bit-identical;
 * ``crash-recovered`` — every injected crash was observed
   (``worker_crashes >= injected``) and recovered: a crashed query either
   completed on a retry (``attempts > 1``) or failed only after
@@ -32,8 +30,10 @@ from __future__ import annotations
 from ..graph.graph import Graph
 from ..query.pattern import QueryGraph, get_query
 from ..serve.driver import DriverReport
+from ..serve.executor import effective_config
 from ..serve.request import QueryStatus
 from ..serve.service import run_query_solo
+from ..serve.sharing import config_fingerprint
 from .oracles import OracleFailure
 
 __all__ = ["SERVING_ORACLES", "solo_mismatches", "check_service_run",
@@ -63,17 +63,19 @@ def solo_mismatches(graph: Graph, requests, outcomes,
                     default_config=None) -> list[str]:
     """The ``solo-identical`` oracle: every completed outcome against the
     same request executed solo (one solo run per distinct canonical
-    pattern × cluster shape × collect flag).  Also what
+    pattern × cluster shape × engine config × collect flag).  Also what
     ``LoadDriver.run(verify=True)`` and ``serve --verify`` report."""
     solo_cache: dict[tuple, object] = {}
     failures: list[str] = []
     for req, outcome in zip(requests, outcomes):
         if outcome.status is not QueryStatus.COMPLETED:
             continue
-        # collect changes the engine's allocation profile, so a
-        # count-only request must not reuse a collecting solo run
+        # the engine config and collect both change what a run charges,
+        # so a request must not reuse a solo run made under other ones
         key = (outcome.canonical_key, req.num_machines,
-               req.workers_per_machine, req.partition_seed, req.collect)
+               req.workers_per_machine, req.partition_seed,
+               config_fingerprint(effective_config(req, default_config)),
+               req.collect)
         cached = solo_cache.get(key)
         if cached is None:
             cached = (run_query_solo(graph, req,
@@ -85,18 +87,15 @@ def solo_mismatches(graph: Graph, requests, outcomes,
             failures.append(f"{req.label}: served {outcome.count} != solo "
                             f"{solo.count}")
             continue
-        served = outcome.collected
-        if (served is not None and solo.collected is not None
+        served, alone = outcome.result.matches, solo.result.matches
+        if (served is not None and alone is not None
                 and _canonical_rows(req.pattern, served)
-                != _canonical_rows(solo_pattern, solo.collected)):
+                != _canonical_rows(solo_pattern, alone)):
             failures.append(
                 f"{req.label}: served match multiset differs from solo")
-        # a share-group member's report is the group's shared ledger
-        # and a result-cache hit carries no report at all — only solo
-        # runs pin the full simulated-metrics comparison
-        if (outcome.result is not None and solo.result is not None
-                and outcome.shared_group == 1
-                and not outcome.result_cache_hit
+        # a share-group member's report is the group's shared ledger —
+        # only solo runs pin the full simulated-metrics comparison
+        if (outcome.shared_group == 1
                 and outcome.result.report.as_dict()
                 != solo.result.report.as_dict()):
             failures.append(

@@ -164,7 +164,7 @@ class TestConfiguration:
         from repro.apps import motif_census
         from repro.core.cache import make_cache
         from repro.core.operators import ExecContext
-        from repro.serve import QueryService
+        from repro.serve import LoadDriver, QueryOutcome, QueryService
         from repro.testing.configs import EngineSpec
 
         def fields(cls):
@@ -194,7 +194,16 @@ class TestConfiguration:
             "datasets", "num_workers", "memory_budget_bytes",
             "default_config", "cost", "tenant_max_inflight", "max_retries",
             "backoff_base_s", "injector", "trace", "metrics", "flight",
-            "sharing", "result_cache_bytes", "pool"]
+            "sharing", "pool"]
+        assert params(LoadDriver.__init__) == [
+            "graph", "spec", "num_workers", "memory_budget_bytes",
+            "default_config", "tenant_max_inflight", "trace", "metrics",
+            "flight", "sharing", "pool"]
+        # one answer path: collected matches are ``result.matches``
+        assert fields(QueryOutcome) == [
+            "status", "count", "result", "error", "attempts",
+            "plan_cache_hit", "shared_group", "canonical_key",
+            "queue_wait_s", "plan_s", "execute_s", "total_s"]
         assert params(motif_census) == ["cluster", "k"]
         # the plan package: one tree, one plan class, one Equation 3, one
         # planning entry — a second of any is a reviewed diff

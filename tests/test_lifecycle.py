@@ -35,7 +35,7 @@ WAIT = 20.0  # upper bound on any single wait; never a pacing delay
 #: attempts, then at most one attempt that ends it — exactly one terminal
 _ATTEMPT = r"dispatched (share_group )?executing "
 QUERY_GRAMMAR = re.compile(
-    r"^submitted (result_cache )?(rejected )?"
+    r"^submitted (rejected )?"
     rf"(queued ({_ATTEMPT}crash retry_scheduled )*"
     rf"({_ATTEMPT}(crash |(planned executed (streamed )?)?))?)?"
     r"finished $")
@@ -82,8 +82,7 @@ class FakeExecutor:
         return [(SimpleNamespace(count=7, matches=None,
                                  report=SimpleNamespace(total_time_s=0.0)),
                  {"canonical_key": "k", "plan_cache_hit": True,
-                  "plan_s": 0.0, "execute_s": 0.0,
-                  "canonical_matches": None}) for _ in reqs]
+                  "plan_s": 0.0, "execute_s": 0.0}) for _ in reqs]
 
 
 @pytest.fixture
@@ -197,24 +196,6 @@ def test_query_task(monkeypatch, graph, size, outcome):
     if outcome == "crashed-past-max-retries":
         assert all(o.attempts == 2 and "crashed" in o.error
                    for o in outcomes)
-
-
-def test_cache_hit_enters_at_deliver(monkeypatch, graph):
-    script = Script({})
-    svc, log = make_service(monkeypatch, graph, script,
-                            result_cache_bytes=1e6)
-    try:
-        first = svc.submit(request("a"))
-        assert first.result(timeout=WAIT).status is C
-        second = svc.submit(request("b"))
-        hit = second.result(timeout=WAIT)
-    finally:
-        svc.stop()
-    check_invariants(svc, log, [first, second])
-    assert hit.status is C and hit.result_cache_hit and hit.count == 7
-    assert script.calls["b"] == 0  # never reserved, never ran
-    assert sequence(log, second.request.seq) == \
-        "submitted result_cache finished "
 
 
 @pytest.mark.parametrize("outcome", ["completed", "failed", "crashed"])

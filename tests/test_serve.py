@@ -1,6 +1,6 @@
 """Serving-semantics tests for :mod:`repro.serve`.
 
-The contract under test: concurrency, admission control, caching,
+The contract under test: concurrency, admission control, plan caching,
 deadlines and injected worker crashes never change *what* a query
 computes — every served query is bit-identical (count and simulated
 metrics) to the same request executed solo — and every submitted request
@@ -22,6 +22,7 @@ from repro.serve import (AdmissionController, FaultInjector, LoadDriver,
                          estimate_query_bytes, percentile, run_query_solo)
 from repro.serve.request import QueryHandle
 from repro.testing import check_driver_report, check_service_run
+from repro.testing.serving import solo_mismatches
 
 
 @pytest.fixture()
@@ -404,6 +405,23 @@ class TestServingOracles:
                                      injected_crashes=1)
         assert failures == []
 
+    @pytest.mark.parametrize("batches", [(4, 4096), (4096, 4)])
+    def test_solo_identical_runs_each_request_under_its_config(
+            self, er_graph, batches):
+        """Two requests differing only in ``config`` charge differently,
+        so each must be compared with a solo run under its own config,
+        whichever one comes first."""
+        requests, outcomes = [], []
+        for batch_size in batches:
+            r = req("q1", config=EngineConfig(batch_size=batch_size))
+            with QueryService(datasets={"er": er_graph},
+                              num_workers=1) as svc:
+                outcomes.append(svc.submit(r).result(timeout=60))
+            requests.append(r)
+        reports = [o.result.report.as_dict() for o in outcomes]
+        assert reports[0] != reports[1]
+        assert solo_mismatches(er_graph, requests, outcomes) == []
+
     def test_driver_verify_and_report_oracles(self, er_graph):
         spec = WorkloadSpec(num_queries=6, dataset="er",
                             patterns=("triangle", "q1"), num_machines=2,
@@ -567,20 +585,18 @@ class TestServiceMetrics:
                                 seed=3, relabel_fraction=0.5,
                                 tenants=("a", "b"))
             driver = LoadDriver(er_graph, spec, num_workers=1,
-                                metrics=metrics, result_cache_bytes=1e6)
+                                metrics=metrics)
             driver.run()
             assert isinstance(driver.service.metrics, MetricsRegistry)
             stats = driver.service.stats().as_dict()
             return {k: v for k, v in stats.items()
-                    if isinstance(v, int) or k in ("plan_cache",
-                                                   "result_cache")}
+                    if isinstance(v, int) or k == "plan_cache"}
 
         private, given = run(None), run(MetricsRegistry())
         assert private == given
         assert private["completed"] == 8
         assert private["plan_cache"]["hits"] + \
-            private["plan_cache"]["misses"] + \
-            private["result_cache"]["hits"] == 8
+            private["plan_cache"]["misses"] == 8
 
     def test_reject_and_crash_counters(self, er_graph):
         reg = MetricsRegistry()

@@ -1,10 +1,9 @@
-"""Work-sharing and result-cache tests for :mod:`repro.serve`.
+"""Work-sharing tests for :mod:`repro.serve`.
 
-The contract: sharing a plan prefix across concurrently queued requests,
-or serving a repeat request from the result cache, must be **observably
-identical** to running every request solo — same count, same match
-multiset, same per-request vertex ordering — while the admission ledger
-still drains to zero and tenants stay isolated.
+The contract: sharing a plan prefix across concurrently queued requests
+must be **observably identical** to running every request solo — same
+count, same match multiset, same per-request vertex ordering — while the
+admission ledger still drains to zero.
 """
 
 import pytest
@@ -16,10 +15,8 @@ from repro.cluster.errors import PlanError
 from repro.query import get_query
 from repro.core.plan.plans import _greedy_star_decomposition
 from repro.query.decompose import SubQuery, join_unit_prefix_keys
-from repro.serve import (AdmissionController, LoadDriver, PlanCache,
-                         QueryRequest, QueryService, QueryStatus, ResultCache,
-                         WorkloadSpec, plan_signature, run_query_solo,
-                         signature_of_plan)
+from repro.serve import (LoadDriver, QueryRequest, QueryService, QueryStatus,
+                         WorkloadSpec, run_query_solo, signature_of_plan)
 from repro.testing import check_driver_report, check_service_run
 
 
@@ -154,7 +151,7 @@ class TestServiceSharing:
         for r, o in zip(requests, outcomes):
             solo = run_query_solo(er_graph, r)
             assert o.count == solo.count
-            assert sorted(o.collected) == sorted(solo.collected)
+            assert sorted(o.result.matches) == sorted(solo.result.matches)
 
     def test_oracles_pass_with_sharing(self, sharing_service, er_graph):
         svc = sharing_service
@@ -195,133 +192,6 @@ class TestServiceSharing:
             svc.stop()
 
 
-class TestResultCacheUnit:
-    def test_capacity_eviction_is_lru(self):
-        cache = ResultCache(capacity_bytes=600.0)
-        cache.put(("a",), 1, None, "d", "t")
-        cache.put(("b",), 2, None, "d", "t")
-        assert cache.get(("a",)) is not None  # refresh a's recency
-        cache.put(("c",), 3, None, "d", "t")  # evicts b, the LRU entry
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)).count == 1
-        assert cache.get(("c",)).count == 3
-        assert cache.stats.as_dict()["evictions"] == 1
-
-    def test_need_matches_misses_count_only(self):
-        cache = ResultCache(capacity_bytes=1e6)
-        cache.put(("k",), 7, None, "d", "t")
-        assert cache.get(("k",), need_matches=True) is None
-        assert cache.get(("k",)).count == 7
-
-    def test_collected_entry_never_downgraded(self):
-        cache = ResultCache(capacity_bytes=1e6)
-        cache.put(("k",), 2, [(0, 1), (1, 2)], "d", "t")
-        cache.put(("k",), 2, None, "d", "t")
-        assert cache.get(("k",), need_matches=True).matches == [(0, 1),
-                                                               (1, 2)]
-
-    def test_uncacheable_oversized_entry(self):
-        cache = ResultCache(capacity_bytes=300.0)
-        ok = cache.put(("k",), 100, [(i, i, i) for i in range(100)],
-                       "d", "t")
-        assert not ok and len(cache) == 0
-        assert cache.stats.as_dict()["uncacheable"] == 1
-
-    def test_invalidate_filters(self):
-        cache = ResultCache(capacity_bytes=1e6)
-        cache.put(("a",), 1, None, "d1", "t1")
-        cache.put(("b",), 2, None, "d1", "t2")
-        cache.put(("c",), 3, None, "d2", "t1")
-        assert cache.invalidate(dataset="d1", tenant="t2") == 1
-        assert cache.get(("b",)) is None and len(cache) == 2
-        assert cache.invalidate(dataset="d1") == 1
-        assert cache.invalidate() == 1
-        assert len(cache) == 0
-
-    def test_ledger_accounting(self):
-        ledger = AdmissionController(budget_bytes=1e9)
-        cache = ResultCache(capacity_bytes=1e6, ledger=ledger)
-        cache.put(("a",), 1, [(0, 1, 2)], "d", "t")
-        assert ledger.cache_reserved_bytes == cache.resident_bytes > 0
-        assert ledger.reserved_bytes == ledger.cache_reserved_bytes
-        cache.clear()
-        assert ledger.cache_reserved_bytes == 0.0
-        assert ledger.reserved_bytes == 0.0
-        assert ledger.stats.underflows == 0
-
-
-class TestResultCacheService:
-    def _svc(self, er_graph, **kw):
-        kw.setdefault("num_workers", 1)
-        kw.setdefault("result_cache_bytes", 4e6)
-        kw.setdefault("backoff_base_s", 0.01)
-        return QueryService(datasets={"er": er_graph}, **kw).start()
-
-    def test_repeat_request_hits_and_matches_solo(self, er_graph):
-        svc = self._svc(er_graph)
-        try:
-            first = svc.submit(req("triangle", collect=True)).result(60)
-            again = svc.submit(req("triangle", collect=True)).result(60)
-            assert not first.result_cache_hit and again.result_cache_hit
-            assert again.count == first.count
-            assert sorted(again.collected) == sorted(first.collected)
-            assert svc.stats().result_cache_hits == 1
-        finally:
-            svc.stop()
-
-    def test_relabelled_pattern_hits_in_request_order(self, er_graph):
-        svc = self._svc(er_graph)
-        try:
-            base = get_query("triangle")
-            perm = {0: 2, 1: 0, 2: 1}
-            relabelled = base.relabel(perm, name="tri~r")
-            svc.submit(req("triangle", collect=True)).result(60)
-            hit = svc.submit(req(relabelled, collect=True)).result(60)
-            assert hit.result_cache_hit
-            solo = run_query_solo(er_graph, req(relabelled, collect=True))
-            assert sorted(hit.collected) == sorted(solo.collected)
-        finally:
-            svc.stop()
-
-    def test_tenant_isolation(self, er_graph):
-        svc = self._svc(er_graph)
-        try:
-            svc.submit(req("triangle", tenant="alpha")).result(60)
-            other = svc.submit(req("triangle", tenant="beta")).result(60)
-            assert not other.result_cache_hit
-        finally:
-            svc.stop()
-
-    def test_graph_version_bump_invalidates(self, er_graph):
-        svc = self._svc(er_graph)
-        try:
-            svc.submit(req("triangle")).result(60)
-            assert svc.submit(req("triangle")).result(60).result_cache_hit
-            svc.register_dataset("er", er_graph)  # version bump
-            after = svc.submit(req("triangle")).result(60)
-            assert not after.result_cache_hit
-        finally:
-            svc.stop()
-
-    def test_count_only_hit_does_not_serve_collectors(self, er_graph):
-        svc = self._svc(er_graph)
-        try:
-            svc.submit(req("triangle", collect=False)).result(60)
-            collector = svc.submit(req("triangle", collect=True)).result(60)
-            assert not collector.result_cache_hit
-            assert collector.collected is not None
-        finally:
-            svc.stop()
-
-    def test_stop_drains_cache_reservations(self, er_graph):
-        svc = self._svc(er_graph)
-        svc.submit(req("triangle", collect=True)).result(60)
-        assert svc.admission.cache_reserved_bytes > 0
-        svc.stop()
-        assert svc.admission.cache_reserved_bytes == 0.0
-        assert svc.admission.reserved_bytes == 0.0
-
-
 class TestDriverSharing:
     def test_zipf_spec_is_deterministic_and_skewed(self):
         spec = WorkloadSpec(num_queries=64, patterns=("triangle", "q1",
@@ -337,8 +207,7 @@ class TestDriverSharing:
                             num_machines=2, workers_per_machine=2,
                             relabel_fraction=0.25, collect_fraction=0.5,
                             zipf_s=1.2, tenants=("a", "b"))
-        driver = LoadDriver(er_graph, spec, num_workers=2, sharing=True,
-                            result_cache_bytes=4e6)
+        driver = LoadDriver(er_graph, spec, num_workers=2, sharing=True)
         report = driver.run(verify=True)
         assert report.verified, report.verify_failures
         assert not check_driver_report(report)

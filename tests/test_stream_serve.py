@@ -1,8 +1,8 @@
 """Serving-tier tests for streaming updates and standing subscriptions.
 
 The contract under test: ``QueryService.apply_updates`` swaps in a new
-immutable snapshot (bumping the dataset's graph version and invalidating
-stale cached results), fans exactly one signed delta batch per standing
+immutable snapshot (bumping the dataset's graph version, so queries run
+on it from then on), fans exactly one signed delta batch per standing
 subscription through the worker pool for each update, and the
 accumulated deliveries stay bit-identical to from-scratch enumeration
 on the final graph — under both pool backends, with the metrics and
@@ -107,10 +107,12 @@ def test_update_fans_out_to_every_subscription(service):
         assert batch.net == want_net == sub.count
 
 
-def test_stale_result_cache_invalidated_by_update(er_graph):
-    svc = QueryService(datasets={"er": er_graph}, num_workers=2,
-                       backoff_base_s=0.01,
-                       result_cache_bytes=1 << 20).start()
+def test_warm_worker_counts_on_updated_snapshot(er_graph):
+    """The one worker caches a simulated cluster per cluster shape; the
+    update keeps the dataset name and shape, so only the snapshot check
+    in ``Executor._cluster`` stops it from reusing the old graph's."""
+    svc = QueryService(datasets={"er": er_graph}, num_workers=1,
+                       backoff_base_s=0.01).start()
     try:
         def run():
             h = svc.submit(QueryRequest(pattern="triangle", dataset="er"))
@@ -119,16 +121,37 @@ def test_stale_result_cache_invalidated_by_update(er_graph):
             return out
 
         first = run()
-        cached = run()
-        assert cached.result_cache_hit and cached.count == first.count
-
-        # mutate the graph: the cached answer must NOT be served again
-        victim = sorted(er_graph.edges())[0]
-        svc.apply_updates("er", deletes=[victim])
+        assert first.count == brute_count(er_graph, TRIANGLE) > 0
+        # an edge of some triangle: deleting it must move the count
+        u, v = next(iter(enumerate_matches(er_graph, TRIANGLE)))[:2]
+        svc.apply_updates("er", deletes=[(min(u, v), max(u, v))])
         fresh = run()
-        assert not fresh.result_cache_hit
         assert fresh.count == brute_count(svc._graphs["er"], TRIANGLE)
-        assert fresh.count != first.count or first.count == 0
+        assert fresh.count != first.count
+    finally:
+        svc.stop()
+
+
+def test_register_dataset_refuses_a_subscribed_dataset():
+    """A wholesale swap under standing subscriptions would deliver no
+    delta, leaving their counts on a graph that is gone; the swap is
+    refused and updates keep the counts exact."""
+    svc = QueryService(datasets={"d": gen.erdos_renyi(60, 0.15, seed=1)},
+                       num_workers=1).start()
+    try:
+        sub = svc.subscribe(SubscribeRequest(pattern="triangle",
+                                             dataset="d", bootstrap=True))
+        assert sub.poll(timeout=5.0) is not None
+        with pytest.raises(ValueError, match="apply_updates"):
+            svc.register_dataset("d", gen.erdos_renyi(60, 0.15, seed=2))
+        assert svc.graph_version("d") == 0
+        victim = sorted(svc._graphs["d"].edges())[0]
+        svc.apply_updates("d", deletes=[victim])
+        assert sub.count == brute_count(svc._graphs["d"], TRIANGLE)
+        svc.unsubscribe(sub)
+        # without standing subscriptions a swap is allowed again
+        svc.register_dataset("d", gen.erdos_renyi(60, 0.15, seed=2))
+        assert svc.graph_version("d") == 2
     finally:
         svc.stop()
 
