@@ -37,7 +37,7 @@ from ..cluster.cluster import Cluster
 from ..cluster.errors import OutOfMemoryError, OvertimeError
 from ..cluster.metrics import RunReport
 from ..core.kernels import (chunk_charges, csr_gather, hash_destinations,
-                            join_rows)
+                            join_blocks)
 from ..query.symmetry import PartialOrder
 
 __all__ = [
@@ -235,17 +235,24 @@ class DistributedRelation:
                 build_left = len(lpart) <= len(rpart)
                 bpart, ppart = (lpart, rpart) if build_left else (rpart, lpart)
                 bkey, pkey = (lkey, rkey) if build_left else (rkey, lkey)
-                emitted, emit_per_probe = join_rows(
-                    bpart, ppart, bkey, pkey, build_left, carry,
-                    distinct, positional)
-                total = len(emitted)
+                blocks = join_blocks(bpart, ppart, bkey, pkey, build_left,
+                                     carry, distinct, positional,
+                                     materialise=not count_only)
                 build_base = len(bpart) * t.hash_build
                 if count_only:
+                    total = sum(int(kept.sum()) for _, _, kept in blocks)
                     counted += total
                     metrics.charge_worker_ops(m, _even_split(
                         build_base + len(ppart) * t.hash_probe
                         + total * 2 * t.emit, workers))
                     continue
+                emit_per_probe = np.zeros(len(ppart), dtype=np.int64)
+                pieces = []
+                for rows, p0, kept in blocks:
+                    emit_per_probe[p0:p0 + len(kept)] += kept
+                    pieces.append(rows)
+                emitted = np.concatenate(pieces)
+                total = len(emitted)
                 # one charge per _CHUNK-tuple memory charge; build-side
                 # hashing lands on the first
                 charges = chunk_charges(

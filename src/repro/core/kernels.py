@@ -20,9 +20,16 @@ holds the array programs themselves:
   distinctness filters on the survivors.  :func:`extend_block` is the
   whole step for a gathered block (by-length sort, then the fused pass);
   :func:`extend_step` gathers the block for one ``ExtendSpec`` first.
-* :func:`join_pairs` / :func:`join_rows` / :func:`chunk_charges` —
-  grouped-argsort hash-join matching, the filtered output rows, and the
-  tick charge of each output chunk of a probe loop.
+* :func:`join_pairs` / :func:`join_blocks` / :func:`join_chunks` — the
+  hash join in bounded blocks: each key becomes one ``int64`` and the
+  build side is sorted once, probe buckets are ``searchsorted`` ranges,
+  and the key matches come in blocks of at most :data:`JOIN_BLOCK_PAIRS`
+  pairs; the cross-side filters run on each block's index pairs and only
+  survivors are gathered into rows; the rows are re-cut into output
+  chunks, each charged as its probe rows are reached.  So a machine's
+  join holds one block and one chunk, not its whole output.
+  :func:`chunk_charges` is the same charge for a join whose per-probe
+  emit counts are all known.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "JOIN_BLOCK_PAIRS",
     "chunk_charges",
     "csr_gather",
     "edge_composite_index",
@@ -43,8 +51,9 @@ __all__ = [
     "fused_verify_mask",
     "hash_destinations",
     "intersect_sorted",
+    "join_blocks",
+    "join_chunks",
     "join_pairs",
-    "join_rows",
 ]
 
 # -- shuffle routing ------------------------------------------------------------
@@ -274,63 +283,195 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
     return extend_block(graph, rows, verts, lens, lt, gt, labels, new_label)
 
 
-# -- grouped hash-join matching -------------------------------------------------
+# -- blocked hash join ----------------------------------------------------------
+
+#: the most (build row, probe row) key matches one join block holds — the
+#: working set of a machine's local join, however many rows it emits in
+#: total (a module constant, like ``stream.delta.DELTA_BLOCK``, so a test
+#: can shrink it)
+JOIN_BLOCK_PAIRS = 1 << 16
+
+
+def _join_keys(build: np.ndarray, probe: np.ndarray,
+               build_key: tuple[int, ...], probe_key: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's join key as one ``int64``, equal across the sides iff
+    the key columns are.  The first column is the key as it is; each
+    further column ``c`` densely re-ranks the key so far and appends
+    itself, ``rank * (max(c) + 1) + c`` — below 2**62, because ids are
+    below 2**31 (:func:`~repro.graph.graph.edge_rows` enforces it)."""
+    key = np.empty(0, dtype=np.int64)
+    for j, (b, p) in enumerate(zip(build_key, probe_key)):
+        col = np.concatenate((build[:, b], probe[:, p]))
+        if j == 0 or not len(col):
+            key = col
+            continue
+        rank = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = rank * (int(col.max()) + 1) + col
+    return key[:len(build)], key[len(build):]
 
 
 def join_pairs(build: np.ndarray, probe: np.ndarray,
-               build_key: tuple[int, ...], probe_key: tuple[int, ...]
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """All (build row index, probe row index) key matches, emitted
-    probe-major with build rows in insertion order within each bucket —
-    the exact emission order of the scalar dict-of-buckets join."""
-    nb = len(build)
-    all_keys = np.concatenate(
-        (build[:, list(build_key)], probe[:, list(probe_key)]))
-    _, inv = np.unique(all_keys, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    build_gid, probe_gid = inv[:nb], inv[nb:]
-    num_groups = int(inv.max()) + 1 if len(inv) else 0
-    group_counts = np.bincount(build_gid, minlength=num_groups)
-    # stable sort by group: within a group, ascending row index = the
-    # order rows were inserted into the bucket
-    build_order = np.argsort(build_gid, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(group_counts)))
-    per_probe = group_counts[probe_gid]
-    total = int(per_probe.sum())
-    probe_idx = np.repeat(np.arange(len(probe)), per_probe)
-    ramp = np.arange(total) - np.repeat(
-        np.cumsum(per_probe) - per_probe, per_probe)
-    build_idx = build_order[np.repeat(offsets[probe_gid], per_probe) + ramp]
-    return build_idx, probe_idx
+               build_key: tuple[int, ...], probe_key: tuple[int, ...]):
+    """All (build row, probe row) key matches, in blocks of at most
+    :data:`JOIN_BLOCK_PAIRS` pairs.
 
-
-def join_rows(build: np.ndarray, probe: np.ndarray,
-              build_key: tuple[int, ...], probe_key: tuple[int, ...],
-              build_left: bool, right_carry: Sequence[int],
-              distinct: Sequence[tuple[int, int]],
-              conditions: Sequence[tuple[int, int]]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """One machine's local hash join, output rows included.
-
-    All key matches in :func:`join_pairs` order, each written left row
-    then the right row's ``right_carry`` columns (``build_left`` says
-    which side the build rows are), keeping a row only if its
-    ``distinct`` position pairs differ (injectivity across the sides)
-    and every ``conditions`` pair ``(i, j)`` has ``row[i] < row[j]``.
-    Returns the emitted rows and the per-probe-row emit counts the
-    chunked charges need — PUSH-JOIN and the baselines' relation join
-    are this one program.
+    The order is the scalar dict-of-buckets join's: probe-major, build
+    rows in insertion order within a bucket.  The build keys are sorted
+    once (stably, so equal keys keep insertion order) and each probe
+    row's bucket is a ``[lo, hi)`` range found by ``searchsorted``.
+    Blocks cut that sequence every :data:`JOIN_BLOCK_PAIRS` pairs — a
+    bucket crossing a cut is split between two blocks — and cover the
+    probe rows contiguously, matched or not.  Yields ``(p0, counts,
+    build_idx)``: ``counts[i]`` of the block's pairs belong to probe row
+    ``p0 + i``, and ``build_idx`` is their build rows in order.  Adjacent
+    blocks share at most their boundary probe row.
     """
-    build_idx, probe_idx = join_pairs(build, probe, build_key, probe_key)
-    brows, prows = build[build_idx], probe[probe_idx]
-    lf, rf = (brows, prows) if build_left else (prows, brows)
-    joined = np.concatenate((lf, rf[:, list(right_carry)]), axis=1)
-    keep = np.ones(len(joined), dtype=bool)
-    for i, j in distinct:
-        keep &= joined[:, i] != joined[:, j]
-    for i, j in conditions:
-        keep &= joined[:, i] < joined[:, j]
-    return joined[keep], np.bincount(probe_idx[keep], minlength=len(probe))
+    budget = JOIN_BLOCK_PAIRS
+    order, bounds, shift = _buckets(build, probe, build_key, probe_key)
+    starts, ends = bounds[:-1], bounds[1:]
+    total = int(bounds[-1])
+    p0 = 0
+    for a in range(0, max(total, 1), budget):
+        b = min(a + budget, total)
+        # probe rows whose pairs all end by b, then the one running past it
+        done = int(np.searchsorted(ends, b, side="right"))
+        p1 = done + 1 if b < total else len(probe)
+        s = np.clip(starts[p0:p1], a, b)
+        counts = np.clip(ends[p0:p1], a, b) - s
+        yield p0, counts, order[np.repeat(shift[p0:p1] + a, counts)
+                                + np.arange(b - a)]
+        p0 = done
+
+
+def _buckets(build: np.ndarray, probe: np.ndarray,
+             build_key: tuple[int, ...], probe_key: tuple[int, ...]
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, bounds, shift)``: the build rows in bucket order; probe
+    row ``p``'s pairs are pair indices ``bounds[p] .. bounds[p + 1]``,
+    pair ``j`` matching build row ``order[shift[p] + j]``.  (A function of
+    its own so the keys and sorted keys are freed before the first
+    block.)"""
+    build_keys, probe_keys = _join_keys(build, probe, build_key, probe_key)
+    order = np.argsort(build_keys, kind="stable")
+    sorted_keys = build_keys[order]
+    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
+    bounds = np.zeros(len(probe) + 1, dtype=np.int64)
+    np.cumsum(np.searchsorted(sorted_keys, probe_keys, side="right") - lo,
+              out=bounds[1:])
+    return order, bounds, lo - bounds[:-1]
+
+
+def join_blocks(build: np.ndarray, probe: np.ndarray,
+                build_key: tuple[int, ...], probe_key: tuple[int, ...],
+                build_left: bool, right_carry: Sequence[int],
+                distinct: Sequence[tuple[int, int]],
+                conditions: Sequence[tuple[int, int]],
+                materialise: bool = True):
+    """One machine's local hash join, one :func:`join_pairs` block at a
+    time — PUSH-JOIN and the baselines' relation join are this program.
+
+    An output row is the left row then the right row's ``right_carry``
+    columns (``build_left`` says which side the build rows are).  It is
+    kept only if its ``distinct`` position pairs differ (injectivity
+    across the sides) and every ``conditions`` pair ``(i, j)`` has
+    ``row[i] < row[j]``.  Both filters run on the index pairs: each
+    output column they name is gathered once — build side by index,
+    probe side by ``np.repeat`` — and only the survivors' rows are
+    gathered in full.  Yields ``(rows, p0, kept)`` per block, ``kept[i]``
+    the rows it emits for probe row ``p0 + i``; ``rows`` is ``None``
+    unless ``materialise``.
+    """
+    carry = np.asarray(right_carry, dtype=np.intp)
+    tests = ([(i, j, np.not_equal) for i, j in distinct]
+             + [(i, j, np.less) for i, j in conditions])
+    for p0, counts, build_idx in join_pairs(build, probe, build_key,
+                                            probe_key):
+        yield _join_block(build, probe, p0, counts, build_idx, build_left,
+                          carry, tests, materialise)
+
+
+def _join_block(build, probe, p0, counts, build_idx, build_left, carry,
+                tests, materialise):
+    """:func:`join_blocks` on one block, as ``(rows, p0, kept)`` (a
+    function of its own so the block's gathered columns and masks are
+    freed before the caller yields)."""
+    left, right = (build, probe) if build_left else (probe, build)
+    width = left.shape[1]
+    local = np.repeat(np.arange(len(counts)), counts)
+    cols: dict[int, np.ndarray] = {}
+
+    def column(pos: int) -> np.ndarray:
+        if pos not in cols:
+            col = pos if pos < width else int(carry[pos - width])
+            if (pos < width) == build_left:
+                cols[pos] = build[build_idx, col]
+            else:
+                cols[pos] = np.repeat(probe[p0:p0 + len(counts), col],
+                                      counts)
+        return cols[pos]
+
+    kept = counts
+    if tests:
+        keep = np.ones(len(build_idx), dtype=bool)
+        for i, j, test in tests:
+            keep &= test(column(i), column(j))
+        build_idx, local = build_idx[keep], local[keep]
+        kept = np.bincount(local, minlength=len(counts))
+    rows = None
+    if materialise:
+        probe_idx = local + p0
+        lidx, ridx = ((build_idx, probe_idx) if build_left
+                      else (probe_idx, build_idx))
+        rows = np.concatenate((left[lidx], right[ridx[:, None], carry]),
+                              axis=1)
+    return rows, p0, kept
+
+
+def join_chunks(blocks, batch_size: int, hash_ticks: int, emit_ticks: int):
+    """Cut :func:`join_blocks`' rows into chunks of ``batch_size``, each
+    with the tick charge :func:`chunk_charges` gives it for the whole
+    join — computed as the blocks arrive.
+
+    A probe row is charged to the chunk filling when it is *reached*, at
+    emitted-row index ``T_p``; ``T_p`` is known once the first block
+    holding the row is done, and every row reached before a full chunk's
+    end is known by the time the chunk is.  Yields ``(rows, ticks)`` for
+    each full chunk, then the residual: the one item with fewer than
+    ``batch_size`` rows (possibly none), carrying every row not yet
+    charged.  Between chunks the carried rows are under one chunk plus
+    one block.
+    """
+    parts: list[np.ndarray] = []
+    held = 0            # rows in parts
+    produced = 0        # rows emitted so far, parts included
+    seen = 0            # probe rows whose reach point is known
+    pending: list[np.ndarray] = []  # reach points not yet charged, ascending
+    for rows, p0, kept in blocks:
+        reach = produced + np.cumsum(kept) - kept
+        pending.append(reach[seen - p0:])
+        seen = p0 + len(kept)
+        produced += len(rows)
+        parts.append(rows)
+        held += len(rows)
+        if held < batch_size:
+            continue
+        # hold the block's rows once while the chunks are out
+        carried, parts, rows = np.concatenate(parts), [], None
+        reached = np.concatenate(pending)
+        num_full = held // batch_size
+        chunk_ends = (produced - held
+                      + batch_size * np.arange(1, num_full + 1))
+        cuts = np.searchsorted(reached, chunk_ends, side="left")
+        hashed = np.diff(cuts, prepend=0)
+        for c in range(num_full):
+            yield (carried[c * batch_size:(c + 1) * batch_size],
+                   int(hashed[c]) * hash_ticks + batch_size * emit_ticks)
+        parts = [carried[num_full * batch_size:]]
+        held -= num_full * batch_size
+        pending = [reached[cuts[-1]:]]
+    yield (np.concatenate(parts),
+           sum(map(len, pending)) * hash_ticks + held * emit_ticks)
 
 
 # -- per-chunk probe charges ------------------------------------------------------

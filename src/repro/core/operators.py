@@ -42,8 +42,8 @@ from ..cluster.cost import to_ticks
 from ..obs.trace import NULL_TRACER
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
-from .kernels import (chunk_charges, csr_gather, extend_block,
-                      fused_verify_mask, hash_destinations, join_rows)
+from .kernels import (csr_gather, extend_block, fused_verify_mask,
+                      hash_destinations, join_blocks, join_chunks)
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
            "join_stream", "Tuple"]
@@ -322,9 +322,13 @@ class JoinBuffer:
                                   len(self._parts))
         self.total += len(rows)
         tuple_bytes = self.arity * cost.bytes_per_id
-        for dest in np.unique(dests).tolist():
-            mask = dests == dest
-            part = rows[mask]
+        # one stable sort files every row, in row order, under ascending
+        # destinations
+        order = np.argsort(dests, kind="stable")
+        by_dest = dests[order]
+        cuts = np.flatnonzero(by_dest[1:] != by_dest[:-1]) + 1
+        for dest, part in zip(by_dest[np.r_[0, cuts]].tolist(),
+                              np.split(rows[order], cuts)):
             n = len(part)
             self._parts[dest].append(part)
             traced = tracer.enabled and dest != machine
@@ -362,8 +366,10 @@ def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
 
     Builds on the smaller side, probes with the larger, applies the
     cross-side distinctness and symmetry filters, and yields output batches
-    of at most ``batch_size`` rows.  Per-probe worker costs are returned
-    through the scheduler path (the caller charges them).
+    of at most ``batch_size`` rows, charging each as it goes.  The join
+    runs in blocks of at most :data:`~repro.core.kernels.JOIN_BLOCK_PAIRS`
+    key matches (:func:`~repro.core.kernels.join_chunks`), so the process
+    holds one block and one batch, not the machine's whole output.
     """
     try:
         yield from _join_stream_inner(ctx, spec, left, right, machine,
@@ -396,27 +402,22 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
                         {"op": opid, "tuples": len(build)})
         t_seg = tracer.now(machine)
 
-    emitted, emit_per_probe = join_rows(
-        build, probe, build_key, probe_key, build_left, spec.right_carry,
-        spec.cross_distinct, spec.cross_conditions)
-    total = len(emitted)
-    charges = chunk_charges(emit_per_probe, total, batch_size, t.hash_probe,
-                            len(spec.out_schema) * t.emit)
-    num_full = total // batch_size
-    for c in range(num_full):
-        ctx.metrics.charge_ops(machine, charges[c])
+    blocks = join_blocks(build, probe, build_key, probe_key, build_left,
+                         spec.right_carry, spec.cross_distinct,
+                         spec.cross_conditions)
+    for rows, ticks in join_chunks(blocks, batch_size, t.hash_probe,
+                                   len(spec.out_schema) * t.emit):
+        ctx.metrics.charge_ops(machine, ticks)
         if tracer.enabled:
             tracer.complete("probe", machine, t_seg, tracer.now(machine),
                             {"op": opid})
-        yield emitted[c * batch_size:(c + 1) * batch_size]
+        if len(rows) < batch_size:  # the residual chunk comes last
+            if len(rows):
+                yield rows
+            return
+        yield rows
         # the clock advanced while the consumer ran; restart the probe
         # span at the resume point or it would straddle the consumer's
         # own spans and break strict nesting
         if tracer.enabled:
             t_seg = tracer.now(machine)
-    ctx.metrics.charge_ops(machine, charges[num_full])
-    if tracer.enabled:
-        tracer.complete("probe", machine, t_seg, tracer.now(machine),
-                        {"op": opid})
-    if total % batch_size:
-        yield emitted[num_full * batch_size:]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -32,7 +34,7 @@ from .workloads import Workload, random_workload
 
 __all__ = ["ARTIFACT_VERSION", "CaseFailure", "ConformanceHarness",
            "HarnessReport", "load_artifact", "replay_artifact", "run_case",
-           "save_artifact", "shrink_workload"]
+           "save_artifact", "shrink_workload", "traced_peak"]
 
 ARTIFACT_VERSION = 1
 
@@ -67,6 +69,29 @@ def _build_plan(spec: EngineSpec, engine: HugeEngine, query,
     return plan
 
 
+@contextmanager
+def traced_peak(outcome: CaseOutcome, graph):
+    """Record the block's ``tracemalloc`` peak (numpy buffers included)
+    as ``outcome.traced_peak_bytes``, for the ``process-memory`` oracle.
+
+    The graph's composite index is built first: it is cached derived
+    data of the snapshot, shared by every run, not the run's memory.
+    Nests inside a caller's own tracing (the peak is reset, not the
+    tracer stopped)."""
+    graph.composite_index()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        yield
+    finally:
+        outcome.traced_peak_bytes = tracemalloc.get_traced_memory()[1] - base
+        if started:
+            tracemalloc.stop()
+
+
 def execute(workload: Workload, spec: EngineSpec,
             tracer=None) -> CaseOutcome:
     """Run one engine on one workload, capturing the oracle observables.
@@ -99,7 +124,8 @@ def execute(workload: Workload, spec: EngineSpec,
                                 estimator=SamplingEstimator(
                                     graph, trials=60, seed=7))
             plan = _build_plan(spec, engine, query, graph)
-            result = engine.run(query, plan=plan, tracer=tracer)
+            with traced_peak(outcome, graph):
+                result = engine.run(query, plan=plan, tracer=tracer)
             outcome.count = result.count
             outcome.matches = result.matches
             outcome.report = result.report

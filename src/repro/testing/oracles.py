@@ -18,6 +18,18 @@ the workload/configuration that produced it:
   peak check is skipped for pure-BFS runs (infinite queues void the
   theorem's premise) and for baselines (whose unbounded intermediates
   are the paper's point);
+* ``process-memory`` — the process obeys the bound its ledger charges:
+  a HUGE pattern run's ``tracemalloc`` peak (numpy's buffers are traced;
+  the graph's composite index is built before tracing starts) is at most
+  ``4 · Σ_m peak_mem_bytes[m] + 16 MiB``, summed over machines because
+  the process hosts every simulated machine.  α = 4 and β = 16 MiB come
+  from the pull path, whose runs trace at 1.1–2.6× Σ (EXPERIMENTS.md,
+  "PUSH-JOIN in bounded blocks").  Census, delta and baseline specs are
+  not traced, so the oracle skips them: the delta pass keeps no ledger
+  (it runs outside the scheduler), a census case's memory is dominated
+  by planning, which the ledger does not charge, and the baselines are
+  held to no memory bound at all (their unbounded intermediates are the
+  paper's point);
 * ``cache-overflow`` — the LRBU cache never overflows its capacity by
   more than one batch's worth of distinct remote vertices (§4.4);
 * ``time-conservation`` — exact identities, no tolerance: on the integer
@@ -71,14 +83,20 @@ from ..query.pattern import QueryGraph
 from .configs import EngineSpec
 from .workloads import Workload
 
-__all__ = ["CENSUS_ORACLES", "DELTA_ORACLES", "ORACLES", "CaseOutcome",
+__all__ = ["CENSUS_ORACLES", "DELTA_ORACLES", "ORACLES",
+           "PROCESS_MEMORY_ALPHA", "PROCESS_MEMORY_BETA", "CaseOutcome",
            "CensusReference", "OracleFailure", "Reference", "check_case",
-           "check_census_case", "compute_census_reference",
-           "compute_reference"]
+           "check_census_case", "check_process_memory",
+           "compute_census_reference", "compute_reference"]
 
 #: the oracle names, in checking order
 ORACLES = ("error", "count", "embeddings", "symmetry", "memory-bound",
-           "cache-overflow", "time-conservation")
+           "process-memory", "cache-overflow", "time-conservation")
+
+#: ``process-memory``: a run's traced peak may be at most
+#: ``PROCESS_MEMORY_ALPHA · Σ_m peak_mem_bytes[m] + PROCESS_MEMORY_BETA``
+PROCESS_MEMORY_ALPHA = 4
+PROCESS_MEMORY_BETA = 16 << 20
 
 #: the census-family oracle names, in checking order
 CENSUS_ORACLES = ("error", "census-total", "census-classes",
@@ -129,6 +147,8 @@ class CaseOutcome:
     cache_reserved_ids: int = 0
     join_buffer_tuples: int = 0
     bytes_per_id: int = 8
+    traced_peak_bytes: int | None = None
+    """The run's ``tracemalloc`` peak (None when it was not traced)."""
     error: str | None = None
     failures: list[OracleFailure] = field(default_factory=list)
     # census-spec observables (None/0 on pattern-enumeration runs)
@@ -242,6 +262,22 @@ def _check_memory_bound(workload: Workload, spec: EngineSpec,
     return None
 
 
+def check_process_memory(outcome: CaseOutcome) -> OracleFailure | None:
+    """``process-memory``: the traced peak against the ledger's per-machine
+    peaks (skipped for a run that was not traced)."""
+    if outcome.traced_peak_bytes is None or outcome.ledger is None:
+        return None
+    charged = sum(m.peak_mem_bytes for m in outcome.ledger.machines)
+    bound = PROCESS_MEMORY_ALPHA * charged + PROCESS_MEMORY_BETA
+    if outcome.traced_peak_bytes > bound:
+        return OracleFailure(
+            "process-memory",
+            f"traced peak {outcome.traced_peak_bytes}B exceeds "
+            f"{PROCESS_MEMORY_ALPHA} x {charged}B charged over all machines "
+            f"+ {PROCESS_MEMORY_BETA}B = {bound}B")
+    return None
+
+
 def _check_cache_overflow(workload: Workload, spec: EngineSpec,
                           outcome: CaseOutcome) -> OracleFailure | None:
     if not spec.is_huge:
@@ -312,6 +348,7 @@ def check_case(workload: Workload, spec: EngineSpec, outcome: CaseOutcome,
         _check_embeddings(outcome, ref),
         _check_symmetry(ref),
         _check_memory_bound(workload, spec, outcome),
+        check_process_memory(outcome),
         _check_cache_overflow(workload, spec, outcome),
         _check_time_conservation(outcome),
     ):

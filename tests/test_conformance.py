@@ -18,11 +18,18 @@ import sys
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.core import EngineConfig, HugeEngine
+from repro.graph import load_dataset
+from repro.query import get_query
 from repro.testing import (ConformanceHarness, EngineSpec, compute_reference,
                            default_matrix, load_artifact, random_workload,
                            replay_artifact, run_case, save_artifact,
                            shrink_workload, smoke_matrix)
-from repro.testing.oracles import CaseOutcome, check_case
+from repro.testing.harness import traced_peak
+from repro.testing.oracles import (PROCESS_MEMORY_ALPHA, PROCESS_MEMORY_BETA,
+                                   CaseOutcome, check_case,
+                                   check_process_memory)
 
 
 class TestSmokeSweep:
@@ -199,6 +206,42 @@ class TestOracles:
     def test_reference_symmetry_identity(self):
         wl, ref = self._ref_and_workload()
         assert ref.count * ref.automorphisms == ref.ordered_count
+
+    def test_process_memory_oracle_flags_a_peak_over_the_bound(self):
+        wl, ref = self._ref_and_workload()
+        outcome = run_case(wl, EngineSpec("huge-default"), ref=ref)
+        assert outcome.ok and outcome.traced_peak_bytes > 0
+        charged = sum(m.peak_mem_bytes for m in outcome.ledger.machines)
+        outcome.traced_peak_bytes = (
+            PROCESS_MEMORY_ALPHA * charged + PROCESS_MEMORY_BETA + 1)
+        fails = check_case(wl, EngineSpec("huge-default"), outcome, ref)
+        assert [f.oracle for f in fails] == ["process-memory"]
+
+    def test_baseline_runs_are_not_traced(self):
+        wl, ref = self._ref_and_workload()
+        outcome = run_case(wl, EngineSpec("seed", engine="seed"), ref=ref)
+        assert outcome.ok and outcome.traced_peak_bytes is None
+
+
+class TestProcessMemory:
+    def test_push_join_run_obeys_its_ledger(self):
+        """q6 on GO: one PUSH-JOIN of 5.6 M key matches per run.  Its
+        process peak must stay within the bound the ledger charges
+        (a join that materialised every match traced 113 MB against a
+        25.5 MB bound)."""
+        graph = load_dataset("GO")
+        cluster = Cluster(graph, num_machines=10, workers_per_machine=4,
+                          seed=1)
+        engine = HugeEngine(cluster, EngineConfig(collect_results=False))
+        plan = engine.plan(get_query("q6"))
+        assert plan.num_push_joins() == 1
+        outcome = CaseOutcome(spec_name="q6-GO")
+        with traced_peak(outcome, graph):
+            result = engine.run(plan=plan)
+        assert result.count == 1821932
+        outcome.ledger = cluster.metrics  # the run's ledger
+        assert sum(m.peak_mem_bytes for m in outcome.ledger.machines) > 0
+        assert check_process_memory(outcome) is None
 
 
 class TestBenchmarkSeeding:

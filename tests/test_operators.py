@@ -1,8 +1,11 @@
 """Unit tests for the runtime operators (repro.core.operators)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.core.kernels as kernels
 from repro.cluster import Cluster
 from repro.core.cache import LRBUCache, make_cache
 from repro.core.dataflow import ExtendSpec, JoinSpec, ScanSpec
@@ -10,6 +13,7 @@ from repro.core.kernels import hash_destinations
 from repro.core.operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
                                   SinkConsumer, join_stream)
 from repro.graph import generators as gen
+from repro.obs import Tracer, check_span_nesting
 
 from .test_stream import python_calls
 
@@ -378,3 +382,58 @@ class TestJoinStreamRelease:
         for m, machine in enumerate(ctx.metrics.machines):
             assert machine.cur_mem_bytes == 0, m
             assert machine.mem_underflows == 0, m
+
+    def test_abandoned_mid_block_releases_buffers(self, ctx, monkeypatch):
+        """abandoned while a block's rows are still being cut into
+        batches: the ledger drains all the same"""
+        monkeypatch.setattr(kernels, "JOIN_BLOCK_PAIRS", 8)
+        spec, left, right = self._buffers(ctx)
+        for m in range(ctx.cluster.num_machines):
+            stream = join_stream(ctx, spec, left, right, m, 3)
+            next(stream, None)      # a 3-row batch of an 8-pair block
+            stream.close()
+        for m, machine in enumerate(ctx.metrics.machines):
+            assert machine.cur_mem_bytes == 0, m
+            assert machine.mem_underflows == 0, m
+
+
+def _traced_join(er_graph, batch_size):
+    """Every machine's join of two sides with long buckets, traced, with
+    a consumer that spends ticks between batches; returns the batches,
+    the ledger and the trace."""
+    cluster = Cluster(er_graph, num_machines=4, workers_per_machine=2,
+                      seed=1)
+    tracer = Tracer()
+    tracer.bind(cluster.metrics)
+    ctx = ExecContext(cluster, [], tracer)
+    spec = JoinSpec(left_key=(1,), right_key=(0,), right_carry=(1,),
+                    out_schema=(0, 1, 2), cross_distinct=((0, 2),),
+                    cross_conditions=((0, 2),))
+    left = JoinBuffer(ctx, spec.left_key, arity=2, buffer_tuples=40)
+    right = JoinBuffer(ctx, spec.right_key, arity=2, buffer_tuples=40)
+    left.consume(0, as_rows([(i, i % 5) for i in range(60)]))
+    right.consume(1, as_rows([(i % 5, i) for i in range(70)]))
+    batches = []
+    for m in range(cluster.num_machines):
+        for batch in join_stream(ctx, spec, left, right, m, batch_size):
+            batches.append((m, tuples(batch)))
+            t0 = tracer.now(m)
+            ctx.metrics.charge_ops(m, 1000)
+            tracer.complete("consume", m, t0, tracer.now(m))
+    ledger = [dataclasses.asdict(mm) for mm in cluster.metrics.machines]
+    return batches, ledger, tracer.trace
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+def test_join_stream_one_pair_blocks_change_nothing(er_graph, monkeypatch,
+                                                    batch_size):
+    """one key match per block: the same batches, the same ledger and
+    the same strictly nested probe spans as the default budget"""
+    want = _traced_join(er_graph, batch_size)
+    monkeypatch.setattr(kernels, "JOIN_BLOCK_PAIRS", 1)
+    got = _traced_join(er_graph, batch_size)
+    assert got[0] == want[0] and len(got[0]) > 1
+    assert got[1] == want[1]
+    assert list(got[2].spans) == list(want[2].spans)
+    assert sum(1 for s in got[2].spans if s.name == "probe") > 4
+    assert check_span_nesting(got[2]) == []
