@@ -49,16 +49,14 @@ Commands
         python -m repro serve --data GO --queries 32 --service-workers 4 \\
             --crash 2 --verify --trace serve.json
 
-    ``--metrics FILE`` attaches a labelled metrics registry and writes
-    its Prometheus text exposition; ``--flight FILE`` dumps the
-    per-query flight recorder as JSONL; ``--smoke`` caps the workload
-    for CI and forces ``--verify``.
+    ``--metrics FILE`` writes the Prometheus text exposition of the
+    service's metrics registry; ``--smoke`` caps the workload for CI and
+    forces ``--verify``.
 
 ``metrics``
-    Run an instrumented demo query and dump the metrics exposition (or
-    JSON snapshot), or validate an exposition file::
+    Validate a Prometheus text exposition file (as ``serve --metrics``
+    or ``stream --metrics`` write it)::
 
-        python -m repro metrics --data GO --pattern q1
         python -m repro metrics --check metrics.prom
 """
 
@@ -81,8 +79,11 @@ def _load_graph(spec: str, scale: float):
     return load_edge_list(spec)
 
 
-def _write_exposition(registry, dest: str) -> None:
-    """Write Prometheus text exposition to a file (or stdout for ``-``)."""
+def _write_exposition(registry, dest: str | None) -> None:
+    """Write Prometheus text exposition to a file (or stdout for ``-``);
+    no ``--metrics`` destination, nothing to write."""
+    if not dest:
+        return
     text = registry.expose()
     if dest == "-":
         sys.stdout.write(text)
@@ -94,50 +95,10 @@ def _write_exposition(registry, dest: str) -> None:
               f"({len(registry.families())} families)", file=sys.stderr)
 
 
-def _observers(args: argparse.Namespace, engine: bool):
-    """The ``--trace`` / ``--metrics`` / ``--flight`` set-up, as
-    ``(tracer, registry, flight)``.  An ``engine`` command (``query``)
-    gets the tracer its run takes — a span tracer, wrapped to aggregate
-    into the registry; a service command (``serve``, ``stream``) traces
-    inside the service and gets a flight recorder."""
-    tracer = registry = flight = None
-    if getattr(args, "metrics", None):
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if engine:
-        if args.trace:
-            from .obs.trace import Tracer
-
-            tracer = Tracer()
-        if registry is not None:
-            from .obs import MetricsTracer
-
-            tracer = MetricsTracer(registry, inner=tracer)
-    elif registry is not None or args.flight:
-        from .obs import FlightRecorder
-
-        flight = FlightRecorder()
-    return tracer, registry, flight
-
-
-def _write_observers(args: argparse.Namespace, registry, flight=None,
-                     quiet: bool = False) -> None:
-    """The write-out half: the flight log (announced unless ``quiet``,
-    the ``--json`` mode), then the metrics exposition."""
-    if flight is not None and args.flight:
-        flight.dump(args.flight)
-        if not quiet:
-            print(f"flight log written to {args.flight}")
-    if registry is not None:
-        _write_exposition(registry, args.metrics)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    if args.cypher and (args.trace or args.json
-                        or getattr(args, "metrics", None)):
-        print("error: --trace/--json/--metrics are not supported with "
-              "--cypher", file=sys.stderr)
+    if args.cypher and (args.trace or args.json):
+        print("error: --trace/--json are not supported with --cypher",
+              file=sys.stderr)
         return 2
     graph = _load_graph(args.data, args.scale)
     cluster = Cluster(graph, num_machines=args.machines,
@@ -157,19 +118,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         engine = HugeEngine(cluster,
                             EngineConfig(collect_results=args.show > 0))
-        tracer, registry, _ = _observers(args, engine=True)
-        res = engine.run(get_query(args.pattern), tracer=tracer)
-        if registry is not None:
-            from .obs import record_result
+        tracer = None
+        if args.trace:
+            from .obs.trace import Tracer
 
-            record_result(registry, res)
+            tracer = Tracer()
+        res = engine.run(get_query(args.pattern), tracer=tracer)
         if args.trace:
             res.trace.save(args.trace)
         if args.json:
             import json
 
             print(json.dumps(res.as_dict(), indent=2))
-            _write_observers(args, registry)
             return 0
         print(f"matches: {res.count}")
         if args.show:
@@ -187,8 +147,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
           f"comm {report.comm_time_s:.4f}s)")
     print(f"transferred: {report.bytes_transferred / 1e6:.2f} MB; "
           f"peak machine memory: {report.peak_memory_bytes / 1e6:.2f} MB")
-    if not args.cypher:
-        _write_observers(args, registry)
     return 0
 
 
@@ -245,17 +203,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     cluster = Cluster(graph, num_machines=args.machines,
                       workers_per_machine=args.workers, seed=args.seed)
     res = motif_census(cluster, args.k)
-    registry = None
-    if args.metrics:
-        from .obs import MetricsRegistry, record_census
-
-        registry = MetricsRegistry()
-        record_census(registry, res)
     if args.json:
         import json
 
         print(json.dumps(res.as_dict(), indent=2))
-        _write_observers(args, registry)
         return 0
     print(f"data graph: {graph}")
     print(f"size-{args.k} census: {res.total_subgraphs:,} connected "
@@ -268,7 +219,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
           f"(compute {report.compute_time_s:.4f}s, "
           f"comm {report.comm_time_s:.4f}s); "
           f"transferred: {report.bytes_transferred / 1e6:.2f} MB")
-    _write_observers(args, registry)
     return 0
 
 
@@ -289,13 +239,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_fraction=args.deadline_fraction, deadline_s=args.deadline,
         tenants=tuple(args.tenants.split(",")), crashes=args.crash,
         zipf_s=args.zipf)
-    _, registry, flight = _observers(args, engine=False)
     driver = LoadDriver(
         graph, spec, num_workers=args.service_workers,
         memory_budget_bytes=(args.budget_mb * 1e6 if args.budget_mb
                              else float("inf")),
         tenant_max_inflight=args.tenant_cap, trace=bool(args.trace),
-        metrics=registry, flight=flight, sharing=args.share, pool=args.pool)
+        sharing=args.share, pool=args.pool)
     report = driver.run(verify=args.verify)
     if args.trace and driver.service and driver.service.tracer:
         driver.service.tracer.save(
@@ -305,7 +254,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         import json
 
         print(json.dumps(report.as_dict(), indent=2))
-        _write_observers(args, registry, flight, quiet=True)
+        _write_exposition(driver.service.metrics, args.metrics)
         return 0 if (not args.verify or report.verified) else 1
 
     svc = report.service
@@ -337,12 +286,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace} "
               f"(load in https://ui.perfetto.dev)")
-    if flight is not None:
-        fs = flight.stats()
-        print(f"flight recorder: {fs['retained']} flights retained "
-              f"({fs['dropped']} dropped), {fs['slow_queries']} slow, "
-              f"{fs['crash_dumps']} crash dumps")
-    _write_observers(args, registry, flight)
+    _write_exposition(driver.service.metrics, args.metrics)
     if args.verify:
         if report.verified:
             print("verify: all completed queries bit-identical to solo runs")
@@ -372,11 +316,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     dataset = args.data.upper()
     patterns = tuple(args.patterns.split(","))
 
-    _, registry, flight = _observers(args, engine=False)
     svc = QueryService(datasets={dataset: stream.base},
                        num_workers=args.service_workers,
-                       trace=bool(args.trace), metrics=registry,
-                       flight=flight).start()
+                       trace=bool(args.trace)).start()
     try:
         t0 = time.perf_counter()
         subs = [svc.subscribe(SubscribeRequest(pattern=p, dataset=dataset,
@@ -435,7 +377,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             payload["verified"] = verified
             payload["verify"] = verify_rows
         print(json.dumps(payload, indent=2))
-        _write_observers(args, registry, flight, quiet=True)
+        _write_exposition(svc.metrics, args.metrics)
         return 0 if (not args.verify or verified) else 1
 
     print(f"data graph: {graph}")
@@ -461,7 +403,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace} "
               f"(load in https://ui.perfetto.dev)")
-    _write_observers(args, registry, flight)
+    _write_exposition(svc.metrics, args.metrics)
     if args.verify:
         if verified:
             print("verify: incremental counts bit-identical to "
@@ -480,48 +422,22 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import check_exposition
 
-    if args.check:
-        if args.check == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.check, encoding="utf-8") as fh:
-                text = fh.read()
-        errors = check_exposition(text)
-        if errors:
-            print(f"exposition INVALID ({len(errors)} errors):")
-            for err in errors:
-                print(f"  {err}")
-            return 1
-        samples = sum(1 for line in text.splitlines()
-                      if line and not line.startswith("#"))
-        families = sum(1 for line in text.splitlines()
-                       if line.startswith("# TYPE "))
-        print(f"exposition ok: {families} families, {samples} samples")
-        return 0
-
-    from .obs import MetricsRegistry, MetricsTracer, record_result
-
-    graph = _load_graph(args.data, args.scale)
-    cluster = Cluster(graph, num_machines=args.machines,
-                      workers_per_machine=args.workers, seed=args.seed)
-    engine = HugeEngine(cluster)
-    registry = MetricsRegistry()
-    res = engine.run(get_query(args.pattern),
-                     tracer=MetricsTracer(registry))
-    record_result(registry, res)
-    errors = check_exposition(registry.expose())
-    if errors:
-        print("internal error: exposition failed self-check",
-              file=sys.stderr)
-        for err in errors:
-            print(f"  {err}", file=sys.stderr)
-        return 1
-    if args.json:
-        import json
-
-        print(json.dumps(registry.snapshot(), indent=2))
+    if args.check == "-":
+        text = sys.stdin.read()
     else:
-        _write_exposition(registry, args.out)
+        with open(args.check, encoding="utf-8") as fh:
+            text = fh.read()
+    errors = check_exposition(text)
+    if errors:
+        print(f"exposition INVALID ({len(errors)} errors):")
+        for err in errors:
+            print(f"  {err}")
+        return 1
+    samples = sum(1 for line in text.splitlines()
+                  if line and not line.startswith("#"))
+    families = sum(1 for line in text.splitlines()
+                   if line.startswith("# TYPE "))
+    print(f"exposition ok: {families} families, {samples} samples")
     return 0
 
 
@@ -557,10 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "JSON (open in Perfetto) to FILE")
     q.add_argument("--json", action="store_true",
                    help="print the result as JSON instead of text")
-    q.add_argument("--metrics", metavar="FILE",
-                   help="aggregate engine metrics into a registry and write "
-                        "the Prometheus text exposition to FILE ('-' for "
-                        "stdout)")
     q.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("plan", help="show the Algorithm-1 plan")
@@ -599,9 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="census subgraph size")
     n.add_argument("--json", action="store_true",
                    help="print the census result as JSON instead of text")
-    n.add_argument("--metrics", metavar="FILE",
-                   help="write census metrics as Prometheus text exposition "
-                        "to FILE ('-' for stdout)")
     n.set_defaults(func=_cmd_census)
 
     s = sub.add_parser("serve",
@@ -646,11 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true",
                    help="print the full driver report as JSON")
     s.add_argument("--metrics", metavar="FILE",
-                   help="instrument the service with a metrics registry and "
-                        "write the Prometheus exposition to FILE ('-' for "
-                        "stdout)")
-    s.add_argument("--flight", metavar="FILE",
-                   help="dump the per-query flight recorder as JSONL to FILE")
+                   help="write the Prometheus exposition of the service's "
+                        "metrics registry to FILE ('-' for stdout)")
     s.add_argument("--smoke", action="store_true",
                    help="CI smoke mode: cap the workload at 8 queries / 2 "
                         "workers and force --verify")
@@ -682,35 +588,18 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--json", action="store_true",
                     help="print the full stream report as JSON")
     st.add_argument("--metrics", metavar="FILE",
-                    help="instrument the service and write the Prometheus "
-                         "exposition to FILE ('-' for stdout)")
-    st.add_argument("--flight", metavar="FILE",
-                    help="dump the per-subscription flight recorder as "
-                         "JSONL to FILE")
+                    help="write the Prometheus exposition of the service's "
+                         "metrics registry to FILE ('-' for stdout)")
     st.add_argument("--smoke", action="store_true",
                     help="CI smoke mode: cap at 20 updates / 2 workers and "
                          "force --verify")
     st.set_defaults(func=_cmd_stream)
 
     mt = sub.add_parser("metrics",
-                        help="run an instrumented demo query and dump the "
-                             "metrics exposition, or --check FILE to "
-                             "validate one")
-    mt.add_argument("--check", metavar="FILE",
-                    help="validate a Prometheus text exposition file "
-                         "('-' for stdin); exits 1 on format errors")
-    mt.add_argument("--data", default="GO",
-                    help="dataset for the demo query (default GO)")
-    mt.add_argument("--pattern", default="q1", choices=sorted(QUERIES))
-    mt.add_argument("--machines", type=int, default=4)
-    mt.add_argument("--workers", type=int, default=4)
-    mt.add_argument("--scale", type=float, default=1.0)
-    mt.add_argument("--seed", type=int, default=0)
-    mt.add_argument("--out", metavar="FILE", default="-",
-                    help="write the exposition to FILE (default stdout)")
-    mt.add_argument("--json", action="store_true",
-                    help="print the JSON snapshot instead of the text "
-                         "exposition")
+                        help="validate a Prometheus text exposition file")
+    mt.add_argument("--check", metavar="FILE", required=True,
+                    help="the exposition to validate ('-' for stdin); "
+                         "exits 1 on format errors")
     mt.set_defaults(func=_cmd_metrics)
 
     c = sub.add_parser("conformance",

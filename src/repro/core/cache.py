@@ -51,41 +51,15 @@ _FETCH_INSERT_TICKS = TICKS_PER_OP // 2
 
 
 class CacheStats:
-    """Hit/miss/eviction/overflow counters for one cache instance.
+    """What only the cache observes: evictions and the worst overflow
+    beyond capacity.  Hits and misses are the ledger's
+    (``Metrics.record_cache``), counted by the fetch stage's caller."""
 
-    When bound to a :class:`~repro.cluster.metrics.Metrics` via
-    :meth:`bind`, every :meth:`count` call is forwarded to
-    ``Metrics.record_cache`` so the per-cache counters and the run-level
-    ``RunReport`` hit rate are the same numbers by construction.
-    """
-
-    __slots__ = ("hits", "misses", "evictions", "max_overflow_ids",
-                 "_metrics", "_machine")
+    __slots__ = ("evictions", "max_overflow_ids")
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.max_overflow_ids = 0
-        self._metrics = None
-        self._machine = 0
-
-    def bind(self, metrics, machine: int) -> None:
-        """Mirror all subsequent hit/miss counts into ``metrics``."""
-        self._metrics = metrics
-        self._machine = machine
-
-    def count(self, hits: int = 0, misses: int = 0) -> None:
-        """Record accesses — the single entry point for hit/miss accounting."""
-        self.hits += hits
-        self.misses += misses
-        if self._metrics is not None:
-            self._metrics.record_cache(self._machine, hits=hits, misses=misses)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class LRBUCache:

@@ -94,9 +94,6 @@ class EnumerationResult:
     fetch_time_s: float
     """Simulated time spent in PULL-EXTEND fetch stages (Table 5's t_f)."""
 
-    cache_hit_rate: float
-    """Fetch-stage cache hit rate (Exp-5)."""
-
     matches: list[Tuple] | None = field(default=None, repr=False)
     """Matches in query-vertex order, if collection was enabled."""
 
@@ -113,6 +110,11 @@ class EnumerationResult:
 
     trace: Trace | None = field(default=None, repr=False)
     """The recorded span trace, when the run was traced."""
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fetch-stage cache hit rate (Exp-5): the ledger's."""
+        return self.report.cache_hit_rate
 
     @property
     def throughput_per_s(self) -> float:
@@ -215,9 +217,6 @@ class HugeEngine:
         report and the cache statistics are the run's, shared by all."""
         caches = ctx.caches
         report = ctx.metrics.report()
-        hits = sum(c.stats.hits for c in caches)
-        misses = sum(c.stats.misses for c in caches)
-        hit_rate = hits / (hits + misses) if hits + misses else 0.0
         fetch_s = self.cluster.cost.ticks_to_seconds(ctx.fetch_ops)
         overflow = max((c.stats.max_overflow_ids for c in caches), default=0)
         evictions = sum(c.stats.evictions for c in caches)
@@ -228,7 +227,6 @@ class HugeEngine:
                 report=report,
                 plan=plan,
                 fetch_time_s=fetch_s,
-                cache_hit_rate=hit_rate,
                 matches=sink.matches() if collect else None,
                 cache_overflow_ids=overflow,
                 cache_evictions=evictions,

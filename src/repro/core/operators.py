@@ -59,10 +59,6 @@ class ExecContext:
                  tracer=None):
         self.cluster = cluster
         self.caches = list(caches)
-        # hit/miss accounting is charged once, through the cache's own
-        # stats, and forwarded to the run metrics from there
-        for machine, cache in enumerate(self.caches):
-            cache.stats.bind(cluster.metrics, machine)
         self.metrics = cluster.metrics
         self.cost = cluster.cost
         #: per-vertex labels of the data graph (None for unlabelled)
@@ -152,7 +148,7 @@ class ExtendOp:
             # missing now was evicted mid-batch, which sealing forbids
             raise AssertionError(f"vertices {lost.tolist()} missing from "
                                  "cache during intersect stage")
-        cache.stats.count(hits=hits, misses=misses)
+        ctx.metrics.record_cache(machine, hits, misses)
         ctx.metrics.charge_ops(machine, ticks)
         ctx.fetch_ops += ticks
         if tracer.enabled:

@@ -9,10 +9,7 @@ columnar arrays a worker actually touches into POSIX shared memory:
   (already immutable int64);
 * the global edge-composite index ``u * n + v`` of
   :func:`~repro.core.kernels.edge_composite_index` (the one ``searchsorted``
-  haystack behind every fused membership test);
-* on demand, the per-``(num_machines, seed)`` vertex-ownership arrays of
-  :func:`~repro.graph.partition.hash_partition` (so children do not
-  recompute the permutation per cluster).
+  haystack behind every fused membership test).
 
 A :class:`SharedGraphHandle` is a pickle-cheap description (segment names,
 shapes, dtypes) that a child turns back into a zero-copy, **read-only**
@@ -39,7 +36,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.partition import hash_partition
 from .kernels import edge_composite_index
 
 __all__ = ["SharedArraySpec", "SharedGraphHandle", "SharedGraphStore"]
@@ -131,7 +127,6 @@ class SharedGraphStore:
         self._segments: list[shared_memory.SharedMemory] = []
         self._handles: dict[tuple[str, int], SharedGraphHandle] = {}
         self._graph_ids: dict[tuple[str, int], int] = {}
-        self._owners: dict[tuple[str, int, int, int], SharedArraySpec] = {}
         self._seq = 0
         self.closed = False
 
@@ -174,17 +169,6 @@ class SharedGraphStore:
         self._graph_ids[key] = id(graph)
         return handle
 
-    def owner_spec(self, dataset: str, graph: Graph, num_machines: int,
-                   seed: int, version: int = 0) -> SharedArraySpec:
-        """Export (once) the ownership array for one cluster shape."""
-        key = (dataset, version, num_machines, seed)
-        spec = self._owners.get(key)
-        if spec is None:
-            owner = hash_partition(graph.num_vertices, num_machines, seed)
-            spec = self._export_array(f"own{num_machines}s{seed}", owner)
-            self._owners[key] = spec
-        return spec
-
     # -- lifecycle -------------------------------------------------------------
 
     def segment_names(self) -> list[str]:
@@ -198,7 +182,6 @@ class SharedGraphStore:
         self.closed = True
         segments, self._segments = self._segments, []
         self._handles.clear()
-        self._owners.clear()
         for seg in segments:
             try:
                 seg.close()

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, and per-query flight recording.
+"""Observability: span tracing and the metrics registry.
 
 :mod:`repro.obs.trace` records span/instant/counter events against the
 simulated clock and exports Chrome ``trace_event`` JSON (Perfetto);
@@ -6,13 +6,12 @@ simulated clock and exports Chrome ``trace_event`` JSON (Perfetto);
 plan with actuals next to the optimiser's estimates (``explain
 --analyze``); :mod:`repro.obs.metrics` is the labelled
 Counter/Gauge/Histogram registry with Prometheus text exposition and
-JSON snapshots; :mod:`repro.obs.bridge` aggregates the engine's span
-stream into that registry; :mod:`repro.obs.flight` is the serving tier's
-bounded per-query flight recorder with slow-query log and dump-on-crash.
+JSON snapshots — the serving tier's statistics are counted in one.  An
+engine run's record is its :class:`~repro.cluster.metrics.RunReport`
+plus, when traced, its span trace; a service's is its event stream
+(:mod:`repro.serve.events`).
 """
 
-from .bridge import MetricsTracer, record_census, record_result
-from .flight import FlightEvent, FlightRecorder, QueryFlight
 from .metrics import (DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, Counter,
                       Gauge, Histogram, MetricsRegistry, check_exposition,
                       log_buckets)
@@ -27,22 +26,16 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "Counter",
     "CounterEvent",
-    "FlightEvent",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "InstantEvent",
     "MetricsRegistry",
-    "MetricsTracer",
     "NullTracer",
     "OperatorStats",
-    "QueryFlight",
     "SpanEvent",
     "Trace",
     "Tracer",
     "check_exposition",
     "check_span_nesting",
     "log_buckets",
-    "record_census",
-    "record_result",
 ]

@@ -1,8 +1,7 @@
 """Labelled metrics: Counter / Gauge / Histogram with Prometheus export.
 
-The serving tier and the engine both count things — admission
-decisions, queue depths, plan-cache hits, batch sizes, cache hit rates.
-This module is the shared substrate: a thread-safe
+The serving tier counts things — admission decisions, queue depths,
+plan-cache hits, latencies.  This module is the substrate: a thread-safe
 :class:`MetricsRegistry` of named metric families, each optionally
 labelled, exportable as Prometheus text-exposition
 (:meth:`MetricsRegistry.expose`) and as a JSON snapshot
@@ -11,12 +10,12 @@ labelled, exportable as Prometheus text-exposition
 :meth:`Histogram.summary` gives exact percentiles, which is all
 ``QueryService.stats()`` is — a read of the service's registry.
 
-Two time bases coexist.  Serving-tier metrics observe **wall-clock**
-seconds (`time.perf_counter` deltas); engine metrics observe **simulated**
-seconds (the metrics-ledger clocks that the cost model charges).  A
-family declares its base at registration (``time_base="wall"`` /
-``"sim"``); the base is carried into the JSON snapshot and the HELP text
-so dashboards never mix the two axes.
+Two time bases exist.  Serving-tier metrics observe **wall-clock**
+seconds (`time.perf_counter` deltas); **simulated** seconds are the
+metrics-ledger clocks that the cost model charges.  A family declares
+its base at registration (``time_base="wall"`` / ``"sim"``); the base is
+carried into the JSON snapshot and the HELP text so dashboards never mix
+the two axes.
 
 Histograms use **fixed log-scaled buckets** (:func:`log_buckets`): the
 default time buckets span 1µs–1000s at three per decade, so p50/p99
@@ -29,13 +28,11 @@ histograms.
 
 :func:`check_exposition` is a self-contained line-format validator for
 the text exposition (``python -m repro metrics --check``): CI feeds the
-output of an instrumented run back through it, so a malformed escape or
-non-cumulative bucket fails the build rather than a scrape.
+output of an instrumented service run back through it, so a malformed
+escape or non-cumulative bucket fails the build rather than a scrape.
 
 Nothing here ever touches the simulated cost ledger: registries only
-*read* observations handed to them, so a metrics-enabled run is
-bit-identical to a metrics-off run (tier-1 tests assert this against the
-golden metric grid).
+*read* observations handed to them.
 """
 
 from __future__ import annotations

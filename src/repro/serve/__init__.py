@@ -27,9 +27,9 @@ A long-running serving tier on top of :class:`~repro.core.engine.HugeEngine`:
 * **observability** (:mod:`.events` and its sinks :mod:`.instruments`,
   :mod:`.tracing`) — one event stream feeding the service's metrics
   registry (admission/queue/plan-cache/crash counters, latency
-  histograms; :mod:`.stats` is the snapshot read from it), wall-clock
-  Chrome traces and the per-query flight recorder from
-  :mod:`repro.obs.flight`.
+  histograms; :mod:`.stats` is the snapshot read from it) and, when
+  tracing is on, a wall-clock Chrome trace of every request and
+  subscription.
 """
 
 from .admission import AdmissionController, AdmissionStats, estimate_query_bytes

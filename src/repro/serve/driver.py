@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from ..core.engine import EngineConfig
 from ..graph.graph import Graph
-from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..query.pattern import QueryGraph, get_query
 from .request import Priority, QueryRequest
@@ -139,7 +138,6 @@ class LoadDriver:
                  tenant_max_inflight: int | None = None,
                  trace: bool = False,
                  metrics: MetricsRegistry | None = None,
-                 flight: FlightRecorder | None = None,
                  sharing: bool = False,
                  pool: str = "thread"):
         self.graph = graph
@@ -150,7 +148,6 @@ class LoadDriver:
         self.tenant_max_inflight = tenant_max_inflight
         self.trace = trace
         self.metrics = metrics
-        self.flight = flight
         self.sharing = sharing
         self.pool = pool
         self.service: QueryService | None = None
@@ -171,8 +168,7 @@ class LoadDriver:
             default_config=self.default_config,
             tenant_max_inflight=self.tenant_max_inflight,
             injector=injector, trace=self.trace,
-            metrics=self.metrics, flight=self.flight,
-            sharing=self.sharing, pool=self.pool)
+            metrics=self.metrics, sharing=self.sharing, pool=self.pool)
         self.service = service
         t0 = time.perf_counter()
         with service:

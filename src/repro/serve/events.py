@@ -5,8 +5,7 @@ announced exactly once through :meth:`EventStream.emit`; everything that
 observes the service is a *sink* on that stream.
 :class:`~repro.serve.instruments.ServiceInstruments` — the registry
 whose reads are ``QueryService.stats()`` — is always registered; the
-:class:`~repro.serve.tracing.ServiceTracer` and the
-:class:`~repro.obs.flight.FlightRecorder` only when configured.  A sink
+:class:`~repro.serve.tracing.ServiceTracer` only when configured.  A sink
 is any callable ``sink(kind, seq, fields)``; ``seq`` is the request /
 subscription id (``None`` for dataset-level events).  DESIGN §6.3
 tabulates what each sink records per event.
@@ -22,9 +21,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from ..obs.flight import FlightRecorder
-
-__all__ = ["EVENT_KINDS", "EventStream", "flight_sink"]
+__all__ = ["EVENT_KINDS", "EventStream"]
 
 EVENT_KINDS = (
     "submitted", "rejected", "queued", "dispatched",
@@ -63,63 +60,3 @@ class EventStream:
         with self._lock:
             return read()
 
-
-#: event kind -> the fields a flight records for it (when present)
-_FLIGHT_FIELDS: dict[str, tuple[str, ...]] = {
-    "submitted": ("estimate_bytes", "priority"),
-    "rejected": ("reason", "estimate_bytes"),
-    "queued": ("priority",),
-    "dispatched": ("attempt", "queue_wait_s"),
-    "share_group": ("size", "leader"),
-    "executing": ("worker", "pid", "backend", "attempt", "share_group"),
-    "planned": ("cache_hit", "plan_s"),
-    "executed": ("execute_s", "count", "share_group", "sim_time_s"),
-    "streamed": ("chunks",),
-    "finished": ("count", "attempts", "error", "total_s"),
-    "crash": ("worker", "pid", "backend", "attempt"),
-    "retry_scheduled": ("backoff_s", "next_attempt"),
-    "subscribed": ("pattern", "dataset"),
-    "bootstrapped": ("count",),
-    "delta_batch": ("version", "worker", "inserted", "deleted", "additions",
-                    "retractions", "latency_s", "error"),
-    "delivered": ("version", "count"),
-    "unsubscribed": ("batches", "count"),
-}
-
-
-def flight_sink(recorder: FlightRecorder) -> Sink:
-    """Adapt a :class:`FlightRecorder` to the event stream.
-
-    ``submitted``/``subscribed`` open a flight, ``rejected``/``finished``/
-    ``unsubscribed`` close it under the terminal status, ``crash``
-    snapshots it; everything else appends one event.  A ``finished``
-    after ``rejected`` finds the flight already closed and is a no-op.
-    """
-
-    def sink(kind: str, seq: int | None, f: dict) -> None:
-        keep = _FLIGHT_FIELDS.get(kind)
-        if keep is None:
-            return
-        data = {k: f[k] for k in keep if k in f}
-        if kind == "submitted":
-            recorder.begin(seq, f["label"], tenant=f["tenant"],
-                           deadline_s=f["deadline_s"], **data)
-        elif kind == "subscribed":
-            recorder.begin(seq, f["label"], tenant=f["tenant"])
-            recorder.event(seq, kind, **data)
-        elif kind in ("rejected", "unsubscribed"):
-            recorder.finish(seq, kind, **data)
-        elif kind == "finished":
-            recorder.finish(seq, f["status"], **data)
-        elif kind == "crash":
-            recorder.crash(seq, **data)
-        elif kind == "delivered":
-            recorder.event(seq, kind if f["ok"] else "delivery_dropped",
-                           **data)
-        else:
-            recorder.event(seq, kind, **data)
-            if kind == "delta_batch" and f["retractions"]:
-                recorder.event(seq, "retracted", version=f["version"],
-                               matches=f["retractions"])
-
-    return sink

@@ -67,10 +67,6 @@ class Executor:
         self.plan_cache = plan_cache
         self.default_config = default_config
         self.cost = cost
-        #: optional hook returning a precomputed vertex-ownership array
-        #: for a request's cluster shape (process workers resolve it from
-        #: shared memory instead of recomputing the permutation)
-        self.partition_provider = None
         self._clusters: OrderedDict[tuple, Cluster] = OrderedDict()
 
     def _cluster(self, graph: Graph, req: QueryRequest) -> Cluster:
@@ -83,12 +79,9 @@ class Executor:
         cluster = cached[1] if cached is not None and cached[0] is graph \
             else None
         if cluster is None:
-            owner = (self.partition_provider(req)
-                     if self.partition_provider is not None else None)
             cluster = Cluster(graph, num_machines=req.num_machines,
                               workers_per_machine=req.workers_per_machine,
-                              cost=self.cost, seed=req.partition_seed,
-                              owner=owner)
+                              cost=self.cost, seed=req.partition_seed)
             if key not in self._clusters and \
                     len(self._clusters) >= MAX_CLUSTERS:
                 self._clusters.popitem(last=False)

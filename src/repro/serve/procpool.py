@@ -13,7 +13,6 @@ Protocol (one duplex pipe per worker, strictly request/reply):
 
 * parent ships a picklable :class:`WorkerTask` — stripped requests +
   patterns, the :class:`~repro.core.shm.SharedGraphHandle`, the
-  shared-memory ownership array for the request's cluster shape, the
   absolute wall-clock deadline (``CLOCK_MONOTONIC`` is system-wide on
   Linux, so absolute deadlines are valid cross-process) and the armed
   crash point, tagged with a **generation** number;
@@ -44,7 +43,7 @@ from ..cluster.cost import CostModel
 from ..cluster.errors import QueryCancelledError, ReproError
 from ..core.cancel import CancelToken
 from ..core.engine import EngineConfig
-from ..core.shm import SharedArraySpec, SharedGraphHandle, SharedGraphStore
+from ..core.shm import SharedGraphHandle, SharedGraphStore
 from ..graph.graph import Graph
 from ..query.pattern import QueryGraph
 from .plancache import PlanCache
@@ -75,8 +74,6 @@ class WorkerTask:
     requests: tuple[QueryRequest, ...]
     patterns: tuple[QueryGraph, ...]
     graph: SharedGraphHandle
-    owner: SharedArraySpec | None
-    """Shared-memory ownership array for the requests' cluster shape."""
 
     deadline: float | None
     """Absolute ``time.monotonic`` deadline (system-wide clock)."""
@@ -138,13 +135,6 @@ def _worker_main(wid: int, conn, cell,
     """Child process main loop: attach, execute, reply — forever."""
     executor = Executor(plan_cache=PlanCache(),
                         default_config=default_config, cost=cost)
-    owners: dict[tuple[str, int, int], SharedArraySpec] = {}
-
-    def provider(req: QueryRequest):
-        spec = owners.get((req.dataset, req.num_machines, req.partition_seed))
-        return spec.attach() if spec is not None else None
-
-    executor.partition_provider = provider
     conn.send(("ready", -1, os.getpid()))
     while True:
         try:
@@ -156,10 +146,6 @@ def _worker_main(wid: int, conn, cell,
         gen = task.generation
         try:
             graph = task.graph.attach()
-            if task.owner is not None:
-                req0 = task.requests[0]
-                owners[(req0.dataset, req0.num_machines,
-                        req0.partition_seed)] = task.owner
             token = _SharedCellToken(cell, gen, deadline=task.deadline,
                                      crash_after=task.crash_after)
             payload = executor.execute(list(task.requests), graph,
@@ -316,8 +302,6 @@ class RemoteExecutor:
             requests=tuple(_strip_request(r) for r in reqs),
             patterns=tuple(patterns),
             graph=store.handle(req0.dataset, graph, version=version),
-            owner=store.owner_spec(req0.dataset, graph, req0.num_machines,
-                                   req0.partition_seed, version=version),
             deadline=getattr(token, "deadline", None),
             crash_after=getattr(token, "_crash_after", None))
 

@@ -30,8 +30,7 @@ its one terminal delivery — is owned by the
 ``apply_updates`` fans one :class:`~repro.serve.lifecycle.DeltaTask` per
 subscription through the same steps.  Every transition is announced once
 on the event stream (:mod:`repro.serve.events`); the metrics registry
-(which :meth:`QueryService.stats` reads), tracing and the flight
-recorder are sinks on it.
+(which :meth:`QueryService.stats` reads) and tracing are sinks on it.
 
 Determinism: a query executed through the service produces **the same
 count and simulated metrics** as the same request executed solo
@@ -54,10 +53,9 @@ from ..graph.graph import Graph
 from ..graph.updates import apply_updates as graph_apply_updates
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
                                 UpdateReport)
-from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from .admission import AdmissionController, estimate_query_bytes
-from .events import EventStream, flight_sink
+from .events import EventStream
 from .executor import (Executor, effective_config, resolve_pattern,
                        run_query_solo)
 from .instruments import ServiceInstruments
@@ -198,7 +196,6 @@ class QueryService:
                  injector: FaultInjector | None = None,
                  trace: bool = False,
                  metrics: MetricsRegistry | None = None,
-                 flight: FlightRecorder | None = None,
                  sharing: bool = False,
                  pool: str = "thread"):
         if num_workers < 1:
@@ -244,20 +241,19 @@ class QueryService:
         self._update_locks: dict[str, threading.Lock] = {}
 
         # one event stream; the registry's instruments are its one
-        # counting sink (``stats()`` reads them), tracing and the flight
-        # recorder are sinks only when configured
+        # counting sink (``stats()`` reads them), tracing is a sink only
+        # when configured
         self.events = EventStream()
         self.emit = self.events.emit
         #: the registry every statistic of this service is counted in
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._obs = ServiceInstruments(self.metrics, gauges=self._gauges)
+        self.events.add(self._obs)
         self.tracer: ServiceTracer | None = (
             ServiceTracer(num_workers, gauges=self._gauges)
             if trace else None)
-        for sink in (self._obs, self.tracer,
-                     flight_sink(flight) if flight is not None else None):
-            if sink is not None:
-                self.events.add(sink)
+        if self.tracer is not None:
+            self.events.add(self.tracer)
         self.lifecycle = Lifecycle(self)
 
     def _gauges(self) -> dict:

@@ -8,7 +8,8 @@ to "machines" (processes in Perfetto) and the :data:`ENGINE`
 pseudo-machine to a service-global track, so a traced workload shows,
 per request: the queue-wait span on the service track, then plan-cache
 lookup / execute / stream spans on the worker that ran it, with crash,
-retry, cancel and deadline instants in between.
+retry, cancel and deadline instants in between; a subscription shows as
+its ``subscribed`` / ``delta batch`` / ``unsubscribed`` instants.
 
 The tracer is a sink on the service's event stream
 (:mod:`repro.serve.events`): spans come from the service-clock times the
@@ -44,7 +45,8 @@ _SPANS = {
     # an engine run that was cancelled or failed (``finished`` with times)
     "finished": ("execute", ("status", "error", "share_group")),
 }
-#: event kind -> (instant name, argument fields)
+#: event kind -> (instant name, argument fields), plus the event's
+#: ``seq`` when it has one
 _INSTANTS = {
     "rejected": ("admission reject", ("label", "estimate_bytes")),
     "crash": ("worker crash", ("label", "attempt")),
@@ -52,6 +54,11 @@ _INSTANTS = {
                         ("label", "backoff_s", "next_attempt")),
     "graph_update": ("graph update", ("dataset", "version", "inserted",
                                       "deleted", "subscriptions")),
+    "subscribed": ("subscribed", ("pattern", "dataset")),
+    "delta_batch": ("delta batch", ("version", "inserted", "deleted",
+                                    "additions", "retractions", "latency_s",
+                                    "error")),
+    "unsubscribed": ("unsubscribed", ("batches", "count")),
 }
 
 
@@ -86,8 +93,13 @@ class ServiceTracer:
                       f.get("worker", ENGINE), f["t0"] - self._t0,
                       f["t1"] - self._t0, {k: f[k] for k in keys if k in f})
         elif kind in _INSTANTS:
+            # the seq ties one subscription's (or request's) instants
+            # together on the shared service track
             name, keys = _INSTANTS[kind]
-            self.instant(name, ENGINE, {k: f[k] for k in keys})
+            args = {k: f[k] for k in keys}
+            if seq is not None:
+                args["seq"] = seq
+            self.instant(name, ENGINE, args)
         elif (kind == "finished" and f["status"] == "cancelled"
               and "worker" not in f):  # swept off the queue
             self.instant("cancel", ENGINE,

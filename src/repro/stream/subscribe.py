@@ -32,8 +32,8 @@ Edge = tuple[int, int]
 
 
 def _next_seq() -> int:
-    # share the serving tier's request sequence space so flight-recorder
-    # entries for queries and subscriptions interleave on one axis;
+    # share the serving tier's request sequence space so the event
+    # stream's seq names a query or a subscription unambiguously;
     # imported lazily to keep repro.stream importable on its own
     from ..serve.request import _request_seq
     return next(_request_seq)

@@ -204,12 +204,10 @@ class TestAblationVariants:
             new = distinct - seen.keys()
             assert (found, fetched) == (len(distinct) - len(new), len(new))
             assert len(lost) == 0 and c.num_sealed == len(distinct)
-            c.stats.count(hits=found, misses=fetched)
             c.release()
             hits, misses = hits + found, misses + fetched
             seen.update((v, int(sizes[v])) for v in new)
-            assert (c.stats.hits, c.stats.misses, c.stats.evictions,
-                    c.stats.max_overflow_ids) == (hits, misses, 0, 0)
+            assert (c.stats.evictions, c.stats.max_overflow_ids) == (0, 0)
             assert (c.size_ids, len(c)) == (sum(seen.values()), len(seen))
         assert hits > 100 and len(seen) > 100
 
@@ -232,14 +230,9 @@ class TestLRUCache:
         c.insert(3, arr(3))    # evicts 2
         assert c.contains(1) and not c.contains(2)
 
-    def test_stats_hit_rate(self, cost):
-        c = LRUCache(4, cost)
-        c.stats.hits = 3
-        c.stats.misses = 1
-        assert c.stats.hit_rate == pytest.approx(0.75)
-
     def test_empty_stats(self, cost):
-        assert LRUCache(4, cost).stats.hit_rate == 0.0
+        stats = LRUCache(4, cost).stats
+        assert (stats.evictions, stats.max_overflow_ids) == (0, 0)
 
 
 class TestLRURecencyRegressions:
@@ -303,30 +296,30 @@ IDS = 120
 
 def _state(c):
     return (np.flatnonzero(c.resident(np.arange(IDS))).tolist(), c.size_ids,
-            c.num_sealed, len(c), c.stats.hits, c.stats.misses,
-            c.stats.evictions, c.stats.max_overflow_ids)
+            c.num_sealed, len(c), c.stats.evictions, c.stats.max_overflow_ids)
 
 
 def _bulk_batch(c, ids, sizes):
+    """One batch through the bulk methods; returns ``(hits, misses)``."""
     hit = c.resident(ids)
     c.seal_many(ids[hit])
     c.admit(ids[~hit], sizes[ids[~hit]])
-    c.stats.count(hits=int(hit.sum()), misses=int((~hit).sum()))
+    return int(hit.sum()), int((~hit).sum())
 
 
 def _scalar_batch(c, ids, sizes):
-    """Algorithm 4's fetch stage one vertex at a time."""
+    """Algorithm 4's fetch stage one vertex at a time; returns
+    ``(hits, misses)``."""
     fetch = []
     for v in ids.tolist():
         if c.contains(v):
             c.seal(v)
-            c.stats.count(hits=1)
         else:
             fetch.append(v)
     for v in fetch:
         c.insert(v, np.zeros(sizes[v] - 1, dtype=np.int64))
         c.seal(v)
-        c.stats.count(misses=1)
+    return len(ids) - len(fetch), len(fetch)
 
 
 class TestBulkFetchStage:
@@ -344,9 +337,9 @@ class TestBulkFetchStage:
         overflowed = 0
         for _ in range(240):
             ids = np.unique(rng.integers(0, IDS, size=rng.integers(1, 30)))
-            _bulk_batch(bulk, ids, sizes)
-            _scalar_batch(scalar, rng.permutation(ids), sizes)
-            _bulk_batch(shuffled, rng.permutation(ids), sizes)
+            assert (_bulk_batch(bulk, ids, sizes)
+                    == _scalar_batch(scalar, rng.permutation(ids), sizes)
+                    == _bulk_batch(shuffled, rng.permutation(ids), sizes))
             assert _state(bulk) == _state(scalar) == _state(shuffled)
             assert bulk.num_sealed == len(ids)
             overflowed += bulk.size_ids > capacity

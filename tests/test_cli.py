@@ -146,16 +146,20 @@ class TestMetricsCommand:
     def test_dump_passes_own_checker(self, capsys):
         from repro.obs import check_exposition
 
-        assert main(["metrics", "--data", "GO", "--pattern", "triangle",
-                     "--machines", "2"]) == 0
+        assert main(["serve", "--data", "GO", "--smoke", "--queries", "4",
+                     "--machines", "2", "--metrics", "-"]) == 0
         out = capsys.readouterr().out
-        assert check_exposition(out) == []
-        assert "# TYPE repro_engine_matches_total counter" in out
+        exposition = out[out.index("# HELP"):out.index("verify:")]
+        assert check_exposition(exposition) == []
+        assert "# TYPE repro_serve_requests_total counter" in exposition
 
     def test_check_accepts_dump(self, tmp_path, capsys):
         path = tmp_path / "m.prom"
-        assert main(["metrics", "--data", "GO", "--pattern", "triangle",
-                     "--machines", "2", "--out", str(path)]) == 0
+        assert main(["serve", "--data", "GO", "--smoke", "--queries", "4",
+                     "--machines", "2", "--json",
+                     "--metrics", str(path)]) == 0
+        # the exposition goes to the file, so --json stdout stays JSON
+        assert json.loads(capsys.readouterr().out)["verified"] is True
         assert main(["metrics", "--check", str(path)]) == 0
         assert "exposition ok" in capsys.readouterr().out
 
@@ -168,63 +172,15 @@ class TestMetricsCommand:
         assert main(["metrics", "--check", str(path)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
-    def test_json_snapshot(self, capsys):
-        assert main(["metrics", "--data", "GO", "--pattern", "triangle",
-                     "--machines", "2", "--json"]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert snap["repro_engine_matches_total"]["type"] == "counter"
-        assert snap["repro_engine_matches_total"]["samples"][0]["value"] > 0
-
-    def test_query_metrics_flag(self, tmp_path, capsys):
-        from repro.obs import check_exposition
-
-        path = tmp_path / "q.prom"
-        assert main(["query", "--data", "GO", "--pattern", "triangle",
-                     "--machines", "2", "--metrics", str(path)]) == 0
-        assert check_exposition(path.read_text()) == []
-
-    def test_query_metrics_json_stdout_stays_parseable(self, tmp_path,
-                                                       capsys):
-        path = tmp_path / "q.prom"
-        assert main(["query", "--data", "GO", "--pattern", "triangle",
-                     "--machines", "2", "--json",
-                     "--metrics", str(path)]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["count"] > 0
-        assert path.exists()
-
-    def test_query_metrics_rejected_with_cypher(self, capsys):
-        assert main(["query", "--data", "GO", "--cypher",
-                     "MATCH (a)--(b) RETURN count(*)",
-                     "--metrics", "m.prom"]) == 2
-        assert "not supported" in capsys.readouterr().err
-
-    def test_serve_smoke_with_metrics_and_flight(self, tmp_path, capsys):
+    def test_serve_smoke_with_metrics(self, tmp_path, capsys):
         from repro.obs import check_exposition
 
         mpath = tmp_path / "s.prom"
-        fpath = tmp_path / "f.jsonl"
         assert main(["serve", "--data", "GO", "--smoke", "--queries", "6",
-                     "--machines", "2", "--metrics", str(mpath),
-                     "--flight", str(fpath)]) == 0
+                     "--machines", "2", "--metrics", str(mpath)]) == 0
         out = capsys.readouterr().out
         assert "verify: all completed queries bit-identical" in out
-        assert "flight recorder:" in out
         assert check_exposition(mpath.read_text()) == []
-        events = [json.loads(ln) for ln in
-                  fpath.read_text().splitlines()]
-        assert events
-        assert all("kind" in e and "seq" in e for e in events)
-
-    def test_census_metrics_flag(self, tmp_path, capsys):
-        from repro.obs import check_exposition
-
-        path = tmp_path / "c.prom"
-        assert main(["census", "--data", "GO", "--k", "3", "--machines",
-                     "2", "--metrics", str(path)]) == 0
-        text = path.read_text()
-        assert check_exposition(text) == []
-        assert "repro_census_subgraphs_total" in text
 
 
 class TestStreamCommand:
@@ -241,14 +197,13 @@ class TestStreamCommand:
         assert "stream: " in out
         assert "verify: incremental counts bit-identical" in out
 
-    def test_stream_json_with_metrics_and_flight(self, tmp_path, capsys):
+    def test_stream_json_with_metrics(self, tmp_path, capsys):
         from repro.obs import check_exposition
 
         mpath = tmp_path / "st.prom"
-        fpath = tmp_path / "st.jsonl"
         assert main(["stream", "--data", "GO", "--updates", "12",
                      "--batch", "4", "--verify", "--json",
-                     "--metrics", str(mpath), "--flight", str(fpath)]) == 0
+                     "--metrics", str(mpath)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["verified"] is True
         assert data["stream_stats"]["stream_errors"] == 0
@@ -256,4 +211,3 @@ class TestStreamCommand:
         text = mpath.read_text()
         assert check_exposition(text) == []
         assert "stream_updates_total" in text
-        assert fpath.exists() and fpath.read_text().strip()

@@ -161,6 +161,9 @@ class TestConfiguration:
         import dataclasses
         import inspect
 
+        import argparse
+
+        from repro.__main__ import build_parser
         from repro.apps import motif_census
         from repro.core.cache import make_cache
         from repro.core.operators import ExecContext
@@ -193,12 +196,27 @@ class TestConfiguration:
         assert params(QueryService.__init__) == [
             "datasets", "num_workers", "memory_budget_bytes",
             "default_config", "cost", "tenant_max_inflight", "max_retries",
-            "backoff_base_s", "injector", "trace", "metrics", "flight",
-            "sharing", "pool"]
+            "backoff_base_s", "injector", "trace", "metrics", "sharing",
+            "pool"]
         assert params(LoadDriver.__init__) == [
             "graph", "spec", "num_workers", "memory_budget_bytes",
             "default_config", "tenant_max_inflight", "trace", "metrics",
-            "flight", "sharing", "pool"]
+            "sharing", "pool"]
+        # the CLI's observers: a span trace per run, the service's
+        # registry exposition, and the validator for it
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        observers = {name: sorted(o for a in p._actions
+                                  for o in a.option_strings
+                                  if o in ("--trace", "--metrics", "--check"))
+                     for name, p in sub.choices.items()}
+        assert {k: v for k, v in observers.items() if v} == {
+            "query": ["--trace"], "explain": ["--trace"],
+            "serve": ["--metrics", "--trace"],
+            "stream": ["--metrics", "--trace"], "metrics": ["--check"]}
+        assert [o for a in sub.choices["metrics"]._actions
+                for o in a.option_strings] == ["-h", "--help", "--check"]
         # one answer path: collected matches are ``result.matches``
         assert fields(QueryOutcome) == [
             "status", "count", "result", "error", "attempts",

@@ -333,11 +333,11 @@ def test_invariants_hold_under_contention(monkeypatch, graph):
 # -- the observable surface -----------------------------------------------------
 
 #: captured at the parent of the lifecycle/event-stream PR from
-#: ``serve --data GO --smoke --seed 1 --metrics --flight --trace``:
-#: metric sample names + label names, flight event kinds + fields, and
-#: trace span-name prefixes / counter names.  Since ``stats()`` became a
-#: read of the registry, three counters it needs joined the metrics:
-#: delivery violations, subscriptions registered and errored batches
+#: ``serve --data GO --smoke --seed 1 --metrics --trace``: metric sample
+#: names + label names and trace span-name prefixes / counter names.
+#: Since ``stats()`` became a read of the registry, three counters it
+#: needs joined the metrics: delivery violations, subscriptions
+#: registered and errored batches
 SURFACE_METRICS = [
     ("repro_serve_admission_total", ("decision", "reason")),
     ("repro_serve_completed_total", ("tenant",)),
@@ -368,25 +368,14 @@ SURFACE_METRICS = [
     ("repro_stream_subscribed_total", ()),
     ("repro_stream_subscriptions", ()),
 ]
-SURFACE_FLIGHT = {
-    "admitted": ["estimate_bytes", "priority"],
-    "completed": ["attempts", "count", "error", "total_s"],
-    "dispatched": ["attempt", "queue_wait_s"],
-    "executed": ["count", "execute_s", "sim_time_s"],
-    "executing": ["attempt", "backend", "pid", "worker"],
-    "planned": ["cache_hit", "plan_s"],
-    "queued": ["priority"],
-}
 SURFACE_TRACE = [("C", "queue depth"), ("C", "reserved MB"),
                  ("X", "execute"), ("X", "plan"), ("X", "queue")]
 
 
 def test_serve_smoke_surface_is_pinned(tmp_path, capsys):
-    prom, flight, trace = (tmp_path / n for n in
-                           ("m.prom", "f.jsonl", "t.json"))
+    prom, trace = tmp_path / "m.prom", tmp_path / "t.json"
     assert main(["serve", "--data", "GO", "--smoke", "--seed", "1",
-                 "--metrics", str(prom), "--flight", str(flight),
-                 "--trace", str(trace)]) == 0
+                 "--metrics", str(prom), "--trace", str(trace)]) == 0
     capsys.readouterr()
 
     metrics = set()
@@ -398,14 +387,46 @@ def test_serve_smoke_surface_is_pinned(tmp_path, capsys):
                 if kv))))
     assert sorted(metrics) == SURFACE_METRICS
 
-    kinds: dict[str, set] = {}
-    for line in flight.read_text().splitlines():
-        rec = json.loads(line)
-        kinds.setdefault(rec["kind"], set()).update(
-            set(rec) - {"seq", "label", "tenant", "ts", "kind"})
-    assert {k: sorted(v) for k, v in kinds.items()} == SURFACE_FLIGHT
-
     events = json.loads(trace.read_text())["traceEvents"]
     assert sorted({(e["ph"], e["name"].split()[0] if e["ph"] == "X"
                     else e["name"])
                    for e in events if e["ph"] in "XiC"}) == SURFACE_TRACE
+
+
+#: ``stream --data GO --smoke --seed 1 --trace``: the serve surface's
+#: spans and counters (the verifying queries), plus one instant per graph
+#: update and per subscription transition, each with its ``seq``
+SURFACE_STREAM_INSTANTS = {
+    "delta batch": ["additions", "deleted", "error", "inserted",
+                    "latency_s", "retractions", "seq", "version"],
+    "graph update": ["dataset", "deleted", "inserted", "subscriptions",
+                     "version"],
+    "subscribed": ["dataset", "pattern", "seq"],
+    "unsubscribed": ["batches", "count", "seq"],
+}
+
+
+def test_stream_smoke_surface_is_pinned(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    assert main(["stream", "--data", "GO", "--smoke", "--seed", "1",
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+
+    events = json.loads(trace.read_text())["traceEvents"]
+    assert sorted({(e["ph"], e["name"].split()[0] if e["ph"] == "X"
+                    else e["name"])
+                   for e in events if e["ph"] in "XC"}) == SURFACE_TRACE
+    instants: dict[str, set] = {}
+    for e in events:
+        if e["ph"] == "i":
+            instants.setdefault(e["name"], set()).update(e["args"])
+    assert ({k: sorted(v) for k, v in instants.items()}
+            == SURFACE_STREAM_INSTANTS)
+    subs = [e["args"]["seq"] for e in events
+            if e["ph"] == "i" and e["name"] == "subscribed"]
+    assert len(subs) == 2     # triangle and q1, each followed to the end
+    for seq in subs:
+        mine = [e["name"] for e in events
+                if e["ph"] == "i" and e["args"].get("seq") == seq]
+        assert mine[0] == "subscribed" and mine[-1] == "unsubscribed"
+        assert mine.count("delta batch") == 3   # 20 updates, 8 a batch

@@ -72,10 +72,10 @@ def test_metrics_bit_identical(goldens, current, case_name):
 @pytest.mark.parametrize("case_name",
                          [name for name, _ in golden_workloads()])
 def test_goldens_unchanged_with_metrics_enabled(goldens, case_name):
-    """Attaching the metrics registry (PR 7) must not move a single
-    golden number: re-run every HUGE spec under a MetricsTracer and
-    compare against the same frozen records."""
-    from repro.obs import MetricsRegistry, MetricsTracer
+    """Recording a run must not move a single golden number: re-run
+    every HUGE spec under a span Tracer — the engine's one recorder —
+    and compare against the same frozen records."""
+    from repro.obs import Tracer
     from repro.testing.harness import execute
 
     workload = dict(golden_workloads())[case_name]
@@ -83,12 +83,11 @@ def test_goldens_unchanged_with_metrics_enabled(goldens, case_name):
         if not getattr(spec, "is_huge", False) or not spec.supports(workload):
             continue
         record = goldens["cases"][case_name]["specs"][spec.name]
-        outcome = execute(workload, spec,
-                          tracer=MetricsTracer(MetricsRegistry()))
+        outcome = execute(workload, spec, tracer=Tracer())
         assert outcome.error is None, outcome.error
         got = {"count": outcome.count,
                "report": outcome.report.as_dict(),
                "cache_overflow_ids": outcome.cache_overflow_ids}
         assert got == record, (
-            f"{case_name}/{spec.name}: metrics-enabled run drifted from "
-            f"the golden record")
+            f"{case_name}/{spec.name}: traced run drifted from the "
+            f"golden record")

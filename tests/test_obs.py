@@ -251,24 +251,6 @@ class TestGroupTraceSemantics(TestRunTraceSemantics):
             assert stats[ops[-1].opid].tuples_out == result.count
             assert result.trace is trace
 
-    def test_metrics_tracer_keeps_head_and_tails_apart(self, group,
-                                                       er_graph):
-        from repro.obs import MetricsRegistry, MetricsTracer
-
-        traced, _ = group
-        cluster = Cluster(er_graph, num_machines=4, workers_per_machine=4,
-                          seed=1)
-        reg = MetricsRegistry()
-        engine = HugeEngine(cluster, EngineConfig(collect_results=True))
-        metered = engine.run_group(
-            [r.plan for r in traced],
-            tracer=MetricsTracer(reg, inner=Tracer()))
-        assert (metered[0].trace.per_operator().keys()
-                == traced[0].trace.per_operator().keys())
-        rows = reg.get("repro_engine_batch_rows")
-        assert {"SCAN", "REPLAY"} <= {key[0] for key in rows._children}
-        assert metered[0].report.as_dict() == traced[0].report.as_dict()
-
 
 class TestZeroCostWhenDisabled:
     def test_traced_run_bit_identical_to_untraced(self, er_graph):
@@ -302,6 +284,26 @@ class TestCacheHitRateUnification:
         total = sum(m.cache_hits + m.cache_misses
                     for m in cluster.metrics.machines)
         assert total > 0  # the square query does fetch remotely
+
+    @pytest.mark.parametrize("variant", ["lrbu", "lru-inf", "cncr-lru"])
+    def test_fetch_spans_report_every_cache_access(self, er_graph, variant):
+        """one fetch stage for every cache class: its spans' hits/misses
+        sum to the ledger's, and the spans still nest (the per-access
+        stage once emitted none)"""
+        cluster = Cluster(er_graph, num_machines=4, workers_per_machine=2,
+                          seed=1)
+        config = EngineConfig(cache_variant=variant, batch_size=8)
+        res = HugeEngine(cluster, config).run(get_query("q1"),
+                                              tracer=Tracer())
+        fetches = [s for s in res.trace.spans if s.name == "fetch"]
+        machines = cluster.metrics.machines
+        hits = sum(m.cache_hits for m in machines)
+        misses = sum(m.cache_misses for m in machines)
+        assert fetches and hits > 0 and misses > 0
+        assert sum(s.arg("hits") for s in fetches) == hits
+        assert sum(s.arg("misses") for s in fetches) == misses
+        assert res.cache_hit_rate == hits / (hits + misses)
+        assert check_span_nesting(res.trace) == []
 
 
 class TestMemUnderflows:
@@ -421,104 +423,6 @@ class TestTraceEventCap:
         assert capped.trace.dropped_events > 0
         assert plain.count == capped.count
         assert plain.report.as_dict() == capped.report.as_dict()
-
-
-# -- the metrics bridge --------------------------------------------------------
-
-
-class TestMetricsTracer:
-    def test_instrumented_run_bit_identical(self, er_graph):
-        """The tentpole invariant: aggregating engine metrics through the
-        tracer protocol must not move a single simulated number."""
-        from repro.obs import MetricsRegistry, MetricsTracer
-
-        def go(tracer):
-            cluster = Cluster(er_graph, num_machines=3,
-                              workers_per_machine=4, seed=2)
-            return HugeEngine(cluster).run(get_query("q1"), tracer=tracer)
-
-        plain = go(None)
-        reg = MetricsRegistry()
-        metered = go(MetricsTracer(reg))
-        assert plain.count == metered.count
-        assert plain.report.as_dict() == metered.report.as_dict()
-        assert plain.cache_hit_rate == metered.cache_hit_rate
-
-    def test_engine_families_aggregated(self, cluster):
-        from repro.obs import (MetricsRegistry, MetricsTracer,
-                               check_exposition, record_result)
-
-        reg = MetricsRegistry()
-        engine = HugeEngine(cluster)
-        res = engine.run(get_query("q1"), tracer=MetricsTracer(reg))
-        record_result(reg, res)
-
-        rounds = reg.get("repro_engine_scheduler_rounds_total")
-        assert rounds.value > 0
-        batch = reg.get("repro_engine_batch_rows")
-        ops = {key[0] for key in batch._children}
-        assert "SCAN" in ops
-        assert "PULL-EXTEND" in ops or "JOIN-OUT" in ops
-        cache = reg.get("repro_engine_cache_requests_total")
-        hits, misses = cache.get("hit"), cache.get("miss")
-        assert hits + misses > 0
-        # bridged totals agree with the engine's own report
-        assert reg.get("repro_engine_matches_total").value == res.count
-        assert reg.get("repro_engine_sim_seconds_total").get("total") == \
-            pytest.approx(res.report.total_time_s)
-        assert reg.get("repro_engine_bytes_transferred_total").value == \
-            res.report.bytes_transferred
-        hr = reg.get("repro_engine_last_cache_hit_rate").value
-        assert hr == pytest.approx(res.cache_hit_rate)
-        assert check_exposition(reg.expose()) == []
-
-    @pytest.mark.parametrize("variant", ["lrbu", "lru-inf", "cncr-lru"])
-    def test_fetch_spans_report_every_cache_access(self, er_graph, variant):
-        """one fetch stage for every cache class: its spans' hits/misses
-        sum to the ledger's, the bridged counter equals them, and the
-        spans still nest (the per-access stage once emitted none)"""
-        from repro.obs import MetricsRegistry, MetricsTracer
-
-        cluster = Cluster(er_graph, num_machines=4, workers_per_machine=2,
-                          seed=1)
-        reg = MetricsRegistry()
-        config = EngineConfig(cache_variant=variant, batch_size=8)
-        res = HugeEngine(cluster, config).run(
-            get_query("q1"), tracer=MetricsTracer(reg, inner=Tracer()))
-        fetches = [s for s in res.trace.spans if s.name == "fetch"]
-        machines = cluster.metrics.machines
-        hits = sum(m.cache_hits for m in machines)
-        misses = sum(m.cache_misses for m in machines)
-        assert fetches and hits > 0 and misses > 0
-        assert sum(s.arg("hits") for s in fetches) == hits
-        assert sum(s.arg("misses") for s in fetches) == misses
-        cache = reg.get("repro_engine_cache_requests_total")
-        assert (cache.get("hit"), cache.get("miss")) == (hits, misses)
-        assert check_span_nesting(res.trace) == []
-
-    def test_wraps_inner_tracer_and_shares_trace(self, cluster):
-        from repro.obs import MetricsRegistry, MetricsTracer
-
-        reg = MetricsRegistry()
-        inner = Tracer()
-        mt = MetricsTracer(reg, inner=inner)
-        res = HugeEngine(cluster).run(get_query("triangle"), tracer=mt)
-        # the wrapped tracer recorded the full trace...
-        assert res.trace is inner.trace
-        assert res.trace.spans
-        # ...and the registry aggregated alongside
-        assert reg.get("repro_engine_scheduler_rounds_total").value > 0
-
-    def test_census_recorded(self, cluster):
-        from repro.apps.mining import motif_census
-        from repro.obs import MetricsRegistry, record_census
-
-        reg = MetricsRegistry()
-        census = motif_census(cluster, 3)
-        record_census(reg, census)
-        assert reg.get("repro_census_subgraphs_total").value == \
-            census.total_subgraphs
-        assert reg.get("repro_census_classes").value == len(census.counts)
 
 
 # -- explain --analyze ---------------------------------------------------------

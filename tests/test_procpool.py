@@ -27,7 +27,6 @@ from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
 from repro.graph import Graph
 from repro.graph import generators as gen
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import get_query
 from repro.serve.driver import LoadDriver, WorkloadSpec
@@ -66,20 +65,6 @@ class TestSharedGraphStore:
             # re-requesting the same (dataset, version) re-exports nothing
             assert store.handle("er", er_graph) is handle
             assert len(store.segment_names()) == 3
-        finally:
-            store.close()
-
-    def test_owner_spec_matches_hash_partition(self, er_graph):
-        from repro.graph.partition import hash_partition
-
-        store = SharedGraphStore()
-        try:
-            spec = store.owner_spec("er", er_graph, 4, 0)
-            assert np.array_equal(
-                spec.attach(), hash_partition(er_graph.num_vertices, 4, 0))
-            # one export per cluster shape
-            assert store.owner_spec("er", er_graph, 4, 0) is spec
-            assert store.owner_spec("er", er_graph, 2, 0) is not spec
         finally:
             store.close()
 
@@ -139,7 +124,6 @@ class TestSpawnSafety:
                 requests=(QueryRequest(pattern=pattern, dataset="er"),),
                 patterns=(pattern,),
                 graph=store.handle("er", er_graph),
-                owner=store.owner_spec("er", er_graph, 4, 0),
                 deadline=time.monotonic() + 60, crash_after=3)
             t2 = pickle.loads(pickle.dumps(task))
             assert t2.generation == 7
@@ -153,13 +137,14 @@ class TestSpawnSafety:
 
 
 class TestProcessPool:
-    def test_oracles_flight_labels_and_cancel(self, er_graph):
-        """One batched end-to-end run: solo-identical oracles, flight
-        events carrying worker pid + pool backend, and a mid-flight
-        client cancel relayed into the child."""
-        flight = FlightRecorder()
+    def test_oracles_event_labels_and_cancel(self, er_graph):
+        """One batched end-to-end run: solo-identical oracles, events
+        carrying worker pid + pool backend, and a mid-flight client
+        cancel relayed into the child."""
+        events = []
         svc = QueryService(datasets={"er": er_graph}, num_workers=2,
-                           pool="process", flight=flight)
+                           pool="process")
+        svc.events.add(lambda kind, seq, f: events.append((kind, f)))
         svc.start()
         svc.wait_ready()
         try:
@@ -174,12 +159,11 @@ class TestProcessPool:
             parent_pid = os.getpid()
             child_pids = {w.pid for w in svc._workers}
             assert parent_pid not in child_pids
-            executing = [e for f in flight.flights() for e in f.events
-                         if e.kind == "executing"]
+            executing = [f for kind, f in events if kind == "executing"]
             assert executing
-            for e in executing:
-                assert e.data["backend"] == "process"
-                assert e.data["pid"] in child_pids
+            for f in executing:
+                assert f["backend"] == "process"
+                assert f["pid"] in child_pids
 
             # client cancel mid-run: the shared cell aborts the child's
             # engine at its next poll, the parent restores the reason
@@ -224,10 +208,11 @@ class TestProcessPool:
         on stop despite the carnage."""
         inj = FaultInjector()
         reg = MetricsRegistry()
-        flight = FlightRecorder()
+        events = []
         svc = QueryService(datasets={"er": er_graph}, num_workers=2,
                            pool="process", injector=inj, metrics=reg,
-                           flight=flight, backoff_base_s=0.01)
+                           backoff_base_s=0.01)
+        svc.events.add(lambda kind, seq, f: events.append((kind, f)))
         svc.start()
         svc.wait_ready()
         try:
@@ -242,11 +227,10 @@ class TestProcessPool:
             assert outcomes[0].attempts == 2
             assert inj.injected == 1
 
-            crash_events = [e for f in flight.flights() for e in f.events
-                            if e.kind == "crash"]
+            crash_events = [f for kind, f in events if kind == "crash"]
             assert crash_events
-            assert crash_events[0].data["backend"] == "process"
-            assert crash_events[0].data["pid"] != os.getpid()
+            assert crash_events[0]["backend"] == "process"
+            assert crash_events[0]["pid"] != os.getpid()
 
             # a hard SIGKILL (no injected exception at all): the next
             # query rides the corpse, crashes, and retries to completion
@@ -471,10 +455,9 @@ class TestFusedKernels:
                 evictions += 1
             lru[u] = g.degree(u) + 1
             size += lru[u]
-        stats, machine = caches[0].stats, cluster.metrics.machines[0]
+        machine = cluster.metrics.machines[0]
         assert evictions > 10 and hits > 0, "capacity must bite in-batch"
-        assert (stats.hits, stats.misses, stats.evictions) == (
-            hits, misses, evictions)
+        assert caches[0].stats.evictions == evictions
         assert (machine.cache_hits, machine.cache_misses) == (hits, misses)
         assert machine.rpc_requests == misses
         assert list(caches[0]._data) == list(lru)

@@ -5,8 +5,8 @@ immutable snapshot (bumping the dataset's graph version, so queries run
 on it from then on), fans exactly one signed delta batch per standing
 subscription through the worker pool for each update, and the
 accumulated deliveries stay bit-identical to from-scratch enumeration
-on the final graph — under both pool backends, with the metrics and
-flight-recorder surfaces reflecting what happened.
+on the final graph — under both pool backends, with the metrics
+registry and the event stream reflecting what happened.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from repro.baselines import enumerate_matches
 from repro.graph import generators as gen
 from repro.graph import temporal_edge_stream
-from repro.obs import FlightRecorder, MetricsRegistry, check_exposition
+from repro.obs import MetricsRegistry, check_exposition
 from repro.query import get_query
 from repro.serve import (QueryRequest, QueryService, QueryStatus,
                          SubscribeRequest)
@@ -164,12 +164,13 @@ def test_register_dataset_bumps_version_and_drops_cache(service, er_graph):
     assert service.graph_version("brand-new") == 0
 
 
-def test_metrics_and_flight_surfaces(er_graph):
+def test_metrics_and_event_surfaces(er_graph):
     registry = MetricsRegistry()
-    flight = FlightRecorder()
+    events = []
     svc = QueryService(datasets={"er": er_graph}, num_workers=2,
-                       backoff_base_s=0.01, metrics=registry,
-                       flight=flight).start()
+                       backoff_base_s=0.01, metrics=registry)
+    svc.events.add(lambda kind, seq, f: events.append((kind, seq)))
+    svc.start()
     try:
         sub = svc.subscribe(SubscribeRequest(pattern="triangle",
                                              dataset="er", bootstrap=True))
@@ -186,12 +187,10 @@ def test_metrics_and_flight_surfaces(er_graph):
         assert "stream_batch_latency" in text
         assert "stream_subscriptions" in text
 
-        flights = {f.label: f for f in flight.flights()}
-        rec = flights[sub.request.label]
-        kinds = [e.kind for e in rec.events]
-        assert "subscribed" in kinds and "bootstrapped" in kinds
+        kinds = [kind for kind, seq in events if seq == sub.request.seq]
+        assert kinds[:2] == ["subscribed", "bootstrapped"]
         assert "delta_batch" in kinds and "delivered" in kinds
-        assert rec.status == "unsubscribed"
+        assert kinds[-1] == "unsubscribed"
     finally:
         svc.stop()
 
