@@ -237,14 +237,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_machines=args.machines, workers_per_machine=args.workers,
         seed=args.seed, relabel_fraction=args.relabel_fraction,
         deadline_fraction=args.deadline_fraction, deadline_s=args.deadline,
-        tenants=tuple(args.tenants.split(",")), crashes=args.crash,
-        zipf_s=args.zipf)
+        tenants=tuple(args.tenants.split(",")), crashes=args.crash)
     driver = LoadDriver(
         graph, spec, num_workers=args.service_workers,
         memory_budget_bytes=(args.budget_mb * 1e6 if args.budget_mb
                              else float("inf")),
         tenant_max_inflight=args.tenant_cap, trace=bool(args.trace),
-        sharing=args.share, pool=args.pool)
+        pool=args.pool)
     report = driver.run(verify=args.verify)
     if args.trace and driver.service and driver.service.tracer:
         driver.service.tracer.save(
@@ -272,9 +271,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pc = svc["plan_cache"]
     print(f"plan cache: {pc['hits']} hits / {pc['misses']} misses "
           f"(hit rate {pc['hit_rate']:.1%})")
-    if args.share:
-        print(f"sharing: {svc['shared_groups']} groups covering "
-              f"{svc['shared_requests']} requests")
     print(f"admission: peak reserved "
           f"{svc['admission']['peak_reserved_bytes'] / 1e6:.2f} MB, "
           f"{svc['rejected']} rejected, ledger after drain "
@@ -543,11 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max in-flight queries per tenant")
     s.add_argument("--crash", type=int, default=0,
                    help="inject N worker crashes (recovered by retry)")
-    s.add_argument("--share", action="store_true",
-                   help="enable cross-query work sharing (shared-prefix "
-                        "batching of concurrently queued requests)")
-    s.add_argument("--zipf", type=float, default=0.0,
-                   help="Zipf skew for pattern choice (0 = round-robin mix)")
     s.add_argument("--verify", action="store_true",
                    help="check each served query against a solo run")
     s.add_argument("--trace", metavar="FILE",

@@ -42,6 +42,9 @@ def engine_runs(cluster: Cluster,
     engine = HugeEngine(view, config)
     results = []
     for member in members:
-        results.append(engine.run_group([member])[0])
+        if isinstance(member, ExecutionPlan):
+            results.append(engine.run(plan=member))
+        else:
+            results.append(engine.run(member))
         cluster.metrics.absorb(view.metrics)
     return results

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-__all__ = ["ScanSpec", "ExtendSpec", "JoinSpec", "ReplaySpec", "Segment",
-           "Operator", "Program", "plan_signature"]
+__all__ = ["ScanSpec", "ExtendSpec", "JoinSpec", "Segment", "Operator"]
 
 
 @dataclass(frozen=True)
@@ -116,19 +115,11 @@ class JoinSpec:
             raise ValueError("join keys must be non-empty and equal length")
 
 
-@dataclass(frozen=True)
-class ReplaySpec:
-    """Source of a share-group member's tail chain: a replay of the tee'd
-    output of the group's common prefix (``schema`` is the prefix's)."""
-
-    schema: tuple[int, ...]
-
-
 class Operator(NamedTuple):
-    """One row of a compiled program's operator table."""
+    """One row of a segment tree's operator table."""
 
     opid: str  #: ``s<segment>.<position>``; position 0 is the source
-    kind: str  #: SCAN / PUSH-JOIN / REPLAY / PULL-EXTEND / VERIFY
+    kind: str  #: SCAN / PUSH-JOIN / PULL-EXTEND / VERIFY
     span: str  #: name of the operator's per-batch span
     schema: tuple[int, ...]
 
@@ -137,13 +128,12 @@ class Operator(NamedTuple):
 class Segment:
     """A linear chain of operators: one source plus extends.
 
-    ``source`` is a :class:`ScanSpec`, a :class:`ReplaySpec`, or a
-    :class:`JoinSpec` whose children are the two sub-``Segment``s (making
-    the whole structure a tree).  The root segment's final output feeds
-    the SINK.
+    ``source`` is a :class:`ScanSpec` or a :class:`JoinSpec` whose
+    children are the two sub-``Segment``s (making the whole structure a
+    tree).  The root segment's final output feeds the SINK.
     """
 
-    source: ScanSpec | JoinSpec | ReplaySpec
+    source: ScanSpec | JoinSpec
     left: "Segment | None" = None
     right: "Segment | None" = None
     extends: list[ExtendSpec] = field(default_factory=list)
@@ -173,8 +163,7 @@ class Segment:
             rows = [Operator(f"s{number}.0", "PUSH-JOIN", "JOIN-OUT",
                              tuple(src.out_schema))]
         else:
-            kind = "SCAN" if isinstance(src, ScanSpec) else "REPLAY"
-            rows = [Operator(f"s{number}.0", kind, kind, tuple(src.schema))]
+            rows = [Operator(f"s{number}.0", "SCAN", "SCAN", tuple(src.schema))]
         for i, ext in enumerate(self.extends, 1):
             kind = "VERIFY" if ext.is_verify else "PULL-EXTEND"
             rows.append(Operator(f"s{number}.{i}", kind, kind,
@@ -191,31 +180,8 @@ class Segment:
         out.append(self)
         return out
 
-
-def plan_signature(segment: Segment) -> tuple | None:
-    """The prefix signature of a translated segment: its frozen operator
-    specs ``(ScanSpec, ExtendSpec, ...)``.  Only single-segment scan +
-    extend chains are shareable; ``PUSH-JOIN`` trees return ``None``."""
-    if segment.left is not None or not isinstance(segment.source, ScanSpec):
-        return None
-    return (segment.source, *segment.extends)
-
-
-@dataclass
-class Program:
-    """What one engine run executes: N ≥ 1 translated plans compiled as a
-    share group (a solo query is the group of one).
-
-    ``head`` runs once.  For a group of one it is the member's whole
-    segment tree feeding the member's sink (no ``tails``, no tee).  For
-    N > 1 it is the longest common spec prefix of the members' scan
-    chains, tee'd into one tail per member: the member's remaining
-    extends (possibly none — pure isomorphism dedup) on a
-    :class:`ReplaySpec` source.  ``ops`` is the operator table, one list
-    of rows per chain in run order — ``head``'s segments post-order, then
-    the tails in member order, each under its own segment number.
-    """
-
-    head: Segment
-    tails: list[Segment]
-    ops: list[list[Operator]]
+    def operator_table(self) -> list[list[Operator]]:
+        """What one engine run executes, as rows: one list per chain in
+        run order (:meth:`all_segments`), each under its own segment
+        number."""
+        return [seg.operators(n) for n, seg in enumerate(self.all_segments())]

@@ -1,19 +1,15 @@
 """The HUGE engine: plan → dataflow → scheduled execution on the cluster.
 
-This is the system's public entry point, in two halves.  **Compile**:
-:func:`compile_group` translates N ≥ 1 execution plans (Algorithm 2) into
-one :class:`~repro.core.dataflow.Program` — the members' segments, their
-longest common spec prefix when N > 1, and the operator table (ids /
-kinds / schemas, numbered once).  It is pure spec construction costing
-microseconds, so it runs per engine run: a structure, not a cache.
-**Run**: :meth:`HugeEngine.run_group` is the one run body — resolve each
-member to a plan (Algorithm 1 for a pattern; a plan — the optimiser's or
-a plug-in builder's, the HUGE-BENU / -RADS / -SEED / -WCO mode of
-Remark 3.2 — runs as built), compile, build the execution context,
-declare the table's operators on the tracer, drive the scheduler into one
-sink per member.
-``HugeEngine.run`` is the group of one: solo and shared runs differ in
-fan-out, not in which code ran them.
+This is the system's public entry point.  :meth:`HugeEngine.run` is the
+one run body: resolve the query to a plan (Algorithm 1 for a pattern; a
+plan — the optimiser's or a plug-in builder's, the HUGE-BENU / -RADS /
+-SEED / -WCO mode of Remark 3.2 — runs as built), translate it
+(Algorithm 2) into a segment tree and its operator table (ids / kinds /
+schemas, numbered once; pure spec construction costing microseconds, so
+it runs per engine run), build the execution context, declare the
+table's operators on the tracer, drive the scheduler into the sink.
+One request is one engine run: nothing is shared between runs but the
+immutable graph, so every run is under Theorem 5.4's memory bound.
 
 Execution uses:
 
@@ -28,24 +24,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import takewhile
-from typing import Sequence
 
 from ..cluster.cluster import Cluster
-from ..cluster.errors import PlanError
 from ..cluster.metrics import RunReport
 from ..obs.trace import ENGINE, NULL_TRACER, Trace, Tracer
 from ..query.estimate import CardinalityEstimator, SamplingEstimator
 from ..query.pattern import QueryGraph
 from .cache import CACHE_VARIANTS, make_cache
-from .dataflow import Program, ReplaySpec, Segment, plan_signature
 from .operators import ExecContext, SinkConsumer, Tuple
 from .plan.optimiser import Optimiser
 from .plan.translate import translate
 from .plan.tree import ExecutionPlan
-from .scheduler import SchedulerConfig, run_program
+from .scheduler import SchedulerConfig, run_tree
 
-__all__ = ["EngineConfig", "EnumerationResult", "HugeEngine", "compile_group"]
+__all__ = ["EngineConfig", "EnumerationResult", "HugeEngine"]
 
 
 @dataclass
@@ -139,43 +131,6 @@ class EnumerationResult:
         }
 
 
-def compile_group(plans: Sequence[ExecutionPlan]) -> Program:
-    """Translate N ≥ 1 plans and compile them as one share group.
-
-    A group of one is its translated segment tree, any shape.  For N > 1
-    every plan must translate to a single-segment scan + extend chain
-    whose leading operator specs are literally equal for at least the
-    scan (the serving dispatcher groups on prefix signatures): the
-    longest common spec prefix becomes the head, each member's remaining
-    extends (none for same-pattern members) its tail.
-    """
-    if not plans:
-        raise ValueError("an engine run needs at least one plan")
-    segments = [translate(plan) for plan in plans]
-    head, tails = segments[0], []
-    if len(segments) > 1:
-        sigs = [plan_signature(seg) for seg in segments]
-        if None in sigs:
-            raise PlanError(
-                "work sharing requires single-segment scan+extend "
-                f"chains; plan {sigs.index(None)} has a PUSH-JOIN")
-        shared = sum(1 for _ in takewhile(
-            lambda specs: len(set(specs)) == 1, zip(*sigs)))
-        if shared < 1:
-            raise PlanError("plans share no common scan prefix")
-        head = Segment(source=head.source,
-                       extends=list(head.extends[:shared - 1]))
-        tails = [
-            Segment(source=ReplaySpec(head.out_schema),
-                    extends=list(seg.extends[shared - 1:]),
-                    out_schema=tuple(seg.out_schema))
-            for seg in segments
-        ]
-    return Program(head, tails, [
-        seg.operators(n)
-        for n, seg in enumerate(head.all_segments() + tails)])
-
-
 class HugeEngine:
     """The HUGE runtime bound to one simulated cluster."""
 
@@ -194,14 +149,6 @@ class HugeEngine:
                         avg_degree=self.cluster.graph.avg_degree)
         return opt.run(query)
 
-    def _resolve_plan(self, member: QueryGraph | ExecutionPlan
-                      ) -> ExecutionPlan:
-        if isinstance(member, ExecutionPlan):
-            return member
-        if member is None:
-            raise ValueError("need a query or a plan")
-        return self.plan(member)
-
     # -- execution --------------------------------------------------------------------
 
     def _cache_capacity_ids(self) -> int:
@@ -211,64 +158,15 @@ class HugeEngine:
         graph_ids = 2 * g.num_edges + g.num_vertices
         return max(1, int(self.config.cache_capacity_fraction * graph_ids))
 
-    def _results(self, ctx: ExecContext, plans, sinks, collects,
-                 trace: Trace | None = None) -> list[EnumerationResult]:
-        """One result per (plan, sink) of a finished run; the ledger
-        report and the cache statistics are the run's, shared by all."""
-        caches = ctx.caches
-        report = ctx.metrics.report()
-        fetch_s = self.cluster.cost.ticks_to_seconds(ctx.fetch_ops)
-        overflow = max((c.stats.max_overflow_ids for c in caches), default=0)
-        evictions = sum(c.stats.evictions for c in caches)
-        capacity = self._cache_capacity_ids()
-        return [
-            EnumerationResult(
-                count=sink.count,
-                report=report,
-                plan=plan,
-                fetch_time_s=fetch_s,
-                matches=sink.matches() if collect else None,
-                cache_overflow_ids=overflow,
-                cache_evictions=evictions,
-                cache_capacity_ids=capacity,
-                trace=trace,
-            )
-            for plan, sink, collect in zip(plans, sinks, collects)
-        ]
-
     def run(self, query: QueryGraph | None = None,
             plan: ExecutionPlan | None = None,
             tracer: Tracer | None = None) -> EnumerationResult:
-        """Execute a subgraph-enumeration query: the share group of one.
+        """Execute a subgraph-enumeration query.
 
         ``query`` is the pattern (optional when ``plan`` is given);
         ``plan`` an :class:`ExecutionPlan` — Algorithm 1's or a plug-in
-        builder's — or ``None`` to plan with Algorithm 1; ``tracer`` as
-        in :meth:`run_group`.
-        """
-        return self.run_group([plan if plan is not None else query],
-                              tracer=tracer)[0]
-
-    def run_group(self,
-                  members: Sequence[QueryGraph | ExecutionPlan],
-                  collects: Sequence[bool] | None = None,
-                  tracer: Tracer | None = None) -> list[EnumerationResult]:
-        """Execute N ≥ 1 queries or plans as one engine run.
-
-        Each member is a pattern (planned by Algorithm 1) or an
-        :class:`ExecutionPlan` (run as built); ``collects[i]``
-        overrides ``config.collect_results`` for member ``i``.  The
-        members' longest common spec prefix runs **once**; with N > 1 it
-        runs into a tee buffer and each member's remaining extends run
-        over a replay of it into the member's own sink (see
-        :func:`compile_group` for what may share).
-
-        Per member, count and collected match *set* are identical to a
-        run of that member alone — spec for spec the same operators, only
-        the batch schedule differs.  The metrics report is the one run's
-        ledger, attached to every result; for N > 1 it is **not**
-        comparable to a member's solo report (the shared run does
-        strictly less total work — that is the point).
+        builder's, run as built — or ``None`` to plan ``query`` with
+        Algorithm 1.
 
         ``tracer`` records spans; the default is the shared no-op tracer.
         Tracing reads the simulated clocks but never charges them, so a
@@ -277,14 +175,14 @@ class HugeEngine:
         tr = tracer if tracer is not None else NULL_TRACER
         config = self.config
         wall0 = time.perf_counter()
-        plans = [self._resolve_plan(member) for member in members]
+        if plan is None:
+            if query is None:
+                raise ValueError("need a query or a plan")
+            plan = self.plan(query)
         wall1 = time.perf_counter()
-        program = compile_group(plans)
+        root = translate(plan)
+        table = root.operator_table()
         wall2 = time.perf_counter()
-        if collects is None:
-            collects = [config.collect_results] * len(plans)
-        if len(collects) != len(plans):
-            raise ValueError("one collect flag per member")
         self.cluster.reset_metrics()
         tr.bind(self.cluster.metrics)
 
@@ -298,11 +196,11 @@ class HugeEngine:
         ctx = ExecContext(self.cluster, caches, tracer=tr)
         ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
         if tr.enabled:
-            for ops in program.ops:
+            for ops in table:
                 for op in ops:
                     tr.declare_operator(op.opid, op.kind, op.schema)
             tr.trace.meta.update({
-                "plan": "\n".join(plan.describe() for plan in plans),
+                "plan": plan.describe(),
                 "num_machines": self.cluster.num_machines,
                 "workers_per_machine": self.cluster.workers_per_machine,
             })
@@ -312,18 +210,26 @@ class HugeEngine:
             tr.complete("translate", ENGINE, t, t,
                         {"wall_s": wall2 - wall1})
 
-        sinks = [SinkConsumer(seg.out_schema, collect=collect)
-                 for seg, collect in zip(program.tails or [program.head],
-                                         collects)]
+        sink = SinkConsumer(root.out_schema, collect=config.collect_results)
         t_exec = tr.now(ENGINE) if tr.enabled else 0.0
         self.cluster.tracer = tr
         try:
-            run_program(ctx, config, program, sinks)
+            run_tree(ctx, config, root, sink, table)
         finally:
             self.cluster.tracer = NULL_TRACER
         ctx.metrics.check_time()
         if tr.enabled:
             tr.complete("execute", ENGINE, t_exec, tr.now(ENGINE),
                         {"wall_s": time.perf_counter() - wall2})
-        return self._results(ctx, plans, sinks, collects,
-                             trace=tr.trace if tr.enabled else None)
+        return EnumerationResult(
+            count=sink.count,
+            report=ctx.metrics.report(),
+            plan=plan,
+            fetch_time_s=self.cluster.cost.ticks_to_seconds(ctx.fetch_ops),
+            matches=sink.matches() if config.collect_results else None,
+            cache_overflow_ids=max(
+                (c.stats.max_overflow_ids for c in caches), default=0),
+            cache_evictions=sum(c.stats.evictions for c in caches),
+            cache_capacity_ids=capacity,
+            trace=tr.trace if tr.enabled else None,
+        )

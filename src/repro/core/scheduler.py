@@ -12,12 +12,11 @@ sweep of Exp-7 (Figure 9).
 segments run to completion into shuffled join buffers before the parent
 segment streams the join output through its own adaptive chain.
 
-:func:`run_program` is the one driver over a compiled
-:class:`~repro.core.dataflow.Program`: ``PUSH-JOIN`` children into join
-buffers, a chain into its sink, a tee buffer plus one replay per member
-only where the head has more than one consumer (a share group of N > 1).
-Operator ids, kinds and span names come from the program's operator
-table; nothing here numbers operators.
+:func:`run_tree` is the one driver over a translated segment tree:
+``PUSH-JOIN`` children into join buffers, the root chain into the sink.
+Operator ids, kinds and span names come from the tree's operator table
+(:meth:`~repro.core.dataflow.Segment.operator_table`); nothing here
+numbers operators.
 
 Inter-machine work stealing (§5.3) re-homes queued batches from busy to
 idle machines before each scheduling round; intra-machine stealing is
@@ -37,12 +36,12 @@ from ..cluster.cost import TICKS_PER_OP
 from ..cluster.errors import PlanError
 from ..obs.trace import ENGINE
 from .cancel import CancelToken
-from .dataflow import JoinSpec, Operator, Program, ScanSpec, Segment
+from .dataflow import JoinSpec, Operator, ScanSpec, Segment
 from .operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
                         SinkConsumer, join_stream)
 from .stealing import STEALING_MODES, distribute_to_workers, rebalance
 
-__all__ = ["SchedulerConfig", "run_program"]
+__all__ = ["SchedulerConfig", "run_tree"]
 
 
 @dataclass
@@ -92,7 +91,7 @@ class SchedulerConfig:
 
 class _ChunkFeed:
     """Ready-made input chunks per machine: an edge SCAN's pivot-vertex
-    chunks, or a tee buffer's batches replayed into one tail chain."""
+    chunks."""
 
     def __init__(self, chunks: Iterable[Iterable[np.ndarray]]):
         self.chunks = [deque(per_machine) for per_machine in chunks]
@@ -128,42 +127,6 @@ class _JoinFeed:
         return batch
 
 
-class _TeeBuffer:
-    """Materialised output of a share group's head chain (work sharing).
-
-    Consumes the common prefix's final batches per machine, charging
-    their footprint to the simulated memory ledger, and replays them into
-    each member's tail chain.  ``release`` returns the charged bytes once
-    every member has been fed (the ledger must drain).
-
-    Deliberately *not* a :class:`SinkConsumer`: the prefix chain's last
-    operator must materialise its tuples (no count-only compression) —
-    the tails extend them further.
-    """
-
-    def __init__(self, ctx: ExecContext, arity: int):
-        self.metrics = ctx.metrics
-        self.row_bytes = arity * ctx.cost.bytes_per_id
-        self.batches: list[list[np.ndarray]] = [
-            [] for _ in range(ctx.cluster.num_machines)]
-
-    def consume(self, machine: int, batch: np.ndarray) -> None:
-        if len(batch):
-            self.batches[machine].append(batch)
-            self.metrics.alloc(machine, len(batch) * self.row_bytes)
-
-    def replay(self) -> _ChunkFeed:
-        """A fresh feed over the buffered prefix output."""
-        return _ChunkFeed(self.batches)
-
-    def release(self) -> None:
-        """Return the buffered bytes to the simulated ledger."""
-        for m, batches in enumerate(self.batches):
-            for batch in batches:
-                self.metrics.free(m, len(batch) * self.row_bytes)
-        self.batches = [[] for _ in self.batches]
-
-
 # -- the chain scheduler ---------------------------------------------------------------
 
 
@@ -184,13 +147,13 @@ class _ChainRunner:
 
     def __init__(self, ctx: ExecContext, config: SchedulerConfig,
                  segment: Segment,
-                 consumer: "SinkConsumer | JoinBuffer | _TeeBuffer",
-                 feed: "_JoinFeed | _ChunkFeed | None" = None,
+                 consumer: "SinkConsumer | JoinBuffer",
+                 feed: "_JoinFeed | None" = None,
                  ops: Sequence[Operator] | None = None):
         """``feed`` is the chain's source when it is not the segment's own
-        edge SCAN: a PUSH-JOIN's output stream or a tee-buffer replay.
-        ``ops`` is the chain's rows of the program's operator table (a
-        bare segment run on its own is segment 0)."""
+        edge SCAN: a PUSH-JOIN's output stream.  ``ops`` is the chain's
+        rows of the tree's operator table (a bare segment run on its own
+        is segment 0)."""
         self.ctx = ctx
         self.config = config
         self.consumer = consumer
@@ -368,7 +331,7 @@ class _ChainRunner:
                             m, batch)
                         out_arity = 2
                     else:
-                        out = batch  # join output / replay: already a batch
+                        out = batch  # join output: already a batch
                         item_costs = ()
                         out_arity = out.shape[1]
                 else:
@@ -499,20 +462,8 @@ def _run_tree(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
     _ChainRunner(ctx, config, segment, consumer, feed, ops).run()
 
 
-def run_program(ctx: ExecContext, config: SchedulerConfig, program: Program,
-                sinks: Sequence[SinkConsumer]) -> None:
-    """Execute a compiled program into one sink per member: a group of
-    one runs its head straight into its sink; a head with several
-    consumers runs into a tee buffer and is replayed into each tail."""
-    rows = iter(program.ops)
-    if not program.tails:
-        _run_tree(ctx, config, program.head, sinks[0], rows)
-        return
-    tee = _TeeBuffer(ctx, len(program.head.out_schema))
-    try:
-        _run_tree(ctx, config, program.head, tee, rows)
-        for tail, sink in zip(program.tails, sinks):
-            _ChainRunner(ctx, config, tail, sink, tee.replay(),
-                         next(rows)).run()
-    finally:
-        tee.release()
+def run_tree(ctx: ExecContext, config: SchedulerConfig, root: Segment,
+             sink: SinkConsumer, table: Sequence[Sequence[Operator]]) -> None:
+    """Execute a translated segment tree into ``sink``; ``table`` is the
+    tree's operator table (:meth:`Segment.operator_table`)."""
+    _run_tree(ctx, config, root, sink, iter(table))

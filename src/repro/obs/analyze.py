@@ -130,15 +130,14 @@ class AnalyzeReport:
 
 
 def analyze(engine, query=None, plan=None) -> AnalyzeReport:
-    """Run ``query``/``plan`` on ``engine`` (a group of one) with tracing
-    and build the node-by-node estimate-vs-actual report."""
+    """Run ``query``/``plan`` on ``engine`` with tracing and build the
+    node-by-node estimate-vs-actual report."""
     tracer = Tracer()
     result = engine.run(query=query, plan=plan, tracer=tracer)
     trace = result.trace
     stats = trace.per_operator()
-    # declaration order == the program's operator table == chain order
-    # (segments post-order, then source -> extends; a share group would
-    # declare its prefix, then the tails in member order); a plan node maps
+    # declaration order == the segment tree's operator table == chain
+    # order (segments post-order, then source -> extends); a plan node maps
     # to the LAST operator with its vertex set, so verify extends and
     # pulling-join rewrites resolve to the operator that finishes the
     # node's partial results

@@ -372,9 +372,10 @@ class Histogram(_Family):
                 if len(child.samples) < child._reservoir:
                     child.samples.append(v)
                 else:
-                    # round-robin overwrite: sample i of the stream lands in
-                    # slot i mod capacity, so retention is deterministic
-                    child.samples[child.count % child._reservoir] = v
+                    # round-robin overwrite: sample i of the stream (the
+                    # count-th) lands in slot i mod capacity, so the oldest
+                    # sample goes first and retention is deterministic
+                    child.samples[(child.count - 1) % child._reservoir] = v
         return None
 
     @property
@@ -388,6 +389,8 @@ class Histogram(_Family):
     def percentile(self, q: float, *label_values: Any) -> float:
         """The ``q``-th percentile: exact from the reservoir when one is
         kept, otherwise interpolated from the log buckets."""
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
         child = self.labels(*label_values) if label_values else self._default()
         with self._lock:
             samples = sorted(child.samples)

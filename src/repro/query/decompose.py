@@ -28,7 +28,6 @@ __all__ = [
     "splits",
     "is_complete_star_join",
     "complete_star_root",
-    "join_unit_prefix_keys",
 ]
 
 Edge = tuple[int, int]
@@ -255,27 +254,3 @@ def is_complete_star_join(left: SubQuery, right: SubQuery) -> bool:
     star ``(v; L)`` with ``L ⊆ V(left)``."""
     return complete_star_root(left, right) is not None
 
-
-def join_unit_prefix_keys(units: list[SubQuery]) -> list[str]:
-    """Canonical keys of the cumulative join-unit prefixes of a plan.
-
-    ``units`` is the ordered join-unit sequence of a decomposition (the
-    first unit is the star scan; each further unit is PULL-EXTENDed onto
-    the running partial result).  Element ``i`` of the returned list is
-    the :meth:`QueryGraph.canonical_key` of ``units[0] ∪ … ∪ units[i]``
-    — a shape-level identifier of the partial pattern matched after
-    ``i + 1`` units.  Two plans whose prefix-key lists share a leading
-    run match *isomorphic* partial patterns over that run, which is the
-    necessary condition the sharing layer
-    (:mod:`repro.serve.sharing`) uses to group concurrent requests; the
-    sufficient condition (identical operator specs, so the engine would
-    compute literally the same batches) is checked on the translated
-    segment's spec tuples.
-    """
-    keys: list[str] = []
-    acc: SubQuery | None = None
-    for unit in units:
-        acc = unit if acc is None else acc.union(unit)
-        qg, _schema = acc.to_query_graph()
-        keys.append(qg.canonical_key())
-    return keys

@@ -11,19 +11,17 @@ A long-running serving tier on top of :class:`~repro.core.engine.HugeEngine`:
 * **fair scheduling** (:mod:`.queueing`) — weighted round-robin across
   priorities, EDF within, per-tenant caps;
 * **the service** (:mod:`.service`) — the client API, worker pool and
-  dispatcher; :mod:`.lifecycle` walks every task (query share group or
-  subscription delta) through reserve → run → deliver → release, and
-  :mod:`.executor` is the engine seam (thread or process behind it);
-* **work sharing** (:mod:`.sharing`) — share-group formation: canonical
-  plan-prefix signatures let the dispatcher run concurrently queued
-  requests with a common join-unit prefix as one engine execution;
+  dispatcher; :mod:`.lifecycle` walks every task (a query — one request,
+  one engine run — or a subscription delta) through reserve → run →
+  deliver → release, and :mod:`.executor` is the engine seam (thread or
+  process behind it);
 * **standing subscriptions** (:meth:`.service.QueryService.subscribe` /
   :meth:`~.service.QueryService.apply_updates`) — streaming graph
   updates fanned out through the worker pool as incremental delta
   enumeration (:mod:`repro.stream`), with signed ``+/-`` match-delta
   delivery, exactly-once per graph version;
-* **load driving** (:mod:`.driver`) — seeded (optionally Zipf-skewed)
-  workloads with solo-run verification;
+* **load driving** (:mod:`.driver`) — seeded workloads with solo-run
+  verification;
 * **observability** (:mod:`.events` and its sinks :mod:`.instruments`,
   :mod:`.tracing`) — one event stream feeding the service's metrics
   registry (admission/queue/plan-cache/crash counters, latency
@@ -41,8 +39,6 @@ from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus, ResultChunk)
 from .service import (Executor, FaultInjector, QueryService, WorkerCrashError,
                       run_query_solo)
-from .sharing import (ShareGroup, config_fingerprint, plan_signature,
-                      signature_of_plan)
 from .stats import ServiceStats, percentile
 from .tracing import ServiceTracer
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
@@ -57,8 +53,6 @@ __all__ = [
     "QueryStatus", "ResultChunk",
     "Executor", "FaultInjector", "QueryService", "WorkerCrashError",
     "run_query_solo",
-    "ShareGroup", "config_fingerprint", "plan_signature",
-    "signature_of_plan",
     "ServiceStats", "percentile",
     "ServiceInstruments", "ServiceTracer",
     "DeltaBatch", "SubscribeRequest", "Subscription", "UpdateReport",

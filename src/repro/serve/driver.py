@@ -10,9 +10,9 @@ produces a :class:`DriverReport`.
 ``verify=True`` applies the ``solo-identical`` serving oracle
 (:func:`repro.testing.serving.solo_mismatches`): every distinct
 (pattern, cluster shape, engine config) is re-run solo and each served
-count — and, where the request did not run in a share group, the
-simulated metrics report — must be **bit-identical** to the solo run.  This is the
-acceptance gate wired into the CLI and the CI smokes.
+count, collected match set and full simulated metrics report must be
+**bit-identical** to the solo run.  This is the acceptance gate wired
+into the CLI and the CI smokes.
 """
 
 from __future__ import annotations
@@ -54,26 +54,15 @@ class WorkloadSpec:
     crashes: int = 0
     """Worker crashes to inject (on the first ``crashes`` requests'
     first attempts)."""
-    zipf_s: float = 0.0
-    """Zipf skew for pattern choice: > 0 draws pattern ``r`` (1-based
-    rank in :attr:`patterns`) with weight ``1/r**zipf_s`` instead of
-    round-robin — the skewed mix that makes work sharing pay off (hot
-    patterns repeat)."""
 
     def build(self) -> list[QueryRequest]:
         """Materialise the request list (deterministic in ``seed``)."""
         rng = random.Random(self.seed)
         priorities = [Priority.HIGH, Priority.NORMAL, Priority.NORMAL,
                       Priority.LOW]
-        weights = ([1.0 / (r + 1) ** self.zipf_s
-                    for r in range(len(self.patterns))]
-                   if self.zipf_s > 0 else None)
         requests: list[QueryRequest] = []
         for i in range(self.num_queries):
-            if weights is not None:
-                name = rng.choices(self.patterns, weights=weights)[0]
-            else:
-                name = self.patterns[i % len(self.patterns)]
+            name = self.patterns[i % len(self.patterns)]
             pattern: QueryGraph | str = name
             if rng.random() < self.relabel_fraction:
                 base = get_query(name)
@@ -138,7 +127,6 @@ class LoadDriver:
                  tenant_max_inflight: int | None = None,
                  trace: bool = False,
                  metrics: MetricsRegistry | None = None,
-                 sharing: bool = False,
                  pool: str = "thread"):
         self.graph = graph
         self.spec = spec
@@ -148,7 +136,6 @@ class LoadDriver:
         self.tenant_max_inflight = tenant_max_inflight
         self.trace = trace
         self.metrics = metrics
-        self.sharing = sharing
         self.pool = pool
         self.service: QueryService | None = None
 
@@ -168,7 +155,7 @@ class LoadDriver:
             default_config=self.default_config,
             tenant_max_inflight=self.tenant_max_inflight,
             injector=injector, trace=self.trace,
-            metrics=self.metrics, sharing=self.sharing, pool=self.pool)
+            metrics=self.metrics, pool=self.pool)
         self.service = service
         t0 = time.perf_counter()
         with service:

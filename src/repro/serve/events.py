@@ -9,11 +9,6 @@ whose reads are ``QueryService.stats()`` — is always registered; the
 is any callable ``sink(kind, seq, fields)``; ``seq`` is the request /
 subscription id (``None`` for dataset-level events).  DESIGN §6.3
 tabulates what each sink records per event.
-
-Members of a multi-member task carry ``leader`` (the task's first
-member's seq); a sink that records something once per *task* — a worker
-crash, a share group's size, the engine-run span — acts on the event
-whose ``seq == leader``.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ __all__ = ["EVENT_KINDS", "EventStream"]
 
 EVENT_KINDS = (
     "submitted", "rejected", "queued", "dispatched",
-    "share_group", "executing", "planned", "executed", "streamed",
+    "executing", "planned", "executed", "streamed",
     "finished", "crash", "retry_scheduled", "graph_update", "subscribed",
     "bootstrapped", "delta_batch", "delivered", "unsubscribed",
 )

@@ -2,9 +2,8 @@
 
 An :class:`Executor` runs requests on per-thread cached clusters — one
 per worker thread, plus one per solo run (:func:`run_query_solo`, the
-oracle baseline every served result must be bit-identical to).  A group
-of any size is one :meth:`HugeEngine.run_group` call — a solo request is
-the group of one, not a second path.  The process backend's
+oracle baseline every served result must be bit-identical to).  A
+request is one :meth:`HugeEngine.run` call.  The process backend's
 :class:`~repro.serve.procpool.RemoteExecutor` is a drop-in for it, so
 thread vs process never shows above this seam.
 """
@@ -23,7 +22,6 @@ from ..graph.graph import Graph
 from ..query.pattern import QueryGraph, get_query
 from .plancache import PlanCache
 from .request import QueryOutcome, QueryRequest, QueryStatus
-from .sharing import signature_of_plan
 
 __all__ = ["Executor", "run_query_solo", "remap_matches",
            "effective_config", "resolve_pattern"]
@@ -113,50 +111,27 @@ class Executor:
         if plan is None:
             plan = self._engine(graph, req, False, None).plan(canon)
             if self.plan_cache is not None:
-                # the prefix signature rides the cache entry so the
-                # dispatcher can group future requests without replanning
-                self.plan_cache.put(key, plan,
-                                    signature=signature_of_plan(plan))
+                self.plan_cache.put(key, plan)
         return plan, hit, time.perf_counter() - t0
 
-    def execute(self, reqs: list[QueryRequest], graph: Graph,
-                patterns: list[QueryGraph],
-                plan_keys: list[tuple | None] | None = None,
-                token: CancelToken | None = None) -> list:
-        """Run one share group — a solo query is a group of one: the
-        members' common plan prefix once, each member's tail into its
-        own sink.
+    def execute(self, req: QueryRequest, graph: Graph, pattern: QueryGraph,
+                token: CancelToken | None = None) -> tuple:
+        """Plan (through the plan cache) and run one request.
 
-        Returns one ``(result, info)`` per member: the engine result
-        (matches in the request's vertex order) plus execution info —
-        canonical key, plan-cache hit, phase timings (``execute_s`` is
-        the shared run's).  A missing plan key (``None``, or no list at
-        all) is recomputed locally: a request the dispatcher never
-        keyed, or the process-worker path, whose keys live in the
-        child's cache.
+        Returns the engine result (matches in the request's vertex
+        order) plus execution info — canonical key, plan-cache hit and
+        phase timings.
         """
-        plans, planned = [], []
-        for req, pattern, key in zip(reqs, patterns,
-                                     plan_keys or [None] * len(reqs)):
-            if key is None:
-                key = PlanCache.key(pattern.canonical_key(), req.dataset,
-                                    graph, req.num_machines)
-            canon, mapping = pattern.canonical_form()
-            plan, hit, plan_s = self.resolve_plan(req, graph, canon, key)
-            plans.append(plan)
-            planned.append((pattern, mapping, key[0], hit, plan_s))
+        key = PlanCache.key(pattern.canonical_key(), req.dataset, graph,
+                            req.num_machines)
+        canon, mapping = pattern.canonical_form()
+        plan, hit, plan_s = self.resolve_plan(req, graph, canon, key)
         t0 = time.perf_counter()
-        results = self._engine(graph, reqs[0], False, token).run_group(
-            plans, collects=[r.collect for r in reqs])
+        result = self._engine(graph, req, req.collect, token).run(plan=plan)
         execute_s = time.perf_counter() - t0
-        out = []
-        for result, (pattern, mapping, ckey, hit, plan_s) in zip(results,
-                                                                 planned):
-            result.matches = remap_matches(pattern, mapping, result.matches)
-            out.append((result, {
-                "canonical_key": ckey, "plan_cache_hit": hit,
-                "plan_s": plan_s, "execute_s": execute_s}))
-        return out
+        result.matches = remap_matches(pattern, mapping, result.matches)
+        return result, {"canonical_key": key[0], "plan_cache_hit": hit,
+                        "plan_s": plan_s, "execute_s": execute_s}
 
 
 def run_query_solo(graph: Graph, request: QueryRequest,
@@ -172,8 +147,7 @@ def run_query_solo(graph: Graph, request: QueryRequest,
     executor = Executor(plan_cache=plan_cache, default_config=default_config,
                         cost=cost)
     t0 = time.perf_counter()
-    result, info = executor.execute([request], graph,
-                                    [resolve_pattern(request)])[0]
+    result, info = executor.execute(request, graph, resolve_pattern(request))
     return QueryOutcome(
         status=QueryStatus.COMPLETED, count=result.count, result=result,
         canonical_key=info["canonical_key"],

@@ -4,8 +4,8 @@ Every :class:`~repro.serve.service.QueryService` owns one
 :class:`~repro.obs.metrics.MetricsRegistry` (its ``metrics=`` argument,
 or a private one) and registers one :class:`ServiceInstruments` on its
 event stream (:mod:`repro.serve.events`).  Each lifecycle fact —
-submission, admission decision, plan-cache lookup, share group, crash,
-retry, terminal outcome, stream batch — is counted exactly once, here;
+submission, admission decision, plan-cache lookup, crash, retry,
+terminal outcome, stream batch — is counted exactly once, here;
 ``QueryService.stats()`` and ``stream_stats()`` are reads of these
 families (:meth:`ServiceInstruments.counters` and the
 latency histograms' :meth:`~repro.obs.metrics.Histogram.summary`), so
@@ -63,9 +63,6 @@ class ServiceInstruments:
         self.plan_cache = registry.counter(
             "serve_plan_cache_total", "canonical plan-cache lookups",
             ("result",))
-        self.share_group = registry.histogram(
-            "serve_share_group_size",
-            "requests per dispatched share group", reservoir=10_000)
         self.crashes = registry.counter(
             "serve_worker_crashes_total",
             "workers lost mid-query, by pool backend", ("backend",))
@@ -119,11 +116,9 @@ class ServiceInstruments:
             self._inc(self.admission, "reject", f["reason"])
         elif kind == "queued":
             self._inc(self.admission, "accept", "fits")
-        elif kind == "share_group" and seq == f["leader"]:
-            self.share_group.observe(float(f["size"]))
         elif kind == "planned":
             self._inc(self.plan_cache, "hit" if f["cache_hit"] else "miss")
-        elif kind == "crash" and seq == f["leader"]:
+        elif kind == "crash":
             self._inc(self.crashes, f["backend"])
         elif kind == "retry_scheduled":
             self._inc(self.retries, f["backend"])
@@ -178,8 +173,6 @@ class ServiceInstruments:
             "retries": self.retries.total(),
             "worker_crashes": self.crashes.total(),
             "delivery_violations": self.delivery_violations.total(),
-            "shared_groups": self.share_group.count,
-            "shared_requests": self.share_group.sum,
             "plan_cache_hits": self.plan_cache.total(result="hit"),
             "plan_cache_misses": self.plan_cache.total(result="miss"),
             "subscriptions": self.stream_subscribed.total(),

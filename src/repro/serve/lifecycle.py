@@ -4,10 +4,11 @@ Every unit of work the pool executes is a **task** with one protocol —
 ``task.members`` (the entries it answers for), ``task.tracked`` (members
 count against tenants and are retried) and ``task.run(worker) ->
 [(member, outcome)]`` — implemented by
-:class:`~repro.serve.sharing.ShareGroup` (queries; a solo query is a
-group of one) and :class:`DeltaTask` (one subscription's share of a
-graph update).  :class:`Lifecycle` walks a task through its steps and is
-the **only** code that touches the mutable serving state: the admission
+:class:`~repro.serve.queueing.QueueEntry` (one query, one engine run)
+and :class:`DeltaTask` (one subscription's share of a graph update);
+each is its own only member.  :class:`Lifecycle` walks a task through
+its steps and is the **only** code that touches the mutable serving
+state: the admission
 ledger's query/delta reservations, the in-flight and per-tenant tables,
 the dispatch-unit count, and the two exactly-once hand-overs
 (``QueryHandle._finish``, ``Subscription._deliver``).  DESIGN §8 has the
@@ -124,8 +125,8 @@ class Lifecycle:
         self.admission = service.admission
         self.emit = service.emit
         self._cond = service._cond
-        #: tasks occupying workers right now — a share group holds ONE
-        #: unit but all its members stay individually in ``_inflight``
+        #: tasks occupying workers right now — queries (each also in
+        #: ``_inflight``) and delta tasks (never in it)
         self._dispatch_units = 0
         self._inflight: dict[int, object] = {}
         self._tenant_inflight: dict[str, int] = {}
@@ -154,7 +155,6 @@ class Lifecycle:
                 if task.tracked:
                     m.attempts += 1
                     m.dispatch_t = now
-                    m.group = task
                     self._inflight[m.seq] = m
                     self._tenant_inflight[m.tenant] = \
                         self.tenant_load(m.tenant) + 1
@@ -164,22 +164,17 @@ class Lifecycle:
             self.emit("dispatched", m.seq, label=m.label, tenant=m.tenant,
                       priority=req.priority.name, attempt=m.attempts,
                       t0=m.submit_t, t1=now, queue_wait_s=now - m.submit_t)
-            if len(task.members) > 1:
-                self.emit("share_group", m.seq, size=len(task.members),
-                          leader=task.seq)
 
     def run(self, worker, task) -> None:
         """Execute ``task`` on ``worker`` (its thread) and deliver every
         member.  ``WorkerCrashError`` deliberately propagates — the
         caller treats it as thread death and the reaper abandons the
         task."""
-        shared = ({"share_group": len(task.members)}
-                  if len(task.members) > 1 else {})
         for m in task.members:
             if task.tracked:
                 m.handle._set_status(QueryStatus.RUNNING)
             self.emit("executing", m.seq, worker=worker.wid, pid=worker.pid,
-                      backend=worker.backend, attempt=m.attempts, **shared)
+                      backend=worker.backend, attempt=m.attempts)
         fields = {"worker": worker.wid}
         t0 = self.svc._now()
         try:
@@ -195,8 +190,7 @@ class Lifecycle:
             now = self.svc._now()
             results = [(m, m.terminal(status, error, now, now - t0))
                        for m in task.members]
-            fields.update(task=task.label, leader=task.seq, t0=t0, t1=now,
-                          **shared)
+            fields.update(t0=t0, t1=now)
         for member, outcome in results:
             self.deliver(member, outcome, **fields)
         with self._cond:
@@ -217,10 +211,10 @@ class Lifecycle:
         # start is announced after this member's ``finished``
         with self._cond:
             self.release(member)
-            # drop the entry's back-references (handle → entry → group →
-            # entry): a finished entry pins its graph snapshot, and only
+            # drop the handle's back-reference (handle → entry →
+            # handle): a finished entry pins its graph snapshot, and only
             # an acyclic one is freed the moment the client lets go
-            member.handle._entry = member.group = None
+            member.handle._entry = None
             self.emit("finished", req.seq, status=outcome.status.value,
                       delivered=delivered, label=req.label,
                       tenant=req.tenant, count=outcome.count,
@@ -269,7 +263,7 @@ class Lifecycle:
         with self._cond:
             self._dispatch_units -= 1
         for m in task.members:
-            self.emit("crash", m.seq, leader=task.seq, label=m.label,
+            self.emit("crash", m.seq, label=m.label,
                       worker=worker.wid, pid=worker.pid,
                       backend=worker.backend, attempt=m.attempts)
             now = svc._now()
@@ -282,7 +276,7 @@ class Lifecycle:
             backoff = min(BACKOFF_CAP_S,
                           svc.backoff_base_s * (2 ** (m.attempts - 1)))
             m.not_before = now + backoff
-            m.token = m.group = None
+            m.token = None
             m.handle._set_status(QueryStatus.QUEUED)
             with self._cond:
                 svc._queue.push(m)

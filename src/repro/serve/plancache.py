@@ -15,12 +15,6 @@ Plans are immutable at execution time (``translate`` builds fresh
 operator state per run), so one cached plan can back many concurrent
 executions.
 
-Alongside each plan the cache can hold its **prefix signature** — the
-tuple of frozen operator specs from ``translate()`` that the sharing
-layer (:mod:`repro.serve.sharing`) compares to find common star-scan /
-PULL-EXTEND prefixes across concurrently queued requests.  Signatures
-ride the same LRU entry so they are evicted together with their plan.
-
 The cache is a lock-guarded LRU that counts what only it can see —
 inserts, overwrites, evictions.  Its hits and misses are the ``planned``
 events' ``cache_hit`` field, counted by the service's registry (a
@@ -59,7 +53,7 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """LRU cache of canonical-form execution plans (+ prefix signatures)."""
+    """LRU cache of canonical-form execution plans."""
 
     def __init__(self, capacity: int = 128):
         if capacity < 1:
@@ -67,8 +61,7 @@ class PlanCache:
         self.capacity = capacity
         self.stats = PlanCacheStats()
         self._lock = threading.Lock()
-        # key -> (plan, prefix signature | None)
-        self._plans: OrderedDict[tuple, tuple] = OrderedDict()
+        self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
 
     @staticmethod
     def key(canonical_key: str, dataset: str, graph: Graph,
@@ -80,24 +73,12 @@ class PlanCache:
     def get(self, key: tuple) -> ExecutionPlan | None:
         """Look up a plan, refreshing its recency."""
         with self._lock:
-            entry = self._plans.get(key)
-            if entry is None:
-                return None
-            self._plans.move_to_end(key)
-        return entry[0]
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+        return plan
 
-    def signature(self, key: tuple):
-        """The cached prefix signature for ``key``, or ``None``.
-
-        Does not touch recency — signature lookups are a sharing-layer
-        side channel, not plan-cache traffic.
-        """
-        with self._lock:
-            entry = self._plans.get(key)
-            return entry[1] if entry is not None else None
-
-    def put(self, key: tuple, plan: ExecutionPlan,
-            signature=None) -> None:
+    def put(self, key: tuple, plan: ExecutionPlan) -> None:
         """Insert a plan, evicting the least recently used beyond capacity.
 
         Overwriting an existing key counts as an ``overwrite``, not a
@@ -110,10 +91,7 @@ class PlanCache:
                 self._plans.popitem(last=False)
                 with self.stats._lock:
                     self.stats.evictions += 1
-            if not fresh and signature is None:
-                # keep an already-attached signature on plain overwrites
-                signature = self._plans[key][1]
-            self._plans[key] = (plan, signature)
+            self._plans[key] = plan
             self._plans.move_to_end(key)
         with self.stats._lock:
             if fresh:

@@ -11,8 +11,8 @@ with cores instead of saturating at the GIL.
 
 Protocol (one duplex pipe per worker, strictly request/reply):
 
-* parent ships a picklable :class:`WorkerTask` — stripped requests +
-  patterns, the :class:`~repro.core.shm.SharedGraphHandle`, the
+* parent ships a picklable :class:`WorkerTask` — the stripped request +
+  its pattern, the :class:`~repro.core.shm.SharedGraphHandle`, the
   absolute wall-clock deadline (``CLOCK_MONOTONIC`` is system-wide on
   Linux, so absolute deadlines are valid cross-process) and the armed
   crash point, tagged with a **generation** number;
@@ -71,8 +71,8 @@ class WorkerTask:
     """Per-host monotonic task id; the cancel cell carries the generation
     being cancelled so stale writes never abort a later task."""
 
-    requests: tuple[QueryRequest, ...]
-    patterns: tuple[QueryGraph, ...]
+    request: QueryRequest
+    pattern: QueryGraph
     graph: SharedGraphHandle
 
     deadline: float | None
@@ -148,8 +148,8 @@ def _worker_main(wid: int, conn, cell,
             graph = task.graph.attach()
             token = _SharedCellToken(cell, gen, deadline=task.deadline,
                                      crash_after=task.crash_after)
-            payload = executor.execute(list(task.requests), graph,
-                                       list(task.patterns), token=token)
+            payload = executor.execute(task.request, graph, task.pattern,
+                                       token=token)
             conn.send(("ok", gen, payload))
         except WorkerCrashError:
             # simulated hard death: no reply, no cleanup — the parent
@@ -290,27 +290,22 @@ class RemoteExecutor:
         self.service = service
         self.host = host
 
-    def _task(self, reqs: list[QueryRequest], graph: Graph,
-              patterns: list[QueryGraph],
+    def _task(self, req: QueryRequest, graph: Graph, pattern: QueryGraph,
               token: CancelToken | None) -> WorkerTask:
         svc = self.service
-        req0 = reqs[0]
         store: SharedGraphStore = svc._procpool.store
-        version = svc._graph_versions.get(req0.dataset, 0)
+        version = svc._graph_versions.get(req.dataset, 0)
         return WorkerTask(
             generation=0,
-            requests=tuple(_strip_request(r) for r in reqs),
-            patterns=tuple(patterns),
-            graph=store.handle(req0.dataset, graph, version=version),
+            request=_strip_request(req),
+            pattern=pattern,
+            graph=store.handle(req.dataset, graph, version=version),
             deadline=getattr(token, "deadline", None),
             crash_after=getattr(token, "_crash_after", None))
 
-    def execute(self, reqs: list[QueryRequest], graph: Graph,
-                patterns: list[QueryGraph],
-                plan_keys: list[tuple | None] | None = None,
-                token: CancelToken | None = None) -> list:
-        # plan_keys are parent-cache keys; the child recomputes its own
-        task = self._task(reqs, graph, patterns, token)
+    def execute(self, req: QueryRequest, graph: Graph, pattern: QueryGraph,
+                token: CancelToken | None = None) -> tuple:
+        task = self._task(req, graph, pattern, token)
         try:
             tag, _gen, payload = self.host.run(task, token)
         except WorkerCrashError:

@@ -19,6 +19,9 @@ combines three policies:
 The structure is lock-free from the queue's perspective: the owning
 dispatcher thread is the only mutator; ``depths()`` reads are safe for
 metrics snapshots.
+
+A dispatched :class:`QueueEntry` is itself the query task the lifecycle
+runs (:mod:`repro.serve.lifecycle`): one request, one engine run.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Iterable
 
-from .request import Priority, QueryHandle, QueryOutcome, QueryStatus
+from .request import (Priority, QueryHandle, QueryOutcome, QueryStatus,
+                      ResultChunk)
 
 __all__ = ["QueueEntry", "MultiQueue", "PRIORITY_WEIGHTS"]
 
@@ -39,12 +43,21 @@ PRIORITY_WEIGHTS: dict[Priority, int] = {
 
 
 class QueueEntry:
-    """One queued request plus its dispatch bookkeeping."""
+    """One queued request plus its dispatch bookkeeping.
+
+    Once dispatched it is also the request's task — its own only member,
+    as a :class:`~repro.serve.lifecycle.DeltaTask` is — whose
+    :attr:`token` is what the engine polls: a client cancel, the
+    deadline or a shutdown aborts the run.
+    """
 
     __slots__ = ("handle", "estimate_bytes", "submit_t", "abs_deadline",
                  "not_before", "attempts", "cancel_reason", "pattern",
-                 "graph", "token", "dispatch_t", "canonical_key",
-                 "config_fp", "plan_key", "group", "reserved_bytes")
+                 "graph", "token", "dispatch_t", "reserved_bytes")
+
+    #: tracked in the in-flight / per-tenant tables and retried after a
+    #: worker crash
+    tracked = True
 
     def __init__(self, handle: QueryHandle, estimate_bytes: float,
                  submit_t: float, abs_deadline: float):
@@ -66,16 +79,14 @@ class QueueEntry:
         self.token = None
         #: service-clock time of the latest dispatch
         self.dispatch_t = 0.0
-        #: share-grouping keys, resolved at submission when sharing is on:
-        #: canonical pattern key, effective engine-config fingerprint and
-        #: plan-cache key (prefix-signature lookups)
-        self.canonical_key: str | None = None
-        self.config_fp: str | None = None
-        self.plan_key: tuple | None = None
-        #: the ShareGroup this entry is currently dispatched in, if any
-        self.group = None
         #: admission reservation currently held (``None`` = none)
         self.reserved_bytes: float | None = None
+
+    @property
+    def members(self) -> tuple:
+        # computed, not stored: a stored self-reference would make every
+        # entry (and the graph snapshot it pins) cyclic garbage
+        return (self,)
 
     @property
     def seq(self) -> int:
@@ -100,9 +111,53 @@ class QueueEntry:
         failed, or crashed out of retries) at service time ``now``."""
         return QueryOutcome(
             status=status, error=error, attempts=self.attempts,
-            shared_group=self.group.size if self.group is not None else 1,
             queue_wait_s=(self.dispatch_t or now) - self.submit_t,
             execute_s=execute_s, total_s=now - self.submit_t)
+
+    def run(self, worker) -> list:
+        """Execute the request on ``worker`` (its thread); returns
+        ``[(self, outcome)]``.  Engine errors (cancellation, crash,
+        failure) propagate to the lifecycle, which maps them."""
+        svc = worker.service
+        req = self.handle.request
+        t0 = svc._now()
+        result, info = worker.executor.execute(req, self.graph, self.pattern,
+                                               token=self.token)
+        t1 = svc._now()
+        t_exec = t0 + info["plan_s"]
+        svc.emit("planned", req.seq, label=req.label, worker=worker.wid,
+                 t0=t0, t1=t_exec, cache_hit=info["plan_cache_hit"],
+                 plan_s=info["plan_s"], key=info["canonical_key"])
+        svc.emit("executed", req.seq, label=req.label, worker=worker.wid,
+                 attempt=self.attempts, t0=t_exec, t1=t1,
+                 execute_s=info["execute_s"], count=result.count,
+                 sim_time_s=result.report.total_time_s)
+        if req.stream:
+            ts0 = svc._now()
+            chunks = _stream_result(self.handle, result, svc._abort)
+            svc.emit("streamed", req.seq, label=req.label, worker=worker.wid,
+                     t0=ts0, t1=svc._now(), chunks=chunks)
+        return [(self, QueryOutcome(
+            status=QueryStatus.COMPLETED, count=result.count, result=result,
+            attempts=self.attempts, plan_cache_hit=info["plan_cache_hit"],
+            canonical_key=info["canonical_key"],
+            queue_wait_s=self.dispatch_t - self.submit_t,
+            plan_s=info["plan_s"], execute_s=info["execute_s"],
+            total_s=svc._now() - self.submit_t))]
+
+
+def _stream_result(handle, result, abort) -> int:
+    """Deliver collected matches as bounded chunks; returns #chunks."""
+    matches = result.matches or []
+    result.matches = None  # delivered via the stream, not the outcome
+    size = handle.request.chunk_size
+    chunks = [matches[i:i + size] for i in range(0, len(matches), size)] \
+        or [[]]
+    for seq, rows in enumerate(chunks):
+        chunk = ResultChunk(seq=seq, rows=rows, last=seq == len(chunks) - 1)
+        if not handle._push_chunk(chunk, abort=abort):
+            break
+    return len(chunks)
 
 
 class MultiQueue:
@@ -172,15 +227,15 @@ class MultiQueue:
                 return popped
         return None
 
-    def _pop(self, predicate: Callable[[QueueEntry], bool],
-             limit: float = float("inf")) -> list[QueueEntry]:
-        """Remove up to ``limit`` entries matching ``predicate``, scanning
-        priorities urgent-first and EDF within."""
+    def pop_where(self, predicate: Callable[[QueueEntry], bool]) -> list[QueueEntry]:
+        """Remove and return every queued entry matching ``predicate``
+        (deadline expiry sweeps, shutdown drains, client cancels),
+        scanning priorities urgent-first and EDF within."""
         removed: list[QueueEntry] = []
         for p in Priority:
             keep_e, keep_k = [], []
             for entry, key in zip(self._queues[p], self._keys[p]):
-                if len(removed) < limit and predicate(entry):
+                if predicate(entry):
                     removed.append(entry)
                 else:
                     keep_e.append(entry)
@@ -188,26 +243,3 @@ class MultiQueue:
             self._queues[p] = keep_e
             self._keys[p] = keep_k
         return removed
-
-    def pop_matching(self, now: float,
-                     eligible: Callable[[QueueEntry], bool],
-                     match: Callable[[QueueEntry], bool],
-                     limit: int) -> list[QueueEntry]:
-        """Remove up to ``limit`` dispatchable entries satisfying ``match``.
-
-        Used by the dispatcher to gather share-group followers behind an
-        already-popped leader: followers piggyback on the leader's engine
-        run, so **no WRR credits are charged** — grouping strictly reduces
-        the work done per dispatch, it never lets a class overdraw its
-        weight.  Honours retry backoff and the dispatcher's eligibility
-        predicate; ``match`` is evaluated last, only on entries that will
-        be taken if it holds.
-        """
-        return self._pop(
-            lambda e: (e.not_before <= now and e.cancel_reason is None
-                       and eligible(e) and match(e)), limit)
-
-    def pop_where(self, predicate: Callable[[QueueEntry], bool]) -> list[QueueEntry]:
-        """Remove and return every queued entry matching ``predicate``
-        (deadline expiry sweeps, shutdown drains, client cancels)."""
-        return self._pop(predicate)

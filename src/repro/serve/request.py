@@ -164,9 +164,6 @@ class QueryOutcome:
     attempts: int = 1
     """Execution attempts consumed (> 1 means worker-crash retries)."""
     plan_cache_hit: bool = False
-    shared_group: int = 1
-    """Size of the share group this request executed in (1 = solo run;
-    > 1 means the engine report is the *group's* shared ledger)."""
     canonical_key: str | None = None
     queue_wait_s: float = 0.0
     plan_s: float = 0.0
@@ -182,7 +179,6 @@ class QueryOutcome:
             "error": self.error,
             "attempts": self.attempts,
             "plan_cache_hit": self.plan_cache_hit,
-            "shared_group": self.shared_group,
             "canonical_key": self.canonical_key,
             "queue_wait_s": self.queue_wait_s,
             "plan_s": self.plan_s,

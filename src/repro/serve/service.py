@@ -9,23 +9,21 @@ admission reservation, its place in the in-flight and per-tenant tables,
 its one terminal delivery — is owned by the
 :class:`~repro.serve.lifecycle.Lifecycle`:
 
-1. **submit** — the pattern is resolved (and, with sharing on,
-   canonicalised), its Theorem-5.4 reservation estimated; a request
-   whose bound exceeds the whole budget is delivered rejected at once,
-   otherwise it queues.
+1. **submit** — the pattern is resolved and its Theorem-5.4
+   reservation estimated; a request whose bound exceeds the whole
+   budget is delivered rejected at once, otherwise it queues.
 2. **reserve** — the fair scheduler picks the next entry whose
    reservation fits the free budget and whose tenant is under its cap,
-   gathers share-group followers behind it, and the task (a
-   :class:`~repro.serve.sharing.ShareGroup`, of one for a solo query)
-   goes to the worker pool with its reservations taken.
+   and the entry — its own task: one request, one engine run — goes to
+   the worker pool with its reservation taken.
 3. **run** — the worker gets-or-plans the canonical plan, runs the
    engine under a per-attempt :class:`CancelToken` (deadline + client
-   cancel) and remaps matches to the request's vertex order.
-4. **deliver → release** — every member gets exactly one terminal
+   cancel + shutdown) and remaps matches to the request's vertex order.
+4. **deliver → release** — the request gets exactly one terminal
    outcome and its reservation back.
 5. **abandon** — an injected :class:`WorkerCrashError` kills the worker
    thread mid-run; the dispatcher respawns it and the lifecycle releases
-   the task's reservations and requeues its members with backoff.
+   the task's reservation and requeues it with backoff.
 
 ``apply_updates`` fans one :class:`~repro.serve.lifecycle.DeltaTask` per
 subscription through the same steps.  Every transition is announced once
@@ -64,7 +62,6 @@ from .plancache import PlanCache
 from .queueing import MultiQueue, QueueEntry
 from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus)
-from .sharing import MAX_SHARE_GROUP, ShareGroup, config_fingerprint
 from .stats import ServiceStats
 from .tracing import ServiceTracer
 
@@ -139,7 +136,7 @@ class _Worker(threading.Thread):
         super().__init__(name=f"repro-serve-w{wid}", daemon=True)
         self.service = service
         self.wid = wid
-        #: the task being run (ShareGroup or DeltaTask), if any
+        #: the task being run (QueueEntry or DeltaTask), if any
         self.current = None
         self.crashed = False
         self.executor = self._make_executor(service)
@@ -196,7 +193,6 @@ class QueryService:
                  injector: FaultInjector | None = None,
                  trace: bool = False,
                  metrics: MetricsRegistry | None = None,
-                 sharing: bool = False,
                  pool: str = "thread"):
         if num_workers < 1:
             raise ValueError("need at least one worker")
@@ -207,10 +203,6 @@ class QueryService:
         #: worker backend: "thread" (GIL-bound, zero-copy in-process) or
         #: "process" (true multi-core against the shared-memory graph)
         self.pool = pool
-        #: batch concurrently queued requests with shared plan prefixes
-        #: into one engine run (opt-in: a shared run's simulated report
-        #: is the group's ledger, not any member's solo report)
-        self.sharing = sharing
         self.default_config = default_config
         self.cost = cost
         self.max_retries = max_retries
@@ -515,13 +507,6 @@ class QueryService:
         entry = handle._entry = QueueEntry(handle, estimate, now, deadline)
         entry.pattern = pattern
         entry.graph = graph
-        if self.sharing:
-            entry.canonical_key = pattern.canonical_key()
-            entry.config_fp = config_fingerprint(
-                effective_config(request, self.default_config))
-            entry.plan_key = PlanCache.key(entry.canonical_key,
-                                           request.dataset, graph,
-                                           request.num_machines)
         self.emit("submitted", request.seq, label=request.label,
                   tenant=request.tenant, deadline_s=request.deadline_s,
                   estimate_bytes=estimate, priority=request.priority.name)
@@ -576,88 +561,32 @@ class QueryService:
                 if idle and (not drain or self._ready.empty()):
                     return
 
-    def _share_match(self, leader: QueueEntry):
-        """Follower predicate: same dataset/cluster/config, and either the
-        same canonical pattern (full dedup — no signature needed) or a
-        plan-cache signature starting with the leader's scan spec.
-        Deadlines stay solo (a group run cannot abort for one member's
-        deadline without killing the others'), and so does streaming."""
-        lreq = leader.handle.request
-        leader_sig = self.plan_cache.signature(leader.plan_key)
-
-        def match(e: QueueEntry) -> bool:
-            req = e.handle.request
-            if (e.canonical_key is None or req.stream
-                    or e.abs_deadline != float("inf")
-                    or e.graph is not leader.graph
-                    or req.dataset != lreq.dataset
-                    or req.num_machines != lreq.num_machines
-                    or req.workers_per_machine != lreq.workers_per_machine
-                    or req.partition_seed != lreq.partition_seed
-                    or e.config_fp != leader.config_fp):
-                return False
-            if e.canonical_key == leader.canonical_key:
-                return True  # isomorphic: identical canonical plan
-            if leader_sig is None:
-                return False
-            sig = self.plan_cache.signature(e.plan_key)
-            return sig is not None and sig[0] == leader_sig[0]
-
-        return match
-
-    def _pop_task(self, now: float) -> ShareGroup | None:
-        """Pop the next dispatchable leader plus (with sharing on) its
-        compatible followers as one task; ``None`` when nothing fits."""
-        taken_bytes = 0.0
-        taken_tenants: dict[str, int] = {}
+    def _pop_task(self, now: float) -> QueueEntry | None:
+        """Pop the next dispatchable entry and arm its attempt token;
+        ``None`` when nothing fits."""
 
         def fits(e: QueueEntry) -> bool:
-            # cumulative: budget/tenant headroom shrinks with every
-            # member already taken into the task
             tenant = e.handle.request.tenant
             if (self.tenant_max_inflight is not None
                     and self.lifecycle.tenant_load(tenant)
-                    + taken_tenants.get(tenant, 0)
                     >= self.tenant_max_inflight):
                 return False
-            return self.admission.fits_now(taken_bytes + e.estimate_bytes)
+            return self.admission.fits_now(e.estimate_bytes)
 
-        def take(e: QueueEntry) -> bool:
-            nonlocal taken_bytes
-            taken_bytes += e.estimate_bytes
-            tenant = e.handle.request.tenant
-            taken_tenants[tenant] = taken_tenants.get(tenant, 0) + 1
-            return True
-
-        leader = self._queue.pop_eligible(now, fits)
-        if leader is None:
+        entry = self._queue.pop_eligible(now, fits)
+        if entry is None:
             return None
-        take(leader)
-        members = [leader]
-        if self.sharing:
-            match = self._share_match(leader)
-            # a leader that would not match itself (streaming, deadline,
-            # no canonical key) cannot lead a group
-            if match(leader):
-                members += self._queue.pop_matching(
-                    now, fits, lambda e: match(e) and take(e),
-                    MAX_SHARE_GROUP - 1)
-        crash_after = (self.injector.arm(leader.seq, leader.attempts + 1)
+        crash_after = (self.injector.arm(entry.seq, entry.attempts + 1)
                        if self.injector else None)
-        deadline = (leader.abs_deadline
-                    if leader.abs_deadline != float("inf") else None)
-        token = _AttemptToken(deadline, crash_after, self.injector)
-        for e in members:
-            # alone, the member's token is the run's; in a larger group it
-            # is only a delivery-time cancel flag (cancelling one member
-            # must not abort the group's engine run)
-            e.token = token if len(members) == 1 else CancelToken()
-        return ShareGroup(members, token)
+        deadline = (entry.abs_deadline
+                    if entry.abs_deadline != float("inf") else None)
+        entry.token = _AttemptToken(deadline, crash_after, self.injector)
+        return entry
 
     def _fill_workers(self) -> None:
         while True:
             with self._cond:
-                # groups occupy ONE worker but many inflight entries, so
+                # delta tasks occupy workers without being in flight, so
                 # the gate counts dispatch units, not inflight requests
                 if self.lifecycle.units >= self.num_workers:
                     return
@@ -688,10 +617,7 @@ class QueryService:
     def _cancel_running(self, reason: str) -> None:
         with self._cond:
             for entry in self.lifecycle.inflight.values():
-                # member tokens of a larger group are delivery-time flags
-                # only; the group token is what the engine actually polls
                 entry.token.cancel(reason)
-                entry.group.token.cancel(reason)
 
     def _reap_crashed_workers(self) -> None:
         """Detect dead workers, respawn them, abandon their tasks."""
@@ -719,7 +645,6 @@ class QueryService:
             **{k: c[k] for k in (
                 "submitted", "completed", "cancelled", "failed", "rejected",
                 "retries", "worker_crashes", "delivery_violations",
-                "shared_groups", "shared_requests",
                 "latency", "queue_wait", "execute")},
             inflight=inflight,
             queue_depth=depth,

@@ -35,8 +35,6 @@ class ServiceStats:
     budget_bytes: float = float("inf")
     admission: dict = field(default_factory=dict)
     plan_cache: dict = field(default_factory=dict)
-    shared_groups: int = 0
-    shared_requests: int = 0
     latency: dict = field(default_factory=dict)
     queue_wait: dict = field(default_factory=dict)
     execute: dict = field(default_factory=dict)

@@ -35,15 +35,14 @@ TRACE_MAX_EVENTS = 500_000
 
 #: event kind -> (span name prefix, argument fields): a span from the
 #: event's ``t0`` to ``t1`` on its ``worker`` track (``ENGINE`` if none),
-#: named after its ``task`` (else its own ``label``)
+#: named after its request's ``label``
 _SPANS = {
     "dispatched": ("queue", ("priority", "tenant", "attempt")),
     "planned": ("plan", ("cache_hit", "key")),
-    "executed": ("execute", ("count", "sim_time_s", "attempt",
-                             "share_group", "counts")),
+    "executed": ("execute", ("count", "sim_time_s", "attempt")),
     "streamed": ("stream", ("chunks",)),
     # an engine run that was cancelled or failed (``finished`` with times)
-    "finished": ("execute", ("status", "error", "share_group")),
+    "finished": ("execute", ("status", "error")),
 }
 #: event kind -> (instant name, argument fields), plus the event's
 #: ``seq`` when it has one
@@ -86,10 +85,10 @@ class ServiceTracer:
         return time.monotonic() - self._t0
 
     def __call__(self, kind: str, seq: int | None, f: dict) -> None:
-        """Event-stream sink (tables above; one span per *task*)."""
-        if kind in _SPANS and "t0" in f and seq == f.get("leader", seq):
+        """Event-stream sink (tables above)."""
+        if kind in _SPANS and "t0" in f:
             prefix, keys = _SPANS[kind]
-            self.span(f"{prefix} {f['task'] if 'task' in f else f['label']}",
+            self.span(f"{prefix} {f['label']}",
                       f.get("worker", ENGINE), f["t0"] - self._t0,
                       f["t1"] - self._t0, {k: f[k] for k in keys if k in f})
         elif kind in _INSTANTS:

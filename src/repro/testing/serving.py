@@ -14,11 +14,9 @@ service + its outcomes directly) — against the serving tier's contract:
 * ``solo-identical`` — every completed query's count, collected match
   multiset and full simulated metrics report are bit-identical to the
   same request (same engine config) executed solo through
-  :func:`~repro.serve.service.run_query_solo` — concurrency and
-  share-group execution must not change what any query computes.
-  Requests that executed in a share group (``shared_group > 1``) skip
-  only the metrics-report comparison: their report is the group's
-  shared ledger, but count and matches must still be bit-identical;
+  :func:`~repro.serve.service.run_query_solo` — concurrency must not
+  change what any query computes, and every served request is one engine
+  run of its own, so no completed request is exempt;
 * ``crash-recovered`` — every injected crash was observed
   (``worker_crashes >= injected``) and recovered: a crashed query either
   completed on a retry (``attempts > 1``) or failed only after
@@ -27,13 +25,14 @@ service + its outcomes directly) — against the serving tier's contract:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..graph.graph import Graph
 from ..query.pattern import QueryGraph, get_query
 from ..serve.driver import DriverReport
 from ..serve.executor import effective_config
 from ..serve.request import QueryStatus
 from ..serve.service import run_query_solo
-from ..serve.sharing import config_fingerprint
 from .oracles import OracleFailure
 
 __all__ = ["SERVING_ORACLES", "solo_mismatches", "check_service_run",
@@ -41,6 +40,14 @@ __all__ = ["SERVING_ORACLES", "solo_mismatches", "check_service_run",
 
 #: serving oracle names, in checking order
 SERVING_ORACLES = ("accounted", "ledger", "solo-identical", "crash-recovered")
+
+
+def _config_fingerprint(config) -> str:
+    """Solo-run reuse key for an effective engine config: every knob that
+    changes what a run computes or charges.  ``cancellation`` is
+    per-attempt (``repr=False`` on the dataclass) and ``collect_results``
+    is keyed separately, from the request."""
+    return repr(replace(config, collect_results=False, cancellation=None))
 
 
 def _canonical_rows(pattern, rows):
@@ -74,7 +81,7 @@ def solo_mismatches(graph: Graph, requests, outcomes,
         # so a request must not reuse a solo run made under other ones
         key = (outcome.canonical_key, req.num_machines,
                req.workers_per_machine, req.partition_seed,
-               config_fingerprint(effective_config(req, default_config)),
+               _config_fingerprint(effective_config(req, default_config)),
                req.collect)
         cached = solo_cache.get(key)
         if cached is None:
@@ -93,11 +100,7 @@ def solo_mismatches(graph: Graph, requests, outcomes,
                 != _canonical_rows(solo_pattern, alone)):
             failures.append(
                 f"{req.label}: served match multiset differs from solo")
-        # a share-group member's report is the group's shared ledger —
-        # only solo runs pin the full simulated-metrics comparison
-        if (outcome.shared_group == 1
-                and outcome.result.report.as_dict()
-                != solo.result.report.as_dict()):
+        if outcome.result.report.as_dict() != solo.result.report.as_dict():
             failures.append(
                 f"{req.label}: simulated metrics differ from solo")
     return failures

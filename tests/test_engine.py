@@ -167,7 +167,8 @@ class TestConfiguration:
         from repro.apps import motif_census
         from repro.core.cache import make_cache
         from repro.core.operators import ExecContext
-        from repro.serve import LoadDriver, QueryOutcome, QueryService
+        from repro.serve import (LoadDriver, QueryOutcome, QueryService,
+                                 WorkloadSpec)
         from repro.testing.configs import EngineSpec
 
         def fields(cls):
@@ -196,12 +197,16 @@ class TestConfiguration:
         assert params(QueryService.__init__) == [
             "datasets", "num_workers", "memory_budget_bytes",
             "default_config", "cost", "tenant_max_inflight", "max_retries",
-            "backoff_base_s", "injector", "trace", "metrics", "sharing",
-            "pool"]
+            "backoff_base_s", "injector", "trace", "metrics", "pool"]
         assert params(LoadDriver.__init__) == [
             "graph", "spec", "num_workers", "memory_budget_bytes",
             "default_config", "tenant_max_inflight", "trace", "metrics",
-            "sharing", "pool"]
+            "pool"]
+        assert fields(WorkloadSpec) == [
+            "num_queries", "dataset", "patterns", "num_machines",
+            "workers_per_machine", "seed", "relabel_fraction",
+            "deadline_fraction", "deadline_s", "tenants", "collect_fraction",
+            "crashes"]
         # the CLI's observers: a span trace per run, the service's
         # registry exposition, and the validator for it
         parser = build_parser()
@@ -217,10 +222,19 @@ class TestConfiguration:
             "stream": ["--metrics", "--trace"], "metrics": ["--check"]}
         assert [o for a in sub.choices["metrics"]._actions
                 for o in a.option_strings] == ["-h", "--help", "--check"]
+        # one request, one engine run: no work-sharing or skew knobs
+        assert [o for a in sub.choices["serve"]._actions
+                for o in a.option_strings if o.startswith("--")] == [
+            "--help", "--data", "--machines", "--workers", "--scale",
+            "--seed", "--queries", "--patterns", "--pool",
+            "--service-workers", "--budget-mb", "--relabel-fraction",
+            "--deadline-fraction", "--deadline", "--tenants", "--tenant-cap",
+            "--crash", "--verify", "--trace", "--json", "--metrics",
+            "--smoke"]
         # one answer path: collected matches are ``result.matches``
         assert fields(QueryOutcome) == [
             "status", "count", "result", "error", "attempts",
-            "plan_cache_hit", "shared_group", "canonical_key",
+            "plan_cache_hit", "canonical_key",
             "queue_wait_s", "plan_s", "execute_s", "total_s"]
         assert params(motif_census) == ["cluster", "k"]
         # the plan package: one tree, one plan class, one Equation 3, one
@@ -234,8 +248,7 @@ class TestConfiguration:
             "dfs_order", "greedy_order", "emptyheaded_plan",
             "graphflow_plan", "rads_plan", "seed_plan", "starjoin_plan",
             "vertex_order_plan", "wco_plan", "translate", "order_chain"]
-        assert params(HugeEngine.run_group) == [
-            "members", "collects", "tracer"]
+        assert params(HugeEngine.run) == ["query", "plan", "tracer"]
         assert params(plan_pkg.Optimiser.__init__) == [
             "estimator", "num_machines", "num_graph_edges", "cost_strategy",
             "avg_degree"]

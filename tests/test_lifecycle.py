@@ -33,7 +33,7 @@ WAIT = 20.0  # upper bound on any single wait; never a pacing delay
 
 #: one request's event sequence: submitted, then any number of crashed
 #: attempts, then at most one attempt that ends it — exactly one terminal
-_ATTEMPT = r"dispatched (share_group )?executing "
+_ATTEMPT = r"dispatched executing "
 QUERY_GRAMMAR = re.compile(
     r"^submitted (rejected )?"
     rf"(queued ({_ATTEMPT}crash retry_scheduled )*"
@@ -57,16 +57,15 @@ class Script:
 
 
 class FakeExecutor:
-    """Drop-in for ``Executor``: scripted by the leader's tag."""
+    """Drop-in for ``Executor``: scripted by the request's tag."""
 
     def __init__(self, script: Script):
         self.script = script
 
-    def execute(self, reqs, graph, patterns, plan_keys=None, token=None):
-        s, tag = self.script, reqs[0].tag
+    def execute(self, req, graph, pattern, token=None):
+        s, tag = self.script, req.tag
         with s.lock:
-            for req in reqs:
-                s.calls[req.tag] += 1
+            s.calls[tag] += 1
             attempt = s.calls[tag]
         how = s.how.get(tag, "ok")
         s.started[tag].set()
@@ -79,10 +78,10 @@ class FakeExecutor:
             raise ValueError("boom")
         if how == "crash_always" or (how == "crash_once" and attempt == 1):
             raise WorkerCrashError("scripted crash")
-        return [(SimpleNamespace(count=7, matches=None,
-                                 report=SimpleNamespace(total_time_s=0.0)),
-                 {"canonical_key": "k", "plan_cache_hit": True,
-                  "plan_s": 0.0, "execute_s": 0.0}) for _ in reqs]
+        return (SimpleNamespace(count=7, matches=None,
+                                report=SimpleNamespace(total_time_s=0.0)),
+                {"canonical_key": "k", "plan_cache_hit": True,
+                 "plan_s": 0.0, "execute_s": 0.0})
 
 
 @pytest.fixture
@@ -133,69 +132,54 @@ def check_invariants(svc, log, handles=(), subs=()):
     return outcomes
 
 
-#: outcome -> (what the fake does for the targets, what the test does
-#: once they are queued behind the blocker, expected status per target)
+#: outcome -> (what the fake does for the target, what the test does
+#: once it is queued behind the blocker, expected status)
 C, X, F = (QueryStatus.COMPLETED, QueryStatus.CANCELLED, QueryStatus.FAILED)
 QUERY_CELLS = {
-    "completed": ("ok", None, lambda n: [C] * n),
-    "cancelled-while-queued": ("ok", "cancel-last-queued",
-                               lambda n: [C] * (n - 1) + [X]),
-    "cancelled-mid-run": ("hold", "cancel-run", lambda n: [X] * n),
-    "failed": ("fail", None, lambda n: [F] * n),
-    "crashed-then-retried": ("crash_once", None, lambda n: [C] * n),
-    "crashed-past-max-retries": ("crash_always", None, lambda n: [F] * n),
-    "one-member-cancelled": ("hold", "cancel-last-running",
-                             lambda n: [C] * (n - 1) + [X]),
+    "completed": ("ok", None, C),
+    "cancelled-while-queued": ("ok", "cancel-queued", X),
+    "cancelled-mid-run": ("hold", "cancel-run", X),
+    "cancelled-by-shutdown": ("hold", "shutdown", X),
+    "failed": ("fail", None, F),
+    "crashed-then-retried": ("crash_once", None, C),
+    "crashed-past-max-retries": ("crash_always", None, F),
 }
 
 
-@pytest.mark.parametrize("size,outcome", [
-    pytest.param(size, outcome, id=f"{kind}-{outcome}")
-    for size, kind in ((1, "solo"), (3, "group-of-3"))
-    for outcome in QUERY_CELLS
-    # a group of one has no other member to spare
-    if (size, outcome) != (1, "one-member-cancelled")])
-def test_query_task(monkeypatch, graph, size, outcome):
+@pytest.mark.parametrize("outcome", [
+    pytest.param(outcome, id=f"solo-{outcome}") for outcome in QUERY_CELLS])
+def test_query_task(monkeypatch, graph, outcome):
     how, action, expected = QUERY_CELLS[outcome]
-    tags = [f"t{i}" for i in range(size)]
-    script = Script({"blocker": "hold", **{t: how for t in tags}})
-    svc, log = make_service(monkeypatch, graph, script, sharing=size > 1)
+    script = Script({"blocker": "hold", "t": how})
+    svc, log = make_service(monkeypatch, graph, script)
     try:
-        # the blocker owns the only worker, so the targets are all queued
-        # when it is released — and dispatch together as one group
+        # the blocker owns the only worker, so the target is queued when
+        # the blocker is released
         blocker = svc.submit(request("blocker"))
         assert script.started["blocker"].wait(WAIT)
-        handles = [svc.submit(request(t)) for t in tags]
-        if action == "cancel-last-queued":
-            handles[-1].cancel("changed my mind")
+        handle = svc.submit(request("t"))
+        if action == "cancel-queued":
+            handle.cancel("changed my mind")
         script.release["blocker"].set()
-        if action in ("cancel-run", "cancel-last-running"):
-            assert script.started[tags[0]].wait(WAIT)
-            if action == "cancel-last-running":
-                handles[-1].cancel("changed my mind")
-                script.release[tags[0]].set()
-            elif size == 1:
-                handles[0].cancel("changed my mind")
-            else:  # only a shutdown aborts a whole group's run
+        if action in ("cancel-run", "shutdown"):
+            assert script.started["t"].wait(WAIT)
+            if action == "cancel-run":
+                handle.cancel("changed my mind")
+            else:  # the shutdown cancels the run through its token
                 svc.stop(drain=False)
-        for h in [blocker, *handles]:
+        for h in (blocker, handle):
             assert h.wait(WAIT)
     finally:
         svc.stop()
-    outcomes = check_invariants(svc, log, [blocker, *handles])[1:]
-    assert [o.status for o in outcomes] == expected(size)
-    if size > 1:
-        # the targets really were dispatched as one task: even with the
-        # last one cancelled while queued, the other two form a group
-        assert "share_group" in sequence(log, handles[0].request.seq)
-        if how in ("ok", "hold", "fail") and action != "cancel-last-queued":
-            assert all(o.shared_group == size for o in outcomes)
+    blocked, result = check_invariants(svc, log, [blocker, handle])
+    assert blocked.status is C and result.status is expected
+    if action == "shutdown":
+        assert result.error == "service shutdown"
     if outcome == "crashed-then-retried":
-        assert all(o.attempts == 2 for o in outcomes)
-        assert svc.stats().retries == size
+        assert result.attempts == 2
+        assert svc.stats().retries == 1
     if outcome == "crashed-past-max-retries":
-        assert all(o.attempts == 2 and "crashed" in o.error
-                   for o in outcomes)
+        assert result.attempts == 2 and "crashed" in result.error
 
 
 @pytest.mark.parametrize("outcome", ["completed", "failed", "crashed"])
@@ -247,7 +231,7 @@ def test_rejected_enters_at_deliver(monkeypatch, graph):
 def test_finished_entry_is_not_cyclic_garbage(monkeypatch, graph):
     """An entry pins its graph snapshot; once delivered it must die with
     its last outside reference, not wait for the cyclic collector
-    (handle → entry → group → entry are all cut at deliver)."""
+    (the handle → entry → handle cycle is cut at deliver)."""
     import gc
     import time
     import weakref
@@ -337,7 +321,8 @@ def test_invariants_hold_under_contention(monkeypatch, graph):
 #: names + label names and trace span-name prefixes / counter names.
 #: Since ``stats()`` became a read of the registry, three counters it
 #: needs joined the metrics: delivery violations, subscriptions
-#: registered and errored batches
+#: registered and errored batches; the share-group size histogram went
+#: with work sharing
 SURFACE_METRICS = [
     ("repro_serve_admission_total", ("decision", "reason")),
     ("repro_serve_completed_total", ("tenant",)),
@@ -357,9 +342,6 @@ SURFACE_METRICS = [
     ("repro_serve_queue_wait_seconds_sum", ()),
     ("repro_serve_requests_total", ("status",)),
     ("repro_serve_reserved_bytes", ()),
-    ("repro_serve_share_group_size_bucket", ("le",)),
-    ("repro_serve_share_group_size_count", ()),
-    ("repro_serve_share_group_size_sum", ()),
     ("repro_serve_submitted_total", ("tenant",)),
     ("repro_stream_batch_errors_total", ()),
     ("repro_stream_batch_latency_seconds_bucket", ("le",)),

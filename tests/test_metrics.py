@@ -149,9 +149,8 @@ class TestHistogram:
             Histogram("h", buckets=(1.0, 1.0, 2.0))
 
     def test_reservoir_round_robin_deterministic(self):
-        """Stream sample i lands in slot (i+1) % cap once full, so
-        retention (and hence the service's latency summaries) is
-        reproducible."""
+        """Stream sample i lands in slot i % cap, so retention (and hence
+        the service's latency summaries) is reproducible."""
         reg = MetricsRegistry()
         h = reg.histogram("h", reservoir=4)
         for v in range(10):
@@ -159,15 +158,31 @@ class TestHistogram:
         child = h._default()
         # replay the policy by hand
         expect = [None] * 4
-        count = 0
-        for v in range(10):
-            count += 1
-            if count <= 4:
-                expect[count - 1] = float(v)
-            else:
-                expect[count % 4] = float(v)
+        for i in range(10):
+            expect[i % 4] = float(i)
         assert child.samples == expect
         assert child.count == 10
+
+    def test_reservoir_overwrites_the_oldest_sample_first(self):
+        """Once full, the fifth sample replaces the first, not the
+        second (a write to slot ``count % cap`` after counting it kept
+        the oldest sample and dropped the second: [0, 4, 2, 3])."""
+        reg = MetricsRegistry()
+        h = reg.histogram("h", reservoir=4)
+        for v in range(5):
+            h.observe(float(v))
+        assert h._default().samples == [4.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("reservoir", [0, 8])
+    @pytest.mark.parametrize("q", [-1.0, 100.5])
+    def test_percentile_rejects_q_outside_0_100(self, reservoir, q):
+        """Both paths — exact from the reservoir and interpolated from
+        the buckets — refuse a percentile rank outside [0, 100]."""
+        reg = MetricsRegistry()
+        h = reg.histogram("h", buckets=(1.0, 2.0), reservoir=reservoir)
+        h.observe(1.5)
+        with pytest.raises(ValueError, match=r"\[0, 100\]"):
+            h.percentile(q)
 
     def test_percentile_exact_from_reservoir(self):
         reg = MetricsRegistry()

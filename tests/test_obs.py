@@ -12,8 +12,8 @@ import pytest
 from repro.cluster import Cluster, CostModel
 from repro.cluster.metrics import Metrics
 from repro.core import EngineConfig, HugeEngine
-from repro.core.engine import compile_group
-from repro.core.plan.plans import vertex_order_plan
+from repro.core.plan import (bidirectional_path_plan, translate,
+                             vertex_order_plan)
 from repro.obs import (ENGINE, NULL_TRACER, Trace, Tracer,
                        check_span_nesting)
 from repro.obs.analyze import analyze
@@ -30,17 +30,14 @@ def traced_run(cluster, pattern="triangle", config=None):
     return result, result.trace
 
 
-def group_members(kind):
-    """Share groups of two.  ``dedup``: the same pattern twice, so the
-    head is the whole chain and both tails are bare replays.  ``tails``:
-    plug-in wco plans of the house along two vertex orders that agree on
-    the first three vertices — scan + one extend shared, two extends per
-    tail, whatever the estimator says."""
-    if kind == "dedup":
-        return [get_query("triangle"), get_query("triangle")]
-    house = get_query("q4")
-    return [vertex_order_plan(house, order)
-            for order in ([0, 1, 2, 3, 4], [0, 1, 2, 4, 3])]
+def built_plan(kind):
+    """Plug-in plans, run as built whatever the estimator says.  ``wco``:
+    the house along one vertex order — a single scan + extend chain.
+    ``push-join``: the bidirectional 5-path — two chains into a
+    PUSH-JOIN, three segments."""
+    if kind == "wco":
+        return vertex_order_plan(get_query("q4"), [0, 1, 2, 3, 4])
+    return bidirectional_path_plan(get_query("q6"))
 
 
 # -- unit: Trace / Tracer ------------------------------------------------------
@@ -161,15 +158,21 @@ class TestRunTraceSemantics:
             assert opid in spanned
 
     def test_fetch_plus_intersect_accounts_for_batch_time(self, run):
+        """The two stages tile each extend's batch spans (its ``emit``
+        spans — the send side of a PUSH-JOIN shuffle — come after)."""
         _, trace = run
-        stats = trace.per_operator()
+        batch_s: dict = {}
+        for s in trace.spans:
+            if s.name in ("PULL-EXTEND", "VERIFY"):
+                batch_s[s.arg("op")] = batch_s.get(s.arg("op"), 0.0) \
+                    + s.duration_s
         checked = 0
-        for st in stats.values():
+        for st in trace.per_operator().values():
             if st.fetch_time_s == 0.0:
                 continue  # scans and joins have no fetch stage
             checked += 1
             assert (st.fetch_time_s + st.intersect_time_s
-                    == pytest.approx(st.time_s, rel=1e-9, abs=1e-12))
+                    == pytest.approx(batch_s[st.opid], rel=1e-9, abs=1e-12))
         assert checked > 0
 
     def test_coverage_exceeds_95_percent(self, run):
@@ -210,67 +213,57 @@ class TestRunTraceSemantics:
         assert "cache occupancy" in counter_names
 
 
-class TestGroupTraceSemantics(TestRunTraceSemantics):
-    """A share group is traced by the same declarations and spans as a
-    solo run: every check above, on a group of two."""
+class TestPlanTraceSemantics(TestRunTraceSemantics):
+    """A plan run as built is traced by the same declarations and spans
+    as a planned query: every check above, on a single chain and on a
+    PUSH-JOIN tree, plus the operator table against the trace."""
 
-    @pytest.fixture(scope="class", params=["dedup", "tails"])
-    def group(self, request, er_graph):
+    @pytest.fixture(scope="class", params=["wco", "push-join"])
+    def run(self, request, er_graph):
         cluster = Cluster(er_graph, num_machines=4, workers_per_machine=4,
                           seed=1)
         engine = HugeEngine(cluster, EngineConfig(collect_results=True))
-        results = engine.run_group(group_members(request.param),
-                                   tracer=Tracer())
-        return results, compile_group([r.plan for r in results])
+        result = engine.run(plan=built_plan(request.param), tracer=Tracer())
+        return result, result.trace
 
-    @pytest.fixture(scope="class")
-    def run(self, group):
-        results, _ = group
-        return results[0], results[0].trace
-
-    def test_operator_ids_unique_across_head_and_tails(self, group):
-        results, program = group
-        trace = results[0].trace
-        table = [op for ops in program.ops for op in ops]
-        assert len(program.tails) == 2
+    def test_operator_ids_unique_and_declared_in_table_order(self, run):
+        result, trace = run
+        table = [op for ops in translate(result.plan).operator_table()
+                 for op in ops]
         assert len({op.opid for op in table}) == len(table)
         assert list(trace.operators) == [op.opid for op in table]
         for op in table:
             assert trace.operators[op.opid]["kind"] == op.kind
 
-    def test_per_operator_series_do_not_merge(self, group):
-        results, program = group
-        trace = results[0].trace
+    def test_per_operator_series_do_not_merge(self, run):
+        """Along every chain an operator takes in exactly what the one
+        before it put out, and the root chain ends in the result."""
+        result, trace = run
         stats = trace.per_operator()
-        head, *tails = program.ops
-        fed = stats[head[-1].opid].tuples_out
-        assert fed > 0
-        for ops, result in zip(tails, results):
-            assert stats[ops[0].opid].kind == "REPLAY"
-            assert stats[ops[0].opid].tuples_in == fed
-            assert stats[ops[-1].opid].tuples_out == result.count
-            assert result.trace is trace
+        table = translate(result.plan).operator_table()
+        for ops in table:
+            for before, op in zip(ops, ops[1:]):
+                assert stats[op.opid].tuples_in == stats[before.opid].tuples_out
+        assert stats[table[-1][-1].opid].tuples_out == result.count > 0
 
 
 class TestZeroCostWhenDisabled:
     def test_traced_run_bit_identical_to_untraced(self, er_graph):
-        def go(tracer, members):
+        def go(tracer, plan):
             cluster = Cluster(er_graph, num_machines=3,
                               workers_per_machine=4, seed=2)
             engine = HugeEngine(cluster, EngineConfig(collect_results=True))
-            return engine.run_group(members, tracer=tracer)
+            return engine.run(get_query("q1"), plan=plan, tracer=tracer)
 
-        for members in ([get_query("q1")], group_members("dedup"),
-                        group_members("tails")):
-            for plain, traced in zip(go(None, members),
-                                     go(Tracer(), members)):
-                assert plain.trace is None
-                assert traced.trace is not None
-                assert plain.count == traced.count
-                assert sorted(plain.matches) == sorted(traced.matches)
-                assert plain.report.as_dict() == traced.report.as_dict()
-                assert plain.cache_hit_rate == traced.cache_hit_rate
-                assert plain.fetch_time_s == traced.fetch_time_s
+        for plan in (None, built_plan("wco"), built_plan("push-join")):
+            plain, traced = go(None, plan), go(Tracer(), plan)
+            assert plain.trace is None
+            assert traced.trace is not None
+            assert plain.count == traced.count
+            assert sorted(plain.matches) == sorted(traced.matches)
+            assert plain.report.as_dict() == traced.report.as_dict()
+            assert plain.cache_hit_rate == traced.cache_hit_rate
+            assert plain.fetch_time_s == traced.fetch_time_s
 
 
 # -- satellites ----------------------------------------------------------------

@@ -121,13 +121,13 @@ class TestSpawnSafety:
         try:
             task = WorkerTask(
                 generation=7,
-                requests=(QueryRequest(pattern=pattern, dataset="er"),),
-                patterns=(pattern,),
+                request=QueryRequest(pattern=pattern, dataset="er"),
+                pattern=pattern,
                 graph=store.handle("er", er_graph),
                 deadline=time.monotonic() + 60, crash_after=3)
             t2 = pickle.loads(pickle.dumps(task))
             assert t2.generation == 7
-            assert t2.requests[0].seq == task.requests[0].seq
+            assert t2.request.seq == task.request.seq
             assert np.array_equal(t2.graph.attach().indptr, er_graph.indptr)
         finally:
             store.close()

@@ -8,6 +8,7 @@ reaches exactly one terminal state while the admission ledger drains
 back to zero.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -421,6 +422,36 @@ class TestServingOracles:
         reports = [o.result.report.as_dict() for o in outcomes]
         assert reports[0] != reports[1]
         assert solo_mismatches(er_graph, requests, outcomes) == []
+
+    def test_solo_identical_flags_a_doctored_report(self, er_graph):
+        """No completed request is exempt from the full-report
+        comparison: a right count over a report one message off its solo
+        run's is flagged."""
+        r = req("q1")
+        outcome = run_query_solo(er_graph, r)
+        assert solo_mismatches(er_graph, [r], [outcome]) == []
+        report = outcome.result.report
+        doctored = dataclasses.replace(outcome, result=dataclasses.replace(
+            outcome.result, report=dataclasses.replace(
+                report, messages=report.messages + 1)))
+        assert solo_mismatches(er_graph, [r], [doctored]) == [
+            f"{r.label}: simulated metrics differ from solo"]
+
+    def test_repeated_pattern_mix_reports_equal_solo_runs(self, er_graph):
+        """24 requests over two patterns, half of them relabelled, on two
+        thread workers: each request is its own engine run, so every
+        served report equals its solo run's."""
+        requests = WorkloadSpec(
+            num_queries=24, dataset="er", patterns=("triangle", "q1"),
+            num_machines=2, workers_per_machine=2, relabel_fraction=0.5,
+            seed=1).build()
+        assert sum(not isinstance(r.pattern, str) for r in requests) > 0
+        with QueryService(datasets={"er": er_graph}, num_workers=2) as svc:
+            handles = [svc.submit(r) for r in requests]
+            outcomes = [h.result(timeout=60) for h in handles]
+        assert [o.status for o in outcomes] == [QueryStatus.COMPLETED] * 24
+        assert len({o.canonical_key for o in outcomes}) == 2
+        assert check_service_run(svc, requests, outcomes, er_graph) == []
 
     def test_driver_verify_and_report_oracles(self, er_graph):
         spec = WorkloadSpec(num_queries=6, dataset="er",
