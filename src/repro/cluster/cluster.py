@@ -100,39 +100,48 @@ class Cluster:
 
     # -- pulling: the GetNbrs RPC -----------------------------------------------
 
-    def pull(self, requester: int, vertices: np.ndarray) -> np.ndarray:
+    def pull(self, requester, vertices: np.ndarray) -> np.ndarray:
         """Account a ``GetNbrs`` for an id array and return each vertex's
         entry size ``1 + degree`` (what its response carries and what it
         occupies in a cache).
 
-        Vertices owned by ``requester`` are free; the rest are grouped by
-        owner — two ``bincount``s — and charged as **one request/response
-        pair per owner** (the fetch-stage RPC aggregation of §4.4).  The
-        adjacency itself is not handed over: callers read the CSR.
+        ``requester`` is one machine or a column with one per vertex (a
+        stacked step's requests).  Vertices owned by their requester are
+        free; the rest are grouped by (requester, owner) — two
+        ``bincount``s — and charged as **one request/response pair per
+        pair** (the fetch-stage RPC aggregation of §4.4), the ledger
+        updated once per machine; in a trace each owner serves one span.
+        The adjacency itself is not handed over: callers read the CSR.
         """
         cost, metrics, tracer = self.cost, self.metrics, self.tracer
+        k = self.num_machines
         indptr = self.pgraph.graph.indptr
         sizes = indptr[vertices + 1] - indptr[vertices] + 1
-        owners = self.pgraph.owner[vertices]
-        requested = np.bincount(owners, minlength=self.num_machines)
+        pairs = np.asarray(requester) * k + self.pgraph.owner[vertices]
+        requested = np.bincount(pairs, minlength=k * k)
+        requested[::k + 1] = 0
+        live = np.flatnonzero(requested)
+        if not len(live):
+            return sizes
         # weighted bincount sums in float64: exact for ids below 2**53
-        response_ids = np.bincount(owners, weights=sizes,
-                                   minlength=self.num_machines)
-        requested[requester] = 0
-        for owner in np.flatnonzero(requested).tolist():
-            if tracer.enabled:
-                t0 = tracer.now(owner)
-            metrics.send(requester, owner,
-                         cost.rpc_request_overhead_bytes
-                         + int(requested[owner]) * cost.bytes_per_id,
-                         messages=1)
-            metrics.record_rpc(requester)
-            ids = int(response_ids[owner])
-            metrics.send(owner, requester, ids * cost.bytes_per_id,
-                         messages=1)
-            if tracer.enabled:
-                tracer.complete("rpc serve", owner, t0, tracer.now(owner),
-                                {"from": requester, "ids": ids})
+        response_ids = np.bincount(pairs, sizes, k * k)[live].astype(np.int64)
+        src, owner = np.divmod(live, k)
+        if tracer.enabled:
+            t0 = tracer.now_all()
+        metrics.send_many(
+            np.concatenate((src, owner)), np.concatenate((owner, src)),
+            np.concatenate((cost.rpc_request_overhead_bytes
+                            + requested[live] * cost.bytes_per_id,
+                            response_ids * cost.bytes_per_id)))
+        rpcs = np.bincount(src, minlength=k).tolist()
+        for m in np.flatnonzero(rpcs).tolist():
+            metrics.record_rpc(m, rpcs[m])
+        if tracer.enabled:
+            served = np.bincount(owner, response_ids, k).astype(np.int64)
+            for o in np.unique(owner).tolist():
+                tracer.complete("rpc serve", o, t0[o], tracer.now(o),
+                                {"requests": int((owner == o).sum()),
+                                 "ids": int(served[o])})
         return sizes
 
     # -- pushing: the router ------------------------------------------------------

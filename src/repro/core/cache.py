@@ -14,22 +14,25 @@ zero-copy access through three structures:
 construction the overflow never exceeds the number of distinct remote
 vertices in one batch (tested invariant).
 
+One cache object holds *every* machine's cache: each machine's state is
+its own row, so machines never share an entry, an order or a victim.
 The cache class *is* PULL-EXTEND's fetch policy: the operator hands a
-batch's remote reads to :meth:`fetch` and charges what it reports.
+stacked step's remote reads, with the reading machine's column, to
+:meth:`fetch` and charges what it reports per machine.
 :class:`LRBUCache` does Algorithm 4's sealed, aggregated fetch — one
-``GetNbrs`` RPC per owner per batch — and serves four of Exp-6's five
-variants, which differ only in the *access penalty* they charge per read
-(memory copy, locking, LRU bookkeeping); :class:`LRUCache` does one cache
-access per read and one RPC pair per miss, which is ``Cncr-LRU`` (and
-BENU's local database cache).  Penalties are cost-model charges, not
-behavioural changes: every variant tracks real residency, sizes and
-eviction order, and a scalar ``insert``/``get`` stores and returns the
-real adjacency array.
+``GetNbrs`` RPC per (machine, owner) per batch — and serves four of
+Exp-6's five variants, which differ only in the *access penalty* they
+charge per read (memory copy, locking, LRU bookkeeping); :class:`LRUCache`
+does one cache access per read and one RPC pair per miss, which is
+``Cncr-LRU`` (and BENU's local database cache).  Penalties are cost-model
+charges, not behavioural changes: every variant tracks real residency,
+sizes and eviction order, and a scalar ``insert``/``get`` stores and
+returns the real adjacency array.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, defaultdict, deque
 
 import numpy as np
 
@@ -51,25 +54,41 @@ _FETCH_INSERT_TICKS = TICKS_PER_OP // 2
 
 
 class CacheStats:
-    """What only the cache observes: evictions and the worst overflow
-    beyond capacity.  Hits and misses are the ledger's
+    """What only the cache observes, per machine: evictions and the worst
+    overflow beyond capacity.  Hits and misses are the ledger's
     (``Metrics.record_cache``), counted by the fetch stage's caller."""
 
-    __slots__ = ("evictions", "max_overflow_ids")
+    __slots__ = ("evicted", "overflow")
 
     def __init__(self) -> None:
-        self.evictions = 0
-        self.max_overflow_ids = 0
+        self.evicted: Counter[int] = Counter()
+        self.overflow: Counter[int] = Counter()
+
+    @property
+    def evictions(self) -> int:
+        """Evictions summed over machines."""
+        return sum(self.evicted.values())
+
+    @property
+    def max_overflow_ids(self) -> int:
+        """The worst overflow of any machine."""
+        return max(self.overflow.values(), default=0)
+
+
+def _machine_column(machines, ids: np.ndarray) -> np.ndarray:
+    """``machines`` (a machine id or one per entry) as a column beside
+    ``ids``."""
+    return np.broadcast_to(np.asarray(machines, dtype=np.int64), ids.shape)
 
 
 class LRBUCache:
-    """The least-recent-batch-used cache of Algorithm 3.
+    """The least-recent-batch-used cache of Algorithm 3, for every machine.
 
     Parameters
     ----------
     capacity_ids:
-        Capacity in vertex-id units (an entry of ``d`` neighbours occupies
-        ``d + 1`` units).  ``None`` means unbounded.
+        Capacity per machine in vertex-id units (an entry of ``d``
+        neighbours occupies ``d + 1`` units).  ``None`` means unbounded.
     copy_penalty / lock_penalty / update_penalty:
         Extra per-access op charges: ``LRBU-Copy`` copies, ``LRBU-Lock``
         copies and locks, ``LRU-Inf`` (unbounded) also pays LRU's position
@@ -77,25 +96,25 @@ class LRBUCache:
     cost:
         Cost model supplying the penalty weights.
 
-    The bookkeeping is two id-indexed ``int64`` arrays (grown by doubling
-    to cover the largest id seen): ``_entry[v]`` is the ids entry ``v``
-    occupies (0 = absent) and ``_order[v]`` its position in ``S_free``
-    (−1 = sealed or absent).  ``S_free`` itself is a deque of released
-    blocks ``(base, ids)``: block entry ``i`` is live iff
-    ``_order[ids[i]] == base + i``, so sealing an entry again makes its
-    old place stale without touching the block; stale places are dropped
-    when eviction reaches them (a cache lives for one run).
+    The bookkeeping is two ``(k, |V|)`` ``int64`` arrays, flat-indexed by
+    ``m·|V| + v`` and grown (ids by doubling) to cover the largest machine
+    and id seen: ``_entry[m, v]`` is the ids entry ``v`` occupies on
+    machine ``m`` (0 = absent) and ``_order[m, v]`` its position in that
+    machine's ``S_free`` (−1 = sealed or absent).  Each machine's
+    ``S_free`` is its own deque of released blocks ``(base, ids)``: block
+    entry ``i`` is live iff ``_order[m, ids[i]] == base + i``, so sealing
+    an entry again makes its old place stale without touching the block;
+    stale places are dropped when eviction reaches them (a cache lives
+    for one run).
 
     Two APIs run on that one state.  The scalar Algorithm-3 methods
-    (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`) are
-    the paper's interface, one vertex at a time, adjacency handed back;
-    no engine path calls them — they are the reference
-    ``tests/test_cache.py`` replays the bulk form against.  :meth:`fetch` is
-    PULL-EXTEND's fetch stage, built from the bulk methods
-    (:meth:`resident` / :meth:`seal_many` / :meth:`admit`): one array
-    call each per batch.  ``M_cache``'s *values* are kept for scalar
-    ``insert``/``get`` only — bulk admission records an entry's size and
-    no value, because the columnar intersect stage reads adjacency from
+    (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`, one
+    vertex of one machine) are the paper's interface and the reference
+    ``tests/test_cache.py`` replays the bulk form against; no engine path
+    calls them.  :meth:`fetch` is PULL-EXTEND's fetch stage, built from
+    the bulk methods (:meth:`resident` / :meth:`seal_many` /
+    :meth:`admit`): one array call each per stacked step.  Only a scalar
+    ``insert`` stores a value: the intersect stage reads adjacency from
     the CSR (cached remote adjacency is the same data by construction).
     """
 
@@ -107,37 +126,37 @@ class LRBUCache:
         self._copy = copy_penalty
         self._lock = lock_penalty
         self._update = update_penalty
-        self._values: dict[int, np.ndarray] = {}
-        self._entry = np.zeros(0, dtype=np.int64)
-        self._order = np.zeros(0, dtype=np.int64)
-        self._free: deque[tuple[int, np.ndarray]] = deque()
-        self._next_order = 0
-        #: ``S_sealed``: disjoint arrays of the ids pinned since the last
-        #: release, one per seal/admit call
-        self._pinned: list[np.ndarray] = []
-        self._size_ids = 0
+        self._values: dict[tuple[int, int], np.ndarray] = {}
+        self._entry = np.zeros((1, 0), dtype=np.int64)
+        self._order = np.zeros((1, 0), dtype=np.int64)
+        self._free: defaultdict[int, deque] = defaultdict(deque)
+        self._next_order: Counter[int] = Counter()
+        #: ``S_sealed``: ``(machines, ids)`` pinned since the last release,
+        #: one pair per seal/admit call, disjoint per machine
+        self._pinned: list[tuple[np.ndarray, np.ndarray]] = []
+        self._size: Counter[int] = Counter()
         self.stats = CacheStats()
 
-    def _cover(self, top: int) -> None:
-        """Grow the id-indexed arrays (doubling) so id ``top`` indexes."""
-        have = len(self._entry)
-        if top < have:
+    def _cover(self, machine: int, top: int) -> None:
+        """Grow the state so machine ``machine`` and id ``top`` index."""
+        k, have = self._entry.shape
+        if machine < k and top < have:
             return
-        size = max(top + 1, 2 * have, 64)
-        entry = np.zeros(size, dtype=np.int64)
-        order = np.full(size, -1, dtype=np.int64)
-        entry[:have], order[:have] = self._entry, self._order
+        rows = max(k, machine + 1)
+        size = have if top < have else max(top + 1, 2 * have, 64)
+        entry = np.zeros((rows, size), dtype=np.int64)
+        order = np.full((rows, size), -1, dtype=np.int64)
+        entry[:k, :have], order[:k, :have] = self._entry, self._order
         self._entry, self._order = entry, order
 
-    def _evict(self, incoming: int) -> None:
-        """Shed least-recent-batch entries until ``incoming`` more ids fit
-        or ``S_free`` is exhausted (Algorithm 3 lines 5-8).  The victims
-        are the shortest prefix of ``S_free`` whose live sizes reach the
-        excess: per head block one ``cumsum`` and one ``searchsorted``."""
-        if self._capacity is None:
-            return
-        excess = self._size_ids + incoming - self._capacity
-        entry, order, free = self._entry, self._order, self._free
+    def _evict(self, machine: int, excess: int) -> None:
+        """Shed ``machine``'s least-recent-batch entries until ``excess``
+        ids are freed or its ``S_free`` is exhausted (Algorithm 3 lines
+        5-8).  The victims are the shortest prefix of ``S_free`` whose
+        live sizes reach the excess: per head block one ``cumsum`` and
+        one ``searchsorted``."""
+        entry, order = self._entry[machine], self._order[machine]
+        free = self._free[machine]
         while excess > 0 and free:
             base, ids = free[0]
             live = order[ids] == base + np.arange(len(ids))
@@ -155,25 +174,26 @@ class LRBUCache:
             order[victims] = -1
             if self._values:
                 for vid in victims.tolist():
-                    self._values.pop(vid, None)
+                    self._values.pop((machine, vid), None)
             freed = int(shed[cut - 1])
-            self._size_ids -= freed
-            self.stats.evictions += len(victims)
+            self._size[machine] -= freed
+            self.stats.evicted[machine] += len(victims)
             excess -= freed
 
     # -- Algorithm 3 methods -----------------------------------------------------
 
-    def contains(self, vid: int) -> bool:
+    def contains(self, vid: int, machine: int = 0) -> bool:
         """Read-only membership test (lock-free in the real system)."""
-        return vid < len(self._entry) and bool(self._entry[vid])
+        k, n = self._entry.shape
+        return machine < k and vid < n and bool(self._entry[machine, vid])
 
-    def get(self, vid: int) -> np.ndarray:
+    def get(self, vid: int, machine: int = 0) -> np.ndarray:
         """Read-only lookup; returns the adjacency array a scalar
         :meth:`insert` stored, by reference (``KeyError`` for an entry
         that is absent or was admitted in bulk, which stores no value).
         What the access costs under this variant is
         :meth:`access_penalty`, charged by the caller."""
-        return self._values[vid]
+        return self._values[machine, vid]
 
     def access_penalty(self, length):
         """Ticks charged per :meth:`get` of an entry of ``length``
@@ -190,7 +210,8 @@ class LRBUCache:
             penalty += t.cache_update
         return penalty
 
-    def insert(self, vid: int, neighbours: np.ndarray) -> None:
+    def insert(self, vid: int, neighbours: np.ndarray,
+               machine: int = 0) -> None:
         """Insert a fetched entry, evicting least-recent-batch entries while
         the cache is full and ``S_free`` is non-empty (Algorithm 3 lines 5-8).
 
@@ -200,149 +221,187 @@ class LRBUCache:
         overflow capacity, but never by more than the footprint of one
         batch's remote vertices (§4.4).
         """
-        if self.contains(vid):
+        if self.contains(vid, machine):
             # re-fetching means the batch needs it: pin it again (keeping
             # the stored data, if a scalar insert stored any), then shed
             # any overflow left over from a previous batch — stale
             # overflow must not persist past the §4.4 bound of one
             # batch's pinned footprint
-            self._values.setdefault(vid, neighbours)
-            self.seal(vid)
-            self._evict(0)
+            self._values.setdefault((machine, vid), neighbours)
+            self.seal(vid, machine)
+            if self._capacity is not None:
+                self._evict(machine, self._size[machine] - self._capacity)
             return
-        self._values[vid] = neighbours
+        self._values[machine, vid] = neighbours
         self.admit(np.array([vid], dtype=np.int64),
-                   np.array([len(neighbours) + 1], dtype=np.int64))
+                   np.array([len(neighbours) + 1], dtype=np.int64), machine)
 
-    def seal(self, vid: int) -> None:
+    def seal(self, vid: int, machine: int = 0) -> None:
         """Pin ``vid`` for the in-flight batch (Algorithm 3 lines 9-10)."""
-        if self.contains(vid) and self._order[vid] >= 0:
-            self._order[vid] = -1
-            self._pinned.append(np.array([vid], dtype=np.int64))
+        if self.contains(vid, machine):
+            self.seal_many(np.array([vid], dtype=np.int64), machine)
 
     def release(self) -> None:
-        """Unpin all sealed vertices, appending them to ``S_free`` in
-        ascending id order with orders larger than all existing entries
-        (Algorithm 3 lines 11-14): one block, one stamp."""
-        if self._pinned:
-            ids = np.sort(np.concatenate(self._pinned))
-            base = self._next_order
-            self._order[ids] = base + np.arange(len(ids))
-            self._free.append((base, ids))
-            self._next_order = base + len(ids)
-            self._pinned = []
+        """Unpin all sealed vertices, appending each machine's to its
+        ``S_free`` in ascending id order with orders larger than all its
+        existing entries (Algorithm 3 lines 11-14): one block per machine,
+        stamped in one pass."""
+        if not self._pinned:
+            return
+        width = self._entry.shape[1]
+        # the seal and admit calls pinned sorted runs: a stable sort
+        # merges them
+        keys = np.sort(np.concatenate([m * width + v for m, v
+                                       in self._pinned]), kind="stable")
+        self._pinned = []
+        ms, ids = np.divmod(keys, width)
+        cuts = np.flatnonzero(ms[1:] != ms[:-1]) + 1
+        starts = np.concatenate(([0], cuts))
+        counts = np.diff(np.append(starts, len(ms)))
+        bases = [self._next_order[m] for m in ms[starts].tolist()]
+        self._order.reshape(-1)[keys] = (np.repeat(bases - starts, counts)
+                                         + np.arange(len(keys)))
+        for m, base, block in zip(ms[starts].tolist(), bases,
+                                  np.split(ids, cuts)):
+            self._free[m].append((base, block))
+            self._next_order[m] = base + len(block)
 
     # -- PULL-EXTEND's fetch stage and its bulk methods -----------------------------
 
-    def fetch(self, cluster, machine: int, reads: np.ndarray):
-        """Algorithm 4's fetch stage for one batch on ``machine``: seal
-        the resident ones of the batch's distinct remote vertices, pull
-        the rest with one aggregated ``GetNbrs`` per owner, admit them.
+    def fetch(self, cluster, machines, reads: np.ndarray):
+        """Algorithm 4's fetch stage for one stacked step: ``reads[i]`` is
+        a remote read of machine ``machines[i]`` (or of ``machines``, one
+        id).  Per machine, seal the resident ones of its distinct reads,
+        pull the rest with one aggregated ``GetNbrs`` per owner, admit
+        them.  Every hit is sealed before any miss is inserted, victims
+        depend on the misses' total size alone (:meth:`admit`) and
+        :meth:`release` re-files by ascending id, so evictions and
+        charges are functions of the distinct ``(machine, id)`` pairs —
+        as if each machine had fetched its batch alone.
 
-        ``reads`` holds one id per remote read; only the *set* matters.
-        Every hit is sealed before any miss is inserted, victims are a
-        prefix of ``S_free`` whose length depends on the misses' total
-        size alone (:meth:`admit`), :meth:`release` re-files the batch by
-        ascending id, and the ledger takes integer sums — so which
-        entries are evicted, and every charge, are functions of the
-        distinct ids.
-
-        Returns ``(hits, misses, ticks, lost)``: distinct ids found and
-        fetched, the stage's bookkeeping ticks, and the batch's ids *not*
-        resident now — sealing forbids any; the operator asserts it.
+        Returns ``(hits, misses, ticks, lost)``: per-machine arrays of the
+        distinct ids found and fetched and the stage's bookkeeping ticks,
+        and the ids *not* resident now — sealing forbids any; the operator
+        asserts it.
         """
-        # a sort and a first-occurrence mask, as in ``graph.edge_rows``
-        # (``np.unique`` takes a hash pass on int64)
-        remote = np.sort(reads)
-        first = np.ones(len(remote), dtype=bool)
-        first[1:] = remote[1:] != remote[:-1]
-        remote = remote[first]
-        hit = self.resident(remote)
-        self.seal_many(remote[hit])
-        missed = remote[~hit]
-        sizes = cluster.pull(machine, missed)
-        self.admit(missed, sizes)
-        ticks = (len(remote) * _FETCH_SEAL_TICKS
-                 + int(sizes.sum()) * _FETCH_INSERT_TICKS)
-        return (len(remote) - len(missed), len(missed), ticks,
-                remote[~self.resident(remote)])
+        k = cluster.num_machines
+        machines = _machine_column(machines, reads)
+        self._cover(k - 1, int(reads.max()) if len(reads) else -1)
+        width = self._entry.shape[1]
+        # a sort and a first-occurrence mask over flat keys m·|V| + v, as
+        # in ``graph.edge_rows`` (``np.unique`` takes a hash pass on int64)
+        keys = np.sort(machines * width + reads)
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        ms, vs = np.divmod(keys, width)
+        hit = self._entry.reshape(-1)[keys] > 0
+        self.seal_many(vs[hit], ms[hit])
+        miss = ~hit
+        missed, miss_ms = vs[miss], ms[miss]
+        sizes = cluster.pull(miss_ms, missed)
+        self.admit(missed, sizes, miss_ms)
+        hits = np.bincount(ms[hit], minlength=k)
+        misses = np.bincount(miss_ms, minlength=k)
+        ticks = ((hits + misses) * _FETCH_SEAL_TICKS
+                 + np.bincount(miss_ms, sizes, k).astype(np.int64)
+                 * _FETCH_INSERT_TICKS)
+        return (hits, misses, ticks,
+                vs[self._entry.reshape(-1)[keys] == 0])
 
-    def resident(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of ``ids`` have an entry.  Reads only."""
+    def resident(self, ids: np.ndarray, machines=0) -> np.ndarray:
+        """Boolean mask: which of ``ids`` have an entry on their machine
+        (``machines``: one id, or one per entry).  Reads only."""
+        ms = _machine_column(machines, ids)
         if len(ids):
-            self._cover(int(ids.max()))
-        return self._entry[ids] > 0
+            self._cover(int(ms.max()), int(ids.max()))
+        return self._entry[ms, ids] > 0
 
-    def seal_many(self, ids: np.ndarray) -> None:
+    def seal_many(self, ids: np.ndarray, machines=0) -> None:
         """:meth:`seal` every one of the distinct resident ``ids``."""
-        ids = ids[self._order[ids] >= 0]
-        if len(ids):
-            self._order[ids] = -1
-            self._pinned.append(ids)
+        ms = _machine_column(machines, ids)
+        keep = self._order[ms, ids] >= 0
+        if keep.any():
+            ms, ids = ms[keep], ids[keep]
+            self._order[ms, ids] = -1
+            self._pinned.append((ms, ids))
 
-    def admit(self, ids: np.ndarray, sizes: np.ndarray) -> None:
+    def admit(self, ids: np.ndarray, sizes: np.ndarray, machines=0) -> None:
         """Insert + seal the distinct absent ``ids``, entry ``i``
         occupying ``sizes[i]`` ids, as one step.
 
-        Equal to :meth:`insert` one id at a time, in any order: the new
-        entries are pinned, so victims come only from ``S_free`` as it
-        stood before the call and are always a *prefix* of it; insert
-        ``i`` evicts until ``size₀ + Σ_{j≤i} s_j − shed ≤ capacity`` and
-        that prefix only grows with ``i``, so the final prefix is the
-        shortest one whose shed ids reach ``size₀ + Σ s − capacity`` — a
-        function of the sizes' sum.  Overflow is ≤ 0 until ``S_free`` is
-        exhausted and only rises after, so the worst overflow of the
-        sequence is the final one.
+        Per machine, equal to :meth:`insert` one id at a time, in any
+        order: the new entries are pinned, so victims come only from
+        ``S_free`` as it stood before the call and are always a *prefix*
+        of it; insert ``i`` evicts until ``size₀ + Σ_{j≤i} s_j − shed ≤
+        capacity`` and that prefix only grows with ``i``, so the final
+        prefix is the shortest one whose shed ids reach ``size₀ + Σ s −
+        capacity`` — a function of the sizes' sum.  Overflow is ≤ 0 until
+        ``S_free`` is exhausted and only rises after, so the worst
+        overflow of the sequence is the final one.  Only the admitting
+        machines evict.
         """
         if not len(ids):
             return
-        self._cover(int(ids.max()))
-        total = int(sizes.sum())
-        self._evict(total)
-        self._entry[ids] = sizes
-        self._pinned.append(ids)
-        self._size_ids += total
-        if self._capacity is not None:
-            self.stats.max_overflow_ids = max(
-                self.stats.max_overflow_ids, self._size_ids - self._capacity)
+        ms = _machine_column(machines, ids)
+        self._cover(int(ms.max()), int(ids.max()))
+        # weighted bincount sums in float64: exact for sizes below 2**53
+        incoming = np.bincount(ms, sizes).astype(np.int64)
+        cap = self._capacity
+        for m in np.flatnonzero(incoming).tolist():
+            size = self._size[m] + int(incoming[m])
+            if cap is not None:
+                self._evict(m, size - cap)
+                size = self._size[m] + int(incoming[m])
+                self.stats.overflow[m] = max(self.stats.overflow[m],
+                                             size - cap)
+            self._size[m] = size
+        self._entry[ms, ids] = sizes
+        self._pinned.append((ms, ids))
 
     # -- introspection -----------------------------------------------------------
 
-    def free_order(self) -> list[int]:
-        """``S_free`` from next victim to last (test/debug view)."""
-        return [vid for base, ids in self._free for i, vid
-                in enumerate(ids.tolist()) if self._order[vid] == base + i]
+    def free_order(self, machine: int = 0) -> list[int]:
+        """A machine's ``S_free`` from next victim to last (test/debug
+        view)."""
+        order = self._order[machine]
+        return [vid for base, ids in self._free[machine] for i, vid
+                in enumerate(ids.tolist()) if order[vid] == base + i]
+
+    def occupancy(self, machine: int) -> int:
+        """A machine's occupancy in vertex-id units."""
+        return self._size[machine]
 
     @property
     def size_ids(self) -> int:
-        """Current occupancy in vertex-id units."""
-        return self._size_ids
+        """Occupancy in vertex-id units, summed over machines."""
+        return sum(self._size.values())
 
     @property
     def capacity_ids(self) -> int | None:
-        """Configured capacity in vertex-id units."""
+        """Configured capacity per machine in vertex-id units."""
         return self._capacity
 
     @property
     def num_sealed(self) -> int:
         """Number of currently sealed entries."""
-        return sum(map(len, self._pinned))
+        return sum(len(ids) for _, ids in self._pinned)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._entry))
 
 
 class LRUCache:
-    """A classic LRU cache touched once per adjacency read: the
-    ``Cncr-LRU`` ablation and BENU's local database cache.
+    """A classic LRU cache touched once per adjacency read, for every
+    machine: the ``Cncr-LRU`` ablation and BENU's local database cache.
 
     Charges copy + lock + LRU-bookkeeping penalties on every access;
     ``concurrent`` (``Cncr-LRU``) scales the lock by the worker count.
     Only the scalar API exists here — LRU order is a function of the
-    access sequence, so :meth:`fetch` replays a batch read by read.
-    (``LRU-Inf`` is not this class: an unbounded LRU never evicts, so its
-    order is unobservable and it is :class:`LRBUCache` with capacity
-    ``None`` charging these penalties.)
+    access sequence, so :meth:`fetch` replays a step read by read, each on
+    its machine's own LRU.  (``LRU-Inf`` is not this class: an unbounded
+    LRU never evicts, so its order is unobservable and it is
+    :class:`LRBUCache` with capacity ``None`` charging these penalties.)
     """
 
     def __init__(self, capacity_ids: int | None, cost: CostModel,
@@ -351,27 +410,28 @@ class LRUCache:
         self._cost = cost
         self._concurrent = concurrent
         self._workers = max(1, workers)
-        self._data: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._entry_ids: dict[int, int] = {}
-        self._size_ids = 0
+        self._data: defaultdict[int, OrderedDict] = defaultdict(OrderedDict)
+        self._size: Counter[int] = Counter()
         self.stats = CacheStats()
 
-    def contains(self, vid: int) -> bool:
+    def contains(self, vid: int, machine: int = 0) -> bool:
         """Membership test (counted as an access for LRU bookkeeping).
 
         A positive probe refreshes the entry's recency — the modelled LRU
         treats every access as a position update, so ``contains`` must
         ``move_to_end`` or eviction would pick victims by a stale order.
         """
-        if vid in self._data:
-            self._data.move_to_end(vid)
+        data = self._data[machine]
+        if vid in data:
+            data.move_to_end(vid)
             return True
         return False
 
-    def get(self, vid: int) -> np.ndarray:
+    def get(self, vid: int, machine: int = 0) -> np.ndarray:
         """Lookup + move-to-back (the LRU position update)."""
-        self._data.move_to_end(vid)
-        return self._data[vid]
+        data = self._data[machine]
+        data.move_to_end(vid)
+        return data[vid]
 
     def access_penalty(self, length):
         """Copy + lock + bookkeeping ticks per access of an entry of
@@ -389,62 +449,59 @@ class LRUCache:
             lock *= self._workers
         return penalty + lock + t.cache_update
 
-    def insert(self, vid: int, neighbours: np.ndarray) -> None:
+    def insert(self, vid: int, neighbours: np.ndarray,
+               machine: int = 0) -> None:
         """Insert with plain LRU eviction.
 
         Re-inserting a resident vid replaces the stored adjacency and
         re-accounts its occupancy (the old entry is retired first, so a
-        stale array or stale ``_size_ids`` share can never linger), then
+        stale array or stale ``_size`` share can never linger), then
         refreshes recency like any other access.  The replacement itself
         is not counted as an eviction.
         """
-        entry_ids = len(neighbours) + 1
-        if vid in self._data:
-            del self._data[vid]
-            self._size_ids -= self._entry_ids.pop(vid)
+        data = self._data[machine]
+        if vid in data:
+            self._size[machine] -= len(data.pop(vid)) + 1
         if self._capacity is not None:
-            while self._size_ids + entry_ids > self._capacity and self._data:
-                victim, _ = self._data.popitem(last=False)
-                self._size_ids -= self._entry_ids.pop(victim)
-                self.stats.evictions += 1
-        self._data[vid] = neighbours
-        self._entry_ids[vid] = entry_ids
-        self._size_ids += entry_ids
+            while (self._size[machine] + len(neighbours) + 1 > self._capacity
+                   and data):
+                self._size[machine] -= len(data.popitem(last=False)[1]) + 1
+                self.stats.evicted[machine] += 1
+        data[vid] = neighbours
+        self._size[machine] += len(neighbours) + 1
 
-    def fetch(self, cluster, machine: int, reads: np.ndarray):
-        """The per-access fetch stage for one batch on ``machine``: every
-        remote read is its own cache access, in the row-major order a
-        tuple-at-a-time loop issues them.  A hit refreshes the entry's
-        recency; a miss pulls that one vertex with its own RPC pair and
-        inserts it, evicting as LRU dictates.  Nothing is aggregated or
-        sealed — a bounded LRU may evict one of the batch's own entries
-        mid-batch; that is the model — so there are no bookkeeping ticks
-        and nothing to lose.  Returns as :meth:`LRBUCache.fetch`, counting
-        accesses instead of distinct ids.
+    def fetch(self, cluster, machines, reads: np.ndarray):
+        """The per-access fetch stage for one stacked step: every remote
+        read is its own access to its machine's cache, in the row-major
+        order a tuple-at-a-time loop issues them.  A hit refreshes the
+        entry's recency; a miss pulls that one vertex with its own RPC
+        pair and inserts it, evicting as LRU dictates.  Nothing is
+        aggregated or sealed — a bounded LRU may evict one of the batch's
+        own entries mid-batch; that is the model — so there are no
+        bookkeeping ticks and nothing to lose.  Returns as
+        :meth:`LRBUCache.fetch`, counting accesses instead of distinct
+        ids.
         """
-        misses = 0
-        for u in reads.tolist():
-            if not self.contains(u):
-                cluster.pull(machine, np.array([u]))
-                self.insert(u, cluster.graph.neighbours(u))
-                misses += 1
-        return len(reads) - misses, misses, 0, reads[:0]
+        machines = _machine_column(machines, reads)
+        k = cluster.num_machines
+        missed = np.zeros(k, dtype=np.int64)
+        for m, u in zip(machines.tolist(), reads.tolist()):
+            if not self.contains(u, m):
+                cluster.pull(m, np.array([u]))
+                self.insert(u, cluster.graph.neighbours(u), m)
+                missed[m] += 1
+        return (np.bincount(machines, minlength=k) - missed, missed,
+                np.zeros(k, dtype=np.int64), reads[:0])
 
     def release(self) -> None:
         """End-of-batch hook; LRU pins nothing."""
 
-    @property
-    def size_ids(self) -> int:
-        """Current occupancy in vertex-id units."""
-        return self._size_ids
-
-    @property
-    def capacity_ids(self) -> int | None:
-        """Configured capacity in vertex-id units."""
-        return self._capacity
+    occupancy = LRBUCache.occupancy
+    size_ids = LRBUCache.size_ids
+    capacity_ids = LRBUCache.capacity_ids
 
     def __len__(self) -> int:
-        return len(self._data)
+        return sum(map(len, self._data.values()))
 
 
 #: Names accepted by :func:`make_cache` (the Table 5 columns).
@@ -453,7 +510,8 @@ CACHE_VARIANTS = ("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf", "cncr-lru")
 
 def make_cache(variant: str, capacity_ids: int | None, cost: CostModel,
                workers: int = 1) -> LRBUCache | LRUCache:
-    """Build a cache by ablation name (see :data:`CACHE_VARIANTS`)."""
+    """Build a cache (every machine's) by ablation name (see
+    :data:`CACHE_VARIANTS`)."""
     v = variant.lower()
     if v == "lrbu":
         return LRBUCache(capacity_ids, cost)

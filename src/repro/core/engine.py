@@ -186,14 +186,12 @@ class HugeEngine:
         self.cluster.reset_metrics()
         tr.bind(self.cluster.metrics)
 
-        # fresh per-machine caches, their capacity reserved on the ledger
+        # a fresh cache for every machine, its capacity reserved on the
+        # ledger
         capacity = self._cache_capacity_ids()
-        caches = [
-            make_cache(config.cache_variant, capacity, self.cluster.cost,
-                       workers=self.cluster.workers_per_machine)
-            for _ in range(self.cluster.num_machines)
-        ]
-        ctx = ExecContext(self.cluster, caches, tracer=tr)
+        cache = make_cache(config.cache_variant, capacity, self.cluster.cost,
+                           workers=self.cluster.workers_per_machine)
+        ctx = ExecContext(self.cluster, cache, tracer=tr)
         ctx.metrics.reserve_constant(capacity * self.cluster.cost.bytes_per_id)
         if tr.enabled:
             for ops in table:
@@ -227,9 +225,8 @@ class HugeEngine:
             plan=plan,
             fetch_time_s=self.cluster.cost.ticks_to_seconds(ctx.fetch_ops),
             matches=sink.matches() if config.collect_results else None,
-            cache_overflow_ids=max(
-                (c.stats.max_overflow_ids for c in caches), default=0),
-            cache_evictions=sum(c.stats.evictions for c in caches),
+            cache_overflow_ids=cache.stats.max_overflow_ids,
+            cache_evictions=cache.stats.evictions,
             cache_capacity_ids=capacity,
             trace=tr.trace if tr.enabled else None,
         )

@@ -8,14 +8,19 @@ and memory are charged to the metrics ledger.
 A batch is a plain ``(n, arity)`` ``int64`` array, one row per partial
 match, one column per matched query vertex (a SCAN's input is a 1-D array
 of pivot ids); operators take and return such arrays and a queue slices
-them.  SCAN, both stages of PULL-EXTEND and the join run as array
-programs over a whole batch — the symmetry window, intersections,
+them.  SCAN and PULL-EXTEND take a *stacked step*: the head batches of
+several machines, concatenated in machine order, beside a machine column
+naming each row's machine (or one machine id for every row).  Rows never
+interact, so one call does for every machine what a call per machine
+would: SCAN, both stages of PULL-EXTEND and the join run as array
+programs over the whole step — the symmetry window, intersections,
 distinctness, label filters, emission, and LRBU's fetch stage
-(membership, sealing, admission and eviction on id-indexed arrays).  The
-one per-vertex loop left is :meth:`LRUCache.fetch
+(membership, sealing, admission and eviction on ``(machine, id)``-indexed
+arrays).  The one per-vertex loop left is :meth:`LRUCache.fetch
 <repro.core.cache.LRUCache.fetch>`, whose access order *is* the model.
-Charges are integer ticks (:mod:`repro.cluster.cost`): a batch's cost is
-its counts times tick weights.
+Charges are integer ticks (:mod:`repro.cluster.cost`): a row's cost is
+its counts times tick weights, and the scheduler splits costs and
+outputs back to their machines by the column.
 
 ``PULL-EXTEND`` implements the two-stage execution strategy of Algorithm 4:
 a *fetch* stage that makes the batch's remote vertices resident, then an
@@ -33,7 +38,6 @@ whatever either reports, in front of the same intersect stage.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -55,10 +59,11 @@ Cache = LRBUCache | LRUCache
 class ExecContext:
     """Shared execution state for one engine run."""
 
-    def __init__(self, cluster: Cluster, caches: Sequence[Cache],
+    def __init__(self, cluster: Cluster, cache: Cache | None,
                  tracer=None):
         self.cluster = cluster
-        self.caches = list(caches)
+        #: every machine's PULL-EXTEND cache, one object
+        self.cache = cache
         self.metrics = cluster.metrics
         self.cost = cluster.cost
         #: per-vertex labels of the data graph (None for unlabelled)
@@ -76,27 +81,30 @@ class ScanOp:
     def __init__(self, spec: ScanSpec, ctx: ExecContext):
         self.spec = spec
         self.ctx = ctx
-        self.out_arity = 2
 
-    def process(self, machine: int,
-                pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    def process(self, machines, pivots: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand each pivot ``u`` into rows ``(u, v)`` for its neighbours
-        ``v`` passing the symmetry order filter.
+        ``v`` passing the symmetry order filter; ``machines`` names each
+        pivot's machine (a column, or one id).  Returns ``(rows,
+        per_pivot_ticks, per_pivot_rows)``, rows in pivot order.
 
-        Pivots are normally local; pivots re-homed by inter-machine work
-        stealing are remote, and their adjacency is pulled with one
-        aggregated ``GetNbrs`` RPC for the chunk.  The chunk is one
-        columnar pass: one CSR gather over its pivots, the order and
-        label filters as masks, and per-pivot ticks as one expression —
-        a pivot costs a scan per neighbour and two emits per row kept,
-        one failing ``pivot_label`` a single scan.
+        Pivots re-homed by inter-machine work stealing are remote: their
+        adjacency is pulled with one aggregated ``GetNbrs`` RPC per
+        (machine, owner).  The step is one columnar pass: one CSR gather
+        over every machine's pivots, the order and label filters as
+        masks, and per-pivot ticks as one expression — a scan per
+        neighbour and two emits per row kept, one failing
+        ``pivot_label`` a single scan.
         """
         t = self.ctx.cost.ticks
         cluster = self.ctx.cluster
         g = cluster.pgraph.graph
         labels = self.ctx.labels
         pivot_label, nbr_label = self.spec.labels
-        cluster.pull(machine, pivots[cluster.pgraph.owner[pivots] != machine])
+        machines = np.broadcast_to(machines, pivots.shape)
+        remote = cluster.pgraph.owner[pivots] != machines
+        cluster.pull(machines[remote], pivots[remote])
         scanned = np.ones(len(pivots), dtype=bool)
         if pivot_label is not None and labels is not None:
             scanned = labels[pivots] == pivot_label
@@ -110,12 +118,13 @@ class ScanOp:
             keep = vs < us
         if nbr_label is not None and labels is not None:
             keep &= labels[vs] == nbr_label
+        emitted = np.zeros(len(pivots), dtype=np.int64)
+        emitted[scanned] = np.bincount(row_ids[keep], minlength=len(sources))
         item_costs = np.full(len(pivots), t.scan, dtype=np.int64)
         item_costs[scanned] = (
-            np.bincount(row_ids, minlength=len(sources)) * t.scan
-            + np.bincount(row_ids[keep], minlength=len(sources))
-            * (2 * t.emit))
-        return np.column_stack((us[keep], vs[keep])), item_costs, 0
+            np.bincount(row_ids, minlength=len(sources)) * t.scan)
+        item_costs += emitted * (2 * t.emit)
+        return np.column_stack((us[keep], vs[keep])), item_costs, emitted
 
 
 class ExtendOp:
@@ -130,75 +139,84 @@ class ExtendOp:
 
     # -- fetch stage --------------------------------------------------------------
 
-    def _fetch(self, machine: int, reads: np.ndarray) -> None:
-        """Have the machine's cache fetch the batch's remote ``reads``
-        (one entry per read, row-major over the extend columns) and
-        account for what it reports: hits and misses, the stage's ticks,
-        the trace."""
+    def _fetch(self, machines: np.ndarray, remote: np.ndarray,
+               reads: np.ndarray) -> None:
+        """Have the cache fetch the step's remote ``reads`` (the ``remote``
+        cells of the extend block, row-major; ``machines`` is the rows'
+        column) and account per machine for what it reports."""
         ctx = self.ctx
-        cache = ctx.caches[machine]
+        cache = ctx.cache
+        metrics = ctx.metrics
         tracer = ctx.tracer
         if tracer.enabled:
-            t0 = tracer.now(machine)
-            evictions0 = cache.stats.evictions
-            overflow0 = cache.stats.max_overflow_ids
-        hits, misses, ticks, lost = cache.fetch(ctx.cluster, machine, reads)
+            t0s = tracer.now_all()
+            evicted0 = cache.stats.evicted.copy()
+            overflow0 = cache.stats.overflow.copy()
+        hits, misses, ticks, lost = cache.fetch(
+            ctx.cluster, np.repeat(machines, remote.sum(axis=1)), reads)
         if len(lost):
             # the intersect stage reads sealed entries in place; one
             # missing now was evicted mid-batch, which sealing forbids
             raise AssertionError(f"vertices {lost.tolist()} missing from "
                                  "cache during intersect stage")
-        ctx.metrics.record_cache(machine, hits, misses)
-        ctx.metrics.charge_ops(machine, ticks)
-        ctx.fetch_ops += ticks
+        for m in np.flatnonzero(hits + misses).tolist():
+            metrics.record_cache(m, int(hits[m]), int(misses[m]))
+            metrics.charge_ops(m, int(ticks[m]))
+        ctx.fetch_ops += int(ticks.sum())
         if tracer.enabled:
-            tracer.complete("fetch", machine, t0, tracer.now(machine),
-                            {"op": self.opid, "remote": hits + misses,
-                             "hits": hits, "misses": misses})
-            tracer.counter("cache occupancy", machine,
-                           {"ids": cache.size_ids})
-            if cache.stats.evictions > evictions0:
-                tracer.instant("cache evict", machine,
-                               {"n": cache.stats.evictions - evictions0,
-                                "occupancy_ids": cache.size_ids})
-            if cache.stats.max_overflow_ids > overflow0:
-                tracer.instant("cache overflow", machine,
-                               {"ids": cache.stats.max_overflow_ids})
+            evicted = cache.stats.evicted - evicted0
+            overflow = cache.stats.overflow
+            for m in np.unique(machines).tolist():
+                h, n = int(hits[m]), int(misses[m])
+                tracer.complete("fetch", m, t0s[m], tracer.now(m),
+                                {"op": self.opid, "remote": h + n,
+                                 "hits": h, "misses": n})
+                occupancy = cache.occupancy(m)
+                tracer.counter("cache occupancy", m, {"ids": occupancy})
+                if evicted[m]:
+                    tracer.instant("cache evict", m,
+                                   {"n": evicted[m],
+                                    "occupancy_ids": occupancy})
+                if overflow[m] > overflow0[m]:
+                    tracer.instant("cache overflow", m,
+                                   {"ids": overflow[m]})
 
     # -- intersect stage ------------------------------------------------------------
 
-    def process(self, machine: int, rows: np.ndarray,
-                count_only: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run fetch + intersect for one batch.
+    def process(self, machines, rows: np.ndarray, count_only: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run fetch + intersect for one stacked step; ``machines`` names
+        each row's machine (a column, or one id for every row).
 
-        Returns ``(output_rows, per_input_row_ticks, count)``.  With
-        ``count_only`` (the compression optimisation of [63], applied to
-        the final operator before the SINK) valid extensions are counted
-        without materialising rows — only the count is returned.
-
+        Returns ``(output_rows, per_row_ticks, per_row_outputs)``, output
+        rows in input-row order.  With ``count_only`` (the compression
+        optimisation of [63], applied to the final operator before the
+        SINK) extensions are counted, not materialised: no output rows.
         The intersect stage never touches the cache, so it is the same
-        columnar pass behind either cache class; the batch's entries stay
-        sealed until it is done.
+        pass behind either cache class; the step's entries stay sealed
+        until it is done.
         """
         ctx = self.ctx
         g = ctx.cluster.pgraph.graph
-        # the batch's extend block, gathered once for both stages
+        machines = np.broadcast_to(np.asarray(machines, dtype=np.int64),
+                                   len(rows))
+        # the step's extend block, gathered once for both stages
         verts = rows[:, list(self.spec.ext)]
         lens = g.indptr[verts + 1] - g.indptr[verts]
-        remote = ctx.cluster.pgraph.owner[verts] != machine
-        self._fetch(machine, verts[remote])
-        result = self._process_vector(machine, rows, verts, lens, remote,
-                                      count_only)
-        ctx.caches[machine].release()
+        remote = ctx.cluster.pgraph.owner[verts] != machines[:, None]
+        self._fetch(machines, remote, verts[remote])
+        result = self._process_vector(rows, verts, lens, remote, count_only)
+        ctx.cache.release()
         return result
 
-    def _process_vector(self, machine: int, rows: np.ndarray,
-                        verts: np.ndarray, lens: np.ndarray,
-                        remote: np.ndarray, count_only: bool
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
+    def _process_vector(self, rows: np.ndarray, verts: np.ndarray,
+                        lens: np.ndarray, remote: np.ndarray,
+                        count_only: bool
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar intersect stage over ``rows``; ``verts`` is their
         extend-vertex block ``rows[:, ext]``, ``lens`` its adjacency
-        lengths and ``remote`` marks its cells owned by another machine.
+        lengths and ``remote`` marks its cells owned by another machine
+        than the row's.
 
         Candidate sets are gathered straight from the global CSR (cached
         remote adjacency is the same data by construction) and the whole
@@ -217,33 +235,34 @@ class ExtendOp:
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
         empty = np.empty((0, self.out_arity), dtype=np.int64)
         if not len(rows):
-            return empty, np.zeros(0, np.int64), 0
+            return empty, np.zeros(0, np.int64), np.zeros(0, np.int64)
         labels = ctx.labels
-        penalties = np.where(
-            remote, ctx.caches[machine].access_penalty(lens), 0).sum(axis=1)
+        penalty = ctx.cache.access_penalty(lens)
+        penalties = (np.where(remote, penalty, 0).sum(axis=1)
+                     if np.any(penalty) else 0)
 
         if spec.is_verify:
             lens = np.sort(lens, axis=1)
             found = fused_verify_mask(g.composite_index(), g.num_vertices,
                                       verts, rows[:, spec.verify_pos],
                                       labels, spec.new_label)
-            emits = found * (1 if count_only else in_arity)
-            counted = int(found.sum()) if count_only else 0
+            produced = found.astype(np.int64)
+            emits = produced * (1 if count_only else in_arity)
             out = empty if count_only else rows[found]
         else:
-            cand, row_ids, emits, lens = extend_block(
+            cand, row_ids, produced, lens = extend_block(
                 g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
                 labels, spec.new_label)
-            counted = len(cand) if count_only else 0
+            emits = produced
             out = empty
             if not count_only:
-                emits = emits * (in_arity + 1)
+                emits = produced * (in_arity + 1)
                 if len(cand):
                     out = np.column_stack((rows[row_ids], cand))
         probes = ctx.cluster.probe_ticks[lens[:, 1:]].sum(axis=1)
         item_costs = (lens[:, 0] * (t.intersect + probes) + penalties
                       + emits * t.emit)
-        return out, item_costs, counted
+        return out, item_costs, produced
 
 
 class SinkConsumer:
@@ -255,13 +274,14 @@ class SinkConsumer:
         self.count = 0
         self._collected: list[np.ndarray] = []
 
-    def consume(self, machine: int, rows: np.ndarray) -> None:
-        """Absorb one batch of final results."""
+    def consume(self, machines, rows: np.ndarray) -> None:
+        """Absorb one step of final results (``machines``, the rows'
+        machine column, does not matter to a sink)."""
         self.count += len(rows)
         if self.collect and len(rows):
             self._collected.append(rows)
 
-    def consume_count(self, machine: int, n: int) -> None:
+    def consume_count(self, machines, n: int) -> None:
         """Absorb a compressed (count-only) result contribution."""
         self.count += n
 
@@ -285,6 +305,11 @@ class JoinBuffer:
     externally sorted and spilled: memory stays bounded at the threshold
     while sort ops and spilled bytes are charged.  Buffers are columnar:
     per-machine lists of row-array slices, concatenated once at join time.
+
+    :meth:`consume` cuts stacked steps into pushed batches; :meth:`file`,
+    the scheduler's round barrier, ships a round's batches in source
+    machine, then step order — what a machine-at-a-time round pushes —
+    so every destination holds the same rows and pays the same spills.
     """
 
     def __init__(self, ctx: ExecContext, key_pos: tuple[int, ...],
@@ -296,10 +321,13 @@ class JoinBuffer:
         k = ctx.cluster.num_machines
         self._parts: list[list[np.ndarray]] = [[] for _ in range(k)]
         self._in_memory = [0] * k
-        self.total = 0
+        #: the round's pushed batches, ``(source, step, dest, rows)``
+        self._staged: list[tuple[int, int, int, np.ndarray]] = []
+        self._steps = 0
 
     def rows_for(self, machine: int) -> np.ndarray:
         """A machine's buffered rows as one contiguous array."""
+        self.file()
         parts = self._parts[machine]
         if not parts:
             return np.empty((0, self.arity), dtype=np.int64)
@@ -307,30 +335,45 @@ class JoinBuffer:
             self._parts[machine] = parts = [np.concatenate(parts)]
         return parts[0]
 
-    def consume(self, machine: int, rows: np.ndarray) -> None:
-        """Shuffle one batch into the per-machine buffers."""
+    def consume(self, sources, rows: np.ndarray) -> None:
+        """Stage one step's rows, produced on ``sources`` (a column, or one
+        id): one stable sort cuts a batch per (source, destination)."""
         if not len(rows):
             return
+        k = len(self._parts)
+        key = (np.asarray(sources, dtype=np.int64) * k
+               + hash_destinations(rows[:, list(self.key_pos)], k))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+        step = self._steps
+        self._steps += 1
+        self._staged += [(pair // k, step, pair % k, part) for pair, part
+                         in zip(key[np.r_[0, cuts]].tolist(),
+                                np.split(rows[order], cuts))]
+
+    def file(self, opid: str = "") -> None:
+        """Ship the staged batches by source, then step (``opid`` labels
+        the sources' ``emit`` spans)."""
         ctx = self.ctx
         cost = ctx.cost
         tracer = ctx.tracer
-        dests = hash_destinations(rows[:, list(self.key_pos)],
-                                  len(self._parts))
-        self.total += len(rows)
         tuple_bytes = self.arity * cost.bytes_per_id
-        # one stable sort files every row, in row order, under ascending
-        # destinations
-        order = np.argsort(dests, kind="stable")
-        by_dest = dests[order]
-        cuts = np.flatnonzero(by_dest[1:] != by_dest[:-1]) + 1
-        for dest, part in zip(by_dest[np.r_[0, cuts]].tolist(),
-                              np.split(rows[order], cuts)):
+        self._staged.sort(key=lambda batch: batch[:2])  # stable: dests stay
+        staged, self._staged = self._staged, []
+        emitting = -1
+        for src, _, dest, part in staged:
+            if tracer.enabled and src != emitting:
+                if emitting >= 0 and tracer.now(emitting) > t_emit:
+                    tracer.complete("emit", emitting, t_emit,
+                                    tracer.now(emitting), {"op": opid})
+                emitting, t_emit = src, tracer.now(src)
             n = len(part)
             self._parts[dest].append(part)
-            traced = tracer.enabled and dest != machine
+            traced = tracer.enabled and dest != src
             if traced:
                 t0 = tracer.now(dest)
-            ctx.cluster.push(machine, dest, n, self.arity)
+            ctx.cluster.push(src, dest, n, self.arity)
             ctx.metrics.alloc(dest, n * tuple_bytes)
             self._in_memory[dest] += n
             if self._in_memory[dest] > self.buffer_tuples:
@@ -344,7 +387,10 @@ class JoinBuffer:
                 self._in_memory[dest] = self.buffer_tuples
             if traced:
                 tracer.complete("shuffle recv", dest, t0, tracer.now(dest),
-                                {"from": machine, "tuples": n})
+                                {"from": src, "tuples": n})
+        if emitting >= 0 and tracer.now(emitting) > t_emit:
+            tracer.complete("emit", emitting, t_emit, tracer.now(emitting),
+                            {"op": opid})
 
     def release(self, machine: int) -> None:
         """Free a machine's buffered memory after the join consumed it."""

@@ -8,6 +8,15 @@ the precursor).  Shrinking the queue capacity toward zero degrades to pure
 DFS scheduling; growing it to infinity degrades to pure BFS — exactly the
 sweep of Exp-7 (Figure 9).
 
+A scheduling round runs as *stacked steps*: each step takes the head
+batch of every machine that still has input and room in its output
+queue, and makes one operator call over all of them with a machine
+column; outputs, item costs and charges are split back by that column.
+Machines exchange work only at round boundaries (§5.3), so each machine
+processes exactly the batch sequence a machine-at-a-time round would.
+(A PUSH-JOIN's output has no operator call to stack; it streams one
+machine at a time.)
+
 ``PUSH-JOIN`` is a global synchronisation barrier (§5.4): the two child
 segments run to completion into shuffled join buffers before the parent
 segment streams the join output through its own adaptive chain.
@@ -84,47 +93,38 @@ class SchedulerConfig:
                              f"choose from {STEALING_MODES}")
         if self.batch_size < 1 or self.scan_pivot_chunk < 1:
             raise ValueError("batch sizes must be positive")
+        # NaN fails every comparison: a NaN capacity would never yield
+        if not self.output_queue_capacity >= 0:
+            raise ValueError("output_queue_capacity must be >= 0 (inf = "
+                             f"BFS), got {self.output_queue_capacity!r}")
+        if self.join_buffer_tuples < 0:
+            raise ValueError("join_buffer_tuples must be >= 0, got "
+                             f"{self.join_buffer_tuples!r}")
 
 
 # -- source feeds -------------------------------------------------------------------
 
 
-class _ChunkFeed:
-    """Ready-made input chunks per machine: an edge SCAN's pivot-vertex
-    chunks."""
+class _Feed:
+    """A chain's source batches per machine: an edge SCAN's pivot chunks,
+    or a PUSH-JOIN's output, drawn from one generator per machine a batch
+    at a time when :meth:`has_input` finds the machine's deque empty."""
 
-    def __init__(self, chunks: Iterable[Iterable[np.ndarray]]):
+    def __init__(self, chunks: Iterable[Iterable[np.ndarray]],
+                 generators: Sequence[Iterator[np.ndarray]] = ()):
         self.chunks = [deque(per_machine) for per_machine in chunks]
+        self._gens = generators
 
     def has_input(self, machine: int) -> bool:
-        return bool(self.chunks[machine])
+        queue = self.chunks[machine]
+        if not queue and self._gens:
+            batch = next(self._gens[machine], None)
+            if batch is not None:
+                queue.append(batch)
+        return bool(queue)
 
     def next_batch(self, machine: int) -> np.ndarray:
         return self.chunks[machine].popleft()
-
-
-class _JoinFeed:
-    """Streaming output of a PUSH-JOIN, one peekable generator per machine."""
-
-    def __init__(self, generators: Sequence[Iterator[np.ndarray]]):
-        self._gens = list(generators)
-        self._peek: list[np.ndarray | None] = [None] * len(self._gens)
-
-    def _fill(self, machine: int) -> None:
-        if self._peek[machine] is None:
-            self._peek[machine] = next(self._gens[machine], None)
-
-    def has_input(self, machine: int) -> bool:
-        self._fill(machine)
-        return self._peek[machine] is not None
-
-    def next_batch(self, machine: int) -> np.ndarray:
-        self._fill(machine)
-        batch = self._peek[machine]
-        if batch is None:
-            raise IndexError(f"join feed exhausted on machine {machine}")
-        self._peek[machine] = None
-        return batch
 
 
 # -- the chain scheduler ---------------------------------------------------------------
@@ -148,7 +148,7 @@ class _ChainRunner:
     def __init__(self, ctx: ExecContext, config: SchedulerConfig,
                  segment: Segment,
                  consumer: "SinkConsumer | JoinBuffer",
-                 feed: "_JoinFeed | None" = None,
+                 feed: "_Feed | None" = None,
                  ops: Sequence[Operator] | None = None):
         """``feed`` is the chain's source when it is not the segment's own
         edge SCAN: a PUSH-JOIN's output stream.  ``ops`` is the chain's
@@ -166,7 +166,7 @@ class _ChainRunner:
                 raise PlanError(
                     "a chain without a feed must start with an edge scan")
             chunk = config.scan_pivot_chunk
-            feed = _ChunkFeed(
+            feed = _Feed(
                 [local[i:i + chunk] for i in range(0, len(local), chunk)]
                 for local in map(ctx.cluster.local_vertices, range(k)))
             self.source_op = ScanOp(segment.source, ctx)
@@ -278,127 +278,147 @@ class _ChainRunner:
 
     # -- scheduling ---------------------------------------------------------------------
 
+    def _ready(self, level: int, machine: int) -> bool:
+        """Whether ``machine`` takes another batch of operator ``level``
+        this round: it has input and room in its output queue.  An empty
+        queue never blocks, so capacity 0 degrades to one batch, then
+        yield (pure DFS), instead of livelocking."""
+        if level < 0:
+            if not self.feed.has_input(machine):
+                return False
+        elif not self.queues[level].batches[machine]:
+            return False
+        if level < len(self.extend_ops) - 1:
+            pending = self.queues[level + 1].tuples[machine]
+            if pending and pending >= self.config.output_queue_capacity:
+                tracer = self.ctx.tracer
+                if tracer.enabled:
+                    tracer.instant("yield", machine,
+                                   {"op": self.ops[level + 1].opid,
+                                    "queued": pending})
+                return False
+        return True
+
     def _schedule(self, level: int) -> None:
         """Run operator ``level`` on every machine until its output queue
-        fills or its input empties (the inner loop of Algorithm 5)."""
+        fills or its input empties (the inner loop of Algorithm 5), as
+        stacked steps: each step takes the head batch of every machine
+        still ready and makes one operator call over all of them, so
+        every machine processes the batch sequence it would alone."""
         ctx = self.ctx
-        t = ctx.cost.ticks
         metrics = ctx.metrics
         tracer = ctx.tracer
-        traced = tracer.enabled
-        config = self.config
-        stealing_workers = config.stealing == "full"
-        workers = ctx.cluster.workers_per_machine
-        last = len(self.extend_ops) - 1
-        opid, _, span_name, _ = self.ops[level + 1]
-        if traced:
+        opid = self.ops[level + 1].opid
+        if tracer.enabled:
             # snapshot every clock before any charge: spans on machine d
             # caused by machine m's sends must nest inside d's round span
             t_round = tracer.now_all()
 
         for m in range(self.k):
-            metrics.charge_ops(m, t.sched_switch)
+            metrics.charge_ops(m, ctx.cost.ticks.sched_switch)
         self._steal(level)
 
-        for m in range(self.k):
-            while True:
-                if level < 0:
-                    if not self.feed.has_input(m):
-                        break
-                else:
-                    if not self.queues[level].batches[m]:
-                        break
-                # yield when the output queue is already at capacity; an
-                # empty queue never blocks, so capacity 0 degrades to
-                # process-one-batch-then-yield (pure DFS) instead of
-                # livelocking
-                if level < last:
-                    pending = self.queues[level + 1].tuples[m]
-                    if pending and pending >= config.output_queue_capacity:
-                        if traced:
-                            tracer.instant("yield", m, {"op": opid,
-                                                        "queued": pending})
-                        break
-
-                if traced:
-                    t0 = tracer.now(m)
-                    bytes0 = tracer.bytes_moved(m)
-                counted = 0
-                if level < 0:
-                    batch = self.feed.next_batch(m)
-                    if self.source_op is not None:
-                        out, item_costs, counted = self.source_op.process(
-                            m, batch)
-                        out_arity = 2
-                    else:
-                        out = batch  # join output: already a batch
-                        item_costs = ()
-                        out_arity = out.shape[1]
-                else:
-                    op = self.extend_ops[level]
-                    batch = self._dequeue(level, m, self._in_arity(level))
-                    count_only = level == last and self.compress_final
-                    out, item_costs, counted = op.process(
-                        m, batch, count_only=count_only)
-                    out_arity = op.out_arity
-                # without stealing, work sticks to the worker that owns
-                # the batch's firstly matched (pivot) vertex (§5.3): the
-                # first element of a pivot chunk and of a block of rows
-                pivot = batch.item(0) if batch.size else 0
-                n_in = len(batch)
-
-                if traced:
-                    t_mid = tracer.now(m)
-                if len(item_costs):
-                    per_worker = distribute_to_workers(
-                        item_costs, workers, stealing_workers,
-                        assign_key=pivot)
-                    metrics.charge_worker_ops(m, per_worker)
-                metrics.charge_ops(m, t.batch_overhead)
-
-                if traced:
-                    t1 = tracer.now(m)
-                    if level >= 0:
-                        # the cost model charges the intersection /
-                        # verification ops after ``process`` returns, so
-                        # [t_mid, t1] is exactly the intersect stage and the
-                        # fetch span (emitted inside ``_fetch``) ends at
-                        # t_mid: fetch + intersect == the operator span
-                        tracer.complete("intersect", m, t_mid, t1,
-                                        {"op": opid})
-                    tracer.complete(
-                        span_name, m, t0, t1,
-                        {"op": opid, "in": n_in, "out": len(out) + counted,
-                         "bytes": tracer.bytes_moved(m) - bytes0})
-                    if len(item_costs):
-                        if stealing_workers and workers > 1:
-                            tracer.instant(
-                                "intra steal", m,
-                                {"op": opid, "items": len(item_costs)})
-                        tracer.counter(
-                            "worker ops", m,
-                            {str(w): ticks / TICKS_PER_OP for w, ticks
-                             in enumerate(metrics.machines[m].worker_ops)})
-
-                if level < last:
-                    self._enqueue(level + 1, m, out, out_arity)
-                elif counted and not len(out):
-                    self.consumer.consume_count(m, counted)
-                else:
-                    self.consumer.consume(m, out)
-                if traced:
-                    t2 = tracer.now(m)
-                    if t2 > t1:
-                        # local cost of handing the batch downstream (e.g.
-                        # the send side of a PUSH-JOIN shuffle)
-                        tracer.complete("emit", m, t1, t2, {"op": opid})
-        if traced:
+        if level < 0 and self.source_op is None:
+            # a PUSH-JOIN's output has no operator call to stack: it
+            # streams one machine at a time, so the process holds one
+            # machine's join block, as the ledger charges it
+            for m in range(self.k):
+                while self._ready(level, m):
+                    self._step(level, [m])
+        else:
+            ready = range(self.k)
+            while ready := [m for m in ready if self._ready(level, m)]:
+                self._step(level, ready)
+        if isinstance(self.consumer, JoinBuffer) and level == len(
+                self.extend_ops) - 1:
+            self.consumer.file(opid)  # the round barrier
+        if tracer.enabled:
             for m in range(self.k):
                 t_end = tracer.now(m)
                 if t_end > t_round[m]:
                     tracer.complete("schedule", m, t_round[m], t_end,
                                     {"op": opid, "level": level})
         metrics.check_time()
+
+    def _step(self, level: int, machines: list[int]) -> None:
+        """One stacked step of operator ``level``: the head batch of each
+        of ``machines`` (ascending), one operator call, then outputs,
+        item costs and charges split back by the machine column."""
+        ctx = self.ctx
+        metrics, tracer = ctx.metrics, ctx.tracer
+        workers = ctx.cluster.workers_per_machine
+        last = len(self.extend_ops) - 1
+        opid, _, span_name, _ = self.ops[level + 1]
+        if level < 0:
+            batches = [self.feed.next_batch(m) for m in machines]
+        else:
+            arity = self._in_arity(level)
+            batches = [self._dequeue(level, m, arity) for m in machines]
+        sizes = [len(b) for b in batches]
+        column = np.repeat(np.array(machines), sizes)
+        rows = np.concatenate(batches) if len(batches) > 1 else batches[0]
+        count_only = level == last and self.compress_final
+        if tracer.enabled:
+            t0s = tracer.now_all()
+            bytes0 = [tracer.bytes_moved(m) for m in machines]
+        if level >= 0:
+            out, item_costs, produced = self.extend_ops[level].process(
+                column, rows, count_only)
+        elif self.source_op is not None:
+            out, item_costs, produced = self.source_op.process(column, rows)
+        else:  # join output: already batches
+            out, item_costs, produced = rows, None, None
+        per_machine = sizes
+        if produced is not None:
+            per_machine = np.add.reduceat(
+                produced, np.cumsum([0] + sizes[:-1])).tolist()
+
+        if tracer.enabled:
+            t_mids = tracer.now_all()
+        if item_costs is not None:
+            # without stealing, work sticks to the worker that owns the
+            # batch's firstly matched (pivot) vertex (§5.3): the first
+            # element of a pivot chunk and of a block of rows
+            per_worker = distribute_to_workers(
+                item_costs, workers, self.config.stealing == "full",
+                assign_key=[b.item(0) for b in batches],
+                segments=np.repeat(np.arange(len(machines)), sizes)).tolist()
+        for i, m in enumerate(machines):
+            if item_costs is not None:
+                metrics.charge_worker_ops(m, per_worker[i])
+            metrics.charge_ops(m, ctx.cost.ticks.batch_overhead)
+            if not tracer.enabled:
+                continue
+            t1 = tracer.now(m)
+            if level >= 0:
+                # the cost model charges the intersection / verification
+                # ops after ``process`` returns, so [t_mid, t1] is exactly
+                # the intersect stage and the fetch span (emitted inside
+                # ``_fetch``) ends at t_mid: fetch + intersect == the
+                # operator span
+                tracer.complete("intersect", m, t_mids[m], t1, {"op": opid})
+            tracer.complete(span_name, m, t0s[m], t1,
+                            {"op": opid, "in": sizes[i],
+                             "out": per_machine[i],
+                             "bytes": tracer.bytes_moved(m) - bytes0[i]})
+            if item_costs is not None:
+                if self.config.stealing == "full" and workers > 1:
+                    tracer.instant("intra steal", m,
+                                   {"op": opid, "items": sizes[i]})
+                tracer.counter("worker ops", m, {
+                    str(w): ticks / TICKS_PER_OP for w, ticks
+                    in enumerate(metrics.machines[m].worker_ops)})
+
+        if level < last:
+            cut = 0
+            for m, n in zip(machines, per_machine):
+                self._enqueue(level + 1, m, out[cut:cut + n], out.shape[1])
+                cut += n
+        elif count_only:
+            self.consumer.consume_count(machines, sum(per_machine))
+        else:  # the output's machine column
+            self.consumer.consume(column if produced is None
+                                  else np.repeat(column, produced), out)
 
     def _in_arity(self, level: int) -> int:
         """Arity of tuples entering extend ``level``."""
@@ -454,11 +474,10 @@ def _run_tree(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
                                     config.join_buffer_tuples))
             _run_tree(ctx, config, child, sides[-1], rows)
     ops = next(rows)
-    feed = _JoinFeed([
+    k = ctx.cluster.num_machines
+    feed = _Feed([()] * k, [
         join_stream(ctx, spec, *sides, m, config.batch_size,
-                    opid=ops[0].opid)
-        for m in range(ctx.cluster.num_machines)
-    ]) if sides else None
+                    opid=ops[0].opid) for m in range(k)]) if sides else None
     _ChainRunner(ctx, config, segment, consumer, feed, ops).run()
 
 

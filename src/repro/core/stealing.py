@@ -33,7 +33,7 @@ T = TypeVar("T")
 
 
 def distribute_to_workers(item_costs: Sequence[int], workers: int,
-                          stealing: bool, assign_key: int = 0) -> list[int]:
+                          stealing: bool, assign_key=0, segments=None):
     """Split a batch's per-item tick costs across ``workers``.
 
     With stealing, the steady state of steal-half deques is a balanced
@@ -44,20 +44,36 @@ def distribute_to_workers(item_costs: Sequence[int], workers: int,
     ``assign_key`` — the batch's pivot vertex — picks the worker, so
     every batch descending from a hub pivot lands on the same worker.
     That is the skew Exp-8 measures for HUGE-NOSTL.
+
+    ``segments`` deals many batches at once (a stacked step's, one per
+    machine): ``segments[i]`` numbers item ``i``'s batch ``0 .. B-1``,
+    non-decreasing, ``assign_key`` holds one key per batch, and each
+    batch gets its own deal — one segmented snake deal, a ``(B,
+    workers)`` array of totals.  Without ``segments`` the items are one
+    batch and the totals a list.
     """
     costs = np.asarray(item_costs, dtype=np.int64)
-    totals = [0] * workers
-    if not len(costs):
-        return totals
+    seg = (np.zeros(len(costs), np.int64) if segments is None
+           else np.asarray(segments))
+    keys = np.atleast_1d(np.asarray(assign_key, dtype=np.int64))
     if not stealing:
-        totals[assign_key % workers] = int(costs.sum())
-        return totals
-    # deal rounds of `workers` items, heaviest first: left-to-right, then
-    # right-to-left, ... (zero padding completes the last double round)
-    deal = np.zeros(-(-len(costs) // (2 * workers)) * 2 * workers, np.int64)
-    deal[:len(costs)] = np.sort(costs)[::-1]
-    deal = deal.reshape(-1, 2, workers)
-    return (deal[:, 0].sum(axis=0) + deal[:, 1, ::-1].sum(axis=0)).tolist()
+        worker = keys[seg] % workers
+    else:
+        # per batch, heaviest first: one sort of batch-major keys leaves
+        # each batch in place (costs are far below 2**53, so the keys
+        # fit); rank r goes left-to-right on even laps of `workers` items
+        # and right-to-left on odd ones
+        base = seg * (int(costs.max(initial=0)) + 1)
+        costs = base - np.sort(base - costs)
+        sizes = np.bincount(seg, minlength=len(keys))
+        lap, pos = np.divmod(
+            np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg], workers)
+        worker = np.where(lap % 2, workers - 1 - pos, pos)
+    # weighted bincount sums in float64: exact below 2**53 ticks
+    totals = np.bincount(seg * workers + worker, costs,
+                         len(keys) * workers).astype(np.int64)
+    totals = totals.reshape(len(keys), workers)
+    return totals if segments is not None else totals[0].tolist()
 
 
 def chunked_distribution(item_costs: Sequence[int],
@@ -86,7 +102,7 @@ def rebalance(queues: list[deque[T]], weight=len,
     k = len(queues)
     if k < 2:
         return []
-    loads = [sum(weight(b) for b in q) for q in queues]
+    loads = [sum(map(weight, q)) for q in queues]
     if sum(loads) == 0:
         return []
     moves: list[tuple[int, int, T]] = []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import CostModel
 from repro.core import CACHE_VARIANTS, LRBUCache, LRUCache, make_cache
@@ -190,6 +192,8 @@ class TestAblationVariants:
 
         class Pulls:
             """the slice of ``Cluster`` a fetch stage uses"""
+            num_machines = 1
+
             def pull(self, machine, ids):
                 return sizes[ids]
 
@@ -374,6 +378,66 @@ class TestBulkFetchStage:
         assert list(c.get(1)) == [7, 7]
         with pytest.raises(KeyError):
             c.get(0)                         # bulk admission stores no value
+
+    @given(k=st.integers(1, 4), capacity=st.sampled_from([None, 0, 12, 60]),
+           variant=st.sampled_from(["lrbu", "lrbu-copy", "lrbu-lock"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_stacked_fetch_equals_independent_caches(self, k, capacity,
+                                                     variant, seed):
+        """One cache for ``k`` machines fed stacked steps (the head batch
+        of a random subset of machines, reads with repeats) against ``k``
+        independent one-machine caches fed the same per-machine batches:
+        per machine the same hits, misses and ticks, the same admissions
+        and seals, the same evictions and ``free_order()``, and overflow
+        never past one batch's footprint."""
+        cost = CostModel()
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, size=IDS)
+
+        class Pulls:
+            """the slice of ``Cluster`` a fetch stage uses"""
+            def __init__(self, machines):
+                self.num_machines = machines
+
+            def pull(self, requester, ids):
+                return sizes[ids]
+
+        stacked = make_cache(variant, capacity, cost)
+        alone = [make_cache(variant, capacity, cost) for _ in range(k)]
+        footprint = [0] * k
+        for _ in range(30):
+            machines = np.flatnonzero(rng.random(k) < 0.7)
+            batches = [rng.integers(0, IDS, size=rng.integers(1, 25))
+                       for _ in machines]
+            if not len(machines):
+                continue
+            got = stacked.fetch(Pulls(k), np.repeat(machines, list(
+                map(len, batches))), np.concatenate(batches))
+            assert len(got[3]) == 0
+            for m, reads in zip(machines.tolist(), batches):
+                want = alone[m].fetch(Pulls(1), 0, reads)
+                assert [int(x[m]) for x in got[:3]] == [int(x[0])
+                                                        for x in want[:3]]
+                distinct = np.unique(reads)
+                assert (stacked.resident(np.arange(IDS), m).tolist()
+                        == alone[m].resident(np.arange(IDS)).tolist())
+                assert stacked.resident(distinct, m).all()
+                # §4.4: the worst overflow stays within the largest pinned
+                # footprint of one of the machine's batches
+                footprint[m] = max(footprint[m], int(sizes[distinct].sum()))
+                assert stacked.stats.overflow[m] <= footprint[m]
+            assert stacked.num_sealed == sum(c.num_sealed for c in alone)
+            stacked.release()
+            for c in alone:
+                c.release()
+            assert stacked.num_sealed == 0
+            for m, c in enumerate(alone):
+                assert stacked.free_order(m) == c.free_order()
+                assert stacked.occupancy(m) == c.size_ids
+                assert stacked.stats.evicted[m] == c.stats.evictions
+                assert stacked.stats.overflow[m] == c.stats.max_overflow_ids
+        assert stacked.stats.evictions == sum(c.stats.evictions
+                                              for c in alone)
 
     def test_ids_beyond_the_arrays_grow_them(self, cost):
         c = LRBUCache(None, cost)

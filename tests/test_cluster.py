@@ -222,6 +222,23 @@ class TestClusterRPC:
         assert m[0].messages_sent == 3 and m[0].rpc_requests == 3
         assert [m[p].messages_sent for p in (1, 2, 3)] == [1, 1, 1]
 
+    def test_requester_column_equals_one_pull_per_requester(self, er_graph):
+        """a stacked pull, a requester per vertex, charges what one pull
+        per requester charges: one request/response pair per (requester,
+        owner), the same bytes, messages and RPCs on every machine"""
+        import numpy as np
+
+        rng = np.random.default_rng(3)
+        requester = np.repeat([0, 1, 3], [7, 5, 9])
+        verts = rng.integers(0, er_graph.num_vertices, len(requester))
+        one, split = (Cluster(er_graph, num_machines=4, seed=1)
+                      for _ in range(2))
+        sizes = one.pull(requester, verts)
+        parts = [split.pull(m, verts[requester == m]) for m in (0, 1, 3)]
+        assert sizes.tolist() == np.concatenate(parts).tolist()
+        assert one.metrics.machines == split.metrics.machines
+        assert sum(m.rpc_requests for m in one.metrics.machines) > 3
+
     def test_push_accounting(self, cluster):
         cluster.push(0, 1, num_tuples=10, arity=3)
         assert cluster.metrics.machines[0].bytes_sent == 10 * 3 * 8

@@ -191,7 +191,7 @@ class TestConfiguration:
             "scan_pivot_chunk", "disable_symmetry", "census_k",
             "delta_schedule", "delta_batches"]
         assert params(ExecContext.__init__) == [
-            "cluster", "caches", "tracer"]
+            "cluster", "cache", "tracer"]
         assert params(make_cache) == [
             "variant", "capacity_ids", "cost", "workers"]
         assert params(QueryService.__init__) == [

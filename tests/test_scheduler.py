@@ -23,6 +23,24 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError):
             SchedulerConfig(scan_pivot_chunk=0)
 
+    def test_rejects_negative_join_buffer(self):
+        """a negative buffer would spill more than was buffered: the
+        ledger would free bytes it never allocated"""
+        with pytest.raises(ValueError, match="join_buffer_tuples"):
+            SchedulerConfig(join_buffer_tuples=-1)
+        SchedulerConfig(join_buffer_tuples=0)  # spill everything: valid
+
+    @pytest.mark.parametrize("capacity", [float("nan"), -1, -0.5])
+    def test_rejects_nan_or_negative_queue_capacity(self, capacity):
+        """NaN never compares >=, so it would silently run pure BFS; a
+        negative capacity would silently act as 0"""
+        with pytest.raises(ValueError, match="output_queue_capacity"):
+            SchedulerConfig(output_queue_capacity=capacity)
+        with pytest.raises(ValueError, match="output_queue_capacity"):
+            EngineConfig(output_queue_capacity=capacity)
+        SchedulerConfig(output_queue_capacity=0)             # pure DFS
+        SchedulerConfig(output_queue_capacity=float("inf"))  # pure BFS
+
 
 class TestAdaptiveBehaviour:
     """queue capacity interpolates between DFS and BFS (Exp-7 mechanics)"""
@@ -164,8 +182,7 @@ class TestSourceExhaustedJumpForward:
 
         cluster = Cluster(er_graph, num_machines=2, workers_per_machine=1,
                           seed=3)
-        caches = [LRBUCache(None, cluster.cost) for _ in range(2)]
-        ctx = ExecContext(cluster, caches)
+        ctx = ExecContext(cluster, LRBUCache(None, cluster.cost))
         seg = Segment(source=ScanSpec(schema=(0, 1)), extends=[
             ExtendSpec(ext=(1,), out_schema=(0, 1, 2), new_vertex=2),
             ExtendSpec(ext=(2,), out_schema=(0, 1, 2, 3), new_vertex=3),
@@ -227,3 +244,45 @@ class TestScanFeedInterMachineStealing:
                             estimator=ExactEstimator(er_graph)).run(q)
         assert result.count == expect
         assert all(m.steals == 0 for m in cluster.metrics.machines)
+
+
+class TestStackedSteps:
+    def test_one_operator_call_per_step_across_machines(self, monkeypatch):
+        """A 10-machine GO q1 run: every SCAN / PULL-EXTEND call takes at
+        most one batch per machine (a machine's rows are one contiguous
+        block of the machine column), so a step is one call, and there
+        are fewer calls than (machine, batch) pairs processed — one call
+        per machine per batch would make the counts equal."""
+        from repro.core import operators
+        from repro.graph import load_dataset
+
+        calls = []
+
+        def spy(cls):
+            process = cls.process
+
+            def wrapped(self, machines, rows, *args, **kwargs):
+                column = np.broadcast_to(machines, len(rows))
+                calls.append((self, column.copy()))
+                return process(self, machines, rows, *args, **kwargs)
+            monkeypatch.setattr(cls, "process", wrapped)
+
+        spy(operators.ScanOp)
+        spy(operators.ExtendOp)
+        graph = load_dataset("GO")
+        cluster = Cluster(graph, num_machines=10, workers_per_machine=4,
+                          seed=1)
+        config = EngineConfig()
+        result = HugeEngine(cluster, config).run(get_query("q1"))
+        assert result.count > 0 and calls
+        pairs = 0
+        for op, column in calls:
+            machines = np.unique(column)
+            # one contiguous block per machine, machines ascending
+            assert (np.diff(column) >= 0).all()
+            limit = (config.scan_pivot_chunk
+                     if isinstance(op, operators.ScanOp)
+                     else config.batch_size)
+            assert np.bincount(column).max() <= limit
+            pairs += len(machines)
+        assert len(calls) < pairs
