@@ -6,8 +6,7 @@ Commands
     Enumerate a pattern on a named dataset (or an edge-list file)::
 
         python -m repro query --data LJ --pattern q1 --machines 10
-        python -m repro query --data graph.txt --cypher \\
-            "MATCH (a)--(b)--(c), (c)--(a) RETURN count(*)"
+        python -m repro query --data graph.txt --pattern triangle
 
 ``plan``
     Show the Algorithm-1 execution plan for a pattern on a dataset.
@@ -49,15 +48,14 @@ Commands
         python -m repro serve --data GO --queries 32 --service-workers 4 \\
             --crash 2 --verify --trace serve.json
 
-    ``--metrics FILE`` writes the Prometheus text exposition of the
-    service's metrics registry; ``--smoke`` caps the workload for CI and
-    forces ``--verify``.
+    ``--json`` prints the driver report with the service registry's
+    snapshot under ``"metrics"``; ``--smoke`` caps the workload for CI
+    and forces ``--verify``.
 
-``metrics``
-    Validate a Prometheus text exposition file (as ``serve --metrics``
-    or ``stream --metrics`` write it)::
-
-        python -m repro metrics --check metrics.prom
+``stream``
+    Replay a seeded temporal update stream against standing
+    subscriptions; ``--json`` carries the registry snapshot the same
+    way.
 """
 
 from __future__ import annotations
@@ -79,69 +77,37 @@ def _load_graph(spec: str, scale: float):
     return load_edge_list(spec)
 
 
-def _write_exposition(registry, dest: str | None) -> None:
-    """Write Prometheus text exposition to a file (or stdout for ``-``);
-    no ``--metrics`` destination, nothing to write."""
-    if not dest:
-        return
-    text = registry.expose()
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        # stderr so that --json stdout stays machine-parseable
-        print(f"metrics exposition written to {dest} "
-              f"({len(registry.families())} families)", file=sys.stderr)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    if args.cypher and (args.trace or args.json):
-        print("error: --trace/--json are not supported with --cypher",
-              file=sys.stderr)
-        return 2
     graph = _load_graph(args.data, args.scale)
     cluster = Cluster(graph, num_machines=args.machines,
                       workers_per_machine=args.workers, seed=args.seed)
     if not args.json:
         print(f"data graph: {graph}")
-    if args.cypher:
-        from .apps.cypher import execute_cypher
+    engine = HugeEngine(cluster, EngineConfig(collect_results=args.show > 0))
+    tracer = None
+    if args.trace:
+        from .obs.trace import Tracer
 
-        result = execute_cypher(cluster, args.cypher)
-        print(f"matches: {result.count}")
-        if result.rows is not None:
-            for row in result.rows[: args.limit]:
-                print("  " + ", ".join(
-                    f"{c}={v}" for c, v in zip(result.columns, row)))
-        report = result.report
-    else:
-        engine = HugeEngine(cluster,
-                            EngineConfig(collect_results=args.show > 0))
-        tracer = None
-        if args.trace:
-            from .obs.trace import Tracer
+        tracer = Tracer()
+    res = engine.run(get_query(args.pattern), tracer=tracer)
+    if args.trace:
+        res.trace.save(args.trace)
+    if args.json:
+        import json
 
-            tracer = Tracer()
-        res = engine.run(get_query(args.pattern), tracer=tracer)
-        if args.trace:
-            res.trace.save(args.trace)
-        if args.json:
-            import json
-
-            print(json.dumps(res.as_dict(), indent=2))
-            return 0
-        print(f"matches: {res.count}")
-        if args.show:
-            for match in (res.matches or [])[: args.show]:
-                print(f"  {match}")
-        if args.trace:
-            cov = res.trace.coverage(res.report.total_time_s,
-                                     res.report.per_machine_time_s)
-            print(f"trace: {len(res.trace.spans)} spans -> {args.trace} "
-                  f"(covering {cov:.1%} of total time; load in "
-                  f"https://ui.perfetto.dev)")
-        report = res.report
+        print(json.dumps(res.as_dict(), indent=2))
+        return 0
+    print(f"matches: {res.count}")
+    if args.show:
+        for match in (res.matches or [])[: args.show]:
+            print(f"  {match}")
+    if args.trace:
+        cov = res.trace.coverage(res.report.total_time_s,
+                                 res.report.per_machine_time_s)
+        print(f"trace: {len(res.trace.spans)} spans -> {args.trace} "
+              f"(covering {cov:.1%} of total time; load in "
+              f"https://ui.perfetto.dev)")
+    report = res.report
     print(f"simulated time: {report.total_time_s:.4f}s "
           f"(compute {report.compute_time_s:.4f}s, "
           f"comm {report.comm_time_s:.4f}s)")
@@ -252,8 +218,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        print(json.dumps(report.as_dict(), indent=2))
-        _write_exposition(driver.service.metrics, args.metrics)
+        print(json.dumps({**report.as_dict(),
+                          "metrics": driver.service.metrics.snapshot()},
+                         indent=2))
         return 0 if (not args.verify or report.verified) else 1
 
     svc = report.service
@@ -282,7 +249,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace} "
               f"(load in https://ui.perfetto.dev)")
-    _write_exposition(driver.service.metrics, args.metrics)
     if args.verify:
         if report.verified:
             print("verify: all completed queries bit-identical to solo runs")
@@ -368,12 +334,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "final_counts": {p: s.count for p, s in zip(patterns, subs)},
             "stream_stats": stats,
             "reports": [r.as_dict() for r in reports],
+            "metrics": svc.metrics.snapshot(),
         }
         if args.verify:
             payload["verified"] = verified
             payload["verify"] = verify_rows
         print(json.dumps(payload, indent=2))
-        _write_exposition(svc.metrics, args.metrics)
         return 0 if (not args.verify or verified) else 1
 
     print(f"data graph: {graph}")
@@ -399,7 +365,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace written to {args.trace} "
               f"(load in https://ui.perfetto.dev)")
-    _write_exposition(svc.metrics, args.metrics)
     if args.verify:
         if verified:
             print("verify: incremental counts bit-identical to "
@@ -412,28 +377,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                           f"{row['incremental']} != scratch "
                           f"{row['scratch']}")
             return 1
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs import check_exposition
-
-    if args.check == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.check, encoding="utf-8") as fh:
-            text = fh.read()
-    errors = check_exposition(text)
-    if errors:
-        print(f"exposition INVALID ({len(errors)} errors):")
-        for err in errors:
-            print(f"  {err}")
-        return 1
-    samples = sum(1 for line in text.splitlines()
-                  if line and not line.startswith("#"))
-    families = sum(1 for line in text.splitlines()
-                   if line.startswith("# TYPE "))
-    print(f"exposition ok: {families} families, {samples} samples")
     return 0
 
 
@@ -458,12 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--pattern", default="triangle",
                    choices=sorted(QUERIES),
                    help="benchmark pattern name")
-    q.add_argument("--cypher", help="Cypher MATCH … RETURN … query "
-                                    "(overrides --pattern)")
     q.add_argument("--show", type=int, default=0,
                    help="print the first N matches")
-    q.add_argument("--limit", type=int, default=10,
-                   help="max rows to print for Cypher projections")
     q.add_argument("--trace", metavar="FILE",
                    help="record a span trace and write Chrome trace_event "
                         "JSON (open in Perfetto) to FILE")
@@ -544,10 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace", metavar="FILE",
                    help="write a wall-clock Chrome trace of the service run")
     s.add_argument("--json", action="store_true",
-                   help="print the full driver report as JSON")
-    s.add_argument("--metrics", metavar="FILE",
-                   help="write the Prometheus exposition of the service's "
-                        "metrics registry to FILE ('-' for stdout)")
+                   help="print the full driver report, with the service's "
+                        "metrics snapshot, as JSON")
     s.add_argument("--smoke", action="store_true",
                    help="CI smoke mode: cap the workload at 8 queries / 2 "
                         "workers and force --verify")
@@ -577,21 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--trace", metavar="FILE",
                     help="write a wall-clock Chrome trace of the run")
     st.add_argument("--json", action="store_true",
-                    help="print the full stream report as JSON")
-    st.add_argument("--metrics", metavar="FILE",
-                    help="write the Prometheus exposition of the service's "
-                         "metrics registry to FILE ('-' for stdout)")
+                    help="print the full stream report, with the service's "
+                         "metrics snapshot, as JSON")
     st.add_argument("--smoke", action="store_true",
                     help="CI smoke mode: cap at 20 updates / 2 workers and "
                          "force --verify")
     st.set_defaults(func=_cmd_stream)
-
-    mt = sub.add_parser("metrics",
-                        help="validate a Prometheus text exposition file")
-    mt.add_argument("--check", metavar="FILE", required=True,
-                    help="the exposition to validate ('-' for stdin); "
-                         "exits 1 on format errors")
-    mt.set_defaults(func=_cmd_metrics)
 
     c = sub.add_parser("conformance",
                        help="differential conformance harness "

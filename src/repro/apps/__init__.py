@@ -1,19 +1,12 @@
 """Applications built on the HUGE runtime (paper §6): shortest paths,
 hop-constrained path enumeration, graph pattern mining."""
 
-from .cypher import (CypherError, CypherResult, ParsedQuery, execute_cypher,
-                     parse_cypher)
 from .hopconstrained import count_st_paths, enumerate_st_paths
 from .mining import (CensusResult, connected_patterns, frequent_patterns,
                      motif_census, motif_counts)
 from .shortest_path import shortest_path, shortest_path_lengths
 
 __all__ = [
-    "CypherError",
-    "CypherResult",
-    "ParsedQuery",
-    "execute_cypher",
-    "parse_cypher",
     "count_st_paths",
     "enumerate_st_paths",
     "CensusResult",

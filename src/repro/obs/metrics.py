@@ -1,35 +1,21 @@
-"""Labelled metrics: Counter / Gauge / Histogram with Prometheus export.
+"""Labelled metrics: Counter / Gauge / Histogram in one registry.
 
 The serving tier counts things — admission decisions, queue depths,
 plan-cache hits, latencies.  This module is the substrate: a thread-safe
 :class:`MetricsRegistry` of named metric families, each optionally
-labelled, exportable as Prometheus text-exposition
-(:meth:`MetricsRegistry.expose`) and as a JSON snapshot
-(:meth:`MetricsRegistry.snapshot`).  A registry is also something to
-*read*: :meth:`Counter.total` sums children by label and
-:meth:`Histogram.summary` gives exact percentiles, which is all
-``QueryService.stats()`` is — a read of the service's registry.
+labelled, with a JSON snapshot (:meth:`MetricsRegistry.snapshot`).  A
+registry is something to *read*: :meth:`Counter.total` sums children by
+label and :meth:`Histogram.summary` gives exact percentiles, which is all
+``QueryService.stats()`` is — a read of the service's registry.  Reads
+never create a labelled child, so reading a registry leaves its snapshot
+as it was.
 
-Two time bases exist.  Serving-tier metrics observe **wall-clock**
-seconds (`time.perf_counter` deltas); **simulated** seconds are the
-metrics-ledger clocks that the cost model charges.  A family declares
-its base at registration (``time_base="wall"`` / ``"sim"``); the base is
-carried into the JSON snapshot and the HELP text so dashboards never mix
-the two axes.
-
-Histograms use **fixed log-scaled buckets** (:func:`log_buckets`): the
-default time buckets span 1µs–1000s at three per decade, so p50/p99
-estimates stay within ~½ decade-third everywhere without per-workload
-tuning.  A histogram may additionally keep a small deterministic
-reservoir (round-robin overwrite, so retention is a pure function of the
-stream) for *exact* percentiles; the serving tier's latency /
-queue-wait / execute dicts are :meth:`Histogram.summary` reads of such
-histograms.
-
-:func:`check_exposition` is a self-contained line-format validator for
-the text exposition (``python -m repro metrics --check``): CI feeds the
-output of an instrumented service run back through it, so a malformed
-escape or non-cumulative bucket fails the build rather than a scrape.
+A histogram keeps its count, its sum and a deterministic reservoir of
+samples (round-robin overwrite, so retention is a pure function of the
+stream) for *exact* percentiles; the serving tier's latency / queue-wait
+/ execute dicts are :meth:`Histogram.summary` reads of such histograms.
+The serving tier observes **wall-clock** seconds (`time.perf_counter`
+deltas); simulated seconds live on the cost ledger.
 
 Nothing here ever touches the simulated cost ledger: registries only
 *read* observations handed to them.
@@ -37,47 +23,10 @@ Nothing here ever touches the simulated cost ledger: registries only
 
 from __future__ import annotations
 
-import json
-import math
-import re
 import threading
-from bisect import bisect_left
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "log_buckets", "DEFAULT_TIME_BUCKETS",
-           "DEFAULT_SIZE_BUCKETS", "check_exposition", "percentile"]
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def log_buckets(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
-    """Fixed log-scaled bucket upper bounds from ``lo`` to at least ``hi``.
-
-    Bounds are ``lo * 10**(i/per_decade)`` rounded to a short repr, so two
-    registries built with the same arguments expose byte-identical
-    ``le=`` labels.
-    """
-    if lo <= 0 or hi <= lo or per_decade < 1:
-        raise ValueError("need 0 < lo < hi and per_decade >= 1")
-    out: list[float] = []
-    i = 0
-    while True:
-        b = float(f"{lo * 10 ** (i / per_decade):.6g}")
-        if not out or b > out[-1]:
-            out.append(b)
-        if b >= hi:
-            break
-        i += 1
-    return tuple(out)
-
-
-#: 1µs .. 1000s, three buckets per decade (time histograms, both bases)
-DEFAULT_TIME_BUCKETS = log_buckets(1e-6, 1e3, per_decade=3)
-
-#: 1 .. 1e9 rows/bytes, two buckets per decade (size histograms)
-DEFAULT_SIZE_BUCKETS = log_buckets(1.0, 1e9, per_decade=2)
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -102,44 +51,17 @@ def percentile(values: list[float], q: float) -> float:
     return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
-def _fmt(v: float) -> str:
-    """Prometheus sample-value formatting (ints stay integral)."""
-    if v == math.inf:
-        return "+Inf"
-    if v == -math.inf:
-        return "-Inf"
-    if isinstance(v, float) and v != v:
-        return "NaN"
-    if float(v).is_integer() and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 class _Family:
     """Common machinery: a named family with labelled children."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "",  # noqa: A002 - prom term
-                 labelnames: Iterable[str] = (),
-                 time_base: str | None = None,
-                 _lock: threading.Lock | None = None):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        self.labelnames = tuple(labelnames)
-        for ln in self.labelnames:
-            if not _LABEL_RE.match(ln) or ln.startswith("__"):
-                raise ValueError(f"invalid label name {ln!r}")
-        if time_base not in (None, "wall", "sim"):
-            raise ValueError(f"time_base must be 'wall'/'sim', not {time_base!r}")
+    def __init__(self, name: str, help: str = "",  # noqa: A002
+                 labelnames: Iterable[str] = ()):
         self.name = name
         self.help = help
-        self.time_base = time_base
-        self._lock = _lock or threading.Lock()
+        self.labelnames = tuple(labelnames)
+        self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], Any] = {}
         if not self.labelnames:
             self._children[()] = self._make_child()
@@ -147,8 +69,8 @@ class _Family:
     def _make_child(self):
         raise NotImplementedError
 
-    def labels(self, *values: Any, **kv: Any):
-        """The child for one label combination (created on first use)."""
+    def _key(self, values: tuple, kv: dict) -> tuple[str, ...]:
+        """The child key for positional or keyword label values."""
         if kv:
             if values:
                 raise ValueError("pass positional or keyword labels, not both")
@@ -163,46 +85,29 @@ class _Family:
         if len(key) != len(self.labelnames):
             raise ValueError(f"{self.name} takes labels {self.labelnames}, "
                              f"got {key}")
+        return key
+
+    def labels(self, *values: Any, **kv: Any):
+        """The child for one label combination (created on first use)."""
+        key = self._key(values, kv)
         with self._lock:
             child = self._children.get(key)
             if child is None:
                 child = self._children[key] = self._make_child()
         return child
 
+    def _peek(self, values: tuple, kv: dict):
+        """The child for one label combination, or ``None`` when nothing
+        was ever recorded there: a read creates no child."""
+        key = self._key(values, kv)
+        with self._lock:
+            return self._children.get(key)
+
     def _default(self):
         if self.labelnames:
             raise ValueError(f"{self.name} is labelled {self.labelnames}; "
                              f"use .labels(...)")
         return self._children[()]
-
-    # -- export ----------------------------------------------------------------
-
-    def _label_str(self, key: tuple[str, ...],
-                   extra: tuple[tuple[str, str], ...] = ()) -> str:
-        pairs = [*zip(self.labelnames, key), *extra]
-        if not pairs:
-            return ""
-        inner = ",".join(f'{n}="{_escape(v)}"' for n, v in pairs)
-        return "{" + inner + "}"
-
-    def expose(self) -> list[str]:
-        """This family's text-exposition lines (HELP, TYPE, samples)."""
-        help_text = self.help
-        if self.time_base:
-            help_text = (f"{help_text} [{self.time_base} clock]"
-                         if help_text else f"[{self.time_base} clock]")
-        lines = []
-        if help_text:
-            lines.append(f"# HELP {self.name} {_escape(help_text)}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        with self._lock:
-            items = sorted(self._children.items())
-        for key, child in items:
-            lines.extend(self._sample_lines(key, child))
-        return lines
-
-    def _sample_lines(self, key, child) -> list[str]:
-        raise NotImplementedError
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-serialisable view of the family."""
@@ -211,7 +116,6 @@ class _Family:
         return {
             "type": self.kind,
             "help": self.help,
-            "time_base": self.time_base,
             "samples": [
                 {"labels": dict(zip(self.labelnames, key)),
                  **child.as_dict()}
@@ -220,7 +124,7 @@ class _Family:
         }
 
 
-class _CounterChild:
+class _ValueChild:
     __slots__ = ("value",)
 
     def __init__(self) -> None:
@@ -230,22 +134,31 @@ class _CounterChild:
         return {"value": self.value}
 
 
-class Counter(_Family):
+class _ValueFamily(_Family):
+    """A family whose children each hold one number."""
+
+    def _make_child(self) -> _ValueChild:
+        return _ValueChild()
+
+    @property
+    def value(self) -> float:
+        return self._default().value
+
+    def get(self, *values: Any, **kv: Any) -> float:
+        """One child's value (0.0 for a combination never written)."""
+        child = self._peek(values, kv)
+        return 0.0 if child is None else child.value
+
+
+class Counter(_ValueFamily):
     """A monotonically increasing count (events, rows, bytes)."""
 
     kind = "counter"
 
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
-
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        child = self._default()
-        with self._lock:
-            child.value += amount
+        self.inc_child(self._default(), amount)
 
-    def inc_child(self, child: _CounterChild, amount: float = 1.0) -> None:
+    def inc_child(self, child: _ValueChild, amount: float = 1.0) -> None:
         """Increment a child obtained from :meth:`labels` (hot paths keep
         the child handle instead of re-resolving labels per event)."""
         if amount < 0:
@@ -253,47 +166,26 @@ class Counter(_Family):
         with self._lock:
             child.value += amount
 
-    @property
-    def value(self) -> float:
-        return self._default().value
-
-    def get(self, *values: Any, **kv: Any) -> float:
-        return self.labels(*values, **kv).value
-
     def total(self, **match: Any) -> float:
         """Sum over the children whose labels include ``match`` (every
-        child when empty); unlike :meth:`get`, reading creates none."""
+        child when empty); like :meth:`get`, reading creates none."""
+        unknown = sorted(set(match) - set(self.labelnames))
+        if unknown:
+            raise ValueError(f"{self.name} has no label {unknown}; its "
+                             f"labels are {self.labelnames}")
         want = [(self.labelnames.index(k), str(v)) for k, v in match.items()]
         with self._lock:
             return sum(c.value for key, c in self._children.items()
                        if all(key[i] == v for i, v in want))
 
-    def _sample_lines(self, key, child) -> list[str]:
-        return [f"{self.name}{self._label_str(key)} {_fmt(child.value)}"]
 
-
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def as_dict(self) -> dict:
-        return {"value": self.value}
-
-
-class Gauge(_Family):
+class Gauge(_ValueFamily):
     """A value that can go up and down (queue depth, reserved bytes)."""
 
     kind = "gauge"
 
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
     def set(self, value: float) -> None:
-        child = self._default()
-        with self._lock:
-            child.value = float(value)
+        self.set_child(self._default(), value)
 
     def inc(self, amount: float = 1.0) -> None:
         child = self._default()
@@ -303,126 +195,78 @@ class Gauge(_Family):
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def set_child(self, child: _GaugeChild, value: float) -> None:
+    def set_child(self, child: _ValueChild, value: float) -> None:
         with self._lock:
             child.value = float(value)
 
-    @property
-    def value(self) -> float:
-        return self._default().value
-
-    def get(self, *values: Any, **kv: Any) -> float:
-        return self.labels(*values, **kv).value
-
-    def _sample_lines(self, key, child) -> list[str]:
-        return [f"{self.name}{self._label_str(key)} {_fmt(child.value)}"]
-
 
 class _HistogramChild:
-    __slots__ = ("counts", "count", "sum", "samples", "_reservoir")
+    __slots__ = ("count", "sum", "samples")
 
-    def __init__(self, num_buckets: int, reservoir: int) -> None:
-        self.counts = [0] * num_buckets          # per-bucket (non-cumulative)
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
-        self._reservoir = reservoir
         self.samples: list[float] = []           # deterministic reservoir
 
     def as_dict(self) -> dict:
-        return {"count": self.count, "sum": self.sum,
-                "buckets": list(self.counts)}
+        return {"count": self.count, "sum": self.sum}
 
 
 class Histogram(_Family):
-    """Fixed-bucket distribution with an optional exact-percentile
-    reservoir (deterministic round-robin overwrite, oldest-first)."""
+    """Count, sum and an exact-percentile reservoir of the last
+    ``reservoir`` samples (deterministic round-robin overwrite,
+    oldest-first)."""
 
     kind = "histogram"
 
     def __init__(self, name: str, help: str = "",  # noqa: A002
                  labelnames: Iterable[str] = (),
-                 buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
-                 time_base: str | None = None,
-                 reservoir: int = 0,
-                 _lock: threading.Lock | None = None):
-        bs = tuple(float(b) for b in buckets)
-        if not bs or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-            raise ValueError("buckets must be non-empty and ascending")
-        if bs[-1] == math.inf:
-            bs = bs[:-1]
-        self.buckets = bs
+                 reservoir: int = 10_000):
         self.reservoir = int(reservoir)
-        super().__init__(name, help, labelnames, time_base, _lock)
+        super().__init__(name, help, labelnames)
 
     def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(len(self.buckets) + 1, self.reservoir)
+        return _HistogramChild()
 
     def observe(self, value: float) -> None:
-        self.observe_child(self._default(), value)
-
-    def observe_child(self, child: _HistogramChild, value: float) -> None:
-        """Observe into a child handle (hot-path form)."""
-        v = float(value)
-        i = bisect_left(self.buckets, v)
+        child, v = self._default(), float(value)
         with self._lock:
-            child.counts[i] += 1
             child.count += 1
             child.sum += v
-            if child._reservoir:
-                if len(child.samples) < child._reservoir:
-                    child.samples.append(v)
-                else:
-                    # round-robin overwrite: sample i of the stream (the
-                    # count-th) lands in slot i mod capacity, so the oldest
-                    # sample goes first and retention is deterministic
-                    child.samples[(child.count - 1) % child._reservoir] = v
-        return None
+            if len(child.samples) < self.reservoir:
+                child.samples.append(v)
+            elif self.reservoir:
+                # round-robin overwrite: sample i of the stream (the
+                # count-th) lands in slot i mod capacity, so the oldest
+                # sample goes first and retention is deterministic
+                child.samples[(child.count - 1) % self.reservoir] = v
 
     @property
     def count(self) -> int:
         return self._default().count
 
-    @property
-    def sum(self) -> float:
-        return self._default().sum
+    def _read(self, child: _HistogramChild) -> tuple[list[float], int, float]:
+        """The reservoir sorted, the count and the sum, read together."""
+        if not self.reservoir:
+            raise ValueError(f"{self.name}: percentiles need a reservoir")
+        with self._lock:
+            return sorted(child.samples), child.count, child.sum
 
     def percentile(self, q: float, *label_values: Any) -> float:
-        """The ``q``-th percentile: exact from the reservoir when one is
-        kept, otherwise interpolated from the log buckets."""
+        """The ``q``-th percentile, exact over the reservoir (0.0 for a
+        combination never observed; reading creates no child)."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
-        child = self.labels(*label_values) if label_values else self._default()
-        with self._lock:
-            samples = sorted(child.samples)
-            counts = list(child.counts)
-            total = child.count
-        if samples:
-            return percentile(samples, q)
-        if not total:
+        child = self._peek(label_values, {})
+        if child is None:
             return 0.0
-        # bucket interpolation: walk to the bucket containing rank q
-        rank = (q / 100.0) * total
-        seen = 0
-        for i, c in enumerate(counts):
-            if seen + c >= rank or i == len(counts) - 1:
-                lo = self.buckets[i - 1] if i > 0 else 0.0
-                hi = self.buckets[i] if i < len(self.buckets) else lo
-                frac = (rank - seen) / c if c else 0.0
-                return lo + (hi - lo) * min(1.0, max(0.0, frac))
-            seen += c
-        return 0.0
+        return percentile(self._read(child)[0], q)
 
     def summary(self) -> dict:
         """``{count, mean_s, p50_s, p95_s, p99_s, max_s}`` of an
         unlabelled histogram, percentiles exact over the reservoir (so a
         histogram without one raises)."""
-        if not self.reservoir:
-            raise ValueError(f"{self.name}: a summary needs a reservoir "
-                             "(exact percentiles)")
-        child = self._default()
-        with self._lock:
-            ordered = sorted(child.samples)
-            count, total = child.count, child.sum
+        ordered, count, total = self._read(self._default())
         return {
             "count": count,
             "mean_s": total / count if count else 0.0,
@@ -431,20 +275,6 @@ class Histogram(_Family):
             "p99_s": percentile(ordered, 99.0),
             "max_s": ordered[-1] if ordered else 0.0,
         }
-
-    def _sample_lines(self, key, child) -> list[str]:
-        lines = []
-        cum = 0
-        for b, c in zip(self.buckets, child.counts):
-            cum += c
-            lines.append(f"{self.name}_bucket"
-                         f"{self._label_str(key, (('le', _fmt(b)),))} {cum}")
-        lines.append(f"{self.name}_bucket"
-                     f"{self._label_str(key, (('le', '+Inf'),))} {child.count}")
-        lines.append(f"{self.name}_sum{self._label_str(key)} "
-                     f"{_fmt(child.sum)}")
-        lines.append(f"{self.name}_count{self._label_str(key)} {child.count}")
-        return lines
 
 
 class MetricsRegistry:
@@ -455,197 +285,45 @@ class MetricsRegistry:
     instrumentation sites can declare their metrics independently.
     """
 
-    def __init__(self, namespace: str = "repro"):
-        if namespace and not _NAME_RE.match(namespace):
-            raise ValueError(f"invalid namespace {namespace!r}")
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
 
-    def _full(self, name: str) -> str:
-        return f"{self.namespace}_{name}" if self.namespace else name
-
     def _register(self, cls, name: str, help: str,  # noqa: A002
-                  labelnames: Iterable[str], time_base: str | None,
-                  **extra: Any):
-        full = self._full(name)
+                  labelnames: Iterable[str], **extra: Any):
         with self._lock:
-            fam = self._families.get(full)
+            fam = self._families.get(name)
             if fam is None:
-                fam = cls(full, help, labelnames, time_base=time_base,
-                          **extra)
-                self._families[full] = fam
+                fam = self._families[name] = cls(name, help, labelnames,
+                                                 **extra)
                 return fam
         if not isinstance(fam, cls) or fam.labelnames != tuple(labelnames):
             raise ValueError(
-                f"metric {full!r} already registered as {fam.kind} with "
+                f"metric {name!r} already registered as {fam.kind} with "
                 f"labels {fam.labelnames}")
         return fam
 
     def counter(self, name: str, help: str = "",  # noqa: A002
-                labelnames: Iterable[str] = (),
-                time_base: str | None = None) -> Counter:
-        return self._register(Counter, name, help, labelnames, time_base)
+                labelnames: Iterable[str] = ()) -> Counter:
+        return self._register(Counter, name, help, labelnames)
 
     def gauge(self, name: str, help: str = "",  # noqa: A002
-              labelnames: Iterable[str] = (),
-              time_base: str | None = None) -> Gauge:
-        return self._register(Gauge, name, help, labelnames, time_base)
+              labelnames: Iterable[str] = ()) -> Gauge:
+        return self._register(Gauge, name, help, labelnames)
 
     def histogram(self, name: str, help: str = "",  # noqa: A002
                   labelnames: Iterable[str] = (),
-                  buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
-                  time_base: str | None = None,
-                  reservoir: int = 0) -> Histogram:
-        return self._register(Histogram, name, help, labelnames, time_base,
-                              buckets=buckets, reservoir=reservoir)
+                  reservoir: int = 10_000) -> Histogram:
+        return self._register(Histogram, name, help, labelnames,
+                              reservoir=reservoir)
 
     def get(self, name: str) -> _Family | None:
-        """Look a family up by its full (namespaced) name."""
+        """Look a family up by its name."""
         with self._lock:
             return self._families.get(name)
 
-    def families(self) -> list[_Family]:
-        with self._lock:
-            return [self._families[n] for n in sorted(self._families)]
-
-    # -- export ----------------------------------------------------------------
-
-    def expose(self) -> str:
-        """The Prometheus text exposition of every family."""
-        lines: list[str] = []
-        for fam in self.families():
-            lines.extend(fam.expose())
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def snapshot(self) -> dict[str, Any]:
-        """JSON snapshot: ``{family name: {type, help, time_base, samples}}``."""
-        return {fam.name: fam.snapshot() for fam in self.families()}
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-# -- exposition checker ------------------------------------------------------------
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{.*\})?"
-    r"\s+(?P<value>\S+)"
-    r"(?:\s+(?P<ts>-?\d+))?$")
-_LABEL_PAIR_RE = re.compile(
-    r'\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*=\s*"((?:[^"\\]|\\.)*)"\s*(,|$)')
-_VALID_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
-
-
-def _parse_labels(raw: str) -> dict[str, str] | None:
-    """Parse ``{a="x",b="y"}``; ``None`` on malformed syntax."""
-    body = raw[1:-1]
-    out: dict[str, str] = {}
-    pos = 0
-    while pos < len(body):
-        m = _LABEL_PAIR_RE.match(body, pos)
-        if not m:
-            return None
-        out[m.group(1)] = m.group(2)
-        pos = m.end()
-    return out
-
-
-def check_exposition(text: str) -> list[str]:
-    """Validate Prometheus text-exposition format; returns error strings
-    (empty list = valid).
-
-    Checks line syntax (names, label pairs, escapes, float values), that
-    ``# TYPE`` precedes its family's samples, that histogram ``_bucket``
-    series are cumulative with a ``+Inf`` bucket equal to ``_count``, and
-    that counter samples are finite and non-negative.
-    """
-    errors: list[str] = []
-    types: dict[str, str] = {}
-    # histogram family -> {label-subset-key -> [(le, cum)]}
-    buckets: dict[str, dict[tuple, list[tuple[float, float]]]] = {}
-    counts: dict[str, dict[tuple, float]] = {}
-
-    def base_family(name: str) -> str:
-        for suffix in ("_bucket", "_sum", "_count", "_total"):
-            if name.endswith(suffix) and name[: -len(suffix)] in types:
-                return name[: -len(suffix)]
-        return name
-
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 2 and parts[1] in ("HELP", "TYPE"):
-                if len(parts) < 3 or not _NAME_RE.match(parts[2]):
-                    errors.append(f"line {ln}: malformed {parts[1]} comment")
-                elif parts[1] == "TYPE":
-                    mtype = parts[3].strip() if len(parts) > 3 else ""
-                    if mtype not in _VALID_TYPES:
-                        errors.append(
-                            f"line {ln}: unknown metric type {mtype!r}")
-                    elif parts[2] in types:
-                        errors.append(
-                            f"line {ln}: duplicate TYPE for {parts[2]}")
-                    else:
-                        types[parts[2]] = mtype
-            continue
-        m = _SAMPLE_RE.match(line)
-        if not m:
-            errors.append(f"line {ln}: unparsable sample line {line!r}")
-            continue
-        name, raw_labels, raw_value = (m.group("name"), m.group("labels"),
-                                       m.group("value"))
-        labels: dict[str, str] = {}
-        if raw_labels:
-            parsed = _parse_labels(raw_labels)
-            if parsed is None:
-                errors.append(f"line {ln}: malformed labels {raw_labels!r}")
-                continue
-            labels = parsed
-        try:
-            value = float(raw_value.replace("+Inf", "inf")
-                          .replace("-Inf", "-inf"))
-        except ValueError:
-            errors.append(f"line {ln}: bad sample value {raw_value!r}")
-            continue
-        fam = base_family(name)
-        ftype = types.get(fam)
-        if ftype is None:
-            errors.append(f"line {ln}: sample {name!r} precedes its TYPE")
-            continue
-        if ftype == "counter" and not (value >= 0 and value != math.inf):
-            errors.append(f"line {ln}: counter {name} has value {raw_value}")
-        if ftype == "histogram":
-            key = tuple(sorted((k, v) for k, v in labels.items()
-                               if k != "le"))
-            if name == f"{fam}_bucket":
-                if "le" not in labels:
-                    errors.append(f"line {ln}: bucket without le label")
-                    continue
-                le = float(labels["le"].replace("+Inf", "inf"))
-                buckets.setdefault(fam, {}).setdefault(key, []).append(
-                    (le, value))
-            elif name == f"{fam}_count":
-                counts.setdefault(fam, {})[key] = value
-
-    for fam, series in buckets.items():
-        for key, pairs in series.items():
-            les = [le for le, _ in pairs]
-            cums = [c for _, c in pairs]
-            if sorted(les) != les:
-                errors.append(f"{fam}{dict(key)}: le bounds not ascending")
-            if any(b < a for a, b in zip(cums, cums[1:])):
-                errors.append(f"{fam}{dict(key)}: bucket counts not "
-                              f"cumulative")
-            if les and les[-1] != math.inf:
-                errors.append(f"{fam}{dict(key)}: missing +Inf bucket")
-            total = counts.get(fam, {}).get(key)
-            if total is not None and cums and cums[-1] != total:
-                errors.append(f"{fam}{dict(key)}: +Inf bucket {cums[-1]} != "
-                              f"_count {total}")
-    return errors
+        """JSON snapshot: ``{family name: {type, help, samples}}``."""
+        with self._lock:
+            families = sorted(self._families.items())
+        return {name: fam.snapshot() for name, fam in families}

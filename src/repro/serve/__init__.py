@@ -39,7 +39,7 @@ from .request import (Priority, QueryHandle, QueryOutcome, QueryRequest,
                       QueryStatus, ResultChunk)
 from .service import (Executor, FaultInjector, QueryService, WorkerCrashError,
                       run_query_solo)
-from .stats import ServiceStats, percentile
+from .stats import ServiceStats
 from .tracing import ServiceTracer
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
                                 UpdateReport)
@@ -53,7 +53,7 @@ __all__ = [
     "QueryStatus", "ResultChunk",
     "Executor", "FaultInjector", "QueryService", "WorkerCrashError",
     "run_query_solo",
-    "ServiceStats", "percentile",
+    "ServiceStats",
     "ServiceInstruments", "ServiceTracer",
     "DeltaBatch", "SubscribeRequest", "Subscription", "UpdateReport",
 ]

@@ -7,9 +7,10 @@ event stream (:mod:`repro.serve.events`).  Each lifecycle fact —
 submission, admission decision, plan-cache lookup, crash, retry,
 terminal outcome, stream batch — is counted exactly once, here;
 ``QueryService.stats()`` and ``stream_stats()`` are reads of these
-families (:meth:`ServiceInstruments.counters` and the
+families (:meth:`ServiceInstruments.read` and the
 latency histograms' :meth:`~repro.obs.metrics.Histogram.summary`), so
-the snapshot dicts and the Prometheus exposition cannot disagree.
+the ``stats()`` dicts and the registry's JSON snapshot (which ``serve
+--json`` / ``stream --json`` print under ``"metrics"``) cannot disagree.
 Plan-cache lookups are counted from the ``planned`` events, which also
 carry the lookups a process worker makes in its own cache.
 
@@ -42,62 +43,61 @@ class ServiceInstruments:
         #: (sinks run serialised under the stream's lock)
         self._children: dict = {}
         self.submitted = registry.counter(
-            "serve_submitted_total", "requests submitted", ("tenant",))
+            "repro_serve_submitted_total", "requests submitted", ("tenant",))
         self.completed = registry.counter(
-            "serve_completed_total", "requests completed", ("tenant",))
+            "repro_serve_completed_total", "requests completed", ("tenant",))
         self.requests = registry.counter(
-            "serve_requests_total", "terminal request outcomes", ("status",))
+            "repro_serve_requests_total", "terminal request outcomes",
+            ("status",))
         self.delivery_violations = registry.counter(
-            "serve_delivery_violations_total",
+            "repro_serve_delivery_violations_total",
             "terminal outcomes offered to an already finished handle")
         self.admission = registry.counter(
-            "serve_admission_total", "admission decisions",
+            "repro_serve_admission_total", "admission decisions",
             ("decision", "reason"))
         self.queue_depth = registry.gauge(
-            "serve_queue_depth", "queued requests per priority class",
+            "repro_serve_queue_depth", "queued requests per priority class",
             ("priority",))
         self.inflight = registry.gauge(
-            "serve_inflight", "requests currently executing")
+            "repro_serve_inflight", "requests currently executing")
         self.reserved_bytes = registry.gauge(
-            "serve_reserved_bytes", "admission ledger reservation")
+            "repro_serve_reserved_bytes", "admission ledger reservation")
         self.plan_cache = registry.counter(
-            "serve_plan_cache_total", "canonical plan-cache lookups",
+            "repro_serve_plan_cache_total", "canonical plan-cache lookups",
             ("result",))
         self.crashes = registry.counter(
-            "serve_worker_crashes_total",
+            "repro_serve_worker_crashes_total",
             "workers lost mid-query, by pool backend", ("backend",))
         self.retries = registry.counter(
-            "serve_retries_total", "crash-recovery requeues, by pool backend",
-            ("backend",))
+            "repro_serve_retries_total",
+            "crash-recovery requeues, by pool backend", ("backend",))
         self.deadline_missed = registry.counter(
-            "serve_deadline_missed_total",
+            "repro_serve_deadline_missed_total",
             "requests cancelled for missing their deadline")
         self.latency = registry.histogram(
-            "serve_latency_seconds", "end-to-end request latency",
-            time_base="wall", reservoir=10_000)
+            "repro_serve_latency_seconds", "end-to-end request latency")
         self.queue_wait = registry.histogram(
-            "serve_queue_wait_seconds", "submit-to-dispatch wait",
-            time_base="wall", reservoir=10_000)
+            "repro_serve_queue_wait_seconds", "submit-to-dispatch wait")
         self.execute = registry.histogram(
-            "serve_execute_seconds", "dispatch-to-completion execution time",
-            time_base="wall", reservoir=10_000)
+            "repro_serve_execute_seconds",
+            "dispatch-to-completion execution time")
         self.stream_updates = registry.counter(
-            "stream_updates_total", "graph update batches applied",
+            "repro_stream_updates_total", "graph update batches applied",
             ("dataset",))
         self.stream_deltas = registry.counter(
-            "stream_deltas_emitted_total",
+            "repro_stream_deltas_emitted_total",
             "standing-subscription match deltas emitted, by sign", ("sign",))
         self.stream_errors = registry.counter(
-            "stream_batch_errors_total",
+            "repro_stream_batch_errors_total",
             "delta batches delivered with an error")
         self.stream_subscribed = registry.counter(
-            "stream_subscribed_total", "standing subscriptions registered")
+            "repro_stream_subscribed_total",
+            "standing subscriptions registered")
         self.stream_subscriptions = registry.gauge(
-            "stream_subscriptions", "active standing subscriptions")
+            "repro_stream_subscriptions", "active standing subscriptions")
         self.stream_batch_latency = registry.histogram(
-            "stream_batch_latency_seconds",
-            "per-subscription delta enumeration latency for one update batch",
-            time_base="wall", reservoir=10_000)
+            "repro_stream_batch_latency_seconds",
+            "per-subscription delta enumeration latency for one update batch")
 
     def _child(self, family, *labels: str):
         child = self._children.get((family, labels))

@@ -523,8 +523,10 @@ class QueryService:
         with self._cond:
             handle._set_status(QueryStatus.QUEUED)
             self._queue.push(entry)
+            # under the lock the dispatcher pops with, so "queued" always
+            # precedes this request's "dispatched" on the event stream
+            self.emit("queued", request.seq, priority=request.priority.name)
             self._cond.notify_all()
-        self.emit("queued", request.seq, priority=request.priority.name)
         return handle
 
     def _cancel(self, handle: QueryHandle, reason: str) -> None:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from ..obs.metrics import percentile
-
-__all__ = ["percentile", "ServiceStats"]
+__all__ = ["ServiceStats"]
 
 
 @dataclass

@@ -38,12 +38,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("(") >= 2
 
-    def test_query_cypher(self, capsys):
-        main(["query", "--data", "GO", "--machines", "2", "--cypher",
-              "MATCH (a)--(b)--(c), (c)--(a) RETURN count(*)"])
-        out = capsys.readouterr().out
-        assert "matches:" in out
-
     def test_query_edge_list_file(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n2 0\n2 3\n")
@@ -66,12 +60,6 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["count"] > 0
         assert data["report"]["mem_underflows"] == 0
-
-    def test_query_trace_rejected_with_cypher(self, capsys):
-        assert main(["query", "--data", "GO", "--cypher",
-                     "MATCH (a)--(b) RETURN count(*)",
-                     "--trace", "t.json"]) == 2
-        assert "not supported" in capsys.readouterr().err
 
     def test_explain_plain_shows_plan(self, capsys):
         assert main(["explain", "--data", "GO", "--pattern", "q1",
@@ -143,44 +131,60 @@ class TestCommands:
 
 
 class TestMetricsCommand:
-    def test_dump_passes_own_checker(self, capsys):
-        from repro.obs import check_exposition
-
-        assert main(["serve", "--data", "GO", "--smoke", "--queries", "4",
-                     "--machines", "2", "--metrics", "-"]) == 0
-        out = capsys.readouterr().out
-        exposition = out[out.index("# HELP"):out.index("verify:")]
-        assert check_exposition(exposition) == []
-        assert "# TYPE repro_serve_requests_total counter" in exposition
-
-    def test_check_accepts_dump(self, tmp_path, capsys):
-        path = tmp_path / "m.prom"
-        assert main(["serve", "--data", "GO", "--smoke", "--queries", "4",
-                     "--machines", "2", "--json",
-                     "--metrics", str(path)]) == 0
-        # the exposition goes to the file, so --json stdout stays JSON
-        assert json.loads(capsys.readouterr().out)["verified"] is True
-        assert main(["metrics", "--check", str(path)]) == 0
-        assert "exposition ok" in capsys.readouterr().out
-
-    def test_check_rejects_malformed(self, tmp_path, capsys):
-        path = tmp_path / "bad.prom"
-        path.write_text("# TYPE h histogram\n"
-                        'h_bucket{le="1"} 5\n'
-                        'h_bucket{le="+Inf"} 5\n'
-                        "h_sum 1\nh_count 7\n")
-        assert main(["metrics", "--check", str(path)]) == 1
-        assert "INVALID" in capsys.readouterr().out
-
-    def test_serve_smoke_with_metrics(self, tmp_path, capsys):
-        from repro.obs import check_exposition
-
-        mpath = tmp_path / "s.prom"
+    def test_serve_smoke_with_metrics(self, capsys):
         assert main(["serve", "--data", "GO", "--smoke", "--queries", "6",
-                     "--machines", "2", "--metrics", str(mpath)]) == 0
-        out = capsys.readouterr().out
-        assert "verify: all completed queries bit-identical" in out
-        assert check_exposition(mpath.read_text()) == []
+                     "--machines", "2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["verified"] is True
+        assert data["metrics"]["repro_serve_latency_seconds"]["samples"] == [
+            {"labels": {}, "count": data["service"]["completed"],
+             "sum": pytest.approx(data["service"]["latency"]["mean_s"]
+                                  * data["service"]["completed"])}]
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--data", "GO", "--smoke", "--queries", "6",
+         "--machines", "2", "--tenants", "a,b"],
+        ["stream", "--data", "GO", "--smoke", "--updates", "12",
+         "--batch", "4"],
+    ], ids=["serve", "stream"])
+    def test_json_stdout_is_one_document_whose_metrics_match_stats(
+            self, command, capsys):
+        """``--json`` stdout parses as one JSON document, and its
+        ``"metrics"`` snapshot counts what the report's service stats
+        count: both are reads of the same registry."""
+        assert main([*command, "--seed", "1", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        metrics = data["metrics"]
+
+        def total(family, **match):
+            samples = metrics[f"repro_{family}"]["samples"]
+            return sum(s.get("value", s.get("count")) for s in samples
+                       if match.items() <= s["labels"].items())
+
+        if command[0] == "serve":
+            stats = data["service"]
+            assert stats["completed"] == stats["submitted"] == 6
+            stats = {**stats, "hits": stats["plan_cache"]["hits"],
+                     "misses": stats["plan_cache"]["misses"]}
+            want = {"submitted": total("serve_submitted_total"),
+                    "completed": total("serve_requests_total",
+                                       status="completed"),
+                    "hits": total("serve_plan_cache_total", result="hit"),
+                    "misses": total("serve_plan_cache_total",
+                                    result="miss")}
+            assert total("serve_completed_total") == stats["completed"]
+        else:
+            stats = data["stream_stats"]
+            assert stats["stream_updates"] == data["update_batches"] == 3
+            want = {"subscriptions_total": total("stream_subscribed_total"),
+                    "stream_updates": total("stream_updates_total"),
+                    "stream_batches": total("stream_batch_latency_seconds"),
+                    "stream_additions": total("stream_deltas_emitted_total",
+                                              sign="+"),
+                    "stream_retractions": total(
+                        "stream_deltas_emitted_total", sign="-"),
+                    "stream_errors": total("stream_batch_errors_total")}
+        assert {k: stats[k] for k in want} == want
 
 
 class TestStreamCommand:
@@ -197,17 +201,13 @@ class TestStreamCommand:
         assert "stream: " in out
         assert "verify: incremental counts bit-identical" in out
 
-    def test_stream_json_with_metrics(self, tmp_path, capsys):
-        from repro.obs import check_exposition
-
-        mpath = tmp_path / "st.prom"
+    def test_stream_json_with_metrics(self, capsys):
         assert main(["stream", "--data", "GO", "--updates", "12",
-                     "--batch", "4", "--verify", "--json",
-                     "--metrics", str(mpath)]) == 0
+                     "--batch", "4", "--verify", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["verified"] is True
         assert data["stream_stats"]["stream_errors"] == 0
         assert len(data["reports"]) == data["update_batches"]
-        text = mpath.read_text()
-        assert check_exposition(text) == []
-        assert "stream_updates_total" in text
+        assert data["metrics"]["repro_stream_updates_total"]["samples"] == [
+            {"labels": {"dataset": "GO"},
+             "value": float(data["update_batches"])}]

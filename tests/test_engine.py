@@ -207,8 +207,8 @@ class TestConfiguration:
             "workers_per_machine", "seed", "relabel_fraction",
             "deadline_fraction", "deadline_s", "tenants", "collect_fraction",
             "crashes"]
-        # the CLI's observers: a span trace per run, the service's
-        # registry exposition, and the validator for it
+        # the CLI's observers: a span trace per run; the service's
+        # registry travels in the --json payload, with no option of its own
         parser = build_parser()
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -218,10 +218,15 @@ class TestConfiguration:
                      for name, p in sub.choices.items()}
         assert {k: v for k, v in observers.items() if v} == {
             "query": ["--trace"], "explain": ["--trace"],
-            "serve": ["--metrics", "--trace"],
-            "stream": ["--metrics", "--trace"], "metrics": ["--check"]}
-        assert [o for a in sub.choices["metrics"]._actions
-                for o in a.option_strings] == ["-h", "--help", "--check"]
+            "serve": ["--trace"], "stream": ["--trace"]}
+        assert sorted(sub.choices) == [
+            "census", "conformance", "datasets", "explain", "motifs", "plan",
+            "query", "serve", "stream"]
+        # a query is a QueryGraph: no text front end beside --pattern
+        assert [o for a in sub.choices["query"]._actions
+                for o in a.option_strings if o.startswith("--")] == [
+            "--help", "--data", "--machines", "--workers", "--scale",
+            "--seed", "--pattern", "--show", "--trace", "--json"]
         # one request, one engine run: no work-sharing or skew knobs
         assert [o for a in sub.choices["serve"]._actions
                 for o in a.option_strings if o.startswith("--")] == [
@@ -229,8 +234,7 @@ class TestConfiguration:
             "--seed", "--queries", "--patterns", "--pool",
             "--service-workers", "--budget-mb", "--relabel-fraction",
             "--deadline-fraction", "--deadline", "--tenants", "--tenant-cap",
-            "--crash", "--verify", "--trace", "--json", "--metrics",
-            "--smoke"]
+            "--crash", "--verify", "--trace", "--json", "--smoke"]
         # one answer path: collected matches are ``result.matches``
         assert fields(QueryOutcome) == [
             "status", "count", "result", "error", "attempts",

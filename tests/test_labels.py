@@ -117,90 +117,3 @@ class TestLabelledEngine:
         q = QueryGraph(3, [(0, 1), (1, 2), (0, 2)], labels=(0, 1, 2))
         with pytest.raises(NotImplementedError):
             BenuEngine(lcluster).run(q)
-
-
-class TestCypher:
-    from repro.apps import CypherError, parse_cypher
-
-    LABELS = {"User": 0, "Item": 1, "Tag": 2}
-
-    def test_parse_triangle(self):
-        from repro.apps import parse_cypher
-
-        q = parse_cypher("MATCH (a)--(b)--(c), (c)--(a) RETURN count(*)")
-        assert q.pattern.num_vertices == 3
-        assert q.pattern.num_edges == 3
-        assert q.returns is None
-
-    def test_parse_labels(self):
-        from repro.apps import parse_cypher
-
-        q = parse_cypher("MATCH (a:User)--(b:Item) RETURN a",
-                         label_ids=self.LABELS)
-        assert q.pattern.labels == (0, 1)
-        assert q.returns == ("a",)
-
-    def test_directions_and_types_accepted(self):
-        from repro.apps import parse_cypher
-
-        q = parse_cypher(
-            "MATCH (a)-[:KNOWS]->(b)<--(c), (a)-[]-(c) RETURN count(*)")
-        assert q.pattern.num_edges == 3
-
-    def test_unknown_label_rejected(self):
-        from repro.apps import CypherError, parse_cypher
-
-        with pytest.raises(CypherError):
-            parse_cypher("MATCH (a:Ghost)--(b) RETURN count(*)",
-                         label_ids=self.LABELS)
-
-    def test_conflicting_labels_rejected(self):
-        from repro.apps import CypherError, parse_cypher
-
-        with pytest.raises(CypherError):
-            parse_cypher("MATCH (a:User)--(b), (a:Item)--(b) "
-                         "RETURN count(*)", label_ids=self.LABELS)
-
-    def test_unbound_return_rejected(self):
-        from repro.apps import CypherError, parse_cypher
-
-        with pytest.raises(CypherError):
-            parse_cypher("MATCH (a)--(b) RETURN z")
-
-    def test_missing_match_rejected(self):
-        from repro.apps import CypherError, parse_cypher
-
-        with pytest.raises(CypherError):
-            parse_cypher("SELECT * FROM graphs")
-
-    def test_self_relationship_rejected(self):
-        from repro.apps import CypherError, parse_cypher
-
-        with pytest.raises(CypherError):
-            parse_cypher("MATCH (a)--(a) RETURN count(*)")
-
-    def test_disconnected_rejected(self):
-        from repro.apps import CypherError, parse_cypher
-
-        with pytest.raises(CypherError):
-            parse_cypher("MATCH (a)--(b), (c)--(d) RETURN count(*)")
-
-    def test_execute_count(self, lcluster, lgraph):
-        from repro.apps import execute_cypher
-        from repro.query import get_query
-
-        r = execute_cypher(
-            lcluster, "MATCH (a)--(b)--(c), (c)--(a) RETURN count(*)")
-        assert r.count == count_matches(lgraph, get_query("triangle"))
-
-    def test_execute_projection(self, lcluster, lgraph, vlabels):
-        from repro.apps import execute_cypher
-
-        r = execute_cypher(lcluster,
-                           "MATCH (x:User)--(y:Item) RETURN y, x",
-                           label_ids=self.LABELS)
-        assert r.columns == ("y", "x")
-        assert len(r.rows) == r.count
-        for y, x in r.rows:
-            assert vlabels[x] == 0 and vlabels[y] == 1
-            assert lgraph.has_edge(x, y)

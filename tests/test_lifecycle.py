@@ -317,36 +317,29 @@ def test_invariants_hold_under_contention(monkeypatch, graph):
 # -- the observable surface -----------------------------------------------------
 
 #: captured at the parent of the lifecycle/event-stream PR from
-#: ``serve --data GO --smoke --seed 1 --metrics --trace``: metric sample
-#: names + label names and trace span-name prefixes / counter names.
-#: Since ``stats()`` became a read of the registry, three counters it
-#: needs joined the metrics: delivery violations, subscriptions
-#: registered and errored batches; the share-group size histogram went
-#: with work sharing
+#: ``serve --data GO --smoke --seed 1 --json --trace``: the ``"metrics"``
+#: snapshot's sampled families with their label names, and trace
+#: span-name prefixes / counter names.  Since ``stats()`` became a read
+#: of the registry, three counters it needs joined the metrics: delivery
+#: violations, subscriptions registered and errored batches; the
+#: share-group size histogram went with work sharing.  A histogram is
+#: one entry (count, sum)
 SURFACE_METRICS = [
     ("repro_serve_admission_total", ("decision", "reason")),
     ("repro_serve_completed_total", ("tenant",)),
     ("repro_serve_deadline_missed_total", ()),
     ("repro_serve_delivery_violations_total", ()),
-    ("repro_serve_execute_seconds_bucket", ("le",)),
-    ("repro_serve_execute_seconds_count", ()),
-    ("repro_serve_execute_seconds_sum", ()),
+    ("repro_serve_execute_seconds", ()),
     ("repro_serve_inflight", ()),
-    ("repro_serve_latency_seconds_bucket", ("le",)),
-    ("repro_serve_latency_seconds_count", ()),
-    ("repro_serve_latency_seconds_sum", ()),
+    ("repro_serve_latency_seconds", ()),
     ("repro_serve_plan_cache_total", ("result",)),
     ("repro_serve_queue_depth", ("priority",)),
-    ("repro_serve_queue_wait_seconds_bucket", ("le",)),
-    ("repro_serve_queue_wait_seconds_count", ()),
-    ("repro_serve_queue_wait_seconds_sum", ()),
+    ("repro_serve_queue_wait_seconds", ()),
     ("repro_serve_requests_total", ("status",)),
     ("repro_serve_reserved_bytes", ()),
     ("repro_serve_submitted_total", ("tenant",)),
     ("repro_stream_batch_errors_total", ()),
-    ("repro_stream_batch_latency_seconds_bucket", ("le",)),
-    ("repro_stream_batch_latency_seconds_count", ()),
-    ("repro_stream_batch_latency_seconds_sum", ()),
+    ("repro_stream_batch_latency_seconds", ()),
     ("repro_stream_subscribed_total", ()),
     ("repro_stream_subscriptions", ()),
 ]
@@ -355,18 +348,14 @@ SURFACE_TRACE = [("C", "queue depth"), ("C", "reserved MB"),
 
 
 def test_serve_smoke_surface_is_pinned(tmp_path, capsys):
-    prom, trace = tmp_path / "m.prom", tmp_path / "t.json"
+    trace = tmp_path / "t.json"
     assert main(["serve", "--data", "GO", "--smoke", "--seed", "1",
-                 "--metrics", str(prom), "--trace", str(trace)]) == 0
-    capsys.readouterr()
+                 "--json", "--trace", str(trace)]) == 0
+    snapshot = json.loads(capsys.readouterr().out)["metrics"]
 
-    metrics = set()
-    for line in prom.read_text().splitlines():
-        if line and not line.startswith("#"):
-            name, _, labels = line.split(" ")[0].partition("{")
-            metrics.add((name, tuple(sorted(
-                kv.split("=")[0] for kv in labels.rstrip("}").split(",")
-                if kv))))
+    metrics = {(name, tuple(sorted(sample["labels"])))
+               for name, family in snapshot.items()
+               for sample in family["samples"]}
     assert sorted(metrics) == SURFACE_METRICS
 
     events = json.loads(trace.read_text())["traceEvents"]

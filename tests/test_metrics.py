@@ -1,54 +1,18 @@
 """Tests for the labelled metrics registry (repro.obs.metrics): family
-semantics, Prometheus text exposition, the self-contained exposition
-checker, log-scaled buckets, reservoir determinism, and thread safety."""
+semantics, reads that create nothing, the JSON snapshot, reservoir
+determinism, and thread safety."""
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 
 import pytest
 
-from repro.obs import (DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, Counter,
-                       Histogram, MetricsRegistry, check_exposition,
-                       log_buckets)
-
-
-class TestLogBuckets:
-    def test_spans_requested_range(self):
-        bs = log_buckets(1e-6, 1e3, per_decade=3)
-        assert bs[0] == 1e-6
-        assert bs[-1] >= 1e3
-        assert list(bs) == sorted(bs)
-
-    def test_three_per_decade(self):
-        bs = log_buckets(1.0, 1000.0, per_decade=3)
-        # exactly 3 bounds per decade: 1, ~2.15, ~4.64, 10, ...
-        assert len([b for b in bs if b <= 10.0]) == 4
-
-    def test_deterministic_across_calls(self):
-        assert log_buckets(1e-6, 1e3) == log_buckets(1e-6, 1e3)
-
-    def test_defaults_cover_engine_scales(self):
-        assert DEFAULT_TIME_BUCKETS[0] == 1e-6
-        assert DEFAULT_TIME_BUCKETS[-1] >= 1e3
-        assert DEFAULT_SIZE_BUCKETS[0] == 1.0
-        assert DEFAULT_SIZE_BUCKETS[-1] >= 1e9
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            log_buckets(0.0, 10.0)
-        with pytest.raises(ValueError):
-            log_buckets(10.0, 1.0)
+from repro.obs import MetricsRegistry
 
 
 class TestRegistrySemantics:
-    def test_namespace_prefix(self):
-        reg = MetricsRegistry(namespace="x")
-        c = reg.counter("events_total", "help")
-        assert c.name == "x_events_total"
-
     def test_get_or_create_returns_same_family(self):
         reg = MetricsRegistry()
         a = reg.counter("dup_total", "h", ("k",))
@@ -66,27 +30,6 @@ class TestRegistrySemantics:
         reg.counter("thing_total", labelnames=("a",))
         with pytest.raises(ValueError, match="already registered"):
             reg.counter("thing_total", labelnames=("b",))
-
-    def test_invalid_names_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("bad-name")
-        with pytest.raises(ValueError):
-            reg.counter("ok_total", labelnames=("bad-label",))
-        with pytest.raises(ValueError):
-            reg.counter("ok_total", labelnames=("__reserved",))
-
-    def test_time_base_validated_and_surfaced(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="time_base"):
-            reg.histogram("h_seconds", time_base="lunar")
-        h = reg.histogram("h_seconds", "engine time", time_base="sim")
-        h.observe(0.5)
-        text = reg.expose()
-        assert "[sim clock]" in text
-        snap = reg.snapshot()
-        assert snap["repro_h_seconds"]["time_base"] == "sim"
-
 
 class TestCounterGauge:
     def test_counter_monotone(self):
@@ -123,31 +66,61 @@ class TestCounterGauge:
         assert g.value == 3.5
 
 
-class TestHistogram:
-    def test_bucket_counts_cumulative_in_exposition(self):
+class TestReads:
+    """Reading a registry leaves it as it was: ``stats()`` reads the
+    service's registry, and a read that created a child would put a
+    zero sample into the next snapshot."""
+
+    def test_reads_create_no_children(self):
         reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 5.0, 50.0, 500.0):
+        c = reg.counter("c_total", labelnames=("tenant",))
+        g = reg.gauge("g", labelnames=("priority",))
+        h = reg.histogram("h_seconds", labelnames=("op",))
+        c.inc_child(c.labels("a"), 2)
+        before = reg.snapshot()
+        assert c.get("ghost") == 0.0
+        assert c.get(tenant="ghost") == 0.0
+        assert g.get("ghost") == 0.0
+        assert h.percentile(50, "ghost") == 0.0
+        assert c.total(tenant="ghost") == 0.0
+        assert c.get("a") == 2
+        assert reg.snapshot() == before
+        assert [s["labels"] for s in before["c_total"]["samples"]] == [
+            {"tenant": "a"}]
+        assert before["g"]["samples"] == before["h_seconds"]["samples"] == []
+
+    def test_total_names_the_family_on_a_mistyped_label(self):
+        reg = MetricsRegistry()
+        c = reg.counter("c_total", labelnames=("tenant",))
+        with pytest.raises(ValueError,
+                           match=r"c_total has no label \['tenat'\].*"
+                                 r"\('tenant',\)"):
+            c.total(tenat="a")
+
+
+class TestSnapshot:
+    def test_json_snapshot_round_trips(self):
+        """The registry's one export: per family its type, help and one
+        sample per child; a histogram sample is its count and sum."""
+        reg = MetricsRegistry()
+        c = reg.counter("ops_total", "operations", ("op", "result"))
+        c.inc_child(c.labels("scan", "ok"), 3)
+        reg.gauge("depth", "queue depth").set(7)
+        h = reg.histogram("lat_seconds", "latency")
+        for v in (0.5, 0.25):
             h.observe(v)
-        text = reg.expose()
-        assert 'repro_h_bucket{le="1"} 1' in text
-        assert 'repro_h_bucket{le="10"} 2' in text
-        assert 'repro_h_bucket{le="100"} 3' in text
-        assert 'repro_h_bucket{le="+Inf"} 4' in text
-        assert "repro_h_count 4" in text
-        assert "repro_h_sum 555.5" in text
+        snap = json.loads(json.dumps(reg.snapshot()))
+        assert list(snap) == ["depth", "lat_seconds", "ops_total"]
+        assert snap["ops_total"] == {
+            "type": "counter", "help": "operations",
+            "samples": [{"labels": {"op": "scan", "result": "ok"},
+                         "value": 3.0}]}
+        assert snap["depth"]["samples"] == [{"labels": {}, "value": 7.0}]
+        assert snap["lat_seconds"]["samples"] == [
+            {"labels": {}, "count": 2, "sum": 0.75}]
 
-    def test_boundary_value_lands_in_its_bucket(self):
-        # le is inclusive: an observation equal to a bound counts there
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(1.0, 10.0))
-        h.observe(1.0)
-        assert 'repro_h_bucket{le="1"} 1' in reg.expose()
 
-    def test_buckets_must_ascend(self):
-        with pytest.raises(ValueError, match="ascending"):
-            Histogram("h", buckets=(1.0, 1.0, 2.0))
-
+class TestHistogram:
     def test_reservoir_round_robin_deterministic(self):
         """Stream sample i lands in slot i % cap, so retention (and hence
         the service's latency summaries) is reproducible."""
@@ -176,10 +149,10 @@ class TestHistogram:
     @pytest.mark.parametrize("reservoir", [0, 8])
     @pytest.mark.parametrize("q", [-1.0, 100.5])
     def test_percentile_rejects_q_outside_0_100(self, reservoir, q):
-        """Both paths — exact from the reservoir and interpolated from
-        the buckets — refuse a percentile rank outside [0, 100]."""
+        """With a reservoir or without one, a percentile rank outside
+        [0, 100] is refused before anything is read."""
         reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(1.0, 2.0), reservoir=reservoir)
+        h = reg.histogram("h", reservoir=reservoir)
         h.observe(1.5)
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             h.percentile(q)
@@ -193,119 +166,10 @@ class TestHistogram:
         assert h.percentile(100) == 4.0
         assert h.percentile(50) == 2.5
 
-    def test_percentile_interpolates_from_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(1.0, 2.0, 4.0))  # no reservoir
-        for v in (0.5, 1.5, 3.0, 3.5):
-            h.observe(v)
-        p = h.percentile(50)
-        assert 1.0 <= p <= 2.0
-        assert h.percentile(100) >= 2.0
-        assert h.percentile(0) == 0.0
-
     def test_empty_percentile_is_zero(self):
         reg = MetricsRegistry()
         h = reg.histogram("h")
         assert h.percentile(50) == 0.0
-
-
-class TestExposition:
-    def _populated(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        c = reg.counter("ops_total", "operations", ("op", "result"))
-        c.inc_child(c.labels("scan", "ok"), 3)
-        c.inc_child(c.labels("join", "err"))
-        reg.gauge("depth", "queue depth").set(7)
-        h = reg.histogram("lat_seconds", "latency", time_base="wall",
-                          reservoir=8)
-        for v in (0.001, 0.01, 0.1):
-            h.observe(v)
-        return reg
-
-    def test_own_output_passes_checker(self):
-        assert check_exposition(self._populated().expose()) == []
-
-    def test_help_and_type_lines_present(self):
-        text = self._populated().expose()
-        assert "# HELP repro_ops_total operations" in text
-        assert "# TYPE repro_ops_total counter" in text
-        assert "# TYPE repro_depth gauge" in text
-        assert "# TYPE repro_lat_seconds histogram" in text
-
-    def test_label_escaping(self):
-        reg = MetricsRegistry()
-        c = reg.counter("c_total", labelnames=("k",))
-        c.inc_child(c.labels('we"ird\\va\nlue'))
-        text = reg.expose()
-        assert '\\"' in text and "\\\\" in text and "\\n" in text
-        assert check_exposition(text) == []
-
-    def test_json_snapshot_round_trips(self, tmp_path):
-        reg = self._populated()
-        path = tmp_path / "m.json"
-        reg.save_json(str(path))
-        snap = json.loads(path.read_text())
-        assert snap["repro_ops_total"]["type"] == "counter"
-        labels = [s["labels"] for s in snap["repro_ops_total"]["samples"]]
-        assert {"op": "scan", "result": "ok"} in labels
-        hist = snap["repro_lat_seconds"]["samples"][0]
-        assert hist["count"] == 3
-        assert sum(hist["buckets"]) == 3
-
-    def test_exposition_sorted_and_stable(self):
-        a, b = self._populated(), self._populated()
-        assert a.expose() == b.expose()
-
-
-class TestChecker:
-    def test_rejects_sample_before_type(self):
-        errs = check_exposition("foo_total 3\n# TYPE foo_total counter\n")
-        assert any("precedes its TYPE" in e for e in errs)
-
-    def test_rejects_negative_counter(self):
-        errs = check_exposition("# TYPE c_total counter\nc_total -1\n")
-        assert any("counter" in e for e in errs)
-
-    def test_rejects_bad_value(self):
-        errs = check_exposition("# TYPE g gauge\ng not_a_number\n")
-        assert any("bad sample value" in e for e in errs)
-
-    def test_rejects_malformed_labels(self):
-        errs = check_exposition('# TYPE g gauge\ng{k="unterminated} 1\n')
-        assert errs
-
-    def test_rejects_non_cumulative_histogram(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\n'
-                'h_bucket{le="2"} 3\n'
-                'h_bucket{le="+Inf"} 5\n'
-                "h_sum 4\nh_count 5\n")
-        errs = check_exposition(text)
-        assert any("cumulative" in e for e in errs)
-
-    def test_rejects_missing_inf_bucket(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\n'
-                "h_sum 4\nh_count 5\n")
-        errs = check_exposition(text)
-        assert any("+Inf" in e for e in errs)
-
-    def test_rejects_inf_bucket_count_mismatch(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\n'
-                'h_bucket{le="+Inf"} 5\n'
-                "h_sum 4\nh_count 6\n")
-        errs = check_exposition(text)
-        assert any("_count" in e for e in errs)
-
-    def test_rejects_unknown_type(self):
-        errs = check_exposition("# TYPE x flavour\n")
-        assert any("unknown metric type" in e for e in errs)
-
-    def test_accepts_inf_and_nan_values(self):
-        errs = check_exposition("# TYPE g gauge\n# TYPE g2 gauge\n"
-                                "g +Inf\ng2 NaN\n")
-        assert errs == []
 
 
 class TestThreadSafety:
@@ -328,15 +192,5 @@ class TestThreadSafety:
             t.join()
         assert c.get("0") + c.get("1") == n * threads
         assert h.count == n * threads
-        assert check_exposition(reg.expose()) == []
-
-
-class TestFormatting:
-    def test_integral_floats_render_as_ints(self):
-        from repro.obs.metrics import _fmt
-
-        assert _fmt(3.0) == "3"
-        assert _fmt(3.5) == "3.5"
-        assert _fmt(math.inf) == "+Inf"
-        assert _fmt(-math.inf) == "-Inf"
-        assert _fmt(float("nan")) == "NaN"
+        samples = reg.snapshot()["c_total"]["samples"]
+        assert sum(s["value"] for s in samples) == n * threads

@@ -16,7 +16,7 @@ import pytest
 from repro.baselines import enumerate_matches
 from repro.graph import generators as gen
 from repro.graph import temporal_edge_stream
-from repro.obs import MetricsRegistry, check_exposition
+from repro.obs import MetricsRegistry
 from repro.query import get_query
 from repro.serve import (QueryRequest, QueryService, QueryStatus,
                          SubscribeRequest)
@@ -180,12 +180,14 @@ def test_metrics_and_event_surfaces(er_graph):
         assert sub.poll(timeout=5.0) is not None
         svc.unsubscribe(sub)
 
-        text = registry.expose()
-        assert check_exposition(text) == []
-        assert 'stream_updates_total{dataset="er"} 1' in text
-        assert "stream_deltas_emitted_total" in text
-        assert "stream_batch_latency" in text
-        assert "stream_subscriptions" in text
+        snap = registry.snapshot()
+        assert snap["repro_stream_updates_total"]["samples"] == [
+            {"labels": {"dataset": "er"}, "value": 1.0}]
+        assert "repro_stream_deltas_emitted_total" in snap
+        assert snap["repro_stream_batch_latency_seconds"]["samples"][0][
+            "count"] >= 1
+        assert snap["repro_stream_subscriptions"]["samples"] == [
+            {"labels": {}, "value": 0.0}]
 
         kinds = [kind for kind, seq in events if seq == sub.request.seq]
         assert kinds[:2] == ["subscribed", "bootstrapped"]
