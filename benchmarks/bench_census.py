@@ -11,7 +11,7 @@ the benchmark doubles as the census determinism gate.
 Each run appends one record to ``results/BENCH_census.json``::
 
     PYTHONPATH=src python benchmarks/bench_census.py [--label after]
-    PYTHONPATH=src python benchmarks/bench_census.py --smoke   # CI: k=3
+    PYTHONPATH=src python benchmarks/bench_census.py --smoke   # CI: k=3, 4
 
 The seed is pinned through ``REPRO_BENCH_SEED`` (default 1) like every
 other benchmark.
@@ -35,7 +35,7 @@ RECORD_PATH = os.path.join(RESULTS_DIR, "BENCH_census.json")
 
 DATASET = "GO"
 SIZES = (3, 4, 5)
-SMOKE_SIZES = (3,)
+SMOKE_SIZES = (3, 4)
 
 
 def _run_once(k: int) -> tuple[dict, float]:
@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="run",
                         help="tag for this record (e.g. before/after)")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (k=3 only); record not saved")
+                        help="CI-sized run (k=3 and 4); record not saved")
     ns = parser.parse_args(argv)
     record = bench(ns.label, smoke=ns.smoke)
     print(json.dumps(record, indent=2))

@@ -38,8 +38,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ...cluster.errors import PlanError
-from ...query.decompose import (SubQuery, connected_subqueries, full_subquery,
-                                splits)
+from ...query.automorphism import automorphisms
+from ...query.decompose import SubQuery, SubQueryMasks, mask_splits
 from ...query.estimate import CardinalityEstimator
 from ...query.pattern import QueryGraph
 from ...query.symmetry import symmetry_break
@@ -62,23 +62,28 @@ class _Tiebreak(NamedTuple):
       plan's nodes, summed over the tree.  The runtime filters on a
       condition as soon as both vertices are bound, so the earlier a
       plan's sub-queries contain both, the fewer rows it carries.
-    * ``pulled`` — query vertices whose adjacency lists the plan's pulling
-      joins fetch from other machines.  Rows stay on the machine that
-      scanned their ``pivot`` (the root of the first star), so extending
-      from the pivot's own adjacency is local; every other source is a
-      ``GetNbrs`` pull (``pivot`` is ``None`` once a PUSH-JOIN has
-      re-partitioned the rows).
+    * ``pulled`` — query vertices (a vertex mask) whose adjacency lists
+      the plan's pulling joins fetch from other machines.  Rows stay on
+      the machine that scanned their ``pivot`` (the root of the first
+      star), so extending from the pivot's own adjacency is local; every
+      other source is a ``GetNbrs`` pull (``pivot`` is ``None`` once a
+      PUSH-JOIN has re-partitioned the rows).
 
-    More pruning wins, then fewer pulled sources, then ``splits()`` order.
+    More pruning wins, then fewer pulled sources, then
+    :func:`~repro.query.decompose.mask_splits` order.
     """
 
     pruned: int
-    pulled: frozenset[int]
+    pulled: int
     pivot: int | None
 
 
 class Optimiser:
     """Algorithm 1: ``OptimalExecutionPlan(q)``.
+
+    The DP runs over edge-set bitmasks (:class:`SubQueryMasks`); a
+    :class:`SubQuery` is built once per connected mask, for Equation 3
+    and the plan's nodes.
 
     Parameters
     ----------
@@ -105,32 +110,44 @@ class Optimiser:
         self._edges = num_graph_edges
         self._strategy = cost_strategy
         self._avg_degree = avg_degree
-        self._cost: dict[SubQuery, float] = {}
-        self._plan: dict[SubQuery, tuple[SubQuery, SubQuery] | None] = {}
-        self._card: dict[SubQuery, float] = {}
 
     # -- cost pieces -------------------------------------------------------------
 
-    def cardinality(self, sub: SubQuery) -> float:
-        """Estimated ``|R(q')|`` (memoised)."""
-        cached = self._card.get(sub)
-        if cached is None:
-            pattern, _ = sub.to_query_graph()
-            cached = self._estimator.estimate(pattern)
-            self._card[sub] = cached
-        return cached
+    def _cardinalities(self, group: list[tuple[int, ...]],
+                       masks: SubQueryMasks,
+                       subs: dict[int, SubQuery]) -> dict[int, float]:
+        """Estimated ``|R(q')|`` of every connected mask, one estimate per
+        orbit under the query's automorphism ``group``: an automorphic
+        image of a sub-query is isomorphic to it, and estimates are per
+        isomorphism class."""
+        index = {e: i for i, e in enumerate(masks.edges)}
+        images = [[1 << index[(min(p[u], p[v]), max(p[u], p[v]))]
+                   for u, v in masks.edges] for p in group]
+        card: dict[int, float] = {}
+        for m, sub in subs.items():
+            if m in card:
+                continue
+            estimate = self._estimator.estimate(sub.to_query_graph()[0])
+            for image in images:
+                img, bits = 0, m
+                while bits:
+                    low = bits & -bits
+                    img |= image[low.bit_length() - 1]
+                    bits ^= low
+                card[img] = estimate
+        return card
 
-    def _join_extra_cost(self, left: SubQuery, right: SubQuery,
+    def _join_extra_cost(self, left: float, right: float,
                          setting: PhysicalSetting) -> float:
-        shuffle = self.cardinality(left) + self.cardinality(right)
+        """The join's extra term, from its operands' cardinalities."""
+        shuffle = left + right
         if self._strategy == "push-only":
             return shuffle
         if self._strategy == "compute-mat":
             return 0.0
         if self._strategy == "compute-icost":
             if setting.algorithm is JoinAlgorithm.WCO:
-                small = min(self.cardinality(left), self.cardinality(right))
-                return self._avg_degree * small
+                return self._avg_degree * min(left, right)
             return shuffle
         # hybrid (Algorithm 1 lines 7-9)
         if setting.comm is CommMode.PULLING:
@@ -138,8 +155,7 @@ class Optimiser:
             # (k·|E_G|); the data actually pulled is at most one adjacency
             # list per partial result (d̄·|R(q'_l)|), so the tighter of the
             # two is charged
-            touched = self._avg_degree * min(self.cardinality(left),
-                                             self.cardinality(right))
+            touched = self._avg_degree * min(left, right)
             bound = float(self._k * self._edges)
             return min(bound, touched) if self._avg_degree > 0 else bound
         return shuffle
@@ -151,67 +167,73 @@ class Optimiser:
         """Run the DP; return the cheapest plan under the cost strategy."""
         if not query.is_connected() or query.num_vertices < 2:
             raise PlanError(f"query {query.name} must be connected, |V| >= 2")
-        order = symmetry_break(query)
-        tie: dict[SubQuery, _Tiebreak] = {}
-        for sub in connected_subqueries(query):
-            # ascending edge count guarantees children are solved first
-            own = sum(1 for u, v in order
-                      if u in sub.vertices and v in sub.vertices)
-            if sub.is_star():
-                self._cost[sub] = self.cardinality(sub)
-                self._plan[sub] = None
-                tie[sub] = _Tiebreak(own, frozenset(), sub.star_root())
+        group = automorphisms(query)
+        order = symmetry_break(query, group)
+        conditions = [1 << u | 1 << v for u, v in order]
+        masks = SubQueryMasks(query)
+        vmask, star, connected = masks.vmask, masks.star, masks.connected
+        # ascending edge count guarantees children are solved first
+        subs = {m: masks.subquery(m) for m in masks.by_size()}
+        card = self._cardinalities(group, masks, subs)
+        cost: dict[int, float] = {}
+        plan: dict[int, tuple[int, int] | None] = {}
+        tie: dict[int, _Tiebreak] = {}
+        for sub in subs:
+            own = sum(1 for c in conditions if vmask[sub] & c == c)
+            if star[sub]:
+                cost[sub] = card[sub]
+                plan[sub] = None
+                tie[sub] = _Tiebreak(own, 0, subs[sub].star_root())
                 continue
             best: tuple[float, int, int] | None = None
-            for left, right in splits(sub):
-                if left not in self._cost or right not in self._cost:
-                    continue
+            for left, right in mask_splits(sub, connected):
                 # Equation 3, once per candidate: the cost term and the
                 # tie-break read the same evaluation
-                setting, swapped = configure_join(left, right)
-                cost = (self._cost[left] + self._cost[right]
-                        + self.cardinality(sub)
-                        + self._join_extra_cost(left, right, setting))
+                setting, swapped = configure_join(subs[left], subs[right])
+                total = (cost[left] + cost[right] + card[sub]
+                         + self._join_extra_cost(card[left], card[right],
+                                                 setting))
                 pruned = own + tie[left].pruned + tie[right].pruned
-                if best is not None and (cost, -pruned) > best[:2]:
+                if best is not None and (total, -pruned) > best[:2]:
                     continue
-                rows, star = (right, left) if swapped else (left, right)
-                pulled, pivot = _pulled_sources(rows, star, setting, tie)
-                rank = (cost, -pruned, len(pulled))
+                rows, unit = (right, left) if swapped else (left, right)
+                pulled, pivot = _pulled_sources(
+                    vmask[rows], vmask[unit], tie[rows], tie[unit], setting)
+                rank = (total, -pruned, pulled.bit_count())
                 if best is None or rank < best:
                     best = rank
-                    self._plan[sub] = (left, right)
+                    plan[sub] = (left, right)
                     tie[sub] = _Tiebreak(pruned, pulled, pivot)
             if best is None:
-                raise PlanError(f"no decomposition found for {sub}")
-            self._cost[sub] = best[0]
+                raise PlanError(f"no decomposition found for {subs[sub]}")
+            cost[sub] = best[0]
 
-        full = full_subquery(query)
-        return ExecutionPlan(query, self._recover(full), order, name,
-                             self._cost[full])
+        def recover(sub: int) -> PlanNode:
+            split = plan[sub]
+            if split is None:
+                return PlanNode(subs[sub])
+            return PlanNode(subs[sub], recover(split[0]), recover(split[1]))
 
-    def _recover(self, sub: SubQuery) -> PlanNode:
-        split = self._plan[sub]
-        if split is None:
-            return PlanNode(sub)
-        left, right = split
-        return PlanNode(sub, self._recover(left), self._recover(right))
+        return ExecutionPlan(query, recover(masks.full), order, name,
+                             cost[masks.full])
 
 
-def _pulled_sources(rows: SubQuery, star: SubQuery, setting: PhysicalSetting,
-                    tie: dict[SubQuery, _Tiebreak],
-                    ) -> tuple[frozenset[int], int | None]:
-    """``(pulled, pivot)`` of the plan joining ``rows`` with the star side
-    ``star`` under ``setting``."""
-    pulled = tie[rows].pulled | tie[star].pulled
+def _pulled_sources(rows: int, unit: int, rows_tie: _Tiebreak,
+                    unit_tie: _Tiebreak, setting: PhysicalSetting,
+                    ) -> tuple[int, int | None]:
+    """``(pulled, pivot)`` of the plan joining the row side (vertex mask
+    ``rows``) with the star side (``unit``) under ``setting``."""
+    pulled = rows_tie.pulled | unit_tie.pulled
     if setting.comm is not CommMode.PULLING:
         return pulled, None
-    root = setting.star_root
-    leaves = star.vertices - {root}
+    root = 1 << setting.star_root
+    leaves = unit & ~root
     # leaves already bound are intersected / verified against their own
     # lists; new leaves are extended from the (bound) root's list
-    sources = leaves & rows.vertices
-    if root in rows.vertices and not leaves <= rows.vertices:
-        sources |= {root}
-    pivot = tie[rows].pivot
-    return pulled | (sources - {pivot}), pivot
+    sources = leaves & rows
+    if rows & root and leaves & ~rows:
+        sources |= root
+    pivot = rows_tie.pivot
+    if pivot is not None:
+        sources &= ~(1 << pivot)
+    return pulled | sources, pivot

@@ -84,30 +84,27 @@ def configure_join(left: SubQuery,
     """Apply Equation 3 to a join of ``left ⋈ right``.
 
     Returns ``(setting, swapped)`` where ``swapped`` indicates the star
-    side was found on the left, i.e. ``q'_r`` is ``left``.
+    side was found on the left, i.e. ``q'_r`` is ``left``.  Containment
+    is tested on the sub-queries' vertex masks.
     """
-    candidates: list[tuple[PhysicalSetting, bool, bool]] = []
+    root = complete_star_root(left, right)
+    mirrored = complete_star_root(right, left)
+    # prefer the orientation whose root is a genuinely new vertex: a true
+    # extension beats a verify-style join that must first materialise
+    # the star side
+    if mirrored is not None and (root is None or (
+            left.vmask >> root & 1 and not right.vmask >> mirrored & 1)):
+        return (PhysicalSetting(JoinAlgorithm.WCO, CommMode.PULLING,
+                                star_root=mirrored), True)
+    if root is not None:
+        return (PhysicalSetting(JoinAlgorithm.WCO, CommMode.PULLING,
+                                star_root=root), False)
     for l, r, swapped in ((left, right, False), (right, left, True)):
-        root = complete_star_root(l, r)
-        if root is not None:
-            setting = PhysicalSetting(JoinAlgorithm.WCO, CommMode.PULLING,
-                                      star_root=root)
-            candidates.append((setting, swapped, root not in l.vertices))
-    if candidates:
-        # prefer the orientation whose root is a genuinely new vertex: a
-        # true extension beats a verify-style join that must first
-        # materialise the star side
-        candidates.sort(key=lambda c: c[2], reverse=True)
-        setting, swapped, _ = candidates[0]
-        return setting, swapped
-    for l, r, swapped in ((left, right, False), (right, left, True)):
-        if r.is_star():
-            roots = ([r.star_root()] if r.num_vertices > 2
-                     else sorted(r.vertices))
-            in_left = [v for v in roots if v in l.vertices]
-            if in_left:
-                return (PhysicalSetting(JoinAlgorithm.HASH, CommMode.PULLING,
-                                        star_root=in_left[0]), swapped)
+        matched = r.star_mask & l.vmask
+        if matched:
+            root = (matched & -matched).bit_length() - 1
+            return (PhysicalSetting(JoinAlgorithm.HASH, CommMode.PULLING,
+                                    star_root=root), swapped)
     return PhysicalSetting(JoinAlgorithm.HASH, CommMode.PUSHING), False
 
 

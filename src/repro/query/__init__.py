@@ -5,12 +5,10 @@ from .automorphism import automorphisms, automorphism_count, orbits
 from .symmetry import PartialOrder, satisfies_order, symmetry_break
 from .decompose import (
     SubQuery,
+    SubQueryMasks,
     complete_star_root,
-    connected_subqueries,
     full_subquery,
-    is_complete_star_join,
-    splits,
-    star_subqueries,
+    mask_splits,
 )
 from .estimate import (
     CardinalityEstimator,
@@ -31,12 +29,10 @@ __all__ = [
     "satisfies_order",
     "symmetry_break",
     "SubQuery",
+    "SubQueryMasks",
     "complete_star_root",
-    "connected_subqueries",
     "full_subquery",
-    "is_complete_star_join",
-    "splits",
-    "star_subqueries",
+    "mask_splits",
     "CardinalityEstimator",
     "ExactEstimator",
     "RandomGraphEstimator",

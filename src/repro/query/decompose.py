@@ -3,7 +3,8 @@
 Algorithm 1 of the paper searches over *connected subgraphs* ``q' ⊆ q`` and
 all ways to split each ``q'`` into ``q'_l ∪ q'_r`` with disjoint edge sets.
 A sub-query is identified here by the subset of query **edges** it uses
-(its vertex set follows); partial results of a sub-query match exactly
+(its vertex set follows) — in the DP an ``int``, one bit per edge
+(:class:`SubQueryMasks`); partial results of a sub-query match exactly
 those edges, so two sub-queries with the same vertex set but different edge
 sets are distinct DP states.
 
@@ -15,55 +16,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterator
 
 from .pattern import QueryGraph
 
 __all__ = [
     "SubQuery",
+    "SubQueryMasks",
     "full_subquery",
-    "star_subqueries",
-    "connected_subqueries",
-    "splits",
-    "is_complete_star_join",
+    "mask_splits",
     "complete_star_root",
 ]
 
 Edge = tuple[int, int]
 
 
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class SubQuery:
     """A connected subgraph of the query, as a set of query edges.
 
-    Everything derived from the (immutable) edge set is computed once per
-    instance: the optimiser's DP asks each sub-query for its vertices and
-    degrees thousands of times.
+    What Equation 3 reads is computed once per instance, as bitmasks
+    (bit ``v`` for query vertex ``v``): the DP tests containment on one
+    sub-query's masks thousands of times.  The masks do not depend on
+    the query, so a builder's sub-query answers the same tests.
     """
 
     edges: frozenset[Edge]
 
     @cached_property
-    def _adj(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return {v: frozenset(nbrs) for v, nbrs in adj.items()}
-
-    @cached_property
     def vertices(self) -> frozenset[int]:
         """Vertices covered by the sub-query's edges."""
-        return frozenset(self._adj)
+        return frozenset(v for e in self.edges for v in e)
+
+    @cached_property
+    def vmask(self) -> int:
+        """The vertex set as a bitmask: bit ``v`` for query vertex ``v``."""
+        return sum(1 << v for v in self.vertices)
+
+    @cached_property
+    def star_mask(self) -> int:
+        """The vertices every edge meets: both endpoints of a single edge,
+        the centre of a larger star, ``0`` for anything else — i.e. the
+        valid star roots."""
+        common = -1
+        for u, v in self.edges:
+            common &= 1 << u | 1 << v
+        return common if self.edges else 0
 
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return len(self.vertices)
 
     @property
     def num_edges(self) -> int:
@@ -75,42 +77,18 @@ class SubQuery:
 
     def neighbours(self, v: int) -> frozenset[int]:
         """Neighbours of ``v`` within this sub-query."""
-        return self._adj.get(v, frozenset())
-
-    @cached_property
-    def _connected(self) -> bool:
-        adj = self._adj
-        if not adj:
-            return True
-        seen = {next(iter(adj))}
-        frontier = list(seen)
-        while frontier:
-            for v in adj[frontier.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == len(adj)
-
-    def is_connected(self) -> bool:
-        """Whether the sub-query's edges form one connected component."""
-        return self._connected
-
-    @cached_property
-    def _star(self) -> bool:
-        # a tree whose edges all meet in one root; a single edge is a 1-star
-        n = len(self._adj)
-        return (len(self.edges) == n - 1
-                and any(len(nbrs) == n - 1 for nbrs in self._adj.values()))
+        return frozenset(b if a == v else a for a, b in self.edges
+                         if v in (a, b))
 
     def is_star(self) -> bool:
         """Whether this sub-query is a star (single edge counts as a 1-star)."""
-        return self._star
+        return self.star_mask != 0
 
     def star_root(self) -> int:
         """The root of this star; for a single edge, the smaller endpoint."""
-        if not self.is_star():
+        if not self.star_mask:
             raise ValueError(f"{self} is not a star")
-        return max(self.vertices, key=lambda v: (self.degree(v), -v))
+        return _low_vertex(self.star_mask)
 
     def star_leaves(self) -> frozenset[int]:
         """Leaves of this star."""
@@ -137,98 +115,86 @@ class SubQuery:
         return f"SubQuery({sorted(self.edges)})"
 
 
+def _low_vertex(mask: int) -> int:
+    """The lowest vertex (bit index) of a non-empty vertex mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def full_subquery(q: QueryGraph) -> SubQuery:
     """The sub-query consisting of every edge of ``q``."""
     return SubQuery(frozenset(q.edges))
 
 
-def star_subqueries(q: QueryGraph) -> Iterator[SubQuery]:
-    """All stars ``(v; L)`` with ``L ⊆ N_q(v)``, ``|L| ≥ 1``.
+class SubQueryMasks:
+    """Every edge subset of ``q`` as an ``int``: bit ``i`` is the ``i``-th
+    edge of ``sorted(q.edges)``.
 
-    These are the join units.  Single edges are emitted once (as the star
-    rooted at the smaller endpoint).
+    Three tables over all ``2^|E_q|`` masks are built in one ascending
+    pass, each mask from the mask without its lowest edge: ``vmask``
+    (covered vertices, bit ``v`` for vertex ``v``), ``star`` (the vertices
+    every edge meets, as :attr:`SubQuery.star_mask`) and ``connected``.
+    A connected set of two or more edges stays connected without one of
+    them — a non-tree edge, or a leaf edge of a tree — so a mask is
+    connected iff dropping some edge leaves a connected mask that the
+    edge touches.  ``≤ 2^7`` masks for q1–q8, ``2^10`` for the
+    five-vertex clique.
     """
-    seen: set[frozenset[Edge]] = set()
-    for v in q.vertices():
-        nbrs = sorted(q.neighbours(v))
-        for size in range(1, len(nbrs) + 1):
-            for leaves in combinations(nbrs, size):
-                edges = frozenset(_norm(v, u) for u in leaves)
-                if edges not in seen:
-                    seen.add(edges)
-                    yield SubQuery(edges)
+
+    def __init__(self, q: QueryGraph):
+        self.edges = sorted(q.edges)
+        ebits = [1 << u | 1 << v for u, v in self.edges]
+        size = 1 << len(ebits)
+        vmask = [0] * size
+        star = [-1] + [0] * (size - 1)  # -1: the identity of ``&``
+        connected = [False] * size
+        for m in range(1, size):
+            low = m & -m
+            vmask[m] = vmask[m ^ low] | ebits[low.bit_length() - 1]
+            star[m] = star[m ^ low] & ebits[low.bit_length() - 1]
+            connected[m] = bool(star[m]) or any(
+                connected[m ^ 1 << i] and vmask[m ^ 1 << i] & ebits[i]
+                for i in range(len(ebits)) if m >> i & 1)
+        star[0] = 0
+        self.vmask = vmask
+        self.star = star
+        self.connected = connected
+        self.full = size - 1
+
+    def subquery(self, mask: int) -> SubQuery:
+        """The :class:`SubQuery` of ``mask``'s edges."""
+        return SubQuery(frozenset(e for i, e in enumerate(self.edges)
+                                  if mask >> i & 1))
+
+    def by_size(self) -> list[int]:
+        """The connected masks in ascending edge count — every proper
+        connected sub-mask comes before its supersets."""
+        return sorted((m for m in range(1, self.full + 1)
+                       if self.connected[m]), key=int.bit_count)
 
 
-def connected_subqueries(q: QueryGraph) -> Iterator[SubQuery]:
-    """All connected edge-subsets of ``q``, in ascending edge count.
+def mask_splits(mask: int, connected: list[bool]) -> Iterator[tuple[int, int]]:
+    """All ways to write ``mask = l | r`` with disjoint, non-empty,
+    connected sides (paper Algorithm 1 line 5), each unordered split
+    once, larger side first.
 
-    Enumerated by growing connected sets one adjacent edge at a time, with
-    canonical-parent dedup via a visited set (queries are tiny, ≤ ~10
-    edges, so the 2^|E| worst case is fine).
+    The lowest edge stays on the left and the rest of the left side runs
+    over the sub-masks of the other edges in ascending order — the order
+    the DP's final tie-break (the first of equal plans) is defined by.
     """
-    all_edges = sorted(q.edges)
-    seen: set[frozenset[Edge]] = set()
-    frontier: list[frozenset[Edge]] = []
-    for e in all_edges:
-        s = frozenset([e])
-        seen.add(s)
-        frontier.append(s)
-    by_size: dict[int, list[frozenset[Edge]]] = {1: list(frontier)}
-    size = 1
-    while by_size.get(size):
-        nxt: list[frozenset[Edge]] = []
-        for s in by_size[size]:
-            verts = {v for e in s for v in e}
-            for e in all_edges:
-                if e in s:
-                    continue
-                if e[0] in verts or e[1] in verts:
-                    s2 = s | {e}
-                    if s2 not in seen:
-                        seen.add(s2)
-                        nxt.append(s2)
-        if nxt:
-            by_size[size + 1] = nxt
-        size += 1
-    for sz in sorted(by_size):
-        for s in by_size[sz]:
-            yield SubQuery(s)
-
-
-def splits(sub: SubQuery) -> Iterator[tuple[SubQuery, SubQuery]]:
-    """All ways to write ``sub = q'_l ∪ q'_r`` with disjoint edge sets and
-    both sides connected (paper Algorithm 1 line 5).
-
-    Each unordered split is yielded once, larger side first.
-    """
-    edges = sorted(sub.edges)
-    m = len(edges)
-    if m < 2:
-        return
-    # fix edges[0] on the left side to avoid yielding mirrored splits
-    rest = edges[1:]
-    for mask in range(1 << (m - 1)):
-        left_edges = frozenset([edges[0]]) | frozenset(
-            e for i, e in enumerate(rest) if mask >> i & 1)
-        right_edges = sub.edges - left_edges
-        if not right_edges:
-            continue
-        left, right = SubQuery(left_edges), SubQuery(right_edges)
-        if not (left.is_connected() and right.is_connected()):
-            continue
-        if left.num_edges >= right.num_edges:
-            yield left, right
-        else:
-            yield right, left
-
-
-def _star_root_choices(star: SubQuery) -> list[int]:
-    """Valid root choices for a star: both endpoints of a single edge,
-    otherwise the unique centre."""
-    verts = sorted(star.vertices)
-    if len(verts) == 2:
-        return verts
-    return [star.star_root()]
+    low = mask & -mask
+    rest = mask ^ low
+    sub = 0
+    while True:
+        left = low | sub
+        right = mask ^ left
+        if right and connected[left] and connected[right]:
+            if left.bit_count() >= right.bit_count():
+                yield left, right
+            else:
+                yield right, left
+        if sub == rest:
+            return
+        sub = (sub - rest) & rest
 
 
 def complete_star_root(left: SubQuery, right: SubQuery) -> int | None:
@@ -239,18 +205,13 @@ def complete_star_root(left: SubQuery, right: SubQuery) -> int | None:
     edge either endpoint may serve as the root; a root **not** already in
     ``left`` is preferred since it represents a genuinely new vertex.
     """
-    if not right.is_star():
+    roots = right.star_mask
+    if not roots:
         return None
-    valid = [r for r in _star_root_choices(right)
-             if (right.vertices - {r}) <= left.vertices]
-    if not valid:
+    # root r is valid iff every other vertex of ``right`` is in ``left``
+    outside = right.vmask & ~left.vmask
+    if not outside:
+        return _low_vertex(roots)
+    if outside & (outside - 1) or not outside & roots:
         return None
-    new_roots = [r for r in valid if r not in left.vertices]
-    return (new_roots or valid)[0]
-
-
-def is_complete_star_join(left: SubQuery, right: SubQuery) -> bool:
-    """Definition 3.1: the join is a *complete star join* iff ``right`` is a
-    star ``(v; L)`` with ``L ⊆ V(left)``."""
-    return complete_star_root(left, right) is not None
-
+    return _low_vertex(outside)

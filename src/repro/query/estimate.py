@@ -63,7 +63,9 @@ class _CachedEstimator:
     """Shared memoisation for the concrete estimators, one entry per
     isomorphism class: the class's canonical form is what gets estimated,
     so an estimate is a function of (graph, class) — a relabelled pattern
-    reads the same number and costs no second estimate."""
+    reads the same number and costs no second estimate.  A star is
+    recognised before any canonicalisation: star-ness is an isomorphism
+    invariant and its count reads only the leaf count."""
 
     def __init__(self, graph: Graph):
         self._graph = graph
@@ -74,14 +76,12 @@ class _CachedEstimator:
         return self._graph
 
     def estimate(self, pattern: QueryGraph) -> float:
+        if pattern.is_star():
+            return max(star_count(self._graph, pattern.num_vertices - 1), 1.0)
         canon, _ = pattern.canonical_form()
         cached = self._cache.get(canon)
         if cached is None:
-            if canon.is_star():
-                leaves = canon.num_vertices - 1
-                cached = max(star_count(self._graph, leaves), 1.0)
-            else:
-                cached = max(self._estimate(canon), 1.0)
+            cached = max(self._estimate(canon), 1.0)
             self._cache[canon] = cached
         return cached
 
@@ -116,6 +116,13 @@ class SamplingEstimator(_CachedEstimator):
     The trials advance together, one pattern vertex per step, as one
     batch through the engine's PULL-EXTEND step
     (:func:`~repro.core.kernels.extend_step`).
+
+    Every walk starts from ``default_rng(seed)``, so after ``i`` steps
+    the walk state — rows, weights and generator state — depends only on
+    the first ``i`` steps' back-lists.  The state is kept per back-list
+    prefix, next to the class memo, and a walk resumes from the longest
+    prefix already walked: the same draws, so each estimate is
+    bit-identical to a walk of its own, whatever was estimated before.
     """
 
     def __init__(self, graph: Graph, trials: int = 400, seed: int = 11):
@@ -124,6 +131,8 @@ class SamplingEstimator(_CachedEstimator):
             raise ValueError("need at least one trial")
         self._trials = trials
         self._seed = seed
+        self._walks: dict[tuple[tuple[int, ...], ...],
+                          tuple[np.ndarray, np.ndarray, dict]] = {}
 
     def _extension_order(self, pattern: QueryGraph) -> list[int]:
         """A connected vertex order starting from a max-degree vertex."""
@@ -144,16 +153,25 @@ class SamplingEstimator(_CachedEstimator):
         n = g.num_vertices
         if n == 0:
             return 0.0
-        rng = np.random.default_rng(self._seed)
         order = self._extension_order(pattern)
-        # all walks at once: row = one partial embedding (columns in
-        # ``order``), ``weight`` = its Horvitz–Thompson weight so far
-        rows = rng.integers(n, size=(self._trials, 1))
-        weight = np.full(self._trials, float(n))
-        for i in range(1, len(order)):
-            back = [j for j in range(i)
-                    if order[j] in pattern.neighbours(order[i])]
-            cand, _, counts, _ = extend_step(g, rows, back, (), ())
+        steps = tuple(tuple(j for j in range(i)
+                            if order[j] in pattern.neighbours(order[i]))
+                      for i in range(1, len(order)))
+        if not self._walks:
+            # all walks at once: row = one partial embedding (columns in
+            # ``order``), ``weight`` = its Horvitz–Thompson weight so far
+            rng = np.random.default_rng(self._seed)
+            self._walks[()] = (rng.integers(n, size=(self._trials, 1)),
+                               np.full(self._trials, float(n)),
+                               rng.bit_generator.state)
+        done = len(steps)
+        while steps[:done] not in self._walks:
+            done -= 1
+        rows, weight, state = self._walks[steps[:done]]
+        rng = np.random.default_rng(self._seed)
+        rng.bit_generator.state = state
+        for i in range(done, len(steps)):
+            cand, _, counts, _ = extend_step(g, rows, steps[i], (), ())
             alive = counts > 0
             counts = counts[alive]
             # candidates are grouped by row, so row r's are the slice
@@ -161,6 +179,7 @@ class SamplingEstimator(_CachedEstimator):
             pick = np.cumsum(counts) - counts + rng.integers(counts)
             rows = np.column_stack((rows[alive], cand[pick]))
             weight = weight[alive] * counts
+            self._walks[steps[:i + 1]] = rows, weight, rng.bit_generator.state
         ordered = float(weight.sum()) / self._trials
         return ordered / automorphism_count(pattern)
 

@@ -24,15 +24,18 @@ __all__ = ["symmetry_break", "satisfies_order", "PartialOrder"]
 PartialOrder = frozenset[tuple[int, int]]
 
 
-def symmetry_break(q: QueryGraph) -> PartialOrder:
+def symmetry_break(q: QueryGraph,
+                   group: list[tuple[int, ...]] | None = None) -> PartialOrder:
     """Compute a symmetry-breaking partial order for ``q``.
 
     Returns conditions ``(u, v)`` meaning the data vertex matched to ``u``
     must have a smaller ID than the one matched to ``v``.  The empty set is
-    returned for asymmetric queries.
+    returned for asymmetric queries.  ``group`` is ``automorphisms(q)``
+    when the caller already has it.
     """
     conditions: set[tuple[int, int]] = set()
-    group = automorphisms(q)
+    if group is None:
+        group = automorphisms(q)
     while len(group) > 1:
         non_trivial = [o for o in orbits(q, group) if len(o) > 1]
         if not non_trivial:  # pragma: no cover - defensive; cannot happen

@@ -10,9 +10,15 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.graph import Graph, generators as gen
-from repro.query import (QUERIES, ExactEstimator, RandomGraphEstimator,
-                         SamplingEstimator, connected_subqueries, get_query,
-                         star_count)
+from repro.query import (QUERIES, ExactEstimator, QueryGraph,
+                         RandomGraphEstimator, SamplingEstimator,
+                         SubQueryMasks, get_query, star_count)
+
+
+def subquery_patterns(q):
+    """Every connected sub-query of ``q`` as a dense pattern."""
+    masks = SubQueryMasks(q)
+    return [masks.subquery(m).to_query_graph()[0] for m in masks.by_size()]
 
 
 class TestStarCount:
@@ -129,13 +135,80 @@ class TestSamplingEstimator:
                 return super()._estimate(pattern)
 
         est = Counting(ba_graph, trials=20)
-        subs = [sub.to_query_graph()[0]
-                for sub in connected_subqueries(get_query("q3"))]
+        subs = subquery_patterns(get_query("q3"))
         for pattern in subs:
             est.estimate(pattern)
         classes = {p.canonical_key() for p in subs if not p.is_star()}
         assert len(calls) == len(classes) < len(subs)
         assert all(p == p.canonical_form()[0] for p in calls)
+
+
+class TestPureEstimates:
+    """An estimate is a pure function of (graph, class, trials, seed):
+    the walk state an estimator keeps per back-list prefix, and the
+    stars it answers without canonicalising, change no float."""
+
+    @pytest.fixture(scope="class", params=["GO", "EU"])
+    def graph(self, request):
+        from repro.graph import load_dataset
+
+        return load_dataset(request.param)
+
+    @pytest.fixture(scope="class")
+    def patterns(self):
+        from repro.apps.mining import connected_patterns
+
+        found = {}
+        for p in [*(p for k in range(2, 6) for p in connected_patterns(k)),
+                  *(p for name in sorted(QUERIES) if name != "triangle"
+                    for p in subquery_patterns(get_query(name)))]:
+            found.setdefault(p.canonical_key(), p)
+        return list(found.values())
+
+    def test_estimates_do_not_depend_on_order_or_sharing(self, graph,
+                                                         patterns):
+        import random
+
+        solo = [SamplingEstimator(graph).estimate(p) for p in patterns]
+        for seed in (1, 2, 3):
+            order = list(range(len(patterns)))
+            random.Random(seed).shuffle(order)
+            shared = SamplingEstimator(graph)
+            got = {i: shared.estimate(patterns[i]) for i in order}
+            assert [got[i] for i in range(len(patterns))] == solo
+
+    def test_stars_skip_canonicalisation(self, graph, monkeypatch):
+        calls = []
+        canonical_form = QueryGraph.canonical_form
+
+        def counted(pattern):
+            calls.append(pattern)
+            return canonical_form(pattern)
+
+        monkeypatch.setattr(QueryGraph, "canonical_form", counted)
+        est = SamplingEstimator(graph)
+        for leaves in range(1, 6):
+            # the root numbered last, so no star is in canonical form
+            star = QueryGraph(leaves + 1, [(v, leaves) for v in range(leaves)])
+            assert est.estimate(star) == max(star_count(graph, leaves), 1.0)
+        assert calls == []
+
+    def test_planning_q3_asks_once_per_orbit(self, graph):
+        from repro.cluster import Cluster
+        from repro.core import HugeEngine
+
+        # 60 connected sub-queries, 9 orbits under Aut(q3) = S4
+        asked = []
+
+        class Counting(SamplingEstimator):
+            def estimate(self, pattern):
+                asked.append(pattern)
+                return super().estimate(pattern)
+
+        HugeEngine(Cluster(graph, num_machines=10),
+                   estimator=Counting(graph)).plan(get_query("q3"))
+        assert len(SubQueryMasks(get_query("q3")).by_size()) == 60
+        assert len(asked) <= 9
 
 
 def test_estimator_imports_before_the_engine():

@@ -22,7 +22,12 @@ from repro.core.plan import (CommMode, ExecutionPlan, JoinAlgorithm,
 from repro.graph import generators as gen
 from repro.query import (QUERIES, ExactEstimator, SamplingEstimator, SubQuery,
                          full_subquery, get_query)
-from repro.testing.goldens import PLAN_GOLDEN_DATASETS, capture_plan_goldens
+from repro.graph import load_dataset
+from repro.testing.goldens import (PLAN_GOLDEN_DATASETS, PLAN_GOLDEN_MACHINES,
+                                   PLAN_GOLDEN_QUERIES, capture_plan_goldens)
+
+_DP_PINS = os.path.join(os.path.dirname(__file__), "golden",
+                        "optimiser_dp.json")
 
 
 def sq(*edges):
@@ -294,6 +299,51 @@ class TestPlanGoldens:
             f"plans.json and list each moved plan in EXPERIMENTS.md")
 
 
+def capture_dp_pins() -> dict:
+    """``{dataset: {customer: {query: [float.hex(cost), *structure]}}}``
+    for every caller of :class:`Optimiser`, q1–q8 at ``k = 10``, one
+    default :class:`SamplingEstimator` per dataset.  Regenerate with
+    ``PYTHONPATH=src:tests python -c "import json, test_plan;
+    print(json.dumps(test_plan.capture_dp_pins(), indent=1,
+    sort_keys=True, ensure_ascii=False))" > tests/golden/optimiser_dp.json``."""
+    out = {}
+    for data in PLAN_GOLDEN_DATASETS:
+        graph = load_dataset(data)
+        est = SamplingEstimator(graph)
+        engine = HugeEngine(Cluster(graph, num_machines=PLAN_GOLDEN_MACHINES),
+                            estimator=est)
+        customers = {
+            "huge": engine.plan,
+            "seed": lambda q: seed_plan(q, est),
+            "emptyheaded": lambda q: emptyheaded_plan(q, est),
+            "graphflow": lambda q: graphflow_plan(q, est, graph.avg_degree),
+        }
+        out[data] = {
+            name: {q: [float.hex(plan.estimated_cost), *plan.structure()]
+                   for q in PLAN_GOLDEN_QUERIES
+                   for plan in [build(get_query(q))]}
+            for name, build in customers.items()}
+    return out
+
+
+class TestDPArithmetic:
+    """Every customer of the DP — Algorithm 1 on the engine and the
+    SEED / EmptyHeaded / GraphFlow cost strategies — is pinned to the
+    bit: the estimated cost as ``float.hex`` and the chosen structure.
+    A faster DP must add the same floats in the same order and break
+    every tie the same way."""
+
+    def test_costs_and_structures_are_pinned(self):
+        with open(_DP_PINS, encoding="utf-8") as f:
+            want = json.load(f)
+        got = capture_dp_pins()
+        moved = [(data, customer, q)
+                 for data in want for customer in want[data]
+                 for q in want[data][customer]
+                 if got[data][customer][q] != want[data][customer][q]]
+        assert not moved and got == want, moved
+
+
 class TestPluginPlans:
     @pytest.mark.parametrize("name", ["q1", "q2", "q3", "q4", "q6", "q7"])
     def test_wco_plan_is_left_deep_extensions(self, name):
@@ -301,11 +351,12 @@ class TestPluginPlans:
         plan = wco_plan(q)
         assert plan.root.is_left_deep()
         # every join is a complete star join (vertex extension)
-        from repro.query import is_complete_star_join
+        from repro.query import complete_star_root
 
         for node in plan.joins():
             assert node.operands == (node.left, node.right)
-            assert is_complete_star_join(node.left.sub, node.right.sub)
+            assert complete_star_root(node.left.sub,
+                                      node.right.sub) is not None
 
     def test_wco_order_is_connected(self):
         q = get_query("q5")
