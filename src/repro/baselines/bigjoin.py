@@ -26,7 +26,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..core.dataflow import ExtendSpec
-from ..core.kernels import csr_gather, edge_member
+from ..core.kernels import csr_gather
 from ..core.plan.plans import greedy_order
 from ..core.plan.translate import order_chain
 from ..core.stealing import distribute_to_workers
@@ -131,10 +131,8 @@ class BigJoinEngine(BaselineEngine):
         k = cluster.num_machines
         graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
-        comp = graph.composite_index()
         probe_ticks = cluster.probe_ticks
         t = cost.ticks
-        nv = graph.num_vertices
         bpi = cost.bytes_per_id
         arity = len(spec.out_schema) - 1
         w = len(spec.ext)
@@ -164,7 +162,7 @@ class BigJoinEngine(BaselineEngine):
             for i in range(1, w):
                 carried.append(counts)
                 row_ids = np.repeat(np.arange(nrows), counts)
-                keep = edge_member(comp, nv, hop_verts[row_ids, i], cand)
+                keep = graph.has_edges(hop_verts[row_ids, i], cand)
                 cand = cand[keep]
                 counts = np.bincount(row_ids[keep], minlength=nrows)
             base = c0 * (t.intersect

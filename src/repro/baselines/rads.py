@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
-from ..core.kernels import csr_gather, edge_member
+from ..core.kernels import csr_gather
 from ..core.plan.plans import rads_plan
 from ..core.plan.tree import ExecutionPlan
 from ..core.stealing import chunked_distribution
@@ -148,8 +148,6 @@ class RadsEngine(BaselineEngine):
         metrics = cluster.metrics
         graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
-        comp = graph.composite_index()
-        nv = graph.num_vertices
         root = star.star_root()
         if root not in schema:
             raise ValueError("RADS star root must already be matched")
@@ -188,7 +186,7 @@ class RadsEngine(BaselineEngine):
             # verify matched leaves: edges (root, v) for v in V1
             ok = np.ones(nrows, dtype=bool)
             for v in v1:
-                ok &= edge_member(comp, nv, roots, part[:, schema.index(v)])
+                ok &= graph.has_edges(roots, part[:, schema.index(v)])
             kept_per_row = np.zeros(nrows, dtype=np.int64)
             if not v2:
                 n_ok = int(ok.sum())

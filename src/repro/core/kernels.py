@@ -9,17 +9,19 @@ holds the array programs themselves:
 
 * :func:`hash_destinations` — the routing function of every hash shuffle,
   *defined* here as an xxHash-style integer mix over the key columns.
-* :func:`edge_composite_index` / :func:`edge_member` /
-  :func:`edge_member_rows` — the whole data graph's edge set as one sorted
-  ``u * n + v`` array, answering batched "is ``v`` adjacent to ``u``"
-  membership tests with one ``searchsorted``.
 * :func:`csr_gather` / :func:`fused_extend_candidates` /
   :func:`fused_verify_mask` — PULL-EXTEND's candidate pass: the symmetry
-  order as a window on the smallest sorted list, the gather, then one
-  membership probe and one compaction per remaining list, label and
-  distinctness filters on the survivors.  :func:`extend_block` is the
-  whole step for a gathered block (by-length sort, then the fused pass);
-  :func:`extend_step` gathers the block for one ``ExtendSpec`` first.
+  order as a window on the smallest sorted list (a ``searchsorted`` on the
+  graph's composite index ``u * n + v``, where a key's position is its
+  arc's position in CSR), the gather, then one membership probe and one
+  compaction per remaining list, label and distinctness filters on the
+  survivors.  Membership is the graph's
+  (:meth:`~repro.graph.graph.Graph.has_arc_keys`): a probe is a composite
+  key, answered by a hashed slot table once the snapshot has served
+  enough probes to pay for it, by the composite index before.
+  :func:`extend_block` is the whole step for a gathered block (by-length
+  sort, then the fused pass); :func:`extend_step` gathers the block for
+  one ``ExtendSpec`` first.
 * :func:`join_pairs` / :func:`join_blocks` / :func:`join_chunks` — the
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
@@ -43,8 +45,6 @@ __all__ = [
     "chunk_charges",
     "csr_gather",
     "edge_composite_index",
-    "edge_member",
-    "edge_member_rows",
     "extend_block",
     "extend_step",
     "fused_extend_candidates",
@@ -94,52 +94,10 @@ def intersect_sorted(cand: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 
 def edge_composite_index(graph) -> np.ndarray:
-    """Sorted composite edge keys ``u * n + v`` of the whole data graph.
-
-    Built and cached by :meth:`~repro.graph.graph.Graph.composite_index`
-    (deterministic derived data of an immutable snapshot, so every run
-    and every shm attach shares one O(E) haystack).  One binary search
-    answers "is ``v`` adjacent to ``u``" for any pair — or "where does
-    ``u``'s sorted list pass ``v``", which is a symmetry bound as a slice
-    — so a batch's membership tests and windows are vectorised
-    ``searchsorted`` calls.
-    """
+    """:meth:`~repro.graph.graph.Graph.composite_index`, under the name the
+    perf benchmark's ``stream-updates`` replay times it by; code in the
+    package calls the method."""
     return graph.composite_index()
-
-
-def edge_member(comp: np.ndarray, num_vertices: int, src: np.ndarray,
-                dst: np.ndarray) -> np.ndarray:
-    """Vectorised adjacency test against a composite edge index:
-    is ``dst[i]`` a neighbour of ``src[i]``?"""
-    if len(comp) == 0:
-        return np.zeros(len(src), dtype=bool)
-    q = src * num_vertices + dst
-    idx = np.searchsorted(comp, q)
-    idx[idx == len(comp)] = 0
-    return comp[idx] == q
-
-
-def edge_member_rows(comp: np.ndarray, num_vertices: int, srcs: np.ndarray,
-                     dst: np.ndarray) -> np.ndarray:
-    """Conjunction of adjacency tests across the columns of ``srcs``.
-
-    Row ``i`` is ``True`` iff ``dst[i]`` is adjacent to **every**
-    ``srcs[i, w]`` — VERIFY's membership test, where each row has one
-    fixed target and nothing to shrink, so all ``W`` columns resolve
-    through **one** ``searchsorted`` over the stacked composite keys
-    instead of ``W`` separate :func:`edge_member` passes.  Bit-for-bit
-    equal to ANDing the per-column results (boolean algebra has no
-    rounding).
-    """
-    E, W = srcs.shape
-    if E == 0 or W == 0:
-        return np.ones(E, dtype=bool)
-    if len(comp) == 0:
-        return np.zeros(E, dtype=bool)
-    q = (srcs * num_vertices + dst[:, None]).ravel()
-    idx = np.searchsorted(comp, q)
-    idx[idx == len(comp)] = 0
-    return (comp[idx] == q).reshape(E, W).all(axis=1)
 
 
 def _gather_slices(indices: np.ndarray, start: np.ndarray,
@@ -165,24 +123,28 @@ def csr_gather(indptr: np.ndarray, indices: np.ndarray,
     return _gather_slices(indices, start, indptr[vids + 1] - start)
 
 
-def fused_verify_mask(comp: np.ndarray, num_vertices: int,
-                      verts: np.ndarray, targets: np.ndarray,
+def fused_verify_mask(graph, verts: np.ndarray, targets: np.ndarray,
                       labels: np.ndarray | None = None,
                       new_label: int | None = None) -> np.ndarray:
     """Fused VERIFY: does each row's target close every pattern edge?
 
-    One stacked membership pass plus the label filter; replaces the
-    per-extend-column :func:`edge_member` loop with identical output.
+    Row ``i`` is ``True`` iff ``targets[i]`` is adjacent to **every**
+    ``verts[i, w]`` and carries ``new_label``.  Each row has one fixed
+    target and nothing to shrink, so all ``W`` columns go to the graph as
+    one stacked batch of composite keys.
     """
-    found = edge_member_rows(comp, num_vertices, verts, targets)
+    E, W = verts.shape
+    found = np.ones(E, dtype=bool)
+    if E and W:
+        keys = verts * graph.num_vertices + targets[:, None]
+        found = graph.has_arc_keys(keys.ravel()).reshape(E, W).all(axis=1)
     if new_label is not None and labels is not None:
         found &= labels[targets] == new_label
     return found
 
 
-def fused_extend_candidates(indptr: np.ndarray, indices: np.ndarray,
-                            comp: np.ndarray, num_vertices: int,
-                            rows: np.ndarray, verts_sorted: np.ndarray,
+def fused_extend_candidates(graph, rows: np.ndarray,
+                            verts_sorted: np.ndarray,
                             lt: Sequence[int], gt: Sequence[int],
                             labels: np.ndarray | None = None,
                             new_label: int | None = None,
@@ -194,18 +156,21 @@ def fused_extend_candidates(indptr: np.ndarray, indices: np.ndarray,
 
     * **Window first.**  The symmetry order bounds a row's candidates to
       ``max(rows[:, gt]) < c < min(rows[:, lt])``.  Adjacency lists are
-      sorted and a key's position in ``comp`` is its arc's position in
-      ``indices``, so the bounds are a slice of the smallest list — two
-      row-level searches — and what lies outside is never gathered.  An
-      empty window (``hi <= lo``) clamps to length 0; ``lo == n`` lands
-      on ``indptr[v0 + 1]`` because ``v0 * n + n`` is the next vertex's
-      first possible key.
+      sorted and a key's position in the composite index is its arc's
+      position in ``indices``, so the bounds are a slice of the smallest
+      list — two row-level searches — and what lies outside is never
+      gathered.  An empty window (``hi <= lo``) clamps to length 0;
+      ``lo == n`` lands on ``indptr[v0 + 1]`` because ``v0 * n + n`` is
+      the next vertex's first possible key.
     * **Shrink as you go.**  Every other list is probed one column at a
       time with a compaction after each, so a list only sees what the
-      lists before it left; the label filter and the distinctness test
-      (against *every* column of the partial match — a CSR handed to
-      ``Graph(indptr, indices)`` may carry self-loops, so adjacency does
-      not imply distinctness) run on the survivors only.
+      lists before it left: the probe keys are the row's ``v * n``
+      spread by ``row_ids`` plus the candidate, and the graph answers
+      them (:meth:`~repro.graph.graph.Graph.has_arc_keys`).  The label
+      filter and the distinctness test (against *every* column of the
+      partial match — a CSR handed to ``Graph(indptr, indices)`` may
+      carry self-loops, so adjacency does not imply distinctness) run on
+      the survivors only.
 
     Every filter is a boolean conjunction and compaction keeps (row,
     ascending id) order, so the returned ``(cand, row_ids, counts)``
@@ -215,17 +180,19 @@ def fused_extend_candidates(indptr: np.ndarray, indices: np.ndarray,
     not this function's business: callers compute it from the full
     sorted lengths, windowed or not.
     """
+    indptr, comp, n = (graph.indptr, graph.composite_index(),
+                       graph.num_vertices)
     v0 = verts_sorted[:, 0]
-    start = (np.searchsorted(comp, v0 * num_vertices
-                             + (rows[:, list(gt)].max(axis=1) + 1))
+    start = (np.searchsorted(comp, v0 * n + rows[:, list(gt)].max(axis=1)
+                             + 1)
              if len(gt) else indptr[v0])
-    stop = (np.searchsorted(comp, v0 * num_vertices
-                            + rows[:, list(lt)].min(axis=1))
+    stop = (np.searchsorted(comp, v0 * n + rows[:, list(lt)].min(axis=1))
             if len(lt) else indptr[v0 + 1])
-    row_ids, cand = _gather_slices(indices, start,
+    row_ids, cand = _gather_slices(graph.indices, start,
                                    np.maximum(stop - start, 0))
     for w in range(1, verts_sorted.shape[1]):
-        keep = edge_member(comp, num_vertices, verts_sorted[row_ids, w], cand)
+        base = verts_sorted[:, w] * n
+        keep = graph.has_arc_keys(base[row_ids] + cand)
         cand, row_ids = cand[keep], row_ids[keep]
     if new_label is not None and labels is not None:
         keep = labels[cand] == new_label
@@ -260,8 +227,7 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
         row = np.arange(len(rows))[:, None]
         verts, lens = verts[row, by_len], lens[row, by_len]
     cand, row_ids, counts = fused_extend_candidates(
-        graph.indptr, graph.indices, graph.composite_index(),
-        graph.num_vertices, rows, verts, lt, gt, labels, new_label)
+        graph, rows, verts, lt, gt, labels, new_label)
     return cand, row_ids, counts, lens
 
 

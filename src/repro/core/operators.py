@@ -243,8 +243,7 @@ class ExtendOp:
 
         if spec.is_verify:
             lens = np.sort(lens, axis=1)
-            found = fused_verify_mask(g.composite_index(), g.num_vertices,
-                                      verts, rows[:, spec.verify_pos],
+            found = fused_verify_mask(g, verts, rows[:, spec.verify_pos],
                                       labels, spec.new_label)
             produced = found.astype(np.int64)
             emits = produced * (1 if count_only else in_arity)

@@ -8,8 +8,14 @@ columnar arrays a worker actually touches into POSIX shared memory:
 * the CSR arrays ``indptr``/``indices`` of :class:`~repro.graph.graph.Graph`
   (already immutable int64);
 * the global edge-composite index ``u * n + v`` of
-  :func:`~repro.core.kernels.edge_composite_index` (the one ``searchsorted``
-  haystack behind every fused membership test).
+  :meth:`~repro.graph.graph.Graph.composite_index` (the ``searchsorted``
+  haystack behind every symmetry window and membership fallback).
+
+The graph's hashed arc slot table (:meth:`~repro.graph.graph.Graph.arc_table`)
+is not a segment: a child builds its own, lazily, once its attached
+snapshot has answered enough probes — the same trigger as in the parent.
+Exporting it would make every registered version pay the O(E) build up
+front whether or not any query probes it.
 
 A :class:`SharedGraphHandle` is a pickle-cheap description (segment names,
 shapes, dtypes) that a child turns back into a zero-copy, **read-only**
@@ -36,7 +42,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..graph.graph import Graph
-from .kernels import edge_composite_index
 
 __all__ = ["SharedArraySpec", "SharedGraphHandle", "SharedGraphStore"]
 
@@ -163,8 +168,7 @@ class SharedGraphStore:
             dataset=dataset, version=version,
             indptr=self._export_array("indptr", graph.indptr),
             indices=self._export_array("indices", graph.indices),
-            composite=self._export_array("comp",
-                                         edge_composite_index(graph)))
+            composite=self._export_array("comp", graph.composite_index()))
         self._handles[key] = handle
         self._graph_ids[key] = id(graph)
         return handle

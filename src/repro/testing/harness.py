@@ -74,11 +74,12 @@ def traced_peak(outcome: CaseOutcome, graph):
     """Record the block's ``tracemalloc`` peak (numpy buffers included)
     as ``outcome.traced_peak_bytes``, for the ``process-memory`` oracle.
 
-    The graph's composite index is built first: it is cached derived
-    data of the snapshot, shared by every run, not the run's memory.
-    Nests inside a caller's own tracing (the peak is reset, not the
-    tracer stopped)."""
-    graph.composite_index()
+    The graph's composite index and arc slot table are built first:
+    they are cached derived data of the snapshot, shared by every run,
+    not the run's memory (the table would otherwise land in whichever
+    run first crosses its build trigger).  Nests inside a caller's own
+    tracing (the peak is reset, not the tracer stopped)."""
+    graph.arc_table()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

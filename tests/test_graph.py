@@ -1,5 +1,7 @@
 """Unit tests for the CSR graph (repro.graph.graph)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph, GraphBuilder, apply_updates
 from repro.graph import generators as gen
+from repro.graph.graph import _SHARED, ARC_TABLE_AFTER
+from repro.testing.strategies import graphs
 
 
 def reference_csr(edges, n):
@@ -15,6 +19,47 @@ def reference_csr(edges, n):
     rows = [sorted(v for u, v in arcs if u == w) for w in range(n)]
     indptr = np.cumsum([0] + [len(r) for r in rows])
     return Graph(indptr, np.asarray(sum(rows, []), dtype=np.int64))
+
+
+def arc_table_sides(g):
+    """``g`` rebuilt from its CSR twice: first a copy that answers every
+    membership probe through the composite index (its probe count is set
+    so far below the trigger that it never builds a slot table), then one
+    whose slot table is built before the first probe."""
+    searching = Graph(g.indptr, g.indices)
+    searching._probes = -sys.maxsize
+    yield searching
+    assert searching._arcs is None, "the searching copy built a table"
+    hashed = Graph(g.indptr, g.indices)
+    hashed.arc_table()
+    yield hashed
+
+
+def with_self_loop(g, u):
+    """``g`` plus the arc ``(u, u)``, through ``Graph(indptr, indices)``
+    (``from_edges`` drops self-loops)."""
+    adj = [sorted({*g.neighbours(w).tolist()} | ({w} if w == u else set()))
+           for w in range(g.num_vertices)]
+    return Graph(np.cumsum([0] + [len(a) for a in adj]),
+                 np.asarray(sum(adj, []), dtype=np.int64))
+
+
+@st.composite
+def membership_cases(draw):
+    """A graph (sometimes arcless or vertexless, sometimes with a
+    self-loop) and probe pairs reaching for ids ``0``, ``n - 1`` and
+    just outside ``0 .. n-1``."""
+    g = draw(st.one_of(
+        graphs(min_vertices=2, max_vertices=12, min_edges=0),
+        st.integers(0, 3).map(Graph.empty)))
+    n = g.num_vertices
+    if n and draw(st.booleans()):
+        g = with_self_loop(g, draw(st.integers(0, n - 1)))
+    ident = st.one_of(st.sampled_from([-1, 0, n - 1, n, n + 1]),
+                      st.integers(0, max(n - 1, 0)))
+    pairs = draw(st.lists(st.tuples(ident, ident), max_size=30))
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return g, pairs[:, 0], pairs[:, 1]
 
 
 edge_lists = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -125,6 +170,52 @@ class TestAccessors:
         assert er_graph.has_edges(src, dst).tolist() == [
             er_graph.has_edge(int(u), int(v)) for u, v in zip(src, dst)]
         assert not Graph.empty(0).has_edges(np.array([0]), np.array([1]))[0]
+
+    @given(case=membership_cases())
+    def test_has_edges_is_a_set_lookup_of_composite_keys(self, case):
+        """with or without the slot table, ``has_edges`` is membership of
+        ``u * n + v`` in the composite index for in-range ids, ``False``
+        outside, and agrees with the scalar ``has_edge``"""
+        g, src, dst = case
+        n = g.num_vertices
+        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        want = inside & np.isin(src * n + dst, g.composite_index())
+        assert want.tolist() == [g.has_edge(int(u), int(v))
+                                 for u, v in zip(src, dst)]
+        for h in arc_table_sides(g):
+            assert np.array_equal(h.has_edges(src, dst), want)
+
+    def test_shared_slots_fall_back_exactly(self):
+        """a graph whose slot table has shared slots: every pair, arcs on
+        shared slots included, is answered as the composite index says"""
+        g = next(g for g in (gen.erdos_renyi(30, 0.3, seed=s)
+                             for s in range(20))
+                 if (g.arc_table() == _SHARED).any())
+        table = g.arc_table()
+        assert not table.flags.writeable
+        assert len(table) >= 4 * len(g.indices)
+        n = g.num_vertices
+        src, dst = (a.ravel() for a in np.meshgrid(np.arange(n),
+                                                   np.arange(n)))
+        want = np.isin(src * n + dst, g.composite_index())
+        assert np.array_equal(g.has_edges(src, dst), want)
+        assert np.array_equal(g.has_arc_keys(src * n + dst), want)
+
+    def test_slot_table_appears_at_the_trigger(self, er_graph):
+        """probes go through the composite index until the snapshot has
+        answered ``ARC_TABLE_AFTER`` per arc; the call that reaches the
+        count builds the table, which is cached from then on"""
+        g = Graph(er_graph.indptr, er_graph.indices)
+        n, budget = g.num_vertices, ARC_TABLE_AFTER * len(g.indices)
+        keys = np.arange(n * n, dtype=np.int64)
+        want = np.isin(keys, g.composite_index())
+        for probe in np.array_split(np.arange(budget) % len(keys), 7):
+            assert g._arcs is None
+            assert np.array_equal(g.has_arc_keys(keys[probe]), want[probe])
+        table = g._arcs
+        assert table is not None and table is g.arc_table()
+        assert np.array_equal(g.has_arc_keys(keys), want)
+        assert g._arcs is table
 
     def test_composite_index_positions_are_arc_positions(self, er_graph):
         comp = er_graph.composite_index()

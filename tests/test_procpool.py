@@ -20,12 +20,10 @@ from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
 from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
-from repro.core.kernels import (edge_composite_index, edge_member,
-                                extend_step, fused_extend_candidates,
+from repro.core.kernels import (extend_step, fused_extend_candidates,
                                 fused_verify_mask)
 from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
-from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import get_query
@@ -35,6 +33,8 @@ from repro.serve.request import QueryRequest, QueryStatus
 from repro.serve.service import FaultInjector, QueryService
 from repro.testing.serving import check_service_run
 from repro.testing.strategies import graphs
+
+from .test_graph import arc_table_sides, with_self_loop
 
 
 def _shm_exists(name: str) -> bool:
@@ -56,10 +56,11 @@ class TestSharedGraphStore:
             assert np.array_equal(g2.indices, er_graph.indices)
             assert not g2.indptr.flags.writeable
             assert not g2.indices.flags.writeable
-            # the composite edge index is preloaded, never rebuilt
+            # the composite edge index is preloaded, never rebuilt; the
+            # arc slot table is not shared — a child builds its own
             assert g2._composite is not None
-            assert np.array_equal(g2._composite,
-                                  edge_composite_index(er_graph))
+            assert np.array_equal(g2._composite, er_graph.composite_index())
+            assert g2._arcs is None
             # repeated attach returns the cached Graph object
             assert handle.attach() is g2
             # re-requesting the same (dataset, version) re-exports nothing
@@ -266,10 +267,15 @@ class TestProcessPool:
 # -- fused PULL-EXTEND kernels ----------------------------------------------
 
 
-def _reference_extend(indptr, indices, comp, num_vertices, rows,
-                      verts_sorted, lt, gt, labels, new_label):
-    """The historical multi-pass pipeline: per-column ``edge_member``
-    loop with two compactions (pre-fusion ``ExtendOp._process_vector``)."""
+def _member(g, src, dst):
+    """Reference adjacency test: a set lookup of the composite keys."""
+    return np.isin(src * g.num_vertices + dst, g.composite_index())
+
+
+def _reference_extend(g, rows, verts_sorted, lt, gt, labels, new_label):
+    """The historical multi-pass pipeline: per-column membership loop with
+    two compactions (pre-fusion ``ExtendOp._process_vector``)."""
+    indptr, indices = g.indptr, g.indices
     n = len(rows)
     cand_vid = verts_sorted[:, 0]
     L = indptr[cand_vid + 1] - indptr[cand_vid]
@@ -279,8 +285,7 @@ def _reference_extend(indptr, indices, comp, num_vertices, rows,
     cand = indices[np.repeat(indptr[cand_vid], L) + ramp]
     keep = np.ones(E, dtype=bool)
     for w in range(1, verts_sorted.shape[1]):
-        keep &= edge_member(comp, num_vertices,
-                            verts_sorted[row_ids, w], cand)
+        keep &= _member(g, verts_sorted[row_ids, w], cand)
     if new_label is not None and labels is not None:
         keep &= labels[cand] == new_label
     cand, row_ids = cand[keep], row_ids[keep]
@@ -303,12 +308,7 @@ def _extend_cases(draw):
     g = draw(graphs(min_vertices=2, max_vertices=12, min_edges=0))
     n = g.num_vertices
     if draw(st.booleans()):
-        loop = draw(st.integers(0, n - 1))
-        adj = [sorted({*g.neighbours(u).tolist()} | ({u} if u == loop
-                                                       else set()))
-               for u in range(n)]
-        g = Graph(np.cumsum([0] + [len(a) for a in adj]),
-                  np.asarray(sum(adj, []), dtype=np.int64))
+        g = with_self_loop(g, draw(st.integers(0, n - 1)))
     arity = draw(st.integers(1, 4))
     ident = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
     rows = draw(st.lists(st.lists(ident, min_size=arity, max_size=arity),
@@ -331,28 +331,26 @@ class TestFusedKernels:
         reference element for element"""
         g, rows, ext, lt, gt, labels = case
         new_label = None if labels is None else 1
-        comp = edge_composite_index(g)
         # smallest adjacency first, ties in ``ext`` order (sorted is stable)
         verts_sorted = np.asarray(
             [sorted(r, key=g.degree) for r in rows[:, list(ext)].tolist()],
             dtype=np.int64).reshape(-1, len(ext))
-        ref = _reference_extend(g.indptr, g.indices, comp, g.num_vertices,
-                                rows, verts_sorted, lt, gt, labels,
+        ref = _reference_extend(g, rows, verts_sorted, lt, gt, labels,
                                 new_label)
-        fused = fused_extend_candidates(
-            g.indptr, g.indices, comp, g.num_vertices, rows, verts_sorted,
-            lt, gt, labels, new_label)
-        *step, lens = extend_step(g, rows, ext, lt, gt, labels, new_label)
-        for got in (fused, step):
-            for a, b in zip(got, ref, strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert np.array_equal(lens, g.degrees()[verts_sorted])
+        for h in arc_table_sides(g):
+            fused = fused_extend_candidates(h, rows, verts_sorted, lt, gt,
+                                            labels, new_label)
+            *step, lens = extend_step(h, rows, ext, lt, gt, labels,
+                                      new_label)
+            for got in (fused, step):
+                for a, b in zip(got, ref, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(lens, g.degrees()[verts_sorted])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fused_extend_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         g = gen.erdos_renyi(30 + 5 * seed, 0.15, seed=seed)
-        comp = edge_composite_index(g)
         n_rows, arity, W = int(rng.integers(1, 40)), 3, int(
             rng.integers(1, 3))
         rows = rng.integers(0, g.num_vertices, size=(n_rows, arity))
@@ -361,14 +359,13 @@ class TestFusedKernels:
             if seed % 2 else None
         new_label = 1 if labels is not None else None
         lt, gt = ((0,), (1,)) if seed % 3 == 0 else ((), (0,))
-        ref = _reference_extend(g.indptr, g.indices, comp, g.num_vertices,
-                                rows, verts_sorted, lt, gt, labels,
+        ref = _reference_extend(g, rows, verts_sorted, lt, gt, labels,
                                 new_label)
-        got = fused_extend_candidates(g.indptr, g.indices, comp,
-                                      g.num_vertices, rows, verts_sorted,
-                                      lt, gt, labels, new_label)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+        for h in arc_table_sides(g):
+            got = fused_extend_candidates(h, rows, verts_sorted, lt, gt,
+                                          labels, new_label)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rowwise_and_vector_extend_charge_identical_ticks(self, seed):
@@ -380,8 +377,6 @@ class TestFusedKernels:
         rng = np.random.default_rng(seed)
         g = gen.erdos_renyi(30 + 5 * seed, 0.2, seed=seed)
         cost = CostModel(intersect_op=0.1, emit_op=0.7)
-        cluster = Cluster(g, num_machines=3, cost=cost, seed=seed)
-        owner = cluster.pgraph.owner
         variant = CACHE_VARIANTS[seed % len(CACHE_VARIANTS)]
         verify = seed % 2 == 1
         spec = (ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), verify_pos=2)
@@ -398,31 +393,31 @@ class TestFusedKernels:
             want_rows = [tuple(r) for r, e in zip(rows.tolist(), emits) if e]
         else:
             cand, row_ids, counts = _reference_extend(
-                g.indptr, g.indices, edge_composite_index(g),
-                g.num_vertices, rows, np.asarray(by_len), (), (0,), None,
-                None)
+                g, rows, np.asarray(by_len), (), (0,), None, None)
             emits = counts.tolist()
             want_rows = [(*rows[i].tolist(), c)
                          for i, c in zip(row_ids.tolist(), cand.tolist())]
-        cache = make_cache(variant, None, cost, workers=2)
-        ctx = ExecContext(cluster, cache)
-        op = ExtendOp(spec, ctx)
-        for count_only in (False, True):
-            out, ticks, counted = op.process(0, rows, count_only)
-            step = 1 if count_only else 3
-            want = [cost.intersection_ops([g.degree(u) for u in vs],
-                                          cluster.probe_ticks)
-                    + sum(cache.access_penalty(g.degree(u))
-                          for u in vs if owner[u] != 0)
-                    + e * step * cost.ticks.emit
-                    for vs, e in zip(by_len, emits)]
-            assert ticks.dtype == np.int64
-            assert ticks.tolist() == want
-            assert counted.tolist() == emits
-            if count_only:
-                assert len(out) == 0
-            else:
-                assert out.tolist() == list(map(list, want_rows))
+        for h in arc_table_sides(g):
+            cluster = Cluster(h, num_machines=3, cost=cost, seed=seed)
+            owner = cluster.pgraph.owner
+            cache = make_cache(variant, None, cost, workers=2)
+            op = ExtendOp(spec, ExecContext(cluster, cache))
+            for count_only in (False, True):
+                out, ticks, counted = op.process(0, rows, count_only)
+                step = 1 if count_only else 3
+                want = [cost.intersection_ops([g.degree(u) for u in vs],
+                                              cluster.probe_ticks)
+                        + sum(cache.access_penalty(g.degree(u))
+                              for u in vs if owner[u] != 0)
+                        + e * step * cost.ticks.emit
+                        for vs, e in zip(by_len, emits)]
+                assert ticks.dtype == np.int64
+                assert ticks.tolist() == want
+                assert counted.tolist() == emits
+                if count_only:
+                    assert len(out) == 0
+                else:
+                    assert out.tolist() == list(map(list, want_rows))
 
     def test_per_miss_fetch_equals_scalar_replay_under_eviction(self):
         """per-miss mode under a Cncr-LRU small enough to evict inside one
@@ -464,7 +459,6 @@ class TestFusedKernels:
     def test_fused_verify_matches_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
         g = gen.erdos_renyi(40, 0.2, seed=seed)
-        comp = edge_composite_index(g)
         n, W = 50, 2
         verts = rng.integers(0, g.num_vertices, size=(n, W))
         targets = rng.integers(0, g.num_vertices, size=n)
@@ -473,25 +467,22 @@ class TestFusedKernels:
         new_label = 0 if labels is not None else None
         ref = np.ones(n, dtype=bool)
         for w in range(W):
-            ref &= edge_member(comp, g.num_vertices, verts[:, w], targets)
+            ref &= _member(g, verts[:, w], targets)
         if new_label is not None:
             ref &= labels[targets] == new_label
-        got = fused_verify_mask(comp, g.num_vertices, verts, targets,
-                                labels, new_label)
-        assert np.array_equal(got, ref)
+        for h in arc_table_sides(g):
+            got = fused_verify_mask(h, verts, targets, labels, new_label)
+            assert np.array_equal(got, ref)
 
     def test_empty_and_degenerate_shapes(self):
         g = gen.erdos_renyi(10, 0.3, seed=1)
-        comp = edge_composite_index(g)
         rows = np.zeros((0, 2), dtype=np.int64)
         cand, row_ids, counts = fused_extend_candidates(
-            g.indptr, g.indices, comp, g.num_vertices, rows,
-            rows.copy(), (), (), None, None)
+            g, rows, rows.copy(), (), (), None, None)
         assert len(cand) == 0 and len(counts) == 0
         # W == 1: no membership columns at all, candidates pass through
         rows = np.array([[0, 1]], dtype=np.int64)
         cand, row_ids, counts = fused_extend_candidates(
-            g.indptr, g.indices, comp, g.num_vertices, rows,
-            rows[:, :1], (), (), None, None)
+            g, rows, rows[:, :1], (), (), None, None)
         nbrs = set(g.neighbours(0).tolist()) - {0, 1}
         assert set(cand.tolist()) == nbrs and counts[0] == len(nbrs)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.baselines import enumerate_matches
 from repro.graph import generators as gen
-from repro.graph import temporal_edge_stream
+from repro.graph import load_dataset, temporal_edge_stream
 from repro.obs import MetricsRegistry
 from repro.query import get_query
 from repro.serve import (QueryRequest, QueryService, QueryStatus,
@@ -333,3 +333,36 @@ def test_superseded_snapshots_are_freed_without_the_cyclic_gc(service,
         assert superseded() is None
     finally:
         gc.enable()
+
+
+def test_an_update_batch_leaves_its_snapshot_without_a_slot_table():
+    """a snapshot that lives for one small update batch answers its delta
+    passes, and a triangle count read off it, through the composite
+    index: on LJ@3, with hub-heavy 8-edge batches and standing triangle
+    and q1 subscriptions, no snapshot reaches the slot table's build
+    trigger"""
+    stream = temporal_edge_stream(load_dataset("LJ", scale=3, seed=7), 96,
+                                  batch_size=8, delete_fraction=0.35,
+                                  seed=1, skew=1.5)
+    svc = QueryService(datasets={"lj": stream.base}, num_workers=2).start()
+    snapshots = [stream.base]
+    try:
+        subs = [svc.subscribe(SubscribeRequest(p, "lj"))
+                for p in ("triangle", "q1")]
+        for i, batch in enumerate(stream.batches):
+            report = svc.apply_updates("lj", batch.inserts, batch.deletes)
+            assert not report.timed_out
+            assert all(sub.poll(timeout=30).error is None for sub in subs)
+            snapshots.append(svc._graphs["lj"])
+            if i % 4 == 3:
+                out = svc.submit(QueryRequest(
+                    "triangle", "lj", num_machines=10,
+                    workers_per_machine=4)).result(timeout=60)
+                assert out.status is QueryStatus.COMPLETED
+    finally:
+        svc.stop()
+    # each snapshot but the last served one batch's inserts as the new
+    # graph and the next batch's deletes as the old one
+    assert all(g._probes for g in snapshots[1:])
+    assert [g._arcs is None for g in snapshots] == [True] * len(snapshots)
+
