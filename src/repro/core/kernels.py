@@ -27,7 +27,8 @@ holds the array programs themselves:
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
   and the key matches come in blocks of at most :data:`JOIN_BLOCK_PAIRS`
   pairs; the cross-side filters run on each block's index pairs and only
-  survivors are gathered into rows; the rows are re-cut into output
+  survivors are gathered into rows (none, when the join is only counted:
+  its rows are column-less); the rows are re-cut into output
   chunks, each charged as its probe rows are reached.  So a machine's
   join holds one block and one chunk, not its whole output.
   :func:`chunk_charges` is the same charge for a join whose per-probe
@@ -345,8 +346,9 @@ def join_blocks(build: np.ndarray, probe: np.ndarray,
     output column they name is gathered once — build side by index,
     probe side by ``np.repeat`` — and only the survivors' rows are
     gathered in full.  Yields ``(rows, p0, kept)`` per block, ``kept[i]``
-    the rows it emits for probe row ``p0 + i``; ``rows`` is ``None``
-    unless ``materialise``.
+    the rows it emits for probe row ``p0 + i``.  Unless ``materialise``
+    (a join whose output is only counted) nothing is gathered in full and
+    ``rows`` is column-less, ``(kept.sum(), 0)``.
     """
     carry = np.asarray(right_carry, dtype=np.intp)
     tests = ([(i, j, np.not_equal) for i, j in distinct]
@@ -384,13 +386,12 @@ def _join_block(build, probe, p0, counts, build_idx, build_left, carry,
             keep &= test(column(i), column(j))
         build_idx, local = build_idx[keep], local[keep]
         kept = np.bincount(local, minlength=len(counts))
-    rows = None
-    if materialise:
-        probe_idx = local + p0
-        lidx, ridx = ((build_idx, probe_idx) if build_left
-                      else (probe_idx, build_idx))
-        rows = np.concatenate((left[lidx], right[ridx[:, None], carry]),
-                              axis=1)
+    if not materialise:
+        return np.empty((len(local), 0), dtype=left.dtype), p0, kept
+    probe_idx = local + p0
+    lidx, ridx = ((build_idx, probe_idx) if build_left
+                  else (probe_idx, build_idx))
+    rows = np.concatenate((left[lidx], right[ridx[:, None], carry]), axis=1)
     return rows, p0, kept
 
 
@@ -407,6 +408,10 @@ def join_chunks(blocks, batch_size: int, hash_ticks: int, emit_ticks: int):
     ``batch_size`` rows (possibly none), carrying every row not yet
     charged.  Between chunks the carried rows are under one chunk plus
     one block.
+
+    Over a counting :func:`join_blocks` (``materialise=False``) the rows
+    are column-less, so the same cuts and charges come from the blocks'
+    ``kept`` counts alone and each chunk is an ``(n, 0)`` batch: a count.
     """
     parts: list[np.ndarray] = []
     held = 0            # rows in parts

@@ -300,10 +300,13 @@ class JoinBuffer:
 
     Consumes a segment's output, shuffles each row to the machine owning
     its join key (hash partitioning via the router) and buffers it there.
-    When a machine's buffer exceeds the in-memory threshold the overflow is
-    externally sorted and spilled: memory stays bounded at the threshold
-    while sort ops and spilled bytes are charged.  Buffers are columnar:
-    per-machine lists of row-array slices, concatenated once at join time.
+    When a machine's buffer exceeds the in-memory threshold the overflow
+    is *charged* as externally sorted and spilled — the sort ops and the
+    spilled bytes go on the ledger, and the ledger's memory stays at the
+    threshold — but nothing leaves the process: every row stays in
+    ``_parts``, so the process holds each side whole.  Buffers are
+    columnar: per-machine lists of row-array slices, concatenated once at
+    join time.
 
     :meth:`consume` cuts stacked steps into pushed batches; :meth:`file`,
     the scheduler's round barrier, ships a round's batches in source
@@ -402,7 +405,7 @@ class JoinBuffer:
 
 def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
                 right: JoinBuffer, machine: int, batch_size: int,
-                opid: str = ""):
+                opid: str = "", materialise: bool = True):
     """Local hash join of the two buffered sides on ``machine``.
 
     Builds on the smaller side, probes with the larger, applies the
@@ -411,10 +414,15 @@ def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
     runs in blocks of at most :data:`~repro.core.kernels.JOIN_BLOCK_PAIRS`
     key matches (:func:`~repro.core.kernels.join_chunks`), so the process
     holds one block and one batch, not the machine's whole output.
+
+    Unless ``materialise`` (a join that feeds a counting SINK directly)
+    the batches are column-less ``(n, 0)`` arrays: the filters still run
+    on the index pairs, but no output row is gathered.  The batches, their
+    charges (full-width emits included) and the spans are the same.
     """
     try:
         yield from _join_stream_inner(ctx, spec, left, right, machine,
-                                      batch_size, opid)
+                                      batch_size, opid, materialise)
     finally:
         # release in a finally so an abandoned generator (early error or
         # termination upstream) cannot leak the buffered memory from the
@@ -425,7 +433,7 @@ def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
 
 def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
                        right: JoinBuffer, machine: int, batch_size: int,
-                       opid: str = ""):
+                       opid: str, materialise: bool):
     t = ctx.cost.ticks
     tracer = ctx.tracer
     lrows = left.rows_for(machine)
@@ -445,7 +453,7 @@ def _join_stream_inner(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
 
     blocks = join_blocks(build, probe, build_key, probe_key, build_left,
                          spec.right_carry, spec.cross_distinct,
-                         spec.cross_conditions)
+                         spec.cross_conditions, materialise)
     for rows, ticks in join_chunks(blocks, batch_size, t.hash_probe,
                                    len(spec.out_schema) * t.emit):
         ctx.metrics.charge_ops(machine, ticks)

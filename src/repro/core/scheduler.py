@@ -130,6 +130,14 @@ class _Feed:
 # -- the chain scheduler ---------------------------------------------------------------
 
 
+def _compress_final(consumer: "SinkConsumer | JoinBuffer") -> bool:
+    """Whether a chain's last operator counts instead of materialising
+    (the compression optimisation [63], §7.1): whenever it feeds a
+    non-collecting SINK.  The last operator is the chain's last
+    PULL-EXTEND, or, in a chain without extends, its PUSH-JOIN feed."""
+    return isinstance(consumer, SinkConsumer) and not consumer.collect
+
+
 @dataclass
 class _Queue:
     """One operator's per-machine input queue with tuple/byte accounting."""
@@ -178,15 +186,7 @@ class _ChainRunner:
         # queues[i] is the input channel of extend i (the output queue of
         # the operator before it); the chain is source -> extends -> consumer
         self.queues = [_Queue.empty(k) for _ in self.extend_ops]
-        self.compress_final = self._can_compress_final()
-
-    def _can_compress_final(self) -> bool:
-        """Whether the last operator may count instead of materialise (the
-        compression optimisation [63], §7.1): only into a non-collecting
-        SINK, and only when the chain ends in a PULL-EXTEND."""
-        return (isinstance(self.consumer, SinkConsumer)
-                and not self.consumer.collect
-                and bool(self.extend_ops))
+        self.compress_final = _compress_final(consumer)
 
     # -- queue plumbing ----------------------------------------------------------
 
@@ -475,9 +475,12 @@ def _run_tree(ctx: ExecContext, config: SchedulerConfig, segment: Segment,
             _run_tree(ctx, config, child, sides[-1], rows)
     ops = next(rows)
     k = ctx.cluster.num_machines
+    # a join that is its chain's last operator counts into a counting SINK
+    materialise = bool(segment.extends) or not _compress_final(consumer)
     feed = _Feed([()] * k, [
         join_stream(ctx, spec, *sides, m, config.batch_size,
-                    opid=ops[0].opid) for m in range(k)]) if sides else None
+                    opid=ops[0].opid, materialise=materialise)
+        for m in range(k)]) if sides else None
     _ChainRunner(ctx, config, segment, consumer, feed, ops).run()
 
 

@@ -1,7 +1,8 @@
 """The blocked hash join (``join_pairs`` / ``join_blocks`` /
 ``join_chunks``) against a one-shot reference that materialises every key
 match at once: rows, per-probe emit counts and per-chunk charges must be
-identical at any block budget."""
+identical at any block budget, and a counting join (``materialise=False``)
+must cut the same chunks with the same charges."""
 
 import numpy as np
 import pytest
@@ -121,6 +122,14 @@ def _check_against_reference(args, budget, batch_size):
     assert len(chunks[-1][0]) < batch_size
     assert np.concatenate([r for r, _ in chunks]).tolist() \
         == want_rows.tolist()
+
+    # counting: the same cuts and charges from the kept counts alone, in
+    # column-less batches
+    counted = list(join_chunks(join_blocks(*args, materialise=False),
+                               batch_size, 5, 3))
+    assert [(len(r), ticks) for r, ticks in counted] \
+        == [(len(r), ticks) for r, ticks in chunks]
+    assert all(r.shape[1] == 0 for r, _ in counted)
 
 
 def test_wide_keys_do_not_collide():

@@ -1,14 +1,17 @@
 """Tests for the DFS/BFS-adaptive scheduler (repro.core.scheduler)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines import count_matches
 from repro.cluster import Cluster
 from repro.core import EngineConfig, HugeEngine, SchedulerConfig
-from repro.core.plan import seed_plan, wco_plan
+from repro.core.operators import SinkConsumer
+from repro.core.plan import ExecutionPlan, PlanNode, seed_plan, wco_plan
 from repro.graph import generators as gen
-from repro.query import ExactEstimator, get_query
+from repro.query import ExactEstimator, QueryGraph, SubQuery, get_query
 
 
 class TestSchedulerConfig:
@@ -124,6 +127,139 @@ class TestJoinSegments:
                      seed=2)
         result = HugeEngine(cl).run(plan=plan)
         assert result.count == count_matches(er_graph, q)
+
+
+def _sq(*edges):
+    return SubQuery(frozenset(tuple(sorted(e)) for e in edges))
+
+
+class _LeanSink(SinkConsumer):
+    """A SINK that keeps only the widths of the rows it is handed, so a
+    run that collects 1.8 M matches (q6 on GO) holds none of them."""
+
+    last: "_LeanSink | None" = None
+
+    def __init__(self, schema, collect=False):
+        super().__init__(schema, collect)
+        self.widths: set[int] = set()
+        _LeanSink.last = self
+
+    def consume(self, machines, rows):
+        self.count += len(rows)
+        self.widths.add(rows.shape[1])
+
+    def matches(self):
+        return []
+
+
+class TestCountedJoin:
+    """A PUSH-JOIN that is its chain's last operator, into a counting
+    SINK, counts its kept key matches instead of gathering its rows (the
+    compression optimisation, §7.1) — and charges exactly what the
+    materialising join charges."""
+
+    @staticmethod
+    def _runs(monkeypatch, cluster, query=None, plan=None, **config):
+        """The counting run, then the collecting run on the same plan;
+        each with the ``(output width, materialise)`` of every join block
+        the kernel cut."""
+        from repro.core import engine, kernels
+
+        join_block = kernels._join_block
+
+        def spy(build, probe, p0, counts, build_idx, build_left, carry,
+                tests, materialise):
+            width = (build if build_left else probe).shape[1] + len(carry)
+            blocks.append((width, materialise))
+            return join_block(build, probe, p0, counts, build_idx,
+                              build_left, carry, tests, materialise)
+        monkeypatch.setattr(kernels, "_join_block", spy)
+        monkeypatch.setattr(engine, "SinkConsumer", _LeanSink)
+        runs = []
+        for collect in (False, True):
+            blocks = []
+            cfg = EngineConfig(collect_results=collect, **config)
+            result = HugeEngine(cluster, cfg).run(query, plan=plan)
+            plan = result.plan
+            runs.append((result, blocks, _LeanSink.last.widths))
+        return runs
+
+    @staticmethod
+    def _same_run(counted, collected):
+        assert counted.count == collected.count > 0
+        assert (dataclasses.asdict(counted.report)
+                == dataclasses.asdict(collected.report))
+        assert counted.fetch_time_s == collected.fetch_time_s
+        assert counted.cache_evictions == collected.cache_evictions
+
+    @pytest.mark.parametrize("name, scale", [("q6", 1.0), ("q8", 0.7)])
+    def test_root_join_on_go_counts(self, monkeypatch, name, scale):
+        """q6 / GO and q8 / GO@0.7 end in a hash PUSH-JOIN into the SINK:
+        counting, no block is gathered and the SINK is handed no rows; the
+        count and every report field equal the collecting run's"""
+        from repro.graph import load_dataset
+
+        cluster = Cluster(load_dataset("GO", scale=scale), num_machines=10,
+                          workers_per_machine=4, seed=1)
+        q = get_query(name)
+        (counted, cblocks, cwidths), (collected, wblocks, wwidths) = \
+            self._runs(monkeypatch, cluster, q)
+        assert counted.plan.root.setting.comm.value == "pushing"
+        assert cblocks and {m for _, m in cblocks} == {False}
+        assert wblocks and {m for _, m in wblocks} == {True}
+        assert cwidths == set() and wwidths == {q.num_vertices}
+        self._same_run(counted, collected)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_one_pair_blocks_and_tiny_batches(self, monkeypatch,
+                                              batch_size):
+        """one key match per block and batches of 1 / 3: the counted
+        join still cuts the same chunks and charges the same ticks"""
+        from repro.core import kernels
+
+        monkeypatch.setattr(kernels, "JOIN_BLOCK_PAIRS", 1)
+        cluster = Cluster(gen.erdos_renyi(24, 0.2, seed=3), num_machines=3,
+                          workers_per_machine=2, seed=1)
+        q = get_query("q6")
+        plan = ExecutionPlan(q, PlanNode(
+            _sq(*q.edges), PlanNode(_sq((0, 1), (1, 2))),
+            PlanNode(_sq((2, 3), (3, 4)))), name="q6-hash")
+        (counted, cblocks, _), (collected, wblocks, _) = self._runs(
+            monkeypatch, cluster, plan=plan, batch_size=batch_size)
+        assert len(cblocks) > 100
+        assert {m for _, m in cblocks} == {False}
+        assert {m for _, m in wblocks} == {True}
+        self._same_run(counted, collected)
+        assert counted.count == count_matches(cluster.graph, q)
+
+    def test_join_into_extend_or_join_materialises(self, monkeypatch):
+        """a PUSH-JOIN that feeds a PULL-EXTEND (the 6-cycle closed by a
+        wco join over a 5-path hash join) or a JoinBuffer (the inner join
+        of a 7-path) gathers its rows in a counting run too; only the
+        7-path's root join, which feeds the SINK, counts"""
+        cluster = Cluster(gen.erdos_renyi(24, 0.2, seed=3), num_machines=3,
+                          workers_per_machine=2, seed=1)
+        path5 = PlanNode(_sq((0, 1), (1, 2), (2, 3), (3, 4)),
+                         PlanNode(_sq((0, 1), (1, 2))),
+                         PlanNode(_sq((2, 3), (3, 4))))
+        q8 = get_query("q8")
+        into_extend = ExecutionPlan(q8, PlanNode(
+            _sq(*q8.edges), path5, PlanNode(_sq((4, 5), (5, 0)))),
+            name="q8-join-then-extend")
+        path7 = QueryGraph(7, [(i, i + 1) for i in range(6)], name="7path")
+        into_join = ExecutionPlan(path7, PlanNode(
+            _sq(*path7.edges), path5, PlanNode(_sq((4, 5), (5, 6)))),
+            name="7path-bushy")
+        for plan, counting in ((into_extend, set()),
+                               (into_join, {(7, False)})):
+            (counted, cblocks, _), (collected, wblocks, _) = self._runs(
+                monkeypatch, cluster, plan=plan)
+            assert set(cblocks) == {(5, True)} | counting
+            assert {m for _, m in wblocks} == {True}
+            assert counted.count == collected.count == count_matches(
+                cluster.graph, plan.query) > 0
+            if counting:  # a counted PULL-EXTEND charges fewer emits
+                self._same_run(counted, collected)
 
 
 class TestStealingIntegration:
