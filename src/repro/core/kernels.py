@@ -22,6 +22,12 @@ holds the array programs themselves:
   :func:`extend_block` is the whole step for a gathered block (by-length
   sort, then the fused pass); :func:`extend_step` gathers the block for
   one ``ExtendSpec`` first.
+* The same step compiled: ``extend.c`` does :func:`extend_block` as one
+  loop over the rows (sort, window, one probe per candidate and list,
+  filters), built once per source hash with the system C compiler and
+  loaded through cffi (:func:`_load_extend`).  It is the one loop here
+  that runs compiled; without cffi or a compiler the numpy program above
+  runs instead, and it stays the reference the tests hold both paths to.
 * :func:`join_pairs` / :func:`join_blocks` / :func:`join_chunks` — the
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
@@ -37,6 +43,13 @@ holds the array programs themselves:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import importlib.util
+import os
+import subprocess
+import tempfile
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -208,28 +221,84 @@ def fused_extend_candidates(graph, rows: np.ndarray,
 def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
                  lens: np.ndarray, lt: Sequence[int], gt: Sequence[int],
                  labels: np.ndarray | None = None,
-                 new_label: int | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 new_label: int | None = None, count_only: bool = False,
+                 ) -> tuple[np.ndarray | None, np.ndarray | None,
+                            np.ndarray, np.ndarray]:
     """One PULL-EXTEND step over a block of partial matches whose extend
     vertices ``verts = rows[:, ext]`` and their adjacency lengths ``lens``
     are already gathered.
 
     Each row's extend vertices are put smallest adjacency list first (a
     stable sort, so equal lengths keep ``ext`` order) and the block goes
-    through :func:`fused_extend_candidates`.  Returns its ``(cand,
-    row_ids, counts)`` plus the ``(n, |ext|)`` lengths in that sorted
-    order — column 0 is the list the candidates came from, the rest are
-    the lists probed, which is what the intersection cost formula reads
-    (the *full* lengths: the symmetry window saves our gather, not the
-    modelled machine's scan).
+    through the candidate pass of :func:`fused_extend_candidates`.
+    Returns its ``(cand, row_ids, counts)`` plus the ``(n, |ext|)``
+    lengths in that sorted order — column 0 is the list the candidates
+    came from, the rest are the lists probed, which is what the
+    intersection cost formula reads (the *full* lengths: the symmetry
+    window saves our gather, not the modelled machine's scan).  With
+    ``count_only`` (a final PULL-EXTEND into a counting SINK) ``cand``
+    and ``row_ids`` are ``None``.
+
+    The pass runs as one compiled loop over the rows (``extend.c``: per
+    row the sort, the window's two searches in the smallest list, one
+    slot-table read per probe — a galloping search while the snapshot
+    has no table — and the filters), loaded by :func:`_load_extend`.
+    Where it could not be loaded the numpy program runs; both give the
+    same arrays element for element and count the same probes.
     """
+    if _LIB is not None:
+        return _extend_compiled(graph, rows, verts, lens, lt, gt, labels,
+                                new_label, count_only)
     if verts.shape[1] > 1:
         by_len = lens.argsort(axis=1, kind="stable")
         row = np.arange(len(rows))[:, None]
         verts, lens = verts[row, by_len], lens[row, by_len]
     cand, row_ids, counts = fused_extend_candidates(
         graph, rows, verts, lt, gt, labels, new_label)
+    if count_only:
+        cand = row_ids = None
     return cand, row_ids, counts, lens
+
+
+def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
+                     count_only):
+    """:func:`extend_block` through ``extend_rows`` of ``extend.c``."""
+    def buf(a):
+        return _FFI.from_buffer("int64_t[]", np.ascontiguousarray(
+            a, dtype=np.int64))
+
+    n_rows, k = verts.shape
+    n, width = graph.num_vertices, rows.shape[1]
+    label = new_label is not None and labels is not None
+    # the loop indexes CSR by vertex, rows by position and labels by
+    # candidate without checks of its own
+    if (lens.shape != verts.shape or len(rows) != n_rows or k < 1
+            or (n_rows and not 0 <= verts.min() <= verts.max() < n)
+            or not all(0 <= p < width for p in (*lt, *gt))
+            or (label and len(labels) < n)):
+        raise ValueError("extend block outside the graph or its rows")
+    sorted_lens = np.empty((n_rows, k), dtype=np.int64)
+    counts = np.empty(n_rows, dtype=np.int64)
+    cap = 0 if count_only else int(lens.min(axis=1).sum())
+    cand, row_ids = np.empty(cap, np.int64), np.empty(cap, np.int64)
+    table = graph.arc_table_due(0)
+    probes = _FFI.new("int64_t *")
+    total = _LIB.extend_rows(
+        n_rows, width, buf(rows), k, buf(verts), buf(lens),
+        buf(sorted_lens), buf(lt), len(lt), buf(gt), len(gt),
+        buf(graph.indptr), buf(graph.indices), n,
+        _FFI.NULL if table is None else buf(table),
+        0 if table is None else len(table).bit_length() - 1,
+        buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
+        _FFI.NULL if count_only else buf(cand), buf(row_ids), cap,
+        buf(counts), probes)
+    if table is None:
+        graph.arc_table_due(probes[0])
+    if count_only:
+        return None, None, counts, sorted_lens
+    if total > cap:
+        raise ValueError("lens are not the adjacency lengths of verts")
+    return cand[:total], row_ids[:total], counts, sorted_lens
 
 
 def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
@@ -248,6 +317,79 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
     verts = rows[:, list(ext)]
     lens = graph.indptr[verts + 1] - graph.indptr[verts]
     return extend_block(graph, rows, verts, lens, lt, gt, labels, new_label)
+
+
+# -- the compiled extend pass -----------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("extend.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CDEF = """
+int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
+                    const int64_t *, const int64_t *, int64_t *,
+                    const int64_t *, int64_t, const int64_t *, int64_t,
+                    const int64_t *, const int64_t *, int64_t,
+                    const int64_t *, int64_t, const int64_t *, int64_t,
+                    int64_t *, int64_t *, int64_t, int64_t *, int64_t *);
+"""
+
+
+def _load_extend():
+    """``(ffi, lib)`` of ``extend.c`` through cffi's out-of-line ABI mode,
+    or ``None``: without cffi or a C compiler, or when the build or the
+    load fails, :func:`extend_block` runs numpy.
+
+    Both halves are built once per hash of the source, the declaration,
+    the flags and the cffi version, into ``$XDG_CACHE_HOME/repro``
+    (``~/.cache/repro``): the library by ``cc``, and beside it the FFI as
+    the Python module cffi generates from the declaration, so a later
+    process — process-pool workers included — opens both without
+    parsing any C.
+    """
+    try:
+        import _cffi_backend
+        digest = hashlib.sha256(b"\0".join((
+            _SOURCE.read_bytes(), _CDEF.encode(), repr(_CFLAGS).encode(),
+            _cffi_backend.__version__.encode()))).hexdigest()
+        stem = Path(os.environ.get("XDG_CACHE_HOME")
+                    or Path.home() / ".cache") / "repro" / (
+                        f"extend-{digest[:16]}")
+        lib_path, ffi_path = stem.with_suffix(".so"), stem.with_suffix(".py")
+        if not (lib_path.exists() and ffi_path.exists()):
+            _build_extend(lib_path, ffi_path)
+        spec = importlib.util.spec_from_file_location(stem.name, ffi_path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.ffi, module.ffi.dlopen(str(lib_path))
+    except (ImportError, OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+
+
+def _build_extend(lib_path: Path, ffi_path: Path) -> None:
+    """Compile ``extend.c`` to ``lib_path`` and write its FFI module to
+    ``ffi_path``, each through a temporary file renamed into place, so
+    first processes racing each other are harmless."""
+    from cffi import FFI, recompiler
+    ffi = FFI()
+    ffi.cdef(_CDEF)
+    lib_path.parent.mkdir(parents=True, exist_ok=True)
+    for path, write in (
+            (lib_path, lambda tmp: subprocess.run(
+                ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)], check=True,
+                capture_output=True)),
+            (ffi_path, lambda tmp: recompiler.make_py_source(
+                ffi, ffi_path.stem, tmp))):
+        fd, tmp = tempfile.mkstemp(dir=path.parent)
+        os.close(fd)
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
+#: the loaded library (``None``: the numpy pass runs) and its FFI
+_FFI, _LIB = _load_extend() or (None, None)
 
 
 # -- blocked hash join ----------------------------------------------------------

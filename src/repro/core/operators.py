@@ -251,7 +251,7 @@ class ExtendOp:
         else:
             cand, row_ids, produced, lens = extend_block(
                 g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
-                labels, spec.new_label)
+                labels, spec.new_label, count_only)
             emits = produced
             out = empty
             if not count_only:

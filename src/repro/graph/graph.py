@@ -214,6 +214,20 @@ class Graph:
             self._arcs = table
         return self._arcs
 
+    def arc_table_due(self, probes: int) -> np.ndarray | None:
+        """Count ``probes`` more membership probes answered without the
+        slot table; then :meth:`arc_table` if this snapshot has answered
+        :data:`ARC_TABLE_AFTER` per arc that way, else ``None``.
+        :meth:`has_arc_keys` asks before it answers; the compiled extend
+        pass asks with ``0`` before its pass and reports the probes it
+        searched after it, so the table is due after the same number of
+        searched probes on either path."""
+        if self._arcs is None:
+            self._probes += probes
+            if self._probes < ARC_TABLE_AFTER * len(self._indices):
+                return None
+        return self.arc_table()
+
     def has_arc_keys(self, keys: np.ndarray) -> np.ndarray:
         """Whether each composite key ``u * n + v`` is an arc — the
         membership test every extend, verify and baseline probe ends in.
@@ -226,12 +240,9 @@ class Graph:
         then through :meth:`arc_table` (one gather; only keys landing on
         a shared slot take the ``searchsorted``).  Both answers are exact.
         """
-        table = self._arcs
+        table = self.arc_table_due(len(keys))
         if table is None:
-            self._probes += len(keys)
-            if self._probes < ARC_TABLE_AFTER * len(self._indices):
-                return _search(self.composite_index(), keys)
-            table = self.arc_table()
+            return _search(self.composite_index(), keys)
         held = table[_slots(keys, len(table).bit_length() - 1)]
         found = held == keys
         shared = np.flatnonzero(held == _SHARED)

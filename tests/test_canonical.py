@@ -10,7 +10,7 @@ collide; and the canonical form itself is a relabelling of the input
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.query import QUERIES, QueryGraph, get_query
@@ -23,10 +23,11 @@ def brute_isomorphic(a: QueryGraph, b: QueryGraph) -> bool:
             or len(a.edges) != len(b.edges)):
         return False
     ea = {tuple(sorted(e)) for e in a.edges}
+    # perm maps b's vertex v onto a's vertex perm[v], labels included
     for perm in itertools.permutations(range(b.num_vertices)):
         eb = {tuple(sorted((perm[u], perm[v]))) for u, v in b.edges}
-        if ea == eb and all(a.label(v) == b.label(perm[v])
-                            for v in range(a.num_vertices)):
+        if ea == eb and all(a.label(perm[v]) == b.label(v)
+                            for v in range(b.num_vertices)):
             return True
     return False
 
@@ -92,6 +93,12 @@ class TestCanonicalKeyProperties:
             brute_isomorphic(a, b)
 
     @given(a=labelled_patterns(), b=labelled_patterns())
+    # not isomorphic: the labelled vertex has degree 2 in a, 3 in b (an
+    # oracle comparing labels the wrong way round called them isomorphic)
+    @example(a=QueryGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
+                          labels=(None, None, None, 0)),
+             b=QueryGraph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)],
+                          labels=(None, 0, None, None)))
     def test_labelled_key_equality_iff_isomorphic(self, a, b):
         assert (a.canonical_key() == b.canonical_key()) == \
             brute_isomorphic(a, b)

@@ -1,0 +1,236 @@
+"""PULL-EXTEND's candidate pass on both of its paths — the compiled
+per-row loop (``core/extend.c``) and the numpy program kept as its
+fallback — against a gather-everything reference: candidates, row ids,
+counts and sorted lengths element for element, and the same membership
+probes counted, on a graph with and without its slot table.  The numpy
+path is forced by unloading the kernel module's library handle
+(:func:`extend_path`); ``tests/test_procpool.py::TestFusedKernels`` runs
+the operator-level kernel tests through both paths with these helpers."""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.kernels as kernels
+from repro.core.kernels import extend_block, extend_step
+from repro.graph import Graph
+from repro.graph import generators as gen
+from repro.graph.graph import _SHARED, _slots
+from repro.testing.strategies import graphs
+
+from .test_graph import arc_table_sides, with_self_loop
+
+PATHS = ("compiled", "numpy")
+
+
+@contextlib.contextmanager
+def extend_path(path: str):
+    """Run the block on one extend path: ``"numpy"`` unloads the library
+    handle for the block, ``"compiled"`` skips the test where the
+    library did not load."""
+    lib = kernels._LIB
+    if path == "compiled" and lib is None:
+        pytest.skip("the compiled extend pass is not loaded")
+    kernels._LIB = lib if path == "compiled" else None
+    try:
+        yield
+    finally:
+        kernels._LIB = lib
+
+
+def extend_paths() -> tuple[str, ...]:
+    """The paths :func:`extend_path` can run here, compiled first."""
+    return PATHS if kernels._LIB is not None else ("numpy",)
+
+
+@pytest.fixture(params=PATHS)
+def kernel_path(request):
+    with extend_path(request.param):
+        yield request.param
+
+
+# -- the reference --------------------------------------------------------------
+
+
+def _member(g, src, dst):
+    """Reference adjacency test: a set lookup of the composite keys."""
+    return np.isin(src * g.num_vertices + dst, g.composite_index())
+
+
+def _reference_extend(g, rows, verts_sorted, lt, gt, labels, new_label):
+    """The historical multi-pass pipeline: per-column membership loop with
+    two compactions (pre-fusion ``ExtendOp._process_vector``)."""
+    indptr, indices = g.indptr, g.indices
+    n = len(rows)
+    cand_vid = verts_sorted[:, 0]
+    L = indptr[cand_vid + 1] - indptr[cand_vid]
+    E = int(L.sum())
+    row_ids = np.repeat(np.arange(n), L)
+    ramp = np.arange(E) - np.repeat(np.cumsum(L) - L, L)
+    cand = indices[np.repeat(indptr[cand_vid], L) + ramp]
+    keep = np.ones(E, dtype=bool)
+    for w in range(1, verts_sorted.shape[1]):
+        keep &= _member(g, verts_sorted[row_ids, w], cand)
+    if new_label is not None and labels is not None:
+        keep &= labels[cand] == new_label
+    cand, row_ids = cand[keep], row_ids[keep]
+    keep = ~(cand[:, None] == rows[row_ids]).any(axis=1)
+    for p in lt:
+        keep &= cand < rows[row_ids, p]
+    for p in gt:
+        keep &= cand > rows[row_ids, p]
+    cand, row_ids = cand[keep], row_ids[keep]
+    return cand, row_ids, np.bincount(row_ids, minlength=n)
+
+
+def _by_degree(g, verts):
+    """Each row of ``verts`` smallest adjacency first, ties in column
+    order (``sorted`` is stable)."""
+    return np.asarray([sorted(r, key=g.degree) for r in verts.tolist()],
+                      dtype=np.int64).reshape(verts.shape)
+
+
+@st.composite
+def _extend_cases(draw):
+    """A data graph (edgeless ones included; sometimes rebuilt through
+    ``Graph(indptr, indices)`` with a self-loop, which ``from_edges``
+    would drop), a block of partial matches that reaches for ids ``0``
+    and ``n - 1``, an ``ext`` of width 1–3, 0–2 ``lt`` and 0–2 ``gt``
+    positions (so windows are often empty), labels on or off."""
+    g = draw(graphs(min_vertices=2, max_vertices=12, min_edges=0))
+    n = g.num_vertices
+    if draw(st.booleans()):
+        g = with_self_loop(g, draw(st.integers(0, n - 1)))
+    arity = draw(st.integers(1, 4))
+    ident = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    rows = draw(st.lists(st.lists(ident, min_size=arity, max_size=arity),
+                         max_size=10))
+    pos = st.integers(0, arity - 1)
+    ext = draw(st.lists(pos, min_size=1, max_size=min(3, arity), unique=True))
+    lt = draw(st.lists(pos, max_size=2, unique=True))
+    gt = draw(st.lists(pos, max_size=2, unique=True))
+    labels = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, 1), min_size=n, max_size=n).map(np.asarray)))
+    return (g, np.asarray(rows, dtype=np.int64).reshape(-1, arity),
+            tuple(ext), tuple(lt), tuple(gt), labels)
+
+
+@st.composite
+def _layout_cases(draw):
+    """:func:`_extend_cases` in the layouts the compiled pass must copy
+    or convert first: rows as a strided or column-major view, labels in
+    a narrower integer dtype."""
+    g, rows, ext, lt, gt, labels = draw(_extend_cases())
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran"]))
+    if layout == "strided":
+        rows = np.repeat(rows, 2, axis=1)[:, ::2]
+    elif layout == "fortran":
+        rows = np.asfortranarray(rows)
+    if labels is not None:
+        labels = labels.astype(draw(st.sampled_from(
+            [np.int64, np.int32, np.int8, np.uint8])))
+    return g, rows, ext, lt, gt, labels
+
+
+# -- both paths against the reference ---------------------------------------------
+
+
+class TestExtendPaths:
+    @pytest.mark.parametrize("path", PATHS)
+    @given(case=_layout_cases())
+    @settings(max_examples=200)    # ~1 s; 25 examples miss an off-by-one bound
+    def test_extend_block_equals_reference(self, path, case):
+        """self-loops, empty windows and ``lo == n``, width 1, zero rows,
+        strided and column-major rows, narrow labels: every output array
+        equals the reference's, lengths come back in the stable
+        ``argsort`` order, and a counted block has the same counts"""
+        g, rows, ext, lt, gt, labels = case
+        new_label = None if labels is None else 1
+        verts = rows[:, list(ext)]
+        lens = g.degrees()[verts]
+        ref = _reference_extend(g, rows, _by_degree(g, verts), lt, gt,
+                                labels, new_label)
+        by_len = np.take_along_axis(
+            lens, lens.argsort(axis=1, kind="stable"), axis=1)
+        with extend_path(path):
+            for h in arc_table_sides(g):
+                *got, got_lens = extend_block(h, rows, verts, lens, lt, gt,
+                                              labels, new_label)
+                for a, b in zip(got, ref, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert got_lens.dtype == lens.dtype
+                assert np.array_equal(got_lens, by_len)
+                *step, _ = extend_step(h, rows, ext, lt, gt, labels,
+                                       new_label)
+                assert all(map(np.array_equal, step, ref))
+                cand, row_ids, counts, _ = extend_block(
+                    h, rows, verts, lens, lt, gt, labels, new_label,
+                    count_only=True)
+                assert cand is None and row_ids is None
+                assert np.array_equal(counts, ref[2])
+
+    def test_probes_on_shared_slots(self, kernel_path):
+        """every vertex pair extended on a graph whose slot table has
+        shared slots, some probe keys landing on them: answered as the
+        composite index answers them"""
+        g = next(g for g in (gen.erdos_renyi(30, 0.3, seed=s)
+                             for s in range(20))
+                 if (g.arc_table() == _SHARED).any())
+        n = g.num_vertices
+        rows = np.stack(np.meshgrid(np.arange(n), np.arange(n)),
+                        axis=-1).reshape(-1, 2)
+        lens = g.degrees()[rows]
+        verts = _by_degree(g, rows)
+        table = g.arc_table()
+        keys = np.concatenate([v1 * n + g.neighbours(v0)
+                               for v0, v1 in verts.tolist()])
+        bits = len(table).bit_length() - 1
+        assert (table[_slots(keys, bits)] == _SHARED).any()
+        ref = _reference_extend(g, rows, verts, (), (), None, None)
+        got = extend_block(g, rows, rows, lens, (), ())
+        assert all(map(np.array_equal, got[:3], ref))
+
+
+def test_both_paths_count_the_same_probes():
+    """on fresh snapshots, call for call: the compiled pass reports the
+    probes the numpy path makes through ``has_arc_keys``, so both build
+    the slot table after the same call"""
+    if kernels._LIB is None:
+        pytest.skip("the compiled extend pass is not loaded")
+    g = gen.erdos_renyi(120, 0.08, seed=4)
+    rng = np.random.default_rng(4)
+    blocks = [rng.integers(0, g.num_vertices, size=(int(m), 4))
+              for m in rng.integers(1, 300, size=12)]
+    seen = {}
+    for path in PATHS:
+        h = Graph(g.indptr, g.indices)
+        with extend_path(path):
+            seen[path] = []
+            for rows in blocks:
+                extend_step(h, rows, (0, 1, 2), (3,), ())
+                seen[path].append(h._probes if h._arcs is None else "table")
+    assert seen["compiled"] == seen["numpy"]
+    assert seen["numpy"][0] > 0 and seen["numpy"][-1] == "table"
+
+
+def test_compiled_pass_rejects_blocks_outside_the_graph():
+    """the C loop reads CSR, rows and labels unchecked, so a vertex id,
+    a window position or a label array out of range is refused first"""
+    g = gen.erdos_renyi(10, 0.3, seed=1)
+    rows = np.array([[0, 3]], dtype=np.int64)
+    lens = g.degrees()[rows]
+    bad = [(rows + [0, 7], lens, (), (), None),
+           (rows - [1, 0], lens, (), (), None),
+           (rows, lens[:, :1], (), (), None),
+           (rows, lens, (2,), (), None),
+           (rows, lens, (), (-1,), None),
+           (rows, lens, (), (), np.zeros(9, dtype=np.int64))]
+    with extend_path("compiled"):
+        for verts, lens_, lt, gt, labels in bad:
+            with pytest.raises(ValueError):
+                extend_block(g, rows, verts, lens_, lt, gt, labels, 0)

@@ -14,16 +14,15 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
 from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
-from repro.core.kernels import (extend_step, fused_extend_candidates,
-                                fused_verify_mask)
+from repro.core.kernels import extend_block, extend_step, fused_verify_mask
 from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
+from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import get_query
@@ -32,9 +31,11 @@ from repro.serve.procpool import WorkerTask, _strip_request
 from repro.serve.request import QueryRequest, QueryStatus
 from repro.serve.service import FaultInjector, QueryService
 from repro.testing.serving import check_service_run
-from repro.testing.strategies import graphs
 
-from .test_graph import arc_table_sides, with_self_loop
+from .test_extend_kernels import (_by_degree, _extend_cases, _member,
+                                  _reference_extend, extend_path,
+                                  extend_paths)
+from .test_graph import arc_table_sides
 
 
 def _shm_exists(name: str) -> bool:
@@ -267,62 +268,6 @@ class TestProcessPool:
 # -- fused PULL-EXTEND kernels ----------------------------------------------
 
 
-def _member(g, src, dst):
-    """Reference adjacency test: a set lookup of the composite keys."""
-    return np.isin(src * g.num_vertices + dst, g.composite_index())
-
-
-def _reference_extend(g, rows, verts_sorted, lt, gt, labels, new_label):
-    """The historical multi-pass pipeline: per-column membership loop with
-    two compactions (pre-fusion ``ExtendOp._process_vector``)."""
-    indptr, indices = g.indptr, g.indices
-    n = len(rows)
-    cand_vid = verts_sorted[:, 0]
-    L = indptr[cand_vid + 1] - indptr[cand_vid]
-    E = int(L.sum())
-    row_ids = np.repeat(np.arange(n), L)
-    ramp = np.arange(E) - np.repeat(np.cumsum(L) - L, L)
-    cand = indices[np.repeat(indptr[cand_vid], L) + ramp]
-    keep = np.ones(E, dtype=bool)
-    for w in range(1, verts_sorted.shape[1]):
-        keep &= _member(g, verts_sorted[row_ids, w], cand)
-    if new_label is not None and labels is not None:
-        keep &= labels[cand] == new_label
-    cand, row_ids = cand[keep], row_ids[keep]
-    keep = ~(cand[:, None] == rows[row_ids]).any(axis=1)
-    for p in lt:
-        keep &= cand < rows[row_ids, p]
-    for p in gt:
-        keep &= cand > rows[row_ids, p]
-    cand, row_ids = cand[keep], row_ids[keep]
-    return cand, row_ids, np.bincount(row_ids, minlength=n)
-
-
-@st.composite
-def _extend_cases(draw):
-    """A data graph (edgeless ones included; sometimes rebuilt through
-    ``Graph(indptr, indices)`` with a self-loop, which ``from_edges``
-    would drop), a block of partial matches that reaches for ids ``0``
-    and ``n - 1``, an ``ext`` of width 1–3, 0–2 ``lt`` and 0–2 ``gt``
-    positions (so windows are often empty), labels on or off."""
-    g = draw(graphs(min_vertices=2, max_vertices=12, min_edges=0))
-    n = g.num_vertices
-    if draw(st.booleans()):
-        g = with_self_loop(g, draw(st.integers(0, n - 1)))
-    arity = draw(st.integers(1, 4))
-    ident = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
-    rows = draw(st.lists(st.lists(ident, min_size=arity, max_size=arity),
-                         max_size=10))
-    pos = st.integers(0, arity - 1)
-    ext = draw(st.lists(pos, min_size=1, max_size=min(3, arity), unique=True))
-    lt = draw(st.lists(pos, max_size=2, unique=True))
-    gt = draw(st.lists(pos, max_size=2, unique=True))
-    labels = draw(st.one_of(st.none(), st.lists(
-        st.integers(0, 1), min_size=n, max_size=n).map(np.asarray)))
-    return (g, np.asarray(rows, dtype=np.int64).reshape(-1, arity),
-            tuple(ext), tuple(lt), tuple(gt), labels)
-
-
 class TestFusedKernels:
     @given(case=_extend_cases())
     @settings(max_examples=200)    # ~1 s; 25 examples miss an off-by-one bound
@@ -331,21 +276,17 @@ class TestFusedKernels:
         reference element for element"""
         g, rows, ext, lt, gt, labels = case
         new_label = None if labels is None else 1
-        # smallest adjacency first, ties in ``ext`` order (sorted is stable)
-        verts_sorted = np.asarray(
-            [sorted(r, key=g.degree) for r in rows[:, list(ext)].tolist()],
-            dtype=np.int64).reshape(-1, len(ext))
+        verts_sorted = _by_degree(g, rows[:, list(ext)])
         ref = _reference_extend(g, rows, verts_sorted, lt, gt, labels,
                                 new_label)
-        for h in arc_table_sides(g):
-            fused = fused_extend_candidates(h, rows, verts_sorted, lt, gt,
-                                            labels, new_label)
-            *step, lens = extend_step(h, rows, ext, lt, gt, labels,
-                                      new_label)
-            for got in (fused, step):
-                for a, b in zip(got, ref, strict=True):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert np.array_equal(lens, g.degrees()[verts_sorted])
+        for path in extend_paths():
+            with extend_path(path):
+                for h in arc_table_sides(g):
+                    *got, lens = extend_step(h, rows, ext, lt, gt, labels,
+                                             new_label)
+                    for a, b in zip(got, ref, strict=True):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                    assert np.array_equal(lens, g.degrees()[verts_sorted])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fused_extend_matches_reference(self, seed):
@@ -354,18 +295,21 @@ class TestFusedKernels:
         n_rows, arity, W = int(rng.integers(1, 40)), 3, int(
             rng.integers(1, 3))
         rows = rng.integers(0, g.num_vertices, size=(n_rows, arity))
-        verts_sorted = rows[:, :W].copy()
+        verts = rows[:, :W].copy()
         labels = rng.integers(0, 3, size=g.num_vertices) \
             if seed % 2 else None
         new_label = 1 if labels is not None else None
         lt, gt = ((0,), (1,)) if seed % 3 == 0 else ((), (0,))
-        ref = _reference_extend(g, rows, verts_sorted, lt, gt, labels,
-                                new_label)
-        for h in arc_table_sides(g):
-            got = fused_extend_candidates(h, rows, verts_sorted, lt, gt,
-                                          labels, new_label)
-            for a, b in zip(got, ref):
-                assert np.array_equal(a, b)
+        # the candidates are the lists' intersection, whichever list
+        # they come from, so the reference needs no sorted order
+        ref = _reference_extend(g, rows, verts, lt, gt, labels, new_label)
+        for path in extend_paths():
+            with extend_path(path):
+                for h in arc_table_sides(g):
+                    got = extend_block(h, rows, verts, g.degrees()[verts],
+                                       lt, gt, labels, new_label)
+                    for a, b in zip(got[:3], ref, strict=True):
+                        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rowwise_and_vector_extend_charge_identical_ticks(self, seed):
@@ -397,13 +341,15 @@ class TestFusedKernels:
             emits = counts.tolist()
             want_rows = [(*rows[i].tolist(), c)
                          for i, c in zip(row_ids.tolist(), cand.tolist())]
-        for h in arc_table_sides(g):
+        for path, h in ((path, h) for path in extend_paths()
+                        for h in arc_table_sides(g)):
             cluster = Cluster(h, num_machines=3, cost=cost, seed=seed)
             owner = cluster.pgraph.owner
             cache = make_cache(variant, None, cost, workers=2)
             op = ExtendOp(spec, ExecContext(cluster, cache))
             for count_only in (False, True):
-                out, ticks, counted = op.process(0, rows, count_only)
+                with extend_path(path):
+                    out, ticks, counted = op.process(0, rows, count_only)
                 step = 1 if count_only else 3
                 want = [cost.intersection_ops([g.degree(u) for u in vs],
                                               cluster.probe_ticks)
@@ -476,13 +422,19 @@ class TestFusedKernels:
 
     def test_empty_and_degenerate_shapes(self):
         g = gen.erdos_renyi(10, 0.3, seed=1)
-        rows = np.zeros((0, 2), dtype=np.int64)
-        cand, row_ids, counts = fused_extend_candidates(
-            g, rows, rows.copy(), (), (), None, None)
-        assert len(cand) == 0 and len(counts) == 0
-        # W == 1: no membership columns at all, candidates pass through
-        rows = np.array([[0, 1]], dtype=np.int64)
-        cand, row_ids, counts = fused_extend_candidates(
-            g, rows, rows[:, :1], (), (), None, None)
-        nbrs = set(g.neighbours(0).tolist()) - {0, 1}
-        assert set(cand.tolist()) == nbrs and counts[0] == len(nbrs)
+        for path in extend_paths():
+            with extend_path(path):
+                rows = np.zeros((0, 2), dtype=np.int64)
+                cand, row_ids, counts, lens = extend_block(
+                    g, rows, rows, rows.copy(), (), ())
+                assert len(cand) == len(row_ids) == len(counts) == 0
+                assert lens.shape == (0, 2)
+                # W == 1: no membership columns at all, no probe made,
+                # candidates pass through
+                rows = np.array([[0, 1]], dtype=np.int64)
+                h = Graph(g.indptr, g.indices)
+                cand, row_ids, counts, _ = extend_block(
+                    h, rows, rows[:, :1], g.degrees()[rows[:, :1]], (), ())
+                nbrs = set(g.neighbours(0).tolist()) - {0, 1}
+                assert set(cand.tolist()) == nbrs and counts[0] == len(nbrs)
+                assert h._probes == 0 and h._arcs is None

@@ -14,12 +14,15 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import enumerate_matches
+from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph import load_dataset, temporal_edge_stream
 from repro.obs import MetricsRegistry
 from repro.query import get_query
 from repro.serve import (QueryRequest, QueryService, QueryStatus,
                          SubscribeRequest)
+
+from .test_extend_kernels import extend_path, extend_paths
 
 TRIANGLE = get_query("triangle")
 
@@ -340,29 +343,36 @@ def test_an_update_batch_leaves_its_snapshot_without_a_slot_table():
     passes, and a triangle count read off it, through the composite
     index: on LJ@3, with hub-heavy 8-edge batches and standing triangle
     and q1 subscriptions, no snapshot reaches the slot table's build
-    trigger"""
-    stream = temporal_edge_stream(load_dataset("LJ", scale=3, seed=7), 96,
-                                  batch_size=8, delete_fraction=0.35,
-                                  seed=1, skew=1.5)
-    svc = QueryService(datasets={"lj": stream.base}, num_workers=2).start()
-    snapshots = [stream.base]
-    try:
-        subs = [svc.subscribe(SubscribeRequest(p, "lj"))
-                for p in ("triangle", "q1")]
-        for i, batch in enumerate(stream.batches):
-            report = svc.apply_updates("lj", batch.inserts, batch.deletes)
-            assert not report.timed_out
-            assert all(sub.poll(timeout=30).error is None for sub in subs)
-            snapshots.append(svc._graphs["lj"])
-            if i % 4 == 3:
-                out = svc.submit(QueryRequest(
-                    "triangle", "lj", num_machines=10,
-                    workers_per_machine=4)).result(timeout=60)
-                assert out.status is QueryStatus.COMPLETED
-    finally:
-        svc.stop()
-    # each snapshot but the last served one batch's inserts as the new
-    # graph and the next batch's deletes as the old one
-    assert all(g._probes for g in snapshots[1:])
-    assert [g._arcs is None for g in snapshots] == [True] * len(snapshots)
+    trigger — whichever extend path counts the probes"""
+    for path in extend_paths():
+        stream = temporal_edge_stream(load_dataset("LJ", scale=3, seed=7),
+                                      96, batch_size=8, delete_fraction=0.35,
+                                      seed=1, skew=1.5)
+        # a fresh base: the dataset's graph object keeps its probe count
+        base = Graph(stream.base.indptr, stream.base.indices)
+        svc = QueryService(datasets={"lj": base}, num_workers=2)
+        snapshots = [base]
+        with extend_path(path):
+            svc.start()
+            try:
+                subs = [svc.subscribe(SubscribeRequest(p, "lj"))
+                        for p in ("triangle", "q1")]
+                for i, batch in enumerate(stream.batches):
+                    report = svc.apply_updates("lj", batch.inserts,
+                                               batch.deletes)
+                    assert not report.timed_out
+                    assert all(sub.poll(timeout=30).error is None
+                               for sub in subs)
+                    snapshots.append(svc._graphs["lj"])
+                    if i % 4 == 3:
+                        out = svc.submit(QueryRequest(
+                            "triangle", "lj", num_machines=10,
+                            workers_per_machine=4)).result(timeout=60)
+                        assert out.status is QueryStatus.COMPLETED
+            finally:
+                svc.stop()
+        # each snapshot but the last served one batch's inserts as the new
+        # graph and the next batch's deletes as the old one
+        assert all(g._probes for g in snapshots[1:])
+        assert [g._arcs is None for g in snapshots] == [True] * len(snapshots)
 
