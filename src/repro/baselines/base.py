@@ -8,8 +8,10 @@ transcription of its algorithm.
 
 Relations are **columnar**: each machine's partition is a 2-D ``int64``
 array (one row per tuple), and the relational operators — hash shuffle,
-hash join, star materialisation — run as vectorised array programs built
-on the shared kernels of :mod:`repro.core.kernels`.  Compute is charged
+hash join, star materialisation — run on the shared kernels of
+:mod:`repro.core.kernels` (the join's blocks and the star combinations
+as compiled loops where its C library loaded, numpy array programs
+otherwise).  Compute is charged
 in integer ticks (counts × tick weights, :mod:`repro.cluster.cost`);
 what stays sequential is the *modelled* incremental memory-charge /
 budget-check sequence (alloc → charge → check, every ``_CHUNK`` emitted
@@ -36,6 +38,7 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OutOfMemoryError, OvertimeError
 from ..cluster.metrics import RunReport
+from ..core import kernels
 from ..core.kernels import (chunk_charges, csr_gather, hash_destinations,
                             join_blocks)
 from ..query.symmetry import PartialOrder
@@ -329,9 +332,9 @@ def _comb_indices(pool: int, choose: int) -> np.ndarray:
 
 def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
                cand_counts: np.ndarray, nl: int, patterns_arr: np.ndarray,
-               conds: Sequence[tuple[int, int]]
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Star-style combination emission, vectorised.
+               conds: Sequence[tuple[int, int]], count_only: bool = False
+               ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Star-style combination emission.
 
     For each input row ``i`` (``prefix[i]`` plus its candidate list, the
     ``cand_counts[i]``-sized slice of the row-major ``cand_flat``), emit
@@ -341,15 +344,29 @@ def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
     ``for combo: for pattern:`` loops.  Rows violating a positional
     condition ``(i, j)`` (requiring ``row[i] < row[j]``) are dropped.
 
-    Returns ``(rows, row_ids, kept_counts)`` where ``kept_counts[i]`` is
-    row ``i``'s surviving emission count.  Rows with fewer than ``nl``
-    candidates emit nothing.
+    Returns ``(rows, kept_counts)`` where ``kept_counts[i]`` is row
+    ``i``'s surviving emission count; with ``count_only`` no row is built
+    and ``rows`` is ``None``.  Rows with fewer than ``nl`` candidates emit
+    nothing.
+
+    It runs as one compiled loop over the input rows (``combo_rows`` of
+    ``repro.core.kernels``' C library: per row the combinations, the
+    patterns and the conditions, each kept row written out in place).
+    Where the library did not load the numpy program runs: rows grouped
+    by candidate count, each group one dense gather, then the input-row
+    order restored.  Both give the same arrays.
     """
-    n, width = prefix.shape[0], prefix.shape[1] + nl
-    empty = (np.empty((0, width), dtype=np.int64),
-             np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    if kernels._LIB is not None:
+        cap = 0 if count_only else predicted_star_total(
+            cand_counts, nl, len(patterns_arr))
+        return kernels._combo_compiled(prefix, cand_flat, cand_counts, nl,
+                                       patterns_arr, conds, cap, count_only)
+    n, pw = prefix.shape
+    width = pw + nl
+    kept = np.zeros(n, dtype=np.int64)
+    empty = None if count_only else np.empty((0, width), dtype=np.int64)
     if n == 0 or len(patterns_arr) == 0:
-        return empty
+        return empty, kept
     # group rows by candidate-list size so each group expands as one
     # dense (rows, combos, patterns, nl) gather
     row_order = np.argsort(cand_counts, kind="stable")
@@ -369,24 +386,26 @@ def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
             continue
         leaves = seg.reshape(r_cnt, c)[:, _comb_indices(c, nl)]
         emit = leaves[:, :, patterns_arr].reshape(r_cnt, -1, nl)
+        keep = np.ones(emit.shape[:2], dtype=bool)
+        for i, j in conds:
+            a, b = (prefix[grp_rows, p][:, None] if p < pw
+                    else emit[:, :, p - pw] for p in (i, j))
+            keep &= a < b
+        kept[grp_rows] = keep.sum(axis=1)
+        if count_only:
+            continue
         per_row = emit.shape[1]  # combos x patterns
+        keep = keep.reshape(-1)
         pieces.append(np.concatenate(
             (np.repeat(prefix[grp_rows], per_row, axis=0),
-             emit.reshape(-1, nl)), axis=1))
-        piece_ids.append(np.repeat(grp_rows, per_row))
-    if not pieces:
-        return empty
-    rows = np.concatenate(pieces)
-    ids = np.concatenate(piece_ids)
+             emit.reshape(-1, nl)), axis=1)[keep])
+        piece_ids.append(np.repeat(grp_rows, per_row)[keep])
+    if count_only or not pieces:
+        return empty, kept
     # restore input-row order (stable: within a row the combination-major
     # order is already right)
-    perm = np.argsort(ids, kind="stable")
-    rows, ids = rows[perm], ids[perm]
-    keep = np.ones(len(rows), dtype=bool)
-    for i, j in conds:
-        keep &= rows[:, i] < rows[:, j]
-    rows, ids = rows[keep], ids[keep]
-    return rows, ids, np.bincount(ids, minlength=n)
+    perm = np.argsort(np.concatenate(piece_ids), kind="stable")
+    return np.concatenate(pieces)[perm], kept
 
 
 def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
@@ -413,8 +432,8 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
     el = np.flatnonzero(deg >= nl)
     roots = local[el]
     _, cand_flat = csr_gather(g.indptr, g.indices, roots)
-    rows, _, kept = combo_rows(roots[:, None], cand_flat, deg[el], nl,
-                               patterns_arr, root_conds)
+    rows, kept = combo_rows(roots[:, None], cand_flat, deg[el], nl,
+                            patterns_arr, root_conds)
     c_full = np.zeros(n, dtype=np.int64)
     c_full[el] = kept
     item_ops = (deg * cost.ticks.scan
@@ -436,9 +455,9 @@ def predicted_star_total(degrees: np.ndarray, choose: int,
                          patterns: int) -> int:
     """The pre-flight size prediction ``Σ_u C(d_u, choose)·patterns`` —
     an exact (arbitrary-precision) integer."""
-    uniq, cnts = np.unique(degrees[degrees >= choose], return_counts=True)
     return sum(math.comb(d, choose) * patterns * c
-               for d, c in zip(uniq.tolist(), cnts.tolist()))
+               for d, c in enumerate(np.bincount(degrees).tolist())
+               if c and d >= choose)
 
 
 def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],

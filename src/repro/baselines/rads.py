@@ -18,8 +18,9 @@ Characteristics reproduced here (Table 1 row RADS):
 
 The rounds are columnar: partial results are ``(n, arity)`` int64 arrays,
 edge verification is a batch membership test against the shared
-edge-composite index, and leaf enumeration shares the grouped combination
-expansion of :func:`repro.baselines.base.combo_rows`.  Per-row costs are
+edge-composite index, and leaf enumeration shares the combination builder
+:func:`repro.baselines.base.combo_rows` (the counted round asks it for
+per-row counts only).  Per-row costs are
 integer tick arrays (counts × tick weights); the modelled per-root
 incremental memory-charge sequence stays a sequential loop.
 """
@@ -209,11 +210,17 @@ class RadsEngine(BaselineEngine):
             okidx = np.flatnonzero(ok)
             row_ids, cand = csr_gather(graph.indptr, graph.indices,
                                        roots[okidx])
-            keep = ~(cand[:, None] == prefix[row_ids]).any(axis=1)
+            # one column of the prefix at a time, spread over its row's
+            # candidates (not a gathered (candidates, width) block)
+            deg = self._degrees[roots[okidx]]
+            keep = np.ones(len(cand), dtype=bool)
+            for col in prefix.T:
+                keep &= cand != np.repeat(col, deg)
             cand = cand[keep]
             counts = np.bincount(row_ids[keep], minlength=len(okidx))
-            emitted, _, kept = combo_rows(prefix, cand, counts, nl,
-                                          patterns_arr, mixed_conds)
+            emitted, kept = combo_rows(prefix, cand, counts, nl,
+                                       patterns_arr, mixed_conds,
+                                       count_only=count_only)
             kept_per_row[okidx] = kept
             step = cost.ticks.emit * (1 if count_only else len(out_schema))
             item_ops = base + kept_per_row * step

@@ -1,0 +1,240 @@
+/* The compiled loops of repro.core.kernels, one function each:
+ *
+ *   extend_rows  PULL-EXTEND's candidate pass over a block of rows, the
+ *                twin of kernels.extend_block;
+ *   join_block   one block of the blocked hash join's key matches,
+ *                filtered and written out, the twin of kernels._join_block;
+ *   combo_rows   the star baselines' combination builder, the twin of
+ *                repro.baselines.base.combo_rows.
+ *
+ * Each gives its numpy twin's arrays element for element.  Loaded through
+ * cffi in ABI mode, so this file includes nothing Python; the callers
+ * check every shape, position and index before they pass a pointer. */
+
+#include <stdint.h>
+
+typedef int64_t i64;
+
+/* slot-table markers and hash, as in repro.graph.graph */
+#define SHARED (-2)
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+/* first position in a[lo, hi) holding a value >= x */
+static i64 lower_bound(const i64 *a, i64 lo, i64 hi, i64 x)
+{
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* lower_bound by doubling steps from lo: a row's candidates ascend, so a
+ * list's cursor only moves forward */
+static i64 gallop(const i64 *a, i64 lo, i64 hi, i64 x)
+{
+    i64 step = 1;
+    if (lo >= hi || a[lo] >= x)
+        return lo;
+    while (lo + step < hi && a[lo + step] < x) {
+        lo += step;
+        step <<= 1;
+    }
+    return lower_bound(a, lo + 1, lo + step < hi ? lo + step : hi, x);
+}
+
+/* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
+ * extend vertices verts[r] are sorted by adjacency length lens[r]
+ * (stably; the sorted lengths go to lens_out[r]); the smallest list,
+ * cut to the symmetry window max(rows[gt]) < c < min(rows[lt]), gives
+ * the candidates; each other list is probed once per candidate still
+ * standing: through the slot table when there is one (a SHARED slot
+ * searches the list), by galloping in the list otherwise, each such
+ * probe counted in *probes.  Survivors must carry new_label (when
+ * labels is not NULL) and differ from every column of the row.  Writes
+ * counts[r] and, unless cand is NULL, the first cap survivors to cand /
+ * row_ids; returns their number. */
+i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
+                const i64 *verts, const i64 *lens, i64 *lens_out,
+                const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
+                const i64 *indptr, const i64 *indices, i64 n,
+                const i64 *table, i64 bits,
+                const i64 *labels, i64 new_label,
+                i64 *cand, i64 *row_ids, i64 cap, i64 *counts,
+                i64 *probes)
+{
+    i64 v[k], len[k], pos[k], end[k];
+    i64 total = 0, searched = 0;
+    for (i64 r = 0; r < n_rows; r++) {
+        const i64 *row = rows + r * width;
+        for (i64 w = 0; w < k; w++) {
+            i64 x = verts[r * k + w], l = lens[r * k + w], j = w;
+            for (; j > 0 && len[j - 1] > l; j--) {
+                v[j] = v[j - 1];
+                len[j] = len[j - 1];
+            }
+            v[j] = x;
+            len[j] = l;
+        }
+        for (i64 w = 0; w < k; w++) {
+            lens_out[r * k + w] = len[w];
+            pos[w] = indptr[v[w]];
+            end[w] = indptr[v[w] + 1];
+        }
+        i64 start = pos[0], stop = end[0];
+        if (n_gt) {
+            i64 low = row[gt[0]];
+            for (i64 j = 1; j < n_gt; j++)
+                low = row[gt[j]] > low ? row[gt[j]] : low;
+            start = lower_bound(indices, start, stop, low + 1);
+        }
+        if (n_lt) {
+            i64 high = row[lt[0]];
+            for (i64 j = 1; j < n_lt; j++)
+                high = row[lt[j]] < high ? row[lt[j]] : high;
+            stop = lower_bound(indices, start, stop, high);
+        }
+        i64 emitted = 0;
+        for (i64 i = start; i < stop; i++) {
+            i64 c = indices[i], w = 1;
+            for (; w < k; w++) {
+                i64 at;
+                if (table) {
+                    i64 key = v[w] * n + c;
+                    i64 held = table[((uint64_t)key * GOLDEN) >> (64 - bits)];
+                    if (held == key)
+                        continue;
+                    if (held != SHARED)
+                        break;
+                    at = lower_bound(indices, pos[w], end[w], c);
+                } else {
+                    searched++;
+                    at = pos[w] = gallop(indices, pos[w], end[w], c);
+                }
+                if (at == end[w] || indices[at] != c)
+                    break;
+            }
+            if (w < k || (labels && labels[c] != new_label))
+                continue;
+            for (w = 0; w < width && row[w] != c; w++)
+                ;
+            if (w < width)
+                continue;
+            if (cand && total + emitted < cap) {
+                cand[total + emitted] = c;
+                row_ids[total + emitted] = r;
+            }
+            emitted++;
+        }
+        counts[r] = emitted;
+        total += emitted;
+    }
+    *probes = searched;
+    return total;
+}
+
+/* One block of a hash join's key matches.  Probe row i (of n_probe rows
+ * of probe_w columns) matches counts[i] build rows: build row
+ * order[lo[i] + j] for j < counts[i].  The output row of a
+ * pair has width columns, column o read from the build row's column
+ * col[o] when from_build[o], from the probe row's otherwise; it is kept
+ * if every test t holds: column test_a[t] < column test_b[t] when
+ * test_less[t], column test_a[t] != column test_b[t] otherwise.  Writes
+ * kept[i] per probe row and, unless out is NULL, the kept rows to out in
+ * pair order; returns their number. */
+i64 join_block(i64 n_probe, const i64 *probe, i64 probe_w,
+               const i64 *counts, const i64 *lo,
+               const i64 *build, i64 build_w, const i64 *order,
+               i64 width, const i64 *from_build, const i64 *col,
+               i64 n_tests, const i64 *test_a, const i64 *test_b,
+               const i64 *test_less, i64 *kept, i64 *out)
+{
+    i64 total = 0;
+    for (i64 i = 0; i < n_probe; i++) {
+        const i64 *prow = probe + i * probe_w;
+        i64 emitted = 0;
+        for (i64 j = lo[i]; j < lo[i] + counts[i]; j++) {
+            const i64 *brow = build + order[j] * build_w;
+            i64 t = 0;
+            for (; t < n_tests; t++) {
+                i64 a = test_a[t], b = test_b[t];
+                i64 x = from_build[a] ? brow[col[a]] : prow[col[a]];
+                i64 y = from_build[b] ? brow[col[b]] : prow[col[b]];
+                if (test_less[t] ? x >= y : x == y)
+                    break;
+            }
+            if (t < n_tests)
+                continue;
+            if (out) {
+                i64 *o = out + (total + emitted) * width;
+                for (i64 w = 0; w < width; w++)
+                    o[w] = from_build[w] ? brow[col[w]] : prow[col[w]];
+            }
+            emitted++;
+        }
+        kept[i] = emitted;
+        total += emitted;
+    }
+    return total;
+}
+
+/* Star combinations.  Row r (prefix_w columns) has counts[r] candidates,
+ * the next slice of cand.  For every nl-combination of them, in
+ * lexicographic order of positions, and every pattern p (nl positions
+ * into the combination), the output row is the prefix then leaf l =
+ * combination[patterns[p * nl + l]]; it is kept if column cond_a[t] <
+ * column cond_b[t] for every condition t.  Writes kept[r] per row and,
+ * unless out is NULL, the first cap kept rows to out in input-row order;
+ * returns their number. */
+i64 combo_rows(i64 n_rows, const i64 *prefix, i64 prefix_w,
+               const i64 *cand, const i64 *counts, i64 nl,
+               i64 n_patterns, const i64 *patterns,
+               i64 n_conds, const i64 *cond_a, const i64 *cond_b,
+               i64 *kept, i64 *out, i64 cap)
+{
+    i64 width = prefix_w + nl, total = 0, off = 0;
+    i64 pick[nl + 1], row[width + 1];
+    for (i64 r = 0; r < n_rows; off += counts[r], r++) {
+        i64 c = counts[r], emitted = 0;
+        kept[r] = 0;
+        if (c < nl)
+            continue;
+        for (i64 w = 0; w < prefix_w; w++)
+            row[w] = prefix[r * prefix_w + w];
+        for (i64 l = 0; l < nl; l++)
+            pick[l] = l;
+        for (;;) {
+            for (i64 p = 0; p < n_patterns; p++) {
+                for (i64 l = 0; l < nl; l++)
+                    row[prefix_w + l] = cand[off + pick[patterns[p * nl + l]]];
+                i64 t = 0;
+                for (; t < n_conds && row[cond_a[t]] < row[cond_b[t]]; t++)
+                    ;
+                if (t < n_conds)
+                    continue;
+                if (out && total + emitted < cap) {
+                    i64 *o = out + (total + emitted) * width;
+                    for (i64 w = 0; w < width; w++)
+                        o[w] = row[w];
+                }
+                emitted++;
+            }
+            /* the next combination: raise the last position that can
+             * still rise, and restart every later one just above it */
+            i64 l = nl - 1;
+            while (l >= 0 && pick[l] == c - nl + l)
+                l--;
+            if (l < 0)
+                break;
+            pick[l]++;
+            for (i64 m = l + 1; m < nl; m++)
+                pick[m] = pick[m - 1] + 1;
+        }
+        kept[r] = emitted;
+        total += emitted;
+    }
+    return total;
+}

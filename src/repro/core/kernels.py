@@ -22,23 +22,26 @@ holds the array programs themselves:
   :func:`extend_block` is the whole step for a gathered block (by-length
   sort, then the fused pass); :func:`extend_step` gathers the block for
   one ``ExtendSpec`` first.
-* The same step compiled: ``extend.c`` does :func:`extend_block` as one
-  loop over the rows (sort, window, one probe per candidate and list,
-  filters), built once per source hash with the system C compiler and
-  loaded through cffi (:func:`_load_extend`).  It is the one loop here
-  that runs compiled; without cffi or a compiler the numpy program above
-  runs instead, and it stays the reference the tests hold both paths to.
 * :func:`join_pairs` / :func:`join_blocks` / :func:`join_chunks` — the
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
   and the key matches come in blocks of at most :data:`JOIN_BLOCK_PAIRS`
-  pairs; the cross-side filters run on each block's index pairs and only
-  survivors are gathered into rows (none, when the join is only counted:
-  its rows are column-less); the rows are re-cut into output
-  chunks, each charged as its probe rows are reached.  So a machine's
-  join holds one block and one chunk, not its whole output.
-  :func:`chunk_charges` is the same charge for a join whose per-probe
-  emit counts are all known.
+  pairs; the cross-side filters run on each block's pairs and only
+  survivors become rows (none, when the join is only counted: its rows
+  are column-less); the rows are re-cut into output chunks, each charged
+  as its probe rows are reached.  So a machine's join holds one block
+  and one chunk, not its whole output.  :func:`chunk_charges` is the
+  same charge for a join whose per-probe emit counts are all known.
+* Three loops compiled: ``kernels.c`` holds :func:`extend_block` as one
+  loop over the rows (sort, window, one probe per candidate and list,
+  filters), a join block as one loop over its pairs (filters, then the
+  kept row written out), and the star baselines' combination builder
+  (:func:`repro.baselines.base.combo_rows`) as one loop over its input
+  rows.  The library is built once per source hash with the system C
+  compiler and loaded through cffi (:func:`_load_library`); each caller
+  checks its inputs before it passes a pointer.  Without cffi or a
+  compiler every loop runs its numpy program instead, and the numpy
+  programs stay the reference the tests hold both paths to.
 """
 
 from __future__ import annotations
@@ -239,10 +242,11 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     ``count_only`` (a final PULL-EXTEND into a counting SINK) ``cand``
     and ``row_ids`` are ``None``.
 
-    The pass runs as one compiled loop over the rows (``extend.c``: per
-    row the sort, the window's two searches in the smallest list, one
-    slot-table read per probe — a galloping search while the snapshot
-    has no table — and the filters), loaded by :func:`_load_extend`.
+    The pass runs as one compiled loop over the rows (``extend_rows`` of
+    ``kernels.c``: per row the sort, the window's two searches in the
+    smallest list, one slot-table read per probe — a galloping search
+    while the snapshot has no table — and the filters), loaded by
+    :func:`_load_library`.
     Where it could not be loaded the numpy program runs; both give the
     same arrays element for element and count the same probes.
     """
@@ -262,11 +266,7 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
 
 def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
                      count_only):
-    """:func:`extend_block` through ``extend_rows`` of ``extend.c``."""
-    def buf(a):
-        return _FFI.from_buffer("int64_t[]", np.ascontiguousarray(
-            a, dtype=np.int64))
-
+    """:func:`extend_block` through ``extend_rows`` of ``kernels.c``."""
     n_rows, k = verts.shape
     n, width = graph.num_vertices, rows.shape[1]
     label = new_label is not None and labels is not None
@@ -284,14 +284,14 @@ def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
     table = graph.arc_table_due(0)
     probes = _FFI.new("int64_t *")
     total = _LIB.extend_rows(
-        n_rows, width, buf(rows), k, buf(verts), buf(lens),
-        buf(sorted_lens), buf(lt), len(lt), buf(gt), len(gt),
-        buf(graph.indptr), buf(graph.indices), n,
-        _FFI.NULL if table is None else buf(table),
+        n_rows, width, _buf(rows), k, _buf(verts), _buf(lens),
+        _buf(sorted_lens), _buf(lt), len(lt), _buf(gt), len(gt),
+        _buf(graph.indptr), _buf(graph.indices), n,
+        _FFI.NULL if table is None else _buf(table),
         0 if table is None else len(table).bit_length() - 1,
-        buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
-        _FFI.NULL if count_only else buf(cand), buf(row_ids), cap,
-        buf(counts), probes)
+        _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
+        _FFI.NULL if count_only else _buf(cand), _buf(row_ids), cap,
+        _buf(counts), probes)
     if table is None:
         graph.arc_table_due(probes[0])
     if count_only:
@@ -319,9 +319,9 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
     return extend_block(graph, rows, verts, lens, lt, gt, labels, new_label)
 
 
-# -- the compiled extend pass -----------------------------------------------------
+# -- the compiled loops --------------------------------------------------------
 
-_SOURCE = Path(__file__).with_name("extend.c")
+_SOURCE = Path(__file__).with_name("kernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _CDEF = """
 int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
@@ -330,13 +330,31 @@ int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,
                     int64_t *, int64_t *, int64_t, int64_t *, int64_t *);
+int64_t join_block(int64_t, const int64_t *, int64_t,
+                   const int64_t *, const int64_t *,
+                   const int64_t *, int64_t, const int64_t *,
+                   int64_t, const int64_t *, const int64_t *,
+                   int64_t, const int64_t *, const int64_t *,
+                   const int64_t *, int64_t *, int64_t *);
+int64_t combo_rows(int64_t, const int64_t *, int64_t,
+                   const int64_t *, const int64_t *, int64_t,
+                   int64_t, const int64_t *,
+                   int64_t, const int64_t *, const int64_t *,
+                   int64_t *, int64_t *, int64_t);
 """
 
 
-def _load_extend():
-    """``(ffi, lib)`` of ``extend.c`` through cffi's out-of-line ABI mode,
+def _buf(a):
+    """``a`` as an ``int64_t[]`` pointer (a C-contiguous ``int64`` copy
+    first where it is not one already)."""
+    return _FFI.from_buffer("int64_t[]", np.ascontiguousarray(
+        a, dtype=np.int64))
+
+
+def _load_library():
+    """``(ffi, lib)`` of ``kernels.c`` through cffi's out-of-line ABI mode,
     or ``None``: without cffi or a C compiler, or when the build or the
-    load fails, :func:`extend_block` runs numpy.
+    load fails, every loop of it runs its numpy twin.
 
     Both halves are built once per hash of the source, the declaration,
     the flags and the cffi version, into ``$XDG_CACHE_HOME/repro``
@@ -352,10 +370,10 @@ def _load_extend():
             _cffi_backend.__version__.encode()))).hexdigest()
         stem = Path(os.environ.get("XDG_CACHE_HOME")
                     or Path.home() / ".cache") / "repro" / (
-                        f"extend-{digest[:16]}")
+                        f"kernels-{digest[:16]}")
         lib_path, ffi_path = stem.with_suffix(".so"), stem.with_suffix(".py")
         if not (lib_path.exists() and ffi_path.exists()):
-            _build_extend(lib_path, ffi_path)
+            _build_library(lib_path, ffi_path)
         spec = importlib.util.spec_from_file_location(stem.name, ffi_path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -364,8 +382,8 @@ def _load_extend():
         return None
 
 
-def _build_extend(lib_path: Path, ffi_path: Path) -> None:
-    """Compile ``extend.c`` to ``lib_path`` and write its FFI module to
+def _build_library(lib_path: Path, ffi_path: Path) -> None:
+    """Compile ``kernels.c`` to ``lib_path`` and write its FFI module to
     ``ffi_path``, each through a temporary file renamed into place, so
     first processes racing each other are harmless."""
     from cffi import FFI, recompiler
@@ -388,8 +406,39 @@ def _build_extend(lib_path: Path, ffi_path: Path) -> None:
                 os.unlink(tmp)
 
 
-#: the loaded library (``None``: the numpy pass runs) and its FFI
-_FFI, _LIB = _load_extend() or (None, None)
+def _combo_compiled(prefix, cand, counts, nl, patterns, conds, cap,
+                    count_only):
+    """:func:`repro.baselines.base.combo_rows` through ``combo_rows`` of
+    ``kernels.c``, with room for ``cap`` rows (the combinations before
+    the conditions)."""
+    n, pw = prefix.shape
+    width = pw + nl
+    patterns = np.asarray(patterns, dtype=np.int64)
+    conds = np.asarray(conds, dtype=np.int64).reshape(-1, 2)
+    # the loop reads candidates by the running count, leaves by pattern
+    # entry and the row by condition position without checks of its own
+    if (counts.shape != (n,) or nl < 1 or patterns.ndim != 2
+            or patterns.shape[1] != nl or (n and counts.min() < 0)
+            or int(counts.sum()) != len(cand)
+            or not np.all((0 <= patterns) & (patterns < nl))
+            or not np.all((0 <= conds) & (conds < width))):
+        raise ValueError("combinations outside their rows or candidates")
+    kept = np.empty(n, dtype=np.int64)
+    rows = np.empty((cap, width), dtype=np.int64)
+    total = _LIB.combo_rows(
+        n, _buf(prefix), pw, _buf(cand), _buf(counts), nl, len(patterns),
+        _buf(patterns), len(conds), _buf(conds[:, 0]), _buf(conds[:, 1]),
+        _buf(kept), _FFI.NULL if count_only else _buf(rows), cap)
+    if count_only:
+        return None, kept
+    if total > cap:
+        raise ValueError("more combinations than the candidate counts give")
+    # conditions that drop most rows let go of the unfiltered buffer
+    return rows[:total] if 2 * total >= cap else rows[:total].copy(), kept
+
+
+#: the loaded library (``None``: the numpy programs run) and its FFI
+_FFI, _LIB = _load_library() or (None, None)
 
 
 # -- blocked hash join ----------------------------------------------------------
@@ -436,21 +485,42 @@ def join_pairs(build: np.ndarray, probe: np.ndarray,
     ``p0 + i``, and ``build_idx`` is their build rows in order.  Adjacent
     blocks share at most their boundary probe row.
     """
-    budget = JOIN_BLOCK_PAIRS
+    order, ranges = _pair_ranges(build, probe, build_key, probe_key)
+    for p0, counts, lo in ranges:
+        yield p0, counts, _build_rows(order, counts, lo)
+
+
+def _pair_ranges(build: np.ndarray, probe: np.ndarray,
+                 build_key: tuple[int, ...], probe_key: tuple[int, ...]):
+    """:func:`join_pairs` with each block's build rows as ranges:
+    ``(order, blocks)``, the build rows in bucket order and an iterator
+    of ``(p0, counts, lo)`` — probe row ``p0 + i``'s pairs in the block
+    match build rows ``order[lo[i]:lo[i] + counts[i]]``."""
     order, bounds, shift = _buckets(build, probe, build_key, probe_key)
-    starts, ends = bounds[:-1], bounds[1:]
-    total = int(bounds[-1])
-    p0 = 0
-    for a in range(0, max(total, 1), budget):
-        b = min(a + budget, total)
-        # probe rows whose pairs all end by b, then the one running past it
-        done = int(np.searchsorted(ends, b, side="right"))
-        p1 = done + 1 if b < total else len(probe)
-        s = np.clip(starts[p0:p1], a, b)
-        counts = np.clip(ends[p0:p1], a, b) - s
-        yield p0, counts, order[np.repeat(shift[p0:p1] + a, counts)
-                                + np.arange(b - a)]
-        p0 = done
+
+    def blocks():
+        budget = JOIN_BLOCK_PAIRS
+        starts, ends = bounds[:-1], bounds[1:]
+        total = int(bounds[-1])
+        p0 = 0
+        for a in range(0, max(total, 1), budget):
+            b = min(a + budget, total)
+            # probe rows whose pairs all end by b, then the one running
+            # past it
+            done = int(np.searchsorted(ends, b, side="right"))
+            p1 = done + 1 if b < total else len(probe)
+            s = np.clip(starts[p0:p1], a, b)
+            yield p0, np.clip(ends[p0:p1], a, b) - s, shift[p0:p1] + s
+            p0 = done
+    return order, blocks()
+
+
+def _build_rows(order: np.ndarray, counts: np.ndarray,
+                lo: np.ndarray) -> np.ndarray:
+    """The build rows of a block's pairs, in order, from its ranges."""
+    ramp = np.arange(int(counts.sum()), dtype=np.int64)
+    return order[np.repeat(lo - (np.cumsum(counts) - counts), counts)
+                 + ramp]
 
 
 def _buckets(build: np.ndarray, probe: np.ndarray,
@@ -484,30 +554,46 @@ def join_blocks(build: np.ndarray, probe: np.ndarray,
     columns (``build_left`` says which side the build rows are).  It is
     kept only if its ``distinct`` position pairs differ (injectivity
     across the sides) and every ``conditions`` pair ``(i, j)`` has
-    ``row[i] < row[j]``.  Both filters run on the index pairs: each
-    output column they name is gathered once — build side by index,
-    probe side by ``np.repeat`` — and only the survivors' rows are
-    gathered in full.  Yields ``(rows, p0, kept)`` per block, ``kept[i]``
-    the rows it emits for probe row ``p0 + i``.  Unless ``materialise``
-    (a join whose output is only counted) nothing is gathered in full and
-    ``rows`` is column-less, ``(kept.sum(), 0)``.
+    ``row[i] < row[j]``.  Yields ``(rows, p0, kept)`` per block,
+    ``kept[i]`` the rows it emits for probe row ``p0 + i``.  Unless
+    ``materialise`` (a join whose output is only counted) ``rows`` is
+    column-less, ``(kept.sum(), 0)``.
+
+    Each block runs as one compiled loop over its pairs (``join_block``
+    of ``kernels.c``): per pair the build row read through the sort
+    order, the filters, then the kept row written straight into the
+    block's output.  Where the library did not load the numpy program
+    runs: the filters on the index pairs — each output column they name
+    gathered once, build side by index, probe side by ``np.repeat`` — and
+    only the survivors' rows gathered in full.  Both give the same
+    arrays.
     """
     carry = np.asarray(right_carry, dtype=np.intp)
-    tests = ([(i, j, np.not_equal) for i, j in distinct]
-             + [(i, j, np.less) for i, j in conditions])
-    for p0, counts, build_idx in join_pairs(build, probe, build_key,
-                                            probe_key):
-        yield _join_block(build, probe, p0, counts, build_idx, build_left,
+    tests = np.asarray([(i, j, 0) for i, j in distinct]
+                       + [(i, j, 1) for i, j in conditions],
+                       dtype=np.int64).reshape(-1, 3)
+    order, ranges = _pair_ranges(build, probe, build_key, probe_key)
+    if _LIB is not None:
+        build = np.ascontiguousarray(build, dtype=np.int64)
+        probe = np.ascontiguousarray(probe, dtype=np.int64)
+    for p0, counts, lo in ranges:
+        yield _join_block(build, probe, p0, counts, (order, lo), build_left,
                           carry, tests, materialise)
 
 
-def _join_block(build, probe, p0, counts, build_idx, build_left, carry,
-                tests, materialise):
-    """:func:`join_blocks` on one block, as ``(rows, p0, kept)`` (a
-    function of its own so the block's gathered columns and masks are
-    freed before the caller yields)."""
+def _join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
+                materialise):
+    """:func:`join_blocks` on one block, as ``(rows, p0, kept)``: probe
+    row ``p0 + i`` against the build rows ``pairs = (order, lo)`` name
+    (see :func:`_build_rows`).  (A function of its own so the block's
+    gathered columns and masks are freed before the caller yields.)"""
+    if _LIB is not None:
+        return _join_compiled(build, probe, p0, counts, pairs, build_left,
+                              carry, tests, materialise)
     left, right = (build, probe) if build_left else (probe, build)
     width = left.shape[1]
+    order, lo = pairs
+    build_idx = _build_rows(order, counts, lo)
     local = np.repeat(np.arange(len(counts)), counts)
     cols: dict[int, np.ndarray] = {}
 
@@ -522,10 +608,11 @@ def _join_block(build, probe, p0, counts, build_idx, build_left, carry,
         return cols[pos]
 
     kept = counts
-    if tests:
+    if len(tests):
         keep = np.ones(len(build_idx), dtype=bool)
-        for i, j, test in tests:
-            keep &= test(column(i), column(j))
+        for i, j, less in tests.tolist():
+            keep &= (np.less if less else np.not_equal)(column(i),
+                                                        column(j))
         build_idx, local = build_idx[keep], local[keep]
         kept = np.bincount(local, minlength=len(counts))
     if not materialise:
@@ -535,6 +622,44 @@ def _join_block(build, probe, p0, counts, build_idx, build_left, carry,
                   else (probe_idx, build_idx))
     rows = np.concatenate((left[lidx], right[ridx[:, None], carry]), axis=1)
     return rows, p0, kept
+
+
+def _join_compiled(build, probe, p0, counts, pairs, build_left, carry,
+                   tests, materialise):
+    """:func:`_join_block` through ``join_block`` of ``kernels.c``."""
+    order, lo = pairs
+    n = len(counts)
+    left_width = (build if build_left else probe).shape[1]
+    width = left_width + len(carry)
+    # the loop reads build rows through order (an argsort of the build
+    # keys, so a permutation of its rows) and columns by position without
+    # checks of its own
+    if (lo.shape != counts.shape or not 0 <= p0 <= p0 + n <= len(probe)
+            or len(order) != len(build)
+            or (n and (counts.min() < 0 or lo.min() < 0
+                       or (lo + counts).max() > len(build)))
+            or not np.all((0 <= carry) & (carry < (
+                probe if build_left else build).shape[1]))
+            or not np.all((0 <= tests[:, :2]) & (tests[:, :2] < width))):
+        raise ValueError("join block outside its sides")
+    from_build = np.arange(width) < left_width
+    if not build_left:
+        from_build = ~from_build
+    col = np.concatenate((np.arange(left_width), carry)).astype(np.int64)
+    kept = np.empty(n, dtype=np.int64)
+    cap = int(counts.sum())
+    rows = np.empty((cap if materialise else 0, width), dtype=np.int64)
+    total = _LIB.join_block(
+        n, _buf(probe[p0:p0 + n]), probe.shape[1], _buf(counts), _buf(lo),
+        _buf(build), build.shape[1], _buf(order), width,
+        _buf(from_build), _buf(col), len(tests),
+        _buf(tests[:, 0]), _buf(tests[:, 1]), _buf(tests[:, 2]),
+        _buf(kept), _buf(rows) if materialise else _FFI.NULL)
+    if not materialise:
+        return np.empty((total, 0), dtype=np.int64), p0, kept
+    # a block that keeps little lets go of its pair-sized buffer
+    return (rows[:total] if 2 * total >= cap else rows[:total].copy(),
+            p0, kept)
 
 
 def join_chunks(blocks, batch_size: int, hash_ticks: int, emit_ticks: int):

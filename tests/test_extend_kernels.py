@@ -1,8 +1,9 @@
 """PULL-EXTEND's candidate pass on both of its paths — the compiled
-per-row loop (``core/extend.c``) and the numpy program kept as its
-fallback — against a gather-everything reference: candidates, row ids,
-counts and sorted lengths element for element, and the same membership
-probes counted, on a graph with and without its slot table.  The numpy
+per-row loop (``extend_rows`` of ``core/kernels.c``) and the numpy
+program kept as its fallback — against a gather-everything reference:
+candidates, row ids, counts and sorted lengths element for element, and
+the same membership probes counted, on a graph with and without its slot
+table.  The numpy
 path is forced by unloading the kernel module's library handle
 (:func:`extend_path`); ``tests/test_procpool.py::TestFusedKernels`` runs
 the operator-level kernel tests through both paths with these helpers."""
@@ -30,12 +31,13 @@ PATHS = ("compiled", "numpy")
 
 @contextlib.contextmanager
 def extend_path(path: str):
-    """Run the block on one extend path: ``"numpy"`` unloads the library
-    handle for the block, ``"compiled"`` skips the test where the
-    library did not load."""
+    """Run the block on one kernel path: ``"numpy"`` unloads the library
+    handle for the block, so every compiled loop (extend, join block,
+    star combinations) runs its numpy twin; ``"compiled"`` skips the test
+    where the library did not load."""
     lib = kernels._LIB
     if path == "compiled" and lib is None:
-        pytest.skip("the compiled extend pass is not loaded")
+        pytest.skip("the compiled kernels are not loaded")
     kernels._LIB = lib if path == "compiled" else None
     try:
         yield

@@ -2,7 +2,9 @@
 ``join_chunks``) against a one-shot reference that materialises every key
 match at once: rows, per-probe emit counts and per-chunk charges must be
 identical at any block budget, and a counting join (``materialise=False``)
-must cut the same chunks with the same charges."""
+must cut the same chunks with the same charges — on both paths of a
+block, the compiled loop (``join_block`` of ``core/kernels.c``) and its
+numpy twin (forced by ``test_extend_kernels.extend_path``)."""
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 import repro.core.kernels as kernels
 from repro.core.kernels import (chunk_charges, join_blocks, join_chunks,
                                 join_pairs)
+
+from .test_extend_kernels import extend_path, extend_paths
 
 
 def reference_join(build, probe, build_key, probe_key, build_left,
@@ -87,7 +91,9 @@ def _sides(case):
 def test_blocks_equal_the_one_shot_join(budget, case, batch_size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "JOIN_BLOCK_PAIRS", budget)
-        _check_against_reference(_sides(case), budget, batch_size)
+        for path in extend_paths():
+            with extend_path(path):
+                _check_against_reference(_sides(case), budget, batch_size)
 
 
 def _check_against_reference(args, budget, batch_size):
@@ -143,3 +149,21 @@ def test_wide_keys_do_not_collide():
     assert p0 == 0
     assert counts.tolist() == [2, 0, 1]
     assert build_idx.tolist() == [0, 3, 1]
+
+
+def test_compiled_block_rejects_columns_outside_its_sides():
+    """the C loop reads rows by position unchecked, so a carried column
+    or a filtered output position outside the sides is refused first"""
+    build = np.asarray([[1, 2], [3, 4]], dtype=np.int64)
+    probe = np.asarray([[1, 5], [3, 6], [7, 8]], dtype=np.int64)
+    bad = [((2,), [], []),          # the right side has 2 columns
+           ((-1,), [], []),
+           ((1,), [(0, 3)], []),    # the output has 3 columns
+           ((1,), [], [(-1, 2)])]
+    with extend_path("compiled"):
+        assert sum(len(r) for r, _, _ in join_blocks(
+            build, probe, (0,), (0,), True, (1,), [(1, 2)], [])) == 2
+        for carry, distinct, conditions in bad:
+            with pytest.raises(ValueError):
+                list(join_blocks(build, probe, (0,), (0,), True, carry,
+                                 distinct, conditions))
