@@ -18,7 +18,10 @@ Characteristics reproduced here (Table 1 row RADS):
 
 The rounds are columnar: partial results are ``(n, arity)`` int64 arrays,
 edge verification is a batch membership test against the shared
-edge-composite index, and leaf enumeration shares the combination builder
+edge-composite index, a root's leaf candidates come from the engine's
+candidate pass (:func:`~repro.core.kernels.extend_step` with one list and
+no window: the root's adjacency minus the row's ids), and leaf
+enumeration shares the combination builder
 :func:`repro.baselines.base.combo_rows` (the counted round asks it for
 per-row counts only).  Per-row costs are
 integer tick arrays (counts × tick weights); the modelled per-root
@@ -31,7 +34,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
-from ..core.kernels import csr_gather
+from ..core.kernels import extend_step
 from ..core.plan.plans import rads_plan
 from ..core.plan.tree import ExecutionPlan
 from ..core.stealing import chunked_distribution
@@ -205,19 +208,12 @@ class RadsEngine(BaselineEngine):
                 if not count_only:
                     out_rel.append(out)
                 continue
-            # candidates: the pulled adjacency minus already-matched ids
+            # candidates: the pulled adjacency minus already-matched ids,
+            # the engine's candidate pass with one list and no window
             prefix = part[ok]
             okidx = np.flatnonzero(ok)
-            row_ids, cand = csr_gather(graph.indptr, graph.indices,
-                                       roots[okidx])
-            # one column of the prefix at a time, spread over its row's
-            # candidates (not a gathered (candidates, width) block)
-            deg = self._degrees[roots[okidx]]
-            keep = np.ones(len(cand), dtype=bool)
-            for col in prefix.T:
-                keep &= cand != np.repeat(col, deg)
-            cand = cand[keep]
-            counts = np.bincount(row_ids[keep], minlength=len(okidx))
+            cand, _, counts, _ = extend_step(graph, prefix, (root_pos,),
+                                             (), ())
             emitted, kept = combo_rows(prefix, cand, counts, nl,
                                        patterns_arr, mixed_conds,
                                        count_only=count_only)

@@ -17,9 +17,12 @@ vertices in one batch (tested invariant).
 One cache object holds *every* machine's cache: each machine's state is
 its own row, so machines never share an entry, an order or a victim.
 The cache class *is* PULL-EXTEND's fetch policy: the operator hands a
-stacked step's remote reads, with the reading machine's column, to
-:meth:`fetch` and charges what it reports per machine.
+stacked step's extend block ``rows[:, ext]``, with the rows' machine
+column, to :meth:`fetch` — a cell is a remote read when another machine
+owns its vertex — and charges what it reports per machine.
 :class:`LRBUCache` does Algorithm 4's sealed, aggregated fetch — one
+pass over the block that seals the resident reads and lists the absent
+ones (compiled where ``kernels.c`` loaded, numpy otherwise), then one
 ``GetNbrs`` RPC per (machine, owner) per batch — and serves four of
 Exp-6's five variants, which differ only in the *access penalty* they
 charge per read (memory copy, locking, LRU bookkeeping); :class:`LRUCache`
@@ -37,6 +40,7 @@ from collections import Counter, OrderedDict, defaultdict, deque
 import numpy as np
 
 from ..cluster.cost import TICKS_PER_OP, CostModel
+from . import kernels
 
 __all__ = [
     "LRBUCache",
@@ -76,9 +80,10 @@ class CacheStats:
 
 
 def _machine_column(machines, ids: np.ndarray) -> np.ndarray:
-    """``machines`` (a machine id or one per entry) as a column beside
-    ``ids``."""
-    return np.broadcast_to(np.asarray(machines, dtype=np.int64), ids.shape)
+    """``machines`` (a machine id or one per entry — per row, for a
+    block) as a column beside ``ids``."""
+    return np.broadcast_to(np.asarray(machines, dtype=np.int64),
+                           ids.shape[:1])
 
 
 class LRBUCache:
@@ -111,9 +116,10 @@ class LRBUCache:
     (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`, one
     vertex of one machine) are the paper's interface and the reference
     ``tests/test_cache.py`` replays the bulk form against; no engine path
-    calls them.  :meth:`fetch` is PULL-EXTEND's fetch stage, built from
-    the bulk methods (:meth:`resident` / :meth:`seal_many` /
-    :meth:`admit`): one array call each per stacked step.  Only a scalar
+    calls them.  :meth:`fetch` is PULL-EXTEND's fetch stage: one
+    classification pass over the step's extend block (:meth:`_classify`,
+    which seals the hits), then :meth:`admit` for the misses — one call
+    each per stacked step.  Only a scalar
     ``insert`` stores a value: the intersect stage reads adjacency from
     the CSR (cached remote adjacency is the same data by construction).
     """
@@ -132,7 +138,7 @@ class LRBUCache:
         self._free: defaultdict[int, deque] = defaultdict(deque)
         self._next_order: Counter[int] = Counter()
         #: ``S_sealed``: ``(machines, ids)`` pinned since the last release,
-        #: one pair per seal/admit call, disjoint per machine
+        #: one pair per seal/admit/fetch call, disjoint per machine
         self._pinned: list[tuple[np.ndarray, np.ndarray]] = []
         self._size: Counter[int] = Counter()
         self.stats = CacheStats()
@@ -249,10 +255,9 @@ class LRBUCache:
         if not self._pinned:
             return
         width = self._entry.shape[1]
-        # the seal and admit calls pinned sorted runs: a stable sort
-        # merges them
+        # the pinned keys are distinct, so any sort files them alike
         keys = np.sort(np.concatenate([m * width + v for m, v
-                                       in self._pinned]), kind="stable")
+                                       in self._pinned]))
         self._pinned = []
         ms, ids = np.divmod(keys, width)
         cuts = np.flatnonzero(ms[1:] != ms[:-1]) + 1
@@ -268,46 +273,81 @@ class LRBUCache:
 
     # -- PULL-EXTEND's fetch stage and its bulk methods -----------------------------
 
-    def fetch(self, cluster, machines, reads: np.ndarray):
-        """Algorithm 4's fetch stage for one stacked step: ``reads[i]`` is
-        a remote read of machine ``machines[i]`` (or of ``machines``, one
-        id).  Per machine, seal the resident ones of its distinct reads,
-        pull the rest with one aggregated ``GetNbrs`` per owner, admit
-        them.  Every hit is sealed before any miss is inserted, victims
-        depend on the misses' total size alone (:meth:`admit`) and
-        :meth:`release` re-files by ascending id, so evictions and
-        charges are functions of the distinct ``(machine, id)`` pairs —
-        as if each machine had fetched its batch alone.
+    def fetch(self, cluster, machines, block: np.ndarray):
+        """Algorithm 4's fetch stage for one stacked step: ``block`` is the
+        step's extend block ``rows[:, ext]``, row ``i`` machine
+        ``machines[i]``'s (or ``machines``', one id), and a cell is a
+        remote read when another machine owns its vertex.  Per machine,
+        seal the resident ones of its distinct reads, pull the rest with
+        one aggregated ``GetNbrs`` per owner, admit them.  Every hit is
+        sealed before any miss is inserted, victims depend on the misses'
+        total size alone (:meth:`admit`) and :meth:`release` re-files by
+        ascending id, so evictions and charges are functions of the
+        distinct ``(machine, id)`` pairs — as if each machine had fetched
+        its batch alone.
+
+        The classification (:meth:`_classify`) is one pass over the
+        block: each remote read's key is classified where it is first
+        met, a hit sealed on the spot, a miss listed for the pull.
 
         Returns ``(hits, misses, ticks, lost)``: per-machine arrays of the
         distinct ids found and fetched and the stage's bookkeeping ticks,
-        and the ids *not* resident now — sealing forbids any; the operator
-        asserts it.
+        and the ids this call sealed or admitted that are *not* resident
+        now — sealing forbids any; the operator asserts it.
         """
         k = cluster.num_machines
-        machines = _machine_column(machines, reads)
-        self._cover(k - 1, int(reads.max()) if len(reads) else -1)
+        machines = _machine_column(machines, block)
+        self._cover(k - 1, int(block.max()) if block.size else -1)
+        seal_m, seal_v, miss_m, miss_v, hits, misses = self._classify(
+            machines, block, cluster.pgraph.owner, k)
+        if len(seal_v):
+            self._pinned.append((seal_m, seal_v))
+        sizes = cluster.pull(miss_m, miss_v)
+        self.admit(miss_v, sizes, miss_m)
+        ticks = ((hits + misses) * _FETCH_SEAL_TICKS
+                 + np.bincount(miss_m, sizes, k).astype(np.int64)
+                 * _FETCH_INSERT_TICKS)
+        pinned_m = np.concatenate((seal_m, miss_m))
+        pinned_v = np.concatenate((seal_v, miss_v))
+        return hits, misses, ticks, pinned_v[
+            self._entry[pinned_m, pinned_v] == 0]
+
+    def _classify(self, machines: np.ndarray, block: np.ndarray,
+                  owner: np.ndarray, k: int):
+        """The fetch stage's pass over a step's extend block: seal every
+        distinct remote read resident in ``S_free`` and list the absent
+        ones.  Returns ``(seal_m, seal_v, miss_m, miss_v, hits,
+        misses)``: the sealed and the missed ``(machine, id)`` keys as
+        machine and id columns, and per machine the distinct hits (sealed
+        now or before) and misses.
+
+        ``classify_reads`` of ``kernels.c`` does it in one loop over the
+        cells, marking a key it has met in ``_order`` (no third ``(k,
+        |V|)`` array) and clearing the marks before it returns.  Where the
+        library did not load the numpy program de-duplicates the flat
+        keys ``m·|V| + v`` by a sort and a first-occurrence mask, as in
+        ``graph.edge_rows`` (``np.unique`` takes a hash pass on int64).
+        Both seal the same keys and list the same misses, in their own
+        orders — :meth:`admit` and :meth:`release` do not read order.
+        """
+        if kernels._LIB is not None:
+            return kernels._classify_compiled(machines, block, owner,
+                                              self._entry, self._order, k)
+        remote = owner[block] != machines[:, None]
         width = self._entry.shape[1]
-        # a sort and a first-occurrence mask over flat keys m·|V| + v, as
-        # in ``graph.edge_rows`` (``np.unique`` takes a hash pass on int64)
-        keys = np.sort(machines * width + reads)
+        keys = np.sort((machines[:, None] * width + block)[remote])
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         keys = keys[first]
-        ms, vs = np.divmod(keys, width)
         hit = self._entry.reshape(-1)[keys] > 0
-        self.seal_many(vs[hit], ms[hit])
+        order = self._order.reshape(-1)
+        sealing = hit & (order[keys] >= 0)
+        order[keys[sealing]] = -1
+        ms, vs = np.divmod(keys, width)
         miss = ~hit
-        missed, miss_ms = vs[miss], ms[miss]
-        sizes = cluster.pull(miss_ms, missed)
-        self.admit(missed, sizes, miss_ms)
-        hits = np.bincount(ms[hit], minlength=k)
-        misses = np.bincount(miss_ms, minlength=k)
-        ticks = ((hits + misses) * _FETCH_SEAL_TICKS
-                 + np.bincount(miss_ms, sizes, k).astype(np.int64)
-                 * _FETCH_INSERT_TICKS)
-        return (hits, misses, ticks,
-                vs[self._entry.reshape(-1)[keys] == 0])
+        return (ms[sealing], vs[sealing], ms[miss], vs[miss],
+                np.bincount(ms[hit], minlength=k),
+                np.bincount(ms[miss], minlength=k))
 
     def resident(self, ids: np.ndarray, machines=0) -> np.ndarray:
         """Boolean mask: which of ``ids`` have an entry on their machine
@@ -470,19 +510,23 @@ class LRUCache:
         data[vid] = neighbours
         self._size[machine] += len(neighbours) + 1
 
-    def fetch(self, cluster, machines, reads: np.ndarray):
+    def fetch(self, cluster, machines, block: np.ndarray):
         """The per-access fetch stage for one stacked step: every remote
-        read is its own access to its machine's cache, in the row-major
-        order a tuple-at-a-time loop issues them.  A hit refreshes the
-        entry's recency; a miss pulls that one vertex with its own RPC
-        pair and inserts it, evicting as LRU dictates.  Nothing is
-        aggregated or sealed — a bounded LRU may evict one of the batch's
-        own entries mid-batch; that is the model — so there are no
-        bookkeeping ticks and nothing to lose.  Returns as
+        read of the extend ``block`` (row ``i`` machine ``machines[i]``'s,
+        or ``machines``', one id) is its own access to its machine's
+        cache, in the row-major order a tuple-at-a-time loop issues them.
+        A hit refreshes the entry's recency; a miss pulls that one vertex
+        with its own RPC pair and inserts it, evicting as LRU dictates.
+        Nothing is aggregated or sealed — a bounded LRU may evict one of
+        the batch's own entries mid-batch; that is the model — so there
+        are no bookkeeping ticks and nothing to lose.  Returns as
         :meth:`LRBUCache.fetch`, counting accesses instead of distinct
         ids.
         """
-        machines = _machine_column(machines, reads)
+        machines = _machine_column(machines, block)[:, None]
+        remote = cluster.pgraph.owner[block] != machines
+        reads = block[remote]
+        machines = np.broadcast_to(machines, block.shape)[remote]
         k = cluster.num_machines
         missed = np.zeros(k, dtype=np.int64)
         for m, u in zip(machines.tolist(), reads.tolist()):

@@ -1,11 +1,16 @@
 /* The compiled loops of repro.core.kernels, one function each:
  *
- *   extend_rows  PULL-EXTEND's candidate pass over a block of rows, the
- *                twin of kernels.extend_block;
- *   join_block   one block of the blocked hash join's key matches,
- *                filtered and written out, the twin of kernels._join_block;
- *   combo_rows   the star baselines' combination builder, the twin of
- *                repro.baselines.base.combo_rows.
+ *   extend_rows     PULL-EXTEND's candidate pass over a block of rows,
+ *                   with its output rows and intersection ticks, the twin
+ *                   of kernels.extend_block (and of extend_candidates);
+ *   classify_reads  the LRBU fetch stage's pass over a step's extend
+ *                   block, the twin of repro.core.cache.LRBUCache._classify;
+ *   deal_items      the segmented snake deal of a step's item costs, the
+ *                   twin of repro.core.stealing.distribute_to_workers;
+ *   join_block      one block of the blocked hash join's key matches,
+ *                   filtered and written out, the twin of kernels._join_block;
+ *   combo_rows      the star baselines' combination builder, the twin of
+ *                   repro.baselines.base.combo_rows.
  *
  * Each gives its numpy twin's arrays element for element.  Loaded through
  * cffi in ABI mode, so this file includes nothing Python; the callers
@@ -48,22 +53,27 @@ static i64 gallop(const i64 *a, i64 lo, i64 hi, i64 x)
 
 /* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
  * extend vertices verts[r] are sorted by adjacency length lens[r]
- * (stably; the sorted lengths go to lens_out[r]); the smallest list,
- * cut to the symmetry window max(rows[gt]) < c < min(rows[lt]), gives
- * the candidates; each other list is probed once per candidate still
- * standing: through the slot table when there is one (a SHARED slot
- * searches the list), by galloping in the list otherwise, each such
- * probe counted in *probes.  Survivors must carry new_label (when
- * labels is not NULL) and differ from every column of the row.  Writes
- * counts[r] and, unless cand is NULL, the first cap survivors to cand /
- * row_ids; returns their number. */
+ * (stably; the sorted lengths go to lens_out[r] unless it is NULL); the
+ * smallest list, cut to the symmetry window max(rows[gt]) < c <
+ * min(rows[lt]), gives the candidates; each other list is probed once
+ * per candidate still standing: through the slot table when there is
+ * one (a SHARED slot searches the list), by galloping in the list
+ * otherwise, each such probe counted in *probes.  Survivors must carry
+ * new_label (when labels is not NULL) and differ from every column of
+ * the row.  Writes counts[r]; unless probe_ticks is NULL, the row's
+ * intersection ticks len[0] * (intersect + sum of probe_ticks[len[w]]
+ * over the other lists) to ticks[r]; and of the first cap survivors,
+ * unless cand is NULL, the candidate and its row to cand / row_ids,
+ * unless out is NULL, the row then the candidate to out (width + 1
+ * columns).  Returns the number of survivors. */
 i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 const i64 *verts, const i64 *lens, i64 *lens_out,
                 const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
                 const i64 *indptr, const i64 *indices, i64 n,
                 const i64 *table, i64 bits,
                 const i64 *labels, i64 new_label,
-                i64 *cand, i64 *row_ids, i64 cap, i64 *counts,
+                const i64 *probe_ticks, i64 intersect, i64 *ticks,
+                i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
                 i64 *probes)
 {
     i64 v[k], len[k], pos[k], end[k];
@@ -80,9 +90,16 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
             len[j] = l;
         }
         for (i64 w = 0; w < k; w++) {
-            lens_out[r * k + w] = len[w];
+            if (lens_out)
+                lens_out[r * k + w] = len[w];
             pos[w] = indptr[v[w]];
             end[w] = indptr[v[w] + 1];
+        }
+        if (probe_ticks) {
+            i64 per = intersect;
+            for (i64 w = 1; w < k; w++)
+                per += probe_ticks[len[w]];
+            ticks[r] = len[0] * per;
         }
         i64 start = pos[0], stop = end[0];
         if (n_gt) {
@@ -123,17 +140,112 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 ;
             if (w < width)
                 continue;
-            if (cand && total + emitted < cap) {
-                cand[total + emitted] = c;
-                row_ids[total + emitted] = r;
+            i64 at = total + emitted++;
+            if (at >= cap)
+                continue;
+            if (cand) {
+                cand[at] = c;
+                row_ids[at] = r;
             }
-            emitted++;
+            if (out) {
+                i64 *o = out + at * (width + 1);
+                for (w = 0; w < width; w++)
+                    o[w] = row[w];
+                o[width] = c;
+            }
         }
         counts[r] = emitted;
         total += emitted;
     }
     *probes = searched;
     return total;
+}
+
+/* A key classify_reads has met in its pass: what order[] holds for it
+ * until the pass clears the marks */
+#define SEEN (-2)
+
+/* The LRBU fetch stage's pass over one stacked step's extend block.  Row
+ * r of n_rows is machine machines[r]'s and its k cells are the vertices
+ * verts[r * k ..]; a cell is a remote read when owner[v] is not the
+ * row's machine.  entry and order are the cache's state, row m of stride
+ * columns machine m's: entry > 0 is resident, order >= 0 is in S_free
+ * (-1: sealed or absent).  Each remote read's key m * stride + v is
+ * classified where it is first met and marked SEEN after: a resident key
+ * is a hit of machine m (hits[m]) and, when it is in S_free, sealed
+ * (order -1) and written to seal_m / seal_v; an absent key is a miss
+ * (misses[m]) written to miss_m / miss_v.  Hits sealed before the pass
+ * are written from the back of seal_m / seal_v, so the marks can be
+ * cleared; the buffers hold one entry per cell.  Returns the number of
+ * keys sealed and puts the number missed in *n_miss. */
+i64 classify_reads(i64 n_rows, i64 k, const i64 *machines,
+                   const i64 *verts, const i64 *owner, i64 stride,
+                   const i64 *entry, i64 *order, i64 *hits, i64 *misses,
+                   i64 *seal_m, i64 *seal_v, i64 *miss_m, i64 *miss_v,
+                   i64 *n_miss)
+{
+    i64 sealed = 0, held = 0, missed = 0, cells = n_rows * k;
+    for (i64 r = 0; r < n_rows; r++) {
+        i64 m = machines[r];
+        for (i64 w = 0; w < k; w++) {
+            i64 x = verts[r * k + w], key = m * stride + x;
+            if (owner[x] == m || order[key] == SEEN)
+                continue;
+            if (entry[key] == 0) {
+                miss_m[missed] = m;
+                miss_v[missed++] = x;
+                misses[m]++;
+            } else if (order[key] >= 0) {
+                seal_m[sealed] = m;
+                seal_v[sealed++] = x;
+                hits[m]++;
+            } else {
+                held++;
+                seal_m[cells - held] = m;
+                seal_v[cells - held] = x;
+                hits[m]++;
+            }
+            order[key] = SEEN;
+        }
+    }
+    /* every mark back to -1: the sealed hits stay sealed, the misses
+     * absent until admitted, the hits sealed before stay as they were */
+    for (i64 i = 0; i < sealed; i++)
+        order[seal_m[i] * stride + seal_v[i]] = -1;
+    for (i64 i = cells - held; i < cells; i++)
+        order[seal_m[i] * stride + seal_v[i]] = -1;
+    for (i64 i = 0; i < missed; i++)
+        order[miss_m[i] * stride + miss_v[i]] = -1;
+    *n_miss = missed;
+    return sealed;
+}
+
+/* The snake deal of n item costs over workers.  seg[i] numbers item i's
+ * batch (of batches), non-decreasing, and each batch's costs come
+ * heaviest first; the item at rank j of its batch goes to worker
+ * j % workers on even laps j / workers and to workers - 1 - j % workers
+ * on odd ones, and its cost is added to totals[seg[i] * workers +
+ * worker].  Returns 0, or -1 as soon as seg leaves [0, batches) or
+ * decreases (before it writes that item). */
+i64 deal_items(i64 n, const i64 *costs, const i64 *seg, i64 batches,
+               i64 workers, i64 *totals)
+{
+    i64 batch = 0, rank = 0, lap = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (i == 0 || seg[i] != batch) {
+            if (seg[i] < batch || seg[i] >= batches)
+                return -1;
+            batch = seg[i];
+            rank = lap = 0;
+        }
+        i64 w = lap & 1 ? workers - 1 - rank : rank;
+        totals[batch * workers + w] += costs[i];
+        if (++rank == workers) {
+            rank = 0;
+            lap++;
+        }
+    }
+    return 0;
 }
 
 /* One block of a hash join's key matches.  Probe row i (of n_probe rows

@@ -19,9 +19,11 @@ holds the array programs themselves:
   (:meth:`~repro.graph.graph.Graph.has_arc_keys`): a probe is a composite
   key, answered by a hashed slot table once the snapshot has served
   enough probes to pay for it, by the composite index before.
-  :func:`extend_block` is the whole step for a gathered block (by-length
-  sort, then the fused pass); :func:`extend_step` gathers the block for
-  one ``ExtendSpec`` first.
+  :func:`extend_candidates` is the pass for a gathered block (by-length
+  sort, then the fused pass) and :func:`extend_step` gathers the block
+  for one ``ExtendSpec`` first; :func:`extend_block`, the engine's
+  intersect stage, returns the output rows and each row's intersection
+  ticks instead of the candidates.
 * :func:`join_pairs` / :func:`join_blocks` / :func:`join_chunks` — the
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
@@ -32,16 +34,21 @@ holds the array programs themselves:
   as its probe rows are reached.  So a machine's join holds one block
   and one chunk, not its whole output.  :func:`chunk_charges` is the
   same charge for a join whose per-probe emit counts are all known.
-* Three loops compiled: ``kernels.c`` holds :func:`extend_block` as one
-  loop over the rows (sort, window, one probe per candidate and list,
-  filters), a join block as one loop over its pairs (filters, then the
-  kept row written out), and the star baselines' combination builder
-  (:func:`repro.baselines.base.combo_rows`) as one loop over its input
-  rows.  The library is built once per source hash with the system C
-  compiler and loaded through cffi (:func:`_load_library`); each caller
-  checks its inputs before it passes a pointer.  Without cffi or a
-  compiler every loop runs its numpy program instead, and the numpy
-  programs stay the reference the tests hold both paths to.
+* Five loops compiled: ``kernels.c`` holds :func:`extend_block` /
+  :func:`extend_candidates` as one loop over the rows (sort, window, one
+  probe per candidate and list, filters, then the kept rows and the
+  ticks written out), the LRBU fetch stage's classification
+  (:meth:`repro.core.cache.LRBUCache.fetch`) as one loop over the extend
+  block's cells, the worker deal
+  (:func:`repro.core.stealing.distribute_to_workers`) as one loop over
+  the sorted costs, a join block as one loop over its pairs (filters,
+  then the kept row written out), and the star baselines' combination
+  builder (:func:`repro.baselines.base.combo_rows`) as one loop over its
+  input rows.  The library is built once per source hash with the
+  system C compiler and loaded through cffi (:func:`_load_library`);
+  each caller checks its inputs before it passes a pointer.  Without
+  cffi or a compiler every loop runs its numpy program instead, and the
+  numpy programs stay the reference the tests hold both paths to.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "csr_gather",
     "edge_composite_index",
     "extend_block",
+    "extend_candidates",
     "extend_step",
     "fused_extend_candidates",
     "fused_verify_mask",
@@ -221,15 +229,15 @@ def fused_extend_candidates(graph, rows: np.ndarray,
     return cand, row_ids, np.bincount(row_ids, minlength=len(rows))
 
 
-def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
-                 lens: np.ndarray, lt: Sequence[int], gt: Sequence[int],
-                 labels: np.ndarray | None = None,
-                 new_label: int | None = None, count_only: bool = False,
-                 ) -> tuple[np.ndarray | None, np.ndarray | None,
-                            np.ndarray, np.ndarray]:
-    """One PULL-EXTEND step over a block of partial matches whose extend
-    vertices ``verts = rows[:, ext]`` and their adjacency lengths ``lens``
-    are already gathered.
+def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
+                      lens: np.ndarray, lt: Sequence[int], gt: Sequence[int],
+                      labels: np.ndarray | None = None,
+                      new_label: int | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+    """PULL-EXTEND's candidate pass over a block of partial matches whose
+    extend vertices ``verts = rows[:, ext]`` and their adjacency lengths
+    ``lens`` are already gathered.
 
     Each row's extend vertices are put smallest adjacency list first (a
     stable sort, so equal lengths keep ``ext`` order) and the block goes
@@ -238,9 +246,7 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     lengths in that sorted order — column 0 is the list the candidates
     came from, the rest are the lists probed, which is what the
     intersection cost formula reads (the *full* lengths: the symmetry
-    window saves our gather, not the modelled machine's scan).  With
-    ``count_only`` (a final PULL-EXTEND into a counting SINK) ``cand``
-    and ``row_ids`` are ``None``.
+    window saves our gather, not the modelled machine's scan).
 
     The pass runs as one compiled loop over the rows (``extend_rows`` of
     ``kernels.c``: per row the sort, the window's two searches in the
@@ -251,54 +257,107 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     same arrays element for element and count the same probes.
     """
     if _LIB is not None:
-        return _extend_compiled(graph, rows, verts, lens, lt, gt, labels,
-                                new_label, count_only)
+        sorted_lens = np.empty(verts.shape, dtype=np.int64)
+        _, cand, row_ids, counts, _ = _extend_compiled(
+            graph, rows, verts, lens, lt, gt, labels, new_label,
+            sorted_lens=sorted_lens, pairs=True)
+        return cand, row_ids, counts, sorted_lens
     if verts.shape[1] > 1:
         by_len = lens.argsort(axis=1, kind="stable")
         row = np.arange(len(rows))[:, None]
         verts, lens = verts[row, by_len], lens[row, by_len]
     cand, row_ids, counts = fused_extend_candidates(
         graph, rows, verts, lt, gt, labels, new_label)
-    if count_only:
-        cand = row_ids = None
     return cand, row_ids, counts, lens
 
 
+def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
+                 lens: np.ndarray, lt: Sequence[int], gt: Sequence[int],
+                 intersect: int, probe_ticks: np.ndarray,
+                 labels: np.ndarray | None = None,
+                 new_label: int | None = None, count_only: bool = False,
+                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """One PULL-EXTEND step's intersect stage over a gathered block (see
+    :func:`extend_candidates`): ``(out, counts, ticks)``.
+
+    ``out`` is every kept ``row ‖ candidate``, an ``(n, width + 1)``
+    block in (row, ascending candidate) order — ``None`` with
+    ``count_only`` (a final PULL-EXTEND into a counting SINK).
+    ``counts[i]`` is row ``i``'s emit count and ``ticks[i]`` its
+    intersection charge, :meth:`~repro.cluster.cost.CostModel.intersection_ops`
+    over its *full* adjacency lengths: ``len₀ · (intersect + Σ
+    probe_ticks[lenᵥ])``, the smallest list scanned and every other one
+    probed once per element.
+
+    The compiled ``extend_rows`` writes the output rows and the ticks in
+    its one pass over the rows; the numpy program gathers
+    ``rows[row_ids]`` beside the candidates and reads the ticks off the
+    sorted lengths.  Both give the same arrays.
+    """
+    if _LIB is not None:
+        out, _, _, counts, ticks = _extend_compiled(
+            graph, rows, verts, lens, lt, gt, labels, new_label,
+            ticks=(intersect, probe_ticks), block=not count_only)
+        return out, counts, ticks
+    cand, row_ids, counts, lens = extend_candidates(
+        graph, rows, verts, lens, lt, gt, labels, new_label)
+    ticks = lens[:, 0] * (intersect + probe_ticks[lens[:, 1:]].sum(axis=1))
+    out = None if count_only else np.column_stack((rows[row_ids], cand))
+    return out, counts, ticks
+
+
 def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
-                     count_only):
-    """:func:`extend_block` through ``extend_rows`` of ``kernels.c``."""
+                     sorted_lens=None, ticks=None, pairs=False, block=False):
+    """The candidate pass through ``extend_rows`` of ``kernels.c``:
+    ``(out, cand, row_ids, counts, ticks)``, all but ``counts`` ``None``
+    unless asked for — ``block`` for the output rows, ``pairs`` for the
+    candidates and their rows, ``ticks = (intersect, probe_ticks)`` for
+    the intersection charges; ``sorted_lens``, when given, receives the
+    sorted lengths."""
     n_rows, k = verts.shape
     n, width = graph.num_vertices, rows.shape[1]
     label = new_label is not None and labels is not None
-    # the loop indexes CSR by vertex, rows by position and labels by
-    # candidate without checks of its own
+    # the loop indexes CSR by vertex, rows by position, labels by
+    # candidate and the probe-tick table by length without checks of its
+    # own
     if (lens.shape != verts.shape or len(rows) != n_rows or k < 1
             or (n_rows and not 0 <= verts.min() <= verts.max() < n)
             or not all(0 <= p < width for p in (*lt, *gt))
-            or (label and len(labels) < n)):
+            or (label and len(labels) < n)
+            or (ticks is not None and n_rows
+                and not 0 <= lens.min() <= lens.max() < len(ticks[1]))):
         raise ValueError("extend block outside the graph or its rows")
-    sorted_lens = np.empty((n_rows, k), dtype=np.int64)
     counts = np.empty(n_rows, dtype=np.int64)
-    cap = 0 if count_only else int(lens.min(axis=1).sum())
-    cand, row_ids = np.empty(cap, np.int64), np.empty(cap, np.int64)
+    cap = int(lens.min(axis=1).sum()) if (pairs or block) else 0
+    cand = row_ids = out = row_ticks = None
+    if pairs:
+        cand, row_ids = np.empty(cap, np.int64), np.empty(cap, np.int64)
+    if block:
+        out = np.empty((cap, width + 1), dtype=np.int64)
+    if ticks is not None:
+        row_ticks = np.empty(n_rows, dtype=np.int64)
     table = graph.arc_table_due(0)
     probes = _FFI.new("int64_t *")
     total = _LIB.extend_rows(
         n_rows, width, _buf(rows), k, _buf(verts), _buf(lens),
-        _buf(sorted_lens), _buf(lt), len(lt), _buf(gt), len(gt),
-        _buf(graph.indptr), _buf(graph.indices), n,
-        _FFI.NULL if table is None else _buf(table),
+        _ptr(sorted_lens), _buf(lt), len(lt), _buf(gt), len(gt),
+        _buf(graph.indptr), _buf(graph.indices), n, _ptr(table),
         0 if table is None else len(table).bit_length() - 1,
         _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
-        _FFI.NULL if count_only else _buf(cand), _buf(row_ids), cap,
-        _buf(counts), probes)
+        _FFI.NULL if ticks is None else _buf(ticks[1]),
+        0 if ticks is None else int(ticks[0]), _ptr(row_ticks),
+        _ptr(cand), _ptr(row_ids), _ptr(out), cap, _buf(counts), probes)
     if table is None:
         graph.arc_table_due(probes[0])
-    if count_only:
-        return None, None, counts, sorted_lens
-    if total > cap:
+    if (pairs or block) and total > cap:
         raise ValueError("lens are not the adjacency lengths of verts")
-    return cand[:total], row_ids[:total], counts, sorted_lens
+    if pairs:
+        cand, row_ids = cand[:total], row_ids[:total]
+    if block:
+        # a view, not a copy: the buffer's pages past the kept rows were
+        # never written, so they hold no resident memory
+        out = out[:total]
+    return out, cand, row_ids, counts, row_ticks
 
 
 def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
@@ -306,17 +365,19 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
                 labels: np.ndarray | None = None,
                 new_label: int | None = None,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One PULL-EXTEND step of an :class:`~repro.core.dataflow.ExtendSpec`
-    (its ``ext`` / ``candidate_lt`` / ``candidate_gt`` / ``new_label``)
-    over a block of partial matches: gather ``rows[:, ext]`` and the
-    adjacency lengths, then :func:`extend_block`.  The delta pass and the
-    sampling estimator extend through here; the engine's operator, whose
-    fetch stage has gathered the block already, enters at
+    """One PULL-EXTEND candidate pass of an
+    :class:`~repro.core.dataflow.ExtendSpec` (its ``ext`` /
+    ``candidate_lt`` / ``candidate_gt`` / ``new_label``) over a block of
+    partial matches: gather ``rows[:, ext]`` and the adjacency lengths,
+    then :func:`extend_candidates`.  The delta pass, the sampling
+    estimator and RADS' star candidates extend through here; the engine's
+    operator, whose fetch stage has gathered the block already, enters at
     :func:`extend_block`.
     """
     verts = rows[:, list(ext)]
     lens = graph.indptr[verts + 1] - graph.indptr[verts]
-    return extend_block(graph, rows, verts, lens, lt, gt, labels, new_label)
+    return extend_candidates(graph, rows, verts, lens, lt, gt, labels,
+                             new_label)
 
 
 # -- the compiled loops --------------------------------------------------------
@@ -329,7 +390,16 @@ int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,
                     const int64_t *, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,
-                    int64_t *, int64_t *, int64_t, int64_t *, int64_t *);
+                    const int64_t *, int64_t, int64_t *,
+                    int64_t *, int64_t *, int64_t *, int64_t, int64_t *,
+                    int64_t *);
+int64_t classify_reads(int64_t, int64_t, const int64_t *,
+                       const int64_t *, const int64_t *, int64_t,
+                       const int64_t *, int64_t *, int64_t *, int64_t *,
+                       int64_t *, int64_t *, int64_t *, int64_t *,
+                       int64_t *);
+int64_t deal_items(int64_t, const int64_t *, const int64_t *, int64_t,
+                   int64_t, int64_t *);
 int64_t join_block(int64_t, const int64_t *, int64_t,
                    const int64_t *, const int64_t *,
                    const int64_t *, int64_t, const int64_t *,
@@ -349,6 +419,11 @@ def _buf(a):
     first where it is not one already)."""
     return _FFI.from_buffer("int64_t[]", np.ascontiguousarray(
         a, dtype=np.int64))
+
+
+def _ptr(a):
+    """:func:`_buf`, or ``NULL`` for ``None``."""
+    return _FFI.NULL if a is None else _buf(a)
 
 
 def _load_library():
@@ -435,6 +510,50 @@ def _combo_compiled(prefix, cand, counts, nl, patterns, conds, cap,
         raise ValueError("more combinations than the candidate counts give")
     # conditions that drop most rows let go of the unfiltered buffer
     return rows[:total] if 2 * total >= cap else rows[:total].copy(), kept
+
+
+def _classify_compiled(machines, verts, owner, entry, order, k):
+    """:meth:`repro.core.cache.LRBUCache._classify`'s pass
+    through ``classify_reads`` of ``kernels.c``: ``(seal_m, seal_v,
+    miss_m, miss_v, hits, misses)``, the keys it sealed in ``order`` and
+    the keys absent, each as machine and vertex columns, and per machine
+    of ``k`` the distinct hits and misses."""
+    n_rows, width = verts.shape
+    # the loop reads owner by vertex and writes the state by key and the
+    # counts by machine without checks of its own, and the state in place
+    if (machines.shape != (n_rows,) or order.shape != entry.shape
+            or not all(a.dtype == np.int64 and a.flags.c_contiguous
+                       for a in (entry, order))
+            or not k <= entry.shape[0]
+            or (n_rows and not 0 <= machines.min() <= machines.max() < k)
+            or (verts.size and not 0 <= verts.min() <= verts.max()
+                < min(len(owner), entry.shape[1]))):
+        raise ValueError("extend block outside the cache or the graph")
+    cells = verts.size
+    seal_m, seal_v, miss_m, miss_v = (np.empty(cells, dtype=np.int64)
+                                      for _ in range(4))
+    hits, misses = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    missed = _FFI.new("int64_t *")
+    sealed = _LIB.classify_reads(
+        n_rows, width, _buf(machines), _buf(verts), _buf(owner),
+        entry.shape[1], _buf(entry), _buf(order), _buf(hits), _buf(misses),
+        _buf(seal_m), _buf(seal_v), _buf(miss_m), _buf(miss_v), missed)
+    return (seal_m[:sealed], seal_v[:sealed], miss_m[:missed[0]],
+            miss_v[:missed[0]], hits, misses)
+
+
+def _deal_compiled(costs, seg, batches, workers):
+    """:func:`repro.core.stealing.distribute_to_workers`' snake deal
+    through ``deal_items`` of ``kernels.c``: the ``(batches, workers)``
+    totals of ``costs``, sorted heaviest first within each batch."""
+    if seg.shape != costs.shape or workers < 1:
+        raise ValueError("a deal needs one batch number per item")
+    totals = np.zeros((batches, workers), dtype=np.int64)
+    # the loop checks each batch number before it writes the item
+    if _LIB.deal_items(len(costs), _buf(costs), _buf(seg), batches,
+                       workers, _buf(totals)) < 0:
+        raise ValueError("batch numbers out of range or decreasing")
+    return totals
 
 
 #: the loaded library (``None``: the numpy programs run) and its FFI

@@ -139,11 +139,11 @@ class ExtendOp:
 
     # -- fetch stage --------------------------------------------------------------
 
-    def _fetch(self, machines: np.ndarray, remote: np.ndarray,
-               reads: np.ndarray) -> None:
-        """Have the cache fetch the step's remote ``reads`` (the ``remote``
-        cells of the extend block, row-major; ``machines`` is the rows'
-        column) and account per machine for what it reports."""
+    def _fetch(self, machines: np.ndarray, verts: np.ndarray) -> None:
+        """Have the cache fetch the step's remote reads (the cells of the
+        extend block ``verts`` another machine than the row's owns;
+        ``machines`` is the rows' column) and account per machine for
+        what it reports."""
         ctx = self.ctx
         cache = ctx.cache
         metrics = ctx.metrics
@@ -152,8 +152,7 @@ class ExtendOp:
             t0s = tracer.now_all()
             evicted0 = cache.stats.evicted.copy()
             overflow0 = cache.stats.overflow.copy()
-        hits, misses, ticks, lost = cache.fetch(
-            ctx.cluster, np.repeat(machines, remote.sum(axis=1)), reads)
+        hits, misses, ticks, lost = cache.fetch(ctx.cluster, machines, verts)
         if len(lost):
             # the intersect stage reads sealed entries in place; one
             # missing now was evicted mid-batch, which sealing forbids
@@ -197,49 +196,50 @@ class ExtendOp:
         until it is done.
         """
         ctx = self.ctx
-        g = ctx.cluster.pgraph.graph
         machines = np.broadcast_to(np.asarray(machines, dtype=np.int64),
                                    len(rows))
         # the step's extend block, gathered once for both stages
         verts = rows[:, list(self.spec.ext)]
-        lens = g.indptr[verts + 1] - g.indptr[verts]
-        remote = ctx.cluster.pgraph.owner[verts] != machines[:, None]
-        self._fetch(machines, remote, verts[remote])
-        result = self._process_vector(rows, verts, lens, remote, count_only)
+        self._fetch(machines, verts)
+        result = self._process_vector(machines, rows, verts, count_only)
         ctx.cache.release()
         return result
 
-    def _process_vector(self, rows: np.ndarray, verts: np.ndarray,
-                        lens: np.ndarray, remote: np.ndarray,
-                        count_only: bool
+    def _process_vector(self, machines: np.ndarray, rows: np.ndarray,
+                        verts: np.ndarray, count_only: bool
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar intersect stage over ``rows``; ``verts`` is their
-        extend-vertex block ``rows[:, ext]``, ``lens`` its adjacency
-        lengths and ``remote`` marks its cells owned by another machine
-        than the row's.
+        """Columnar intersect stage over ``rows`` (row ``i`` machine
+        ``machines[i]``'s); ``verts`` is their extend-vertex block
+        ``rows[:, ext]``.
 
         Candidate sets are gathered straight from the global CSR (cached
         remote adjacency is the same data by construction) and the whole
         intersect chain runs as one fused kernel pass
-        (:func:`~repro.core.kernels.extend_block`).  A row costs its
+        (:func:`~repro.core.kernels.extend_block`), which writes the
+        output rows and each row's intersection charge.  A row costs its
         multiway intersection (as
         :meth:`~repro.cluster.cost.CostModel.intersection_ops` computes
         it: the smallest list scanned, every other list probed once per
         element — the full lists, whatever window the kernel gathered),
-        one cache access penalty per remote read, and its emits.
+        one cache access penalty per remote read where the cache variant
+        charges one, and its emits.
         """
         ctx = self.ctx
         t = ctx.cost.ticks
         spec = self.spec
-        g = ctx.cluster.pgraph.graph
+        cluster = ctx.cluster
+        g = cluster.pgraph.graph
         in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
         empty = np.empty((0, self.out_arity), dtype=np.int64)
         if not len(rows):
             return empty, np.zeros(0, np.int64), np.zeros(0, np.int64)
         labels = ctx.labels
+        lens = g.indptr[verts + 1] - g.indptr[verts]
         penalty = ctx.cache.access_penalty(lens)
-        penalties = (np.where(remote, penalty, 0).sum(axis=1)
-                     if np.any(penalty) else 0)
+        penalties = 0
+        if np.any(penalty):
+            remote = cluster.pgraph.owner[verts] != machines[:, None]
+            penalties = np.where(remote, penalty, 0).sum(axis=1)
 
         if spec.is_verify:
             lens = np.sort(lens, axis=1)
@@ -248,20 +248,16 @@ class ExtendOp:
             produced = found.astype(np.int64)
             emits = produced * (1 if count_only else in_arity)
             out = empty if count_only else rows[found]
+            probes = cluster.probe_ticks[lens[:, 1:]].sum(axis=1)
+            ticks = lens[:, 0] * (t.intersect + probes)
         else:
-            cand, row_ids, produced, lens = extend_block(
+            block, produced, ticks = extend_block(
                 g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
-                labels, spec.new_label, count_only)
-            emits = produced
-            out = empty
-            if not count_only:
-                emits = produced * (in_arity + 1)
-                if len(cand):
-                    out = np.column_stack((rows[row_ids], cand))
-        probes = ctx.cluster.probe_ticks[lens[:, 1:]].sum(axis=1)
-        item_costs = (lens[:, 0] * (t.intersect + probes) + penalties
-                      + emits * t.emit)
-        return out, item_costs, produced
+                t.intersect, cluster.probe_ticks, labels, spec.new_label,
+                count_only)
+            out = empty if count_only else block
+            emits = produced if count_only else produced * (in_arity + 1)
+        return out, ticks + penalties + emits * t.emit, produced
 
 
 class SinkConsumer:

@@ -22,6 +22,8 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from . import kernels
+
 __all__ = ["STEALING_MODES", "chunked_distribution",
            "distribute_to_workers", "rebalance"]
 
@@ -51,6 +53,12 @@ def distribute_to_workers(item_costs: Sequence[int], workers: int,
     batch gets its own deal — one segmented snake deal, a ``(B,
     workers)`` array of totals.  Without ``segments`` the items are one
     batch and the totals a list.
+
+    The snake deal sorts once (every batch heaviest first, in place) and
+    then runs as one compiled loop over the sorted costs (``deal_items``
+    of ``kernels.c``), adding each item to its worker's integer total;
+    where the library did not load the numpy program ranks the items and
+    sums them with a weighted ``bincount``.  Both give the same totals.
     """
     costs = np.asarray(item_costs, dtype=np.int64)
     seg = (np.zeros(len(costs), np.int64) if segments is None
@@ -61,10 +69,14 @@ def distribute_to_workers(item_costs: Sequence[int], workers: int,
     else:
         # per batch, heaviest first: one sort of batch-major keys leaves
         # each batch in place (costs are far below 2**53, so the keys
-        # fit); rank r goes left-to-right on even laps of `workers` items
-        # and right-to-left on odd ones
+        # fit)
         base = seg * (int(costs.max(initial=0)) + 1)
         costs = base - np.sort(base - costs)
+        if kernels._LIB is not None:
+            totals = kernels._deal_compiled(costs, seg, len(keys), workers)
+            return totals if segments is not None else totals[0].tolist()
+        # rank r goes left-to-right on even laps of `workers` items and
+        # right-to-left on odd ones
         sizes = np.bincount(seg, minlength=len(keys))
         lap, pos = np.divmod(
             np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg], workers)

@@ -1,12 +1,20 @@
 """Tests for the LRBU cache and ablation variants (paper Algorithm 3)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import CostModel
 from repro.core import CACHE_VARIANTS, LRBUCache, LRUCache, make_cache
+
+from .test_extend_kernels import extend_path, extend_paths
+
+
+def kernels_loaded() -> bool:
+    return len(extend_paths()) == 2
 
 
 def arr(*vals):
@@ -190,20 +198,14 @@ class TestAblationVariants:
         """40 overlapping batches through the fetch stage: the cache is a
         plain dict of everything ever fetched"""
 
-        class Pulls:
-            """the slice of ``Cluster`` a fetch stage uses"""
-            num_machines = 1
-
-            def pull(self, machine, ids):
-                return sizes[ids]
-
         rng = np.random.default_rng(5)
         sizes = rng.integers(1, 9, size=IDS)
         c = make_cache("lru-inf", 10, cost)
         seen, hits, misses = {}, 0, 0
         for _ in range(40):
             reads = rng.integers(0, IDS, size=rng.integers(1, 60))
-            found, fetched, _ticks, lost = c.fetch(Pulls(), 0, reads)
+            found, fetched, _ticks, lost = c.fetch(_Pulls(1, sizes), 0,
+                                                   reads[:, None])
             distinct = set(reads.tolist())
             new = distinct - seen.keys()
             assert (found, fetched) == (len(distinct) - len(new), len(new))
@@ -298,6 +300,25 @@ class TestLRBUOverflowRegression:
 IDS = 120
 
 
+class _Pulls:
+    """The slice of ``Cluster`` a fetch stage uses: the machine count,
+    the owner of every id — by default a machine outside the cluster, so
+    every read is remote — and a ``pull`` that answers entry sizes and
+    logs each ``(requester, id)`` it is asked for."""
+
+    def __init__(self, machines, sizes, owner=None):
+        self.num_machines = machines
+        self.sizes = sizes
+        self.pgraph = SimpleNamespace(owner=np.full(IDS, machines)
+                                      if owner is None else owner)
+        self.pulled = []
+
+    def pull(self, requester, ids):
+        self.pulled += zip(np.broadcast_to(requester, ids.shape).tolist(),
+                           ids.tolist())
+        return self.sizes[ids]
+
+
 def _state(c):
     return (np.flatnonzero(c.resident(np.arange(IDS))).tolist(), c.size_ids,
             c.num_sealed, len(c), c.stats.evictions, c.stats.max_overflow_ids)
@@ -309,6 +330,15 @@ def _bulk_batch(c, ids, sizes):
     c.seal_many(ids[hit])
     c.admit(ids[~hit], sizes[ids[~hit]])
     return int(hit.sum()), int((~hit).sum())
+
+
+def _fetch_batch(c, ids, sizes, rng):
+    """One batch through the fetch stage, read twice over in a two-column
+    block in random order; returns ``(hits, misses)``."""
+    block = rng.permutation(np.concatenate((ids, ids))).reshape(-1, 2)
+    hits, misses, _, lost = c.fetch(_Pulls(1, sizes), 0, block)
+    assert len(lost) == 0
+    return int(hits[0]), int(misses[0])
 
 
 def _scalar_batch(c, ids, sizes):
@@ -327,30 +357,44 @@ def _scalar_batch(c, ids, sizes):
 
 
 class TestBulkFetchStage:
+    """The bulk methods and the fetch stage against the scalar
+    Algorithm-3 methods; each test that goes through :meth:`fetch` runs
+    its body on both paths of the classification pass (the compiled
+    ``classify_reads`` and its numpy twin)."""
+
     @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lrbu-lock"])
     def test_bulk_equals_scalar_replay_in_any_order(self, cost, variant):
         """240 overlapping batches through the bulk methods, through the
-        scalar Algorithm-3 methods, and through the bulk methods with each
-        batch's ids shuffled: the same cache after every batch.  The
-        capacity is small enough to evict and to overflow inside a batch."""
+        scalar Algorithm-3 methods, through the bulk methods with each
+        batch's ids shuffled and through the fetch stage with each id read
+        twice: the same cache after every batch.  The capacity is small
+        enough to evict and to overflow inside a batch."""
+        for path in extend_paths():
+            with extend_path(path):
+                self._replay(cost, variant)
+
+    @staticmethod
+    def _replay(cost, variant):
         rng = np.random.default_rng(11)
         sizes = rng.integers(1, 9, size=IDS)
         capacity = 60
-        bulk, scalar, shuffled = (make_cache(variant, capacity, cost)
-                                  for _ in range(3))
+        bulk, scalar, shuffled, fetched = (make_cache(variant, capacity, cost)
+                                           for _ in range(4))
         overflowed = 0
         for _ in range(240):
             ids = np.unique(rng.integers(0, IDS, size=rng.integers(1, 30)))
             assert (_bulk_batch(bulk, ids, sizes)
                     == _scalar_batch(scalar, rng.permutation(ids), sizes)
-                    == _bulk_batch(shuffled, rng.permutation(ids), sizes))
-            assert _state(bulk) == _state(scalar) == _state(shuffled)
+                    == _bulk_batch(shuffled, rng.permutation(ids), sizes)
+                    == _fetch_batch(fetched, ids, sizes, rng))
+            assert (_state(bulk) == _state(scalar) == _state(shuffled)
+                    == _state(fetched))
             assert bulk.num_sealed == len(ids)
             overflowed += bulk.size_ids > capacity
-            for c in (bulk, scalar, shuffled):
+            for c in (bulk, scalar, shuffled, fetched):
                 c.release()
             assert (bulk.free_order() == scalar.free_order()
-                    == shuffled.free_order())
+                    == shuffled.free_order() == fetched.free_order())
             assert sorted(bulk.free_order()) == _state(bulk)[0]
         assert bulk.stats.evictions > 500 and overflowed > 20
         assert 0 < bulk.stats.max_overflow_ids <= sizes.sum()
@@ -390,18 +434,15 @@ class TestBulkFetchStage:
         per machine the same hits, misses and ticks, the same admissions
         and seals, the same evictions and ``free_order()``, and overflow
         never past one batch's footprint."""
+        for path in extend_paths():
+            with extend_path(path):
+                self._stacked_against_alone(k, capacity, variant, seed)
+
+    @staticmethod
+    def _stacked_against_alone(k, capacity, variant, seed):
         cost = CostModel()
         rng = np.random.default_rng(seed)
         sizes = rng.integers(1, 9, size=IDS)
-
-        class Pulls:
-            """the slice of ``Cluster`` a fetch stage uses"""
-            def __init__(self, machines):
-                self.num_machines = machines
-
-            def pull(self, requester, ids):
-                return sizes[ids]
-
         stacked = make_cache(variant, capacity, cost)
         alone = [make_cache(variant, capacity, cost) for _ in range(k)]
         footprint = [0] * k
@@ -411,11 +452,11 @@ class TestBulkFetchStage:
                        for _ in machines]
             if not len(machines):
                 continue
-            got = stacked.fetch(Pulls(k), np.repeat(machines, list(
-                map(len, batches))), np.concatenate(batches))
+            got = stacked.fetch(_Pulls(k, sizes), np.repeat(machines, list(
+                map(len, batches))), np.concatenate(batches)[:, None])
             assert len(got[3]) == 0
             for m, reads in zip(machines.tolist(), batches):
-                want = alone[m].fetch(Pulls(1), 0, reads)
+                want = alone[m].fetch(_Pulls(1, sizes), 0, reads[:, None])
                 assert [int(x[m]) for x in got[:3]] == [int(x[0])
                                                         for x in want[:3]]
                 distinct = np.unique(reads)
@@ -438,6 +479,82 @@ class TestBulkFetchStage:
                 assert stacked.stats.overflow[m] == c.stats.max_overflow_ids
         assert stacked.stats.evictions == sum(c.stats.evictions
                                               for c in alone)
+
+    @given(k=st.integers(1, 4), width=st.integers(1, 3),
+           capacity=st.sampled_from([None, 0, 12, 40]),
+           variant=st.sampled_from(["lrbu", "lrbu-copy"]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60)
+    def test_compiled_classification_equals_numpy(self, k, width, capacity,
+                                                  variant, seed):
+        """Stacked blocks of ``width`` columns — reads repeated within and
+        across rows, cells the row's own machine owns, several machines,
+        reads sealed by a scalar ``seal`` before the step, a second block
+        fetched before the release — through a cache on the compiled pass
+        and one on the numpy pass: the same ``(hits, misses, ticks,
+        lost)`` per fetch, the same pulls, the same pins before the
+        release, and after it the same residency, ``free_order()``,
+        occupancy and stats on every machine.  The capacity is small
+        enough to evict and to overflow inside a step."""
+        if not kernels_loaded():
+            pytest.skip("the compiled kernels are not loaded")
+        cost = CostModel()
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, size=IDS)
+        owner = rng.integers(0, k, size=IDS)
+        caches = {path: make_cache(variant, capacity, cost)
+                  for path in ("compiled", "numpy")}
+        for _ in range(25):
+            blocks = []
+            for _ in range(int(rng.integers(1, 3))):
+                rows = int(rng.integers(0, 30))
+                block = rng.integers(0, IDS // 2, size=(rows, width))
+                block[rng.random(block.shape) < 0.2] = 0     # a hot id
+                blocks.append((np.sort(rng.integers(0, k, size=rows)),
+                               block))
+            machines, block = blocks[0]
+            early = [(int(block[r, w]), int(machines[r]))
+                     for r, w in zip(rng.integers(0, len(block), size=3),
+                                     rng.integers(0, width, size=3))
+                     ] if len(block) else []
+            got = {}
+            for path, c in caches.items():
+                cluster = _Pulls(k, sizes, owner)
+                with extend_path(path):
+                    for v, m in early:
+                        c.seal(v, m)
+                    fetched = [c.fetch(cluster, *step) for step in blocks]
+                    got[path] = fetched, sorted(cluster.pulled), c.num_sealed
+                    c.release()
+            (want, want_pulled, want_pins), (have, have_pulled, have_pins) = (
+                got["numpy"], got["compiled"])
+            for one, other in zip(have, want, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(one, other))
+            assert have_pulled == want_pulled and have_pins == want_pins
+            a, b = caches["compiled"], caches["numpy"]
+            for m in range(k):
+                assert (a.resident(np.arange(IDS), m).tolist()
+                        == b.resident(np.arange(IDS), m).tolist())
+                assert a.free_order(m) == b.free_order(m)
+                assert a.occupancy(m) == b.occupancy(m)
+            assert (a.stats.evicted, a.stats.overflow) == (b.stats.evicted,
+                                                           b.stats.overflow)
+            assert a.num_sealed == b.num_sealed == 0
+
+    def test_compiled_classification_refuses_reads_outside(self, cost):
+        """the C pass indexes the cache's state by machine and id and the
+        owner column by id unchecked, so a machine id past the cluster or
+        a negative vertex is refused before it runs"""
+        sizes = np.ones(IDS, dtype=np.int64)
+        block = np.array([[3, 4], [5, 6]])
+        with extend_path("compiled"):
+            c = make_cache("lrbu", 20, cost)
+            for machines, cells in (([0, 2], block), ([0, -1], block),
+                                    ([0, 1], block * [1, -1]),
+                                    ([0, 1], block + [0, IDS])):
+                with pytest.raises(ValueError):
+                    c.fetch(_Pulls(2, sizes), np.array(machines), cells)
+            assert len(c) == 0 and c.num_sealed == 0
 
     def test_ids_beyond_the_arrays_grow_them(self, cost):
         c = LRBUCache(None, cost)

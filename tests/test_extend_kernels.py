@@ -1,9 +1,11 @@
 """PULL-EXTEND's candidate pass on both of its paths — the compiled
 per-row loop (``extend_rows`` of ``core/kernels.c``) and the numpy
 program kept as its fallback — against a gather-everything reference:
-candidates, row ids, counts and sorted lengths element for element, and
-the same membership probes counted, on a graph with and without its slot
-table.  The numpy
+candidates, row ids, counts and sorted lengths element for element, the
+output block and the per-row intersection ticks against the rows beside
+their candidates and ``CostModel.intersection_ops``, and the same
+membership probes counted, on a graph with and without its slot table.
+The numpy
 path is forced by unloading the kernel module's library handle
 (:func:`extend_path`); ``tests/test_procpool.py::TestFusedKernels`` runs
 the operator-level kernel tests through both paths with these helpers."""
@@ -18,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
-from repro.core.kernels import extend_block, extend_step
+from repro.cluster import CostModel
+from repro.core.kernels import extend_block, extend_candidates, extend_step
 from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph.graph import _SHARED, _slots
@@ -150,7 +153,9 @@ class TestExtendPaths:
         """self-loops, empty windows and ``lo == n``, width 1, zero rows,
         strided and column-major rows, narrow labels: every output array
         equals the reference's, lengths come back in the stable
-        ``argsort`` order, and a counted block has the same counts"""
+        ``argsort`` order, the output block is each kept row beside its
+        candidate, the ticks are ``CostModel.intersection_ops`` of the
+        row's lengths, and a counted block has the same counts and ticks"""
         g, rows, ext, lt, gt, labels = case
         new_label = None if labels is None else 1
         verts = rows[:, list(ext)]
@@ -159,10 +164,15 @@ class TestExtendPaths:
                                 labels, new_label)
         by_len = np.take_along_axis(
             lens, lens.argsort(axis=1, kind="stable"), axis=1)
+        cost = CostModel(intersect_op=0.1)
+        probe_ticks = cost.probe_tick_table(g.max_degree)
+        want_block = np.column_stack((rows[ref[1]], ref[0]))
+        want_ticks = [cost.intersection_ops(r, probe_ticks)
+                      for r in lens.tolist()]
         with extend_path(path):
             for h in arc_table_sides(g):
-                *got, got_lens = extend_block(h, rows, verts, lens, lt, gt,
-                                              labels, new_label)
+                *got, got_lens = extend_candidates(h, rows, verts, lens, lt,
+                                                   gt, labels, new_label)
                 for a, b in zip(got, ref, strict=True):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert got_lens.dtype == lens.dtype
@@ -170,11 +180,18 @@ class TestExtendPaths:
                 *step, _ = extend_step(h, rows, ext, lt, gt, labels,
                                        new_label)
                 assert all(map(np.array_equal, step, ref))
-                cand, row_ids, counts, _ = extend_block(
-                    h, rows, verts, lens, lt, gt, labels, new_label,
-                    count_only=True)
-                assert cand is None and row_ids is None
-                assert np.array_equal(counts, ref[2])
+                for count_only in (False, True):
+                    out, counts, ticks = extend_block(
+                        h, rows, verts, lens, lt, gt, cost.ticks.intersect,
+                        probe_ticks, labels, new_label, count_only)
+                    if count_only:
+                        assert out is None
+                    else:
+                        assert out.dtype == np.int64
+                        assert np.array_equal(out, want_block)
+                    assert np.array_equal(counts, ref[2])
+                    assert ticks.dtype == np.int64
+                    assert ticks.tolist() == want_ticks
 
     def test_probes_on_shared_slots(self, kernel_path):
         """every vertex pair extended on a graph whose slot table has
@@ -194,7 +211,7 @@ class TestExtendPaths:
         bits = len(table).bit_length() - 1
         assert (table[_slots(keys, bits)] == _SHARED).any()
         ref = _reference_extend(g, rows, verts, (), (), None, None)
-        got = extend_block(g, rows, rows, lens, (), ())
+        got = extend_candidates(g, rows, rows, lens, (), ())
         assert all(map(np.array_equal, got[:3], ref))
 
 
@@ -221,18 +238,27 @@ def test_both_paths_count_the_same_probes():
 
 
 def test_compiled_pass_rejects_blocks_outside_the_graph():
-    """the C loop reads CSR, rows and labels unchecked, so a vertex id,
-    a window position or a label array out of range is refused first"""
+    """the C loop reads CSR, rows, labels and the probe-tick table
+    unchecked, so a vertex id, a window position, a label array or a
+    tick table out of range is refused first"""
     g = gen.erdos_renyi(10, 0.3, seed=1)
     rows = np.array([[0, 3]], dtype=np.int64)
     lens = g.degrees()[rows]
-    bad = [(rows + [0, 7], lens, (), (), None),
-           (rows - [1, 0], lens, (), (), None),
-           (rows, lens[:, :1], (), (), None),
-           (rows, lens, (2,), (), None),
-           (rows, lens, (), (-1,), None),
-           (rows, lens, (), (), np.zeros(9, dtype=np.int64))]
+    cost = CostModel()
+    table = cost.probe_tick_table(g.max_degree)
+    bad = [(rows + [0, 7], lens, (), (), None, table),
+           (rows - [1, 0], lens, (), (), None, table),
+           (rows, lens[:, :1], (), (), None, table),
+           (rows, lens, (2,), (), None, table),
+           (rows, lens, (), (-1,), None, table),
+           (rows, lens, (), (), np.zeros(9, dtype=np.int64), table),
+           (rows, lens, (), (), None, table[:lens.max()])]
     with extend_path("compiled"):
-        for verts, lens_, lt, gt, labels in bad:
+        for verts, lens_, lt, gt, labels, ticks in bad:
             with pytest.raises(ValueError):
-                extend_block(g, rows, verts, lens_, lt, gt, labels, 0)
+                extend_block(g, rows, verts, lens_, lt, gt,
+                             cost.ticks.intersect, ticks, labels, 0)
+            if ticks is table:
+                with pytest.raises(ValueError):
+                    extend_candidates(g, rows, verts, lens_, lt, gt, labels,
+                                      0)

@@ -19,7 +19,8 @@ from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
 from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
-from repro.core.kernels import extend_block, extend_step, fused_verify_mask
+from repro.core.kernels import (extend_candidates, extend_step,
+                                fused_verify_mask)
 from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
 from repro.graph import Graph
@@ -306,8 +307,9 @@ class TestFusedKernels:
         for path in extend_paths():
             with extend_path(path):
                 for h in arc_table_sides(g):
-                    got = extend_block(h, rows, verts, g.degrees()[verts],
-                                       lt, gt, labels, new_label)
+                    got = extend_candidates(h, rows, verts,
+                                            g.degrees()[verts], lt, gt,
+                                            labels, new_label)
                     for a, b in zip(got[:3], ref, strict=True):
                         assert np.array_equal(a, b)
 
@@ -425,7 +427,7 @@ class TestFusedKernels:
         for path in extend_paths():
             with extend_path(path):
                 rows = np.zeros((0, 2), dtype=np.int64)
-                cand, row_ids, counts, lens = extend_block(
+                cand, row_ids, counts, lens = extend_candidates(
                     g, rows, rows, rows.copy(), (), ())
                 assert len(cand) == len(row_ids) == len(counts) == 0
                 assert lens.shape == (0, 2)
@@ -433,7 +435,7 @@ class TestFusedKernels:
                 # candidates pass through
                 rows = np.array([[0, 1]], dtype=np.int64)
                 h = Graph(g.indptr, g.indices)
-                cand, row_ids, counts, _ = extend_block(
+                cand, row_ids, counts, _ = extend_candidates(
                     h, rows, rows[:, :1], g.degrees()[rows[:, :1]], (), ())
                 nbrs = set(g.neighbours(0).tolist()) - {0, 1}
                 assert set(cand.tolist()) == nbrs and counts[0] == len(nbrs)
