@@ -15,7 +15,9 @@ otherwise).  Compute is charged
 in integer ticks (counts × tick weights, :mod:`repro.cluster.cost`);
 what stays sequential is the *modelled* incremental memory-charge /
 budget-check sequence (alloc → charge → check, every ``_CHUNK`` emitted
-tuples), which decides where a ``00M``/``0T`` abort trips.
+tuples), which decides where a ``00M``/``0T`` abort trips — its calls
+are issued in order, their positions found on running sums
+(:func:`chunk_flushes`).
 
 Memory is charged **incrementally while results are generated**, so an
 exploding star expansion or join aborts with the paper's ``00M`` / ``0T``
@@ -51,6 +53,7 @@ __all__ = [
     "new_conditions",
     "valid_leaf_patterns",
     "materialize_star",
+    "split_by_destination",
 ]
 
 Tuple = tuple[int, ...]
@@ -96,6 +99,28 @@ def new_conditions(schema: Sequence[int], applied: set[tuple[int, int]],
             out.append((schema.index(u), schema.index(v)))
             applied.add((u, v))
     return out
+
+
+def destination_order(dests: np.ndarray, k: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sizes)``: positions of ``dests`` (machine ids ``0 ..
+    k-1``) grouped by destination, ascending, each group in its original
+    order, and each destination's group size.  A stable sort of the ids
+    as ``int16``, which numpy does as a radix sort."""
+    narrow = dests.astype(np.int16) if k <= 1 << 15 else dests
+    return (np.argsort(narrow, kind="stable"),
+            np.bincount(dests, minlength=k))
+
+
+def split_by_destination(rows: np.ndarray, dests: np.ndarray,
+                         k: int) -> list[np.ndarray]:
+    """``[rows[dests == d] for d in range(k)]`` from one stable sort
+    instead of ``k`` masks: the same rows in the same order."""
+    order, sizes = destination_order(dests, k)
+    grouped = rows[order]
+    ends = np.cumsum(sizes).tolist()
+    return [grouped[end - size:end]
+            for size, end in zip(sizes.tolist(), ends)]
 
 
 def _as_partition(part, arity: int) -> np.ndarray:
@@ -174,8 +199,7 @@ class DistributedRelation:
         by_dest: list[list[np.ndarray]] = [[] for _ in range(k)]
         for src, part in enumerate(self.partitions):
             dests = hash_destinations(part[:, list(key_pos)], k)
-            for dest in range(k):
-                rows = part[dests == dest]
+            for dest, rows in enumerate(split_by_destination(part, dests, k)):
                 by_dest[dest].append(rows)
                 cluster.push(src, dest, len(rows), arity)
         parts = [np.concatenate(by_dest[d]) if by_dest[d]
@@ -440,15 +464,27 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
                 + c_full * ((nl + 1) * cost.ticks.emit))
     # pending accumulates per eligible root, flushing (alloc then
     # check_time) whenever it reaches _CHUNK
-    pending = 0
-    for c in kept.tolist():
-        pending += c
-        if pending >= _CHUNK:
-            alloc_fn(machine, pending * tuple_bytes)
-            pending = 0
-            metrics.check_time()
+    flushed, pending = chunk_flushes(kept)
+    for tuples in flushed:
+        alloc_fn(machine, tuples * tuple_bytes)
+        metrics.check_time()
     alloc_fn(machine, pending * tuple_bytes)
     return rows, item_ops
+
+
+def chunk_flushes(counts: np.ndarray) -> tuple[list[int], int]:
+    """A per-row loop's incremental charges: row ``i`` adds ``counts[i]``
+    tuples to a pending total, flushed whenever ``_CHUNK`` or more are
+    pending.  Returns the totals flushed, in order, and what is left
+    pending after the last row — one ``searchsorted`` per flush on the
+    running sum instead of a step per row."""
+    ran = np.cumsum(counts)
+    flushed: list[int] = []
+    done = 0
+    while (at := int(np.searchsorted(ran, done + _CHUNK))) < len(ran):
+        flushed.append(int(ran[at]) - done)
+        done = int(ran[at])
+    return flushed, (int(ran[-1]) if len(ran) else 0) - done
 
 
 def predicted_star_total(degrees: np.ndarray, choose: int,

@@ -14,10 +14,14 @@ can still explode on hub vertices, which the memory budget reports as the
 paper's ``00M``.
 
 The rounds run columnar: a batch's partial matches are ``(n, arity)``
-int64 arrays, the per-hop intersections are batched membership tests
-against the shared edge-composite index, and per-tuple costs are integer
-tick arrays (counts × tick weights); only the modelled incremental
-memory charges stay a sequential loop.
+int64 arrays, and a round's intersections are the engine's candidate
+pass (:func:`~repro.core.kernels.extend_block`, one compiled loop over
+the rows where the C library loaded), which also gives each tuple's
+intersection ticks and each hop's surviving candidate count.  Per-tuple
+costs are integer tick arrays (counts × tick weights); the wire bytes,
+the routing of the output by destination and the modelled incremental
+memory charges are array programs over them, the charges issued in
+tuple order.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..core.dataflow import ExtendSpec
-from ..core.kernels import csr_gather
+from ..core.kernels import csr_gather, extend_block
 from ..core.plan.plans import greedy_order
 from ..core.plan.translate import order_chain
 from ..core.stealing import distribute_to_workers
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
-from .base import BaselineEngine, BaselineResult
+from .base import (BaselineEngine, BaselineResult, destination_order,
+                   split_by_destination)
 
 __all__ = ["BigJoinEngine"]
 
@@ -119,26 +124,25 @@ class BigJoinEngine(BaselineEngine):
         final round under compression [63]) valid extensions are counted
         instead of materialised.
 
-        The round is an array program over each machine's tuple block —
-        per-hop degrees/owners as matrices, candidate shrinking as batch
-        edge-membership, filters as masks, per-tuple ticks as one array
-        expression.  The destination-wise incremental memory charges run
-        in tuple order (they decide where a budget trips).
+        Each machine's tuple block goes through the engine's candidate
+        pass once (:func:`~repro.core.kernels.extend_block`): the
+        extended rows, each tuple's intersection ticks and, per hop, how
+        many candidates survive it — with the symmetry conditions as
+        filters after the last hop, so the carried counts are the
+        unfiltered ones.  The wire bytes, the destination split and the
+        destination-wise incremental memory charges (in tuple order: they
+        decide where a budget trips) are BiGJoin's own.
         """
         cluster = self.cluster
         cost = cluster.cost
         metrics = cluster.metrics
         k = cluster.num_machines
-        graph = cluster.pgraph.graph
         owner = cluster.pgraph.owner
-        probe_ticks = cluster.probe_ticks
-        t = cost.ticks
         bpi = cost.bytes_per_id
         arity = len(spec.out_schema) - 1
-        w = len(spec.ext)
         out: list[list[np.ndarray]] = [[] for _ in range(k)]
         wire = np.zeros(k * k, dtype=np.int64)  # bytes per (src, dst) pair
-        out_bytes = (arity + 1) * cost.bytes_per_id
+        out_bytes = (arity + 1) * bpi
         counted = 0
 
         for m in range(k):
@@ -148,82 +152,47 @@ class BigJoinEngine(BaselineEngine):
             # first, so the carried candidate list starts minimal [5]
             bverts = rows[:, list(spec.ext)]
             bdeg = self._degrees[bverts]
-            ordcols = np.argsort(bdeg, axis=1, kind="stable")
-            hop_verts = np.take_along_axis(bverts, ordcols, axis=1)
-            hop_deg = np.take_along_axis(bdeg, ordcols, axis=1)
+            hops = owner[np.take_along_axis(
+                bverts, np.argsort(bdeg, axis=1, kind="stable"), axis=1)]
+            survivors = np.empty(bverts.shape, dtype=np.int64)
+            emitted, c_row, base = extend_block(
+                cluster.pgraph.graph, rows, bverts, bdeg, spec.candidate_lt,
+                spec.candidate_gt, cost.ticks.intersect, cluster.probe_ticks,
+                count_only=count_only, survivors=survivors)
 
-            # candidate shrinking, one hop at a time; carried[i] is the
-            # candidate-list length when moving into hop i
-            c0 = hop_deg[:, 0]
-            _, cand = csr_gather(graph.indptr, graph.indices,
-                                 hop_verts[:, 0])
-            counts = c0
-            carried = [np.zeros(nrows, dtype=np.int64)]
-            for i in range(1, w):
-                carried.append(counts)
-                row_ids = np.repeat(np.arange(nrows), counts)
-                keep = graph.has_edges(hop_verts[row_ids, i], cand)
-                cand = cand[keep]
-                counts = np.bincount(row_ids[keep], minlength=nrows)
-            base = c0 * (t.intersect
-                         + probe_ticks[hop_deg[:, 1:]].sum(axis=1))
-
-            # wire accounting: a tuple moves whenever the next hop's owner
-            # differs from where it currently sits
-            owners_h = owner[hop_verts]
-            prev = np.full(nrows, m, dtype=np.int64)
-            pids: list[np.ndarray] = []
-            wbytes: list[np.ndarray] = []
-            for i in range(w):
-                dest = owners_h[:, i]
-                moved = dest != prev
-                mi = np.flatnonzero(moved)
-                pids.append(prev[mi] * k + dest[mi])
-                wbytes.append((arity + carried[i][mi]) * bpi)
-                prev = dest
-            np.add.at(wire, np.concatenate(pids), np.concatenate(wbytes))
-
-            # final filters: distinctness against the whole tuple, then
-            # the depth's symmetry conditions
-            row_ids = np.repeat(np.arange(nrows), counts)
-            keep = ~(cand[:, None] == rows[row_ids]).any(axis=1)
-            for p in spec.candidate_lt:
-                keep &= cand < rows[row_ids, p]
-            for p in spec.candidate_gt:
-                keep &= cand > rows[row_ids, p]
-            kept_ids = row_ids[keep]
-            c_row = np.bincount(kept_ids, minlength=nrows)
-            here_final = owners_h[:, w - 1] if w else \
-                np.full(nrows, m, dtype=np.int64)
+            # wire accounting: a tuple moves, with the candidates carried
+            # into the hop, whenever the hop's owner differs from where it
+            # currently sits
+            prev = np.column_stack((np.full(nrows, m), hops[:, :-1]))
+            carried = np.column_stack((np.zeros(nrows, dtype=np.int64),
+                                       survivors[:, :-1]))
+            moved = hops != prev
+            np.add.at(wire, (prev * k + hops)[moved],
+                      (arity + carried[moved]) * bpi)
+            here_final = hops[:, -1]
 
             if count_only:
                 counted += int(c_row.sum())
-                item_ops = base + c_row * t.emit
-                pending_by_dest = [0] * k
+                item_ops = base + c_row * cost.ticks.emit
+                pending = np.zeros(k, dtype=np.int64)
             else:
-                item_ops = base + c_row * ((arity + 1) * t.emit)
-                emitted = np.concatenate(
-                    (rows[kept_ids], cand[keep][:, None]), axis=1)
-                emit_dest = here_final[kept_ids]
-                for dest in range(k):
-                    out[dest].append(emitted[emit_dest == dest])
-                # destination-wise incremental memory charges in tuple
-                # order (flush at every _CHUNK pending per dest)
-                pending_by_dest = [0] * k
-                for r in np.flatnonzero(c_row).tolist():
-                    h = int(here_final[r])
-                    tot = pending_by_dest[h] + int(c_row[r])
-                    for _ in range(tot // _CHUNK):
+                item_ops = base + c_row * ((arity + 1) * cost.ticks.emit)
+                parts = split_by_destination(
+                    emitted, np.repeat(here_final, c_row), k)
+                for dest, part in enumerate(parts):
+                    out[dest].append(part)
+                at, chunks, pending = _chunks_due(here_final, c_row, k)
+                for h, n in zip(at.tolist(), chunks.tolist()):
+                    for _ in range(n):
                         metrics.alloc(h, _CHUNK * out_bytes)
                         metrics.check_time()
-                    pending_by_dest[h] = tot % _CHUNK
-            for dest, pending in enumerate(pending_by_dest):
-                metrics.alloc(dest, pending * out_bytes)
+            for dest, tuples in enumerate(pending.tolist()):
+                metrics.alloc(dest, tuples * out_bytes)
             # timely dataflow shards work finely across a machine's workers
             per_worker = distribute_to_workers(
                 item_ops, cluster.workers_per_machine, stealing=True)
             metrics.charge_worker_ops(m, per_worker)
-            metrics.free(m, nrows * arity * cost.bytes_per_id)
+            metrics.free(m, nrows * arity * bpi)
         for pair in np.flatnonzero(wire).tolist():
             nbytes = int(wire[pair])
             metrics.send(pair // k, pair % k, nbytes,
@@ -234,3 +203,22 @@ class BigJoinEngine(BaselineEngine):
         return [np.concatenate(parts) if parts
                 else np.empty((0, arity + 1), dtype=np.int64)
                 for parts in out]
+
+
+def _chunks_due(dest: np.ndarray, counts: np.ndarray, k: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One machine's destination-wise memory charges.  Tuple ``i``, in
+    order, adds ``counts[i]`` rows to destination ``dest[i]``'s pending
+    output, charged a ``_CHUNK`` each time it fills one.  Returns the
+    destinations of the tuples where charges fall due (tuple order), the
+    chunks each, and every destination's rows left pending."""
+    order, sizes = destination_order(dest, k)
+    held = np.zeros(k, dtype=np.int64)
+    np.add.at(held, dest, counts)
+    c = counts[order]
+    # each destination's running total after each of its tuples
+    total = np.cumsum(c) - np.repeat(np.cumsum(held) - held, sizes)
+    chunks = total // _CHUNK - (total - c) // _CHUNK
+    due = np.flatnonzero(chunks)
+    due = due[np.argsort(order[due])]
+    return dest[order[due]], chunks[due], held % _CHUNK

@@ -25,7 +25,9 @@ enumeration shares the combination builder
 :func:`repro.baselines.base.combo_rows` (the counted round asks it for
 per-row counts only).  Per-row costs are
 integer tick arrays (counts × tick weights); the modelled per-root
-incremental memory-charge sequence stays a sequential loop.
+incremental memory charges are issued in root order, found on the
+running sum of the per-root counts
+(:func:`~repro.baselines.base.chunk_flushes`).
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ from ..core.plan.tree import ExecutionPlan
 from ..core.stealing import chunked_distribution
 from ..query.pattern import QueryGraph
 from ..query.symmetry import symmetry_break
-from .base import (BaselineEngine, BaselineResult, combo_rows,
-                   new_conditions, predicted_star_total, star_partition,
-                   valid_leaf_patterns)
+from .base import (BaselineEngine, BaselineResult, chunk_flushes,
+                   combo_rows, new_conditions, predicted_star_total,
+                   star_partition, valid_leaf_patterns)
 
 __all__ = ["RadsEngine"]
-
-_CHUNK = 4096
 
 
 class RadsEngine(BaselineEngine):
@@ -61,6 +61,9 @@ class RadsEngine(BaselineEngine):
         self.region_groups = region_groups
         graph = cluster.pgraph.graph
         self._degrees = graph.indptr[1:] - graph.indptr[:-1]
+        # scratch marks over V for de-duplicating a round's remote roots,
+        # all False between calls
+        self._marks = np.zeros(graph.num_vertices, dtype=bool)
 
     def run(self, query: QueryGraph,
             plan: ExecutionPlan | None = None) -> BaselineResult:
@@ -183,7 +186,7 @@ class RadsEngine(BaselineEngine):
             roots = part[:, root_pos] if nrows else np.empty(0, np.int64)
             # region-scoped pull of every distinct remote root (no
             # cross-round cache: RADS re-fetches each round)
-            cluster.pull(m, np.unique(roots[owner[roots] != m]))
+            cluster.pull(m, self._distinct(roots[owner[roots] != m]))
             self._preflight(m, self._degrees[roots], nl,
                             max(1, len(patterns)), tuple_bytes)
             base = self._degrees[roots] * cost.ticks.intersect
@@ -224,14 +227,11 @@ class RadsEngine(BaselineEngine):
                 counted_total += int(kept.sum())
             else:
                 # incremental memory charges per root in tuple order
-                # (flush at every _CHUNK pending)
-                pending = 0
-                for c in kept.tolist():
-                    pending += c
-                    if pending >= _CHUNK:
-                        metrics.alloc(m, pending * tuple_bytes)
-                        pending = 0
-                        metrics.check_time()
+                # (flush at every _CHUNK pending, as star_partition does)
+                flushed, pending = chunk_flushes(kept)
+                for tuples in flushed:
+                    metrics.alloc(m, tuples * tuple_bytes)
+                    metrics.check_time()
                 metrics.alloc(m, pending * tuple_bytes)
                 out_rel.append(emitted)
             metrics.charge_worker_ops(
@@ -241,6 +241,15 @@ class RadsEngine(BaselineEngine):
         if count_only:
             return counted_total, out_schema
         return out_rel, out_schema
+
+    def _distinct(self, ids: np.ndarray) -> np.ndarray:
+        """The distinct ``ids``, ascending (``np.unique`` without its
+        sort): marked in the scratch array, read back, marks cleared."""
+        marks = self._marks
+        marks[ids] = True
+        distinct = np.flatnonzero(marks)
+        marks[distinct] = False
+        return distinct
 
     def _preflight(self, machine: int, degrees: np.ndarray, choose: int,
                    patterns: int, tuple_bytes: int) -> None:

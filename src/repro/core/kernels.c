@@ -1,7 +1,8 @@
 /* The compiled loops of repro.core.kernels, one function each:
  *
  *   extend_rows     PULL-EXTEND's candidate pass over a block of rows,
- *                   with its output rows and intersection ticks, the twin
+ *                   with its output rows and intersection ticks (and, for
+ *                   BiGJoin's rounds, per-list survivor counts), the twin
  *                   of kernels.extend_block (and of extend_candidates);
  *   classify_reads  the LRBU fetch stage's pass over a step's extend
  *                   block, the twin of repro.core.cache.LRBUCache._classify;
@@ -19,6 +20,10 @@
 #include <stdint.h>
 
 typedef int64_t i64;
+
+/* the helpers of extend_rows' two candidate loops: inlined into each,
+ * or the compiler calls the probe search per probe and the loops slow */
+#define INLINE static inline __attribute__((always_inline))
 
 /* slot-table markers and hash, as in repro.graph.graph */
 #define SHARED (-2)
@@ -39,7 +44,7 @@ static i64 lower_bound(const i64 *a, i64 lo, i64 hi, i64 x)
 
 /* lower_bound by doubling steps from lo: a row's candidates ascend, so a
  * list's cursor only moves forward */
-static i64 gallop(const i64 *a, i64 lo, i64 hi, i64 x)
+INLINE i64 gallop(const i64 *a, i64 lo, i64 hi, i64 x)
 {
     i64 step = 1;
     if (lo >= hi || a[lo] >= x)
@@ -51,21 +56,121 @@ static i64 gallop(const i64 *a, i64 lo, i64 hi, i64 x)
     return lower_bound(a, lo + 1, lo + step < hi ? lo + step : hi, x);
 }
 
+/* The list at which candidate c fails, k when it is in each of lists
+ * 1 .. k-1 of v: probed through the slot table when there is one (a
+ * SHARED slot searches the list), by galloping in the list otherwise,
+ * each such probe counted in *searched.  A list's cursor pos[w] only
+ * moves forward, so the candidates must come in ascending order. */
+INLINE i64 failed_at(i64 c, i64 k, const i64 *v, i64 *pos, const i64 *end,
+                     const i64 *indices, i64 n, const i64 *table, i64 bits,
+                     i64 *searched)
+{
+    i64 w = 1;
+    for (; w < k; w++) {
+        i64 at;
+        if (table) {
+            i64 key = v[w] * n + c;
+            i64 held = table[((uint64_t)key * GOLDEN) >> (64 - bits)];
+            if (held == key)
+                continue;
+            if (held != SHARED)
+                break;
+            at = lower_bound(indices, pos[w], end[w], c);
+        } else {
+            ++*searched;
+            at = pos[w] = gallop(indices, pos[w], end[w], c);
+        }
+        if (at == end[w] || indices[at] != c)
+            break;
+    }
+    return w;
+}
+
+/* Whether candidate c is kept past the lists: it carries new_label
+ * (when labels is not NULL) and differs from every column of the row */
+INLINE int kept(i64 c, const i64 *row, i64 width, const i64 *labels,
+                i64 new_label)
+{
+    if (labels && labels[c] != new_label)
+        return 0;
+    for (i64 w = 0; w < width; w++)
+        if (row[w] == c)
+            return 0;
+    return 1;
+}
+
+/* Survivor number at of a pass, candidate c of row r: unless cand is
+ * NULL to cand / row_ids, unless out is NULL as the row then c to out
+ * (width + 1 columns); nothing past cap */
+INLINE void write_kept(i64 at, i64 c, i64 r, const i64 *row, i64 width,
+                       i64 cap, i64 *cand, i64 *row_ids, i64 *out)
+{
+    if (at >= cap)
+        return;
+    if (cand) {
+        cand[at] = c;
+        row_ids[at] = r;
+    }
+    if (out) {
+        i64 *o = out + at * (width + 1);
+        for (i64 w = 0; w < width; w++)
+            o[w] = row[w];
+        o[width] = c;
+    }
+}
+
+/* extend_rows' counting candidate loop over one row's whole smallest
+ * list indices[start, stop): per list, how many candidates stand after
+ * it (to survivors[0 .. k-1]); the survivors within low < c < high that
+ * kept passes are written from position total on.  Returns their number.
+ * A function of its own, so the windowed loop compiles as it would
+ * alone. */
+static __attribute__((noinline)) i64
+count_row(const i64 *row, i64 r, i64 width, i64 k, const i64 *v, i64 *pos,
+          const i64 *end, i64 start, i64 stop, const i64 *indices, i64 n,
+          const i64 *table, i64 bits, const i64 *labels, i64 new_label,
+          i64 low, i64 high, i64 total, i64 cap, i64 *cand, i64 *row_ids,
+          i64 *out, i64 *survivors, i64 *searched)
+{
+    i64 failed[k + 1], emitted = 0;
+    for (i64 w = 0; w <= k; w++)
+        failed[w] = 0;
+    for (i64 i = start; i < stop; i++) {
+        i64 c = indices[i];
+        i64 w = failed_at(c, k, v, pos, end, indices, n, table, bits,
+                          searched);
+        failed[w]++;
+        if (w == k && low < c && c < high
+                && kept(c, row, width, labels, new_label))
+            write_kept(total + emitted++, c, r, row, width, cap, cand,
+                       row_ids, out);
+    }
+    /* standing after list w: failed at a later list, or at none */
+    i64 standing = 0;
+    for (i64 w = k; w > 0; w--) {
+        standing += failed[w];
+        survivors[w - 1] = standing;
+    }
+    return emitted;
+}
+
 /* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
  * extend vertices verts[r] are sorted by adjacency length lens[r]
  * (stably; the sorted lengths go to lens_out[r] unless it is NULL); the
  * smallest list, cut to the symmetry window max(rows[gt]) < c <
  * min(rows[lt]), gives the candidates; each other list is probed once
- * per candidate still standing: through the slot table when there is
- * one (a SHARED slot searches the list), by galloping in the list
- * otherwise, each such probe counted in *probes.  Survivors must carry
- * new_label (when labels is not NULL) and differ from every column of
- * the row.  Writes counts[r]; unless probe_ticks is NULL, the row's
- * intersection ticks len[0] * (intersect + sum of probe_ticks[len[w]]
- * over the other lists) to ticks[r]; and of the first cap survivors,
- * unless cand is NULL, the candidate and its row to cand / row_ids,
- * unless out is NULL, the row then the candidate to out (width + 1
- * columns).  Returns the number of survivors. */
+ * per candidate still standing (failed_at), and the survivors are
+ * filtered by kept.  Writes counts[r]; unless probe_ticks is NULL, the
+ * row's intersection ticks len[0] * (intersect + sum of
+ * probe_ticks[len[w]] over the other lists) to ticks[r]; and of the
+ * first cap survivors, unless cand is NULL, the candidate and its row to
+ * cand / row_ids, unless out is NULL, the row then the candidate to out
+ * (width + 1 columns).  Unless survivors is NULL, the whole smallest
+ * list is the candidates, survivors[r * k + w] counts those standing
+ * after list w (w = 0: all of them), and the symmetry conditions filter
+ * the survivors instead of cutting a window; that mode's candidate loop
+ * is count_row's, so the windowed one carries no counting.  Returns the
+ * number of survivors. */
 i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 const i64 *verts, const i64 *lens, i64 *lens_out,
                 const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
@@ -74,7 +179,7 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 const i64 *labels, i64 new_label,
                 const i64 *probe_ticks, i64 intersect, i64 *ticks,
                 i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
-                i64 *probes)
+                i64 *survivors, i64 *probes)
 {
     i64 v[k], len[k], pos[k], end[k];
     i64 total = 0, searched = 0;
@@ -101,58 +206,31 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 per += probe_ticks[len[w]];
             ticks[r] = len[0] * per;
         }
-        i64 start = pos[0], stop = end[0];
-        if (n_gt) {
-            i64 low = row[gt[0]];
-            for (i64 j = 1; j < n_gt; j++)
-                low = row[gt[j]] > low ? row[gt[j]] : low;
-            start = lower_bound(indices, start, stop, low + 1);
-        }
-        if (n_lt) {
-            i64 high = row[lt[0]];
-            for (i64 j = 1; j < n_lt; j++)
-                high = row[lt[j]] < high ? row[lt[j]] : high;
-            stop = lower_bound(indices, start, stop, high);
-        }
-        i64 emitted = 0;
-        for (i64 i = start; i < stop; i++) {
-            i64 c = indices[i], w = 1;
-            for (; w < k; w++) {
-                i64 at;
-                if (table) {
-                    i64 key = v[w] * n + c;
-                    i64 held = table[((uint64_t)key * GOLDEN) >> (64 - bits)];
-                    if (held == key)
-                        continue;
-                    if (held != SHARED)
-                        break;
-                    at = lower_bound(indices, pos[w], end[w], c);
-                } else {
-                    searched++;
-                    at = pos[w] = gallop(indices, pos[w], end[w], c);
-                }
-                if (at == end[w] || indices[at] != c)
-                    break;
+        /* the symmetry window low < c < high */
+        i64 low = INT64_MIN, high = INT64_MAX;
+        for (i64 j = 0; j < n_gt; j++)
+            low = row[gt[j]] > low ? row[gt[j]] : low;
+        for (i64 j = 0; j < n_lt; j++)
+            high = row[lt[j]] < high ? row[lt[j]] : high;
+        i64 start = pos[0], stop = end[0], emitted = 0;
+        if (!survivors) {
+            if (n_gt)
+                start = lower_bound(indices, start, stop, low + 1);
+            if (n_lt)
+                stop = lower_bound(indices, start, stop, high);
+            for (i64 i = start; i < stop; i++) {
+                i64 c = indices[i];
+                if (failed_at(c, k, v, pos, end, indices, n, table, bits,
+                              &searched) == k
+                        && kept(c, row, width, labels, new_label))
+                    write_kept(total + emitted++, c, r, row, width, cap, cand,
+                               row_ids, out);
             }
-            if (w < k || (labels && labels[c] != new_label))
-                continue;
-            for (w = 0; w < width && row[w] != c; w++)
-                ;
-            if (w < width)
-                continue;
-            i64 at = total + emitted++;
-            if (at >= cap)
-                continue;
-            if (cand) {
-                cand[at] = c;
-                row_ids[at] = r;
-            }
-            if (out) {
-                i64 *o = out + at * (width + 1);
-                for (w = 0; w < width; w++)
-                    o[w] = row[w];
-                o[width] = c;
-            }
+        } else {
+            emitted = count_row(row, r, width, k, v, pos, end, start, stop,
+                                indices, n, table, bits, labels, new_label,
+                                low, high, total, cap, cand, row_ids, out,
+                                survivors + r * k, &searched);
         }
         counts[r] = emitted;
         total += emitted;

@@ -37,9 +37,10 @@ holds the array programs themselves:
 * Five loops compiled: ``kernels.c`` holds :func:`extend_block` /
   :func:`extend_candidates` as one loop over the rows (sort, window, one
   probe per candidate and list, filters, then the kept rows and the
-  ticks written out), the LRBU fetch stage's classification
-  (:meth:`repro.core.cache.LRBUCache.fetch`) as one loop over the extend
-  block's cells, the worker deal
+  ticks written out; BiGJoin's rounds run it with per-list survivor
+  counts and the window as a filter), the LRBU fetch stage's
+  classification (:meth:`repro.core.cache.LRBUCache.fetch`) as one loop
+  over the extend block's cells, the worker deal
   (:func:`repro.core.stealing.distribute_to_workers`) as one loop over
   the sorted costs, a join block as one loop over its pairs (filters,
   then the kept row written out), and the star baselines' combination
@@ -173,6 +174,7 @@ def fused_extend_candidates(graph, rows: np.ndarray,
                             lt: Sequence[int], gt: Sequence[int],
                             labels: np.ndarray | None = None,
                             new_label: int | None = None,
+                            survivors: np.ndarray | None = None,
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused PULL-EXTEND candidate pass: window → gather → shrink.
 
@@ -204,35 +206,67 @@ def fused_extend_candidates(graph, rows: np.ndarray,
     multiplies by the emit tick weight.  The intersection *charge* is
     not this function's business: callers compute it from the full
     sorted lengths, windowed or not.
+
+    With ``survivors``, an ``(n, |ext|)`` ``int64`` array, the whole
+    smallest list is the candidates and ``survivors[i, w]`` receives how
+    many of row ``i``'s stand after list ``w`` (column 0: all of them);
+    the symmetry order then filters the survivors instead of cutting a
+    window, so the counts do not depend on it.
     """
     indptr, comp, n = (graph.indptr, graph.composite_index(),
                        graph.num_vertices)
+    _check_survivors(survivors, verts_sorted)
+    windowed = survivors is None
     v0 = verts_sorted[:, 0]
     start = (np.searchsorted(comp, v0 * n + rows[:, list(gt)].max(axis=1)
                              + 1)
-             if len(gt) else indptr[v0])
+             if len(gt) and windowed else indptr[v0])
     stop = (np.searchsorted(comp, v0 * n + rows[:, list(lt)].min(axis=1))
-            if len(lt) else indptr[v0 + 1])
+            if len(lt) and windowed else indptr[v0 + 1])
     row_ids, cand = _gather_slices(graph.indices, start,
                                    np.maximum(stop - start, 0))
+    if not windowed:
+        survivors[:, 0] = stop - start
     for w in range(1, verts_sorted.shape[1]):
         base = verts_sorted[:, w] * n
         keep = graph.has_arc_keys(base[row_ids] + cand)
         cand, row_ids = cand[keep], row_ids[keep]
+        if not windowed:
+            survivors[:, w] = np.bincount(row_ids, minlength=len(rows))
     if new_label is not None and labels is not None:
         keep = labels[cand] == new_label
         cand, row_ids = cand[keep], row_ids[keep]
     keep = np.ones(len(cand), dtype=bool)
     for p in range(rows.shape[1]):
         keep &= cand != rows[row_ids, p]
+    if not windowed:
+        for p in lt:
+            keep &= cand < rows[row_ids, p]
+        for p in gt:
+            keep &= cand > rows[row_ids, p]
     cand, row_ids = cand[keep], row_ids[keep]
     return cand, row_ids, np.bincount(row_ids, minlength=len(rows))
+
+
+def _check_survivors(survivors: np.ndarray | None,
+                     verts: np.ndarray) -> None:
+    """Refuse a survivor-count array that is not a writable C-contiguous
+    ``int64`` array shaped like ``verts`` (one count per row and list)."""
+    if survivors is not None and not (
+            isinstance(survivors, np.ndarray)
+            and survivors.shape == verts.shape
+            and survivors.dtype == np.int64
+            and survivors.flags.c_contiguous
+            and survivors.flags.writeable):
+        raise ValueError("survivors must be a writable C-contiguous int64 "
+                         f"array of shape {verts.shape}")
 
 
 def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
                       lens: np.ndarray, lt: Sequence[int], gt: Sequence[int],
                       labels: np.ndarray | None = None,
                       new_label: int | None = None,
+                      survivors: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray]:
     """PULL-EXTEND's candidate pass over a block of partial matches whose
@@ -247,6 +281,9 @@ def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
     came from, the rest are the lists probed, which is what the
     intersection cost formula reads (the *full* lengths: the symmetry
     window saves our gather, not the modelled machine's scan).
+    ``survivors``, when given, receives the per-list survivor counts (in
+    that sorted order) and turns the window into a filter, as in
+    :func:`fused_extend_candidates`.
 
     The pass runs as one compiled loop over the rows (``extend_rows`` of
     ``kernels.c``: per row the sort, the window's two searches in the
@@ -260,14 +297,14 @@ def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
         sorted_lens = np.empty(verts.shape, dtype=np.int64)
         _, cand, row_ids, counts, _ = _extend_compiled(
             graph, rows, verts, lens, lt, gt, labels, new_label,
-            sorted_lens=sorted_lens, pairs=True)
+            sorted_lens=sorted_lens, pairs=True, survivors=survivors)
         return cand, row_ids, counts, sorted_lens
     if verts.shape[1] > 1:
         by_len = lens.argsort(axis=1, kind="stable")
         row = np.arange(len(rows))[:, None]
         verts, lens = verts[row, by_len], lens[row, by_len]
     cand, row_ids, counts = fused_extend_candidates(
-        graph, rows, verts, lt, gt, labels, new_label)
+        graph, rows, verts, lt, gt, labels, new_label, survivors)
     return cand, row_ids, counts, lens
 
 
@@ -276,6 +313,7 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
                  intersect: int, probe_ticks: np.ndarray,
                  labels: np.ndarray | None = None,
                  new_label: int | None = None, count_only: bool = False,
+                 survivors: np.ndarray | None = None,
                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One PULL-EXTEND step's intersect stage over a gathered block (see
     :func:`extend_candidates`): ``(out, counts, ticks)``.
@@ -287,7 +325,8 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     intersection charge, :meth:`~repro.cluster.cost.CostModel.intersection_ops`
     over its *full* adjacency lengths: ``len₀ · (intersect + Σ
     probe_ticks[lenᵥ])``, the smallest list scanned and every other one
-    probed once per element.
+    probed once per element.  ``survivors`` is as in
+    :func:`extend_candidates` (BiGJoin's rounds read it).
 
     The compiled ``extend_rows`` writes the output rows and the ticks in
     its one pass over the rows; the numpy program gathers
@@ -297,23 +336,25 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     if _LIB is not None:
         out, _, _, counts, ticks = _extend_compiled(
             graph, rows, verts, lens, lt, gt, labels, new_label,
-            ticks=(intersect, probe_ticks), block=not count_only)
+            ticks=(intersect, probe_ticks), block=not count_only,
+            survivors=survivors)
         return out, counts, ticks
     cand, row_ids, counts, lens = extend_candidates(
-        graph, rows, verts, lens, lt, gt, labels, new_label)
+        graph, rows, verts, lens, lt, gt, labels, new_label, survivors)
     ticks = lens[:, 0] * (intersect + probe_ticks[lens[:, 1:]].sum(axis=1))
     out = None if count_only else np.column_stack((rows[row_ids], cand))
     return out, counts, ticks
 
 
 def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
-                     sorted_lens=None, ticks=None, pairs=False, block=False):
+                     sorted_lens=None, ticks=None, pairs=False, block=False,
+                     survivors=None):
     """The candidate pass through ``extend_rows`` of ``kernels.c``:
     ``(out, cand, row_ids, counts, ticks)``, all but ``counts`` ``None``
     unless asked for — ``block`` for the output rows, ``pairs`` for the
     candidates and their rows, ``ticks = (intersect, probe_ticks)`` for
-    the intersection charges; ``sorted_lens``, when given, receives the
-    sorted lengths."""
+    the intersection charges; ``sorted_lens`` and ``survivors``, when
+    given, receive the sorted lengths and the per-list survivor counts."""
     n_rows, k = verts.shape
     n, width = graph.num_vertices, rows.shape[1]
     label = new_label is not None and labels is not None
@@ -327,6 +368,7 @@ def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
             or (ticks is not None and n_rows
                 and not 0 <= lens.min() <= lens.max() < len(ticks[1]))):
         raise ValueError("extend block outside the graph or its rows")
+    _check_survivors(survivors, verts)
     counts = np.empty(n_rows, dtype=np.int64)
     cap = int(lens.min(axis=1).sum()) if (pairs or block) else 0
     cand = row_ids = out = row_ticks = None
@@ -346,7 +388,8 @@ def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
         _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
         _FFI.NULL if ticks is None else _buf(ticks[1]),
         0 if ticks is None else int(ticks[0]), _ptr(row_ticks),
-        _ptr(cand), _ptr(row_ids), _ptr(out), cap, _buf(counts), probes)
+        _ptr(cand), _ptr(row_ids), _ptr(out), cap, _buf(counts),
+        _ptr(survivors), probes)
     if table is None:
         graph.arc_table_due(probes[0])
     if (pairs or block) and total > cap:
@@ -392,7 +435,7 @@ int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,
                     const int64_t *, int64_t, int64_t *,
                     int64_t *, int64_t *, int64_t *, int64_t, int64_t *,
-                    int64_t *);
+                    int64_t *, int64_t *);
 int64_t classify_reads(int64_t, int64_t, const int64_t *,
                        const int64_t *, const int64_t *, int64_t,
                        const int64_t *, int64_t *, int64_t *, int64_t *,

@@ -215,6 +215,135 @@ class TestExtendPaths:
         assert all(map(np.array_equal, got[:3], ref))
 
 
+# -- per-list survivor counts and the symmetry order as a filter ------------------
+
+
+def _reference_survivors(g, rows, verts_sorted):
+    """Row by row and list by list with sets: how many of each row's
+    whole smallest list stand after each list."""
+    survivors = np.zeros(verts_sorted.shape, dtype=np.int64)
+    for i, verts in enumerate(verts_sorted.tolist()):
+        standing = g.neighbours(verts[0]).tolist()
+        survivors[i, 0] = len(standing)
+        for w, v in enumerate(verts[1:], 1):
+            adjacent = set(g.neighbours(v).tolist())
+            standing = [c for c in standing if c in adjacent]
+            survivors[i, w] = len(standing)
+    return survivors
+
+
+def _survivor_block(g, rows, ext, lt, gt, labels, new_label):
+    """Both entries with a survivor array: ``(cand, row_ids, counts,
+    lens, survivors)`` from :func:`extend_candidates` and ``(out,
+    counts, ticks, survivors)`` from :func:`extend_block`."""
+    verts = rows[:, list(ext)]
+    lens = g.degrees()[verts]
+    survivors = np.full(verts.shape, -1, dtype=np.int64)
+    pairs = extend_candidates(g, rows, verts, lens, lt, gt, labels,
+                              new_label, survivors=survivors)
+    cost = CostModel(intersect_op=0.1)
+    block_survivors = np.full(verts.shape, -1, dtype=np.int64)
+    block = extend_block(g, rows, verts, lens, lt, gt, cost.ticks.intersect,
+                         cost.probe_tick_table(g.max_degree), labels,
+                         new_label, survivors=block_survivors)
+    return (*pairs, survivors), (*block, block_survivors)
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestSurvivorCounts:
+    @given(case=_layout_cases())
+    @settings(max_examples=150)
+    def test_both_paths_equal_the_reference(self, case):
+        """per-list survivor counts over the whole smallest list, and the
+        symmetry order as a filter after the last list: the candidates
+        equal the windowed pass's, the counts a list-by-list set
+        reference, on the compiled and the numpy path element for
+        element, each on a searching and a hashed copy"""
+        g, rows, ext, lt, gt, labels = case
+        new_label = None if labels is None else 1
+        verts = rows[:, list(ext)]
+        want = _reference_extend(g, rows, _by_degree(g, verts), lt, gt,
+                                 labels, new_label)
+        want_survivors = _reference_survivors(g, rows, _by_degree(g, verts))
+        seen = {}
+        for path in extend_paths():
+            with extend_path(path):
+                for side, h in enumerate(arc_table_sides(g)):
+                    pairs, block = _survivor_block(h, rows, ext, lt, gt,
+                                                   labels, new_label)
+                    _assert_same(pairs[:3], want)
+                    assert np.array_equal(pairs[4], want_survivors)
+                    assert np.array_equal(block[3], want_survivors)
+                    assert np.array_equal(block[1], want[2])
+                    seen[path, side] = (pairs, block)
+        for (pairs, block) in seen.values():
+            first_pairs, first_block = next(iter(seen.values()))
+            _assert_same(pairs, first_pairs)
+            _assert_same(block, first_block)
+
+    @pytest.mark.parametrize("ext, lt, gt", [
+        ((0,), (), ()),              # one list: nothing probed
+        ((0,), (2,), (3,)),          # one list, both conditions
+        ((0, 1), (2,), (3,)),        # lt and gt on both sides
+        ((0, 1, 2), (3,), (3,)),     # an empty window
+    ])
+    def test_edge_blocks(self, kernel_path, ext, lt, gt):
+        """an empty block; row 0, whose whole smallest list (8's) fails
+        its first probe (the hub 0 shares none of it); ``k = 1``; ``lt``
+        and ``gt`` together: the counts ignore the conditions, the
+        output applies them"""
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                              (0, 6), (7, 8), (8, 9), (1, 2), (2, 3),
+                              (3, 4)], num_vertices=10)
+        rows = np.array([[8, 0, 2, 5], [1, 3, 9, 0], [0, 2, 5, 1],
+                         [3, 0, 4, 9]], dtype=np.int64)
+        for block in (rows[:0], rows):
+            verts = _by_degree(g, block[:, list(ext)])
+            want = _reference_extend(g, block, verts, lt, gt, None, None)
+            want_survivors = _reference_survivors(g, block, verts)
+            pairs, out = _survivor_block(g, block, ext, lt, gt, None, None)
+            _assert_same(pairs[:3], want)
+            assert np.array_equal(pairs[4], want_survivors)
+            assert np.array_equal(out[3], want_survivors)
+        assert pairs[4][0, 0] == 2 and not pairs[4][0, 1:].any()
+        if len(ext) < 3:
+            # a filtered survivor is still counted
+            assert want[2].sum() < pairs[4][:, -1].sum()
+
+    def test_wrong_survivor_arrays_are_refused(self, kernel_path):
+        """the loop writes one count per row and list, so a survivor
+        array of another shape, dtype or layout is refused first"""
+        g = gen.erdos_renyi(10, 0.3, seed=1)
+        rows = np.array([[0, 3], [2, 5]], dtype=np.int64)
+        lens = g.degrees()[rows]
+        cost = CostModel()
+        table = cost.probe_tick_table(g.max_degree)
+        frozen = np.zeros((2, 2), dtype=np.int64)
+        frozen.flags.writeable = False
+        bad = [np.zeros((2, 1), dtype=np.int64),
+               np.zeros((3, 2), dtype=np.int64),
+               np.zeros(4, dtype=np.int64),
+               np.zeros((2, 2), dtype=np.int32),
+               np.zeros((2, 4), dtype=np.int64)[:, ::2],
+               np.zeros((2, 3), dtype=np.int64, order="F")[:, :2],
+               [[0, 0], [0, 0]],
+               frozen]
+        for survivors in bad:
+            with pytest.raises(ValueError):
+                extend_block(g, rows, rows, lens, (), (),
+                             cost.ticks.intersect, table,
+                             survivors=survivors)
+            with pytest.raises(ValueError):
+                extend_candidates(g, rows, rows, lens, (), (),
+                                  survivors=survivors)
+
+
 def test_both_paths_count_the_same_probes():
     """on fresh snapshots, call for call: the compiled pass reports the
     probes the numpy path makes through ``has_arc_keys``, so both build
