@@ -157,13 +157,16 @@ class DistributedRelation:
         self.cluster = cluster
         self.schema = schema
         self.partitions = [_as_partition(p, len(schema)) for p in partitions]
+        #: tuples per machine at construction: what the ledger charged and
+        #: what :meth:`drop` frees, after :meth:`shuffle` let go of the rows
+        self._counts = [len(p) for p in self.partitions]
         self._alive = True
         if charge_memory:
             bytes_per_id = cluster.cost.bytes_per_id
             charged: list[int] = []
             try:
-                for m, part in enumerate(self.partitions):
-                    b = len(part) * len(schema) * bytes_per_id
+                for m, tuples in enumerate(self._counts):
+                    b = tuples * len(schema) * bytes_per_id
                     charged.append(b)  # the raising alloc still charges
                     cluster.metrics.alloc(m, b)
             except OutOfMemoryError:
@@ -174,8 +177,8 @@ class DistributedRelation:
 
     @property
     def total(self) -> int:
-        """Total tuple count across machines."""
-        return sum(len(p) for p in self.partitions)
+        """Total tuple count across machines (at construction)."""
+        return sum(self._counts)
 
     def tuple_bytes(self) -> int:
         """Bytes per tuple."""
@@ -185,23 +188,30 @@ class DistributedRelation:
         """Release the relation's simulated memory."""
         if not self._alive:
             return
-        for m, part in enumerate(self.partitions):
-            self.cluster.metrics.free(m, len(part) * self.tuple_bytes())
+        for m, tuples in enumerate(self._counts):
+            self.cluster.metrics.free(m, tuples * self.tuple_bytes())
         self._alive = False
 
     # -- relational ops ---------------------------------------------------------
 
     def shuffle(self, key_pos: tuple[int, ...]) -> "DistributedRelation":
-        """Hash-shuffle by key positions (pushing communication)."""
+        """Hash-shuffle by key positions (pushing communication).  Consumes
+        this relation: each partition's rows are let go of once the split
+        holds them (the caller keeps the relation until the join returns),
+        and the relation is dropped."""
         cluster = self.cluster
         k = cluster.num_machines
         arity = len(self.schema)
         by_dest: list[list[np.ndarray]] = [[] for _ in range(k)]
-        for src, part in enumerate(self.partitions):
+        for src in range(k):
+            part = self.partitions[src]
+            # a fresh empty array: a slice would hold the rows' buffer
+            self.partitions[src] = np.empty((0, arity), dtype=np.int64)
             dests = hash_destinations(part[:, list(key_pos)], k)
             for dest, rows in enumerate(split_by_destination(part, dests, k)):
                 by_dest[dest].append(rows)
                 cluster.push(src, dest, len(rows), arity)
+            del part
         parts = [np.concatenate(by_dest[d]) if by_dest[d]
                  else np.empty((0, arity), dtype=np.int64)
                  for d in range(k)]

@@ -17,8 +17,9 @@ Characteristics reproduced here (Table 1 row RADS):
   can still blow the memory budget (§5.1).
 
 The rounds are columnar: partial results are ``(n, arity)`` int64 arrays,
-edge verification is a batch membership test against the shared
-edge-composite index, a root's leaf candidates come from the engine's
+edge verification is one stacked membership probe per machine and round
+(:func:`~repro.core.kernels.fused_verify_mask`, the engine's VERIFY
+test), a root's leaf candidates come from the engine's
 candidate pass (:func:`~repro.core.kernels.extend_step` with one list and
 no window: the root's adjacency minus the row's ids), and leaf
 enumeration shares the combination builder
@@ -36,7 +37,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
-from ..core.kernels import extend_step
+from ..core.kernels import extend_step, fused_verify_mask
 from ..core.plan.plans import rads_plan
 from ..core.plan.tree import ExecutionPlan
 from ..core.stealing import chunked_distribution
@@ -161,6 +162,7 @@ class RadsEngine(BaselineEngine):
         root_pos = schema.index(root)
         leaves = sorted(star.vertices - {root})
         v1 = [v for v in leaves if v in schema]          # verify edges
+        leaf_cols = [schema.index(v) for v in v1]
         v2 = [v for v in leaves if v not in schema]      # expand leaves
         out_schema = schema + tuple(v2)
         positional = new_conditions(out_schema, applied, conditions)
@@ -190,10 +192,10 @@ class RadsEngine(BaselineEngine):
             self._preflight(m, self._degrees[roots], nl,
                             max(1, len(patterns)), tuple_bytes)
             base = self._degrees[roots] * cost.ticks.intersect
-            # verify matched leaves: edges (root, v) for v in V1
-            ok = np.ones(nrows, dtype=bool)
-            for v in v1:
-                ok &= graph.has_edges(roots, part[:, schema.index(v)])
+            # verify matched leaves: edges (root, v) for v in V1, one
+            # stacked probe (the graph is symmetric, so arcs v -> root)
+            ok = (fused_verify_mask(graph, part[:, leaf_cols], roots)
+                  if nrows else np.ones(0, dtype=bool))
             kept_per_row = np.zeros(nrows, dtype=np.int64)
             if not v2:
                 n_ok = int(ok.sum())

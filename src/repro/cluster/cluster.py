@@ -113,7 +113,6 @@ class Cluster:
         updated once per machine; in a trace each owner serves one span.
         The adjacency itself is not handed over: callers read the CSR.
         """
-        cost, metrics, tracer = self.cost, self.metrics, self.tracer
         k = self.num_machines
         indptr = self.pgraph.graph.indptr
         sizes = indptr[vertices + 1] - indptr[vertices] + 1
@@ -125,13 +124,27 @@ class Cluster:
             return sizes
         # weighted bincount sums in float64: exact for ids below 2**53
         response_ids = np.bincount(pairs, sizes, k * k)[live].astype(np.int64)
-        src, owner = np.divmod(live, k)
+        self.account_pulls(live, requested[live], response_ids)
+        return sizes
+
+    def account_pulls(self, pairs: np.ndarray, requests: np.ndarray,
+                      response_ids: np.ndarray) -> None:
+        """Charge aggregated ``GetNbrs``: pair ``i`` is requester
+        ``pairs[i] // k`` asking owner ``pairs[i] % k`` (distinct, never
+        its own) for ``requests[i]`` vertices whose responses carry
+        ``response_ids[i]`` ids — one request/response pair each, the
+        ledger updated once per machine; in a trace each owner serves one
+        span.  :meth:`pull` ends here, and so does a compiled
+        PULL-EXTEND step, which counts its pairs itself."""
+        cost, metrics, tracer = self.cost, self.metrics, self.tracer
+        k = self.num_machines
+        src, owner = np.divmod(pairs, k)
         if tracer.enabled:
             t0 = tracer.now_all()
         metrics.send_many(
             np.concatenate((src, owner)), np.concatenate((owner, src)),
             np.concatenate((cost.rpc_request_overhead_bytes
-                            + requested[live] * cost.bytes_per_id,
+                            + requests * cost.bytes_per_id,
                             response_ids * cost.bytes_per_id)))
         rpcs = np.bincount(src, minlength=k).tolist()
         for m in np.flatnonzero(rpcs).tolist():
@@ -142,7 +155,6 @@ class Cluster:
                 tracer.complete("rpc serve", o, t0[o], tracer.now(o),
                                 {"requests": int((owner == o).sum()),
                                  "ids": int(served[o])})
-        return sizes
 
     # -- pushing: the router ------------------------------------------------------
 

@@ -1,23 +1,32 @@
-/* The compiled loops of repro.core.kernels, one function each:
+/* The compiled loops of repro.core.kernels, five entry points:
  *
- *   extend_rows     PULL-EXTEND's candidate pass over a block of rows,
- *                   with its output rows and intersection ticks (and, for
- *                   BiGJoin's rounds, per-list survivor counts), the twin
- *                   of kernels.extend_block (and of extend_candidates);
- *   classify_reads  the LRBU fetch stage's pass over a step's extend
- *                   block, the twin of repro.core.cache.LRBUCache._classify;
- *   deal_items      the segmented snake deal of a step's item costs, the
- *                   twin of repro.core.stealing.distribute_to_workers;
- *   join_block      one block of the blocked hash join's key matches,
- *                   filtered and written out, the twin of kernels._join_block;
- *   combo_rows      the star baselines' combination builder, the twin of
- *                   repro.baselines.base.combo_rows.
+ *   extend_rows      PULL-EXTEND's candidate pass over a block of rows,
+ *                    with its output rows and intersection ticks (and,
+ *                    for BiGJoin's rounds, per-list survivor counts), the
+ *                    twin of kernels.extend_block (and of
+ *                    extend_candidates);
+ *   pull_extend_step one PULL-EXTEND step over an LRBU cache: its static
+ *                    passes classify_reads, admit_reads (with evict) and
+ *                    release_pins, the twins of LRBUCache._classify,
+ *                    _admit and _release in repro.core.cache, around
+ *                    extend_rows and deal_items — the twin of the
+ *                    composed step of repro.core.operators.ExtendOp;
+ *   deal_items       the segmented snake deal of a step's item costs, the
+ *                    twin of repro.core.stealing.distribute_to_workers;
+ *   join_block       one block of the blocked hash join's key matches,
+ *                    filtered and written out, the twin of
+ *                    kernels._join_block;
+ *   combo_rows       the star baselines' combination builder, the twin of
+ *                    repro.baselines.base.combo_rows.
  *
  * Each gives its numpy twin's arrays element for element.  Loaded through
  * cffi in ABI mode, so this file includes nothing Python; the callers
- * check every shape, position and index before they pass a pointer. */
+ * check every shape, position and index before they pass a pointer
+ * (pull_extend_step checks its ids, positions and buffer room itself,
+ * before it writes anything). */
 
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef int64_t i64;
 
@@ -243,6 +252,12 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
  * until the pass clears the marks */
 #define SEEN (-2)
 
+/* The columns of a machine's row of the LRBU cache's queue state, as in
+ * repro.core.cache: S_free is queue[head, tail) with its stamps, stamp is
+ * the next stamp to give, size the occupancy in ids, evicted and overflow
+ * the machine's eviction count and worst overflow past capacity */
+enum { HEAD, TAIL, STAMP, SIZE, EVICTED, OVERFLOW, QUEUE_STATE };
+
 /* The LRBU fetch stage's pass over one stacked step's extend block.  Row
  * r of n_rows is machine machines[r]'s and its k cells are the vertices
  * verts[r * k ..]; a cell is a remote read when owner[v] is not the
@@ -251,16 +266,15 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
  * (-1: sealed or absent).  Each remote read's key m * stride + v is
  * classified where it is first met and marked SEEN after: a resident key
  * is a hit of machine m (hits[m]) and, when it is in S_free, sealed
- * (order -1) and written to seal_m / seal_v; an absent key is a miss
- * (misses[m]) written to miss_m / miss_v.  Hits sealed before the pass
- * are written from the back of seal_m / seal_v, so the marks can be
- * cleared; the buffers hold one entry per cell.  Returns the number of
- * keys sealed and puts the number missed in *n_miss. */
-i64 classify_reads(i64 n_rows, i64 k, const i64 *machines,
-                   const i64 *verts, const i64 *owner, i64 stride,
-                   const i64 *entry, i64 *order, i64 *hits, i64 *misses,
-                   i64 *seal_m, i64 *seal_v, i64 *miss_m, i64 *miss_v,
-                   i64 *n_miss)
+ * (order -1) and written to pins; an absent key is a miss (misses[m])
+ * written to miss.  Hits sealed before the pass are written from the
+ * back of pins, so the marks can be cleared; pins and miss hold one
+ * entry per cell.  Returns the number of keys sealed and puts the number
+ * missed in *n_miss. */
+static i64 classify_reads(i64 n_rows, i64 k, const i64 *machines,
+                          const i64 *verts, const i64 *owner, i64 stride,
+                          const i64 *entry, i64 *order, i64 *hits,
+                          i64 *misses, i64 *pins, i64 *miss, i64 *n_miss)
 {
     i64 sealed = 0, held = 0, missed = 0, cells = n_rows * k;
     for (i64 r = 0; r < n_rows; r++) {
@@ -270,17 +284,13 @@ i64 classify_reads(i64 n_rows, i64 k, const i64 *machines,
             if (owner[x] == m || order[key] == SEEN)
                 continue;
             if (entry[key] == 0) {
-                miss_m[missed] = m;
-                miss_v[missed++] = x;
+                miss[missed++] = key;
                 misses[m]++;
             } else if (order[key] >= 0) {
-                seal_m[sealed] = m;
-                seal_v[sealed++] = x;
+                pins[sealed++] = key;
                 hits[m]++;
             } else {
-                held++;
-                seal_m[cells - held] = m;
-                seal_v[cells - held] = x;
+                pins[cells - ++held] = key;
                 hits[m]++;
             }
             order[key] = SEEN;
@@ -289,13 +299,172 @@ i64 classify_reads(i64 n_rows, i64 k, const i64 *machines,
     /* every mark back to -1: the sealed hits stay sealed, the misses
      * absent until admitted, the hits sealed before stay as they were */
     for (i64 i = 0; i < sealed; i++)
-        order[seal_m[i] * stride + seal_v[i]] = -1;
+        order[pins[i]] = -1;
     for (i64 i = cells - held; i < cells; i++)
-        order[seal_m[i] * stride + seal_v[i]] = -1;
+        order[pins[i]] = -1;
     for (i64 i = 0; i < missed; i++)
-        order[miss_m[i] * stride + miss_v[i]] = -1;
+        order[miss[i]] = -1;
     *n_miss = missed;
     return sealed;
+}
+
+/* Algorithm 3's eviction on machine m's row: shed the live entries at
+ * the head of its S_free, stale ones (order no longer the entry's stamp)
+ * skipped, until excess ids are freed or S_free is empty */
+static void evict(i64 *st, const i64 *queue, const i64 *stamps, i64 *entry,
+                  i64 *order, i64 excess)
+{
+    while (excess > 0 && st[HEAD] < st[TAIL]) {
+        i64 p = st[HEAD]++, v = queue[p];
+        if (order[v] != stamps[p])
+            continue;
+        excess -= entry[v];
+        st[SIZE] -= entry[v];
+        st[EVICTED]++;
+        entry[v] = 0;
+        order[v] = -1;
+    }
+}
+
+/* Admit the n distinct absent keys miss[i] = m * stride + v, entry i
+ * occupying sizes[i] ids, into a cache of rows machines: per machine the
+ * sizes are summed into incoming[m]; unless capacity is negative (no
+ * bound), the shortest live prefix of S_free whose sizes reach size +
+ * incoming - capacity is evicted and the overflow past capacity kept at
+ * its worst; then the entries are written and their keys pinned at
+ * pins[0 .. n). */
+static void admit_reads(i64 n, const i64 *miss, const i64 *sizes, i64 rows,
+                        i64 stride, i64 capacity, i64 *entry, i64 *order,
+                        const i64 *queue, const i64 *stamps, i64 qcap,
+                        i64 *state, i64 *incoming, i64 *pins)
+{
+    for (i64 m = 0; m < rows; m++)
+        incoming[m] = 0;
+    for (i64 i = 0; i < n; i++)
+        incoming[miss[i] / stride] += sizes[i];
+    for (i64 m = 0; m < rows; m++) {
+        i64 *st = state + m * QUEUE_STATE;
+        if (incoming[m] == 0)
+            continue;
+        if (capacity >= 0) {
+            evict(st, queue + m * qcap, stamps + m * qcap,
+                  entry + m * stride, order + m * stride,
+                  st[SIZE] + incoming[m] - capacity);
+            if (st[SIZE] + incoming[m] - capacity > st[OVERFLOW])
+                st[OVERFLOW] = st[SIZE] + incoming[m] - capacity;
+        }
+        st[SIZE] += incoming[m];
+    }
+    for (i64 i = 0; i < n; i++) {
+        entry[miss[i]] = sizes[i];
+        pins[i] = miss[i];
+    }
+}
+
+/* n keys below top in ascending order, by 11-bit digits from the lowest;
+ * tmp holds n */
+static void sort_keys(i64 *keys, i64 *tmp, i64 n, i64 top)
+{
+    i64 *from = keys, *to = tmp;
+    for (int shift = 0; shift < 63 && (top - 1) >> shift > 0; shift += 11) {
+        i64 count[2049] = {0};
+        for (i64 i = 0; i < n; i++)
+            count[((from[i] >> shift) & 2047) + 1]++;
+        for (int d = 0; d < 2048; d++)
+            count[d + 1] += count[d];
+        for (i64 i = 0; i < n; i++)
+            to[count[(from[i] >> shift) & 2047]++] = from[i];
+        i64 *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != keys)
+        for (i64 i = 0; i < n; i++)
+            keys[i] = from[i];
+}
+
+/* The n costs of one batch, heaviest first, to sorted: an LSD radix sort
+ * by bytes of their distance below the heaviest, passes over bytes that
+ * every cost shares skipped; tmp holds n */
+static void sort_heaviest_first(const i64 *costs, i64 *sorted, i64 *tmp,
+                                i64 n)
+{
+    i64 top = INT64_MIN, low = INT64_MAX;
+    for (i64 i = 0; i < n; i++) {
+        top = costs[i] > top ? costs[i] : top;
+        low = costs[i] < low ? costs[i] : low;
+    }
+    i64 *from = sorted, *to = tmp;
+    for (i64 i = 0; i < n; i++)
+        from[i] = top - costs[i];
+    for (int shift = 0; shift < 63 && (top - low) >> shift > 0; shift += 8) {
+        i64 count[257] = {0};
+        for (i64 i = 0; i < n; i++)
+            count[((from[i] >> shift) & 255) + 1]++;
+        if (count[((from[0] >> shift) & 255) + 1] == n)
+            continue;
+        for (int d = 0; d < 256; d++)
+            count[d + 1] += count[d];
+        for (i64 i = 0; i < n; i++)
+            to[count[(from[i] >> shift) & 255]++] = from[i];
+        i64 *swap = from;
+        from = to;
+        to = swap;
+    }
+    for (i64 i = 0; i < n; i++)
+        sorted[i] = top - from[i];
+}
+
+/* Machine m's S_free moved to the front of its queue row, stale entries
+ * and the evicted head dropped */
+static void compact(i64 *st, i64 *queue, i64 *stamps, const i64 *order)
+{
+    i64 kept = 0;
+    for (i64 p = st[HEAD]; p < st[TAIL]; p++)
+        if (order[queue[p]] == stamps[p]) {
+            queue[kept] = queue[p];
+            stamps[kept++] = stamps[p];
+        }
+    st[HEAD] = 0;
+    st[TAIL] = kept;
+}
+
+/* Algorithm 3's release of the n pinned keys m * stride + v (distinct,
+ * below rows * stride): sorted (pins holds 2n: the keys, then room to
+ * sort them), then each machine's filed at the tail of its S_free in
+ * ascending id order, each with the machine's next stamp, which order
+ * takes.  A machine whose queue row of qcap cannot take its keys is
+ * compacted first; if the compacted row would then be over half full,
+ * nothing is filed and the capacity needed (twice that) is returned, to
+ * file with the rows grown.  Returns 0 once filed. */
+static i64 release_pins(i64 n, i64 *pins, i64 rows, i64 stride, i64 *order,
+                        i64 *queue, i64 *stamps, i64 qcap, i64 *state)
+{
+    i64 need = 0, count[rows];
+    for (i64 m = 0; m < rows; m++)
+        count[m] = 0;
+    for (i64 i = 0; i < n; i++)
+        count[pins[i] / stride]++;
+    for (i64 m = 0; m < rows; m++) {
+        i64 *st = state + m * QUEUE_STATE;
+        if (count[m] == 0 || st[TAIL] + count[m] <= qcap)
+            continue;
+        compact(st, queue + m * qcap, stamps + m * qcap, order + m * stride);
+        i64 want = 2 * (st[TAIL] + count[m]);
+        if (want > qcap && want > need)
+            need = want;
+    }
+    if (need)
+        return need;
+    sort_keys(pins, pins + n, n, rows * stride);
+    for (i64 i = 0; i < n; i++) {
+        i64 m = pins[i] / stride, *st = state + m * QUEUE_STATE;
+        i64 p = m * qcap + st[TAIL]++;
+        queue[p] = pins[i] - m * stride;
+        stamps[p] = st[STAMP];
+        order[pins[i]] = st[STAMP]++;
+    }
+    return 0;
 }
 
 /* The snake deal of n item costs over workers.  seg[i] numbers item i's
@@ -324,6 +493,234 @@ i64 deal_items(i64 n, const i64 *costs, const i64 *seg, i64 batches,
         }
     }
     return 0;
+}
+
+/* The weights pull_extend_step charges, by position in its weights
+ * array: the fetch stage's ticks per distinct remote read (contains +
+ * seal) and per id admitted, the access penalty per remote read (copy
+ * per id of the entry, then lock and LRU update), the intersection's
+ * tick per element of the smallest list, and the emit ticks per kept
+ * row */
+enum { SEAL, INSERT, COPY, ACCESS, INTERSECT, EMIT, WEIGHTS };
+
+/* What pull_extend_step reports besides its arrays, by position in its
+ * result array: the rows kept, the searched probes, the keys still
+ * pinned when it returns and the keys lost */
+enum { KEPT, PROBES, PINNED, LOST, RESULTS };
+
+/* pull_extend_step's gather and checks, before the step writes anything
+ * the caller sees: the step's extend block rows[r][ext[w]] to verts and
+ * its adjacency lengths to lens (n_ext per row); 0 when an input is
+ * outside what the step indexes or a buffer too short (its comment says
+ * which), else 1 */
+static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
+                       const i64 *machines, i64 k, i64 n_ext, const i64 *ext,
+                       const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
+                       const i64 *indptr, i64 n, i64 n_probe_ticks,
+                       i64 cache_rows, i64 stride, const i64 *pins,
+                       i64 n_pins, i64 pins_cap, i64 workers, i64 steal,
+                       const i64 *out, i64 cap, i64 n_totals, i64 *verts,
+                       i64 *lens)
+{
+    if (n_rows < 0 || width < 1 || k < 1 || k > cache_rows || n_ext < 1
+            || stride < n || workers < 1 || n_pins < 0
+            || pins_cap / 2 < n_pins + n_rows * n_ext)
+        return 0;
+    for (i64 j = 0; j < n_ext; j++)
+        if (ext[j] < 0 || ext[j] >= width)
+            return 0;
+    for (i64 j = 0; j < n_lt; j++)
+        if (lt[j] < 0 || lt[j] >= width)
+            return 0;
+    for (i64 j = 0; j < n_gt; j++)
+        if (gt[j] < 0 || gt[j] >= width)
+            return 0;
+    for (i64 i = 0; i < n_pins; i++)
+        if (pins[i] < 0 || pins[i] / stride >= cache_rows)
+            return 0;
+    i64 runs = 0, need = 0;
+    for (i64 r = 0; r < n_rows; r++) {
+        const i64 *row = rows + r * width;
+        if (machines[r] < 0 || machines[r] >= k)
+            return 0;
+        if (r == 0 || machines[r] != machines[r - 1]) {
+            runs++;
+            if (!steal && row[0] < 0)
+                return 0;
+        }
+        i64 least = INT64_MAX;
+        for (i64 w = 0; w < n_ext; w++) {
+            i64 v = row[ext[w]];
+            if (v < 0 || v >= n)
+                return 0;
+            i64 l = indptr[v + 1] - indptr[v];
+            if (l < 0 || l >= n_probe_ticks)
+                return 0;
+            verts[r * n_ext + w] = v;
+            lens[r * n_ext + w] = l;
+            least = l < least ? l : least;
+        }
+        need += least;
+    }
+    return runs * workers <= n_totals && (!out || need <= cap);
+}
+
+/* One PULL-EXTEND step over an LRBU cache (Algorithm 4's fetch stage and
+ * intersect stage, then the step's worker deal and Algorithm 3's
+ * release), in one call.  The step is n_rows rows of width columns, row
+ * r machine machines[r]'s (below k); its extend block is the n_ext
+ * columns ext of each row, gathered with their adjacency lengths (from
+ * indptr) by step_inputs; a run of rows of one machine is one batch.
+ * The cache is as classify_reads and release_pins read it: cache_rows rows of stride columns of entry and
+ * order, qcap of queue and stamps, QUEUE_STATE of state, capacity ids
+ * per machine (negative: no bound), n_pins keys pinned before the step
+ * in pins (of pins_cap, at least twice n_pins plus a cell each).
+ *   1. classify_reads seals the step's resident remote reads; per
+ *      machine the distinct hits and misses go to fetched[0 .. k) and
+ *      fetched[k .. 2k);
+ *   2. each miss is one vertex of a GetNbrs from its machine to the
+ *      vertex's owner: pulls[m * k + o] counts machine m's to owner o and
+ *      pulls[k * k + m * k + o] the ids their responses carry (1 +
+ *      degree each);
+ *   3. admit_reads admits the misses, evicting, and fetched[2k .. 3k)
+ *      gets each machine's fetch ticks, (hits + misses) * weights[SEAL]
+ *      + ids admitted * weights[INSERT]; a key the step pinned that is
+ *      not resident now is lost: the step stops, with the lost ids after
+ *      the pinned keys in pins, and returns -2;
+ *   4. extend_rows runs the candidate pass (lt / gt / labels / new_label
+ *      / table / probe_ticks as it reads them), the kept rows to out
+ *      unless it is NULL (cap rows) and each row's count to counts; each
+ *      row's ticks are its intersection ticks plus, per remote cell,
+ *      weights[COPY] * (length + 1) + weights[ACCESS], plus counts[r] *
+ *      weights[EMIT];
+ *   5. per batch, deal_items deals the ticks heaviest first over workers
+ *      when steal, else all of them to worker rows[first][0] % workers,
+ *      into totals (a row of workers per batch);
+ *   6. release_pins files every pinned key by ascending id; when a queue
+ *      row is too short the keys stay pinned and the capacity needed is
+ *      returned.
+ * result gets the rows kept, the probes searched, the keys still pinned
+ * and the keys lost.  Returns 0 when done, the queue capacity needed,
+ * -2 when a key was lost, -3 when scratch memory was not to be had, or
+ * -1 before it writes anything when an input is outside what it indexes
+ * or a buffer too short (step_inputs). */
+i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
+                     const i64 *machines, i64 k, i64 n_ext, const i64 *ext,
+                     const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
+                     const i64 *indptr, const i64 *indices, i64 n,
+                     const i64 *table, i64 bits, const i64 *owner,
+                     const i64 *labels, i64 new_label,
+                     const i64 *probe_ticks, i64 n_probe_ticks,
+                     const i64 *weights, i64 cache_rows, i64 stride,
+                     i64 capacity, i64 *entry, i64 *order, i64 *queue,
+                     i64 *stamps, i64 qcap, i64 *state, i64 *pins,
+                     i64 n_pins, i64 pins_cap, i64 workers, i64 steal,
+                     i64 *out, i64 cap, i64 *counts, i64 *ticks,
+                     i64 *totals, i64 n_totals, i64 *fetched, i64 *pulls,
+                     i64 *result)
+{
+    if (n_rows < 0 || n_ext < 1 || k < 1)
+        return -1;
+    i64 cells = n_rows * n_ext;
+    /* scratch: the extend block and its lengths, the misses and their
+     * sizes, the admitted ids per machine, and the deal's sort keys,
+     * their radix buffer and batch numbers */
+    i64 *verts = malloc((size_t)(4 * cells + k + 3 * n_rows + 1)
+                        * sizeof(i64));
+    if (!verts)
+        return -3;
+    i64 *lens = verts + cells, *miss = lens + cells, *sizes = miss + cells;
+    i64 *incoming = sizes + cells, *keys = incoming + k, *tmp = keys + n_rows;
+    i64 *seg = tmp + n_rows;
+    if (!step_inputs(n_rows, width, rows, machines, k, n_ext, ext, lt, n_lt,
+                     gt, n_gt, indptr, n, n_probe_ticks, cache_rows, stride,
+                     pins, n_pins, pins_cap, workers, steal, out, cap,
+                     n_totals, verts, lens)) {
+        free(verts);
+        return -1;
+    }
+    i64 *hits = fetched, *misses = fetched + k, *fetch_ticks = fetched + 2 * k;
+    for (i64 i = 0; i < 3 * k; i++)
+        fetched[i] = 0;
+    for (i64 i = 0; i < 2 * k * k; i++)
+        pulls[i] = 0;
+    for (i64 i = 0; i < RESULTS; i++)
+        result[i] = 0;
+
+    /* 1-3: the fetch stage */
+    i64 n_miss, *step_pins = pins + n_pins;
+    i64 sealed = classify_reads(n_rows, n_ext, machines, verts, owner,
+                                stride, entry, order, hits, misses,
+                                step_pins, miss, &n_miss);
+    for (i64 i = 0; i < n_miss; i++) {
+        i64 m = miss[i] / stride, v = miss[i] - m * stride;
+        i64 pair = m * k + owner[v];
+        sizes[i] = indptr[v + 1] - indptr[v] + 1;
+        pulls[pair]++;
+        pulls[k * k + pair] += sizes[i];
+    }
+    admit_reads(n_miss, miss, sizes, k, stride, capacity, entry, order,
+                queue, stamps, qcap, state, incoming, step_pins + sealed);
+    for (i64 m = 0; m < k; m++)
+        fetch_ticks[m] = (hits[m] + misses[m]) * weights[SEAL]
+                         + incoming[m] * weights[INSERT];
+    i64 pinned = n_pins + sealed + n_miss, lost = 0;
+    for (i64 i = n_pins; i < pinned; i++)
+        if (entry[pins[i]] == 0)
+            pins[pinned + lost++] = pins[i] % stride;
+    result[PINNED] = pinned;
+    result[LOST] = lost;
+    if (lost) {
+        free(verts);
+        return -2;
+    }
+
+    /* 4: the intersect stage, each row's ticks completed */
+    result[KEPT] = extend_rows(n_rows, width, rows, n_ext, verts, lens,
+                               NULL, lt, n_lt, gt, n_gt, indptr, indices, n,
+                               table, bits, labels, new_label, probe_ticks,
+                               weights[INTERSECT], ticks, NULL, NULL, out,
+                               out ? cap : 0, counts, NULL,
+                               &result[PROBES]);
+    int penalised = weights[COPY] || weights[ACCESS];
+    i64 runs = 0;
+    for (i64 r = 0; r < n_rows; r++) {
+        const i64 *v = verts + r * n_ext, *l = lens + r * n_ext;
+        for (i64 w = 0; penalised && w < n_ext; w++)
+            if (owner[v[w]] != machines[r])
+                ticks[r] += weights[COPY] * (l[w] + 1) + weights[ACCESS];
+        ticks[r] += counts[r] * weights[EMIT];
+        if (r > 0 && machines[r] != machines[r - 1])
+            runs++;
+        seg[r] = runs;
+    }
+
+    /* 5: the worker deal, per batch */
+    runs = n_rows ? runs + 1 : 0;
+    for (i64 i = 0; i < runs * workers; i++)
+        totals[i] = 0;
+    if (steal) {
+        for (i64 a = 0, b = 0; a < n_rows; a = b) {
+            for (b = a + 1; b < n_rows && seg[b] == seg[a]; b++)
+                ;
+            sort_heaviest_first(ticks + a, keys + a, tmp, b - a);
+        }
+        deal_items(n_rows, keys, seg, runs, workers, totals);
+    } else {
+        for (i64 r = 0, first = 0; r < n_rows; r++) {
+            if (r > 0 && seg[r] != seg[r - 1])
+                first = r;
+            totals[seg[r] * workers + rows[first * width] % workers]
+                += ticks[r];
+        }
+    }
+    free(verts);
+
+    /* 6: the release */
+    i64 need = release_pins(pinned, pins, cache_rows, stride, order, queue,
+                            stamps, qcap, state);
+    result[PINNED] = need ? pinned : 0;
+    return need;
 }
 
 /* One block of a hash join's key matches.  Probe row i (of n_probe rows

@@ -34,13 +34,15 @@ holds the array programs themselves:
   as its probe rows are reached.  So a machine's join holds one block
   and one chunk, not its whole output.  :func:`chunk_charges` is the
   same charge for a join whose per-probe emit counts are all known.
-* Five loops compiled: ``kernels.c`` holds :func:`extend_block` /
+* Five entry points compiled: ``kernels.c`` holds :func:`extend_block` /
   :func:`extend_candidates` as one loop over the rows (sort, window, one
   probe per candidate and list, filters, then the kept rows and the
   ticks written out; BiGJoin's rounds run it with per-list survivor
-  counts and the window as a filter), the LRBU fetch stage's
-  classification (:meth:`repro.core.cache.LRBUCache.fetch`) as one loop
-  over the extend block's cells, the worker deal
+  counts and the window as a filter), a whole PULL-EXTEND step over an
+  LRBU cache (:func:`pull_extend_step`: the fetch stage's classification,
+  pull counts and admission, that extend loop, the worker deal and the
+  release, on the cache's arrays; see
+  :meth:`repro.core.cache.LRBUCache.pull_extend`), the worker deal
   (:func:`repro.core.stealing.distribute_to_workers`) as one loop over
   the sorted costs, a join block as one loop over its pairs (filters,
   then the kept row written out), and the star baselines' combination
@@ -48,8 +50,10 @@ holds the array programs themselves:
   input rows.  The library is built once per source hash with the
   system C compiler and loaded through cffi (:func:`_load_library`);
   each caller checks its inputs before it passes a pointer.  Without
-  cffi or a compiler every loop runs its numpy program instead, and the
-  numpy programs stay the reference the tests hold both paths to.
+  cffi or a compiler every loop runs its numpy program instead (the
+  step runs composed: the cache's fetch, the intersect stage, the
+  release and the deal), and the numpy programs stay the reference the
+  tests hold both paths to.
 """
 
 from __future__ import annotations
@@ -436,11 +440,20 @@ int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, int64_t, int64_t *,
                     int64_t *, int64_t *, int64_t *, int64_t, int64_t *,
                     int64_t *, int64_t *);
-int64_t classify_reads(int64_t, int64_t, const int64_t *,
-                       const int64_t *, const int64_t *, int64_t,
-                       const int64_t *, int64_t *, int64_t *, int64_t *,
-                       int64_t *, int64_t *, int64_t *, int64_t *,
-                       int64_t *);
+int64_t pull_extend_step(int64_t, int64_t, const int64_t *,
+                         const int64_t *, int64_t, int64_t, const int64_t *,
+                         const int64_t *, int64_t, const int64_t *, int64_t,
+                         const int64_t *, const int64_t *, int64_t,
+                         const int64_t *, int64_t, const int64_t *,
+                         const int64_t *, int64_t,
+                         const int64_t *, int64_t,
+                         const int64_t *, int64_t, int64_t,
+                         int64_t, int64_t *, int64_t *, int64_t *,
+                         int64_t *, int64_t, int64_t *, int64_t *,
+                         int64_t, int64_t, int64_t, int64_t,
+                         int64_t *, int64_t, int64_t *, int64_t *,
+                         int64_t *, int64_t, int64_t *, int64_t *,
+                         int64_t *);
 int64_t deal_items(int64_t, const int64_t *, const int64_t *, int64_t,
                    int64_t, int64_t *);
 int64_t join_block(int64_t, const int64_t *, int64_t,
@@ -555,34 +568,77 @@ def _combo_compiled(prefix, cand, counts, nl, patterns, conds, cap,
     return rows[:total] if 2 * total >= cap else rows[:total].copy(), kept
 
 
-def _classify_compiled(machines, verts, owner, entry, order, k):
-    """:meth:`repro.core.cache.LRBUCache._classify`'s pass
-    through ``classify_reads`` of ``kernels.c``: ``(seal_m, seal_v,
-    miss_m, miss_v, hits, misses)``, the keys it sealed in ``order`` and
-    the keys absent, each as machine and vertex columns, and per machine
-    of ``k`` the distinct hits and misses."""
-    n_rows, width = verts.shape
-    # the loop reads owner by vertex and writes the state by key and the
-    # counts by machine without checks of its own, and the state in place
-    if (machines.shape != (n_rows,) or order.shape != entry.shape
-            or not all(a.dtype == np.int64 and a.flags.c_contiguous
-                       for a in (entry, order))
-            or not k <= entry.shape[0]
-            or (n_rows and not 0 <= machines.min() <= machines.max() < k)
-            or (verts.size and not 0 <= verts.min() <= verts.max()
-                < min(len(owner), entry.shape[1]))):
-        raise ValueError("extend block outside the cache or the graph")
-    cells = verts.size
-    seal_m, seal_v, miss_m, miss_v = (np.empty(cells, dtype=np.int64)
-                                      for _ in range(4))
-    hits, misses = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    missed = _FFI.new("int64_t *")
-    sealed = _LIB.classify_reads(
-        n_rows, width, _buf(machines), _buf(verts), _buf(owner),
-        entry.shape[1], _buf(entry), _buf(order), _buf(hits), _buf(misses),
-        _buf(seal_m), _buf(seal_v), _buf(miss_m), _buf(miss_v), missed)
-    return (seal_m[:sealed], seal_v[:sealed], miss_m[:missed[0]],
-            miss_v[:missed[0]], hits, misses)
+#: ``pull_extend_step``'s result array, by position (``kernels.c``'s
+#: ``KEPT`` .. ``LOST``)
+STEP_RESULTS = ("kept", "probes", "pinned", "lost")
+
+
+def pull_extend_step(graph, owner, k, rows, machines, ext, lt, gt, labels,
+                     new_label, probe_ticks, weights, cache, workers, steal,
+                     out, report, batches):
+    """One PULL-EXTEND step over an LRBU cache through ``pull_extend_step``
+    of ``kernels.c`` (its comment says what each array holds; ``weights``
+    is in its ``SEAL`` .. ``EMIT`` order): the fetch stage, the extend
+    pass, the worker deal and the release in one call.
+    ``cache`` is ``(capacity, entry, order, queue, stamps, queue_state,
+    pins, n_pins)``, updated in place.  ``out`` (``None`` for a counted
+    step) receives the kept rows; ``report`` (``int64``) is cut into
+    ``(counts, ticks, totals, fetched, pulls, result)`` — per row, per
+    row, ``batches × workers``, ``3 k``, ``2 k²`` and
+    :data:`STEP_RESULTS` long, in that order — which are returned after
+    the loop's status: 0 done, a queue capacity the pins wait for, or −2
+    when a pinned key was lost.
+
+    Here the arrays' types, layouts and lengths are checked; the loop
+    checks every id, position and length, and the room in ``pins`` and
+    ``out``, before it writes, so a step it refuses leaves everything as
+    it was.
+    """
+    capacity, entry, order, queue, stamps, state, pins, n_pins = cache
+    n_rows, width = rows.shape
+    n = graph.num_vertices
+    label = new_label is not None and labels is not None
+    table = graph.arc_table_due(0)
+    cuts = np.cumsum((n_rows, n_rows, batches * workers, 3 * k, 2 * k * k,
+                      len(STEP_RESULTS)))
+    if (len(machines) != n_rows or len(owner) < n
+            or (label and len(labels) < n) or len(weights) != 6
+            or not all(isinstance(a, np.ndarray) and a.dtype == np.int64
+                       and a.flags.c_contiguous and a.flags.writeable
+                       for a in (entry, order, queue, stamps, state, pins,
+                                 report, *(() if out is None else (out,))))
+            or order.shape != entry.shape or stamps.shape != queue.shape
+            or len(queue) != len(entry) or state.shape != (len(entry), 6)
+            or (out is not None and out.shape[1:] != (width + 1,))
+            or report.shape != (cuts[-1],)):
+        raise ValueError("PULL-EXTEND step arrays of the wrong shape")
+    at = _FFI.from_buffer("int64_t[]", report)
+    counts, ticks, totals, fetched, pulls, result = (
+        at + int(c) for c in (0, *cuts[:-1]))
+    status = _LIB.pull_extend_step(
+        n_rows, width, _buf(rows), _buf(machines), k, len(ext), _buf(ext),
+        _buf(lt), len(lt), _buf(gt), len(gt), _buf(graph.indptr),
+        _buf(graph.indices), n, _ptr(table),
+        0 if table is None else len(table).bit_length() - 1, _buf(owner),
+        _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
+        _buf(probe_ticks), len(probe_ticks), _buf(weights), len(entry),
+        entry.shape[1], -1 if capacity is None else capacity,
+        *(_FFI.from_buffer("int64_t[]", a) for a in (entry, order, queue,
+                                                     stamps)),
+        queue.shape[1], _FFI.from_buffer("int64_t[]", state),
+        _FFI.from_buffer("int64_t[]", pins), n_pins, len(pins), workers,
+        int(steal), _FFI.NULL if out is None else _FFI.from_buffer(
+            "int64_t[]", out), 0 if out is None else len(out), counts, ticks,
+        totals, batches * workers, fetched, pulls, result)
+    if status == -1:
+        raise ValueError("PULL-EXTEND step outside its graph, cache or "
+                         "buffers")
+    if status == -3:
+        raise MemoryError("no scratch memory for a PULL-EXTEND step")
+    parts = np.split(report, cuts[:-1])
+    if table is None:
+        graph.arc_table_due(int(parts[-1][1]))
+    return (status, *parts)
 
 
 def _deal_compiled(costs, seg, batches, workers):

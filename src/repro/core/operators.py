@@ -44,10 +44,12 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.cost import to_ticks
 from ..obs.trace import NULL_TRACER
+from . import kernels
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
 from .kernels import (csr_gather, extend_block, fused_verify_mask,
                       hash_destinations, join_blocks, join_chunks)
+from .stealing import distribute_to_workers
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
            "join_stream", "Tuple"]
@@ -129,58 +131,29 @@ class ScanOp:
 
 class ExtendOp:
     """PULL-EXTEND (Algorithm 4): the cache's fetch stage, then one
-    columnar intersect stage."""
+    columnar intersect stage, then the step's ticks dealt to each
+    machine's workers.
+
+    Over an :class:`~repro.core.cache.LRBUCache`, where ``kernels.c``
+    loaded, a step that extends is one compiled call
+    (:meth:`LRBUCache.pull_extend <repro.core.cache.LRBUCache.pull_extend>`:
+    fetch stage, intersect stage, worker deal and release), and the
+    operator charges what it returns.  Otherwise — an ``LRUCache``, a
+    VERIFY step, or no library — the step is composed: the cache's
+    :meth:`fetch`, :meth:`_process_vector`, the cache's ``release`` and
+    :func:`~repro.core.stealing.distribute_to_workers`; both leave the
+    same cache and ledger.  Either way the operator deals the ticks: the
+    scheduler charges the per-worker totals :meth:`step` returns.
+    """
 
     def __init__(self, spec: ExtendSpec, ctx: ExecContext, opid: str = ""):
         self.spec = spec
         self.ctx = ctx
         self.out_arity = len(spec.out_schema)
         self.opid = opid
+        self._ext = list(spec.ext)
 
-    # -- fetch stage --------------------------------------------------------------
-
-    def _fetch(self, machines: np.ndarray, verts: np.ndarray) -> None:
-        """Have the cache fetch the step's remote reads (the cells of the
-        extend block ``verts`` another machine than the row's owns;
-        ``machines`` is the rows' column) and account per machine for
-        what it reports."""
-        ctx = self.ctx
-        cache = ctx.cache
-        metrics = ctx.metrics
-        tracer = ctx.tracer
-        if tracer.enabled:
-            t0s = tracer.now_all()
-            evicted0 = cache.stats.evicted.copy()
-            overflow0 = cache.stats.overflow.copy()
-        hits, misses, ticks, lost = cache.fetch(ctx.cluster, machines, verts)
-        if len(lost):
-            # the intersect stage reads sealed entries in place; one
-            # missing now was evicted mid-batch, which sealing forbids
-            raise AssertionError(f"vertices {lost.tolist()} missing from "
-                                 "cache during intersect stage")
-        for m in np.flatnonzero(hits + misses).tolist():
-            metrics.record_cache(m, int(hits[m]), int(misses[m]))
-            metrics.charge_ops(m, int(ticks[m]))
-        ctx.fetch_ops += int(ticks.sum())
-        if tracer.enabled:
-            evicted = cache.stats.evicted - evicted0
-            overflow = cache.stats.overflow
-            for m in np.unique(machines).tolist():
-                h, n = int(hits[m]), int(misses[m])
-                tracer.complete("fetch", m, t0s[m], tracer.now(m),
-                                {"op": self.opid, "remote": h + n,
-                                 "hits": h, "misses": n})
-                occupancy = cache.occupancy(m)
-                tracer.counter("cache occupancy", m, {"ids": occupancy})
-                if evicted[m]:
-                    tracer.instant("cache evict", m,
-                                   {"n": evicted[m],
-                                    "occupancy_ids": occupancy})
-                if overflow[m] > overflow0[m]:
-                    tracer.instant("cache overflow", m,
-                                   {"ids": overflow[m]})
-
-    # -- intersect stage ------------------------------------------------------------
+    # -- one step -----------------------------------------------------------------
 
     def process(self, machines, rows: np.ndarray, count_only: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,15 +168,114 @@ class ExtendOp:
         pass behind either cache class; the step's entries stay sealed
         until it is done.
         """
+        out, ticks, produced, _ = self._run(machines, rows, count_only, True)
+        return out, ticks, produced
+
+    def step(self, machines, rows: np.ndarray, count_only: bool,
+             steal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`process` for the scheduler: ``(output_rows, per_worker,
+        per_row_outputs)``, where ``per_worker[b]`` is batch ``b``'s ticks
+        dealt to its machine's workers (a batch is a run of one machine's
+        rows; heaviest first in a snake when ``steal``, else all to the
+        worker its first row's pivot picks)."""
+        out, _, produced, per_worker = self._run(machines, rows, count_only,
+                                                 steal)
+        return out, per_worker, produced
+
+    def _run(self, machines, rows: np.ndarray, count_only: bool,
+             steal: bool):
+        """The step on either path: ``(out, ticks, produced,
+        per_worker)``."""
         ctx = self.ctx
+        cache = ctx.cache
+        cluster = ctx.cluster
+        g = cluster.pgraph.graph
         machines = np.broadcast_to(np.asarray(machines, dtype=np.int64),
                                    len(rows))
-        # the step's extend block, gathered once for both stages
-        verts = rows[:, list(self.spec.ext)]
-        self._fetch(machines, verts)
-        result = self._process_vector(machines, rows, verts, count_only)
-        ctx.cache.release()
-        return result
+        lrbu = isinstance(cache, LRBUCache)
+        if lrbu:
+            cache.cover(cluster.num_machines, g.num_vertices)
+        snapshot = self._snapshot()
+        if not (lrbu and kernels._LIB is not None and len(rows)
+                and not self.spec.is_verify):
+            # the step's extend block, gathered once for both stages
+            verts = rows[:, self._ext]
+            self._charge_fetch(machines, *cache.fetch(cluster, machines,
+                                                      verts), snapshot)
+            out, ticks, produced = self._process_vector(machines, rows,
+                                                        verts, count_only)
+            cache.release()
+            starts = np.flatnonzero(np.r_[len(rows) > 0,
+                                          machines[1:] != machines[:-1]])
+            per_worker = distribute_to_workers(
+                ticks, cluster.workers_per_machine, steal, rows[starts, 0],
+                np.repeat(np.arange(len(starts)),
+                          np.diff(np.r_[starts, len(rows)])))
+            return out, ticks, produced, per_worker
+        out, ticks, produced, per_worker, fetched, pulls, lost = (
+            cache.pull_extend(cluster, machines, rows, self.spec, ctx.labels,
+                              count_only, steal))
+        requests, response_ids = pulls.reshape(2, -1)
+        pairs = np.flatnonzero(requests)
+        if len(pairs):
+            cluster.account_pulls(pairs, requests[pairs], response_ids[pairs])
+        self._charge_fetch(machines, *fetched, lost, snapshot)
+        if count_only:
+            out = np.empty((0, self.out_arity), dtype=np.int64)
+        return out, ticks, produced, per_worker
+
+    # -- fetch stage --------------------------------------------------------------
+
+    def _snapshot(self):
+        """What a traced step's fetch spans are measured from: every
+        clock, and the cache's evictions and worst overflows."""
+        ctx = self.ctx
+        if not ctx.tracer.enabled:
+            return None
+        stats = ctx.cache.stats
+        return (ctx.tracer.now_all(), stats.evicted.copy(),
+                stats.overflow.copy())
+
+    def _charge_fetch(self, machines: np.ndarray, hits: np.ndarray,
+                      misses: np.ndarray, ticks: np.ndarray,
+                      lost: np.ndarray, snapshot) -> None:
+        """Account per machine for what the fetch stage reports (the
+        distinct hits and misses and the bookkeeping ticks, per machine;
+        ``lost``, the ids it sealed or admitted that are not resident) and
+        trace it from ``snapshot`` (:meth:`_snapshot`)."""
+        ctx = self.ctx
+        cache = ctx.cache
+        metrics = ctx.metrics
+        tracer = ctx.tracer
+        if len(lost):
+            # the intersect stage reads sealed entries in place; one
+            # missing now was evicted mid-batch, which sealing forbids
+            raise AssertionError(f"vertices {lost.tolist()} missing from "
+                                 "cache during intersect stage")
+        for m in np.flatnonzero(hits + misses).tolist():
+            metrics.record_cache(m, int(hits[m]), int(misses[m]))
+            metrics.charge_ops(m, int(ticks[m]))
+        ctx.fetch_ops += int(ticks.sum())
+        if snapshot is not None:
+            t0s, evicted0, overflow0 = snapshot
+            evicted = cache.stats.evicted - evicted0
+            overflow = cache.stats.overflow
+            for m in np.unique(machines).tolist():
+                h, n = int(hits[m]), int(misses[m])
+                tracer.complete("fetch", m, t0s[m], tracer.now(m),
+                                {"op": self.opid, "remote": h + n,
+                                 "hits": h, "misses": n})
+                occupancy = cache.occupancy(m)
+                tracer.counter("cache occupancy", m, {"ids": occupancy})
+                if evicted[m]:
+                    tracer.instant("cache evict", m,
+                                   {"n": int(evicted[m]),
+                                    "occupancy_ids": occupancy})
+                if overflow[m] > overflow0[m]:
+                    tracer.instant("cache overflow", m,
+                                   {"ids": int(overflow[m])})
+
+    # -- intersect stage ------------------------------------------------------------
 
     def _process_vector(self, machines: np.ndarray, rows: np.ndarray,
                         verts: np.ndarray, count_only: bool

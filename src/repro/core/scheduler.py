@@ -342,8 +342,11 @@ class _ChainRunner:
 
     def _step(self, level: int, machines: list[int]) -> None:
         """One stacked step of operator ``level``: the head batch of each
-        of ``machines`` (ascending), one operator call, then outputs,
-        item costs and charges split back by the machine column."""
+        of ``machines`` (ascending), one operator call, then outputs and
+        charges split back by the machine column.  Each machine's workers
+        are charged its batch's ticks as dealt (§5.3): a PULL-EXTEND deals
+        its own step's (:meth:`ExtendOp.step`, in the compiled step where
+        there is one), a SCAN step's are dealt here."""
         ctx = self.ctx
         metrics, tracer = ctx.metrics, ctx.tracer
         workers = ctx.cluster.workers_per_machine
@@ -361,30 +364,32 @@ class _ChainRunner:
         if tracer.enabled:
             t0s = tracer.now_all()
             bytes0 = [tracer.bytes_moved(m) for m in machines]
+        per_worker = None
         if level >= 0:
-            out, item_costs, produced = self.extend_ops[level].process(
-                column, rows, count_only)
+            out, per_worker, produced = self.extend_ops[level].step(
+                column, rows, count_only, self.config.stealing == "full")
         elif self.source_op is not None:
             out, item_costs, produced = self.source_op.process(column, rows)
+            # without stealing, work sticks to the worker that owns the
+            # batch's firstly matched (pivot) vertex (§5.3): the first
+            # element of a pivot chunk
+            per_worker = distribute_to_workers(
+                item_costs, workers, self.config.stealing == "full",
+                assign_key=[b.item(0) for b in batches],
+                segments=np.repeat(np.arange(len(machines)), sizes))
         else:  # join output: already batches
-            out, item_costs, produced = rows, None, None
+            out, produced = rows, None
         per_machine = sizes
         if produced is not None:
             per_machine = np.add.reduceat(
                 produced, np.cumsum([0] + sizes[:-1])).tolist()
+        if per_worker is not None:
+            per_worker = per_worker.tolist()
 
         if tracer.enabled:
             t_mids = tracer.now_all()
-        if item_costs is not None:
-            # without stealing, work sticks to the worker that owns the
-            # batch's firstly matched (pivot) vertex (§5.3): the first
-            # element of a pivot chunk and of a block of rows
-            per_worker = distribute_to_workers(
-                item_costs, workers, self.config.stealing == "full",
-                assign_key=[b.item(0) for b in batches],
-                segments=np.repeat(np.arange(len(machines)), sizes)).tolist()
         for i, m in enumerate(machines):
-            if item_costs is not None:
+            if per_worker is not None:
                 metrics.charge_worker_ops(m, per_worker[i])
             metrics.charge_ops(m, ctx.cost.ticks.batch_overhead)
             if not tracer.enabled:
@@ -392,16 +397,16 @@ class _ChainRunner:
             t1 = tracer.now(m)
             if level >= 0:
                 # the cost model charges the intersection / verification
-                # ops after ``process`` returns, so [t_mid, t1] is exactly
+                # ops after ``step`` returns, so [t_mid, t1] is exactly
                 # the intersect stage and the fetch span (emitted inside
-                # ``_fetch``) ends at t_mid: fetch + intersect == the
-                # operator span
+                # ``step``, after the fetch charges) ends at t_mid:
+                # fetch + intersect == the operator span
                 tracer.complete("intersect", m, t_mids[m], t1, {"op": opid})
             tracer.complete(span_name, m, t0s[m], t1,
                             {"op": opid, "in": sizes[i],
                              "out": per_machine[i],
                              "bytes": tracer.bytes_moved(m) - bytes0[i]})
-            if item_costs is not None:
+            if per_worker is not None:
                 if self.config.stealing == "full" and workers > 1:
                     tracer.instant("intra steal", m,
                                    {"op": opid, "items": sizes[i]})

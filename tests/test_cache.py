@@ -490,12 +490,14 @@ class TestBulkFetchStage:
         """Stacked blocks of ``width`` columns — reads repeated within and
         across rows, cells the row's own machine owns, several machines,
         reads sealed by a scalar ``seal`` before the step, a second block
-        fetched before the release — through a cache on the compiled pass
-        and one on the numpy pass: the same ``(hits, misses, ticks,
-        lost)`` per fetch, the same pulls, the same pins before the
-        release, and after it the same residency, ``free_order()``,
-        occupancy and stats on every machine.  The capacity is small
-        enough to evict and to overflow inside a step."""
+        fetched before the release — through a cache with the library
+        loaded and one without: the same ``(hits, misses, ticks, lost)``
+        per fetch, the same pulls, the same pins before the release, and
+        after it the same residency, ``free_order()``, occupancy and
+        stats on every machine.  The capacity is small enough to evict
+        and to overflow inside a step.  (``fetch`` is one numpy program;
+        the compiled classification runs inside the compiled PULL-EXTEND
+        step, which ``tests/test_pull_step.py`` holds to it.)"""
         if not kernels_loaded():
             pytest.skip("the compiled kernels are not loaded")
         cost = CostModel()
@@ -537,14 +539,15 @@ class TestBulkFetchStage:
                         == b.resident(np.arange(IDS), m).tolist())
                 assert a.free_order(m) == b.free_order(m)
                 assert a.occupancy(m) == b.occupancy(m)
-            assert (a.stats.evicted, a.stats.overflow) == (b.stats.evicted,
-                                                           b.stats.overflow)
+            assert np.array_equal(a.stats.evicted, b.stats.evicted)
+            assert np.array_equal(a.stats.overflow, b.stats.overflow)
             assert a.num_sealed == b.num_sealed == 0
 
     def test_compiled_classification_refuses_reads_outside(self, cost):
-        """the C pass indexes the cache's state by machine and id and the
-        owner column by id unchecked, so a machine id past the cluster or
-        a negative vertex is refused before it runs"""
+        """the fetch stage indexes the cache's state by machine and id and
+        the owner column by id, so a machine id past the cluster, a
+        negative vertex or one past the graph is refused before it
+        writes"""
         sizes = np.ones(IDS, dtype=np.int64)
         block = np.array([[3, 4], [5, 6]])
         with extend_path("compiled"):
@@ -562,3 +565,72 @@ class TestBulkFetchStage:
         assert not c.resident(np.array([5, 10 ** 5])).any()
         c.insert(10 ** 5 + 1, arr(1))
         assert c.contains(10 ** 5 + 1) and len(c) == 1
+
+
+# -- the queues: S_free as flat per-machine FIFO rows ---------------------------
+
+
+class TestQueues:
+    """``S_free`` per machine is a row of ``(id, stamp)`` places between
+    a head and a tail; a place is live while its id's order is its
+    stamp.  What the flat layout must get right on its own: stale places,
+    keys wider than one radix digit, pins across the rows growing, and
+    ``lost`` read off the state."""
+
+    def test_stale_places_are_skipped_by_eviction(self, cost):
+        """A hit in ``S_free`` re-sealed and released again leaves its old
+        queue place stale: eviction walks past it to the next live entry"""
+        c = LRBUCache(6, cost)
+        c.admit(arr(1, 2, 3), arr(2, 2, 2))
+        c.release()                          # S_free: 1 2 3
+        c.seal_many(arr(1))
+        c.release()                          # S_free: 2 3 1 (1's old place stale)
+        assert c.free_order() == [2, 3, 1]
+        c.admit(arr(4, 5), arr(2, 2))        # evicts 2 and 3, not 1
+        assert c.free_order() == [1]
+        assert c.resident(arr(1, 2, 3, 4, 5)).tolist() == [
+            True, False, False, True, True]
+        assert c.stats.evictions == 2 and c.occupancy(0) == 6
+
+    def test_release_files_wide_keys_by_machine_and_id(self, cost):
+        """Keys ``m·|V| + v`` wider than one 11-bit radix digit, admitted
+        in shuffled order on three machines, are filed per machine in
+        ascending id order"""
+        rng = np.random.default_rng(7)
+        ids = [rng.choice(3000, size=400, replace=False) for _ in range(3)]
+        c = LRBUCache(None, cost)
+        for m, some in enumerate(ids):
+            c.admit(some, np.full(len(some), 2), m)
+        c.release()
+        assert [c.free_order(m) for m in range(3)] == [
+            sorted(some.tolist()) for some in ids]
+
+    def test_pins_survive_the_rows_growing(self, cost):
+        """Keys pinned before an id past the rows' width grows them are
+        filed under their own machine and id"""
+        c = LRBUCache(None, cost)
+        c.admit(arr(5, 9), arr(2, 2), arr(0, 1))
+        width = c._entry.shape[1]
+        c.admit(arr(width + 3), arr(2), 1)     # the rows grow
+        assert c._entry.shape[1] > width
+        c.release()
+        assert (c.free_order(0), c.free_order(1)) == ([5], [9, width + 3])
+
+    def test_lost_names_pinned_keys_gone_from_the_cache(self, cost):
+        """``lost`` is read off the state after the admission: a key the
+        step pinned whose entry is gone (which sealing forbids — here
+        cleared by hand) is reported"""
+        c = LRBUCache(None, cost)
+        c.admit(arr(3, 4), arr(2, 2))
+        c.release()
+        c.seal_many(arr(3, 4))
+        c._entry[0, 4] = 0
+        _, lost = c._admit(arr(0), arr(7), arr(2), 0)
+        assert lost.tolist() == [4]
+        _, lost = c._admit(arr(0), arr(8), arr(2), 2)
+        assert lost.tolist() == []
+
+    def test_negative_capacity_is_refused(self, cost):
+        """the compiled step reads a negative capacity as unbounded"""
+        with pytest.raises(ValueError):
+            LRBUCache(-1, cost)
