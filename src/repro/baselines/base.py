@@ -10,8 +10,8 @@ Relations are **columnar**: each machine's partition is a 2-D ``int64``
 array (one row per tuple), and the relational operators — hash shuffle,
 hash join, star materialisation — run on the shared kernels of
 :mod:`repro.core.kernels` (the join's blocks and the star combinations
-as compiled loops where its C library loaded, numpy array programs
-otherwise).  Compute is charged
+as its compiled loops, whose numpy references the tests keep in
+``tests/reference_kernels.py``).  Compute is charged
 in integer ticks (counts × tick weights, :mod:`repro.cluster.cost`);
 what stays sequential is the *modelled* incremental memory-charge /
 budget-check sequence (alloc → charge → check, every ``_CHUNK`` emitted
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -347,23 +347,6 @@ def valid_leaf_patterns(num_leaves: int,
 
 # -- star expansion kernels ----------------------------------------------------
 
-#: ``(pool_size, choose)`` -> index combinations, lexicographic, shared
-#: across vertices/rounds/runs (index patterns depend only on the sizes)
-_COMB_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _comb_indices(pool: int, choose: int) -> np.ndarray:
-    """All ``choose``-combinations of ``range(pool)`` as a 2-D index
-    array, in ``itertools.combinations`` (lexicographic) order."""
-    key = (pool, choose)
-    got = _COMB_CACHE.get(key)
-    if got is None:
-        got = np.asarray(list(combinations(range(pool), choose)),
-                         dtype=np.int64).reshape(-1, choose)
-        _COMB_CACHE[key] = got
-    return got
-
-
 def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
                cand_counts: np.ndarray, nl: int, patterns_arr: np.ndarray,
                conds: Sequence[tuple[int, int]], count_only: bool = False
@@ -386,60 +369,11 @@ def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
     It runs as one compiled loop over the input rows (``combo_rows`` of
     ``repro.core.kernels``' C library: per row the combinations, the
     patterns and the conditions, each kept row written out in place).
-    Where the library did not load the numpy program runs: rows grouped
-    by candidate count, each group one dense gather, then the input-row
-    order restored.  Both give the same arrays.
     """
-    if kernels._LIB is not None:
-        cap = 0 if count_only else predicted_star_total(
-            cand_counts, nl, len(patterns_arr))
-        return kernels._combo_compiled(prefix, cand_flat, cand_counts, nl,
-                                       patterns_arr, conds, cap, count_only)
-    n, pw = prefix.shape
-    width = pw + nl
-    kept = np.zeros(n, dtype=np.int64)
-    empty = None if count_only else np.empty((0, width), dtype=np.int64)
-    if n == 0 or len(patterns_arr) == 0:
-        return empty, kept
-    # group rows by candidate-list size so each group expands as one
-    # dense (rows, combos, patterns, nl) gather
-    row_order = np.argsort(cand_counts, kind="stable")
-    sorted_counts = cand_counts[row_order]
-    rep = np.repeat(np.arange(n), cand_counts)
-    cand_sorted = cand_flat[np.argsort(cand_counts[rep], kind="stable")]
-    uniq_c, r_cnts = np.unique(sorted_counts, return_counts=True)
-    pieces: list[np.ndarray] = []
-    piece_ids: list[np.ndarray] = []
-    e_off = r_off = 0
-    for c, r_cnt in zip(uniq_c.tolist(), r_cnts.tolist()):
-        grp_rows = row_order[r_off:r_off + r_cnt]
-        seg = cand_sorted[e_off:e_off + c * r_cnt]
-        r_off += r_cnt
-        e_off += c * r_cnt
-        if c < nl:
-            continue
-        leaves = seg.reshape(r_cnt, c)[:, _comb_indices(c, nl)]
-        emit = leaves[:, :, patterns_arr].reshape(r_cnt, -1, nl)
-        keep = np.ones(emit.shape[:2], dtype=bool)
-        for i, j in conds:
-            a, b = (prefix[grp_rows, p][:, None] if p < pw
-                    else emit[:, :, p - pw] for p in (i, j))
-            keep &= a < b
-        kept[grp_rows] = keep.sum(axis=1)
-        if count_only:
-            continue
-        per_row = emit.shape[1]  # combos x patterns
-        keep = keep.reshape(-1)
-        pieces.append(np.concatenate(
-            (np.repeat(prefix[grp_rows], per_row, axis=0),
-             emit.reshape(-1, nl)), axis=1)[keep])
-        piece_ids.append(np.repeat(grp_rows, per_row)[keep])
-    if count_only or not pieces:
-        return empty, kept
-    # restore input-row order (stable: within a row the combination-major
-    # order is already right)
-    perm = np.argsort(np.concatenate(piece_ids), kind="stable")
-    return np.concatenate(pieces)[perm], kept
+    cap = 0 if count_only else predicted_star_total(
+        cand_counts, nl, len(patterns_arr))
+    return kernels._combo_compiled(prefix, cand_flat, cand_counts, nl,
+                                   patterns_arr, conds, cap, count_only)
 
 
 def star_partition(cluster: Cluster, machine: int, local: np.ndarray,

@@ -32,12 +32,12 @@ queues — and serves four of Exp-6's five variants, which differ only in
 the *access penalty* they charge per read (memory copy, locking, LRU
 bookkeeping); :class:`LRUCache` does one cache access per read and one
 RPC pair per miss, which is ``Cncr-LRU`` (and BENU's local database
-cache).  Where ``kernels.c`` loaded, a PULL-EXTEND step over an
-:class:`LRBUCache` is one compiled call, ``pull_extend_step``, that runs
+cache).  A PULL-EXTEND step that extends over an :class:`LRBUCache` is
+one compiled call, ``pull_extend_step`` of ``kernels.c``, that runs
 those passes and the intersect stage between them on the same arrays
-(:meth:`LRBUCache.pull_extend`); the methods here are their numpy
-programs, which the operator composes where the library is missing and
-for VERIFY steps, and which the tests hold the compiled step to.
+(:meth:`LRBUCache.pull_extend`).  The numpy passes here are a VERIFY
+step's fetch stage, and file the pins a compiled step hands back when a
+queue row is too short for them.
 Penalties are cost-model charges, not behavioural changes: every variant
 tracks real residency, sizes and eviction order, and a scalar
 ``insert``/``get`` stores and returns the real adjacency array.
@@ -175,15 +175,16 @@ class LRBUCache:
     (:meth:`contains` / :meth:`get` / :meth:`insert` / :meth:`seal`, one
     vertex of one machine) are the paper's interface and the reference
     ``tests/test_cache.py`` replays the bulk form against; no engine path
-    calls them.  :meth:`fetch` is PULL-EXTEND's fetch stage: one
+    calls them.  :meth:`fetch` is a VERIFY step's fetch stage: one
     classification pass over the step's extend block (:meth:`_classify`,
     which seals the hits), then one admission pass for the misses
     (:meth:`_admit`, with its eviction), and :meth:`release` after the
     intersect stage — numpy programs, one call each per stacked step.
-    :meth:`pull_extend` is the same step, those passes with the intersect
-    stage and the worker deal between them, as one call of
+    :meth:`pull_extend` is an extending step, those passes with the
+    intersect stage and the worker deal between them, as one call of
     ``pull_extend_step`` in ``kernels.c``, whose loops update the same
-    arrays the same way, so a cache can take either path at any step.
+    arrays the same way, so the two kinds of step interleave on one
+    cache.
     Only a scalar ``insert`` stores a value: the intersect stage reads
     adjacency from the CSR (cached remote adjacency is the same data by
     construction).
@@ -259,7 +260,7 @@ class LRBUCache:
         5-8).  The victims are the shortest prefix of ``S_free`` whose
         live sizes reach the excess: per window of the queue's head (64
         places, then twice as many each time) one ``cumsum`` and one
-        ``searchsorted`` — the numpy twin of ``evict`` in ``kernels.c``."""
+        ``searchsorted``, as ``evict`` in ``kernels.c`` walks them."""
         entry, order = self._entry[machine], self._order[machine]
         queue, stamps = self._queue[machine], self._stamps[machine]
         state = self._queue_state[machine]
@@ -356,8 +357,8 @@ class LRBUCache:
         """Unpin all sealed vertices, appending each machine's to its
         ``S_free`` in ascending id order with stamps larger than all its
         existing entries (Algorithm 3 lines 11-14): the pins sorted once,
-        then filed at each machine's queue tail (:meth:`_release`, the
-        numpy twin of ``release_pins`` in ``kernels.c``).  A machine whose
+        then filed at each machine's queue tail (:meth:`_release`, as
+        ``release_pins`` in ``kernels.c`` files them).  A machine whose
         queue row is full is compacted first; when the rows are too short
         even so, they grow (to the places needed, and at least twice
         over) and the pass runs again."""
@@ -379,8 +380,8 @@ class LRBUCache:
             for a in (self._queue, self._stamps))
 
     def _release(self) -> int:
-        """The numpy twin of ``release_pins``: file ``S_sealed`` (or
-        compact, and return the queue capacity needed)."""
+        """File ``S_sealed`` as ``release_pins`` does (or compact, and
+        return the queue capacity needed)."""
         width = self._entry.shape[1]
         keys = self._pins[:self._num_pins]
         keys.sort()
@@ -505,9 +506,9 @@ class LRBUCache:
         resident after it.
 
         The sizes are summed by ``bincount`` and each admitting machine
-        evicts by :meth:`_evict` — the numpy twin of ``admit_reads`` in
-        ``kernels.c``, which does it in one pass over the keys and one
-        walk from each admitting machine's queue head."""
+        evicts by :meth:`_evict` (``admit_reads`` in ``kernels.c`` does it
+        in one pass over the keys and one walk from each admitting
+        machine's queue head)."""
         state, cap = self._queue_state, self._capacity
         # weighted bincount sums in float64: exact for sizes below 2**53
         incoming = np.bincount(ms, sizes, len(state)).astype(np.int64)

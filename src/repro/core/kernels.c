@@ -2,28 +2,28 @@
  *
  *   extend_rows      PULL-EXTEND's candidate pass over a block of rows,
  *                    with its output rows and intersection ticks (and,
- *                    for BiGJoin's rounds, per-list survivor counts), the
- *                    twin of kernels.extend_block (and of
- *                    extend_candidates);
+ *                    for BiGJoin's rounds, per-list survivor counts),
+ *                    behind kernels.extend_block and extend_candidates;
  *   pull_extend_step one PULL-EXTEND step over an LRBU cache: its static
  *                    passes classify_reads, admit_reads (with evict) and
- *                    release_pins, the twins of LRBUCache._classify,
- *                    _admit and _release in repro.core.cache, around
- *                    extend_rows and deal_items — the twin of the
- *                    composed step of repro.core.operators.ExtendOp;
- *   deal_items       the segmented snake deal of a step's item costs, the
- *                    twin of repro.core.stealing.distribute_to_workers;
+ *                    release_pins update the arrays LRBUCache._classify,
+ *                    _admit and _release in repro.core.cache do, around
+ *                    extend_rows and deal_items — behind
+ *                    LRBUCache.pull_extend;
+ *   deal_items       the segmented snake deal of a step's item costs,
+ *                    behind repro.core.stealing.distribute_to_workers;
  *   join_block       one block of the blocked hash join's key matches,
- *                    filtered and written out, the twin of
+ *                    filtered and written out, behind
  *                    kernels._join_block;
- *   combo_rows       the star baselines' combination builder, the twin of
+ *   combo_rows       the star baselines' combination builder, behind
  *                    repro.baselines.base.combo_rows.
  *
- * Each gives its numpy twin's arrays element for element.  Loaded through
- * cffi in ABI mode, so this file includes nothing Python; the callers
- * check every shape, position and index before they pass a pointer
- * (pull_extend_step checks its ids, positions and buffer room itself,
- * before it writes anything). */
+ * Each is the one program of its job in the package; the tests hold it
+ * to its numpy reference in tests/reference_kernels.py, element for
+ * element.  Loaded through cffi in ABI mode, so this file includes
+ * nothing Python; the callers check every shape, position and index
+ * before they pass a pointer (pull_extend_step checks its ids, positions
+ * and buffer room itself, before it writes anything). */
 
 #include <stdint.h>
 #include <stdlib.h>

@@ -9,7 +9,7 @@ holds the array programs themselves:
 
 * :func:`hash_destinations` — the routing function of every hash shuffle,
   *defined* here as an xxHash-style integer mix over the key columns.
-* :func:`csr_gather` / :func:`fused_extend_candidates` /
+* :func:`csr_gather` / :func:`extend_candidates` /
   :func:`fused_verify_mask` — PULL-EXTEND's candidate pass: the symmetry
   order as a window on the smallest sorted list (a ``searchsorted`` on the
   graph's composite index ``u * n + v``, where a key's position is its
@@ -20,11 +20,11 @@ holds the array programs themselves:
   key, answered by a hashed slot table once the snapshot has served
   enough probes to pay for it, by the composite index before.
   :func:`extend_candidates` is the pass for a gathered block (by-length
-  sort, then the fused pass) and :func:`extend_step` gathers the block
+  sort, then the pass) and :func:`extend_step` gathers the block
   for one ``ExtendSpec`` first; :func:`extend_block`, the engine's
   intersect stage, returns the output rows and each row's intersection
   ticks instead of the candidates.
-* :func:`join_pairs` / :func:`join_blocks` / :func:`join_chunks` — the
+* :func:`join_blocks` / :func:`join_chunks` — the
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
   and the key matches come in blocks of at most :data:`JOIN_BLOCK_PAIRS`
@@ -48,12 +48,11 @@ holds the array programs themselves:
   then the kept row written out), and the star baselines' combination
   builder (:func:`repro.baselines.base.combo_rows`) as one loop over its
   input rows.  The library is built once per source hash with the
-  system C compiler and loaded through cffi (:func:`_load_library`);
-  each caller checks its inputs before it passes a pointer.  Without
-  cffi or a compiler every loop runs its numpy program instead (the
-  step runs composed: the cache's fetch, the intersect stage, the
-  release and the deal), and the numpy programs stay the reference the
-  tests hold both paths to.
+  system C compiler and loaded through cffi (:func:`_load_library`),
+  both of which the package needs; each caller checks its inputs before
+  it passes a pointer.  Each loop is the one program of its job here;
+  ``tests/reference_kernels.py`` holds the numpy program the tests hold
+  it to.
 """
 
 from __future__ import annotations
@@ -77,13 +76,11 @@ __all__ = [
     "extend_block",
     "extend_candidates",
     "extend_step",
-    "fused_extend_candidates",
     "fused_verify_mask",
     "hash_destinations",
     "intersect_sorted",
     "join_blocks",
     "join_chunks",
-    "join_pairs",
 ]
 
 # -- shuffle routing ------------------------------------------------------------
@@ -173,85 +170,6 @@ def fused_verify_mask(graph, verts: np.ndarray, targets: np.ndarray,
     return found
 
 
-def fused_extend_candidates(graph, rows: np.ndarray,
-                            verts_sorted: np.ndarray,
-                            lt: Sequence[int], gt: Sequence[int],
-                            labels: np.ndarray | None = None,
-                            new_label: int | None = None,
-                            survivors: np.ndarray | None = None,
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused PULL-EXTEND candidate pass: window → gather → shrink.
-
-    ``verts_sorted`` is each row's extend vertices sorted by adjacency
-    length (column 0 = the smallest list, the candidate source).
-
-    * **Window first.**  The symmetry order bounds a row's candidates to
-      ``max(rows[:, gt]) < c < min(rows[:, lt])``.  Adjacency lists are
-      sorted and a key's position in the composite index is its arc's
-      position in ``indices``, so the bounds are a slice of the smallest
-      list — two row-level searches — and what lies outside is never
-      gathered.  An empty window (``hi <= lo``) clamps to length 0;
-      ``lo == n`` lands on ``indptr[v0 + 1]`` because ``v0 * n + n`` is
-      the next vertex's first possible key.
-    * **Shrink as you go.**  Every other list is probed one column at a
-      time with a compaction after each, so a list only sees what the
-      lists before it left: the probe keys are the row's ``v * n``
-      spread by ``row_ids`` plus the candidate, and the graph answers
-      them (:meth:`~repro.graph.graph.Graph.has_arc_keys`).  The label
-      filter and the distinctness test (against *every* column of the
-      partial match — a CSR handed to ``Graph(indptr, indices)`` may
-      carry self-loops, so adjacency does not imply distinctness) run on
-      the survivors only.
-
-    Every filter is a boolean conjunction and compaction keeps (row,
-    ascending id) order, so the returned ``(cand, row_ids, counts)``
-    equal a gather-everything, pass-per-filter pipeline's element for
-    element; ``counts[i]`` is row ``i``'s emit count, which the caller
-    multiplies by the emit tick weight.  The intersection *charge* is
-    not this function's business: callers compute it from the full
-    sorted lengths, windowed or not.
-
-    With ``survivors``, an ``(n, |ext|)`` ``int64`` array, the whole
-    smallest list is the candidates and ``survivors[i, w]`` receives how
-    many of row ``i``'s stand after list ``w`` (column 0: all of them);
-    the symmetry order then filters the survivors instead of cutting a
-    window, so the counts do not depend on it.
-    """
-    indptr, comp, n = (graph.indptr, graph.composite_index(),
-                       graph.num_vertices)
-    _check_survivors(survivors, verts_sorted)
-    windowed = survivors is None
-    v0 = verts_sorted[:, 0]
-    start = (np.searchsorted(comp, v0 * n + rows[:, list(gt)].max(axis=1)
-                             + 1)
-             if len(gt) and windowed else indptr[v0])
-    stop = (np.searchsorted(comp, v0 * n + rows[:, list(lt)].min(axis=1))
-            if len(lt) and windowed else indptr[v0 + 1])
-    row_ids, cand = _gather_slices(graph.indices, start,
-                                   np.maximum(stop - start, 0))
-    if not windowed:
-        survivors[:, 0] = stop - start
-    for w in range(1, verts_sorted.shape[1]):
-        base = verts_sorted[:, w] * n
-        keep = graph.has_arc_keys(base[row_ids] + cand)
-        cand, row_ids = cand[keep], row_ids[keep]
-        if not windowed:
-            survivors[:, w] = np.bincount(row_ids, minlength=len(rows))
-    if new_label is not None and labels is not None:
-        keep = labels[cand] == new_label
-        cand, row_ids = cand[keep], row_ids[keep]
-    keep = np.ones(len(cand), dtype=bool)
-    for p in range(rows.shape[1]):
-        keep &= cand != rows[row_ids, p]
-    if not windowed:
-        for p in lt:
-            keep &= cand < rows[row_ids, p]
-        for p in gt:
-            keep &= cand > rows[row_ids, p]
-    cand, row_ids = cand[keep], row_ids[keep]
-    return cand, row_ids, np.bincount(row_ids, minlength=len(rows))
-
-
 def _check_survivors(survivors: np.ndarray | None,
                      verts: np.ndarray) -> None:
     """Refuse a survivor-count array that is not a writable C-contiguous
@@ -279,37 +197,28 @@ def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
 
     Each row's extend vertices are put smallest adjacency list first (a
     stable sort, so equal lengths keep ``ext`` order) and the block goes
-    through the candidate pass of :func:`fused_extend_candidates`.
+    through the candidate pass (see the module's summary).
     Returns its ``(cand, row_ids, counts)`` plus the ``(n, |ext|)``
     lengths in that sorted order — column 0 is the list the candidates
     came from, the rest are the lists probed, which is what the
     intersection cost formula reads (the *full* lengths: the symmetry
     window saves our gather, not the modelled machine's scan).
     ``survivors``, when given, receives the per-list survivor counts (in
-    that sorted order) and turns the window into a filter, as in
-    :func:`fused_extend_candidates`.
+    that sorted order) and turns the window into a filter: the whole
+    smallest list is the candidates.
 
     The pass runs as one compiled loop over the rows (``extend_rows`` of
     ``kernels.c``: per row the sort, the window's two searches in the
     smallest list, one slot-table read per probe — a galloping search
     while the snapshot has no table — and the filters), loaded by
-    :func:`_load_library`.
-    Where it could not be loaded the numpy program runs; both give the
-    same arrays element for element and count the same probes.
+    :func:`_load_library`.  It counts its searched probes toward the
+    snapshot's slot table as ``has_arc_keys`` would.
     """
-    if _LIB is not None:
-        sorted_lens = np.empty(verts.shape, dtype=np.int64)
-        _, cand, row_ids, counts, _ = _extend_compiled(
-            graph, rows, verts, lens, lt, gt, labels, new_label,
-            sorted_lens=sorted_lens, pairs=True, survivors=survivors)
-        return cand, row_ids, counts, sorted_lens
-    if verts.shape[1] > 1:
-        by_len = lens.argsort(axis=1, kind="stable")
-        row = np.arange(len(rows))[:, None]
-        verts, lens = verts[row, by_len], lens[row, by_len]
-    cand, row_ids, counts = fused_extend_candidates(
-        graph, rows, verts, lt, gt, labels, new_label, survivors)
-    return cand, row_ids, counts, lens
+    sorted_lens = np.empty(verts.shape, dtype=np.int64)
+    _, cand, row_ids, counts, _ = _extend_compiled(
+        graph, rows, verts, lens, lt, gt, labels, new_label,
+        sorted_lens=sorted_lens, pairs=True, survivors=survivors)
+    return cand, row_ids, counts, sorted_lens
 
 
 def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
@@ -333,20 +242,12 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     :func:`extend_candidates` (BiGJoin's rounds read it).
 
     The compiled ``extend_rows`` writes the output rows and the ticks in
-    its one pass over the rows; the numpy program gathers
-    ``rows[row_ids]`` beside the candidates and reads the ticks off the
-    sorted lengths.  Both give the same arrays.
+    its one pass over the rows.
     """
-    if _LIB is not None:
-        out, _, _, counts, ticks = _extend_compiled(
-            graph, rows, verts, lens, lt, gt, labels, new_label,
-            ticks=(intersect, probe_ticks), block=not count_only,
-            survivors=survivors)
-        return out, counts, ticks
-    cand, row_ids, counts, lens = extend_candidates(
-        graph, rows, verts, lens, lt, gt, labels, new_label, survivors)
-    ticks = lens[:, 0] * (intersect + probe_ticks[lens[:, 1:]].sum(axis=1))
-    out = None if count_only else np.column_stack((rows[row_ids], cand))
+    out, _, _, counts, ticks = _extend_compiled(
+        graph, rows, verts, lens, lt, gt, labels, new_label,
+        ticks=(intersect, probe_ticks), block=not count_only,
+        survivors=survivors)
     return out, counts, ticks
 
 
@@ -483,16 +384,15 @@ def _ptr(a):
 
 
 def _load_library():
-    """``(ffi, lib)`` of ``kernels.c`` through cffi's out-of-line ABI mode,
-    or ``None``: without cffi or a C compiler, or when the build or the
-    load fails, every loop of it runs its numpy twin.
+    """``(ffi, lib)`` of ``kernels.c`` through cffi's out-of-line ABI mode.
 
     Both halves are built once per hash of the source, the declaration,
     the flags and the cffi version, into ``$XDG_CACHE_HOME/repro``
     (``~/.cache/repro``): the library by ``cc``, and beside it the FFI as
     the Python module cffi generates from the declaration, so a later
     process — process-pool workers included — opens both without
-    parsing any C.
+    parsing any C.  Without cffi or ``cc``, or when the build or the
+    load fails, raises one :class:`ImportError` that says so.
     """
     try:
         import _cffi_backend
@@ -509,8 +409,14 @@ def _load_library():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module.ffi, module.ffi.dlopen(str(lib_path))
-    except (ImportError, OSError, RuntimeError, subprocess.SubprocessError):
-        return None
+    except (ImportError, OSError, RuntimeError,
+            subprocess.SubprocessError) as exc:
+        # a failed cc says why on its stderr
+        detail = getattr(exc, "stderr", None)
+        detail = detail.decode(errors="replace").strip() if detail else exc
+        raise ImportError("repro.core.kernels needs cffi and the C compiler "
+                          f"cc to build and load kernels.c: {detail!s}"
+                          ) from exc
 
 
 def _build_library(lib_path: Path, ffi_path: Path) -> None:
@@ -655,8 +561,8 @@ def _deal_compiled(costs, seg, batches, workers):
     return totals
 
 
-#: the loaded library (``None``: the numpy programs run) and its FFI
-_FFI, _LIB = _load_library() or (None, None)
+#: the loaded library's FFI and the library
+_FFI, _LIB = _load_library()
 
 
 # -- blocked hash join ----------------------------------------------------------
@@ -687,30 +593,12 @@ def _join_keys(build: np.ndarray, probe: np.ndarray,
     return key[:len(build)], key[len(build):]
 
 
-def join_pairs(build: np.ndarray, probe: np.ndarray,
-               build_key: tuple[int, ...], probe_key: tuple[int, ...]):
-    """All (build row, probe row) key matches, in blocks of at most
-    :data:`JOIN_BLOCK_PAIRS` pairs.
-
-    The order is the scalar dict-of-buckets join's: probe-major, build
-    rows in insertion order within a bucket.  The build keys are sorted
-    once (stably, so equal keys keep insertion order) and each probe
-    row's bucket is a ``[lo, hi)`` range found by ``searchsorted``.
-    Blocks cut that sequence every :data:`JOIN_BLOCK_PAIRS` pairs — a
-    bucket crossing a cut is split between two blocks — and cover the
-    probe rows contiguously, matched or not.  Yields ``(p0, counts,
-    build_idx)``: ``counts[i]`` of the block's pairs belong to probe row
-    ``p0 + i``, and ``build_idx`` is their build rows in order.  Adjacent
-    blocks share at most their boundary probe row.
-    """
-    order, ranges = _pair_ranges(build, probe, build_key, probe_key)
-    for p0, counts, lo in ranges:
-        yield p0, counts, _build_rows(order, counts, lo)
-
-
 def _pair_ranges(build: np.ndarray, probe: np.ndarray,
                  build_key: tuple[int, ...], probe_key: tuple[int, ...]):
-    """:func:`join_pairs` with each block's build rows as ranges:
+    """All (build row, probe row) key matches — probe-major, build rows
+    in insertion order within a bucket — in blocks of at most
+    :data:`JOIN_BLOCK_PAIRS` pairs (a bucket crossing a cut is split
+    between two blocks), each block's build rows as ranges:
     ``(order, blocks)``, the build rows in bucket order and an iterator
     of ``(p0, counts, lo)`` — probe row ``p0 + i``'s pairs in the block
     match build rows ``order[lo[i]:lo[i] + counts[i]]``."""
@@ -731,14 +619,6 @@ def _pair_ranges(build: np.ndarray, probe: np.ndarray,
             yield p0, np.clip(ends[p0:p1], a, b) - s, shift[p0:p1] + s
             p0 = done
     return order, blocks()
-
-
-def _build_rows(order: np.ndarray, counts: np.ndarray,
-                lo: np.ndarray) -> np.ndarray:
-    """The build rows of a block's pairs, in order, from its ranges."""
-    ramp = np.arange(int(counts.sum()), dtype=np.int64)
-    return order[np.repeat(lo - (np.cumsum(counts) - counts), counts)
-                 + ramp]
 
 
 def _buckets(build: np.ndarray, probe: np.ndarray,
@@ -765,7 +645,7 @@ def join_blocks(build: np.ndarray, probe: np.ndarray,
                 distinct: Sequence[tuple[int, int]],
                 conditions: Sequence[tuple[int, int]],
                 materialise: bool = True):
-    """One machine's local hash join, one :func:`join_pairs` block at a
+    """One machine's local hash join, one :func:`_pair_ranges` block at a
     time — PUSH-JOIN and the baselines' relation join are this program.
 
     An output row is the left row then the right row's ``right_carry``
@@ -780,20 +660,15 @@ def join_blocks(build: np.ndarray, probe: np.ndarray,
     Each block runs as one compiled loop over its pairs (``join_block``
     of ``kernels.c``): per pair the build row read through the sort
     order, the filters, then the kept row written straight into the
-    block's output.  Where the library did not load the numpy program
-    runs: the filters on the index pairs — each output column they name
-    gathered once, build side by index, probe side by ``np.repeat`` — and
-    only the survivors' rows gathered in full.  Both give the same
-    arrays.
+    block's output.
     """
     carry = np.asarray(right_carry, dtype=np.intp)
     tests = np.asarray([(i, j, 0) for i, j in distinct]
                        + [(i, j, 1) for i, j in conditions],
                        dtype=np.int64).reshape(-1, 3)
     order, ranges = _pair_ranges(build, probe, build_key, probe_key)
-    if _LIB is not None:
-        build = np.ascontiguousarray(build, dtype=np.int64)
-        probe = np.ascontiguousarray(probe, dtype=np.int64)
+    build = np.ascontiguousarray(build, dtype=np.int64)
+    probe = np.ascontiguousarray(probe, dtype=np.int64)
     for p0, counts, lo in ranges:
         yield _join_block(build, probe, p0, counts, (order, lo), build_left,
                           carry, tests, materialise)
@@ -801,50 +676,10 @@ def join_blocks(build: np.ndarray, probe: np.ndarray,
 
 def _join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
                 materialise):
-    """:func:`join_blocks` on one block, as ``(rows, p0, kept)``: probe
-    row ``p0 + i`` against the build rows ``pairs = (order, lo)`` name
-    (see :func:`_build_rows`).  (A function of its own so the block's
-    gathered columns and masks are freed before the caller yields.)"""
-    if _LIB is not None:
-        return _join_compiled(build, probe, p0, counts, pairs, build_left,
-                              carry, tests, materialise)
-    left, right = (build, probe) if build_left else (probe, build)
-    width = left.shape[1]
-    order, lo = pairs
-    build_idx = _build_rows(order, counts, lo)
-    local = np.repeat(np.arange(len(counts)), counts)
-    cols: dict[int, np.ndarray] = {}
-
-    def column(pos: int) -> np.ndarray:
-        if pos not in cols:
-            col = pos if pos < width else int(carry[pos - width])
-            if (pos < width) == build_left:
-                cols[pos] = build[build_idx, col]
-            else:
-                cols[pos] = np.repeat(probe[p0:p0 + len(counts), col],
-                                      counts)
-        return cols[pos]
-
-    kept = counts
-    if len(tests):
-        keep = np.ones(len(build_idx), dtype=bool)
-        for i, j, less in tests.tolist():
-            keep &= (np.less if less else np.not_equal)(column(i),
-                                                        column(j))
-        build_idx, local = build_idx[keep], local[keep]
-        kept = np.bincount(local, minlength=len(counts))
-    if not materialise:
-        return np.empty((len(local), 0), dtype=left.dtype), p0, kept
-    probe_idx = local + p0
-    lidx, ridx = ((build_idx, probe_idx) if build_left
-                  else (probe_idx, build_idx))
-    rows = np.concatenate((left[lidx], right[ridx[:, None], carry]), axis=1)
-    return rows, p0, kept
-
-
-def _join_compiled(build, probe, p0, counts, pairs, build_left, carry,
-                   tests, materialise):
-    """:func:`_join_block` through ``join_block`` of ``kernels.c``."""
+    """:func:`join_blocks` on one block through ``join_block`` of
+    ``kernels.c``, as ``(rows, p0, kept)``: probe row ``p0 + i`` against
+    the build rows ``pairs = (order, lo)`` name (see
+    :func:`_pair_ranges`)."""
     order, lo = pairs
     n = len(counts)
     left_width = (build if build_left else probe).shape[1]

@@ -44,7 +44,6 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.cost import to_ticks
 from ..obs.trace import NULL_TRACER
-from . import kernels
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
 from .kernels import (csr_gather, extend_block, fused_verify_mask,
@@ -134,12 +133,12 @@ class ExtendOp:
     columnar intersect stage, then the step's ticks dealt to each
     machine's workers.
 
-    Over an :class:`~repro.core.cache.LRBUCache`, where ``kernels.c``
-    loaded, a step that extends is one compiled call
+    Over an :class:`~repro.core.cache.LRBUCache` a step that extends is
+    one compiled call
     (:meth:`LRBUCache.pull_extend <repro.core.cache.LRBUCache.pull_extend>`:
     fetch stage, intersect stage, worker deal and release), and the
     operator charges what it returns.  Otherwise — an ``LRUCache``, a
-    VERIFY step, or no library — the step is composed: the cache's
+    VERIFY step, or an empty one — the step is composed: the cache's
     :meth:`fetch`, :meth:`_process_vector`, the cache's ``release`` and
     :func:`~repro.core.stealing.distribute_to_workers`; both leave the
     same cache and ledger.  Either way the operator deals the ticks: the
@@ -196,8 +195,7 @@ class ExtendOp:
         if lrbu:
             cache.cover(cluster.num_machines, g.num_vertices)
         snapshot = self._snapshot()
-        if not (lrbu and kernels._LIB is not None and len(rows)
-                and not self.spec.is_verify):
+        if not (lrbu and len(rows) and not self.spec.is_verify):
             # the step's extend block, gathered once for both stages
             verts = rows[:, self._ext]
             self._charge_fetch(machines, *cache.fetch(cluster, machines,

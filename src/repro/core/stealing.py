@@ -13,6 +13,10 @@ batches from the input channel of the top-most unfinished operator of a
 busy machine (the ``StealWork`` RPC), paying the transfer bytes.  The
 ``region-group`` mode (the HUGE-RGP ablation of Exp-8) only redistributes
 at the initial SCAN level, as RADS' static region groups do.
+
+The balanced deal is one compiled loop (``deal_items`` of
+``core/kernels.c``); the numpy deal the tests compare it with is
+``tests/reference_kernels.py``'s.
 """
 
 from __future__ import annotations
@@ -56,9 +60,7 @@ def distribute_to_workers(item_costs: Sequence[int], workers: int,
 
     The snake deal sorts once (every batch heaviest first, in place) and
     then runs as one compiled loop over the sorted costs (``deal_items``
-    of ``kernels.c``), adding each item to its worker's integer total;
-    where the library did not load the numpy program ranks the items and
-    sums them with a weighted ``bincount``.  Both give the same totals.
+    of ``kernels.c``), adding each item to its worker's integer total.
     """
     costs = np.asarray(item_costs, dtype=np.int64)
     seg = (np.zeros(len(costs), np.int64) if segments is None
@@ -72,15 +74,8 @@ def distribute_to_workers(item_costs: Sequence[int], workers: int,
         # fit)
         base = seg * (int(costs.max(initial=0)) + 1)
         costs = base - np.sort(base - costs)
-        if kernels._LIB is not None:
-            totals = kernels._deal_compiled(costs, seg, len(keys), workers)
-            return totals if segments is not None else totals[0].tolist()
-        # rank r goes left-to-right on even laps of `workers` items and
-        # right-to-left on odd ones
-        sizes = np.bincount(seg, minlength=len(keys))
-        lap, pos = np.divmod(
-            np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg], workers)
-        worker = np.where(lap % 2, workers - 1 - pos, pos)
+        totals = kernels._deal_compiled(costs, seg, len(keys), workers)
+        return totals if segments is not None else totals[0].tolist()
     # weighted bincount sums in float64: exact below 2**53 ticks
     totals = np.bincount(seg * workers + worker, costs,
                          len(keys) * workers).astype(np.int64)

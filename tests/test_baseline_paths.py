@@ -1,10 +1,11 @@
-"""The baselines' array programs on both kernel paths.
+"""The baselines' array programs against their references.
 
 BiGJoin's rounds run through the engine's candidate pass (``extend_rows``
-of ``core/kernels.c``, or its numpy twin) with per-hop survivor counts:
-its count, full ``RunReport`` and ledger are held equal across the two
-paths over the baseline conformance workloads and on the hub graph's
-00M.  The array programs around the pass are held to the loops they
+of ``core/kernels.c``) with per-hop survivor counts: its count, full
+``RunReport`` and ledger are held equal to a run with the numpy
+references of ``tests/reference_kernels.py`` bound in place of the
+compiled loops, over the baseline conformance workloads and on the hub
+graph's 00M.  The array programs around the pass are held to the loops they
 stand for: the destination-wise memory charges to the scalar per-tuple
 loop, SEED's and RADS' per-root charges to their row loop, the stable
 destination split to one mask per destination, and RADS' remote-root
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernels as kernels
 from repro.baselines import BigJoinEngine, RadsEngine
 from repro.baselines import base
 from repro.baselines.base import chunk_flushes, split_by_destination
@@ -29,18 +29,18 @@ from repro.query import get_query
 from repro.testing.configs import baseline_matrix
 from repro.testing.harness import ConformanceHarness
 
-from .test_extend_kernels import PATHS, extend_path
+from .reference_kernels import PATHS, bound
 
 
 def _bigjoin_run(graph, query, path, edge_batch=1 << 14, k=3, workers=2,
                  seed=0, memory_mb=None):
-    """One BiGJoin run on a fresh cluster on one kernel path: ``(count or
-    the error's fields, report, per-machine ledger)``."""
+    """One BiGJoin run on a fresh cluster on one of :data:`PATHS`:
+    ``(count or the error's fields, report, per-machine ledger)``."""
     cost = CostModel(memory_budget_bytes=(memory_mb * 1e6 if memory_mb
                                           else float("inf")))
     cluster = Cluster(graph, num_machines=k, workers_per_machine=workers,
                       cost=cost, seed=seed)
-    with extend_path(path):
+    with bound(path):
         try:
             result = BigJoinEngine(cluster, edge_batch=edge_batch).run(query)
             outcome, report = result.count, result.report
@@ -50,8 +50,6 @@ def _bigjoin_run(graph, query, path, edge_batch=1 << 14, k=3, workers=2,
 
 
 def _both_paths(*args, **kwargs):
-    if kernels._LIB is None:
-        pytest.skip("the compiled kernels are not loaded")
     runs = [_bigjoin_run(*args, path=path, **kwargs) for path in PATHS]
     assert runs[0] == runs[1]
     return runs[0]
@@ -62,7 +60,7 @@ class TestBigJoinPaths:
         """the baseline profile's workload stream (unlabelled ones: the
         baselines refuse labels), at the default batch and at
         ``edge_batch = 7``: count, report and every machine's ledger
-        equal on both paths"""
+        equal, compiled and on the references"""
         spec = next(s for s in baseline_matrix() if s.engine == "bigjoin")
         harness = ConformanceHarness([spec], seed=1)
         ran = 0
@@ -89,7 +87,7 @@ class TestBigJoinPaths:
         """the hub graph of ``test_budgets.py::
         test_bigjoin_ooms_despite_batching``: the same machine's alloc
         raises first, with the same total, and every machine's peak and
-        balance are equal on both paths"""
+        balance are equal, compiled and on the references"""
         hub = gen.hub_web(400, num_hubs=3, hub_degree=150, seed=3)
         outcome, _, _ = _both_paths(hub, get_query("q6"), edge_batch=batch,
                                     k=4, workers=4, seed=1, memory_mb=0.2)

@@ -1,5 +1,6 @@
 """Tests for the LRBU cache and ablation variants (paper Algorithm 3)."""
 
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import CostModel
+from repro.cluster import Cluster, CostModel
 from repro.core import CACHE_VARIANTS, LRBUCache, LRUCache, make_cache
-
-from .test_extend_kernels import extend_path, extend_paths
-
-
-def kernels_loaded() -> bool:
-    return len(extend_paths()) == 2
+from repro.core.dataflow import ExtendSpec
+from repro.graph import generators as gen
 
 
 def arr(*vals):
@@ -302,20 +299,15 @@ IDS = 120
 
 class _Pulls:
     """The slice of ``Cluster`` a fetch stage uses: the machine count,
-    the owner of every id — by default a machine outside the cluster, so
-    every read is remote — and a ``pull`` that answers entry sizes and
-    logs each ``(requester, id)`` it is asked for."""
+    the owner of every id — a machine outside the cluster, so every read
+    is remote — and a ``pull`` that answers entry sizes."""
 
-    def __init__(self, machines, sizes, owner=None):
+    def __init__(self, machines, sizes):
         self.num_machines = machines
         self.sizes = sizes
-        self.pgraph = SimpleNamespace(owner=np.full(IDS, machines)
-                                      if owner is None else owner)
-        self.pulled = []
+        self.pgraph = SimpleNamespace(owner=np.full(IDS, machines))
 
     def pull(self, requester, ids):
-        self.pulled += zip(np.broadcast_to(requester, ids.shape).tolist(),
-                           ids.tolist())
         return self.sizes[ids]
 
 
@@ -358,9 +350,8 @@ def _scalar_batch(c, ids, sizes):
 
 class TestBulkFetchStage:
     """The bulk methods and the fetch stage against the scalar
-    Algorithm-3 methods; each test that goes through :meth:`fetch` runs
-    its body on both paths of the classification pass (the compiled
-    ``classify_reads`` and its numpy twin)."""
+    Algorithm-3 methods, and the compiled step's fetch stage against
+    the numpy one."""
 
     @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lrbu-lock"])
     def test_bulk_equals_scalar_replay_in_any_order(self, cost, variant):
@@ -369,12 +360,6 @@ class TestBulkFetchStage:
         batch's ids shuffled and through the fetch stage with each id read
         twice: the same cache after every batch.  The capacity is small
         enough to evict and to overflow inside a batch."""
-        for path in extend_paths():
-            with extend_path(path):
-                self._replay(cost, variant)
-
-    @staticmethod
-    def _replay(cost, variant):
         rng = np.random.default_rng(11)
         sizes = rng.integers(1, 9, size=IDS)
         capacity = 60
@@ -434,12 +419,6 @@ class TestBulkFetchStage:
         per machine the same hits, misses and ticks, the same admissions
         and seals, the same evictions and ``free_order()``, and overflow
         never past one batch's footprint."""
-        for path in extend_paths():
-            with extend_path(path):
-                self._stacked_against_alone(k, capacity, variant, seed)
-
-    @staticmethod
-    def _stacked_against_alone(k, capacity, variant, seed):
         cost = CostModel()
         rng = np.random.default_rng(seed)
         sizes = rng.integers(1, 9, size=IDS)
@@ -487,61 +466,55 @@ class TestBulkFetchStage:
     @settings(max_examples=60)
     def test_compiled_classification_equals_numpy(self, k, width, capacity,
                                                   variant, seed):
-        """Stacked blocks of ``width`` columns — reads repeated within and
-        across rows, cells the row's own machine owns, several machines,
-        reads sealed by a scalar ``seal`` before the step, a second block
-        fetched before the release — through a cache with the library
-        loaded and one without: the same ``(hits, misses, ticks, lost)``
-        per fetch, the same pulls, the same pins before the release, and
-        after it the same residency, ``free_order()``, occupancy and
-        stats on every machine.  The capacity is small enough to evict
-        and to overflow inside a step.  (``fetch`` is one numpy program;
-        the compiled classification runs inside the compiled PULL-EXTEND
-        step, which ``tests/test_pull_step.py`` holds to it.)"""
-        if not kernels_loaded():
-            pytest.skip("the compiled kernels are not loaded")
-        cost = CostModel()
+        """Stacked steps of ``width`` extend columns — reads repeated
+        within and across rows, cells the row's own machine owns, several
+        machines, reads sealed by a scalar ``seal`` before the step —
+        through the compiled step (:meth:`LRBUCache.pull_extend`, whose
+        fetch stage is ``classify_reads`` and ``admit_reads``) on one
+        cache and through the numpy :meth:`fetch` then :meth:`release` on
+        another: the same ``(hits, misses, ticks)`` per step, the same
+        ``GetNbrs`` on the ledger, and after the release the same
+        residency, ``free_order()``, occupancy and stats on every
+        machine.  The capacity is small enough to evict and to overflow
+        inside a step."""
         rng = np.random.default_rng(seed)
-        sizes = rng.integers(1, 9, size=IDS)
-        owner = rng.integers(0, k, size=IDS)
-        caches = {path: make_cache(variant, capacity, cost)
-                  for path in ("compiled", "numpy")}
+        g = gen.erdos_renyi(IDS, 0.05, seed=seed)
+        spec = ExtendSpec(ext=tuple(range(width)),
+                          out_schema=tuple(range(width + 1)),
+                          new_vertex=width)
+        sides = [(Cluster(g, num_machines=k, seed=seed),
+                  make_cache(variant, capacity, CostModel()))
+                 for _ in range(2)]
+        (cluster, step), (fetching, c) = sides
         for _ in range(25):
-            blocks = []
-            for _ in range(int(rng.integers(1, 3))):
-                rows = int(rng.integers(0, 30))
-                block = rng.integers(0, IDS // 2, size=(rows, width))
-                block[rng.random(block.shape) < 0.2] = 0     # a hot id
-                blocks.append((np.sort(rng.integers(0, k, size=rows)),
-                               block))
-            machines, block = blocks[0]
-            early = [(int(block[r, w]), int(machines[r]))
-                     for r, w in zip(rng.integers(0, len(block), size=3),
-                                     rng.integers(0, width, size=3))
-                     ] if len(block) else []
-            got = {}
-            for path, c in caches.items():
-                cluster = _Pulls(k, sizes, owner)
-                with extend_path(path):
-                    for v, m in early:
-                        c.seal(v, m)
-                    fetched = [c.fetch(cluster, *step) for step in blocks]
-                    got[path] = fetched, sorted(cluster.pulled), c.num_sealed
-                    c.release()
-            (want, want_pulled, want_pins), (have, have_pulled, have_pins) = (
-                got["numpy"], got["compiled"])
-            for one, other in zip(have, want, strict=True):
-                assert all(np.array_equal(a, b) for a, b in zip(one, other))
-            assert have_pulled == want_pulled and have_pins == want_pins
-            a, b = caches["compiled"], caches["numpy"]
+            rows = int(rng.integers(1, 30))
+            block = rng.integers(0, IDS // 2, size=(rows, width))
+            block[rng.random(block.shape) < 0.2] = 0         # a hot id
+            machines = np.sort(rng.integers(0, k, size=rows))
+            for r, w in zip(rng.integers(0, rows, size=3),
+                            rng.integers(0, width, size=3)):
+                for cache in (step, c):
+                    cache.seal(int(block[r, w]), int(machines[r]))
+            step.cover(k, IDS)
+            *_, fetched, pulls, lost = step.pull_extend(
+                cluster, machines, block, spec, None, True, True)
+            requests, response_ids = pulls.reshape(2, -1)
+            pairs = np.flatnonzero(requests)
+            cluster.account_pulls(pairs, requests[pairs], response_ids[pairs])
+            want = c.fetch(fetching, machines, block)
+            c.release()
+            assert len(lost) == len(want[3]) == 0
+            assert np.array_equal(fetched, np.stack(want[:3]))
+            assert ([astuple(m) for m in cluster.metrics.machines]
+                    == [astuple(m) for m in fetching.metrics.machines])
             for m in range(k):
-                assert (a.resident(np.arange(IDS), m).tolist()
-                        == b.resident(np.arange(IDS), m).tolist())
-                assert a.free_order(m) == b.free_order(m)
-                assert a.occupancy(m) == b.occupancy(m)
-            assert np.array_equal(a.stats.evicted, b.stats.evicted)
-            assert np.array_equal(a.stats.overflow, b.stats.overflow)
-            assert a.num_sealed == b.num_sealed == 0
+                assert (step.resident(np.arange(IDS), m).tolist()
+                        == c.resident(np.arange(IDS), m).tolist())
+                assert step.free_order(m) == c.free_order(m)
+                assert step.occupancy(m) == c.occupancy(m)
+            assert np.array_equal(step.stats.evicted, c.stats.evicted)
+            assert np.array_equal(step.stats.overflow, c.stats.overflow)
+            assert step.num_sealed == c.num_sealed == 0
 
     def test_compiled_classification_refuses_reads_outside(self, cost):
         """the fetch stage indexes the cache's state by machine and id and
@@ -550,14 +523,13 @@ class TestBulkFetchStage:
         writes"""
         sizes = np.ones(IDS, dtype=np.int64)
         block = np.array([[3, 4], [5, 6]])
-        with extend_path("compiled"):
-            c = make_cache("lrbu", 20, cost)
-            for machines, cells in (([0, 2], block), ([0, -1], block),
-                                    ([0, 1], block * [1, -1]),
-                                    ([0, 1], block + [0, IDS])):
-                with pytest.raises(ValueError):
-                    c.fetch(_Pulls(2, sizes), np.array(machines), cells)
-            assert len(c) == 0 and c.num_sealed == 0
+        c = make_cache("lrbu", 20, cost)
+        for machines, cells in (([0, 2], block), ([0, -1], block),
+                                ([0, 1], block * [1, -1]),
+                                ([0, 1], block + [0, IDS])):
+            with pytest.raises(ValueError):
+                c.fetch(_Pulls(2, sizes), np.array(machines), cells)
+        assert len(c) == 0 and c.num_sealed == 0
 
     def test_ids_beyond_the_arrays_grow_them(self, cost):
         c = LRBUCache(None, cost)

@@ -1,7 +1,7 @@
 """The star baselines' combination builder (``baselines.base.combo_rows``)
-on both of its paths — the compiled per-row loop (``combo_rows`` of
-``core/kernels.c``) and the numpy program kept as its fallback — against
-scalar ``itertools.combinations`` × patterns loops: rows in input-row,
+— the compiled per-row loop (``combo_rows`` of ``core/kernels.c``) and
+its numpy reference (``tests/reference_kernels.py``) — against scalar
+``itertools.combinations`` × patterns loops: rows in input-row,
 combination-major, pattern-minor order, the positional conditions, and
 the per-row kept counts, materialised and counted."""
 
@@ -13,13 +13,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.baselines import RadsEngine, count_matches
-from repro.baselines import rads
-from repro.baselines.base import combo_rows
+from repro.baselines import base, rads
 from repro.cluster import Cluster
 from repro.graph import generators as gen
 from repro.query import get_query
 
-from .test_extend_kernels import PATHS, extend_path
+from . import reference_kernels
 
 
 def reference_combos(prefix, cand, counts, nl, patterns, conds):
@@ -70,7 +69,7 @@ def combo_cases(draw):
     return prefix, cand, counts, nl, patterns, conds
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", reference_kernels.PATHS)
 @given(case=combo_cases())
 @example(case=(np.empty((0, 2), dtype=np.int64), np.empty(0, np.int64),
                np.empty(0, np.int64), 2, np.asarray([[0, 1]]), []))
@@ -81,9 +80,10 @@ def test_combo_rows_equal_the_scalar_loops(path, case):
     than ``nl``, conditions on prefix and leaf columns: the same rows in
     the same order, and the same kept counts when only counted"""
     want_rows, want_kept = reference_combos(*case)
-    with extend_path(path):
-        rows, kept = combo_rows(*case)
-        none, counted = combo_rows(*case, count_only=True)
+    combo_rows = (base.combo_rows if path == "compiled"
+                  else reference_kernels.combo_rows)
+    rows, kept = combo_rows(*case)
+    none, counted = combo_rows(*case, count_only=True)
     assert rows.dtype == np.int64 and rows.shape == want_rows.shape
     assert np.array_equal(rows, want_rows)
     assert np.array_equal(kept, want_kept)
@@ -105,19 +105,21 @@ def test_compiled_combos_reject_inputs_outside_their_rows():
            (cand, counts, 1, ok, []),               # patterns are 2 wide
            (cand, counts, 2, ok, [(0, 3)]),          # rows are 3 wide
            (cand, counts, 2, ok, [(-1, 1)])]
-    with extend_path("compiled"):
-        rows, kept = combo_rows(prefix, cand, counts, 2, ok, [(0, 1)])
-        assert rows.tolist() == [[0, 2, 3]] and kept.tolist() == [1, 0]
-        for args in bad:
-            with pytest.raises(ValueError):
-                combo_rows(prefix, *args)
+    rows, kept = base.combo_rows(prefix, cand, counts, 2, ok, [(0, 1)])
+    assert rows.tolist() == [[0, 2, 3]] and kept.tolist() == [1, 0]
+    for args in bad:
+        with pytest.raises(ValueError):
+            base.combo_rows(prefix, *args)
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", reference_kernels.PATHS)
 def test_rads_counts_its_final_round(monkeypatch, path):
     """RADS' counted round asks for kept counts only — no row is built —
     and the count is the brute-force one, as the collecting rounds'"""
+    if path == "numpy":
+        reference_kernels.bind(monkeypatch)
     calls = []
+    combo_rows = base.combo_rows
 
     def spy(*args, count_only=False):
         rows, kept = combo_rows(*args, count_only=count_only)
@@ -127,8 +129,7 @@ def test_rads_counts_its_final_round(monkeypatch, path):
     graph = gen.erdos_renyi(30, 0.25, seed=2)
     cluster = Cluster(graph, num_machines=3, workers_per_machine=2, seed=1)
     q = get_query("q6")    # stars (1; 0, 2), (2; 3), (3; 4)
-    with extend_path(path):
-        count = RadsEngine(cluster).run(q).count
+    count = RadsEngine(cluster).run(q).count
     assert count == count_matches(graph, q) > 0
     assert (True, True) in calls and (False, False) in calls
     assert all(counted == built_none for counted, built_none in calls)

@@ -1,18 +1,16 @@
-"""PULL-EXTEND's candidate pass on both of its paths — the compiled
-per-row loop (``extend_rows`` of ``core/kernels.c``) and the numpy
-program kept as its fallback — against a gather-everything reference:
-candidates, row ids, counts and sorted lengths element for element, the
-output block and the per-row intersection ticks against the rows beside
-their candidates and ``CostModel.intersection_ops``, and the same
-membership probes counted, on a graph with and without its slot table.
-The numpy
-path is forced by unloading the kernel module's library handle
-(:func:`extend_path`); ``tests/test_procpool.py::TestFusedKernels`` runs
-the operator-level kernel tests through both paths with these helpers."""
+"""PULL-EXTEND's candidate pass — the compiled per-row loop
+(``extend_rows`` of ``core/kernels.c``) and its numpy reference
+(``tests/reference_kernels.py``) — against a gather-everything
+reference: candidates, row ids, counts and sorted lengths element for
+element, the output block and the per-row intersection ticks against
+the rows beside their candidates and ``CostModel.intersection_ops``, and
+the same membership probes counted, on a graph with and without its slot
+table.  The ``numpy`` cases run the package with the references bound at
+its call sites (:func:`reference_kernels.bound`);
+``tests/test_procpool.py::TestFusedKernels`` runs the operator-level
+kernel tests through both with these helpers."""
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -21,41 +19,18 @@ from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
 from repro.cluster import CostModel
-from repro.core.kernels import extend_block, extend_candidates, extend_step
 from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph.graph import _SHARED, _slots
 from repro.testing.strategies import graphs
 
+from .reference_kernels import PATHS, bound
 from .test_graph import arc_table_sides, with_self_loop
-
-PATHS = ("compiled", "numpy")
-
-
-@contextlib.contextmanager
-def extend_path(path: str):
-    """Run the block on one kernel path: ``"numpy"`` unloads the library
-    handle for the block, so every compiled loop (extend, join block,
-    star combinations) runs its numpy twin; ``"compiled"`` skips the test
-    where the library did not load."""
-    lib = kernels._LIB
-    if path == "compiled" and lib is None:
-        pytest.skip("the compiled kernels are not loaded")
-    kernels._LIB = lib if path == "compiled" else None
-    try:
-        yield
-    finally:
-        kernels._LIB = lib
-
-
-def extend_paths() -> tuple[str, ...]:
-    """The paths :func:`extend_path` can run here, compiled first."""
-    return PATHS if kernels._LIB is not None else ("numpy",)
 
 
 @pytest.fixture(params=PATHS)
 def kernel_path(request):
-    with extend_path(request.param):
+    with bound(request.param):
         yield request.param
 
 
@@ -142,7 +117,7 @@ def _layout_cases(draw):
     return g, rows, ext, lt, gt, labels
 
 
-# -- both paths against the reference ---------------------------------------------
+# -- the compiled pass and its reference against the gather-all one ------------
 
 
 class TestExtendPaths:
@@ -169,19 +144,19 @@ class TestExtendPaths:
         want_block = np.column_stack((rows[ref[1]], ref[0]))
         want_ticks = [cost.intersection_ops(r, probe_ticks)
                       for r in lens.tolist()]
-        with extend_path(path):
+        with bound(path):
             for h in arc_table_sides(g):
-                *got, got_lens = extend_candidates(h, rows, verts, lens, lt,
-                                                   gt, labels, new_label)
+                *got, got_lens = kernels.extend_candidates(
+                    h, rows, verts, lens, lt, gt, labels, new_label)
                 for a, b in zip(got, ref, strict=True):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert got_lens.dtype == lens.dtype
                 assert np.array_equal(got_lens, by_len)
-                *step, _ = extend_step(h, rows, ext, lt, gt, labels,
-                                       new_label)
+                *step, _ = kernels.extend_step(h, rows, ext, lt, gt,
+                                               labels, new_label)
                 assert all(map(np.array_equal, step, ref))
                 for count_only in (False, True):
-                    out, counts, ticks = extend_block(
+                    out, counts, ticks = kernels.extend_block(
                         h, rows, verts, lens, lt, gt, cost.ticks.intersect,
                         probe_ticks, labels, new_label, count_only)
                     if count_only:
@@ -211,7 +186,7 @@ class TestExtendPaths:
         bits = len(table).bit_length() - 1
         assert (table[_slots(keys, bits)] == _SHARED).any()
         ref = _reference_extend(g, rows, verts, (), (), None, None)
-        got = extend_candidates(g, rows, rows, lens, (), ())
+        got = kernels.extend_candidates(g, rows, rows, lens, (), ())
         assert all(map(np.array_equal, got[:3], ref))
 
 
@@ -239,13 +214,14 @@ def _survivor_block(g, rows, ext, lt, gt, labels, new_label):
     verts = rows[:, list(ext)]
     lens = g.degrees()[verts]
     survivors = np.full(verts.shape, -1, dtype=np.int64)
-    pairs = extend_candidates(g, rows, verts, lens, lt, gt, labels,
-                              new_label, survivors=survivors)
+    pairs = kernels.extend_candidates(g, rows, verts, lens, lt, gt, labels,
+                                      new_label, survivors=survivors)
     cost = CostModel(intersect_op=0.1)
     block_survivors = np.full(verts.shape, -1, dtype=np.int64)
-    block = extend_block(g, rows, verts, lens, lt, gt, cost.ticks.intersect,
-                         cost.probe_tick_table(g.max_degree), labels,
-                         new_label, survivors=block_survivors)
+    block = kernels.extend_block(
+        g, rows, verts, lens, lt, gt, cost.ticks.intersect,
+        cost.probe_tick_table(g.max_degree), labels, new_label,
+        survivors=block_survivors)
     return (*pairs, survivors), (*block, block_survivors)
 
 
@@ -263,8 +239,8 @@ class TestSurvivorCounts:
         """per-list survivor counts over the whole smallest list, and the
         symmetry order as a filter after the last list: the candidates
         equal the windowed pass's, the counts a list-by-list set
-        reference, on the compiled and the numpy path element for
-        element, each on a searching and a hashed copy"""
+        reference, from the compiled pass and its numpy reference
+        element for element, each on a searching and a hashed copy"""
         g, rows, ext, lt, gt, labels = case
         new_label = None if labels is None else 1
         verts = rows[:, list(ext)]
@@ -272,8 +248,8 @@ class TestSurvivorCounts:
                                  labels, new_label)
         want_survivors = _reference_survivors(g, rows, _by_degree(g, verts))
         seen = {}
-        for path in extend_paths():
-            with extend_path(path):
+        for path in PATHS:
+            with bound(path):
                 for side, h in enumerate(arc_table_sides(g)):
                     pairs, block = _survivor_block(h, rows, ext, lt, gt,
                                                    labels, new_label)
@@ -336,20 +312,18 @@ class TestSurvivorCounts:
                frozen]
         for survivors in bad:
             with pytest.raises(ValueError):
-                extend_block(g, rows, rows, lens, (), (),
-                             cost.ticks.intersect, table,
-                             survivors=survivors)
+                kernels.extend_block(g, rows, rows, lens, (), (),
+                                     cost.ticks.intersect, table,
+                                     survivors=survivors)
             with pytest.raises(ValueError):
-                extend_candidates(g, rows, rows, lens, (), (),
-                                  survivors=survivors)
+                kernels.extend_candidates(g, rows, rows, lens, (), (),
+                                          survivors=survivors)
 
 
 def test_both_paths_count_the_same_probes():
     """on fresh snapshots, call for call: the compiled pass reports the
-    probes the numpy path makes through ``has_arc_keys``, so both build
-    the slot table after the same call"""
-    if kernels._LIB is None:
-        pytest.skip("the compiled extend pass is not loaded")
+    probes its numpy reference makes through ``has_arc_keys``, so both
+    build the slot table after the same call"""
     g = gen.erdos_renyi(120, 0.08, seed=4)
     rng = np.random.default_rng(4)
     blocks = [rng.integers(0, g.num_vertices, size=(int(m), 4))
@@ -357,10 +331,10 @@ def test_both_paths_count_the_same_probes():
     seen = {}
     for path in PATHS:
         h = Graph(g.indptr, g.indices)
-        with extend_path(path):
+        with bound(path):
             seen[path] = []
             for rows in blocks:
-                extend_step(h, rows, (0, 1, 2), (3,), ())
+                kernels.extend_step(h, rows, (0, 1, 2), (3,), ())
                 seen[path].append(h._probes if h._arcs is None else "table")
     assert seen["compiled"] == seen["numpy"]
     assert seen["numpy"][0] > 0 and seen["numpy"][-1] == "table"
@@ -382,12 +356,26 @@ def test_compiled_pass_rejects_blocks_outside_the_graph():
            (rows, lens, (), (-1,), None, table),
            (rows, lens, (), (), np.zeros(9, dtype=np.int64), table),
            (rows, lens, (), (), None, table[:lens.max()])]
-    with extend_path("compiled"):
-        for verts, lens_, lt, gt, labels, ticks in bad:
+    for verts, lens_, lt, gt, labels, ticks in bad:
+        with pytest.raises(ValueError):
+            kernels.extend_block(g, rows, verts, lens_, lt, gt,
+                                 cost.ticks.intersect, ticks, labels, 0)
+        if ticks is table:
             with pytest.raises(ValueError):
-                extend_block(g, rows, verts, lens_, lt, gt,
-                             cost.ticks.intersect, ticks, labels, 0)
-            if ticks is table:
-                with pytest.raises(ValueError):
-                    extend_candidates(g, rows, verts, lens_, lt, gt, labels,
-                                      0)
+                kernels.extend_candidates(g, rows, verts, lens_, lt, gt,
+                                          labels, 0)
+
+
+def test_a_failed_build_raises_and_leaves_nothing(monkeypatch, tmp_path):
+    """C that does not compile: one ``ImportError`` that names ``cc`` and
+    cffi, and no library, FFI module or temporary file left in the cache
+    directory for a later process to open"""
+    broken = tmp_path / "kernels.c"
+    broken.write_text("int64_t extend_rows(\n")
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(kernels, "_SOURCE", broken)
+    with pytest.raises(ImportError, match=r"cffi and the C compiler cc"):
+        kernels._load_library()
+    assert cache.is_dir()
+    assert not [p for p in cache.rglob("*") if p.is_file()]

@@ -1,10 +1,10 @@
-"""The blocked hash join (``join_pairs`` / ``join_blocks`` /
-``join_chunks``) against a one-shot reference that materialises every key
-match at once: rows, per-probe emit counts and per-chunk charges must be
-identical at any block budget, and a counting join (``materialise=False``)
-must cut the same chunks with the same charges — on both paths of a
-block, the compiled loop (``join_block`` of ``core/kernels.c``) and its
-numpy twin (forced by ``test_extend_kernels.extend_path``)."""
+"""The blocked hash join (``join_blocks`` / ``join_chunks``) against a
+one-shot reference that materialises every key match at once: rows,
+per-probe emit counts and per-chunk charges must be identical at any
+block budget, and a counting join (``materialise=False``) must cut the
+same chunks with the same charges — with each block through the
+compiled loop (``join_block`` of ``core/kernels.c``) and through its
+numpy reference (``tests/reference_kernels.py``, bound in its place)."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
-from repro.core.kernels import (chunk_charges, join_blocks, join_chunks,
-                                join_pairs)
+from repro.core.kernels import chunk_charges, join_blocks, join_chunks
 
-from .test_extend_kernels import extend_path, extend_paths
+from .reference_kernels import PATHS, bound, join_pairs
 
 
 def reference_join(build, probe, build_key, probe_key, build_left,
@@ -91,8 +90,8 @@ def _sides(case):
 def test_blocks_equal_the_one_shot_join(budget, case, batch_size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "JOIN_BLOCK_PAIRS", budget)
-        for path in extend_paths():
-            with extend_path(path):
+        for path in PATHS:
+            with bound(path):
                 _check_against_reference(_sides(case), budget, batch_size)
 
 
@@ -160,10 +159,9 @@ def test_compiled_block_rejects_columns_outside_its_sides():
            ((-1,), [], []),
            ((1,), [(0, 3)], []),    # the output has 3 columns
            ((1,), [], [(-1, 2)])]
-    with extend_path("compiled"):
-        assert sum(len(r) for r, _, _ in join_blocks(
-            build, probe, (0,), (0,), True, (1,), [(1, 2)], [])) == 2
-        for carry, distinct, conditions in bad:
-            with pytest.raises(ValueError):
-                list(join_blocks(build, probe, (0,), (0,), True, carry,
-                                 distinct, conditions))
+    assert sum(len(r) for r, _, _ in join_blocks(
+        build, probe, (0,), (0,), True, (1,), [(1, 2)], [])) == 2
+    for carry, distinct, conditions in bad:
+        with pytest.raises(ValueError):
+            list(join_blocks(build, probe, (0,), (0,), True, carry,
+                             distinct, conditions))

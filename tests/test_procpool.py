@@ -19,8 +19,8 @@ from repro.cluster import Cluster, CostModel
 from repro.core.engine import EngineConfig, HugeEngine
 from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
-from repro.core.kernels import (extend_candidates, extend_step,
-                                fused_verify_mask)
+from repro.core import kernels
+from repro.core.kernels import extend_step, fused_verify_mask
 from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
 from repro.graph import Graph
@@ -33,9 +33,9 @@ from repro.serve.request import QueryRequest, QueryStatus
 from repro.serve.service import FaultInjector, QueryService
 from repro.testing.serving import check_service_run
 
+from .reference_kernels import PATHS, bound
 from .test_extend_kernels import (_by_degree, _extend_cases, _member,
-                                  _reference_extend, extend_path,
-                                  extend_paths)
+                                  _reference_extend)
 from .test_graph import arc_table_sides
 
 
@@ -280,8 +280,8 @@ class TestFusedKernels:
         verts_sorted = _by_degree(g, rows[:, list(ext)])
         ref = _reference_extend(g, rows, verts_sorted, lt, gt, labels,
                                 new_label)
-        for path in extend_paths():
-            with extend_path(path):
+        for path in PATHS:
+            with bound(path):
                 for h in arc_table_sides(g):
                     *got, lens = extend_step(h, rows, ext, lt, gt, labels,
                                              new_label)
@@ -304,12 +304,12 @@ class TestFusedKernels:
         # the candidates are the lists' intersection, whichever list
         # they come from, so the reference needs no sorted order
         ref = _reference_extend(g, rows, verts, lt, gt, labels, new_label)
-        for path in extend_paths():
-            with extend_path(path):
+        for path in PATHS:
+            with bound(path):
                 for h in arc_table_sides(g):
-                    got = extend_candidates(h, rows, verts,
-                                            g.degrees()[verts], lt, gt,
-                                            labels, new_label)
+                    got = kernels.extend_candidates(h, rows, verts,
+                                                    g.degrees()[verts], lt,
+                                                    gt, labels, new_label)
                     for a, b in zip(got[:3], ref, strict=True):
                         assert np.array_equal(a, b)
 
@@ -343,14 +343,14 @@ class TestFusedKernels:
             emits = counts.tolist()
             want_rows = [(*rows[i].tolist(), c)
                          for i, c in zip(row_ids.tolist(), cand.tolist())]
-        for path, h in ((path, h) for path in extend_paths()
+        for path, h in ((path, h) for path in PATHS
                         for h in arc_table_sides(g)):
             cluster = Cluster(h, num_machines=3, cost=cost, seed=seed)
             owner = cluster.pgraph.owner
             cache = make_cache(variant, None, cost, workers=2)
             op = ExtendOp(spec, ExecContext(cluster, cache))
             for count_only in (False, True):
-                with extend_path(path):
+                with bound(path):
                     out, ticks, counted = op.process(0, rows, count_only)
                 step = 1 if count_only else 3
                 want = [cost.intersection_ops([g.degree(u) for u in vs],
@@ -424,10 +424,10 @@ class TestFusedKernels:
 
     def test_empty_and_degenerate_shapes(self):
         g = gen.erdos_renyi(10, 0.3, seed=1)
-        for path in extend_paths():
-            with extend_path(path):
+        for path in PATHS:
+            with bound(path):
                 rows = np.zeros((0, 2), dtype=np.int64)
-                cand, row_ids, counts, lens = extend_candidates(
+                cand, row_ids, counts, lens = kernels.extend_candidates(
                     g, rows, rows, rows.copy(), (), ())
                 assert len(cand) == len(row_ids) == len(counts) == 0
                 assert lens.shape == (0, 2)
@@ -435,7 +435,7 @@ class TestFusedKernels:
                 # candidates pass through
                 rows = np.array([[0, 1]], dtype=np.int64)
                 h = Graph(g.indptr, g.indices)
-                cand, row_ids, counts, _ = extend_candidates(
+                cand, row_ids, counts, _ = kernels.extend_candidates(
                     h, rows, rows[:, :1], g.degrees()[rows[:, :1]], (), ())
                 nbrs = set(g.neighbours(0).tolist()) - {0, 1}
                 assert set(cand.tolist()) == nbrs and counts[0] == len(nbrs)

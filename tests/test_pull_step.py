@@ -1,9 +1,9 @@
 """The compiled PULL-EXTEND step (``pull_extend_step`` of ``kernels.c``,
-reached through :meth:`LRBUCache.pull_extend`) against the composed step
-it stands for — the cache's ``fetch``, ``ExtendOp._process_vector``, the
-cache's ``release`` and ``distribute_to_workers``, all numpy — step for
-step: the same output block, counts, ticks and worker totals, the same
-ledger and the same cache state after every step."""
+reached through :meth:`LRBUCache.pull_extend`) against the numpy step it
+stands for (``tests/reference_kernels.py``'s ``pull_extend``, bound in
+its place) step for step: the same output block, counts, ticks and
+worker totals, the same ledger and the same cache state after every
+step."""
 
 from dataclasses import astuple
 
@@ -21,12 +21,7 @@ from repro.graph import generators as gen
 from repro.obs import Tracer
 from repro.query import get_query
 
-from .test_extend_kernels import extend_path, extend_paths
-
-
-def _compiled():
-    if kernels._LIB is None:
-        pytest.skip("the compiled kernels are not loaded")
+from .reference_kernels import PATHS, bound
 
 
 def _context(g, k, workers, variant, capacity, labels, seed):
@@ -74,7 +69,7 @@ def _random_step(rng, g, owner, k):
 
 class TestFusedStep:
     """Random step sequences on two identical clusters, one through the
-    compiled step and one through the numpy composition."""
+    compiled step and one through the reference composition."""
 
     @given(k=st.integers(1, 4), workers=st.integers(1, 3),
            capacity=st.sampled_from([None, 0, 6, 40]),
@@ -91,7 +86,6 @@ class TestFusedStep:
         worst overflow.  Capacities 0 and 6 evict and overflow inside a
         step; single-list extends, ``count_only`` steps, label filters and
         reads sealed before the step come up at random."""
-        _compiled()
         rng = np.random.default_rng(seed)
         g = gen.erdos_renyi(int(rng.integers(8, 40)), 0.25, seed=seed)
         labels = rng.integers(0, 3, size=g.num_vertices) if labelled else None
@@ -118,7 +112,7 @@ class TestFusedStep:
             for path, ctx in sides.items():
                 for v, m in early:
                     ctx.cache.seal(v, m)
-                with extend_path(path):
+                with bound(path):
                     got[path] = ExtendOp(spec, ctx)._run(
                         machines, rows, count_only, steal)
             (out, ticks, counts, totals), want = got["compiled"], got["numpy"]
@@ -134,14 +128,14 @@ class TestFusedStep:
 
     def test_rows_all_local_pull_nothing(self):
         """A step whose every cell its row's machine owns is all intersect
-        stage: no hit, miss, pull or cache entry, on either path."""
+        stage: no hit, miss, pull or cache entry, compiled or composed."""
         g = gen.erdos_renyi(30, 0.3, seed=2)
         spec = ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2)
-        for path in extend_paths():
+        for path in PATHS:
             ctx = _context(g, 3, 2, "lrbu", 10, None, 2)
             local = np.flatnonzero(ctx.cluster.pgraph.owner == 1)
             rows = np.column_stack((local, local[::-1]))
-            with extend_path(path):
+            with bound(path):
                 ExtendOp(spec, ctx).step(1, rows, False, True)
             m = ctx.metrics.machines[1]
             assert (m.cache_hits, m.cache_misses, m.rpc_requests) == (0, 0, 0)
@@ -155,10 +149,10 @@ class TestFusedStep:
         spec = ExtendSpec(ext=(0,), out_schema=(0, 1), new_vertex=1)
         rows = np.arange(400)[:, None]
         caches = []
-        for path in extend_paths():
+        for path in PATHS:
             ctx = _context(g, 2, 1, "lrbu", None, None, 4)
             start = ctx.cache._queue.shape
-            with extend_path(path):
+            with bound(path):
                 ExtendOp(spec, ctx).step(0, rows, True, True)
             assert ctx.cache._queue.shape[1] > start[1]
             caches.append(ctx.cache)
@@ -176,13 +170,12 @@ class TestFusedStep:
         rows = rng.integers(0, 3000, size=(900, 2))
         machines = np.repeat(np.arange(3), 300)
         half = np.arange(900) % 300 < 150
-        sides = [_context(g, 3, 2, "lrbu", None, None, 8)
-                 for _ in extend_paths()]
+        sides = [_context(g, 3, 2, "lrbu", None, None, 8) for _ in PATHS]
         for step_rows, step_machines in ((rows, machines),
                                          (rows[half], machines[half])):
-            for path, ctx in zip(extend_paths(), sides):
+            for path, ctx in zip(PATHS, sides):
                 width = ctx.cache._queue.shape[1]
-                with extend_path(path):
+                with bound(path):
                     ExtendOp(spec, ctx).step(step_machines, step_rows, True,
                                              True)
                 free = [ctx.cache.free_order(m) for m in range(3)]
@@ -199,14 +192,13 @@ class TestFusedStep:
         g = gen.erdos_renyi(200, 0.05, seed=9)
         spec = ExtendSpec(ext=(0,), out_schema=(0, 1), new_vertex=1)
         rng = np.random.default_rng(9)
-        sides = [_context(g, 2, 1, "lrbu", None, None, 9)
-                 for _ in extend_paths()]
+        sides = [_context(g, 2, 1, "lrbu", None, None, 9) for _ in PATHS]
         widths = set()
         for _ in range(30):
             rows = rng.integers(0, 200, size=(40, 1))
             machines = np.sort(rng.integers(0, 2, size=40))
-            for path, ctx in zip(extend_paths(), sides):
-                with extend_path(path):
+            for path, ctx in zip(PATHS, sides):
+                with bound(path):
                     ExtendOp(spec, ctx).step(machines, rows, True, True)
             assert _cache_state(sides[0].cache, 2) == _cache_state(
                 sides[-1].cache, 2)
@@ -218,10 +210,9 @@ class TestFusedStep:
         grown, never filed past its end."""
         g = gen.erdos_renyi(300, 0.05, seed=10)
         spec = ExtendSpec(ext=(0,), out_schema=(0, 1), new_vertex=1)
-        sides = [_context(g, 2, 1, "lrbu", None, None, 10)
-                 for _ in extend_paths()]
+        sides = [_context(g, 2, 1, "lrbu", None, None, 10) for _ in PATHS]
         remote = np.flatnonzero(sides[0].cluster.pgraph.owner == 0)
-        for path, ctx in zip(extend_paths(), sides):
+        for path, ctx in zip(PATHS, sides):
             cache = ctx.cache
             cache.cover(2, g.num_vertices)
             qcap = cache._queue.shape[1]
@@ -230,7 +221,7 @@ class TestFusedStep:
             cache.release()
             assert cache._queue_state[1, 1] == qcap - 1
             rows = remote[qcap - 1:qcap + 1, None]
-            with extend_path(path):
+            with bound(path):
                 ExtendOp(spec, ctx).step(1, rows, True, True)
             assert cache._queue.shape[1] > qcap
         assert _cache_state(sides[0].cache, 2) == _cache_state(
@@ -238,16 +229,16 @@ class TestFusedStep:
 
     def test_a_lost_pin_is_an_assertion(self):
         """The step re-checks what sealing guarantees: a pinned key gone
-        after the admission raises, on either path.  A queue place whose
-        stamp was corrupted to −1 (a sealed entry's order) makes eviction
-        take a key the step sealed."""
+        after the admission raises, compiled or composed.  A queue place
+        whose stamp was corrupted to −1 (a sealed entry's order) makes
+        eviction take a key the step sealed."""
         g = gen.erdos_renyi(40, 0.3, seed=6)
         spec = ExtendSpec(ext=(0,), out_schema=(0, 1), new_vertex=1)
-        for path in extend_paths():
+        for path in PATHS:
             ctx = _context(g, 2, 1, "lrbu", 0, None, 6)
             remote = np.flatnonzero(ctx.cluster.pgraph.owner == 1)
             op = ExtendOp(spec, ctx)
-            with extend_path(path):
+            with bound(path):
                 op.step(0, remote[:1, None], True, True)      # now in S_free
                 cache = ctx.cache
                 cache._stamps[0, cache._queue_state[0, 0]] = -1
@@ -258,7 +249,6 @@ class TestFusedStep:
         """An engine run over an LRBU cache makes exactly one compiled
         call per PULL-EXTEND step, and no extend or deal call besides the
         SCAN steps' deals."""
-        _compiled()
         calls = {}
         lib = kernels._LIB
 
@@ -283,17 +273,16 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lru-inf"])
     def test_traced_runs_keep_every_span(self, variant):
-        """A traced run lists the same spans, instants and counters on
-        both paths: the step applies its fetch charges before the
-        scheduler reads the clocks for the intersect span."""
-        _compiled()
+        """A traced run lists the same spans, instants and counters
+        compiled and composed: the step applies its fetch charges before
+        the scheduler reads the clocks for the intersect span."""
         g = gen.barabasi_albert(100, 4, seed=3)
         traces = []
-        for path in ("compiled", "numpy"):
+        for path in PATHS:
             cluster = Cluster(g, num_machines=4, seed=3)
             config = EngineConfig(cache_variant=variant,
                                   cache_capacity_ids=60)
-            with extend_path(path):
+            with bound(path):
                 result = HugeEngine(cluster, config).run(get_query("q1"),
                                                          tracer=Tracer())
             trace = result.trace
@@ -335,7 +324,6 @@ class TestStepRefusals:
             batches)
 
     def test_refusals_leave_the_cache_untouched(self):
-        _compiled()
         g = gen.erdos_renyi(30, 0.3, seed=1)
         ctx = _context(g, 2, 2, "lrbu", 20, None, 1)
         rows = np.array([[3, 4], [5, 6]])

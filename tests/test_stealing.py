@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.core.kernels as kernels
 from repro.core import distribute_to_workers, rebalance
 from repro.core.stealing import STEALING_MODES
 
-from .test_extend_kernels import extend_path, extend_paths
+from . import reference_kernels
 
 
 #: per-item tick costs: one dominant item, uniform, skewed tail, ties,
@@ -127,9 +126,9 @@ def _snake_totals(costs, workers):
 
 
 class TestSegmentedDeal:
-    """A stacked step's deal (``segments``: one batch per machine) on
-    both paths — the compiled ``deal_items`` loop and the numpy ranks and
-    weighted ``bincount`` — against the numpy deal and a scalar snake."""
+    """A stacked step's deal (``segments``: one batch per machine) — the
+    compiled ``deal_items`` loop — against the numpy reference's ranks
+    and weighted ``bincount`` and a scalar snake."""
 
     @given(sizes=st.lists(st.integers(0, 12), min_size=1, max_size=6),
            workers=st.integers(1, 5), stealing=st.booleans(),
@@ -137,21 +136,18 @@ class TestSegmentedDeal:
     def test_both_paths_equal_the_numpy_deal(self, sizes, workers,
                                              stealing, big, seed):
         """empty batches, one worker, one batch, ties and 2**40-tick
-        items: the same ``(B, workers)`` int64 totals on either path,
+        items: the same ``(B, workers)`` int64 totals as the reference,
         each batch's row its own snake deal (or its sum on its pivot's
         worker)"""
         rng = np.random.default_rng(seed)
         seg = np.repeat(np.arange(len(sizes)), sizes)
         costs = rng.integers(0, 2 ** 40 if big else 8, size=len(seg))
         keys = rng.integers(0, 100, size=len(sizes))
-        with extend_path("numpy"):
-            want = distribute_to_workers(costs, workers, stealing, keys, seg)
-        for path in extend_paths():
-            with extend_path(path):
-                got = distribute_to_workers(costs, workers, stealing, keys,
-                                            seg)
-            assert got.dtype == np.int64 and got.shape == want.shape
-            assert np.array_equal(got, want)
+        want = reference_kernels.distribute_to_workers(
+            costs, workers, stealing, keys, seg)
+        got = distribute_to_workers(costs, workers, stealing, keys, seg)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
         for b, part in enumerate(np.split(costs, np.cumsum(sizes)[:-1])):
             expect = _snake_totals(part.tolist(), workers)
             if not stealing:
@@ -160,27 +156,23 @@ class TestSegmentedDeal:
             assert want[b].tolist() == expect
 
     def test_degenerate_steps(self):
-        """no items, one worker, one batch — on both paths"""
-        for path in extend_paths():
-            with extend_path(path):
-                empty = distribute_to_workers(
-                    [], 3, True, [5, 6], segments=np.zeros(0, np.int64))
-                assert empty.tolist() == [[0, 0, 0], [0, 0, 0]]
-                one = distribute_to_workers([4, 1, 9], 1, True, [0, 1],
-                                            segments=[0, 0, 1])
-                assert one.tolist() == [[5], [9]]
-                alone = distribute_to_workers([4, 1, 9, 2], 2, True, [0],
-                                              segments=[0, 0, 0, 0])
-                assert alone.tolist() == [[10, 6]]
+        """no items, one worker, one batch — compiled and reference"""
+        for deal in (distribute_to_workers,
+                     reference_kernels.distribute_to_workers):
+            empty = deal([], 3, True, [5, 6],
+                         segments=np.zeros(0, np.int64))
+            assert empty.tolist() == [[0, 0, 0], [0, 0, 0]]
+            one = deal([4, 1, 9], 1, True, [0, 1], segments=[0, 0, 1])
+            assert one.tolist() == [[5], [9]]
+            alone = deal([4, 1, 9, 2], 2, True, [0], segments=[0, 0, 0, 0])
+            assert alone.tolist() == [[10, 6]]
 
     def test_compiled_deal_refuses_segments_it_cannot_write(self):
         """the C loop writes ``totals[seg * workers + w]``, so a batch
         number out of range or going back is refused"""
-        if kernels._LIB is None:
-            pytest.skip("the compiled kernels are not loaded")
         costs = [3, 2, 1]
         for seg in ([0, 2, 1], [0, 0, 2], [-1, 0, 0], [1, 0, 0]):
-            with extend_path("compiled"), pytest.raises(ValueError):
+            with pytest.raises(ValueError):
                 distribute_to_workers(costs, 2, True, [0, 0],
                                       segments=np.array(seg))
 

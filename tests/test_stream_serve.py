@@ -22,7 +22,7 @@ from repro.query import get_query
 from repro.serve import (QueryRequest, QueryService, QueryStatus,
                          SubscribeRequest)
 
-from .test_extend_kernels import extend_path, extend_paths
+from .reference_kernels import PATHS, bound
 
 TRIANGLE = get_query("triangle")
 
@@ -343,8 +343,9 @@ def test_an_update_batch_leaves_its_snapshot_without_a_slot_table():
     passes, and a triangle count read off it, through the composite
     index: on LJ@3, with hub-heavy 8-edge batches and standing triangle
     and q1 subscriptions, no snapshot reaches the slot table's build
-    trigger — whichever extend path counts the probes"""
-    for path in extend_paths():
+    trigger — the compiled extend pass counting the probes or its numpy
+    reference"""
+    for path in PATHS:
         stream = temporal_edge_stream(load_dataset("LJ", scale=3, seed=7),
                                       96, batch_size=8, delete_fraction=0.35,
                                       seed=1, skew=1.5)
@@ -352,7 +353,7 @@ def test_an_update_batch_leaves_its_snapshot_without_a_slot_table():
         base = Graph(stream.base.indptr, stream.base.indices)
         svc = QueryService(datasets={"lj": base}, num_workers=2)
         snapshots = [base]
-        with extend_path(path):
+        with bound(path):
             svc.start()
             try:
                 subs = [svc.subscribe(SubscribeRequest(p, "lj"))
