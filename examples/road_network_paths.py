@@ -15,9 +15,9 @@ from repro.graph import load_dataset
 
 
 def communication(cluster: Cluster) -> str:
-    machines = cluster.metrics.machines
-    return (f"{sum(m.bytes_sent for m in machines) / 1e3:.1f} KB, "
-            f"{sum(m.rpc_requests for m in machines)} RPCs")
+    metrics = cluster.metrics
+    return (f"{metrics.bytes_sent.sum() / 1e3:.1f} KB, "
+            f"{metrics.rpc_requests.sum()} RPCs")
 
 
 def main() -> None:

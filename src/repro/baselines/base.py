@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -159,26 +159,24 @@ class DistributedRelation:
         self.partitions = [_as_partition(p, len(schema)) for p in partitions]
         #: tuples per machine at construction: what the ledger charged and
         #: what :meth:`drop` frees, after :meth:`shuffle` let go of the rows
-        self._counts = [len(p) for p in self.partitions]
+        self._counts = np.array([len(p) for p in self.partitions],
+                                dtype=np.int64)
         self._alive = True
         if charge_memory:
-            bytes_per_id = cluster.cost.bytes_per_id
-            charged: list[int] = []
+            charged = self._counts * self.tuple_bytes()
             try:
-                for m, tuples in enumerate(self._counts):
-                    b = tuples * len(schema) * bytes_per_id
-                    charged.append(b)  # the raising alloc still charges
-                    cluster.metrics.alloc(m, b)
-            except OutOfMemoryError:
-                for m, b in enumerate(charged):
-                    cluster.metrics.free(m, b)
+                cluster.metrics.alloc(np.arange(len(charged)), charged)
+            except OutOfMemoryError as exc:
+                # the raising alloc still charges its machine
+                cluster.metrics.free(np.arange(exc.machine + 1),
+                                     charged[:exc.machine + 1])
                 self._alive = False
                 raise
 
     @property
     def total(self) -> int:
         """Total tuple count across machines (at construction)."""
-        return sum(self._counts)
+        return int(self._counts.sum())
 
     def tuple_bytes(self) -> int:
         """Bytes per tuple."""
@@ -188,8 +186,8 @@ class DistributedRelation:
         """Release the relation's simulated memory."""
         if not self._alive:
             return
-        for m, tuples in enumerate(self._counts):
-            self.cluster.metrics.free(m, tuples * self.tuple_bytes())
+        self.cluster.metrics.free(np.arange(len(self._counts)),
+                                  self._counts * self.tuple_bytes())
         self._alive = False
 
     # -- relational ops ---------------------------------------------------------
@@ -247,7 +245,7 @@ class DistributedRelation:
         lkey = tuple(self.schema.index(v) for v in shared)
         rkey = tuple(other.schema.index(v) for v in shared)
         left = right = None
-        out_charged = [0] * cluster.num_machines
+        out_charged = np.zeros(cluster.num_machines, dtype=np.int64)
         t = cost.ticks
         try:
             left = self.shuffle(lkey)
@@ -316,8 +314,7 @@ class DistributedRelation:
             for rel in (self, other, left, right):
                 if rel is not None:
                     rel.drop()
-            for m, b in enumerate(out_charged):
-                metrics.free(m, b)
+            metrics.free(np.arange(len(out_charged)), out_charged)
             raise
         if count_only:
             return counted
@@ -378,8 +375,7 @@ def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
 
 def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
                    nl: int, patterns_arr: np.ndarray,
-                   root_conds: Sequence[tuple[int, int]], tuple_bytes: int,
-                   alloc_fn: Callable[[int, int], None]
+                   root_conds: Sequence[tuple[int, int]], tuple_bytes: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Materialise one machine's star matches columnar-ly.
 
@@ -410,9 +406,9 @@ def star_partition(cluster: Cluster, machine: int, local: np.ndarray,
     # check_time) whenever it reaches _CHUNK
     flushed, pending = chunk_flushes(kept)
     for tuples in flushed:
-        alloc_fn(machine, tuples * tuple_bytes)
+        metrics.alloc(machine, tuples * tuple_bytes)
         metrics.check_time()
-    alloc_fn(machine, pending * tuple_bytes)
+    metrics.alloc(machine, pending * tuple_bytes)
     return rows, item_ops
 
 
@@ -438,6 +434,22 @@ def predicted_star_total(degrees: np.ndarray, choose: int,
     return sum(math.comb(d, choose) * patterns * c
                for d, c in enumerate(np.bincount(degrees).tolist())
                if c and d >= choose)
+
+
+def machine_star_totals(cluster: Cluster, choose: int,
+                        patterns: int) -> np.ndarray:
+    """:func:`predicted_star_total` over each machine's local vertices:
+    an object column of exact integers, from one ``bincount`` of the
+    (owner, degree) pairs."""
+    g = cluster.pgraph.graph
+    k = cluster.num_machines
+    degrees = g.indptr[1:] - g.indptr[:-1]
+    width = int(degrees.max(initial=0)) + 1
+    counts = np.bincount(cluster.pgraph.owner * width + degrees,
+                         minlength=k * width).reshape(k, width)
+    d = np.flatnonzero(counts[:, choose:].any(0)) + choose
+    return counts[:, d].astype(object) @ np.array(
+        [math.comb(x, choose) * patterns for x in d.tolist()], dtype=object)
 
 
 def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],
@@ -466,43 +478,38 @@ def materialize_star(cluster: Cluster, root: int, leaves: Sequence[int],
     nl = len(leaves)
     tuple_bytes = (nl + 1) * cost.bytes_per_id
 
-    charged = [0] * cluster.num_machines
-
-    def _alloc(m: int, b: int) -> None:
-        charged[m] += b  # the raising alloc still charges the ledger
-        metrics.alloc(m, b)
-
+    # everything charged from here on is this star's output: an abort
+    # frees the difference (the raising alloc still charges the ledger)
+    before = metrics.cur_mem_bytes.copy()
     try:
-        # pre-flight: predicted output size and ops per machine
-        indptr = cluster.pgraph.graph.indptr
-        for m in range(cluster.num_machines):
-            local = cluster.local_vertices(m)
-            degs = indptr[local + 1] - indptr[local]
-            predicted = predicted_star_total(degs, nl, len(patterns))
-            predicted_bytes = predicted * tuple_bytes // 2 ** len(root_conds)
-            used = metrics.machines[m].cur_mem_bytes
-            if used + predicted_bytes > cost.memory_budget_bytes:
-                # would not fit even before filtering: report 00M now
-                _alloc(m, predicted_bytes)  # raises OutOfMemoryError
-            est_ops = predicted * (nl + 1) * cost.ticks.emit
-            if (metrics.compute_time(m) + cost.ticks_to_seconds(est_ops)
-                    > cost.time_budget_s):
-                raise OvertimeError(cost.time_budget_s + 1, cost.time_budget_s)
+        # pre-flight: predicted output size and ops per machine; the
+        # first machine that cannot fit or finish aborts (00M first)
+        predicted = machine_star_totals(cluster, nl, len(patterns))
+        predicted_bytes = predicted * tuple_bytes // 2 ** len(root_conds)
+        oom = (metrics.cur_mem_bytes + predicted_bytes
+               > cost.memory_budget_bytes)
+        overtime = (metrics.compute_time() + cost.ticks_to_seconds(
+            predicted * ((nl + 1) * cost.ticks.emit)) > cost.time_budget_s)
+        failing = np.flatnonzero(oom | overtime)
+        if len(failing):
+            m = int(failing[0])
+            if oom[m]:  # would not fit even before filtering: 00M now
+                metrics.alloc(m, int(predicted_bytes[m]))  # raises
+            raise OvertimeError(cost.time_budget_s + 1, cost.time_budget_s)
 
         parts: list[np.ndarray] = []
         workers = cluster.workers_per_machine
         for m in range(cluster.num_machines):
             rows, item_ops = star_partition(
                 cluster, m, cluster.local_vertices(m), nl, patterns_arr,
-                root_conds, tuple_bytes, _alloc)
+                root_conds, tuple_bytes)
             # roots are dealt to workers round-robin
             metrics.charge_worker_ops(
                 m, [item_ops[w::workers].sum() for w in range(workers)])
             parts.append(rows)
             metrics.check_time()
     except (OutOfMemoryError, OvertimeError):
-        for m, b in enumerate(charged):
-            metrics.free(m, b)
+        metrics.free(np.arange(len(before)), metrics.cur_mem_bytes - before)
         raise
     return DistributedRelation(cluster, schema, parts, charge_memory=False)
 

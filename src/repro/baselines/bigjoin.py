@@ -86,17 +86,17 @@ class BigJoinEngine(BaselineEngine):
             initial.append(np.stack((us, vs), axis=1))
 
         total = 0
+        machines = np.arange(cluster.num_machines)
         batch = self.edge_batch
         num_batches = max(1, max(
             (len(p) + batch - 1) // batch for p in initial))
         for b in range(num_batches):
             rel = [p[b * batch:(b + 1) * batch] for p in initial]
-            for m, part in enumerate(rel):
-                metrics.alloc(m, len(part) * 2 * cost.bytes_per_id)
+            held = np.array([len(p) for p in rel]) * (2 * cost.bytes_per_id)
+            metrics.alloc(machines, held)
             if not extends:
                 total += sum(len(p) for p in rel)
-                for m, part in enumerate(rel):
-                    metrics.free(m, len(part) * 2 * cost.bytes_per_id)
+                metrics.free(machines, held)
             for spec in extends:
                 final = spec is extends[-1]
                 # _extend_round frees its input relation on every machine
@@ -186,8 +186,7 @@ class BigJoinEngine(BaselineEngine):
                     for _ in range(n):
                         metrics.alloc(h, _CHUNK * out_bytes)
                         metrics.check_time()
-            for dest, tuples in enumerate(pending.tolist()):
-                metrics.alloc(dest, tuples * out_bytes)
+            metrics.alloc(np.arange(k), pending * out_bytes)
             # timely dataflow shards work finely across a machine's workers
             per_worker = distribute_to_workers(
                 item_ops, cluster.workers_per_machine, stealing=True)

@@ -104,9 +104,9 @@ class RadsEngine(BaselineEngine):
     # -- rounds -----------------------------------------------------------------------
 
     def _free_rel(self, rel: list[np.ndarray], arity: int) -> None:
-        bpi = self.cluster.cost.bytes_per_id
-        for m, part in enumerate(rel):
-            self.cluster.metrics.free(m, len(part) * arity * bpi)
+        held = np.array([len(part) for part in rel], dtype=np.int64)
+        held *= arity * self.cluster.cost.bytes_per_id
+        self.cluster.metrics.free(np.arange(len(rel)), held)
 
     def _initial_star(self, root: int, leaves: list[int], conditions,
                       applied: set[tuple[int, int]], group: int
@@ -134,8 +134,7 @@ class RadsEngine(BaselineEngine):
             self._preflight(m, self._degrees[local], nl, len(patterns),
                             tuple_bytes)
             rows, item_ops = star_partition(
-                cluster, m, local, nl, patterns_arr, root_conds,
-                tuple_bytes, metrics.alloc)
+                cluster, m, local, nl, patterns_arr, root_conds, tuple_bytes)
             # RADS distributes by region (pivot) groups: chunked, no stealing
             metrics.charge_worker_ops(
                 m, chunked_distribution(item_ops, workers))
@@ -260,7 +259,7 @@ class RadsEngine(BaselineEngine):
         metrics = self.cluster.metrics
         predicted = predicted_star_total(degrees, choose, patterns)
         predicted_bytes = predicted * tuple_bytes // 2
-        used = metrics.machines[machine].cur_mem_bytes
+        used = int(metrics.cur_mem_bytes[machine])
         if used + predicted_bytes > cost.memory_budget_bytes:
             metrics.alloc(machine, predicted_bytes)  # raises OutOfMemoryError
         est_s = cost.ticks_to_seconds(predicted * cost.ticks.emit)

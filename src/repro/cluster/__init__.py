@@ -2,7 +2,7 @@
 
 from .cost import CostModel
 from .errors import OutOfMemoryError, OvertimeError, PlanError, ReproError
-from .metrics import MachineMetrics, Metrics, RunReport
+from .metrics import Metrics, RunReport
 from .cluster import Cluster
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "OvertimeError",
     "PlanError",
     "ReproError",
-    "MachineMetrics",
     "Metrics",
     "RunReport",
     "Cluster",

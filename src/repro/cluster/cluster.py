@@ -133,8 +133,8 @@ class Cluster:
         ``pairs[i] // k`` asking owner ``pairs[i] % k`` (distinct, never
         its own) for ``requests[i]`` vertices whose responses carry
         ``response_ids[i]`` ids — one request/response pair each, the
-        ledger updated once per machine; in a trace each owner serves one
-        span.  :meth:`pull` ends here, and so does a compiled
+        ledger charged in one call per column; in a trace each owner
+        serves one span.  :meth:`pull` ends here, and so does a compiled
         PULL-EXTEND step, which counts its pairs itself."""
         cost, metrics, tracer = self.cost, self.metrics, self.tracer
         k = self.num_machines
@@ -146,9 +146,7 @@ class Cluster:
             np.concatenate((cost.rpc_request_overhead_bytes
                             + requests * cost.bytes_per_id,
                             response_ids * cost.bytes_per_id)))
-        rpcs = np.bincount(src, minlength=k).tolist()
-        for m in np.flatnonzero(rpcs).tolist():
-            metrics.record_rpc(m, rpcs[m])
+        metrics.record_rpc(src)
         if tracer.enabled:
             served = np.bincount(owner, response_ids, k).astype(np.int64)
             for o in np.unique(owner).tolist():

@@ -45,7 +45,7 @@ tracks real residency, sizes and eviction order, and a scalar
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, defaultdict
+from collections import OrderedDict, defaultdict
 
 import numpy as np
 
@@ -82,34 +82,14 @@ _NO_PINS = np.empty(0, dtype=np.int64)
 
 class CacheStats:
     """What only the cache observes, per machine: evictions and the worst
-    overflow beyond capacity.  Hits and misses are the ledger's
+    overflow beyond capacity, read from either cache class's state
+    columns ``EVICTED`` and ``OVERFLOW`` (views — ``.copy()`` one to keep
+    it across a step).  Hits and misses are the ledger's
     (``Metrics.record_cache``), counted by the fetch stage's caller."""
-
-    __slots__ = ("evicted", "overflow")
-
-    def __init__(self) -> None:
-        self.evicted: Counter[int] = Counter()
-        self.overflow: Counter[int] = Counter()
-
-    @property
-    def evictions(self) -> int:
-        """Evictions summed over machines."""
-        return sum(self.evicted.values())
-
-    @property
-    def max_overflow_ids(self) -> int:
-        """The worst overflow of any machine."""
-        return max(self.overflow.values(), default=0)
-
-
-class QueueStats:
-    """:class:`CacheStats`' reads over an :class:`LRBUCache`'s queue
-    state: ``evicted`` and ``overflow`` are its columns, one entry per
-    machine (views — ``.copy()`` one to keep it across a step)."""
 
     __slots__ = ("_cache",)
 
-    def __init__(self, cache: LRBUCache) -> None:
+    def __init__(self, cache: LRBUCache | LRUCache) -> None:
         self._cache = cache
 
     @property
@@ -215,10 +195,10 @@ class LRBUCache:
         self._num_pins = 0
 
     @property
-    def stats(self) -> QueueStats:
+    def stats(self) -> CacheStats:
         """Evictions and overflow per machine (a fresh view per read, so
         the cache and its stats hold no cycle)."""
-        return QueueStats(self)
+        return CacheStats(self)
 
     def _cover(self, machine: int, top: int) -> None:
         """Grow the state so machine ``machine`` and id ``top`` index."""
@@ -696,8 +676,21 @@ class LRUCache:
         self._concurrent = concurrent
         self._workers = max(1, workers)
         self._data: defaultdict[int, OrderedDict] = defaultdict(OrderedDict)
-        self._size: Counter[int] = Counter()
-        self.stats = CacheStats()
+        #: :class:`LRBUCache`'s state columns, one row per machine; only
+        #: ``SIZE``, ``EVICTED`` and ``OVERFLOW`` are used (the LRU order
+        #: is ``_data``'s)
+        self._queue_state = np.zeros((1, 6), dtype=np.int64)
+
+    stats = LRBUCache.stats
+
+    def cover(self, machines: int, vertices: int = 0) -> None:
+        """Hold state rows for ``machines`` machines (as
+        :meth:`LRBUCache.cover`; no per-id state to grow)."""
+        rows = len(self._queue_state)
+        if machines > rows:
+            self._queue_state = np.concatenate((
+                self._queue_state,
+                np.zeros((machines - rows, 6), dtype=np.int64)))
 
     def contains(self, vid: int, machine: int = 0) -> bool:
         """Membership test (counted as an access for LRU bookkeeping).
@@ -740,20 +733,27 @@ class LRUCache:
 
         Re-inserting a resident vid replaces the stored adjacency and
         re-accounts its occupancy (the old entry is retired first, so a
-        stale array or stale ``_size`` share can never linger), then
+        stale array or stale occupancy share can never linger), then
         refreshes recency like any other access.  The replacement itself
-        is not counted as an eviction.
+        is not counted as an eviction.  An entry larger than the capacity
+        still goes in, once eviction has emptied the cache; the excess is
+        the machine's overflow, as :class:`LRBUCache` records it.
         """
+        self.cover(machine + 1)
+        state = self._queue_state[machine]
         data = self._data[machine]
         if vid in data:
-            self._size[machine] -= len(data.pop(vid)) + 1
+            state[_SIZE] -= len(data.pop(vid)) + 1
+        size = len(neighbours) + 1
         if self._capacity is not None:
-            while (self._size[machine] + len(neighbours) + 1 > self._capacity
-                   and data):
-                self._size[machine] -= len(data.popitem(last=False)[1]) + 1
-                self.stats.evicted[machine] += 1
+            while state[_SIZE] + size > self._capacity and data:
+                state[_SIZE] -= len(data.popitem(last=False)[1]) + 1
+                state[_EVICTED] += 1
+            # an entry the emptied cache cannot hold still goes in
+            state[_OVERFLOW] = max(state[_OVERFLOW],
+                                   state[_SIZE] + size - self._capacity)
         data[vid] = neighbours
-        self._size[machine] += len(neighbours) + 1
+        state[_SIZE] += size
 
     def fetch(self, cluster, machines, block: np.ndarray):
         """The per-access fetch stage for one stacked step: every remote
@@ -785,15 +785,8 @@ class LRUCache:
     def release(self) -> None:
         """End-of-batch hook; LRU pins nothing."""
 
-    def occupancy(self, machine: int) -> int:
-        """A machine's occupancy in vertex-id units."""
-        return self._size[machine]
-
-    @property
-    def size_ids(self) -> int:
-        """Occupancy in vertex-id units, summed over machines."""
-        return sum(self._size.values())
-
+    occupancy = LRBUCache.occupancy
+    size_ids = LRBUCache.size_ids
     capacity_ids = LRBUCache.capacity_ids
 
     def __len__(self) -> int:

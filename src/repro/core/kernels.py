@@ -157,14 +157,14 @@ def fused_verify_mask(graph, verts: np.ndarray, targets: np.ndarray,
 
     Row ``i`` is ``True`` iff ``targets[i]`` is adjacent to **every**
     ``verts[i, w]`` and carries ``new_label``.  Each row has one fixed
-    target and nothing to shrink, so all ``W`` columns go to the graph as
-    one stacked batch of composite keys.
+    target and nothing to shrink, so each of the ``W`` columns goes to
+    the graph as one batch of composite keys, folded into one mask: the
+    process holds one column's keys, not the ``(E, W)`` block.
     """
-    E, W = verts.shape
-    found = np.ones(E, dtype=bool)
-    if E and W:
-        keys = verts * graph.num_vertices + targets[:, None]
-        found = graph.has_arc_keys(keys.ravel()).reshape(E, W).all(axis=1)
+    found = np.ones(len(verts), dtype=bool)
+    for w in range(verts.shape[1]):
+        found &= graph.has_arc_keys(verts[:, w] * graph.num_vertices
+                                    + targets)
     if new_label is not None and labels is not None:
         found &= labels[targets] == new_label
     return found

@@ -192,8 +192,7 @@ class ExtendOp:
         machines = np.broadcast_to(np.asarray(machines, dtype=np.int64),
                                    len(rows))
         lrbu = isinstance(cache, LRBUCache)
-        if lrbu:
-            cache.cover(cluster.num_machines, g.num_vertices)
+        cache.cover(cluster.num_machines, g.num_vertices)
         snapshot = self._snapshot()
         if not (lrbu and len(rows) and not self.spec.is_verify):
             # the step's extend block, gathered once for both stages
@@ -237,10 +236,10 @@ class ExtendOp:
     def _charge_fetch(self, machines: np.ndarray, hits: np.ndarray,
                       misses: np.ndarray, ticks: np.ndarray,
                       lost: np.ndarray, snapshot) -> None:
-        """Account per machine for what the fetch stage reports (the
-        distinct hits and misses and the bookkeeping ticks, per machine;
-        ``lost``, the ids it sealed or admitted that are not resident) and
-        trace it from ``snapshot`` (:meth:`_snapshot`)."""
+        """Account for what the fetch stage reports, one ledger call per
+        column (the distinct hits and misses and the bookkeeping ticks, per
+        machine; ``lost``, the ids it sealed or admitted that are not
+        resident) and trace it from ``snapshot`` (:meth:`_snapshot`)."""
         ctx = self.ctx
         cache = ctx.cache
         metrics = ctx.metrics
@@ -250,9 +249,9 @@ class ExtendOp:
             # missing now was evicted mid-batch, which sealing forbids
             raise AssertionError(f"vertices {lost.tolist()} missing from "
                                  "cache during intersect stage")
-        for m in np.flatnonzero(hits + misses).tolist():
-            metrics.record_cache(m, int(hits[m]), int(misses[m]))
-            metrics.charge_ops(m, int(ticks[m]))
+        live = np.flatnonzero(hits + misses)
+        metrics.record_cache(live, hits[live], misses[live])
+        metrics.charge_ops(live, ticks[live])
         ctx.fetch_ops += int(ticks.sum())
         if snapshot is not None:
             t0s, evicted0, overflow0 = snapshot

@@ -314,8 +314,7 @@ class _ChainRunner:
             # caused by machine m's sends must nest inside d's round span
             t_round = tracer.now_all()
 
-        for m in range(self.k):
-            metrics.charge_ops(m, ctx.cost.ticks.sched_switch)
+        metrics.charge_ops(range(self.k), ctx.cost.ticks.sched_switch)
         self._steal(level)
 
         if level < 0 and self.source_op is None:
@@ -358,12 +357,13 @@ class _ChainRunner:
             arity = self._in_arity(level)
             batches = [self._dequeue(level, m, arity) for m in machines]
         sizes = [len(b) for b in batches]
-        column = np.repeat(np.array(machines), sizes)
+        ids = np.array(machines)
+        column = np.repeat(ids, sizes)
         rows = np.concatenate(batches) if len(batches) > 1 else batches[0]
         count_only = level == last and self.compress_final
         if tracer.enabled:
             t0s = tracer.now_all()
-            bytes0 = [tracer.bytes_moved(m) for m in machines]
+            bytes0 = metrics.bytes_sent[ids] + metrics.bytes_received[ids]
         per_worker = None
         if level >= 0:
             out, per_worker, produced = self.extend_ops[level].step(
@@ -383,36 +383,36 @@ class _ChainRunner:
         if produced is not None:
             per_machine = np.add.reduceat(
                 produced, np.cumsum([0] + sizes[:-1])).tolist()
-        if per_worker is not None:
-            per_worker = per_worker.tolist()
 
         if tracer.enabled:
             t_mids = tracer.now_all()
-        for i, m in enumerate(machines):
-            if per_worker is not None:
-                metrics.charge_worker_ops(m, per_worker[i])
-            metrics.charge_ops(m, ctx.cost.ticks.batch_overhead)
-            if not tracer.enabled:
-                continue
-            t1 = tracer.now(m)
-            if level >= 0:
-                # the cost model charges the intersection / verification
-                # ops after ``step`` returns, so [t_mid, t1] is exactly
-                # the intersect stage and the fetch span (emitted inside
-                # ``step``, after the fetch charges) ends at t_mid:
-                # fetch + intersect == the operator span
-                tracer.complete("intersect", m, t_mids[m], t1, {"op": opid})
-            tracer.complete(span_name, m, t0s[m], t1,
-                            {"op": opid, "in": sizes[i],
-                             "out": per_machine[i],
-                             "bytes": tracer.bytes_moved(m) - bytes0[i]})
-            if per_worker is not None:
-                if self.config.stealing == "full" and workers > 1:
-                    tracer.instant("intra steal", m,
-                                   {"op": opid, "items": sizes[i]})
-                tracer.counter("worker ops", m, {
-                    str(w): ticks / TICKS_PER_OP for w, ticks
-                    in enumerate(metrics.machines[m].worker_ops)})
+        if per_worker is not None:
+            metrics.charge_worker_ops(ids, per_worker)
+        metrics.charge_ops(ids, ctx.cost.ticks.batch_overhead)
+        if tracer.enabled:
+            moved = (metrics.bytes_sent[ids] + metrics.bytes_received[ids]
+                     - bytes0).tolist()
+            dealt = (metrics.worker_ops[ids] / TICKS_PER_OP).tolist()
+            for i, m in enumerate(machines):
+                t1 = tracer.now(m)
+                if level >= 0:
+                    # the cost model charges the intersection /
+                    # verification ops after ``step`` returns, so [t_mid,
+                    # t1] is exactly the intersect stage and the fetch
+                    # span (emitted inside ``step``, after the fetch
+                    # charges) ends at t_mid: fetch + intersect == the
+                    # operator span
+                    tracer.complete("intersect", m, t_mids[m], t1,
+                                    {"op": opid})
+                tracer.complete(span_name, m, t0s[m], t1,
+                                {"op": opid, "in": sizes[i],
+                                 "out": per_machine[i], "bytes": moved[i]})
+                if per_worker is not None:
+                    if self.config.stealing == "full" and workers > 1:
+                        tracer.instant("intra steal", m,
+                                       {"op": opid, "items": sizes[i]})
+                    tracer.counter("worker ops", m, dict(
+                        zip(map(str, range(workers)), dealt[i])))
 
         if level < last:
             cut = 0

@@ -314,17 +314,11 @@ class Tracer:
         the engine-global pseudo-machine)."""
         if machine == ENGINE:
             return self._metrics.elapsed()
-        return self._metrics.machine_time(machine)
+        return float(self._metrics.machine_time(machine))
 
     def now_all(self) -> list[float]:
         """Snapshot of every machine's clock."""
-        return [self._metrics.machine_time(m)
-                for m in range(self.trace.num_machines)]
-
-    def bytes_moved(self, machine: int) -> int:
-        """Cumulative bytes sent+received by ``machine`` (for span args)."""
-        m = self._metrics.machines[machine]
-        return m.bytes_sent + m.bytes_received
+        return self._metrics.machine_time().tolist()
 
     # -- recording -------------------------------------------------------------
 
@@ -358,7 +352,9 @@ class NullTracer:
     """The default no-op tracer: every method returns immediately.
 
     ``enabled`` is ``False`` so instrumented code can skip building
-    argument dicts; the engine's hot path stays allocation-free.
+    argument dicts; the engine's hot path stays allocation-free.  The
+    clock snapshot ``now_all`` is asked only of an enabled tracer, so
+    this one has none.
     """
 
     enabled = False
@@ -369,12 +365,6 @@ class NullTracer:
 
     def now(self, machine: int) -> float:
         return 0.0
-
-    def now_all(self) -> list[float]:
-        return []
-
-    def bytes_moved(self, machine: int) -> int:
-        return 0
 
     def complete(self, name, machine, t0, t1, args=None) -> None:
         pass

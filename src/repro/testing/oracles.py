@@ -75,6 +75,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial
 
+import numpy as np
+
 from ..baselines.reference import (count_ordered_embeddings,
                                    enumerate_matches)
 from ..cluster.metrics import Metrics, RunReport
@@ -267,7 +269,7 @@ def check_process_memory(outcome: CaseOutcome) -> OracleFailure | None:
     peaks (skipped for a run that was not traced)."""
     if outcome.traced_peak_bytes is None or outcome.ledger is None:
         return None
-    charged = sum(m.peak_mem_bytes for m in outcome.ledger.machines)
+    charged = int(outcome.ledger.peak_mem_bytes.sum())
     bound = PROCESS_MEMORY_ALPHA * charged + PROCESS_MEMORY_BETA
     if outcome.traced_peak_bytes > bound:
         return OracleFailure(
@@ -306,14 +308,15 @@ def _check_time_conservation(outcome: CaseOutcome) -> OracleFailure | None:
 
     ledger = outcome.ledger
     if ledger is not None:
-        attributed = 0
-        for i, m in enumerate(ledger.machines):
-            worker_ticks = sum(m.worker_ops)
-            attributed += worker_ticks
-            if not 0 <= worker_ticks <= m.compute_ops:
-                return fail(
-                    f"machine {i}: {worker_ticks} worker ticks not covered "
-                    f"by {m.compute_ops} compute ticks")
+        worker_ticks = ledger.worker_ops.sum(1)
+        uncovered = np.flatnonzero((worker_ticks < 0)
+                                   | (worker_ticks > ledger.compute_ops))
+        if len(uncovered):
+            i = uncovered[0]
+            return fail(
+                f"machine {i}: {worker_ticks[i]} worker ticks not covered "
+                f"by {ledger.compute_ops[i]} compute ticks")
+        attributed = int(worker_ticks.sum())
         if rep.aggregate_worker_time_s != ledger.cost.ticks_to_seconds(
                 attributed):
             return fail(

@@ -68,9 +68,7 @@ class TestShortestPath:
 
     def test_charges_communication(self, app_cluster):
         shortest_path_lengths(app_cluster, 0)
-        total = sum(m.bytes_sent
-                    for m in app_cluster.metrics.machines)
-        assert total > 0
+        assert app_cluster.metrics.bytes_sent.sum() > 0
 
     def test_ledger_pinned_on_example_cluster(self):
         """The BFS charges what the per-vertex loop it replaced charged
@@ -81,20 +79,20 @@ class TestShortestPath:
         eu = load_dataset("EU")
         cl = Cluster(eu, num_machines=6, workers_per_machine=2, seed=3)
         dist = shortest_path_lengths(cl, 0)
-        m = cl.metrics.machines
+        m = cl.metrics
         assert (len(dist), max(dist.values())) == (1764, 32)
-        assert [x.compute_ops for x in m] == [0, 0, 0, 0, 434372608, 0]
-        assert sum(x.rpc_requests for x in m) == 130
-        assert sum(x.bytes_sent for x in m) == 76048
-        assert sum(x.messages_sent for x in m) == 260
-        assert all(x.worker_ops == [0, 0] and x.cache_misses == 0 for x in m)
+        assert m.compute_ops.tolist() == [0, 0, 0, 0, 434372608, 0]
+        assert m.rpc_requests.sum() == 130
+        assert m.bytes_sent.sum() == 76048
+        assert m.messages_sent.sum() == 260
+        assert not m.worker_ops.any() and not m.cache_misses.any()
         # the example's sequence: the s-t search first, on the same ledger
         cl.reset_metrics()
         assert len(shortest_path(cl, 0, eu.num_vertices - 1)) == 24
         shortest_path_lengths(cl, 0)
-        m = cl.metrics.machines
-        assert sum(x.rpc_requests for x in m) == 220
-        assert sum(x.bytes_sent for x in m) == 126816
+        m = cl.metrics
+        assert m.rpc_requests.sum() == 220
+        assert m.bytes_sent.sum() == 126816
 
 
 def _dfs_paths(graph, s, t, hops):
@@ -130,9 +128,9 @@ class TestHopConstrainedPaths:
 
     def test_charges_communication(self, app_cluster):
         enumerate_st_paths(app_cluster, 0, 9, 4)
-        m = app_cluster.metrics.machines
-        assert sum(x.bytes_sent for x in m) > 0
-        assert sum(x.rpc_requests for x in m) > 0
+        m = app_cluster.metrics
+        assert m.bytes_sent.sum() > 0
+        assert m.rpc_requests.sum() > 0
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4])
     def test_matches_networkx(self, app_cluster, nxg, hops):
@@ -222,16 +220,12 @@ class TestMining:
         for pattern in connected_patterns(3):
             cl = Cluster(graph, num_machines=4, workers_per_machine=2, seed=2)
             HugeEngine(cl).run(pattern)
-            solo.append(cl.metrics.machines)
-        got = app_cluster.metrics.machines
-        for field in ("bytes_sent", "rpc_requests", "compute_ops"):
-            assert [getattr(m, field) for m in got] == \
-                [sum(getattr(run[i], field) for run in solo)
-                 for i in range(4)]
-        assert [m.worker_ops for m in got] == \
-            [[sum(ticks) for ticks in zip(*(run[i].worker_ops
-                                            for run in solo))]
-             for i in range(4)]
+            solo.append(cl.metrics)
+        got = app_cluster.metrics
+        for field in ("bytes_sent", "rpc_requests", "compute_ops",
+                      "worker_ops"):
+            assert getattr(got, field).tolist() == \
+                sum(getattr(run, field) for run in solo).tolist()
 
     def test_frequent_invalid_size(self, app_cluster):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from repro.testing.configs import baseline_matrix
 from repro.testing.harness import ConformanceHarness
 
 from .reference_kernels import PATHS, bound
+from .reference_ledger import columns
 
 
 def _bigjoin_run(graph, query, path, edge_batch=1 << 14, k=3, workers=2,
@@ -46,7 +47,7 @@ def _bigjoin_run(graph, query, path, edge_batch=1 << 14, k=3, workers=2,
             outcome, report = result.count, result.report
         except OutOfMemoryError as exc:
             outcome, report = ("00M", exc.machine, exc.used), None
-    return outcome, report, cluster.metrics.machines
+    return outcome, report, columns(cluster.metrics)
 
 
 def _both_paths(*args, **kwargs):

@@ -115,16 +115,15 @@ class TestBuildingBlocks:
         rel = DistributedRelation(cluster, (0, 1),
                                   [[(1, 2)], [], [(3, 4), (5, 6)], []])
         assert rel.total == 3
-        used = sum(m.cur_mem_bytes for m in cluster.metrics.machines)
-        assert used == 3 * 2 * 8
+        assert cluster.metrics.cur_mem_bytes.sum() == 3 * 2 * 8
         rel.drop()
-        assert sum(m.cur_mem_bytes for m in cluster.metrics.machines) == 0
+        assert cluster.metrics.cur_mem_bytes.sum() == 0
 
     def test_drop_idempotent(self, cluster):
         rel = DistributedRelation(cluster, (0,), [[(1,)], [], [], []])
         rel.drop()
         rel.drop()
-        assert cluster.metrics.machines[0].cur_mem_bytes == 0
+        assert cluster.metrics.cur_mem_bytes[0] == 0
 
     def test_shuffle_groups_by_key(self, cluster):
         rel = DistributedRelation(
@@ -173,9 +172,9 @@ class TestKVStore:
         store = ExternalKVStore(cluster, loaded=True)
         nbrs = store.get(0, 3)
         assert np.array_equal(nbrs, er_graph.neighbours(3))
-        m = cluster.metrics.machines[0]
-        assert m.kv_requests == 1
-        assert m.bytes_sent > 0
+        m = cluster.metrics
+        assert m.kv_requests[0] == 1
+        assert m.bytes_sent[0] > 0
         assert store.requests == 1
 
     def test_load_charges_time(self, cluster):
@@ -183,8 +182,7 @@ class TestKVStore:
 
         store = ExternalKVStore(cluster)
         store.load()
-        assert (cluster.metrics.machines[0].kv_requests
-                == cluster.graph.num_vertices)
+        assert cluster.metrics.kv_requests[0] == cluster.graph.num_vertices
 
     def test_single_machine_cluster_still_charges_wire(self, er_graph):
         # regression: load's destination used to be ``1 % max(1, k)`` —
@@ -195,15 +193,15 @@ class TestKVStore:
         solo = Cluster(er_graph, num_machines=1, workers_per_machine=2)
         store = ExternalKVStore(solo)
         store.load()
-        m = solo.metrics.machines[0]
-        assert m.bytes_sent == solo.graph_bytes()
-        assert m.messages_sent == er_graph.num_vertices
+        m = solo.metrics
+        assert m.bytes_sent[0] == solo.graph_bytes()
+        assert m.messages_sent[0] == er_graph.num_vertices
 
-        sent_before = m.bytes_sent
+        sent_before = int(m.bytes_sent[0])
         store.get(0, 3)  # must not index a non-existent second machine
-        assert m.bytes_sent > sent_before
-        assert m.messages_sent == er_graph.num_vertices + 2
-        assert m.rpc_requests == 1
+        assert m.bytes_sent[0] > sent_before
+        assert m.messages_sent[0] == er_graph.num_vertices + 2
+        assert m.rpc_requests[0] == 1
 
     def test_wire_charges_match_across_cluster_sizes(self, er_graph):
         # the external store's traffic is off-cluster: the sender-side
@@ -216,8 +214,8 @@ class TestKVStore:
             store = ExternalKVStore(c)
             store.load()
             store.get(0, 3)
-            m = c.metrics.machines[0]
-            totals.append((m.bytes_sent, m.messages_sent))
+            totals.append((c.metrics.bytes_sent[0],
+                           c.metrics.messages_sent[0]))
         assert totals[0] == totals[1] == totals[2]
 
 
@@ -229,9 +227,8 @@ class TestMemoryOracle:
 
     @staticmethod
     def _assert_ledger_clean(cl):
-        for m in cl.metrics.machines:
-            assert m.cur_mem_bytes == 0
-            assert m.mem_underflows == 0
+        assert not cl.metrics.cur_mem_bytes.any()
+        assert not cl.metrics.mem_underflows.any()
 
     @staticmethod
     def _skewed_pair(cl, rows=200):
@@ -254,7 +251,7 @@ class TestMemoryOracle:
         out = left.hash_join(right, [], set())
         # only the output remains charged: both inputs (and the shuffled
         # copies) were dropped on the way
-        used = sum(m.cur_mem_bytes for m in cl.metrics.machines)
+        used = cl.metrics.cur_mem_bytes.sum()
         assert used == out.total * out.tuple_bytes()
         out.drop()
         self._assert_ledger_clean(cl)
@@ -298,7 +295,7 @@ class TestMemoryOracle:
 
     def test_materialize_star_drop_balances(self, er_graph):
         cl, rel = self._run_star(er_graph)
-        used = sum(m.cur_mem_bytes for m in cl.metrics.machines)
+        used = cl.metrics.cur_mem_bytes.sum()
         assert used == rel.total * rel.tuple_bytes()
         rel.drop()
         self._assert_ledger_clean(cl)

@@ -1,6 +1,5 @@
 """Tests for the LRBU cache and ablation variants (paper Algorithm 3)."""
 
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +11,8 @@ from repro.cluster import Cluster, CostModel
 from repro.core import CACHE_VARIANTS, LRBUCache, LRUCache, make_cache
 from repro.core.dataflow import ExtendSpec
 from repro.graph import generators as gen
+
+from .reference_ledger import columns
 
 
 def arr(*vals):
@@ -236,6 +237,26 @@ class TestLRUCache:
     def test_empty_stats(self, cost):
         stats = LRUCache(4, cost).stats
         assert (stats.evictions, stats.max_overflow_ids) == (0, 0)
+
+    def test_oversized_entry_records_overflow(self, cost):
+        """an entry larger than the capacity still goes into the emptied
+        cache; its excess is the machine's overflow, as LRBU records it"""
+        lru, lrbu = LRUCache(4, cost), LRBUCache(4, cost)
+        for c in (lru, lrbu):
+            c.insert(7, arr(1))
+            c.insert(1, np.arange(9), machine=1)
+        assert lru.occupancy(1) == lrbu.occupancy(1) == 10
+        assert lru.stats.max_overflow_ids == lrbu.stats.max_overflow_ids == 6
+        assert lru.stats.overflow.tolist() == [0, 6]
+        lru.insert(2, arr(2), machine=1)   # evicts the oversized entry
+        assert lru.stats.overflow.tolist() == [0, 6]  # the worst stays
+
+    def test_stats_are_per_machine_columns(self, cost):
+        c = LRUCache(4, cost)
+        for v in (1, 2, 3):
+            c.insert(v, arr(v), machine=2)   # 2 ids each: the third evicts
+        assert c.stats.evicted.tolist() == [0, 0, 1]
+        assert c.stats.evictions == 1 and c.size_ids == 4
 
 
 class TestLRURecencyRegressions:
@@ -505,8 +526,7 @@ class TestBulkFetchStage:
             c.release()
             assert len(lost) == len(want[3]) == 0
             assert np.array_equal(fetched, np.stack(want[:3]))
-            assert ([astuple(m) for m in cluster.metrics.machines]
-                    == [astuple(m) for m in fetching.metrics.machines])
+            assert columns(cluster.metrics) == columns(fetching.metrics)
             for m in range(k):
                 assert (step.resident(np.arange(IDS), m).tolist()
                         == c.resident(np.arange(IDS), m).tolist())

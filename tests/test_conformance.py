@@ -211,7 +211,7 @@ class TestOracles:
         wl, ref = self._ref_and_workload()
         outcome = run_case(wl, EngineSpec("huge-default"), ref=ref)
         assert outcome.ok and outcome.traced_peak_bytes > 0
-        charged = sum(m.peak_mem_bytes for m in outcome.ledger.machines)
+        charged = int(outcome.ledger.peak_mem_bytes.sum())
         outcome.traced_peak_bytes = (
             PROCESS_MEMORY_ALPHA * charged + PROCESS_MEMORY_BETA + 1)
         fails = check_case(wl, EngineSpec("huge-default"), outcome, ref)
@@ -240,7 +240,7 @@ class TestProcessMemory:
             result = engine.run(plan=plan)
         assert result.count == 1821932
         outcome.ledger = cluster.metrics  # the run's ledger
-        assert sum(m.peak_mem_bytes for m in outcome.ledger.machines) > 0
+        assert outcome.ledger.peak_mem_bytes.sum() > 0
         assert check_process_memory(outcome) is None
 
 

@@ -274,9 +274,8 @@ class TestCacheHitRateUnification:
         engine = HugeEngine(cluster)
         res = engine.run(get_query("q1"))
         assert res.cache_hit_rate == res.report.cache_hit_rate
-        total = sum(m.cache_hits + m.cache_misses
-                    for m in cluster.metrics.machines)
-        assert total > 0  # the square query does fetch remotely
+        metrics = cluster.metrics
+        assert (metrics.cache_hits + metrics.cache_misses).sum() > 0  # the square query does fetch remotely
 
     @pytest.mark.parametrize("variant", ["lrbu", "lru-inf", "cncr-lru"])
     def test_fetch_spans_report_every_cache_access(self, er_graph, variant):
@@ -289,9 +288,8 @@ class TestCacheHitRateUnification:
         res = HugeEngine(cluster, config).run(get_query("q1"),
                                               tracer=Tracer())
         fetches = [s for s in res.trace.spans if s.name == "fetch"]
-        machines = cluster.metrics.machines
-        hits = sum(m.cache_hits for m in machines)
-        misses = sum(m.cache_misses for m in machines)
+        hits = int(cluster.metrics.cache_hits.sum())
+        misses = int(cluster.metrics.cache_misses.sum())
         assert fetches and hits > 0 and misses > 0
         assert sum(s.arg("hits") for s in fetches) == hits
         assert sum(s.arg("misses") for s in fetches) == misses
@@ -309,7 +307,7 @@ class TestMemUnderflows:
         metrics.free(1, 80)  # frees more than was ever allocated
         rep = metrics.report()
         assert rep.mem_underflows == 1
-        assert metrics.machines[1].cur_mem_bytes == 0
+        assert metrics.cur_mem_bytes[1] == 0
 
     def test_engine_run_has_no_underflows(self, cluster):
         engine = HugeEngine(cluster)

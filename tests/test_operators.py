@@ -1,6 +1,5 @@
 """Unit tests for the runtime operators (repro.core.operators)."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from repro.core.operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
 from repro.graph import generators as gen
 from repro.obs import Tracer, check_span_nesting
 
+from .reference_ledger import columns
 from .test_stream import python_calls
 
 
@@ -70,7 +70,7 @@ class TestScanOp:
         remote = ctx.cluster.local_vertices(1)[:3]
         out, _, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(0, remote)
         assert len(out) == sum(er_graph.degree(u) for u in remote.tolist())
-        assert ctx.metrics.machines[0].rpc_requests >= 1
+        assert ctx.metrics.rpc_requests[0] >= 1
 
 
     @pytest.mark.parametrize("order", [None, "lt", "gt"])
@@ -92,7 +92,7 @@ class TestScanOp:
         def run(scan):
             cluster = Cluster(er_graph, num_machines=4, seed=1, labels=labels)
             ctx = ExecContext(cluster, LRBUCache(None, cluster.cost))
-            return scan(ctx), cluster.metrics.machines
+            return scan(ctx), columns(cluster.metrics)
 
         def loop(ctx):
             t, rows, costs = ctx.cost.ticks, [], []
@@ -114,7 +114,7 @@ class TestScanOp:
             lambda ctx: ScanOp(spec, ctx).process(0, parr))
         assert tuples(out) == rows and counted.sum() == len(rows)
         assert got_costs.dtype == np.int64 and got_costs.tolist() == costs
-        assert ledger == want_ledger and ledger[0].rpc_requests == 3
+        assert ledger == want_ledger and ledger["rpc_requests"][0] == 3
 
     def test_empty_chunk(self, ctx):
         out, costs, _ = ScanOp(ScanSpec(schema=(0, 1)), ctx).process(
@@ -143,9 +143,9 @@ class TestNoPerVertexPython:
                                     np.resize(local, 512)))
             if warm:
                 op.process(0, rows)
-            before = ctx.metrics.machines[0].cache_misses
+            before = int(ctx.metrics.cache_misses[0])
             n = python_calls(lambda: op.process(0, rows))
-            misses = ctx.metrics.machines[0].cache_misses - before
+            misses = ctx.metrics.cache_misses[0] - before
             assert misses == (0 if warm else distinct)
             return n
 
@@ -238,16 +238,16 @@ class TestExtendOp:
         op = ExtendOp(spec, ctx)
         op.process(0, self._edge_batch(ctx, 0))
         assert len(ctx.cache) > 0
-        assert ctx.metrics.machines[0].cache_misses > 0
+        assert ctx.metrics.cache_misses[0] > 0
 
     def test_second_pass_hits_cache(self, ctx):
         spec = ExtendSpec(ext=(1,), out_schema=(0, 1, 2), new_vertex=2)
         op = ExtendOp(spec, ctx)
         batch = self._edge_batch(ctx, 0)
         op.process(0, batch)
-        before = ctx.metrics.machines[0].cache_hits
+        before = int(ctx.metrics.cache_hits[0])
         op.process(0, batch)
-        assert ctx.metrics.machines[0].cache_hits > before
+        assert ctx.metrics.cache_hits[0] > before
 
 
 class TestPerMissMode:
@@ -261,9 +261,9 @@ class TestPerMissMode:
         batch, _, _ = scan.process(0, cluster.local_vertices(0))
         op.process(0, batch)
         # per-miss RPCs: one request pair per remote miss, not per batch
-        misses = cluster.metrics.machines[0].cache_misses
+        misses = cluster.metrics.cache_misses[0]
         assert misses > 0
-        assert cluster.metrics.machines[0].rpc_requests == misses
+        assert cluster.metrics.rpc_requests[0] == misses
 
 
 class TestSink:
@@ -335,7 +335,7 @@ class TestJoinBufferAndStream:
         buf.consume(0, as_rows([(5, i) for i in range(200)]))
         buf.file()  # the round barrier ships what consume staged
         dest = int(hash_destinations(as_rows([(5,)], arity=1), 4)[0])
-        spilled = ctx.metrics.machines[dest].spilled_bytes
+        spilled = ctx.metrics.spilled_bytes[dest]
         assert spilled > 0
         # in-memory share stays at the threshold
         assert buf._in_memory[dest] <= 10
@@ -344,8 +344,7 @@ class TestJoinBufferAndStream:
         buf = JoinBuffer(ctx, (0,), arity=2, buffer_tuples=1000)
         buf.consume(0, as_rows([(i, i + 1) for i in range(50)]))
         buf.file()  # the round barrier ships what consume staged
-        sent = sum(m.bytes_sent for m in ctx.metrics.machines)
-        assert sent > 0
+        assert ctx.metrics.bytes_sent.sum() > 0
 
 
 class TestJoinStreamRelease:
@@ -363,10 +362,8 @@ class TestJoinStreamRelease:
         for m in range(ctx.cluster.num_machines):
             for _ in join_stream(ctx, spec, left, right, m, 100):
                 pass
-        for m, machine in enumerate(ctx.metrics.machines):
-            assert machine.cur_mem_bytes == 0, m
-        assert all(u == 0 for u in (m.mem_underflows
-                                    for m in ctx.metrics.machines))
+        assert not ctx.metrics.cur_mem_bytes.any()
+        assert not ctx.metrics.mem_underflows.any()
 
     def test_abandoned_stream_releases_buffers(self, ctx):
         """an early-terminated generator must not leak buffered memory
@@ -376,9 +373,8 @@ class TestJoinStreamRelease:
             stream = join_stream(ctx, spec, left, right, m, 1)
             next(stream, None)      # consume at most one chunk ...
             stream.close()          # ... then abandon the generator
-        for m, machine in enumerate(ctx.metrics.machines):
-            assert machine.cur_mem_bytes == 0, m
-            assert machine.mem_underflows == 0, m
+        assert not ctx.metrics.cur_mem_bytes.any()
+        assert not ctx.metrics.mem_underflows.any()
 
     def test_abandoned_mid_block_releases_buffers(self, ctx, monkeypatch):
         """abandoned while a block's rows are still being cut into
@@ -389,9 +385,8 @@ class TestJoinStreamRelease:
             stream = join_stream(ctx, spec, left, right, m, 3)
             next(stream, None)      # a 3-row batch of an 8-pair block
             stream.close()
-        for m, machine in enumerate(ctx.metrics.machines):
-            assert machine.cur_mem_bytes == 0, m
-            assert machine.mem_underflows == 0, m
+        assert not ctx.metrics.cur_mem_bytes.any()
+        assert not ctx.metrics.mem_underflows.any()
 
 
 def _traced_join(er_graph, batch_size):
@@ -417,7 +412,7 @@ def _traced_join(er_graph, batch_size):
             t0 = tracer.now(m)
             ctx.metrics.charge_ops(m, 1000)
             tracer.complete("consume", m, t0, tracer.now(m))
-    ledger = [dataclasses.asdict(mm) for mm in cluster.metrics.machines]
+    ledger = columns(cluster.metrics)
     return batches, ledger, tracer.trace
 
 

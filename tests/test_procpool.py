@@ -396,11 +396,12 @@ class TestFusedKernels:
                 evictions += 1
             lru[u] = g.degree(u) + 1
             size += lru[u]
-        machine = cluster.metrics.machines[0]
+        metrics = cluster.metrics
         assert evictions > 10 and hits > 0, "capacity must bite in-batch"
         assert cache.stats.evicted[0] == evictions
-        assert (machine.cache_hits, machine.cache_misses) == (hits, misses)
-        assert machine.rpc_requests == misses
+        assert (metrics.cache_hits[0], metrics.cache_misses[0]) == (hits,
+                                                                    misses)
+        assert metrics.rpc_requests[0] == misses
         assert list(cache._data[0]) == list(lru)
 
     @pytest.mark.parametrize("seed", range(4))

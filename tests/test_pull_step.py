@@ -22,6 +22,7 @@ from repro.obs import Tracer
 from repro.query import get_query
 
 from .reference_kernels import PATHS, bound
+from .reference_ledger import columns
 
 
 def _context(g, k, workers, variant, capacity, labels, seed):
@@ -45,7 +46,7 @@ def _cache_state(cache, k):
 
 
 def _ledger(ctx):
-    return [astuple(m) for m in ctx.metrics.machines], ctx.fetch_ops
+    return columns(ctx.metrics), ctx.fetch_ops
 
 
 def _random_step(rng, g, owner, k):
@@ -80,7 +81,7 @@ class TestFusedStep:
     def test_steps_equal_the_composition(self, k, workers, capacity,
                                          variant, stealing, labelled, seed):
         """After every step: the output block, per-row counts and ticks,
-        per-(batch, worker) totals, every ``MachineMetrics`` field,
+        per-(batch, worker) totals, every ledger column,
         ``fetch_ops``, ``_entry``, ``_order``, the queue state and live
         places, ``free_order(m)``, occupancy, pins, evictions and the
         worst overflow.  Capacities 0 and 6 evict and overflow inside a
@@ -137,8 +138,9 @@ class TestFusedStep:
             rows = np.column_stack((local, local[::-1]))
             with bound(path):
                 ExtendOp(spec, ctx).step(1, rows, False, True)
-            m = ctx.metrics.machines[1]
-            assert (m.cache_hits, m.cache_misses, m.rpc_requests) == (0, 0, 0)
+            m = ctx.metrics
+            assert (m.cache_hits[1], m.cache_misses[1],
+                    m.rpc_requests[1]) == (0, 0, 0)
             assert len(ctx.cache) == 0 and ctx.fetch_ops == 0
 
     def test_queue_rows_grow_inside_a_step(self):

@@ -104,8 +104,7 @@ class TestJoinSegments:
         HugeEngine(cl).run(plan=plan)
         # after the run, all queue/buffer memory is freed (only the cache
         # reservation remains as the constant overhead)
-        for m in cl.metrics.machines:
-            assert m.cur_mem_bytes == 0
+        assert not cl.metrics.cur_mem_bytes.any()
 
     def test_deep_plan_with_multiple_joins(self, er_graph):
         from repro.core.plan import ExecutionPlan, PlanNode
@@ -285,13 +284,13 @@ class TestStealingIntegration:
         HugeEngine(cl, EngineConfig(stealing="full", steal_threshold=1.2,
                                     batch_size=128,
                                     scan_pivot_chunk=8)).run(get_query("q1"))
-        assert sum(m.steals for m in cl.metrics.machines) > 0
+        assert cl.metrics.steals.sum() > 0
 
     def test_no_stealing_means_no_steal_events(self, er_graph):
         cl = Cluster(er_graph, num_machines=4, workers_per_machine=2,
                      seed=1)
         HugeEngine(cl, EngineConfig(stealing="none")).run(get_query("q1"))
-        assert sum(m.steals for m in cl.metrics.machines) == 0
+        assert cl.metrics.steals.sum() == 0
 
     def test_worker_balance_with_stealing(self):
         g = gen.hub_web(300, num_hubs=1, hub_degree=150, seed=4)
@@ -361,10 +360,10 @@ class TestScanFeedInterMachineStealing:
         result = HugeEngine(cluster, cfg,
                             estimator=ExactEstimator(er_graph)).run(q)
         assert result.count == expect
-        machines = cluster.metrics.machines
-        assert sum(m.steals for m in machines[1:]) > 0
+        metrics = cluster.metrics
+        assert metrics.steals[1:].sum() > 0
         # the stolen pivots are remote on the thieves: RPC pulls happened
-        assert sum(m.rpc_requests for m in machines[1:]) > 0
+        assert metrics.rpc_requests[1:].sum() > 0
 
     def test_no_stealing_keeps_skewed_feed_local(self, er_graph):
         from repro.graph.partition import PartitionedGraph
@@ -379,7 +378,7 @@ class TestScanFeedInterMachineStealing:
         result = HugeEngine(cluster, cfg,
                             estimator=ExactEstimator(er_graph)).run(q)
         assert result.count == expect
-        assert all(m.steals == 0 for m in cluster.metrics.machines)
+        assert not cluster.metrics.steals.any()
 
 
 class TestStackedSteps:
