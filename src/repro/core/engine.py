@@ -68,6 +68,8 @@ class EngineConfig(SchedulerConfig):
             raise ValueError(f"unknown cache variant {self.cache_variant!r}")
         if not 0.0 <= self.cache_capacity_fraction <= 1.0:
             raise ValueError("cache_capacity_fraction must be in [0, 1]")
+        if self.cache_capacity_ids is not None and self.cache_capacity_ids < 0:
+            raise ValueError("cache_capacity_ids must be at least 0")
 
 
 @dataclass

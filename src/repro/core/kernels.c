@@ -2,14 +2,17 @@
  *
  *   extend_rows      PULL-EXTEND's candidate pass over a block of rows,
  *                    with its output rows and intersection ticks (and,
- *                    for BiGJoin's rounds, per-list survivor counts),
+ *                    for BiGJoin's rounds, per-list survivor counts; for
+ *                    a VERIFY step, each row's one candidate probed),
  *                    behind kernels.extend_block and extend_candidates;
- *   pull_extend_step one PULL-EXTEND step over an LRBU cache: its static
+ *   pull_extend_step one PULL-EXTEND step over an LRBU cache, extending
+ *                    or VERIFY, and the only program of one: its static
  *                    passes classify_reads, admit_reads (with evict) and
- *                    release_pins update the arrays LRBUCache._classify,
- *                    _admit and _release in repro.core.cache do, around
- *                    extend_rows and deal_items — behind
- *                    LRBUCache.pull_extend;
+ *                    release_pins update the arrays of
+ *                    repro.core.cache.LRBUCache around extend_rows and
+ *                    deal_items — behind LRBUCache.pull_extend, which
+ *                    also files the pins a step hands back by a step of
+ *                    no rows;
  *   deal_items       the segmented snake deal of a step's item costs,
  *                    behind repro.core.stealing.distribute_to_workers;
  *   join_block       one block of the blocked hash join's key matches,
@@ -20,10 +23,11 @@
  *
  * Each is the one program of its job in the package; the tests hold it
  * to its numpy reference in tests/reference_kernels.py, element for
- * element.  Loaded through cffi in ABI mode, so this file includes
- * nothing Python; the callers check every shape, position and index
- * before they pass a pointer (pull_extend_step checks its ids, positions
- * and buffer room itself, before it writes anything). */
+ * element (the step's is the composition over the numpy fetch stage of
+ * tests/reference_cache.py).  Loaded through cffi in ABI mode, so this
+ * file includes nothing Python; the callers check every shape, position
+ * and index before they pass a pointer (pull_extend_step checks its ids,
+ * positions and buffer room itself, before it writes anything). */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -66,15 +70,14 @@ INLINE i64 gallop(const i64 *a, i64 lo, i64 hi, i64 x)
 }
 
 /* The list at which candidate c fails, k when it is in each of lists
- * 1 .. k-1 of v: probed through the slot table when there is one (a
+ * w .. k-1 of v: probed through the slot table when there is one (a
  * SHARED slot searches the list), by galloping in the list otherwise,
  * each such probe counted in *searched.  A list's cursor pos[w] only
  * moves forward, so the candidates must come in ascending order. */
-INLINE i64 failed_at(i64 c, i64 k, const i64 *v, i64 *pos, const i64 *end,
-                     const i64 *indices, i64 n, const i64 *table, i64 bits,
-                     i64 *searched)
+INLINE i64 failed_at(i64 c, i64 w, i64 k, const i64 *v, i64 *pos,
+                     const i64 *end, const i64 *indices, i64 n,
+                     const i64 *table, i64 bits, i64 *searched)
 {
-    i64 w = 1;
     for (; w < k; w++) {
         i64 at;
         if (table) {
@@ -109,10 +112,11 @@ INLINE int kept(i64 c, const i64 *row, i64 width, const i64 *labels,
 }
 
 /* Survivor number at of a pass, candidate c of row r: unless cand is
- * NULL to cand / row_ids, unless out is NULL as the row then c to out
- * (width + 1 columns); nothing past cap */
+ * NULL to cand / row_ids, unless out is NULL to out's row of out_w
+ * columns, the row then (when out_w is width + 1) c; nothing past cap */
 INLINE void write_kept(i64 at, i64 c, i64 r, const i64 *row, i64 width,
-                       i64 cap, i64 *cand, i64 *row_ids, i64 *out)
+                       i64 out_w, i64 cap, i64 *cand, i64 *row_ids,
+                       i64 *out)
 {
     if (at >= cap)
         return;
@@ -121,10 +125,11 @@ INLINE void write_kept(i64 at, i64 c, i64 r, const i64 *row, i64 width,
         row_ids[at] = r;
     }
     if (out) {
-        i64 *o = out + at * (width + 1);
+        i64 *o = out + at * out_w;
         for (i64 w = 0; w < width; w++)
             o[w] = row[w];
-        o[width] = c;
+        if (out_w > width)
+            o[width] = c;
     }
 }
 
@@ -146,13 +151,13 @@ count_row(const i64 *row, i64 r, i64 width, i64 k, const i64 *v, i64 *pos,
         failed[w] = 0;
     for (i64 i = start; i < stop; i++) {
         i64 c = indices[i];
-        i64 w = failed_at(c, k, v, pos, end, indices, n, table, bits,
+        i64 w = failed_at(c, 1, k, v, pos, end, indices, n, table, bits,
                           searched);
         failed[w]++;
         if (w == k && low < c && c < high
                 && kept(c, row, width, labels, new_label))
-            write_kept(total + emitted++, c, r, row, width, cap, cand,
-                       row_ids, out);
+            write_kept(total + emitted++, c, r, row, width, width + 1, cap,
+                       cand, row_ids, out);
     }
     /* standing after list w: failed at a later list, or at none */
     i64 standing = 0;
@@ -178,14 +183,18 @@ count_row(const i64 *row, i64 r, i64 width, i64 k, const i64 *v, i64 *pos,
  * list is the candidates, survivors[r * k + w] counts those standing
  * after list w (w = 0: all of them), and the symmetry conditions filter
  * the survivors instead of cutting a window; that mode's candidate loop
- * is count_row's, so the windowed one carries no counting.  Returns the
+ * is count_row's, so the windowed one carries no counting.  When verify
+ * is a column (a VERIFY step; -1 otherwise), a row's one candidate is
+ * its own vertex there, probed in every list and kept when it is in
+ * each and carries new_label, and a kept row goes to out as it is
+ * (width columns); the window, lt and gt play no part.  Returns the
  * number of survivors. */
 i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 const i64 *verts, const i64 *lens, i64 *lens_out,
                 const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
                 const i64 *indptr, const i64 *indices, i64 n,
                 const i64 *table, i64 bits,
-                const i64 *labels, i64 new_label,
+                const i64 *labels, i64 new_label, i64 verify,
                 const i64 *probe_ticks, i64 intersect, i64 *ticks,
                 i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
                 i64 *survivors, i64 *probes)
@@ -222,18 +231,25 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
         for (i64 j = 0; j < n_lt; j++)
             high = row[lt[j]] < high ? row[lt[j]] : high;
         i64 start = pos[0], stop = end[0], emitted = 0;
-        if (!survivors) {
+        if (verify >= 0) {
+            i64 c = row[verify];
+            if (failed_at(c, 0, k, v, pos, end, indices, n, table, bits,
+                          &searched) == k
+                    && (!labels || labels[c] == new_label))
+                write_kept(total + emitted++, c, r, row, width, width, cap,
+                           cand, row_ids, out);
+        } else if (!survivors) {
             if (n_gt)
                 start = lower_bound(indices, start, stop, low + 1);
             if (n_lt)
                 stop = lower_bound(indices, start, stop, high);
             for (i64 i = start; i < stop; i++) {
                 i64 c = indices[i];
-                if (failed_at(c, k, v, pos, end, indices, n, table, bits,
+                if (failed_at(c, 1, k, v, pos, end, indices, n, table, bits,
                               &searched) == k
                         && kept(c, row, width, labels, new_label))
-                    write_kept(total + emitted++, c, r, row, width, cap, cand,
-                               row_ids, out);
+                    write_kept(total + emitted++, c, r, row, width, width + 1,
+                               cap, cand, row_ids, out);
             }
         } else {
             emitted = count_row(row, r, width, k, v, pos, end, start, stop,
@@ -515,8 +531,8 @@ enum { KEPT, PROBES, PINNED, LOST, RESULTS };
  * which), else 1 */
 static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
                        const i64 *machines, i64 k, i64 n_ext, const i64 *ext,
-                       const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
-                       const i64 *indptr, i64 n, i64 n_probe_ticks,
+                       i64 verify, const i64 *lt, i64 n_lt, const i64 *gt,
+                       i64 n_gt, const i64 *indptr, i64 n, i64 n_probe_ticks,
                        i64 cache_rows, i64 stride, const i64 *pins,
                        i64 n_pins, i64 pins_cap, i64 workers, i64 steal,
                        const i64 *out, i64 cap, i64 n_totals, i64 *verts,
@@ -524,7 +540,8 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
 {
     if (n_rows < 0 || width < 1 || k < 1 || k > cache_rows || n_ext < 1
             || stride < n || workers < 1 || n_pins < 0
-            || pins_cap / 2 < n_pins + n_rows * n_ext)
+            || pins_cap / 2 < n_pins + n_rows * n_ext
+            || verify < -1 || verify >= width)
         return 0;
     for (i64 j = 0; j < n_ext; j++)
         if (ext[j] < 0 || ext[j] >= width)
@@ -548,6 +565,8 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
             if (!steal && row[0] < 0)
                 return 0;
         }
+        if (verify >= 0 && (row[verify] < 0 || row[verify] >= n))
+            return 0;
         i64 least = INT64_MAX;
         for (i64 w = 0; w < n_ext; w++) {
             i64 v = row[ext[w]];
@@ -560,7 +579,8 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
             lens[r * n_ext + w] = l;
             least = l < least ? l : least;
         }
-        need += least;
+        /* a VERIFY row keeps itself or nothing */
+        need += verify >= 0 ? 1 : least;
     }
     return runs * workers <= n_totals && (!out || need <= cap);
 }
@@ -570,7 +590,10 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
  * release), in one call.  The step is n_rows rows of width columns, row
  * r machine machines[r]'s (below k); its extend block is the n_ext
  * columns ext of each row, gathered with their adjacency lengths (from
- * indptr) by step_inputs; a run of rows of one machine is one batch.
+ * indptr) by step_inputs; a run of rows of one machine is one batch; a
+ * VERIFY step's verify is the column its rows are verified at (below
+ * width), an extending step's -1.  A step of no rows is the release of
+ * the n_pins keys alone.
  * The cache is as classify_reads and release_pins read it: cache_rows rows of stride columns of entry and
  * order, qcap of queue and stamps, QUEUE_STATE of state, capacity ids
  * per machine (negative: no bound), n_pins keys pinned before the step
@@ -587,12 +610,12 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
  *      + ids admitted * weights[INSERT]; a key the step pinned that is
  *      not resident now is lost: the step stops, with the lost ids after
  *      the pinned keys in pins, and returns -2;
- *   4. extend_rows runs the candidate pass (lt / gt / labels / new_label
- *      / table / probe_ticks as it reads them), the kept rows to out
- *      unless it is NULL (cap rows) and each row's count to counts; each
- *      row's ticks are its intersection ticks plus, per remote cell,
- *      weights[COPY] * (length + 1) + weights[ACCESS], plus counts[r] *
- *      weights[EMIT];
+ *   4. extend_rows runs the candidate pass (verify / lt / gt / labels /
+ *      new_label / table / probe_ticks as it reads them), the kept rows
+ *      to out unless it is NULL (cap rows of width + 1 columns, width for
+ *      a VERIFY step) and each row's count to counts; each row's ticks
+ *      are its intersection ticks plus, per remote cell, weights[COPY] *
+ *      (length + 1) + weights[ACCESS], plus counts[r] * weights[EMIT];
  *   5. per batch, deal_items deals the ticks heaviest first over workers
  *      when steal, else all of them to worker rows[first][0] % workers,
  *      into totals (a row of workers per batch);
@@ -609,7 +632,7 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
                      const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
                      const i64 *indptr, const i64 *indices, i64 n,
                      const i64 *table, i64 bits, const i64 *owner,
-                     const i64 *labels, i64 new_label,
+                     const i64 *labels, i64 new_label, i64 verify,
                      const i64 *probe_ticks, i64 n_probe_ticks,
                      const i64 *weights, i64 cache_rows, i64 stride,
                      i64 capacity, i64 *entry, i64 *order, i64 *queue,
@@ -632,9 +655,9 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
     i64 *lens = verts + cells, *miss = lens + cells, *sizes = miss + cells;
     i64 *incoming = sizes + cells, *keys = incoming + k, *tmp = keys + n_rows;
     i64 *seg = tmp + n_rows;
-    if (!step_inputs(n_rows, width, rows, machines, k, n_ext, ext, lt, n_lt,
-                     gt, n_gt, indptr, n, n_probe_ticks, cache_rows, stride,
-                     pins, n_pins, pins_cap, workers, steal, out, cap,
+    if (!step_inputs(n_rows, width, rows, machines, k, n_ext, ext, verify,
+                     lt, n_lt, gt, n_gt, indptr, n, n_probe_ticks, cache_rows,
+                     stride, pins, n_pins, pins_cap, workers, steal, out, cap,
                      n_totals, verts, lens)) {
         free(verts);
         return -1;
@@ -678,9 +701,9 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
     /* 4: the intersect stage, each row's ticks completed */
     result[KEPT] = extend_rows(n_rows, width, rows, n_ext, verts, lens,
                                NULL, lt, n_lt, gt, n_gt, indptr, indices, n,
-                               table, bits, labels, new_label, probe_ticks,
-                               weights[INTERSECT], ticks, NULL, NULL, out,
-                               out ? cap : 0, counts, NULL,
+                               table, bits, labels, new_label, verify,
+                               probe_ticks, weights[INTERSECT], ticks, NULL,
+                               NULL, out, out ? cap : 0, counts, NULL,
                                &result[PROBES]);
     int penalised = weights[COPY] || weights[ACCESS];
     i64 runs = 0;

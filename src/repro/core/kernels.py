@@ -39,9 +39,9 @@ holds the array programs themselves:
   probe per candidate and list, filters, then the kept rows and the
   ticks written out; BiGJoin's rounds run it with per-list survivor
   counts and the window as a filter), a whole PULL-EXTEND step over an
-  LRBU cache (:func:`pull_extend_step`: the fetch stage's classification,
-  pull counts and admission, that extend loop, the worker deal and the
-  release, on the cache's arrays; see
+  LRBU cache, extending or VERIFY (:func:`pull_extend_step`: the fetch
+  stage's classification, pull counts and admission, that extend loop,
+  the worker deal and the release, on the cache's arrays; see
   :meth:`repro.core.cache.LRBUCache.pull_extend`), the worker deal
   (:func:`repro.core.stealing.distribute_to_workers`) as one loop over
   the sorted costs, a join block as one loop over its pairs (filters,
@@ -291,7 +291,7 @@ def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
         _buf(graph.indptr), _buf(graph.indices), n, _ptr(table),
         0 if table is None else len(table).bit_length() - 1,
         _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
-        _FFI.NULL if ticks is None else _buf(ticks[1]),
+        -1, _FFI.NULL if ticks is None else _buf(ticks[1]),
         0 if ticks is None else int(ticks[0]), _ptr(row_ticks),
         _ptr(cand), _ptr(row_ids), _ptr(out), cap, _buf(counts),
         _ptr(survivors), probes)
@@ -338,7 +338,7 @@ int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,
                     const int64_t *, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,
-                    const int64_t *, int64_t, int64_t *,
+                    int64_t, const int64_t *, int64_t, int64_t *,
                     int64_t *, int64_t *, int64_t *, int64_t, int64_t *,
                     int64_t *, int64_t *);
 int64_t pull_extend_step(int64_t, int64_t, const int64_t *,
@@ -346,7 +346,7 @@ int64_t pull_extend_step(int64_t, int64_t, const int64_t *,
                          const int64_t *, int64_t, const int64_t *, int64_t,
                          const int64_t *, const int64_t *, int64_t,
                          const int64_t *, int64_t, const int64_t *,
-                         const int64_t *, int64_t,
+                         const int64_t *, int64_t, int64_t,
                          const int64_t *, int64_t,
                          const int64_t *, int64_t, int64_t,
                          int64_t, int64_t *, int64_t *, int64_t *,
@@ -479,13 +479,14 @@ def _combo_compiled(prefix, cand, counts, nl, patterns, conds, cap,
 STEP_RESULTS = ("kept", "probes", "pinned", "lost")
 
 
-def pull_extend_step(graph, owner, k, rows, machines, ext, lt, gt, labels,
-                     new_label, probe_ticks, weights, cache, workers, steal,
-                     out, report, batches):
+def pull_extend_step(graph, owner, k, rows, machines, ext, verify, lt, gt,
+                     labels, new_label, probe_ticks, weights, cache, workers,
+                     steal, out, report, batches):
     """One PULL-EXTEND step over an LRBU cache through ``pull_extend_step``
     of ``kernels.c`` (its comment says what each array holds; ``weights``
     is in its ``SEAL`` .. ``EMIT`` order): the fetch stage, the extend
-    pass, the worker deal and the release in one call.
+    pass — a VERIFY at column ``verify``, unless it is −1 — the worker
+    deal and the release in one call.
     ``cache`` is ``(capacity, entry, order, queue, stamps, queue_state,
     pins, n_pins)``, updated in place.  ``out`` (``None`` for a counted
     step) receives the kept rows; ``report`` (``int64``) is cut into
@@ -515,7 +516,7 @@ def pull_extend_step(graph, owner, k, rows, machines, ext, lt, gt, labels,
                                  report, *(() if out is None else (out,))))
             or order.shape != entry.shape or stamps.shape != queue.shape
             or len(queue) != len(entry) or state.shape != (len(entry), 6)
-            or (out is not None and out.shape[1:] != (width + 1,))
+            or (out is not None and out.shape[1:] != (width + (verify < 0),))
             or report.shape != (cuts[-1],)):
         raise ValueError("PULL-EXTEND step arrays of the wrong shape")
     at = _FFI.from_buffer("int64_t[]", report)
@@ -527,7 +528,7 @@ def pull_extend_step(graph, owner, k, rows, machines, ext, lt, gt, labels,
         _buf(graph.indices), n, _ptr(table),
         0 if table is None else len(table).bit_length() - 1, _buf(owner),
         _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
-        _buf(probe_ticks), len(probe_ticks), _buf(weights), len(entry),
+        verify, _buf(probe_ticks), len(probe_ticks), _buf(weights), len(entry),
         entry.shape[1], -1 if capacity is None else capacity,
         *(_FFI.from_buffer("int64_t[]", a) for a in (entry, order, queue,
                                                      stamps)),

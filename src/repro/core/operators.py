@@ -16,7 +16,8 @@ would: SCAN, both stages of PULL-EXTEND and the join run as array
 programs over the whole step — the symmetry window, intersections,
 distinctness, label filters, emission, and LRBU's fetch stage
 (membership, sealing, admission and eviction on ``(machine, id)``-indexed
-arrays).  The one per-vertex loop left is :meth:`LRUCache.fetch
+arrays, in one compiled call with the intersect stage).  The one
+per-vertex loop left is :meth:`LRUCache.fetch
 <repro.core.cache.LRUCache.fetch>`, whose access order *is* the model.
 Charges are integer ticks (:mod:`repro.cluster.cost`): a row's cost is
 its counts times tick weights, and the scheduler splits costs and
@@ -24,15 +25,17 @@ outputs back to their machines by the column.
 
 ``PULL-EXTEND`` implements the two-stage execution strategy of Algorithm 4:
 a *fetch* stage that makes the batch's remote vertices resident, then an
-*intersect* stage that runs the multiway intersections as one columnar
-pass (:func:`~repro.core.kernels.extend_block`).  The split exists so
-that the cache never touches the intersection: *how* a batch is fetched
-is the cache class's ``fetch`` — :class:`~repro.core.cache.LRBUCache`
-seals cached vertices and pulls the misses with one aggregated
-``GetNbrs`` RPC per owner; :class:`~repro.core.cache.LRUCache` (the
+*intersect* stage that runs the multiway intersections — or a VERIFY's
+membership probes — as one columnar pass.  The split exists so that the
+cache never touches the intersection: *how* a batch is fetched is the
+cache class's — :class:`~repro.core.cache.LRBUCache` seals cached
+vertices and pulls the misses with one aggregated ``GetNbrs`` RPC per
+owner, in the same compiled call as the intersect stage
+(``pull_extend_step``); :class:`~repro.core.cache.LRUCache` (the
 Cncr-LRU ablation) makes one cache access per remote read and one RPC
-pair per miss — and the operator counts, charges, checks and traces
-whatever either reports, in front of the same intersect stage.
+pair per miss, in front of :func:`~repro.core.kernels.extend_block` —
+and the operator counts, charges, checks and traces whatever either
+reports.
 """
 
 from __future__ import annotations
@@ -133,16 +136,16 @@ class ExtendOp:
     columnar intersect stage, then the step's ticks dealt to each
     machine's workers.
 
-    Over an :class:`~repro.core.cache.LRBUCache` a step that extends is
-    one compiled call
+    Over an :class:`~repro.core.cache.LRBUCache` every step — extending,
+    VERIFY or empty — is one compiled call
     (:meth:`LRBUCache.pull_extend <repro.core.cache.LRBUCache.pull_extend>`:
     fetch stage, intersect stage, worker deal and release), and the
-    operator charges what it returns.  Otherwise — an ``LRUCache``, a
-    VERIFY step, or an empty one — the step is composed: the cache's
-    :meth:`fetch`, :meth:`_process_vector`, the cache's ``release`` and
-    :func:`~repro.core.stealing.distribute_to_workers`; both leave the
-    same cache and ledger.  Either way the operator deals the ticks: the
-    scheduler charges the per-worker totals :meth:`step` returns.
+    operator charges what it returns.  Over an ``LRUCache`` the step is
+    composed: the cache's per-access
+    :meth:`~repro.core.cache.LRUCache.fetch`, :meth:`_process_vector`
+    and :func:`~repro.core.stealing.distribute_to_workers`.  Either way the
+    operator deals the ticks: the scheduler charges the per-worker totals
+    :meth:`step` returns.
     """
 
     def __init__(self, spec: ExtendSpec, ctx: ExecContext, opid: str = ""):
@@ -183,7 +186,7 @@ class ExtendOp:
 
     def _run(self, machines, rows: np.ndarray, count_only: bool,
              steal: bool):
-        """The step on either path: ``(out, ticks, produced,
+        """The step on its cache class's path: ``(out, ticks, produced,
         per_worker)``."""
         ctx = self.ctx
         cache = ctx.cache
@@ -191,17 +194,15 @@ class ExtendOp:
         g = cluster.pgraph.graph
         machines = np.broadcast_to(np.asarray(machines, dtype=np.int64),
                                    len(rows))
-        lrbu = isinstance(cache, LRBUCache)
         cache.cover(cluster.num_machines, g.num_vertices)
         snapshot = self._snapshot()
-        if not (lrbu and len(rows) and not self.spec.is_verify):
+        if isinstance(cache, LRUCache):
             # the step's extend block, gathered once for both stages
             verts = rows[:, self._ext]
             self._charge_fetch(machines, *cache.fetch(cluster, machines,
                                                       verts), snapshot)
             out, ticks, produced = self._process_vector(machines, rows,
                                                         verts, count_only)
-            cache.release()
             starts = np.flatnonzero(np.r_[len(rows) > 0,
                                           machines[1:] != machines[:-1]])
             per_worker = distribute_to_workers(
@@ -278,8 +279,8 @@ class ExtendOp:
                         verts: np.ndarray, count_only: bool
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar intersect stage over ``rows`` (row ``i`` machine
-        ``machines[i]``'s); ``verts`` is their extend-vertex block
-        ``rows[:, ext]``.
+        ``machines[i]``'s) behind an ``LRUCache``'s fetch stage;
+        ``verts`` is their extend-vertex block ``rows[:, ext]``.
 
         Candidate sets are gathered straight from the global CSR (cached
         remote adjacency is the same data by construction) and the whole

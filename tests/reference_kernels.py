@@ -22,6 +22,8 @@ from repro.core import cache as cache_module
 from repro.core import kernels, operators, scheduler
 from repro.core.kernels import _check_survivors, _gather_slices, _pair_ranges
 
+from .reference_cache import ReferenceLRBU
+
 #: the package as it is, and with the references bound (:func:`bound`)
 PATHS = ("compiled", "numpy")
 
@@ -290,11 +292,13 @@ def distribute_to_workers(item_costs, workers, stealing, assign_key=0,
 
 def pull_extend(cache, cluster, machines, rows, spec, labels, count_only,
                 steal):
-    """:meth:`repro.core.cache.LRBUCache.pull_extend` as the package's
-    numpy step composes it: the cache's
-    :meth:`~repro.core.cache.LRBUCache.fetch` (its ``GetNbrs`` counted by
-    ``Cluster.pull``, not charged), ``ExtendOp._process_vector``, the
-    cache's ``release`` and :func:`distribute_to_workers`."""
+    """:meth:`repro.core.cache.LRBUCache.pull_extend` as numpy composes
+    it, extending or VERIFY: the reference cache's
+    :meth:`~reference_cache.ReferenceLRBU.fetch` (its ``GetNbrs`` counted
+    by ``Cluster.pull``, not charged), ``ExtendOp._process_vector``, the
+    reference ``release`` and :func:`distribute_to_workers`, on
+    ``cache``'s state."""
+    cache = ReferenceLRBU.over(cache)
     pulls = np.zeros((2, cluster.num_machines, cluster.num_machines),
                      dtype=np.int64)
 
@@ -313,7 +317,8 @@ def pull_extend(cache, cluster, machines, rows, spec, labels, count_only,
         spec, operators.ExecContext(cluster, cache))._process_vector(
             machines, rows, verts, count_only)
     cache.release()
-    starts = np.flatnonzero(np.r_[True, machines[1:] != machines[:-1]])
+    starts = np.flatnonzero(np.r_[len(rows) > 0,
+                                  machines[1:] != machines[:-1]])
     totals = distribute_to_workers(
         ticks, cluster.workers_per_machine, steal, rows[starts, 0],
         np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(rows)])))

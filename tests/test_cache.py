@@ -1,4 +1,8 @@
-"""Tests for the LRBU cache and ablation variants (paper Algorithm 3)."""
+"""Tests for the LRBU cache and ablation variants (paper Algorithm 3).
+
+The scalar Algorithm-3 methods and the numpy fetch stage are the test
+reference's (``tests/reference_cache.py``'s ``ReferenceLRBU``); the
+package's ``LRBUCache`` runs a step only as the compiled call."""
 
 from types import SimpleNamespace
 
@@ -12,6 +16,8 @@ from repro.core import CACHE_VARIANTS, LRBUCache, LRUCache, make_cache
 from repro.core.dataflow import ExtendSpec
 from repro.graph import generators as gen
 
+from . import reference_cache
+from .reference_cache import ReferenceLRBU
 from .reference_ledger import columns
 
 
@@ -26,7 +32,7 @@ def cost():
 
 class TestLRBUBasics:
     def test_insert_get_contains(self, cost):
-        c = LRBUCache(100, cost)
+        c = ReferenceLRBU(100, cost)
         c.insert(5, arr(1, 2, 3))
         assert c.contains(5)
         assert list(c.get(5)) == [1, 2, 3]
@@ -34,20 +40,20 @@ class TestLRBUBasics:
 
     def test_get_returns_reference_not_copy(self, cost):
         """zero-copy: the stored array object itself is returned"""
-        c = LRBUCache(100, cost)
+        c = ReferenceLRBU(100, cost)
         data = arr(1, 2)
         c.insert(1, data)
         assert c.get(1) is data
 
     def test_size_tracking(self, cost):
-        c = LRBUCache(100, cost)
+        c = ReferenceLRBU(100, cost)
         c.insert(1, arr(1, 2, 3))   # 4 ids
         c.insert(2, arr(9))         # 2 ids
         assert c.size_ids == 6
         assert len(c) == 2
 
     def test_duplicate_insert_ignored(self, cost):
-        c = LRBUCache(100, cost)
+        c = ReferenceLRBU(100, cost)
         c.insert(1, arr(1, 2))
         c.insert(1, arr(9, 9, 9))
         assert list(c.get(1)) == [1, 2]
@@ -61,7 +67,7 @@ class TestLRBUBasics:
 
 class TestLRBUEviction:
     def test_evicts_least_recent_batch_first(self, cost):
-        c = LRBUCache(6, cost)
+        c = ReferenceLRBU(6, cost)
         # batch 1: vertices 1, 2
         c.insert(1, arr(7))
         c.seal(1)
@@ -78,7 +84,7 @@ class TestLRBUEviction:
         assert c.contains(3)
 
     def test_sealed_entries_never_evicted(self, cost):
-        c = LRBUCache(4, cost)
+        c = ReferenceLRBU(4, cost)
         c.insert(1, arr(1))
         c.seal(1)
         c.insert(2, arr(2))
@@ -91,7 +97,7 @@ class TestLRBUEviction:
 
     def test_overflow_bounded_by_batch(self, cost):
         """the invariant of §4.4: overflow ≤ remote vertices of one batch"""
-        c = LRBUCache(10, cost)
+        c = ReferenceLRBU(10, cost)
         batch = [(i, arr(i)) for i in range(10, 16)]  # 6 entries of 2 ids
         for vid, nbrs in batch:
             c.insert(vid, nbrs)
@@ -104,7 +110,7 @@ class TestLRBUEviction:
         assert c.size_ids <= 10
 
     def test_release_orders_after_existing(self, cost):
-        c = LRBUCache(4, cost)
+        c = ReferenceLRBU(4, cost)
         c.insert(1, arr(1))
         c.seal(1)
         c.release()            # free order: [1]
@@ -116,7 +122,7 @@ class TestLRBUEviction:
         assert c.contains(2)
 
     def test_eviction_counted(self, cost):
-        c = LRBUCache(2, cost)
+        c = ReferenceLRBU(2, cost)
         c.insert(1, arr(1))
         c.seal(1)
         c.release()
@@ -124,14 +130,14 @@ class TestLRBUEviction:
         assert c.stats.evictions == 1
 
     def test_unbounded_cache_never_evicts(self, cost):
-        c = LRBUCache(None, cost)
+        c = ReferenceLRBU(None, cost)
         for i in range(100):
             c.insert(i, arr(i))
         assert len(c) == 100
         assert c.stats.evictions == 0
 
     def test_seal_of_missing_vertex_harmless(self, cost):
-        c = LRBUCache(10, cost)
+        c = ReferenceLRBU(10, cost)
         c.seal(42)
         c.release()  # vertex 42 was never inserted; must not appear
         assert not c.contains(42)
@@ -162,7 +168,7 @@ class TestAblationVariants:
         assert penalties["lru-inf"] < penalties["cncr-lru"]
 
     def test_lru_inf_is_unbounded(self, cost):
-        c = make_cache("lru-inf", 10, cost)
+        c = reference_cache.make_cache("lru-inf", 10, cost)
         for i in range(50):
             c.insert(i, arr(i))
         assert len(c) == 50
@@ -173,8 +179,12 @@ class TestAblationVariants:
         for name in ("lrbu", "lrbu-copy", "lrbu-lock", "lru-inf"):
             assert type(make_cache(name, 10, cost)) is LRBUCache
         assert type(make_cache("cncr-lru", 10, cost)) is LRUCache
-        for gone in ("resident", "seal_many", "admit", "seal"):
+        for gone in ("resident", "seal_many", "admit", "seal", "release"):
             assert not hasattr(LRUCache, gone)
+        # the LRBU step is the compiled call alone: its numpy twin and
+        # the scalar Algorithm-3 methods are the tests' reference
+        for gone in ("fetch", "insert", "seal", "release", "contains"):
+            assert not hasattr(LRBUCache, gone)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_lru_inf_is_lrbu_with_lru_penalties(self, cost, workers):
@@ -198,7 +208,7 @@ class TestAblationVariants:
 
         rng = np.random.default_rng(5)
         sizes = rng.integers(1, 9, size=IDS)
-        c = make_cache("lru-inf", 10, cost)
+        c = reference_cache.make_cache("lru-inf", 10, cost)
         seen, hits, misses = {}, 0, 0
         for _ in range(40):
             reads = rng.integers(0, IDS, size=rng.integers(1, 60))
@@ -241,7 +251,7 @@ class TestLRUCache:
     def test_oversized_entry_records_overflow(self, cost):
         """an entry larger than the capacity still goes into the emptied
         cache; its excess is the machine's overflow, as LRBU records it"""
-        lru, lrbu = LRUCache(4, cost), LRBUCache(4, cost)
+        lru, lrbu = LRUCache(4, cost), ReferenceLRBU(4, cost)
         for c in (lru, lrbu):
             c.insert(7, arr(1))
             c.insert(1, np.arange(9), machine=1)
@@ -301,7 +311,7 @@ class TestLRBUOverflowRegression:
         """Re-pinning a resident entry must still drain overflow left from
         a previous batch: after release, evictable entries may not keep
         the cache above capacity past the one-batch overflow bound."""
-        c = LRBUCache(2, cost)
+        c = ReferenceLRBU(2, cost)
         for v in (0, 1, 2):
             c.insert(v, arr(v))     # 2 ids each, all pinned: size 6
         assert c.size_ids == 6
@@ -384,8 +394,9 @@ class TestBulkFetchStage:
         rng = np.random.default_rng(11)
         sizes = rng.integers(1, 9, size=IDS)
         capacity = 60
-        bulk, scalar, shuffled, fetched = (make_cache(variant, capacity, cost)
-                                           for _ in range(4))
+        bulk, scalar, shuffled, fetched = (
+            reference_cache.make_cache(variant, capacity, cost)
+            for _ in range(4))
         overflowed = 0
         for _ in range(240):
             ids = np.unique(rng.integers(0, IDS, size=rng.integers(1, 30)))
@@ -409,7 +420,7 @@ class TestBulkFetchStage:
         """§4.4 with both APIs on one cache: overflow never exceeds the
         in-flight batch's pinned footprint, and a scalar re-insert of a
         resident id still sheds what an earlier batch left over."""
-        c = LRBUCache(10, cost)
+        c = ReferenceLRBU(10, cost)
         ids = np.arange(6)
         c.admit(ids, np.full(6, 3))          # one batch: 18 ids, all pinned
         assert c.size_ids == 18 and c.stats.max_overflow_ids == 8
@@ -443,8 +454,9 @@ class TestBulkFetchStage:
         cost = CostModel()
         rng = np.random.default_rng(seed)
         sizes = rng.integers(1, 9, size=IDS)
-        stacked = make_cache(variant, capacity, cost)
-        alone = [make_cache(variant, capacity, cost) for _ in range(k)]
+        stacked = reference_cache.make_cache(variant, capacity, cost)
+        alone = [reference_cache.make_cache(variant, capacity, cost)
+                 for _ in range(k)]
         footprint = [0] * k
         for _ in range(30):
             machines = np.flatnonzero(rng.random(k) < 0.7)
@@ -504,7 +516,7 @@ class TestBulkFetchStage:
                           out_schema=tuple(range(width + 1)),
                           new_vertex=width)
         sides = [(Cluster(g, num_machines=k, seed=seed),
-                  make_cache(variant, capacity, CostModel()))
+                  reference_cache.make_cache(variant, capacity, CostModel()))
                  for _ in range(2)]
         (cluster, step), (fetching, c) = sides
         for _ in range(25):
@@ -543,7 +555,7 @@ class TestBulkFetchStage:
         writes"""
         sizes = np.ones(IDS, dtype=np.int64)
         block = np.array([[3, 4], [5, 6]])
-        c = make_cache("lrbu", 20, cost)
+        c = reference_cache.make_cache("lrbu", 20, cost)
         for machines, cells in (([0, 2], block), ([0, -1], block),
                                 ([0, 1], block * [1, -1]),
                                 ([0, 1], block + [0, IDS])):
@@ -552,7 +564,7 @@ class TestBulkFetchStage:
         assert len(c) == 0 and c.num_sealed == 0
 
     def test_ids_beyond_the_arrays_grow_them(self, cost):
-        c = LRBUCache(None, cost)
+        c = ReferenceLRBU(None, cost)
         assert not c.contains(10 ** 6)
         assert not c.resident(np.array([5, 10 ** 5])).any()
         c.insert(10 ** 5 + 1, arr(1))
@@ -572,7 +584,7 @@ class TestQueues:
     def test_stale_places_are_skipped_by_eviction(self, cost):
         """A hit in ``S_free`` re-sealed and released again leaves its old
         queue place stale: eviction walks past it to the next live entry"""
-        c = LRBUCache(6, cost)
+        c = ReferenceLRBU(6, cost)
         c.admit(arr(1, 2, 3), arr(2, 2, 2))
         c.release()                          # S_free: 1 2 3
         c.seal_many(arr(1))
@@ -590,7 +602,7 @@ class TestQueues:
         ascending id order"""
         rng = np.random.default_rng(7)
         ids = [rng.choice(3000, size=400, replace=False) for _ in range(3)]
-        c = LRBUCache(None, cost)
+        c = ReferenceLRBU(None, cost)
         for m, some in enumerate(ids):
             c.admit(some, np.full(len(some), 2), m)
         c.release()
@@ -600,7 +612,7 @@ class TestQueues:
     def test_pins_survive_the_rows_growing(self, cost):
         """Keys pinned before an id past the rows' width grows them are
         filed under their own machine and id"""
-        c = LRBUCache(None, cost)
+        c = ReferenceLRBU(None, cost)
         c.admit(arr(5, 9), arr(2, 2), arr(0, 1))
         width = c._entry.shape[1]
         c.admit(arr(width + 3), arr(2), 1)     # the rows grow
@@ -612,7 +624,7 @@ class TestQueues:
         """``lost`` is read off the state after the admission: a key the
         step pinned whose entry is gone (which sealing forbids — here
         cleared by hand) is reported"""
-        c = LRBUCache(None, cost)
+        c = ReferenceLRBU(None, cost)
         c.admit(arr(3, 4), arr(2, 2))
         c.release()
         c.seal_many(arr(3, 4))

