@@ -27,7 +27,25 @@
  * tests/reference_cache.py).  Loaded through cffi in ABI mode, so this
  * file includes nothing Python; the callers check every shape, position
  * and index before they pass a pointer (pull_extend_step checks its ids,
- * positions and buffer room itself, before it writes anything). */
+ * positions and buffer room itself, before it writes anything).
+ *
+ * Threads.  Built with -fopenmp, the library runs two loops on an OpenMP
+ * team, whose size is the process's CPU affinity (libgomp's default): a
+ * counted extend_rows pass (out and cand NULL, so nothing is written at a
+ * running offset) of THREAD_ROWS rows or more, as CHUNKS contiguous chunks
+ * of rows — most of a counted step's intersect stage, and BiGJoin's
+ * survivor rounds — and the same counted step's sort and deal, one batch
+ * per thread.  The chunks do not depend on the team's size and every result
+ * is per row, per batch or summed in chunk order, so one thread or many
+ * give the same bytes.  The rest stays on the calling thread: the gather
+ * and checks, so step_inputs refuses bad input before anything is
+ * written; classification, admission, the lost-pin check and the
+ * release, which change the cache in Algorithm 3's stamp order; and
+ * every pass that writes rows.  Writing each chunk's rows at its
+ * upper-bound offset and compacting them after touches pages past the
+ * kept rows, which then stay resident: threading the materialising steps
+ * so raised enum-pull's peak RSS by about 5 MB (67-71 to 72.6-74.4 MB);
+ * only a count-then-write pass could thread them. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -168,40 +186,26 @@ count_row(const i64 *row, i64 r, i64 width, i64 k, const i64 *v, i64 *pos,
     return emitted;
 }
 
-/* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
- * extend vertices verts[r] are sorted by adjacency length lens[r]
- * (stably; the sorted lengths go to lens_out[r] unless it is NULL); the
- * smallest list, cut to the symmetry window max(rows[gt]) < c <
- * min(rows[lt]), gives the candidates; each other list is probed once
- * per candidate still standing (failed_at), and the survivors are
- * filtered by kept.  Writes counts[r]; unless probe_ticks is NULL, the
- * row's intersection ticks len[0] * (intersect + sum of
- * probe_ticks[len[w]] over the other lists) to ticks[r]; and of the
- * first cap survivors, unless cand is NULL, the candidate and its row to
- * cand / row_ids, unless out is NULL, the row then the candidate to out
- * (width + 1 columns).  Unless survivors is NULL, the whole smallest
- * list is the candidates, survivors[r * k + w] counts those standing
- * after list w (w = 0: all of them), and the symmetry conditions filter
- * the survivors instead of cutting a window; that mode's candidate loop
- * is count_row's, so the windowed one carries no counting.  When verify
- * is a column (a VERIFY step; -1 otherwise), a row's one candidate is
- * its own vertex there, probed in every list and kept when it is in
- * each and carries new_label, and a kept row goes to out as it is
- * (width columns); the window, lt and gt play no part.  Returns the
- * number of survivors. */
-i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
-                const i64 *verts, const i64 *lens, i64 *lens_out,
-                const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
-                const i64 *indptr, const i64 *indices, i64 n,
-                const i64 *table, i64 bits,
-                const i64 *labels, i64 new_label, i64 verify,
-                const i64 *probe_ticks, i64 intersect, i64 *ticks,
-                i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
-                i64 *survivors, i64 *probes)
+/* The fewest rows a counted pass, or a counted step's deal, runs on the
+ * team with, and the chunks a counted pass is cut into (see the header) */
+#define THREAD_ROWS 1024
+#define CHUNKS 32
+
+/* extend_rows over its rows r0 .. r1 - 1, the searched probes to
+ * *probes.  Returns the number of survivors. */
+static i64 extend_range(i64 r0, i64 r1, i64 width,
+                        const i64 *rows, i64 k, const i64 *verts,
+                        const i64 *lens, i64 *lens_out, const i64 *lt,
+                        i64 n_lt, const i64 *gt, i64 n_gt, const i64 *indptr,
+                        const i64 *indices, i64 n, const i64 *table, i64 bits,
+                        const i64 *labels, i64 new_label, i64 verify,
+                        const i64 *probe_ticks, i64 intersect, i64 *ticks,
+                        i64 *cand, i64 *row_ids, i64 *out, i64 cap,
+                        i64 *counts, i64 *survivors, i64 *probes)
 {
     i64 v[k], len[k], pos[k], end[k];
     i64 total = 0, searched = 0;
-    for (i64 r = 0; r < n_rows; r++) {
+    for (i64 r = r0; r < r1; r++) {
         const i64 *row = rows + r * width;
         for (i64 w = 0; w < k; w++) {
             i64 x = verts[r * k + w], l = lens[r * k + w], j = w;
@@ -261,6 +265,57 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
         total += emitted;
     }
     *probes = searched;
+    return total;
+}
+
+/* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
+ * extend vertices verts[r] are sorted by adjacency length lens[r]
+ * (stably; the sorted lengths go to lens_out[r] unless it is NULL); the
+ * smallest list, cut to the symmetry window max(rows[gt]) < c <
+ * min(rows[lt]), gives the candidates; each other list is probed once
+ * per candidate still standing (failed_at), and the survivors are
+ * filtered by kept.  Writes counts[r]; unless probe_ticks is NULL, the
+ * row's intersection ticks len[0] * (intersect + sum of
+ * probe_ticks[len[w]] over the other lists) to ticks[r]; and of the
+ * first cap survivors, unless cand is NULL, the candidate and its row to
+ * cand / row_ids, unless out is NULL, the row then the candidate to out
+ * (width + 1 columns).  Unless survivors is NULL, the whole smallest
+ * list is the candidates, survivors[r * k + w] counts those standing
+ * after list w (w = 0: all of them), and the symmetry conditions filter
+ * the survivors instead of cutting a window; that mode's candidate loop
+ * is count_row's, so the windowed one carries no counting.  When verify
+ * is a column (a VERIFY step; -1 otherwise), a row's one candidate is
+ * its own vertex there, probed in every list and kept when it is in
+ * each and carries new_label, and a kept row goes to out as it is
+ * (width columns); the window, lt and gt play no part.  A counted pass
+ * of THREAD_ROWS rows or more runs its chunks on a team.  Returns the
+ * number of survivors. */
+i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
+                const i64 *verts, const i64 *lens, i64 *lens_out,
+                const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
+                const i64 *indptr, const i64 *indices, i64 n,
+                const i64 *table, i64 bits,
+                const i64 *labels, i64 new_label, i64 verify,
+                const i64 *probe_ticks, i64 intersect, i64 *ticks,
+                i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
+                i64 *survivors, i64 *probes)
+{
+    i64 chunks = !out && !cand && n_rows >= THREAD_ROWS ? CHUNKS : 1;
+    i64 found[CHUNKS], searched[CHUNKS], total = 0;
+    *probes = 0;
+#pragma omp parallel for schedule(dynamic, 1) if (chunks > 1)
+    for (i64 c = 0; c < chunks; c++)
+        found[c] = extend_range(n_rows * c / chunks,
+                                n_rows * (c + 1) / chunks, width, rows, k,
+                                verts, lens, lens_out, lt, n_lt, gt, n_gt,
+                                indptr, indices, n, table, bits, labels,
+                                new_label, verify, probe_ticks, intersect,
+                                ticks, cand, row_ids, out, cap, counts,
+                                survivors, &searched[c]);
+    for (i64 c = 0; c < chunks; c++) {
+        total += found[c];
+        *probes += searched[c];
+    }
     return total;
 }
 
@@ -617,8 +672,9 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
  *      are its intersection ticks plus, per remote cell, weights[COPY] *
  *      (length + 1) + weights[ACCESS], plus counts[r] * weights[EMIT];
  *   5. per batch, deal_items deals the ticks heaviest first over workers
- *      when steal, else all of them to worker rows[first][0] % workers,
- *      into totals (a row of workers per batch);
+ *      when steal (on the team when counted, from THREAD_ROWS rows), else
+ *      all of them to worker rows[first][0] % workers, into totals (a row
+ *      of workers per batch);
  *   6. release_pins files every pinned key by ascending id; when a queue
  *      row is too short the keys stay pinned and the capacity needed is
  *      returned.
@@ -647,14 +703,14 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
     i64 cells = n_rows * n_ext;
     /* scratch: the extend block and its lengths, the misses and their
      * sizes, the admitted ids per machine, and the deal's sort keys,
-     * their radix buffer and batch numbers */
-    i64 *verts = malloc((size_t)(4 * cells + k + 3 * n_rows + 1)
+     * their radix buffer, batch numbers and batch starts */
+    i64 *verts = malloc((size_t)(4 * cells + k + 4 * n_rows + 2)
                         * sizeof(i64));
     if (!verts)
         return -3;
     i64 *lens = verts + cells, *miss = lens + cells, *sizes = miss + cells;
     i64 *incoming = sizes + cells, *keys = incoming + k, *tmp = keys + n_rows;
-    i64 *seg = tmp + n_rows;
+    i64 *seg = tmp + n_rows, *starts = seg + n_rows;
     if (!step_inputs(n_rows, width, rows, machines, k, n_ext, ext, verify,
                      lt, n_lt, gt, n_gt, indptr, n, n_probe_ticks, cache_rows,
                      stride, pins, n_pins, pins_cap, workers, steal, out, cap,
@@ -713,29 +769,28 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
             if (owner[v[w]] != machines[r])
                 ticks[r] += weights[COPY] * (l[w] + 1) + weights[ACCESS];
         ticks[r] += counts[r] * weights[EMIT];
-        if (r > 0 && machines[r] != machines[r - 1])
-            runs++;
-        seg[r] = runs;
+        if (r == 0 || machines[r] != machines[r - 1])
+            starts[runs++] = r;
+        seg[r] = runs - 1;
     }
+    starts[runs] = n_rows;
 
-    /* 5: the worker deal, per batch */
-    runs = n_rows ? runs + 1 : 0;
+    /* 5: the worker deal, per batch: each batch sorted in its own slice
+     * of keys and tmp, and dealt into its own row of totals */
     for (i64 i = 0; i < runs * workers; i++)
         totals[i] = 0;
     if (steal) {
-        for (i64 a = 0, b = 0; a < n_rows; a = b) {
-            for (b = a + 1; b < n_rows && seg[b] == seg[a]; b++)
-                ;
-            sort_heaviest_first(ticks + a, keys + a, tmp, b - a);
+#pragma omp parallel for schedule(dynamic, 1) \
+        if (!out && n_rows >= THREAD_ROWS)
+        for (i64 b = 0; b < runs; b++) {
+            i64 a = starts[b], m = starts[b + 1] - a;
+            sort_heaviest_first(ticks + a, keys + a, tmp + a, m);
+            deal_items(m, keys + a, seg + a, runs, workers, totals);
         }
-        deal_items(n_rows, keys, seg, runs, workers, totals);
     } else {
-        for (i64 r = 0, first = 0; r < n_rows; r++) {
-            if (r > 0 && seg[r] != seg[r - 1])
-                first = r;
-            totals[seg[r] * workers + rows[first * width] % workers]
+        for (i64 r = 0; r < n_rows; r++)
+            totals[seg[r] * workers + rows[starts[seg[r]] * width] % workers]
                 += ticks[r];
-        }
     }
     free(verts);
 

@@ -331,7 +331,9 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
 # -- the compiled loops --------------------------------------------------------
 
 _SOURCE = Path(__file__).with_name("kernels.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+# -z nodelete: the library, and the libgomp it links, stay loaded to the
+# process's end, so an OpenMP team still spinning at exit never runs unmapped
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-fopenmp", "-Wl,-z,nodelete")
 _CDEF = """
 int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, const int64_t *, int64_t *,

@@ -27,13 +27,17 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["ARC_TABLE_AFTER", "Graph", "edge_rows"]
+__all__ = ["ARC_BLOCK_KEYS", "ARC_TABLE_AFTER", "Graph", "edge_rows"]
 
 #: membership probes per arc a snapshot answers by binary search before
 #: it builds its slot table.  A snapshot behind one 8-edge update batch
 #: reads about 2 per arc at most, a triangle count read off it included;
 #: an enumeration reads tens.
 ARC_TABLE_AFTER = 4
+
+#: the most keys :meth:`Graph.has_arc_keys` answers at once, which bounds
+#: its temporaries (a module constant, so a test can shrink it)
+ARC_BLOCK_KEYS = 1 << 14
 
 #: slot-table markers; an arc key ``u * n + v`` is never negative
 _EMPTY, _SHARED = -1, -2
@@ -238,16 +242,23 @@ class Graph:
         Through the composite index (one ``searchsorted``) until this
         snapshot has answered :data:`ARC_TABLE_AFTER` probes per arc,
         then through :meth:`arc_table` (one gather; only keys landing on
-        a shared slot take the ``searchsorted``).  Both answers are exact.
+        a shared slot take the ``searchsorted``).  Both answers are exact,
+        given :data:`ARC_BLOCK_KEYS` keys at a time.
         """
         table = self.arc_table_due(len(keys))
-        if table is None:
-            return _search(self.composite_index(), keys)
-        held = table[_slots(keys, len(table).bit_length() - 1)]
-        found = held == keys
-        shared = np.flatnonzero(held == _SHARED)
-        if len(shared):
-            found[shared] = _search(self.composite_index(), keys[shared])
+        comp = self.composite_index()
+        found = np.empty(len(keys), dtype=bool)
+        for a in range(0, len(keys), ARC_BLOCK_KEYS):
+            block = keys[a:a + ARC_BLOCK_KEYS]
+            into = found[a:a + ARC_BLOCK_KEYS]
+            if table is None:
+                into[:] = _search(comp, block)
+                continue
+            held = table[_slots(block, len(table).bit_length() - 1)]
+            np.equal(held, block, out=into)
+            shared = np.flatnonzero(held == _SHARED)
+            if len(shared):
+                into[shared] = _search(comp, block[shared])
         return found
 
     def has_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -31,8 +31,9 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-FLAGS = ("-O1", "-g", "-shared", "-fPIC", "-fno-omit-frame-pointer",
-         "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+FLAGS = ("-O1", "-g", "-shared", "-fPIC", "-fopenmp", "-Wl,-z,nodelete",
+         "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all")
 
 
 def pytest_configure(config):

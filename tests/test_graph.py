@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph, GraphBuilder, apply_updates
 from repro.graph import generators as gen
+from repro.graph import graph as graph_module
 from repro.graph.graph import _SHARED, ARC_TABLE_AFTER
 from repro.testing.strategies import graphs
 
@@ -216,6 +217,29 @@ class TestAccessors:
         assert table is not None and table is g.arc_table()
         assert np.array_equal(g.has_arc_keys(keys), want)
         assert g._arcs is table
+
+    def test_keys_in_small_blocks_answer_as_one(self, er_graph,
+                                                monkeypatch):
+        """keys answered five at a time (``ARC_BLOCK_KEYS`` shrunk) give
+        the same answers on both sides of the trigger, shared slots
+        included, and every call counts all its keys once, so the table
+        comes due after the same probes"""
+        monkeypatch.setattr(graph_module, "ARC_BLOCK_KEYS", 5)
+        g = Graph(er_graph.indptr, er_graph.indices)
+        n, budget = g.num_vertices, ARC_TABLE_AFTER * len(g.indices)
+        keys = np.arange(n * n, dtype=np.int64)
+        want = np.isin(keys, g.composite_index())
+        for probe in np.array_split(np.arange(budget) % len(keys), 7):
+            assert g._arcs is None
+            assert np.array_equal(g.has_arc_keys(keys[probe]), want[probe])
+        assert g._arcs is not None
+        assert np.array_equal(g.has_arc_keys(keys), want)
+        shared = next(g for g in (gen.erdos_renyi(30, 0.3, seed=s)
+                                  for s in range(20))
+                      if (g.arc_table() == _SHARED).any())
+        keys = np.arange(30 * 30, dtype=np.int64)
+        assert np.array_equal(shared.has_arc_keys(keys),
+                              np.isin(keys, shared.composite_index()))
 
     def test_composite_index_positions_are_arc_positions(self, er_graph):
         comp = er_graph.composite_index()

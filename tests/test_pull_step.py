@@ -5,7 +5,14 @@ its place) step for step: the same output block, counts, ticks and
 worker totals, the same ledger and the same cache state after every
 step."""
 
+import hashlib
+import os
+import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +28,14 @@ from repro.graph import generators as gen
 from repro.obs import Tracer
 from repro.query import get_query
 
+from . import reference_kernels
 from .reference_cache import make_cache
 from .reference_kernels import PATHS, bound
 from .reference_ledger import columns
+
+#: the row count from which ``kernels.c`` runs a counted pass on threads
+THREAD_ROWS = int(re.search(r"#define THREAD_ROWS (\d+)",
+                            kernels._SOURCE.read_text())[1])
 
 
 def _context(g, k, workers, variant, capacity, labels, seed):
@@ -333,6 +345,125 @@ class TestFusedStep:
         assert traces[0][0] and traces[0] == traces[1]
 
 
+class TestThreadedStep:
+    """A counted step of ``THREAD_ROWS`` rows or more
+    (:func:`_threaded_step`), whose intersect stage and per-batch deal run
+    on threads, against the reference step, and against itself on one
+    thread."""
+
+    @staticmethod
+    def _step(table):
+        """:func:`_threaded_step` on each path, each side on a graph of its
+        own (so each counts its own searched probes), the slot table built
+        first when ``table``: per side its ``(ticks, counts, totals)``,
+        ledger, cache state and the graph's searched-probe count."""
+        got = {}
+        for path in PATHS:
+            g, ctx, machines, rows, spec = _threaded_step()
+            if table:
+                g.arc_table()
+            with bound(path):
+                _, *step = ExtendOp(spec, ctx)._run(machines, rows, True,
+                                                    True)
+            got[path] = ([a.tolist() for a in step], _ledger(ctx),
+                         _cache_state(ctx.cache, 3), g._probes)
+        return got
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_equals_the_reference(self, table):
+        """Counts, ticks, totals, every ledger column (hits, misses,
+        pulls), every cache array and, searching, the probe count."""
+        got = self._step(table)
+        assert got["compiled"] == got["numpy"]
+        assert sum(got["compiled"][0][1]) > 0
+        assert (got["compiled"][3] > 0) != table
+
+    def test_one_thread_gives_the_same_report(self):
+        """The same step's report and cache arrays, byte for byte, in a
+        child process held to one thread."""
+        child = _child("import hashlib, sys\n"
+                       "from tests.test_pull_step import _report\n"
+                       "sys.stdout.write(hashlib.sha256(_report())"
+                       ".hexdigest())\n", OMP_NUM_THREADS="1")
+        assert child == hashlib.sha256(_report()).hexdigest()
+
+    def test_a_process_exits_while_its_team_spins(self):
+        """A process that ends right after a threaded step, its team still
+        spinning (``OMP_WAIT_POLICY=active``), exits cleanly: the library
+        stays loaded to the end, so the team's threads never run in an
+        unloaded libgomp."""
+        for _ in range(3):
+            _child("from tests.test_pull_step import _report; _report()",
+                   OMP_WAIT_POLICY="active")
+
+    def test_concurrent_callers_give_the_same_report(self):
+        """Four interpreter threads stepping at once, each its own cache
+        and graph, each with a team of its own: every report is the one
+        step's alone."""
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(_report) for _ in range(4)]
+            reports = [f.result(timeout=120) for f in futures]
+        assert reports == [_report()] * 4
+
+    def test_survivor_rounds_equal_the_reference(self):
+        """BiGJoin's counted rounds (per-list survivor counts, the window
+        as a filter) above the row threshold."""
+        g = gen.erdos_renyi(300, 0.06, seed=13)
+        rng = np.random.default_rng(13)
+        rows = rng.integers(0, 300, size=(2 * THREAD_ROWS, 3))
+        verts = rows[:, :2]
+        lens = np.diff(g.indptr)[verts]
+        got = []
+        for module in (kernels, reference_kernels):
+            survivors = np.empty(verts.shape, dtype=np.int64)
+            _, counts, ticks = module.extend_block(
+                g, rows, verts, lens, (2,), (), 3,
+                np.arange(g.num_vertices + 1), count_only=True,
+                survivors=survivors)
+            got.append((counts.tolist(), ticks.tolist(), survivors.tolist()))
+        assert got[0] == got[1]
+
+
+def _threaded_step():
+    """A fresh step of ``3 · THREAD_ROWS`` rows over three machines (a
+    batch each) of a 300-vertex graph, extending a pair under a symmetry
+    window: ``(graph, context, machines, rows, spec)``."""
+    g = gen.erdos_renyi(300, 0.06, seed=12)
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, 300, size=(3 * THREAD_ROWS, 2))
+    machines = np.sort(rng.integers(0, 3, size=len(rows)))
+    spec = ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2,
+                      candidate_gt=(0,))
+    return g, _context(g, 3, 2, "lrbu", 400, None, 12), machines, rows, spec
+
+
+def _child(code: str, **env: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter at the
+    repository's root, with ``env`` added to the environment; a failed
+    exit raises."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        (str(root / "src"), str(root))))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                          check=True, timeout=120, capture_output=True,
+                          text=True).stdout
+
+
+def _report() -> bytes:
+    """What :func:`_threaded_step`, counted and stealing, reports through
+    :meth:`LRBUCache.pull_extend` — ticks, counts, totals, fetched,
+    pulls — then the cache's arrays and the graph's searched probes, as
+    bytes."""
+    g, ctx, machines, rows, spec = _threaded_step()
+    cache = ctx.cache
+    cache.cover(3, g.num_vertices)
+    _, *report, _ = cache.pull_extend(ctx.cluster, machines, rows, spec,
+                                      None, True, True)
+    return b"".join(np.asarray(a).tobytes() for a in (
+        *report, cache._entry, cache._order, cache._queue, cache._stamps,
+        cache._queue_state, g._probes))
+
+
 class TestStepRefusals:
     """``kernels.pull_extend_step`` refuses, before it writes anything, a
     machine past the cluster, a vertex outside the graph, a position
@@ -386,6 +517,10 @@ class TestStepRefusals:
             dict(rows=rows * [1, -1], machines=ok, ext=(0,), verify=1),
             dict(rows=rows + [0, 30], machines=ok, ext=(0,), verify=1),
         ]
+        # a step of threaded size whose last row leaves the graph
+        big = np.tile(rows, (THREAD_ROWS, 1))
+        big[-1, 1] = 30
+        cases.append(dict(rows=big, machines=np.zeros(len(big), np.int64)))
         for case in cases:
             with pytest.raises(ValueError):
                 self._call(ctx, **case)
