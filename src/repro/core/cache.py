@@ -71,9 +71,6 @@ _FETCH_INSERT_TICKS = TICKS_PER_OP // 2
 #: past capacity
 _HEAD, _TAIL, _STAMP, _SIZE, _EVICTED, _OVERFLOW = range(6)
 
-#: queue places per machine a fresh cache starts with
-_QUEUE_START = 64
-
 #: ``S_sealed`` with nothing pinned (a shared empty buffer)
 _NO_PINS = np.empty(0, dtype=np.int64)
 
@@ -174,8 +171,8 @@ class LRBUCache:
         self._update = update_penalty
         self._entry = np.zeros((1, 0), dtype=np.int64)
         self._order = np.zeros((1, 0), dtype=np.int64)
-        self._queue = np.zeros((1, _QUEUE_START), dtype=np.int64)
-        self._stamps = np.zeros((1, _QUEUE_START), dtype=np.int64)
+        self._queue = np.zeros((1, 0), dtype=np.int64)
+        self._stamps = np.zeros((1, 0), dtype=np.int64)
         self._queue_state = np.zeros((1, 6), dtype=np.int64)
         #: ``S_sealed``: the keys ``m·|V| + v`` pinned since the last
         #: release, ``_pins[:_num_pins]``, distinct; the compiled step
@@ -235,14 +232,16 @@ class LRBUCache:
         return penalty
 
     def _grow_queue(self, need: int) -> None:
-        """Widen every machine's queue row to at least ``need`` places,
-        and at least double it, so that rows grow a logarithmic number of
-        times."""
-        width = self._queue.shape[1]
+        """Widen every machine's queue row to at least ``need`` places
+        when it is narrower, and at least double it, so that rows grow a
+        logarithmic number of times."""
+        queue, stamps, width = self._queue, self._stamps, self._queue.shape[1]
+        if width >= need:
+            return
         self._queue, self._stamps = (
-            np.concatenate((a, np.zeros((len(a), max(need, 2 * width) - width),
-                                        dtype=np.int64)), axis=1)
-            for a in (self._queue, self._stamps))
+            np.zeros((len(queue), max(need, 2 * width)), dtype=np.int64)
+            for _ in range(2))
+        self._queue[:, :width], self._stamps[:, :width] = queue, stamps
 
     def cover(self, machines: int, vertices: int) -> None:
         """Hold rows for ``machines`` machines and ids below ``vertices``
@@ -258,9 +257,10 @@ class LRBUCache:
         machine ``machines[i]``'s), the worker deal of each row's ticks (a
         run of one machine's rows is one batch; dealt heaviest first when
         ``steal``) and the release, in one call on this cache's arrays.
-        When a queue row is too short for the step's pins even compacted,
-        the step hands them back with the width it needs: the rows grow,
-        and the step on no rows, which is the release alone, files them.
+        The queue rows first take twice an average batch's cells; a row
+        still too short for its pins even compacted hands them back with
+        the width it needs: the rows grow, and a step on no rows files
+        them.
 
         A row's ticks are its intersection ticks, this variant's
         :meth:`access_penalty` per remote read and its emits, as the
@@ -298,19 +298,19 @@ class LRBUCache:
                    t.emit * (1 if count_only else width + (verify < 0)))
 
         def step(machines, rows, out, batches):
-            report = np.empty(2 * len(rows) + batches * workers + 3 * k
-                              + 2 * k * k + len(kernels.STEP_RESULTS),
-                              dtype=np.int64)
             return kernels.pull_extend_step(
                 g, cluster.pgraph.owner, k, rows, machines, spec.ext, verify,
                 spec.candidate_lt, spec.candidate_gt, labels, spec.new_label,
                 cluster.probe_ticks, weights,
                 (self._capacity, self._entry, self._order, self._queue,
                  self._stamps, self._queue_state, self._pins,
-                 self._num_pins), workers, steal, out, report, batches)
+                 self._num_pins), workers, steal, out, batches)
 
         batches = n_rows and 1 + int(np.count_nonzero(
             machines[1:] != machines[:-1]))
+        # twice an average batch's cells: a release leaves a row at most
+        # half full, so a step of even batches files its pins in place
+        self._grow_queue(2 * n_rows * len(spec.ext) // max(batches, 1))
         status, counts, ticks, totals, fetched, pulls, result = step(
             machines, rows, out, batches)
         kept, _, pinned, lost = result.tolist()

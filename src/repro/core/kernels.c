@@ -29,15 +29,17 @@
  * and index before they pass a pointer (pull_extend_step checks its ids,
  * positions and buffer room itself, before it writes anything).
  *
- * Threads.  Built with -fopenmp, the library runs two loops on an OpenMP
- * team, whose size is the process's CPU affinity (libgomp's default): a
- * counted extend_rows pass (out and cand NULL, so nothing is written at a
- * running offset) of THREAD_ROWS rows or more, as CHUNKS contiguous chunks
- * of rows — most of a counted step's intersect stage, and BiGJoin's
- * survivor rounds — and the same counted step's sort and deal, one batch
- * per thread.  The chunks do not depend on the team's size and every result
- * is per row, per batch or summed in chunk order, so one thread or many
- * give the same bytes.  The rest stays on the calling thread: the gather
+ * Threads.  The library runs two loops as chunks on its own pool
+ * (run_chunks): a counted extend_rows pass (out and cand NULL, so nothing
+ * is written at a running offset) of THREAD_ROWS rows or more, as CHUNKS
+ * contiguous chunks of rows — most of a counted step's intersect stage,
+ * and BiGJoin's survivor rounds — and the same counted step's sort and
+ * deal, a batch per chunk.  The caller runs chunks too, and waits only for
+ * chunks a helper has claimed, so a helper that is not scheduled costs it
+ * nothing (HUGE's workers likewise never wait on a peer that holds no
+ * work).  The chunks do not depend on how many threads run them and every
+ * result is per row, per batch or summed in chunk order, so one thread or
+ * many give the same bytes.  The rest stays on the calling thread: the gather
  * and checks, so step_inputs refuses bad input before anything is
  * written; classification, admission, the lost-pin check and the
  * release, which change the cache in Algorithm 3's stamp order; and
@@ -47,8 +49,14 @@
  * so raised enum-pull's peak RSS by about 5 MB (67-71 to 72.6-74.4 MB);
  * only a count-then-write pass could thread them. */
 
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <time.h>
 
 typedef int64_t i64;
 
@@ -187,9 +195,166 @@ count_row(const i64 *row, i64 r, i64 width, i64 k, const i64 *v, i64 *pos,
 }
 
 /* The fewest rows a counted pass, or a counted step's deal, runs on the
- * team with, and the chunks a counted pass is cut into (see the header) */
+ * pool with, and the chunks a counted pass is cut into (see the header) */
 #define THREAD_ROWS 1024
 #define CHUNKS 32
+
+/* How long an idle helper polls for a job before it sleeps, in ns.  Steps
+ * come a few hundred microseconds apart, so a helper woken from sleep
+ * arrives after the caller has run most chunks itself; but a helper that
+ * polls 1 ms slows the whole process (plan-bound's set-up by 35 ms) */
+#define SPIN_NS 200000
+
+/* The pool's job word: its generation above bit 32, its number of chunks
+ * in bits 16-31 and the next chunk to claim in bits 0-15 */
+#define CHUNK_BITS 16
+#define CHUNK_MASK ((1u << CHUNK_BITS) - 1)
+
+#if defined(__x86_64__) || defined(__i386__)
+#define RELAX() __builtin_ia32_pause()
+#else
+#define RELAX() ((void)0)
+#endif
+
+typedef void chunk_fn(i64 c, void *arg);
+
+/* The pool: CPU affinity - 1 helpers, started by the first job in the
+ * process, and one caller at a time (busy).  fn and arg are the job's,
+ * written only while busy is held and every chunk of the job before is
+ * done */
+static struct {
+    _Atomic uint64_t job;
+    _Atomic i64 done;   /* chunks of the job run to their end */
+    atomic_int busy, sleepers;
+    chunk_fn *fn;
+    void *arg;
+    int started;
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+} pool = {.lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER};
+
+static int claimable(uint64_t job)
+{
+    return (job & CHUNK_MASK) < (job >> CHUNK_BITS & CHUNK_MASK);
+}
+
+/* Claim the job's next chunk and run it; 0 when every chunk is claimed.
+ * The claim's CAS acquires the job its caller published */
+static int run_one(void)
+{
+    uint64_t job = atomic_load_explicit(&pool.job, memory_order_acquire);
+    while (claimable(job))
+        if (atomic_compare_exchange_weak_explicit(
+                &pool.job, &job, job + 1, memory_order_acquire,
+                memory_order_acquire)) {
+            pool.fn((i64)(job & CHUNK_MASK), pool.arg);
+            atomic_fetch_add_explicit(&pool.done, 1, memory_order_release);
+            return 1;
+        }
+    return 0;
+}
+
+static i64 now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return t.tv_sec * 1000000000L + t.tv_nsec;
+}
+
+/* A helper: claims chunks while there are any, polls SPIN_NS for more,
+ * then sleeps until a job is published.  It counts itself in sleepers
+ * before it looks at the job word, so a caller that publishes after the
+ * look sees the count and wakes it */
+static void *helper(void *unused)
+{
+    (void)unused;
+    for (i64 idle = now_ns();;) {
+        if (run_one()) {
+            idle = now_ns();
+        } else if (now_ns() - idle < SPIN_NS) {
+            RELAX();
+        } else {
+            pthread_mutex_lock(&pool.lock);
+            atomic_fetch_add(&pool.sleepers, 1);
+            while (!claimable(atomic_load(&pool.job)))
+                pthread_cond_wait(&pool.wake, &pool.lock);
+            atomic_fetch_sub(&pool.sleepers, 1);
+            pthread_mutex_unlock(&pool.lock);
+            idle = now_ns();
+        }
+    }
+    return NULL;
+}
+
+/* A fork()ed child has none of its parent's helpers, and a parent's
+ * thread may have held busy or the lock: the pool starts afresh */
+static void forked(void)
+{
+    pool.started = 0;
+    atomic_store(&pool.busy, 0);
+    atomic_store(&pool.sleepers, 0);
+    atomic_store(&pool.job, 0);
+    pthread_mutex_init(&pool.lock, NULL);
+    pthread_cond_init(&pool.wake, NULL);
+}
+
+/* CPU affinity - 1 detached helpers (as many as start), every signal
+ * blocked in them, so signals stay the interpreter's main thread's */
+static void start_helpers(void)
+{
+    static int registered;
+    cpu_set_t cpus;
+    sigset_t all, old;
+    pthread_t thread;
+    int want = sched_getaffinity(0, sizeof cpus, &cpus) ? 0
+               : CPU_COUNT(&cpus) - 1;
+    if (!registered)
+        registered = !pthread_atfork(NULL, NULL, forked);
+    pool.started = 1;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (; want > 0 && !pthread_create(&thread, NULL, helper, NULL); want--)
+        pthread_detach(thread);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+}
+
+/* fn(c, arg) for every chunk c below n, on the pool when it is free: the
+ * caller publishes the job, wakes any sleeping helper, claims chunks
+ * itself, and once all are claimed waits only for those helpers hold.
+ * A caller that finds the pool busy (another thread's job) runs its
+ * chunks alone, in order */
+static void run_chunks(i64 n, chunk_fn *fn, void *arg)
+{
+    int free_pool = 0;
+    if (n < 2 || n > CHUNK_MASK
+            || !atomic_compare_exchange_strong(&pool.busy, &free_pool, 1)) {
+        for (i64 c = 0; c < n; c++)
+            fn(c, arg);
+        return;
+    }
+    if (!pool.started)
+        start_helpers();
+    pool.fn = fn;
+    pool.arg = arg;
+    atomic_store_explicit(&pool.done, 0, memory_order_relaxed);
+    uint64_t gen = (atomic_load_explicit(&pool.job, memory_order_relaxed)
+                    >> 32) + 1;
+    atomic_store(&pool.job, gen << 32 | (uint64_t)n << CHUNK_BITS);
+    if (atomic_load(&pool.sleepers)) {
+        pthread_mutex_lock(&pool.lock);
+        pthread_cond_broadcast(&pool.wake);
+        pthread_mutex_unlock(&pool.lock);
+    }
+    while (run_one())
+        ;
+    for (int spins = 0;
+         atomic_load_explicit(&pool.done, memory_order_acquire) < n; spins++)
+        if (spins < 1000)
+            RELAX();
+        else
+            sched_yield();
+    atomic_store_explicit(&pool.busy, 0, memory_order_release);
+}
 
 /* extend_rows over its rows r0 .. r1 - 1, the searched probes to
  * *probes.  Returns the number of survivors. */
@@ -268,6 +433,29 @@ static i64 extend_range(i64 r0, i64 r1, i64 width,
     return total;
 }
 
+/* extend_rows' arguments, and per chunk of its rows the survivors and
+ * searched probes */
+struct extend_pass {
+    const i64 *rows, *verts, *lens, *lt, *gt, *indptr, *indices, *table,
+        *labels, *probe_ticks;
+    i64 *lens_out, *ticks, *cand, *row_ids, *out, *counts, *survivors;
+    i64 n_rows, width, k, n_lt, n_gt, n, bits, new_label, verify, intersect,
+        cap, chunks, found[CHUNKS], searched[CHUNKS];
+};
+
+/* extend_range over chunk c of a pass's rows */
+static void extend_chunk(i64 c, void *arg)
+{
+    struct extend_pass *p = arg;
+    p->found[c] = extend_range(
+        p->n_rows * c / p->chunks, p->n_rows * (c + 1) / p->chunks, p->width,
+        p->rows, p->k, p->verts, p->lens, p->lens_out, p->lt, p->n_lt, p->gt,
+        p->n_gt, p->indptr, p->indices, p->n, p->table, p->bits, p->labels,
+        p->new_label, p->verify, p->probe_ticks, p->intersect, p->ticks,
+        p->cand, p->row_ids, p->out, p->cap, p->counts, p->survivors,
+        &p->searched[c]);
+}
+
 /* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
  * extend vertices verts[r] are sorted by adjacency length lens[r]
  * (stably; the sorted lengths go to lens_out[r] unless it is NULL); the
@@ -288,7 +476,7 @@ static i64 extend_range(i64 r0, i64 r1, i64 width,
  * its own vertex there, probed in every list and kept when it is in
  * each and carries new_label, and a kept row goes to out as it is
  * (width columns); the window, lt and gt play no part.  A counted pass
- * of THREAD_ROWS rows or more runs its chunks on a team.  Returns the
+ * of THREAD_ROWS rows or more runs its chunks on the pool.  Returns the
  * number of survivors. */
 i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 const i64 *verts, const i64 *lens, i64 *lens_out,
@@ -300,21 +488,17 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
                 i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
                 i64 *survivors, i64 *probes)
 {
-    i64 chunks = !out && !cand && n_rows >= THREAD_ROWS ? CHUNKS : 1;
-    i64 found[CHUNKS], searched[CHUNKS], total = 0;
+    struct extend_pass p = {
+        rows, verts, lens, lt, gt, indptr, indices, table, labels,
+        probe_ticks, lens_out, ticks, cand, row_ids, out, counts, survivors,
+        n_rows, width, k, n_lt, n_gt, n, bits, new_label, verify, intersect,
+        cap, !out && !cand && n_rows >= THREAD_ROWS ? CHUNKS : 1, {0}, {0}};
+    i64 total = 0;
+    run_chunks(p.chunks, extend_chunk, &p);
     *probes = 0;
-#pragma omp parallel for schedule(dynamic, 1) if (chunks > 1)
-    for (i64 c = 0; c < chunks; c++)
-        found[c] = extend_range(n_rows * c / chunks,
-                                n_rows * (c + 1) / chunks, width, rows, k,
-                                verts, lens, lens_out, lt, n_lt, gt, n_gt,
-                                indptr, indices, n, table, bits, labels,
-                                new_label, verify, probe_ticks, intersect,
-                                ticks, cand, row_ids, out, cap, counts,
-                                survivors, &searched[c]);
-    for (i64 c = 0; c < chunks; c++) {
-        total += found[c];
-        *probes += searched[c];
+    for (i64 c = 0; c < p.chunks; c++) {
+        total += p.found[c];
+        *probes += p.searched[c];
     }
     return total;
 }
@@ -566,6 +750,23 @@ i64 deal_items(i64 n, const i64 *costs, const i64 *seg, i64 batches,
     return 0;
 }
 
+/* A step's per-batch deal: the batches' item costs and starts, the
+ * items' batch numbers, the sort's keys and radix buffer, the totals */
+struct deal_pass {
+    const i64 *ticks, *starts, *seg;
+    i64 *keys, *tmp, *totals, runs, workers;
+};
+
+/* Batch b of a deal sorted heaviest first in its own slice of keys and
+ * tmp, and dealt into its own row of totals */
+static void deal_batch(i64 b, void *arg)
+{
+    struct deal_pass *d = arg;
+    i64 a = d->starts[b], m = d->starts[b + 1] - a;
+    sort_heaviest_first(d->ticks + a, d->keys + a, d->tmp + a, m);
+    deal_items(m, d->keys + a, d->seg + a, d->runs, d->workers, d->totals);
+}
+
 /* The weights pull_extend_step charges, by position in its weights
  * array: the fetch stage's ticks per distinct remote read (contains +
  * seal) and per id admitted, the access penalty per remote read (copy
@@ -672,7 +873,7 @@ static int step_inputs(i64 n_rows, i64 width, const i64 *rows,
  *      are its intersection ticks plus, per remote cell, weights[COPY] *
  *      (length + 1) + weights[ACCESS], plus counts[r] * weights[EMIT];
  *   5. per batch, deal_items deals the ticks heaviest first over workers
- *      when steal (on the team when counted, from THREAD_ROWS rows), else
+ *      when steal (on the pool when counted, from THREAD_ROWS rows), else
  *      all of them to worker rows[first][0] % workers, into totals (a row
  *      of workers per batch);
  *   6. release_pins files every pinned key by ascending id; when a queue
@@ -775,18 +976,17 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
     }
     starts[runs] = n_rows;
 
-    /* 5: the worker deal, per batch: each batch sorted in its own slice
-     * of keys and tmp, and dealt into its own row of totals */
+    /* 5: the worker deal, per batch */
     for (i64 i = 0; i < runs * workers; i++)
         totals[i] = 0;
     if (steal) {
-#pragma omp parallel for schedule(dynamic, 1) \
+        struct deal_pass d = {ticks, starts, seg, keys, tmp, totals, runs,
+                              workers};
         if (!out && n_rows >= THREAD_ROWS)
-        for (i64 b = 0; b < runs; b++) {
-            i64 a = starts[b], m = starts[b + 1] - a;
-            sort_heaviest_first(ticks + a, keys + a, tmp + a, m);
-            deal_items(m, keys + a, seg + a, runs, workers, totals);
-        }
+            run_chunks(runs, deal_batch, &d);
+        else
+            for (i64 b = 0; b < runs; b++)
+                deal_batch(b, &d);
     } else {
         for (i64 r = 0; r < n_rows; r++)
             totals[seg[r] * workers + rows[starts[seg[r]] * width] % workers]

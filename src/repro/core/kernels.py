@@ -60,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib.util
+import itertools
 import os
 import subprocess
 import tempfile
@@ -331,9 +332,9 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
 # -- the compiled loops --------------------------------------------------------
 
 _SOURCE = Path(__file__).with_name("kernels.c")
-# -z nodelete: the library, and the libgomp it links, stay loaded to the
-# process's end, so an OpenMP team still spinning at exit never runs unmapped
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-fopenmp", "-Wl,-z,nodelete")
+# -z nodelete: the library stays loaded to the process's end, so its pool's
+# helpers, which run its code until then, never run unmapped
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-Wl,-z,nodelete")
 _CDEF = """
 int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
                     const int64_t *, const int64_t *, int64_t *,
@@ -483,7 +484,7 @@ STEP_RESULTS = ("kept", "probes", "pinned", "lost")
 
 def pull_extend_step(graph, owner, k, rows, machines, ext, verify, lt, gt,
                      labels, new_label, probe_ticks, weights, cache, workers,
-                     steal, out, report, batches):
+                     steal, out, batches):
     """One PULL-EXTEND step over an LRBU cache through ``pull_extend_step``
     of ``kernels.c`` (its comment says what each array holds; ``weights``
     is in its ``SEAL`` .. ``EMIT`` order): the fetch stage, the extend
@@ -491,12 +492,11 @@ def pull_extend_step(graph, owner, k, rows, machines, ext, verify, lt, gt,
     deal and the release in one call.
     ``cache`` is ``(capacity, entry, order, queue, stamps, queue_state,
     pins, n_pins)``, updated in place.  ``out`` (``None`` for a counted
-    step) receives the kept rows; ``report`` (``int64``) is cut into
-    ``(counts, ticks, totals, fetched, pulls, result)`` — per row, per
+    step) receives the kept rows.  Returns the loop's status — 0 done, a
+    queue capacity the pins wait for, or −2 when a pinned key was lost —
+    then ``(counts, ticks, totals, fetched, pulls, result)``, per row, per
     row, ``batches × workers``, ``3 k``, ``2 k²`` and
-    :data:`STEP_RESULTS` long, in that order — which are returned after
-    the loop's status: 0 done, a queue capacity the pins wait for, or −2
-    when a pinned key was lost.
+    :data:`STEP_RESULTS` long: views of one report array.
 
     Here the arrays' types, layouts and lengths are checked; the loop
     checks every id, position and length, and the room in ``pins`` and
@@ -508,22 +508,22 @@ def pull_extend_step(graph, owner, k, rows, machines, ext, verify, lt, gt,
     n = graph.num_vertices
     label = new_label is not None and labels is not None
     table = graph.arc_table_due(0)
-    cuts = np.cumsum((n_rows, n_rows, batches * workers, 3 * k, 2 * k * k,
-                      len(STEP_RESULTS)))
+    cuts = list(itertools.accumulate(
+        (n_rows, n_rows, batches * workers, 3 * k, 2 * k * k,
+         len(STEP_RESULTS)), initial=0))
     if (len(machines) != n_rows or len(owner) < n
             or (label and len(labels) < n) or len(weights) != 6
             or not all(isinstance(a, np.ndarray) and a.dtype == np.int64
                        and a.flags.c_contiguous and a.flags.writeable
                        for a in (entry, order, queue, stamps, state, pins,
-                                 report, *(() if out is None else (out,))))
+                                 *(() if out is None else (out,))))
             or order.shape != entry.shape or stamps.shape != queue.shape
             or len(queue) != len(entry) or state.shape != (len(entry), 6)
-            or (out is not None and out.shape[1:] != (width + (verify < 0),))
-            or report.shape != (cuts[-1],)):
+            or (out is not None and out.shape[1:] != (width + (verify < 0),))):
         raise ValueError("PULL-EXTEND step arrays of the wrong shape")
+    report = np.empty(cuts[-1], dtype=np.int64)
     at = _FFI.from_buffer("int64_t[]", report)
-    counts, ticks, totals, fetched, pulls, result = (
-        at + int(c) for c in (0, *cuts[:-1]))
+    counts, ticks, totals, fetched, pulls, result = (at + c for c in cuts[:-1])
     status = _LIB.pull_extend_step(
         n_rows, width, _buf(rows), _buf(machines), k, len(ext), _buf(ext),
         _buf(lt), len(lt), _buf(gt), len(gt), _buf(graph.indptr),
@@ -544,7 +544,7 @@ def pull_extend_step(graph, owner, k, rows, machines, ext, verify, lt, gt,
                          "buffers")
     if status == -3:
         raise MemoryError("no scratch memory for a PULL-EXTEND step")
-    parts = np.split(report, cuts[:-1])
+    parts = [report[a:b] for a, b in zip(cuts, cuts[1:])]
     if table is None:
         graph.arc_table_due(int(parts[-1][1]))
     return (status, *parts)

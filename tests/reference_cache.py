@@ -190,6 +190,10 @@ class ReferenceLRBU(LRBUCache):
                     < len(owner))):
             raise ValueError("extend block outside the cluster or the graph")
         self.cover(k, len(owner))
+        # queue rows as LRBUCache.pull_extend sizes them before a step
+        batches = len(machines) and 1 + int(np.count_nonzero(
+            machines[1:] != machines[:-1]))
+        self._grow_queue(2 * block.size // max(batches, 1))
         since = self._num_pins
         miss_m, miss_v, hits, misses = self._classify(machines, block, owner,
                                                       k)

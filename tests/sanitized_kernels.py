@@ -31,7 +31,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-FLAGS = ("-O1", "-g", "-shared", "-fPIC", "-fopenmp", "-Wl,-z,nodelete",
+FLAGS = ("-O1", "-g", "-shared", "-fPIC", "-pthread", "-Wl,-z,nodelete",
          "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=all")
 

@@ -12,6 +12,11 @@ kernel tests through both with these helpers."""
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,3 +384,26 @@ def test_a_failed_build_raises_and_leaves_nothing(monkeypatch, tmp_path):
         kernels._load_library()
     assert cache.is_dir()
     assert not [p for p in cache.rglob("*") if p.is_file()]
+
+
+def test_threaded_passes_are_race_free(tmp_path):
+    """``tests/threaded_extend.c`` under ThreadSanitizer: four threads'
+    counted passes above the row threshold, one on the pool and the
+    others alone, each equal to a serial pass, with no data race
+    reported (gcc's ``libtsan`` needed; another sanitizer's runtime
+    preloaded into this process is kept out of the driver)."""
+    env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
+    gcc = shutil.which("gcc")
+    if not gcc or not Path(subprocess.run(
+            [gcc, "-print-file-name=libtsan.so"], capture_output=True,
+            text=True).stdout.strip()).is_absolute():
+        pytest.skip("no gcc with ThreadSanitizer")
+    driver = tmp_path / "threaded_extend"
+    subprocess.run([gcc, "-O1", "-g", "-pthread", "-fsanitize=thread", "-o",
+                    str(driver), str(Path(__file__).with_name(
+                        "threaded_extend.c")), str(kernels._SOURCE)],
+                   check=True, env=env)
+    done = subprocess.run([str(driver)], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("ok:")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel
-from repro.core import HugeEngine, LRBUCache, kernels
+from repro.core import HugeEngine, kernels
 from repro.core.dataflow import ExtendSpec
 from repro.core.engine import EngineConfig
 from repro.core.operators import ExecContext, ExtendOp
@@ -182,8 +182,11 @@ class TestFusedStep:
 
     def test_queue_rows_grow_inside_a_step(self):
         """An unbounded cache admitting more distinct ids in one step than
-        its queue rows hold: the step hands the pins back, the rows grow,
-        and the release files them — the same queue as the composition."""
+        a fresh cache's queue rows hold: the rows grow to twice the step's
+        cells (one batch) before it runs, and its release files the pins —
+        the same queue as the composition.  (A step that still finds a row
+        too short hands its pins back: test_a_row_filled_to_one_place_short
+        and test_queue_rows_compact_and_grow_alike.)"""
         g = gen.erdos_renyi(400, 0.05, seed=4)
         spec = ExtendSpec(ext=(0,), out_schema=(0, 1), new_vertex=1)
         rows = np.arange(400)[:, None]
@@ -200,9 +203,8 @@ class TestFusedStep:
     def test_wide_keys_file_by_machine_and_id(self):
         """Keys ``m·|V| + v`` past one 11-bit radix digit (3 000 ids on
         three machines): the step's release files them as the numpy
-        release does, every machine by ascending id.  The first step
-        grows the queue rows, so the second, re-reading half of it, is
-        filed by the compiled release itself."""
+        release does, every machine by ascending id, and the second step,
+        re-reading half of the first's, in rows as wide as before."""
         g = gen.erdos_renyi(3000, 0.002, seed=8)
         spec = ExtendSpec(ext=(0, 1), out_schema=(0, 1, 2), new_vertex=2)
         rng = np.random.default_rng(8)
@@ -254,6 +256,7 @@ class TestFusedStep:
         for path, ctx in zip(PATHS, sides):
             cache = ctx.cache
             cache.cover(2, g.num_vertices)
+            cache._grow_queue(64)
             qcap = cache._queue.shape[1]
             # machine 1's row: qcap - 1 live places, then a step pinning 2
             cache.admit(remote[:qcap - 1], np.full(qcap - 1, 2), 1)
@@ -287,10 +290,10 @@ class TestFusedStep:
     def test_a_step_is_one_compiled_call(self, monkeypatch):
         """An engine run over an LRBU cache makes exactly one compiled
         call per PULL-EXTEND step — q3's plan verifies, q1's extends only
-        — plus one step of no rows per queue growth, which files the pins
-        a step handed back, and no extend or deal call besides the SCAN
-        steps' deals."""
-        calls, steps, verify_steps, grown = {}, [], [], []
+        — and no extend or deal call besides the SCAN steps' deals: the
+        queue rows take twice an average batch's cells before a step, so
+        a fresh cache's first steps hand no pins back."""
+        calls, steps, verify_steps = {}, [], []
         lib = kernels._LIB
 
         class Counting:
@@ -302,21 +305,18 @@ class TestFusedStep:
         monkeypatch.setattr(ExtendOp, "step", lambda self, *a: (
             steps.append(1), verify_steps.append(self.spec.is_verify),
             step(self, *a))[-1])
-        grow = LRBUCache._grow_queue
-        monkeypatch.setattr(LRBUCache, "_grow_queue", lambda self, need: (
-            grown.append(need), grow(self, need))[-1])
         g = gen.barabasi_albert(120, 4, seed=1)
         for query in ("q1", "q3"):
             engine = HugeEngine(Cluster(g, num_machines=4, seed=1))
             plan = engine.plan(get_query(query))  # the estimator extends too
-            for seen in (calls, steps, verify_steps, grown):
+            for seen in (calls, steps, verify_steps):
                 seen.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(kernels, "_LIB", Counting())
                 result = engine.run(plan=plan)
-            assert result.count > 0 and steps and grown
+            assert result.count > 0 and steps
             assert any(verify_steps) == (query == "q3")
-            assert calls.get("pull_extend_step") == len(steps) + len(grown)
+            assert calls.get("pull_extend_step") == len(steps)
             assert "extend_rows" not in calls
 
     @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lru-inf"])
@@ -380,26 +380,61 @@ class TestThreadedStep:
 
     def test_one_thread_gives_the_same_report(self):
         """The same step's report and cache arrays, byte for byte, in a
-        child process held to one thread."""
-        child = _child("import hashlib, sys\n"
+        child process held to one CPU, whose pool has no helper."""
+        child = _child("import hashlib, os, sys\n"
+                       "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))"
+                       "})\n"
                        "from tests.test_pull_step import _report\n"
                        "sys.stdout.write(hashlib.sha256(_report())"
-                       ".hexdigest())\n", OMP_NUM_THREADS="1")
+                       ".hexdigest())\n")
         assert child == hashlib.sha256(_report()).hexdigest()
 
-    def test_a_process_exits_while_its_team_spins(self):
-        """A process that ends right after a threaded step, its team still
-        spinning (``OMP_WAIT_POLICY=active``), exits cleanly: the library
-        stays loaded to the end, so the team's threads never run in an
-        unloaded libgomp."""
+    def test_a_process_exits_while_its_helpers_work(self):
+        """A process that ends while a daemon thread is inside a long
+        counted pass, its pool's helpers running chunks, exits cleanly:
+        the library stays loaded to the end, so no thread runs its code
+        unmapped."""
         for _ in range(3):
-            _child("from tests.test_pull_step import _report; _report()",
-                   OMP_WAIT_POLICY="active")
+            _child("import threading, time\n"
+                   "import numpy as np\n"
+                   "from repro.core import kernels\n"
+                   "from repro.graph import generators as gen\n"
+                   "g = gen.erdos_renyi(2000, 0.02, seed=1)\n"
+                   "rows = np.random.default_rng(1).integers(0, 2000, "
+                   "size=(400000, 2))\n"
+                   "lens = np.diff(g.indptr)[rows]\n"
+                   "ticks = np.arange(g.num_vertices + 1)\n"
+                   "threading.Thread(daemon=True, target=lambda: [\n"
+                   "    kernels.extend_block(g, rows, rows, lens, (), (), 3,\n"
+                   "                         ticks, count_only=True)\n"
+                   "    for _ in iter(int, 1)]).start()\n"
+                   "time.sleep(0.2)\n")
+
+    def test_a_forked_child_steps_on_threads_of_its_own(self):
+        """A child fork()ed after a threaded step (so without its parent's
+        helpers, and with the pool as the parent left it) runs the same
+        step to the same report within a minute; a child that hangs is
+        killed and fails the test."""
+        _child("import os, time\n"
+               "from tests.test_pull_step import _report\n"
+               "want = _report()\n"
+               "pid = os.fork()\n"
+               "if not pid:\n"
+               "    os._exit(0 if _report() == want else 1)\n"
+               "for _ in range(600):\n"
+               "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+               "    if done:\n"
+               "        break\n"
+               "    time.sleep(0.1)\n"
+               "else:\n"
+               "    os.kill(pid, 9)\n"
+               "    raise SystemExit('the forked child hangs')\n"
+               "assert os.waitstatus_to_exitcode(status) == 0\n")
 
     def test_concurrent_callers_give_the_same_report(self):
         """Four interpreter threads stepping at once, each its own cache
-        and graph, each with a team of its own: every report is the one
-        step's alone."""
+        and graph, one on the pool and the others on their own thread:
+        every report is the one step's alone."""
         with ThreadPoolExecutor(4) as pool:
             futures = [pool.submit(_report) for _ in range(4)]
             reports = [f.result(timeout=120) for f in futures]
@@ -437,12 +472,11 @@ def _threaded_step():
     return g, _context(g, 3, 2, "lrbu", 400, None, 12), machines, rows, spec
 
 
-def _child(code: str, **env: str) -> str:
+def _child(code: str) -> str:
     """The standard output of ``code`` run in a fresh interpreter at the
-    repository's root, with ``env`` added to the environment; a failed
-    exit raises."""
+    repository's root; a failed exit, or one past two minutes, raises."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         (str(root / "src"), str(root))))
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                           check=True, timeout=120, capture_output=True,
@@ -471,15 +505,13 @@ class TestStepRefusals:
 
     @staticmethod
     def _call(ctx, rows, machines, out_rows=None, pins=None, batches=None,
-              report_extra=0, ext=(0, 1), verify=-1, lt=(), gt=()):
+              ext=(0, 1), verify=-1, lt=(), gt=()):
         cluster, cache = ctx.cluster, ctx.cache
         k, workers = cluster.num_machines, cluster.workers_per_machine
         cache.cover(k, cluster.pgraph.graph.num_vertices)
         n = len(rows)
         if batches is None:
             batches = 1 + int(np.count_nonzero(machines[1:] != machines[:-1]))
-        report = np.zeros(2 * n + batches * workers + 3 * k + 2 * k * k + 4
-                          + report_extra, dtype=np.int64)
         out = None if out_rows is None else np.zeros((out_rows, 3), np.int64)
         pins = np.zeros(4 * n, np.int64) if pins is None else pins
         return kernels.pull_extend_step(
@@ -487,14 +519,14 @@ class TestStepRefusals:
             ext, verify, lt, gt, None, None, cluster.probe_ticks,
             (1, 1, 0, 0, 1, 1),
             (None, cache._entry, cache._order, cache._queue, cache._stamps,
-             cache._queue_state, pins, 0), workers, True, out, report,
-            batches)
+             cache._queue_state, pins, 0), workers, True, out, batches)
 
     def test_refusals_leave_the_cache_untouched(self):
         g = gen.erdos_renyi(30, 0.3, seed=1)
         ctx = _context(g, 2, 2, "lrbu", 20, None, 1)
         rows = np.array([[3, 4], [5, 6]])
         ok = np.zeros(2, dtype=np.int64)
+        ctx.cache._grow_queue(rows.size)      # room for the accepted steps
         assert self._call(ctx, rows, ok)[0] == 0
         assert self._call(ctx, rows, ok, ext=(0,), verify=1)[0] == 0
         before = _cache_state(ctx.cache, 2)
@@ -525,7 +557,5 @@ class TestStepRefusals:
             with pytest.raises(ValueError):
                 self._call(ctx, **case)
             assert _cache_state(ctx.cache, 2) == before
-        with pytest.raises(ValueError):                      # report length
-            self._call(ctx, rows, ok, report_extra=1)
         with pytest.raises(ValueError):     # a VERIFY keeps width columns
             self._call(ctx, rows, ok, out_rows=2, ext=(0,), verify=1)
