@@ -17,14 +17,16 @@ Characteristics reproduced here (Table 1 row RADS):
   can still blow the memory budget (§5.1).
 
 The rounds are columnar: partial results are ``(n, arity)`` int64 arrays,
-edge verification is one stacked membership probe per machine and round
-(:func:`~repro.core.kernels.fused_verify_mask`, the engine's VERIFY
-test), a root's leaf candidates come from the engine's
-candidate pass (:func:`~repro.core.kernels.extend_step` with one list and
-no window: the root's adjacency minus the row's ids), and leaf
-enumeration shares the combination builder
-:func:`repro.baselines.base.combo_rows` (the counted round asks it for
-per-row counts only).  Per-row costs are
+edge verification is one stacked membership probe per matched leaf
+column, machine and round, folded into one mask
+(:meth:`~repro.graph.graph.Graph.has_arc_keys` on each column in place;
+through the engine's compiled VERIFY a round allocated three row-sized
+arrays it never reads, and its traced peak and wall time rose), a
+root's leaf candidates come from the engine's candidate pass
+(:func:`~repro.core.kernels.extend_step` with one list and no window:
+the root's adjacency minus the row's ids), and leaf enumeration shares
+the combination builder :func:`repro.baselines.base.combo_rows` (the
+counted round asks it for per-row counts only).  Per-row costs are
 integer tick arrays (counts × tick weights); the modelled per-root
 incremental memory charges are issued in root order, found on the
 running sum of the per-root counts
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.errors import OvertimeError
-from ..core.kernels import extend_step, fused_verify_mask
+from ..core.kernels import extend_step
 from ..core.plan.plans import rads_plan
 from ..core.plan.tree import ExecutionPlan
 from ..core.stealing import chunked_distribution
@@ -192,9 +194,12 @@ class RadsEngine(BaselineEngine):
                             max(1, len(patterns)), tuple_bytes)
             base = self._degrees[roots] * cost.ticks.intersect
             # verify matched leaves: edges (root, v) for v in V1, one
-            # stacked probe (the graph is symmetric, so arcs v -> root)
-            ok = (fused_verify_mask(graph, part[:, leaf_cols], roots)
-                  if nrows else np.ones(0, dtype=bool))
+            # stacked probe per leaf column (the graph is symmetric, so
+            # arcs v -> root)
+            ok = np.ones(nrows, dtype=bool)
+            for c in leaf_cols if nrows else ():
+                ok &= graph.has_arc_keys(part[:, c] * graph.num_vertices
+                                         + roots)
             kept_per_row = np.zeros(nrows, dtype=np.int64)
             if not v2:
                 n_ok = int(ok.sum())
@@ -216,8 +221,8 @@ class RadsEngine(BaselineEngine):
             # the engine's candidate pass with one list and no window
             prefix = part[ok]
             okidx = np.flatnonzero(ok)
-            cand, _, counts, _ = extend_step(graph, prefix, (root_pos,),
-                                             (), ())
+            cand, _, counts = extend_step(graph, prefix, (root_pos,), (),
+                                          ())
             emitted, kept = combo_rows(prefix, cand, counts, nl,
                                        patterns_arr, mixed_conds,
                                        count_only=count_only)

@@ -360,8 +360,8 @@ static void run_chunks(i64 n, chunk_fn *fn, void *arg)
  * *probes.  Returns the number of survivors. */
 static i64 extend_range(i64 r0, i64 r1, i64 width,
                         const i64 *rows, i64 k, const i64 *verts,
-                        const i64 *lens, i64 *lens_out, const i64 *lt,
-                        i64 n_lt, const i64 *gt, i64 n_gt, const i64 *indptr,
+                        const i64 *lens, const i64 *lt, i64 n_lt,
+                        const i64 *gt, i64 n_gt, const i64 *indptr,
                         const i64 *indices, i64 n, const i64 *table, i64 bits,
                         const i64 *labels, i64 new_label, i64 verify,
                         const i64 *probe_ticks, i64 intersect, i64 *ticks,
@@ -382,10 +382,9 @@ static i64 extend_range(i64 r0, i64 r1, i64 width,
             len[j] = l;
         }
         for (i64 w = 0; w < k; w++) {
-            if (lens_out)
-                lens_out[r * k + w] = len[w];
-            pos[w] = indptr[v[w]];
-            end[w] = indptr[v[w] + 1];
+            const i64 *at = indptr + v[w];
+            pos[w] = at[0];
+            end[w] = at[1];
         }
         if (probe_ticks) {
             i64 per = intersect;
@@ -438,7 +437,7 @@ static i64 extend_range(i64 r0, i64 r1, i64 width,
 struct extend_pass {
     const i64 *rows, *verts, *lens, *lt, *gt, *indptr, *indices, *table,
         *labels, *probe_ticks;
-    i64 *lens_out, *ticks, *cand, *row_ids, *out, *counts, *survivors;
+    i64 *ticks, *cand, *row_ids, *out, *counts, *survivors;
     i64 n_rows, width, k, n_lt, n_gt, n, bits, new_label, verify, intersect,
         cap, chunks, found[CHUNKS], searched[CHUNKS];
 };
@@ -449,8 +448,8 @@ static void extend_chunk(i64 c, void *arg)
     struct extend_pass *p = arg;
     p->found[c] = extend_range(
         p->n_rows * c / p->chunks, p->n_rows * (c + 1) / p->chunks, p->width,
-        p->rows, p->k, p->verts, p->lens, p->lens_out, p->lt, p->n_lt, p->gt,
-        p->n_gt, p->indptr, p->indices, p->n, p->table, p->bits, p->labels,
+        p->rows, p->k, p->verts, p->lens, p->lt, p->n_lt, p->gt, p->n_gt,
+        p->indptr, p->indices, p->n, p->table, p->bits, p->labels,
         p->new_label, p->verify, p->probe_ticks, p->intersect, p->ticks,
         p->cand, p->row_ids, p->out, p->cap, p->counts, p->survivors,
         &p->searched[c]);
@@ -458,9 +457,8 @@ static void extend_chunk(i64 c, void *arg)
 
 /* One PULL-EXTEND step over n_rows rows of width columns.  Row r's k
  * extend vertices verts[r] are sorted by adjacency length lens[r]
- * (stably; the sorted lengths go to lens_out[r] unless it is NULL); the
- * smallest list, cut to the symmetry window max(rows[gt]) < c <
- * min(rows[lt]), gives the candidates; each other list is probed once
+ * (stably); the smallest list, cut to the symmetry window max(rows[gt])
+ * < c < min(rows[lt]), gives the candidates; each other list is probed once
  * per candidate still standing (failed_at), and the survivors are
  * filtered by kept.  Writes counts[r]; unless probe_ticks is NULL, the
  * row's intersection ticks len[0] * (intersect + sum of
@@ -479,10 +477,9 @@ static void extend_chunk(i64 c, void *arg)
  * of THREAD_ROWS rows or more runs its chunks on the pool.  Returns the
  * number of survivors. */
 i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
-                const i64 *verts, const i64 *lens, i64 *lens_out,
-                const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
-                const i64 *indptr, const i64 *indices, i64 n,
-                const i64 *table, i64 bits,
+                const i64 *verts, const i64 *lens, const i64 *lt,
+                i64 n_lt, const i64 *gt, i64 n_gt, const i64 *indptr,
+                const i64 *indices, i64 n, const i64 *table, i64 bits,
                 const i64 *labels, i64 new_label, i64 verify,
                 const i64 *probe_ticks, i64 intersect, i64 *ticks,
                 i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
@@ -490,7 +487,7 @@ i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
 {
     struct extend_pass p = {
         rows, verts, lens, lt, gt, indptr, indices, table, labels,
-        probe_ticks, lens_out, ticks, cand, row_ids, out, counts, survivors,
+        probe_ticks, ticks, cand, row_ids, out, counts, survivors,
         n_rows, width, k, n_lt, n_gt, n, bits, new_label, verify, intersect,
         cap, !out && !cand && n_rows >= THREAD_ROWS ? CHUNKS : 1, {0}, {0}};
     i64 total = 0;
@@ -956,8 +953,8 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
     }
 
     /* 4: the intersect stage, each row's ticks completed */
-    result[KEPT] = extend_rows(n_rows, width, rows, n_ext, verts, lens,
-                               NULL, lt, n_lt, gt, n_gt, indptr, indices, n,
+    result[KEPT] = extend_rows(n_rows, width, rows, n_ext, verts, lens, lt,
+                               n_lt, gt, n_gt, indptr, indices, n,
                                table, bits, labels, new_label, verify,
                                probe_ticks, weights[INTERSECT], ticks, NULL,
                                NULL, out, out ? cap : 0, counts, NULL,

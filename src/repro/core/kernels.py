@@ -10,20 +10,20 @@ holds the array programs themselves:
 * :func:`hash_destinations` — the routing function of every hash shuffle,
   *defined* here as an xxHash-style integer mix over the key columns.
 * :func:`csr_gather` / :func:`extend_candidates` /
-  :func:`fused_verify_mask` — PULL-EXTEND's candidate pass: the symmetry
-  order as a window on the smallest sorted list (a ``searchsorted`` on the
-  graph's composite index ``u * n + v``, where a key's position is its
-  arc's position in CSR), the gather, then one membership probe and one
-  compaction per remaining list, label and distinctness filters on the
-  survivors.  Membership is the graph's
-  (:meth:`~repro.graph.graph.Graph.has_arc_keys`): a probe is a composite
-  key, answered by a hashed slot table once the snapshot has served
-  enough probes to pay for it, by the composite index before.
-  :func:`extend_candidates` is the pass for a gathered block (by-length
-  sort, then the pass) and :func:`extend_step` gathers the block
-  for one ``ExtendSpec`` first; :func:`extend_block`, the engine's
-  intersect stage, returns the output rows and each row's intersection
-  ticks instead of the candidates.
+  :func:`extend_block` — PULL-EXTEND's candidate pass: the symmetry
+  order as a window on the smallest sorted list, then one membership
+  probe per candidate and remaining list, label and distinctness filters
+  on the survivors; a VERIFY is the same pass with one fixed candidate
+  per row, the row's own vertex at the verified column.  Membership is
+  the graph's (:meth:`~repro.graph.graph.Graph.has_arc_keys`): a probe
+  is a composite key ``u * n + v``, answered by a hashed slot table
+  once the snapshot has served enough probes to pay for it, by the
+  composite index before.  :func:`extend_candidates` is the pass for a
+  gathered block (by-length sort, then the pass) and
+  :func:`extend_step` gathers the block for one ``ExtendSpec`` first;
+  :func:`extend_block`, the engine's intersect stage behind an
+  ``LRUCache`` (extending or VERIFY), returns the output rows and each
+  row's intersection ticks instead of the candidates.
 * :func:`join_blocks` / :func:`join_chunks` — the
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
@@ -38,7 +38,8 @@ holds the array programs themselves:
   :func:`extend_candidates` as one loop over the rows (sort, window, one
   probe per candidate and list, filters, then the kept rows and the
   ticks written out; BiGJoin's rounds run it with per-list survivor
-  counts and the window as a filter), a whole PULL-EXTEND step over an
+  counts and the window as a filter, an ``LRUCache`` step's VERIFY with
+  one candidate per row), a whole PULL-EXTEND step over an
   LRBU cache, extending or VERIFY (:func:`pull_extend_step`: the fetch
   stage's classification, pull counts and admission, that extend loop,
   the worker deal and the release, on the cache's arrays; see
@@ -77,7 +78,6 @@ __all__ = [
     "extend_block",
     "extend_candidates",
     "extend_step",
-    "fused_verify_mask",
     "hash_destinations",
     "intersect_sorted",
     "join_blocks",
@@ -151,26 +151,6 @@ def csr_gather(indptr: np.ndarray, indices: np.ndarray,
     return _gather_slices(indices, start, indptr[vids + 1] - start)
 
 
-def fused_verify_mask(graph, verts: np.ndarray, targets: np.ndarray,
-                      labels: np.ndarray | None = None,
-                      new_label: int | None = None) -> np.ndarray:
-    """Fused VERIFY: does each row's target close every pattern edge?
-
-    Row ``i`` is ``True`` iff ``targets[i]`` is adjacent to **every**
-    ``verts[i, w]`` and carries ``new_label``.  Each row has one fixed
-    target and nothing to shrink, so each of the ``W`` columns goes to
-    the graph as one batch of composite keys, folded into one mask: the
-    process holds one column's keys, not the ``(E, W)`` block.
-    """
-    found = np.ones(len(verts), dtype=bool)
-    for w in range(verts.shape[1]):
-        found &= graph.has_arc_keys(verts[:, w] * graph.num_vertices
-                                    + targets)
-    if new_label is not None and labels is not None:
-        found &= labels[targets] == new_label
-    return found
-
-
 def _check_survivors(survivors: np.ndarray | None,
                      verts: np.ndarray) -> None:
     """Refuse a survivor-count array that is not a writable C-contiguous
@@ -190,23 +170,17 @@ def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
                       labels: np.ndarray | None = None,
                       new_label: int | None = None,
                       survivors: np.ndarray | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """PULL-EXTEND's candidate pass over a block of partial matches whose
     extend vertices ``verts = rows[:, ext]`` and their adjacency lengths
     ``lens`` are already gathered.
 
     Each row's extend vertices are put smallest adjacency list first (a
     stable sort, so equal lengths keep ``ext`` order) and the block goes
-    through the candidate pass (see the module's summary).
-    Returns its ``(cand, row_ids, counts)`` plus the ``(n, |ext|)``
-    lengths in that sorted order — column 0 is the list the candidates
-    came from, the rest are the lists probed, which is what the
-    intersection cost formula reads (the *full* lengths: the symmetry
-    window saves our gather, not the modelled machine's scan).
-    ``survivors``, when given, receives the per-list survivor counts (in
-    that sorted order) and turns the window into a filter: the whole
-    smallest list is the candidates.
+    through the candidate pass (see the module's summary): its
+    ``(cand, row_ids, counts)``.  ``survivors``, when given, receives the
+    per-list survivor counts (in that sorted order) and turns the window
+    into a filter: the whole smallest list is the candidates.
 
     The pass runs as one compiled loop over the rows (``extend_rows`` of
     ``kernels.c``: per row the sort, the window's two searches in the
@@ -215,11 +189,10 @@ def extend_candidates(graph, rows: np.ndarray, verts: np.ndarray,
     :func:`_load_library`.  It counts its searched probes toward the
     snapshot's slot table as ``has_arc_keys`` would.
     """
-    sorted_lens = np.empty(verts.shape, dtype=np.int64)
     _, cand, row_ids, counts, _ = _extend_compiled(
-        graph, rows, verts, lens, lt, gt, labels, new_label,
-        sorted_lens=sorted_lens, pairs=True, survivors=survivors)
-    return cand, row_ids, counts, sorted_lens
+        graph, rows, verts, lens, lt, gt, labels, new_label, pairs=True,
+        survivors=survivors)
+    return cand, row_ids, counts
 
 
 def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
@@ -227,7 +200,7 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
                  intersect: int, probe_ticks: np.ndarray,
                  labels: np.ndarray | None = None,
                  new_label: int | None = None, count_only: bool = False,
-                 survivors: np.ndarray | None = None,
+                 survivors: np.ndarray | None = None, verify: int = -1,
                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One PULL-EXTEND step's intersect stage over a gathered block (see
     :func:`extend_candidates`): ``(out, counts, ticks)``.
@@ -242,57 +215,69 @@ def extend_block(graph, rows: np.ndarray, verts: np.ndarray,
     probed once per element.  ``survivors`` is as in
     :func:`extend_candidates` (BiGJoin's rounds read it).
 
+    A ``verify`` column (a VERIFY step; −1 extends) makes each row's one
+    candidate its own vertex there, kept when it is in every list and
+    carries ``new_label``: ``out`` is then the kept rows as they are,
+    ``(n, width)``, and ``lt`` / ``gt`` play no part.
+
     The compiled ``extend_rows`` writes the output rows and the ticks in
     its one pass over the rows.
     """
     out, _, _, counts, ticks = _extend_compiled(
         graph, rows, verts, lens, lt, gt, labels, new_label,
         ticks=(intersect, probe_ticks), block=not count_only,
-        survivors=survivors)
+        survivors=survivors, verify=verify)
     return out, counts, ticks
 
 
 def _extend_compiled(graph, rows, verts, lens, lt, gt, labels, new_label,
-                     sorted_lens=None, ticks=None, pairs=False, block=False,
-                     survivors=None):
+                     ticks=None, pairs=False, block=False, survivors=None,
+                     verify=-1):
     """The candidate pass through ``extend_rows`` of ``kernels.c``:
     ``(out, cand, row_ids, counts, ticks)``, all but ``counts`` ``None``
     unless asked for — ``block`` for the output rows, ``pairs`` for the
     candidates and their rows, ``ticks = (intersect, probe_ticks)`` for
-    the intersection charges; ``sorted_lens`` and ``survivors``, when
-    given, receive the sorted lengths and the per-list survivor counts."""
+    the intersection charges; ``survivors``, when given, receives the
+    per-list survivor counts; ``verify`` is a VERIFY's column, or −1."""
     n_rows, k = verts.shape
     n, width = graph.num_vertices, rows.shape[1]
     label = new_label is not None and labels is not None
+    verifying = verify >= 0
     # the loop indexes CSR by vertex, rows by position, labels by
     # candidate and the probe-tick table by length without checks of its
     # own
     if (lens.shape != verts.shape or len(rows) != n_rows or k < 1
             or (n_rows and not 0 <= verts.min() <= verts.max() < n)
             or not all(0 <= p < width for p in (*lt, *gt))
+            or not -1 <= verify < width
+            or (verifying and survivors is not None)
+            or (verifying and n_rows and not 0 <= rows[:, verify].min()
+                <= rows[:, verify].max() < n)
             or (label and len(labels) < n)
             or (ticks is not None and n_rows
                 and not 0 <= lens.min() <= lens.max() < len(ticks[1]))):
         raise ValueError("extend block outside the graph or its rows")
     _check_survivors(survivors, verts)
     counts = np.empty(n_rows, dtype=np.int64)
-    cap = int(lens.min(axis=1).sum()) if (pairs or block) else 0
+    cap = 0
+    if pairs or block:
+        # a VERIFY row keeps itself or nothing
+        cap = n_rows if verifying else int(lens.min(axis=1).sum())
     cand = row_ids = out = row_ticks = None
     if pairs:
         cand, row_ids = np.empty(cap, np.int64), np.empty(cap, np.int64)
     if block:
-        out = np.empty((cap, width + 1), dtype=np.int64)
+        out = np.empty((cap, width + (not verifying)), dtype=np.int64)
     if ticks is not None:
         row_ticks = np.empty(n_rows, dtype=np.int64)
     table = graph.arc_table_due(0)
     probes = _FFI.new("int64_t *")
     total = _LIB.extend_rows(
-        n_rows, width, _buf(rows), k, _buf(verts), _buf(lens),
-        _ptr(sorted_lens), _buf(lt), len(lt), _buf(gt), len(gt),
-        _buf(graph.indptr), _buf(graph.indices), n, _ptr(table),
-        0 if table is None else len(table).bit_length() - 1,
+        n_rows, width, _buf(rows), k, _buf(verts), _buf(lens), _buf(lt),
+        len(lt), _buf(gt), len(gt), _buf(graph.indptr), _buf(graph.indices),
+        n, _ptr(table), 0 if table is None else len(table).bit_length() - 1,
         _buf(labels) if label else _FFI.NULL, int(new_label) if label else 0,
-        -1, _FFI.NULL if ticks is None else _buf(ticks[1]),
+        int(verify), _FFI.NULL if ticks is None else _buf(ticks[1]),
         0 if ticks is None else int(ticks[0]), _ptr(row_ticks),
         _ptr(cand), _ptr(row_ids), _ptr(out), cap, _buf(counts),
         _ptr(survivors), probes)
@@ -313,7 +298,7 @@ def extend_step(graph, rows: np.ndarray, ext: Sequence[int],
                 lt: Sequence[int], gt: Sequence[int],
                 labels: np.ndarray | None = None,
                 new_label: int | None = None,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One PULL-EXTEND candidate pass of an
     :class:`~repro.core.dataflow.ExtendSpec` (its ``ext`` /
     ``candidate_lt`` / ``candidate_gt`` / ``new_label``) over a block of
@@ -337,7 +322,7 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-Wl,-z,nodelete")
 _CDEF = """
 int64_t extend_rows(int64_t, int64_t, const int64_t *, int64_t,
-                    const int64_t *, const int64_t *, int64_t *,
+                    const int64_t *, const int64_t *,
                     const int64_t *, int64_t, const int64_t *, int64_t,
                     const int64_t *, const int64_t *, int64_t,
                     const int64_t *, int64_t, const int64_t *, int64_t,

@@ -26,9 +26,11 @@ outputs back to their machines by the column.
 ``PULL-EXTEND`` implements the two-stage execution strategy of Algorithm 4:
 a *fetch* stage that makes the batch's remote vertices resident, then an
 *intersect* stage that runs the multiway intersections — or a VERIFY's
-membership probes — as one columnar pass.  The split exists so that the
-cache never touches the intersection: *how* a batch is fetched is the
-cache class's — :class:`~repro.core.cache.LRBUCache` seals cached
+membership probes — as one pass of one compiled loop (``extend_rows`` of
+``kernels.c``) whichever the cache class, so a step probes, charges and
+counts its searched probes alike behind either.  The split exists so
+that the cache never touches the intersection: *how* a batch is fetched
+is the cache class's — :class:`~repro.core.cache.LRBUCache` seals cached
 vertices and pulls the misses with one aggregated ``GetNbrs`` RPC per
 owner, in the same compiled call as the intersect stage
 (``pull_extend_step``); :class:`~repro.core.cache.LRUCache` (the
@@ -49,8 +51,8 @@ from ..cluster.cost import to_ticks
 from ..obs.trace import NULL_TRACER
 from .cache import LRBUCache, LRUCache
 from .dataflow import ExtendSpec, JoinSpec, ScanSpec
-from .kernels import (csr_gather, extend_block, fused_verify_mask,
-                      hash_destinations, join_blocks, join_chunks)
+from .kernels import (csr_gather, extend_block, hash_destinations,
+                      join_blocks, join_chunks)
 from .stealing import distribute_to_workers
 
 __all__ = ["ExecContext", "ScanOp", "ExtendOp", "SinkConsumer", "JoinBuffer",
@@ -284,10 +286,11 @@ class ExtendOp:
 
         Candidate sets are gathered straight from the global CSR (cached
         remote adjacency is the same data by construction) and the whole
-        intersect chain runs as one fused kernel pass
-        (:func:`~repro.core.kernels.extend_block`), which writes the
-        output rows and each row's intersection charge.  A row costs its
-        multiway intersection (as
+        intersect chain — or a VERIFY's probes of its one candidate per
+        row — runs as one compiled pass
+        (:func:`~repro.core.kernels.extend_block`, the loop the LRBU step
+        runs too), which writes the output rows and each row's
+        intersection charge.  A row costs its multiway intersection (as
         :meth:`~repro.cluster.cost.CostModel.intersection_ops` computes
         it: the smallest list scanned, every other list probed once per
         element — the full lists, whatever window the kernel gathered),
@@ -299,35 +302,23 @@ class ExtendOp:
         spec = self.spec
         cluster = ctx.cluster
         g = cluster.pgraph.graph
-        in_arity = (self.out_arity if spec.is_verify else self.out_arity - 1)
         empty = np.empty((0, self.out_arity), dtype=np.int64)
         if not len(rows):
             return empty, np.zeros(0, np.int64), np.zeros(0, np.int64)
-        labels = ctx.labels
         lens = g.indptr[verts + 1] - g.indptr[verts]
         penalty = ctx.cache.access_penalty(lens)
         penalties = 0
         if np.any(penalty):
             remote = cluster.pgraph.owner[verts] != machines[:, None]
             penalties = np.where(remote, penalty, 0).sum(axis=1)
-
-        if spec.is_verify:
-            lens = np.sort(lens, axis=1)
-            found = fused_verify_mask(g, verts, rows[:, spec.verify_pos],
-                                      labels, spec.new_label)
-            produced = found.astype(np.int64)
-            emits = produced * (1 if count_only else in_arity)
-            out = empty if count_only else rows[found]
-            probes = cluster.probe_ticks[lens[:, 1:]].sum(axis=1)
-            ticks = lens[:, 0] * (t.intersect + probes)
-        else:
-            block, produced, ticks = extend_block(
-                g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
-                t.intersect, cluster.probe_ticks, labels, spec.new_label,
-                count_only)
-            out = empty if count_only else block
-            emits = produced if count_only else produced * (in_arity + 1)
-        return out, ticks + penalties + emits * t.emit, produced
+        out, produced, ticks = extend_block(
+            g, rows, verts, lens, spec.candidate_lt, spec.candidate_gt,
+            t.intersect, cluster.probe_ticks, ctx.labels, spec.new_label,
+            count_only,
+            verify=-1 if spec.verify_pos is None else spec.verify_pos)
+        emits = produced if count_only else produced * self.out_arity
+        return (empty if count_only else out,
+                ticks + penalties + emits * t.emit, produced)
 
 
 class SinkConsumer:

@@ -171,7 +171,7 @@ class SamplingEstimator(_CachedEstimator):
         rng = np.random.default_rng(self._seed)
         rng.bit_generator.state = state
         for i in range(done, len(steps)):
-            cand, _, counts, _ = extend_step(g, rows, steps[i], (), ())
+            cand, _, counts = extend_step(g, rows, steps[i], (), ())
             alive = counts > 0
             counts = counts[alive]
             # candidates are grouped by row, so row r's are the slice

@@ -180,7 +180,7 @@ class DeltaEnumerator:
         rows, step = rows[keep], step[keep]
         n = graph.num_vertices
         for spec in extends:
-            cand, row_ids, _, _ = extend_step(
+            cand, row_ids, _ = extend_step(
                 graph, rows, spec.ext, spec.candidate_lt, spec.candidate_gt,
                 labels, spec.new_label)
             src_rows, step = rows[row_ids], step[row_ids]

@@ -107,26 +107,53 @@ def fused_extend_candidates(graph, rows: np.ndarray,
     return cand, row_ids, np.bincount(row_ids, minlength=len(rows))
 
 
+def fused_verify_mask(graph, verts: np.ndarray, targets: np.ndarray,
+                      labels: np.ndarray | None = None,
+                      new_label: int | None = None) -> np.ndarray:
+    """Fused VERIFY: does each row's target close every pattern edge?
+
+    Row ``i`` is ``True`` iff ``targets[i]`` is adjacent to **every**
+    ``verts[i, w]`` and carries ``new_label``.  Each row has one fixed
+    target and nothing to shrink, so each of the ``W`` columns goes to
+    the graph as one batch of composite keys, folded into one mask: the
+    process holds one column's keys, not the ``(E, W)`` block.
+    """
+    found = np.ones(len(verts), dtype=bool)
+    for w in range(verts.shape[1]):
+        found &= graph.has_arc_keys(verts[:, w] * graph.num_vertices
+                                    + targets)
+    if new_label is not None and labels is not None:
+        found &= labels[targets] == new_label
+    return found
+
+
 def extend_candidates(graph, rows, verts, lens, lt, gt, labels=None,
                       new_label=None, survivors=None):
     """:func:`repro.core.kernels.extend_candidates`: a stable by-length
     sort of each row's extend vertices, then the fused pass."""
     if verts.shape[1] > 1:
         by_len = lens.argsort(axis=1, kind="stable")
-        row = np.arange(len(rows))[:, None]
-        verts, lens = verts[row, by_len], lens[row, by_len]
-    cand, row_ids, counts = fused_extend_candidates(
-        graph, rows, verts, lt, gt, labels, new_label, survivors)
-    return cand, row_ids, counts, lens
+        verts = np.take_along_axis(verts, by_len, axis=1)
+    return fused_extend_candidates(graph, rows, verts, lt, gt, labels,
+                                   new_label, survivors)
 
 
 def extend_block(graph, rows, verts, lens, lt, gt, intersect, probe_ticks,
                  labels=None, new_label=None, count_only=False,
-                 survivors=None):
-    """:func:`repro.core.kernels.extend_block` over the candidates."""
-    cand, row_ids, counts, lens = extend_candidates(
+                 survivors=None, verify=-1):
+    """:func:`repro.core.kernels.extend_block` over the candidates, or a
+    VERIFY at column ``verify`` over :func:`fused_verify_mask`; the ticks
+    from each row's lengths in ascending order."""
+    by_len = np.sort(lens, axis=1)
+    ticks = by_len[:, 0] * (intersect
+                            + probe_ticks[by_len[:, 1:]].sum(axis=1))
+    if verify >= 0:
+        found = fused_verify_mask(graph, verts, rows[:, verify], labels,
+                                  new_label)
+        return (None if count_only else rows[found],
+                found.astype(np.int64), ticks)
+    cand, row_ids, counts = extend_candidates(
         graph, rows, verts, lens, lt, gt, labels, new_label, survivors)
-    ticks = lens[:, 0] * (intersect + probe_ticks[lens[:, 1:]].sum(axis=1))
     out = None if count_only else np.column_stack((rows[row_ids], cand))
     return out, counts, ticks
 

@@ -1,8 +1,8 @@
 """PULL-EXTEND's candidate pass — the compiled per-row loop
 (``extend_rows`` of ``core/kernels.c``) and its numpy reference
 (``tests/reference_kernels.py``) — against a gather-everything
-reference: candidates, row ids, counts and sorted lengths element for
-element, the output block and the per-row intersection ticks against
+reference: candidates, row ids and counts element for element, the
+output block and the per-row intersection ticks against
 the rows beside their candidates and ``CostModel.intersection_ops``, and
 the same membership probes counted, on a graph with and without its slot
 table.  The ``numpy`` cases run the package with the references bound at
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
@@ -132,9 +132,8 @@ class TestExtendPaths:
     def test_extend_block_equals_reference(self, path, case):
         """self-loops, empty windows and ``lo == n``, width 1, zero rows,
         strided and column-major rows, narrow labels: every output array
-        equals the reference's, lengths come back in the stable
-        ``argsort`` order, the output block is each kept row beside its
-        candidate, the ticks are ``CostModel.intersection_ops`` of the
+        equals the reference's, the output block is each kept row beside
+        its candidate, the ticks are ``CostModel.intersection_ops`` of the
         row's lengths, and a counted block has the same counts and ticks"""
         g, rows, ext, lt, gt, labels = case
         new_label = None if labels is None else 1
@@ -142,8 +141,6 @@ class TestExtendPaths:
         lens = g.degrees()[verts]
         ref = _reference_extend(g, rows, _by_degree(g, verts), lt, gt,
                                 labels, new_label)
-        by_len = np.take_along_axis(
-            lens, lens.argsort(axis=1, kind="stable"), axis=1)
         cost = CostModel(intersect_op=0.1)
         probe_ticks = cost.probe_tick_table(g.max_degree)
         want_block = np.column_stack((rows[ref[1]], ref[0]))
@@ -151,14 +148,12 @@ class TestExtendPaths:
                       for r in lens.tolist()]
         with bound(path):
             for h in arc_table_sides(g):
-                *got, got_lens = kernels.extend_candidates(
+                got = kernels.extend_candidates(
                     h, rows, verts, lens, lt, gt, labels, new_label)
                 for a, b in zip(got, ref, strict=True):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-                assert got_lens.dtype == lens.dtype
-                assert np.array_equal(got_lens, by_len)
-                *step, _ = kernels.extend_step(h, rows, ext, lt, gt,
-                                               labels, new_label)
+                step = kernels.extend_step(h, rows, ext, lt, gt, labels,
+                                           new_label)
                 assert all(map(np.array_equal, step, ref))
                 for count_only in (False, True):
                     out, counts, ticks = kernels.extend_block(
@@ -192,7 +187,7 @@ class TestExtendPaths:
         assert (table[_slots(keys, bits)] == _SHARED).any()
         ref = _reference_extend(g, rows, verts, (), (), None, None)
         got = kernels.extend_candidates(g, rows, rows, lens, (), ())
-        assert all(map(np.array_equal, got[:3], ref))
+        assert all(map(np.array_equal, got, ref))
 
 
 # -- per-list survivor counts and the symmetry order as a filter ------------------
@@ -214,8 +209,8 @@ def _reference_survivors(g, rows, verts_sorted):
 
 def _survivor_block(g, rows, ext, lt, gt, labels, new_label):
     """Both entries with a survivor array: ``(cand, row_ids, counts,
-    lens, survivors)`` from :func:`extend_candidates` and ``(out,
-    counts, ticks, survivors)`` from :func:`extend_block`."""
+    survivors)`` from :func:`extend_candidates` and ``(out, counts,
+    ticks, survivors)`` from :func:`extend_block`."""
     verts = rows[:, list(ext)]
     lens = g.degrees()[verts]
     survivors = np.full(verts.shape, -1, dtype=np.int64)
@@ -259,7 +254,7 @@ class TestSurvivorCounts:
                     pairs, block = _survivor_block(h, rows, ext, lt, gt,
                                                    labels, new_label)
                     _assert_same(pairs[:3], want)
-                    assert np.array_equal(pairs[4], want_survivors)
+                    assert np.array_equal(pairs[3], want_survivors)
                     assert np.array_equal(block[3], want_survivors)
                     assert np.array_equal(block[1], want[2])
                     seen[path, side] = (pairs, block)
@@ -290,12 +285,12 @@ class TestSurvivorCounts:
             want_survivors = _reference_survivors(g, block, verts)
             pairs, out = _survivor_block(g, block, ext, lt, gt, None, None)
             _assert_same(pairs[:3], want)
-            assert np.array_equal(pairs[4], want_survivors)
+            assert np.array_equal(pairs[3], want_survivors)
             assert np.array_equal(out[3], want_survivors)
-        assert pairs[4][0, 0] == 2 and not pairs[4][0, 1:].any()
+        assert pairs[3][0, 0] == 2 and not pairs[3][0, 1:].any()
         if len(ext) < 3:
             # a filtered survivor is still counted
-            assert want[2].sum() < pairs[4][:, -1].sum()
+            assert want[2].sum() < pairs[3][:, -1].sum()
 
     def test_wrong_survivor_arrays_are_refused(self, kernel_path):
         """the loop writes one count per row and list, so a survivor
@@ -369,6 +364,77 @@ def test_compiled_pass_rejects_blocks_outside_the_graph():
             with pytest.raises(ValueError):
                 kernels.extend_candidates(g, rows, verts, lens_, lt, gt,
                                           labels, 0)
+
+
+#: what :func:`test_refusals_reach_no_compiled_loop` breaks in a valid call
+_REFUSALS = ("vertex", "lt", "gt", "verify", "verified vertex", "labels",
+             "lens")
+
+
+@given(case=_extend_cases(), kind=st.sampled_from(_REFUSALS),
+       data=st.data())
+@settings(max_examples=150)
+def test_refusals_reach_no_compiled_loop(case, kind, data):
+    """``_extend_compiled``'s checks as a property: a valid block with one
+    thing broken — a vertex outside the graph, an ``lt`` / ``gt`` /
+    ``verify`` position outside the row, a verified vertex outside the
+    graph, labels shorter than the graph, a length past the probe-tick
+    table — raises ``ValueError`` before any call of the library, and
+    leaves the snapshot's searched-probe count as it was; the same call
+    unbroken is accepted"""
+    g, rows, ext, lt, gt, labels = case
+    assume(len(rows))
+    n, width = g.num_vertices, rows.shape[1]
+    verts = rows[:, list(ext)]
+    lens = g.degrees()[verts]
+    cost = CostModel()
+    args = dict(verts=verts, lens=lens, lt=lt, gt=gt, labels=labels,
+                probe_ticks=cost.probe_tick_table(g.max_degree),
+                verify=data.draw(st.sampled_from([-1, *range(width)])))
+    outside = st.sampled_from([-1, width, width + 3])
+    cell = (data.draw(st.integers(0, len(rows) - 1)),
+            data.draw(st.integers(0, len(ext) - 1)))
+    broken = dict(args, rows=rows.copy(), verts=verts.copy())
+    if kind == "vertex":
+        broken["verts"][cell] = data.draw(st.sampled_from([-1, n]))
+    elif kind in ("lt", "gt"):
+        broken[kind] = (*args[kind], data.draw(outside))
+    elif kind == "verify":
+        broken["verify"] = data.draw(st.sampled_from([-2, width, width + 1]))
+    elif kind == "verified vertex":
+        broken["verify"] = data.draw(st.integers(0, width - 1))
+        broken["rows"][cell[0], broken["verify"]] = data.draw(
+            st.sampled_from([-1, n]))
+    elif kind == "labels":
+        broken["labels"] = np.zeros(n - 1, dtype=np.int64)
+    else:
+        broken["probe_ticks"] = args["probe_ticks"][:int(lens.max())]
+
+    def call(rows, verts, lens, lt, gt, labels, probe_ticks, verify):
+        h = Graph(g.indptr, g.indices)
+        kernels.extend_block(h, rows, verts, lens, lt, gt,
+                             cost.ticks.intersect, probe_ticks, labels, 1,
+                             verify=verify)
+        return h
+
+    call(rows, **args)
+    lib, calls = kernels._LIB, []
+
+    class Spy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lib, name)
+
+    h = Graph(g.indptr, g.indices)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_LIB", Spy())
+        with pytest.raises(ValueError):
+            kernels.extend_block(h, broken["rows"], broken["verts"], lens,
+                                 broken["lt"], broken["gt"],
+                                 cost.ticks.intersect, broken["probe_ticks"],
+                                 broken["labels"], 1,
+                                 verify=broken["verify"])
+    assert calls == [] and h._probes == 0 and h._arcs is None
 
 
 def test_a_failed_build_raises_and_leaves_nothing(monkeypatch, tmp_path):

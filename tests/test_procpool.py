@@ -20,7 +20,7 @@ from repro.core.engine import EngineConfig, HugeEngine
 from repro.core.cache import CACHE_VARIANTS, make_cache
 from repro.core.dataflow import ExtendSpec
 from repro.core import kernels
-from repro.core.kernels import extend_step, fused_verify_mask
+from repro.core.kernels import extend_step
 from repro.core.operators import ExecContext, ExtendOp
 from repro.core.shm import SharedGraphStore
 from repro.graph import Graph
@@ -34,7 +34,7 @@ from repro.serve.service import FaultInjector, QueryService
 from repro.testing.serving import check_service_run
 
 from .reference_kernels import PATHS, bound
-from .test_extend_kernels import (_by_degree, _extend_cases, _member,
+from .test_extend_kernels import (_by_degree, _extend_cases,
                                   _reference_extend)
 from .test_graph import arc_table_sides
 
@@ -283,11 +283,10 @@ class TestFusedKernels:
         for path in PATHS:
             with bound(path):
                 for h in arc_table_sides(g):
-                    *got, lens = extend_step(h, rows, ext, lt, gt, labels,
-                                             new_label)
+                    got = extend_step(h, rows, ext, lt, gt, labels,
+                                      new_label)
                     for a, b in zip(got, ref, strict=True):
                         assert a.dtype == b.dtype and np.array_equal(a, b)
-                    assert np.array_equal(lens, g.degrees()[verts_sorted])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fused_extend_matches_reference(self, seed):
@@ -310,7 +309,7 @@ class TestFusedKernels:
                     got = kernels.extend_candidates(h, rows, verts,
                                                     g.degrees()[verts], lt,
                                                     gt, labels, new_label)
-                    for a, b in zip(got[:3], ref, strict=True):
+                    for a, b in zip(got, ref, strict=True):
                         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -406,37 +405,63 @@ class TestFusedKernels:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fused_verify_matches_reference(self, seed):
+        """a VERIFY through ``kernels.extend_block(..., verify=…)``,
+        compiled and on the numpy reference, each on a searching and a
+        hashed copy, counted and not: the counts and kept rows against
+        a set-based membership test, the ticks against
+        ``CostModel.intersection_ops``, with and without labels"""
         rng = np.random.default_rng(100 + seed)
         g = gen.erdos_renyi(40, 0.2, seed=seed)
-        n, W = 50, 2
-        verts = rng.integers(0, g.num_vertices, size=(n, W))
-        targets = rng.integers(0, g.num_vertices, size=n)
+        n, W = 50, 2 + seed % 2
+        rows = rng.integers(0, g.num_vertices, size=(n, W + 1))
+        # every other row's target made a common neighbour where there is one
+        for r in range(0, n, 2):
+            common = set.intersection(*(set(g.neighbours(int(v)).tolist())
+                                        for v in rows[r, :W]))
+            if common:
+                rows[r, W] = min(common)
         labels = rng.integers(0, 2, size=g.num_vertices) \
             if seed % 2 else None
         new_label = 0 if labels is not None else None
-        ref = np.ones(n, dtype=bool)
-        for w in range(W):
-            ref &= _member(g, verts[:, w], targets)
-        if new_label is not None:
-            ref &= labels[targets] == new_label
-        for h in arc_table_sides(g):
-            got = fused_verify_mask(h, verts, targets, labels, new_label)
-            assert np.array_equal(got, ref)
+        want = np.array([
+            all(t in set(g.neighbours(int(v)).tolist()) for v in r[:W])
+            and (labels is None or labels[t] == new_label)
+            for *r, t in rows.tolist()])
+        assert want.any() and not want.all()
+        verts = rows[:, :W]
+        lens = g.degrees()[verts]
+        cost = CostModel(intersect_op=0.1)
+        probe_ticks = cost.probe_tick_table(g.max_degree)
+        want_ticks = [cost.intersection_ops(r, probe_ticks)
+                      for r in lens.tolist()]
+        for path in PATHS:
+            with bound(path):
+                for h in arc_table_sides(g):
+                    for count_only in (False, True):
+                        out, counts, ticks = kernels.extend_block(
+                            h, rows, verts, lens, (), (),
+                            cost.ticks.intersect, probe_ticks, labels,
+                            new_label, count_only, verify=W)
+                        assert counts.tolist() == want.astype(int).tolist()
+                        assert ticks.tolist() == want_ticks
+                        if count_only:
+                            assert out is None
+                        else:
+                            assert out.tolist() == rows[want].tolist()
 
     def test_empty_and_degenerate_shapes(self):
         g = gen.erdos_renyi(10, 0.3, seed=1)
         for path in PATHS:
             with bound(path):
                 rows = np.zeros((0, 2), dtype=np.int64)
-                cand, row_ids, counts, lens = kernels.extend_candidates(
+                cand, row_ids, counts = kernels.extend_candidates(
                     g, rows, rows, rows.copy(), (), ())
                 assert len(cand) == len(row_ids) == len(counts) == 0
-                assert lens.shape == (0, 2)
                 # W == 1: no membership columns at all, no probe made,
                 # candidates pass through
                 rows = np.array([[0, 1]], dtype=np.int64)
                 h = Graph(g.indptr, g.indices)
-                cand, row_ids, counts, _ = kernels.extend_candidates(
+                cand, row_ids, counts = kernels.extend_candidates(
                     h, rows, rows[:, :1], g.degrees()[rows[:, :1]], (), ())
                 nbrs = set(g.neighbours(0).tolist()) - {0, 1}
                 assert set(cand.tolist()) == nbrs and counts[0] == len(nbrs)

@@ -8,8 +8,10 @@ step."""
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 from pathlib import Path
@@ -24,6 +26,7 @@ from repro.core import HugeEngine, kernels
 from repro.core.dataflow import ExtendSpec
 from repro.core.engine import EngineConfig
 from repro.core.operators import ExecContext, ExtendOp
+from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.obs import Tracer
 from repro.query import get_query
@@ -319,6 +322,33 @@ class TestFusedStep:
             assert calls.get("pull_extend_step") == len(steps)
             assert "extend_rows" not in calls
 
+    def test_both_cache_classes_search_the_same_verify_probes(self):
+        """One VERIFY step of three lists on a snapshot without a slot
+        table: behind an ``LRUCache`` the step runs the LRBU step's extend
+        loop, so it keeps the same rows and counts the same searched
+        probes (``Graph._probes``) toward the table."""
+        g = gen.erdos_renyi(60, 0.2, seed=5)
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 60, size=(80, 4))
+        for r in range(0, len(rows), 2):
+            common = set.intersection(*(set(g.neighbours(int(v)).tolist())
+                                        for v in rows[r, :3]))
+            if common:
+                rows[r, 3] = min(common)
+        machines = np.sort(rng.integers(0, 3, size=len(rows)))
+        spec = ExtendSpec(ext=(0, 1, 2), out_schema=(0, 1, 2, 3),
+                          verify_pos=3)
+        got = {}
+        for variant in ("lrbu", "cncr-lru"):
+            ctx = _context(Graph(g.indptr, g.indices), 3, 2, variant, None,
+                           None, 5)
+            out, *_ = ExtendOp(spec, ctx)._run(machines, rows, False, True)
+            graph = ctx.cluster.pgraph.graph
+            assert graph._arcs is None
+            got[variant] = out.tolist(), graph._probes
+        assert got["lrbu"] == got["cncr-lru"]
+        assert got["lrbu"][0] and got["lrbu"][1] > 0
+
     @pytest.mark.parametrize("variant", ["lrbu", "lrbu-copy", "lru-inf"])
     def test_traced_runs_keep_every_span(self, variant):
         """A traced run lists the same spans, instants and counters
@@ -472,15 +502,66 @@ def _threaded_step():
     return g, _context(g, 3, 2, "lrbu", 400, None, 12), machines, rows, spec
 
 
+#: seconds a :func:`_child` may run before its process group is killed
+CHILD_TIMEOUT = 120
+
+
 def _child(code: str) -> str:
     """The standard output of ``code`` run in a fresh interpreter at the
-    repository's root; a failed exit, or one past two minutes, raises."""
+    repository's root; a failed exit raises ``CalledProcessError``.  The
+    child leads a process group of its own, killed whole after
+    :data:`CHILD_TIMEOUT` seconds before the pipes are read — a process
+    it forked would hold them open — and ``TimeoutExpired`` raised with
+    what the group wrote."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         (str(root / "src"), str(root))))
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
-                          check=True, timeout=120, capture_output=True,
-                          text=True).stdout
+    with subprocess.Popen([sys.executable, "-c", code], env=env, cwd=root,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=CHILD_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise subprocess.TimeoutExpired(child.args, CHILD_TIMEOUT,
+                                            *child.communicate()) from None
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, child.args,
+                                            out, err)
+    return out
+
+
+def test_a_hung_child_is_killed_with_its_group(monkeypatch):
+    """A child that forks a sleeping process and then sleeps itself: past
+    a shrunk timeout the whole group is killed, the pipes its fork held
+    open are read to their end, and ``TimeoutExpired`` comes within
+    seconds, leaving the fork no longer running."""
+    monkeypatch.setattr(sys.modules[__name__], "CHILD_TIMEOUT", 2)
+    t0 = time.monotonic()
+    with pytest.raises(subprocess.TimeoutExpired) as timed_out:
+        _child("import os, time\n"
+               "pid = os.fork()\n"
+               "if not pid:\n"
+               "    time.sleep(600)\n"
+               "    os._exit(0)\n"
+               "print(pid, flush=True)\n"
+               "time.sleep(600)\n")
+    assert time.monotonic() - t0 < 30
+    fork = int(timed_out.value.output)
+    # killed, the fork is a zombie until whoever adopted it reaps it
+    deadline = time.monotonic() + 10
+    while _running(fork) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(fork)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1]
+    except OSError:
+        return False
+    return state.split()[0] != "Z"
 
 
 def _report() -> bytes:

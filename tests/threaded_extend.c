@@ -20,10 +20,9 @@
 typedef int64_t i64;
 
 i64 extend_rows(i64 n_rows, i64 width, const i64 *rows, i64 k,
-                const i64 *verts, const i64 *lens, i64 *lens_out,
-                const i64 *lt, i64 n_lt, const i64 *gt, i64 n_gt,
-                const i64 *indptr, const i64 *indices, i64 n,
-                const i64 *table, i64 bits,
+                const i64 *verts, const i64 *lens, const i64 *lt,
+                i64 n_lt, const i64 *gt, i64 n_gt, const i64 *indptr,
+                const i64 *indices, i64 n, const i64 *table, i64 bits,
                 const i64 *labels, i64 new_label, i64 verify,
                 const i64 *probe_ticks, i64 intersect, i64 *ticks,
                 i64 *cand, i64 *row_ids, i64 *out, i64 cap, i64 *counts,
@@ -91,7 +90,7 @@ static void extend(i64 from, i64 to, struct pass *p)
 {
     i64 probes;
     p->total += extend_rows(to - from, 2, rows + 2 * from, 2,
-                            rows + 2 * from, lens + 2 * from, NULL, NULL, 0,
+                            rows + 2 * from, lens + 2 * from, NULL, 0,
                             gt, 1, indptr, indices, N, NULL, 0, NULL, 0, -1,
                             probe_ticks, 3, p->ticks + from, NULL, NULL,
                             NULL, 0, p->counts + from, NULL, &probes);
