@@ -29,12 +29,6 @@ from .query.pattern import QueryGraph, get_query
 __all__ = ["enumerate_subgraphs", "count_subgraphs", "make_cluster"]
 
 
-def _as_query(query: QueryGraph | str) -> QueryGraph:
-    if isinstance(query, str):
-        return get_query(query)
-    return query
-
-
 def make_cluster(graph: Graph, num_machines: int = 4,
                  workers_per_machine: int = 4,
                  cost: CostModel | None = None, seed: int = 0) -> Cluster:
@@ -82,7 +76,7 @@ def enumerate_subgraphs(graph: Graph, query: QueryGraph | str,
         # never mutate the caller's config object
         config = replace(config, collect_results=True)
     engine = HugeEngine(cluster, config)
-    return engine.run(_as_query(query))
+    return engine.run(get_query(query))
 
 
 def count_subgraphs(graph: Graph, query: QueryGraph | str,

@@ -41,8 +41,8 @@ from ..cluster.cluster import Cluster
 from ..cluster.errors import OutOfMemoryError, OvertimeError
 from ..cluster.metrics import RunReport
 from ..core import kernels
-from ..core.kernels import (chunk_charges, csr_gather, hash_destinations,
-                            join_blocks)
+from ..core.kernels import (csr_gather, hash_destinations, join_blocks,
+                            join_chunks)
 from ..query.symmetry import PartialOrder
 
 __all__ = [
@@ -281,30 +281,23 @@ class DistributedRelation:
                         build_base + len(ppart) * t.hash_probe
                         + total * 2 * t.emit, workers))
                     continue
-                emit_per_probe = np.zeros(len(ppart), dtype=np.int64)
-                pieces = []
-                for rows, p0, kept in blocks:
-                    emit_per_probe[p0:p0 + len(kept)] += kept
-                    pieces.append(rows)
-                emitted = np.concatenate(pieces)
-                total = len(emitted)
                 # one charge per _CHUNK-tuple memory charge; build-side
                 # hashing lands on the first
-                charges = chunk_charges(
-                    emit_per_probe, total, _CHUNK, t.hash_probe,
-                    len(out_schema) * t.emit, base=build_base)
-                num_full = total // _CHUNK
-                for c in range(num_full):
-                    out_charged[m] += _CHUNK * out_bytes
-                    metrics.alloc(m, _CHUNK * out_bytes)
-                    metrics.charge_ops(m, charges[c])
-                    metrics.check_time()
-                pending = total - num_full * _CHUNK
-                out_charged[m] += pending * out_bytes
-                metrics.alloc(m, pending * out_bytes)
-                metrics.charge_worker_ops(
-                    m, _even_split(charges[num_full], workers))
-                parts.append(emitted)
+                chunks, ticks_due = [], build_base
+                for rows, ticks in join_chunks(blocks, _CHUNK, t.hash_probe,
+                                               len(out_schema) * t.emit):
+                    ticks_due += ticks
+                    out_charged[m] += len(rows) * out_bytes
+                    metrics.alloc(m, len(rows) * out_bytes)
+                    if len(rows) < _CHUNK:  # the residual chunk comes last
+                        metrics.charge_worker_ops(
+                            m, _even_split(ticks_due, workers))
+                    else:
+                        metrics.charge_ops(m, ticks_due)
+                        metrics.check_time()
+                    ticks_due = 0
+                    chunks.append(rows)
+                parts.append(np.concatenate(chunks))
             left.drop()
             right.drop()
             metrics.check_time()

@@ -32,8 +32,7 @@ holds the array programs themselves:
   survivors become rows (none, when the join is only counted: its rows
   are column-less); the rows are re-cut into output chunks, each charged
   as its probe rows are reached.  So a machine's join holds one block
-  and one chunk, not its whole output.  :func:`chunk_charges` is the
-  same charge for a join whose per-probe emit counts are all known.
+  and one chunk, not its whole output.
 * Five entry points compiled: ``kernels.c`` holds :func:`extend_block` /
   :func:`extend_candidates` as one loop over the rows (sort, window, one
   probe per candidate and list, filters, then the kept rows and the
@@ -72,7 +71,6 @@ import numpy as np
 
 __all__ = [
     "JOIN_BLOCK_PAIRS",
-    "chunk_charges",
     "csr_gather",
     "edge_composite_index",
     "extend_block",
@@ -705,17 +703,18 @@ def _join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
 
 def join_chunks(blocks, batch_size: int, hash_ticks: int, emit_ticks: int):
     """Cut :func:`join_blocks`' rows into chunks of ``batch_size``, each
-    with the tick charge :func:`chunk_charges` gives it for the whole
-    join — computed as the blocks arrive.
+    with its tick charge — computed as the blocks arrive.
 
-    A probe row is charged to the chunk filling when it is *reached*, at
-    emitted-row index ``T_p``; ``T_p`` is known once the first block
-    holding the row is done, and every row reached before a full chunk's
-    end is known by the time the chunk is.  Yields ``(rows, ticks)`` for
-    each full chunk, then the residual: the one item with fewer than
-    ``batch_size`` rows (possibly none), carrying every row not yet
-    charged.  Between chunks the carried rows are under one chunk plus
-    one block.
+    A chunk is charged ``emit_ticks`` per row it holds and ``hash_ticks``
+    per probe row *reached* while it fills: a probe row is reached once
+    every earlier row's emissions are out, at emitted-row index ``T_p``
+    (the exclusive running sum of per-row emit counts).  ``T_p`` is
+    known once the first block holding the row is done, and every row
+    reached before a full chunk's end is known by the time the chunk is.
+    Yields ``(rows, ticks)`` for each full chunk, then the residual: the
+    one item with fewer than ``batch_size`` rows (possibly none),
+    carrying every row not yet charged.  Between chunks the carried rows
+    are under one chunk plus one block.
 
     Over a counting :func:`join_blocks` (``materialise=False``) the rows
     are column-less, so the same cuts and charges come from the blocks'
@@ -751,32 +750,3 @@ def join_chunks(blocks, batch_size: int, hash_ticks: int, emit_ticks: int):
         pending = [reached[cuts[-1]:]]
     yield (np.concatenate(parts),
            sum(map(len, pending)) * hash_ticks + held * emit_ticks)
-
-
-# -- per-chunk probe charges ------------------------------------------------------
-
-
-def chunk_charges(emit_per_probe: np.ndarray, total: int, batch_size: int,
-                  hash_ticks: int, emit_ticks: int,
-                  base: int = 0) -> np.ndarray:
-    """Tick charge of each output chunk of a hash-join probe loop.
-
-    The loop emits ``total`` rows in chunks of ``batch_size`` and charges
-    as it goes: one ``hash_ticks`` per probe row, one ``emit_ticks`` per
-    emitted row.  Chunk ``c`` is charged for the emits of rows
-    ``[c*B, (c+1)*B)`` plus the probe rows first *reached* while it
-    fills — a probe row is reached once all earlier rows' emissions are
-    out, i.e. at emitted-row index ``T_p`` (the exclusive running sum of
-    per-row emit counts).  The last entry is the residual chunk together
-    with everything after the final full one; ``base`` (a pre-loop
-    charge such as build-side hashing) lands on chunk 0.
-    """
-    num_full = total // batch_size
-    reached_at = np.cumsum(emit_per_probe) - emit_per_probe
-    hash_counts = np.bincount(np.minimum(reached_at // batch_size, num_full),
-                              minlength=num_full + 1)
-    emit_counts = np.full(num_full + 1, batch_size, dtype=np.int64)
-    emit_counts[num_full] = total - num_full * batch_size
-    charges = hash_counts * hash_ticks + emit_counts * emit_ticks
-    charges[0] += base
-    return charges

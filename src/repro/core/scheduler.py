@@ -50,7 +50,7 @@ from .operators import (ExecContext, ExtendOp, JoinBuffer, ScanOp,
                         SinkConsumer, join_stream)
 from .stealing import STEALING_MODES, distribute_to_workers, rebalance
 
-__all__ = ["SchedulerConfig", "run_tree"]
+__all__ = ["SchedulerConfig", "memory_bound_bytes", "run_tree"]
 
 
 @dataclass
@@ -100,6 +100,26 @@ class SchedulerConfig:
         if self.join_buffer_tuples < 0:
             raise ValueError("join_buffer_tuples must be >= 0, got "
                              f"{self.join_buffer_tuples!r}")
+
+
+def memory_bound_bytes(pattern_vertices: int, max_degree: int,
+                       queue_capacity: float, batch_size: int,
+                       cache_ids: int, joins: int, join_buffer_tuples: int,
+                       bytes_per_id: int) -> float:
+    """Theorem 5.4's ``O(|V_q|² · D_G)`` memory bound of one machine.
+
+    Each of the ≤ ``|V_q|²`` operator queues holds at most its capacity
+    plus one in-flight batch's expansion, ``queue_capacity + batch_size ·
+    D_G`` tuples of ≤ ``|V_q|`` ids.  On top come the constant
+    reservations the caller names: ``cache_ids`` of pulled adjacency and
+    ``joins`` PUSH-JOINs, each buffering two sides of
+    ``join_buffer_tuples`` tuples.
+    """
+    q = max(1, pattern_vertices)
+    queue_ids = (q * q) * q * (queue_capacity
+                               + batch_size * max(1, max_degree))
+    join_ids = joins * 2 * join_buffer_tuples * q
+    return (queue_ids + cache_ids + join_ids) * bytes_per_id
 
 
 # -- source feeds -------------------------------------------------------------------

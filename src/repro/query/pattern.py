@@ -327,8 +327,11 @@ QUERIES: dict[str, QueryGraph] = {
 }
 
 
-def get_query(name: str) -> QueryGraph:
-    """Look up a benchmark query by name (``q1`` .. ``q8``, ``triangle``)."""
+def get_query(name: "str | QueryGraph") -> QueryGraph:
+    """Look up a benchmark query by name (``q1`` .. ``q8``, ``triangle``);
+    a :class:`QueryGraph` is returned unchanged."""
+    if isinstance(name, QueryGraph):
+        return name
     try:
         return QUERIES[name.lower()]
     except KeyError:

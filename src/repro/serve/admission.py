@@ -1,16 +1,14 @@
 """Admission control against a global memory budget.
 
-The engine's Theorem 5.4 bounds one query's queue memory by
-``O(|V_q|² · D_G)``: every operator queue holds at most its configured
-capacity plus the expansion of one in-flight batch, each tuple at most
-``|V_q|`` ids wide.  The serving tier turns that bound into an
-**admission reservation**: before a query is dispatched, its worst-case
-footprint (queue bound + cache reservation + PUSH-JOIN buffers, per
-machine, times the simulated cluster size) is reserved against a global
-budget; the reservation is released when the query reaches a terminal
-state — completed, cancelled, failed, *or crashed mid-run* — so the
-ledger provably drains back to zero (the serving memory oracle asserts
-this).
+The engine's Theorem 5.4 bounds one query's memory per machine by
+``O(|V_q|² · D_G)`` (:func:`~repro.core.scheduler.memory_bound_bytes`).
+The serving tier turns that bound into an **admission reservation**:
+before a query is dispatched, its worst-case footprint (queue bound +
+cache reservation + PUSH-JOIN buffers, per machine, times the simulated
+cluster size) is reserved against a global budget; the reservation is
+released when the query reaches a terminal state — completed,
+cancelled, failed, *or crashed mid-run* — so the ledger provably drains
+back to zero (the serving memory oracle asserts this).
 
 A request whose bound exceeds the whole budget can never run and is
 rejected at submission; one that merely does not fit *right now* waits
@@ -23,6 +21,7 @@ import threading
 
 from ..cluster.cost import CostModel
 from ..core.engine import EngineConfig
+from ..core.scheduler import memory_bound_bytes
 from ..graph.graph import Graph
 
 __all__ = ["AdmissionStats", "AdmissionController", "estimate_query_bytes"]
@@ -33,34 +32,27 @@ def estimate_query_bytes(pattern_vertices: int, graph: Graph,
                          cost: CostModel | None = None) -> float:
     """Worst-case memory footprint of one query, in budget bytes.
 
-    Mirrors the conformance memory oracle's Theorem 5.4 bound
-    (:mod:`repro.testing.oracles`): per machine, every of the ≤ ``|V_q|²``
-    operator queues holds at most ``queue_capacity + batch · D_G`` tuples
-    of ≤ ``|V_q|`` ids, plus the configured constant reservations (cache
-    capacity, PUSH-JOIN buffers — at most ``|V_q|`` joins).  Pure-BFS
-    configurations (infinite queues) void the theorem's premise; their
-    bound falls back to one batch's expansion per queue so they remain
-    admittable, while their actual usage stays the engine's concern.
+    :func:`~repro.core.scheduler.memory_bound_bytes` per machine — the
+    function the conformance memory oracle checks runs against — with
+    the configured cache reservation and at most ``|V_q|`` PUSH-JOINs,
+    times the machines.  Pure-BFS configurations (infinite queues) void
+    the theorem's premise; their bound falls back to one batch's
+    expansion per queue so they remain admittable, while their actual
+    usage stays the engine's concern.
     """
     cost = cost or CostModel()
-    q = max(1, pattern_vertices)
-    deg = max(1, graph.max_degree)
-    bpi = cost.bytes_per_id
     capacity = config.output_queue_capacity
     if capacity == float("inf"):
         capacity = 0.0  # BFS: the queue-capacity premise is off (see above)
-    # ≤ q² queues × (capacity + one batch's D_G-expansion) tuples, each
-    # tuple at most |V_q| ids wide — the width factor is q, NOT deg
-    # (a deg width overcharged high-degree graphs and undercharged
-    # large patterns relative to the Theorem-5.4 oracle)
-    queue_ids = (q * q) * q * (capacity + config.batch_size * deg)
     if config.cache_capacity_ids is not None:
         cache_ids = config.cache_capacity_ids
     else:
         graph_ids = 2 * graph.num_edges + graph.num_vertices
         cache_ids = max(1, int(config.cache_capacity_fraction * graph_ids))
-    join_ids = q * 2 * config.join_buffer_tuples * q
-    per_machine = (queue_ids + cache_ids + join_ids) * bpi
+    per_machine = memory_bound_bytes(
+        pattern_vertices, graph.max_degree, capacity, config.batch_size,
+        cache_ids, max(1, pattern_vertices), config.join_buffer_tuples,
+        cost.bytes_per_id)
     return per_machine * num_machines
 
 

@@ -24,7 +24,7 @@ from .plancache import PlanCache
 from .request import QueryOutcome, QueryRequest, QueryStatus
 
 __all__ = ["Executor", "run_query_solo", "remap_matches",
-           "effective_config", "resolve_pattern"]
+           "effective_config"]
 
 #: simulated clusters an executor keeps, least recently used evicted
 MAX_CLUSTERS = 4
@@ -33,12 +33,6 @@ MAX_CLUSTERS = 4
 def effective_config(request: QueryRequest,
                       default: EngineConfig | None) -> EngineConfig:
     return request.config or default or EngineConfig()
-
-
-def resolve_pattern(request) -> QueryGraph:
-    if isinstance(request.pattern, QueryGraph):
-        return request.pattern
-    return get_query(request.pattern)
 
 
 def remap_matches(pattern: QueryGraph, mapping: tuple,
@@ -147,7 +141,8 @@ def run_query_solo(graph: Graph, request: QueryRequest,
     executor = Executor(plan_cache=plan_cache, default_config=default_config,
                         cost=cost)
     t0 = time.perf_counter()
-    result, info = executor.execute(request, graph, resolve_pattern(request))
+    result, info = executor.execute(request, graph,
+                                    get_query(request.pattern))
     return QueryOutcome(
         status=QueryStatus.COMPLETED, count=result.count, result=result,
         canonical_key=info["canonical_key"],

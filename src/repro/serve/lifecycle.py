@@ -1,21 +1,20 @@
 """One task lifecycle: reserve → run → deliver → release.
 
 Every unit of work the pool executes is a **task** with one protocol —
-``task.members`` (the entries it answers for), ``task.tracked`` (members
-count against tenants and are retried) and ``task.run(worker) ->
-[(member, outcome)]`` — implemented by
+``task.tracked`` (the task counts against its tenant and is retried),
+``task.run(worker) -> outcome`` and ``task.terminal(...)`` (the outcome
+of an attempt that produced none) — implemented by
 :class:`~repro.serve.queueing.QueueEntry` (one query, one engine run)
-and :class:`DeltaTask` (one subscription's share of a graph update);
-each is its own only member.  :class:`Lifecycle` walks a task through
-its steps and is the **only** code that touches the mutable serving
-state: the admission
+and :class:`DeltaTask` (one subscription's share of a graph update).
+:class:`Lifecycle` walks a task through its steps and is the **only**
+code that touches the mutable serving state: the admission
 ledger's query/delta reservations, the in-flight and per-tenant tables,
 the dispatch-unit count, and the two exactly-once hand-overs
 (``QueryHandle._finish``, ``Subscription._deliver``).  DESIGN §8 has the
 state diagram.
 
 An admission rejection, a queue-swept cancel and a subscription's
-bootstrap batch are members that never ran: they enter at ``deliver``
+bootstrap batch are tasks that never ran: they enter at ``deliver``
 (whose ``release`` finds nothing to return).
 """
 
@@ -54,7 +53,7 @@ class UpdateWork:
 
 
 class DeltaTask:
-    """One subscription's share of an update batch; its own only member.
+    """One subscription's share of an update batch.
 
     Delta passes always run in-process on the worker *thread* (the
     columnar delta kernels are cheap relative to full enumeration);
@@ -76,12 +75,6 @@ class DeltaTask:
         self.reserved_bytes: float | None = None
 
     @property
-    def members(self) -> tuple:
-        # computed, not stored: a stored self-reference would make every
-        # task (and the two graph snapshots it pins) cyclic garbage
-        return (self,)
-
-    @property
     def seq(self) -> int:
         return self.sub.request.seq
 
@@ -99,7 +92,7 @@ class DeltaTask:
             count_after=self.sub.count + len(additions) - len(retractions),
             latency_s=latency_s, error=error)
 
-    def run(self, worker) -> list:
+    def run(self, worker) -> DeltaBatch:
         """Retractions on the pre-update snapshot, additions on the
         post-update one."""
         work, t0 = self.work, worker.service._now()
@@ -107,8 +100,8 @@ class DeltaTask:
             work.old_graph, work.delta.deleted)
         additions = self.sub.enumerator.delta_matches(
             work.new_graph, work.delta.inserted)
-        return [(self, self.batch(additions, retractions,
-                                  worker.service._now() - t0))]
+        return self.batch(additions, retractions,
+                          worker.service._now() - t0)
 
     def terminal(self, status: QueryStatus, error: str, now: float,
                  execute_s: float = 0.0) -> DeltaBatch:
@@ -145,40 +138,39 @@ class Lifecycle:
         return self._tenant_inflight.get(tenant, 0)
 
     def reserve(self, task, now: float) -> None:
-        """Dispatch ``task``: take each member's reservation (queries are
-        only dispatched when theirs fits; a delta task's is best-effort),
-        start the attempt and occupy one dispatch unit."""
+        """Dispatch ``task``: take its reservation (a query is only
+        dispatched when it fits; a delta task's is best-effort), start
+        the attempt and occupy one dispatch unit."""
         with self._cond:
-            for m in task.members:
-                if self.admission.try_reserve(m.estimate_bytes):
-                    m.reserved_bytes = m.estimate_bytes
-                if task.tracked:
-                    m.attempts += 1
-                    m.dispatch_t = now
-                    self._inflight[m.seq] = m
-                    self._tenant_inflight[m.tenant] = \
-                        self.tenant_load(m.tenant) + 1
+            if self.admission.try_reserve(task.estimate_bytes):
+                task.reserved_bytes = task.estimate_bytes
+            if task.tracked:
+                task.attempts += 1
+                task.dispatch_t = now
+                self._inflight[task.seq] = task
+                self._tenant_inflight[task.tenant] = \
+                    self.tenant_load(task.tenant) + 1
             self._dispatch_units += 1
-        for m in task.members if task.tracked else ():
-            req = m.handle.request
-            self.emit("dispatched", m.seq, label=m.label, tenant=m.tenant,
-                      priority=req.priority.name, attempt=m.attempts,
-                      t0=m.submit_t, t1=now, queue_wait_s=now - m.submit_t)
+        if task.tracked:
+            req = task.handle.request
+            self.emit("dispatched", task.seq, label=task.label,
+                      tenant=task.tenant, priority=req.priority.name,
+                      attempt=task.attempts, t0=task.submit_t, t1=now,
+                      queue_wait_s=now - task.submit_t)
 
     def run(self, worker, task) -> None:
-        """Execute ``task`` on ``worker`` (its thread) and deliver every
-        member.  ``WorkerCrashError`` deliberately propagates — the
+        """Execute ``task`` on ``worker`` (its thread) and deliver its
+        outcome.  ``WorkerCrashError`` deliberately propagates — the
         caller treats it as thread death and the reaper abandons the
         task."""
-        for m in task.members:
-            if task.tracked:
-                m.handle._set_status(QueryStatus.RUNNING)
-            self.emit("executing", m.seq, worker=worker.wid, pid=worker.pid,
-                      backend=worker.backend, attempt=m.attempts)
+        if task.tracked:
+            task.handle._set_status(QueryStatus.RUNNING)
+        self.emit("executing", task.seq, worker=worker.wid, pid=worker.pid,
+                  backend=worker.backend, attempt=task.attempts)
         fields = {"worker": worker.wid}
         t0 = self.svc._now()
         try:
-            results = task.run(worker)
+            outcome = task.run(worker)
         except WorkerCrashError:
             raise
         except Exception as exc:  # noqa: BLE001 - worker boundary
@@ -188,33 +180,31 @@ class Lifecycle:
                 status, error = (QueryStatus.FAILED,
                                  f"{type(exc).__name__}: {exc}")
             now = self.svc._now()
-            results = [(m, m.terminal(status, error, now, now - t0))
-                       for m in task.members]
+            outcome = task.terminal(status, error, now, now - t0)
             fields.update(t0=t0, t1=now)
-        for member, outcome in results:
-            self.deliver(member, outcome, **fields)
+        self.deliver(task, outcome, **fields)
         with self._cond:
             self._dispatch_units -= 1
             self._cond.notify_all()
 
-    def deliver(self, member, outcome, **fields) -> None:
-        """Terminal step for one member: hand the outcome over exactly
-        once, release what the member holds, announce it."""
+    def deliver(self, task, outcome, **fields) -> None:
+        """Terminal step for one task: hand the outcome over exactly
+        once, release what the task holds, announce it."""
         if isinstance(outcome, DeltaBatch):
-            self._deliver_batch(member, outcome, fields)
+            self._deliver_batch(task, outcome, fields)
             return
-        req = member.handle.request
-        delivered = member.handle._finish(outcome)
+        req = task.handle.request
+        delivered = task.handle._finish(outcome)
         if req.stream and outcome.status is not QueryStatus.COMPLETED:
-            member.handle._push_chunk(None, abort=self.svc._abort)
+            task.handle._push_chunk(None, abort=self.svc._abort)
         # one critical section: whatever this release lets the dispatcher
-        # start is announced after this member's ``finished``
+        # start is announced after this task's ``finished``
         with self._cond:
-            self.release(member)
+            self.release(task)
             # drop the handle's back-reference (handle → entry →
             # handle): a finished entry pins its graph snapshot, and only
             # an acyclic one is freed the moment the client lets go
-            member.handle._entry = None
+            task.handle._entry = None
             self.emit("finished", req.seq, status=outcome.status.value,
                       delivered=delivered, label=req.label,
                       tenant=req.tenant, count=outcome.count,
@@ -242,45 +232,44 @@ class Lifecycle:
             if task.work is not None:
                 task.work.done.put((task.seq, batch))
 
-    def release(self, member) -> None:
-        """Return the member's reservation and drop it from the
-        in-flight tables; a member holding nothing is a no-op."""
+    def release(self, task) -> None:
+        """Return the task's reservation and drop it from the in-flight
+        tables; a task holding nothing is a no-op."""
         with self._cond:
-            nbytes, member.reserved_bytes = member.reserved_bytes, None
-            if self._inflight.pop(member.seq, None) is not None:
-                self._tenant_inflight[member.tenant] -= 1
+            nbytes, task.reserved_bytes = task.reserved_bytes, None
+            if self._inflight.pop(task.seq, None) is not None:
+                self._tenant_inflight[task.tenant] -= 1
             if nbytes is not None:
                 self.admission.release(nbytes)
             self._cond.notify_all()
 
     def abandon(self, task, worker) -> None:
-        """``worker`` died running ``task``: release every member, then
-        requeue it with exponential backoff — or deliver ``FAILED`` once
-        its retries are spent (untracked tasks are never retried).  The
-        handle's exactly-once transition guarantees no result is lost or
+        """``worker`` died running ``task``: release it, then requeue it
+        with exponential backoff — or deliver ``FAILED`` once its retries
+        are spent (untracked tasks are never retried).  The handle's
+        exactly-once transition guarantees no result is lost or
         duplicated across retries."""
         svc = self.svc
         with self._cond:
             self._dispatch_units -= 1
-        for m in task.members:
-            self.emit("crash", m.seq, label=m.label,
-                      worker=worker.wid, pid=worker.pid,
-                      backend=worker.backend, attempt=m.attempts)
-            now = svc._now()
-            if not task.tracked or m.attempts > svc.max_retries:
-                error = f"worker crashed on all {m.attempts} attempts"
-                self.deliver(m, m.terminal(QueryStatus.FAILED, error, now),
-                             worker=worker.wid)
-                continue
-            self.release(m)
-            backoff = min(BACKOFF_CAP_S,
-                          svc.backoff_base_s * (2 ** (m.attempts - 1)))
-            m.not_before = now + backoff
-            m.token = None
-            m.handle._set_status(QueryStatus.QUEUED)
-            with self._cond:
-                svc._queue.push(m)
-                self._cond.notify_all()
-            self.emit("retry_scheduled", m.seq, label=m.label,
-                      backend=worker.backend, backoff_s=backoff,
-                      next_attempt=m.attempts + 1)
+        self.emit("crash", task.seq, label=task.label, worker=worker.wid,
+                  pid=worker.pid, backend=worker.backend,
+                  attempt=task.attempts)
+        now = svc._now()
+        if not task.tracked or task.attempts > svc.max_retries:
+            error = f"worker crashed on all {task.attempts} attempts"
+            self.deliver(task, task.terminal(QueryStatus.FAILED, error, now),
+                         worker=worker.wid)
+            return
+        self.release(task)
+        backoff = min(BACKOFF_CAP_S,
+                      svc.backoff_base_s * (2 ** (task.attempts - 1)))
+        task.not_before = now + backoff
+        task.token = None
+        task.handle._set_status(QueryStatus.QUEUED)
+        with self._cond:
+            svc._queue.push(task)
+            self._cond.notify_all()
+        self.emit("retry_scheduled", task.seq, label=task.label,
+                  backend=worker.backend, backoff_s=backoff,
+                  next_attempt=task.attempts + 1)

@@ -45,8 +45,8 @@ PRIORITY_WEIGHTS: dict[Priority, int] = {
 class QueueEntry:
     """One queued request plus its dispatch bookkeeping.
 
-    Once dispatched it is also the request's task — its own only member,
-    as a :class:`~repro.serve.lifecycle.DeltaTask` is — whose
+    Once dispatched it is also the request's task (as a
+    :class:`~repro.serve.lifecycle.DeltaTask` is an update's), whose
     :attr:`token` is what the engine polls: a client cancel, the
     deadline or a shutdown aborts the run.
     """
@@ -83,12 +83,6 @@ class QueueEntry:
         self.reserved_bytes: float | None = None
 
     @property
-    def members(self) -> tuple:
-        # computed, not stored: a stored self-reference would make every
-        # entry (and the graph snapshot it pins) cyclic garbage
-        return (self,)
-
-    @property
     def seq(self) -> int:
         return self.handle.request.seq
 
@@ -114,9 +108,9 @@ class QueueEntry:
             queue_wait_s=(self.dispatch_t or now) - self.submit_t,
             execute_s=execute_s, total_s=now - self.submit_t)
 
-    def run(self, worker) -> list:
-        """Execute the request on ``worker`` (its thread); returns
-        ``[(self, outcome)]``.  Engine errors (cancellation, crash,
+    def run(self, worker) -> QueryOutcome:
+        """Execute the request on ``worker`` (its thread) and return its
+        outcome.  Engine errors (cancellation, crash,
         failure) propagate to the lifecycle, which maps them."""
         svc = worker.service
         req = self.handle.request
@@ -137,13 +131,13 @@ class QueueEntry:
             chunks = _stream_result(self.handle, result, svc._abort)
             svc.emit("streamed", req.seq, label=req.label, worker=worker.wid,
                      t0=ts0, t1=svc._now(), chunks=chunks)
-        return [(self, QueryOutcome(
+        return QueryOutcome(
             status=QueryStatus.COMPLETED, count=result.count, result=result,
             attempts=self.attempts, plan_cache_hit=info["plan_cache_hit"],
             canonical_key=info["canonical_key"],
             queue_wait_s=self.dispatch_t - self.submit_t,
             plan_s=info["plan_s"], execute_s=info["execute_s"],
-            total_s=svc._now() - self.submit_t))]
+            total_s=svc._now() - self.submit_t)
 
 
 def _stream_result(handle, result, abort) -> int:

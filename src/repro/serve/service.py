@@ -52,10 +52,10 @@ from ..graph.updates import apply_updates as graph_apply_updates
 from ..stream.subscribe import (DeltaBatch, SubscribeRequest, Subscription,
                                 UpdateReport)
 from ..obs.metrics import MetricsRegistry
+from ..query.pattern import get_query
 from .admission import AdmissionController, estimate_query_bytes
 from .events import EventStream
-from .executor import (Executor, effective_config, resolve_pattern,
-                       run_query_solo)
+from .executor import Executor, effective_config, run_query_solo
 from .instruments import ServiceInstruments
 from .lifecycle import DeltaTask, Lifecycle, UpdateWork, WorkerCrashError
 from .plancache import PlanCache
@@ -308,7 +308,7 @@ class QueryService:
         if not self._started or self._stop_requested:
             raise RuntimeError("service is not accepting requests")
         graph = self._resolve_graph(request.dataset)
-        pattern = resolve_pattern(request)
+        pattern = get_query(request.pattern)
         sub = Subscription(request, pattern, service=self)
         with self._cond:
             self._subscriptions.setdefault(
@@ -497,7 +497,7 @@ class QueryService:
         if not self._started or self._stop_requested:
             raise RuntimeError("service is not accepting requests")
         graph = self._resolve_graph(request.dataset)
-        pattern = resolve_pattern(request)
+        pattern = get_query(request.pattern)
         request.priority = Priority(request.priority)
         handle = QueryHandle(request, service=self)
         now = self._now()

@@ -13,8 +13,10 @@ the workload/configuration that produced it:
 * ``memory-bound`` — the memory ledger never underflows (``mem_underflows
   == 0``: a ``free`` larger than the balance means double-free
   accounting), and HUGE's peak per-machine memory respects the
-  Theorem 5.4 ``O(|V_q|² · D_G)`` queue bound (plus the configured
-  constant reservations: cache capacity and PUSH-JOIN buffers).  The
+  Theorem 5.4 ``O(|V_q|² · D_G)`` bound of
+  :func:`~repro.core.scheduler.memory_bound_bytes` — the function
+  serving admission reserves by — with the run's reserved cache and its
+  PUSH-JOINs' buffers as the constant reservations.  The
   peak check is skipped for pure-BFS runs (infinite queues void the
   theorem's premise) and for baselines (whose unbounded intermediates
   are the paper's point);
@@ -80,6 +82,7 @@ import numpy as np
 from ..baselines.reference import (count_ordered_embeddings,
                                    enumerate_matches)
 from ..cluster.metrics import Metrics, RunReport
+from ..core.scheduler import memory_bound_bytes
 from ..query.automorphism import automorphism_count
 from ..query.pattern import QueryGraph
 from .configs import EngineSpec
@@ -244,22 +247,16 @@ def _check_memory_bound(workload: Workload, spec: EngineSpec,
         return None  # pure BFS: the theorem's bounded-queue premise is off
     graph = workload.graph()
     q = workload.pattern_num_vertices
-    deg = max(1, graph.max_degree)
-    bpi = outcome.bytes_per_id
-    # Theorem 5.4: every operator queue holds at most its capacity plus the
-    # expansion of one in-flight batch (≤ batch · D_G tuples of ≤ |V_q| ids)
-    queue_ids = (q * q) * deg * (spec.output_queue_capacity
-                                 + spec.batch_size * deg)
-    # configured constant reservations on top of the queue bound
-    constant_ids = outcome.cache_reserved_ids
-    join_ids = outcome.num_push_joins * 2 * outcome.join_buffer_tuples * q
-    bound = (queue_ids + constant_ids + join_ids) * bpi
+    bound = memory_bound_bytes(
+        q, graph.max_degree, spec.output_queue_capacity, spec.batch_size,
+        outcome.cache_reserved_ids, outcome.num_push_joins,
+        outcome.join_buffer_tuples, outcome.bytes_per_id)
     peak = outcome.report.peak_memory_bytes
     if peak > bound:
         return OracleFailure(
             "memory-bound",
             f"peak memory {peak:.0f}B exceeds the Theorem 5.4 bound "
-            f"{bound:.0f}B (|Vq|={q}, D_G={deg}, "
+            f"{bound:.0f}B (|Vq|={q}, D_G={graph.max_degree}, "
             f"queue={spec.output_queue_capacity}, batch={spec.batch_size})")
     return None
 

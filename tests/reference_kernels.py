@@ -217,6 +217,33 @@ def join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
     return rows, p0, kept
 
 
+def chunk_charges(emit_per_probe: np.ndarray, total: int, batch_size: int,
+                  hash_ticks: int, emit_ticks: int,
+                  base: int = 0) -> np.ndarray:
+    """The tick charge of each chunk ``repro.core.kernels.join_chunks``
+    cuts, from the whole join's per-probe emit counts at once.
+
+    The loop emits ``total`` rows in chunks of ``batch_size`` and charges
+    as it goes: one ``hash_ticks`` per probe row, one ``emit_ticks`` per
+    emitted row.  Chunk ``c`` is charged for the emits of rows
+    ``[c*B, (c+1)*B)`` plus the probe rows first *reached* while it
+    fills — a probe row is reached once all earlier rows' emissions are
+    out, i.e. at emitted-row index ``T_p`` (the exclusive running sum of
+    per-row emit counts).  The last entry is the residual chunk together
+    with everything after the final full one; ``base`` (a pre-loop
+    charge such as build-side hashing) lands on chunk 0.
+    """
+    num_full = total // batch_size
+    reached_at = np.cumsum(emit_per_probe) - emit_per_probe
+    hash_counts = np.bincount(np.minimum(reached_at // batch_size, num_full),
+                              minlength=num_full + 1)
+    emit_counts = np.full(num_full + 1, batch_size, dtype=np.int64)
+    emit_counts[num_full] = total - num_full * batch_size
+    charges = hash_counts * hash_ticks + emit_counts * emit_ticks
+    charges[0] += base
+    return charges
+
+
 #: ``(pool_size, choose)`` -> index combinations, lexicographic, shared
 #: across vertices/rounds/runs (index patterns depend only on the sizes)
 _COMB_CACHE: dict[tuple[int, int], np.ndarray] = {}

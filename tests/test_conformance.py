@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -216,6 +217,28 @@ class TestOracles:
             PROCESS_MEMORY_ALPHA * charged + PROCESS_MEMORY_BETA + 1)
         fails = check_case(wl, EngineSpec("huge-default"), outcome, ref)
         assert [f.oracle for f in fails] == ["process-memory"]
+
+    def test_memory_bound_oracle_holds_queue_tuples_to_pattern_width(self):
+        """Theorem 5.4's queue tuples are ``|V_q|`` ids wide: a peak above
+        that bound but below the same queues' bound at ``D_G``-wide tuples
+        is flagged, and a peak at the bound passes"""
+        wl, ref = self._ref_and_workload()
+        spec = EngineSpec("huge-default")
+        outcome = run_case(wl, spec, ref=ref)
+        assert outcome.ok
+        q, deg = wl.pattern_num_vertices, wl.graph().max_degree
+        assert deg > q
+        tuples = spec.output_queue_capacity + spec.batch_size * deg
+        constant = (outcome.cache_reserved_ids + outcome.num_push_joins * 2
+                    * outcome.join_buffer_tuples * q)
+        bound = (q * q * q * tuples + constant) * outcome.bytes_per_id
+        loose = (q * q * deg * tuples + constant) * outcome.bytes_per_id
+        for peak, flagged in ((bound, []), ((bound + loose) / 2,
+                                            ["memory-bound"])):
+            outcome.report = replace(outcome.report,
+                                     peak_memory_bytes=peak)
+            fails = check_case(wl, spec, outcome, ref)
+            assert [f.oracle for f in fails] == flagged
 
     def test_baseline_runs_are_not_traced(self):
         wl, ref = self._ref_and_workload()

@@ -12,9 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
-from repro.core.kernels import chunk_charges, join_blocks, join_chunks
+from repro.baselines import DistributedRelation, base
+from repro.cluster import Cluster, CostModel, OutOfMemoryError, OvertimeError
+from repro.core.kernels import join_blocks, join_chunks
+from repro.graph import generators as gen
 
-from .reference_kernels import PATHS, bound, join_pairs
+from .reference_kernels import PATHS, bound, chunk_charges, join_pairs
+from .reference_ledger import columns
 
 
 def reference_join(build, probe, build_key, probe_key, build_left,
@@ -165,3 +169,143 @@ def test_compiled_block_rejects_columns_outside_its_sides():
         with pytest.raises(ValueError):
             list(join_blocks(build, probe, (0,), (0,), True, carry,
                              distinct, conditions))
+
+
+def _relation_pair(cluster, hot=200):
+    """Two relations joined on their first column: one hot key whose
+    ``hot × hot`` matches (less those the distinctness and ``f[1] <
+    f[2]`` filters reject) land on one machine — several ``_CHUNK``
+    output chunks there — and thirty cold keys of uneven fan-out."""
+    left = [(0, i + 1) for i in range(hot)] + [(k, 1000 + k)
+                                               for k in range(1, 31)]
+    right = [(0, hot // 2 + i) for i in range(hot)] + [
+        (k, 2000 + k + c) for k in range(1, 31) for c in range(k % 4)]
+    empty = [[]] * (cluster.num_machines - 2)
+    return (DistributedRelation(cluster, (0, 1), [left, []] + empty),
+            DistributedRelation(cluster, (0, 2), [[], right] + empty))
+
+
+def _reference_hash_join(left, right, conditions):
+    """``DistributedRelation.hash_join`` with every machine's output
+    materialised at once and its chunk charges from
+    :func:`chunk_charges`: the same shuffles, then per machine the same
+    ledger calls — alloc, charge, time check per full chunk, the residual
+    spread over the workers — and the same release on an abort."""
+    cluster = left.cluster
+    metrics, t = cluster.metrics, cluster.cost.ticks
+    lkey, rkey, carry = (0,), (0,), (1,)
+    out_schema = (0, 1, 2)
+    out_bytes = len(out_schema) * cluster.cost.bytes_per_id
+    positional = base.new_conditions(out_schema, set(), conditions)
+    out_charged = np.zeros(cluster.num_machines, dtype=np.int64)
+    lsh = rsh = None
+    try:
+        lsh, rsh = left.shuffle(lkey), right.shuffle(rkey)
+        parts = []
+        for m in range(cluster.num_machines):
+            lpart, rpart = lsh.partitions[m], rsh.partitions[m]
+            build_left = len(lpart) <= len(rpart)
+            bpart, ppart = (lpart, rpart) if build_left else (rpart, lpart)
+            blocks = list(join_blocks(bpart, ppart, lkey, rkey, build_left,
+                                      carry, [(1, 2)], positional))
+            emit = np.zeros(len(ppart), dtype=np.int64)
+            for _, p0, kept in blocks:
+                emit[p0:p0 + len(kept)] += kept
+            rows = np.concatenate([r for r, _, _ in blocks])
+            charges = chunk_charges(
+                emit, len(rows), base._CHUNK, t.hash_probe,
+                len(out_schema) * t.emit, base=len(bpart) * t.hash_build)
+            num_full = len(rows) // base._CHUNK
+            for c in range(num_full):
+                out_charged[m] += base._CHUNK * out_bytes
+                metrics.alloc(m, base._CHUNK * out_bytes)
+                metrics.charge_ops(m, int(charges[c]))
+                metrics.check_time()
+            pending = len(rows) - num_full * base._CHUNK
+            out_charged[m] += pending * out_bytes
+            metrics.alloc(m, pending * out_bytes)
+            metrics.charge_worker_ops(m, base._even_split(
+                int(charges[num_full]), cluster.workers_per_machine))
+            parts.append(rows)
+        lsh.drop()
+        rsh.drop()
+        metrics.check_time()
+    except (OutOfMemoryError, OvertimeError):
+        for rel in (left, right, lsh, rsh):
+            if rel is not None:
+                rel.drop()
+        metrics.free(np.arange(len(out_charged)), out_charged)
+        raise
+    return parts
+
+
+def _relation_join(how, **budgets):
+    """``(partitions or the abort, ledger columns)`` of the relation pair
+    joined by ``how`` on a fresh four-machine cluster under the
+    ``CostModel`` budgets given."""
+    cluster = Cluster(gen.erdos_renyi(30, 0.2, seed=2), num_machines=4,
+                      workers_per_machine=3, seed=0,
+                      cost=CostModel(**budgets))
+    left, right = _relation_pair(cluster)
+    try:
+        got = how(left, right, [(1, 2)])
+    except OutOfMemoryError as exc:
+        got = (str(exc), exc.machine, exc.used, exc.budget)
+    except OvertimeError as exc:
+        got = (str(exc), exc.elapsed, exc.budget)
+    return got, columns(cluster.metrics), cluster.metrics.elapsed()
+
+
+def _package_hash_join(left, right, conditions):
+    return left.hash_join(right, conditions, set()).partitions
+
+
+def test_relation_join_charges_its_chunks_like_the_reference():
+    """a materialising relation join that cuts ten ``_CHUNK`` chunks on
+    one machine: the same rows and every ledger column the same as the
+    one-shot reference charged by :func:`chunk_charges`"""
+    got, ledger, _ = _relation_join(_package_hash_join)
+    want, want_ledger, _ = _relation_join(_reference_hash_join)
+    assert max(map(len, want)) >= 3 * base._CHUNK
+    assert [p.tolist() for p in got] == [p.tolist() for p in want]
+    assert ledger == want_ledger
+
+
+def test_relation_join_trips_a_chunk_boundary_budget_like_the_reference():
+    """a memory budget met exactly at the end of the hot machine's third
+    chunk trips on the fourth, and one byte less on the third: the same
+    abort, message and per-machine peaks (every ledger column) as the
+    reference"""
+    parts, _, _ = _relation_join(_reference_hash_join)
+    hot = int(np.argmax([len(p) for p in parts]))
+    # the hot machine's memory when its output starts: both shuffled sides
+    cluster = Cluster(gen.erdos_renyi(30, 0.2, seed=2), num_machines=4,
+                      workers_per_machine=3, seed=0)
+    left, right = _relation_pair(cluster)
+    left.shuffle((0,)), right.shuffle((0,))
+    inputs = int(cluster.metrics.cur_mem_bytes[hot])
+    chunk = base._CHUNK * 3 * cluster.cost.bytes_per_id
+    for budget, tripped in ((inputs + 3 * chunk, 4),
+                            (inputs + 3 * chunk - 1, 3)):
+        got, ledger, _ = _relation_join(_package_hash_join,
+                                        memory_budget_bytes=budget)
+        want, want_ledger, _ = _relation_join(_reference_hash_join,
+                                              memory_budget_bytes=budget)
+        assert want[1:3] == (hot, inputs + tripped * chunk)
+        assert got == want
+        assert ledger == want_ledger
+
+
+def test_relation_join_trips_a_time_budget_like_the_reference():
+    """a time budget that runs out inside the join aborts at the same
+    chunk's time check as the reference: the same message and ledger"""
+    _, _, elapsed = _relation_join(_reference_hash_join)
+    for share in (0.3, 0.6, 0.9):
+        budget = elapsed * share
+        got, ledger, _ = _relation_join(_package_hash_join,
+                                        time_budget_s=budget)
+        want, want_ledger, _ = _relation_join(_reference_hash_join,
+                                              time_budget_s=budget)
+        assert isinstance(want, tuple)
+        assert got == want
+        assert ledger == want_ledger

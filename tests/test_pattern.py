@@ -132,3 +132,9 @@ class TestBenchmarkQueries:
 
     def test_lookup_case_insensitive(self):
         assert get_query("Q1") == get_query("q1")
+
+    def test_a_query_graph_is_its_own_lookup(self):
+        """the one resolver for a name or a pattern: a ``QueryGraph``
+        comes back unchanged"""
+        q = QueryGraph(3, [(0, 1), (1, 2)])
+        assert get_query(q) is q
