@@ -60,6 +60,9 @@ Tuple = tuple[int, ...]
 
 #: incremental memory-charge granularity (tuples)
 _CHUNK = 4096
+#: the most combinations before the conditions a :func:`combo_rows` call
+#: holds room for; one with more counts its kept rows first
+COMBO_BLOCK_ROWS = 1 << 17
 
 
 @dataclass
@@ -359,11 +362,15 @@ def combo_rows(prefix: np.ndarray, cand_flat: np.ndarray,
     It runs as one compiled loop over the input rows (``combo_rows`` of
     ``repro.core.kernels``' C library: per row the combinations, the
     patterns and the conditions, each kept row written out in place).
+    Past :data:`COMBO_BLOCK_ROWS` combinations it sizes its buffer by a
+    counting pass.
     """
+    args = (prefix, cand_flat, cand_counts, nl, patterns_arr, conds)
     cap = 0 if count_only else predicted_star_total(
         cand_counts, nl, len(patterns_arr))
-    return kernels._combo_compiled(prefix, cand_flat, cand_counts, nl,
-                                   patterns_arr, conds, cap, count_only)
+    if cap > COMBO_BLOCK_ROWS:  # count first: room for the kept rows only
+        cap = int(kernels._combo_compiled(*args, 0, True)[1].sum())
+    return kernels._combo_compiled(*args, cap, count_only)
 
 
 def star_partition(cluster: Cluster, machine: int, local: np.ndarray,

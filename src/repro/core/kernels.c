@@ -16,8 +16,9 @@
  *   deal_items       the segmented snake deal of a step's item costs,
  *                    behind repro.core.stealing.distribute_to_workers;
  *   join_block       one block of the blocked hash join's key matches,
- *                    filtered and written out, behind
- *                    kernels._join_block;
+ *                    filtered by a program resolved once per probe row
+ *                    and written out (or counted, each bucket ending at
+ *                    its ordered condition), behind kernels._join_block;
  *   combo_rows       the star baselines' combination builder, behind
  *                    repro.baselines.base.combo_rows.
  *
@@ -998,37 +999,109 @@ i64 pull_extend_step(i64 n_rows, i64 width, const i64 *rows,
     return need;
 }
 
-/* One block of a hash join's key matches.  Probe row i (of n_probe rows
- * of probe_w columns) matches counts[i] build rows: build row
- * order[lo[i] + j] for j < counts[i].  The output row of a
- * pair has width columns, column o read from the build row's column
- * col[o] when from_build[o], from the probe row's otherwise; it is kept
- * if every test t holds: column test_a[t] < column test_b[t] when
- * test_less[t], column test_a[t] != column test_b[t] otherwise.  Writes
- * kept[i] per probe row and, unless out is NULL, the kept rows to out in
- * pair order; returns their number. */
-i64 join_block(i64 n_probe, const i64 *probe, i64 probe_w,
-               const i64 *counts, const i64 *lo,
-               const i64 *build, i64 build_w, const i64 *order,
-               i64 width, const i64 *from_build, const i64 *col,
-               i64 n_tests, const i64 *test_a, const i64 *test_b,
-               const i64 *test_less, i64 *kept, i64 *out)
+/* One block of a hash join's key matches.  Probe row p0 + i (of probe's
+ * rows of probe_w columns) matches counts[i] build rows: build row
+ * order[lo[i] + j] for j < counts[i].  The output row of a pair has
+ * width columns, column o read from the build row's column col[o] when
+ * from_build[o], from the probe row's otherwise; it is kept if every test
+ * t (the triple tests[3t .. 3t+2] = a, b, less) holds: column a < column
+ * b when less, column a != column b otherwise.  Writes kept[i] per probe
+ * row and, unless out is NULL, the kept rows to out in pair order;
+ * returns their number.
+ *
+ * The tests run as a program resolved once per probe row, not decoded
+ * per pair.  A test on two probe columns runs once per probe row: a row
+ * that fails one keeps nothing and none of its pairs is read.  A test
+ * across the sides becomes (build column, the probe row's value, !=,
+ * build below or build above it), one unsigned range check per pair: the
+ * build value fails it iff it lies in [low, low + span].  A test on two
+ * build columns stays a per-pair test.
+ *
+ * When ordered >= 0, tests[ordered] is a cross-side < and each bucket is
+ * sorted by its build column — ascending when the build value must lie
+ * below the probe's, descending when above — so the first build row that
+ * fails it ends the bucket: every later row fails it too.  The caller
+ * orders the buckets so only when the join is counted (out NULL); a
+ * materialising join keeps insertion order and ordered -1. */
+enum { DIFFER, BELOW, ABOVE };
+
+struct join_test {
+    i64 x, y, kind;     /* columns (a cross test: build x, probe y) */
+    uint64_t low, span; /* a cross test's failing build values, per row */
+};
+
+INLINE int test_holds(i64 x, i64 y, i64 kind)
 {
-    i64 total = 0;
+    return kind == BELOW ? x < y : x != y;
+}
+
+i64 join_block(i64 n_probe, i64 p0, const i64 *counts, const i64 *lo,
+               i64 *kept, i64 *out, const i64 *probe, i64 probe_w,
+               const i64 *build, i64 build_w, const i64 *order, i64 width,
+               const i64 *from_build, const i64 *col, i64 n_tests,
+               const i64 *tests, i64 ordered)
+{
+    /* the program: probe-only, cross (the ordered one first) and
+     * build-only tests, on the stack: a join's tests are a pattern's
+     * position pairs, a few dozen at most */
+    struct join_test own[n_tests + 1], cross[n_tests + 1], pair[n_tests + 1];
+    i64 n_own = 0, n_cross = 0, n_pair = 0;
+    for (i64 t = 0; t < n_tests; t++) {
+        i64 a = tests[3 * t], b = tests[3 * t + 1];
+        i64 kind = tests[3 * t + 2] ? BELOW : DIFFER;
+        if (from_build[a] == from_build[b]) {
+            struct join_test one = {col[a], col[b], kind, 0, 0};
+            if (from_build[a])
+                pair[n_pair++] = one;
+            else
+                own[n_own++] = one;
+            continue;
+        }
+        struct join_test one = {from_build[a] ? col[a] : col[b],
+                                from_build[a] ? col[b] : col[a],
+                                kind == BELOW && !from_build[a] ? ABOVE
+                                                                : kind,
+                                0, 0};
+        cross[n_cross++] = one;
+        if (t == ordered) {
+            cross[n_cross - 1] = cross[0];
+            cross[0] = one;
+        }
+    }
+    i64 stop = ordered >= 0 ? 0 : -1, total = 0;
+
     for (i64 i = 0; i < n_probe; i++) {
-        const i64 *prow = probe + i * probe_w;
-        i64 emitted = 0;
+        const i64 *prow = probe + (p0 + i) * probe_w;
+        i64 emitted = 0, t = 0;
+        while (t < n_own && test_holds(prow[own[t].x], prow[own[t].y],
+                                       own[t].kind))
+            t++;
+        kept[i] = 0;
+        if (t < n_own)
+            continue;
+        for (t = 0; t < n_cross; t++) {
+            uint64_t v = (uint64_t)prow[cross[t].y];
+            cross[t].low = cross[t].kind == ABOVE ? (uint64_t)INT64_MIN : v;
+            cross[t].span = cross[t].kind == DIFFER ? 0
+                            : cross[t].kind == BELOW ? (uint64_t)INT64_MAX - v
+                            : v - (uint64_t)INT64_MIN;
+        }
         for (i64 j = lo[i]; j < lo[i] + counts[i]; j++) {
             const i64 *brow = build + order[j] * build_w;
-            i64 t = 0;
-            for (; t < n_tests; t++) {
-                i64 a = test_a[t], b = test_b[t];
-                i64 x = from_build[a] ? brow[col[a]] : prow[col[a]];
-                i64 y = from_build[b] ? brow[col[b]] : prow[col[b]];
-                if (test_less[t] ? x >= y : x == y)
-                    break;
-            }
-            if (t < n_tests)
+            for (t = 0; t < n_cross && (uint64_t)brow[cross[t].x]
+                                               - cross[t].low > cross[t].span;
+                 t++)
+                ;
+            if (t == stop)
+                break;
+            if (t < n_cross)
+                continue;
+            for (t = 0; t < n_pair && test_holds(brow[pair[t].x],
+                                                 brow[pair[t].y],
+                                                 pair[t].kind);
+                 t++)
+                ;
+            if (t < n_pair)
                 continue;
             if (out) {
                 i64 *o = out + (total + emitted) * width;

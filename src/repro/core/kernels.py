@@ -28,9 +28,9 @@ holds the array programs themselves:
   hash join in bounded blocks: each key becomes one ``int64`` and the
   build side is sorted once, probe buckets are ``searchsorted`` ranges,
   and the key matches come in blocks of at most :data:`JOIN_BLOCK_PAIRS`
-  pairs; the cross-side filters run on each block's pairs and only
-  survivors become rows (none, when the join is only counted: its rows
-  are column-less); the rows are re-cut into output chunks, each charged
+  pairs; the filters run on each block's pairs and only survivors
+  become rows (none, when the join is only counted: its rows are
+  column-less); the rows are re-cut into output chunks, each charged
   as its probe rows are reached.  So a machine's join holds one block
   and one chunk, not its whole output.
 * Five entry points compiled: ``kernels.c`` holds :func:`extend_block` /
@@ -44,9 +44,9 @@ holds the array programs themselves:
   the worker deal and the release, on the cache's arrays; see
   :meth:`repro.core.cache.LRBUCache.pull_extend`), the worker deal
   (:func:`repro.core.stealing.distribute_to_workers`) as one loop over
-  the sorted costs, a join block as one loop over its pairs (filters,
-  then the kept row written out), and the star baselines' combination
-  builder (:func:`repro.baselines.base.combo_rows`) as one loop over its
+  the sorted costs, a join block as one loop over its probe rows (each
+  row's filters resolved, then its pairs), and the star baselines'
+  combination builder (:func:`repro.baselines.base.combo_rows`) over its
   input rows.  The library is built once per source hash with the
   system C compiler and loaded through cffi (:func:`_load_library`),
   both of which the package needs; each caller checks its inputs before
@@ -65,6 +65,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -343,12 +344,11 @@ int64_t pull_extend_step(int64_t, int64_t, const int64_t *,
                          int64_t *);
 int64_t deal_items(int64_t, const int64_t *, const int64_t *, int64_t,
                    int64_t, int64_t *);
-int64_t join_block(int64_t, const int64_t *, int64_t,
-                   const int64_t *, const int64_t *,
-                   const int64_t *, int64_t, const int64_t *,
-                   int64_t, const int64_t *, const int64_t *,
-                   int64_t, const int64_t *, const int64_t *,
-                   const int64_t *, int64_t *, int64_t *);
+int64_t join_block(int64_t, int64_t, const int64_t *, const int64_t *,
+                   int64_t *, int64_t *, const int64_t *, int64_t,
+                   const int64_t *, int64_t, const int64_t *, int64_t,
+                   const int64_t *, const int64_t *, int64_t,
+                   const int64_t *, int64_t);
 int64_t combo_rows(int64_t, const int64_t *, int64_t,
                    const int64_t *, const int64_t *, int64_t,
                    int64_t, const int64_t *,
@@ -580,15 +580,25 @@ def _join_keys(build: np.ndarray, probe: np.ndarray,
 
 
 def _pair_ranges(build: np.ndarray, probe: np.ndarray,
-                 build_key: tuple[int, ...], probe_key: tuple[int, ...]):
+                 build_key: tuple[int, ...], probe_key: tuple[int, ...],
+                 by: tuple[np.ndarray, ...] = ()):
     """All (build row, probe row) key matches — probe-major, build rows
-    in insertion order within a bucket — in blocks of at most
-    :data:`JOIN_BLOCK_PAIRS` pairs (a bucket crossing a cut is split
-    between two blocks), each block's build rows as ranges:
+    within a bucket in insertion order after the sort keys ``by`` — in
+    blocks of at most :data:`JOIN_BLOCK_PAIRS` pairs (a bucket crossing a
+    cut is split between two blocks), each block's build rows as ranges:
     ``(order, blocks)``, the build rows in bucket order and an iterator
     of ``(p0, counts, lo)`` — probe row ``p0 + i``'s pairs in the block
     match build rows ``order[lo[i]:lo[i] + counts[i]]``."""
-    order, bounds, shift = _buckets(build, probe, build_key, probe_key)
+    build_keys, probe_keys = _join_keys(build, probe, build_key, probe_key)
+    order = np.lexsort((*by, build_keys))
+    sorted_keys = build_keys[order]
+    # probe row p's pairs: pair indices bounds[p] .. bounds[p + 1], pair
+    # j matching build row order[shift[p] + j] (the keys die with this call)
+    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
+    bounds = np.zeros(len(probe) + 1, dtype=np.int64)
+    np.cumsum(np.searchsorted(sorted_keys, probe_keys, side="right") - lo,
+              out=bounds[1:])
+    shift = lo - bounds[:-1]
 
     def blocks():
         budget = JOIN_BLOCK_PAIRS
@@ -607,24 +617,6 @@ def _pair_ranges(build: np.ndarray, probe: np.ndarray,
     return order, blocks()
 
 
-def _buckets(build: np.ndarray, probe: np.ndarray,
-             build_key: tuple[int, ...], probe_key: tuple[int, ...]
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, bounds, shift)``: the build rows in bucket order; probe
-    row ``p``'s pairs are pair indices ``bounds[p] .. bounds[p + 1]``,
-    pair ``j`` matching build row ``order[shift[p] + j]``.  (A function of
-    its own so the keys and sorted keys are freed before the first
-    block.)"""
-    build_keys, probe_keys = _join_keys(build, probe, build_key, probe_key)
-    order = np.argsort(build_keys, kind="stable")
-    sorted_keys = build_keys[order]
-    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-    bounds = np.zeros(len(probe) + 1, dtype=np.int64)
-    np.cumsum(np.searchsorted(sorted_keys, probe_keys, side="right") - lo,
-              out=bounds[1:])
-    return order, bounds, lo - bounds[:-1]
-
-
 def join_blocks(build: np.ndarray, probe: np.ndarray,
                 build_key: tuple[int, ...], probe_key: tuple[int, ...],
                 build_left: bool, right_carry: Sequence[int],
@@ -641,63 +633,79 @@ def join_blocks(build: np.ndarray, probe: np.ndarray,
     ``row[i] < row[j]``.  Yields ``(rows, p0, kept)`` per block,
     ``kept[i]`` the rows it emits for probe row ``p0 + i``.  Unless
     ``materialise`` (a join whose output is only counted) ``rows`` is
-    column-less, ``(kept.sum(), 0)``.
+    column-less, ``(kept.sum(), 0)``, and each bucket is ordered by the
+    build column of the first cross-side condition.
 
-    Each block runs as one compiled loop over its pairs (``join_block``
-    of ``kernels.c``): per pair the build row read through the sort
-    order, the filters, then the kept row written straight into the
-    block's output.
+    Each block runs as one compiled loop over its probe rows
+    (``join_block`` of ``kernels.c``): the filters resolved once per
+    probe row, then per pair the build row read through the sort order,
+    the rest, and the kept row written out (or a bucket's end counted).
     """
-    carry = np.asarray(right_carry, dtype=np.intp)
     tests = np.asarray([(i, j, 0) for i, j in distinct]
                        + [(i, j, 1) for i, j in conditions],
                        dtype=np.int64).reshape(-1, 3)
-    order, ranges = _pair_ranges(build, probe, build_key, probe_key)
-    build = np.ascontiguousarray(build, dtype=np.int64)
-    probe = np.ascontiguousarray(probe, dtype=np.int64)
-    for p0, counts, lo in ranges:
-        yield _join_block(build, probe, p0, counts, (order, lo), build_left,
-                          carry, tests, materialise)
+    lw = (build if build_left else probe).shape[1]
+    ordered = next((len(distinct) + k for k, (i, j) in enumerate(conditions)
+                    if not materialise and (i < lw) != (j < lw)), -1)
+    join = _join_inputs(build, probe, build_key, probe_key, build_left,
+                        right_carry, tests, ordered, materialise)
+    for p0, counts, lo in join.ranges:
+        yield _join_block(join, p0, counts, lo)
 
 
-def _join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
-                materialise):
-    """:func:`join_blocks` on one block through ``join_block`` of
-    ``kernels.c``, as ``(rows, p0, kept)``: probe row ``p0 + i`` against
-    the build rows ``pairs = (order, lo)`` name (see
-    :func:`_pair_ranges`)."""
-    order, lo = pairs
-    n = len(counts)
+def _join_inputs(build, probe, build_key, probe_key, build_left, carry,
+                 tests, ordered, materialise):
+    """:func:`join_blocks`' per-join inputs, checked and converted once;
+    ``ordered`` indexes the test whose build column orders the buckets."""
+    build, probe = (np.ascontiguousarray(a, dtype=np.int64)
+                    for a in (build, probe))
+    carry = np.asarray(carry, dtype=np.int64)
     left_width = (build if build_left else probe).shape[1]
     width = left_width + len(carry)
-    # the loop reads build rows through order (an argsort of the build
-    # keys, so a permutation of its rows) and columns by position without
-    # checks of its own
-    if (lo.shape != counts.shape or not 0 <= p0 <= p0 + n <= len(probe)
-            or len(order) != len(build)
-            or (n and (counts.min() < 0 or lo.min() < 0
-                       or (lo + counts).max() > len(build)))
-            or not np.all((0 <= carry) & (carry < (
-                probe if build_left else build).shape[1]))
+    # the loop reads columns by position without checks of its own
+    if (not np.all((0 <= carry) & (carry < (
+            probe if build_left else build).shape[1]))
             or not np.all((0 <= tests[:, :2]) & (tests[:, :2] < width))):
         raise ValueError("join block outside its sides")
-    from_build = np.arange(width) < left_width
-    if not build_left:
-        from_build = ~from_build
-    col = np.concatenate((np.arange(left_width), carry)).astype(np.int64)
+    from_build = (np.arange(width) < left_width) == build_left
+    col = np.concatenate((np.arange(left_width), carry))
+    a, b, less = tests[ordered] if 0 <= ordered < len(tests) else (0, 0, 0)
+    if ordered != -1 and (not less or from_build[a] == from_build[b]):
+        raise ValueError("the ordered test is not a cross-side condition")
+    # descending (ids are non-negative) where the build value is above
+    by = () if ordered == -1 else (build[:, col[a if from_build[a] else b]]
+                                   * (-1 if from_build[b] else 1),)
+    order, ranges = _pair_ranges(build, probe, build_key, probe_key, by)
+    return SimpleNamespace(
+        build=build, probe=probe, build_left=build_left, carry=carry,
+        tests=tests, order=order, ranges=ranges, materialise=materialise,
+        width=width, args=(_buf(probe), probe.shape[1], _buf(build),
+                           build.shape[1], _buf(order), width,
+                           _buf(from_build), _buf(col), len(tests),
+                           _buf(tests), ordered))
+
+
+def _join_block(join, p0, counts, lo):
+    """:func:`join_blocks` on one block through ``join_block`` of
+    ``kernels.c``, as ``(rows, p0, kept)``: probe row ``p0 + i`` against
+    build rows ``join.order[lo[i]:lo[i] + counts[i]]``."""
+    n = len(counts)
+    # the loop reads build rows through order (an argsort of the build
+    # keys, so a permutation of its rows) without checks of its own
+    if (lo.shape != counts.shape or not 0 <= p0 <= p0 + n <= len(join.probe)
+            or (n and (counts.min() < 0 or lo.min() < 0
+                       or (lo + counts).max() > len(join.build)))):
+        raise ValueError("join block outside its sides")
     kept = np.empty(n, dtype=np.int64)
-    cap = int(counts.sum())
-    rows = np.empty((cap if materialise else 0, width), dtype=np.int64)
-    total = _LIB.join_block(
-        n, _buf(probe[p0:p0 + n]), probe.shape[1], _buf(counts), _buf(lo),
-        _buf(build), build.shape[1], _buf(order), width,
-        _buf(from_build), _buf(col), len(tests),
-        _buf(tests[:, 0]), _buf(tests[:, 1]), _buf(tests[:, 2]),
-        _buf(kept), _buf(rows) if materialise else _FFI.NULL)
-    if not materialise:
+    rows = np.empty((int(counts.sum()) if join.materialise else 0,
+                     join.width), dtype=np.int64)
+    total = _LIB.join_block(n, p0, _buf(counts), _buf(lo), _buf(kept),
+                            _buf(rows) if join.materialise else _FFI.NULL,
+                            *join.args)
+    if not join.materialise:
         return np.empty((total, 0), dtype=np.int64), p0, kept
     # a block that keeps little lets go of its pair-sized buffer
-    return (rows[:total] if 2 * total >= cap else rows[:total].copy(),
+    return (rows[:total] if 2 * total >= len(rows) else rows[:total].copy(),
             p0, kept)
 
 

@@ -474,7 +474,7 @@ def join_stream(ctx: ExecContext, spec: JoinSpec, left: JoinBuffer,
 
     Unless ``materialise`` (a join that feeds a counting SINK directly)
     the batches are column-less ``(n, 0)`` arrays: the filters still run
-    on the index pairs, but no output row is gathered.  The batches, their
+    on the pairs, but no output row is written.  The batches, their
     charges (full-width emits included) and the spans are the same.
     """
     try:

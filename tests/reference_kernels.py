@@ -177,16 +177,16 @@ def _build_rows(order: np.ndarray, counts: np.ndarray,
                  + ramp]
 
 
-def join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
-               materialise):
+def join_block(join, p0, counts, lo):
     """``repro.core.kernels._join_block``: the filters on the index pairs
     — each output column they name gathered once, build side by index,
     probe side by ``np.repeat`` — and only the survivors' rows gathered
     in full."""
+    build, probe, build_left, carry = (join.build, join.probe,
+                                       join.build_left, join.carry)
     left, right = (build, probe) if build_left else (probe, build)
     width = left.shape[1]
-    order, lo = pairs
-    build_idx = _build_rows(order, counts, lo)
+    build_idx = _build_rows(join.order, counts, lo)
     local = np.repeat(np.arange(len(counts)), counts)
     cols: dict[int, np.ndarray] = {}
 
@@ -201,14 +201,14 @@ def join_block(build, probe, p0, counts, pairs, build_left, carry, tests,
         return cols[pos]
 
     kept = counts
-    if len(tests):
+    if len(join.tests):
         keep = np.ones(len(build_idx), dtype=bool)
-        for i, j, less in tests.tolist():
+        for i, j, less in join.tests.tolist():
             keep &= (np.less if less else np.not_equal)(column(i),
                                                         column(j))
         build_idx, local = build_idx[keep], local[keep]
         kept = np.bincount(local, minlength=len(counts))
-    if not materialise:
+    if not join.materialise:
         return np.empty((len(local), 0), dtype=left.dtype), p0, kept
     probe_idx = local + p0
     lidx, ridx = ((build_idx, probe_idx) if build_left

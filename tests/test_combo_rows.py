@@ -133,3 +133,34 @@ def test_rads_counts_its_final_round(monkeypatch, path):
     assert count == count_matches(graph, q) > 0
     assert (True, True) in calls and (False, False) in calls
     assert all(counted == built_none for counted, built_none in calls)
+
+
+@pytest.mark.parametrize("path", reference_kernels.PATHS)
+def test_a_large_call_holds_room_for_its_kept_rows_only(monkeypatch, path):
+    """conditions that drop most combinations: past ``COMBO_BLOCK_ROWS``
+    combinations the call counts its kept rows first, so its traced peak
+    is about its kept rows, not every combination before the conditions
+    — and its rows and counts are the scalar loops'"""
+    import tracemalloc
+    if path == "numpy":
+        reference_kernels.bind(monkeypatch)
+    n, deg = 40, 60
+    prefix = np.full((n, 1), 5, dtype=np.int64)
+    counts = np.full(n, deg, dtype=np.int64)
+    cand = np.tile(np.arange(deg, dtype=np.int64), n)
+    # the smaller leaf below the prefix: 285 of 1 770 pairs per row
+    args = (prefix, cand, counts, 2, np.asarray([[0, 1]]), [(1, 0)])
+    want_rows, want_kept = reference_combos(*args)
+    predicted = base.predicted_star_total(counts, 2, 1)
+    assert predicted > 6 * len(want_rows)
+    monkeypatch.setattr(base, "COMBO_BLOCK_ROWS", predicted - 1)
+    tracemalloc.start()
+    try:
+        rows, kept = base.combo_rows(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(kept, want_kept)
+    if path == "compiled":
+        assert peak < 2 * rows.nbytes < predicted * rows.shape[1] * 8 // 3

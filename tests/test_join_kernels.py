@@ -4,11 +4,16 @@ per-probe emit counts and per-chunk charges must be identical at any
 block budget, and a counting join (``materialise=False``) must cut the
 same chunks with the same charges — with each block through the
 compiled loop (``join_block`` of ``core/kernels.c``) and through its
-numpy reference (``tests/reference_kernels.py``, bound in its place)."""
+numpy reference (``tests/reference_kernels.py``, bound in its place).
+A counting join orders each bucket by its first cross-side condition
+and the loop ends a bucket there, so its tests also hold the bucket
+order and the refusals that keep the loop's reads in bounds."""
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import repro.core.kernels as kernels
@@ -54,8 +59,13 @@ def reference_join(build, probe, build_key, probe_key, build_left,
 @st.composite
 def join_cases(draw):
     """Two sides of a join: key widths 1-3, empty sides, a few distinct
-    key values (so all-equal keys and long buckets occur), and cross-side
-    filters that may reject everything."""
+    key values (so all-equal keys, long buckets, repeated values in an
+    ordered column and probe keys with an empty bucket occur), and
+    filters that may reject everything: random position pairs, plus a
+    test within each side (one is the probe side's, run once per probe
+    row; the other the build side's, run per pair) and ``<`` conditions
+    across the sides in both directions (the build column below or above
+    the probe's)."""
     width = draw(st.integers(1, 3))
     arity_l = draw(st.integers(width, width + 2))
     arity_r = draw(st.integers(width, width + 2))
@@ -73,10 +83,16 @@ def join_cases(draw):
     right_key = tuple(draw(st.permutations(range(arity_r)))[:width])
     carry = tuple(c for c in range(arity_r) if c not in right_key)
     out_width = arity_l + len(carry)
-    pairs = st.tuples(st.integers(0, out_width - 1),
-                      st.integers(0, out_width - 1))
-    distinct = draw(st.lists(pairs, max_size=2))
-    conditions = draw(st.lists(pairs, max_size=2))
+    pos = st.integers(0, out_width - 1)
+    lpos = st.integers(0, arity_l - 1)
+    rpos = st.integers(arity_l, out_width - 1) if carry else lpos
+    pairs = st.tuples(pos, pos)
+    sided = st.one_of(st.tuples(lpos, lpos), st.tuples(rpos, rpos))
+    across = st.one_of(st.tuples(lpos, rpos), st.tuples(rpos, lpos))
+    distinct = draw(st.lists(st.one_of(pairs, sided, across),
+                             max_size=3))
+    conditions = draw(st.lists(st.one_of(pairs, sided, across),
+                               max_size=3))
     build_left = draw(st.booleans())
     return (left, right, left_key, right_key, build_left, carry, distinct,
             conditions)
@@ -91,6 +107,11 @@ def _sides(case):
 
 @pytest.mark.parametrize("budget", [1, 7, kernels.JOIN_BLOCK_PAIRS])
 @given(case=join_cases(), batch_size=st.sampled_from([1, 3, 64]))
+# a counted bucket whose first row fails a condition other than the
+# ordered one, while its second passes both
+@example(case=(np.asarray([[1, 0]]), np.asarray([[1, 1, 0], [0, 1, 0]]),
+               (0,), (1,), False, (0, 2), [], [(3, 0), (2, 0)]),
+         batch_size=3)
 def test_blocks_equal_the_one_shot_join(budget, case, batch_size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "JOIN_BLOCK_PAIRS", budget)
@@ -169,6 +190,140 @@ def test_compiled_block_rejects_columns_outside_its_sides():
         with pytest.raises(ValueError):
             list(join_blocks(build, probe, (0,), (0,), True, carry,
                              distinct, conditions))
+
+
+def _ordered_bucket(build_left, below):
+    """One bucket of six build rows ``(key, value, other)`` against one
+    probe row ``(key, value, other)``, beside a build row and a probe
+    row whose keys the other side lacks: the condition puts the build
+    value below the probe's (``below``) or above it, and a ``!=`` test
+    on ``other`` fails on the build row met first in the bucket's order
+    while later rows pass it; repeated values sit in the ordered
+    column.  Returns the join's arguments."""
+    build = np.asarray([[7, 1, 0], [7, 2, 9], [7, 5, 9], [7, 2, 9],
+                        [7, 3, 9], [7, 6, 0], [8, 0, 9]], dtype=np.int64)
+    probe = np.asarray([[7, 4, 0], [6, 4, 0]], dtype=np.int64)
+    # output: the build row then the probe's value and other (positions
+    # 3, 4) when build_left, the probe row then the build's otherwise
+    b, p = (1, 3) if build_left else (3, 1)
+    bo, po = (2, 4) if build_left else (4, 2)
+    condition = (b, p) if below else (p, b)
+    return (build, probe, (0,), (0,), build_left, (1, 2), [(bo, po)],
+            [condition])
+
+
+@pytest.mark.parametrize("below", [True, False])
+@pytest.mark.parametrize("build_left", [True, False])
+def test_counted_join_ends_a_bucket_only_at_its_ordered_condition(
+        build_left, below):
+    """a counted join sorts the bucket by the ordered condition's build
+    column — ascending when the build value must be below the probe's,
+    descending when above, ties in insertion order — and counts every
+    row that passes: the ``!=`` failure met first does not end the
+    bucket (a loop that stopped at any failed test keeps 0 here), and a
+    wrong sort direction would end it at once"""
+    args = _ordered_bucket(build_left, below)
+    _, want_emit = reference_join(*args)
+    assert want_emit.tolist() == ([3, 0] if below else [1, 0])
+    orders = []
+
+    def spy(join, p0, counts, lo):
+        orders.append(join.order[lo[0]:lo[0] + counts[0]].tolist())
+        return block(join, p0, counts, lo)
+    for path, budget in itertools.product(PATHS,
+                                          (1, 2, kernels.JOIN_BLOCK_PAIRS)):
+        with bound(path), pytest.MonkeyPatch.context() as mp:
+            block = kernels._join_block
+            mp.setattr(kernels, "JOIN_BLOCK_PAIRS", budget)
+            mp.setattr(kernels, "_join_block", spy)
+            for materialise in (False, True):
+                orders.clear()
+                blocks = list(join_blocks(*args, materialise=materialise))
+                emit = np.zeros(len(args[1]), dtype=np.int64)
+                for _, p0, kept in blocks:
+                    emit[p0:p0 + len(kept)] += kept
+                assert emit.tolist() == want_emit.tolist()
+                bucket = [i for part in orders for i in part]
+                if materialise:
+                    assert bucket == [0, 1, 2, 3, 4, 5]
+                else:
+                    assert bucket == ([0, 1, 3, 4, 2, 5] if below
+                                      else [5, 2, 4, 1, 3, 0])
+
+
+#: what :func:`test_join_refusals_reach_no_library_call` breaks
+_JOIN_REFUSALS = ("carry", "test", "ordered", "lo past the build side",
+                  "lo and counts disagree", "p0")
+
+
+@given(case=join_cases(), kind=st.sampled_from(_JOIN_REFUSALS),
+       data=st.data())
+def test_join_refusals_reach_no_library_call(case, kind, data):
+    """``join_blocks`` / ``_join_block``'s checks as a property: a valid
+    join with one thing broken — a carried column or a test position
+    outside the sides, an ordered-test index that is not a cross-side
+    ``<``, a block whose ``lo + counts`` runs past the build side, whose
+    ``lo`` and ``counts`` shapes disagree, or whose probe rows leave the
+    probe side — raises ``ValueError`` before any call of the library;
+    the same join unbroken is accepted"""
+    build, probe, bkey, pkey, build_left, carry, distinct, conds = \
+        _sides(case)
+    list(join_blocks(*_sides(case)))
+    left_width = (build if build_left else probe).shape[1]
+    width = left_width + len(carry)
+    tests = np.asarray([(i, j, 0) for i, j in distinct]
+                       + [(i, j, 1) for i, j in conds],
+                       dtype=np.int64).reshape(-1, 3)
+    join = kernels._join_inputs(build, probe, bkey, pkey, build_left, carry,
+                                tests, -1, True)
+    p0, counts, lo = next(join.ranges)
+    lib, calls = kernels._LIB, []
+
+    class Spy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lib, name)
+
+    def run(call):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_LIB", Spy())
+            with pytest.raises(ValueError):
+                call()
+
+    outside = data.draw(st.sampled_from([-1, width, width + 2]))
+    if kind == "carry":
+        bad = (*carry, data.draw(st.sampled_from(
+            [-1, (probe if build_left else build).shape[1]])))
+        run(lambda: list(join_blocks(build, probe, bkey, pkey, build_left,
+                                     bad, distinct, conds)))
+    elif kind == "test":
+        bad = [*conds, (data.draw(st.integers(0, width - 1)), outside)]
+        bad_distinct = data.draw(st.sampled_from([distinct, bad]))
+        run(lambda: list(join_blocks(build, probe, bkey, pkey, build_left,
+                                     carry, bad_distinct, bad)))
+    elif kind == "ordered":
+        on_build = (np.arange(width) < left_width) == build_left
+        cross_lt = [t for t, (i, j, less) in enumerate(tests.tolist())
+                    if less and on_build[i] != on_build[j]]
+        ordered = data.draw(st.sampled_from(
+            [-2, len(tests), len(tests) + 3]
+            + [t for t in range(len(tests)) if t not in cross_lt]))
+        run(lambda: kernels._join_inputs(build, probe, bkey, pkey,
+                                         build_left, carry, tests, ordered,
+                                         False))
+    elif kind == "lo past the build side":
+        assume(len(counts))
+        row = data.draw(st.integers(0, len(counts) - 1))
+        bad = lo.copy()
+        bad[row] = len(build) - counts[row] + data.draw(st.integers(1, 3))
+        run(lambda: kernels._join_block(join, p0, counts, bad))
+    elif kind == "lo and counts disagree":
+        run(lambda: kernels._join_block(join, p0, counts,
+                                        np.append(lo, 0)))
+    else:
+        bad = data.draw(st.sampled_from([-1, len(probe) - len(counts) + 1]))
+        run(lambda: kernels._join_block(join, bad, counts, lo))
+    assert calls == []
 
 
 def _relation_pair(cluster, hot=200):

@@ -166,12 +166,9 @@ class TestCountedJoin:
 
         join_block = kernels._join_block
 
-        def spy(build, probe, p0, counts, build_idx, build_left, carry,
-                tests, materialise):
-            width = (build if build_left else probe).shape[1] + len(carry)
-            blocks.append((width, materialise))
-            return join_block(build, probe, p0, counts, build_idx,
-                              build_left, carry, tests, materialise)
+        def spy(join, p0, counts, lo):
+            blocks.append((join.width, join.materialise))
+            return join_block(join, p0, counts, lo)
         monkeypatch.setattr(kernels, "_join_block", spy)
         monkeypatch.setattr(engine, "SinkConsumer", _LeanSink)
         runs = []
